@@ -115,6 +115,10 @@ impl GraphProgram for Bfs {
         true
     }
 
+    fn identity_apply_is_noop(&self) -> bool {
+        true
+    }
+
     fn converged(&self) -> Option<&DenseBitmap> {
         Some(&self.visited)
     }

@@ -152,6 +152,11 @@ impl GraphProgram for ConnectedComponents {
         true
     }
 
+    fn identity_apply_is_noop(&self) -> bool {
+        // Holds in write-intense mode too: `old.min(+∞)` stores `old` back.
+        true
+    }
+
     fn write_intense(&self) -> bool {
         self.write_intense
     }

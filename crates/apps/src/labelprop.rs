@@ -134,6 +134,10 @@ impl GraphProgram for LabelProp {
         true
     }
 
+    fn identity_apply_is_noop(&self) -> bool {
+        true
+    }
+
     fn initial_frontier(&self) -> Frontier {
         Frontier::all(self.n)
     }

@@ -84,6 +84,10 @@ impl GraphProgram for Reachability {
         true
     }
 
+    fn identity_apply_is_noop(&self) -> bool {
+        true
+    }
+
     fn converged(&self) -> Option<&DenseBitmap> {
         Some(&self.visited)
     }

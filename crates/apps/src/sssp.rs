@@ -93,6 +93,10 @@ impl GraphProgram for Sssp {
         true
     }
 
+    fn identity_apply_is_noop(&self) -> bool {
+        true
+    }
+
     fn initial_frontier(&self) -> Frontier {
         Frontier::from_vertices(self.n, &[self.root])
     }

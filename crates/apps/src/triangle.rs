@@ -87,7 +87,12 @@ pub fn counts_prepared(
     } else {
         // Single superstep over an all-active frontier: every edge scatters,
         // so the scatter policy sees the full edge count (DESIGN.md §17).
-        let mode = choose_scatter(cfg.scatter_mode, g.num_edges() as u64, pg.num_vertices);
+        let mode = choose_scatter(
+            cfg.scatter_mode,
+            g.num_edges() as u64,
+            pg.num_vertices,
+            false,
+        );
         let mut spa_scratch = SpaScratch::new();
         edge_push_with_mode(
             &pg.vss,
@@ -97,6 +102,7 @@ pub fn counts_prepared(
             &prof,
             mode,
             &mut spa_scratch,
+            false,
         );
     }
     finish(&kern)
@@ -286,14 +292,21 @@ mod tests {
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::single_group(threads);
             let base = EngineConfig::new().with_threads(threads);
-            for mode in [
-                PullMode::SchedulerAware,
-                PullMode::Traditional,
-                PullMode::TraditionalNoAtomic,
-            ] {
-                // NoAtomic sum-scatter races are confined to the
-                // traditional *pull* path, which for this kernel still
-                // writes disjoint destinations per vector — exact.
+            // TraditionalNoAtomic is the paper's deliberately unsynchronized
+            // Fig 5/8 baseline: a destination whose edge vectors straddle a
+            // chunk boundary is read-modify-written by two threads at once,
+            // and a lost update is a lost triangle. It is exact only where
+            // no second writer exists — one thread.
+            let exact_modes: &[PullMode] = if threads == 1 {
+                &[
+                    PullMode::SchedulerAware,
+                    PullMode::Traditional,
+                    PullMode::TraditionalNoAtomic,
+                ]
+            } else {
+                &[PullMode::SchedulerAware, PullMode::Traditional]
+            };
+            for &mode in exact_modes {
                 let cfg = base.with_pull_mode(mode);
                 assert_eq!(
                     counts_prepared(&g, &pg, &cfg, &pool),

@@ -232,6 +232,8 @@ mod tests {
             retries: 0,
             degraded: 0,
             rollbacks: 0,
+            vertex_touched: 0,
+            acc_resets_skipped: 0,
             build: None,
         }
     }

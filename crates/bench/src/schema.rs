@@ -43,7 +43,9 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// (`lp:{hybrid,pull,push}:*`) experiments' run labels. Minor 5: the
 /// `ablate-push-spa` experiment's `spa:{atomic,spa,auto}:{bfs,sssp}:*`
 /// labels, whose `secs` is the push Edge-phase wall (not end-to-end).
-pub const SCHEMA_MINOR: u64 = 5;
+/// Minor 6: `profile.vertex_touched` / `profile.acc_resets_skipped`, the
+/// sparse Vertex phase's per-run totals (DESIGN.md §18).
+pub const SCHEMA_MINOR: u64 = 6;
 
 /// The load → CSR/CSC → Vector-Sparse phase breakdown attached to runs of
 /// build experiments (`build-throughput`). Mirrors
@@ -118,6 +120,10 @@ pub struct RunRecord {
     pub retries: u64,
     pub degraded: u64,
     pub rollbacks: u64,
+    /// Touched-list entries walked by sparse Vertex phases (DESIGN.md §18).
+    pub vertex_touched: u64,
+    /// Supersteps that skipped the accumulator reset.
+    pub acc_resets_skipped: u64,
     /// Ingestion phase breakdown — `Some` only for build experiments
     /// (schema minor 1, additive).
     pub build: Option<BuildRecord>,
@@ -143,6 +149,8 @@ impl RunRecord {
             retries: p.chunk_retries,
             degraded: p.degraded_iterations,
             rollbacks: p.divergence_rollbacks,
+            vertex_touched: p.vertex_touched,
+            acc_resets_skipped: p.acc_resets_skipped,
             build: None,
         }
     }
@@ -169,6 +177,8 @@ impl RunRecord {
             retries: 0,
             degraded: 0,
             rollbacks: 0,
+            vertex_touched: 0,
+            acc_resets_skipped: 0,
             build: Some(BuildRecord::from_profile(profile)),
         }
     }
@@ -192,6 +202,8 @@ impl RunRecord {
             retries: 0,
             degraded: 0,
             rollbacks: 0,
+            vertex_touched: 0,
+            acc_resets_skipped: 0,
             build: None,
         }
     }
@@ -216,6 +228,11 @@ impl RunRecord {
                     ("retries", Json::Num(self.retries as f64)),
                     ("degraded", Json::Num(self.degraded as f64)),
                     ("rollbacks", Json::Num(self.rollbacks as f64)),
+                    ("vertex_touched", Json::Num(self.vertex_touched as f64)),
+                    (
+                        "acc_resets_skipped",
+                        Json::Num(self.acc_resets_skipped as f64),
+                    ),
                 ]),
             ),
         ];
@@ -348,6 +365,8 @@ mod tests {
             retries: 0,
             degraded: 0,
             rollbacks: 0,
+            vertex_touched: 0,
+            acc_resets_skipped: 0,
             build: None,
         }
     }

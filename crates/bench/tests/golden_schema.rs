@@ -44,6 +44,8 @@ fn golden_doc() -> Json {
             retries: 0,
             degraded: 0,
             rollbacks: 0,
+            vertex_touched: 0,
+            acc_resets_skipped: 0,
             build: None,
         },
         RunRecord {
@@ -62,6 +64,8 @@ fn golden_doc() -> Json {
             retries: 0,
             degraded: 0,
             rollbacks: 0,
+            vertex_touched: 0,
+            acc_resets_skipped: 0,
             build: None,
         },
         RunRecord {
@@ -80,6 +84,10 @@ fn golden_doc() -> Json {
             retries: 2,
             degraded: 1,
             rollbacks: 1,
+            // Schema minor 6: five push supersteps, four of them after a
+            // sparse Vertex phase.
+            vertex_touched: 9_216,
+            acc_resets_skipped: 4,
             build: None,
         },
         // Schema minor 1: a build-pipeline run with the ingestion
@@ -211,8 +219,14 @@ fn golden_preserves_required_fields() {
         "retries",
         "degraded",
         "rollbacks",
+        "vertex_touched",
+        "acc_resets_skipped",
     ] {
         assert!(profile.get(key).is_some(), "missing profile '{key}'");
     }
+    assert_eq!(
+        profile.get("acc_resets_skipped").unwrap().as_f64(),
+        Some(4.0)
+    );
     assert_eq!(run.get("trace_records").unwrap().as_f64(), Some(18.0));
 }

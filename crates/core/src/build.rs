@@ -60,6 +60,9 @@ pub fn prepare_profiled_with_cutover(
     if el.num_vertices() == 0 {
         return Err(GraphError::EmptyGraph);
     }
+    // Four edge-scale structures are about to be allocated; an edge list
+    // that came from a generator or the wire has not been through a loader.
+    grazelle_sched::alloc::pin_large_block_policy();
     // The *_parallel builders fall back to the sequential code on a
     // one-thread pool, so both sides of the cutover share one code path;
     // the cutover only decides which width the phases run at.

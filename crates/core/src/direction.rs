@@ -66,6 +66,20 @@ pub const SPA_CHUNK_SETUP_COST: u64 = 24;
 /// broadcast barrier. Below this size the barrier dominates the phase.
 pub const SPA_INLINE_EDGE_CUTOFF: u64 = crate::spmv::spa::SPA_SEQ_VECTOR_CUTOFF as u64;
 
+/// The sparse Vertex phase (DESIGN.md §18) runs only while the touched
+/// list holds at most `V / this` entries: each entry is one random-access
+/// `apply` plus an identity store (≈10 ns), against ≈2 ns per vertex for
+/// the sequential reset + dense sweep it replaces, so past a quarter of V
+/// the dense sweep is the cheaper Vertex phase.
+pub const SPARSE_VERTEX_TOUCHED_DIVISOR: u64 = 4;
+
+/// True when a touched list of `touched` entries is short enough for the
+/// sparse Vertex phase. The hybrid driver tests the phase's actual list;
+/// [`choose_scatter`] tests `frontier_edges`, an upper bound on it.
+pub fn sparse_vertex_fits(touched: u64, num_vertices: usize) -> bool {
+    touched.saturating_mul(SPARSE_VERTEX_TOUCHED_DIVISOR) <= num_vertices as u64
+}
+
 /// Frontiers larger than this are costed with the average-degree
 /// approximation instead of an exact out-degree sum, bounding the
 /// per-iteration decision cost.
@@ -101,18 +115,30 @@ pub struct Decision {
 /// `Atomic` and `Spa` pass through; `Auto` picks SPA outright for
 /// near-empty frontiers (≤ [`SPA_INLINE_EDGE_CUTOFF`] estimated edges,
 /// where SPA's inline path skips the pool broadcast the synchronized
-/// scatter always pays), and otherwise compares the modeled scatter costs
+/// scatter always pays) and, when `sparse_vertex` says the run may take the
+/// sparse Vertex phase, for every frontier whose touched list can fit it
+/// ([`sparse_vertex_fits`]): only SPA leaves a touched list, and the
+/// synchronized arm would bring back the O(V) reset and sweep that cost
+/// more than any scatter at these sizes. Otherwise it compares the modeled
+/// scatter costs
 /// — `frontier_edges · PUSH_SPA_EDGE_COST + chunks · SPA_CHUNK_SETUP_COST`
 /// against `frontier_edges · PUSH_ATOMIC_EDGE_COST` — so SPA is chosen
 /// exactly when `frontier_edges` amortizes its bucket setup (with the
 /// default constants, `fe > 12 · chunks`). Inputs are the iteration's
 /// frontier state only — no thread counts — preserving the module-level
 /// purity invariant.
-pub fn choose_scatter(mode: ScatterMode, frontier_edges: u64, num_vertices: usize) -> ScatterMode {
+pub fn choose_scatter(
+    mode: ScatterMode,
+    frontier_edges: u64,
+    num_vertices: usize,
+    sparse_vertex: bool,
+) -> ScatterMode {
     match mode {
         ScatterMode::Atomic | ScatterMode::Spa => mode,
         ScatterMode::Auto => {
-            if frontier_edges <= SPA_INLINE_EDGE_CUTOFF {
+            if frontier_edges <= SPA_INLINE_EDGE_CUTOFF
+                || (sparse_vertex && sparse_vertex_fits(frontier_edges, num_vertices))
+            {
                 return ScatterMode::Spa;
             }
             let chunks = crate::spmv::spa::num_chunks(num_vertices) as u64;
@@ -181,6 +207,10 @@ fn frontier_out_edges(
 /// small-frontier cost; without it the average-degree approximation is
 /// used. Forced engines ([`EngineConfig::force_engine`]) override the
 /// direction but the costs are still computed and reported for the trace.
+/// `sparse_vertex` is the run-level half of the sparse Vertex phase's
+/// eligibility (program opted in, no delta overlay, hybrid driver); it only
+/// steers [`choose_scatter`].
+#[allow(clippy::too_many_arguments)]
 pub fn decide(
     cfg: &EngineConfig,
     density: Option<f64>,
@@ -189,6 +219,7 @@ pub fn decide(
     num_edges: usize,
     num_vertices: usize,
     converged: usize,
+    sparse_vertex: bool,
 ) -> Decision {
     let m = num_edges as u64;
     let (frontier_edges, unvisited_edges) = match density {
@@ -230,7 +261,12 @@ pub fn decide(
         compact,
         frontier_edges,
         unvisited_edges,
-        scatter: choose_scatter(cfg.scatter_mode, frontier_edges, num_vertices),
+        scatter: choose_scatter(
+            cfg.scatter_mode,
+            frontier_edges,
+            num_vertices,
+            sparse_vertex,
+        ),
     }
 }
 
@@ -266,7 +302,7 @@ mod tests {
     #[test]
     fn frontier_less_iterations_pull() {
         let cfg = EngineConfig::new();
-        let d = decide(&cfg, None, &Frontier::all(100), None, 500, 100, 0);
+        let d = decide(&cfg, None, &Frontier::all(100), None, 500, 100, 0, false);
         assert!(d.use_pull);
         assert!(!d.compact);
         assert_eq!(d.frontier_edges, 500);
@@ -282,14 +318,14 @@ mod tests {
         let m = g.num_edges();
         // One active vertex: 1 out-edge + 1 ≪ 999 unvisited edges → push.
         let f = Frontier::from_vertices(1000, &[5]);
-        let d = decide(&cfg, Some(f.density()), &f, Some(&deg), m, 1000, 0);
+        let d = decide(&cfg, Some(f.density()), &f, Some(&deg), m, 1000, 0, false);
         assert!(!d.use_pull);
         assert_eq!(d.frontier_edges, 2);
         assert_eq!(d.unvisited_edges, m as u64);
         // Most vertices active: 14·fe dwarfs m → pull.
         let dense: Vec<u32> = (0..900).collect();
         let f = Frontier::from_vertices(1000, &dense);
-        let d = decide(&cfg, Some(f.density()), &f, Some(&deg), m, 1000, 0);
+        let d = decide(&cfg, Some(f.density()), &f, Some(&deg), m, 1000, 0, false);
         assert!(d.use_pull);
     }
 
@@ -303,18 +339,18 @@ mod tests {
         let cfg = EngineConfig::new();
         let below: Vec<u32> = (0..(n as u32) / 20).collect(); // d = 0.05
         let f = Frontier::from_vertices(n, &below);
-        assert!(!decide(&cfg, Some(f.density()), &f, Some(&deg), m, n, 0).use_pull);
+        assert!(!decide(&cfg, Some(f.density()), &f, Some(&deg), m, n, 0, false).use_pull);
         let above: Vec<u32> = (0..(n as u32) / 10).collect(); // d = 0.10
         let f = Frontier::from_vertices(n, &above);
-        assert!(decide(&cfg, Some(f.density()), &f, Some(&deg), m, n, 0).use_pull);
+        assert!(decide(&cfg, Some(f.density()), &f, Some(&deg), m, n, 0, false).use_pull);
     }
 
     #[test]
     fn converged_destinations_shrink_the_pull_cost() {
         let cfg = EngineConfig::new();
         let f = Frontier::from_vertices(100, &[0, 1, 2]);
-        let full = decide(&cfg, Some(f.density()), &f, None, 1000, 100, 0);
-        let half = decide(&cfg, Some(f.density()), &f, None, 1000, 100, 50);
+        let full = decide(&cfg, Some(f.density()), &f, None, 1000, 100, 0, false);
+        let half = decide(&cfg, Some(f.density()), &f, None, 1000, 100, 50, false);
         assert_eq!(full.unvisited_edges, 1000);
         assert_eq!(half.unvisited_edges, 500);
         // Same frontier, cheaper pull: the model may flip to pull.
@@ -333,6 +369,7 @@ mod tests {
             10_000,
             100,
             0,
+            false,
         );
         assert!(d.use_pull, "forced pull");
         assert!(d.frontier_edges > 0 && d.unvisited_edges > 0);
@@ -344,6 +381,7 @@ mod tests {
             100,
             100,
             0,
+            false,
         );
         assert!(!d.use_pull, "forced push");
     }
@@ -352,10 +390,10 @@ mod tests {
     fn density_gate_reproduces_legacy_thresholds() {
         let cfg = EngineConfig::new().with_direction_policy(DirectionPolicy::DensityGate);
         let f = Frontier::from_vertices(100, &[0]);
-        let d = decide(&cfg, Some(0.05), &f, None, 1000, 100, 0);
+        let d = decide(&cfg, Some(0.05), &f, None, 1000, 100, 0, false);
         assert!(!d.use_pull, "below pull_threshold");
         assert!(d.compact, "below frontier_pull_threshold");
-        let d = decide(&cfg, Some(0.5), &f, None, 1000, 100, 0);
+        let d = decide(&cfg, Some(0.5), &f, None, 1000, 100, 0, false);
         assert!(d.use_pull, "above pull_threshold");
         assert!(!d.compact, "above frontier_pull_threshold");
     }
@@ -366,11 +404,11 @@ mod tests {
         let f = Frontier::from_vertices(1000, &[0]);
         // Sparse frontier, sparse graph (avg degree 1): few active
         // destinations → compact.
-        let d = decide(&cfg, Some(0.001), &f, None, 1000, 1000, 0);
+        let d = decide(&cfg, Some(0.001), &f, None, 1000, 1000, 0, false);
         assert!(d.compact);
         // Same density on a dense graph (avg degree 500): nearly every
         // destination has a frontier in-neighbor → dense pull.
-        let d = decide(&cfg, Some(0.01), &f, None, 500_000, 1000, 0);
+        let d = decide(&cfg, Some(0.01), &f, None, 500_000, 1000, 0, false);
         assert!(!d.compact);
     }
 
@@ -391,29 +429,59 @@ mod tests {
     fn auto_scatter_amortizes_bucket_setup() {
         // Pick n so the amortization bar sits well above the inline
         // cutoff, keeping the two regimes distinguishable.
-        let n = 500_000usize;
+        let n = 2_000_000usize;
         let chunks = crate::spmv::spa::num_chunks(n) as u64;
         let bar = chunks * SPA_CHUNK_SETUP_COST / (PUSH_ATOMIC_EDGE_COST - PUSH_SPA_EDGE_COST);
         assert!(bar > SPA_INLINE_EDGE_CUTOFF);
         // Near-empty frontiers take SPA outright: the inline path skips
         // the pool broadcast the synchronized scatter always pays.
         assert_eq!(
-            choose_scatter(ScatterMode::Auto, SPA_INLINE_EDGE_CUTOFF, n),
+            choose_scatter(ScatterMode::Auto, SPA_INLINE_EDGE_CUTOFF, n, false),
             ScatterMode::Spa
         );
         // Past the inline cutoff the chunk-overhead amortization decides:
         // SPA wins iff fe·2 + chunks·24 < fe·4, i.e. fe > 12·chunks.
         assert_eq!(
-            choose_scatter(ScatterMode::Auto, SPA_INLINE_EDGE_CUTOFF + 1, n),
+            choose_scatter(ScatterMode::Auto, SPA_INLINE_EDGE_CUTOFF + 1, n, false),
             ScatterMode::Atomic
         );
         assert_eq!(
-            choose_scatter(ScatterMode::Auto, bar, n),
+            choose_scatter(ScatterMode::Auto, bar, n, false),
             ScatterMode::Atomic
         );
         assert_eq!(
-            choose_scatter(ScatterMode::Auto, bar + 1, n),
+            choose_scatter(ScatterMode::Auto, bar + 1, n, false),
             ScatterMode::Spa
+        );
+    }
+
+    /// A run eligible for the sparse Vertex phase takes SPA across the whole
+    /// gap the cost comparison leaves to the synchronized arm, up to the
+    /// touched-list bound; past it the comparison decides again.
+    #[test]
+    fn auto_scatter_keeps_spa_while_the_sparse_vertex_phase_fits() {
+        let n = 2_000_000usize;
+        let gap = SPA_INLINE_EDGE_CUTOFF + 1;
+        assert_eq!(
+            choose_scatter(ScatterMode::Auto, gap, n, false),
+            ScatterMode::Atomic
+        );
+        assert_eq!(
+            choose_scatter(ScatterMode::Auto, gap, n, true),
+            ScatterMode::Spa
+        );
+        // On a graph small enough that the gap lies past V/4 the sparse
+        // Vertex phase cannot run, so eligibility changes nothing.
+        let small = 4 * SPA_INLINE_EDGE_CUTOFF as usize;
+        assert!(!sparse_vertex_fits(gap, small));
+        assert_eq!(
+            choose_scatter(ScatterMode::Auto, gap, small, true),
+            choose_scatter(ScatterMode::Auto, gap, small, false)
+        );
+        // Pinned modes ignore eligibility.
+        assert_eq!(
+            choose_scatter(ScatterMode::Atomic, gap, n, true),
+            ScatterMode::Atomic
         );
     }
 
@@ -421,10 +489,13 @@ mod tests {
     fn pinned_scatter_modes_pass_through() {
         for fe in [0u64, 96, 1_000_000] {
             assert_eq!(
-                choose_scatter(ScatterMode::Atomic, fe, 100),
+                choose_scatter(ScatterMode::Atomic, fe, 100, false),
                 ScatterMode::Atomic
             );
-            assert_eq!(choose_scatter(ScatterMode::Spa, fe, 100), ScatterMode::Spa);
+            assert_eq!(
+                choose_scatter(ScatterMode::Spa, fe, 100, false),
+                ScatterMode::Spa
+            );
         }
     }
 
@@ -432,11 +503,11 @@ mod tests {
     fn decide_resolves_auto_and_never_reports_it() {
         let cfg = EngineConfig::new(); // scatter_mode defaults to Auto
         let f = Frontier::from_vertices(1000, &[5]);
-        let d = decide(&cfg, Some(f.density()), &f, None, 1000, 1000, 0);
+        let d = decide(&cfg, Some(f.density()), &f, None, 1000, 1000, 0, false);
         assert_ne!(d.scatter, ScatterMode::Auto);
         // A pinned mode flows straight into the decision.
         let cfg = cfg.with_scatter_mode(ScatterMode::Spa);
-        let d = decide(&cfg, Some(f.density()), &f, None, 1000, 1000, 0);
+        let d = decide(&cfg, Some(f.density()), &f, None, 1000, 1000, 0, false);
         assert_eq!(d.scatter, ScatterMode::Spa);
     }
 
@@ -446,7 +517,7 @@ mod tests {
         // inputs); determinism is re-checked by calling twice.
         let cfg = EngineConfig::new().with_threads(8);
         let f = Frontier::from_vertices(64, &[1, 5, 9]);
-        let a = decide(&cfg, Some(f.density()), &f, None, 256, 64, 3);
+        let a = decide(&cfg, Some(f.density()), &f, None, 256, 64, 3, false);
         let b = decide(
             &cfg.with_threads(1),
             Some(f.density()),
@@ -455,6 +526,7 @@ mod tests {
             256,
             64,
             3,
+            false,
         );
         assert_eq!(a, b);
     }

@@ -7,10 +7,10 @@
 //! also owns the synchronous iteration structure: Edge phase → barrier →
 //! Vertex phase → barrier, repeated until convergence.
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, ScatterMode};
 use crate::engine::pull::{edge_pull, MergeEntry};
 use crate::engine::push::{edge_push, edge_push_with_mode};
-use crate::engine::vertex::{reset_accumulators, vertex_phase};
+use crate::engine::vertex::{reset_accumulators, sparse_vertex_phase, vertex_phase};
 use crate::engine::PreparedGraph;
 use crate::frontier::{DenseBitmap, Frontier};
 use crate::program::GraphProgram;
@@ -53,6 +53,13 @@ pub struct ExecutionStats {
     /// On the resilient path rolled-back executions are recorded too, so
     /// the trace length is `iterations + rollbacks`.
     pub records: Vec<IterationRecord>,
+    /// True when the run left the driver loop because
+    /// [`EngineConfig::max_iterations`](crate::config::EngineConfig::max_iterations)
+    /// supersteps had run, not because the program's `should_stop` said so:
+    /// the result of a convergence-driven program (BFS on a graph whose
+    /// diameter exceeds the cap) is then truncated. Fixed-iteration programs
+    /// (PageRank without a tolerance) end this way by design.
+    pub hit_iteration_cap: bool,
 }
 
 impl ExecutionStats {
@@ -138,6 +145,14 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
     #[cfg(not(feature = "invariant-checks"))]
     let prof = Profiler::new();
     let mut frontier = prog.initial_frontier();
+    let overlay = delta.filter(|d| d.num_edges > 0);
+    // Run-level half of the sparse Vertex phase's eligibility (DESIGN.md
+    // §18): the program's contract, a frontier to rebuild, and no overlay
+    // fold writing accumulators the touched list does not cover.
+    let sparse_vertex = prog.uses_frontier() && prog.identity_apply_is_noop() && overlay.is_none();
+    // Driver-tracked invariant: every accumulator holds the identity. Only
+    // a sparse Vertex phase establishes it; any other superstep clears it.
+    let mut acc_clean = false;
     let mut pull_iterations = 0;
     let mut push_iterations = 0;
     let mut engine_trace = Vec::new();
@@ -149,6 +164,7 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
     let start = SpanClock::start();
 
     let mut iterations = 0;
+    let mut hit_iteration_cap = true;
     for iter in 0..cfg.max_iterations {
         prog.pre_iteration(iter);
         // One density computation per superstep, shared by engine
@@ -160,7 +176,13 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
         // Disabled-recorder cost per iteration: this one branch.
         let snap_before = recorder.is_enabled().then(|| prof.snapshot());
         let sparse_repr = matches!(frontier, Frontier::Sparse { .. });
-        reset_accumulators(prog, pool, &prof);
+        if acc_clean {
+            #[cfg(feature = "invariant-checks")]
+            assert_accumulators_identity(prog, iter);
+            prof.add(&prof.acc_resets_skipped, 1);
+        } else {
+            reset_accumulators(prog, pool, &prof);
+        }
 
         // Direction choice (DESIGN.md §16): one shared [`Decision`] feeds
         // engine selection, the compaction gate, and the trace.
@@ -179,6 +201,7 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
             pg.num_edges,
             pg.num_vertices,
             converged,
+            sparse_vertex,
         );
         let use_pull = decision.use_pull;
         // Active-vector count when the frontier-aware compacted pull ran.
@@ -232,6 +255,10 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
                 &prof,
                 decision.scatter,
                 &mut spa_scratch,
+                // A superstep that skipped its reset follows a sparse
+                // Vertex phase: nothing has woken the pool since the
+                // previous Edge phase at the latest.
+                acc_clean,
             );
             push_iterations += 1;
             engine_trace.push(EngineKind::Push);
@@ -243,27 +270,60 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
         // the synchronized scatter: delta overlays are tiny and must combine
         // into accumulators the base phase already folded, which the SPA
         // merge's plain-store discipline does not cover.
-        if let Some(d) = delta.filter(|d| d.num_edges > 0) {
+        if let Some(d) = overlay {
             edge_push(&d.vss, &kern, &frontier, pool, &prof);
         }
 
-        let next = prog
-            .uses_frontier()
-            .then(|| DenseBitmap::new(pg.num_vertices));
-        let active = vertex_phase(prog, pool, next.as_ref(), cfg.simd, &prof);
-        if let Some(nb) = next {
-            let dense = Frontier::Dense(nb);
-            // Representation switch (sparse-frontier extension): near-empty
-            // frontiers become sorted vertex lists so the next push
-            // iteration is O(|F|) instead of an O(|V|/64) bitmap scan.
-            frontier = if cfg.sparse_frontier
-                && (active as f64) <= cfg.sparse_threshold * pg.num_vertices as f64
-            {
-                dense.to_sparse()
+        // Representation switch (sparse-frontier extension): near-empty
+        // frontiers become sorted vertex lists so the next push iteration
+        // is O(|F|) instead of an O(|V|/64) bitmap scan.
+        let as_list = |active: usize| {
+            cfg.sparse_frontier && (active as f64) <= cfg.sparse_threshold * pg.num_vertices as f64
+        };
+        // Sparse Vertex phase (DESIGN.md §18): an SPA push over clean
+        // accumulators wrote exactly the touched list, so a program whose
+        // `apply` ignores identity accumulators needs no other vertex
+        // visited — and resetting each one as it is applied leaves the
+        // whole array clean for the next superstep.
+        let go_sparse = sparse_vertex
+            && !use_pull
+            && decision.scatter == ScatterMode::Spa
+            && crate::direction::sparse_vertex_fits(
+                spa_scratch.touched_len() as u64,
+                pg.num_vertices,
+            );
+        acc_clean = go_sparse;
+        let mut vertex_parallelism = pool.num_threads() as u32;
+        let active = if go_sparse {
+            let run = sparse_vertex_phase(prog, pool, &spa_scratch, &prof);
+            #[cfg(feature = "invariant-checks")]
+            assert_dense_sweep_adds_nothing(prog, iter);
+            vertex_parallelism = run.parallelism;
+            let active = run.activated.len();
+            frontier = if as_list(active) {
+                Frontier::Sparse {
+                    len: pg.num_vertices,
+                    vertices: run.activated,
+                }
             } else {
-                dense
+                Frontier::from_vertices(pg.num_vertices, &run.activated)
             };
-        }
+            active
+        } else {
+            let next = prog
+                .uses_frontier()
+                .then(|| DenseBitmap::new(pg.num_vertices));
+            let active = vertex_phase(prog, pool, next.as_ref(), cfg.simd, &prof);
+            if let Some(nb) = next {
+                let dense = Frontier::Dense(nb);
+                frontier = if as_list(active) {
+                    dense.to_sparse()
+                } else {
+                    dense
+                };
+            }
+            active
+        };
         iterations = iter + 1;
         if let Some(before) = snap_before {
             let engine = if use_pull {
@@ -283,7 +343,7 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
                 &before,
                 &prof.snapshot(),
                 pool.num_threads() as u32,
-                pool.num_threads() as u32,
+                vertex_parallelism,
                 false,
             );
             if let Some(av) = compacted {
@@ -296,6 +356,7 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
             recorder.push(rec);
         }
         if prog.should_stop(iter, active) {
+            hit_iteration_cap = false;
             break;
         }
     }
@@ -322,7 +383,51 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
         profile: prof.snapshot(),
         engine_trace,
         records: recorder.into_records(),
+        hit_iteration_cap,
     }
+}
+
+/// `invariant-checks` audit of `acc_clean`: a superstep about to skip its
+/// reset really does start from all-identity accumulators.
+#[cfg(feature = "invariant-checks")]
+fn assert_accumulators_identity<P: GraphProgram>(prog: &P, iter: usize) {
+    let identity = prog.op().identity().to_bits();
+    for (v, cell) in prog.accumulators().to_vec_u64().into_iter().enumerate() {
+        assert_eq!(
+            cell, identity,
+            "iteration {iter}: reset skipped but accumulator {v} is not the identity"
+        );
+    }
+}
+
+/// `invariant-checks` shadow of the dense Vertex phase, run right after a
+/// sparse one: the dense sweep would additionally `apply` every vertex
+/// whose accumulator still holds the identity, which is now all of them.
+/// Its activation set equals the sparse phase's exactly when none of those
+/// calls activates or writes anything — the program contract, checked here
+/// at this reachable state over every vertex.
+#[cfg(feature = "invariant-checks")]
+fn assert_dense_sweep_adds_nothing<P: GraphProgram>(prog: &P, iter: usize) {
+    assert_accumulators_identity(prog, iter);
+    let snapshot = |prog: &P| -> Vec<Vec<u64>> {
+        prog.checkpoint_arrays()
+            .iter()
+            .map(|a| a.to_vec_u64())
+            .collect()
+    };
+    let before = snapshot(prog);
+    for v in 0..prog.num_vertices() as u32 {
+        assert!(
+            !prog.apply(v),
+            "iteration {iter}: apply({v}) activated on an identity accumulator \
+             — identity_apply_is_noop() is declared but does not hold"
+        );
+    }
+    assert!(
+        snapshot(prog) == before,
+        "iteration {iter}: apply on identity accumulators changed program state \
+         — identity_apply_is_noop() is declared but does not hold"
+    );
 }
 
 #[cfg(test)]
@@ -380,9 +485,48 @@ mod tests {
         fn uses_frontier(&self) -> bool {
             true
         }
+        fn identity_apply_is_noop(&self) -> bool {
+            true // an accumulator at +∞ never beats a label
+        }
         fn initial_frontier(&self) -> Frontier {
             Frontier::all(self.n)
         }
+    }
+
+    /// [`MinLabel`] without the contract declaration: same program, but the
+    /// driver must keep the dense Vertex phase for it.
+    struct Undeclared(MinLabel);
+    impl GraphProgram for Undeclared {
+        fn num_vertices(&self) -> usize {
+            self.0.n
+        }
+        fn op(&self) -> AggOp {
+            AggOp::Min
+        }
+        fn edge_values(&self) -> &PropertyArray {
+            &self.0.labels
+        }
+        fn accumulators(&self) -> &PropertyArray {
+            &self.0.acc
+        }
+        fn apply(&self, v: u32) -> bool {
+            self.0.apply(v)
+        }
+        fn uses_frontier(&self) -> bool {
+            true
+        }
+        fn initial_frontier(&self) -> Frontier {
+            Frontier::all(self.0.n)
+        }
+    }
+
+    fn chain(n: usize) -> Graph {
+        let mut el = EdgeList::new(n);
+        for v in 0..(n - 1) as u32 {
+            el.push(v, v + 1).unwrap();
+            el.push(v + 1, v).unwrap();
+        }
+        Graph::from_edgelist(&el).unwrap()
     }
 
     fn two_cycles() -> Graph {
@@ -797,5 +941,109 @@ mod tests {
         let cfg = EngineConfig::new().with_threads(1).with_max_iterations(5);
         let stats = run_program(&pg, &prog, &cfg);
         assert_eq!(stats.iterations, 5);
+        assert!(stats.hit_iteration_cap);
+    }
+
+    /// A run cut off by `max_iterations` must say so: label 0 needs one
+    /// superstep per hop to cross a chain, so a cap below the chain length
+    /// leaves the far end unconverged — silently, before this flag.
+    #[test]
+    fn truncation_by_the_iteration_cap_is_reported() {
+        let g = chain(400);
+        let pg = PreparedGraph::new(&g);
+        let run = |cap: usize| {
+            let prog = MinLabel::new(400);
+            let cfg = EngineConfig::new().with_threads(2).with_max_iterations(cap);
+            let stats = run_program(&pg, &prog, &cfg);
+            (prog.labels.to_vec_f64(), stats)
+        };
+        let (labels, stats) = run(100);
+        assert_eq!(stats.iterations, 100);
+        assert!(stats.hit_iteration_cap, "capped run must be flagged");
+        assert_ne!(labels[399], 0.0, "the cap really did truncate the flood");
+        let (labels, stats) = run(1000);
+        assert!(stats.iterations < 1000);
+        assert!(
+            !stats.hit_iteration_cap,
+            "converged run must not be flagged"
+        );
+        assert!(labels.iter().all(|&l| l == 0.0));
+        // Converging on exactly the last permitted superstep is convergence.
+        let (_, exact) = run(stats.iterations);
+        assert!(!exact.hit_iteration_cap);
+    }
+
+    /// The sparse Vertex phase (DESIGN.md §18) through the full driver: a
+    /// program that declares the contract takes it on the chain's sparse
+    /// tail, the trace says so, and nothing observable differs from the
+    /// same program run without the declaration.
+    #[test]
+    fn sparse_vertex_phase_is_taken_traced_and_output_invariant() {
+        use crate::config::ScatterMode;
+        let n = 1500;
+        let g = chain(n);
+        let pg = PreparedGraph::new(&g);
+        for threads in [1usize, 2] {
+            let cfg = EngineConfig::new()
+                .with_threads(threads)
+                .with_max_iterations(2 * n)
+                .with_trace(true);
+            let declared = MinLabel::new(n);
+            let sparse = run_program(&pg, &declared, &cfg);
+            let undeclared = Undeclared(MinLabel::new(n));
+            let dense = run_program(&pg, &undeclared, &cfg);
+            assert_eq!(
+                declared.labels.to_vec_u64(),
+                undeclared.0.labels.to_vec_u64(),
+                "x{threads}"
+            );
+            assert_eq!(sparse.iterations, dense.iterations, "x{threads}");
+            assert_eq!(sparse.engine_trace, dense.engine_trace, "x{threads}");
+
+            for r in &dense.records {
+                assert_eq!(r.vertex_touched, 0, "undeclared: iteration {}", r.iteration);
+                assert!(
+                    !r.acc_reset_skipped,
+                    "undeclared: iteration {}",
+                    r.iteration
+                );
+            }
+            assert_eq!(dense.profile.acc_resets_skipped, 0);
+
+            let recs = &sparse.records;
+            assert!(
+                !recs[0].acc_reset_skipped,
+                "the first superstep always resets"
+            );
+            for (i, r) in recs.iter().enumerate() {
+                if r.vertex_touched > 0 {
+                    assert_eq!(r.engine, EngineKind::Push, "iteration {i}");
+                    assert_eq!(r.scatter_mode, Some(ScatterMode::Spa), "iteration {i}");
+                    assert_eq!(r.vertex_touched, r.spa_bucket_entries, "iteration {i}");
+                    if let Some(next) = recs.get(i + 1) {
+                        assert!(next.acc_reset_skipped, "iteration {}", i + 1);
+                    }
+                }
+                if r.engine == EngineKind::Pull {
+                    assert_eq!(r.vertex_touched, 0, "iteration {i}");
+                    if let Some(next) = recs.get(i + 1) {
+                        assert!(!next.acc_reset_skipped, "pull dirties: iteration {}", i + 1);
+                    }
+                }
+            }
+            let skipped = recs.iter().filter(|r| r.acc_reset_skipped).count() as u64;
+            assert_eq!(sparse.profile.acc_resets_skipped, skipped);
+            // The model only pushes once the frontier's out-edges are under
+            // m/14 — far below V/4 here — so every push superstep fits the
+            // sparse phase, and all but the first find clean accumulators.
+            let touched_steps = recs.iter().filter(|r| r.vertex_touched > 0).count();
+            assert!(sparse.push_iterations > 10, "fixture must have a push tail");
+            assert_eq!(touched_steps, sparse.push_iterations, "x{threads}");
+            assert_eq!(skipped as usize, sparse.push_iterations - 1, "x{threads}");
+            assert_eq!(
+                sparse.profile.vertex_touched,
+                recs.iter().map(|r| r.vertex_touched).sum::<u64>()
+            );
+        }
     }
 }

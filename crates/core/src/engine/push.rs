@@ -25,6 +25,10 @@ use std::sync::atomic::Ordering;
 /// (from a direct caller bypassing the cost model) falls back to the
 /// synchronized arm. `scratch` holds the SPA arm's reusable bucket storage
 /// (ignored by the synchronized arm) — drivers keep one per execution.
+/// `pool_parked` is forwarded to [`edge_push_spa`]: true only when the
+/// caller knows nothing has woken the pool since the previous superstep's
+/// Edge phase.
+#[allow(clippy::too_many_arguments)]
 pub fn edge_push_with_mode<K: EdgeKernel>(
     vss: &Vss,
     kernel: &K,
@@ -33,9 +37,10 @@ pub fn edge_push_with_mode<K: EdgeKernel>(
     prof: &Profiler,
     mode: ScatterMode,
     scratch: &mut SpaScratch,
+    pool_parked: bool,
 ) {
     match mode {
-        ScatterMode::Spa => edge_push_spa(vss, kernel, frontier, pool, prof, scratch),
+        ScatterMode::Spa => edge_push_spa(vss, kernel, frontier, pool, prof, scratch, pool_parked),
         ScatterMode::Atomic | ScatterMode::Auto => edge_push(vss, kernel, frontier, pool, prof),
     }
 }
@@ -362,6 +367,7 @@ mod tests {
                 &prof,
                 mode,
                 &mut scratch,
+                false,
             );
             let bits: Vec<u64> = (0..n).map(|v| prog.acc.get_f64(v).to_bits()).collect();
             (bits, prof.snapshot().push_updates)

@@ -500,6 +500,7 @@ pub fn run_resilient_overlay_on_pool<P: GraphProgram>(
     let mut iterations = start_iter;
     let mut rollbacks_this_iter = 0u32;
     let mut diverged_stop = false;
+    let mut program_stopped = false;
     // Divergence-guard state: a double-buffered last-good snapshot.
     // `last_good` always holds the state at the start of the iteration
     // being run; `scratch` receives the fused copy-and-scan of each
@@ -558,6 +559,9 @@ pub fn run_resilient_overlay_on_pool<P: GraphProgram>(
             pg.num_edges,
             pg.num_vertices,
             converged,
+            // This driver always runs the dense Vertex phase: its rollback
+            // snapshot and chunk retry assume a full sweep.
+            false,
         );
         let use_pull = decision.use_pull;
         // Threads that actually executed the Edge phase (1 when it
@@ -643,6 +647,9 @@ pub fn run_resilient_overlay_on_pool<P: GraphProgram>(
                     &prof,
                     decision.scatter,
                     &mut spa_scratch,
+                    // The reset and dense Vertex phase of every superstep
+                    // keep this driver's pool warm.
+                    false,
                 );
             }));
             if pushed.is_err() {
@@ -880,9 +887,9 @@ pub fn run_resilient_overlay_on_pool<P: GraphProgram>(
             }
         }
 
-        let stop = prog.should_stop(iter, active);
+        program_stopped = prog.should_stop(iter, active);
         iter += 1;
-        if stop {
+        if program_stopped {
             break;
         }
     }
@@ -904,6 +911,7 @@ pub fn run_resilient_overlay_on_pool<P: GraphProgram>(
             profile,
             engine_trace,
             records: recorder.into_records(),
+            hit_iteration_cap: !program_stopped && !diverged_stop,
         },
         outcome,
         resumed_from,
@@ -1322,6 +1330,19 @@ mod tests {
         assert!(run.stats.profile.resilience_clean());
         assert_eq!(prog.labels.to_vec_f64(), hybrid.labels.to_vec_f64());
         assert_eq!(run.stats.iterations, run.stats.engine_trace.len());
+        assert!(!run.stats.hit_iteration_cap, "converged well under the cap");
+
+        // The same flood cut off below the chain length is flagged, and
+        // agrees with the hybrid driver on what the truncated state is.
+        let capped = cfg.with_max_iterations(40);
+        let prog = MinLabel::new(120);
+        let run = run_resilient(&pg, &prog, &capped, &ResilienceContext::new()).unwrap();
+        assert_eq!(run.stats.iterations, 40);
+        assert!(run.stats.hit_iteration_cap);
+        let hybrid = MinLabel::new(120);
+        let stats = crate::engine::hybrid::run_program(&pg, &hybrid, &capped);
+        assert!(stats.hit_iteration_cap);
+        assert_eq!(prog.labels.to_vec_f64(), hybrid.labels.to_vec_f64());
     }
 
     #[test]

@@ -175,11 +175,17 @@ impl Frontier {
 
     /// Dense frontier containing exactly `vs`.
     pub fn from_vertices(len: usize, vs: &[VertexId]) -> Self {
-        let bm = DenseBitmap::new(len);
+        // Built in plain words: nobody shares the bitmap yet, so the
+        // per-vertex atomic RMW of `insert` would buy nothing.
+        let mut words = vec![0u64; len.div_ceil(64)];
         for &v in vs {
-            bm.insert(v);
+            assert!((v as usize) < len, "vertex {v} out of range");
+            words[v as usize >> 6] |= 1 << (v & 63);
         }
-        Frontier::Dense(bm)
+        Frontier::Dense(DenseBitmap {
+            words: words.into_iter().map(AtomicU64::new).collect(),
+            len,
+        })
     }
 
     /// Sparse frontier containing exactly `vs` (deduplicated and sorted).

@@ -139,6 +139,20 @@ pub trait GraphProgram: Sync {
         mask
     }
 
+    /// Program contract (DESIGN.md §18): `true` declares that whenever
+    /// `accumulators()[v]` holds the operator identity, `apply(v)` returns
+    /// `false` and leaves every [`checkpoint_arrays`](Self::checkpoint_arrays)
+    /// cell bit-unchanged — at every state the run can reach, including
+    /// after `pre_iteration`/`should_stop` moved any global. A vertex no
+    /// message reached then needs no Vertex-phase visit, so the hybrid
+    /// driver may apply only the destinations a sparse push touched. The
+    /// default `false` keeps the full sweep; a program whose update depends
+    /// on anything besides the aggregate (k-core's moving threshold) must
+    /// leave it `false`.
+    fn identity_apply_is_noop(&self) -> bool {
+        false
+    }
+
     /// Whether this application tracks a frontier at all. `false` (e.g.
     /// PageRank) means every vertex is active every iteration.
     fn uses_frontier(&self) -> bool;

@@ -87,11 +87,52 @@ pub fn num_chunks(num_vertices: usize) -> usize {
     num_vertices.div_ceil(SPA_CHUNK_VERTICES).max(1)
 }
 
-/// Below this many active-source edge vectors the phase runs inline on the
-/// calling thread: two pool broadcasts cost more than the scatter + fold
-/// themselves on near-empty frontiers, and the fold order is identical
-/// either way (module doc).
+/// Frontiers of at most this many active-source edge vectors run inline on
+/// the calling thread at every pool width: the fold order is identical
+/// either way (module doc), so this is cost only. Inline scatter + fold
+/// costs ≈25 ns per edge (L2-missing; traced road-mesh supersteps on the
+/// 2-vCPU benchmark host, EXPERIMENTS.md) — ≈60 ns per vector at road-graph
+/// fill (2.4 edges/vector), ≈100 ns per full one — and the pool path pays
+/// two broadcasts of ≈35 µs each (`sched.dispatch_us`) when the workers ran
+/// a phase moments ago, as they have under the dense Vertex phase. An
+/// unboundedly wide pool therefore repays its wake-ups past
+/// `70 µs / 60–100 ns ≈ 700–1200` vectors; 512 keeps PR 10's value as the
+/// floor and [`inline_vector_cutoff`] scales it by `T/(T − 1)`, the share
+/// of the inline time T threads actually save.
 pub const SPA_SEQ_VECTOR_CUTOFF: usize = 512;
+
+/// The same floor when the pool has been left parked — the hybrid driver's
+/// sparse supersteps (DESIGN.md §18), which run reset-free and
+/// Vertex-phase-inline and so never touch it. Rescheduling parked workers
+/// costs ≈180 µs per broadcast on the same host (traced: 2-thread steps of
+/// 12 k edges take 550 µs wall for 366 µs of summed thread time), five
+/// times the warm figure, so the floor moves to
+/// `360 µs / 60–100 ns ≈ 3.6 k–6 k` vectors.
+pub const SPA_PARKED_VECTOR_CUTOFF: usize = 4096;
+
+/// Scales an inline-cutoff floor (the size at which an unboundedly wide
+/// pool repays its wake-ups) to a `threads`-wide pool: T threads save only
+/// `(1 − 1/T)` of the inline time, so the break-even moves out by
+/// `T/(T − 1)` — and to infinity at T = 1, where the pool has no
+/// parallelism to sell.
+pub(crate) fn scaled_inline_cutoff(floor: usize, threads: usize) -> usize {
+    if threads <= 1 {
+        usize::MAX
+    } else {
+        floor.saturating_mul(threads) / (threads - 1)
+    }
+}
+
+/// The widest frontier (in edge vectors) a `threads`-wide pool leaves
+/// inline: at T = 2, 1024 vectors warm and 8192 parked.
+fn inline_vector_cutoff(threads: usize, pool_parked: bool) -> usize {
+    let floor = if pool_parked {
+        SPA_PARKED_VECTOR_CUTOFF
+    } else {
+        SPA_SEQ_VECTOR_CUTOFF
+    };
+    scaled_inline_cutoff(floor, threads)
+}
 
 /// Thread-local buckets: `buckets[c]` holds one thread's `(dst, message)`
 /// pairs for destination chunk `c`, in increasing source order.
@@ -102,15 +143,47 @@ type ChunkBuckets = Vec<Vec<(u32, f64)>>;
 /// every phase (the push-side twin of the pull merge `SlotBuffer`).
 /// Contents are scratch: each scatter pass clears before filling, so a
 /// scratch can be shared across kernels and even graphs.
+///
+/// Between one [`edge_push_spa`] and the next the buckets double as that
+/// superstep's *touched list* (DESIGN.md §18): every destination the phase
+/// folded a message into, grouped by destination chunk, duplicates
+/// included. [`touched_in_chunk`](SpaScratch::touched_in_chunk) exposes it
+/// to the sparse Vertex phase.
 #[derive(Default)]
 pub struct SpaScratch {
     rows: Vec<ChunkBuckets>,
+    /// Entries the last scatter bucketed, across all rows and chunks.
+    entries: usize,
 }
 
 impl SpaScratch {
     /// Creates an empty scratch; buckets are allocated lazily on first use.
     pub fn new() -> Self {
         SpaScratch::default()
+    }
+
+    /// Length of the last phase's touched list (its `push_updates`).
+    pub fn touched_len(&self) -> usize {
+        self.entries
+    }
+
+    /// Destination chunks of the last phase's radix partition.
+    pub fn touched_chunks(&self) -> usize {
+        self.rows.first().map_or(0, Vec::len)
+    }
+
+    /// Entries of the last phase's touched list that fall in chunk `c`.
+    pub fn chunk_len(&self, c: usize) -> usize {
+        self.rows.iter().map(|row| row[c].len()).sum()
+    }
+
+    /// The destinations the last phase folded into chunk `c` — all inside
+    /// `c·SPA_CHUNK_VERTICES..(c+1)·SPA_CHUNK_VERTICES`, so two chunks
+    /// never share a vertex. A destination appears once per message.
+    pub fn touched_in_chunk(&self, c: usize) -> impl Iterator<Item = u32> + '_ {
+        self.rows
+            .iter()
+            .flat_map(move |row| row[c].iter().map(|&(dst, _)| dst))
     }
 
     /// Takes the rows out, shaped to exactly `threads` rows of `chunks`
@@ -124,29 +197,34 @@ impl SpaScratch {
         rows
     }
 
-    /// Returns the rows for reuse by the next superstep.
-    fn put_back(&mut self, rows: Vec<ChunkBuckets>) {
+    /// Returns the rows for reuse by the next superstep; `entries` is how
+    /// many messages they hold.
+    fn put_back(&mut self, rows: Vec<ChunkBuckets>, entries: usize) {
         self.rows = rows;
+        self.entries = entries;
     }
 }
 
-/// True when the frontier's active sources cover at most
-/// [`SPA_SEQ_VECTOR_CUTOFF`] edge vectors, scanned with an early exit so
-/// the check is O(cutoff) regardless of graph size. Dense frontiers over
-/// large graphs bail out before scanning (the bitmap walk itself would
-/// cost more than a broadcast).
-fn frontier_fits_inline(vss: &Vss, frontier: &Frontier, n: usize) -> bool {
-    const ITEM_CAP: usize = 2048;
+/// True when the frontier's active sources cover at most `cutoff` edge
+/// vectors, scanned with an early exit so the check is O(cutoff)
+/// regardless of graph size. Dense frontiers over large graphs bail out
+/// before scanning (the bitmap walk itself would cost more than a
+/// broadcast).
+fn frontier_fits_inline(vss: &Vss, frontier: &Frontier, n: usize, cutoff: usize) -> bool {
+    if cutoff == usize::MAX {
+        return true;
+    }
     let mut vectors = 0usize;
     match frontier {
-        Frontier::All { .. } => vss.num_vectors() <= SPA_SEQ_VECTOR_CUTOFF,
+        Frontier::All { .. } => vss.num_vectors() <= cutoff,
         Frontier::Sparse { vertices, .. } => {
-            if vertices.len() > ITEM_CAP {
+            // A source with out-edges owns at least one vector.
+            if vertices.len() > 2 * cutoff {
                 return false;
             }
             for &src in vertices.iter() {
                 vectors += vss.vector_range(src).len();
-                if vectors > SPA_SEQ_VECTOR_CUTOFF {
+                if vectors > cutoff {
                     return false;
                 }
             }
@@ -154,7 +232,7 @@ fn frontier_fits_inline(vss: &Vss, frontier: &Frontier, n: usize) -> bool {
         }
         Frontier::Dense(bm) => {
             let words = n.div_ceil(64);
-            if words > ITEM_CAP {
+            if words > cutoff {
                 return false;
             }
             for item in 0..words {
@@ -165,7 +243,7 @@ fn frontier_fits_inline(vss: &Vss, frontier: &Frontier, n: usize) -> bool {
                     let tz = bits.trailing_zeros();
                     bits &= bits - 1;
                     vectors += vss.vector_range((item * 64 + tz as usize) as u32).len();
-                    if vectors > SPA_SEQ_VECTOR_CUTOFF {
+                    if vectors > cutoff {
                         return false;
                     }
                 }
@@ -219,7 +297,10 @@ fn fold_into(op: AggOp, write_intense: bool, accum: &PropertyArray, dst: usize, 
 /// accounting, bit-identical accumulator output (module-level argument) —
 /// plus `spa_bucket_entries` / `spa_chunks_touched` occupancy stats and
 /// merge-aware idle attribution. `scratch` is the caller-owned bucket
-/// storage, reused across supersteps.
+/// storage, reused across supersteps. `pool_parked` is the caller's
+/// knowledge that nothing has woken the pool since the previous
+/// superstep's Edge phase; it only moves the inline cutoff
+/// ([`SPA_PARKED_VECTOR_CUTOFF`]), never a result bit.
 pub fn edge_push_spa<K: EdgeKernel>(
     vss: &Vss,
     kernel: &K,
@@ -227,6 +308,7 @@ pub fn edge_push_spa<K: EdgeKernel>(
     pool: &ThreadPool,
     prof: &Profiler,
     scratch: &mut SpaScratch,
+    pool_parked: bool,
 ) {
     let n = vss.num_vertices();
     let accum = kernel.accumulators();
@@ -318,7 +400,8 @@ pub fn edge_push_spa<K: EdgeKernel>(
     // One partition over all items, chunks folded in increasing order —
     // exactly the fold order of the parallel path, so not one output bit
     // can differ (module doc).
-    if frontier_fits_inline(vss, frontier, n) {
+    let cutoff = inline_vector_cutoff(pool.num_threads(), pool_parked);
+    if frontier_fits_inline(vss, frontier, n, cutoff) {
         let mut rows = scratch.take_rows(1, chunks);
         let started = SpanClock::start();
         let mut updates = 0u64;
@@ -342,7 +425,7 @@ pub fn edge_push_spa<K: EdgeKernel>(
             .fetch_add(entries, Ordering::Relaxed); // ATOMIC: relaxed-counter
         prof.spa_chunks_touched
             .fetch_add(touched, Ordering::Relaxed); // ATOMIC: relaxed-counter
-        scratch.put_back(rows);
+        scratch.put_back(rows, updates as usize);
         prof.finish_edge_phase_with_merge(wall.elapsed_ns(), 1, work_before, merge_before);
         return;
     }
@@ -396,7 +479,7 @@ pub fn edge_push_spa<K: EdgeKernel>(
         };
         pool.run(merge_worker);
     }
-    scratch.put_back(rows);
+    scratch.put_back(rows, bucketed);
     prof.finish_edge_phase_with_merge(wall.elapsed_ns(), tc as u64, work_before, merge_before);
 }
 
@@ -475,7 +558,7 @@ mod tests {
         let prof = Profiler::new();
         let kern = program_kernel(&p, &vss, Kernels::auto());
         let mut scratch = SpaScratch::new();
-        edge_push_spa(&vss, &kern, frontier, &pool, &prof, &mut scratch);
+        edge_push_spa(&vss, &kern, frontier, &pool, &prof, &mut scratch, false);
         let s = prof.snapshot();
         (bits(&p.acc, n), s.push_updates, s.spa_bucket_entries)
     }
@@ -556,7 +639,15 @@ mod tests {
         let prof = Profiler::new();
         let kern = program_kernel(&p, &vss, Kernels::auto());
         let mut scratch = SpaScratch::new();
-        edge_push_spa(&vss, &kern, &Frontier::all(n), &pool, &prof, &mut scratch);
+        edge_push_spa(
+            &vss,
+            &kern,
+            &Frontier::all(n),
+            &pool,
+            &prof,
+            &mut scratch,
+            false,
+        );
         let s = prof.snapshot();
         // 150 vertices fit one 2048-wide destination chunk.
         assert_eq!(s.spa_chunks_touched, 1);
@@ -607,16 +698,25 @@ mod tests {
         let prof = Profiler::new();
         let kern = program_kernel(&p, &vss, Kernels::auto());
         let mut scratch = SpaScratch::new();
-        edge_push_spa(&vss, &kern, &Frontier::all(n), &pool, &prof, &mut scratch);
+        edge_push_spa(
+            &vss,
+            &kern,
+            &Frontier::all(n),
+            &pool,
+            &prof,
+            &mut scratch,
+            false,
+        );
         assert_eq!(p.inner.acc.get_f64(1), 0.0, "converged dst updated");
     }
 
-    /// A graph whose vector count exceeds [`SPA_SEQ_VECTOR_CUTOFF`], so an
-    /// all-active frontier is guaranteed onto the parallel scatter/merge
-    /// path (the 150-vertex fixture above runs inline).
+    /// A graph whose vector count exceeds the two-thread inline cutoff (the
+    /// widest of any real pool), so an all-active frontier is guaranteed
+    /// onto the parallel scatter/merge path at 2 and 8 threads (the
+    /// 150-vertex fixture above runs inline; so does one thread, always).
     fn big_graph() -> Graph {
-        let mut el = EdgeList::new(3000);
-        for v in 1..3000u32 {
+        let mut el = EdgeList::new(12_000);
+        for v in 1..12_000u32 {
             el.push(v - 1, v).unwrap(); // chain across chunk boundaries
             if v % 3 == 0 {
                 el.push(0, v).unwrap(); // hub fan-out
@@ -631,7 +731,7 @@ mod tests {
         let n = g.num_vertices();
         let vss = VectorSparse::from_csr(g.out_csr());
         assert!(
-            vss.num_vectors() > SPA_SEQ_VECTOR_CUTOFF,
+            vss.num_vectors() > inline_vector_cutoff(2, false),
             "fixture too small: the all-active frontier would run inline"
         );
         let frontier = Frontier::all(n);
@@ -646,7 +746,7 @@ mod tests {
             for pass in 0..2 {
                 p.acc.fill_range_f64(0..n, AggOp::Sum.identity());
                 let prof = Profiler::new();
-                edge_push_spa(&vss, &kern, &frontier, &pool, &prof, &mut scratch);
+                edge_push_spa(&vss, &kern, &frontier, &pool, &prof, &mut scratch, false);
                 assert_eq!(bits(&p.acc, n), want, "x{threads} pass {pass}");
                 assert_eq!(
                     prof.snapshot().push_updates,
@@ -655,6 +755,112 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn touched_list_is_every_folded_destination_grouped_by_chunk() {
+        let g = big_graph();
+        let n = g.num_vertices();
+        let vss = VectorSparse::from_csr(g.out_csr());
+        let sources = [0u32, 5, 2047, 2048, 7000, 11_998];
+        let mut want: Vec<u32> = sources
+            .iter()
+            .flat_map(|&s| g.out_neighbors(s).iter().copied())
+            .collect();
+        want.sort_unstable();
+        // The hub makes the sparse frontier wide enough for the pool at 8
+        // threads and narrow enough for inline at 1: both must agree.
+        for threads in [1usize, 2, 8] {
+            let p = prog(n, AggOp::Min);
+            let pool = ThreadPool::single_group(threads);
+            let prof = Profiler::new();
+            let kern = program_kernel(&p, &vss, Kernels::auto());
+            let mut scratch = SpaScratch::new();
+            assert_eq!(scratch.touched_len(), 0, "fresh scratch touches nothing");
+            let frontier = Frontier::sparse(n, &sources);
+            edge_push_spa(&vss, &kern, &frontier, &pool, &prof, &mut scratch, false);
+            assert_eq!(scratch.touched_chunks(), num_chunks(n));
+            let mut got = Vec::new();
+            for c in 0..scratch.touched_chunks() {
+                let before = got.len();
+                got.extend(scratch.touched_in_chunk(c));
+                assert_eq!(
+                    got.len() - before,
+                    scratch.chunk_len(c),
+                    "x{threads} chunk {c}"
+                );
+                assert!(
+                    got[before..]
+                        .iter()
+                        .all(|&d| d as usize / SPA_CHUNK_VERTICES == c),
+                    "x{threads}: chunk {c} holds a foreign destination"
+                );
+            }
+            assert_eq!(got.len(), scratch.touched_len(), "x{threads}");
+            assert_eq!(got.len() as u64, prof.snapshot().push_updates, "x{threads}");
+            got.sort_unstable();
+            assert_eq!(got, want, "x{threads}: one entry per message");
+        }
+    }
+
+    #[test]
+    fn inline_cutoff_shrinks_toward_its_floor_as_the_pool_widens() {
+        for (parked, floor) in [
+            (false, SPA_SEQ_VECTOR_CUTOFF),
+            (true, SPA_PARKED_VECTOR_CUTOFF),
+        ] {
+            assert_eq!(
+                inline_vector_cutoff(1, parked),
+                usize::MAX,
+                "one thread: always inline"
+            );
+            assert_eq!(inline_vector_cutoff(2, parked), 2 * floor);
+            let mut prev = inline_vector_cutoff(2, parked);
+            for threads in [3usize, 4, 8, 64, 1024] {
+                let cut = inline_vector_cutoff(threads, parked);
+                assert!(cut <= prev && cut >= floor, "x{threads}: {cut}");
+                prev = cut;
+            }
+        }
+    }
+
+    /// The parked-pool hint moves the inline cutoff and nothing else: a
+    /// frontier between the two cutoffs runs on the pool without it and
+    /// inline with it, to the same bits and the same counters.
+    #[test]
+    fn parked_pool_hint_changes_the_path_not_the_result() {
+        let g = big_graph();
+        let n = g.num_vertices();
+        let vss = VectorSparse::from_csr(g.out_csr());
+        let wave: Vec<u32> = (0..n as u32).step_by(4).collect();
+        let frontier = Frontier::sparse(n, &wave);
+        let vectors: usize = wave.iter().map(|&v| vss.vector_range(v).len()).sum();
+        assert!(
+            vectors > inline_vector_cutoff(2, false) && vectors <= inline_vector_cutoff(2, true),
+            "fixture must sit between the cutoffs: {vectors} vectors"
+        );
+        let run = |parked: bool| {
+            let p = prog(n, AggOp::Sum);
+            let pool = ThreadPool::single_group(2);
+            let prof = Profiler::new();
+            let kern = program_kernel(&p, &vss, Kernels::auto());
+            let mut scratch = SpaScratch::new();
+            edge_push_spa(&vss, &kern, &frontier, &pool, &prof, &mut scratch, parked);
+            let s = prof.snapshot();
+            (
+                bits(&p.acc, n),
+                s.push_updates,
+                s.spa_bucket_entries,
+                scratch.rows.len(),
+            )
+        };
+        let (pooled, parked) = (run(false), run(true));
+        assert_eq!(pooled.3, 2, "without the hint: one bucket row per worker");
+        assert_eq!(parked.3, 1, "with it: the single inline row");
+        assert_eq!(
+            (&pooled.0, pooled.1, pooled.2),
+            (&parked.0, parked.1, parked.2)
+        );
     }
 
     #[test]

@@ -65,6 +65,12 @@ pub struct Profiler {
     pub spa_bucket_entries: AtomicU64,
     /// Destination chunks whose SPA buckets held at least one message.
     pub spa_chunks_touched: AtomicU64,
+    /// Touched-list entries walked by sparse Vertex phases (DESIGN.md §18);
+    /// supersteps that ran the dense sweep add nothing.
+    pub vertex_touched: AtomicU64,
+    /// Supersteps that skipped the accumulator reset because the previous
+    /// sparse Vertex phase left every accumulator at the identity.
+    pub acc_resets_skipped: AtomicU64,
     /// Chunks re-executed after their worker panicked (resilient path).
     pub chunk_retries: AtomicU64,
     /// Worker panics observed and contained by the resilient path.
@@ -190,6 +196,8 @@ impl Profiler {
             push_updates: self.push_updates.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
             spa_bucket_entries: self.spa_bucket_entries.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
             spa_chunks_touched: self.spa_chunks_touched.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
+            vertex_touched: self.vertex_touched.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
+            acc_resets_skipped: self.acc_resets_skipped.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
             chunk_retries: self.chunk_retries.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
             chunk_panics: self.chunk_panics.load(Ordering::Relaxed),   // ATOMIC: relaxed-counter
             degraded_iterations: self.degraded_iterations.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
@@ -217,6 +225,8 @@ pub struct PhaseProfile {
     pub push_updates: u64,
     pub spa_bucket_entries: u64,
     pub spa_chunks_touched: u64,
+    pub vertex_touched: u64,
+    pub acc_resets_skipped: u64,
     pub chunk_retries: u64,
     pub chunk_panics: u64,
     pub degraded_iterations: u64,

@@ -148,6 +148,12 @@ pub struct IterationRecord {
     pub spa_bucket_entries: u64,
     /// Destination chunks with at least one SPA bucket entry this superstep.
     pub spa_chunks_touched: u64,
+    /// Touched-list entries the sparse Vertex phase walked this superstep
+    /// (DESIGN.md §18); 0 when the dense sweep ran (or the list was empty).
+    pub vertex_touched: u64,
+    /// True when this superstep skipped the accumulator reset: the previous
+    /// sparse Vertex phase left every accumulator at the identity.
+    pub acc_reset_skipped: bool,
 }
 
 impl IterationRecord {
@@ -201,6 +207,8 @@ impl IterationRecord {
             scatter_mode: None,
             spa_bucket_entries: after.spa_bucket_entries - before.spa_bucket_entries,
             spa_chunks_touched: after.spa_chunks_touched - before.spa_chunks_touched,
+            vertex_touched: after.vertex_touched - before.vertex_touched,
+            acc_reset_skipped: after.acc_resets_skipped > before.acc_resets_skipped,
         }
     }
 }
@@ -323,6 +331,8 @@ mod tests {
             scatter_mode: None,
             spa_bucket_entries: 0,
             spa_chunks_touched: 0,
+            vertex_touched: 0,
+            acc_reset_skipped: false,
         }
     }
 
@@ -375,6 +385,8 @@ mod tests {
             vectors_processed: 15,
             chunk_retries: 3,
             degraded_iterations: 1,
+            vertex_touched: 40,
+            acc_resets_skipped: 1,
             ..Default::default()
         };
         let r = IterationRecord::from_snapshots(
@@ -397,6 +409,8 @@ mod tests {
         assert_eq!(r.retries, 2);
         assert!(r.degraded);
         assert!(r.has_resilience_event());
+        assert_eq!(r.vertex_touched, 40);
+        assert!(r.acc_reset_skipped);
     }
 
     #[test]

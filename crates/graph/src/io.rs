@@ -163,6 +163,17 @@ fn token_str(tok: &[u8]) -> &str {
     std::str::from_utf8(tok).unwrap_or("\u{fffd}")
 }
 
+/// A vertex-id token as `u64`. One to nineteen ASCII digits cannot
+/// overflow and are folded directly — every token of a well-formed file;
+/// anything else (sign, overflow, junk) goes through `str::parse`, which
+/// accepts or rejects it with the historical error text.
+fn parse_u64_token(tok: &[u8]) -> Result<u64, String> {
+    if (1..=19).contains(&tok.len()) && tok.iter().all(u8::is_ascii_digit) {
+        return Ok(tok.iter().fold(0, |v, &b| v * 10 + u64::from(b - b'0')));
+    }
+    token_str(tok).parse::<u64>().map_err(|e| e.to_string())
+}
+
 /// A text-parse failure, classified; carried with a chunk-relative line
 /// number until the merge step knows absolute numbering.
 #[derive(Debug)]
@@ -230,9 +241,7 @@ fn parse_text_chunk(bytes: &[u8]) -> TextChunk {
         let mut tp = 0usize;
         let mut field = |what: &'static str| -> Result<u64, TextErrKind> {
             let tok = next_token(line, &mut tp).ok_or(TextErrKind::Missing(what))?;
-            token_str(tok)
-                .parse::<u64>()
-                .map_err(|e| TextErrKind::Bad(what, e.to_string()))
+            parse_u64_token(tok).map_err(|e| TextErrKind::Bad(what, e))
         };
         let parsed = field("source").and_then(|s| field("destination").map(|d| (s, d)));
         let (s, d) = match parsed {
@@ -290,7 +299,7 @@ fn parse_text_chunk(bytes: &[u8]) -> TextChunk {
 /// independent of the chunk count.
 fn merge_text_chunks(chunks: Vec<TextChunk>) -> Result<EdgeList, GraphError> {
     let total_edges: usize = chunks.iter().map(|c| c.edges.len()).sum();
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(total_edges);
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     let mut weights: Vec<f64> = Vec::new();
     let mut any_weight = false;
     let mut max_v = 0u64;
@@ -327,12 +336,27 @@ fn merge_text_chunks(chunks: Vec<TextChunk>) -> Result<EdgeList, GraphError> {
             }
         }
         max_v = max_v.max(chunk.max_v);
-        edges.extend_from_slice(&chunk.edges);
-        if any_weight {
-            weights.extend_from_slice(&chunk.weights);
+        // The first chunk with edges donates its buffers, grown once to
+        // the final size; only the later chunks are copied. (The
+        // sequential parse is one chunk, so it copies nothing.)
+        if edges.is_empty() && !chunk.edges.is_empty() {
+            edges = chunk.edges;
+            edges.reserve_exact(total_edges - edges.len());
+            if any_weight {
+                weights = chunk.weights;
+                weights.reserve_exact(total_edges - weights.len());
+            }
+        } else {
+            edges.extend_from_slice(&chunk.edges);
+            if any_weight {
+                weights.extend_from_slice(&chunk.weights);
+            }
         }
         line_base += chunk.lines;
     }
+    // A donated buffer grew by doubling; give the slack back.
+    edges.shrink_to_fit();
+    weights.shrink_to_fit();
     let n = if edges.is_empty() {
         0
     } else {
@@ -445,10 +469,19 @@ pub fn load_text_parallel_with<P: AsRef<Path>>(
     parse_text_edgelist_parallel(&bytes, pool)
 }
 
+/// Opens a graph file for one of the path loaders. Every one of them is
+/// about to hold the file's bytes and an edge list of similar size, so this
+/// is where the process's large-block allocator policy is pinned (see
+/// [`grazelle_sched::alloc`]).
+fn open_for_load<P: AsRef<Path>>(path: P) -> std::io::Result<std::fs::File> {
+    grazelle_sched::alloc::pin_large_block_policy();
+    std::fs::File::open(path)
+}
+
 /// Shared hardened file read for the text loaders: budget check on the
 /// on-disk size *before* reading, then a retrying read to EOF.
 fn read_file_budgeted<P: AsRef<Path>>(path: P, opts: &LoadOptions) -> Result<Vec<u8>, GraphError> {
-    let f = std::fs::File::open(path)?;
+    let f = open_for_load(path)?;
     if let Ok(md) = f.metadata() {
         if md.len() > opts.max_bytes {
             return Err(GraphError::BudgetExceeded {
@@ -762,7 +795,7 @@ pub fn load_matrix_market_with<P: AsRef<Path>>(
     path: P,
     opts: &LoadOptions,
 ) -> Result<EdgeList, GraphError> {
-    let (bytes, _) = read_retrying(std::fs::File::open(path)?, opts.retry)?;
+    let (bytes, _) = read_retrying(open_for_load(path)?, opts.retry)?;
     parse_matrix_market(&bytes, opts, None)
 }
 
@@ -781,7 +814,7 @@ pub fn load_matrix_market_parallel_with<P: AsRef<Path>>(
     opts: &LoadOptions,
     pool: &ThreadPool,
 ) -> Result<EdgeList, GraphError> {
-    let (bytes, _) = read_retrying(std::fs::File::open(path)?, opts.retry)?;
+    let (bytes, _) = read_retrying(open_for_load(path)?, opts.retry)?;
     parse_matrix_market(&bytes, opts, Some(pool))
 }
 
@@ -1015,7 +1048,7 @@ pub fn load_binary_with<P: AsRef<Path>>(
     path: P,
     opts: &LoadOptions,
 ) -> Result<EdgeList, GraphError> {
-    let f = std::fs::File::open(path)?;
+    let f = open_for_load(path)?;
     if let Ok(md) = f.metadata() {
         if md.len()
             > opts
@@ -1105,6 +1138,39 @@ mod tests {
         // Mixing weighted and unweighted lines fails either way around.
         assert!(read_text_edgelist("0 1\n1 2 3.5".as_bytes()).is_err());
         assert!(read_text_edgelist("0 1 3.5\n1 2".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn vertex_tokens_parse_like_str_parse() {
+        let reference = |tok: &[u8]| token_str(tok).parse::<u64>().map_err(|e| e.to_string());
+        for tok in [
+            &b""[..],
+            b"0",
+            b"007",
+            b"+5",
+            b"-1",
+            b"1e3",
+            b"12x",
+            b"9999999999999999999",  // 19 digits: the longest folded directly
+            b"18446744073709551615", // u64::MAX, 20 digits
+            b"18446744073709551616", // overflow
+            b"00000000000000000000001",
+            b"\xff1",
+        ] {
+            assert_eq!(parse_u64_token(tok), reference(tok), "{tok:?}");
+        }
+    }
+
+    #[test]
+    fn chunks_merge_in_order_around_an_empty_one() {
+        // Three parsed chunks: a leading comment-only one, then two with
+        // edges; the first of those donates its buffer.
+        let chunks = ["# c\n\n", "0 1 0.5\n1 2 1.5\n2 3 2.5\n", "3 4 3.5\n"]
+            .map(|t| parse_text_chunk(t.as_bytes()));
+        let el = merge_text_chunks(chunks.into()).unwrap();
+        assert_eq!(el.edges(), &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        assert_eq!(el.weights().unwrap(), &[0.5, 1.5, 2.5, 3.5]);
+        assert_eq!(el.num_vertices(), 5);
     }
 
     #[test]

@@ -20,9 +20,13 @@
 //! * [`cancel::CancelFlag`] — the cooperative cancellation signal task
 //!   batches ([`pool::ThreadPool::run_tasks_cancellable`]) and the
 //!   resilient engine driver poll at their safe points.
+//! * [`alloc`] — the process-wide allocator policy for build-sized buffers,
+//!   pinned by the loaders and `prepare*` so resident memory follows live
+//!   memory instead of the allocator's layout luck.
 //! * [`invariants`] (feature `invariant-checks`) — the shadow write-tracker
 //!   auditing the §3 exactly-once-write contract after each Edge phase.
 
+pub mod alloc;
 pub mod aware;
 pub mod barrier;
 pub mod cancel;

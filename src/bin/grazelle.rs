@@ -311,7 +311,17 @@ fn maybe_symmetrize(g: Graph, yes: bool) -> Graph {
     Graph::from_edgelist(&el).unwrap().with_name(g.name())
 }
 
-fn print_stats(stats: &ExecutionStats) {
+/// Prints the run summary. `convergence_driven` is false for PageRank,
+/// whose iteration count *is* the cap; everything else is expected to stop
+/// on its own, so reaching the cap means a truncated result.
+fn print_stats(stats: &ExecutionStats, convergence_driven: bool) {
+    if convergence_driven && stats.hit_iteration_cap {
+        eprintln!(
+            "warning: stopped at the iteration cap ({} supersteps) before converging; \
+             the result is truncated",
+            stats.iterations
+        );
+    }
     println!("Iterations Executed:      {}", stats.iterations);
     println!(
         "Engine Selection:         {} pull / {} push",
@@ -341,7 +351,7 @@ fn print_trace(stats: &ExecutionStats) {
         return;
     }
     println!(
-        "\n{:>5} {:>6} {:>8} {:>6} {:>9} {:>9} {:>9} {:>9} {:>10} {:>5} events",
+        "\n{:>5} {:>6} {:>8} {:>6} {:>9} {:>9} {:>9} {:>9} {:>10} {:>8} {:>5} {:>5} events",
         "iter",
         "engine",
         "density",
@@ -351,6 +361,8 @@ fn print_trace(stats: &ExecutionStats) {
         "write_ms",
         "idle_ms",
         "updates",
+        "touched",
+        "reset",
         "par"
     );
     for r in &stats.records {
@@ -368,7 +380,7 @@ fn print_trace(stats: &ExecutionStats) {
             events.push('-');
         }
         println!(
-            "{:>5} {:>6} {:>8.4} {:>6} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>10} {:>5} {}",
+            "{:>5} {:>6} {:>8.4} {:>6} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>10} {:>8} {:>5} {:>5} {}",
             r.iteration,
             match r.engine {
                 EngineKind::Pull => "pull",
@@ -381,6 +393,14 @@ fn print_trace(stats: &ExecutionStats) {
             r.write_ns as f64 / 1e6,
             r.idle_ns as f64 / 1e6,
             r.updates,
+            // Sparse Vertex phase (DESIGN.md §18): entries it walked (`-` =
+            // dense sweep) and whether this superstep's reset was skipped.
+            if r.vertex_touched > 0 {
+                r.vertex_touched.to_string()
+            } else {
+                "-".into()
+            },
+            if r.acc_reset_skipped { "skip" } else { "full" },
             r.edge_parallelism,
             events.trim_end()
         );
@@ -453,7 +473,7 @@ fn main() {
             cfg.max_iterations = o.iterations;
             let prog = pagerank::PageRank::new(&graph, pagerank::DAMPING);
             let stats = run_program_on_pool(&prepared, &prog, &cfg, &pool);
-            print_stats(&stats);
+            print_stats(&stats, false);
             println!("PageRank Sum:             {:.9}", prog.rank_sum());
             if let Some(path) = &o.output {
                 write_output(path, prog.ranks().into_iter());
@@ -462,7 +482,7 @@ fn main() {
         "cc" => {
             let prog = cc::ConnectedComponents::new(n);
             let stats = run_program_on_pool(&prepared, &prog, &cfg, &pool);
-            print_stats(&stats);
+            print_stats(&stats, true);
             let labels = prog.labels();
             let mut uniq = labels.clone();
             uniq.sort_unstable();
@@ -475,7 +495,7 @@ fn main() {
         "bfs" => {
             let prog = bfs::Bfs::new(n, o.root);
             let stats = run_program_on_pool(&prepared, &prog, &cfg, &pool);
-            print_stats(&stats);
+            print_stats(&stats, true);
             println!("Vertices Visited:         {}", prog.visited_count());
             if let Some(path) = &o.output {
                 write_output(
@@ -493,7 +513,7 @@ fn main() {
             }
             let prog = sssp::Sssp::new(n, o.root);
             let stats = run_program_on_pool(&prepared, &prog, &cfg, &pool);
-            print_stats(&stats);
+            print_stats(&stats, true);
             let d = prog.distances();
             println!(
                 "Vertices Reached:         {}",
@@ -510,7 +530,7 @@ fn main() {
         "kcore" => {
             let (coreness, stats) =
                 grazelle_apps::kcore::run_prepared(&prepared, &graph, &cfg, &pool);
-            print_stats(&stats);
+            print_stats(&stats, true);
             println!(
                 "Degeneracy (max core):    {}",
                 coreness.iter().max().unwrap_or(&0)
@@ -522,7 +542,7 @@ fn main() {
         "reach" => {
             let prog = reach::Reachability::new(n, o.root);
             let stats = run_program_on_pool(&prepared, &prog, &cfg, &pool);
-            print_stats(&stats);
+            print_stats(&stats, true);
             let r = prog.reached();
             println!(
                 "Vertices Reached:         {}",

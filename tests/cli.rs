@@ -197,3 +197,41 @@ fn sssp_rejects_unweighted_input() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("weighted"));
 }
+
+/// The default cap of 1000 supersteps truncates BFS on any graph of larger
+/// diameter; the runner must say so instead of printing a partial count as
+/// if it were the answer — and must stay quiet for PageRank, whose
+/// iteration count is the cap by design.
+#[test]
+fn iteration_cap_truncation_is_warned_about() {
+    let graph_path = std::env::temp_dir().join("grazelle_cli_cap_chain.el");
+    let chain: String = (0..1200).map(|v| format!("{v} {}\n", v + 1)).collect();
+    std::fs::write(&graph_path, chain).unwrap();
+    let path = graph_path.to_str().unwrap();
+
+    let out = grazelle()
+        .args(["-i", path, "-a", "bfs", "-r", "0"])
+        .output()
+        .expect("spawn grazelle");
+    assert!(out.status.success());
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert!(
+        stdout.contains("Iterations Executed:      1000"),
+        "{stdout}"
+    );
+    assert!(stderr.contains("iteration cap"), "stderr: {stderr}");
+
+    let out = grazelle()
+        .args(["-i", path, "-a", "pr", "-N", "4"])
+        .output()
+        .expect("spawn grazelle");
+    assert!(out.status.success());
+    assert!(
+        !String::from_utf8_lossy(&out.stderr).contains("iteration cap"),
+        "PageRank runs to its iteration count by design"
+    );
+    let _ = std::fs::remove_file(&graph_path);
+}

@@ -15,7 +15,7 @@
 //! this suite's substitute for a shrunken minimal example.
 
 use grazelle::core::config::{EngineConfig, ResilienceConfig, ScatterMode, SchedKind};
-use grazelle::core::engine::hybrid::{run_program_on_pool, EngineKind};
+use grazelle::core::engine::hybrid::{run_program_on_pool, EngineKind, ExecutionStats};
 use grazelle::core::engine::PreparedGraph;
 use grazelle::core::{run_resilient_on_pool, ResilienceContext, RunOutcome, VersionedGraph};
 use grazelle::graph::delta::UpdateBatch;
@@ -40,6 +40,20 @@ fn family_graph(family: u8, seed: u64) -> Graph {
         0 => rmat(&RmatConfig::graph500(6, 4.0, seed)),
         1 => grid_mesh(9, 9, 0.85, seed),
         _ => erdos_renyi(96, 320, seed, true),
+    };
+    el.symmetrize();
+    el.sort_and_dedup();
+    Graph::from_edgelist(&el).unwrap()
+}
+
+/// Larger members of the same three families for the sparse-Vertex-phase
+/// arm: it needs touched lists well under V/4, which the 64–96-vertex
+/// graphs above almost never give it.
+fn sparse_family_graph(family: u8, seed: u64) -> Graph {
+    let mut el = match family % 3 {
+        0 => rmat(&RmatConfig::graph500(10, 3.0, seed)),
+        1 => grid_mesh(40, 40, 0.7, seed),
+        _ => erdos_renyi(1200, 2400, seed, true),
     };
     el.symmetrize();
     el.sort_and_dedup();
@@ -431,6 +445,116 @@ proptest! {
         for (i, (labels, parents)) in outputs.iter().enumerate().skip(1) {
             prop_assert_eq!(&outputs[0].0, labels, "CC: {} diverged", policies[i].0);
             prop_assert_eq!(&outputs[0].1, parents, "BFS: {} diverged", policies[i].0);
+        }
+    }
+
+    /// Property: the sparse Vertex phase (DESIGN.md §18) changes nothing
+    /// observable. The hybrid driver — which walks only the SPA touched
+    /// list on its sparse push supersteps, with either frontier
+    /// representation downstream — must produce the same bits and the same
+    /// superstep count as forced pull and as the resilient driver, both of
+    /// which always run the dense Vertex phase.
+    #[test]
+    fn prop_sparse_vertex_phase_is_bit_identical(
+        family in 0u8..3,
+        seed in 0u64..1_000_000,
+        root_pick in 0u32..4096,
+        threads in prop_oneof![Just(1usize), Just(2), Just(8)],
+    ) {
+        let g = sparse_family_graph(family, seed);
+        let gw = weighted_copy(&g);
+        let n = g.num_vertices();
+        let root = root_pick % n as u32;
+        let pg = PreparedGraph::new(&g);
+        let pgw = PreparedGraph::new(&gw);
+        let pool = ThreadPool::single_group(threads);
+        let base = EngineConfig::new()
+            .with_threads(threads)
+            .with_max_iterations(n + 1)
+            .with_resilience(no_guard())
+            .with_trace(true);
+        // (name, config, resilient driver?, may take the sparse path?)
+        let arms = [
+            ("hybrid", base, false, true),
+            ("hybrid-bitmap-frontier", base.with_sparse_frontier(false), false, true),
+            ("forced-pull", base.with_force_engine(Some(EngineKind::Pull)), false, false),
+            ("resilient", base, true, false),
+        ];
+
+        // One closure per kernel: run it under an arm, return its output
+        // bits and the run's stats.
+        type Run<'a> = Box<dyn Fn(&EngineConfig, bool) -> (Vec<u64>, ExecutionStats) + 'a>;
+        fn go<P: grazelle::core::GraphProgram>(
+            pg: &PreparedGraph,
+            prog: &P,
+            cfg: &EngineConfig,
+            pool: &ThreadPool,
+            resilient: bool,
+        ) -> ExecutionStats {
+            if resilient {
+                let run = run_resilient_on_pool(pg, prog, cfg, &ResilienceContext::new(), pool)
+                    .expect("resilient run");
+                assert_eq!(run.outcome, RunOutcome::Clean);
+                run.stats
+            } else {
+                run_program_on_pool(pg, prog, cfg, pool)
+            }
+        }
+        let kernels: [(&str, Run); 4] = [
+            ("bfs", Box::new(|cfg, res| {
+                let prog = Bfs::new(n, root);
+                let stats = go(&pg, &prog, cfg, &pool, res);
+                (prog.parents().iter().map(|p| p.map_or(u64::MAX, u64::from)).collect(), stats)
+            })),
+            ("sssp", Box::new(|cfg, res| {
+                let prog = Sssp::new(n, root);
+                let stats = go(&pgw, &prog, cfg, &pool, res);
+                (prog.distances().iter().map(|d| d.map_or(u64::MAX, f64::to_bits)).collect(), stats)
+            })),
+            ("cc", Box::new(|cfg, res| {
+                let prog = ConnectedComponents::new(n);
+                let stats = go(&pg, &prog, cfg, &pool, res);
+                (prog.labels().iter().map(|&l| u64::from(l)).collect(), stats)
+            })),
+            ("labelprop", Box::new(|cfg, res| {
+                let prog = LabelProp::new(&g);
+                let stats = go(&pg, &prog, cfg, &pool, res);
+                (prog.labels().iter().map(|&l| u64::from(l)).collect(), stats)
+            })),
+        ];
+
+        for (kname, run) in &kernels {
+            let mut reference: Option<(Vec<u64>, usize)> = None;
+            for (aname, cfg, resilient, may_go_sparse) in &arms {
+                let (bits, stats) = run(cfg, *resilient);
+                prop_assert!(!stats.hit_iteration_cap, "{}/{} x{}", kname, aname, threads);
+                let went_sparse = stats.profile.acc_resets_skipped > 0
+                    || stats.profile.vertex_touched > 0;
+                if *may_go_sparse {
+                    // A traversal from one root starts sparse on every
+                    // family; CC and LP start all-active and may finish
+                    // before their frontier ever thins out.
+                    if matches!(*kname, "bfs" | "sssp") && stats.iterations > 3 {
+                        prop_assert!(went_sparse, "{}/{} x{}: never went sparse", kname, aname, threads);
+                    }
+                } else {
+                    prop_assert!(!went_sparse, "{}/{} x{}: dense arm went sparse", kname, aname, threads);
+                    for r in &stats.records {
+                        prop_assert_eq!(r.vertex_touched, 0);
+                        prop_assert!(!r.acc_reset_skipped);
+                    }
+                }
+                match &reference {
+                    None => reference = Some((bits, stats.iterations)),
+                    Some((want, iters)) => {
+                        prop_assert_eq!(&bits, want, "{}/{} x{}: output", kname, aname, threads);
+                        prop_assert_eq!(
+                            stats.iterations, *iters,
+                            "{}/{} x{}: supersteps", kname, aname, threads
+                        );
+                    }
+                }
+            }
         }
     }
 

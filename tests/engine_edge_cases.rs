@@ -278,6 +278,248 @@ fn spa_scatter_spans_multiple_destination_chunks() {
     }
 }
 
+/// A chain, a 3000-leaf fan-out, a fan-in, and another chain: BFS/SSSP
+/// from vertex 0 run ~200 one-vertex supersteps, two supersteps whose
+/// touched lists (3000 entries each, the second all duplicates of one
+/// destination) are far past V/4, then ~200 one-vertex supersteps again.
+fn chain_fan_chain() -> (Graph, usize) {
+    let (hub, first_leaf, sink, n) = (199u32, 200u32, 3200u32, 3400usize);
+    let mut el = EdgeList::new(n);
+    let mut link = |a: u32, b: u32| {
+        let w = ((a as u64 * 31 + b as u64) % 8 + 1) as f64 / 4.0;
+        el.push_weighted(a, b, w).unwrap();
+        el.push_weighted(b, a, w).unwrap();
+    };
+    for v in 0..hub {
+        link(v, v + 1);
+    }
+    for leaf in first_leaf..sink {
+        link(hub, leaf);
+        link(leaf, sink);
+    }
+    for v in sink..n as u32 - 1 {
+        link(v, v + 1);
+    }
+    (Graph::from_edgelist(&el).unwrap(), n)
+}
+
+/// Switch-over cases of the sparse Vertex phase (DESIGN.md §18), pinned on
+/// a shape that forces each one, with the trace checked superstep by
+/// superstep: the touched list crossing the dense fallback and coming back
+/// (forced push), push→pull→push losing and regaining clean accumulators
+/// (hybrid), and the empty touched list of the final superstep.
+#[test]
+fn sparse_vertex_phase_switch_overs() {
+    use grazelle_apps::{sssp, Sssp};
+    let (g, n) = chain_fan_chain();
+    let pg = PreparedGraph::new(&g);
+    let want_bfs = bfs::reference_depths(&g, 0);
+    let want_sssp = sssp::reference(&g, 0);
+    for threads in [1usize, 2, 8] {
+        let pool = ThreadPool::single_group(threads);
+        for forced in [Some(EngineKind::Push), None] {
+            let tag = format!("{forced:?}x{threads}");
+            let cfg = EngineConfig::new()
+                .with_threads(threads)
+                .with_force_engine(forced)
+                .with_trace(true);
+            let prog = Sssp::new(n, 0);
+            let stats = run_program_on_pool(&pg, &prog, &cfg, &pool);
+            assert_eq!(prog.distances(), want_sssp, "{tag}: SSSP");
+            assert!(
+                stats.profile.acc_resets_skipped > 300,
+                "{tag}: SSSP chains go sparse"
+            );
+
+            let prog = Bfs::new(n, 0);
+            let stats = run_program_on_pool(&pg, &prog, &cfg, &pool);
+            assert_eq!(
+                bfs::validate_parents(&g, 0, &prog.parents()),
+                want_bfs,
+                "{tag}: BFS"
+            );
+            let recs = &stats.records;
+            assert_eq!(recs.len(), stats.iterations);
+            // Supersteps 0..199 walk the first chain, 199 fans out, 200
+            // fans in, 201.. walk the second chain.
+            assert!(!recs[0].acc_reset_skipped, "{tag}: first superstep resets");
+            for r in &recs[1..199] {
+                assert!(
+                    r.acc_reset_skipped && r.vertex_touched > 0,
+                    "{tag}: chain step {}",
+                    r.iteration
+                );
+            }
+            for fan in [199usize, 200] {
+                assert_eq!(
+                    recs[fan].vertex_touched, 0,
+                    "{tag}: superstep {fan} falls back"
+                );
+                if forced.is_some() {
+                    assert_eq!(recs[fan].engine, EngineKind::Push, "{tag}");
+                    assert_eq!(recs[fan].spa_bucket_entries, 3000, "{tag}");
+                } else {
+                    assert_eq!(
+                        recs[fan].engine,
+                        EngineKind::Pull,
+                        "{tag}: the model pulls the fan"
+                    );
+                }
+            }
+            assert!(
+                recs[199].acc_reset_skipped,
+                "{tag}: 198 left the accumulators clean"
+            );
+            assert!(
+                !recs[200].acc_reset_skipped,
+                "{tag}: dense Vertex phase dirtied them"
+            );
+            // The sink's own 3001 out-edges make the model pull once more
+            // before the second chain; a forced push goes sparse at once.
+            let resume = if forced.is_some() { 201 } else { 202 };
+            assert!(
+                recs[201..resume]
+                    .iter()
+                    .all(|r| r.engine == EngineKind::Pull),
+                "{tag}"
+            );
+            assert!(
+                !recs[resume].acc_reset_skipped,
+                "{tag}: still dirty from the dense sweep"
+            );
+            assert!(
+                recs[resume].vertex_touched > 0,
+                "{tag}: second chain is sparse again"
+            );
+            // From here every push fits the sparse phase, so a superstep
+            // skips its reset exactly when a push preceded it. (The model
+            // pulls the last few supersteps, once almost nothing is left
+            // unvisited: clean accumulators are lost once more.)
+            let mut regained = 0;
+            for w in recs[resume..].windows(2) {
+                assert_eq!(
+                    w[1].acc_reset_skipped,
+                    w[0].engine == EngineKind::Push,
+                    "{tag}: superstep {}",
+                    w[1].iteration
+                );
+                regained += w[1].acc_reset_skipped as usize;
+            }
+            assert!(regained > 150, "{tag}: clean accumulators regained");
+            if forced.is_some() {
+                // Final superstep: the last chain vertex has only a visited
+                // neighbour, so the SPA push buckets nothing and the sparse
+                // phase walks an empty list.
+                let last = recs.last().unwrap();
+                assert_eq!(last.engine, EngineKind::Push, "{tag}");
+                assert_eq!(
+                    (last.spa_bucket_entries, last.vertex_touched),
+                    (0, 0),
+                    "{tag}"
+                );
+                assert!(last.acc_reset_skipped, "{tag}");
+            }
+            assert!(!stats.hit_iteration_cap, "{tag}");
+        }
+    }
+}
+
+/// A non-empty delta overlay folds extra messages into the accumulators
+/// after the base phase — destinations the SPA touched list does not hold —
+/// so it must disable the sparse Vertex phase for the run; an overlay with
+/// no edges must not.
+#[test]
+fn delta_overlay_disables_the_sparse_vertex_phase() {
+    use grazelle::core::engine::hybrid::run_program_overlay_on_pool;
+    let n = 1000usize;
+    let chain: Vec<(u32, u32)> = (1..n as u32).map(|v| (v - 1, v)).collect();
+    let base = graph_from(n, &chain);
+    let shortcut = graph_from(n, &[(0, 600)]);
+    let nothing = graph_from(n, &[]);
+    let mut merged_pairs = chain.clone();
+    merged_pairs.push((0, 600));
+    let merged = graph_from(n, &merged_pairs);
+    let (pg, dpg, epg) = (
+        PreparedGraph::new(&base),
+        PreparedGraph::new(&shortcut),
+        PreparedGraph::new(&nothing),
+    );
+    for threads in [1usize, 2] {
+        let pool = ThreadPool::single_group(threads);
+        let cfg = EngineConfig::new().with_threads(threads).with_trace(true);
+
+        let prog = Bfs::new(n, 0);
+        let stats = run_program_overlay_on_pool(&pg, Some(&dpg), &prog, &cfg, &pool);
+        assert_eq!(
+            bfs::validate_parents(&merged, 0, &prog.parents()),
+            bfs::reference_depths(&merged, 0),
+            "x{threads}: overlay BFS sees the shortcut"
+        );
+        assert!(
+            stats.push_iterations > 100,
+            "x{threads}: the chain still pushes"
+        );
+        for r in &stats.records {
+            assert_eq!(r.vertex_touched, 0, "x{threads} iteration {}", r.iteration);
+            assert!(!r.acc_reset_skipped, "x{threads} iteration {}", r.iteration);
+        }
+
+        let prog = Bfs::new(n, 0);
+        let stats = run_program_overlay_on_pool(&pg, Some(&epg), &prog, &cfg, &pool);
+        assert_eq!(
+            bfs::validate_parents(&base, 0, &prog.parents()),
+            bfs::reference_depths(&base, 0),
+            "x{threads}: empty overlay"
+        );
+        assert!(
+            stats.profile.acc_resets_skipped > 900,
+            "x{threads}: an edgeless overlay leaves the sparse path on"
+        );
+    }
+}
+
+/// The default cap of 1000 supersteps silently truncated BFS on any graph
+/// of larger diameter. Both drivers now report it.
+#[test]
+fn iteration_cap_is_reported_by_both_drivers() {
+    let n = 1500usize;
+    let chain: Vec<(u32, u32)> = (1..n as u32).map(|v| (v - 1, v)).collect();
+    let g = graph_from(n, &chain);
+    let pg = PreparedGraph::new(&g);
+    let pool = ThreadPool::single_group(2);
+    let capped = EngineConfig::new()
+        .with_threads(2)
+        .with_resilience(no_guard());
+    assert_eq!(
+        capped.max_iterations, 1000,
+        "the default this test is about"
+    );
+    let lifted = capped.with_max_iterations(n + 1);
+
+    let visited = |prog: &Bfs| prog.parents().iter().filter(|p| p.is_some()).count();
+    let prog = Bfs::new(n, 0);
+    let stats = run_program_on_pool(&pg, &prog, &capped, &pool);
+    assert!(stats.hit_iteration_cap);
+    assert_eq!(
+        (stats.iterations, visited(&prog)),
+        (1000, 1001),
+        "truncated"
+    );
+    let prog = Bfs::new(n, 0);
+    let run = run_resilient_on_pool(&pg, &prog, &capped, &ResilienceContext::new(), &pool).unwrap();
+    assert!(run.stats.hit_iteration_cap);
+    assert_eq!(visited(&prog), 1001);
+
+    let prog = Bfs::new(n, 0);
+    let stats = run_program_on_pool(&pg, &prog, &lifted, &pool);
+    assert!(!stats.hit_iteration_cap);
+    assert_eq!(visited(&prog), n);
+    let prog = Bfs::new(n, 0);
+    let run = run_resilient_on_pool(&pg, &prog, &lifted, &ResilienceContext::new(), &pool).unwrap();
+    assert!(!run.stats.hit_iteration_cap);
+    assert_eq!(visited(&prog), n);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -91,6 +91,76 @@ impl GraphProgram for SumProg {
     }
 }
 
+/// Min-label flood that *falsely* declares `identity_apply_is_noop`: from
+/// the third superstep on, the last vertex activates itself whether or not
+/// a message reached it.
+struct FalseDeclaration {
+    labels: PropertyArray,
+    acc: PropertyArray,
+    n: usize,
+    supersteps: std::sync::atomic::AtomicUsize,
+}
+impl GraphProgram for FalseDeclaration {
+    fn num_vertices(&self) -> usize {
+        self.n
+    }
+    fn op(&self) -> AggOp {
+        AggOp::Min
+    }
+    fn edge_values(&self) -> &PropertyArray {
+        &self.labels
+    }
+    fn accumulators(&self) -> &PropertyArray {
+        &self.acc
+    }
+    fn pre_iteration(&self, iteration: usize) {
+        self.supersteps
+            .store(iteration, std::sync::atomic::Ordering::Relaxed);
+    }
+    fn apply(&self, v: u32) -> bool {
+        let v = v as usize;
+        let agg = self.acc.get_f64(v);
+        if agg < self.labels.get_f64(v) {
+            self.labels.set_f64(v, agg);
+            return true;
+        }
+        v == self.n - 1 && self.supersteps.load(std::sync::atomic::Ordering::Relaxed) >= 3
+    }
+    fn uses_frontier(&self) -> bool {
+        true
+    }
+    fn identity_apply_is_noop(&self) -> bool {
+        true
+    }
+    fn initial_frontier(&self) -> Frontier {
+        Frontier::from_vertices(self.n, &[0])
+    }
+}
+
+/// The sparse Vertex phase's shadow audit is live: a program whose `apply`
+/// breaks the contract it declares is caught at the first superstep where
+/// the dense sweep would have activated a vertex the sparse one skipped.
+#[test]
+#[should_panic(expected = "identity_apply_is_noop() is declared but does not hold")]
+fn false_contract_declaration_is_caught_by_the_shadow_sweep() {
+    let n = 64usize;
+    let mut el = EdgeList::new(n);
+    for v in 0..n as u32 - 1 {
+        el.push(v, v + 1).expect("in-range vertex id");
+    }
+    let g = Graph::from_edgelist(&el).expect("valid edge list");
+    let pg = PreparedGraph::new(&g);
+    let labels = PropertyArray::filled_f64(n, f64::INFINITY);
+    labels.set_f64(0, 0.0);
+    let prog = FalseDeclaration {
+        labels,
+        acc: PropertyArray::new(n),
+        n,
+        supersteps: std::sync::atomic::AtomicUsize::new(0),
+    };
+    grazelle::core::run_program(&pg, &prog, &EngineConfig::new().with_threads(1));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
