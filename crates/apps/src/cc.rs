@@ -18,12 +18,14 @@
 use grazelle_core::config::EngineConfig;
 use grazelle_core::engine::hybrid::{run_program_on_pool, ExecutionStats};
 use grazelle_core::engine::PreparedGraph;
-use grazelle_core::frontier::Frontier;
-use grazelle_core::program::{AggOp, GraphProgram};
+use grazelle_core::frontier::{DenseBitmap, Frontier};
+use grazelle_core::program::{apply_each, AggOp, GraphProgram};
 use grazelle_core::properties::PropertyArray;
 use grazelle_graph::graph::Graph;
 use grazelle_graph::types::VertexId;
 use grazelle_sched::pool::ThreadPool;
+use grazelle_vsparse::simd::SimdLevel;
+use std::ops::Range;
 
 /// Connected Components program state.
 pub struct ConnectedComponents {
@@ -49,7 +51,7 @@ impl ConnectedComponents {
             labels,
             acc: PropertyArray::new(n),
             write_intense: false,
-            use_avx2: grazelle_vsparse::simd::detect() == grazelle_vsparse::simd::SimdLevel::Avx2,
+            use_avx2: grazelle_vsparse::simd::detect() == SimdLevel::Avx2,
             seed: None,
         }
     }
@@ -129,23 +131,21 @@ impl GraphProgram for ConnectedComponents {
     }
 
     /// Vectorized local update (the Figure 10a "Vertex" pattern applied to
-    /// minimization): 4 labels and 4 aggregates per step, activity mask
-    /// from the lane-wise compare.
+    /// minimization) when the run's SIMD level allows; the write-intense
+    /// variant keeps its unconditional-store semantics on the scalar path.
     #[cfg(target_arch = "x86_64")]
-    fn apply_block4(&self, v0: VertexId) -> u32 {
-        if !self.use_avx2 || self.write_intense {
-            // Scalar fallback; the write-intense variant keeps its
-            // unconditional-store semantics on the scalar path.
-            let mut mask = 0u32;
-            for i in 0..4 {
-                if self.apply(v0 + i) {
-                    mask |= 1 << i;
-                }
-            }
-            return mask;
+    fn apply_range(
+        &self,
+        range: Range<VertexId>,
+        next_frontier: Option<&DenseBitmap>,
+        simd: SimdLevel,
+    ) -> usize {
+        if simd != SimdLevel::Avx2 || !self.use_avx2 || self.write_intense {
+            return apply_each(self, range, next_frontier);
         }
-        // SAFETY: gated on runtime AVX2 detection.
-        unsafe { self.apply_block4_avx2(v0) }
+        // SAFETY: gated on runtime AVX2 detection, and the Vertex phase
+        // hands each thread a range it owns exclusively.
+        unsafe { self.apply_range_avx2(range, next_frontier) }
     }
 
     fn uses_frontier(&self) -> bool {
@@ -179,32 +179,52 @@ impl GraphProgram for ConnectedComponents {
 #[cfg(target_arch = "x86_64")]
 impl ConnectedComponents {
     /// AVX2 Vertex-phase kernel: fold min aggregates into labels, four
-    /// vertices per step; returns the changed-lane mask.
+    /// vertices per step over the whole range inside one feature function,
+    /// the changed lanes of each step going into `next_frontier`; scalar
+    /// tail. Returns the number of changed vertices.
     ///
     /// # Safety
-    /// AVX2 must be available (runtime-detected by the caller), vertices
-    /// `v0..v0 + 4` must be in bounds, and the caller must own those lanes
-    /// exclusively for the current Vertex phase.
+    /// AVX2 must be available (runtime-detected by the caller) and the
+    /// caller must own `range` exclusively for the current Vertex phase.
     #[target_feature(enable = "avx2")]
-    unsafe fn apply_block4_avx2(&self, v0: VertexId) -> u32 {
+    unsafe fn apply_range_avx2(
+        &self,
+        range: Range<VertexId>,
+        next_frontier: Option<&DenseBitmap>,
+    ) -> usize {
         use std::arch::x86_64::*;
-        let v = v0 as usize;
-        // SAFETY: loads read bounds-checked 4-lane subslices; the store goes
-        // through the atomic cells' raw storage, and the Vertex phase
-        // partitions vertices statically, so these lanes are exclusively ours.
-        unsafe {
-            let old = _mm256_loadu_pd(self.labels.as_f64_slice()[v..v + 4].as_ptr());
-            let agg = _mm256_loadu_pd(self.acc.as_f64_slice()[v..v + 4].as_ptr());
-            let new = _mm256_min_pd(agg, old);
-            // Changed lanes: agg strictly below old. (Min aggregates are
-            // never NaN: identities are ±inf and labels are finite ids.)
-            let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(agg, old);
-            let mask = _mm256_movemask_pd(lt) as u32;
-            if mask != 0 {
-                _mm256_storeu_pd(self.labels.f64_window_ptr(v, 4), new);
+        let labels = self.labels.as_f64_slice();
+        let acc = self.acc.as_f64_slice();
+        let mut active = 0;
+        let (mut v, end) = (range.start as usize, range.end as usize);
+        while v + 4 <= end {
+            // SAFETY: loads read bounds-checked 4-lane subslices; the store
+            // goes through the atomic cells' raw storage, and the Vertex
+            // phase partitions vertices statically, so these lanes are
+            // exclusively ours.
+            let mask = unsafe {
+                let old = _mm256_loadu_pd(labels[v..v + 4].as_ptr());
+                let agg = _mm256_loadu_pd(acc[v..v + 4].as_ptr());
+                // Changed lanes: agg strictly below old. (Min aggregates are
+                // never NaN: identities are ±inf and labels are finite ids.)
+                let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(agg, old);
+                let mask = _mm256_movemask_pd(lt) as u32;
+                if mask != 0 {
+                    _mm256_storeu_pd(self.labels.f64_window_ptr(v, 4), _mm256_min_pd(agg, old));
+                }
+                mask
+            };
+            active += mask.count_ones() as usize;
+            if let Some(f) = next_frontier {
+                let mut bits = mask;
+                while bits != 0 {
+                    f.insert((v as u32) + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
             }
-            mask
+            v += 4;
         }
+        active + apply_each(self, v as VertexId..range.end, next_frontier)
     }
 }
 
@@ -362,24 +382,30 @@ mod tests {
     }
 
     #[test]
-    fn apply_block4_matches_four_applies() {
-        // Direct unit check of the AVX2 block kernel against scalar apply.
-        let cc_simd = ConnectedComponents::new(8);
-        let cc_scal = ConnectedComponents::new(8).with_scalar_vertex_phase();
-        for prog in [&cc_simd, &cc_scal] {
-            // Aggregates: improve vertices 1 and 3, leave 0 and 2.
-            prog.acc.set_f64(0, 10.0);
-            prog.acc.set_f64(1, 0.5);
-            prog.acc.set_f64(2, f64::INFINITY);
-            prog.acc.set_f64(3, 1.0);
-        }
-        use grazelle_core::program::GraphProgram as _;
-        let m_simd = cc_simd.apply_block4(0);
-        let m_scal = cc_scal.apply_block4(0);
-        assert_eq!(m_simd, m_scal);
-        assert_eq!(m_simd, 0b1010);
-        assert_eq!(cc_simd.labels()[..4], cc_scal.labels()[..4]);
-        assert_eq!(cc_simd.labels()[..4], [0, 0, 2, 1]);
+    fn apply_range_avx2_matches_scalar_applies() {
+        // Direct unit check of the AVX2 range kernel against scalar apply:
+        // two full blocks plus a scalar tail, starting off a block boundary.
+        use grazelle_vsparse::simd::detect;
+        let n = 11;
+        let run = |prog: ConnectedComponents, simd: SimdLevel| {
+            for v in 0..n {
+                // Aggregates improve every vertex not divisible by 3.
+                let agg = if v % 3 == 0 { f64::INFINITY } else { 0.5 };
+                prog.acc.set_f64(v, agg);
+            }
+            let next = DenseBitmap::new(n);
+            let active = prog.apply_range(1..n as VertexId, Some(&next), simd);
+            (active, next.iter().collect::<Vec<_>>(), prog.labels())
+        };
+        let scalar = run(
+            ConnectedComponents::new(n).with_scalar_vertex_phase(),
+            detect(),
+        );
+        assert_eq!(run(ConnectedComponents::new(n), detect()), scalar);
+        assert_eq!(run(ConnectedComponents::new(n), SimdLevel::Scalar), scalar);
+        assert_eq!(scalar.0, 7);
+        assert_eq!(scalar.1, vec![1, 2, 4, 5, 7, 8, 10]);
+        assert_eq!(scalar.2, vec![0, 0, 0, 3, 0, 0, 6, 0, 0, 9, 0]);
     }
 
     #[test]

@@ -12,11 +12,14 @@
 use grazelle_core::config::EngineConfig;
 use grazelle_core::engine::hybrid::{run_program_on_pool, ExecutionStats};
 use grazelle_core::engine::PreparedGraph;
-use grazelle_core::program::{AggOp, GraphProgram};
+use grazelle_core::frontier::DenseBitmap;
+use grazelle_core::program::{apply_each, AggOp, GraphProgram};
 use grazelle_core::properties::PropertyArray;
 use grazelle_graph::graph::Graph;
 use grazelle_graph::types::VertexId;
 use grazelle_sched::pool::ThreadPool;
+use grazelle_vsparse::simd::SimdLevel;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default damping factor.
@@ -34,9 +37,12 @@ pub struct PageRank {
     acc: PropertyArray,
     /// `1 / outdeg[v]` (0.0 for dangling vertices), for the Vertex phase.
     inv_outdeg: Vec<f64>,
+    /// The vertices with no out-edges, ascending — whose rank mass
+    /// `pre_iteration` redistributes every superstep.
+    dangling: Vec<VertexId>,
     /// Per-iteration base rank `(1-d)/n + d·dangling/n` (f64 bits).
     base: AtomicU64,
-    /// Use the AVX2 Vertex-phase kernel when the engine asks for blocks.
+    /// Use the AVX2 Vertex-phase kernel when the run's SIMD level allows.
     use_avx2: bool,
     /// Convergence tolerance on the L1 rank residual; `None` = fixed
     /// iteration count (the artifact's `-N` behavior).
@@ -70,6 +76,9 @@ impl PageRank {
         for (v, inv) in inv_outdeg.iter().enumerate() {
             contribs.set_f64(v, init * inv);
         }
+        let dangling = (0..n as VertexId)
+            .filter(|&v| out_degrees[v as usize] == 0)
+            .collect();
         PageRank {
             n,
             damping,
@@ -77,8 +86,9 @@ impl PageRank {
             contribs,
             acc: PropertyArray::new(n),
             inv_outdeg,
+            dangling,
             base: AtomicU64::new(0),
-            use_avx2: grazelle_vsparse::simd::detect() == grazelle_vsparse::simd::SimdLevel::Avx2,
+            use_avx2: grazelle_vsparse::simd::detect() == SimdLevel::Avx2,
             tolerance: None,
             residual: AtomicU64::new(0),
         }
@@ -168,9 +178,12 @@ impl GraphProgram for PageRank {
     fn pre_iteration(&self, _iteration: usize) {
         // Grazelle-style global variable: dangling mass produced by the
         // previous Vertex phase, consumed by this iteration's updates.
-        let dangling: f64 = (0..self.n)
-            .filter(|&v| self.inv_outdeg[v] == 0.0)
-            .map(|v| self.ranks.get_f64(v))
+        // Summed in ascending vertex order, so the value does not depend on
+        // how the list was built.
+        let dangling: f64 = self
+            .dangling
+            .iter()
+            .map(|&v| self.ranks.get_f64(v as usize))
             .sum();
         let base = (1.0 - self.damping) / self.n as f64 + self.damping * dangling / self.n as f64;
         self.base.store(base.to_bits(), Ordering::Relaxed);
@@ -190,17 +203,19 @@ impl GraphProgram for PageRank {
     }
 
     #[cfg(target_arch = "x86_64")]
-    fn apply_block4(&self, v0: VertexId) -> u32 {
-        if !self.use_avx2 {
-            // Portable fallback identical to the default implementation.
-            for i in 0..4 {
-                self.apply(v0 + i);
-            }
-            return 0;
+    fn apply_range(
+        &self,
+        range: Range<VertexId>,
+        next_frontier: Option<&DenseBitmap>,
+        simd: SimdLevel,
+    ) -> usize {
+        if simd != SimdLevel::Avx2 || !self.use_avx2 {
+            return apply_each(self, range, next_frontier);
         }
-        // SAFETY: `use_avx2` was set from runtime feature detection.
-        unsafe { self.apply_block4_avx2(v0) };
-        0
+        // SAFETY: `use_avx2` was set from runtime feature detection, and
+        // the Vertex phase hands each thread a range it owns exclusively.
+        unsafe { self.apply_range_avx2(range) };
+        0 // PageRank never activates: it has no frontier
     }
 
     fn should_stop(&self, _iteration: usize, _active: usize) -> bool {
@@ -223,29 +238,35 @@ impl GraphProgram for PageRank {
 #[cfg(target_arch = "x86_64")]
 impl PageRank {
     /// AVX2 Vertex-phase kernel: `rank = base + d·acc`, `contrib = rank /
-    /// outdeg`, four vertices per step (the Figure 10a "Vertex" arm).
+    /// outdeg`, four vertices per step over the whole range inside one
+    /// feature function (the Figure 10a "Vertex" arm), scalar tail.
     ///
     /// # Safety
-    /// AVX2 must be available (runtime-detected by the caller), vertices
-    /// `v0..v0 + 4` must be in bounds, and the caller must own those lanes
-    /// exclusively for the current Vertex phase.
+    /// AVX2 must be available (runtime-detected by the caller) and the
+    /// caller must own `range` exclusively for the current Vertex phase.
     #[target_feature(enable = "avx2")]
-    unsafe fn apply_block4_avx2(&self, v0: VertexId) {
+    unsafe fn apply_range_avx2(&self, range: Range<VertexId>) {
         use std::arch::x86_64::*;
-        let v = v0 as usize;
-        // SAFETY: loads read bounds-checked 4-lane subslices; stores go
-        // through the atomic cells' raw storage, and the Vertex phase
-        // statically partitions vertices, so these lanes are exclusively
-        // ours this phase (same discipline as PropertyArray::set_f64).
-        unsafe {
-            let acc = _mm256_loadu_pd(self.acc.as_f64_slice()[v..v + 4].as_ptr());
-            let base = _mm256_set1_pd(self.base_value());
-            let d = _mm256_set1_pd(self.damping);
-            let rank = _mm256_add_pd(base, _mm256_mul_pd(d, acc));
-            let inv = _mm256_loadu_pd(self.inv_outdeg[v..v + 4].as_ptr());
-            let contrib = _mm256_mul_pd(rank, inv);
-            _mm256_storeu_pd(self.ranks.f64_window_ptr(v, 4), rank);
-            _mm256_storeu_pd(self.contribs.f64_window_ptr(v, 4), contrib);
+        let base = _mm256_set1_pd(self.base_value());
+        let d = _mm256_set1_pd(self.damping);
+        let acc = self.acc.as_f64_slice();
+        let (mut v, end) = (range.start as usize, range.end as usize);
+        while v + 4 <= end {
+            // SAFETY: loads read bounds-checked 4-lane subslices; stores go
+            // through the atomic cells' raw storage, and the Vertex phase
+            // statically partitions vertices, so these lanes are exclusively
+            // ours this phase (same discipline as PropertyArray::set_f64).
+            unsafe {
+                let sums = _mm256_loadu_pd(acc[v..v + 4].as_ptr());
+                let rank = _mm256_add_pd(base, _mm256_mul_pd(d, sums));
+                let inv = _mm256_loadu_pd(self.inv_outdeg[v..v + 4].as_ptr());
+                _mm256_storeu_pd(self.ranks.f64_window_ptr(v, 4), rank);
+                _mm256_storeu_pd(self.contribs.f64_window_ptr(v, 4), _mm256_mul_pd(rank, inv));
+            }
+            v += 4;
+        }
+        for v in v..end {
+            self.apply(v as VertexId);
         }
     }
 }
@@ -424,6 +445,70 @@ mod tests {
             grazelle_core::engine::hybrid::run_program(&pg, &prog, &cfg).iterations
         };
         assert!(iters(1e-12) > iters(1e-3));
+    }
+
+    /// PageRank with the O(V) `pre_iteration` this module used to have: the
+    /// dangling mass re-derived by filtering every vertex's `inv_outdeg`.
+    struct FilteredDangling(PageRank);
+
+    impl GraphProgram for FilteredDangling {
+        fn num_vertices(&self) -> usize {
+            self.0.num_vertices()
+        }
+        fn op(&self) -> AggOp {
+            self.0.op()
+        }
+        fn edge_values(&self) -> &PropertyArray {
+            self.0.edge_values()
+        }
+        fn accumulators(&self) -> &PropertyArray {
+            self.0.accumulators()
+        }
+        fn uses_frontier(&self) -> bool {
+            false
+        }
+        fn pre_iteration(&self, _iteration: usize) {
+            let p = &self.0;
+            let dangling: f64 = (0..p.n)
+                .filter(|&v| p.inv_outdeg[v] == 0.0)
+                .map(|v| p.ranks.get_f64(v))
+                .sum();
+            let base = (1.0 - p.damping) / p.n as f64 + p.damping * dangling / p.n as f64;
+            p.base.store(base.to_bits(), Ordering::Relaxed);
+        }
+        fn apply(&self, v: VertexId) -> bool {
+            self.0.apply(v)
+        }
+        fn apply_range(
+            &self,
+            range: Range<VertexId>,
+            next_frontier: Option<&DenseBitmap>,
+            simd: SimdLevel,
+        ) -> usize {
+            self.0.apply_range(range, next_frontier, simd)
+        }
+    }
+
+    #[test]
+    fn dangling_list_gives_bit_identical_ranks() {
+        use grazelle_graph::gen::rmat::{rmat, RmatConfig};
+        let skewed = Graph::from_edgelist(&rmat(&RmatConfig::graph500(11, 6.0, 9))).unwrap();
+        for (g, iterations) in [(tiny_graph(), 25), (skewed, 12)] {
+            let dangling = (0..g.num_vertices() as VertexId)
+                .filter(|&v| g.out_degree(v) == 0)
+                .count();
+            assert!(dangling > 0, "fixture must have dangling vertices");
+            let pg = PreparedGraph::new(&g);
+            let cfg = EngineConfig::new()
+                .with_threads(2)
+                .with_max_iterations(iterations);
+            let listed = PageRank::new(&g, DAMPING);
+            let filtered = FilteredDangling(PageRank::new(&g, DAMPING));
+            grazelle_core::engine::hybrid::run_program(&pg, &listed, &cfg);
+            grazelle_core::engine::hybrid::run_program(&pg, &filtered, &cfg);
+            let bits = |r: Vec<f64>| r.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(listed.ranks()), bits(filtered.0.ranks()));
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Figure 10 — vectorization: the masked-gather kernels (scalar vs AVX2)
-//! and the end-to-end Edge-Pull phase at both SIMD levels.
+//! Figure 10 — vectorization: the chunk-granular gather-reduce walker the
+//! engine runs (scalar vs AVX2) and the end-to-end Edge-Pull phase at both
+//! SIMD levels.
 //!
 //! `cargo bench -p grazelle-bench --bench fig10_vectorization`
 
@@ -10,7 +11,7 @@ use grazelle_core::config::EngineConfig;
 use grazelle_core::engine::hybrid::{run_program_on_pool, EngineKind};
 use grazelle_graph::gen::datasets::Dataset;
 use grazelle_sched::pool::ThreadPool;
-use grazelle_vsparse::simd::{detect, Kernels, SimdLevel};
+use grazelle_vsparse::simd::{detect, AllActive, Carry, Kernels, Min, Run, SimdLevel, Sum};
 use std::hint::black_box;
 
 const BENCH_SCALE: i32 = -5;
@@ -28,26 +29,30 @@ fn bench_kernels(c: &mut Criterion) {
     } else {
         vec![("scalar", SimdLevel::Scalar)]
     };
+    let run = Run::unweighted(&values, vsd.vectors());
+    let first = run.vectors[0].top_level_vertex();
     for (name, level) in levels {
         let k = Kernels::with_level(level);
+        // The engine's own kernel: one walk over the whole array, every
+        // destination's aggregate handed to a sink.
         g.bench_function(format!("gather-sum/{name}"), |b| {
             b.iter(|| {
+                let mut carry = Carry::new(first, 0.0);
                 let mut total = 0.0;
-                for ev in vsd.vectors() {
-                    // SAFETY: values covers vsd's vertex ids.
-                    total += unsafe { k.gather_sum_raw(&values, ev, 0b1111) };
-                }
-                black_box(total)
+                // SAFETY: values covers vsd's vertex ids.
+                unsafe { k.walk::<Sum, _, _>(run, AllActive, &mut carry, &mut |_, v| total += v) };
+                black_box(total + carry.reduce(|a, b| a + b))
             })
         });
         g.bench_function(format!("gather-min/{name}"), |b| {
             b.iter(|| {
+                let mut carry = Carry::new(first, f64::INFINITY);
                 let mut m = f64::INFINITY;
-                for ev in vsd.vectors() {
-                    // SAFETY: values covers vsd's vertex ids.
-                    m = m.min(unsafe { k.gather_min_raw(&values, ev, 0b1111) });
-                }
-                black_box(m)
+                // SAFETY: values covers vsd's vertex ids.
+                unsafe {
+                    k.walk::<Min, _, _>(run, AllActive, &mut carry, &mut |_, v| m = m.min(v))
+                };
+                black_box(m.min(carry.reduce(f64::min)))
             })
         });
     }

@@ -886,7 +886,7 @@ pub fn ablate_merge() -> Table {
 /// paper's sketched "longer vectors" extension, implemented here.
 pub fn ablate_width() -> Table {
     use grazelle_vsparse::build::VectorSparse;
-    use grazelle_vsparse::simd::{detect8, Kernels, Kernels8};
+    use grazelle_vsparse::simd::{detect8, AllActive, Carry, Kernels, Kernels8, Run, Sum};
     let mut t = Table::new(
         "Ablation — vector width (VSD packing, space, gather-sum throughput)",
         &[
@@ -916,12 +916,12 @@ pub fn ablate_width() -> Table {
         let rate4 = {
             let secs = median_secs(|| {
                 let started = std::time::Instant::now();
+                let run = Run::unweighted(&values, vsd4.vectors());
+                let mut carry = Carry::new(run.vectors[0].top_level_vertex(), 0.0);
                 let mut acc = 0.0;
-                for ev in vsd4.vectors() {
-                    // SAFETY: `values` covers every vertex id in the VSD.
-                    acc += unsafe { k4.gather_sum_raw(&values, ev, 0b1111) };
-                }
-                std::hint::black_box(acc);
+                // SAFETY: `values` covers every vertex id in the VSD.
+                unsafe { k4.walk::<Sum, _, _>(run, AllActive, &mut carry, &mut |_, v| acc += v) };
+                std::hint::black_box(acc + carry.reduce(|a, b| a + b));
                 started.elapsed().as_secs_f64()
             });
             edges / secs / 1e6

@@ -204,6 +204,9 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
             sparse_vertex,
         );
         let use_pull = decision.use_pull;
+        // Threads that actually executed the Edge phase (1 when the SPA
+        // push ran inline) — recorded per superstep.
+        let mut edge_parallelism = pool.num_threads() as u32;
         // Active-vector count when the frontier-aware compacted pull ran.
         let mut compacted: Option<u64> = None;
         if use_pull {
@@ -247,7 +250,7 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
         } else {
             // Scatter discipline from the shared decision (DESIGN.md §17):
             // synchronized per-edge scatter or the SPA bucketed pipeline.
-            edge_push_with_mode(
+            edge_parallelism = edge_push_with_mode(
                 &pg.vss,
                 &kern,
                 &frontier,
@@ -272,6 +275,7 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
         // merge's plain-store discipline does not cover.
         if let Some(d) = overlay {
             edge_push(&d.vss, &kern, &frontier, pool, &prof);
+            edge_parallelism = pool.num_threads() as u32;
         }
 
         // Representation switch (sparse-frontier extension): near-empty
@@ -342,7 +346,7 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
                 sparse_repr,
                 &before,
                 &prof.snapshot(),
-                pool.num_threads() as u32,
+                edge_parallelism,
                 vertex_parallelism,
                 false,
             );
@@ -699,7 +703,14 @@ mod tests {
                 !r.has_resilience_event(),
                 "hybrid path records no resilience events"
             );
-            assert_eq!(r.edge_parallelism, 2);
+            // What ran, not the pool width: the whole 598-edge graph is
+            // under the SPA inline cutoff, so every SPA push is sequential.
+            let inline = r.scatter_mode == Some(crate::config::ScatterMode::Spa);
+            assert_eq!(
+                r.edge_parallelism,
+                if inline { 1 } else { 2 },
+                "iteration {i}"
+            );
             // Selection must be explainable from the recorded inputs.
             match k {
                 EngineKind::Pull => assert!(r.frontier_density >= cfg.pull_threshold),
@@ -1020,11 +1031,15 @@ mod tests {
                     assert_eq!(r.engine, EngineKind::Push, "iteration {i}");
                     assert_eq!(r.scatter_mode, Some(ScatterMode::Spa), "iteration {i}");
                     assert_eq!(r.vertex_touched, r.spa_bucket_entries, "iteration {i}");
+                    // One chain vertex per wavefront: the SPA push runs
+                    // inline, and the record must say so.
+                    assert_eq!(r.edge_parallelism, 1, "x{threads} iteration {i}");
                     if let Some(next) = recs.get(i + 1) {
                         assert!(next.acc_reset_skipped, "iteration {}", i + 1);
                     }
                 }
                 if r.engine == EngineKind::Pull {
+                    assert_eq!(r.edge_parallelism, threads as u32, "iteration {i}");
                     assert_eq!(r.vertex_touched, 0, "iteration {i}");
                     if let Some(next) = recs.get(i + 1) {
                         assert!(!next.acc_reset_skipped, "pull dirties: iteration {}", i + 1);

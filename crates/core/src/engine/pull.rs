@@ -20,18 +20,18 @@
 
 use crate::config::PullMode;
 use crate::faults::ExecInjector;
-use crate::frontier::{DenseBitmap, Frontier};
+use crate::frontier::Frontier;
 use crate::program::AggOp;
 use crate::properties::PropertyArray;
-use crate::spmv::{frontier_lane_mask, scatter_combine, EdgeKernel};
+use crate::spmv::{scatter_combine, EdgeKernel};
 use crate::stats::Profiler;
 use crate::trace::{Deadline, SpanClock};
-use grazelle_sched::aware::ChunkAware;
 use grazelle_sched::chunks::{ChunkScheduler, ChunkSource};
 use grazelle_sched::pool::{ThreadPool, WorkerCtx};
 use grazelle_sched::slots::SlotBuffer;
 use grazelle_vsparse::active::ActiveVectorList;
 use grazelle_vsparse::build::{Vsd, Vss};
+use grazelle_vsparse::simd::{Carry, SimdLevel};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -47,19 +47,19 @@ pub struct MergeEntry {
 }
 
 /// The scheduler-aware pull loop (paper Listings 3–5), generic over the
-/// Edge-phase kernel: the loop owns scheduling, destination transitions,
-/// and the §3 write discipline; the kernel owns only the masked per-vector
-/// aggregation ([`EdgeKernel::gather4`]).
+/// Edge-phase kernel: the loop owns scheduling and the §3 write discipline;
+/// the kernel owns the masked aggregation of each contiguous vector run and
+/// its destination transitions ([`EdgeKernel::pull_run`]).
 struct AwarePull<'a, K: EdgeKernel> {
     vsd: &'a Vsd,
     kernel: &'a K,
     frontier: &'a Frontier,
     merge: &'a SlotBuffer<MergeEntry>,
     prof: &'a Profiler,
-    // Cached kernel facets — hoisted out of the per-vector loop.
+    // Cached kernel facets — hoisted out of the per-chunk path.
     op: AggOp,
     accum: &'a PropertyArray,
-    conv: Option<&'a DenseBitmap>,
+    simd: SimdLevel,
 }
 
 impl<'a, K: EdgeKernel> AwarePull<'a, K> {
@@ -78,15 +78,15 @@ impl<'a, K: EdgeKernel> AwarePull<'a, K> {
             prof,
             op: kernel.op(),
             accum: kernel.accumulators(),
-            conv: kernel.converged(),
+            simd: kernel.simd(),
         }
     }
 }
 
-/// Chunk-local state: the paper's TLS variables plus instrumentation.
+/// Chunk-local state: the paper's TLS variables (`lastDest` and its partial
+/// live in `carry`) plus instrumentation.
 struct AwareState {
-    prev_dest: u64,
-    partial: f64,
+    carry: Carry,
     direct_stores: u64,
     started: SpanClock,
     /// Interior-store audit records, buffered until the chunk *commits* in
@@ -97,13 +97,14 @@ struct AwareState {
     interior_stores: Vec<usize>,
 }
 
-impl<K: EdgeKernel> ChunkAware for AwarePull<'_, K> {
-    type State = AwareState;
-
-    fn start_chunk(&self, _ctx: &WorkerCtx, _chunk: usize, first: usize) -> AwareState {
+impl<K: EdgeKernel> AwarePull<'_, K> {
+    /// `StartChunk` (paper Listing 3): `first` is the chunk's first vector.
+    fn start_chunk(&self, first: usize) -> AwareState {
         AwareState {
-            prev_dest: self.vsd.vectors()[first].top_level_vertex(),
-            partial: self.op.identity(),
+            carry: Carry::new(
+                self.vsd.vectors()[first].top_level_vertex(),
+                self.op.identity(),
+            ),
             direct_stores: 0,
             started: SpanClock::start(),
             #[cfg(feature = "invariant-checks")]
@@ -111,41 +112,45 @@ impl<K: EdgeKernel> ChunkAware for AwarePull<'_, K> {
         }
     }
 
+    /// The chunk's `LoopIteration`s over one contiguous run of vectors
+    /// (paper Listing 4), fused into a single kernel call whose sink is the
+    /// interior-transition store.
     #[inline]
-    fn loop_iteration(&self, _ctx: &WorkerCtx, st: &mut AwareState, i: usize) {
-        let ev = &self.vsd.vectors()[i];
-        let dst = ev.top_level_vertex();
-        if dst != st.prev_dest {
-            // Interior transition: this chunk owns the previous
+    fn run_vectors(&self, st: &mut AwareState, range: std::ops::Range<usize>) {
+        let accum = self.accum;
+        let direct_stores = &mut st.direct_stores;
+        #[cfg(feature = "invariant-checks")]
+        let (audited, interior_stores) = (self.prof.tracker.is_some(), &mut st.interior_stores);
+        let mut store_interior = |dest: u64, partial: f64| {
+            // Interior transition: this chunk owns the finished
             // destination's trailing vectors, so an unsynchronized store is
             // safe (paper Listing 4). Accumulators were reset to the
             // identity, so the store *is* the combine.
             // DISJOINT: interior-owned — audited by the shadow write-tracker
-            self.accum.set_f64(st.prev_dest as usize, st.partial);
+            accum.set_f64(dest as usize, partial);
             #[cfg(feature = "invariant-checks")]
-            if self.prof.tracker.is_some() {
-                st.interior_stores.push(st.prev_dest as usize);
+            if audited {
+                interior_stores.push(dest as usize);
             }
-            st.direct_stores += 1;
-            st.prev_dest = dst;
-            st.partial = self.op.identity();
-        }
-        if let Some(conv) = self.conv {
-            if conv.contains(dst as u32) {
-                return; // destination ignores all in-bound messages
-            }
-        }
-        let mask = frontier_lane_mask(self.frontier, ev);
-        if mask == 0 {
-            return;
-        }
+            *direct_stores += 1;
+        };
         // SAFETY: the kernel validated coverage of this structure's vertex
         // ids at construction (see the `EdgeKernel` safety contract).
-        let contrib = unsafe { self.kernel.gather4(ev, i, mask) };
-        st.partial = self.op.combine(st.partial, contrib);
+        unsafe {
+            self.kernel.pull_run(
+                self.simd,
+                self.vsd,
+                range,
+                self.frontier,
+                &mut st.carry,
+                &mut store_interior,
+            )
+        };
     }
 
-    fn finish_chunk(&self, _ctx: &WorkerCtx, st: AwareState, chunk: usize, _last: usize) {
+    /// `FinishChunk` (paper Listing 5): the trailing partial goes to the
+    /// merge-buffer slot the chunk owns.
+    fn finish_chunk(&self, _ctx: &WorkerCtx, st: AwareState, chunk: usize) {
         #[cfg(feature = "invariant-checks")]
         if let Some(t) = self.prof.tracker.as_ref() {
             // The chunk commits: flush the buffered interior-store records
@@ -156,14 +161,15 @@ impl<K: EdgeKernel> ChunkAware for AwarePull<'_, K> {
             }
             t.record_slot_claim(chunk, _ctx.global_id);
         }
+        let op = self.op;
         // SAFETY: the chunk scheduler hands out each chunk id exactly once,
         // so this thread is slot `chunk`'s unique writer this round.
         unsafe {
             self.merge.write(
                 chunk,
                 MergeEntry {
-                    dest: st.prev_dest,
-                    value: st.partial,
+                    dest: st.carry.dest,
+                    value: st.carry.reduce(|a, b| op.combine(a, b)),
                 },
             )
         };
@@ -176,27 +182,23 @@ impl<K: EdgeKernel> ChunkAware for AwarePull<'_, K> {
             .direct_stores
             .fetch_add(st.direct_stores, Ordering::Relaxed);
     }
-}
 
-impl<K: EdgeKernel> AwarePull<'_, K> {
     /// Processes one chunk end-to-end through the scheduler-aware
-    /// interface: `start_chunk` → `loop_iteration`* → `finish_chunk`.
-    /// `gid` is the chunk's globally unique id (= merge-buffer slot).
+    /// interface. `gid` is the chunk's globally unique id (= merge-buffer
+    /// slot).
     #[inline]
     fn run_chunk(&self, ctx: &WorkerCtx, gid: usize, first: usize, last: usize) {
-        let mut state = self.start_chunk(ctx, gid, first);
-        for i in first..=last {
-            self.loop_iteration(ctx, &mut state, i);
-        }
-        self.finish_chunk(ctx, state, gid, last);
+        let mut state = self.start_chunk(first);
+        self.run_vectors(&mut state, first..last + 1);
+        self.finish_chunk(ctx, state, gid);
     }
 
     /// Processes one chunk of *compacted* positions (frontier-aware path,
     /// DESIGN.md §11): `pos` indexes the active vector list, which resolves
-    /// each position to a real VSD vector index. The resolved indices are
-    /// strictly ascending and every active destination's vector run is
-    /// contiguous in the compacted space, so the §3 transition logic is
-    /// unchanged — a range gap is just another destination transition.
+    /// it to ascending runs of real VSD vector indices. Every active
+    /// destination's vector run is contiguous in the compacted space, so
+    /// the §3 transition logic is unchanged — a gap between runs is just
+    /// another destination transition, which the carried state detects.
     #[inline]
     fn run_chunk_indirect(
         &self,
@@ -205,18 +207,16 @@ impl<K: EdgeKernel> AwarePull<'_, K> {
         active: &ActiveVectorList,
         pos: std::ops::Range<usize>,
     ) {
-        let mut it = active.real_indices(pos);
-        let Some(first) = it.next() else {
+        let mut runs = active.real_ranges(pos);
+        let Some(first) = runs.next() else {
             return;
         };
-        let mut state = self.start_chunk(ctx, gid, first);
-        self.loop_iteration(ctx, &mut state, first);
-        let mut last = first;
-        for i in it {
-            self.loop_iteration(ctx, &mut state, i);
-            last = i;
+        let mut state = self.start_chunk(first.start);
+        self.run_vectors(&mut state, first);
+        for run in runs {
+            self.run_vectors(&mut state, run);
         }
-        self.finish_chunk(ctx, state, gid, last);
+        self.finish_chunk(ctx, state, gid);
     }
 }
 
@@ -378,7 +378,8 @@ pub fn edge_pull<K: EdgeKernel>(
         }
         PullMode::Traditional | PullMode::TraditionalNoAtomic => {
             let accum = kernel.accumulators();
-            let conv = kernel.converged();
+            let identity = op.identity().to_bits();
+            let simd = kernel.simd();
             let write_intense = kernel.write_intense();
             pool.run(|ctx| {
                 let started = SpanClock::start();
@@ -388,19 +389,28 @@ pub fn edge_pull<K: EdgeKernel>(
                 let base = scheds.parts[g].edge_start;
                 while let Some(chunk) = sched.next_chunk_for(ctx.local_id) {
                     for i in base + chunk.range.start..base + chunk.range.end {
-                        let ev = &vsd.vectors()[i];
-                        let dst = ev.top_level_vertex();
-                        if let Some(c) = conv {
-                            if c.contains(dst as u32) {
-                                continue;
-                            }
-                        }
-                        let mask = frontier_lane_mask(frontier, ev);
-                        if mask == 0 {
+                        // The same kernel on a one-vector run: nothing is
+                        // kept across vectors, so each one costs a
+                        // shared-memory update (what Figures 5/8 measure).
+                        let dst = vsd.vectors()[i].top_level_vertex();
+                        let mut carry = Carry::new(dst, op.identity());
+                        // SAFETY: coverage validated at kernel construction.
+                        unsafe {
+                            kernel.pull_run(
+                                simd,
+                                vsd,
+                                i..i + 1,
+                                frontier,
+                                &mut carry,
+                                &mut |_, _| {},
+                            )
+                        };
+                        let contrib = carry.reduce(|a, b| op.combine(a, b));
+                        if contrib.to_bits() == identity {
+                            // No enabled lane (converged destination or no
+                            // active source): nothing to scatter.
                             continue;
                         }
-                        // SAFETY: coverage validated at kernel construction.
-                        let contrib = unsafe { kernel.gather4(ev, i, mask) };
                         updates += 1;
                         match mode {
                             PullMode::Traditional => {
@@ -1003,14 +1013,17 @@ pub fn edge_pull_resilient<K: EdgeKernel>(
     }
 }
 
-/// The degrade path: one sequential pass over the whole VSD array with the
-/// same per-vector semantics as [`AwarePull`], writing each destination's
-/// aggregate with a single plain store. Used when the parallel path cannot
-/// make progress (retry budget exhausted) and as the Edge-Push fallback.
+/// Vectors the degrade path walks between two deadline polls.
+const SCALAR_PASS_SLICE: usize = 4096;
+
+/// The degrade path: one sequential pass over the whole VSD array through
+/// the kernel's *scalar* pull run, writing each destination's aggregate
+/// with a single plain store. Used when the parallel path cannot make
+/// progress (retry budget exhausted) and as the Edge-Push fallback.
 /// Accumulators must hold the operator identity on entry. Returns `false`
-/// if `deadline` expired mid-pass (checked every 4096 vectors). The pass's
-/// time counts as Edge-phase *work* (at parallelism 1); the caller owns
-/// the phase's wall/idle accounting.
+/// if `deadline` expired mid-pass (polled every [`SCALAR_PASS_SLICE`]
+/// vectors). The pass's time counts as Edge-phase *work* (at parallelism
+/// 1); the caller owns the phase's wall/idle accounting.
 pub(crate) fn scalar_pull_pass<K: EdgeKernel>(
     vsd: &Vsd,
     kernel: &K,
@@ -1025,48 +1038,44 @@ pub(crate) fn scalar_pull_pass<K: EdgeKernel>(
     let started = SpanClock::start();
     let op = kernel.op();
     let accum = kernel.accumulators();
-    let conv = kernel.converged();
-    let mut prev_dest = vectors[0].top_level_vertex();
-    let mut partial = op.identity();
-    for (i, ev) in vectors.iter().enumerate() {
-        if i % 4096 == 0 && deadline.is_some_and(|dl| dl.expired()) {
-            // ATOMIC: relaxed-counter
-            prof.work_ns
-                .fetch_add(started.elapsed_ns(), Ordering::Relaxed);
-            return false;
+    let mut carry = Carry::new(vectors[0].top_level_vertex(), op.identity());
+    let mut store = |dest: u64, aggregate: f64| {
+        // DISJOINT: sequential-merge — scalar pass, single-threaded
+        accum.set_f64(dest as usize, aggregate);
+    };
+    let mut done = true;
+    for slice in (0..vectors.len()).step_by(SCALAR_PASS_SLICE) {
+        if deadline.is_some_and(|dl| dl.expired()) {
+            done = false;
+            break;
         }
-        let dst = ev.top_level_vertex();
-        if dst != prev_dest {
-            // DISJOINT: sequential-merge — scalar pass, single-threaded
-            accum.set_f64(prev_dest as usize, partial);
-            prev_dest = dst;
-            partial = op.identity();
-        }
-        if let Some(c) = conv {
-            if c.contains(dst as u32) {
-                continue;
-            }
-        }
-        let mask = frontier_lane_mask(frontier, ev);
-        if mask == 0 {
-            continue;
-        }
+        let end = (slice + SCALAR_PASS_SLICE).min(vectors.len());
         // SAFETY: coverage validated at kernel construction.
-        let contrib = unsafe { kernel.gather4(ev, i, mask) };
-        partial = op.combine(partial, contrib);
+        unsafe {
+            kernel.pull_run(
+                SimdLevel::Scalar,
+                vsd,
+                slice..end,
+                frontier,
+                &mut carry,
+                &mut store,
+            )
+        };
     }
-    // DISJOINT: sequential-merge — scalar pass, single-threaded
-    accum.set_f64(prev_dest as usize, partial);
+    if done {
+        store(carry.dest, carry.reduce(|a, b| op.combine(a, b)));
+    }
     // ATOMIC: relaxed-counter
     prof.work_ns
         .fetch_add(started.elapsed_ns(), Ordering::Relaxed);
-    true
+    done
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::ExecFaultPlan;
+    use crate::frontier::DenseBitmap;
     use crate::program::GraphProgram;
     use crate::spmv::program_kernel;
     use grazelle_graph::edgelist::EdgeList;
@@ -1357,6 +1366,81 @@ mod tests {
             let scheds = broken_scheds(vsd.num_vectors(), false);
             let prof = Profiler::with_tracker();
             run_with(&scheds, &prof);
+        }
+
+        /// A kernel whose pull run hands every finished destination to the
+        /// engine's sink twice. The sink is where the fused path performs
+        /// (and records) the interior store, so the audit must see both.
+        struct EchoingKernel<'a>(crate::spmv::SemiringKernel<'a>);
+        impl EdgeKernel for EchoingKernel<'_> {
+            fn op(&self) -> AggOp {
+                self.0.op()
+            }
+            fn accumulators(&self) -> &PropertyArray {
+                self.0.accumulators()
+            }
+            // SAFETY: forwarded caller contract.
+            unsafe fn pull_run<S: FnMut(u64, f64)>(
+                &self,
+                simd: SimdLevel,
+                vsd: &Vsd,
+                range: std::ops::Range<usize>,
+                frontier: &Frontier,
+                carry: &mut Carry,
+                sink: &mut S,
+            ) {
+                let mut twice = |dest: u64, aggregate: f64| {
+                    sink(dest, aggregate);
+                    sink(dest, aggregate);
+                };
+                // SAFETY: forwarded caller contract.
+                unsafe {
+                    self.0
+                        .pull_run(simd, vsd, range, frontier, carry, &mut twice)
+                }
+            }
+            // SAFETY: never dereferences anything.
+            unsafe fn gather8(
+                &self,
+                _ev: &grazelle_vsparse::vector::EdgeVector<8>,
+                _vector_index: usize,
+                _mask: u32,
+            ) -> f64 {
+                unreachable!("4-lane test kernel")
+            }
+            fn message(&self, src: u32, dst: u32, weight: f64) -> f64 {
+                self.0.message(src, dst, weight)
+            }
+        }
+
+        /// The fused path's interior stores happen inside the kernel's
+        /// sink; a destination stored twice there must trip the audit just
+        /// as a double store in the old per-vector loop did.
+        #[test]
+        #[should_panic(expected = "exactly-once-write contract violated")]
+        fn double_interior_store_in_the_sink_trips_the_tracker() {
+            let g = star_plus_chain(60);
+            let vsd = VectorSparse::<4>::from_csr(g.in_csr());
+            let n = g.num_vertices();
+            let prog = SumProg {
+                vals: PropertyArray::filled_f64(n, 1.0),
+                acc: PropertyArray::filled_f64(n, 0.0),
+                n,
+            };
+            let pool = ThreadPool::single_group(2);
+            let scheds = EdgeSchedulers::single(vsd.num_vectors(), 9);
+            let mut merge = SlotBuffer::new(scheds.total_chunks());
+            let kern = EchoingKernel(program_kernel(&prog, &vsd, Kernels::auto()));
+            edge_pull(
+                &vsd,
+                &kern,
+                &Frontier::all(n),
+                &pool,
+                &scheds,
+                &mut merge,
+                PullMode::SchedulerAware,
+                &Profiler::with_tracker(),
+            );
         }
 
         /// A scheduler that hands the same chunk *id* to two claimants hits

@@ -27,7 +27,7 @@ use std::sync::atomic::Ordering;
 /// (ignored by the synchronized arm) — drivers keep one per execution.
 /// `pool_parked` is forwarded to [`edge_push_spa`]: true only when the
 /// caller knows nothing has woken the pool since the previous superstep's
-/// Edge phase.
+/// Edge phase. Returns the number of threads that ran the phase.
 #[allow(clippy::too_many_arguments)]
 pub fn edge_push_with_mode<K: EdgeKernel>(
     vss: &Vss,
@@ -38,10 +38,13 @@ pub fn edge_push_with_mode<K: EdgeKernel>(
     mode: ScatterMode,
     scratch: &mut SpaScratch,
     pool_parked: bool,
-) {
+) -> u32 {
     match mode {
         ScatterMode::Spa => edge_push_spa(vss, kernel, frontier, pool, prof, scratch, pool_parked),
-        ScatterMode::Atomic | ScatterMode::Auto => edge_push(vss, kernel, frontier, pool, prof),
+        ScatterMode::Atomic | ScatterMode::Auto => {
+            edge_push(vss, kernel, frontier, pool, prof);
+            pool.num_threads() as u32
+        }
     }
 }
 

@@ -650,9 +650,11 @@ pub fn run_resilient_overlay_on_pool<P: GraphProgram>(
                     // The reset and dense Vertex phase of every superstep
                     // keep this driver's pool warm.
                     false,
-                );
+                )
             }));
-            if pushed.is_err() {
+            if let Ok(ran) = pushed {
+                edge_parallelism = ran;
+            } else {
                 prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
                 prof.degraded_iterations.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
                 edge_parallelism = 1;

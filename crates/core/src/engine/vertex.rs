@@ -40,9 +40,10 @@ pub fn reset_accumulators<P: GraphProgram>(prog: &P, pool: &ThreadPool, prof: &P
         .fetch_add(started.elapsed_ns(), Ordering::Relaxed);
 }
 
-/// Runs one Vertex phase: applies the local update to every vertex,
-/// inserting activated vertices into `next_frontier` (when tracking), and
-/// returns the number of activated vertices.
+/// Runs one Vertex phase: each thread hands its whole vertex range to the
+/// program's [`GraphProgram::apply_range`], which applies the local update,
+/// inserts activated vertices into `next_frontier` (when tracking) and
+/// counts them; returns the number of activated vertices.
 pub fn vertex_phase<P: GraphProgram>(
     prog: &P,
     pool: &ThreadPool,
@@ -56,35 +57,7 @@ pub fn vertex_phase<P: GraphProgram>(
     let started = SpanClock::start();
     pool.run(|ctx| {
         let r = &parts[ctx.global_id];
-        let mut active = 0usize;
-        let mut v = r.start;
-        if simd == SimdLevel::Avx2 {
-            // Vectorized local update: whole 4-vertex blocks through the
-            // program's block kernel, scalar tail below.
-            while v + 4 <= r.end {
-                let mask = prog.apply_block4(v);
-                if mask != 0 {
-                    active += mask.count_ones() as usize;
-                    if let Some(f) = next_frontier {
-                        for i in 0..4 {
-                            if (mask >> i) & 1 == 1 {
-                                f.insert(v + i);
-                            }
-                        }
-                    }
-                }
-                v += 4;
-            }
-        }
-        while v < r.end {
-            if prog.apply(v) {
-                active += 1;
-                if let Some(f) = next_frontier {
-                    f.insert(v);
-                }
-            }
-            v += 1;
-        }
+        let active = prog.apply_range(r.start..r.end, next_frontier, simd);
         // ATOMIC: relaxed-counter — per-thread totals; the pool join makes
         // the final sum exact before anyone reads it
         active_total.fetch_add(active, Ordering::Relaxed);
@@ -282,26 +255,6 @@ mod tests {
                 "vertex {v} not applied"
             );
         }
-    }
-
-    #[test]
-    fn block_path_matches_scalar_path() {
-        let n = 97; // deliberately not a multiple of 4
-        let run = |simd| {
-            let prog = Halver {
-                vals: PropertyArray::new(n),
-                acc: PropertyArray::new(n),
-                n,
-            };
-            let pool = ThreadPool::single_group(3);
-            let prof = Profiler::new();
-            let next = DenseBitmap::new(n);
-            let active = vertex_phase(&prog, &pool, Some(&next), simd, &prof);
-            (active, next.iter().collect::<Vec<_>>())
-        };
-        let scalar = run(SimdLevel::Scalar);
-        let simd = run(grazelle_vsparse::simd::detect());
-        assert_eq!(scalar, simd);
     }
 
     #[test]

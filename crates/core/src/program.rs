@@ -11,6 +11,8 @@
 use crate::frontier::{DenseBitmap, Frontier};
 use crate::properties::PropertyArray;
 use grazelle_graph::types::VertexId;
+use grazelle_vsparse::simd::SimdLevel;
+use std::ops::Range;
 
 /// The commutative + associative aggregation operator applied to in-bound
 /// messages at each destination.
@@ -90,6 +92,26 @@ impl EdgeFunc {
     }
 }
 
+/// The scalar body of [`GraphProgram::apply_range`]: one
+/// [`GraphProgram::apply`] per vertex of `range`, activations inserted into
+/// `next_frontier` and counted.
+pub fn apply_each<P: GraphProgram + ?Sized>(
+    prog: &P,
+    range: Range<VertexId>,
+    next_frontier: Option<&DenseBitmap>,
+) -> usize {
+    let mut active = 0;
+    for v in range {
+        if prog.apply(v) {
+            active += 1;
+            if let Some(f) = next_frontier {
+                f.insert(v);
+            }
+        }
+    }
+    active
+}
+
 /// A synchronous graph application.
 ///
 /// State (property arrays, converged sets, globals) is owned by the
@@ -126,17 +148,21 @@ pub trait GraphProgram: Sync {
     /// should join the next frontier (its externally visible value changed).
     fn apply(&self, v: VertexId) -> bool;
 
-    /// Vectorized local update over vertices `v0..v0+4` (all in range).
-    /// Returns a 4-bit activity mask. The default defers to [`GraphProgram::apply`];
-    /// applications with profitable SIMD Vertex phases (PageRank) override.
-    fn apply_block4(&self, v0: VertexId) -> u32 {
-        let mut mask = 0u32;
-        for i in 0..4 {
-            if self.apply(v0 + i) {
-                mask |= 1 << i;
-            }
-        }
-        mask
+    /// The Vertex phase over `range`, a contiguous run of vertices the
+    /// calling thread owns for the whole phase: applies the local update to
+    /// each, inserts the activated ones into `next_frontier` (when the run
+    /// tracks one) and returns how many were activated. The default loops
+    /// [`GraphProgram::apply`] whatever `simd` says; applications with a
+    /// profitable vector Vertex kernel (PageRank, Connected Components)
+    /// override it to run the whole range inside one `#[target_feature]`
+    /// function when `simd` allows.
+    fn apply_range(
+        &self,
+        range: Range<VertexId>,
+        next_frontier: Option<&DenseBitmap>,
+        _simd: SimdLevel,
+    ) -> usize {
+        apply_each(self, range, next_frontier)
     }
 
     /// Program contract (DESIGN.md §18): `true` declares that whenever
@@ -254,13 +280,21 @@ mod tests {
     }
 
     #[test]
-    fn default_block_apply_matches_scalar() {
+    fn default_range_apply_matches_scalar() {
         let d = Dummy {
             vals: PropertyArray::new(8),
             acc: PropertyArray::new(8),
         };
-        assert_eq!(d.apply_block4(0), 0b0101);
-        assert_eq!(d.apply_block4(4), 0b0101);
+        let next = DenseBitmap::new(8);
+        assert_eq!(d.apply_range(1..7, Some(&next), SimdLevel::Avx2), 3);
+        assert_eq!(next.iter().collect::<Vec<_>>(), vec![2, 4, 6]);
+        assert_eq!(d.apply_range(0..8, None, SimdLevel::Scalar), 4);
+        assert_eq!(d.apply_range(3..3, Some(&next), SimdLevel::Scalar), 0);
+        assert_eq!(
+            next.count(),
+            3,
+            "an untracked or empty range inserts nothing"
+        );
     }
 
     #[test]

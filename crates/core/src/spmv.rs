@@ -11,39 +11,46 @@
 //!
 //! * [`SemiringKernel`] — the classic GAS kernels: `message` is an
 //!   [`EdgeFunc`] over the source's edge value, the reduction is an
-//!   [`AggOp`], and the masked gathers dispatch to the AVX2/AVX-512
-//!   vector-gather kernels exactly as before.
+//!   [`AggOp`], and a pull run dispatches *once* on `(op, func, level)` to
+//!   the matching monomorphic gather-reduce walker of
+//!   [`grazelle_vsparse::simd`].
 //! * [`IntersectKernel`] — the masked *dot-product* kernel used by triangle
 //!   counting: `message(src, dst) = |N(src) ∩ N(dst)|` over sorted
 //!   adjacency, reduced with `Sum`.
 //!
-//! The kernel boundary is the *per-vector aggregation and per-edge message*
-//! only. Scheduling, the §3 exactly-once-write discipline (chunk-local
-//! partials, interior direct stores, merge-buffer boundary slots), frontier
-//! masking, and the shadow write-tracker audit all stay in the engine
-//! modules and are untouched by the choice of kernel — which is precisely
-//! what lets a new workload reuse the whole machinery by implementing this
-//! one trait.
+//! The pull-side kernel boundary is the *contiguous run of edge vectors*
+//! ([`EdgeKernel::pull_run`]): the kernel owns the masked aggregation of a
+//! run — lane-wise partials, frontier and converged-set predication,
+//! destination-transition detection — and hands each finished destination's
+//! aggregate to the engine's sink. Scheduling, the §3 exactly-once-write
+//! discipline (what the sink does with an interior destination, the
+//! merge-buffer slot for a chunk's trailing partial) and the shadow
+//! write-tracker audit all stay in the engine modules and are untouched by
+//! the choice of kernel — which is precisely what lets a new workload reuse
+//! the whole machinery by implementing this one trait.
 
 use crate::frontier::{DenseBitmap, Frontier};
 use crate::program::{AggOp, EdgeFunc, GraphProgram};
 use crate::properties::PropertyArray;
-use grazelle_vsparse::build::VectorSparse;
-use grazelle_vsparse::simd::{Kernels, Kernels8};
+use grazelle_vsparse::build::{VectorSparse, Vsd};
+use grazelle_vsparse::simd::{
+    self, ActiveBitmap, ActiveList, AllActive, Carry, Kernels, Kernels8, Reduction, Run, SimdLevel,
+};
 use grazelle_vsparse::vector::EdgeVector;
+use std::ops::Range;
 
 pub mod spa;
 
 /// One Edge-phase kernel: the semiring-style combine/reduce pair plus the
-/// masked per-vector gathers the engines drive.
+/// masked gathers the engines drive.
 ///
 /// # Safety contract
 ///
-/// The `gather4`/`gather8` methods are `unsafe` with the same contract as
-/// the raw SIMD gathers they wrap: every *enabled* lane (valid bit set AND
-/// mask bit set) must hold a vertex id within the kernel's backing arrays.
-/// Implementations validate coverage at construction time against the
-/// structure they will be driven over.
+/// `pull_run`/`gather8` are `unsafe` with the same contract as the SIMD
+/// walkers they wrap: every valid lane of the vectors they are handed must
+/// hold a vertex id within the kernel's backing arrays, i.e. the structure
+/// must be the one the kernel was built for. Implementations validate
+/// coverage at construction time against that structure.
 pub trait EdgeKernel: Sync {
     /// The commutative + associative reduction applied at each destination.
     fn op(&self) -> AggOp;
@@ -64,20 +71,44 @@ pub trait EdgeKernel: Sync {
         false
     }
 
-    /// Masked gather-reduce of one 4-lane edge vector: reduces
-    /// `message(lane_vertex, top_level_vertex)` over enabled lanes, starting
-    /// from the operator identity. `vector_index` addresses per-vector
-    /// side data (the appended weight vectors).
+    /// The SIMD level this kernel's pull runs were configured for.
+    fn simd(&self) -> SimdLevel {
+        SimdLevel::Scalar
+    }
+
+    /// Masked gather-reduce of the contiguous run `range` of `vsd`'s
+    /// vectors at SIMD level `simd`: folds `message(src, dst)` of every
+    /// lane whose source is in `frontier` and whose destination has not
+    /// converged into `carry`'s lane-wise partials, calling
+    /// `sink(dst, aggregate)` for each destination the run moves past. On
+    /// return `carry` holds the run's last destination and its partial, so
+    /// a chunk spanning several runs threads one `carry` through them.
+    ///
+    /// The default walks edge by edge through [`EdgeKernel::message`].
+    ///
+    /// # Safety
+    /// `vsd` must be the structure the kernel validated at construction
+    /// (see the trait-level contract).
+    #[inline]
+    unsafe fn pull_run<S: FnMut(u64, f64)>(
+        &self,
+        _simd: SimdLevel,
+        vsd: &Vsd,
+        range: Range<usize>,
+        frontier: &Frontier,
+        carry: &mut Carry,
+        sink: &mut S,
+    ) {
+        per_edge_run(self, vsd, range, frontier, carry, sink);
+    }
+
+    /// Masked gather-reduce of one 8-lane edge vector (wide pull path):
+    /// reduces `message(lane_vertex, top_level_vertex)` over enabled lanes,
+    /// starting from the operator identity.
     ///
     /// # Safety
     /// Every enabled lane's vertex id must be in range for the kernel's
     /// arrays (see the trait-level contract).
-    unsafe fn gather4(&self, ev: &EdgeVector<4>, vector_index: usize, mask: u32) -> f64;
-
-    /// Masked gather-reduce of one 8-lane edge vector (wide pull path).
-    ///
-    /// # Safety
-    /// Same contract as [`EdgeKernel::gather4`].
     unsafe fn gather8(&self, ev: &EdgeVector<8>, vector_index: usize, mask: u32) -> f64;
 
     /// Scalar per-edge message — the push/scatter and sequential-redo twin
@@ -86,37 +117,50 @@ pub trait EdgeKernel: Sync {
     fn message(&self, src: u32, dst: u32, weight: f64) -> f64;
 }
 
-/// Computes the frontier-derived lane mask for one edge vector: bit `i` set
-/// iff lane `i`'s *source* vertex is active. Invalid lanes are filtered by
-/// the kernels' own valid-bit predication, so they may carry any bit here.
-#[inline]
-pub(crate) fn frontier_lane_mask(frontier: &Frontier, ev: &EdgeVector<4>) -> u32 {
-    match frontier {
-        Frontier::All { .. } => 0b1111,
-        Frontier::Dense(bm) => {
-            let mut m = 0u32;
-            for i in 0..4 {
-                if let Some(src) = ev.neighbor(i) {
-                    m |= (bm.contains(src as u32) as u32) << i;
-                }
-            }
-            m
+/// [`EdgeKernel::pull_run`] for kernels with no vector form: one
+/// [`EdgeKernel::message`] per enabled lane, folded into the same four
+/// lane partials the SIMD walkers keep.
+fn per_edge_run<K: EdgeKernel + ?Sized, S: FnMut(u64, f64)>(
+    kernel: &K,
+    vsd: &Vsd,
+    range: Range<usize>,
+    frontier: &Frontier,
+    carry: &mut Carry,
+    sink: &mut S,
+) {
+    let op = kernel.op();
+    let weights = vsd.weight_vectors();
+    let converged = |dst: u64| kernel.converged().is_some_and(|c| c.contains(dst as u32));
+    let mut skip = converged(carry.dest);
+    for i in range {
+        let ev = &vsd.vectors()[i];
+        let dst = ev.top_level_vertex();
+        if dst != carry.dest {
+            sink(carry.dest, carry.reduce(|a, b| op.combine(a, b)));
+            *carry = Carry::new(dst, op.identity());
+            skip = converged(dst);
         }
-        // The driver only selects pull for occupied frontiers, which stay
-        // dense; this arm exists for direct engine users (O(log|F|)/lane).
-        Frontier::Sparse { .. } => {
-            let mut m = 0u32;
-            for i in 0..4 {
-                if let Some(src) = ev.neighbor(i) {
-                    m |= (frontier.contains(src as u32) as u32) << i;
-                }
+        if skip {
+            continue;
+        }
+        for lane in 0..4 {
+            let Some(src) = ev.neighbor(lane) else {
+                continue;
+            };
+            if frontier.contains(src as u32) {
+                let w = weights.map_or(0.0, |ws| ws[i][lane]);
+                carry.fold_lane(lane, kernel.message(src as u32, dst as u32, w), |a, b| {
+                    op.combine(a, b)
+                });
             }
-            m
         }
     }
 }
 
-/// 8-lane twin of [`frontier_lane_mask`].
+/// Computes the frontier-derived lane mask for one 8-lane edge vector: bit
+/// `i` set iff lane `i`'s *source* vertex is active. Invalid lanes are
+/// filtered by the kernels' own valid-bit predication, so they may carry any
+/// bit here.
 #[inline]
 pub(crate) fn frontier_lane_mask8(frontier: &Frontier, ev: &EdgeVector<8>) -> u32 {
     match frontier {
@@ -257,6 +301,36 @@ pub fn program_kernel<'a, P: GraphProgram>(
     SemiringKernel::for_structure(prog, structure, kernels)
 }
 
+/// Resolves the frontier representation to its [`simd::LaneFilter`] and runs
+/// the walker for reduction `R` — the last runtime branch before the
+/// monomorphic loop.
+///
+/// # Safety
+/// Same contract as [`Kernels::walk`]: every valid lane's id indexes within
+/// `run.values` and within a dense frontier's bitmap.
+#[inline]
+unsafe fn walk_frontier<R: Reduction, S: FnMut(u64, f64)>(
+    level: SimdLevel,
+    run: Run<'_>,
+    frontier: &Frontier,
+    carry: &mut Carry,
+    sink: &mut S,
+) {
+    let k = Kernels::with_level(level);
+    // SAFETY: forwarded caller contract, the same in every arm.
+    unsafe {
+        match frontier {
+            Frontier::All { .. } => k.walk::<R, _, S>(run, AllActive, carry, sink),
+            Frontier::Dense(bm) => k.walk::<R, _, S>(run, ActiveBitmap(bm.words()), carry, sink),
+            // The driver only selects pull for occupied frontiers, which
+            // stay dense; this arm exists for direct engine users.
+            Frontier::Sparse { vertices, .. } => {
+                k.walk::<R, _, S>(run, ActiveList(vertices), carry, sink)
+            }
+        }
+    }
+}
+
 impl EdgeKernel for SemiringKernel<'_> {
     #[inline]
     fn op(&self) -> AggOp {
@@ -278,46 +352,58 @@ impl EdgeKernel for SemiringKernel<'_> {
         self.write_intense
     }
 
-    // SAFETY: forwarded caller contract — every enabled lane id indexes
-    // within `values` (and `weights4` when the function is weighted),
-    // validated against the structure at construction.
     #[inline]
-    unsafe fn gather4(&self, ev: &EdgeVector<4>, vector_index: usize, mask: u32) -> f64 {
-        // SAFETY: forwarded caller contract, validated at construction.
+    fn simd(&self) -> SimdLevel {
+        self.kernels.level()
+    }
+
+    // SAFETY: forwarded caller contract — `vsd` is the structure whose ids
+    // (and weight vectors, when the function is weighted) were validated
+    // against `values` at construction.
+    #[inline]
+    unsafe fn pull_run<S: FnMut(u64, f64)>(
+        &self,
+        simd: SimdLevel,
+        vsd: &Vsd,
+        range: Range<usize>,
+        frontier: &Frontier,
+        carry: &mut Carry,
+        sink: &mut S,
+    ) {
+        assert!(
+            frontier.len() >= vsd.num_vertices(),
+            "frontier must cover every vertex of the structure"
+        );
+        let weights = match self.weights4 {
+            Some(ws) if self.func.needs_weights() => &ws[range.clone()],
+            _ => &[],
+        };
+        let run = Run {
+            values: self.values,
+            vectors: &vsd.vectors()[range.clone()],
+            weights,
+            converged: self.conv.map(DenseBitmap::words),
+        };
+        // SAFETY: forwarded caller contract, the same in every arm.
         unsafe {
             match (self.op, self.func) {
-                (AggOp::Sum, EdgeFunc::Value) => self.kernels.gather_sum_raw(self.values, ev, mask),
-                (AggOp::Min, EdgeFunc::Value) => self.kernels.gather_min_raw(self.values, ev, mask),
-                (AggOp::Max, EdgeFunc::Value) => self.kernels.gather_max_raw(self.values, ev, mask),
+                (AggOp::Sum, EdgeFunc::Value) => {
+                    walk_frontier::<simd::Sum, S>(simd, run, frontier, carry, sink)
+                }
+                (AggOp::Min, EdgeFunc::Value) => {
+                    walk_frontier::<simd::Min, S>(simd, run, frontier, carry, sink)
+                }
+                (AggOp::Max, EdgeFunc::Value) => {
+                    walk_frontier::<simd::Max, S>(simd, run, frontier, carry, sink)
+                }
                 (AggOp::Sum, EdgeFunc::ValueTimesWeight) => {
-                    let w = &self
-                        .weights4
-                        .expect("weighted edge function on unweighted graph")[vector_index];
-                    self.kernels
-                        .gather_weighted_sum_raw(self.values, w, ev, mask)
+                    walk_frontier::<simd::WeightedSum, S>(simd, run, frontier, carry, sink)
                 }
                 (AggOp::Min, EdgeFunc::ValuePlusWeight) => {
-                    let w = &self
-                        .weights4
-                        .expect("weighted edge function on unweighted graph")[vector_index];
-                    self.kernels.gather_add_min_raw(self.values, w, ev, mask)
+                    walk_frontier::<simd::MinPlus, S>(simd, run, frontier, carry, sink)
                 }
-                // Remaining combinations fall back to a scalar per-lane loop
-                // with identical semantics (no matching fused AVX2 kernel).
-                (op, func) => {
-                    let mut acc = op.identity();
-                    for i in 0..4 {
-                        if (mask >> i) & 1 == 0 {
-                            continue;
-                        }
-                        if let Some(src) = ev.neighbor(i) {
-                            let w = self.weights4.map_or(0.0, |ws| ws[vector_index][i]);
-                            let v = *self.values.get_unchecked(src as usize);
-                            acc = op.combine(acc, func.apply(v, w));
-                        }
-                    }
-                    acc
-                }
+                // Remaining combinations have no fused walker.
+                _ => per_edge_run(self, vsd, range, frontier, carry, sink),
             }
         }
     }
@@ -468,27 +554,6 @@ impl EdgeKernel for IntersectKernel {
     // SAFETY: no unchecked accesses — the intersection walks safe slices;
     // the unsafe signature only forwards the trait's caller contract.
     #[inline]
-    unsafe fn gather4(&self, ev: &EdgeVector<4>, _vector_index: usize, mask: u32) -> f64 {
-        let dst = ev.top_level_vertex() as u32;
-        let dst_adj = self.adjacency(dst);
-        let mut acc = 0u64;
-        for i in 0..4 {
-            if (mask >> i) & 1 == 0 {
-                continue;
-            }
-            if let Some(src) = ev.neighbor(i) {
-                let src = src as u32;
-                if src != dst {
-                    acc += sorted_intersect_count(self.adjacency(src), dst_adj);
-                }
-            }
-        }
-        acc as f64
-    }
-
-    // SAFETY: no unchecked accesses — the intersection walks safe slices;
-    // the unsafe signature only forwards the trait's caller contract.
-    #[inline]
     unsafe fn gather8(&self, ev: &EdgeVector<8>, _vector_index: usize, mask: u32) -> f64 {
         let dst = ev.top_level_vertex() as u32;
         let dst_adj = self.adjacency(dst);
@@ -611,8 +676,29 @@ mod tests {
         }
     }
 
+    /// Every `(dst, aggregate)` a kernel's pull run produces over the whole
+    /// structure, trailing destination included.
+    fn pull_all<K: EdgeKernel>(kern: &K, vsd: &Vsd, frontier: &Frontier) -> Vec<(u64, f64)> {
+        let op = kern.op();
+        let mut carry = Carry::new(vsd.vectors()[0].top_level_vertex(), op.identity());
+        let mut out = Vec::new();
+        // SAFETY: `vsd` is the structure `kern` was built over.
+        unsafe {
+            kern.pull_run(
+                kern.simd(),
+                vsd,
+                0..vsd.num_vectors(),
+                frontier,
+                &mut carry,
+                &mut |d, v| out.push((d, v)),
+            );
+        }
+        out.push((carry.dest, carry.reduce(|a, b| op.combine(a, b))));
+        out
+    }
+
     #[test]
-    fn semiring_gather4_matches_scalar_messages() {
+    fn semiring_pull_run_matches_scalar_messages() {
         let g = symmetric(&[(0, 1), (1, 2), (0, 2), (2, 3)], 4);
         let vsd = VectorSparse::<4>::from_csr(g.in_csr());
         let prog = MiniProg {
@@ -622,16 +708,35 @@ mod tests {
         for v in 0..4 {
             prog.vals.set_f64(v, (v as f64) + 0.5);
         }
-        let kern = program_kernel(&prog, &vsd, Kernels::with_level(SimdLevel::Scalar));
-        for (i, ev) in vsd.vectors().iter().enumerate() {
-            let dst = ev.top_level_vertex() as u32;
-            let expect: f64 = ev
-                .valid_neighbors()
-                .map(|s| kern.message(s as u32, dst, 0.0))
-                .sum();
-            // SAFETY: vsd ids are covered by the 4-entry arrays.
-            let got = unsafe { kern.gather4(ev, i, 0b1111) };
-            assert_eq!(got, expect, "vector {i}");
+        let odd = Frontier::from_vertices(4, &[1, 3]);
+        for level in [SimdLevel::Scalar, simd::detect()] {
+            let kern = program_kernel(&prog, &vsd, Kernels::with_level(level));
+            for frontier in [Frontier::all(4), Frontier::sparse(4, &[1, 3])] {
+                let want: Vec<(u64, f64)> = (0..4u32)
+                    .map(|dst| {
+                        let sum = g
+                            .in_neighbors(dst)
+                            .iter()
+                            .filter(|&&s| frontier.contains(s))
+                            .map(|&s| kern.message(s, dst, 0.0))
+                            .sum();
+                        (dst as u64, sum)
+                    })
+                    .collect();
+                assert_eq!(pull_all(&kern, &vsd, &frontier), want, "{level:?}");
+                if !frontier.is_all() {
+                    assert_eq!(pull_all(&kern, &vsd, &odd), want, "{level:?} dense");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn intersect_kernel_pulls_through_the_per_edge_default() {
+        let g = symmetric(&[(0, 1), (1, 2), (0, 2), (2, 3)], 4);
+        let vsd = VectorSparse::<4>::from_csr(g.in_csr());
+        let k = IntersectKernel::from_graph(&g);
+        let got = pull_all(&k, &vsd, &Frontier::all(4));
+        assert_eq!(got, vec![(0, 2.0), (1, 2.0), (2, 2.0), (3, 0.0)]);
     }
 }

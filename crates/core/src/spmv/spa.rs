@@ -300,7 +300,9 @@ fn fold_into(op: AggOp, write_intense: bool, accum: &PropertyArray, dst: usize, 
 /// storage, reused across supersteps. `pool_parked` is the caller's
 /// knowledge that nothing has woken the pool since the previous
 /// superstep's Edge phase; it only moves the inline cutoff
-/// ([`SPA_PARKED_VECTOR_CUTOFF`]), never a result bit.
+/// ([`SPA_PARKED_VECTOR_CUTOFF`]), never a result bit. Returns the number
+/// of threads that ran the phase: 1 on the inline fast path, else the pool
+/// width.
 pub fn edge_push_spa<K: EdgeKernel>(
     vss: &Vss,
     kernel: &K,
@@ -309,7 +311,7 @@ pub fn edge_push_spa<K: EdgeKernel>(
     prof: &Profiler,
     scratch: &mut SpaScratch,
     pool_parked: bool,
-) {
+) -> u32 {
     let n = vss.num_vertices();
     let accum = kernel.accumulators();
     let conv = kernel.converged();
@@ -427,7 +429,7 @@ pub fn edge_push_spa<K: EdgeKernel>(
             .fetch_add(touched, Ordering::Relaxed); // ATOMIC: relaxed-counter
         scratch.put_back(rows, updates as usize);
         prof.finish_edge_phase_with_merge(wall.elapsed_ns(), 1, work_before, merge_before);
-        return;
+        return 1;
     }
 
     // --- Pass 1: scatter into thread-local chunk-partitioned buckets. ---
@@ -481,6 +483,7 @@ pub fn edge_push_spa<K: EdgeKernel>(
     }
     scratch.put_back(rows, bucketed);
     prof.finish_edge_phase_with_merge(wall.elapsed_ns(), tc as u64, work_before, merge_before);
+    tc as u32
 }
 
 #[cfg(test)]

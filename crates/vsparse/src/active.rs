@@ -91,6 +91,36 @@ impl ActiveVectorList {
     /// Iterates the real vector indices behind a slice of compacted
     /// positions. `pos` must lie within `0..total_vectors()`.
     pub fn real_indices(&self, pos: Range<usize>) -> RealIndices<'_> {
+        let (ri, cur) = self.locate(&pos);
+        RealIndices {
+            list: self,
+            range_idx: ri,
+            cur,
+            remaining: pos.len(),
+        }
+    }
+
+    /// The same indices as [`real_indices`](Self::real_indices), as the
+    /// maximal contiguous runs they form (ascending, disjoint, non-empty) —
+    /// what a chunk-granular kernel walks one slice at a time.
+    pub fn real_ranges(&self, pos: Range<usize>) -> impl Iterator<Item = Range<usize>> + '_ {
+        let (first, mut cur) = self.locate(&pos);
+        let mut remaining = pos.len();
+        self.ranges[first..].iter().map_while(move |r| {
+            if remaining == 0 {
+                return None;
+            }
+            let start = cur.max(r.start);
+            let end = r.end.min(start + remaining);
+            remaining -= end - start;
+            cur = 0;
+            Some(start..end)
+        })
+    }
+
+    /// The range holding compacted position `pos.start` and that position's
+    /// real index (0 for an empty `pos`). Panics when `pos` is out of bounds.
+    fn locate(&self, pos: &Range<usize>) -> (usize, usize) {
         assert!(
             pos.start <= pos.end && pos.end <= self.total_vectors(),
             "compacted position range {pos:?} out of bounds (total {})",
@@ -107,12 +137,7 @@ impl ActiveVectorList {
         } else {
             self.ranges[ri].start + (pos.start - self.prefix[ri])
         };
-        RealIndices {
-            list: self,
-            range_idx: ri,
-            cur,
-            remaining: pos.len(),
-        }
+        (ri, cur)
     }
 }
 
@@ -220,6 +245,14 @@ mod tests {
             for e in s..=n {
                 let got: Vec<usize> = list.real_indices(s..e).collect();
                 assert_eq!(got, full[s..e].to_vec(), "slice {s}..{e}");
+                let runs: Vec<Range<usize>> = list.real_ranges(s..e).collect();
+                assert!(runs.iter().all(|r| !r.is_empty()), "slice {s}..{e}");
+                assert!(
+                    runs.windows(2).all(|w| w[0].end < w[1].start),
+                    "runs of {s}..{e} must be maximal and ascending: {runs:?}"
+                );
+                let flat: Vec<usize> = runs.into_iter().flatten().collect();
+                assert_eq!(flat, got, "ranges of slice {s}..{e}");
             }
         }
     }

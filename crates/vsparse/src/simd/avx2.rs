@@ -1,333 +1,169 @@
-//! AVX2 gather-reduce kernels (`std::arch` port of the paper's x86 assembly).
+//! AVX2 walker (`std::arch` port of the paper's x86 assembly, Listing 7).
 //!
 //! The central instruction is `_mm256_mask_i64gather_pd` (`vgatherqpd`),
 //! whose per-lane predication consumes the *sign bit* of each 64-bit mask
 //! lane. Vector-Sparse places the valid bit exactly there, so an edge vector
-//! is its own gather mask after AND-ing in the caller's extra (frontier)
-//! mask. Lane indices are the low 48 bits, isolated with one vector AND —
-//! no unpacking, no bounds checks (paper §4).
+//! is its own gather mask once the frontier filter has been AND-ed in. Lane
+//! indices are the low 48 bits, isolated with one vector AND — no
+//! unpacking, no bounds checks (paper §4). The whole run executes inside one
+//! `#[target_feature]` function: the accumulator is a `__m256d` that lives
+//! across all of a destination's vectors and is reduced horizontally only
+//! when the TLV-piece field of a vector differs from the previous one.
 
 #![cfg(target_arch = "x86_64")]
-// Inner `unsafe {}` blocks are kept explicit inside `unsafe fn` bodies for
-// edition-2024 compatibility; rustc 2021 flags them as redundant.
-#![allow(unused_unsafe)]
 
-use crate::format::VERTEX_MASK;
-use crate::vector::EdgeVector;
+use super::{bitmap_contains, Carry, Combine, LaneFilter, Message, Reduction, Run};
+use crate::format::{TLV_SHIFT, VALID_BIT, VERTEX_MASK};
 use std::arch::x86_64::*;
+use std::sync::atomic::AtomicU64;
 
-/// Builds the combined predication mask: lane sign bits from the edge
-/// vector's valid bits, AND per-lane expansion of `extra_mask`.
-///
-/// # Safety
-/// Requires AVX2 (dispatched behind [`super::detect`]).
+/// The 12-bit TLV piece of every lane, in place.
+const TLV_FIELD: i64 = (((1u64 << crate::format::tlv_piece_bits(4)) - 1) << TLV_SHIFT) as i64;
+
+/// Vector twin of [`super::scalar::combine`], same operand order.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn combined_mask(ev: &EdgeVector<4>, extra_mask: u32) -> __m256i {
-    // SAFETY: EdgeVector<4> is 32-byte aligned, so the aligned load is
-    // valid; the rest is register-only lane arithmetic.
-    unsafe {
-        let lanes = _mm256_load_si256(ev.lanes().as_ptr() as *const __m256i);
-        let extra = _mm256_set_epi64x(
-            ((extra_mask as i64 >> 3) & 1) << 63,
-            ((extra_mask as i64 >> 2) & 1) << 63,
-            ((extra_mask as i64 >> 1) & 1) << 63,
-            ((extra_mask as i64) & 1) << 63,
-        );
-        _mm256_and_si256(lanes, extra)
+fn combine<R: Reduction>(acc: __m256d, x: __m256d) -> __m256d {
+    match R::COMBINE {
+        Combine::Add => _mm256_add_pd(acc, x),
+        Combine::Min => _mm256_min_pd(x, acc),
+        Combine::Max => _mm256_max_pd(x, acc),
     }
 }
 
-/// Lane indices: the low 48 bits of each lane.
-///
-/// # Safety
-/// Requires AVX2 (dispatched behind [`super::detect`]).
+/// `(l0 ⊕ l2) ⊕ (l1 ⊕ l3)`, the order of [`Carry::reduce`].
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn lane_indices(ev: &EdgeVector<4>) -> __m256i {
-    // SAFETY: EdgeVector<4> is 32-byte aligned, so the aligned load is
-    // valid; the AND is register-only.
-    unsafe {
-        let lanes = _mm256_load_si256(ev.lanes().as_ptr() as *const __m256i);
-        _mm256_and_si256(lanes, _mm256_set1_epi64x(VERTEX_MASK as i64))
-    }
+fn reduce<R: Reduction>(v: __m256d) -> f64 {
+    let halves = combine::<R>(v, _mm256_permute2f128_pd::<1>(v, v));
+    let pairs = combine::<R>(halves, _mm256_permute_pd::<0b0101>(halves));
+    _mm256_cvtsd_f64(pairs)
 }
 
-/// Horizontal reduction of the four lanes.
+/// Sign-bit mask of the lanes whose neighbor's bit is set in `words`: one
+/// masked gather of the four bitmap words, each shifted so the neighbor's
+/// bit lands in the sign position.
 ///
 /// # Safety
-/// Requires AVX2 (dispatched behind [`super::detect`]).
+/// Every lane whose sign bit is set in `lanes` must index a bit within
+/// `words`.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn hsum(v: __m256d) -> f64 {
-    // SAFETY: register-only shuffles and arithmetic; no memory access.
-    unsafe {
-        let hi = _mm256_extractf128_pd(v, 1);
-        let lo = _mm256_castpd256_pd128(v);
-        let sum2 = _mm_add_pd(lo, hi);
-        let shuf = _mm_unpackhi_pd(sum2, sum2);
-        _mm_cvtsd_f64(_mm_add_sd(sum2, shuf))
-    }
+unsafe fn bitmap_mask(words: &[AtomicU64], lanes: __m256i, idx: __m256i) -> __m256i {
+    let word_idx = _mm256_srli_epi64::<6>(idx);
+    // SAFETY: only sign-bit lanes are dereferenced, and the caller
+    // guarantees those index within `words`; `AtomicU64` has the layout of
+    // `i64`, and nothing writes the bitmap during an Edge phase.
+    let gathered = unsafe {
+        _mm256_mask_i64gather_epi64::<8>(
+            _mm256_setzero_si256(),
+            words.as_ptr().cast::<i64>(),
+            word_idx,
+            lanes,
+        )
+    };
+    let bit = _mm256_and_si256(idx, _mm256_set1_epi64x(63));
+    let to_sign = _mm256_sub_epi64(_mm256_set1_epi64x(63), bit);
+    _mm256_and_si256(lanes, _mm256_sllv_epi64(gathered, to_sign))
 }
 
-/// Horizontal reduction of the four lanes.
+/// Sign-bit mask of the valid lanes whose neighbor passes `filter`, for
+/// filters with no vector form (four scalar probes).
+#[inline]
+#[target_feature(enable = "avx2")]
+fn probed_mask<F: LaneFilter>(filter: F, lanes: __m256i) -> __m256i {
+    let mut raw = [0u64; 4];
+    // SAFETY: `raw` is 32 writable bytes; the store is unaligned.
+    unsafe { _mm256_storeu_si256(raw.as_mut_ptr().cast(), lanes) };
+    let sign = |lane: u64| {
+        let on = lane & VALID_BIT != 0 && filter.contains(lane & VERTEX_MASK);
+        (on as i64) << 63
+    };
+    _mm256_set_epi64x(sign(raw[3]), sign(raw[2]), sign(raw[1]), sign(raw[0]))
+}
+
+/// AVX2 instantiation of [`super::Kernels::walk`].
 ///
 /// # Safety
-/// Requires AVX2 (dispatched behind [`super::detect`]).
-#[inline]
+/// AVX2 must be available (callers dispatch via [`super::detect`]); every
+/// valid lane of `run.vectors` must hold a neighbor id `< run.values.len()`
+/// that also indexes within the filter's bitmap, if it has one (see
+/// [`super::Kernels::walk`]).
 #[target_feature(enable = "avx2")]
-unsafe fn hmin(v: __m256d) -> f64 {
-    // SAFETY: register-only shuffles and arithmetic; no memory access.
-    unsafe {
-        let hi = _mm256_extractf128_pd(v, 1);
-        let lo = _mm256_castpd256_pd128(v);
-        let m2 = _mm_min_pd(lo, hi);
-        let shuf = _mm_unpackhi_pd(m2, m2);
-        _mm_cvtsd_f64(_mm_min_sd(m2, shuf))
-    }
-}
+pub unsafe fn walk<R: Reduction, F: LaneFilter, S: FnMut(u64, f64)>(
+    run: Run<'_>,
+    filter: F,
+    carry: &mut Carry,
+    sink: &mut S,
+) {
+    let converged = |dest: u64| run.converged.is_some_and(|c| bitmap_contains(c, dest));
+    let identity = _mm256_set1_pd(R::IDENTITY);
+    let tlv_field = _mm256_set1_epi64x(TLV_FIELD);
+    let vertex_mask = _mm256_set1_epi64x(VERTEX_MASK as i64);
 
-/// Horizontal reduction of the four lanes.
-///
-/// # Safety
-/// Requires AVX2 (dispatched behind [`super::detect`]).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn hmax(v: __m256d) -> f64 {
-    // SAFETY: register-only shuffles and arithmetic; no memory access.
-    unsafe {
-        let hi = _mm256_extractf128_pd(v, 1);
-        let lo = _mm256_castpd256_pd128(v);
-        let m2 = _mm_max_pd(lo, hi);
-        let shuf = _mm_unpackhi_pd(m2, m2);
-        _mm_cvtsd_f64(_mm_max_sd(m2, shuf))
-    }
-}
-
-/// Predicated 4-lane gather from `values`; disabled lanes yield `src`.
-///
-/// # Safety
-/// Every enabled lane must hold a neighbor id `< values.len()`; requires
-/// AVX2 (dispatched behind [`super::detect`]).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn masked_gather(values: &[f64], ev: &EdgeVector<4>, extra_mask: u32, src: f64) -> __m256d {
-    // SAFETY: vgatherqpd dereferences values+idx only on enabled lanes,
-    // and the caller guarantees those indices are in bounds.
-    unsafe {
-        let mask = _mm256_castsi256_pd(combined_mask(ev, extra_mask));
-        let idx = lane_indices(ev);
-        let srcv = _mm256_set1_pd(src);
-        // Disabled lanes keep `src`; enabled lanes load values[idx].
-        _mm256_mask_i64gather_pd::<8>(srcv, values.as_ptr(), idx, mask)
-    }
-}
-
-/// Sum over enabled lanes. Safety: enabled lanes must index within `values`.
-///
-/// # Safety
-/// Every enabled lane must hold a neighbor id `< values.len()`
-/// (see [`super::Kernels`]); requires AVX2 (callers dispatch via [`super::detect`]).
-#[inline]
-pub unsafe fn gather_sum(values: &[f64], ev: &EdgeVector<4>, extra_mask: u32) -> f64 {
-    // SAFETY: same contract, forwarded to the target_feature twin.
-    unsafe { gather_sum_impl(values, ev, extra_mask) }
-}
-
-/// # Safety
-/// Same contract as the public wrapper, plus AVX2 availability.
-#[target_feature(enable = "avx2")]
-unsafe fn gather_sum_impl(values: &[f64], ev: &EdgeVector<4>, extra_mask: u32) -> f64 {
-    // SAFETY: enabled lanes are in bounds per the caller contract.
-    unsafe { hsum(masked_gather(values, ev, extra_mask, 0.0)) }
-}
-
-/// Minimum over enabled lanes (+∞ identity).
-///
-/// # Safety
-/// Every enabled lane must hold a neighbor id `< values.len()`
-/// (see [`super::Kernels`]); requires AVX2 (callers dispatch via [`super::detect`]).
-#[inline]
-pub unsafe fn gather_min(values: &[f64], ev: &EdgeVector<4>, extra_mask: u32) -> f64 {
-    // SAFETY: same contract, forwarded to the target_feature twin.
-    unsafe { gather_min_impl(values, ev, extra_mask) }
-}
-
-/// # Safety
-/// Same contract as the public wrapper, plus AVX2 availability.
-#[target_feature(enable = "avx2")]
-unsafe fn gather_min_impl(values: &[f64], ev: &EdgeVector<4>, extra_mask: u32) -> f64 {
-    // SAFETY: enabled lanes are in bounds per the caller contract.
-    unsafe { hmin(masked_gather(values, ev, extra_mask, f64::INFINITY)) }
-}
-
-/// Maximum over enabled lanes (−∞ identity).
-///
-/// # Safety
-/// Every enabled lane must hold a neighbor id `< values.len()`
-/// (see [`super::Kernels`]); requires AVX2 (callers dispatch via [`super::detect`]).
-#[inline]
-pub unsafe fn gather_max(values: &[f64], ev: &EdgeVector<4>, extra_mask: u32) -> f64 {
-    // SAFETY: same contract, forwarded to the target_feature twin.
-    unsafe { gather_max_impl(values, ev, extra_mask) }
-}
-
-/// # Safety
-/// Same contract as the public wrapper, plus AVX2 availability.
-#[target_feature(enable = "avx2")]
-unsafe fn gather_max_impl(values: &[f64], ev: &EdgeVector<4>, extra_mask: u32) -> f64 {
-    // SAFETY: enabled lanes are in bounds per the caller contract.
-    unsafe { hmax(masked_gather(values, ev, extra_mask, f64::NEG_INFINITY)) }
-}
-
-/// Weighted sum over enabled lanes. Padding weight lanes are 0.0 by
-/// construction, and disabled gather lanes return 0.0, so a full-width
-/// multiply-sum is exact.
-///
-/// # Safety
-/// Every enabled lane must hold a neighbor id `< values.len()`
-/// (see [`super::Kernels`]); requires AVX2 (callers dispatch via [`super::detect`]).
-#[inline]
-pub unsafe fn gather_weighted_sum(
-    values: &[f64],
-    weights: &[f64; 4],
-    ev: &EdgeVector<4>,
-    extra_mask: u32,
-) -> f64 {
-    // SAFETY: same contract, forwarded to the target_feature twin.
-    unsafe { gather_weighted_sum_impl(values, weights, ev, extra_mask) }
-}
-
-/// # Safety
-/// Same contract as the public wrapper, plus AVX2 availability.
-#[target_feature(enable = "avx2")]
-unsafe fn gather_weighted_sum_impl(
-    values: &[f64],
-    weights: &[f64; 4],
-    ev: &EdgeVector<4>,
-    extra_mask: u32,
-) -> f64 {
-    // SAFETY: enabled lanes are in bounds per the caller contract; the
-    // weight load reads a full fixed-size array.
-    unsafe {
-        let gathered = masked_gather(values, ev, extra_mask, 0.0);
-        let w = _mm256_loadu_pd(weights.as_ptr());
-        hsum(_mm256_mul_pd(gathered, w))
-    }
-}
-
-/// Minimum of `values[neighbor] + addends[i]` over enabled lanes (+∞
-/// identity). Disabled lanes gather +∞ and the addend keeps them at +∞
-/// (weight lanes are finite), so they never win the min.
-///
-/// # Safety
-/// Every enabled lane must hold a neighbor id `< values.len()`
-/// (see [`super::Kernels`]); requires AVX2 (callers dispatch via [`super::detect`]).
-#[inline]
-pub unsafe fn gather_add_min(
-    values: &[f64],
-    addends: &[f64; 4],
-    ev: &EdgeVector<4>,
-    extra_mask: u32,
-) -> f64 {
-    // SAFETY: same contract, forwarded to the target_feature twin.
-    unsafe { gather_add_min_impl(values, addends, ev, extra_mask) }
-}
-
-/// # Safety
-/// Same contract as the public wrapper, plus AVX2 availability.
-#[target_feature(enable = "avx2")]
-unsafe fn gather_add_min_impl(
-    values: &[f64],
-    addends: &[f64; 4],
-    ev: &EdgeVector<4>,
-    extra_mask: u32,
-) -> f64 {
-    // SAFETY: enabled lanes are in bounds per the caller contract; the
-    // addend load reads a full fixed-size array.
-    unsafe {
-        let gathered = masked_gather(values, ev, extra_mask, f64::INFINITY);
-        let a = _mm256_loadu_pd(addends.as_ptr());
-        hmin(_mm256_add_pd(gathered, a))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    //! Equivalence tests against the scalar twins; these run only when the
-    //! host supports AVX2 (they are a no-op skip otherwise).
-    use super::*;
-    use crate::simd::scalar;
-    use proptest::prelude::*;
-
-    fn avx2_available() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-
-    #[test]
-    fn matches_scalar_on_examples() {
-        if !avx2_available() {
-            return;
+    let mut dest = carry.dest;
+    let mut skip = converged(dest);
+    // SAFETY: both are 32 readable bytes; the loads are unaligned.
+    let (mut acc, mut prev_field) = unsafe {
+        (
+            _mm256_loadu_pd(carry.lanes.as_ptr()),
+            _mm256_loadu_si256(carry.tlv_field().as_ptr().cast()),
+        )
+    };
+    for (k, ev) in run.vectors.iter().enumerate() {
+        // SAFETY: `EdgeVector<4>` is 32 bytes, 32-byte aligned.
+        let lanes = unsafe { _mm256_load_si256(ev.lanes().as_ptr().cast()) };
+        let field = _mm256_and_si256(lanes, tlv_field);
+        if _mm256_movemask_epi8(_mm256_cmpeq_epi64(field, prev_field)) != -1 {
+            sink(dest, reduce::<R>(acc));
+            acc = identity;
+            prev_field = field;
+            dest = ev.top_level_vertex();
+            skip = converged(dest);
         }
-        let values: Vec<f64> = (0..64).map(|i| (i * 3) as f64).collect();
-        let cases = [
-            EdgeVector::<4>::new(7, &[0, 1, 2, 3]),
-            EdgeVector::<4>::new(7, &[5]),
-            EdgeVector::<4>::new(7, &[63, 0, 62]),
-            EdgeVector::<4>::new(7, &[]),
-        ];
-        for ev in &cases {
-            for mask in 0..16u32 {
-                // SAFETY: every lane id is < values.len(); AVX2 checked.
-                unsafe {
-                    assert_eq!(
-                        gather_sum(&values, ev, mask),
-                        scalar::gather_sum(&values, ev, mask),
-                        "sum mismatch {ev:?} mask {mask:#b}"
-                    );
-                    assert_eq!(
-                        gather_min(&values, ev, mask),
-                        scalar::gather_min(&values, ev, mask)
-                    );
-                    assert_eq!(
-                        gather_max(&values, ev, mask),
-                        scalar::gather_max(&values, ev, mask)
-                    );
-                }
-            }
+        if skip {
+            continue;
         }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn prop_avx2_equals_scalar(
-            nbrs in proptest::collection::vec(0u64..32, 0..=4),
-            mask in 0u32..16,
-            tlv in 0u64..(1 << 48),
-            seed in 0u64..1000,
-        ) {
-            if !avx2_available() {
-                return Ok(());
+        let idx = _mm256_and_si256(lanes, vertex_mask);
+        let mask = if F::ALL {
+            lanes
+        } else {
+            let mask = match filter.bitmap() {
+                // SAFETY: valid lanes index within the bitmap (contract).
+                Some(words) => unsafe { bitmap_mask(words, lanes, idx) },
+                None => probed_mask(filter, lanes),
+            };
+            if _mm256_movemask_pd(_mm256_castsi256_pd(mask)) == 0 {
+                continue;
             }
-            let values: Vec<f64> = (0..32).map(|i| ((i as u64 * 2654435761 + seed) % 97) as f64).collect();
-            let ev = EdgeVector::<4>::new(tlv, &nbrs);
-            let weights = [0.5, 1.5, 2.5, 3.5];
-            // SAFETY: lane ids are < 32 = values.len(); AVX2 checked.
-            unsafe {
-                prop_assert_eq!(gather_sum(&values, &ev, mask), scalar::gather_sum(&values, &ev, mask));
-                prop_assert_eq!(gather_min(&values, &ev, mask), scalar::gather_min(&values, &ev, mask));
-                prop_assert_eq!(gather_max(&values, &ev, mask), scalar::gather_max(&values, &ev, mask));
-                prop_assert_eq!(
-                    gather_weighted_sum(&values, &weights, &ev, mask),
-                    scalar::gather_weighted_sum(&values, &weights, &ev, mask)
-                );
-                prop_assert_eq!(
-                    gather_add_min(&values, &weights, &ev, mask),
-                    scalar::gather_add_min(&values, &weights, &ev, mask)
-                );
+            mask
+        };
+        // SAFETY: vgatherqpd dereferences values + idx only on lanes whose
+        // mask sign bit is set — a subset of the valid lanes, which the
+        // caller guarantees are in bounds. Disabled lanes yield the identity.
+        let gathered = unsafe {
+            _mm256_mask_i64gather_pd::<8>(
+                identity,
+                run.values.as_ptr(),
+                idx,
+                _mm256_castsi256_pd(mask),
+            )
+        };
+        let msg = if R::WEIGHTED {
+            // SAFETY: `weights[k]` is a bounds-checked `[f64; 4]`; the load
+            // is unaligned.
+            let w = unsafe { _mm256_loadu_pd(run.weights[k].as_ptr()) };
+            match R::MESSAGE {
+                Message::Value => gathered,
+                Message::TimesWeight => _mm256_mul_pd(gathered, w),
+                Message::PlusWeight => _mm256_add_pd(gathered, w),
             }
-        }
+        } else {
+            gathered
+        };
+        acc = combine::<R>(acc, msg);
     }
+    carry.dest = dest;
+    // SAFETY: `carry.lanes` is 32 writable bytes; the store is unaligned.
+    unsafe { _mm256_storeu_pd(carry.lanes.as_mut_ptr(), acc) };
 }

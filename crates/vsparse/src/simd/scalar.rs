@@ -1,152 +1,83 @@
-//! Scalar twins of the AVX2 kernels.
+//! Scalar twin of the AVX2 walker.
 //!
-//! Semantics are lane-for-lane identical to [`super::avx2`]; these double as
-//! the portable fallback and as the "non-vectorized" Edge-Pull arm of the
-//! Figure 10 comparison ("we disable vectorization by replacing vectorized
-//! code, such as the `vgatherqpd` instruction, with versions that process a
-//! single edge at a time", §6.2).
+//! Semantics are lane-for-lane identical to [`super::avx2`]: four lane
+//! accumulators per destination, the same `combine` operand order, the same
+//! `(l0 ⊕ l2) ⊕ (l1 ⊕ l3)` fold — so the two produce bit-identical
+//! aggregates. This doubles as the portable fallback and as the
+//! "non-vectorized" Edge-Pull arm of the Figure 10 comparison ("we disable
+//! vectorization by replacing vectorized code, such as the `vgatherqpd`
+//! instruction, with versions that process a single edge at a time", §6.2).
 
+use super::{bitmap_contains, Carry, Combine, LaneFilter, Message, Reduction, Run};
 use crate::format::{lane_is_valid, lane_vertex};
-use crate::vector::EdgeVector;
 
-#[inline]
-fn enabled_lanes(ev: &EdgeVector<4>, extra_mask: u32) -> impl Iterator<Item = usize> + '_ {
-    (0..4).filter(move |&i| lane_is_valid(ev.lanes()[i]) && (extra_mask >> i) & 1 == 1)
-}
-
-/// Sum over enabled lanes. See [`super::Kernels::gather_sum_raw`] for the
-/// safety contract (enabled lanes in bounds).
-///
-/// # Safety
-/// Every enabled lane (valid bit AND `extra_mask` bit) must hold a
-/// neighbor id `< values.len()` (see [`super::Kernels`]).
-#[inline]
-pub unsafe fn gather_sum(values: &[f64], ev: &EdgeVector<4>, extra_mask: u32) -> f64 {
-    let mut acc = 0.0;
-    for i in enabled_lanes(ev, extra_mask) {
-        let idx = lane_vertex(ev.lanes()[i]) as usize;
-        debug_assert!(idx < values.len());
-        // SAFETY: enabled lanes are in bounds (this function's contract).
-        acc += unsafe { *values.get_unchecked(idx) };
-    }
-    acc
-}
-
-/// Minimum over enabled lanes (+∞ identity).
-///
-/// # Safety
-/// Every enabled lane (valid bit AND `extra_mask` bit) must hold a
-/// neighbor id `< values.len()` (see [`super::Kernels`]).
-#[inline]
-pub unsafe fn gather_min(values: &[f64], ev: &EdgeVector<4>, extra_mask: u32) -> f64 {
-    let mut acc = f64::INFINITY;
-    for i in enabled_lanes(ev, extra_mask) {
-        let idx = lane_vertex(ev.lanes()[i]) as usize;
-        debug_assert!(idx < values.len());
-        // SAFETY: enabled lanes are in bounds (this function's contract).
-        acc = acc.min(unsafe { *values.get_unchecked(idx) });
-    }
-    acc
-}
-
-/// Maximum over enabled lanes (−∞ identity).
-///
-/// # Safety
-/// Every enabled lane (valid bit AND `extra_mask` bit) must hold a
-/// neighbor id `< values.len()` (see [`super::Kernels`]).
-#[inline]
-pub unsafe fn gather_max(values: &[f64], ev: &EdgeVector<4>, extra_mask: u32) -> f64 {
-    let mut acc = f64::NEG_INFINITY;
-    for i in enabled_lanes(ev, extra_mask) {
-        let idx = lane_vertex(ev.lanes()[i]) as usize;
-        debug_assert!(idx < values.len());
-        // SAFETY: enabled lanes are in bounds (this function's contract).
-        acc = acc.max(unsafe { *values.get_unchecked(idx) });
-    }
-    acc
-}
-
-/// Weighted sum over enabled lanes.
-///
-/// # Safety
-/// Every enabled lane (valid bit AND `extra_mask` bit) must hold a
-/// neighbor id `< values.len()` (see [`super::Kernels`]).
-#[inline]
-pub unsafe fn gather_weighted_sum(
-    values: &[f64],
-    weights: &[f64; 4],
-    ev: &EdgeVector<4>,
-    extra_mask: u32,
-) -> f64 {
-    let mut acc = 0.0;
-    for i in enabled_lanes(ev, extra_mask) {
-        let idx = lane_vertex(ev.lanes()[i]) as usize;
-        debug_assert!(idx < values.len());
-        // SAFETY: enabled lanes are in bounds (this function's contract).
-        acc += weights[i] * unsafe { *values.get_unchecked(idx) };
-    }
-    acc
-}
-
-/// Minimum of `values[neighbor] + addends[i]` over enabled lanes (+∞
-/// identity) — the min-plus kernel used by Single-Source Shortest-Paths.
-///
-/// # Safety
-/// Every enabled lane (valid bit AND `extra_mask` bit) must hold a
-/// neighbor id `< values.len()` (see [`super::Kernels`]).
-#[inline]
-pub unsafe fn gather_add_min(
-    values: &[f64],
-    addends: &[f64; 4],
-    ev: &EdgeVector<4>,
-    extra_mask: u32,
-) -> f64 {
-    let mut acc = f64::INFINITY;
-    for i in enabled_lanes(ev, extra_mask) {
-        let idx = lane_vertex(ev.lanes()[i]) as usize;
-        debug_assert!(idx < values.len());
-        // SAFETY: enabled lanes are in bounds (this function's contract).
-        acc = acc.min(unsafe { *values.get_unchecked(idx) } + addends[i]);
-    }
-    acc
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sum_skips_invalid_and_masked() {
-        let ev = EdgeVector::<4>::new(9, &[0, 1, 2]);
-        let vals = [10.0, 20.0, 40.0];
-        // SAFETY: all lane ids are < vals.len().
-        unsafe {
-            assert_eq!(gather_sum(&vals, &ev, 0b1111), 70.0);
-            assert_eq!(gather_sum(&vals, &ev, 0b1001), 10.0); // lane 3 invalid
-            assert_eq!(gather_sum(&vals, &ev, 0b1000), 0.0);
+/// `acc ⊕ x`. The operand order is part of the AVX2 ≡ scalar contract:
+/// `Min`/`Max` keep `acc` unless `x` strictly beats it, exactly what
+/// `vminpd x, acc` / `vmaxpd x, acc` return — including for NaN and ±0.0.
+#[inline(always)]
+pub fn combine<R: Reduction>(acc: f64, x: f64) -> f64 {
+    match R::COMBINE {
+        Combine::Add => acc + x,
+        Combine::Min => {
+            if x < acc {
+                x
+            } else {
+                acc
+            }
+        }
+        Combine::Max => {
+            if x > acc {
+                x
+            } else {
+                acc
+            }
         }
     }
+}
 
-    #[test]
-    fn min_and_max() {
-        let ev = EdgeVector::<4>::new(0, &[0, 1, 2, 0]);
-        let vals = [5.0, -3.0, 9.0];
-        // SAFETY: all lane ids are < vals.len().
-        unsafe {
-            assert_eq!(gather_min(&vals, &ev, 0b1111), -3.0);
-            assert_eq!(gather_max(&vals, &ev, 0b1111), 9.0);
-            assert_eq!(gather_min(&vals, &ev, 0b1001), 5.0);
-        }
+/// The message a lane contributes.
+#[inline(always)]
+fn message<R: Reduction>(value: f64, weight: f64) -> f64 {
+    match R::MESSAGE {
+        Message::Value => value,
+        Message::TimesWeight => value * weight,
+        Message::PlusWeight => value + weight,
     }
+}
 
-    #[test]
-    fn weighted() {
-        let ev = EdgeVector::<4>::new(0, &[1, 0]);
-        let vals = [2.0, 3.0];
-        let w = [0.5, 2.0, 99.0, 99.0];
-        // SAFETY: all lane ids are < vals.len().
-        unsafe {
-            assert_eq!(gather_weighted_sum(&vals, &w, &ev, 0b1111), 1.5 + 4.0);
+/// Scalar instantiation of [`super::Kernels::walk`].
+///
+/// # Safety
+/// Every valid lane of `run.vectors` must hold a neighbor id
+/// `< run.values.len()` (see [`super::Kernels::walk`]).
+pub unsafe fn walk<R: Reduction, F: LaneFilter, S: FnMut(u64, f64)>(
+    run: Run<'_>,
+    filter: F,
+    carry: &mut Carry,
+    sink: &mut S,
+) {
+    let converged = |dest: u64| run.converged.is_some_and(|c| bitmap_contains(c, dest));
+    let mut skip = converged(carry.dest);
+    for (k, ev) in run.vectors.iter().enumerate() {
+        let dest = ev.top_level_vertex();
+        if dest != carry.dest {
+            sink(carry.dest, carry.reduce(combine::<R>));
+            *carry = Carry::new(dest, R::IDENTITY);
+            skip = converged(dest);
+        }
+        if skip {
+            continue;
+        }
+        for (i, &lane) in ev.lanes().iter().enumerate() {
+            let src = lane_vertex(lane);
+            if !lane_is_valid(lane) || !filter.contains(src) {
+                continue;
+            }
+            debug_assert!((src as usize) < run.values.len());
+            // SAFETY: valid lanes are in bounds (this function's contract).
+            let value = unsafe { *run.values.get_unchecked(src as usize) };
+            let weight = if R::WEIGHTED { run.weights[k][i] } else { 0.0 };
+            carry.fold_lane(i, message::<R>(value, weight), combine::<R>);
         }
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Walks one small graph from Compressed-Sparse through the 4-lane and
 //! 8-lane Vector-Sparse encodings, showing lane contents, padding,
-//! top-level-vertex reassembly, packing efficiency, and a masked gather —
+//! top-level-vertex reassembly, packing efficiency, and a masked
+//! gather-reduce —
 //! everything the format does, on data small enough to read.
 //!
 //! ```sh
@@ -13,8 +14,9 @@ use grazelle::graph::edgelist::EdgeList;
 use grazelle::prelude::*;
 use grazelle::vsparse::format::{lane_is_valid, lane_vertex, TLV_SHIFT};
 use grazelle::vsparse::packing::{packing_efficiency, space_overhead};
-use grazelle::vsparse::simd::{detect, Kernels};
+use grazelle::vsparse::simd::{detect, ActiveBitmap, AllActive, Carry, Kernels, Run, Sum};
 use grazelle::vsparse::VectorSparse;
+use std::sync::atomic::AtomicU64;
 
 fn main() {
     // The paper's worked example: a top-level vertex with degree 7 occupies
@@ -73,25 +75,34 @@ fn main() {
         100.0 * packing_efficiency(&csr.degrees(), 8),
     );
 
-    println!("\n== Masked gather (Listing 7's inner step) ==");
-    // Gather 'ranks' of vertex 0's out-neighbors, with a frontier that only
-    // activates odd vertices.
+    println!("\n== Masked gather-reduce (Listing 7) ==");
+    // Walk the whole edge array gathering the 'ranks' of each vertex's
+    // out-neighbors, with a frontier that only activates odd vertices. The
+    // accumulator stays lane-wise across vertex 0's two vectors and is
+    // reduced only when the embedded top-level vertex changes.
     let values: Vec<f64> = (0..10).map(|v| v as f64 * 10.0).collect();
     let kernels = Kernels::auto();
     println!("kernels: {:?}", detect());
-    let ev = &vsd.vectors()[0]; // vertex 0's first vector: neighbors 1..4
-    let frontier_mask = 0b0101; // lanes 0 and 2 (neighbors 1 and 3) active
-    let sum = kernels.gather_sum(&values, ev, frontier_mask);
-    println!(
-        "gather-sum over lanes {{1,3}} of {:?} = {} (10*1 + 10*3)",
-        &csr.neighbors(0)[..4],
-        sum
-    );
-    assert_eq!(sum, 40.0);
+    let run = Run::unweighted(&values, vsd.vectors());
+    let odd = [AtomicU64::new(0b10_1010_1010)];
+    let mut carry = Carry::new(0, 0.0);
+    let mut sums = Vec::new();
+    kernels.walk_checked::<Sum, _, _>(run, ActiveBitmap(&odd), &mut carry, &mut |v, sum| {
+        sums.push((v, sum))
+    });
+    sums.push((carry.dest, carry.reduce(|a, b| a + b)));
+    println!("gather-sum over odd neighbors, per top-level vertex: {sums:?}");
+    // Vertex 0: 10*(1+3+5+7), the padded lane ignored; vertex 2: 10*9.
+    assert_eq!(sums, vec![(0, 160.0), (2, 90.0)]);
 
-    // The valid bits predicate the padded tail vector automatically.
-    let tail = &vsd.vectors()[1]; // neighbors 5,6,7 + one invalid lane
-    let all = kernels.gather_sum(&values, tail, 0b1111);
+    // The valid bits alone predicate the padded tail vector.
+    let tail = Run {
+        vectors: &vsd.vectors()[1..2], // neighbors 5,6,7 + one invalid lane
+        ..run
+    };
+    let mut carry = Carry::new(0, 0.0);
+    kernels.walk_checked::<Sum, _, _>(tail, AllActive, &mut carry, &mut |_, _| {});
+    let all = carry.reduce(|a, b| a + b);
     println!("gather-sum over the padded tail = {all} (50+60+70, padding ignored)");
     assert_eq!(all, 180.0);
 }

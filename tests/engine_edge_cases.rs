@@ -5,11 +5,13 @@
 //! and the 8-lane single-phase engine must handle each shape and agree
 //! with the sequential references.
 
-use grazelle::core::config::{EngineConfig, ResilienceConfig, ScatterMode};
+use grazelle::core::config::{EngineConfig, Granularity, ResilienceConfig, ScatterMode};
 use grazelle::core::engine::hybrid::{run_program_on_pool, EngineKind};
 use grazelle::core::engine::pull::{edge_pull, EdgeSchedulers};
 use grazelle::core::engine::pull_wide::edge_pull8;
 use grazelle::core::engine::PreparedGraph;
+use grazelle::core::program::AggOp;
+use grazelle::core::properties::PropertyArray;
 use grazelle::core::spmv::{program_kernel, SemiringKernel};
 use grazelle::core::stats::Profiler;
 use grazelle::core::{
@@ -276,6 +278,195 @@ fn spa_scatter_spans_multiple_destination_chunks() {
             "multi-chunk-spa-x{threads}: BFS"
         );
     }
+}
+
+/// A frontier-masked fold program for single-phase pull checks: dyadic
+/// values, so `Sum` is exact in any association order and every driver must
+/// agree with the reference bit for bit.
+struct FoldProg {
+    op: AggOp,
+    vals: PropertyArray,
+    acc: PropertyArray,
+}
+
+impl FoldProg {
+    fn new(n: usize, op: AggOp) -> Self {
+        let vals = PropertyArray::new(n);
+        for v in 0..n {
+            vals.set_f64(v, ((v * 7) % 11) as f64 * 1.25 + 0.5);
+        }
+        FoldProg {
+            op,
+            vals,
+            acc: PropertyArray::new(n),
+        }
+    }
+}
+
+impl GraphProgram for FoldProg {
+    fn num_vertices(&self) -> usize {
+        self.vals.len()
+    }
+    fn op(&self) -> AggOp {
+        self.op
+    }
+    fn edge_values(&self) -> &PropertyArray {
+        &self.vals
+    }
+    fn accumulators(&self) -> &PropertyArray {
+        &self.acc
+    }
+    fn apply(&self, _v: u32) -> bool {
+        false
+    }
+    fn uses_frontier(&self) -> bool {
+        true
+    }
+}
+
+/// One Edge-Pull phase of the chunk-fused kernel through the plain,
+/// resilient, compacted and degraded-scalar drivers, at both SIMD levels,
+/// over chunkings from one chunk to one vector per chunk — against a
+/// per-vertex fold of the in-neighbors.
+fn check_fused_pull(g: &Graph, label: &str) {
+    use grazelle::core::engine::pull::{
+        active_vector_list, edge_pull_compact, edge_pull_resilient, PullStatus,
+    };
+    use grazelle::core::faults::{ExecFaultPlan, ExecInjector};
+    use grazelle_vsparse::simd::{detect, SimdLevel};
+
+    let n = g.num_vertices();
+    let vsd = VectorSparse::<4>::from_csr(g.in_csr());
+    let vss = VectorSparse::<4>::from_csr(g.out_csr());
+    let nv = vsd.num_vectors();
+    let pool = ThreadPool::single_group(2);
+    let evens: Vec<u32> = (0..n as u32).step_by(2).collect();
+    let frontiers = [Frontier::all(n), Frontier::from_vertices(n, &evens)];
+    for op in [AggOp::Sum, AggOp::Min, AggOp::Max] {
+        for frontier in &frontiers {
+            let prog = FoldProg::new(n, op);
+            let want: Vec<u64> = (0..n as u32)
+                .map(|v| {
+                    g.in_neighbors(v)
+                        .iter()
+                        .filter(|&&s| frontier.contains(s))
+                        .fold(op.identity(), |a, &s| {
+                            op.combine(a, prog.vals.get_f64(s as usize))
+                        })
+                        .to_bits()
+                })
+                .collect();
+            let check = |arm: &str| {
+                assert_eq!(
+                    prog.acc.to_vec_u64(),
+                    want,
+                    "{label}/{op:?}/{frontier:?}: {arm}"
+                );
+                prog.acc.fill_f64(op.identity());
+            };
+            prog.acc.fill_f64(op.identity());
+            for level in [SimdLevel::Scalar, detect()] {
+                let kern = program_kernel(&prog, &vsd, Kernels::with_level(level));
+                for chunks in [1, 2, 3, nv.max(1)] {
+                    let arm = format!("{level:?} x{chunks}");
+                    let scheds = EdgeSchedulers::single(nv, chunks);
+                    let mut merge = SlotBuffer::new(scheds.total_chunks());
+                    let prof = Profiler::new();
+                    edge_pull(
+                        &vsd,
+                        &kern,
+                        frontier,
+                        &pool,
+                        &scheds,
+                        &mut merge,
+                        PullMode::SchedulerAware,
+                        &prof,
+                    );
+                    check(&format!("plain {arm}"));
+
+                    // Resilient: clean, then with chunk 0 failing past the
+                    // retry budget, which degrades to the scalar pass.
+                    for (fail, want_status) in [
+                        (false, PullStatus::Completed),
+                        (nv > 0, PullStatus::Degraded),
+                    ] {
+                        let plan = if fail {
+                            ExecFaultPlan::clean().with_chunk_panic(0, 0, 10)
+                        } else {
+                            ExecFaultPlan::clean()
+                        };
+                        let inj = ExecInjector::new(plan);
+                        inj.set_iteration(0);
+                        scheds.reset();
+                        let status = edge_pull_resilient(
+                            &vsd,
+                            &kern,
+                            frontier,
+                            &pool,
+                            &scheds,
+                            &mut merge,
+                            &Profiler::new(),
+                            None,
+                            1,
+                            Some(&inj),
+                        );
+                        if fail {
+                            assert_eq!(status, want_status, "{label}: {arm}");
+                        }
+                        check(&format!("resilient {arm} fail={fail}"));
+                    }
+                    scheds.reset();
+                }
+                let active = active_vector_list(&vsd, &vss, frontier, None);
+                for per_chunk in [1usize, 3, 1 << 20] {
+                    let cfg = EngineConfig::new()
+                        .with_threads(2)
+                        .with_granularity(Granularity::VectorsPerChunk(per_chunk));
+                    let mut merge = SlotBuffer::new(1);
+                    edge_pull_compact(
+                        &vsd,
+                        &kern,
+                        frontier,
+                        &active,
+                        &pool,
+                        &cfg,
+                        &mut merge,
+                        &Profiler::new(),
+                    );
+                    check(&format!("compact {level:?} /{per_chunk}"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_pull_kernel_handles_degenerate_shapes() {
+    let directed = |n: usize, pairs: &[(u32, u32)]| {
+        Graph::from_edgelist(&EdgeList::from_pairs(n, pairs).unwrap()).unwrap()
+    };
+    check_fused_pull(&directed(5, &[]), "edgeless");
+    check_fused_pull(&directed(1, &[]), "single-vertex");
+    check_fused_pull(&directed(1, &[(0, 0)]), "single-vertex-loop");
+    check_fused_pull(&directed(3, &[(0, 0), (1, 1), (2, 1)]), "self-loops");
+
+    // In-degrees on both sides of the lane width: 3, 4, 5, 8 and 9 sources
+    // for destinations 0..5, so runs end on full, one-short and one-over
+    // vectors back to back.
+    let mut pairs = Vec::new();
+    for (dst, deg) in [3u32, 4, 5, 8, 9].into_iter().enumerate() {
+        pairs.extend((0..deg).map(|s| (12 - s, dst as u32)));
+    }
+    check_fused_pull(&directed(13, &pairs), "lane-straddling-degrees");
+
+    // A 41-source hub between two light destinations: every chunking above
+    // one chunk cuts the hub's 11-vector run, so its aggregate is assembled
+    // from a chunk's trailing partial, whole-chunk partials and a resumed
+    // head through the merge buffer.
+    let mut pairs = vec![(5, 0), (6, 0)];
+    pairs.extend((2..43).map(|s| (s, 1)));
+    pairs.extend([(0, 2), (1, 2), (7, 2)]);
+    check_fused_pull(&directed(43, &pairs), "hub-straddles-chunks");
 }
 
 /// A chain, a 3000-leaf fan-out, a fan-in, and another chain: BFS/SSSP
