@@ -17,8 +17,7 @@ use grazelle_core::config::{EngineConfig, PullMode};
 use grazelle_core::direction::choose_scatter;
 use grazelle_core::engine::hybrid::EngineKind;
 use grazelle_core::engine::pull::{
-    active_vector_list, edge_pull, edge_pull_compact, edge_pull_resilient, EdgeSchedulers,
-    MergeEntry, PullStatus,
+    active_vector_list, edge_pull, Containment, EdgeSchedulers, MergeEntry, PullStatus,
 };
 use grazelle_core::engine::push::edge_push_with_mode;
 use grazelle_core::engine::resilient::{EngineError, ResilienceContext};
@@ -80,8 +79,10 @@ pub fn counts_prepared(
             &frontier,
             pool,
             &scheds,
+            None,
             &mut merge,
             cfg.pull_mode,
+            None,
             &prof,
         );
     } else {
@@ -127,9 +128,20 @@ pub fn counts_compacted(
     let kern = IntersectKernel::from_graph(g);
     let prof = Profiler::new();
     let active = active_vector_list(&pg.vsd, &pg.vss, seed, None);
-    // `edge_pull_compact` sizes the merge buffer to its compact scheduler.
-    let mut merge: SlotBuffer<MergeEntry> = SlotBuffer::new(1);
-    edge_pull_compact(&pg.vsd, &kern, seed, &active, pool, cfg, &mut merge, &prof);
+    let scheds = EdgeSchedulers::compact(cfg, active.total_vectors(), pool);
+    let mut merge: SlotBuffer<MergeEntry> = SlotBuffer::new(scheds.total_chunks());
+    edge_pull(
+        &pg.vsd,
+        &kern,
+        seed,
+        pool,
+        &scheds,
+        Some(&active),
+        &mut merge,
+        cfg.pull_mode,
+        None,
+        &prof,
+    );
     finish(&kern)
 }
 
@@ -167,17 +179,24 @@ pub fn counts_resilient(
     if let Some(inj) = rctx.injector {
         inj.set_iteration(0);
     }
-    let status = edge_pull_resilient(
+    let contain = Containment {
+        deadline,
+        max_chunk_retries: cfg.resilience.max_chunk_retries,
+        injector: rctx.injector,
+    };
+    // Containment implies the scheduler-aware interface, whatever
+    // `cfg.pull_mode` says (chunk retry is only sound under it).
+    let status = edge_pull(
         &pg.vsd,
         &kern,
         &frontier,
         pool,
         &scheds,
+        None,
         &mut merge,
+        PullMode::SchedulerAware,
+        Some(&contain),
         &prof,
-        deadline,
-        cfg.resilience.max_chunk_retries,
-        rctx.injector,
     );
     match status {
         PullStatus::Completed | PullStatus::Degraded => Ok(finish(&kern)),

@@ -1113,8 +1113,10 @@ pub fn ablate_wide_engine() -> Table {
                 &frontier,
                 &pool,
                 &scheds,
+                None,
                 &mut merge,
                 PullMode::SchedulerAware,
+                None,
                 &prof,
             );
             started.elapsed().as_secs_f64()

@@ -7,6 +7,12 @@ use std::time::Duration;
 /// (`engine::resilient`). All fields are plain data so [`EngineConfig`]
 /// stays `Copy`; non-`Copy` resilience inputs (checkpoint path, fault plan)
 /// travel separately via `ResilienceContext`.
+///
+/// A contained run always pulls through the scheduler-aware interface,
+/// whatever [`EngineConfig::pull_mode`] says: chunk retry is only sound
+/// under that interface's write discipline (a chunk that dies mid-flight
+/// has committed nothing but idempotent stores to destinations it owns),
+/// which the traditional interface's per-vector shared updates do not have.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResilienceConfig {
     /// Per-superstep watchdog: an Edge or Vertex phase exceeding this
@@ -130,7 +136,9 @@ pub struct EngineConfig {
     pub groups: usize,
     /// Edge-phase scheduling granularity (the artifact's `-s`).
     pub granularity: Granularity,
-    /// Pull-engine inner-loop interface.
+    /// Pull-engine inner-loop interface. Plain runs only: a contained run
+    /// (`run_resilient*`) always uses [`PullMode::SchedulerAware`], see
+    /// [`ResilienceConfig`].
     pub pull_mode: PullMode,
     /// SIMD level for Edge-Pull gathers and the Vertex phase.
     pub simd: SimdLevel,
@@ -180,7 +188,7 @@ pub struct EngineConfig {
     /// (measured by the `recorder-overhead` bench, DESIGN.md §10).
     pub trace: bool,
     /// Fault-tolerance knobs for the resilient execution path. Inert (and
-    /// free) unless `engine::resilient::run_resilient` is the entry point.
+    /// free) unless one of the `run_resilient*` entry points is used.
     pub resilience: ResilienceConfig,
 }
 

@@ -1,10 +1,9 @@
 //! The Edge-phase direction model (DESIGN.md §16).
 //!
-//! Each iteration the hybrid and resilient drivers must pick pull or push
-//! and decide whether a pull iteration runs over the compacted
-//! active-vector list. Both decisions used to be fixed density gates
-//! duplicated across the two drivers (0.07 for direction, 0.35 for
-//! compaction); this module centralizes them behind
+//! Each iteration the driver must pick pull or push and decide whether a
+//! pull iteration runs over the compacted active-vector list. Both
+//! decisions used to be fixed density gates (0.07 for direction, 0.35 for
+//! compaction); this module puts them behind
 //! [`DirectionPolicy`], adding the cost-model switch from the
 //! direction-optimizing BFS literature (Beamer et al.; Yang et al.,
 //! "Implementing Push-Pull Efficiently in GraphBLAS"; Besta et al., "To
@@ -74,7 +73,7 @@ pub const SPA_INLINE_EDGE_CUTOFF: u64 = crate::spmv::spa::SPA_SEQ_VECTOR_CUTOFF 
 pub const SPARSE_VERTEX_TOUCHED_DIVISOR: u64 = 4;
 
 /// True when a touched list of `touched` entries is short enough for the
-/// sparse Vertex phase. The hybrid driver tests the phase's actual list;
+/// sparse Vertex phase. The driver tests the phase's actual list;
 /// [`choose_scatter`] tests `frontier_edges`, an upper bound on it.
 pub fn sparse_vertex_fits(touched: u64, num_vertices: usize) -> bool {
     touched.saturating_mul(SPARSE_VERTEX_TOUCHED_DIVISOR) <= num_vertices as u64
@@ -208,8 +207,8 @@ fn frontier_out_edges(
 /// used. Forced engines ([`EngineConfig::force_engine`]) override the
 /// direction but the costs are still computed and reported for the trace.
 /// `sparse_vertex` is the run-level half of the sparse Vertex phase's
-/// eligibility (program opted in, no delta overlay, hybrid driver); it only
-/// steers [`choose_scatter`].
+/// eligibility (program opted in, no delta overlay, no fault containment),
+/// computed once by the driver; it only steers [`choose_scatter`].
 #[allow(clippy::too_many_arguments)]
 pub fn decide(
     cfg: &EngineConfig,

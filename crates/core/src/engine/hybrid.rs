@@ -1,15 +1,24 @@
-//! The hybrid driver: per-iteration engine selection and the run loop.
+//! The driver: per-iteration engine selection and the one superstep loop.
 //!
 //! "A hybrid framework contains one engine of each type and, for each
 //! iteration, selects which to use based on the state of the frontier. Such
 //! a framework generally selects its pull engine whenever a sufficiently
 //! large part of the graph is contained in the frontier" (§2). The driver
 //! also owns the synchronous iteration structure: Edge phase → barrier →
-//! Vertex phase → barrier, repeated until convergence.
+//! Vertex phase → barrier, repeated until convergence. Fault containment
+//! ([`resilient`](crate::engine::resilient), DESIGN.md §9) is an optional
+//! argument of that loop, not a second loop.
 
-use crate::config::{EngineConfig, ScatterMode};
-use crate::engine::pull::{edge_pull, MergeEntry};
+use crate::checkpoint::Checkpoint;
+use crate::config::{EngineConfig, PullMode, ScatterMode};
+use crate::engine::pull::{
+    active_vector_list, edge_pull, sequential_edge_redo, Containment, EdgeSchedulers, MergeEntry,
+    PullStatus,
+};
 use crate::engine::push::{edge_push, edge_push_with_mode};
+use crate::engine::resilient::{
+    sequential_delta_push, EngineError, ResilienceContext, ResilientRun, RollbackSlot, RunOutcome,
+};
 use crate::engine::vertex::{reset_accumulators, sparse_vertex_phase, vertex_phase};
 use crate::engine::PreparedGraph;
 use crate::frontier::{DenseBitmap, Frontier};
@@ -17,10 +26,11 @@ use crate::program::GraphProgram;
 use crate::spmv::program_kernel;
 use crate::spmv::spa::SpaScratch;
 use crate::stats::{PhaseProfile, Profiler};
-use crate::trace::{FlightRecorder, IterationRecord, SpanClock};
+use crate::trace::{Deadline, FlightRecorder, IterationRecord, SpanClock};
 use grazelle_sched::pool::ThreadPool;
 use grazelle_sched::slots::SlotBuffer;
 use grazelle_vsparse::simd::Kernels;
+use std::panic::AssertUnwindSafe;
 use std::time::Duration;
 
 /// Which engine executed an Edge phase.
@@ -112,6 +122,26 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
     cfg: &EngineConfig,
     pool: &ThreadPool,
 ) -> ExecutionStats {
+    match drive(pg, delta, prog, cfg, pool, None) {
+        Ok(run) => run.stats,
+        Err(e) => unreachable!("a run without containment has no failure path: {e}"),
+    }
+}
+
+/// The superstep loop behind every `run_program*` and `run_resilient*`
+/// entry point. `contain` switches on the fault-containment layer that
+/// [`resilient`](crate::engine::resilient) describes, configured by
+/// `cfg.resilience`. `None` is the plain run: no snapshot is taken, no
+/// deadline is polled, a worker panic propagates to the caller, and the
+/// result is always `Ok` with [`RunOutcome::Clean`].
+pub(super) fn drive<P: GraphProgram>(
+    pg: &PreparedGraph,
+    delta: Option<&PreparedGraph>,
+    prog: &P,
+    cfg: &EngineConfig,
+    pool: &ThreadPool,
+    contain: Option<&ResilienceContext<'_>>,
+) -> Result<ResilientRun, EngineError> {
     assert_eq!(
         prog.num_vertices(),
         pg.num_vertices,
@@ -123,17 +153,34 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
             "delta must cover the base vertex set"
         );
     }
-    let scheds = crate::engine::pull::EdgeSchedulers::new(cfg, &pg.vsd, pool);
+    let overlay = delta.filter(|d| d.num_edges > 0);
+    // The degrade paths call `scalar_pull_pass`, whose unsafe vertex-indexed
+    // reads rely on these bounds — enforce them here so every path into
+    // that pass is covered.
+    assert!(
+        prog.edge_values().len() >= pg.vsd.num_vertices(),
+        "edge_values must cover every vertex"
+    );
+    assert!(
+        prog.accumulators().len() >= pg.vsd.num_vertices(),
+        "accumulators must cover every vertex"
+    );
+    let res = cfg.resilience;
+    let contained = contain.is_some();
+    let injector = contain.and_then(|c| c.injector);
+    let scheds = EdgeSchedulers::new(cfg, &pg.vsd, pool);
     let mut merge: SlotBuffer<MergeEntry> = SlotBuffer::new(scheds.total_chunks());
     // SPA bucket storage, reused across supersteps (DESIGN.md §17) the same
-    // way `merge` persists the pull side's slot buffers.
+    // way `merge` persists the pull side's slot buffers. Safe across panic
+    // containment: workers clear their buckets at scatter start, so a
+    // discarded phase cannot leak stale entries into the redo.
     let mut spa_scratch = SpaScratch::new();
-    let kernels = Kernels::with_level(cfg.simd);
     // One masked-SpMV kernel per run (DESIGN.md §16): a struct of borrows
     // over the program's arrays and the structure's weight vectors. The same
-    // kernel serves pull (gathers) and push (messages) — both read
-    // `edge_values[src]`, which the Vertex phase updates in place.
-    let kern = program_kernel(prog, &pg.vsd, kernels);
+    // kernel serves pull (gathers), push (messages) and their sequential
+    // degrade redos — all read `edge_values[src]`, which the Vertex phase
+    // updates in place.
+    let kern = program_kernel(prog, &pg.vsd, Kernels::with_level(cfg.simd));
     // Out-degree table for the direction model's exact frontier-cost path;
     // built lazily on the first iteration that computes a density.
     let mut out_degrees: Option<Vec<u32>> = None;
@@ -144,18 +191,52 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
     let prof = Profiler::with_tracker();
     #[cfg(not(feature = "invariant-checks"))]
     let prof = Profiler::new();
+
     let mut frontier = prog.initial_frontier();
-    let overlay = delta.filter(|d| d.num_edges > 0);
+    let mut iter = 0usize;
+    let mut resumed_from = None;
+    if let Some(path) = contain.and_then(|c| c.checkpoint_path) {
+        if path.exists() {
+            // A corrupt or mismatched checkpoint is not fatal: the format
+            // layer rejects it (checksum/shape) and the run starts fresh.
+            if let Ok(ck) = Checkpoint::load(path) {
+                if ck.restore_into(&prog.checkpoint_arrays()).is_ok() {
+                    iter = ck.iteration;
+                    frontier = ck.frontier.restore();
+                    resumed_from = Some(ck.iteration);
+                    prof.add(&prof.checkpoint_restores, 1);
+                }
+            }
+        }
+    }
+
     // Run-level half of the sparse Vertex phase's eligibility (DESIGN.md
-    // §18): the program's contract, a frontier to rebuild, and no overlay
-    // fold writing accumulators the touched list does not cover.
-    let sparse_vertex = prog.uses_frontier() && prog.identity_apply_is_noop() && overlay.is_none();
+    // §18): the program's contract, a frontier to rebuild, no overlay fold
+    // writing accumulators the touched list does not cover, and no
+    // containment — the rollback snapshot and the Vertex-phase panic redo
+    // assume a full sweep.
+    let sparse_vertex =
+        !contained && prog.uses_frontier() && prog.identity_apply_is_noop() && overlay.is_none();
     // Driver-tracked invariant: every accumulator holds the identity. Only
     // a sparse Vertex phase establishes it; any other superstep clears it.
     let mut acc_clean = false;
-    let mut pull_iterations = 0;
-    let mut push_iterations = 0;
+    let mut pull_iterations = 0usize;
+    let mut push_iterations = 0usize;
+    // Scheduler-aware pull phases that completed in parallel: the ones the
+    // `invariant-checks` tracker closes (a degraded or stalled phase leaves
+    // its tracker phase open by design).
+    let mut audited_pulls = 0usize;
     let mut engine_trace = Vec::new();
+    let mut rollbacks_this_iter = 0u32;
+    let mut diverged_stop = false;
+    let mut program_stopped = false;
+    // Divergence-guard state: a double-buffered last-good snapshot.
+    // `last_good` always holds the state at the start of the iteration
+    // being run; `scratch` receives the fused copy-and-scan of each
+    // iteration's result and the two swap when the scan comes back clean.
+    let guard = contained && res.divergence_guard;
+    let mut last_good = guard.then(|| RollbackSlot::capture(prog, &frontier));
+    let mut scratch = guard.then(RollbackSlot::empty);
     let mut recorder = if cfg.trace {
         FlightRecorder::new()
     } else {
@@ -163,9 +244,24 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
     };
     let start = SpanClock::start();
 
-    let mut iterations = 0;
-    let mut hit_iteration_cap = true;
-    for iter in 0..cfg.max_iterations {
+    while iter < cfg.max_iterations {
+        // Cooperative cancellation is observed only here, at the iteration
+        // boundary: every array holds the state of the last completed
+        // iteration, so a cancelled query leaves nothing torn and the pool
+        // needs no cleanup.
+        if contain.is_some_and(|c| c.cancel.is_some_and(|f| f.is_cancelled())) {
+            return Err(EngineError::Cancelled { iteration: iter });
+        }
+        let stalled = EngineError::Stalled { iteration: iter };
+        let deadline = contain.and(res.watchdog).map(Deadline::after);
+        let pull_containment = contain.map(|_| Containment {
+            deadline,
+            max_chunk_retries: res.max_chunk_retries,
+            injector,
+        });
+        if let Some(inj) = injector {
+            inj.set_iteration(iter);
+        }
         prog.pre_iteration(iter);
         // One density computation per superstep, shared by engine
         // selection, the frontier-aware pull gate, and the trace — so the
@@ -173,7 +269,8 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
         // `None` for frontier-less programs (PageRank) and all-active
         // frontiers, where selection short-circuits to pull.
         let density = (prog.uses_frontier() && !frontier.is_all()).then(|| frontier.density());
-        // Disabled-recorder cost per iteration: this one branch.
+        // Disabled-recorder cost per executed superstep: this one branch
+        // (and the matching one at record time).
         let snap_before = recorder.is_enabled().then(|| prof.snapshot());
         let sparse_repr = matches!(frontier, Frontier::Sparse { .. });
         if acc_clean {
@@ -204,11 +301,30 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
             sparse_vertex,
         );
         let use_pull = decision.use_pull;
+        let engine = if use_pull {
+            pull_iterations += 1;
+            EngineKind::Pull
+        } else {
+            push_iterations += 1;
+            EngineKind::Push
+        };
+        engine_trace.push(engine);
         // Threads that actually executed the Edge phase (1 when the SPA
-        // push ran inline) — recorded per superstep.
+        // push ran inline or the phase degraded to the sequential redo) —
+        // recorded per superstep.
         let mut edge_parallelism = pool.num_threads() as u32;
         // Active-vector count when the frontier-aware compacted pull ran.
         let mut compacted: Option<u64> = None;
+        // Sequential redo of a panicked push or overlay phase; `then` folds
+        // the overlay. False when the watchdog expired mid-redo.
+        let redo_edge_phase = |then: &dyn Fn()| {
+            prof.add(&prof.chunk_panics, 1);
+            // The panicked phase never reached its own wall/idle
+            // accounting (the panic unwound through the pool before it), so
+            // the redo charges its own wall.
+            let (wall, work) = (SpanClock::start(), prof.work_ns_now());
+            sequential_edge_redo(&pg.vsd, &kern, &frontier, deadline, &prof, wall, work, then)
+        };
         if use_pull {
             // Frontier-aware pull (DESIGN.md §11): when the direction model
             // expects few active destinations, compact the iteration space
@@ -216,66 +332,115 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
             // messages. Bail out to the dense pass when the compacted space
             // isn't materially smaller (≥ 60% of the full array).
             let active = (cfg.frontier_pull
-                && cfg.pull_mode == crate::config::PullMode::SchedulerAware
+                && cfg.pull_mode == PullMode::SchedulerAware
                 && decision.compact)
-                .then(|| {
-                    crate::engine::pull::active_vector_list(
-                        &pg.vsd,
-                        &pg.vss,
-                        &frontier,
-                        prog.converged(),
-                    )
-                })
+                .then(|| active_vector_list(&pg.vsd, &pg.vss, &frontier, prog.converged()))
                 .filter(|a| a.total_vectors() * 10 < pg.vsd.num_vectors() * 6);
-            if let Some(a) = &active {
-                crate::engine::pull::edge_pull_compact(
-                    &pg.vsd, &kern, &frontier, a, pool, cfg, &mut merge, &prof,
-                );
-                compacted = Some(a.total_vectors() as u64);
+            let compact_scheds = active
+                .as_ref()
+                .map(|a| EdgeSchedulers::compact(cfg, a.total_vectors(), pool));
+            scheds.reset();
+            compacted = active.as_ref().map(|a| a.total_vectors() as u64);
+            // A contained run pulls scheduler-aware whatever
+            // `cfg.pull_mode` says: chunk retry is only sound under that
+            // interface's write discipline.
+            let mode = if contained {
+                PullMode::SchedulerAware
             } else {
-                scheds.reset();
-                edge_pull(
-                    &pg.vsd,
-                    &kern,
-                    &frontier,
-                    pool,
-                    &scheds,
-                    &mut merge,
-                    cfg.pull_mode,
-                    &prof,
-                );
-            }
-            pull_iterations += 1;
-            engine_trace.push(EngineKind::Pull);
-        } else {
-            // Scatter discipline from the shared decision (DESIGN.md §17):
-            // synchronized per-edge scatter or the SPA bucketed pipeline.
-            edge_parallelism = edge_push_with_mode(
-                &pg.vss,
+                cfg.pull_mode
+            };
+            let status = edge_pull(
+                &pg.vsd,
                 &kern,
                 &frontier,
                 pool,
+                compact_scheds.as_ref().unwrap_or(&scheds),
+                active.as_ref(),
+                &mut merge,
+                mode,
+                pull_containment.as_ref(),
                 &prof,
-                decision.scatter,
-                &mut spa_scratch,
-                // A superstep that skipped its reset follows a sparse
-                // Vertex phase: nothing has woken the pool since the
-                // previous Edge phase at the latest.
-                acc_clean,
             );
-            push_iterations += 1;
-            engine_trace.push(EngineKind::Push);
+            match status {
+                PullStatus::Completed => {
+                    audited_pulls += usize::from(mode == PullMode::SchedulerAware)
+                }
+                PullStatus::Degraded => {
+                    // The degrade redo is a full-array sequential pass, so
+                    // the record must not claim the compacted path ran.
+                    edge_parallelism = 1;
+                    compacted = None;
+                }
+                PullStatus::Stalled => return Err(stalled),
+            }
+        } else {
+            // Scatter discipline from the shared decision (DESIGN.md §17):
+            // synchronized per-edge scatter or the SPA bucketed pipeline.
+            let push = || {
+                edge_push_with_mode(
+                    &pg.vss,
+                    &kern,
+                    &frontier,
+                    pool,
+                    &prof,
+                    decision.scatter,
+                    &mut spa_scratch,
+                    // A superstep that skipped its reset follows a sparse
+                    // Vertex phase: nothing has woken the pool since the
+                    // previous Edge phase at the latest.
+                    acc_clean,
+                )
+            };
+            // Edge-Push scatters with non-idempotent synchronized
+            // read-modify-writes, so a panicked push phase cannot be
+            // partially retried. Containment instead discards the phase — a
+            // panic anywhere in the SPA scatter/merge pipeline like one in
+            // the synchronized scatter — and recomputes the identical
+            // aggregate sequentially.
+            edge_parallelism = match whole_phase(contained, push) {
+                Some(ran) => ran,
+                None => {
+                    if !redo_edge_phase(&|| {}) {
+                        return Err(stalled);
+                    }
+                    1
+                }
+            };
         }
-        // Delta phase: combine pending-insert edges into the accumulators
-        // after the base phase (see the function doc for why this must come
-        // second and must push). The base kernel serves here too: `message`
+        // Delta phase (see `run_program_overlay_on_pool` for why it comes
+        // second and pushes). The base kernel serves here too: `message`
         // only reads the program arrays, never the base structure. Always
         // the synchronized scatter: delta overlays are tiny and must combine
         // into accumulators the base phase already folded, which the SPA
         // merge's plain-store discipline does not cover.
         if let Some(d) = overlay {
-            edge_push(&d.vss, &kern, &frontier, pool, &prof);
+            let fold = || edge_push(&d.vss, &kern, &frontier, pool, &prof);
             edge_parallelism = pool.num_threads() as u32;
+            // Like the base push, the delta push's synchronized
+            // read-modify-writes cannot be partially retried — a panic
+            // discards the whole Edge phase (base aggregate included, since
+            // the partial delta commits polluted it) and recomputes it
+            // sequentially: scalar base pull, then a single-threaded delta
+            // push. Both redo passes combine from a reset accumulator, so
+            // the result is the same per-destination aggregate.
+            if whole_phase(contained, fold).is_none() {
+                edge_parallelism = 1;
+                compacted = None;
+                if !redo_edge_phase(&|| sequential_delta_push(&d.vss, &kern, &frontier)) {
+                    return Err(stalled);
+                }
+            }
+        }
+        if deadline.is_some_and(|dl| dl.expired()) {
+            return Err(stalled);
+        }
+
+        // Injected NaN poison lands between the phases, exactly where a
+        // corrupted Edge-phase result would sit.
+        if let Some(v) = injector.and_then(|inj| inj.poison_target()) {
+            // DISJOINT: sequential-merge — fault injection between phases,
+            // single-threaded
+            prog.accumulators().set_f64(v, f64::NAN);
         }
 
         // Representation switch (sparse-frontier extension): near-empty
@@ -297,14 +462,18 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
                 pg.num_vertices,
             );
         acc_clean = go_sparse;
+        // Threads that actually executed the Vertex phase (1 on the
+        // sequential panic redo) — recorded per superstep.
         let mut vertex_parallelism = pool.num_threads() as u32;
-        let active = if go_sparse {
+        // The Vertex phase's activation count and, for frontier programs,
+        // the frontier the next superstep starts from.
+        let (active, next_frontier) = if go_sparse {
             let run = sparse_vertex_phase(prog, pool, &spa_scratch, &prof);
             #[cfg(feature = "invariant-checks")]
             assert_dense_sweep_adds_nothing(prog, iter);
             vertex_parallelism = run.parallelism;
             let active = run.activated.len();
-            frontier = if as_list(active) {
+            let next = if as_list(active) {
                 Frontier::Sparse {
                     len: pg.num_vertices,
                     vertices: run.activated,
@@ -312,43 +481,59 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
             } else {
                 Frontier::from_vertices(pg.num_vertices, &run.activated)
             };
-            active
+            (active, Some(next))
         } else {
-            let next = prog
-                .uses_frontier()
-                .then(|| DenseBitmap::new(pg.num_vertices));
-            let active = vertex_phase(prog, pool, next.as_ref(), cfg.simd, &prof);
-            if let Some(nb) = next {
-                let dense = Frontier::Dense(nb);
-                frontier = if as_list(active) {
+            let bitmap = || {
+                prog.uses_frontier()
+                    .then(|| DenseBitmap::new(pg.num_vertices))
+            };
+            let mut next = bitmap();
+            let sweep = || vertex_phase(prog, pool, next.as_ref(), cfg.simd, &prof);
+            let active = match whole_phase(contained, sweep) {
+                Some(active) => active,
+                // A panicked sweep leaves partial commits and a partial
+                // bitmap: redo it sequentially into a fresh one.
+                None => {
+                    vertex_parallelism = 1;
+                    prof.add(&prof.chunk_panics, 1);
+                    prof.add(&prof.degraded_iterations, 1);
+                    next = bitmap();
+                    vertex_phase_redo(prog, last_good.as_ref(), next.as_ref())
+                }
+            };
+            let next = next.map(|bm| {
+                let dense = Frontier::Dense(bm);
+                if as_list(active) {
                     dense.to_sparse()
                 } else {
                     dense
-                };
-            }
-            active
+                }
+            });
+            (active, next)
         };
-        iterations = iter + 1;
-        if let Some(before) = snap_before {
-            let engine = if use_pull {
-                EngineKind::Pull
-            } else {
-                EngineKind::Push
+        if deadline.is_some_and(|dl| dl.expired()) {
+            return Err(stalled);
+        }
+
+        // One record per *executed* superstep, assembled from the selection
+        // state above. The trace reports the same density selection used
+        // (1.0 for the short-circuit cases — the value
+        // `Frontier::density()` returns for all-active frontiers).
+        let mut record = |rolled_back: bool| {
+            let Some(before) = snap_before.as_ref() else {
+                return;
             };
-            // The trace reports the same density selection used (1.0 for
-            // the short-circuit cases — the value `Frontier::density()`
-            // returns for all-active frontiers).
             let mut rec = IterationRecord::from_snapshots(
                 iter as u32,
                 engine,
                 density.unwrap_or(1.0),
                 cfg.pull_threshold,
                 sparse_repr,
-                &before,
+                before,
                 &prof.snapshot(),
                 edge_parallelism,
                 vertex_parallelism,
-                false,
+                rolled_back,
             );
             if let Some(av) = compacted {
                 rec.pull_compacted = true;
@@ -358,37 +543,151 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
             rec.dir_unvisited_edges = decision.unvisited_edges;
             rec.scatter_mode = (!use_pull).then_some(decision.scatter);
             recorder.push(rec);
+        };
+        if let (Some(lg), Some(sc)) = (last_good.as_mut(), scratch.as_mut()) {
+            if sc.capture_arrays_and_scan(prog) {
+                prof.add(&prof.divergence_rollbacks, 1);
+                rollbacks_this_iter += 1;
+                frontier = lg.restore_into(prog);
+                // A rolled-back execution is still an executed superstep:
+                // record it (the re-run contributes a second record with
+                // the same `iteration`, so trace length = iterations +
+                // rollbacks, matching `engine_trace`).
+                record(true);
+                if rollbacks_this_iter >= 2 {
+                    // Persistent divergence: stop at the last finite
+                    // iterate.
+                    diverged_stop = true;
+                    break;
+                }
+                continue; // re-run the same iteration
+            }
+            // Clean: the scratch copy becomes the new last-good snapshot
+            // (its frontier is filled in below, after the update).
+            std::mem::swap(lg, sc);
         }
-        if prog.should_stop(iter, active) {
-            hit_iteration_cap = false;
+        rollbacks_this_iter = 0;
+
+        if let Some(next) = next_frontier {
+            frontier = next;
+        }
+        if let Some(lg) = last_good.as_mut() {
+            lg.set_frontier(&frontier);
+        }
+        record(false);
+
+        if let Some(path) = contain.and_then(|c| c.checkpoint_path) {
+            if res.checkpoint_every > 0 && (iter + 1).is_multiple_of(res.checkpoint_every) {
+                Checkpoint::capture(iter + 1, &prog.checkpoint_arrays(), &frontier)
+                    .save(path)
+                    .map_err(EngineError::Checkpoint)?;
+                prof.add(&prof.checkpoints_written, 1);
+            }
+        }
+
+        program_stopped = prog.should_stop(iter, active);
+        iter += 1;
+        if program_stopped {
             break;
         }
     }
 
-    // The tracker opens one audit phase per scheduler-aware pull iteration;
-    // a mismatch means an Edge phase ran unaudited (a weaving bug, not a
+    // A mismatch means an Edge phase ran unaudited (a weaving bug, not a
     // scheduling one).
     #[cfg(feature = "invariant-checks")]
-    if cfg.pull_mode == crate::config::PullMode::SchedulerAware {
-        if let Some(t) = prof.tracker.as_ref() {
-            assert_eq!(
-                t.phases_checked() as usize,
-                pull_iterations,
-                "every scheduler-aware Edge phase must be audited"
-            );
+    if let Some(t) = prof.tracker.as_ref() {
+        assert_eq!(
+            t.phases_checked() as usize,
+            audited_pulls,
+            "every scheduler-aware Edge phase must be audited"
+        );
+    }
+    #[cfg(not(feature = "invariant-checks"))]
+    let _ = audited_pulls;
+
+    let profile = prof.snapshot();
+    let outcome = if diverged_stop {
+        RunOutcome::DivergedRecovered
+    } else if !profile.resilience_clean() || profile.checkpoint_restores > 0 {
+        RunOutcome::Recovered
+    } else {
+        RunOutcome::Clean
+    };
+    Ok(ResilientRun {
+        stats: ExecutionStats {
+            // Completed supersteps in absolute terms: `iter` starts at a
+            // resumed checkpoint's iteration and a rolled-back execution
+            // does not advance it.
+            iterations: iter,
+            pull_iterations,
+            push_iterations,
+            wall: start.elapsed(),
+            profile,
+            engine_trace,
+            records: recorder.into_records(),
+            hit_iteration_cap: !program_stopped && !diverged_stop,
+        },
+        outcome,
+        resumed_from,
+    })
+}
+
+/// Runs one whole phase (push, overlay fold or Vertex sweep): as is without
+/// containment — a worker panic is then the caller's to see — else catching
+/// it as `None`, for the caller's sequential redo.
+fn whole_phase<T>(contained: bool, phase: impl FnOnce() -> T) -> Option<T> {
+    if !contained {
+        return Some(phase());
+    }
+    // RECOVERY: none of the three phases can be retried in part, so each
+    // caller discards what the panicked phase wrote and recomputes it
+    // sequentially from intact inputs; the call sites say why that is sound.
+    std::panic::catch_unwind(AssertUnwindSafe(phase)).ok()
+}
+
+/// Sequential redo of a Vertex phase whose worker panicked; returns the
+/// activation count and fills `fresh` (the partially filled bitmap is
+/// discarded by the caller).
+///
+/// RECOVERY: the Vertex phase's local update reads the (intact)
+/// accumulators and overwrites the vertex properties — for the supported
+/// programs `apply` is idempotent on *values*, so the phase can be re-run
+/// sequentially into a fresh frontier bitmap. Its *return value* is not
+/// idempotent, though: a vertex whose update committed before the panic
+/// reports "unchanged" on re-run and would silently drop out of the
+/// rebuilt frontier. So either the properties are rolled back to their
+/// pre-phase state first (the divergence guard's last-good snapshot was
+/// taken before this phase touched them, and the Edge phase only writes
+/// accumulators, which `restore_into` skips), making the re-run's
+/// activation bits exact, or — with the guard off — activation is rebuilt
+/// conservatively: any vertex whose aggregate differs from the operator
+/// identity may have changed this phase. The superset is safe for the
+/// supported frontier programs (idempotent Min/Max propagation): extra
+/// active sources re-contribute values their neighbors have already
+/// absorbed, and the over-count only delays `should_stop` by at most one
+/// no-op iteration.
+fn vertex_phase_redo<P: GraphProgram>(
+    prog: &P,
+    last_good: Option<&RollbackSlot>,
+    fresh: Option<&DenseBitmap>,
+) -> usize {
+    // Roll back the partial commits (keeps the current frontier; the
+    // snapshot's copy is the same one), then re-apply for exact values and
+    // activation bits.
+    let exact = last_good.map(|lg| lg.restore_into(prog)).is_some();
+    let identity = prog.op().identity().to_bits();
+    let acc = prog.accumulators();
+    let mut active = 0usize;
+    for v in 0..prog.num_vertices() as u32 {
+        let changed = prog.apply(v);
+        if changed || (!exact && acc.get_f64(v as usize).to_bits() != identity) {
+            active += 1;
+            if let Some(f) = fresh {
+                f.insert(v);
+            }
         }
     }
-
-    ExecutionStats {
-        iterations,
-        pull_iterations,
-        push_iterations,
-        wall: start.elapsed(),
-        profile: prof.snapshot(),
-        engine_trace,
-        records: recorder.into_records(),
-        hit_iteration_cap,
-    }
+    active
 }
 
 /// `invariant-checks` audit of `acc_clean`: a superstep about to skip its

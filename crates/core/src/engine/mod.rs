@@ -1,4 +1,4 @@
-//! The Edge/Vertex phase implementations and the hybrid driver.
+//! The Edge/Vertex phase implementations and the driver.
 //!
 //! * [`pull`] — Edge-Pull: inner-loop-parallel, vectorized, with all three
 //!   interface modes (Traditional, Traditional-Nonatomic, Scheduler-Aware).
@@ -8,9 +8,10 @@
 //! * [`pull_wide`] — the 8-lane (AVX-512) Edge-Pull variant, the paper's
 //!   sketched 512-bit extension.
 //! * [`vertex`] — the statically scheduled Vertex (local update) phase.
-//! * [`hybrid`] — the per-iteration engine selection and the run loop.
-//! * [`resilient`] — the fault-tolerant run loop: watchdog, chunk retry,
-//!   divergence guard, checkpoint/restore (ISSUE 2).
+//! * [`hybrid`] — the per-iteration engine selection and the one superstep
+//!   loop behind every `run_program*` / `run_resilient*` entry point.
+//! * [`resilient`] — the optional fault-containment argument of that loop:
+//!   watchdog, chunk retry, divergence guard, checkpoint/restore (ISSUE 2).
 
 pub mod hybrid;
 pub mod pull;

@@ -33,7 +33,7 @@ use grazelle_vsparse::active::ActiveVectorList;
 use grazelle_vsparse::build::{Vsd, Vss};
 use grazelle_vsparse::simd::{Carry, SimdLevel};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 /// One merge-buffer slot: the chunk's last destination and its
@@ -173,41 +173,39 @@ impl<K: EdgeKernel> AwarePull<'_, K> {
                 },
             )
         };
-        // ATOMIC: relaxed-counter
-        self.prof
-            .work_ns
-            .fetch_add(st.started.elapsed_ns(), Ordering::Relaxed);
-        // ATOMIC: relaxed-counter
-        self.prof
-            .direct_stores
-            .fetch_add(st.direct_stores, Ordering::Relaxed);
+        self.prof.add(&self.prof.work_ns, st.started.elapsed_ns());
+        self.prof.add(&self.prof.direct_stores, st.direct_stores);
     }
 
     /// Processes one chunk end-to-end through the scheduler-aware
     /// interface. `gid` is the chunk's globally unique id (= merge-buffer
-    /// slot).
-    #[inline]
-    fn run_chunk(&self, ctx: &WorkerCtx, gid: usize, first: usize, last: usize) {
-        let mut state = self.start_chunk(first);
-        self.run_vectors(&mut state, first..last + 1);
-        self.finish_chunk(ctx, state, gid);
-    }
-
-    /// Processes one chunk of *compacted* positions (frontier-aware path,
-    /// DESIGN.md §11): `pos` indexes the active vector list, which resolves
-    /// it to ascending runs of real VSD vector indices. Every active
-    /// destination's vector run is contiguous in the compacted space, so
-    /// the §3 transition logic is unchanged — a gap between runs is just
-    /// another destination transition, which the carried state detects.
-    #[inline]
-    fn run_chunk_indirect(
+    /// slot); `range` is its run of VSD vector indices, or — with an
+    /// `active` list (frontier-aware path, DESIGN.md §11) — of *compacted
+    /// positions*, which the list resolves to ascending runs of real
+    /// indices. Every active destination's vector run is contiguous in the
+    /// compacted space, so the §3 transition logic is unchanged: a gap
+    /// between runs is just another destination transition, which the
+    /// carried state detects.
+    fn run_chunk(
         &self,
         ctx: &WorkerCtx,
         gid: usize,
-        active: &ActiveVectorList,
-        pos: std::ops::Range<usize>,
+        active: Option<&ActiveVectorList>,
+        range: std::ops::Range<usize>,
     ) {
-        let mut runs = active.real_ranges(pos);
+        match active {
+            None => self.walk(ctx, gid, std::iter::once(range)),
+            Some(a) => self.walk(ctx, gid, a.real_ranges(range)),
+        }
+    }
+
+    #[inline]
+    fn walk(
+        &self,
+        ctx: &WorkerCtx,
+        gid: usize,
+        mut runs: impl Iterator<Item = std::ops::Range<usize>>,
+    ) {
         let Some(first) = runs.next() else {
             return;
         };
@@ -233,6 +231,16 @@ pub struct EdgeSchedulers {
     total_chunks: usize,
 }
 
+/// An unpartitioned iteration space of `items` vectors.
+fn one_piece(items: usize) -> grazelle_graph::partition::EdgePartition {
+    grazelle_graph::partition::EdgePartition {
+        first_vertex: 0,
+        last_vertex: 0, // vertex bounds unused by the pull driver
+        edge_start: 0,
+        edge_end: items,
+    }
+}
+
 impl EdgeSchedulers {
     /// Partitions `vsd`'s vector array for `pool`'s group topology using
     /// `cfg`'s granularity (32 chunks per thread by default, per group) and
@@ -240,15 +248,34 @@ impl EdgeSchedulers {
     pub fn new(cfg: &crate::config::EngineConfig, vsd: &Vsd, pool: &ThreadPool) -> Self {
         use grazelle_graph::partition::partition_index;
         use grazelle_sched::pool::group_range;
-        use grazelle_sched::stealing::LocalityScheduler;
         let groups = pool.num_groups();
         let parts = partition_index(vsd.index(), groups);
-        let mut scheds: Vec<Box<dyn ChunkSource + Send + Sync>> = Vec::with_capacity(groups);
-        let mut chunk_offsets = Vec::with_capacity(groups);
+        let threads = |g| group_range(g, groups, pool.num_threads()).len().max(1);
+        Self::over(cfg, parts, threads)
+    }
+
+    /// One shared scheduler over a compacted (indirect) iteration space of
+    /// `total` positions (DESIGN.md §11), honouring the config's
+    /// granularity and scheduler kind. The compacted space is not
+    /// NUMA-partitioned: every worker claims from the one piece.
+    pub fn compact(cfg: &crate::config::EngineConfig, total: usize, pool: &ThreadPool) -> Self {
+        Self::over(cfg, vec![one_piece(total)], |_| pool.num_threads())
+    }
+
+    /// One scheduler per piece; `threads(g)` is how many workers claim
+    /// from piece `g`.
+    fn over(
+        cfg: &crate::config::EngineConfig,
+        parts: Vec<grazelle_graph::partition::EdgePartition>,
+        threads: impl Fn(usize) -> usize,
+    ) -> Self {
+        use grazelle_sched::stealing::LocalityScheduler;
+        let mut scheds: Vec<Box<dyn ChunkSource + Send + Sync>> = Vec::with_capacity(parts.len());
+        let mut chunk_offsets = Vec::with_capacity(parts.len());
         let mut total = 0usize;
         for (g, p) in parts.iter().enumerate() {
             let items = p.num_edges(); // vectors in this piece
-            let threads = group_range(g, groups, pool.num_threads()).len().max(1);
+            let threads = threads(g);
             let chunks = match cfg.granularity {
                 crate::config::Granularity::Default32n => {
                     grazelle_sched::chunks::DEFAULT_CHUNKS_PER_THREAD * threads
@@ -278,12 +305,7 @@ impl EdgeSchedulers {
     pub fn single(num_vectors: usize, num_chunks: usize) -> Self {
         let sched = ChunkScheduler::new(num_vectors, num_chunks);
         EdgeSchedulers {
-            parts: vec![grazelle_graph::partition::EdgePartition {
-                first_vertex: 0,
-                last_vertex: 0, // vertex bounds unused by the pull driver
-                edge_start: 0,
-                edge_end: num_vectors,
-            }],
+            parts: vec![one_piece(num_vectors)],
             chunk_offsets: vec![0],
             total_chunks: sched.num_chunks(),
             scheds: vec![Box::new(sched)],
@@ -307,19 +329,82 @@ impl EdgeSchedulers {
         }
     }
 
-    /// The group index a worker should draw from.
+    /// What `ctx`'s worker claims chunks from: its piece's scheduler, the
+    /// piece's first item, its first chunk id, and the thread id the
+    /// scheduler knows the worker by — its id within the group when each
+    /// group has a piece, its global id when all share one.
     #[inline]
-    fn group_for(&self, ctx: &WorkerCtx) -> usize {
-        ctx.group_id.min(self.scheds.len() - 1)
+    fn claim_for(
+        &self,
+        ctx: &WorkerCtx,
+    ) -> (&(dyn ChunkSource + Send + Sync), usize, usize, usize) {
+        let g = ctx.group_id.min(self.scheds.len() - 1);
+        let thread = if self.scheds.len() == 1 {
+            ctx.global_id
+        } else {
+            ctx.local_id
+        };
+        (
+            &*self.scheds[g],
+            self.parts[g].edge_start,
+            self.chunk_offsets[g],
+            thread,
+        )
     }
+}
+
+/// Fault containment for one Edge-Pull phase (DESIGN.md §9). Passing
+/// `None` to [`edge_pull`] is the plain phase: worker panics propagate and
+/// nothing polls a deadline.
+#[derive(Debug, Clone, Copy)]
+pub struct Containment<'a> {
+    /// Cooperative watchdog: workers test it between chunks, so a blown
+    /// deadline is detected at the next chunk boundary (or after the pool
+    /// joins) rather than preempting a stuck thread mid-chunk.
+    pub deadline: Option<Deadline>,
+    /// How often a chunk whose worker panicked is retried on the driver
+    /// thread before the phase degrades to the sequential scalar pass.
+    pub max_chunk_retries: u32,
+    /// Deterministic fault injector; `None` injects nothing.
+    pub injector: Option<&'a ExecInjector>,
+}
+
+/// Outcome of an Edge-Pull phase; always [`PullStatus::Completed`] without
+/// [`Containment`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PullStatus {
+    /// The phase completed through the parallel path (possibly after
+    /// per-chunk retries); accumulators are valid.
+    Completed,
+    /// The watchdog deadline expired. The phase was abandoned, the merge
+    /// buffer cleared, and the accumulators hold partial garbage — the
+    /// driver must surface `EngineError::Stalled`, not continue.
+    Stalled,
+    /// The chunk-retry budget was exhausted; the phase was re-executed from
+    /// scratch on the sequential scalar path. Accumulators are valid.
+    Degraded,
 }
 
 /// Runs one Edge-Pull phase.
 ///
-/// `scheds` must cover `0..vsd.num_vectors()` and be freshly
-/// [`reset`](EdgeSchedulers::reset); `merge` must have at least
-/// [`total_chunks`](EdgeSchedulers::total_chunks) slots (only used in
-/// scheduler-aware mode).
+/// `scheds` hands out the iteration space: freshly
+/// [`reset`](EdgeSchedulers::reset) schedulers over `0..vsd.num_vectors()`,
+/// or — with an `active` list — [`EdgeSchedulers::compact`] over its
+/// compacted positions (frontier-aware pull, DESIGN.md §11, scheduler-aware
+/// mode only). The compacted phase is bit-identical to the full-array one:
+/// destinations outside the list have no frontier-active in-neighbors, so
+/// the dense pass would store only the operator identity they already hold.
+/// `merge` is grown to one slot per chunk (only used in scheduler-aware
+/// mode).
+///
+/// `contain` adds per-chunk panic isolation and retry, the cooperative
+/// watchdog, and the sequential degrade path. It requires the
+/// scheduler-aware interface — chunk retry is only sound under its write
+/// discipline: a chunk that dies mid-flight has made no commitment other
+/// than idempotent interior stores (plain overwrites of destinations it
+/// exclusively owns), and its merge-buffer slot is written only at commit
+/// time in `finish_chunk`, so re-executing the chunk on any surviving
+/// thread reproduces the lost work exactly (DESIGN.md §9).
 #[allow(clippy::too_many_arguments)]
 pub fn edge_pull<K: EdgeKernel>(
     vsd: &Vsd,
@@ -327,120 +412,233 @@ pub fn edge_pull<K: EdgeKernel>(
     frontier: &Frontier,
     pool: &ThreadPool,
     scheds: &EdgeSchedulers,
+    active: Option<&ActiveVectorList>,
     merge: &mut SlotBuffer<MergeEntry>,
     mode: PullMode,
+    contain: Option<&Containment<'_>>,
     prof: &Profiler,
-) {
-    assert_eq!(
-        scheds.num_items(),
-        vsd.num_vectors(),
-        "scheduler/VSD mismatch"
-    );
+) -> PullStatus {
+    let items = active.map_or(vsd.num_vectors(), |a| a.total_vectors());
+    assert_eq!(scheds.num_items(), items, "scheduler/VSD mismatch");
     let op = kernel.op();
     let wall = SpanClock::start();
     let work_before = prof.work_ns_now();
 
-    match mode {
-        PullMode::SchedulerAware => {
-            merge.ensure_len(scheds.total_chunks());
-            #[cfg(feature = "invariant-checks")]
-            if let Some(t) = prof.tracker.as_ref() {
-                t.begin_phase(vsd.num_vertices(), scheds.total_chunks());
-            }
-            let loop_ = AwarePull::new(vsd, kernel, frontier, merge, prof);
-            // Group-partitioned drive: each worker claims chunks from its
-            // own group's piece of the vector array, processing them
-            // through the scheduler-aware interface (paper Figure 3).
-            pool.run(|ctx| {
-                let g = scheds.group_for(ctx);
-                let sched = &scheds.scheds[g];
-                let base = scheds.parts[g].edge_start;
-                let id_base = scheds.chunk_offsets[g];
-                while let Some(chunk) = sched.next_chunk_for(ctx.local_id) {
-                    if chunk.range.is_empty() {
+    if mode != PullMode::SchedulerAware {
+        assert!(
+            active.is_none() && contain.is_none(),
+            "compaction and containment need the scheduler-aware interface"
+        );
+        let accum = kernel.accumulators();
+        let identity = op.identity().to_bits();
+        let simd = kernel.simd();
+        let write_intense = kernel.write_intense();
+        pool.run(|ctx| {
+            let started = SpanClock::start();
+            let mut updates = 0u64;
+            let (sched, base, _, thread) = scheds.claim_for(ctx);
+            while let Some(chunk) = sched.next_chunk_for(thread) {
+                for i in base + chunk.range.start..base + chunk.range.end {
+                    // The same kernel on a one-vector run: nothing is
+                    // kept across vectors, so each one costs a
+                    // shared-memory update (what Figures 5/8 measure).
+                    let dst = vsd.vectors()[i].top_level_vertex();
+                    let mut carry = Carry::new(dst, op.identity());
+                    // SAFETY: coverage validated at kernel construction.
+                    unsafe {
+                        kernel.pull_run(simd, vsd, i..i + 1, frontier, &mut carry, &mut |_, _| {})
+                    };
+                    let contrib = carry.reduce(|a, b| op.combine(a, b));
+                    if contrib.to_bits() == identity {
+                        // No enabled lane (converged destination or no
+                        // active source): nothing to scatter.
                         continue;
                     }
-                    let first = base + chunk.range.start;
-                    let last = base + chunk.range.end - 1;
-                    let gid = id_base + chunk.id;
-                    loop_.run_chunk(ctx, gid, first, last);
+                    updates += 1;
+                    if mode == PullMode::Traditional {
+                        scatter_combine(op, write_intense, accum, dst as usize, contrib)
+                    } else {
+                        accum.combine_nonatomic_f64(dst as usize, contrib, |a, b| op.combine(a, b));
+                    }
                 }
-            });
+            }
+            prof.add(&prof.work_ns, started.elapsed_ns());
+            let counter = if mode == PullMode::Traditional {
+                &prof.atomic_updates
+            } else {
+                &prof.nonatomic_updates
+            };
+            prof.add(counter, updates);
+        });
+        prof.finish_edge_phase(wall.elapsed_ns(), pool.num_threads() as u64, work_before);
+        prof.add(&prof.vectors_processed, items as u64);
+        return PullStatus::Completed;
+    }
+
+    merge.ensure_len(scheds.total_chunks());
+    #[cfg(feature = "invariant-checks")]
+    if let Some(t) = prof.tracker.as_ref() {
+        // On the Stalled/Degraded exits below this phase is simply left
+        // open and never asserted; the next `begin_phase` discards it.
+        t.begin_phase(vsd.num_vertices(), scheds.total_chunks());
+        if let Some(a) = active {
+            // The audit then catches any interior store outside the
+            // compacted subset.
+            t.restrict_to_active(
+                a.ranges()
+                    .iter()
+                    .flat_map(|r| r.clone())
+                    .map(|i| vsd.vectors()[i].top_level_vertex() as usize),
+            );
+        }
+    }
+    let injector = contain.and_then(|c| c.injector);
+    let deadline = contain.and_then(|c| c.deadline);
+    // A deadline that has passed stays passed, so every test below is of
+    // the same fact: a worker that sees it just returns.
+    let expired = || deadline.is_some_and(|dl| dl.expired());
+
+    // What the parallel portion concluded, in the vocabulary of the result;
+    // the `&mut` merge-buffer operations (clear/fold) happen after it, once
+    // the shared borrows held by the chunk processor are gone.
+    let verdict = {
+        let loop_ = AwarePull::new(vsd, kernel, frontier, merge, prof);
+        let attempt = |ctx: &WorkerCtx, gid: usize, range: &std::ops::Range<usize>| {
+            // RECOVERY: a chunk that panics mid-flight has written nothing
+            // another thread depends on — its merge slot is only claimed at
+            // commit time in `finish_chunk`, and any interior stores it
+            // issued are plain overwrites of destinations it exclusively
+            // owns. Its range (dense or compacted) identifies the work
+            // exactly and a retry starts from `start_chunk` state, so a
+            // clean attempt fully reproduces the lost work and one that
+            // panics again still commits nothing. Catching keeps the worker
+            // alive to drain the rest of the queue; the failed chunk is
+            // queued for the driver thread to retry.
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                if let Some(inj) = injector {
+                    inj.maybe_panic_chunk(gid);
+                }
+                loop_.run_chunk(ctx, gid, active, range.clone());
+            }));
+            if outcome.is_err() {
+                prof.add(&prof.chunk_panics, 1);
+            }
+            outcome.is_ok()
+        };
+        let failed: Mutex<Vec<(usize, std::ops::Range<usize>)>> = Mutex::new(Vec::new());
+        // Group-partitioned drive: each worker claims chunks from its own
+        // group's piece of the iteration space, processing them through the
+        // scheduler-aware interface (paper Figure 3).
+        let worker = |ctx: &WorkerCtx| {
+            if let Some(inj) = injector {
+                inj.maybe_stall(ctx.global_id);
+            }
+            let (sched, base, id_base, thread) = scheds.claim_for(ctx);
+            while !expired() {
+                let Some(chunk) = sched.next_chunk_for(thread) else {
+                    break;
+                };
+                if chunk.range.is_empty() {
+                    continue;
+                }
+                let range = base + chunk.range.start..base + chunk.range.end;
+                let gid = id_base + chunk.id;
+                if contain.is_none() {
+                    loop_.run_chunk(ctx, gid, active, range);
+                } else if !attempt(ctx, gid, &range) {
+                    let mut failed = failed.lock().expect("failed-chunk list lock poisoned");
+                    failed.push((gid, range));
+                }
+            }
+        };
+        // A worker that dies outside the per-chunk containment (e.g. in the
+        // scheduler itself) leaves unknowable unclaimed chunks, so a
+        // contained phase goes straight to the degrade path, which redoes
+        // the whole phase; a plain one re-raises.
+        let mut exhausted = match contain {
+            None => {
+                pool.run(worker);
+                false
+            }
+            Some(_) => pool.run_result(worker).is_err(),
+        };
+        // Retry failed chunks on this (surviving) thread, in order.
+        let failed = failed
+            .into_inner()
+            .expect("failed-chunk list lock poisoned");
+        let retry_ctx = WorkerCtx {
+            global_id: 0,
+            group_id: 0,
+            local_id: 0,
+            num_threads: pool.num_threads(),
+            num_groups: pool.num_groups(),
+        };
+        for (gid, range) in &failed {
+            let mut attempts = 0;
+            while !exhausted && !expired() {
+                if attempts >= contain.map_or(0, |c| c.max_chunk_retries) {
+                    exhausted = true;
+                    break;
+                }
+                attempts += 1;
+                prof.add(&prof.chunk_retries, 1);
+                if attempt(&retry_ctx, *gid, range) {
+                    break;
+                }
+            }
+        }
+        if expired() {
+            PullStatus::Stalled
+        } else if exhausted {
+            PullStatus::Degraded
+        } else {
+            PullStatus::Completed
+        }
+    };
+
+    match verdict {
+        PullStatus::Stalled => merge.clear(),
+        PullStatus::Degraded => {
+            // Discard all partial state and redo the phase sequentially
+            // over the *full* array — one plain store per destination, no
+            // merge buffer, no other threads, trivially exactly-once, and
+            // bit-identical to a compacted pass too (inactive destinations
+            // aggregate a zero lane mask, i.e. the identity they hold). The
+            // abandoned parallel attempt's imbalance is absorbed into the
+            // redo's wall, which is the honest reading (no thread was
+            // waiting during the scalar redo).
+            merge.clear();
+            let done = sequential_edge_redo(
+                vsd,
+                kernel,
+                frontier,
+                deadline,
+                prof,
+                wall,
+                work_before,
+                || {},
+            );
+            prof.add(&prof.vectors_processed, vsd.num_vectors() as u64);
+            if !done {
+                return PullStatus::Stalled;
+            }
+        }
+        PullStatus::Completed => {
             prof.finish_edge_phase(wall.elapsed_ns(), pool.num_threads() as u64, work_before);
             merge_fold(kernel.accumulators(), op, merge, prof);
             // Audit the §3 contract for this Edge phase: interior
             // destinations stored exactly once, slots claimed by one thread,
-            // boundary partials folded exactly once.
+            // boundary partials folded exactly once — even after panics and
+            // retries (abandoned chunks recorded nothing, retried chunks
+            // recorded exactly once).
             #[cfg(feature = "invariant-checks")]
             if let Some(t) = prof.tracker.as_ref() {
                 t.end_phase().assert_clean();
             }
-        }
-        PullMode::Traditional | PullMode::TraditionalNoAtomic => {
-            let accum = kernel.accumulators();
-            let identity = op.identity().to_bits();
-            let simd = kernel.simd();
-            let write_intense = kernel.write_intense();
-            pool.run(|ctx| {
-                let started = SpanClock::start();
-                let mut updates = 0u64;
-                let g = scheds.group_for(ctx);
-                let sched = &scheds.scheds[g];
-                let base = scheds.parts[g].edge_start;
-                while let Some(chunk) = sched.next_chunk_for(ctx.local_id) {
-                    for i in base + chunk.range.start..base + chunk.range.end {
-                        // The same kernel on a one-vector run: nothing is
-                        // kept across vectors, so each one costs a
-                        // shared-memory update (what Figures 5/8 measure).
-                        let dst = vsd.vectors()[i].top_level_vertex();
-                        let mut carry = Carry::new(dst, op.identity());
-                        // SAFETY: coverage validated at kernel construction.
-                        unsafe {
-                            kernel.pull_run(
-                                simd,
-                                vsd,
-                                i..i + 1,
-                                frontier,
-                                &mut carry,
-                                &mut |_, _| {},
-                            )
-                        };
-                        let contrib = carry.reduce(|a, b| op.combine(a, b));
-                        if contrib.to_bits() == identity {
-                            // No enabled lane (converged destination or no
-                            // active source): nothing to scatter.
-                            continue;
-                        }
-                        updates += 1;
-                        match mode {
-                            PullMode::Traditional => {
-                                scatter_combine(op, write_intense, accum, dst as usize, contrib)
-                            }
-                            PullMode::TraditionalNoAtomic => {
-                                accum.combine_nonatomic_f64(dst as usize, contrib, |a, b| {
-                                    op.combine(a, b)
-                                });
-                            }
-                            PullMode::SchedulerAware => unreachable!(),
-                        }
-                    }
-                }
-                // ATOMIC: relaxed-counter
-                prof.work_ns
-                    .fetch_add(started.elapsed_ns(), Ordering::Relaxed);
-                let counter = if mode == PullMode::Traditional {
-                    &prof.atomic_updates
-                } else {
-                    &prof.nonatomic_updates
-                };
-                counter.fetch_add(updates, Ordering::Relaxed); // ATOMIC: relaxed-counter
-            });
-            prof.finish_edge_phase(wall.elapsed_ns(), pool.num_threads() as u64, work_before);
+            prof.add(&prof.vectors_processed, items as u64);
         }
     }
-    // ATOMIC: relaxed-counter
-    prof.vectors_processed
-        .fetch_add(vsd.num_vectors() as u64, Ordering::Relaxed);
+    verdict
 }
 
 /// Builds the per-iteration active vector list for the frontier-aware pull
@@ -492,272 +690,10 @@ pub fn active_vector_list(
     ActiveVectorList::from_active(vsd.index(), active)
 }
 
-/// Builds the chunk scheduler for a compacted (indirect) iteration space of
-/// `total` positions, honouring the config's granularity and scheduler
-/// kind. The compacted space is not NUMA-partitioned — one shared scheduler
-/// serves every worker, addressed by global thread id.
-fn compact_scheduler(
-    cfg: &crate::config::EngineConfig,
-    total: usize,
-    pool: &ThreadPool,
-) -> Box<dyn ChunkSource + Send + Sync> {
-    let threads = pool.num_threads();
-    let chunks = match cfg.granularity {
-        crate::config::Granularity::Default32n => {
-            grazelle_sched::chunks::DEFAULT_CHUNKS_PER_THREAD * threads
-        }
-        crate::config::Granularity::VectorsPerChunk(c) => total.div_ceil(c.max(1)).max(1),
-    };
-    match cfg.sched_kind {
-        crate::config::SchedKind::Central => Box::new(ChunkScheduler::new(total, chunks)),
-        crate::config::SchedKind::LocalityStealing => Box::new(
-            grazelle_sched::stealing::LocalityScheduler::new(total, chunks, threads),
-        ),
-    }
-}
-
-/// Restricts the open tracker phase to the active list's destinations so
-/// the audit catches any interior store outside the compacted subset.
-#[cfg(feature = "invariant-checks")]
-fn restrict_tracker_to_active(prof: &Profiler, vsd: &Vsd, active: &ActiveVectorList) {
-    if let Some(t) = prof.tracker.as_ref() {
-        t.restrict_to_active(
-            active
-                .ranges()
-                .iter()
-                .flat_map(|r| r.clone())
-                .map(|i| vsd.vectors()[i].top_level_vertex() as usize),
-        );
-    }
-}
-
-/// Runs one frontier-aware Edge-Pull phase over the compacted active vector
-/// list (DESIGN.md §11). Always scheduler-aware: chunks hand out contiguous
-/// runs of *compacted positions*, which resolve to ascending real vector
-/// indices whose destination runs are still contiguous — so the §3
-/// exactly-once-write + merge-buffer contract carries over unchanged.
-/// Bit-identical to [`edge_pull`] over the full array: destinations outside
-/// the active list have no frontier-active in-neighbors, so the dense pass
-/// would store only the operator identity they already hold.
-#[allow(clippy::too_many_arguments)]
-pub fn edge_pull_compact<K: EdgeKernel>(
-    vsd: &Vsd,
-    kernel: &K,
-    frontier: &Frontier,
-    active: &ActiveVectorList,
-    pool: &ThreadPool,
-    cfg: &crate::config::EngineConfig,
-    merge: &mut SlotBuffer<MergeEntry>,
-    prof: &Profiler,
-) {
-    let op = kernel.op();
-    let wall = SpanClock::start();
-    let work_before = prof.work_ns_now();
-
-    let sched = compact_scheduler(cfg, active.total_vectors(), pool);
-    merge.ensure_len(sched.num_chunks());
-    #[cfg(feature = "invariant-checks")]
-    if let Some(t) = prof.tracker.as_ref() {
-        t.begin_phase(vsd.num_vertices(), sched.num_chunks());
-    }
-    #[cfg(feature = "invariant-checks")]
-    restrict_tracker_to_active(prof, vsd, active);
-    let loop_ = AwarePull::new(vsd, kernel, frontier, merge, prof);
-    pool.run(|ctx| {
-        while let Some(chunk) = sched.next_chunk_for(ctx.global_id) {
-            if chunk.range.is_empty() {
-                continue;
-            }
-            loop_.run_chunk_indirect(ctx, chunk.id, active, chunk.range);
-        }
-    });
-    prof.finish_edge_phase(wall.elapsed_ns(), pool.num_threads() as u64, work_before);
-    merge_fold(kernel.accumulators(), op, merge, prof);
-    #[cfg(feature = "invariant-checks")]
-    if let Some(t) = prof.tracker.as_ref() {
-        t.end_phase().assert_clean();
-    }
-    // ATOMIC: relaxed-counter
-    prof.vectors_processed
-        .fetch_add(active.total_vectors() as u64, Ordering::Relaxed);
-}
-
-/// The resilient twin of [`edge_pull_compact`]: per-chunk panic containment
-/// and retry over the compacted iteration space, cooperative watchdog, and
-/// the same sequential degrade path as [`edge_pull_resilient`] — the
-/// full-array scalar pass is bit-identical to the compacted pass (inactive
-/// destinations aggregate a zero lane mask, i.e. the identity they hold).
-#[allow(clippy::too_many_arguments)]
-pub fn edge_pull_compact_resilient<K: EdgeKernel>(
-    vsd: &Vsd,
-    kernel: &K,
-    frontier: &Frontier,
-    active: &ActiveVectorList,
-    pool: &ThreadPool,
-    cfg: &crate::config::EngineConfig,
-    merge: &mut SlotBuffer<MergeEntry>,
-    prof: &Profiler,
-    deadline: Option<Deadline>,
-    injector: Option<&ExecInjector>,
-) -> PullStatus {
-    let op = kernel.op();
-    let max_chunk_retries = cfg.resilience.max_chunk_retries;
-    let wall = SpanClock::start();
-    let work_before = prof.work_ns_now();
-    let sched = compact_scheduler(cfg, active.total_vectors(), pool);
-    merge.ensure_len(sched.num_chunks());
-    #[cfg(feature = "invariant-checks")]
-    if let Some(t) = prof.tracker.as_ref() {
-        // As in `edge_pull_resilient`: on the Stalled/Degraded exits this
-        // phase is left open and discarded by the next `begin_phase`.
-        t.begin_phase(vsd.num_vertices(), sched.num_chunks());
-    }
-    #[cfg(feature = "invariant-checks")]
-    restrict_tracker_to_active(prof, vsd, active);
-
-    let verdict = {
-        let loop_ = AwarePull::new(vsd, kernel, frontier, merge, prof);
-        let failed: Mutex<Vec<(usize, std::ops::Range<usize>)>> = Mutex::new(Vec::new());
-        let timed_out = AtomicBool::new(false);
-        let pool_ok = pool
-            .run_result(|ctx| {
-                if let Some(inj) = injector {
-                    inj.maybe_stall(ctx.global_id);
-                }
-                loop {
-                    if deadline.is_some_and(|dl| dl.expired()) {
-                        timed_out.store(true, Ordering::Relaxed); // ATOMIC: relaxed-flag
-                        return;
-                    }
-                    let Some(chunk) = sched.next_chunk_for(ctx.global_id) else {
-                        break;
-                    };
-                    if chunk.range.is_empty() {
-                        continue;
-                    }
-                    let range = chunk.range.clone();
-                    // RECOVERY: same containment argument as the dense
-                    // resilient path — an abandoned chunk committed nothing,
-                    // and the compacted positions identify its work exactly.
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(inj) = injector {
-                            inj.maybe_panic_chunk(chunk.id);
-                        }
-                        loop_.run_chunk_indirect(ctx, chunk.id, active, chunk.range);
-                    }));
-                    if outcome.is_err() {
-                        prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                        failed
-                            .lock()
-                            .expect("failed-chunk list lock poisoned")
-                            .push((chunk.id, range));
-                    }
-                }
-            })
-            .is_ok();
-
-        // ATOMIC: relaxed-flag — cooperative timeout; late observation only
-        // delays the verdict by one chunk
-        if timed_out.load(Ordering::Relaxed) || deadline.is_some_and(|dl| dl.expired()) {
-            ParallelVerdict::TimedOut
-        } else if !pool_ok {
-            ParallelVerdict::RetriesExhausted
-        } else {
-            let failed = failed
-                .into_inner()
-                .expect("failed-chunk list lock poisoned");
-            let retry_ctx = WorkerCtx {
-                global_id: 0,
-                group_id: 0,
-                local_id: 0,
-                num_threads: pool.num_threads(),
-                num_groups: pool.num_groups(),
-            };
-            let mut exhausted = false;
-            'chunks: for (gid, range) in &failed {
-                let mut attempts = 0;
-                loop {
-                    if deadline.is_some_and(|dl| dl.expired()) {
-                        break 'chunks;
-                    }
-                    if attempts >= max_chunk_retries {
-                        exhausted = true;
-                        break 'chunks;
-                    }
-                    attempts += 1;
-                    prof.chunk_retries.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                                                                        // RECOVERY: a retried chunk that panics again still
-                                                                        // commits nothing; the same compacted range is simply
-                                                                        // attempted again until the retry budget runs out.
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(inj) = injector {
-                            inj.maybe_panic_chunk(*gid);
-                        }
-                        loop_.run_chunk_indirect(&retry_ctx, *gid, active, range.clone());
-                    }));
-                    match outcome {
-                        Ok(()) => break,
-                        Err(_) => {
-                            prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                        }
-                    }
-                }
-            }
-            if deadline.is_some_and(|dl| dl.expired()) {
-                ParallelVerdict::TimedOut
-            } else if exhausted {
-                ParallelVerdict::RetriesExhausted
-            } else {
-                ParallelVerdict::Done
-            }
-        }
-    };
-
-    match verdict {
-        ParallelVerdict::TimedOut => {
-            merge.clear();
-            PullStatus::Stalled
-        }
-        ParallelVerdict::RetriesExhausted => {
-            // Degrade exactly as the dense path does: redo the phase
-            // sequentially over the *full* array, which is bit-identical to
-            // the compacted pass (see function docs).
-            merge.clear();
-            prof.degraded_iterations.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                                                                      // DISJOINT: sequential-merge — degrade-path reset, single-threaded
-            kernel
-                .accumulators()
-                .fill_range_f64(0..vsd.num_vertices(), op.identity());
-            let done = scalar_pull_pass(vsd, kernel, frontier, deadline, prof);
-            prof.finish_edge_phase(wall.elapsed_ns(), 1, work_before);
-            // ATOMIC: relaxed-counter
-            prof.vectors_processed
-                .fetch_add(vsd.num_vectors() as u64, Ordering::Relaxed);
-            if done {
-                PullStatus::Degraded
-            } else {
-                PullStatus::Stalled
-            }
-        }
-        ParallelVerdict::Done => {
-            prof.finish_edge_phase(wall.elapsed_ns(), pool.num_threads() as u64, work_before);
-            merge_fold(kernel.accumulators(), op, merge, prof);
-            #[cfg(feature = "invariant-checks")]
-            if let Some(t) = prof.tracker.as_ref() {
-                t.end_phase().assert_clean();
-            }
-            // ATOMIC: relaxed-counter
-            prof.vectors_processed
-                .fetch_add(active.total_vectors() as u64, Ordering::Relaxed);
-            PullStatus::Completed
-        }
-    }
-}
-
 /// The sequential merge pass (paper Listing 6): folds every boundary
 /// partial in the merge buffer into its destination accumulator. "Executes
 /// sequentially in our implementation because it is extremely fast."
-fn merge_fold(
+pub(super) fn merge_fold(
     accum: &PropertyArray,
     op: AggOp,
     merge: &mut SlotBuffer<MergeEntry>,
@@ -778,239 +714,39 @@ fn merge_fold(
             entries += 1;
         }
     }
-    prof.merge_entries.fetch_add(entries, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                                                              // ATOMIC: relaxed-counter
-    prof.merge_ns
-        .fetch_add(merge_start.elapsed_ns(), Ordering::Relaxed);
+    prof.add(&prof.merge_entries, entries);
+    prof.add(&prof.merge_ns, merge_start.elapsed_ns());
 }
 
-/// Outcome of a resilient Edge-Pull phase ([`edge_pull_resilient`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PullStatus {
-    /// The phase completed through the parallel scheduler-aware path
-    /// (possibly after per-chunk retries); accumulators are valid.
-    Completed,
-    /// The watchdog deadline expired. The phase was abandoned, the merge
-    /// buffer cleared, and the accumulators hold partial garbage — the
-    /// driver must surface `EngineError::Stalled`, not continue.
-    Stalled,
-    /// The chunk-retry budget was exhausted; the phase was re-executed from
-    /// scratch on the sequential scalar path. Accumulators are valid.
-    Degraded,
-}
-
-/// What the parallel portion of the resilient phase concluded; the `&mut`
-/// merge-buffer operations (clear/fold) happen after this verdict, once the
-/// shared borrows held by the chunk processor are gone.
-enum ParallelVerdict {
-    Done,
-    TimedOut,
-    RetriesExhausted,
-}
-
-/// Runs one Edge-Pull phase with fault containment: per-chunk panic
-/// isolation and retry, a cooperative watchdog deadline, and a sequential
-/// degrade path when the retry budget runs out.
-///
-/// Always uses the scheduler-aware interface — chunk retry is only sound
-/// under its write discipline: a chunk that dies mid-flight has made no
-/// commitment other than idempotent interior stores (plain overwrites of
-/// destinations it exclusively owns), and its merge-buffer slot is written
-/// only at commit time in `finish_chunk`, so re-executing the chunk on any
-/// surviving thread reproduces the lost work exactly (DESIGN.md §9).
-///
-/// The watchdog is cooperative: workers test `deadline` between chunks, so
-/// a blown deadline is detected at the next chunk boundary (or after the
-/// pool joins) rather than preempting a stuck thread mid-chunk.
+/// The degrade path of every contained Edge phase (pull, push or overlay
+/// fold): counts the degraded iteration, discards whatever the failed
+/// parallel attempt left in the accumulators, and recomputes the base
+/// aggregate with [`scalar_pull_pass`] — for any frontier,
+/// push-from-active-sources and pull-masked-to-active-sources produce the
+/// same per-destination aggregate. `then` runs after the pass (the overlay
+/// fold's sequential redo). The phase's wall is charged from `wall` at
+/// effective parallelism 1, so a degraded iteration reports no phantom idle
+/// threads. Returns `false` if `deadline` expired mid-pass.
 #[allow(clippy::too_many_arguments)]
-pub fn edge_pull_resilient<K: EdgeKernel>(
+pub(super) fn sequential_edge_redo<K: EdgeKernel>(
     vsd: &Vsd,
     kernel: &K,
     frontier: &Frontier,
-    pool: &ThreadPool,
-    scheds: &EdgeSchedulers,
-    merge: &mut SlotBuffer<MergeEntry>,
-    prof: &Profiler,
     deadline: Option<Deadline>,
-    max_chunk_retries: u32,
-    injector: Option<&ExecInjector>,
-) -> PullStatus {
-    assert_eq!(
-        scheds.num_items(),
-        vsd.num_vectors(),
-        "scheduler/VSD mismatch"
-    );
-    let op = kernel.op();
-    let wall = SpanClock::start();
-    let work_before = prof.work_ns_now();
-    merge.ensure_len(scheds.total_chunks());
-    #[cfg(feature = "invariant-checks")]
-    if let Some(t) = prof.tracker.as_ref() {
-        // On the Stalled/Degraded exits below this phase is simply left
-        // open and never asserted; the next `begin_phase` discards it.
-        t.begin_phase(vsd.num_vertices(), scheds.total_chunks());
-    }
-
-    let verdict = {
-        let loop_ = AwarePull::new(vsd, kernel, frontier, merge, prof);
-        let failed: Mutex<Vec<(usize, usize, usize)>> = Mutex::new(Vec::new());
-        let timed_out = AtomicBool::new(false);
-        let pool_ok = pool
-            .run_result(|ctx| {
-                if let Some(inj) = injector {
-                    inj.maybe_stall(ctx.global_id);
-                }
-                let g = scheds.group_for(ctx);
-                let sched = &scheds.scheds[g];
-                let base = scheds.parts[g].edge_start;
-                let id_base = scheds.chunk_offsets[g];
-                loop {
-                    if deadline.is_some_and(|dl| dl.expired()) {
-                        timed_out.store(true, Ordering::Relaxed); // ATOMIC: relaxed-flag
-                        return;
-                    }
-                    let Some(chunk) = sched.next_chunk_for(ctx.local_id) else {
-                        break;
-                    };
-                    if chunk.range.is_empty() {
-                        continue;
-                    }
-                    let first = base + chunk.range.start;
-                    let last = base + chunk.range.end - 1;
-                    let gid = id_base + chunk.id;
-                    // RECOVERY: a chunk that panics mid-flight has written
-                    // nothing another thread depends on — its merge slot is
-                    // only claimed at commit time in `finish_chunk`, and any
-                    // interior stores it issued are plain overwrites of
-                    // destinations it exclusively owns, which the retry
-                    // repeats identically. Catching here keeps the worker
-                    // alive to drain the rest of the queue; the failed chunk
-                    // is queued for the driver thread to retry.
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(inj) = injector {
-                            inj.maybe_panic_chunk(gid);
-                        }
-                        loop_.run_chunk(ctx, gid, first, last);
-                    }));
-                    if outcome.is_err() {
-                        prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                        failed
-                            .lock()
-                            .expect("failed-chunk list lock poisoned")
-                            .push((gid, first, last));
-                    }
-                }
-            })
-            .is_ok();
-
-        // ATOMIC: relaxed-flag — cooperative timeout; late observation only
-        // delays the verdict by one chunk
-        if timed_out.load(Ordering::Relaxed) || deadline.is_some_and(|dl| dl.expired()) {
-            ParallelVerdict::TimedOut
-        } else if !pool_ok {
-            // A worker died outside the per-chunk containment (e.g. in the
-            // scheduler itself): its unclaimed chunks are unknowable, so go
-            // straight to the degrade path, which redoes the whole phase.
-            ParallelVerdict::RetriesExhausted
-        } else {
-            // Retry failed chunks on this (surviving) thread, in order.
-            let failed = failed
-                .into_inner()
-                .expect("failed-chunk list lock poisoned");
-            let retry_ctx = WorkerCtx {
-                global_id: 0,
-                group_id: 0,
-                local_id: 0,
-                num_threads: pool.num_threads(),
-                num_groups: pool.num_groups(),
-            };
-            let mut exhausted = false;
-            'chunks: for &(gid, first, last) in &failed {
-                let mut attempts = 0;
-                loop {
-                    if deadline.is_some_and(|dl| dl.expired()) {
-                        break 'chunks; // verdict below re-tests the deadline
-                    }
-                    if attempts >= max_chunk_retries {
-                        exhausted = true;
-                        break 'chunks;
-                    }
-                    attempts += 1;
-                    prof.chunk_retries.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                                                                        // RECOVERY: same containment as above — the retried
-                                                                        // chunk starts from `start_chunk` state, so a clean
-                                                                        // attempt fully reproduces the lost work.
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(inj) = injector {
-                            inj.maybe_panic_chunk(gid);
-                        }
-                        loop_.run_chunk(&retry_ctx, gid, first, last);
-                    }));
-                    match outcome {
-                        Ok(()) => break,
-                        Err(_) => {
-                            prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                        }
-                    }
-                }
-            }
-            if deadline.is_some_and(|dl| dl.expired()) {
-                ParallelVerdict::TimedOut
-            } else if exhausted {
-                ParallelVerdict::RetriesExhausted
-            } else {
-                ParallelVerdict::Done
-            }
-        }
-    };
-
-    match verdict {
-        ParallelVerdict::TimedOut => {
-            merge.clear();
-            PullStatus::Stalled
-        }
-        ParallelVerdict::RetriesExhausted => {
-            // Degrade: discard all partial state and redo the phase
-            // sequentially. One plain store per destination, no merge
-            // buffer, no other threads — trivially exactly-once.
-            merge.clear();
-            prof.degraded_iterations.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                                                                      // DISJOINT: sequential-merge — degrade-path reset, single-threaded
-            kernel
-                .accumulators()
-                .fill_range_f64(0..vsd.num_vertices(), op.identity());
-            let done = scalar_pull_pass(vsd, kernel, frontier, deadline, prof);
-            // The phase ended sequential: charge idle from effective
-            // parallelism 1 so the degraded pass doesn't report
-            // `threads − 1` phantom idle threads (the abandoned parallel
-            // attempt's imbalance is absorbed, which is the honest reading:
-            // no thread was waiting during the scalar redo).
-            prof.finish_edge_phase(wall.elapsed_ns(), 1, work_before);
-            // ATOMIC: relaxed-counter
-            prof.vectors_processed
-                .fetch_add(vsd.num_vectors() as u64, Ordering::Relaxed);
-            if done {
-                PullStatus::Degraded
-            } else {
-                PullStatus::Stalled
-            }
-        }
-        ParallelVerdict::Done => {
-            prof.finish_edge_phase(wall.elapsed_ns(), pool.num_threads() as u64, work_before);
-            merge_fold(kernel.accumulators(), op, merge, prof);
-            #[cfg(feature = "invariant-checks")]
-            if let Some(t) = prof.tracker.as_ref() {
-                // The §3 audit must hold even after panics and retries:
-                // abandoned chunks recorded nothing, retried chunks recorded
-                // exactly once.
-                t.end_phase().assert_clean();
-            }
-            // ATOMIC: relaxed-counter
-            prof.vectors_processed
-                .fetch_add(vsd.num_vectors() as u64, Ordering::Relaxed);
-            PullStatus::Completed
-        }
-    }
+    prof: &Profiler,
+    wall: SpanClock,
+    work_before: u64,
+    then: impl FnOnce(),
+) -> bool {
+    prof.add(&prof.degraded_iterations, 1);
+    // DISJOINT: sequential-merge — degrade-path reset, single-threaded
+    kernel
+        .accumulators()
+        .fill_range_f64(0..vsd.num_vertices(), kernel.op().identity());
+    let done = scalar_pull_pass(vsd, kernel, frontier, deadline, prof);
+    then();
+    prof.finish_edge_phase(wall.elapsed_ns(), 1, work_before);
+    done
 }
 
 /// Vectors the degrade path walks between two deadline polls.
@@ -1065,9 +801,7 @@ pub(crate) fn scalar_pull_pass<K: EdgeKernel>(
     if done {
         store(carry.dest, carry.reduce(|a, b| op.combine(a, b)));
     }
-    // ATOMIC: relaxed-counter
-    prof.work_ns
-        .fetch_add(started.elapsed_ns(), Ordering::Relaxed);
+    prof.add(&prof.work_ns, started.elapsed_ns());
     done
 }
 
@@ -1148,7 +882,7 @@ mod tests {
         let frontier = Frontier::all(n);
         let kern = program_kernel(&prog, &vsd, Kernels::with_level(simd));
         edge_pull(
-            &vsd, &kern, &frontier, &pool, &sched, &mut merge, mode, &prof,
+            &vsd, &kern, &frontier, &pool, &sched, None, &mut merge, mode, None, &prof,
         );
         let expect = expected_in_sums(&g, &prog.vals.to_vec_f64());
         for (v, want) in expect.iter().enumerate() {
@@ -1216,8 +950,10 @@ mod tests {
             &Frontier::all(n),
             &pool,
             &sched,
+            None,
             &mut merge,
             PullMode::SchedulerAware,
+            None,
             &prof,
         );
         let p = prof.snapshot();
@@ -1254,8 +990,10 @@ mod tests {
             &frontier,
             &pool,
             &sched,
+            None,
             &mut merge,
             PullMode::SchedulerAware,
+            None,
             &prof,
         );
         for v in 0..n as u32 {
@@ -1338,8 +1076,10 @@ mod tests {
                 &Frontier::all(n),
                 &pool,
                 scheds,
+                None,
                 &mut merge,
                 PullMode::SchedulerAware,
+                None,
                 prof,
             );
         }
@@ -1437,8 +1177,10 @@ mod tests {
                 &Frontier::all(n),
                 &pool,
                 &scheds,
+                None,
                 &mut merge,
                 PullMode::SchedulerAware,
+                None,
                 &Profiler::with_tracker(),
             );
         }
@@ -1493,8 +1235,10 @@ mod tests {
             frontier,
             &pool,
             &sched,
+            None,
             &mut merge,
             PullMode::SchedulerAware,
+            None,
             &prof,
         );
 
@@ -1503,8 +1247,17 @@ mod tests {
         let mut merge = SlotBuffer::new(1);
         let prof = Profiler::new();
         let kern = program_kernel(&compact, &vsd, Kernels::auto());
-        edge_pull_compact(
-            &vsd, &kern, frontier, &active, &pool, &cfg, &mut merge, &prof,
+        edge_pull(
+            &vsd,
+            &kern,
+            frontier,
+            &pool,
+            &EdgeSchedulers::compact(&cfg, active.total_vectors(), &pool),
+            Some(&active),
+            &mut merge,
+            PullMode::SchedulerAware,
+            None,
+            &prof,
         );
         for v in 0..n {
             assert_eq!(
@@ -1544,8 +1297,17 @@ mod tests {
         let mut merge = SlotBuffer::new(1);
         let prof = Profiler::new();
         let kern = program_kernel(&prog, &vsd, Kernels::auto());
-        edge_pull_compact(
-            &vsd, &kern, &frontier, &active, &pool, &cfg, &mut merge, &prof,
+        edge_pull(
+            &vsd,
+            &kern,
+            &frontier,
+            &pool,
+            &EdgeSchedulers::compact(&cfg, active.total_vectors(), &pool),
+            Some(&active),
+            &mut merge,
+            PullMode::SchedulerAware,
+            None,
+            &prof,
         );
         for v in 0..n {
             assert_eq!(prog.acc.get_f64(v), 0.0, "vertex {v} written");
@@ -1572,8 +1334,13 @@ mod tests {
         assert_eq!(pruned.total_vectors(), vsd.vector_range(4).len());
     }
 
+    /// Containment over both iteration spaces from one body: a clean
+    /// contained phase, a chunk panic that is retried, a chunk that
+    /// exhausts the retry budget (sequential degrade) and an expired
+    /// watchdog, each over the dense array and over the compacted list.
+    /// Every non-stalled outcome is bit-identical to the plain dense phase.
     #[test]
-    fn compact_resilient_clean_and_after_chunk_panics_matches_dense() {
+    fn containment_covers_both_iteration_spaces() {
         let n = 97;
         let g = star_plus_chain(n);
         let vsd = VectorSparse::from_csr(g.in_csr());
@@ -1587,52 +1354,107 @@ mod tests {
         };
         let pool = ThreadPool::single_group(2);
         let cfg = crate::config::EngineConfig::new().with_threads(2);
+        let dense = EdgeSchedulers::single(vsd.num_vectors(), 9);
 
         let reference = mk();
-        let sched = EdgeSchedulers::single(vsd.num_vectors(), 9);
-        let mut merge = SlotBuffer::new(sched.total_chunks());
-        let prof = Profiler::new();
+        let mut merge = SlotBuffer::new(dense.total_chunks());
         let kern = program_kernel(&reference, &vsd, Kernels::auto());
         edge_pull(
             &vsd,
             &kern,
             &frontier,
             &pool,
-            &sched,
+            &dense,
+            None,
             &mut merge,
             PullMode::SchedulerAware,
-            &prof,
+            None,
+            &Profiler::new(),
         );
 
         let active = active_vector_list(&vsd, &vss, &frontier, None);
-        for plan in [
-            ExecFaultPlan::clean(),
-            ExecFaultPlan::clean().with_chunk_panic(0, 0, 1),
+        let compact = EdgeSchedulers::compact(&cfg, active.total_vectors(), &pool);
+        let expired = Deadline::after(std::time::Duration::ZERO);
+        for (space, scheds, list) in [
+            ("dense", &dense, None),
+            ("compact", &compact, Some(&active)),
         ] {
-            let prog = mk();
-            let inj = ExecInjector::new(plan);
-            inj.set_iteration(0);
-            let mut merge = SlotBuffer::new(1);
-            let prof = Profiler::new();
-            let kern = program_kernel(&prog, &vsd, Kernels::auto());
-            let status = edge_pull_compact_resilient(
-                &vsd,
-                &kern,
-                &frontier,
-                &active,
-                &pool,
-                &cfg,
-                &mut merge,
-                &prof,
-                None,
-                Some(&inj),
-            );
-            assert_eq!(status, PullStatus::Completed);
-            for v in 0..n {
+            for (what, plan, deadline, want) in [
+                ("clean", ExecFaultPlan::clean(), None, PullStatus::Completed),
+                (
+                    "retry",
+                    ExecFaultPlan::clean().with_chunk_panic(0, 0, 1),
+                    None,
+                    PullStatus::Completed,
+                ),
+                (
+                    "degrade",
+                    ExecFaultPlan::clean().with_chunk_panic(0, 0, 10),
+                    None,
+                    PullStatus::Degraded,
+                ),
+                (
+                    "watchdog",
+                    ExecFaultPlan::clean(),
+                    Some(expired),
+                    PullStatus::Stalled,
+                ),
+            ] {
+                let prog = mk();
+                let inj = ExecInjector::new(plan);
+                inj.set_iteration(0);
+                scheds.reset();
+                let mut merge = SlotBuffer::new(1);
+                let prof = Profiler::new();
+                let kern = program_kernel(&prog, &vsd, Kernels::auto());
+                let status = edge_pull(
+                    &vsd,
+                    &kern,
+                    &frontier,
+                    &pool,
+                    scheds,
+                    list,
+                    &mut merge,
+                    PullMode::SchedulerAware,
+                    Some(&Containment {
+                        deadline,
+                        max_chunk_retries: cfg.resilience.max_chunk_retries,
+                        injector: Some(&inj),
+                    }),
+                    &prof,
+                );
+                assert_eq!(status, want, "{space}/{what}");
                 assert_eq!(
-                    prog.acc.get_f64(v).to_bits(),
-                    reference.acc.get_f64(v).to_bits(),
-                    "vertex {v}"
+                    merge.drain().count(),
+                    0,
+                    "{space}/{what}: merge buffer left full"
+                );
+                let p = prof.snapshot();
+                assert_eq!(
+                    p.chunk_retries > 0,
+                    what == "retry" || what == "degrade",
+                    "{space}/{what}"
+                );
+                assert_eq!(
+                    p.degraded_iterations,
+                    u64::from(what == "degrade"),
+                    "{space}/{what}"
+                );
+                if status == PullStatus::Stalled {
+                    continue; // accumulators hold partial garbage by contract
+                }
+                // A degraded phase walked the full array, whatever space it
+                // started on.
+                let walked = if status == PullStatus::Degraded {
+                    vsd.num_vectors()
+                } else {
+                    scheds.num_items()
+                };
+                assert_eq!(p.vectors_processed, walked as u64, "{space}/{what}");
+                assert_eq!(
+                    prog.acc.to_vec_u64(),
+                    reference.acc.to_vec_u64(),
+                    "{space}/{what}"
                 );
             }
         }
@@ -1658,8 +1480,17 @@ mod tests {
         let mut merge = SlotBuffer::new(1);
         let prof = Profiler::with_tracker();
         let kern = program_kernel(&prog, &vsd, Kernels::auto());
-        edge_pull_compact(
-            &vsd, &kern, &frontier, &active, &pool, &cfg, &mut merge, &prof,
+        edge_pull(
+            &vsd,
+            &kern,
+            &frontier,
+            &pool,
+            &EdgeSchedulers::compact(&cfg, active.total_vectors(), &pool),
+            Some(&active),
+            &mut merge,
+            PullMode::SchedulerAware,
+            None,
+            &prof,
         );
         let t = prof.tracker.as_ref().expect("tracker installed");
         assert_eq!(t.phases_checked(), 1, "the compacted phase must be audited");
@@ -1718,8 +1549,10 @@ mod tests {
             &Frontier::all(n),
             &pool,
             &sched,
+            None,
             &mut merge,
             PullMode::SchedulerAware,
+            None,
             &prof,
         );
         assert_eq!(prog.inner.acc.get_f64(0), 0.0, "converged hub got data");

@@ -11,6 +11,7 @@
 //! per edge set, but lower packing efficiency (paper Figure 9) and, on
 //! many parts, slower 512-bit gathers.
 
+use crate::engine::pull::{merge_fold, MergeEntry};
 use crate::frontier::Frontier;
 use crate::spmv::{frontier_lane_mask8, EdgeKernel};
 use crate::stats::Profiler;
@@ -18,29 +19,9 @@ use crate::trace::SpanClock;
 use grazelle_sched::chunks::ChunkScheduler;
 use grazelle_sched::pool::ThreadPool;
 use grazelle_sched::slots::SlotBuffer;
-use grazelle_vsparse::active::{ActiveVectorList, RealIndices};
+use grazelle_vsparse::active::ActiveVectorList;
 use grazelle_vsparse::build::VectorSparse;
 use std::ops::Range;
-use std::sync::atomic::Ordering;
-
-/// Per-chunk stream of edge-vector indices: the chunk's own range when the
-/// phase runs over the full array, or the translation of compacted
-/// positions back to real indices when an active-vector list is in play.
-enum IndexStream<'a> {
-    Dense(Range<usize>),
-    Compact(RealIndices<'a>),
-}
-
-impl Iterator for IndexStream<'_> {
-    type Item = usize;
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        match self {
-            IndexStream::Dense(r) => r.next(),
-            IndexStream::Compact(it) => it.next(),
-        }
-    }
-}
 
 /// Runs one scheduler-aware Edge-Pull phase over an 8-lane structure.
 ///
@@ -51,7 +32,8 @@ impl Iterator for IndexStream<'_> {
 ///
 /// Restrictions relative to the 4-lane engine: single group, unweighted
 /// edge function (enforced by [`crate::spmv::SemiringKernel::for_structure8`]),
-/// merge buffer allocated per call.
+/// merge buffer allocated per call. The merge buffer and its sequential
+/// fold are the 4-lane engine's.
 pub fn edge_pull8<K: EdgeKernel>(
     vsd8: &VectorSparse<8>,
     kernel: &K,
@@ -66,7 +48,7 @@ pub fn edge_pull8<K: EdgeKernel>(
     let conv = kernel.converged();
     let total = active.map_or(vsd8.num_vectors(), |a| a.total_vectors());
     let sched = ChunkScheduler::new(total, num_chunks);
-    let merge: SlotBuffer<(u64, f64)> = SlotBuffer::new(sched.num_chunks());
+    let mut merge: SlotBuffer<MergeEntry> = SlotBuffer::new(sched.num_chunks());
     let wall = SpanClock::start();
     let work_before = prof.work_ns_now();
     #[cfg(feature = "invariant-checks")]
@@ -85,17 +67,15 @@ pub fn edge_pull8<K: EdgeKernel>(
     pool.run(|_ctx| {
         let started = SpanClock::start();
         let mut direct_stores = 0u64;
-        while let Some(chunk) = sched.next_chunk() {
-            let mut stream = match active {
-                None => IndexStream::Dense(chunk.range.clone()),
-                Some(a) => IndexStream::Compact(a.real_indices(chunk.range.clone())),
-            };
-            let Some(first) = stream.next() else {
-                continue;
+        // One chunk over its ascending runs of real vector indices.
+        let mut run_chunk = |chunk: usize, runs: &mut dyn Iterator<Item = Range<usize>>| {
+            let mut indices = runs.flatten();
+            let Some(first) = indices.next() else {
+                return;
             };
             let mut prev_dest = vsd8.vectors()[first].top_level_vertex();
             let mut partial = op.identity();
-            for i in std::iter::once(first).chain(stream) {
+            for i in std::iter::once(first).chain(indices) {
                 let ev = &vsd8.vectors()[i];
                 let dst = ev.top_level_vertex();
                 if dst != prev_dest {
@@ -124,49 +104,35 @@ pub fn edge_pull8<K: EdgeKernel>(
             }
             #[cfg(feature = "invariant-checks")]
             if let Some(t) = prof.tracker.as_ref() {
-                t.record_slot_claim(chunk.id, _ctx.global_id);
+                t.record_slot_claim(chunk, _ctx.global_id);
             }
+            let entry = MergeEntry {
+                dest: prev_dest,
+                value: partial,
+            };
             // SAFETY: unique chunk ownership via the scheduler.
-            unsafe { merge.write(chunk.id, (prev_dest, partial)) };
+            unsafe { merge.write(chunk, entry) };
+        };
+        while let Some(chunk) = sched.next_chunk() {
+            // The chunk's own range over the full array, or its compacted
+            // positions resolved back to real indices.
+            match active {
+                None => run_chunk(chunk.id, &mut std::iter::once(chunk.range)),
+                Some(a) => run_chunk(chunk.id, &mut a.real_ranges(chunk.range)),
+            }
         }
-        // ATOMIC: relaxed-counter
-        prof.work_ns
-            .fetch_add(started.elapsed_ns(), Ordering::Relaxed);
-        // ATOMIC: relaxed-counter
-        prof.direct_stores
-            .fetch_add(direct_stores, Ordering::Relaxed);
+        prof.add(&prof.work_ns, started.elapsed_ns());
+        prof.add(&prof.direct_stores, direct_stores);
     });
     prof.finish_edge_phase(wall.elapsed_ns(), pool.num_threads() as u64, work_before);
 
-    // Sequential merge, as in the 4-lane engine.
-    let merge_start = SpanClock::start();
-    let mut merge = merge;
-    let identity = op.identity();
-    let mut entries = 0u64;
-    for (_chunk, (dest, value)) in merge.drain() {
-        #[cfg(feature = "invariant-checks")]
-        if let Some(t) = prof.tracker.as_ref() {
-            t.record_fold(_chunk);
-        }
-        if value != identity {
-            let cur = accum.get_f64(dest as usize);
-            // DISJOINT: sequential-merge — the fold runs single-threaded
-            accum.set_f64(dest as usize, op.combine(cur, value));
-            entries += 1;
-        }
-    }
-    prof.merge_entries.fetch_add(entries, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                                                              // ATOMIC: relaxed-counter
-    prof.merge_ns
-        .fetch_add(merge_start.elapsed_ns(), Ordering::Relaxed);
+    merge_fold(accum, op, &mut merge, prof);
     // Audit the §3 contract for this Edge phase (see `edge_pull`).
     #[cfg(feature = "invariant-checks")]
     if let Some(t) = prof.tracker.as_ref() {
         t.end_phase().assert_clean();
     }
-    // ATOMIC: relaxed-counter
-    prof.vectors_processed
-        .fetch_add(total as u64, Ordering::Relaxed);
+    prof.add(&prof.vectors_processed, total as u64);
 }
 
 #[cfg(test)]
@@ -277,8 +243,10 @@ mod tests {
             frontier,
             &pool,
             &scheds,
+            None,
             &mut merge,
             crate::config::PullMode::SchedulerAware,
+            None,
             &prof,
         );
         prog.acc.to_vec_f64()

@@ -1,17 +1,21 @@
-//! The fault-tolerant run loop (ISSUE 2, DESIGN.md §9).
+//! Fault containment for the run loop (ISSUE 2, DESIGN.md §9).
 //!
-//! [`run_resilient`] mirrors the hybrid driver's iteration structure —
-//! Edge phase → barrier → Vertex phase → barrier — and layers four
-//! containment mechanisms on top:
+//! There is one superstep loop (`engine::hybrid`); the `run_resilient*`
+//! entry points here run it with a [`ResilienceContext`], which layers four
+//! containment mechanisms onto it:
 //!
 //! * **Watchdog** — every superstep runs against a cooperative deadline
-//!   ([`ResilienceConfig::watchdog`]); a blown deadline ends the run with
-//!   [`EngineError::Stalled`] instead of hanging the caller.
+//!   ([`ResilienceConfig::watchdog`](crate::config::ResilienceConfig)); a
+//!   blown deadline ends the run with [`EngineError::Stalled`] instead of
+//!   hanging the caller.
 //! * **Chunk retry / degrade** — a worker panic during Edge-Pull is
 //!   contained to its chunk and retried on the driver thread
-//!   ([`edge_pull_resilient`]); when the retry budget runs out the phase is
-//!   redone on the sequential scalar path and the iteration is counted in
-//!   [`Profiler::degraded_iterations`](crate::stats::Profiler).
+//!   ([`edge_pull`](crate::engine::pull::edge_pull) with a `Containment`);
+//!   when the retry budget runs out the phase is redone on the sequential
+//!   scalar path and the iteration is counted in
+//!   [`Profiler::degraded_iterations`](crate::stats::Profiler). Push,
+//!   overlay-fold and Vertex phases are contained whole and redone
+//!   sequentially.
 //! * **Divergence guard** — after each Vertex phase the program's
 //!   persistent arrays are scanned for poison values (fused into the
 //!   snapshot copy); on detection the iteration is
@@ -31,29 +35,18 @@
 //! [`ResilienceContext::injector`]; a `None` injector makes every
 //! mechanism passive and nearly free.
 
-use crate::checkpoint::{Checkpoint, FrontierSnapshot};
+use crate::checkpoint::FrontierSnapshot;
 use crate::config::EngineConfig;
-use crate::engine::hybrid::{EngineKind, ExecutionStats};
-use crate::engine::pull::{
-    edge_pull_resilient, scalar_pull_pass, EdgeSchedulers, MergeEntry, PullStatus,
-};
-use crate::engine::push::{edge_push, edge_push_with_mode};
-use crate::engine::vertex::{reset_accumulators, vertex_phase};
+use crate::engine::hybrid::ExecutionStats;
 use crate::engine::PreparedGraph;
 use crate::faults::ExecInjector;
-use crate::frontier::{DenseBitmap, Frontier};
+use crate::frontier::Frontier;
 use crate::program::GraphProgram;
-use crate::spmv::spa::SpaScratch;
-use crate::spmv::{program_kernel, EdgeKernel};
-use crate::stats::Profiler;
-use crate::trace::{Deadline, FlightRecorder, IterationRecord, SpanClock};
+use crate::spmv::EdgeKernel;
 use grazelle_graph::types::GraphError;
 use grazelle_sched::cancel::CancelFlag;
 use grazelle_sched::pool::ThreadPool;
-use grazelle_sched::slots::SlotBuffer;
 use grazelle_vsparse::build::Vss;
-use grazelle_vsparse::simd::Kernels;
-use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 
@@ -167,7 +160,7 @@ pub enum RunOutcome {
 /// Result of a completed (non-erroring) resilient run.
 #[derive(Debug, Clone)]
 pub struct ResilientRun {
-    /// The same statistics the hybrid driver reports. `iterations` counts
+    /// The same statistics a plain run reports. `iterations` counts
     /// completed iterations in absolute terms — it includes iterations
     /// skipped by a checkpoint resume; `engine_trace` records every Edge
     /// phase *executed* by this process, including rollback re-runs.
@@ -216,7 +209,7 @@ fn diverged<P: GraphProgram>(prog: &P) -> bool {
 /// slots double-buffer the state, and the post-iteration poison scan is
 /// fused into the copy so each array is swept exactly once per iteration
 /// with zero steady-state allocation.
-struct RollbackSlot {
+pub(super) struct RollbackSlot {
     /// Raw bits per checkpoint array, in `checkpoint_arrays` order.
     arrays: Vec<Vec<u64>>,
     /// `edge_values` bits when that array is *outside* the program's
@@ -233,7 +226,7 @@ impl RollbackSlot {
     /// Allocates a slot holding the current program state (the only
     /// eagerly allocating snapshot; `empty` + the first fused capture
     /// cover the scratch side).
-    fn capture<P: GraphProgram>(prog: &P, frontier: &Frontier) -> Self {
+    pub(super) fn capture<P: GraphProgram>(prog: &P, frontier: &Frontier) -> Self {
         let mut slot = RollbackSlot::empty();
         let _ = slot.capture_arrays_and_scan(prog);
         slot.set_frontier(frontier);
@@ -241,7 +234,7 @@ impl RollbackSlot {
     }
 
     /// A shell with no buffers; the first fused capture sizes it.
-    fn empty() -> Self {
+    pub(super) fn empty() -> Self {
         RollbackSlot {
             arrays: Vec::new(),
             edge_values: Vec::new(),
@@ -264,7 +257,7 @@ impl RollbackSlot {
     ///
     /// Returns `true` when the state is poisoned; the slot then holds the
     /// poisoned copy and must not be promoted to last-good.
-    fn capture_arrays_and_scan<P: GraphProgram>(&mut self, prog: &P) -> bool {
+    pub(super) fn capture_arrays_and_scan<P: GraphProgram>(&mut self, prog: &P) -> bool {
         let arrays = prog.checkpoint_arrays();
         let ev = prog.edge_values().as_f64_slice().as_ptr();
         let acc = prog.accumulators().as_f64_slice().as_ptr();
@@ -320,7 +313,7 @@ impl RollbackSlot {
 
     /// Records the post-update frontier the snapshotted state re-enters
     /// the loop with, reusing the dense words buffer when shapes match.
-    fn set_frontier(&mut self, frontier: &Frontier) {
+    pub(super) fn set_frontier(&mut self, frontier: &Frontier) {
         match (&mut self.frontier, frontier) {
             (FrontierSnapshot::Dense { len, words }, Frontier::Dense(bm))
                 if words.len() == bm.words().len() =>
@@ -341,7 +334,7 @@ impl RollbackSlot {
     /// `checkpoint_arrays`). Scan-only arrays (empty buffers — the
     /// accumulators) are skipped: `reset_accumulators` rebuilds them
     /// before the re-run reads anything.
-    fn restore_into<P: GraphProgram>(&self, prog: &P) -> Frontier {
+    pub(super) fn restore_into<P: GraphProgram>(&self, prog: &P) -> Frontier {
         for (bits, target) in self.arrays.iter().zip(&prog.checkpoint_arrays()) {
             if bits.len() == target.len() {
                 target.load_u64(bits);
@@ -355,15 +348,12 @@ impl RollbackSlot {
     }
 }
 
-/// Runs `prog` to completion with the full containment layer. See the
-/// module docs for semantics; resilience knobs come from
-/// `cfg.resilience`, checkpoint location and fault injection from `rctx`.
 /// Sequential redo half of the delta phase's panic containment: combines
 /// every frontier-active delta edge into the accumulators, single-threaded,
 /// with the same per-edge semantics as `edge_push` (converged destinations
 /// skipped, operator-specific synchronized combine — the atomics are
 /// uncontended here but keep the exact update path).
-fn sequential_delta_push<K: EdgeKernel>(vss: &Vss, kernel: &K, frontier: &Frontier) {
+pub(super) fn sequential_delta_push<K: EdgeKernel>(vss: &Vss, kernel: &K, frontier: &Frontier) {
     let acc = kernel.accumulators();
     let conv = kernel.converged();
     let op = kernel.op();
@@ -391,6 +381,10 @@ fn sequential_delta_push<K: EdgeKernel>(vss: &Vss, kernel: &K, frontier: &Fronti
     }
 }
 
+/// Runs `prog` to completion with the full containment layer, on a freshly
+/// created pool. See the module docs for semantics; resilience knobs come
+/// from `cfg.resilience`, checkpoint location, cancellation and fault
+/// injection from `rctx`.
 pub fn run_resilient<P: GraphProgram>(
     pg: &PreparedGraph,
     prog: &P,
@@ -415,15 +409,12 @@ pub fn run_resilient_on_pool<P: GraphProgram>(
 }
 
 /// [`run_resilient_on_pool`] over a versioned graph: `delta` is the
-/// prepared overlay of pending edge inserts (same vertex set as `pg`).
-///
-/// Mirrors `run_program_overlay_on_pool`: after the base Edge phase, the
-/// delta edges fold into the accumulators with a combining Edge-Push pass
-/// over the delta's VSS — strictly second, because the scheduler-aware pull
-/// direct-stores interior destinations. The delta pass keeps the resilient
-/// containment contract: a panicked delta push discards the whole Edge
-/// phase and recomputes it sequentially (base scalar pull + sequential
-/// delta push), exactly like the base push's own recovery.
+/// prepared overlay of pending edge inserts (same vertex set as `pg`),
+/// folded in after each base Edge phase exactly as in
+/// [`run_program_overlay_on_pool`](crate::engine::hybrid::run_program_overlay_on_pool).
+/// The fold keeps the containment contract: a panicked delta push discards
+/// the whole Edge phase and recomputes it sequentially (base scalar pull +
+/// sequential delta push), exactly like the base push's own recovery.
 pub fn run_resilient_overlay_on_pool<P: GraphProgram>(
     pg: &PreparedGraph,
     delta: Option<&PreparedGraph>,
@@ -432,498 +423,15 @@ pub fn run_resilient_overlay_on_pool<P: GraphProgram>(
     rctx: &ResilienceContext<'_>,
     pool: &ThreadPool,
 ) -> Result<ResilientRun, EngineError> {
-    assert_eq!(
-        prog.num_vertices(),
-        pg.num_vertices,
-        "program arrays must match the graph"
-    );
-    if let Some(d) = delta {
-        assert_eq!(
-            d.num_vertices, pg.num_vertices,
-            "delta must cover the base vertex set"
-        );
-    }
-    let delta = delta.filter(|d| d.num_edges > 0);
-    // The Edge-Push panic fallback calls `scalar_pull_pass` directly, whose
-    // unsafe vertex-indexed reads rely on these bounds — enforce them here
-    // (as `edge_pull_resilient` does on the pull path) so every path into
-    // that pass is covered.
-    assert!(
-        prog.edge_values().len() >= pg.vsd.num_vertices(),
-        "edge_values must cover every vertex"
-    );
-    assert!(
-        prog.accumulators().len() >= pg.vsd.num_vertices(),
-        "accumulators must cover every vertex"
-    );
-    let res = cfg.resilience;
-    let scheds = EdgeSchedulers::new(cfg, &pg.vsd, pool);
-    let mut merge: SlotBuffer<MergeEntry> = SlotBuffer::new(scheds.total_chunks());
-    // SPA bucket storage, reused across supersteps (DESIGN.md §17). Safe
-    // across panic containment: workers clear their buckets at scatter
-    // start, so a discarded phase cannot leak stale entries into the redo.
-    let mut spa_scratch = SpaScratch::new();
-    let kernels = Kernels::with_level(cfg.simd);
-    // One masked-SpMV kernel per run, shared by every Edge-phase path —
-    // parallel pull/push and their sequential degrade redos alike
-    // (DESIGN.md §16).
-    let kern = program_kernel(prog, &pg.vsd, kernels);
-    // Out-degree table for the direction model; built lazily on the first
-    // iteration that computes a density.
-    let mut out_degrees: Option<Vec<u32>> = None;
-    #[cfg(feature = "invariant-checks")]
-    let prof = Profiler::with_tracker();
-    #[cfg(not(feature = "invariant-checks"))]
-    let prof = Profiler::new();
-
-    let mut frontier = prog.initial_frontier();
-    let mut start_iter = 0usize;
-    let mut resumed_from = None;
-    if let Some(path) = rctx.checkpoint_path {
-        if path.exists() {
-            // A corrupt or mismatched checkpoint is not fatal: the format
-            // layer rejects it (checksum/shape) and the run starts fresh.
-            if let Ok(ck) = Checkpoint::load(path) {
-                if ck.restore_into(&prog.checkpoint_arrays()).is_ok() {
-                    start_iter = ck.iteration;
-                    frontier = ck.frontier.restore();
-                    resumed_from = Some(ck.iteration);
-                    prof.checkpoint_restores.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                }
-            }
-        }
-    }
-
-    let mut pull_iterations = 0usize;
-    let mut push_iterations = 0usize;
-    let mut engine_trace = Vec::new();
-    let mut iterations = start_iter;
-    let mut rollbacks_this_iter = 0u32;
-    let mut diverged_stop = false;
-    let mut program_stopped = false;
-    // Divergence-guard state: a double-buffered last-good snapshot.
-    // `last_good` always holds the state at the start of the iteration
-    // being run; `scratch` receives the fused copy-and-scan of each
-    // iteration's result and the two swap when the scan comes back clean.
-    let mut last_good = res
-        .divergence_guard
-        .then(|| RollbackSlot::capture(prog, &frontier));
-    let mut scratch = res.divergence_guard.then(RollbackSlot::empty);
-    let mut recorder = if cfg.trace {
-        FlightRecorder::new()
-    } else {
-        FlightRecorder::disabled()
-    };
-    let start = SpanClock::start();
-
-    let mut iter = start_iter;
-    while iter < cfg.max_iterations {
-        // Cooperative cancellation is observed only here, at the iteration
-        // boundary: every array holds the state of the last completed
-        // iteration, so a cancelled query leaves nothing torn and the pool
-        // needs no cleanup.
-        if rctx.cancel.is_some_and(|c| c.is_cancelled()) {
-            return Err(EngineError::Cancelled { iteration: iter });
-        }
-        let deadline = res.watchdog.map(Deadline::after);
-        if let Some(inj) = rctx.injector {
-            inj.set_iteration(iter);
-        }
-        prog.pre_iteration(iter);
-        // One density computation per superstep, shared by engine
-        // selection, the frontier-aware pull gate, and the trace (same
-        // discipline as the hybrid driver): `None` when selection
-        // short-circuits to pull (frontier-less programs, all-active).
-        let density = (prog.uses_frontier() && !frontier.is_all()).then(|| frontier.density());
-        // Disabled-recorder cost per executed superstep: this one branch
-        // (and the matching one at record-push time).
-        let snap_before = recorder.is_enabled().then(|| prof.snapshot());
-        let sparse_repr = matches!(frontier, Frontier::Sparse { .. });
-        reset_accumulators(prog, pool, &prof);
-
-        // Direction choice (DESIGN.md §16): one shared [`Decision`] feeds
-        // engine selection, the compaction gate, and the trace — the same
-        // model as the hybrid driver.
-        if density.is_some()
-            && cfg.direction_policy == crate::config::DirectionPolicy::CostModel
-            && out_degrees.is_none()
-        {
-            out_degrees = Some(crate::direction::out_degree_table(&pg.vss));
-        }
-        let converged = prog.converged().map_or(0, |c| c.count());
-        let decision = crate::direction::decide(
-            cfg,
-            density,
-            &frontier,
-            out_degrees.as_deref(),
-            pg.num_edges,
-            pg.num_vertices,
-            converged,
-            // This driver always runs the dense Vertex phase: its rollback
-            // snapshot and chunk retry assume a full sweep.
-            false,
-        );
-        let use_pull = decision.use_pull;
-        // Threads that actually executed the Edge phase (1 when it
-        // degraded to the sequential scalar redo) — recorded per superstep.
-        let mut edge_parallelism = pool.num_threads() as u32;
-        // Active-vector count when the frontier-aware compacted pull ran.
-        let mut compacted: Option<u64> = None;
-        if use_pull {
-            // Frontier-aware pull (DESIGN.md §11), same gate as the hybrid
-            // driver; the compacted phase keeps the dense resilient path's
-            // containment (chunk retry, watchdog, sequential degrade).
-            let active = (cfg.frontier_pull
-                && cfg.pull_mode == crate::config::PullMode::SchedulerAware
-                && decision.compact)
-                .then(|| {
-                    crate::engine::pull::active_vector_list(
-                        &pg.vsd,
-                        &pg.vss,
-                        &frontier,
-                        prog.converged(),
-                    )
-                })
-                .filter(|a| a.total_vectors() * 10 < pg.vsd.num_vectors() * 6);
-            let status = if let Some(a) = &active {
-                compacted = Some(a.total_vectors() as u64);
-                crate::engine::pull::edge_pull_compact_resilient(
-                    &pg.vsd,
-                    &kern,
-                    &frontier,
-                    a,
-                    pool,
-                    cfg,
-                    &mut merge,
-                    &prof,
-                    deadline,
-                    rctx.injector,
-                )
-            } else {
-                scheds.reset();
-                edge_pull_resilient(
-                    &pg.vsd,
-                    &kern,
-                    &frontier,
-                    pool,
-                    &scheds,
-                    &mut merge,
-                    &prof,
-                    deadline,
-                    res.max_chunk_retries,
-                    rctx.injector,
-                )
-            };
-            match status {
-                PullStatus::Completed => {}
-                PullStatus::Degraded => {
-                    // The degrade redo is a full-array sequential pass, so
-                    // the record must not claim the compacted path ran.
-                    edge_parallelism = 1;
-                    compacted = None;
-                }
-                PullStatus::Stalled => return Err(EngineError::Stalled { iteration: iter }),
-            }
-            pull_iterations += 1;
-            engine_trace.push(EngineKind::Pull);
-        } else {
-            // RECOVERY: Edge-Push scatters with non-idempotent synchronized
-            // read-modify-writes, so a panicked push phase cannot be
-            // partially retried. Containment instead discards the phase —
-            // reset the accumulators and recompute the identical aggregate
-            // with one sequential frontier-masked pull pass (for any
-            // frontier, push-from-active-sources and pull-masked-to-active-
-            // sources produce the same per-destination aggregate).
-            // Scatter discipline from the shared decision (DESIGN.md §17).
-            // Containment is identical for both arms: a panic anywhere in
-            // the SPA scatter/merge pipeline (like one in the synchronized
-            // scatter) discards the phase wholesale and redoes it below.
-            let pushed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                edge_push_with_mode(
-                    &pg.vss,
-                    &kern,
-                    &frontier,
-                    pool,
-                    &prof,
-                    decision.scatter,
-                    &mut spa_scratch,
-                    // The reset and dense Vertex phase of every superstep
-                    // keep this driver's pool warm.
-                    false,
-                )
-            }));
-            if let Ok(ran) = pushed {
-                edge_parallelism = ran;
-            } else {
-                prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                prof.degraded_iterations.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                edge_parallelism = 1;
-                // DISJOINT: sequential-merge — degrade-path reset, single-threaded
-                prog.accumulators()
-                    .fill_range_f64(0..pg.num_vertices, prog.op().identity());
-                // The panicked push phase never reached its own wall/idle
-                // accounting (the panic unwound through the pool before it);
-                // the sequential redo charges its own wall at effective
-                // parallelism 1, so the degraded iteration reports no
-                // phantom idle threads.
-                let wall = SpanClock::start();
-                let work_before = prof.work_ns_now();
-                let done = scalar_pull_pass(&pg.vsd, &kern, &frontier, deadline, &prof);
-                prof.finish_edge_phase(wall.elapsed_ns(), 1, work_before);
-                if !done {
-                    return Err(EngineError::Stalled { iteration: iter });
-                }
-            }
-            push_iterations += 1;
-            engine_trace.push(EngineKind::Push);
-        }
-        // Delta phase: combine pending-insert edges after the base phase.
-        if let Some(d) = delta {
-            // RECOVERY: like the base push, the delta push's synchronized
-            // read-modify-writes cannot be partially retried — a panic
-            // discards the whole Edge phase (base aggregate included, since
-            // the partial delta commits polluted it) and recomputes it
-            // sequentially: scalar base pull, then a single-threaded delta
-            // push. Both redo passes combine from a reset accumulator, so
-            // the result is the same per-destination aggregate.
-            let pushed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                edge_push(&d.vss, &kern, &frontier, pool, &prof);
-            }));
-            if pushed.is_err() {
-                prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                prof.degraded_iterations.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                edge_parallelism = 1;
-                compacted = None;
-                // DISJOINT: sequential-merge — degrade-path reset, single-threaded
-                prog.accumulators()
-                    .fill_range_f64(0..pg.num_vertices, prog.op().identity());
-                let wall = SpanClock::start();
-                let work_before = prof.work_ns_now();
-                let done = scalar_pull_pass(&pg.vsd, &kern, &frontier, deadline, &prof);
-                sequential_delta_push(&d.vss, &kern, &frontier);
-                prof.finish_edge_phase(wall.elapsed_ns(), 1, work_before);
-                if !done {
-                    return Err(EngineError::Stalled { iteration: iter });
-                }
-            }
-        }
-        if deadline.is_some_and(|dl| dl.expired()) {
-            return Err(EngineError::Stalled { iteration: iter });
-        }
-
-        // Injected NaN poison lands between the phases, exactly where a
-        // corrupted Edge-phase result would sit.
-        if let Some(inj) = rctx.injector {
-            if let Some(v) = inj.poison_target() {
-                // DISJOINT: sequential-merge — fault injection between phases,
-                // single-threaded
-                prog.accumulators().set_f64(v, f64::NAN);
-            }
-        }
-
-        let mut next = prog
-            .uses_frontier()
-            .then(|| DenseBitmap::new(pg.num_vertices));
-        // Threads that actually executed the Vertex phase (1 on the
-        // sequential panic-recovery fallback below) — recorded per superstep.
-        let mut vertex_parallelism = pool.num_threads() as u32;
-        // RECOVERY: the Vertex phase's local update reads the (intact)
-        // accumulators and overwrites the vertex properties — for the
-        // supported programs `apply` is idempotent on *values*, so the
-        // phase can be re-run sequentially into a fresh frontier bitmap
-        // (the partially filled one is discarded). Its *return value* is
-        // not idempotent, though: a vertex whose update committed before
-        // the panic reports "unchanged" on re-run and would silently drop
-        // out of the rebuilt frontier. So either the properties are rolled
-        // back to their pre-phase state first (the divergence guard's
-        // last-good snapshot was taken before this phase touched them, and
-        // the Edge phase only writes accumulators, which `restore_into`
-        // skips), making the re-run's activation bits exact, or — with the
-        // guard off — activation is rebuilt conservatively: any vertex
-        // whose aggregate differs from the operator identity may have
-        // changed this phase. The superset is safe for the supported
-        // frontier programs (idempotent Min/Max propagation): extra active
-        // sources re-contribute values their neighbors have already
-        // absorbed, and the over-count only delays `should_stop` by at
-        // most one no-op iteration.
-        let applied = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            vertex_phase(prog, pool, next.as_ref(), cfg.simd, &prof)
-        }));
-        let active = match applied {
-            Ok(a) => a,
-            Err(_) => {
-                vertex_parallelism = 1;
-                prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                prof.degraded_iterations.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                let fresh = prog
-                    .uses_frontier()
-                    .then(|| DenseBitmap::new(pg.num_vertices));
-                let mut active = 0usize;
-                if let Some(lg) = last_good.as_ref() {
-                    // Roll back the partial commits (keeps the current
-                    // frontier; the snapshot's copy is the same one), then
-                    // re-apply for exact values and activation bits.
-                    let _ = lg.restore_into(prog);
-                    for v in 0..pg.num_vertices as u32 {
-                        if prog.apply(v) {
-                            active += 1;
-                            if let Some(f) = fresh.as_ref() {
-                                f.insert(v);
-                            }
-                        }
-                    }
-                } else {
-                    let identity = prog.op().identity().to_bits();
-                    let acc = prog.accumulators();
-                    for v in 0..pg.num_vertices as u32 {
-                        let changed = prog.apply(v);
-                        if changed || acc.get_f64(v as usize).to_bits() != identity {
-                            active += 1;
-                            if let Some(f) = fresh.as_ref() {
-                                f.insert(v);
-                            }
-                        }
-                    }
-                }
-                next = fresh;
-                active
-            }
-        };
-        if deadline.is_some_and(|dl| dl.expired()) {
-            return Err(EngineError::Stalled { iteration: iter });
-        }
-
-        let engine = if use_pull {
-            EngineKind::Pull
-        } else {
-            EngineKind::Push
-        };
-        if let (Some(lg), Some(sc)) = (last_good.as_mut(), scratch.as_mut()) {
-            if sc.capture_arrays_and_scan(prog) {
-                prof.divergence_rollbacks.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                rollbacks_this_iter += 1;
-                frontier = lg.restore_into(prog);
-                // A rolled-back execution is still an executed superstep:
-                // record it (the re-run contributes a second record with
-                // the same `iteration`, so trace length = iterations +
-                // rollbacks, matching `engine_trace`).
-                if let Some(before) = snap_before.as_ref() {
-                    let mut rec = IterationRecord::from_snapshots(
-                        iter as u32,
-                        engine,
-                        density.unwrap_or(1.0),
-                        cfg.pull_threshold,
-                        sparse_repr,
-                        before,
-                        &prof.snapshot(),
-                        edge_parallelism,
-                        vertex_parallelism,
-                        true,
-                    );
-                    if let Some(av) = compacted {
-                        rec.pull_compacted = true;
-                        rec.active_vectors = av;
-                    }
-                    rec.dir_frontier_edges = decision.frontier_edges;
-                    rec.dir_unvisited_edges = decision.unvisited_edges;
-                    rec.scatter_mode = (!use_pull).then_some(decision.scatter);
-                    recorder.push(rec);
-                }
-                if rollbacks_this_iter >= 2 {
-                    // Persistent divergence: stop at the last finite
-                    // iterate.
-                    diverged_stop = true;
-                    break;
-                }
-                continue; // re-run the same iteration
-            }
-            // Clean: the scratch copy becomes the new last-good snapshot
-            // (its frontier is filled in below, after the update).
-            std::mem::swap(lg, sc);
-        }
-        rollbacks_this_iter = 0;
-
-        if let Some(nb) = next {
-            let dense = Frontier::Dense(nb);
-            frontier = if cfg.sparse_frontier
-                && (active as f64) <= cfg.sparse_threshold * pg.num_vertices as f64
-            {
-                dense.to_sparse()
-            } else {
-                dense
-            };
-        }
-        if let Some(lg) = last_good.as_mut() {
-            lg.set_frontier(&frontier);
-        }
-        iterations = iter + 1;
-        if let Some(before) = snap_before.as_ref() {
-            let mut rec = IterationRecord::from_snapshots(
-                iter as u32,
-                engine,
-                density.unwrap_or(1.0),
-                cfg.pull_threshold,
-                sparse_repr,
-                before,
-                &prof.snapshot(),
-                edge_parallelism,
-                vertex_parallelism,
-                false,
-            );
-            if let Some(av) = compacted {
-                rec.pull_compacted = true;
-                rec.active_vectors = av;
-            }
-            rec.dir_frontier_edges = decision.frontier_edges;
-            rec.dir_unvisited_edges = decision.unvisited_edges;
-            rec.scatter_mode = (!use_pull).then_some(decision.scatter);
-            recorder.push(rec);
-        }
-
-        if res.checkpoint_every > 0 && (iter + 1).is_multiple_of(res.checkpoint_every) {
-            if let Some(path) = rctx.checkpoint_path {
-                Checkpoint::capture(iter + 1, &prog.checkpoint_arrays(), &frontier)
-                    .save(path)
-                    .map_err(EngineError::Checkpoint)?;
-                prof.checkpoints_written.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-            }
-        }
-
-        program_stopped = prog.should_stop(iter, active);
-        iter += 1;
-        if program_stopped {
-            break;
-        }
-    }
-
-    let profile = prof.snapshot();
-    let outcome = if diverged_stop {
-        RunOutcome::DivergedRecovered
-    } else if !profile.resilience_clean() || profile.checkpoint_restores > 0 {
-        RunOutcome::Recovered
-    } else {
-        RunOutcome::Clean
-    };
-    Ok(ResilientRun {
-        stats: ExecutionStats {
-            iterations,
-            pull_iterations,
-            push_iterations,
-            wall: start.elapsed(),
-            profile,
-            engine_trace,
-            records: recorder.into_records(),
-            hit_iteration_cap: !program_stopped && !diverged_stop,
-        },
-        outcome,
-        resumed_from,
-    })
+    crate::engine::hybrid::drive(pg, delta, prog, cfg, pool, Some(rctx))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::engine::hybrid::EngineKind;
+    use crate::frontier::DenseBitmap;
     use crate::program::AggOp;
     use crate::properties::PropertyArray;
     use grazelle_graph::edgelist::EdgeList;
@@ -1186,47 +694,6 @@ mod tests {
         }
     }
 
-    /// A chunk panic that exhausts the retry budget degrades the Edge phase
-    /// to the sequential scalar redo. The record must say so — and, the
-    /// profiler-accounting bugfix, the degraded iteration must charge idle
-    /// from its *effective* parallelism (1), not the configured thread
-    /// count: idle can never exceed the phase's own wall time, where the
-    /// old accounting reported ~`threads − 1` extra walls of phantom idle.
-    #[test]
-    fn degraded_iteration_reports_effective_parallelism_and_no_phantom_idle() {
-        use crate::faults::{ExecFaultPlan, ExecInjector};
-        let g = chain(64);
-        let pg = PreparedGraph::new(&g);
-        let cfg = EngineConfig::new()
-            .with_threads(4)
-            .with_max_iterations(1)
-            .with_trace(true);
-        let prog = SumProg::new(64);
-        // Fail chunk 0 more times than the retry budget allows.
-        let inj = ExecInjector::new(ExecFaultPlan::clean().with_chunk_panic(0, 0, 10));
-        let rctx = ResilienceContext::new().with_injector(&inj);
-        let run = run_resilient(&pg, &prog, &cfg, &rctx).unwrap();
-        assert_eq!(run.outcome, RunOutcome::Recovered);
-        assert_eq!(run.stats.profile.degraded_iterations, 1);
-        let rec = &run.stats.records[0];
-        assert!(rec.degraded, "record must flag the degraded superstep");
-        assert!(rec.has_resilience_event());
-        assert_eq!(rec.edge_parallelism, 1, "degraded phase runs on one thread");
-        assert!(rec.retries > 0, "the retry budget was spent first");
-        assert!(
-            rec.idle_ns <= rec.edge_wall_ns,
-            "idle from effective parallelism 1 is bounded by the phase wall \
-             (got idle={}ns wall={}ns)",
-            rec.idle_ns,
-            rec.edge_wall_ns
-        );
-        // Same bound at the aggregate level: the whole run executed every
-        // Edge phase at parallelism 1, so total idle cannot exceed total
-        // edge wall (the old `threads × wall − work` accounting would
-        // report roughly 3 extra walls of idle here).
-        assert!(run.stats.profile.idle <= run.stats.profile.edge_wall);
-    }
-
     /// [`MinLabel`] that requests cooperative cancellation from inside
     /// `pre_iteration` at a chosen iteration — the flag is then observed
     /// at the *next* iteration boundary.
@@ -1410,42 +877,76 @@ mod tests {
         assert!(dense_stats.records.iter().all(|r| !r.pull_compacted));
     }
 
+    /// Chunk faults through the whole driver, once per iteration space: a
+    /// chunk that panics once is retried and the superstep completes on the
+    /// path it started on; one that exhausts the retry budget degrades the
+    /// Edge phase to the sequential scalar redo. The record must say so —
+    /// never claiming the compacted path for the full-array redo — and must
+    /// charge idle from the phase's *effective* parallelism (1), not the
+    /// configured thread count: idle can never exceed the phase's own wall
+    /// time, where an earlier accounting reported ~`threads − 1` extra
+    /// walls of phantom idle.
     #[test]
-    fn compacted_resilient_pull_survives_injected_chunk_panics() {
+    fn chunk_faults_are_contained_on_both_iteration_spaces() {
         use crate::faults::{ExecFaultPlan, ExecInjector};
         let g = chain(400);
         let pg = PreparedGraph::new(&g);
-        let reference = MinLabel::new(400);
-        let base = EngineConfig::new()
-            .with_threads(2)
-            .with_max_iterations(2000)
-            .with_force_engine(Some(EngineKind::Pull))
-            .with_trace(true);
-        run_resilient(&pg, &reference, &base, &ResilienceContext::new()).unwrap();
-
-        let prog = MinLabel::new(400);
-        // Panic a chunk in a late iteration, where the shrunken frontier
-        // guarantees the compacted path is the one containing the fault.
+        let threads = 4;
         // MinLabel on a bidirectional chain keeps ~(n - k) vertices active
         // at iteration k, so the compaction gate opens only past k ≈ 250
         // (cost model: expected active-destination fraction < 0.6);
         // iteration 300 sits comfortably on the compacted side.
-        let plan = ExecFaultPlan::clean().with_chunk_panic(300, 0, 1);
-        let inj = ExecInjector::new(plan);
-        let rctx = ResilienceContext::new().with_injector(&inj);
-        let run = run_resilient(&pg, &prog, &base, &rctx).unwrap();
-        assert_eq!(run.outcome, RunOutcome::Recovered);
-        assert_eq!(prog.labels.to_vec_f64(), reference.labels.to_vec_f64());
-        let faulted = run
-            .stats
-            .records
-            .iter()
-            .find(|r| r.retries > 0)
-            .expect("the injected panic must surface as a retry");
-        assert!(
-            faulted.pull_compacted,
-            "iteration 300 of the 400-chain must be compacted"
-        );
+        let faulty_iteration = 300;
+        for compact in [false, true] {
+            let cfg = EngineConfig::new()
+                .with_threads(threads)
+                .with_max_iterations(2000)
+                .with_force_engine(Some(EngineKind::Pull))
+                .with_frontier_pull(compact)
+                .with_trace(true);
+            let reference = MinLabel::new(400);
+            run_resilient(&pg, &reference, &cfg, &ResilienceContext::new()).unwrap();
+
+            for (failures, degrades) in [(1, false), (10, true)] {
+                let what = format!("compact={compact} failures={failures}");
+                let prog = MinLabel::new(400);
+                let plan = ExecFaultPlan::clean().with_chunk_panic(faulty_iteration, 0, failures);
+                let inj = ExecInjector::new(plan);
+                let rctx = ResilienceContext::new().with_injector(&inj);
+                let run = run_resilient(&pg, &prog, &cfg, &rctx).unwrap();
+                assert_eq!(run.outcome, RunOutcome::Recovered, "{what}");
+                assert_eq!(
+                    prog.labels.to_vec_f64(),
+                    reference.labels.to_vec_f64(),
+                    "{what}"
+                );
+                assert_eq!(
+                    run.stats.profile.degraded_iterations,
+                    u64::from(degrades),
+                    "{what}"
+                );
+                let faulted: Vec<_> = run.stats.records.iter().filter(|r| r.retries > 0).collect();
+                assert_eq!(faulted.len(), 1, "{what}: one superstep saw the fault");
+                let rec = faulted[0];
+                assert_eq!(rec.iteration as usize, faulty_iteration, "{what}");
+                assert!(rec.has_resilience_event(), "{what}");
+                assert_eq!(rec.degraded, degrades, "{what}");
+                if degrades {
+                    assert!(!rec.pull_compacted, "{what}: the redo is a full-array pass");
+                    assert_eq!(rec.edge_parallelism, 1, "{what}");
+                    assert!(
+                        rec.idle_ns <= rec.edge_wall_ns,
+                        "{what}: idle from effective parallelism 1 is bounded by the \
+                         phase wall (got idle={}ns wall={}ns)",
+                        rec.idle_ns,
+                        rec.edge_wall_ns
+                    );
+                } else {
+                    assert_eq!(rec.pull_compacted, compact, "{what}");
+                    assert_eq!(rec.edge_parallelism, threads as u32, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub fn vertex_phase<P: GraphProgram>(
 }
 
 /// Touched-list length at which an unboundedly wide pool repays its one
-/// broadcast. The phase only runs on the hybrid driver's sparse path, where
+/// broadcast. The phase only runs on the driver's sparse path, where
 /// the pool has been left parked, so a broadcast costs ≈180 µs (see
 /// [`SPA_PARKED_VECTOR_CUTOFF`](crate::spmv::spa::SPA_PARKED_VECTOR_CUTOFF))
 /// against ≈10 ns per entry walked inline (`apply` + identity store;

@@ -20,8 +20,9 @@
 //!   semiring abstraction every engine's Edge-phase inner loop runs over
 //!   (DESIGN.md §16).
 //! * [`direction`] — the per-iteration pull/push and compaction cost model
-//!   shared by the hybrid and resilient drivers.
-//! * [`engine`] — Edge-Pull, Edge-Push, Vertex phases and the hybrid driver.
+//!   the driver consults once per superstep.
+//! * [`engine`] — Edge-Pull, Edge-Push, Vertex phases and the driver: one
+//!   superstep loop, with fault containment as an optional argument.
 //! * [`build`] — the profiled load → CSR/CSC → Vector-Sparse build driver
 //!   (per-phase timings on any thread count, ISSUE 5).
 //! * [`config`] — engine configuration (threads, groups, scheduling
@@ -55,7 +56,7 @@ pub use checkpoint::{Checkpoint, FrontierSnapshot};
 pub use config::{DirectionPolicy, EngineConfig, Granularity, PullMode, ResilienceConfig};
 pub use direction::{decide, out_degree_table, Decision};
 pub use engine::hybrid::{run_program, run_program_overlay_on_pool, EngineKind, ExecutionStats};
-pub use engine::pull::{active_vector_list, edge_pull_compact};
+pub use engine::pull::{active_vector_list, edge_pull};
 pub use engine::resilient::{
     run_resilient, run_resilient_on_pool, run_resilient_overlay_on_pool, EngineError,
     ResilienceContext, ResilientRun, RunOutcome,

@@ -101,7 +101,7 @@ pub fn num_chunks(num_vertices: usize) -> usize {
 /// of the inline time T threads actually save.
 pub const SPA_SEQ_VECTOR_CUTOFF: usize = 512;
 
-/// The same floor when the pool has been left parked — the hybrid driver's
+/// The same floor when the pool has been left parked — the driver's
 /// sparse supersteps (DESIGN.md §18), which run reset-free and
 /// Vertex-phase-inline and so never touch it. Rescheduling parked workers
 /// costs ≈180 µs per broadcast on the same host (traced: 2-thread steps of

@@ -4,8 +4,8 @@
 //! Figure 5b phase decomposition, write traffic, and the §9 resilience
 //! events — is captured here as one [`IterationRecord`] per executed
 //! superstep, pushed into a preallocated ring buffer
-//! ([`FlightRecorder`]). The drivers (`engine::hybrid`,
-//! `engine::resilient`) assemble each record from [`Profiler`] counter
+//! ([`FlightRecorder`]). The driver (`engine::hybrid`) assembles each
+//! record from [`Profiler`] counter
 //! deltas between supersteps, so the engine hot loops are untouched: when
 //! recording is disabled the per-iteration cost is a single branch and the
 //! per-phase cost is zero.

@@ -674,7 +674,7 @@ mod tests {
     #[test]
     fn catch_unwind_without_recovery_fires() {
         let f = file(
-            "crates/core/src/engine/resilient.rs",
+            "crates/core/src/engine/hybrid.rs",
             "let r = std::panic::catch_unwind(|| job());\n",
         );
         let v = recovery_comments(&f);
@@ -685,7 +685,7 @@ mod tests {
     #[test]
     fn catch_unwind_with_adjacent_recovery_passes() {
         let f = file(
-            "crates/core/src/engine/resilient.rs",
+            "crates/core/src/engine/pull.rs",
             "// RECOVERY: chunk state is discarded; a clean retry redoes it.\n\
              let r = std::panic::catch_unwind(|| job());\n",
         );

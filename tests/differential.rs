@@ -17,7 +17,10 @@
 use grazelle::core::config::{EngineConfig, ResilienceConfig, ScatterMode, SchedKind};
 use grazelle::core::engine::hybrid::{run_program_on_pool, EngineKind, ExecutionStats};
 use grazelle::core::engine::PreparedGraph;
-use grazelle::core::{run_resilient_on_pool, ResilienceContext, RunOutcome, VersionedGraph};
+use grazelle::core::{
+    run_program_overlay_on_pool, run_resilient_on_pool, run_resilient_overlay_on_pool,
+    GraphProgram, ResilienceContext, RunOutcome, VersionedGraph,
+};
 use grazelle::graph::delta::UpdateBatch;
 use grazelle::graph::edgelist::EdgeList;
 use grazelle::graph::gen::{erdos_renyi, grid_mesh, rmat, RmatConfig};
@@ -293,8 +296,129 @@ fn merged_plain(vg: &VersionedGraph) -> Graph {
     Graph::from_edgelist(&el).unwrap()
 }
 
+/// One program through the plain entry point and through the contained one
+/// with every mechanism off: the containment argument alone must change
+/// nothing — same persistent arrays bit for bit, same supersteps, same
+/// engine per superstep. (The transient accumulators are excluded: a sparse
+/// Vertex phase, which only the plain run takes, leaves them at the
+/// identity.)
+fn assert_containment_off_is_plain<P: GraphProgram>(
+    what: &str,
+    mk: impl Fn() -> P,
+    pg: &PreparedGraph,
+    delta: Option<&PreparedGraph>,
+    cfg: &EngineConfig,
+    pool: &ThreadPool,
+) {
+    fn persistent_bits<P: GraphProgram>(prog: &P) -> Vec<Vec<u64>> {
+        let acc = prog.accumulators();
+        let kept = prog
+            .checkpoint_arrays()
+            .into_iter()
+            .filter(|a| !std::ptr::eq(*a, acc));
+        kept.chain([prog.edge_values()])
+            .map(|a| a.to_vec_u64())
+            .collect()
+    }
+    let plain = mk();
+    let stats = run_program_overlay_on_pool(pg, delta, &plain, cfg, pool);
+    let contained = mk();
+    let run =
+        run_resilient_overlay_on_pool(pg, delta, &contained, cfg, &ResilienceContext::new(), pool)
+            .unwrap_or_else(|e| panic!("{what}: contained run failed: {e:?}"));
+    assert_eq!(run.outcome, RunOutcome::Clean, "{what}");
+    assert_eq!(run.resumed_from, None, "{what}");
+    assert_eq!(
+        persistent_bits(&contained),
+        persistent_bits(&plain),
+        "{what}: arrays"
+    );
+    assert_eq!(run.stats.iterations, stats.iterations, "{what}: supersteps");
+    assert_eq!(
+        run.stats.engine_trace, stats.engine_trace,
+        "{what}: engines"
+    );
+    assert_eq!(
+        run.stats.hit_iteration_cap, stats.hit_iteration_cap,
+        "{what}: cap"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Property: there is one driver. `run_resilient_overlay_on_pool` with
+    /// the guard, the watchdog and checkpointing off and an empty context
+    /// is `run_program_overlay_on_pool`, for every iterative kernel, graph
+    /// family and thread count, with and without a delta overlay.
+    #[test]
+    fn prop_containment_off_is_the_plain_run(
+        seed in 0u64..1_000_000,
+        root_pick in 0u32..64,
+    ) {
+        let off = ResilienceConfig {
+            watchdog: None,
+            divergence_guard: false,
+            checkpoint_every: 0,
+            ..ResilienceConfig::new()
+        };
+        for family in 0..3u8 {
+            let g = family_graph(family, seed);
+            let gw = weighted_copy(&g);
+            let n = g.num_vertices();
+            let root = root_pick % n as u32;
+            // One inserted edge per destination: PageRank's overlay fold
+            // sums floats with synchronized adds, whose order across
+            // threads is free — a single addend per accumulator has none.
+            let mut used = std::collections::HashSet::new();
+            let fresh: Vec<(u32, u32)> = fresh_sym_edges(&g, 8, seed)
+                .chunks(2)
+                .filter(|pair| used.insert(pair[0].0) & used.insert(pair[0].1))
+                .flatten()
+                .copied()
+                .collect();
+            prop_assert!(!fresh.is_empty());
+            for threads in [1usize, 2, 8] {
+                let pool = ThreadPool::single_group(threads);
+                let pgw = PreparedGraph::new_on_pool(&gw, &pool);
+                let pg = PreparedGraph::new_on_pool(&g, &pool);
+                let mut vg = VersionedGraph::new(Arc::new(g.clone()), Arc::new(pg));
+                for overlay in [false, true] {
+                    let cfg = EngineConfig::new().with_threads(threads).with_resilience(off);
+                    let what =
+                        |k: &str| format!("{k}/family {family}/x{threads}/overlay={overlay}");
+                    if overlay {
+                        vg.apply_batch(&UpdateBatch::from_inserts(&fresh), &pool).unwrap();
+                        prop_assert!(vg.view().delta_pg.is_some_and(|d| d.num_edges > 0));
+                    } else {
+                        // Overlays carry no weights, so SSSP has no overlay arm.
+                        assert_containment_off_is_plain(
+                            &what("sssp"), || Sssp::new(n, root), &pgw, None, &cfg, &pool,
+                        );
+                    }
+                    let (pg, delta) = (vg.view().pg, vg.view().delta_pg);
+                    assert_containment_off_is_plain(
+                        &what("bfs"), || Bfs::new(n, root), pg, delta, &cfg, &pool,
+                    );
+                    assert_containment_off_is_plain(
+                        &what("cc"), || ConnectedComponents::new(n), pg, delta, &cfg, &pool,
+                    );
+                    assert_containment_off_is_plain(
+                        &what("labelprop"), || LabelProp::new(&g), pg, delta, &cfg, &pool,
+                    );
+                    let pr = cfg.with_max_iterations(PR_ITERS);
+                    assert_containment_off_is_plain(
+                        &what("pagerank"), || PageRank::new(&g, pagerank::DAMPING), pg, delta, &pr, &pool,
+                    );
+                    // Peeling: one iteration per round plus one per threshold bump.
+                    let peel = cfg.with_max_iterations(2 * n + 64);
+                    assert_containment_off_is_plain(
+                        &what("kcore"), || KCore::new(&g), pg, delta, &peel, &pool,
+                    );
+                }
+            }
+        }
+    }
 
     /// Property: every arm of the configuration matrix reaches the same
     /// fixed point as the sequential references, on every graph family.

@@ -140,8 +140,10 @@ fn check_wide_engine(g: &Graph, label: &str) {
         &frontier,
         &pool,
         &scheds,
+        None,
         &mut merge,
         PullMode::SchedulerAware,
+        None,
         &prof,
     );
 
@@ -329,9 +331,7 @@ impl GraphProgram for FoldProg {
 /// over chunkings from one chunk to one vector per chunk — against a
 /// per-vertex fold of the in-neighbors.
 fn check_fused_pull(g: &Graph, label: &str) {
-    use grazelle::core::engine::pull::{
-        active_vector_list, edge_pull_compact, edge_pull_resilient, PullStatus,
-    };
+    use grazelle::core::engine::pull::{active_vector_list, Containment, PullStatus};
     use grazelle::core::faults::{ExecFaultPlan, ExecInjector};
     use grazelle_vsparse::simd::{detect, SimdLevel};
 
@@ -378,8 +378,10 @@ fn check_fused_pull(g: &Graph, label: &str) {
                         frontier,
                         &pool,
                         &scheds,
+                        None,
                         &mut merge,
                         PullMode::SchedulerAware,
+                        None,
                         &prof,
                     );
                     check(&format!("plain {arm}"));
@@ -398,17 +400,21 @@ fn check_fused_pull(g: &Graph, label: &str) {
                         let inj = ExecInjector::new(plan);
                         inj.set_iteration(0);
                         scheds.reset();
-                        let status = edge_pull_resilient(
+                        let status = edge_pull(
                             &vsd,
                             &kern,
                             frontier,
                             &pool,
                             &scheds,
-                            &mut merge,
-                            &Profiler::new(),
                             None,
-                            1,
-                            Some(&inj),
+                            &mut merge,
+                            PullMode::SchedulerAware,
+                            Some(&Containment {
+                                deadline: None,
+                                max_chunk_retries: 1,
+                                injector: Some(&inj),
+                            }),
+                            &Profiler::new(),
                         );
                         if fail {
                             assert_eq!(status, want_status, "{label}: {arm}");
@@ -423,14 +429,16 @@ fn check_fused_pull(g: &Graph, label: &str) {
                         .with_threads(2)
                         .with_granularity(Granularity::VectorsPerChunk(per_chunk));
                     let mut merge = SlotBuffer::new(1);
-                    edge_pull_compact(
+                    edge_pull(
                         &vsd,
                         &kern,
                         frontier,
-                        &active,
                         &pool,
-                        &cfg,
+                        &EdgeSchedulers::compact(&cfg, active.total_vectors(), &pool),
+                        Some(&active),
                         &mut merge,
+                        PullMode::SchedulerAware,
+                        None,
                         &Profiler::new(),
                     );
                     check(&format!("compact {level:?} /{per_chunk}"));

@@ -1,9 +1,11 @@
 //! End-to-end runs under the shadow write-tracker (`invariant-checks`).
 //!
 //! `cargo test --features invariant-checks` compiles the tracker into the
-//! engine: `run_program` audits the §3 exactly-once-write contract after
-//! every scheduler-aware Edge phase and panics on any violation, so simply
-//! running the applications here *is* the assertion. The property test
+//! engine: the driver (plain or contained) audits the §3
+//! exactly-once-write contract after every scheduler-aware Edge phase,
+//! checks at the end of the run that none went unaudited, and panics on
+//! any violation, so simply running the applications here *is* the
+//! assertion. The property test
 //! additionally drives the pull engine directly over random CSR graphs at
 //! 1/2/8 threads and verifies the tracker was engaged, not bypassed.
 
@@ -62,6 +64,35 @@ fn cc_runs_clean_under_tracker() {
         let cfg = EngineConfig::new().with_threads(threads);
         let labels = cc::run(&g, &cfg);
         assert_eq!(labels, want, "threads {threads}");
+    }
+}
+
+/// A contained clean run is audited like a plain one: every pull phase —
+/// dense at first, compacted once the frontier thins — closes its tracker
+/// phase, and the driver's end-of-run count (`phases_checked` = pull phases
+/// that completed in parallel) holds with containment on.
+#[test]
+fn contained_cc_runs_clean_under_tracker() {
+    use grazelle::core::{run_resilient_on_pool, EngineKind, ResilienceContext, RunOutcome};
+    let g = Dataset::Uk2007.build_scaled(-5);
+    let pg = PreparedGraph::new(&g);
+    for threads in [1usize, 2, 8] {
+        let cfg = EngineConfig::new()
+            .with_threads(threads)
+            .with_force_engine(Some(EngineKind::Pull))
+            .with_trace(true);
+        let pool = ThreadPool::single_group(threads);
+        let plain = cc::ConnectedComponents::new(g.num_vertices());
+        grazelle::core::engine::hybrid::run_program_on_pool(&pg, &plain, &cfg, &pool);
+        let prog = cc::ConnectedComponents::new(g.num_vertices());
+        let run = run_resilient_on_pool(&pg, &prog, &cfg, &ResilienceContext::new(), &pool)
+            .expect("clean contained run");
+        assert_eq!(run.outcome, RunOutcome::Clean, "threads {threads}");
+        assert_eq!(prog.labels(), plain.labels(), "threads {threads}");
+        assert!(
+            run.stats.records.iter().any(|r| r.pull_compacted),
+            "threads {threads}: the restricted (compacted) audit never ran"
+        );
     }
 }
 
@@ -197,8 +228,10 @@ proptest! {
                 &Frontier::all(n),
                 &pool,
                 &scheds,
+                None,
                 &mut merge,
                 PullMode::SchedulerAware,
+                None,
                 &prof,
             );
             let t = prof.tracker.as_ref().expect("tracker installed");
