@@ -42,7 +42,7 @@ use grazelle_sched::pool::ThreadPool;
 
 /// Unit-depth BFS as a min-propagation program.
 ///
-/// [`Bfs`] marks vertices converged on first visitation — correct for cold
+/// [`Bfs`](crate::bfs::Bfs) marks vertices converged on first visitation — correct for cold
 /// runs, but a warm re-run must let an inserted edge *improve* an
 /// already-visited vertex's depth. `UnitBfs` drops the converged set and
 /// propagates depths directly: `dist` holds the depth, `msg = dist + 1` is

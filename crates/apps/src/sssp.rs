@@ -4,11 +4,23 @@
 //! frontier to contain just a single vertex. It otherwise behaves the same
 //! way as Connected Components, all the way down to the use of minimization
 //! as its aggregation operator" (§6). The Edge phase is min-plus: each
-//! in-edge proposes `dist[src] + weight`, aggregated with Min via the
-//! [`gather_add_min`](grazelle_vsparse::simd::Kernels::gather_add_min)
-//! kernel.
+//! in-edge proposes `dist[src] + weight`, aggregated with Min — the
+//! [`MinPlus`](grazelle_vsparse::simd::MinPlus) reduction on the pull side.
 //!
-//! Weights must be non-negative (Bellman-Ford-style label correcting).
+//! The operator is the paper's; the schedule is not. Sending every vertex
+//! that improved (label correcting) relaxes an edge once per improvement of
+//! its source — ≈15 times on a road mesh. [`Sssp`] declares
+//! [`GraphProgram::priority_ordered`], so a plain run
+//! ([`run_prepared`], `run_program*`) on a weighted structure holds active
+//! vertices back in buckets of 8 mean edge weights of distance and sends
+//! the lowest bucket only (Δ-stepping; DESIGN.md §18): within ≈1.2× of
+//! Dijkstra's relaxations, for ≈1.5–2× the supersteps. The schedule is off,
+//! and the run label-correcting as before, under fault containment
+//! (`run_resilient*`, i.e. every served query), over a delta overlay, and
+//! when the structure's mean weight is zero or not finite. Distances are
+//! the same bits either way; superstep counts are not.
+//!
+//! Weights must be non-negative.
 
 use grazelle_core::config::EngineConfig;
 use grazelle_core::engine::hybrid::{run_program_on_pool, ExecutionStats};
@@ -94,6 +106,10 @@ impl GraphProgram for Sssp {
     }
 
     fn identity_apply_is_noop(&self) -> bool {
+        true
+    }
+
+    fn priority_ordered(&self) -> bool {
         true
     }
 

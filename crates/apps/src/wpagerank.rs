@@ -8,8 +8,8 @@
 //! pattern: rank mass flows along edges **proportionally to edge weight**
 //! (`w_uv / W_u` instead of `1 / outdeg(u)`), exercising the appended
 //! weight vectors end-to-end through the
-//! [`gather_weighted_sum`](grazelle_vsparse::simd::Kernels::gather_weighted_sum)
-//! kernel.
+//! [`WeightedSum`](grazelle_vsparse::simd::WeightedSum) reduction of the
+//! chunk walker.
 //!
 //! Weights must be positive.
 

@@ -234,6 +234,8 @@ mod tests {
             rollbacks: 0,
             vertex_touched: 0,
             acc_resets_skipped: 0,
+            bucket_steps: 0,
+            held_back: 0,
             build: None,
         }
     }

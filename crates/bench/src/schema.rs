@@ -44,8 +44,11 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// `ablate-push-spa` experiment's `spa:{atomic,spa,auto}:{bfs,sssp}:*`
 /// labels, whose `secs` is the push Edge-phase wall (not end-to-end).
 /// Minor 6: `profile.vertex_touched` / `profile.acc_resets_skipped`, the
-/// sparse Vertex phase's per-run totals (DESIGN.md §18).
-pub const SCHEMA_MINOR: u64 = 6;
+/// sparse Vertex phase's per-run totals (DESIGN.md §18). Minor 7:
+/// `profile.bucket_steps` / `profile.held_back`, the priority schedule's
+/// (supersteps run from one bucket; active vertices held back, summed over
+/// them).
+pub const SCHEMA_MINOR: u64 = 7;
 
 /// The load → CSR/CSC → Vector-Sparse phase breakdown attached to runs of
 /// build experiments (`build-throughput`). Mirrors
@@ -124,6 +127,10 @@ pub struct RunRecord {
     pub vertex_touched: u64,
     /// Supersteps that skipped the accumulator reset.
     pub acc_resets_skipped: u64,
+    /// Supersteps whose frontier was one bucket of the priority schedule.
+    pub bucket_steps: u64,
+    /// Active vertices held back in later buckets, summed over those.
+    pub held_back: u64,
     /// Ingestion phase breakdown — `Some` only for build experiments
     /// (schema minor 1, additive).
     pub build: Option<BuildRecord>,
@@ -151,6 +158,8 @@ impl RunRecord {
             rollbacks: p.divergence_rollbacks,
             vertex_touched: p.vertex_touched,
             acc_resets_skipped: p.acc_resets_skipped,
+            bucket_steps: p.bucket_steps,
+            held_back: p.held_back,
             build: None,
         }
     }
@@ -179,6 +188,8 @@ impl RunRecord {
             rollbacks: 0,
             vertex_touched: 0,
             acc_resets_skipped: 0,
+            bucket_steps: 0,
+            held_back: 0,
             build: Some(BuildRecord::from_profile(profile)),
         }
     }
@@ -204,6 +215,8 @@ impl RunRecord {
             rollbacks: 0,
             vertex_touched: 0,
             acc_resets_skipped: 0,
+            bucket_steps: 0,
+            held_back: 0,
             build: None,
         }
     }
@@ -233,6 +246,8 @@ impl RunRecord {
                         "acc_resets_skipped",
                         Json::Num(self.acc_resets_skipped as f64),
                     ),
+                    ("bucket_steps", Json::Num(self.bucket_steps as f64)),
+                    ("held_back", Json::Num(self.held_back as f64)),
                 ]),
             ),
         ];
@@ -367,6 +382,8 @@ mod tests {
             rollbacks: 0,
             vertex_touched: 0,
             acc_resets_skipped: 0,
+            bucket_steps: 0,
+            held_back: 0,
             build: None,
         }
     }

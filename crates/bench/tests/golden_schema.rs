@@ -46,6 +46,8 @@ fn golden_doc() -> Json {
             rollbacks: 0,
             vertex_touched: 0,
             acc_resets_skipped: 0,
+            bucket_steps: 0,
+            held_back: 0,
             build: None,
         },
         RunRecord {
@@ -66,6 +68,8 @@ fn golden_doc() -> Json {
             rollbacks: 0,
             vertex_touched: 0,
             acc_resets_skipped: 0,
+            bucket_steps: 0,
+            held_back: 0,
             build: None,
         },
         RunRecord {
@@ -88,6 +92,9 @@ fn golden_doc() -> Json {
             // sparse Vertex phase.
             vertex_touched: 9_216,
             acc_resets_skipped: 4,
+            // Schema minor 7: three of them on the priority schedule.
+            bucket_steps: 3,
+            held_back: 57,
             build: None,
         },
         // Schema minor 1: a build-pipeline run with the ingestion
@@ -221,6 +228,8 @@ fn golden_preserves_required_fields() {
         "rollbacks",
         "vertex_touched",
         "acc_resets_skipped",
+        "bucket_steps",
+        "held_back",
     ] {
         assert!(profile.get(key).is_some(), "missing profile '{key}'");
     }

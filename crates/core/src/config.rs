@@ -146,8 +146,13 @@ pub struct EngineConfig {
     /// pull engine ("selects its pull engine whenever a sufficiently large
     /// part of the graph is contained in the frontier", §2).
     pub pull_threshold: f64,
-    /// Hard iteration cap (the artifact's `-N` for PageRank; safety net for
-    /// convergence-driven applications).
+    /// Hard iteration cap: the artifact's `-N` for PageRank. For
+    /// convergence-driven applications (BFS, SSSP, CC, Reach) it is a safety
+    /// net, not a tuning value — when it fires the result is truncated and
+    /// [`ExecutionStats::hit_iteration_cap`](crate::engine::hybrid::ExecutionStats::hit_iteration_cap)
+    /// says so. Their superstep count grows with the graph's diameter
+    /// (SSSP's priority schedule takes up to about twice it), so callers on
+    /// high-diameter graphs size it to the graph, e.g. `V + 1`.
     pub max_iterations: usize,
     /// Overrides hybrid engine selection: `Some(kind)` pins every Edge
     /// phase to one engine. Used by the Figure 11 per-engine comparisons

@@ -26,6 +26,13 @@
 //! frontier density: a sparse frontier on a dense graph still activates
 //! almost every destination, making compaction pure overhead.
 //!
+//! Under the priority schedule (DESIGN.md §18) the frontier a superstep
+//! starts from is one drained bucket, so `frontier_edges` is that bucket's
+//! out-edges, not those of every vertex that improved. That is what stops
+//! [`ALPHA`] = 14 — ≈3× too eager for pull on the road mesh — from choosing
+//! a 1.2 ms pull over a 0.4 ms push for SSSP's former ≈12 k-edge wavefronts:
+//! a bucket's few hundred edges are never within 1/14 of the graph.
+//!
 //! Every input is a pure function of the iteration's frontier/converged
 //! state, so the decision is deterministic and thread-count independent —
 //! which is what keeps hybrid runs bit-identical to forced-pull and
@@ -78,6 +85,16 @@ pub const SPARSE_VERTEX_TOUCHED_DIVISOR: u64 = 4;
 pub fn sparse_vertex_fits(touched: u64, num_vertices: usize) -> bool {
     touched.saturating_mul(SPARSE_VERTEX_TOUCHED_DIVISOR) <= num_vertices as u64
 }
+
+/// Bucket width of the priority schedule (DESIGN.md §18), in mean edge
+/// weights of the structure being run: Δ-stepping's Δ. Narrow buckets send
+/// fewer vertices twice but take more supersteps; wide ones approach the
+/// label-correcting schedule (every improved vertex, every superstep). On
+/// the road mesh relaxations stay within 1.2× of Dijkstra's and the solve
+/// time is flat across 4–16 (sweep in EXPERIMENTS.md "Work-efficient
+/// SSSP"), so this is a constant, not a knob. It moves superstep counts,
+/// never results.
+pub const BUCKET_WIDTH_PER_MEAN_WEIGHT: f64 = 8.0;
 
 /// Frontiers larger than this are costed with the average-degree
 /// approximation instead of an exact out-degree sum, bounding the

@@ -21,12 +21,13 @@ use crate::engine::resilient::{
 };
 use crate::engine::vertex::{reset_accumulators, sparse_vertex_phase, vertex_phase};
 use crate::engine::PreparedGraph;
-use crate::frontier::{DenseBitmap, Frontier};
+use crate::frontier::{BucketQueue, DenseBitmap, Frontier};
 use crate::program::GraphProgram;
 use crate::spmv::program_kernel;
 use crate::spmv::spa::SpaScratch;
 use crate::stats::{PhaseProfile, Profiler};
 use crate::trace::{Deadline, FlightRecorder, IterationRecord, SpanClock};
+use grazelle_graph::types::VertexId;
 use grazelle_sched::pool::ThreadPool;
 use grazelle_sched::slots::SlotBuffer;
 use grazelle_vsparse::simd::Kernels;
@@ -217,6 +218,39 @@ pub(super) fn drive<P: GraphProgram>(
     // assume a full sweep.
     let sparse_vertex =
         !contained && prog.uses_frontier() && prog.identity_apply_is_noop() && overlay.is_none();
+    // Representation switch (sparse-frontier extension): near-empty
+    // frontiers become sorted vertex lists so the next push iteration
+    // is O(|F|) instead of an O(|V|/64) bitmap scan.
+    let as_list = |active: usize| {
+        cfg.sparse_frontier && (active as f64) <= cfg.sparse_threshold * pg.num_vertices as f64
+    };
+    // A frontier of `vertices` (ascending) in the representation its size
+    // calls for.
+    let list_or_bitmap = |vertices: Vec<VertexId>| {
+        if as_list(vertices.len()) {
+            Frontier::Sparse {
+                len: pg.num_vertices,
+                vertices,
+            }
+        } else {
+            Frontier::from_vertices(pg.num_vertices, &vertices)
+        }
+    };
+    // Priority schedule (DESIGN.md §18): more, narrower supersteps only pay
+    // where a superstep costs its own work, so it shares the sparse Vertex
+    // phase's run-level eligibility and asks nothing more than the program's
+    // contract and a usable mean edge weight to size the buckets by.
+    let mut queue = (sparse_vertex && prog.priority_ordered())
+        .then(|| pg.vss.mean_weight())
+        .flatten()
+        .filter(|mean| *mean > 0.0 && mean.is_finite())
+        .map(|mean| {
+            let width = crate::direction::BUCKET_WIDTH_PER_MEAN_WEIGHT * mean;
+            BucketQueue::new(pg.num_vertices, width)
+        });
+    if let Some(q) = queue.as_mut() {
+        frontier = reschedule(q, &frontier, prog, list_or_bitmap);
+    }
     // Driver-tracked invariant: every accumulator holds the identity. Only
     // a sparse Vertex phase establishes it; any other superstep clears it.
     let mut acc_clean = false;
@@ -273,6 +307,15 @@ pub(super) fn drive<P: GraphProgram>(
         // (and the matching one at record time).
         let snap_before = recorder.is_enabled().then(|| prof.snapshot());
         let sparse_repr = matches!(frontier, Frontier::Sparse { .. });
+        // On the priority schedule: the bucket this superstep's frontier
+        // was drained from and the active vertices held back behind it.
+        let scheduled = queue
+            .as_ref()
+            .map(|q| (q.last_drained(), q.pending() as u64));
+        if let Some((_, held_back)) = scheduled {
+            prof.add(&prof.bucket_steps, 1);
+            prof.add(&prof.held_back, held_back);
+        }
         if acc_clean {
             #[cfg(feature = "invariant-checks")]
             assert_accumulators_identity(prog, iter);
@@ -443,12 +486,6 @@ pub(super) fn drive<P: GraphProgram>(
             prog.accumulators().set_f64(v, f64::NAN);
         }
 
-        // Representation switch (sparse-frontier extension): near-empty
-        // frontiers become sorted vertex lists so the next push iteration
-        // is O(|F|) instead of an O(|V|/64) bitmap scan.
-        let as_list = |active: usize| {
-            cfg.sparse_frontier && (active as f64) <= cfg.sparse_threshold * pg.num_vertices as f64
-        };
         // Sparse Vertex phase (DESIGN.md §18): an SPA push over clean
         // accumulators wrote exactly the touched list, so a program whose
         // `apply` ignores identity accumulators needs no other vertex
@@ -467,21 +504,12 @@ pub(super) fn drive<P: GraphProgram>(
         let mut vertex_parallelism = pool.num_threads() as u32;
         // The Vertex phase's activation count and, for frontier programs,
         // the frontier the next superstep starts from.
-        let (active, next_frontier) = if go_sparse {
+        let (mut active, mut next_frontier) = if go_sparse {
             let run = sparse_vertex_phase(prog, pool, &spa_scratch, &prof);
             #[cfg(feature = "invariant-checks")]
             assert_dense_sweep_adds_nothing(prog, iter);
             vertex_parallelism = run.parallelism;
-            let active = run.activated.len();
-            let next = if as_list(active) {
-                Frontier::Sparse {
-                    len: pg.num_vertices,
-                    vertices: run.activated,
-                }
-            } else {
-                Frontier::from_vertices(pg.num_vertices, &run.activated)
-            };
-            (active, Some(next))
+            (run.activated.len(), Some(list_or_bitmap(run.activated)))
         } else {
             let bitmap = || {
                 prog.uses_frontier()
@@ -514,6 +542,13 @@ pub(super) fn drive<P: GraphProgram>(
         if deadline.is_some_and(|dl| dl.expired()) {
             return Err(stalled);
         }
+        // On the priority schedule the activations join the vertices held
+        // back earlier, the next superstep starts from the lowest bucket of
+        // the lot, and `should_stop` sees everything still waiting.
+        if let (Some(q), Some(next)) = (queue.as_mut(), next_frontier.as_mut()) {
+            *next = reschedule(q, next, prog, list_or_bitmap);
+            active = next.count() + q.pending();
+        }
 
         // One record per *executed* superstep, assembled from the selection
         // state above. The trace reports the same density selection used
@@ -542,6 +577,10 @@ pub(super) fn drive<P: GraphProgram>(
             rec.dir_frontier_edges = decision.frontier_edges;
             rec.dir_unvisited_edges = decision.unvisited_edges;
             rec.scatter_mode = (!use_pull).then_some(decision.scatter);
+            if let Some((bucket, held_back)) = scheduled {
+                rec.bucket = Some(bucket);
+                rec.held_back = held_back;
+            }
             recorder.push(rec);
         };
         if let (Some(lg), Some(sc)) = (last_good.as_mut(), scratch.as_mut()) {
@@ -592,6 +631,17 @@ pub(super) fn drive<P: GraphProgram>(
         }
     }
 
+    // A run that stopped of its own accord has sent every vertex it
+    // activated: nothing may be left waiting in a bucket.
+    #[cfg(feature = "invariant-checks")]
+    if let Some(q) = queue.as_mut().filter(|_| program_stopped) {
+        assert_eq!(
+            (frontier.count(), q.drain_lowest()),
+            (0, None),
+            "the priority schedule stopped with vertices still waiting"
+        );
+    }
+
     // A mismatch means an Edge phase ran unaudited (a weaving bug, not a
     // scheduling one).
     #[cfg(feature = "invariant-checks")]
@@ -630,6 +680,21 @@ pub(super) fn drive<P: GraphProgram>(
         outcome,
         resumed_from,
     })
+}
+
+/// One step of the priority schedule (DESIGN.md §18): files `activated` by
+/// the program's current values and drains the lowest bucket of everything
+/// now waiting as the next superstep's frontier, built by `list_or_bitmap`
+/// (empty when nothing is waiting).
+fn reschedule<P: GraphProgram>(
+    queue: &mut BucketQueue,
+    activated: &Frontier,
+    prog: &P,
+    list_or_bitmap: impl Fn(Vec<VertexId>) -> Frontier,
+) -> Frontier {
+    let values = prog.edge_values();
+    queue.file_all(activated, |v| values.get_f64(v as usize));
+    list_or_bitmap(queue.drain_lowest().unwrap_or_default())
 }
 
 /// Runs one whole phase (push, overlay fold or Vertex sweep): as is without

@@ -4,7 +4,7 @@
 //!
 //! This variant runs the same scheduler-aware algorithm as
 //! [`edge_pull`](crate::engine::pull::edge_pull) over a
-//! [`VectorSparse<8>`] structure with the [`Kernels8`] gather set. It
+//! [`VectorSparse<8>`] structure with the [`Kernels8`](grazelle_vsparse::simd::Kernels8) gather set. It
 //! supports the unweighted edge function (`Value`) with any aggregation
 //! operator — enough to drive PageRank/CC/BFS-shaped Edge phases for the
 //! vector-width ablation. The trade it quantifies: half as many vectors

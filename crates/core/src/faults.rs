@@ -1,7 +1,7 @@
 //! Deterministic execution-fault injection for the resilience layer.
 //!
 //! The I/O half of the fault model lives in
-//! [`grazelle_graph::faults`](grazelle_graph::faults); this module covers
+//! [`grazelle_graph::faults`]; this module covers
 //! the execution half: worker panics pinned to a specific `(iteration,
 //! chunk)`, an injected superstep stall for the watchdog to catch, and a
 //! NaN poisoned into an accumulator for the divergence guard to catch.

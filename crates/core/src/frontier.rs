@@ -9,9 +9,12 @@
 //! with relaxed RMWs during the Vertex phase, scanned with
 //! `u64::trailing_zeros` (which compiles to `tzcnt`) during the Edge phase.
 //! [`Frontier`] adds the *all-active* fast path used by applications like
-//! PageRank that cannot use a frontier at all.
+//! PageRank that cannot use a frontier at all. [`BucketQueue`] holds back
+//! the active vertices a priority-ordered run (DESIGN.md §18) has not
+//! reached yet.
 
 use grazelle_graph::types::VertexId;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fixed-capacity atomic bit set over vertex identifiers.
@@ -289,6 +292,121 @@ impl std::fmt::Debug for Frontier {
     }
 }
 
+/// The pending active vertices of a priority-ordered run, binned by
+/// `⌊priority / width⌋` (Δ-stepping's buckets; DESIGN.md §18). The driver
+/// files every Vertex phase's activations here and starts the next
+/// superstep from the lowest non-empty bucket only.
+///
+/// Invariant: a pending vertex sits in the bucket of the priority it was
+/// last filed with. `slot` is the authority; a bucket's list may still hold
+/// an entry for a vertex that has since been re-filed elsewhere, which
+/// [`drain_lowest`](Self::drain_lowest) drops when it gets there. Contents
+/// depend only on the sequence of `file` calls, never on thread counts.
+#[derive(Debug)]
+pub struct BucketQueue {
+    width: f64,
+    /// Bucket each vertex is pending in ([`Self::IDLE`] = not pending).
+    slot: Vec<u32>,
+    /// Entries per bucket in filing order; no vertex is listed twice in one
+    /// bucket while it is pending there.
+    buckets: BTreeMap<u32, Vec<VertexId>>,
+    pending: usize,
+    /// Index of the bucket drained last (0 before the first drain).
+    last_drained: u32,
+}
+
+impl BucketQueue {
+    const IDLE: u32 = u32::MAX;
+
+    /// An empty queue over `num_vertices` vertices with buckets `width`
+    /// wide; `width` must be positive and finite.
+    pub fn new(num_vertices: usize, width: f64) -> Self {
+        assert!(
+            width > 0.0 && width.is_finite(),
+            "bucket width must be positive and finite, got {width}"
+        );
+        BucketQueue {
+            width,
+            slot: vec![Self::IDLE; num_vertices],
+            buckets: BTreeMap::new(),
+            pending: 0,
+            last_drained: 0,
+        }
+    }
+
+    /// The bucket a priority falls in. Negative and NaN priorities land in
+    /// bucket 0 and everything from `(u32::MAX − 1) · width` up shares the
+    /// last bucket: order inside a bucket is not relied on, so a saturated
+    /// index costs re-relaxations, never correctness.
+    pub fn bucket_of(&self, priority: f64) -> u32 {
+        // `as` saturates (and maps NaN to 0); `IDLE` stays reserved.
+        ((priority / self.width) as u32).min(Self::IDLE - 1)
+    }
+
+    /// Makes `v` pending at `priority`, moving it if it was pending in
+    /// another bucket and doing nothing if it already sits in the right one.
+    pub fn file(&mut self, v: VertexId, priority: f64) {
+        let bucket = self.bucket_of(priority);
+        let slot = &mut self.slot[v as usize];
+        if *slot == bucket {
+            return;
+        }
+        if *slot == Self::IDLE {
+            self.pending += 1;
+        }
+        *slot = bucket;
+        self.buckets.entry(bucket).or_default().push(v);
+    }
+
+    /// [`file`](Self::file) for every vertex of `activated`, in ascending
+    /// order, at `priority(v)`.
+    pub fn file_all(&mut self, activated: &Frontier, priority: impl Fn(VertexId) -> f64) {
+        match activated {
+            Frontier::All { len } => (0..*len as VertexId).for_each(|v| self.file(v, priority(v))),
+            Frontier::Dense(bm) => bm.iter().for_each(|v| self.file(v, priority(v))),
+            Frontier::Sparse { vertices, .. } => {
+                vertices.iter().for_each(|&v| self.file(v, priority(v)))
+            }
+        }
+    }
+
+    /// Vertices filed and not yet drained.
+    pub fn pending(&self) -> usize {
+        self.pending
+    }
+
+    /// The bucket the last non-empty [`drain_lowest`](Self::drain_lowest)
+    /// emptied; 0 before the first.
+    pub fn last_drained(&self) -> u32 {
+        self.last_drained
+    }
+
+    /// Removes the lowest bucket that still holds a pending vertex and
+    /// returns its vertices in ascending order; `None` when nothing is
+    /// pending. A drained vertex filed again — even into the same bucket —
+    /// is pending again.
+    pub fn drain_lowest(&mut self) -> Option<Vec<VertexId>> {
+        while let Some((bucket, mut vertices)) = self.buckets.pop_first() {
+            vertices.retain(|&v| {
+                let slot = &mut self.slot[v as usize];
+                let live = *slot == bucket;
+                if live {
+                    *slot = Self::IDLE;
+                }
+                live
+            });
+            if !vertices.is_empty() {
+                self.pending -= vertices.len();
+                self.last_drained = bucket;
+                vertices.sort_unstable();
+                return Some(vertices);
+            }
+        }
+        debug_assert_eq!(self.pending, 0, "a pending vertex is in no bucket");
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,7 +539,143 @@ mod tests {
         Frontier::sparse(5, &[5]);
     }
 
+    #[test]
+    fn bucket_queue_drains_lowest_first_in_ascending_order() {
+        let mut q = BucketQueue::new(10, 2.0);
+        assert_eq!(q.drain_lowest(), None, "nothing filed, nothing to run");
+        for (v, p) in [(7, 5.5), (3, 0.5), (9, 1.9), (1, 4.0), (0, 0.0)] {
+            q.file(v, p);
+        }
+        assert_eq!(q.pending(), 5);
+        assert_eq!(
+            (q.drain_lowest(), q.last_drained()),
+            (Some(vec![0, 3, 9]), 0)
+        );
+        assert_eq!(q.pending(), 2);
+        assert_eq!((q.drain_lowest(), q.last_drained()), (Some(vec![1, 7]), 2));
+        assert_eq!((q.pending(), q.drain_lowest()), (0, None));
+    }
+
+    #[test]
+    fn bucket_queue_files_a_vertex_once_per_bucket() {
+        let mut q = BucketQueue::new(4, 1.0);
+        q.file(2, 3.9);
+        q.file(2, 3.1); // improved, same bucket
+        q.file(2, 3.1);
+        assert_eq!(q.pending(), 1);
+        assert_eq!((q.drain_lowest(), q.last_drained()), (Some(vec![2]), 3));
+        assert_eq!(q.drain_lowest(), None);
+    }
+
+    #[test]
+    fn bucket_queue_drops_the_entry_a_vertex_left_behind() {
+        let mut q = BucketQueue::new(4, 1.0);
+        q.file(1, 5.5);
+        q.file(3, 5.0);
+        q.file(1, 2.5); // improved into an earlier bucket
+        assert_eq!(q.pending(), 2, "moving is not a second activation");
+        assert_eq!((q.drain_lowest(), q.last_drained()), (Some(vec![1]), 2));
+        assert_eq!(
+            (q.drain_lowest(), q.last_drained()),
+            (Some(vec![3]), 5),
+            "stale 1 dropped"
+        );
+        // A bucket holding nothing but stale entries is skipped, not
+        // returned empty.
+        q.file(0, 9.0);
+        q.file(0, 1.0);
+        assert_eq!((q.drain_lowest(), q.last_drained()), (Some(vec![0]), 1));
+        assert_eq!((q.pending(), q.drain_lowest()), (0, None));
+        // There and back again: two entries in bucket 7, one vertex.
+        q.file(2, 7.0);
+        q.file(2, 4.0);
+        q.file(2, 7.5);
+        assert_eq!(q.pending(), 1);
+        assert_eq!((q.drain_lowest(), q.last_drained()), (Some(vec![2]), 7));
+        assert_eq!(q.drain_lowest(), None);
+    }
+
+    #[test]
+    fn bucket_queue_refiles_into_the_bucket_just_drained() {
+        let mut q = BucketQueue::new(4, 4.0);
+        q.file(0, 0.0);
+        q.file(1, 5.0);
+        assert_eq!((q.drain_lowest(), q.last_drained()), (Some(vec![0]), 0));
+        // Sending 0 improved 2 and, through a zero-weight cycle, 0 itself.
+        q.file(2, 1.0);
+        q.file(0, 0.0);
+        assert_eq!(q.pending(), 3);
+        assert_eq!((q.drain_lowest(), q.last_drained()), (Some(vec![0, 2]), 0));
+        assert_eq!((q.drain_lowest(), q.last_drained()), (Some(vec![1]), 1));
+    }
+
+    #[test]
+    fn bucket_queue_index_saturates() {
+        let mut q = BucketQueue::new(5, 1e-300);
+        assert_eq!(q.bucket_of(-1.0), 0);
+        assert_eq!(q.bucket_of(f64::NAN), 0);
+        let top = q.bucket_of(f64::INFINITY);
+        assert_eq!(top, u32::MAX - 1, "the idle mark stays out of reach");
+        assert_eq!(q.bucket_of(1.0), top);
+        q.file(4, 1.0);
+        q.file(2, f64::MAX);
+        q.file(3, 0.0);
+        assert_eq!((q.drain_lowest(), q.last_drained()), (Some(vec![3]), 0));
+        assert_eq!(
+            (q.drain_lowest(), q.last_drained()),
+            (Some(vec![2, 4]), top)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket width")]
+    fn bucket_queue_rejects_a_zero_width() {
+        BucketQueue::new(3, 0.0);
+    }
+
+    #[test]
+    fn bucket_queue_files_every_frontier_representation_alike() {
+        let list = [1u32, 4, 6];
+        for frontier in [
+            Frontier::from_vertices(8, &list),
+            Frontier::sparse(8, &list),
+        ] {
+            let mut q = BucketQueue::new(8, 10.0);
+            q.file_all(&frontier, |v| v as f64 * 3.0);
+            assert_eq!((q.drain_lowest(), q.last_drained()), (Some(vec![1]), 0));
+            assert_eq!((q.drain_lowest(), q.last_drained()), (Some(vec![4, 6]), 1));
+        }
+        let mut q = BucketQueue::new(3, 1.0);
+        q.file_all(&Frontier::all(3), |_| 0.5);
+        assert_eq!(
+            (q.drain_lowest(), q.last_drained()),
+            (Some(vec![0, 1, 2]), 0)
+        );
+    }
+
     proptest! {
+        /// Whatever is filed comes out exactly once per activation, lowest
+        /// bucket first, each drain ascending — against a map-based model.
+        #[test]
+        fn prop_bucket_queue_matches_a_model(
+            ops in proptest::collection::vec((0u32..40, 0u32..12, any::<bool>()), 0..200),
+        ) {
+            let mut q = BucketQueue::new(40, 1.0);
+            let mut model: std::collections::BTreeMap<u32, u32> = Default::default();
+            for (v, bucket, drain) in ops {
+                q.file(v, bucket as f64 + 0.5);
+                model.insert(v, bucket);
+                prop_assert_eq!(q.pending(), model.len());
+                if drain {
+                    let lowest = *model.values().min().unwrap();
+                    let want: Vec<u32> =
+                        model.iter().filter(|(_, &b)| b == lowest).map(|(&v, _)| v).collect();
+                    model.retain(|_, b| *b != lowest);
+                    prop_assert_eq!((q.drain_lowest(), q.last_drained()), (Some(want), lowest));
+                }
+            }
+        }
+
         /// Sparse and dense representations of the same active set agree
         /// on every query the engines issue.
         #[test]

@@ -179,6 +179,26 @@ pub trait GraphProgram: Sync {
         false
     }
 
+    /// Program contract (DESIGN.md §18): `true` declares that the run's
+    /// result is the same whichever of the active vertices are sent first —
+    /// holding some back, for any number of supersteps, changes neither that
+    /// the run ends nor the final bits of any
+    /// [`checkpoint_arrays`](Self::checkpoint_arrays) entry except the
+    /// transient accumulators (monotone Min relaxation has one fixpoint);
+    /// that `edge_values()[v]` is `v`'s priority, lower first; and that a
+    /// message is never below its sender's value (non-negative weights), so
+    /// sending the lowest values first sends few vertices twice. The hybrid
+    /// driver may then start each superstep from the lowest
+    /// [`BucketQueue`](crate::frontier::BucketQueue) bucket only and hand
+    /// [`should_stop`](Self::should_stop) the number of vertices still
+    /// waiting, which must not end the run while that number is non-zero
+    /// (`invariant-checks` builds assert it). Superstep counts change;
+    /// results do not. A program whose result depends on which message
+    /// arrives first (BFS's first-visit parents) must leave it `false`.
+    fn priority_ordered(&self) -> bool {
+        false
+    }
+
     /// Whether this application tracks a frontier at all. `false` (e.g.
     /// PageRank) means every vertex is active every iteration.
     fn uses_frontier(&self) -> bool;
@@ -212,7 +232,9 @@ pub trait GraphProgram: Sync {
     fn pre_iteration(&self, _iteration: usize) {}
 
     /// Termination test, called after each Vertex phase with the number of
-    /// vertices activated for the next iteration.
+    /// vertices activated for the next iteration — under
+    /// [`priority_ordered`](Self::priority_ordered), the number waiting to
+    /// be sent, the next superstep's share included.
     fn should_stop(&self, _iteration: usize, active: usize) -> bool {
         self.uses_frontier() && active == 0
     }

@@ -36,7 +36,8 @@
 //!   fixed order, so the per-destination combine order is the single
 //!   globally increasing source order — independent of `T`, of which
 //!   worker claims which chunk, and of claim timing.
-//! * [`fold_into`] replicates [`scatter_combine`]'s value semantics
+//! * The merge's `fold_into` replicates
+//!   [`scatter_combine`](crate::spmv::scatter_combine)'s value semantics
 //!   exactly (including `fetch_min_f64`/`fetch_max_f64`'s NaN behaviour),
 //!   so a fold sequence produces the same bits as the same combine
 //!   sequence through the atomic arm.
@@ -97,7 +98,7 @@ pub fn num_chunks(num_vertices: usize) -> usize {
 /// a phase moments ago, as they have under the dense Vertex phase. An
 /// unboundedly wide pool therefore repays its wake-ups past
 /// `70 µs / 60–100 ns ≈ 700–1200` vectors; 512 keeps PR 10's value as the
-/// floor and [`inline_vector_cutoff`] scales it by `T/(T − 1)`, the share
+/// floor and `inline_vector_cutoff` scales it by `T/(T − 1)`, the share
 /// of the inline time T threads actually save.
 pub const SPA_SEQ_VECTOR_CUTOFF: usize = 512;
 

@@ -22,7 +22,7 @@ use std::time::Duration;
 /// Thread-safe accumulation of one run's timing and traffic counters.
 ///
 /// Under the `invariant-checks` feature the profiler can additionally carry
-/// a [`WriteTracker`](grazelle_sched::invariants::WriteTracker): the pull
+/// a `grazelle_sched::invariants::WriteTracker`: the pull
 /// engines record every interior store, merge-slot claim, and merge fold
 /// into it and audit the §3 exactly-once-write contract after each Edge
 /// phase. The field rides on the profiler because the profiler is already
@@ -71,6 +71,12 @@ pub struct Profiler {
     /// Supersteps that skipped the accumulator reset because the previous
     /// sparse Vertex phase left every accumulator at the identity.
     pub acc_resets_skipped: AtomicU64,
+    /// Supersteps whose frontier was one bucket of the priority schedule
+    /// (DESIGN.md §18).
+    pub bucket_steps: AtomicU64,
+    /// Active vertices held back in later buckets, summed over those
+    /// supersteps.
+    pub held_back: AtomicU64,
     /// Chunks re-executed after their worker panicked (resilient path).
     pub chunk_retries: AtomicU64,
     /// Worker panics observed and contained by the resilient path.
@@ -198,8 +204,10 @@ impl Profiler {
             spa_chunks_touched: self.spa_chunks_touched.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
             vertex_touched: self.vertex_touched.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
             acc_resets_skipped: self.acc_resets_skipped.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
+            bucket_steps: self.bucket_steps.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
+            held_back: self.held_back.load(Ordering::Relaxed),       // ATOMIC: relaxed-counter
             chunk_retries: self.chunk_retries.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
-            chunk_panics: self.chunk_panics.load(Ordering::Relaxed),   // ATOMIC: relaxed-counter
+            chunk_panics: self.chunk_panics.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
             degraded_iterations: self.degraded_iterations.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
             checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
             checkpoint_restores: self.checkpoint_restores.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
@@ -227,6 +235,8 @@ pub struct PhaseProfile {
     pub spa_chunks_touched: u64,
     pub vertex_touched: u64,
     pub acc_resets_skipped: u64,
+    pub bucket_steps: u64,
+    pub held_back: u64,
     pub chunk_retries: u64,
     pub chunk_panics: u64,
     pub degraded_iterations: u64,

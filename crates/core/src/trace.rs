@@ -154,6 +154,11 @@ pub struct IterationRecord {
     /// True when this superstep skipped the accumulator reset: the previous
     /// sparse Vertex phase left every accumulator at the identity.
     pub acc_reset_skipped: bool,
+    /// Bucket of the priority schedule this superstep's frontier was
+    /// drained from (DESIGN.md §18); `None` off the schedule.
+    pub bucket: Option<u32>,
+    /// Active vertices held back in later buckets while this superstep ran.
+    pub held_back: u64,
 }
 
 impl IterationRecord {
@@ -209,6 +214,8 @@ impl IterationRecord {
             spa_chunks_touched: after.spa_chunks_touched - before.spa_chunks_touched,
             vertex_touched: after.vertex_touched - before.vertex_touched,
             acc_reset_skipped: after.acc_resets_skipped > before.acc_resets_skipped,
+            bucket: None,
+            held_back: 0,
         }
     }
 }
@@ -333,6 +340,8 @@ mod tests {
             spa_chunks_touched: 0,
             vertex_touched: 0,
             acc_reset_skipped: false,
+            bucket: None,
+            held_back: 0,
         }
     }
 

@@ -63,7 +63,9 @@ impl Csr {
     }
 
     /// Parallel [`Csr::from_edgelist_by_src`] on a [`ThreadPool`].
-    /// Bit-identical to the sequential build; see [`Csr::build_parallel`].
+    /// Bit-identical to the sequential build: a counting sort whose scatter
+    /// gives each thread a contiguous key range and scans the edge list in
+    /// order, so within-vertex edge order is the edge-list order.
     pub fn from_edgelist_by_src_parallel(el: &EdgeList, pool: &ThreadPool) -> Self {
         Self::build_parallel(el, true, pool)
     }

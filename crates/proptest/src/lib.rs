@@ -252,7 +252,7 @@ pub mod collection {
 
     use super::{Strategy, TestRng};
 
-    /// Size specifications accepted by [`vec`]: a fixed length or a
+    /// Size specifications accepted by [`vec()`]: a fixed length or a
     /// (half-open or inclusive) length range.
     pub trait IntoSizeRange {
         /// Draws a concrete length.

@@ -23,7 +23,7 @@
 //! * [`alloc`] — the process-wide allocator policy for build-sized buffers,
 //!   pinned by the loaders and `prepare*` so resident memory follows live
 //!   memory instead of the allocator's layout luck.
-//! * [`invariants`] (feature `invariant-checks`) — the shadow write-tracker
+//! * `invariants` (feature `invariant-checks`) — the shadow write-tracker
 //!   auditing the §3 exactly-once-write contract after each Edge phase.
 
 pub mod alloc;

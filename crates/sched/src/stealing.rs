@@ -13,7 +13,7 @@
 //! (locality: consecutive chunks touch consecutive edge-array regions),
 //! and threads that finish early steal from the fullest remaining victim.
 //! Chunk identifiers and geometry are identical to
-//! [`ChunkScheduler`](crate::chunks::ChunkScheduler)'s, so the merge-buffer
+//! [`ChunkScheduler`]'s, so the merge-buffer
 //! discipline is untouched — only *assignment* changes, which is the
 //! paper's point.
 

@@ -1,7 +1,7 @@
 //! Plain-text health/stats endpoint.
 //!
 //! One nonblocking TCP listener on its own thread: every connection gets
-//! the current [`StatsSnapshot`] rendering and is closed. No protocol, no
+//! the current [`StatsSnapshot`](crate::stats::StatsSnapshot) rendering and is closed. No protocol, no
 //! framing, no request parsing — `nc host port` is the whole client. The
 //! endpoint is deliberately independent of the server's lifecycle so an
 //! operator can still read stats while the server drains.

@@ -12,7 +12,7 @@
 //! * **One executor thread** owns both engine pools (the configured-width
 //!   pool and the 1-thread scalar degraded pool). It dequeues, packs
 //!   same-program queries into bit-parallel runs, and executes everything
-//!   through [`single_shot`] / [`multi_source_reach`] so completed results
+//!   through [`single_shot`](crate::query::single_shot) / [`multi_source_reach`] so completed results
 //!   are bit-identical to standalone runs. Executor panics (injected or
 //!   otherwise) are caught per attempt; the thread never dies with queries
 //!   outstanding.

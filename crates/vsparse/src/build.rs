@@ -6,6 +6,7 @@ use grazelle_graph::csr::Csr;
 use grazelle_graph::partition::partition_index;
 use grazelle_graph::types::VertexId;
 use grazelle_sched::ThreadPool;
+use std::sync::OnceLock;
 
 /// A complete Vector-Sparse edge structure over one orientation.
 ///
@@ -30,6 +31,10 @@ pub struct VectorSparse<const N: usize = 4> {
     index: Vec<u64>,
     num_vertices: usize,
     num_edges: usize,
+    /// [`mean_weight`](VectorSparse::mean_weight), summed on first use. A
+    /// function of `weights` and `num_edges` alone, so `bit_identical`
+    /// ignores it.
+    mean_weight: OnceLock<Option<f64>>,
 }
 
 /// Vector-Sparse-Destination with the paper's 4-lane (256-bit) vectors.
@@ -82,6 +87,7 @@ impl<const N: usize> VectorSparse<N> {
             index,
             num_vertices: n,
             num_edges: csr.num_edges(),
+            mean_weight: OnceLock::new(),
         }
     }
 
@@ -164,6 +170,7 @@ impl<const N: usize> VectorSparse<N> {
             index,
             num_vertices: n,
             num_edges: csr.num_edges(),
+            mean_weight: OnceLock::new(),
         };
         debug_assert!(
             built.bit_identical(&Self::from_csr(csr)),
@@ -221,6 +228,23 @@ impl<const N: usize> VectorSparse<N> {
     #[inline]
     pub fn weight_vectors(&self) -> Option<&[[f64; N]]> {
         self.weights.as_deref()
+    }
+
+    /// Mean edge weight; `None` for an unweighted or edgeless structure.
+    /// One pass over the weight lanes on the first call (padding lanes hold
+    /// 0.0 and add nothing), O(1) after it; the lane-wise partial sums are
+    /// taken in layout order, so equal structures report equal bits.
+    pub fn mean_weight(&self) -> Option<f64> {
+        *self.mean_weight.get_or_init(|| {
+            let weights = self.weights.as_ref().filter(|_| self.num_edges > 0)?;
+            let mut lanes = [0.0f64; N];
+            for w in weights {
+                for (sum, x) in lanes.iter_mut().zip(w) {
+                    *sum += x;
+                }
+            }
+            Some(lanes.iter().sum::<f64>() / self.num_edges as f64)
+        })
     }
 
     /// The vertex index (length `num_vertices + 1`).
@@ -335,6 +359,32 @@ mod tests {
         assert_eq!(w[0][..2], [1.5, 2.5]);
         assert_eq!(w[0][2..], [0.0, 0.0]); // padding lanes zeroed
         assert_eq!(w[1][0], 9.0);
+    }
+
+    #[test]
+    fn mean_weight_skips_padding_and_is_absent_without_weights() {
+        let mut el = EdgeList::new(7);
+        for (d, w) in [(1, 1.5), (2, 2.5), (3, 0.25), (4, 8.0), (5, 0.75)] {
+            el.push_weighted(0, d, w).unwrap();
+        }
+        el.push_weighted(6, 0, 5.0).unwrap();
+        let csr = Csr::from_edgelist_by_src(&el);
+        let vs = VectorSparse::<4>::from_csr(&csr);
+        // 6 edges over 3 vectors: half the lanes are padding.
+        assert_eq!(vs.num_vectors(), 3);
+        assert_eq!(vs.mean_weight(), Some(3.0));
+        assert_eq!(vs.clone().mean_weight(), Some(3.0), "clones carry it");
+        let pool = ThreadPool::single_group(3);
+        let par = VectorSparse::<4>::from_csr_parallel(&csr, &pool);
+        assert_eq!(par.mean_weight(), Some(3.0));
+        assert!(par.bit_identical(&VectorSparse::<4>::from_csr(&csr)));
+        assert_eq!(
+            VectorSparse::<4>::from_csr(&csr_of(3, &[(0, 1)])).mean_weight(),
+            None
+        );
+        let edgeless =
+            Csr::from_edgelist_by_src(&EdgeList::from_parts(2, vec![], Some(vec![])).unwrap());
+        assert_eq!(VectorSparse::<4>::from_csr(&edgeless).mean_weight(), None);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! spans six lines, but its annotation sits adjacent to the *first* one and
 //! the orderings sit on interior ones. This module folds a
-//! [`SourceFile`](crate::lint::source::SourceFile)'s lines into logical
+//! [`SourceFile`]'s lines into logical
 //! statements by tracking round/square-bracket balance: a statement ends on
 //! the first line whose trailing code is `;`, `{`, or `}` at zero bracket
 //! depth (curly braces are deliberately *not* balanced — they delimit

@@ -13,7 +13,9 @@
 //!   -n <threads>        worker threads (artifact -n)
 //!   -u <groups>         NUMA-stand-in groups (artifact -u takes node ids;
 //!                       here a count)
-//!   -N <iterations>     PageRank iterations (artifact -N, default 16)
+//!   -N <iterations>     PageRank iterations (artifact -N, default 16); for
+//!                       bfs | sssp | cc | reach the superstep cap (default
+//!                       V + 1; reaching it truncates the result)
 //!   -s <granularity>    edge vectors per chunk (artifact -s; default 32n
 //!                       chunks)
 //!   -r <vertex>         root for bfs/sssp/reach (default 0)
@@ -56,7 +58,7 @@ struct Options {
     app: String,
     threads: usize,
     groups: usize,
-    iterations: usize,
+    iterations: Option<usize>,
     granularity: Option<usize>,
     root: u32,
     output: Option<String>,
@@ -82,7 +84,7 @@ impl Default for Options {
                 .map(|p| p.get().min(4))
                 .unwrap_or(1),
             groups: 1,
-            iterations: 16,
+            iterations: None,
             granularity: None,
             root: 0,
             output: None,
@@ -159,9 +161,11 @@ fn parse_args() -> Options {
                     .unwrap_or_else(|_| usage("-u needs a number"))
             }
             "-N" => {
-                o.iterations = next(&mut it, "-N")
-                    .parse()
-                    .unwrap_or_else(|_| usage("-N needs a number"))
+                o.iterations = Some(
+                    next(&mut it, "-N")
+                        .parse()
+                        .unwrap_or_else(|_| usage("-N needs a number")),
+                )
             }
             "-s" => {
                 o.granularity = Some(
@@ -351,7 +355,7 @@ fn print_trace(stats: &ExecutionStats) {
         return;
     }
     println!(
-        "\n{:>5} {:>6} {:>8} {:>6} {:>9} {:>9} {:>9} {:>9} {:>10} {:>8} {:>5} {:>5} events",
+        "\n{:>5} {:>6} {:>8} {:>6} {:>9} {:>9} {:>9} {:>9} {:>10} {:>8} {:>5} {:>6} {:>7} {:>5} events",
         "iter",
         "engine",
         "density",
@@ -363,6 +367,8 @@ fn print_trace(stats: &ExecutionStats) {
         "updates",
         "touched",
         "reset",
+        "bucket",
+        "held",
         "par"
     );
     for r in &stats.records {
@@ -380,7 +386,7 @@ fn print_trace(stats: &ExecutionStats) {
             events.push('-');
         }
         println!(
-            "{:>5} {:>6} {:>8.4} {:>6} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>10} {:>8} {:>5} {:>5} {}",
+            "{:>5} {:>6} {:>8.4} {:>6} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>10} {:>8} {:>5} {:>6} {:>7} {:>5} {}",
             r.iteration,
             match r.engine {
                 EngineKind::Pull => "pull",
@@ -401,6 +407,11 @@ fn print_trace(stats: &ExecutionStats) {
                 "-".into()
             },
             if r.acc_reset_skipped { "skip" } else { "full" },
+            // Priority schedule (DESIGN.md §18): the bucket this superstep's
+            // frontier was drained from and the active vertices held back
+            // behind it (`-` = not scheduled: every active vertex is sent).
+            r.bucket.map_or("-".into(), |b| b.to_string()),
+            r.bucket.map_or("-".into(), |_| r.held_back.to_string()),
             r.edge_parallelism,
             events.trim_end()
         );
@@ -468,9 +479,17 @@ fn main() {
         exit(1);
     }
 
+    // These stop on their own, after a number of supersteps that grows
+    // with the graph's diameter (SSSP's bucketed schedule: up to about twice
+    // it), so their cap is a safety net sized to the graph unless `-N` sets
+    // one — the library default of 1000 truncates a road network.
+    if matches!(o.app.as_str(), "bfs" | "sssp" | "cc" | "reach") {
+        cfg.max_iterations = o.iterations.unwrap_or(n + 1);
+    }
+
     match o.app.as_str() {
         "pr" | "pagerank" => {
-            cfg.max_iterations = o.iterations;
+            cfg.max_iterations = o.iterations.unwrap_or(16);
             let prog = pagerank::PageRank::new(&graph, pagerank::DAMPING);
             let stats = run_program_on_pool(&prepared, &prog, &cfg, &pool);
             print_stats(&stats, false);

@@ -198,10 +198,11 @@ fn sssp_rejects_unweighted_input() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("weighted"));
 }
 
-/// The default cap of 1000 supersteps truncates BFS on any graph of larger
-/// diameter; the runner must say so instead of printing a partial count as
-/// if it were the answer — and must stay quiet for PageRank, whose
-/// iteration count is the cap by design.
+/// A cap below the graph's diameter truncates BFS; the runner must say so
+/// instead of printing a partial count as if it were the answer — and must
+/// stay quiet for PageRank, whose iteration count is the cap by design.
+/// Without `-N` the convergence-driven apps get a cap of V + 1, so the same
+/// chain runs to its end.
 #[test]
 fn iteration_cap_truncation_is_warned_about() {
     let graph_path = std::env::temp_dir().join("grazelle_cli_cap_chain.el");
@@ -211,6 +212,21 @@ fn iteration_cap_truncation_is_warned_about() {
 
     let out = grazelle()
         .args(["-i", path, "-a", "bfs", "-r", "0"])
+        .output()
+        .expect("spawn grazelle");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("Vertices Visited:         1201"),
+        "{stdout}"
+    );
+    assert!(
+        !String::from_utf8_lossy(&out.stderr).contains("iteration cap"),
+        "the default cap of V + 1 must not fire"
+    );
+
+    let out = grazelle()
+        .args(["-i", path, "-a", "bfs", "-r", "0", "-N", "1000"])
         .output()
         .expect("spawn grazelle");
     assert!(out.status.success());

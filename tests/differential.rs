@@ -67,11 +67,28 @@ fn sparse_family_graph(family: u8, seed: u64) -> Graph {
 /// are exact binary fractions so min-plus sums carry no rounding and the
 /// SSSP comparison can be exact.
 fn weighted_copy(g: &Graph) -> Graph {
+    weighted_copy_by(g, |v, d| ((v as u64 * 31 + d as u64) % 16 + 1) as f64 / 4.0)
+}
+
+/// The same structure with weights that are neither binary fractions nor
+/// regular: `k / 7`, `1 ≤ k ≤ 64`, `k` hashed from the edge and `seed`.
+/// Every path sum rounds, which is the case the priority schedule's
+/// bit-identity argument has to cover (`fl(d + w)` is monotone in `d`, so
+/// the fixpoint is still unique), and a mesh gets road-like weights, on
+/// which label-correcting re-relaxes.
+fn rounding_weighted_copy(g: &Graph, seed: u64) -> Graph {
+    weighted_copy_by(g, |v, d| {
+        let mut z = (seed ^ ((v as u64) << 32 | d as u64)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 29)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        ((z >> 40) % 64 + 1) as f64 / 7.0
+    })
+}
+
+fn weighted_copy_by(g: &Graph, weight: impl Fn(u32, u32) -> f64) -> Graph {
     let mut el = EdgeList::new(g.num_vertices());
     for v in 0..g.num_vertices() as u32 {
         for &d in g.out_neighbors(v) {
-            let w = ((v as u64 * 31 + d as u64) % 16 + 1) as f64 / 4.0;
-            el.push_weighted(v, d, w).unwrap();
+            el.push_weighted(v, d, weight(v, d)).unwrap();
         }
     }
     Graph::from_edgelist(&el).unwrap()
@@ -302,6 +319,12 @@ fn merged_plain(vg: &VersionedGraph) -> Graph {
 /// engine per superstep. (The transient accumulators are excluded: a sparse
 /// Vertex phase, which only the plain run takes, leaves them at the
 /// identity.)
+///
+/// Re-pinned by ISSUE 19: a program declaring
+/// [`GraphProgram::priority_ordered`] (SSSP) runs the bucketed schedule on
+/// the plain side only, so for it the arrays must still match bit for bit
+/// but the superstep count and engine trace legitimately differ and are
+/// not compared.
 fn assert_containment_off_is_plain<P: GraphProgram>(
     what: &str,
     mk: impl Fn() -> P,
@@ -333,11 +356,13 @@ fn assert_containment_off_is_plain<P: GraphProgram>(
         persistent_bits(&plain),
         "{what}: arrays"
     );
-    assert_eq!(run.stats.iterations, stats.iterations, "{what}: supersteps");
-    assert_eq!(
-        run.stats.engine_trace, stats.engine_trace,
-        "{what}: engines"
-    );
+    if !plain.priority_ordered() {
+        assert_eq!(run.stats.iterations, stats.iterations, "{what}: supersteps");
+        assert_eq!(
+            run.stats.engine_trace, stats.engine_trace,
+            "{what}: engines"
+        );
+    }
     assert_eq!(
         run.stats.hit_iteration_cap, stats.hit_iteration_cap,
         "{what}: cap"
@@ -578,6 +603,11 @@ proptest! {
     /// representation downstream — must produce the same bits and the same
     /// superstep count as forced pull and as the resilient driver, both of
     /// which always run the dense Vertex phase.
+    ///
+    /// Re-pinned by ISSUE 19: SSSP declares `priority_ordered`, so its
+    /// plain arms run the bucketed schedule and the resilient arm does not.
+    /// Its bits are still compared across all four arms; its superstep
+    /// count only among the three plain ones.
     #[test]
     fn prop_sparse_vertex_phase_is_bit_identical(
         family in 0u8..3,
@@ -672,12 +702,107 @@ proptest! {
                     None => reference = Some((bits, stats.iterations)),
                     Some((want, iters)) => {
                         prop_assert_eq!(&bits, want, "{}/{} x{}: output", kname, aname, threads);
+                        let other_schedule = *resilient && *kname == "sssp";
+                        if !other_schedule {
+                            prop_assert_eq!(
+                                stats.iterations, *iters,
+                                "{}/{} x{}: supersteps", kname, aname, threads
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Property: the priority schedule (DESIGN.md §18) is a schedule, not a
+    /// semantic choice. SSSP distances are the same bits under the bucketed
+    /// plain run (list or bitmap frontiers, hybrid or forced pull), under
+    /// the contained run that keeps the label-correcting schedule, and from
+    /// Dijkstra — with weights whose sums round. The bucketed superstep
+    /// count depends on neither the thread count nor the engine, and on a
+    /// mesh the schedule is what it claims to be: fewer relaxations.
+    #[test]
+    fn prop_priority_schedule_is_bit_identical(
+        seed in 0u64..1_000_000,
+        root_pick in 0u32..4096,
+    ) {
+        let off = ResilienceConfig {
+            watchdog: None,
+            divergence_guard: false,
+            checkpoint_every: 0,
+            ..ResilienceConfig::new()
+        };
+        for family in 0..3u8 {
+            let g = rounding_weighted_copy(&sparse_family_graph(family, seed), seed);
+            let n = g.num_vertices();
+            let root = root_pick % n as u32;
+            let pg = PreparedGraph::new(&g);
+            let want: Vec<u64> = sssp::reference(&g, root)
+                .iter()
+                .map(|d| d.map_or(u64::MAX, f64::to_bits))
+                .collect();
+            let base = EngineConfig::new()
+                .with_max_iterations(2 * n)
+                .with_resilience(off);
+            // (name, config, contained?)
+            let arms = [
+                ("hybrid", base, false),
+                ("hybrid-bitmap-frontier", base.with_sparse_frontier(false), false),
+                ("forced-pull", base.with_force_engine(Some(EngineKind::Pull)), false),
+                ("contained", base, true),
+            ];
+            // Supersteps per arm at the first thread count, and relaxations
+            // of the push-only runs (where `push_updates` covers every
+            // superstep) on either schedule.
+            let mut supersteps = [None; 4];
+            for threads in [1usize, 2, 8] {
+                let pool = ThreadPool::single_group(threads);
+                for (i, (aname, cfg, contained)) in arms.iter().enumerate() {
+                    let cfg = cfg.with_threads(threads);
+                    let prog = Sssp::new(n, root);
+                    let stats = if *contained {
+                        run_resilient_on_pool(&pg, &prog, &cfg, &ResilienceContext::new(), &pool)
+                            .expect("contained run")
+                            .stats
+                    } else {
+                        run_program_on_pool(&pg, &prog, &cfg, &pool)
+                    };
+                    let what = format!("family {family}/{aname}/x{threads}");
+                    prop_assert!(!stats.hit_iteration_cap, "{}", what);
+                    let bits: Vec<u64> = prog
+                        .distances()
+                        .iter()
+                        .map(|d| d.map_or(u64::MAX, f64::to_bits))
+                        .collect();
+                    prop_assert_eq!(&bits, &want, "{}: distances", what);
+                    prop_assert_eq!(
+                        stats.profile.bucket_steps,
+                        if *contained { 0 } else { stats.iterations as u64 },
+                        "{}: which schedule ran", what
+                    );
+                    let first = *supersteps[i].get_or_insert(stats.iterations);
+                    prop_assert_eq!(stats.iterations, first, "{}: supersteps vs x1", what);
+                    if !*contained {
                         prop_assert_eq!(
-                            stats.iterations, *iters,
-                            "{}/{} x{}: supersteps", kname, aname, threads
+                            Some(stats.iterations), supersteps[0],
+                            "{}: supersteps vs hybrid", what
                         );
                     }
                 }
+            }
+            if family == 1 {
+                let pool = ThreadPool::single_group(2);
+                let push = base.with_threads(2).with_force_engine(Some(EngineKind::Push));
+                let bucketed = run_program_on_pool(&pg, &Sssp::new(n, root), &push, &pool);
+                let label_correcting = run_resilient_on_pool(
+                    &pg, &Sssp::new(n, root), &push, &ResilienceContext::new(), &pool,
+                ).expect("contained run").stats;
+                prop_assert!(
+                    bucketed.profile.push_updates <= label_correcting.profile.push_updates,
+                    "mesh: {} relaxations bucketed vs {} label-correcting",
+                    bucketed.profile.push_updates, label_correcting.profile.push_updates
+                );
             }
         }
     }

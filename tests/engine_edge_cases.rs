@@ -719,6 +719,183 @@ fn iteration_cap_is_reported_by_both_drivers() {
     assert_eq!(visited(&prog), n);
 }
 
+fn weighted_graph(n: usize, edges: &[(u32, u32, f64)]) -> Graph {
+    let mut el = EdgeList::new(n);
+    for &(s, d, w) in edges {
+        el.push_weighted(s, d, w).unwrap();
+    }
+    Graph::from_edgelist(&el).unwrap()
+}
+
+/// SSSP from `root` at 1, 2 and 8 threads, hybrid and forced push, checked
+/// against Dijkstra; superstep counts and engine choices must not depend on
+/// the thread count. Returns the 2-thread hybrid run's traced stats.
+fn sssp_on_every_arm(
+    g: &Graph,
+    root: u32,
+    cap: usize,
+    label: &str,
+) -> grazelle::core::engine::hybrid::ExecutionStats {
+    use grazelle_apps::{sssp, Sssp};
+    let pg = PreparedGraph::new(g);
+    let want = sssp::reference(g, root);
+    let mut kept = None;
+    for forced in [None, Some(EngineKind::Push)] {
+        let mut first: Option<(usize, Vec<EngineKind>)> = None;
+        for threads in [1usize, 2, 8] {
+            let pool = ThreadPool::single_group(threads);
+            let cfg = EngineConfig::new()
+                .with_threads(threads)
+                .with_max_iterations(cap)
+                .with_force_engine(forced)
+                .with_trace(true);
+            let prog = Sssp::new(g.num_vertices(), root);
+            let stats = run_program_on_pool(&pg, &prog, &cfg, &pool);
+            let tag = format!("{label}/{forced:?}x{threads}");
+            if !stats.hit_iteration_cap {
+                assert_eq!(prog.distances(), want, "{tag}");
+            }
+            let shape = (stats.iterations, stats.engine_trace.clone());
+            assert_eq!(&shape, first.get_or_insert(shape.clone()), "{tag}");
+            if forced.is_none() && threads == 2 {
+                kept = Some(stats);
+            }
+        }
+    }
+    kept.expect("the 2-thread hybrid arm ran")
+}
+
+/// Degenerate inputs of the priority schedule (DESIGN.md §18): each must
+/// end, on Dijkstra's distances, whether or not the schedule can run.
+#[test]
+fn priority_schedule_degenerate_weights() {
+    // A zero-weight cycle beside real weights: the cycle's vertices keep
+    // re-filing into the bucket being drained, which never advances on
+    // their account — and must still empty.
+    let g = weighted_graph(
+        6,
+        &[
+            (0, 1, 0.0),
+            (1, 2, 0.0),
+            (2, 0, 0.0),
+            (2, 3, 4.0),
+            (3, 4, 0.0),
+            (4, 3, 0.0),
+            (4, 5, 2.0),
+        ],
+    );
+    let stats = sssp_on_every_arm(&g, 0, 100, "zero-weight cycle");
+    assert!(!stats.hit_iteration_cap);
+    assert_eq!(stats.profile.bucket_steps, stats.iterations as u64);
+
+    // Nothing but zero weights: a zero mean sizes no bucket, so the run
+    // keeps the label-correcting schedule.
+    let g = weighted_graph(4, &[(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (3, 0, 0.0)]);
+    let stats = sssp_on_every_arm(&g, 0, 100, "all zero");
+    assert!(!stats.hit_iteration_cap);
+    assert_eq!(stats.profile.bucket_steps, 0, "zero mean: schedule off");
+
+    // All-equal weights: distance is 2.5 × depth, a bucket is 8 levels.
+    let ring: Vec<(u32, u32, f64)> = (0..40u32).map(|v| (v, (v + 1) % 40, 2.5)).collect();
+    let stats = sssp_on_every_arm(&weighted_graph(40, &ring), 7, 100, "equal weights");
+    assert_eq!(stats.iterations, 40);
+    let buckets: Vec<u32> = stats.records.iter().filter_map(|r| r.bucket).collect();
+    assert_eq!(buckets.len(), 40, "every superstep is scheduled");
+    assert!(buckets.windows(2).all(|w| w[0] <= w[1]), "{buckets:?}");
+    assert_eq!((buckets[0], buckets[39]), (0, 4));
+
+    // An isolated root has nothing to send: one superstep, nothing waiting.
+    let g = weighted_graph(3, &[(1, 2, 1.0)]);
+    let stats = sssp_on_every_arm(&g, 0, 100, "isolated root");
+    assert_eq!((stats.iterations, stats.hit_iteration_cap), (1, false));
+    assert_eq!(stats.records[0].held_back, 0);
+
+    // One enormous weight drags the mean — and the bucket width — up with
+    // it (an index is at most E / 8, so only the queue's own unit test can
+    // saturate one): every light edge lands in bucket 0.
+    let mut edges: Vec<(u32, u32, f64)> = (0..30u32).map(|v| (v, v + 1, 0.125)).collect();
+    edges.push((0, 31, f64::MAX / 4.0));
+    edges.push((31, 30, 1.0));
+    let stats = sssp_on_every_arm(&weighted_graph(32, &edges), 0, 100, "huge weight");
+    assert!(!stats.hit_iteration_cap);
+    let last = stats.records.last().unwrap();
+    assert_eq!(last.bucket, Some(4), "31 waits alone in bucket E/8 = 4");
+    assert!(stats.records[1..30].iter().all(|r| r.held_back == 1));
+
+    // Weights whose sum overflows have no usable mean: schedule off, and
+    // `MAX + MAX` is no distance, for Dijkstra and the engine alike.
+    let g = weighted_graph(3, &[(0, 1, f64::MAX), (1, 2, f64::MAX)]);
+    let stats = sssp_on_every_arm(&g, 0, 100, "overflowing mean");
+    assert_eq!(stats.profile.bucket_steps, 0);
+}
+
+/// An unweighted structure cannot run SSSP at all; the schedule's look at
+/// the mean weight must not get in before the kernel's own refusal.
+#[test]
+#[should_panic(expected = "edge function needs weights")]
+fn sssp_on_an_unweighted_structure_is_still_refused() {
+    let g = graph_from(3, &[(0, 1), (1, 2)]);
+    let pg = PreparedGraph::new(&g);
+    assert_eq!(pg.vss.mean_weight(), None);
+    let cfg = EngineConfig::new().with_threads(1);
+    grazelle_apps::sssp::run_prepared(&pg, &cfg, &ThreadPool::single_group(1), 0);
+}
+
+/// A bucket wider than V/4: the root's 3000-leaf fan-out overflows the
+/// sparse Vertex phase, so the dense sweep runs and the schedule bins from
+/// its bitmap — 2700 light leaves drained as a bitmap frontier, 300 heavy
+/// ones held back until their bucket comes up.
+#[test]
+fn priority_schedule_bins_from_the_bitmap_after_a_dense_vertex_phase() {
+    let (leaves, sink) = (3000u32, 3001u32);
+    let mut edges = Vec::new();
+    for leaf in 1..=leaves {
+        let w = if leaf % 10 == 0 { 100.0 } else { 1.0 };
+        edges.push((0, leaf, w));
+        edges.push((leaf, sink, 1.0));
+    }
+    let g = weighted_graph(3002, &edges);
+    let stats = sssp_on_every_arm(&g, 0, 100, "fan");
+    assert!(!stats.hit_iteration_cap);
+    let recs = &stats.records;
+    assert_eq!((recs[0].bucket, recs[0].held_back), (Some(0), 0));
+    assert_eq!(
+        recs[0].vertex_touched, 0,
+        "3000 touched entries > V/4: dense Vertex phase"
+    );
+    assert_eq!((recs[1].bucket, recs[1].held_back), (Some(0), 300));
+    assert!(!recs[1].sparse_repr, "2700 vertices stay a bitmap");
+    assert_eq!((recs[1].frontier_density * 3002.0).round(), 2700.0);
+    let heavy = recs
+        .iter()
+        .find(|r| r.bucket.is_some_and(|b| b > 0))
+        .expect("the heavy leaves' bucket is drained");
+    assert_eq!((heavy.frontier_density * 3002.0).round(), 300.0);
+    assert_eq!(heavy.held_back, 0);
+    assert_eq!(
+        stats.profile.held_back,
+        recs.iter().map(|r| r.held_back).sum()
+    );
+}
+
+/// The cap firing mid-schedule: the run is truncated, says so, and the
+/// last superstep still had a vertex waiting in a later bucket.
+#[test]
+fn priority_schedule_hits_the_cap_with_vertices_waiting() {
+    let n = 300u32;
+    let mut edges: Vec<(u32, u32, f64)> = (0..n - 2).map(|v| (v, v + 1, 1.0)).collect();
+    edges.push((0, n - 1, 5000.0));
+    let g = weighted_graph(n as usize, &edges);
+    let stats = sssp_on_every_arm(&g, 0, 50, "capped chain");
+    assert!(stats.hit_iteration_cap);
+    assert_eq!(stats.iterations, 50);
+    let last = stats.records.last().unwrap();
+    assert_eq!(last.held_back, 1, "the far end of the heavy edge waits");
+    let stats = sssp_on_every_arm(&g, 0, n as usize + 1, "uncapped chain");
+    assert!(!stats.hit_iteration_cap);
+    assert_eq!(stats.records.last().unwrap().held_back, 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

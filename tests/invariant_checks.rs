@@ -192,6 +192,61 @@ fn false_contract_declaration_is_caught_by_the_shadow_sweep() {
     grazelle::core::run_program(&pg, &prog, &EngineConfig::new().with_threads(1));
 }
 
+/// SSSP that declares the run over after its third superstep, whatever is
+/// still waiting — which `priority_ordered` forbids.
+struct StopsEarly(grazelle_apps::Sssp);
+impl GraphProgram for StopsEarly {
+    fn num_vertices(&self) -> usize {
+        self.0.num_vertices()
+    }
+    fn op(&self) -> AggOp {
+        self.0.op()
+    }
+    fn edge_func(&self) -> grazelle::core::program::EdgeFunc {
+        self.0.edge_func()
+    }
+    fn edge_values(&self) -> &PropertyArray {
+        self.0.edge_values()
+    }
+    fn accumulators(&self) -> &PropertyArray {
+        self.0.accumulators()
+    }
+    fn apply(&self, v: u32) -> bool {
+        self.0.apply(v)
+    }
+    fn uses_frontier(&self) -> bool {
+        true
+    }
+    fn identity_apply_is_noop(&self) -> bool {
+        true
+    }
+    fn priority_ordered(&self) -> bool {
+        true
+    }
+    fn initial_frontier(&self) -> Frontier {
+        self.0.initial_frontier()
+    }
+    fn should_stop(&self, iteration: usize, active: usize) -> bool {
+        iteration >= 2 || active == 0
+    }
+}
+
+/// The end-of-run audit of the priority schedule is live: a run that ends
+/// of its own accord with a vertex still in a bucket is caught.
+#[test]
+#[should_panic(expected = "the priority schedule stopped with vertices still waiting")]
+fn stopping_with_vertices_waiting_is_caught_by_the_schedule_audit() {
+    let n = 16usize;
+    let mut el = EdgeList::new(n);
+    for v in 0..n as u32 - 1 {
+        el.push_weighted(v, v + 1, 1.0).expect("in-range vertex id");
+    }
+    let g = Graph::from_edgelist(&el).expect("valid edge list");
+    let pg = PreparedGraph::new(&g);
+    let prog = StopsEarly(grazelle_apps::Sssp::new(n, 0));
+    grazelle::core::run_program(&pg, &prog, &EngineConfig::new().with_threads(1));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

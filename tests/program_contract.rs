@@ -11,6 +11,12 @@
 //! an untouched vertex can still be peeled. It must not declare the
 //! contract, and must still match its reference through the hybrid driver
 //! without ever entering the sparse path.
+//!
+//! [`GraphProgram::priority_ordered`] is the second contract: the result
+//! does not depend on which active vertices are sent first. SSSP is run by
+//! hand with a random part of every active set held back and must still
+//! land on Dijkstra's distances; BFS is the negative case, pinned by a
+//! four-vertex diamond whose parents change when one vertex waits.
 
 use grazelle::core::config::EngineConfig;
 use grazelle::core::engine::hybrid::{run_program_on_pool, EngineKind};
@@ -20,10 +26,11 @@ use grazelle::graph::edgelist::EdgeList;
 use grazelle::graph::gen::{erdos_renyi, grid_mesh, rmat, RmatConfig};
 use grazelle::prelude::*;
 use grazelle_apps::{
-    kcore, Bfs, ConnectedComponents, KCore, LabelProp, Reachability, Sssp, UnitBfs,
+    kcore, sssp, Bfs, ConnectedComponents, KCore, LabelProp, Reachability, Sssp, UnitBfs,
 };
 use grazelle_sched::pool::ThreadPool;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Symmetrized random graph from one of three families, with weights that
 /// are exact binary fractions (SSSP needs them; the others ignore them).
@@ -156,4 +163,104 @@ fn kcore_does_not_declare_the_contract_and_never_goes_sparse() {
             assert!(!r.acc_reset_skipped, "x{threads} iteration {}", r.iteration);
         }
     }
+}
+
+/// The superstep loop by hand over `g`'s out-edges, with a schedule the
+/// engine never produces: of the vertices waiting to send, `pick` chooses
+/// which go this superstep (at least one); the rest keep waiting. Returns
+/// the number of supersteps.
+fn run_holding_back<P: GraphProgram>(
+    g: &Graph,
+    prog: &P,
+    mut pick: impl FnMut(&[u32]) -> Vec<u32>,
+) -> usize {
+    let n = g.num_vertices() as u32;
+    let first = prog.initial_frontier();
+    let mut waiting: BTreeSet<u32> = (0..n).filter(|&v| first.contains(v)).collect();
+    let (acc, values) = (prog.accumulators(), prog.edge_values());
+    let mut supersteps = 0;
+    while !waiting.is_empty() {
+        let sent = pick(&waiting.iter().copied().collect::<Vec<_>>());
+        assert!(!sent.is_empty());
+        for v in 0..n as usize {
+            acc.set_f64(v, prog.op().identity());
+        }
+        for &u in &sent {
+            assert!(waiting.remove(&u), "{u} was not waiting");
+            let weights = g.out_csr().neighbor_weights(u);
+            for (i, &v) in g.out_neighbors(u).iter().enumerate() {
+                if prog.converged().is_some_and(|c| c.contains(v)) {
+                    continue;
+                }
+                let w = weights.map_or(0.0, |ws| ws[i]);
+                let msg = prog.edge_func().apply(values.get_f64(u as usize), w);
+                acc.set_f64(v as usize, prog.op().combine(acc.get_f64(v as usize), msg));
+            }
+        }
+        waiting.extend((0..n).filter(|&v| prog.apply(v)));
+        supersteps += 1;
+        assert!(supersteps <= 64 * n as usize, "no fixpoint in sight");
+    }
+    supersteps
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `Sssp` declares `priority_ordered`: whichever part of the active set
+    /// is sent first — not just the lowest bucket — the run ends on the
+    /// reference distances, bit for bit.
+    #[test]
+    fn prop_sssp_reaches_its_fixpoint_in_any_drain_order(
+        family in 0u8..3,
+        seed in 0u64..1_000_000,
+        root_pick in 0u32..4096,
+        order in 0u64..u64::MAX,
+    ) {
+        let g = family_graph(family, seed);
+        let n = g.num_vertices();
+        let root = root_pick % n as u32;
+        let prog = Sssp::new(n, root);
+        prop_assert!(prog.priority_ordered());
+        let mut x = order | 1;
+        let supersteps = run_holding_back(&g, &prog, |waiting| {
+            // xorshift: each waiting vertex goes with probability 1/2; one
+            // of them always does.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let forced = waiting[(x >> 32) as usize % waiting.len()];
+            waiting
+                .iter()
+                .enumerate()
+                .filter(|&(i, &v)| v == forced || (x >> (i % 61)) & 1 == 1)
+                .map(|(_, &v)| v)
+                .collect()
+        });
+        prop_assert_eq!(prog.distances(), sssp::reference(&g, root), "after {} supersteps", supersteps);
+    }
+}
+
+#[test]
+fn bfs_parents_depend_on_the_drain_order_so_it_does_not_declare() {
+    // 0 -> {1, 2} -> 3: both 1 and 2 offer themselves as 3's parent.
+    let el = EdgeList::from_pairs(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
+    let g = Graph::from_edgelist(&el).unwrap();
+    let parents_when = |pick: &dyn Fn(&[u32]) -> Vec<u32>| {
+        let prog = Bfs::new(4, 0);
+        assert!(!prog.priority_ordered());
+        run_holding_back(&g, &prog, pick);
+        prog.parents()
+    };
+    // Everything sent at once — the engine's schedule: the smaller id wins.
+    assert_eq!(
+        parents_when(&|waiting| waiting.to_vec()),
+        vec![Some(0), Some(0), Some(0), Some(1)]
+    );
+    // Hold 1 back one superstep: 2 claims 3 first and a visited vertex
+    // never takes another parent.
+    assert_eq!(
+        parents_when(&|waiting| vec![*waiting.last().unwrap()]),
+        vec![Some(0), Some(0), Some(0), Some(2)]
+    );
 }
