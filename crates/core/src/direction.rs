@@ -42,7 +42,6 @@
 use crate::config::{DirectionPolicy, EngineConfig, ScatterMode};
 use crate::engine::hybrid::EngineKind;
 use crate::frontier::Frontier;
-use grazelle_vsparse::build::Vss;
 
 /// Beamer's α: pull amortizes once the frontier would scatter more than
 /// `1/α` of the unvisited in-edges.
@@ -171,16 +170,6 @@ pub fn choose_scatter(
     }
 }
 
-/// Per-vertex out-degrees from the push orientation, computed once per run
-/// (O(edge vectors)) and reused by every iteration's exact frontier cost.
-pub fn out_degree_table(vss: &Vss) -> Vec<u32> {
-    let mut deg = vec![0u32; vss.num_vertices()];
-    for ev in vss.vectors() {
-        deg[ev.top_level_vertex() as usize] += ev.count_valid();
-    }
-    deg
-}
-
 /// Σ out-degrees over the frontier plus |F| (the push pass's work):
 /// exact when the frontier is enumerable within [`DEGREE_SCAN_CAP`] and a
 /// degree table is supplied, otherwise `|F|·m/n + |F|`.
@@ -219,7 +208,8 @@ fn frontier_out_edges(
 /// `density` is `None` for frontier-less (or all-active) iterations, which
 /// always pull — mirroring the drivers' long-standing convention.
 /// `converged` is the size of the destination set already ignoring
-/// messages. `out_degrees` (from [`out_degree_table`]) enables the exact
+/// messages. `out_degrees` (the push structure's cached
+/// [`degrees`](grazelle_vsparse::build::VectorSparse::degrees)) enables the exact
 /// small-frontier cost; without it the average-degree approximation is
 /// used. Forced engines ([`EngineConfig::force_engine`]) override the
 /// direction but the costs are still computed and reported for the trace.
@@ -302,20 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn out_degree_table_matches_graph() {
-        let mut el = EdgeList::new(6);
-        for &(a, b) in &[(0, 1), (0, 2), (0, 3), (4, 5), (5, 4), (2, 3)] {
-            el.push(a, b).unwrap();
-        }
-        let g = Graph::from_edgelist(&el).unwrap();
-        let vss = VectorSparse::<4>::from_csr(g.out_csr());
-        let deg = out_degree_table(&vss);
-        for v in 0..6u32 {
-            assert_eq!(deg[v as usize] as usize, g.out_neighbors(v).len(), "v{v}");
-        }
-    }
-
-    #[test]
     fn frontier_less_iterations_pull() {
         let cfg = EngineConfig::new();
         let d = decide(&cfg, None, &Frontier::all(100), None, 500, 100, 0, false);
@@ -329,19 +305,19 @@ mod tests {
     fn cost_model_pushes_sparse_and_pulls_dense_frontiers() {
         let g = chain(1000);
         let vss = VectorSparse::<4>::from_csr(g.out_csr());
-        let deg = out_degree_table(&vss);
+        let deg = vss.degrees();
         let cfg = EngineConfig::new();
         let m = g.num_edges();
         // One active vertex: 1 out-edge + 1 ≪ 999 unvisited edges → push.
         let f = Frontier::from_vertices(1000, &[5]);
-        let d = decide(&cfg, Some(f.density()), &f, Some(&deg), m, 1000, 0, false);
+        let d = decide(&cfg, Some(f.density()), &f, Some(deg), m, 1000, 0, false);
         assert!(!d.use_pull);
         assert_eq!(d.frontier_edges, 2);
         assert_eq!(d.unvisited_edges, m as u64);
         // Most vertices active: 14·fe dwarfs m → pull.
         let dense: Vec<u32> = (0..900).collect();
         let f = Frontier::from_vertices(1000, &dense);
-        let d = decide(&cfg, Some(f.density()), &f, Some(&deg), m, 1000, 0, false);
+        let d = decide(&cfg, Some(f.density()), &f, Some(deg), m, 1000, 0, false);
         assert!(d.use_pull);
     }
 

@@ -182,9 +182,6 @@ pub(super) fn drive<P: GraphProgram>(
     // degrade redos — all read `edge_values[src]`, which the Vertex phase
     // updates in place.
     let kern = program_kernel(prog, &pg.vsd, Kernels::with_level(cfg.simd));
-    // Out-degree table for the direction model's exact frontier-cost path;
-    // built lazily on the first iteration that computes a density.
-    let mut out_degrees: Option<Vec<u32>> = None;
     // Under `invariant-checks` every run is audited: the pull engine records
     // interior stores, slot claims, and merge folds into the tracker and
     // asserts the §3 exactly-once-write contract after each Edge phase.
@@ -326,18 +323,18 @@ pub(super) fn drive<P: GraphProgram>(
 
         // Direction choice (DESIGN.md §16): one shared [`Decision`] feeds
         // engine selection, the compaction gate, and the trace.
-        if density.is_some()
-            && cfg.direction_policy == crate::config::DirectionPolicy::CostModel
-            && out_degrees.is_none()
-        {
-            out_degrees = Some(crate::direction::out_degree_table(&pg.vss));
-        }
+        // The exact frontier-cost path reads the out-degree table cached on
+        // the push structure; a run that never computes a density (PageRank)
+        // never causes it to be built.
+        let out_degrees = (density.is_some()
+            && cfg.direction_policy == crate::config::DirectionPolicy::CostModel)
+            .then(|| pg.vss.degrees());
         let converged = prog.converged().map_or(0, |c| c.count());
         let decision = crate::direction::decide(
             cfg,
             density,
             &frontier,
-            out_degrees.as_deref(),
+            out_degrees,
             pg.num_edges,
             pg.num_vertices,
             converged,

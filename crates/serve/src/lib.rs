@@ -13,7 +13,7 @@
 //!   a typed [`ServeError::Overloaded`], never buffered without bound.
 //! * **Batch formation** — up to 64 reachability queries pack into one
 //!   bit-parallel [`multi_source_reach`](grazelle_apps::multi) run, one
-//!   edge-set traversal answering the whole batch.
+//!   direction-optimising sweep (pull by default) answering the whole batch.
 //! * **Deadlines** — per-query, enforced by cooperative cancellation at
 //!   engine iteration boundaries ([`ServeError::Expired`]); nothing is
 //!   killed mid-iteration, the pool is never poisoned.

@@ -925,9 +925,11 @@ fn execute_packed(
             let mut stats = shared.stats.lock().unwrap();
             stats.packed_runs += 1;
             stats.packed_queries += live.len() as u64;
+            stats.packed_pull_steps += mr.pull_iterations as u64;
+            stats.packed_push_steps += mr.push_iterations as u64;
             drop(stats);
-            for (lane, p) in live.iter().enumerate() {
-                dispose(shared, p, Ok(QueryResult::Reached(mr.reached(lane))));
+            for (p, reached) in live.iter().zip(mr.into_reached()) {
+                dispose(shared, p, Ok(QueryResult::Reached(reached)));
             }
         }
         Ok(None) | Err(_) => {
@@ -1181,6 +1183,9 @@ mod tests {
         let snap = server.drain();
         assert_eq!(snap.packed_runs, 1);
         assert_eq!(snap.packed_queries, 4);
+        // Which direction each step took depends on timing at two threads;
+        // that the run's steps were reported does not.
+        assert!(snap.packed_pull_steps + snap.packed_push_steps > 0);
     }
 
     #[test]
@@ -1340,6 +1345,47 @@ mod tests {
         );
         assert_eq!(snap.packed_queries, 0);
         assert_eq!(snap.updates_applied, 1);
+    }
+
+    #[test]
+    fn degree_table_is_shared_across_runs_and_rebuilt_by_a_merge() {
+        let (g, pg) = serve_graph(64);
+        let server = Server::start(Arc::clone(&g), Arc::clone(&pg), base_cfg());
+        let bfs = |root| {
+            let reply = server.submit(Query::Bfs { root }).unwrap().wait();
+            reply.expect("bfs completes");
+        };
+        bfs(0);
+        let table = pg.vss.degrees();
+        for v in 0..64u32 {
+            assert_eq!(table[v as usize], g.out_degree(v), "v{v}");
+        }
+        bfs(9);
+        assert!(
+            std::ptr::eq(table, pg.vss.degrees()),
+            "a second run on the same prepared graph reads the first run's table"
+        );
+
+        // A delete forces the merge rebuild: new structure, new table.
+        let mut batch = UpdateBatch::new();
+        batch.delete(0, 1).insert(5, 50);
+        let reply = server.submit_update(batch).unwrap().wait().unwrap();
+        assert!(matches!(reply, QueryResult::Updated { merged: true, .. }));
+        bfs(0);
+        let vg = server.shared.graph_state();
+        let (merged, merged_pg) = (Arc::clone(vg.base()), Arc::clone(vg.base_prepared()));
+        drop(vg);
+        assert!(!Arc::ptr_eq(&merged_pg, &pg));
+        for v in 0..64u32 {
+            assert_eq!(
+                merged_pg.vss.degrees()[v as usize],
+                merged.out_degree(v),
+                "v{v}"
+            );
+        }
+        assert_eq!(merged_pg.vss.degrees()[0] + 1, table[0]);
+        assert_eq!(merged_pg.vss.degrees()[5], table[5] + 1);
+        server.drain();
     }
 
     #[test]

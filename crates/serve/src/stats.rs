@@ -25,6 +25,8 @@ pub(crate) struct StatsInner {
     pub degraded: u64,
     pub packed_runs: u64,
     pub packed_queries: u64,
+    pub packed_pull_steps: u64,
+    pub packed_push_steps: u64,
     pub updates_applied: u64,
     pub merges: u64,
     latencies_ns: Vec<u64>,
@@ -62,6 +64,8 @@ impl StatsInner {
             degraded: self.degraded,
             packed_runs: self.packed_runs,
             packed_queries: self.packed_queries,
+            packed_pull_steps: self.packed_pull_steps,
+            packed_push_steps: self.packed_push_steps,
             updates_applied: self.updates_applied,
             merges: self.merges,
             p50_latency_ns: percentile(&lat, 50),
@@ -120,6 +124,12 @@ pub struct StatsSnapshot {
     pub packed_runs: u64,
     /// Queries answered by a packed run.
     pub packed_queries: u64,
+    /// Bottom-up (pull) steps packed runs took. With two or more engine
+    /// threads the split between the two step counters varies with timing;
+    /// the replies do not.
+    pub packed_pull_steps: u64,
+    /// Top-down (push) steps packed runs took.
+    pub packed_push_steps: u64,
     /// Update batches applied to the versioned graph.
     pub updates_applied: u64,
     /// Update batches that ended in a merge rebuild.
@@ -150,6 +160,8 @@ impl StatsSnapshot {
              degraded: {}\n\
              packed_runs: {}\n\
              packed_queries: {}\n\
+             packed_pull_steps: {}\n\
+             packed_push_steps: {}\n\
              updates_applied: {}\n\
              merges: {}\n\
              p50_latency_us: {}\n\
@@ -168,6 +180,8 @@ impl StatsSnapshot {
             self.degraded,
             self.packed_runs,
             self.packed_queries,
+            self.packed_pull_steps,
+            self.packed_push_steps,
             self.updates_applied,
             self.merges,
             self.p50_latency_ns / 1_000,
@@ -265,6 +279,8 @@ mod tests {
     fn render_lists_every_counter() {
         let mut s = StatsInner {
             admitted: 3,
+            packed_pull_steps: 5,
+            packed_push_steps: 4,
             ..StatsInner::default()
         };
         s.record_latency(2_000_000);
@@ -273,6 +289,8 @@ mod tests {
             "queue_depth: 1",
             "queued_work: 42",
             "admitted: 3",
+            "packed_pull_steps: 5",
+            "packed_push_steps: 4",
             "p50_latency_us: 2000",
             "p99_latency_us: 2000",
         ] {

@@ -35,6 +35,9 @@ pub struct VectorSparse<const N: usize = 4> {
     /// function of `weights` and `num_edges` alone, so `bit_identical`
     /// ignores it.
     mean_weight: OnceLock<Option<f64>>,
+    /// [`degrees`](VectorSparse::degrees), counted on first use. A function
+    /// of `vectors` and `index` alone, so `bit_identical` ignores it too.
+    degrees: OnceLock<Vec<u32>>,
 }
 
 /// Vector-Sparse-Destination with the paper's 4-lane (256-bit) vectors.
@@ -88,6 +91,7 @@ impl<const N: usize> VectorSparse<N> {
             num_vertices: n,
             num_edges: csr.num_edges(),
             mean_weight: OnceLock::new(),
+            degrees: OnceLock::new(),
         }
     }
 
@@ -171,6 +175,7 @@ impl<const N: usize> VectorSparse<N> {
             num_vertices: n,
             num_edges: csr.num_edges(),
             mean_weight: OnceLock::new(),
+            degrees: OnceLock::new(),
         };
         debug_assert!(
             built.bit_identical(&Self::from_csr(csr)),
@@ -244,6 +249,27 @@ impl<const N: usize> VectorSparse<N> {
                 }
             }
             Some(lanes.iter().sum::<f64>() / self.num_edges as f64)
+        })
+    }
+
+    /// Valid lanes per top-level vertex: out-degrees over a VSS, in-degrees
+    /// over a VSD. One O(V) pass on the first call — every vector of a
+    /// vertex but its last is full by construction, so the index and the
+    /// last vector's valid count decide it — and a shared slice after it:
+    /// the direction model's per-superstep frontier cost reads this table
+    /// from every run on the structure.
+    pub fn degrees(&self) -> &[u32] {
+        self.degrees.get_or_init(|| {
+            self.index
+                .windows(2)
+                .map(|w| match (w[1] - w[0]) as usize {
+                    0 => 0,
+                    len => {
+                        let last = &self.vectors[w[1] as usize - 1];
+                        ((len - 1) * N) as u32 + last.count_valid()
+                    }
+                })
+                .collect()
         })
     }
 
@@ -385,6 +411,29 @@ mod tests {
         let edgeless =
             Csr::from_edgelist_by_src(&EdgeList::from_parts(2, vec![], Some(vec![])).unwrap());
         assert_eq!(VectorSparse::<4>::from_csr(&edgeless).mean_weight(), None);
+    }
+
+    #[test]
+    fn degrees_count_valid_lanes_per_vertex() {
+        // Degrees 0, 1, N − 1, N, N + 1 and 2N + 3, at both lane widths.
+        let mut pairs = vec![];
+        for (v, deg) in [(1u32, 1u32), (2, 3), (3, 4), (4, 5), (6, 11)] {
+            pairs.extend((0..deg).map(|d| (v, 7 + d)));
+        }
+        let csr = csr_of(18, &pairs);
+        let vs = VectorSparse::<4>::from_csr(&csr);
+        assert_eq!(vs.degrees(), csr.degrees());
+        assert_eq!(VectorSparse::<8>::from_csr(&csr).degrees(), csr.degrees());
+        // Built once: later calls and other readers see the same table.
+        assert!(std::ptr::eq(vs.degrees(), vs.degrees()));
+        // Not part of the structure's identity.
+        assert!(vs.bit_identical(&VectorSparse::<4>::from_csr(&csr)));
+        let pool = ThreadPool::single_group(3);
+        let par = VectorSparse::<4>::from_csr_parallel(&csr, &pool);
+        assert_eq!(par.degrees(), csr.degrees());
+        assert!(VectorSparse::<4>::from_csr(&csr_of(0, &[]))
+            .degrees()
+            .is_empty());
     }
 
     #[test]
