@@ -26,8 +26,9 @@
 //!   formula … but does not change the access pattern").
 //! * [`kcore`] — k-core decomposition, a beyond-the-paper application with
 //!   a moving-threshold peeling structure.
-//! * [`multi`] — bit-parallel multi-source reachability (MS-BFS style),
-//!   the packing kernel behind the serving layer's batch formation.
+//! * [`multi`] — bit-parallel multi-source reachability and BFS (MS-BFS
+//!   style) over a base plus an insert overlay, the packing kernel behind
+//!   the serving layer's batch formation.
 //! * [`incremental`] — incremental result maintenance over update streams:
 //!   warm-started, frontier-seeded re-runs for BFS/CC/PageRank on a
 //!   versioned graph's base + pending-insert overlay.
@@ -55,7 +56,7 @@ pub use cc::ConnectedComponents;
 pub use incremental::{IncrementalBfs, IncrementalCc, IncrementalPageRank, UnitBfs};
 pub use kcore::KCore;
 pub use labelprop::LabelProp;
-pub use multi::{multi_source_reach, MultiReach, MAX_LANES};
+pub use multi::{multi_source_reach, LaneReply, MultiReach, MAX_LANES};
 pub use pagerank::PageRank;
 pub use reach::Reachability;
 pub use sssp::Sssp;

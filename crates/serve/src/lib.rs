@@ -11,9 +11,10 @@
 //! * **Bounded admission** — a capacity-limited queue plus an
 //!   estimated-work budget; load beyond either is shed *immediately* with
 //!   a typed [`ServeError::Overloaded`], never buffered without bound.
-//! * **Batch formation** — up to 64 reachability queries pack into one
-//!   bit-parallel [`multi_source_reach`](grazelle_apps::multi) run, one
-//!   direction-optimising sweep (pull by default) answering the whole batch.
+//! * **Batch formation** — up to 64 reachability and BFS queries pack into
+//!   one bit-parallel [`multi_source_reach`](grazelle_apps::multi) run over
+//!   the current version, insert overlay included: one direction-optimising
+//!   sweep (pull by default) answering the whole batch.
 //! * **Deadlines** — per-query, enforced by cooperative cancellation at
 //!   engine iteration boundaries ([`ServeError::Expired`]); nothing is
 //!   killed mid-iteration, the pool is never poisoned.

@@ -8,7 +8,7 @@
 
 use grazelle_apps::pagerank::DAMPING;
 use grazelle_apps::{
-    triangle, Bfs, ConnectedComponents, KCore, LabelProp, PageRank, Reachability, Sssp,
+    triangle, Bfs, ConnectedComponents, KCore, LabelProp, LaneReply, PageRank, Reachability, Sssp,
 };
 use grazelle_core::engine::PreparedGraph;
 use grazelle_core::incremental::GraphView;
@@ -40,8 +40,7 @@ pub enum Query {
     },
     /// k-core decomposition (coreness per vertex).
     KCore,
-    /// Reachable set from `root` — the packable program: up to 64
-    /// reachability queries share one bit-parallel run.
+    /// Reachable set from `root`.
     Reach {
         /// Search root.
         root: VertexId,
@@ -71,10 +70,13 @@ impl Query {
         }
     }
 
-    /// Whether the server may pack this query with others of the same
-    /// program into one bit-parallel run.
+    /// Whether the server may pack this query into one bit-parallel run
+    /// with up to 63 other Reach and BFS queries
+    /// ([`multi_source_reach`](grazelle_apps::multi::multi_source_reach)):
+    /// a BFS lane returns the same parent tree as running alone, over the
+    /// same base-plus-overlay version.
     pub fn packable(&self) -> bool {
-        matches!(self, Query::Reach { .. })
+        matches!(self, Query::Reach { .. } | Query::Bfs { .. })
     }
 
     /// Deterministic admission-control work estimate, in edge-sweep units:
@@ -143,6 +145,15 @@ pub enum QueryResult {
         /// Whether the batch ended in a merge rebuild.
         merged: bool,
     },
+}
+
+impl From<LaneReply> for QueryResult {
+    fn from(reply: LaneReply) -> Self {
+        match reply {
+            LaneReply::Reached(reached) => QueryResult::Reached(reached),
+            LaneReply::Parents(parents) => QueryResult::Parents(parents),
+        }
+    }
 }
 
 impl QueryResult {
@@ -421,9 +432,10 @@ mod tests {
     }
 
     #[test]
-    fn only_reach_is_packable() {
+    fn reach_and_bfs_are_packable() {
         assert!(Query::Reach { root: 0 }.packable());
-        assert!(!Query::Bfs { root: 0 }.packable());
+        assert!(Query::Bfs { root: 0 }.packable());
+        assert!(!Query::Sssp { root: 0 }.packable());
         assert!(!Query::Cc.packable());
         assert!(!Query::PageRank { iterations: 1 }.packable());
     }

@@ -11,7 +11,7 @@
 //!   [`ServeError`] immediately.
 //! * **One executor thread** owns both engine pools (the configured-width
 //!   pool and the 1-thread scalar degraded pool). It dequeues, packs
-//!   same-program queries into bit-parallel runs, and executes everything
+//!   Reach and BFS queries into bit-parallel runs, and executes everything
 //!   through [`single_shot`](crate::query::single_shot) / [`multi_source_reach`] so completed results
 //!   are bit-identical to standalone runs. Executor panics (injected or
 //!   otherwise) are caught per attempt; the thread never dies with queries
@@ -76,7 +76,7 @@ pub struct ServeConfig {
     pub retry: RetryPolicy,
     /// Engine configuration for normal (non-degraded) execution.
     pub engine: EngineConfig,
-    /// Pack same-program queries into bit-parallel runs.
+    /// Pack Reach and BFS queries into bit-parallel runs.
     pub pack: bool,
     /// Most queries per packed run (clamped to [`MAX_LANES`]).
     pub pack_window: usize,
@@ -239,10 +239,6 @@ struct Shared {
     /// Live logical edge count, mirrored out of the versioned graph so
     /// admission work estimates need no graph lock.
     edge_count: AtomicU64,
-    /// Whether a pending-insert overlay is currently active. Gates batch
-    /// packing: the packing kernel reads base CSR neighbor lists directly
-    /// and would miss overlay edges.
-    overlay_active: AtomicBool,
     queue: Mutex<QueueState>,
     cv: Condvar,
     stats: Mutex<StatsInner>,
@@ -317,7 +313,6 @@ impl Server {
             cfg,
             versioned: Mutex::new(VersionedGraph::new(graph, pg)),
             edge_count,
-            overlay_active: AtomicBool::new(false),
             queue: Mutex::new(QueueState::default()),
             cv: Condvar::new(),
             stats: Mutex::new(StatsInner::default()),
@@ -526,7 +521,19 @@ impl Drop for Server {
 /// one f64 property array, so the snapshot round-trips through the same
 /// checksummed, fsync-hardened format as engine checkpoints.
 fn write_snapshot(snap: &StatsSnapshot, path: &std::path::Path) -> Result<(), String> {
-    let fields = [
+    let fields = snapshot_fields(snap);
+    let arr = PropertyArray::new(fields.len());
+    for (i, v) in fields.iter().enumerate() {
+        arr.set_f64(i, *v as f64);
+    }
+    let frontier = Frontier::from_vertices(fields.len(), &[]);
+    let ck = Checkpoint::capture(snap.completed as usize, &[&arr], &frontier);
+    ck.save(path).map_err(|e| e.to_string())
+}
+
+/// The counters [`write_snapshot`] persists, in file order.
+fn snapshot_fields(snap: &StatsSnapshot) -> [u64; 15] {
+    [
         snap.admitted,
         snap.completed,
         snap.shed_queue + snap.shed_work + snap.shed_draining,
@@ -536,18 +543,13 @@ fn write_snapshot(snap: &StatsSnapshot, path: &std::path::Path) -> Result<(), St
         snap.degraded,
         snap.packed_runs,
         snap.packed_queries,
+        snap.packed_bfs_queries,
+        snap.packed_overlay_runs,
         snap.updates_applied,
         snap.merges,
         snap.p50_latency_ns,
         snap.p99_latency_ns,
-    ];
-    let arr = PropertyArray::new(fields.len());
-    for (i, v) in fields.iter().enumerate() {
-        arr.set_f64(i, *v as f64);
-    }
-    let frontier = Frontier::from_vertices(fields.len(), &[]);
-    let ck = Checkpoint::capture(snap.completed as usize, &[&arr], &frontier);
-    ck.save(path).map_err(|e| e.to_string())
+    ]
 }
 
 /// Deadline monitor: cancels the registered in-flight run once its expiry
@@ -595,7 +597,7 @@ fn executor_loop(shared: &Shared) {
         match batch {
             Batch::Single(p) => match p.request {
                 Request::Update(_) => apply_update(shared, &pool, p),
-                Request::Query(_) => execute_single(shared, &pool, &degraded_pool, p),
+                Request::Query(_) => execute_single(shared, &pool, &degraded_pool, p, None),
             },
             Batch::Packed(members) => execute_packed(shared, &pool, &degraded_pool, members),
         }
@@ -609,14 +611,12 @@ enum Batch {
 }
 
 /// Forms the next batch under the queue lock: if the head is packable and
-/// packing is on, pull every packable query (up to the window) out of the
-/// queue — later non-packable queries keep their order.
+/// packing is on, pull every packable query (up to the window, up to the
+/// next update) out of the queue — later non-packable queries keep their
+/// order. An active insert overlay does not matter: the pack reads it.
 fn form_batch(shared: &Shared, q: &mut QueueState) -> Batch {
     let head_packs = q.deque.front().is_some_and(|p| p.request.packable());
-    // ATOMIC: relaxed-flag — packing gate; only the executor (this thread)
-    // flips it, so the read cannot race an overlay change
-    let overlay = shared.overlay_active.load(Ordering::Relaxed);
-    if !(shared.cfg.pack && head_packs && !overlay) {
+    if !(shared.cfg.pack && head_packs) {
         let p = q.deque.pop_front().expect("checked non-empty");
         q.queued_work = q.queued_work.saturating_sub(p.work);
         return Batch::Single(p);
@@ -719,12 +719,22 @@ fn dispose(shared: &Shared, p: &Pending, outcome: QueryOutcome) {
     let _ = p.tx.send(outcome);
 }
 
+/// The payload of a panic the executor caught.
+type Panic = Box<dyn std::any::Any + Send>;
+
 /// Executes one query with the full containment ladder: up to
 /// `1 + max_retries` attempts on the configured pool, then one final
 /// attempt on the sequential-scalar degraded path. Deadline expiry at any
 /// point reports `Expired`; exhausting the ladder reports `Failed`. The
-/// executor thread survives everything.
-fn execute_single(shared: &Shared, pool: &ThreadPool, degraded_pool: &ThreadPool, p: Pending) {
+/// executor thread survives everything. `spent` is a panic a pack already
+/// caught for this query: it is the outcome of attempt 0.
+fn execute_single(
+    shared: &Shared,
+    pool: &ThreadPool,
+    degraded_pool: &ThreadPool,
+    p: Pending,
+    mut spent: Option<Panic>,
+) {
     let Request::Query(query) = p.request else {
         unreachable!("updates are dispatched to apply_update");
     };
@@ -747,27 +757,30 @@ fn execute_single(shared: &Shared, pool: &ThreadPool, degraded_pool: &ThreadPool
         } else {
             (shared.cfg.engine, pool)
         };
-        let result = with_monitored_run(shared, &cancel, expires, || {
-            // RECOVERY: a panic crossing this boundary leaves no shared
-            // state behind — injected query panics fire before the engine
-            // starts, engine worker panics are absorbed inside
-            // `run_resilient` (§9) and surface as `EngineError`, and every
-            // attempt allocates its own property arrays inside
-            // `single_shot` over the immutable graph. The attempt's outputs
-            // are discarded wholesale and the retry ladder re-runs from
-            // scratch on intact inputs.
-            panic::catch_unwind(AssertUnwindSafe(|| {
-                if let Some(f) = shared.serve_faults.as_deref() {
-                    f.maybe_panic_query(p.seq);
-                }
-                let mut rctx = ResilienceContext::new().with_cancel(&cancel);
-                if let Some(x) = shared.exec_faults.as_deref() {
-                    rctx = rctx.with_injector(x);
-                }
-                let vg = shared.graph_state();
-                single_shot_view(&vg.view(), &cfg, &rctx, run_pool, query)
-            }))
-        });
+        let result = match spent.take() {
+            Some(panic) => Err(panic),
+            None => with_monitored_run(shared, &cancel, expires, || {
+                // RECOVERY: a panic crossing this boundary leaves no shared
+                // state behind — injected query panics fire before the
+                // engine starts, engine worker panics are absorbed inside
+                // `run_resilient` (§9) and surface as `EngineError`, and
+                // every attempt allocates its own property arrays inside
+                // `single_shot` over the immutable graph. The attempt's
+                // outputs are discarded wholesale and the retry ladder
+                // re-runs from scratch on intact inputs.
+                panic::catch_unwind(AssertUnwindSafe(|| {
+                    if let Some(f) = shared.serve_faults.as_deref() {
+                        f.maybe_panic_query(p.seq);
+                    }
+                    let mut rctx = ResilienceContext::new().with_cancel(&cancel);
+                    if let Some(x) = shared.exec_faults.as_deref() {
+                        rctx = rctx.with_injector(x);
+                    }
+                    let vg = shared.graph_state();
+                    single_shot_view(&vg.view(), &cfg, &rctx, run_pool, query)
+                }))
+            }),
+        };
         match result {
             Ok(Ok(res)) => {
                 dispose(shared, &p, Ok(res));
@@ -819,13 +832,9 @@ fn apply_update(shared: &Shared, pool: &ThreadPool, p: Pending) {
     let mut vg = shared.graph_state();
     let result = vg.apply_batch(batch, pool);
     let edges = vg.num_edges() as u64;
-    let overlay = vg.delta_active();
     drop(vg);
     // ATOMIC: relaxed-counter — admission estimate mirror
     shared.edge_count.store(edges, Ordering::Relaxed);
-    // ATOMIC: relaxed-flag — packing gate; written only by this thread and
-    // read by it again in form_batch, so ordering is program order
-    shared.overlay_active.store(overlay, Ordering::Relaxed);
     match result {
         Ok(report) => {
             let mut stats = shared.stats.lock().unwrap();
@@ -858,41 +867,65 @@ fn apply_update(shared: &Shared, pool: &ThreadPool, p: Pending) {
     }
 }
 
-/// Executes a packed batch of reachability queries as one bit-parallel
-/// run. Cancellation uses the earliest member deadline; on cancellation or
-/// panic, expired members are reported and survivors fall back to the
-/// individual path (with their panic budgets already part-consumed, as the
-/// fault plan intends).
+/// Executes a packed batch of Reach and BFS queries as one bit-parallel run
+/// over the current version, insert overlay included. A member already
+/// past its deadline never enters the pack, and one whose injected panic
+/// fires leaves it with attempt 0 spent, so every member's disposition and
+/// counters are what running alone would give. Cancellation uses the
+/// earliest member deadline; on cancellation or a panic in the run,
+/// survivors fall back to the individual path.
 fn execute_packed(
     shared: &Shared,
     pool: &ThreadPool,
     degraded_pool: &ThreadPool,
     members: Vec<Pending>,
 ) {
-    // Members already past their deadline never enter the pack: they are
-    // disposed Expired at iteration 0, exactly like a pre-cancelled run.
     let now = Instant::now();
-    let mut live = Vec::new();
+    let (mut live, mut evicted) = (Vec::new(), Vec::new());
     for p in members {
         if effective_expiry(shared, &p).is_some_and(|t| now >= t) {
             dispose(shared, &p, Err(ServeError::Expired { iteration: 0 }));
-        } else {
+            continue;
+        }
+        let Some(f) = shared.serve_faults.as_deref() else {
             live.push(p);
+            continue;
+        };
+        // RECOVERY: an injected member panic fires before the traversal and
+        // touches no state; the member resumes its retry ladder alone at
+        // attempt 1, on the same intact inputs.
+        match panic::catch_unwind(AssertUnwindSafe(|| f.maybe_panic_query(p.seq))) {
+            Ok(()) => live.push(p),
+            Err(spent) => evicted.push((p, spent)),
         }
     }
     match live.len() {
-        0 => return,
+        0 => {}
         1 => {
             let p = live.pop().expect("one member");
-            return execute_single(shared, pool, degraded_pool, p);
+            execute_single(shared, pool, degraded_pool, p, None);
         }
-        _ => {}
+        _ => run_pack(shared, pool, degraded_pool, live),
     }
+    for (p, spent) in evicted {
+        execute_single(shared, pool, degraded_pool, p, Some(spent));
+    }
+}
+
+/// The bit-parallel run behind [`execute_packed`], for two or more members
+/// that are neither expired nor injected to panic.
+fn run_pack(shared: &Shared, pool: &ThreadPool, degraded_pool: &ThreadPool, live: Vec<Pending>) {
+    let mut bfs_lanes = 0u64;
     let roots: Vec<_> = live
         .iter()
-        .map(|p| match p.request {
+        .enumerate()
+        .map(|(lane, p)| match p.request {
             Request::Query(Query::Reach { root }) => root,
-            _ => unreachable!("only Reach packs"),
+            Request::Query(Query::Bfs { root }) => {
+                bfs_lanes |= 1 << lane;
+                root
+            }
+            _ => unreachable!("only Reach and Bfs pack"),
         })
         .collect();
     let expires = live
@@ -901,45 +934,46 @@ fn execute_packed(
         .min();
     let cancel = Arc::new(CancelFlag::new());
     let result = with_monitored_run(shared, &cancel, expires, || {
-        // RECOVERY: the packed run's masks and frontier are owned by
-        // `multi_source_reach` and die with the unwind; the graph is
-        // immutable and injected member panics fire before the traversal
-        // starts. On catch, every member falls back to the individual
-        // path (panic budgets part-consumed, as the fault plan intends)
-        // and re-runs from intact inputs.
+        // RECOVERY: the packed run's masks, frontiers and parent arrays
+        // are owned by `multi_source_reach` and die with the unwind; the
+        // graph is immutable during the run. On catch, every member falls
+        // back to the individual path and re-runs from intact inputs.
         panic::catch_unwind(AssertUnwindSafe(|| {
-            if let Some(f) = shared.serve_faults.as_deref() {
-                for p in &live {
-                    f.maybe_panic_query(p.seq);
-                }
-            }
-            // Packing only forms while no overlay is active (form_batch
-            // gates on the flag, and only this thread changes it), so the
-            // base graph IS the full logical graph here.
             let vg = shared.graph_state();
-            multi_source_reach(vg.base(), &roots, pool, Some(&cancel))
+            let view = vg.view();
+            let mr = multi_source_reach(
+                view.graph,
+                view.delta_graph,
+                &roots,
+                bfs_lanes,
+                pool,
+                Some(&cancel),
+            );
+            mr.map(|mr| (mr, view.has_delta()))
         }))
     });
     match result {
-        Ok(Some(mr)) => {
+        Ok(Some((mr, overlay))) => {
             let mut stats = shared.stats.lock().unwrap();
             stats.packed_runs += 1;
             stats.packed_queries += live.len() as u64;
+            stats.packed_bfs_queries += u64::from(bfs_lanes.count_ones());
+            stats.packed_overlay_runs += u64::from(overlay);
             stats.packed_pull_steps += mr.pull_iterations as u64;
             stats.packed_push_steps += mr.push_iterations as u64;
             drop(stats);
-            for (p, reached) in live.iter().zip(mr.into_reached()) {
-                dispose(shared, p, Ok(QueryResult::Reached(reached)));
+            for (p, reply) in live.iter().zip(mr.replies()) {
+                dispose(shared, p, Ok(reply.into()));
             }
         }
         Ok(None) | Err(_) => {
             if result.is_err() {
                 shared.stats.lock().unwrap().panics_absorbed += 1;
             }
-            // Pack attempt died (deadline hit the batch, or an injected
-            // panic): expired members report, survivors run individually.
+            // Pack attempt died (deadline hit the batch, or the run
+            // panicked): expired members report, survivors run alone.
             for p in live {
-                execute_single(shared, pool, degraded_pool, p);
+                execute_single(shared, pool, degraded_pool, p, None);
             }
         }
     }
@@ -1155,17 +1189,8 @@ mod tests {
     #[test]
     fn reach_queries_pack_into_one_bit_parallel_run() {
         let (g, pg) = serve_graph(96);
-        // Hold the executor on query 0 long enough for the reach queries
-        // to queue up and pack.
-        let faults = Arc::new(ServeInjector::new(
-            ServeFaultPlan::clean().with_query_panic(0, 1),
-        ));
-        let cfg = base_cfg().with_retry(RetryPolicy {
-            max_retries: 2,
-            backoff: Duration::from_millis(60),
-        });
-        let server =
-            Server::start_with_faults(Arc::clone(&g), Arc::clone(&pg), cfg, Some(faults), None);
+        let (cfg, faults) = plugged(0);
+        let server = Server::start_with_faults(Arc::clone(&g), Arc::clone(&pg), cfg, faults, None);
         let t0 = server.submit(Query::Cc).unwrap();
         std::thread::sleep(Duration::from_millis(20));
         let roots = [0u32, 7, 40, 95];
@@ -1183,9 +1208,20 @@ mod tests {
         let snap = server.drain();
         assert_eq!(snap.packed_runs, 1);
         assert_eq!(snap.packed_queries, 4);
-        // Which direction each step took depends on timing at two threads;
-        // that the run's steps were reported does not.
+        assert_eq!(snap.packed_bfs_queries + snap.packed_overlay_runs, 0);
         assert!(snap.packed_pull_steps + snap.packed_push_steps > 0);
+    }
+
+    /// Configuration and faults under which the query at admission
+    /// `plug_seq` panics once and parks the executor in a 60 ms retry
+    /// backoff, so the queries submitted behind it queue up and pack.
+    fn plugged(plug_seq: usize) -> (ServeConfig, Option<Arc<ServeInjector>>) {
+        let faults = ServeInjector::new(ServeFaultPlan::clean().with_query_panic(plug_seq, 1));
+        let cfg = base_cfg().with_retry(RetryPolicy {
+            max_retries: 2,
+            backoff: Duration::from_millis(60),
+        });
+        (cfg, Some(Arc::new(faults)))
     }
 
     #[test]
@@ -1198,15 +1234,34 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("final.ckpt");
         let (g, pg) = serve_graph(32);
-        let cfg = base_cfg().with_snapshot_path(Some(path.clone()));
-        let server = Server::start(g, pg, cfg);
-        server.submit(Query::Cc).unwrap().wait().unwrap();
+        // Seq 0 leaves an overlay; seq 1 plugs the executor while a Reach and
+        // a BFS query queue up, so every packed counter has something to
+        // carry through the file.
+        let (cfg, faults) = plugged(1);
+        let cfg = cfg.with_snapshot_path(Some(path.clone()));
+        let server = Server::start_with_faults(g, pg, cfg, faults, None);
+        let mut batch = UpdateBatch::new();
+        batch.insert(0, 20);
+        server.submit_update(batch).unwrap().wait().unwrap();
+        let plug = server.submit(Query::Cc).unwrap();
+        let packed =
+            [Query::Reach { root: 0 }, Query::Bfs { root: 3 }].map(|q| server.submit(q).unwrap());
+        plug.wait().unwrap();
+        for t in packed {
+            t.wait().unwrap();
+        }
         let snap = server.drain();
-        assert_eq!(snap.completed, 1);
+        assert_eq!(snap.completed, 4);
+        assert_eq!((snap.packed_bfs_queries, snap.packed_overlay_runs), (1, 1));
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[..8], b"GRZCKPT1");
         let ck = Checkpoint::load(&path).unwrap();
-        assert_eq!(ck.iteration, 1);
+        assert_eq!(ck.iteration, 4);
+        let stored: Vec<u64> = ck.arrays[0]
+            .iter()
+            .map(|&bits| f64::from_bits(bits) as u64)
+            .collect();
+        assert_eq!(stored, snapshot_fields(&snap));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1291,31 +1346,27 @@ mod tests {
     }
 
     #[test]
-    fn overlay_disables_packing_but_reach_stays_correct() {
+    fn reach_and_bfs_pack_over_an_active_overlay() {
         let (g, pg) = serve_graph(96);
-        // Seq 0 is the update; query 1 panics once with a long backoff so
-        // the Reach queries pile up behind it — exactly the shape that
-        // packed into one bit-parallel run before the overlay existed.
-        let faults = Arc::new(ServeInjector::new(
-            ServeFaultPlan::clean().with_query_panic(1, 1),
-        ));
-        let cfg = base_cfg().with_retry(RetryPolicy {
-            max_retries: 2,
-            backoff: Duration::from_millis(60),
-        });
-        let server =
-            Server::start_with_faults(Arc::clone(&g), Arc::clone(&pg), cfg, Some(faults), None);
+        // Seq 0 is the update; query 1 plugs the executor so the Reach and
+        // BFS queries pile up behind it and pack over the overlay.
+        let (cfg, faults) = plugged(1);
+        let server = Server::start_with_faults(Arc::clone(&g), Arc::clone(&pg), cfg, faults, None);
         let mut batch = UpdateBatch::new();
         batch.insert(0, 95).insert(95, 3);
         server.submit_update(batch).unwrap().wait().unwrap();
 
         let t0 = server.submit(Query::Cc).unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        let roots = [0u32, 7, 40, 95];
-        let tickets: Vec<_> = roots
-            .iter()
-            .map(|&r| server.submit(Query::Reach { root: r }).unwrap())
-            .collect();
+        let queries = [
+            Query::Reach { root: 0 },
+            Query::Bfs { root: 0 },
+            Query::Reach { root: 7 },
+            Query::Reach { root: 40 },
+            Query::Bfs { root: 95 },
+            Query::Reach { root: 95 },
+        ];
+        let tickets = queries.map(|q| server.submit(q).unwrap());
         t0.wait().unwrap();
 
         // Merged-graph reference: serve_graph's edges plus the two inserts.
@@ -1332,19 +1383,71 @@ mod tests {
         mel.push(95, 3).unwrap();
         mel.sort_and_dedup();
         let mg = Graph::from_edgelist(&mel).unwrap();
+        let mpg = PreparedGraph::new(&mg);
         let ecfg = EngineConfig::new().with_threads(2);
-        for (t, &root) in tickets.into_iter().zip(&roots) {
-            let served = t.wait().expect("reach completes over the overlay");
-            let direct = grazelle_apps::reach::run(&mg, &ecfg, root);
-            assert_eq!(served, QueryResult::Reached(direct), "root {root}");
+        let pool = ThreadPool::single_group(2);
+        for (t, q) in tickets.into_iter().zip(queries) {
+            let served = t.wait().expect("packs over the overlay");
+            let direct = single_shot(&mg, &mpg, &ecfg, &ResilienceContext::new(), &pool, q);
+            assert_eq!(served, direct.unwrap(), "{q:?}");
         }
         let snap = server.drain();
-        assert_eq!(
-            snap.packed_runs, 0,
-            "packing must not run over an active overlay"
-        );
-        assert_eq!(snap.packed_queries, 0);
+        assert!(snap.packed_runs >= 1);
+        assert_eq!(snap.packed_overlay_runs, snap.packed_runs);
+        assert_eq!((snap.packed_queries, snap.packed_bfs_queries), (6, 2));
         assert_eq!(snap.updates_applied, 1);
+    }
+
+    #[test]
+    fn packing_on_and_off_reply_alike_across_inserts_and_a_merging_delete() {
+        let (g, pg) = serve_graph(96);
+        enum Entry {
+            Ask(Query),
+            Apply(UpdateBatch),
+        }
+        let mut stream = Vec::new();
+        for segment in 0..4u32 {
+            stream.extend((0..8u32).map(|i| {
+                let root = (segment * 13 + i * 11) % 96;
+                Entry::Ask(match i % 3 {
+                    0 => Query::Bfs { root },
+                    _ => Query::Reach { root },
+                })
+            }));
+            let mut batch = UpdateBatch::new();
+            match segment {
+                0 => batch.insert(95, 10).insert(50, 2),
+                1 => batch.insert(7, 90).insert(90, 0),
+                // Deletes force the merge rebuild.
+                2 => batch.delete(0, 1).delete(40, 41),
+                _ => continue,
+            };
+            stream.push(Entry::Apply(batch));
+        }
+        let serve = |pack: bool| {
+            let (cfg, faults) = plugged(0);
+            let cfg = cfg.with_pack(pack);
+            let server =
+                Server::start_with_faults(Arc::clone(&g), Arc::clone(&pg), cfg, faults, None);
+            let plug = server.submit(Query::Cc).unwrap();
+            let tickets: Vec<_> = stream
+                .iter()
+                .map(|entry| match entry {
+                    Entry::Ask(q) => server.submit(*q).unwrap(),
+                    Entry::Apply(b) => server.submit_update(b.clone()).unwrap(),
+                })
+                .collect();
+            plug.wait().unwrap();
+            let replies: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
+            (replies, server.drain())
+        };
+        let (packed, on) = serve(true);
+        let (single, off) = serve(false);
+        assert!(packed.iter().all(Result::is_ok));
+        assert_eq!(packed, single);
+        assert_eq!(off.packed_runs, 0);
+        assert!(on.packed_overlay_runs >= 1 && on.packed_bfs_queries >= 1);
+        assert_eq!((on.merges, off.merges), (1, 1));
     }
 
     #[test]

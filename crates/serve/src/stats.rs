@@ -25,6 +25,8 @@ pub(crate) struct StatsInner {
     pub degraded: u64,
     pub packed_runs: u64,
     pub packed_queries: u64,
+    pub packed_bfs_queries: u64,
+    pub packed_overlay_runs: u64,
     pub packed_pull_steps: u64,
     pub packed_push_steps: u64,
     pub updates_applied: u64,
@@ -64,6 +66,8 @@ impl StatsInner {
             degraded: self.degraded,
             packed_runs: self.packed_runs,
             packed_queries: self.packed_queries,
+            packed_bfs_queries: self.packed_bfs_queries,
+            packed_overlay_runs: self.packed_overlay_runs,
             packed_pull_steps: self.packed_pull_steps,
             packed_push_steps: self.packed_push_steps,
             updates_applied: self.updates_applied,
@@ -124,9 +128,11 @@ pub struct StatsSnapshot {
     pub packed_runs: u64,
     /// Queries answered by a packed run.
     pub packed_queries: u64,
-    /// Bottom-up (pull) steps packed runs took. With two or more engine
-    /// threads the split between the two step counters varies with timing;
-    /// the replies do not.
+    /// The BFS queries among `packed_queries`.
+    pub packed_bfs_queries: u64,
+    /// Packed runs that read an active insert overlay.
+    pub packed_overlay_runs: u64,
+    /// Bottom-up (pull) steps packed runs took.
     pub packed_pull_steps: u64,
     /// Top-down (push) steps packed runs took.
     pub packed_push_steps: u64,
@@ -160,6 +166,8 @@ impl StatsSnapshot {
              degraded: {}\n\
              packed_runs: {}\n\
              packed_queries: {}\n\
+             packed_bfs_queries: {}\n\
+             packed_overlay_runs: {}\n\
              packed_pull_steps: {}\n\
              packed_push_steps: {}\n\
              updates_applied: {}\n\
@@ -180,6 +188,8 @@ impl StatsSnapshot {
             self.degraded,
             self.packed_runs,
             self.packed_queries,
+            self.packed_bfs_queries,
+            self.packed_overlay_runs,
             self.packed_pull_steps,
             self.packed_push_steps,
             self.updates_applied,
@@ -279,6 +289,8 @@ mod tests {
     fn render_lists_every_counter() {
         let mut s = StatsInner {
             admitted: 3,
+            packed_bfs_queries: 7,
+            packed_overlay_runs: 6,
             packed_pull_steps: 5,
             packed_push_steps: 4,
             ..StatsInner::default()
@@ -289,6 +301,8 @@ mod tests {
             "queue_depth: 1",
             "queued_work: 42",
             "admitted: 3",
+            "packed_bfs_queries: 7",
+            "packed_overlay_runs: 6",
             "packed_pull_steps: 5",
             "packed_push_steps: 4",
             "p50_latency_us: 2000",

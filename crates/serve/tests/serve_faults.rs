@@ -13,8 +13,13 @@
 //! * shed/expired/failed queries carry typed `ServeError`s, and the
 //!   drain-time counters match the fault plan exactly.
 //!
+//! A fourth soak queues a wave of Reach and BFS queries behind a plug so it
+//! packs, and injects panics and a deadline storm into pack members: they
+//! leave the pack one by one, and the counters still match the plan.
+//!
 //! When `GRAZELLE_SOAK_STATS_DIR` is set, each server's final stats
-//! rendering is written there (`soak-<threads>.txt`) for CI artifacts.
+//! rendering is written there (`soak-<threads>.txt`,
+//! `packed-wave-<threads>.txt`) for CI artifacts.
 
 use grazelle_core::engine::PreparedGraph;
 use grazelle_core::faults::{ServeFaultPlan, ServeInjector};
@@ -174,29 +179,118 @@ fn soak_at(threads: usize) -> String {
     snap.render()
 }
 
-fn write_stats_artifact(threads: usize, rendering: &str) {
+/// Member `seq` of the packed wave: every third a BFS query, the rest
+/// Reach, from roots spread over the graph.
+fn wave_query(seq: usize) -> Query {
+    let root = (seq * 37 % 600) as u32;
+    match seq % 3 {
+        0 => Query::Bfs { root },
+        _ => Query::Reach { root },
+    }
+}
+
+/// A wave that packs: seq 0 (a Cc query) panics once and parks the executor
+/// in its retry backoff while seqs 1..=16, Reach and BFS mixed, queue up
+/// behind it. Two BFS members panic and one BFS and one Reach member sit in
+/// a deadline storm; those leave the pack, and every disposition and
+/// counter is what running each member alone would give.
+fn packed_wave_at(threads: usize) -> String {
+    let (g, pg) = soak_graph(600);
+    // seq 3 (Bfs): 1 panic  — completes on attempt 1, alone.
+    // seq 6 (Bfs): 3 panics — completes only on the degraded attempt.
+    // seqs 9, 10:  deadline storm — expired at iteration 0.
+    let plan = ServeFaultPlan::clean()
+        .with_query_panic(0, 1)
+        .with_query_panic(3, 1)
+        .with_query_panic(6, 3)
+        .with_deadline_storm(9, 2);
+    let cfg = ServeConfig::new()
+        .with_engine(EngineConfig::new().with_threads(threads))
+        .with_queue_capacity(QUEUE_CAP)
+        .with_retry(RetryPolicy {
+            max_retries: 2,
+            backoff: Duration::from_millis(40),
+        });
+    let server = Server::start_with_faults(
+        Arc::clone(&g),
+        Arc::clone(&pg),
+        cfg,
+        Some(Arc::new(ServeInjector::new(plan))),
+        None,
+    );
+    let plug = server.submit(Query::Cc).unwrap();
+    let tickets: Vec<_> = (1..=16)
+        .map(|seq| server.submit(wave_query(seq)).unwrap())
+        .collect();
+    plug.wait().expect("the plug recovers");
+    let ref_pool = ThreadPool::single_group(threads);
+    let ref_cfg = EngineConfig::new().with_threads(threads);
+    for t in tickets {
+        let seq = t.seq();
+        match t.wait() {
+            Ok(served) => {
+                let direct = single_shot(
+                    &g,
+                    &pg,
+                    &ref_cfg,
+                    &ResilienceContext::new(),
+                    &ref_pool,
+                    wave_query(seq),
+                )
+                .expect("reference run is clean");
+                assert_eq!(served, direct, "seq {seq} diverged from single-shot");
+            }
+            Err(ServeError::Expired { iteration }) => {
+                assert!((9..11).contains(&seq), "only the storm expires, got {seq}");
+                assert_eq!(iteration, 0);
+            }
+            Err(other) => panic!("seq {seq}: unexpected disposition {other}"),
+        }
+    }
+    let snap = server.drain();
+    assert_eq!(snap.completed, 1 + 16 - 2);
+    assert_eq!((snap.expired, snap.failed), (2, 0));
+    assert_eq!(snap.panics_absorbed, 1 + 1 + 3);
+    assert_eq!(snap.retries, 1 + 1 + 3, "a pack panic spends attempt 0");
+    assert_eq!(snap.degraded, 1, "seq 6");
+    assert!(
+        snap.packed_runs >= 1,
+        "the wave queued behind the plug packs"
+    );
+    assert!(snap.packed_bfs_queries >= 1);
+    snap.render()
+}
+
+#[test]
+fn packs_with_bfs_members_fall_back_member_by_member() {
+    for threads in [1, 2, 8] {
+        let stats = packed_wave_at(threads);
+        write_stats_artifact(&format!("packed-wave-{threads}"), &stats);
+    }
+}
+
+fn write_stats_artifact(name: &str, rendering: &str) {
     if let Ok(dir) = std::env::var("GRAZELLE_SOAK_STATS_DIR") {
         let dir = std::path::Path::new(&dir);
         std::fs::create_dir_all(dir).expect("create stats dir");
-        std::fs::write(dir.join(format!("soak-{threads}.txt")), rendering)
-            .expect("write stats artifact");
+        std::fs::write(dir.join(format!("{name}.txt")), rendering).expect("write stats artifact");
     }
 }
 
 #[test]
 fn soak_single_thread() {
     let stats = soak_at(1);
-    write_stats_artifact(1, &stats);
+    write_stats_artifact("soak-1", &stats);
 }
 
 #[test]
 fn soak_two_threads() {
     let stats = soak_at(2);
-    write_stats_artifact(2, &stats);
+    write_stats_artifact("soak-2", &stats);
 }
 
 #[test]
 fn soak_eight_threads() {
     let stats = soak_at(8);
-    write_stats_artifact(8, &stats);
+    write_stats_artifact("soak-8", &stats);
 }
