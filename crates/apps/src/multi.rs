@@ -64,15 +64,21 @@
 //! step's first such `u` in the base list is the base's minimum, and with
 //! an overlay the parent is the smaller of the first hits in the two lists.
 //! A push step sets masks without reading in-lists, so after it a resolve
-//! pass walks the same lists for each next-frontier vertex that was pushed
-//! a BFS lane. That is exactly the tree [`crate::bfs`] builds — its Min
-//! aggregation over the in-neighbours on the frontier, at the discovery
-//! level ("the first identified candidate … becomes its final value",
-//! §6) — so every BFS lane is bit-identical to `bfs::run` on the merged
-//! graph, and every other lane to `reach::run`, at every thread count and
-//! under every step order; only the *number* of steps may vary with timing
-//! once two threads run. Parents live in one `u32` array per BFS lane,
-//! each slot written only by the worker that owns its vertex in that step.
+//! pass walks the *pushing* side: every frontier vertex holding a pushed
+//! BFS lane offers itself as the parent of each out-neighbour that gained
+//! the lane in this step, and the smallest offer wins. That costs the
+//! frontier's out-edges, which the ALPHA test keeps small whenever it
+//! pushes; walking the gainers' in-lists instead cost the next frontier's
+//! in-edges, the whole graph once the frontier explodes. Either way the
+//! parent is exactly the one [`crate::bfs`] picks — its Min aggregation
+//! over the in-neighbours on the frontier, at the discovery level ("the
+//! first identified candidate … becomes its final value", §6) — so every
+//! BFS lane is bit-identical to `bfs::run` on the merged graph, and every
+//! other lane to `reach::run`, at every thread count and under every step
+//! order; only the *number* of steps may vary with timing once two
+//! threads run. Parents live in one `u32` array per BFS lane: a pull step
+//! writes a slot only from the worker that owns its vertex, the resolve
+//! pass takes an atomic minimum.
 //!
 //! Cancellation is cooperative at iteration boundaries, matching the
 //! resilient engine driver's contract: a cancelled sweep returns `None`
@@ -263,6 +269,19 @@ impl Walk<'_> {
             bits &= bits - 1;
             if u < slot.load(Ordering::Relaxed) {
                 slot.store(u, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Offers `u` as `v`'s parent in each BFS lane of `bits` from any
+    /// worker: the resolve pass after a push step. A load screens out the
+    /// offers that cannot win before the read-modify-write.
+    fn offer(&self, v: VertexId, mut bits: u64, u: VertexId) {
+        while bits != 0 {
+            let slot = self.parent(bits.trailing_zeros(), v);
+            bits &= bits - 1;
+            if u < slot.load(Ordering::Relaxed) {
+                slot.fetch_min(u, Ordering::Relaxed);
             }
         }
     }
@@ -549,20 +568,24 @@ fn sweep(
                 });
                 (got_all, edges)
             });
-            // The resolve pass: a vertex that was pushed a BFS lane finds
-            // its parent by the pull walk, owner-only like a pull step.
+            // The resolve pass: every pusher of a BFS lane offers itself to
+            // the out-neighbours that gained the lane in this step — exactly
+            // the in-neighbours one level up of each vertex it reached.
             let resolve = pushed & parent_lanes;
             if pushes.iter().any(|(got, _)| got & resolve != 0) {
                 pool.run(|ctx| {
-                    for_share(&next, ctx.global_id, threads, |v| {
-                        let need = gaining_r[v as usize].load(Ordering::Relaxed) & resolve;
-                        if need != 0 {
-                            // Whoever pushed a lane is an in-neighbour.
-                            let found = walk.gather_bfs(v, need, gained_r);
-                            debug_assert_eq!(
-                                found, need,
-                                "vertex {v}: pushed lanes without a pusher"
-                            );
+                    for_share(&frontier, ctx.global_id, threads, |u| {
+                        let bits = gained_r[u as usize].load(Ordering::Relaxed) & resolve;
+                        if bits == 0 {
+                            return;
+                        }
+                        for list in g.out_lists(u) {
+                            for &d in list {
+                                let won = gaining_r[d as usize].load(Ordering::Relaxed) & bits;
+                                if won != 0 {
+                                    walk.offer(d, won, u);
+                                }
+                            }
                         }
                     });
                 });

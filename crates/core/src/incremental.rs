@@ -17,28 +17,35 @@
 //!   safe fallback is a cold rerun on the merged graph.
 //! * **Threshold merge**: once pending inserts exceed
 //!   [`merge_fraction`](VersionedGraph::with_merge_fraction) of the base
-//!   edge count, the overlay is folded into a full rebuild through the
-//!   parallel build pipeline (PR 5). A threshold merge changes no logical
-//!   edge, so prior results remain valid.
+//!   edge count, the overlay is folded into the base. A threshold merge
+//!   changes no logical edge, so prior results remain valid.
+//!
+//! Neither a merge nor an overlay refresh rebuilds from an edge list. A
+//! merge splices the sorted pending inserts and tombstones into the base,
+//! and a refresh splices the batch's new inserts into the old overlay
+//! ([`Graph::with_edits`]). Both copy every untouched adjacency list as one
+//! slice, then encode Vector-Sparse from the result.
 //!
 //! Pending deltas persist through the `GRZCKPT1` checkpoint container
 //! ([`save_pending`](VersionedGraph::save_pending)): each edge packs into
 //! one `u64` array slot and the batch version rides in the iteration field.
 //! A serving node restarts with restore-then-replay —
 //! [`with_pending_replayed`](VersionedGraph::with_pending_replayed) rebuilds
-//! the overlay from the persisted segments against the same base.
+//! the overlay from the persisted inserts against the same base.
 
-use crate::build::prepare_profiled_with_cutover;
+use crate::build::PAR_BUILD_CUTOVER_EDGES;
 use crate::checkpoint::Checkpoint;
 use crate::engine::PreparedGraph;
 use crate::frontier::Frontier;
 use crate::properties::PropertyArray;
 use grazelle_graph::delta::{DeltaRecord, DeltaSegments, UpdateBatch};
+use grazelle_graph::edgelist::EdgeList;
 use grazelle_graph::graph::Graph;
 use grazelle_graph::types::{GraphError, VertexId};
 use grazelle_sched::pool::ThreadPool;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Default pending-insert fraction of the base edge count that triggers a
 /// merge rebuild. A quarter keeps the overlay's extra push phase well below
@@ -58,6 +65,9 @@ pub struct ApplyReport {
     /// Whether prior results are invalidated (deletes only). Incremental
     /// maintenance must fall back to a cold recompute when set.
     pub full_recompute: bool,
+    /// Wall time of the merge, splice and Vector-Sparse encode together
+    /// (0 without one).
+    pub merge_ns: u64,
 }
 
 /// A borrowed, read-only view of the current graph version: the base pair,
@@ -151,7 +161,6 @@ pub struct VersionedGraph {
     out_deg: Vec<u32>,
     in_deg: Vec<u32>,
     merge_fraction: f64,
-    merge_cutover: u64,
 }
 
 impl VersionedGraph {
@@ -169,7 +178,6 @@ impl VersionedGraph {
             out_deg,
             in_deg,
             merge_fraction: DEFAULT_MERGE_FRACTION,
-            merge_cutover: crate::build::PAR_BUILD_CUTOVER_EDGES,
         }
     }
 
@@ -187,13 +195,6 @@ impl VersionedGraph {
     pub fn with_merge_fraction(mut self, fraction: f64) -> Self {
         assert!(fraction >= 0.0, "merge fraction must be non-negative");
         self.merge_fraction = fraction;
-        self
-    }
-
-    /// Overrides the sequential/parallel cutover for merge rebuilds (0
-    /// forces pool-width rebuilds, like the build experiments).
-    pub fn with_merge_cutover(mut self, cutover_edges: u64) -> Self {
-        self.merge_cutover = cutover_edges;
         self
     }
 
@@ -264,55 +265,74 @@ impl VersionedGraph {
             record,
             merged: false,
             full_recompute: false,
+            merge_ns: 0,
         };
-        if !self.delta.tombstones().is_empty() {
-            self.merge(pool)?;
-            report.merged = true;
-            report.full_recompute = true;
-        } else if self.delta.pending_len() as f64
-            > self.merge_fraction * self.base.num_edges() as f64
+        let deletes = !self.delta.tombstones().is_empty();
+        if deletes
+            || self.delta.pending_len() as f64 > self.merge_fraction * self.base.num_edges() as f64
         {
+            let t = Instant::now();
             self.merge(pool)?;
             report.merged = true;
-        } else if self.delta.pending_len() > 0 {
-            let el = self.delta.insert_edgelist();
-            let (g, pg, _) = prepare_profiled_with_cutover(&el, pool, self.merge_cutover)?;
-            self.delta_graph = Some((Arc::new(g), Arc::new(pg)));
+            report.full_recompute = deletes;
+            report.merge_ns = t.elapsed().as_nanos() as u64;
+        } else {
+            // No tombstone is left, so an edge the batch both deleted and
+            // inserted is where it was; every other insert is new to the
+            // overlay.
+            let mut deleted = report.record.deleted.clone();
+            deleted.sort_unstable();
+            let mut fresh: Vec<_> = report
+                .record
+                .inserted
+                .iter()
+                .filter(|e| deleted.binary_search(e).is_err())
+                .copied()
+                .collect();
+            if !fresh.is_empty() {
+                fresh.sort_unstable();
+                let empty;
+                let old = match &self.delta_graph {
+                    Some((g, _)) => g.as_ref(),
+                    None => {
+                        empty = Graph::from_edgelist(&EdgeList::new(self.num_vertices()))?;
+                        &empty
+                    }
+                };
+                let overlay = old.with_edits(&fresh, &[], pool)?;
+                let pg = prepare(&overlay, pool);
+                self.delta_graph = Some((Arc::new(overlay), Arc::new(pg)));
+            }
         }
         Ok(report)
     }
 
-    /// Folds every pending segment (minus tombstones) into a full rebuild
-    /// of the base through the parallel build pipeline, then clears the
-    /// delta. The logical edge set is unchanged.
+    /// Splices every pending insert and tombstone into the base, re-encodes
+    /// it, then clears the delta. The logical edge set is unchanged.
     fn merge(&mut self, pool: &ThreadPool) -> Result<(), GraphError> {
-        let el = self.delta.merged_edgelist(&self.base);
-        let (g, pg, _) = prepare_profiled_with_cutover(&el, pool, self.merge_cutover)?;
-        let name = self.base.name().to_string();
-        self.base = Arc::new(g.with_name(&name));
-        self.base_pg = Arc::new(pg);
+        let g = self.base.with_edits(
+            &self.delta.sorted_pending(),
+            &self.delta.sorted_tombstones(),
+            pool,
+        )?;
+        self.base_pg = Arc::new(prepare(&g, pool));
+        self.base = Arc::new(g);
         self.delta.clear();
         self.delta_graph = None;
         // Degrees were maintained incrementally and the merge changes no
-        // logical edge — but re-derive from the rebuilt CSRs so a drift bug
+        // logical edge — but re-derive from the spliced CSRs so a drift bug
         // cannot outlive a merge.
-        let n = self.base.num_vertices();
-        self.out_deg = (0..n as VertexId)
-            .map(|v| self.base.out_degree(v))
-            .collect();
-        self.in_deg = (0..n as VertexId).map(|v| self.base.in_degree(v)).collect();
+        self.out_deg = self.base.out_csr().degrees();
+        self.in_deg = self.base.in_csr().degrees();
         Ok(())
     }
 
-    /// Persists the pending (unmerged) insert segments as a `GRZCKPT1`
+    /// Persists the pending (unmerged) inserts as a `GRZCKPT1`
     /// checkpoint: one `u64` per edge (`src` in the high 32 bits), version
     /// in the iteration field. Tombstones never persist — deletes merge
     /// before `apply_batch` returns.
     pub fn save_pending<P: AsRef<Path>>(&self, path: P) -> Result<(), GraphError> {
-        let pending: Vec<(VertexId, VertexId)> = {
-            let el = self.delta.insert_edgelist();
-            el.edges().to_vec()
-        };
+        let pending = self.delta.sorted_pending();
         let arr = PropertyArray::new(pending.len());
         for (i, &(u, v)) in pending.iter().enumerate() {
             arr.set_u64(i, ((u as u64) << 32) | v as u64);
@@ -353,13 +373,25 @@ impl VersionedGraph {
     }
 }
 
+/// Vector-Sparse for a spliced graph: on the pool from
+/// [`PAR_BUILD_CUTOVER_EDGES`] edges up, sequentially below, where the
+/// pool's handshakes cost more than they split (bit-identical either way).
+fn prepare(g: &Graph, pool: &ThreadPool) -> PreparedGraph {
+    if g.num_edges() as u64 >= PAR_BUILD_CUTOVER_EDGES {
+        PreparedGraph::new_on_pool(g, pool)
+    } else {
+        PreparedGraph::new(g)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::engine::hybrid::run_program_overlay_on_pool;
     use crate::program::{AggOp, GraphProgram};
-    use grazelle_graph::edgelist::EdgeList;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     /// Min-label propagation (CC-like), the simplest frontier program.
     struct MinLabel {
@@ -449,7 +481,10 @@ mod tests {
         let overlay = MinLabel::new(16);
         run_program_overlay_on_pool(view.pg, view.delta_pg, &overlay, &cfg, &pool);
 
-        let merged = Graph::from_edgelist(&vg.delta.merged_edgelist(&vg.base)).unwrap();
+        let merged = vg
+            .base
+            .with_edits(&vg.delta.sorted_pending(), &[], &pool)
+            .unwrap();
         let mpg = PreparedGraph::new(&merged);
         let cold = MinLabel::new(16);
         run_program_overlay_on_pool(&mpg, None, &cold, &cfg, &pool);
@@ -535,10 +570,105 @@ mod tests {
         assert_eq!(restored.version(), 2);
         assert_eq!(restored.num_edges(), vg.num_edges());
         assert!(restored.delta_active());
-        let mut got: Vec<_> = restored.delta.pending_inserts().collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![(0, 4), (2, 6)]);
+        assert_eq!(restored.delta.sorted_pending(), vec![(0, 4), (2, 6)]);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Cold build of an edge set over `n` vertices.
+    fn cold(n: usize, edges: &BTreeSet<(u32, u32)>) -> (Graph, PreparedGraph) {
+        let pairs: Vec<_> = edges.iter().copied().collect();
+        let g = Graph::from_edgelist(&EdgeList::from_pairs(n, &pairs).unwrap()).unwrap();
+        let pg = PreparedGraph::new(&g);
+        (g, pg)
+    }
+
+    /// Whether `(g, pg)` is exactly the cold build of `edges`.
+    fn is_cold_build(g: &Graph, pg: &PreparedGraph, edges: &BTreeSet<(u32, u32)>) -> bool {
+        let (cg, cpg) = cold(g.num_vertices(), edges);
+        g.out_csr() == cg.out_csr()
+            && g.in_csr() == cg.in_csr()
+            && pg.vsd.bit_identical(&cpg.vsd)
+            && pg.vss.bit_identical(&cpg.vss)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// After every batch of a random stream of insert-only and deleting
+        /// batches, the base is the cold build of the edges it holds, the
+        /// overlay the cold build of the rest of the logical edge set, and
+        /// degrees and version follow — through overlay refreshes, delete
+        /// merges and threshold merges, at 1, 2 and 8 threads.
+        #[test]
+        fn prop_spliced_versions_equal_cold_builds(
+            n in 1usize..24,
+            base in proptest::collection::vec((0u32..24, 0u32..24), 0..60),
+            batches in proptest::collection::vec(
+                (any::<bool>(), proptest::collection::vec((0u32..24, 0u32..24, any::<bool>()), 0..12)),
+                1..8,
+            ),
+            fraction in prop_oneof![Just(DEFAULT_MERGE_FRACTION), Just(0.05)],
+            threads in prop_oneof![Just(1usize), Just(2), Just(8)],
+        ) {
+            let clamp = |s: u32, d: u32| (s % n as u32, d % n as u32);
+            let mut logical: BTreeSet<_> = base.iter().map(|&(s, d)| clamp(s, d)).collect();
+            let (g, pg) = cold(n, &logical);
+            let pool = ThreadPool::single_group(threads);
+            let mut vg = VersionedGraph::new(Arc::new(g), Arc::new(pg)).with_merge_fraction(fraction);
+            let mut in_base = logical.clone();
+            for (version, (deleting, edits)) in batches.into_iter().enumerate() {
+                let mut batch = UpdateBatch::new();
+                for (s, d, delete) in edits {
+                    let e = clamp(s, d);
+                    if deleting && delete {
+                        batch.delete(e.0, e.1);
+                    } else {
+                        batch.insert(e.0, e.1);
+                    }
+                }
+                // Deletes first, then inserts, as `DeltaSegments::record`.
+                for e in batch.deletes() {
+                    logical.remove(e);
+                }
+                logical.extend(batch.inserts().iter().copied());
+                let report = vg.apply_batch(&batch, &pool).unwrap();
+                if report.merged {
+                    in_base = logical.clone();
+                }
+                // A delete the same batch re-inserted leaves no tombstone.
+                let lost = report.record.deleted.iter().any(|e| !logical.contains(e));
+                prop_assert_eq!(report.full_recompute, lost);
+                prop_assert!(report.merged || !lost);
+                prop_assert_eq!(vg.version(), version as u64 + 1);
+                prop_assert_eq!(vg.num_edges(), logical.len());
+                let view = vg.view();
+                prop_assert!(is_cold_build(view.graph, view.pg, &in_base));
+                let pending: BTreeSet<_> = logical.difference(&in_base).copied().collect();
+                match (view.delta_graph, view.delta_pg) {
+                    (Some(g), Some(pg)) => prop_assert!(is_cold_build(g, pg, &pending)),
+                    (None, None) => prop_assert!(pending.is_empty()),
+                    _ => prop_assert!(false, "overlay graph without its structures"),
+                }
+                let (merged, _) = cold(n, &logical);
+                prop_assert_eq!(view.out_degrees, &merged.out_csr().degrees()[..]);
+                prop_assert_eq!(view.in_degrees, &merged.in_csr().degrees()[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn replacing_a_pending_insert_keeps_the_overlay() {
+        let (mut vg, pool) = vg_over(ring(8));
+        vg.apply_batch(&UpdateBatch::from_inserts(&[(0, 4), (6, 2)]), &pool)
+            .unwrap();
+        let before = vg.view().delta_graph.unwrap().out_csr().clone();
+        let report = vg
+            .apply_batch(UpdateBatch::new().delete(0, 4).insert(0, 4), &pool)
+            .unwrap();
+        assert!(!report.merged, "the delete was cancelled in the batch");
+        assert_eq!(vg.view().delta_graph.unwrap().out_csr(), &before);
+        assert_eq!(vg.num_edges(), 18);
+        assert_eq!(vg.view().out_degree(0), 3);
     }
 
     #[test]

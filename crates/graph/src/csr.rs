@@ -7,6 +7,7 @@
 //! edge is implied by index position, the other is stored in the edge array.
 
 use crate::edgelist::EdgeList;
+use crate::partition::{partition_index, EdgePartition};
 use crate::types::{EdgeId, GraphError, VertexId};
 use grazelle_sched::ThreadPool;
 
@@ -378,6 +379,63 @@ impl Csr {
         });
     }
 
+    /// The vertex index of this structure after [`splice`]: the old index
+    /// shifted in runs, with only the vertices an edit names re-counted.
+    fn spliced_index(&self, inserts: Edits<'_>, deletes: Edits<'_>) -> Vec<u64> {
+        fn shifted(ends: &[u64], shift: i64) -> impl Iterator<Item = u64> + '_ {
+            ends.iter().map(move |&e| (e as i64 + shift) as u64)
+        }
+        let mut index = Vec::with_capacity(self.index.len());
+        index.push(0u64);
+        let mut shift = 0i64;
+        // `index` holds the starts of every vertex up to `next`.
+        let mut next = 0usize;
+        for (v, vi, vd) in touched(inserts, deletes) {
+            let v = v as usize;
+            index.extend(shifted(&self.index[next + 1..=v], shift));
+            let list = self.neighbors(v as VertexId);
+            let mut len = 0;
+            splice_list(list, vi, vd, |piece| len += piece.len());
+            shift += len as i64 - list.len() as i64;
+            index.extend(shifted(&self.index[v + 1..=v + 1], shift));
+            next = v + 1;
+        }
+        index.extend(shifted(&self.index[next + 1..], shift));
+        index
+    }
+
+    /// Writes the spliced edges of the vertices of `part` to `out`: every
+    /// run of untouched vertices as one slice, and each touched list as the
+    /// slices between its edits, found by binary search, with the inserted
+    /// endpoints in between.
+    fn fill_spliced(
+        &self,
+        part: EdgePartition,
+        out: &mut [VertexId],
+        inserts: Edits<'_>,
+        deletes: Edits<'_>,
+    ) {
+        let [ins, del] = [inserts, deletes].map(|edits| {
+            let lo = edits.partition_point(|e| e.0 < part.first_vertex);
+            let hi = edits.partition_point(|e| e.0 < part.last_vertex);
+            &edits[lo..hi]
+        });
+        let old = |from: VertexId, to: VertexId| {
+            &self.edges[self.index[from as usize] as usize..self.index[to as usize] as usize]
+        };
+        let (mut pos, mut from) = (0usize, part.first_vertex);
+        let mut put = |piece: &[VertexId]| {
+            out[pos..pos + piece.len()].copy_from_slice(piece);
+            pos += piece.len();
+        };
+        for (v, vi, vd) in touched(ins, del) {
+            put(old(from, v));
+            splice_list(self.neighbors(v), vi, vd, &mut put);
+            from = v + 1;
+        }
+        put(old(from, part.last_vertex));
+    }
+
     /// Returns the transposed structure: if `self` groups by source, the
     /// result groups by destination (and vice versa).
     pub fn transpose(&self) -> Csr {
@@ -410,6 +468,117 @@ impl Csr {
             weights,
         }
     }
+}
+
+/// An edit list: `(top-level vertex, stored endpoint)` pairs, sorted.
+pub(crate) type Edits<'a> = &'a [(VertexId, VertexId)];
+
+/// Each neighbour-sorted, unweighted structure of `jobs` with its
+/// `(top-level vertex, stored endpoint)` inserts added and every copy of
+/// each of its deletes dropped, edits sorted ascending — what
+/// [`Graph::with_edits`](crate::graph::Graph::with_edits) runs on both
+/// orientations at once.
+///
+/// The new vertex indexes are computed on the calling thread. The edge
+/// arrays are then written in one pool dispatch, each worker filling one
+/// edge-balanced vertex range of every job's *new* index; a one-thread
+/// pool's single range is filled on the calling thread. The result equals the counting-sort build plus
+/// [`Csr::sort_neighbors`] over the same edge multiset, because a sorted
+/// `u32` list is unique.
+pub(crate) fn splice<const K: usize>(
+    jobs: [(&Csr, Edits<'_>, Edits<'_>); K],
+    pool: &ThreadPool,
+) -> [Csr; K] {
+    let threads = pool.num_threads();
+    let indexes = jobs.map(|(csr, ins, del)| {
+        debug_assert!(csr.weights.is_none(), "edits carry no weights");
+        csr.spliced_index(ins, del)
+    });
+    // Zeroed, not filled: a block this size is its own mapping, so the
+    // workers fault its pages in, not the calling thread.
+    let mut edges = indexes.each_ref().map(|index| {
+        vec![0 as VertexId; *index.last().expect("index holds n + 1 entries") as usize]
+    });
+    let mut tasks: Vec<Vec<_>> = (0..threads).map(|_| Vec::with_capacity(K)).collect();
+    for (job, (index, edges)) in indexes.iter().zip(edges.iter_mut()).enumerate() {
+        let mut rest: &mut [VertexId] = edges;
+        for (task, part) in tasks.iter_mut().zip(partition_index(index, threads)) {
+            let (out, tail) = std::mem::take(&mut rest).split_at_mut(part.num_edges());
+            rest = tail;
+            task.push((job, part, out));
+        }
+    }
+    let fill = |pieces: Vec<(usize, EdgePartition, &mut [VertexId])>| {
+        for (job, part, out) in pieces {
+            let (csr, ins, del) = jobs[job];
+            csr.fill_spliced(part, out, ins, del);
+        }
+    };
+    if threads == 1 {
+        tasks.into_iter().for_each(fill);
+    } else {
+        pool.run_tasks(tasks, |_, pieces| fill(pieces));
+    }
+    let mut edges = edges.into_iter();
+    indexes.map(|index| Csr {
+        index,
+        edges: edges.next().expect("one edge array per index"),
+        weights: None,
+    })
+}
+
+/// Every vertex `ins` or `del` names, ascending, with its share of each.
+fn touched<'a>(
+    mut ins: Edits<'a>,
+    mut del: Edits<'a>,
+) -> impl Iterator<Item = (VertexId, Edits<'a>, Edits<'a>)> {
+    std::iter::from_fn(move || {
+        let v = ins
+            .first()
+            .into_iter()
+            .chain(del.first())
+            .map(|e| e.0)
+            .min()?;
+        let take = |edits: &mut Edits<'a>| {
+            let (own, rest) = edits.split_at(edits.iter().take_while(|e| e.0 == v).count());
+            *edits = rest;
+            own
+        };
+        Some((v, take(&mut ins), take(&mut del)))
+    })
+}
+
+/// Hands `sink`, in order, the pieces of the sorted `list` with the
+/// endpoints of `added` merged in and every copy of each endpoint of `dead`
+/// dropped (`added` and `dead` are one vertex's sorted edits): the runs of
+/// `list` between edits, whole, and each added endpoint alone. A delete
+/// goes before an insert of the same endpoint.
+fn splice_list<'a>(
+    list: &[VertexId],
+    mut added: Edits<'a>,
+    mut dead: Edits<'a>,
+    mut sink: impl FnMut(&[VertexId]),
+) {
+    let mut rest = list;
+    loop {
+        let delete = dead
+            .first()
+            .is_some_and(|d| added.first().is_none_or(|a| d.1 <= a.1));
+        let edits = if delete { &mut dead } else { &mut added };
+        let Some((&(_, x), tail)) = edits.split_first() else {
+            break;
+        };
+        *edits = tail;
+        let (keep, from_x) = rest.split_at(rest.partition_point(|&y| y < x));
+        sink(keep);
+        rest = from_x;
+        if delete {
+            rest = &rest[rest.partition_point(|&y| y == x)..];
+        } else {
+            sink(&[x]);
+        }
+    }
+    sink(rest);
 }
 
 #[cfg(test)]

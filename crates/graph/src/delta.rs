@@ -4,18 +4,18 @@
 //! built once and never mutated — every read path depends on that. Updates
 //! therefore live *beside* the base: an [`UpdateBatch`] describes one round
 //! of edge inserts and deletes, and [`DeltaSegments`] accumulates batches as
-//! append-only insert segments plus a tombstone set for deleted base edges.
+//! a set of pending inserts plus a tombstone set for deleted edges.
 //! The engines consume the pending inserts as a second (small) prepared
 //! graph overlaid on the base; tombstones cannot be overlaid (a pull or push
-//! phase has no cheap per-edge filter), so deletions force a merge — a full
-//! rebuild of the base from [`DeltaSegments::merged_edgelist`] through the
-//! parallel build pipeline.
+//! phase has no cheap per-edge filter), so deletions force a merge — a new
+//! base spliced from the old one by [`Graph::with_edits`] with the sorted
+//! views [`DeltaSegments::sorted_pending`] and
+//! [`DeltaSegments::sorted_tombstones`].
 //!
 //! This module is pure structure: it knows nothing about prepared graphs or
 //! engines. The versioned handle that owns the base/delta pair and decides
 //! when to merge lives in `grazelle-core`.
 
-use crate::edgelist::EdgeList;
 use crate::graph::Graph;
 use crate::types::{GraphError, VertexId};
 use std::collections::HashSet;
@@ -94,19 +94,18 @@ pub struct DeltaRecord {
 
 /// Accumulated, versioned edge updates over one immutable base graph.
 ///
-/// Inserts append to segments (one per recorded batch); deletes become
-/// tombstones. A tombstone masks every copy of a matching base edge *and*
-/// any matching pending insert at merge time. The structure never mutates
-/// the base — [`merged_edgelist`](DeltaSegments::merged_edgelist) produces
-/// the edge list a rebuild should consume.
+/// Inserts join the pending set; deletes become tombstones. A tombstone
+/// names every copy of a matching base edge; a deleted pending insert
+/// simply leaves the pending set (it is tombstoned too, which a merge
+/// treats as the no-op delete of an edge the base lacks). The structure
+/// never mutates the base — a merge hands the two sorted views to
+/// [`Graph::with_edits`].
 #[derive(Debug, Clone)]
 pub struct DeltaSegments {
     num_vertices: usize,
-    /// Append-only insert segments, one per recorded batch.
-    segments: Vec<Vec<(VertexId, VertexId)>>,
-    /// Deleted edges, deduplicated; sorted lazily by `tombstones()`.
+    /// Deleted edges, deduplicated, in deletion order.
     tombstones: Vec<(VertexId, VertexId)>,
-    /// Fast membership for pending inserts (mirrors `segments`).
+    /// The pending inserts: absent from the base, each once.
     pending_set: HashSet<(VertexId, VertexId)>,
     /// Fast membership for tombstones (mirrors `tombstones`).
     tombstone_set: HashSet<(VertexId, VertexId)>,
@@ -119,7 +118,6 @@ impl DeltaSegments {
     pub fn new(num_vertices: usize) -> Self {
         DeltaSegments {
             num_vertices,
-            segments: Vec::new(),
             tombstones: Vec::new(),
             pending_set: HashSet::new(),
             tombstone_set: HashSet::new(),
@@ -144,9 +142,12 @@ impl DeltaSegments {
         self.num_vertices
     }
 
-    /// Pending (not yet merged) inserted edges, oldest segment first.
-    pub fn pending_inserts(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.segments.iter().flatten().copied()
+    /// Pending (not yet merged) inserted edges, sorted by `(src, dst)` —
+    /// the insert side of a merge, and what the overlay holds.
+    pub fn sorted_pending(&self) -> Vec<(VertexId, VertexId)> {
+        let mut edges: Vec<_> = self.pending_set.iter().copied().collect();
+        edges.sort_unstable();
+        edges
     }
 
     /// Number of pending inserted edges.
@@ -159,14 +160,22 @@ impl DeltaSegments {
         &self.tombstones
     }
 
+    /// [`tombstones`](Self::tombstones) sorted by `(src, dst)` — the delete
+    /// side of a merge.
+    pub fn sorted_tombstones(&self) -> Vec<(VertexId, VertexId)> {
+        let mut edges = self.tombstones.clone();
+        edges.sort_unstable();
+        edges
+    }
+
     /// Whether nothing is pending (no inserts, no tombstones).
     pub fn is_empty(&self) -> bool {
         self.pending_set.is_empty() && self.tombstones.is_empty()
     }
 
     /// Records one batch against `base`, deduplicating: an insert is a no-op
-    /// when the edge already exists (in the base and not tombstoned, or in a
-    /// pending segment); a delete is a no-op when it does not. Deleting a
+    /// when the edge already exists (in the base and not tombstoned, or
+    /// pending); a delete is a no-op when it does not. Deleting a
     /// pending insert tombstones it; re-inserting a tombstoned base edge
     /// clears the tombstone. Every endpoint must be `< num_vertices` and the
     /// base must be unweighted — violations reject the whole batch before
@@ -190,14 +199,13 @@ impl DeltaSegments {
         let in_base =
             |e: &(VertexId, VertexId)| base.out_neighbors(e.0).binary_search(&e.1).is_ok();
         let mut rec = DeltaRecord::default();
-        let mut segment = Vec::new();
         // Deletes first: a delete+insert of the same edge within one batch
         // nets out to the edge being present, matching submission order for
         // the common "replace" idiom.
         for e in batch.deletes() {
             if self.pending_set.remove(e) {
-                // Deleting a not-yet-merged insert: tombstone it so the
-                // merge filters it out of every (append-only) segment.
+                // Deleting a not-yet-merged insert: it leaves the pending
+                // set, and its tombstone forces the merge.
                 self.tombstone_set.insert(*e);
                 self.tombstones.push(*e);
                 rec.deleted.push(*e);
@@ -210,71 +218,26 @@ impl DeltaSegments {
         }
         for e in batch.inserts() {
             if self.tombstone_set.remove(e) {
-                // Re-insert of a tombstoned edge: clear the tombstone. The
-                // edge may still sit in an old segment; putting it in the
-                // pending set keeps later duplicates no-ops either way.
+                // Re-insert of a tombstoned edge: clear the tombstone, and
+                // a pending insert is pending again.
                 self.tombstones.retain(|t| t != e);
                 if !in_base(e) {
                     self.pending_set.insert(*e);
-                    segment.push(*e);
                 }
                 rec.inserted.push(*e);
             } else if in_base(e) || !self.pending_set.insert(*e) {
                 rec.ignored += 1;
             } else {
-                segment.push(*e);
                 rec.inserted.push(*e);
             }
         }
-        self.segments.push(segment);
         self.version += 1;
         Ok(rec)
     }
 
-    /// The edge list a merge rebuild should consume: base edges minus
-    /// tombstones, then pending inserts minus tombstones, in deterministic
-    /// (base order, then segment order) sequence.
-    pub fn merged_edgelist(&self, base: &Graph) -> EdgeList {
-        let dead = &self.tombstone_set;
-        let mut el =
-            EdgeList::with_capacity(self.num_vertices, base.num_edges() + self.pending_set.len());
-        for src in 0..self.num_vertices as VertexId {
-            for &dst in base.out_neighbors(src) {
-                if !dead.contains(&(src, dst)) {
-                    el.push(src, dst).expect("base edge in range");
-                }
-            }
-        }
-        // A delete+re-insert cycle can leave one live edge in two segments;
-        // emit the first copy only (the segments are append-only, so the
-        // extra copy cannot be spliced out where it sits).
-        let mut seen = HashSet::new();
-        for e in self.pending_inserts() {
-            if !dead.contains(&e) && seen.insert(e) {
-                el.push(e.0, e.1).expect("pending edge validated at record");
-            }
-        }
-        el
-    }
-
-    /// The pending inserts alone as an edge list — what the overlay graph
-    /// is built from. Only meaningful while no tombstones are pending (the
-    /// owning handle merges on every delete).
-    pub fn insert_edgelist(&self) -> EdgeList {
-        let mut el = EdgeList::with_capacity(self.num_vertices, self.pending_set.len());
-        let mut seen = HashSet::new();
-        for e in self.pending_inserts() {
-            if !self.tombstone_set.contains(&e) && seen.insert(e) {
-                el.push(e.0, e.1).expect("pending edge validated at record");
-            }
-        }
-        el
-    }
-
-    /// Drops all pending segments and tombstones after a merge; the version
+    /// Drops all pending inserts and tombstones after a merge; the version
     /// counter keeps running.
     pub fn clear(&mut self) {
-        self.segments.clear();
         self.tombstones.clear();
         self.pending_set.clear();
         self.tombstone_set.clear();
@@ -284,10 +247,24 @@ impl DeltaSegments {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edgelist::EdgeList;
+    use grazelle_sched::ThreadPool;
 
     fn base() -> Graph {
         let el = EdgeList::from_pairs(6, &[(0, 1), (1, 2), (2, 3), (4, 5)]).unwrap();
         Graph::from_edgelist(&el).unwrap()
+    }
+
+    /// The base a merge of `d` into `g` would produce.
+    fn merged(d: &DeltaSegments, g: &Graph) -> Graph {
+        let pool = ThreadPool::single_group(2);
+        g.with_edits(&d.sorted_pending(), &d.sorted_tombstones(), &pool)
+            .unwrap()
+    }
+
+    /// `g`'s edges in `(src, dst)` order.
+    fn edges(g: &Graph) -> Vec<(VertexId, VertexId)> {
+        g.out_csr().iter_edges().map(|(s, d, _)| (s, d)).collect()
     }
 
     #[test]
@@ -330,12 +307,10 @@ mod tests {
             .unwrap();
         assert_eq!(rec.deleted.len(), 2);
         assert_eq!(rec.ignored, 1);
-        let merged = d.merged_edgelist(&g);
-        let mut edges = merged.edges().to_vec();
-        edges.sort_unstable();
-        assert_eq!(edges, vec![(1, 2), (2, 3), (4, 5)]);
-        // The overlay edge list must be empty: the one pending insert died.
-        assert_eq!(d.insert_edgelist().num_edges(), 0);
+        assert_eq!(edges(&merged(&d, &g)), vec![(1, 2), (2, 3), (4, 5)]);
+        // The overlay must be empty: the one pending insert died.
+        assert!(d.sorted_pending().is_empty());
+        assert_eq!(d.sorted_tombstones(), vec![(0, 1), (3, 4)]);
     }
 
     #[test]
@@ -347,9 +322,8 @@ mod tests {
         let rec = d.record(&g, &UpdateBatch::from_inserts(&[(0, 1)])).unwrap();
         assert_eq!(rec.inserted.len(), 1);
         assert!(d.tombstones().is_empty());
-        let mut edges = d.merged_edgelist(&g).edges().to_vec();
-        edges.sort_unstable();
-        assert_eq!(edges, vec![(0, 1), (1, 2), (2, 3), (4, 5)]);
+        assert!(d.sorted_pending().is_empty(), "a base edge is not pending");
+        assert_eq!(edges(&merged(&d, &g)), vec![(0, 1), (1, 2), (2, 3), (4, 5)]);
     }
 
     #[test]
@@ -358,9 +332,7 @@ mod tests {
         let mut d = DeltaSegments::new(6);
         d.record(&g, UpdateBatch::new().delete(0, 1).insert(0, 1))
             .unwrap();
-        let mut edges = d.merged_edgelist(&g).edges().to_vec();
-        edges.sort_unstable();
-        assert_eq!(edges, vec![(0, 1), (1, 2), (2, 3), (4, 5)]);
+        assert_eq!(edges(&merged(&d, &g)), vec![(0, 1), (1, 2), (2, 3), (4, 5)]);
     }
 
     #[test]
@@ -383,13 +355,25 @@ mod tests {
     }
 
     #[test]
-    fn merged_edgelist_roundtrips_through_a_rebuild() {
+    fn sorted_views_splice_into_a_new_base() {
         let g = base();
         let mut d = DeltaSegments::new(6);
-        d.record(&g, UpdateBatch::new().insert(5, 0).delete(2, 3))
-            .unwrap();
-        let merged = Graph::from_edgelist(&d.merged_edgelist(&g)).unwrap();
-        assert_eq!(merged.num_edges(), 4);
+        d.record(
+            &g,
+            UpdateBatch::new().insert(5, 0).insert(0, 4).delete(2, 3),
+        )
+        .unwrap();
+        assert_eq!(d.sorted_pending(), vec![(0, 4), (5, 0)]);
+        let merged = merged(&d, &g);
+        assert_eq!(
+            merged.out_csr(),
+            Graph::from_edgelist(
+                &EdgeList::from_pairs(6, &[(0, 1), (0, 4), (1, 2), (4, 5), (5, 0)]).unwrap()
+            )
+            .unwrap()
+            .out_csr()
+        );
+        assert_eq!(merged.num_edges(), 5);
         assert_eq!(merged.out_neighbors(5), &[0]);
         assert_eq!(merged.out_neighbors(2), &[] as &[VertexId]);
         // And the delta can keep recording against the new base once

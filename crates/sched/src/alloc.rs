@@ -17,8 +17,11 @@
 //! arrays included, so solves stay on warm memory) is not trimmed below
 //! 64 MiB of slack. Resident memory then follows live memory, run after
 //! run. The price is first-touch page faults on every large block, ≈10% of
-//! a cold set-up on the benchmark host (DESIGN.md §19).
+//! a cold set-up on the benchmark host (DESIGN.md §19). [`WorkerFilled`]
+//! lets a parallel builder take those faults on its workers, once.
 
+use std::mem::MaybeUninit;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
@@ -67,6 +70,147 @@ pub fn pin_large_block_policy() {
         #[cfg(all(target_os = "linux", target_env = "gnu"))]
         glibc::pin();
     });
+}
+
+/// A vector the pool's workers write in place, each its own consecutive
+/// range, front to back. The calling thread never touches the elements, so
+/// a block big enough to be its own mapping is faulted in by the workers
+/// that fill it, in parallel — not once by the caller's fill and again by
+/// the workers' overwrite.
+///
+/// [`writers`](Self::writers) splits the length once;
+/// [`into_vec`](Self::into_vec) returns the vector only if every writer
+/// filled its whole range, and panics otherwise (what was written leaks,
+/// nothing uninitialised is ever read).
+pub struct WorkerFilled<T> {
+    /// Empty, with capacity for every element until `into_vec`.
+    vec: Vec<T>,
+    len: usize,
+    /// Elements in writers that filled their whole range.
+    filled: AtomicUsize,
+    split: bool,
+}
+
+/// One worker's range of a [`WorkerFilled`]; dropping it full counts it.
+pub struct RangeWriter<'a, T> {
+    slots: &'a mut [MaybeUninit<T>],
+    len: usize,
+    filled: &'a AtomicUsize,
+}
+
+impl<T> WorkerFilled<T> {
+    /// Room for `len` elements, none written.
+    pub fn new(len: usize) -> Self {
+        WorkerFilled {
+            vec: Vec::with_capacity(len),
+            len,
+            filled: AtomicUsize::new(0),
+            split: false,
+        }
+    }
+
+    /// Writers for consecutive ranges of the given lengths, which must sum
+    /// to the length. Callable once.
+    pub fn writers(&mut self, lens: impl IntoIterator<Item = usize>) -> Vec<RangeWriter<'_, T>> {
+        assert!(!self.split, "a WorkerFilled splits once");
+        self.split = true;
+        let mut rest = &mut self.vec.spare_capacity_mut()[..self.len];
+        let writers = lens
+            .into_iter()
+            .map(|len| {
+                let (slots, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                RangeWriter {
+                    slots,
+                    len: 0,
+                    filled: &self.filled,
+                }
+            })
+            .collect();
+        assert!(rest.is_empty(), "writer ranges must cover the vector");
+        writers
+    }
+
+    /// The vector, every element written.
+    pub fn into_vec(self) -> Vec<T> {
+        let WorkerFilled {
+            mut vec,
+            len,
+            filled,
+            ..
+        } = self;
+        assert_eq!(filled.into_inner(), len, "a writer left its range short");
+        // SAFETY: `len <= capacity`, and `writers` ran once and tiled
+        // `0..len` with disjoint ranges; a writer adds its range length to
+        // `filled` only when it drops having written every slot of the
+        // range, at most once. So `filled == len` means every element is
+        // initialised, and owning `vec` here means no writer is alive.
+        unsafe { vec.set_len(len) };
+        vec
+    }
+}
+
+impl<T> RangeWriter<'_, T> {
+    /// Writes the next element of the range; panics past its end.
+    pub fn push(&mut self, value: T) {
+        self.slots[self.len].write(value);
+        self.len += 1;
+    }
+}
+
+impl<T> Drop for RangeWriter<'_, T> {
+    fn drop(&mut self) {
+        if self.len == self.slots.len() {
+            // ATOMIC: relaxed-reduce — full ranges summed across workers;
+            // read once by `into_vec` after the pool's join
+            self.filled.fetch_add(self.len, Ordering::Relaxed);
+        }
+    }
+}
+
+#[cfg(test)]
+mod filled_tests {
+    use super::*;
+    use crate::ThreadPool;
+
+    #[test]
+    fn workers_fill_their_ranges_in_place() {
+        for threads in [1, 2, 3] {
+            let pool = ThreadPool::single_group(threads);
+            let lens: Vec<usize> = (0..threads).map(|t| 5 * t + 1).collect();
+            let total = lens.iter().sum();
+            let mut out = WorkerFilled::new(total);
+            let starts: Vec<usize> = lens
+                .iter()
+                .scan(0, |at, len| Some(std::mem::replace(at, *at + len)))
+                .collect();
+            let tasks: Vec<_> = out.writers(lens.clone()).into_iter().zip(starts).collect();
+            pool.run_tasks(tasks, |_, (mut w, start)| {
+                for i in 0..w.slots.len() {
+                    w.push(start + i);
+                }
+            });
+            assert_eq!(out.into_vec(), (0..total).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "left its range short")]
+    fn a_short_range_is_refused() {
+        let mut out = WorkerFilled::new(4);
+        for (i, mut w) in out.writers([2, 2]).into_iter().enumerate() {
+            w.push(i);
+        }
+        let _ = out.into_vec();
+    }
+
+    #[test]
+    #[should_panic(expected = "splits once")]
+    fn a_second_split_is_refused() {
+        let mut out = WorkerFilled::<u8>::new(2);
+        drop(out.writers([2]));
+        drop(out.writers([2]));
+    }
 }
 
 #[cfg(all(test, target_os = "linux", target_env = "gnu"))]

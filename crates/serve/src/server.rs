@@ -532,7 +532,7 @@ fn write_snapshot(snap: &StatsSnapshot, path: &std::path::Path) -> Result<(), St
 }
 
 /// The counters [`write_snapshot`] persists, in file order.
-fn snapshot_fields(snap: &StatsSnapshot) -> [u64; 15] {
+fn snapshot_fields(snap: &StatsSnapshot) -> [u64; 17] {
     [
         snap.admitted,
         snap.completed,
@@ -547,6 +547,8 @@ fn snapshot_fields(snap: &StatsSnapshot) -> [u64; 15] {
         snap.packed_overlay_runs,
         snap.updates_applied,
         snap.merges,
+        snap.update_apply_ns,
+        snap.merge_ns,
         snap.p50_latency_ns,
         snap.p99_latency_ns,
     ]
@@ -830,7 +832,9 @@ fn apply_update(shared: &Shared, pool: &ThreadPool, p: Pending) {
         unreachable!("queries are dispatched to execute_single");
     };
     let mut vg = shared.graph_state();
+    let t = Instant::now();
     let result = vg.apply_batch(batch, pool);
+    let apply_ns = t.elapsed().as_nanos() as u64;
     let edges = vg.num_edges() as u64;
     drop(vg);
     // ATOMIC: relaxed-counter — admission estimate mirror
@@ -839,8 +843,10 @@ fn apply_update(shared: &Shared, pool: &ThreadPool, p: Pending) {
         Ok(report) => {
             let mut stats = shared.stats.lock().unwrap();
             stats.updates_applied += 1;
+            stats.update_apply_ns += apply_ns;
             if report.merged {
                 stats.merges += 1;
+                stats.merge_ns += report.merge_ns;
             }
             drop(stats);
             dispose(
@@ -1250,13 +1256,19 @@ mod tests {
         for t in packed {
             t.wait().unwrap();
         }
+        // A delete merges, so the update timings carry a merge share.
+        let mut batch = UpdateBatch::new();
+        batch.delete(0, 20);
+        server.submit_update(batch).unwrap().wait().unwrap();
         let snap = server.drain();
-        assert_eq!(snap.completed, 4);
+        assert_eq!(snap.completed, 5);
         assert_eq!((snap.packed_bfs_queries, snap.packed_overlay_runs), (1, 1));
+        assert_eq!((snap.updates_applied, snap.merges), (2, 1));
+        assert!(0 < snap.merge_ns && snap.merge_ns < snap.update_apply_ns);
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[..8], b"GRZCKPT1");
         let ck = Checkpoint::load(&path).unwrap();
-        assert_eq!(ck.iteration, 4);
+        assert_eq!(ck.iteration, 5);
         let stored: Vec<u64> = ck.arrays[0]
             .iter()
             .map(|&bits| f64::from_bits(bits) as u64)
@@ -1406,7 +1418,7 @@ mod tests {
             Apply(UpdateBatch),
         }
         let mut stream = Vec::new();
-        for segment in 0..4u32 {
+        for segment in 0..6u32 {
             stream.extend((0..8u32).map(|i| {
                 let root = (segment * 13 + i * 11) % 96;
                 Entry::Ask(match i % 3 {
@@ -1418,8 +1430,11 @@ mod tests {
             match segment {
                 0 => batch.insert(95, 10).insert(50, 2),
                 1 => batch.insert(7, 90).insert(90, 0),
-                // Deletes force the merge rebuild.
-                2 => batch.delete(0, 1).delete(40, 41),
+                // Deletes force the merge; the inserts after it splice into
+                // a fresh overlay over the spliced base.
+                2 => batch.delete(0, 1).delete(40, 41).delete(90, 0),
+                3 => batch.insert(0, 60).insert(60, 1),
+                4 => batch.insert(41, 95).insert(33, 80).insert(40, 41),
                 _ => continue,
             };
             stream.push(Entry::Apply(batch));
@@ -1448,6 +1463,28 @@ mod tests {
         assert_eq!(off.packed_runs, 0);
         assert!(on.packed_overlay_runs >= 1 && on.packed_bfs_queries >= 1);
         assert_eq!((on.merges, off.merges), (1, 1));
+
+        // The last segment reads the whole stream's edits: a cold build of
+        // the edited edge set answers it alike.
+        let mut edges: Vec<(u32, u32)> = g.out_csr().iter_edges().map(|(s, d, _)| (s, d)).collect();
+        for entry in &stream {
+            if let Entry::Apply(b) = entry {
+                edges.retain(|e| !b.deletes().contains(e));
+                edges.extend_from_slice(b.inserts());
+            }
+        }
+        let cold = Graph::from_edgelist(&EdgeList::from_pairs(96, &edges).unwrap()).unwrap();
+        let cold_pg = PreparedGraph::new(&cold);
+        let ecfg = EngineConfig::new().with_threads(2);
+        let pool = ThreadPool::single_group(2);
+        let tail = stream.len() - 8;
+        for (entry, served) in stream[tail..].iter().zip(&packed[tail..]) {
+            let Entry::Ask(q) = entry else {
+                unreachable!("the last segment only asks")
+            };
+            let direct = single_shot(&cold, &cold_pg, &ecfg, &ResilienceContext::new(), &pool, *q);
+            assert_eq!(served.as_ref().ok(), direct.ok().as_ref(), "{q:?}");
+        }
     }
 
     #[test]

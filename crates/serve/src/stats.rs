@@ -31,6 +31,8 @@ pub(crate) struct StatsInner {
     pub packed_push_steps: u64,
     pub updates_applied: u64,
     pub merges: u64,
+    pub update_apply_ns: u64,
+    pub merge_ns: u64,
     latencies_ns: Vec<u64>,
     next: usize,
 }
@@ -72,6 +74,8 @@ impl StatsInner {
             packed_push_steps: self.packed_push_steps,
             updates_applied: self.updates_applied,
             merges: self.merges,
+            update_apply_ns: self.update_apply_ns,
+            merge_ns: self.merge_ns,
             p50_latency_ns: percentile(&lat, 50),
             p99_latency_ns: percentile(&lat, 99),
         }
@@ -140,6 +144,10 @@ pub struct StatsSnapshot {
     pub updates_applied: u64,
     /// Update batches that ended in a merge rebuild.
     pub merges: u64,
+    /// Wall time spent applying update batches, merges included, ns.
+    pub update_apply_ns: u64,
+    /// The part of `update_apply_ns` spent in merges, ns.
+    pub merge_ns: u64,
     /// Median completed-query latency (recent window), nanoseconds.
     pub p50_latency_ns: u64,
     /// 99th-percentile completed-query latency (recent window), ns.
@@ -172,6 +180,8 @@ impl StatsSnapshot {
              packed_push_steps: {}\n\
              updates_applied: {}\n\
              merges: {}\n\
+             update_apply_ns: {}\n\
+             merge_ns: {}\n\
              p50_latency_us: {}\n\
              p99_latency_us: {}\n",
             self.queue_depth,
@@ -194,6 +204,8 @@ impl StatsSnapshot {
             self.packed_push_steps,
             self.updates_applied,
             self.merges,
+            self.update_apply_ns,
+            self.merge_ns,
             self.p50_latency_ns / 1_000,
             self.p99_latency_ns / 1_000,
         )
@@ -293,6 +305,8 @@ mod tests {
             packed_overlay_runs: 6,
             packed_pull_steps: 5,
             packed_push_steps: 4,
+            update_apply_ns: 9_000,
+            merge_ns: 8_000,
             ..StatsInner::default()
         };
         s.record_latency(2_000_000);
@@ -305,6 +319,8 @@ mod tests {
             "packed_overlay_runs: 6",
             "packed_pull_steps: 5",
             "packed_push_steps: 4",
+            "update_apply_ns: 9000",
+            "merge_ns: 8000",
             "p50_latency_us: 2000",
             "p99_latency_us: 2000",
         ] {

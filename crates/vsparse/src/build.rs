@@ -5,6 +5,7 @@ use crate::vector::EdgeVector;
 use grazelle_graph::csr::Csr;
 use grazelle_graph::partition::partition_index;
 use grazelle_graph::types::VertexId;
+use grazelle_sched::alloc::WorkerFilled;
 use grazelle_sched::ThreadPool;
 use std::sync::OnceLock;
 
@@ -101,10 +102,12 @@ impl<const N: usize> VectorSparse<N> {
     /// The vertex index is a prefix sum over `ceil(deg/N)`, so every vertex's
     /// vector output range is known up front and ranges are disjoint. Workers
     /// therefore pack contiguous vertex partitions (balanced by vector count
-    /// via [`partition_index`]) straight into the preallocated arrays — lane
-    /// fill, TLV piece distribution, and weight-lane zero padding all happen
-    /// inside [`EdgeVector::new`] / the per-chunk copy exactly as in the
-    /// sequential path, so outputs match bit for bit.
+    /// via [`partition_index`]) straight into their ranges of the output
+    /// arrays — lane fill, TLV piece distribution, and weight-lane zero
+    /// padding all happen inside [`EdgeVector::new`] / the per-chunk copy
+    /// exactly as in the sequential path, so outputs match bit for bit. The
+    /// arrays are [`WorkerFilled`]: nothing writes them before the workers
+    /// do, so their pages are faulted in once, on the workers.
     pub fn from_csr_parallel(csr: &Csr, pool: &ThreadPool) -> Self {
         let t = pool.num_threads();
         if t == 1 {
@@ -116,35 +119,23 @@ impl<const N: usize> VectorSparse<N> {
             "vertex ids must fit the 48-bit fields"
         );
         let index = crate::packing::vector_index(&csr.degrees(), N);
-        let num_vectors = *index.last().expect("vector index is never empty");
-        let mut vectors = vec![EdgeVector::<N>::default(); num_vectors as usize];
-        let mut weights = csr
-            .weights()
-            .map(|_| vec![[0.0f64; N]; num_vectors as usize]);
+        let num_vectors = *index.last().expect("vector index is never empty") as usize;
         let parts = partition_index(&index, t);
-        let mut tasks = Vec::with_capacity(t);
-        {
-            let mut vrest: &mut [EdgeVector<N>] = &mut vectors;
-            let mut wrest: Option<&mut [[f64; N]]> = weights.as_deref_mut();
-            for p in &parts {
-                // `partition_index` ranges count vectors here, not edges.
-                let len = p.num_edges();
-                let (vhead, vtail) = vrest.split_at_mut(len);
-                vrest = vtail;
-                let whead = match wrest.take() {
-                    Some(w) => {
-                        let (a, b) = w.split_at_mut(len);
-                        wrest = Some(b);
-                        Some(a)
-                    }
-                    None => None,
-                };
-                tasks.push((*p, vhead, whead));
-            }
-        }
-        pool.run_tasks(tasks, |_, (part, vslice, mut wslice)| {
+        // `partition_index` ranges count vectors here, not edges.
+        let lens = || parts.iter().map(|p| p.num_edges());
+        let mut vectors = WorkerFilled::new(num_vectors);
+        let mut weights = csr.weights().map(|_| WorkerFilled::new(num_vectors));
+        let weight_writers = match &mut weights {
+            Some(w) => w.writers(lens()).into_iter().map(Some).collect(),
+            None => lens().map(|_| None).collect::<Vec<_>>(),
+        };
+        let tasks: Vec<_> = parts
+            .iter()
+            .zip(vectors.writers(lens()))
+            .zip(weight_writers)
+            .collect();
+        pool.run_tasks(tasks, |_, ((part, mut vout), mut wout)| {
             let mut lane_buf = [0u64; N];
-            let mut out = 0usize;
             for v in part.vertices() {
                 let nbrs = csr.neighbors(v);
                 let ws = csr.neighbor_weights(v);
@@ -152,22 +143,18 @@ impl<const N: usize> VectorSparse<N> {
                     for (i, &nb) in chunk.iter().enumerate() {
                         lane_buf[i] = nb as u64;
                     }
-                    vslice[out] = EdgeVector::new(v as u64, &lane_buf[..chunk.len()]);
-                    if let (Some(wout), Some(win)) = (wslice.as_mut(), ws) {
+                    vout.push(EdgeVector::new(v as u64, &lane_buf[..chunk.len()]));
+                    if let (Some(wout), Some(win)) = (wout.as_mut(), ws) {
                         let mut weight_buf = [0.0f64; N];
                         let start = ci * N;
                         weight_buf[..chunk.len()].copy_from_slice(&win[start..start + chunk.len()]);
-                        wout[out] = weight_buf;
+                        wout.push(weight_buf);
                     }
-                    out += 1;
                 }
             }
-            debug_assert_eq!(
-                out,
-                vslice.len(),
-                "partition under/overfilled its vector range"
-            );
         });
+        let vectors = vectors.into_vec();
+        let weights = weights.map(WorkerFilled::into_vec);
         let built = VectorSparse {
             vectors,
             weights,
