@@ -151,9 +151,7 @@ pub fn choose_scatter(
     match mode {
         ScatterMode::Atomic | ScatterMode::Spa => mode,
         ScatterMode::Auto => {
-            if frontier_edges <= SPA_INLINE_EDGE_CUTOFF
-                || (sparse_vertex && sparse_vertex_fits(frontier_edges, num_vertices))
-            {
+            if spa_outright(frontier_edges, num_vertices, sparse_vertex) {
                 return ScatterMode::Spa;
             }
             let chunks = crate::spmv::spa::num_chunks(num_vertices) as u64;
@@ -168,6 +166,13 @@ pub fn choose_scatter(
             }
         }
     }
+}
+
+/// `Auto`'s first test: frontiers this small take SPA without a cost
+/// comparison. True for every smaller `frontier_edges` once true.
+fn spa_outright(frontier_edges: u64, num_vertices: usize, sparse_vertex: bool) -> bool {
+    frontier_edges <= SPA_INLINE_EDGE_CUTOFF
+        || (sparse_vertex && sparse_vertex_fits(frontier_edges, num_vertices))
 }
 
 /// Σ out-degrees over the frontier plus |F| (the push pass's work):
@@ -203,6 +208,37 @@ fn frontier_out_edges(
     avg + count
 }
 
+/// In-edges a pull pass would scan: `m` scaled by the unconverged
+/// fraction of the `num_vertices` destinations. Decreasing in `converged`,
+/// so an upper bound on the converged count gives a lower bound here.
+fn unvisited_edges(num_edges: usize, num_vertices: usize, converged: usize) -> u64 {
+    let unconverged = num_vertices.saturating_sub(converged);
+    if num_vertices == 0 {
+        0
+    } else {
+        (num_edges as u128 * unconverged as u128 / num_vertices as u128) as u64
+    }
+}
+
+/// The compaction hint of a pull iteration at frontier `density`.
+fn compact_hint(
+    cfg: &EngineConfig,
+    density: Option<f64>,
+    num_edges: usize,
+    num_vertices: usize,
+) -> bool {
+    match density {
+        None => false,
+        Some(d) => match cfg.direction_policy {
+            DirectionPolicy::DensityGate => d <= cfg.frontier_pull_threshold,
+            DirectionPolicy::CostModel => {
+                let avg_in = num_edges as f64 / num_vertices.max(1) as f64;
+                1.0 - (1.0 - d).powf(avg_in) < COMPACT_ACTIVE_FRACTION
+            }
+        },
+    }
+}
+
 /// Decides the Edge-phase direction and compaction for one iteration.
 ///
 /// `density` is `None` for frontier-less (or all-active) iterations, which
@@ -232,13 +268,7 @@ pub fn decide(
         None => (m, m),
         Some(_) => {
             let fe = frontier_out_edges(frontier, out_degrees, num_edges, num_vertices);
-            let unconverged = num_vertices.saturating_sub(converged);
-            let ue = if num_vertices == 0 {
-                0
-            } else {
-                (num_edges as u128 * unconverged as u128 / num_vertices as u128) as u64
-            };
-            (fe, ue)
+            (fe, unvisited_edges(num_edges, num_vertices, converged))
         }
     };
     let use_pull = match cfg.force_engine {
@@ -252,19 +282,9 @@ pub fn decide(
             }
         },
     };
-    let compact = match density {
-        None => false,
-        Some(d) => match cfg.direction_policy {
-            DirectionPolicy::DensityGate => d <= cfg.frontier_pull_threshold,
-            DirectionPolicy::CostModel => {
-                let avg_in = num_edges as f64 / num_vertices.max(1) as f64;
-                1.0 - (1.0 - d).powf(avg_in) < COMPACT_ACTIVE_FRACTION
-            }
-        },
-    };
     Decision {
         use_pull,
-        compact,
+        compact: compact_hint(cfg, density, num_edges, num_vertices),
         frontier_edges,
         unvisited_edges,
         scatter: choose_scatter(
@@ -274,6 +294,71 @@ pub fn decide(
             sparse_vertex,
         ),
     }
+}
+
+/// [`decide`] in O(1) beyond `frontier.count()`, for the tiny frontiers of
+/// a sparse traversal, where the exact inputs — an out-degree sum over a
+/// scattered frontier and a popcount of the whole converged bitmap — cost
+/// more than the rest of the superstep's bookkeeping. It bounds both:
+/// `frontier_edges ≤ |F| · (max_out_degree + 1)` and, given
+/// `converged_at_most` ≥ the converged count, `unvisited_edges` from below.
+/// When those bounds already settle every field the driver acts on — push
+/// (`ALPHA · fe_bound < ue_bound`), and a scatter mode
+/// [`choose_scatter`] picks for every `fe ≤ fe_bound` — it returns that
+/// decision, which then equals [`decide`]'s in `use_pull`, `compact` and
+/// `scatter`; its reported `frontier_edges` / `unvisited_edges` are the
+/// bounds. Otherwise it returns `None` and the caller takes the exact
+/// path. Inputs are frontier state only, like [`decide`]'s.
+#[allow(clippy::too_many_arguments)]
+pub fn decide_within_bounds(
+    cfg: &EngineConfig,
+    density: Option<f64>,
+    frontier: &Frontier,
+    max_out_degree: u32,
+    num_edges: usize,
+    num_vertices: usize,
+    converged_at_most: usize,
+    sparse_vertex: bool,
+) -> Option<Decision> {
+    if density.is_none()
+        || frontier.is_all()
+        || cfg.force_engine.is_some()
+        || cfg.direction_policy != DirectionPolicy::CostModel
+    {
+        return None;
+    }
+    let count = frontier.count() as u64;
+    // Past the scan cap `decide` itself uses the O(1) average-degree cost.
+    let frontier_edges = if (count as usize) <= DEGREE_SCAN_CAP {
+        count.saturating_mul(max_out_degree as u64 + 1)
+    } else {
+        frontier_out_edges(frontier, None, num_edges, num_vertices)
+    };
+    let unvisited_edges = unvisited_edges(num_edges, num_vertices, converged_at_most);
+    if ALPHA.saturating_mul(frontier_edges) >= unvisited_edges {
+        return None;
+    }
+    // `choose_scatter` is not monotone in `fe`; only its leading test,
+    // which holds for every smaller `fe` once it holds for the bound,
+    // settles it here.
+    let scatter = match cfg.scatter_mode {
+        ScatterMode::Auto if !spa_outright(frontier_edges, num_vertices, sparse_vertex) => {
+            return None;
+        }
+        _ => choose_scatter(
+            cfg.scatter_mode,
+            frontier_edges,
+            num_vertices,
+            sparse_vertex,
+        ),
+    };
+    Some(Decision {
+        use_pull: false,
+        compact: compact_hint(cfg, density, num_edges, num_vertices),
+        frontier_edges,
+        unvisited_edges,
+        scatter,
+    })
 }
 
 #[cfg(test)]
@@ -501,6 +586,74 @@ mod tests {
         let cfg = cfg.with_scatter_mode(ScatterMode::Spa);
         let d = decide(&cfg, Some(f.density()), &f, None, 1000, 1000, 0, false);
         assert_eq!(d.scatter, ScatterMode::Spa);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// The bounded path answers only when the bounds settle the
+        /// decision, and then agrees with the exact model on every field the
+        /// driver acts on, whatever the degrees, the frontier and the slack
+        /// in the converged bound.
+        #[test]
+        fn prop_bounded_decision_is_the_exact_one(
+            degrees in proptest::collection::vec(0u32..12, 1..3000),
+            picks in proptest::collection::vec(0usize..3000, 0..40),
+            converged_frac in 0usize..100,
+            slack in 0usize..400,
+            sparse_vertex in proptest::prelude::any::<bool>(),
+            as_list in proptest::prelude::any::<bool>(),
+            mode in 0u8..3,
+        ) {
+            let n = degrees.len();
+            let m: usize = degrees.iter().map(|&d| d as usize).sum();
+            let mut vs: Vec<u32> = picks.iter().map(|&p| (p % n) as u32).collect();
+            vs.sort_unstable();
+            vs.dedup();
+            let f = if as_list { Frontier::sparse(n, &vs) } else { Frontier::from_vertices(n, &vs) };
+            let scatter = [ScatterMode::Auto, ScatterMode::Spa, ScatterMode::Atomic][mode as usize];
+            let cfg = EngineConfig::new().with_scatter_mode(scatter);
+            let converged = n * converged_frac / 100;
+            let max = degrees.iter().copied().max().unwrap_or(0);
+            let exact = decide(&cfg, Some(f.density()), &f, Some(&degrees), m, n, converged, sparse_vertex);
+            let bounded = decide_within_bounds(
+                &cfg, Some(f.density()), &f, max, m, n, converged + slack, sparse_vertex,
+            );
+            if let Some(b) = bounded {
+                proptest::prop_assert_eq!(
+                    (b.use_pull, b.compact, b.scatter),
+                    (exact.use_pull, exact.compact, exact.scatter)
+                );
+                proptest::prop_assert!(b.frontier_edges >= exact.frontier_edges);
+                proptest::prop_assert!(b.unvisited_edges <= exact.unvisited_edges);
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_decision_answers_tiny_frontiers_and_defers_otherwise() {
+        let g = chain(1000);
+        let vss = VectorSparse::<4>::from_csr(g.out_csr());
+        let (deg, max) = (vss.degrees(), vss.max_degree());
+        let m = g.num_edges();
+        let cfg = EngineConfig::new();
+        let f = Frontier::sparse(1000, &[5, 9]);
+        let d = Some(f.density());
+        let b = decide_within_bounds(&cfg, d, &f, max, m, 1000, 0, true).expect("tiny frontier");
+        assert_eq!((b.use_pull, b.scatter), (false, ScatterMode::Spa));
+        assert_eq!(b.frontier_edges, 2 * (max as u64 + 1));
+        let exact = decide(&cfg, d, &f, Some(deg), m, 1000, 0, true);
+        assert_eq!((exact.use_pull, exact.scatter), (b.use_pull, b.scatter));
+        // A converged bound near V leaves pull possible: the exact path.
+        assert!(decide_within_bounds(&cfg, d, &f, max, m, 1000, 999, true).is_none());
+        // Forced engines, the density gate and frontier-less iterations
+        // always take the exact path.
+        for cfg in [
+            cfg.with_force_engine(Some(EngineKind::Push)),
+            cfg.with_direction_policy(DirectionPolicy::DensityGate),
+        ] {
+            assert!(decide_within_bounds(&cfg, d, &f, max, m, 1000, 0, true).is_none());
+        }
+        assert!(decide_within_bounds(&cfg, None, &f, max, m, 1000, 0, true).is_none());
     }
 
     #[test]

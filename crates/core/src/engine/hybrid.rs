@@ -251,6 +251,11 @@ pub(super) fn drive<P: GraphProgram>(
     // Driver-tracked invariant: every accumulator holds the identity. Only
     // a sparse Vertex phase establishes it; any other superstep clears it.
     let mut acc_clean = false;
+    // Upper bound on the converged set's size: the last exact count plus
+    // every activation since (the set grows only through activating
+    // `apply` calls — the `GraphProgram::converged` contract). `None`
+    // until the first count; a program without the set has exactly 0.
+    let mut converged_bound = prog.converged().is_none().then_some(0usize);
     let mut pull_iterations = 0usize;
     let mut push_iterations = 0usize;
     // Scheduler-aware pull phases that completed in parallel: the ones the
@@ -323,23 +328,49 @@ pub(super) fn drive<P: GraphProgram>(
 
         // Direction choice (DESIGN.md §16): one shared [`Decision`] feeds
         // engine selection, the compaction gate, and the trace.
-        // The exact frontier-cost path reads the out-degree table cached on
-        // the push structure; a run that never computes a density (PageRank)
-        // never causes it to be built.
+        // The frontier-cost paths read the out-degree table cached on the
+        // push structure; a run that never computes a density (PageRank)
+        // never causes it to be built. The bounded path settles tiny
+        // frontiers in O(|F|) at most; the exact one also counts the
+        // converged set, which refreshes the bound.
+        let decide_clock = SpanClock::start();
         let out_degrees = (density.is_some()
             && cfg.direction_policy == crate::config::DirectionPolicy::CostModel)
             .then(|| pg.vss.degrees());
-        let converged = prog.converged().map_or(0, |c| c.count());
-        let decision = crate::direction::decide(
-            cfg,
-            density,
-            &frontier,
-            out_degrees,
-            pg.num_edges,
-            pg.num_vertices,
-            converged,
-            sparse_vertex,
-        );
+        let bounded = out_degrees
+            .zip(converged_bound)
+            .and_then(|(_, converged_at_most)| {
+                crate::direction::decide_within_bounds(
+                    cfg,
+                    density,
+                    &frontier,
+                    pg.vss.max_degree(),
+                    pg.num_edges,
+                    pg.num_vertices,
+                    converged_at_most,
+                    sparse_vertex,
+                )
+            });
+        let exact = |converged: usize| {
+            crate::direction::decide(
+                cfg,
+                density,
+                &frontier,
+                out_degrees,
+                pg.num_edges,
+                pg.num_vertices,
+                converged,
+                sparse_vertex,
+            )
+        };
+        let decision = bounded.unwrap_or_else(|| {
+            let converged = prog.converged().map_or(0, |c| c.count());
+            converged_bound = Some(converged);
+            exact(converged)
+        });
+        prof.add(&prof.decide_ns, decide_clock.elapsed_ns());
+        #[cfg(feature = "invariant-checks")]
+        assert_bounded_decision_is_exact(prog, converged_bound, bounded, &exact, iter);
         let use_pull = decision.use_pull;
         let engine = if use_pull {
             pull_iterations += 1;
@@ -539,12 +570,17 @@ pub(super) fn drive<P: GraphProgram>(
         if deadline.is_some_and(|dl| dl.expired()) {
             return Err(stalled);
         }
+        if let Some(bound) = converged_bound.as_mut() {
+            *bound += active;
+        }
         // On the priority schedule the activations join the vertices held
         // back earlier, the next superstep starts from the lowest bucket of
         // the lot, and `should_stop` sees everything still waiting.
         if let (Some(q), Some(next)) = (queue.as_mut(), next_frontier.as_mut()) {
+            let reschedule_clock = SpanClock::start();
             *next = reschedule(q, next, prog, list_or_bitmap);
             active = next.count() + q.pending();
+            prof.add(&prof.reschedule_ns, reschedule_clock.elapsed_ns());
         }
 
         // One record per *executed* superstep, assembled from the selection
@@ -750,6 +786,36 @@ fn vertex_phase_redo<P: GraphProgram>(
         }
     }
     active
+}
+
+/// `invariant-checks` audit of the bounded direction path: the converged
+/// bound really is at least the converged count, and a decision the bounds
+/// settled is the one the exact model makes in every field the driver acts
+/// on.
+#[cfg(feature = "invariant-checks")]
+fn assert_bounded_decision_is_exact<P: GraphProgram>(
+    prog: &P,
+    converged_bound: Option<usize>,
+    bounded: Option<crate::direction::Decision>,
+    exact: &dyn Fn(usize) -> crate::direction::Decision,
+    iter: usize,
+) {
+    let converged = prog.converged().map_or(0, |c| c.count());
+    if let Some(bound) = converged_bound {
+        assert!(
+            bound >= converged,
+            "iteration {iter}: converged bound {bound} is below the count {converged} \
+             — the converged set grew without activations"
+        );
+    }
+    if let Some(b) = bounded {
+        let e = exact(converged);
+        assert_eq!(
+            (b.use_pull, b.compact, b.scatter),
+            (e.use_pull, e.compact, e.scatter),
+            "iteration {iter}: the bounded decision differs from the exact one"
+        );
+    }
 }
 
 /// `invariant-checks` audit of `acc_clean`: a superstep about to skip its

@@ -213,6 +213,12 @@ pub trait GraphProgram: Sync {
     /// Destinations that must ignore all in-bound messages (Breadth-First
     /// Search's visited set: "vertices are placed into this set immediately
     /// upon visitation", §2).
+    ///
+    /// Contract: a vertex joins the set only in an [`apply`](Self::apply)
+    /// call that returns `true`, so the set grows by at most the Vertex
+    /// phase's activation count per superstep. The driver bounds the set's
+    /// size that way instead of recounting it every superstep (DESIGN.md
+    /// §16); `invariant-checks` builds audit the bound.
     fn converged(&self) -> Option<&DenseBitmap> {
         None
     }

@@ -59,11 +59,13 @@
 //! supersteps instead of being reallocated per phase. And because the
 //! deterministic fold order is defined independently of the worker count,
 //! a near-empty frontier (a road-graph BFS tail) can legally run the whole
-//! phase inline on the calling thread — one partition, chunks folded in
-//! increasing order — skipping the two pool broadcasts entirely. Both are
-//! pure cost optimizations: neither changes a single output bit, and the
-//! inline cutoff is a function of the frontier alone, never of thread
-//! count.
+//! phase inline on the calling thread, skipping the two pool broadcasts
+//! entirely. With one partition scanned in increasing order there is
+//! nothing to merge: each message is folded as it is produced, which is
+//! the fold order above, and only destination ids are kept as the touched
+//! list. Both are pure cost optimizations: neither changes a single output
+//! bit, and the inline cutoff is a function of the frontier alone, never
+//! of thread count.
 
 use crate::frontier::Frontier;
 use crate::program::AggOp;
@@ -90,16 +92,19 @@ pub fn num_chunks(num_vertices: usize) -> usize {
 
 /// Frontiers of at most this many active-source edge vectors run inline on
 /// the calling thread at every pool width: the fold order is identical
-/// either way (module doc), so this is cost only. Inline scatter + fold
-/// costs ≈25 ns per edge (L2-missing; traced road-mesh supersteps on the
-/// 2-vCPU benchmark host, EXPERIMENTS.md) — ≈60 ns per vector at road-graph
-/// fill (2.4 edges/vector), ≈100 ns per full one — and the pool path pays
-/// two broadcasts of ≈35 µs each (`sched.dispatch_us`) when the workers ran
-/// a phase moments ago, as they have under the dense Vertex phase. An
-/// unboundedly wide pool therefore repays its wake-ups past
-/// `70 µs / 60–100 ns ≈ 700–1200` vectors; 512 keeps PR 10's value as the
-/// floor and `inline_vector_cutoff` scales it by `T/(T − 1)`, the share
-/// of the inline time T threads actually save.
+/// either way (module doc), so this is cost only. The inline scan with its
+/// direct fold costs ≈16–17 ns per message for SSSP and ≈40–45 ns for BFS,
+/// whose scan also walks edges into converged destinations — ≈40–55 ns per
+/// source on the road mesh, where a source owns one vector (traced 2-thread
+/// supersteps on the 2-vCPU benchmark host, EXPERIMENTS.md; ≈30 and ≈65 ns
+/// per message with the separate bucket fold and no prefetch). The pool
+/// path pays two broadcasts of ≈35 µs each (`sched.dispatch_us`) when the
+/// workers ran a phase moments ago, as they have under the dense Vertex
+/// phase. An unboundedly wide pool therefore repays its wake-ups past
+/// `70 µs / 50–100 ns ≈ 700–1400` vectors (a full vector carries four
+/// messages); 512 stays the conservative floor and `inline_vector_cutoff`
+/// scales it by `T/(T − 1)`, the share of the inline time T threads
+/// actually save.
 pub const SPA_SEQ_VECTOR_CUTOFF: usize = 512;
 
 /// The same floor when the pool has been left parked — the driver's
@@ -142,18 +147,25 @@ type ChunkBuckets = Vec<Vec<(u32, f64)>>;
 /// Caller-owned bucket storage for [`edge_push_spa`], reused across
 /// supersteps so bucket capacity warms up instead of being reallocated
 /// every phase (the push-side twin of the pull merge `SlotBuffer`).
-/// Contents are scratch: each scatter pass clears before filling, so a
-/// scratch can be shared across kernels and even graphs.
+/// Contents are scratch: each phase clears before filling, so a scratch
+/// can be shared across kernels and even graphs.
 ///
-/// Between one [`edge_push_spa`] and the next the buckets double as that
+/// Between one [`edge_push_spa`] and the next the scratch doubles as that
 /// superstep's *touched list* (DESIGN.md §18): every destination the phase
 /// folded a message into, grouped by destination chunk, duplicates
-/// included. [`touched_in_chunk`](SpaScratch::touched_in_chunk) exposes it
-/// to the sparse Vertex phase.
+/// included. The pool path leaves it in its `(dst, message)` buckets; the
+/// inline path folds at scan time and keeps destination ids only.
+/// [`touched_in_chunk`](SpaScratch::touched_in_chunk) exposes either to the
+/// sparse Vertex phase.
 #[derive(Default)]
 pub struct SpaScratch {
     rows: Vec<ChunkBuckets>,
-    /// Entries the last scatter bucketed, across all rows and chunks.
+    /// The inline path's touched list: destination ids per chunk.
+    dsts: Vec<Vec<u32>>,
+    /// True when the last phase ran inline, so `dsts` (not `rows`) holds
+    /// its touched list.
+    inline: bool,
+    /// Entries of the last phase's touched list, across all chunks.
     entries: usize,
 }
 
@@ -170,21 +182,34 @@ impl SpaScratch {
 
     /// Destination chunks of the last phase's radix partition.
     pub fn touched_chunks(&self) -> usize {
-        self.rows.first().map_or(0, Vec::len)
+        if self.inline {
+            self.dsts.len()
+        } else {
+            self.rows.first().map_or(0, Vec::len)
+        }
     }
 
     /// Entries of the last phase's touched list that fall in chunk `c`.
     pub fn chunk_len(&self, c: usize) -> usize {
-        self.rows.iter().map(|row| row[c].len()).sum()
+        if self.inline {
+            self.dsts[c].len()
+        } else {
+            self.rows.iter().map(|row| row[c].len()).sum()
+        }
     }
 
     /// The destinations the last phase folded into chunk `c` — all inside
     /// `c·SPA_CHUNK_VERTICES..(c+1)·SPA_CHUNK_VERTICES`, so two chunks
     /// never share a vertex. A destination appears once per message.
     pub fn touched_in_chunk(&self, c: usize) -> impl Iterator<Item = u32> + '_ {
-        self.rows
-            .iter()
+        let (rows, dsts): (&[ChunkBuckets], &[u32]) = if self.inline {
+            (&[], &self.dsts[c])
+        } else {
+            (&self.rows, &[])
+        };
+        rows.iter()
             .flat_map(move |row| row[c].iter().map(|&(dst, _)| dst))
+            .chain(dsts.iter().copied())
     }
 
     /// Takes the rows out, shaped to exactly `threads` rows of `chunks`
@@ -202,6 +227,25 @@ impl SpaScratch {
     /// many messages they hold.
     fn put_back(&mut self, rows: Vec<ChunkBuckets>, entries: usize) {
         self.rows = rows;
+        self.inline = false;
+        self.entries = entries;
+    }
+
+    /// Takes the inline path's destination lists out, one empty list per
+    /// chunk.
+    fn take_dsts(&mut self, chunks: usize) -> Vec<Vec<u32>> {
+        let mut dsts = std::mem::take(&mut self.dsts);
+        dsts.resize_with(chunks, Vec::new);
+        for list in &mut dsts {
+            list.clear();
+        }
+        dsts
+    }
+
+    /// Returns the inline path's touched list of `entries` destinations.
+    fn put_back_dsts(&mut self, dsts: Vec<Vec<u32>>, entries: usize) {
+        self.dsts = dsts;
+        self.inline = true;
         self.entries = entries;
     }
 }
@@ -292,6 +336,86 @@ fn fold_into(op: AggOp, write_intense: bool, accum: &PropertyArray, dst: usize, 
     }
 }
 
+/// Sparse-list items ahead of the scan at which a source's index entry is
+/// prefetched: far enough for the line to arrive before
+/// [`LINE_PREFETCH_DISTANCE`] reads it.
+const INDEX_PREFETCH_DISTANCE: usize = 16;
+
+/// Sparse-list items ahead of the scan at which a source's first edge
+/// vector and weight vector are prefetched (their address is the index
+/// entry fetched [`INDEX_PREFETCH_DISTANCE`] items ahead).
+const LINE_PREFETCH_DISTANCE: usize = 8;
+
+/// Walks `src`'s out-vectors and calls `emit(dst, message)` for each live
+/// edge whose destination has not converged, in layout order.
+#[inline(always)]
+fn scatter_source<K: EdgeKernel>(vss: &Vss, kernel: &K, src: u32, emit: &mut impl FnMut(u32, f64)) {
+    let conv = kernel.converged();
+    let weights = vss.weight_vectors();
+    for vi in vss.vector_range(src) {
+        let ev = &vss.vectors()[vi];
+        for lane in 0..4 {
+            let Some(dst) = ev.neighbor(lane) else {
+                continue;
+            };
+            let dst = dst as u32;
+            if conv.is_some_and(|c| c.contains(dst)) {
+                continue;
+            }
+            let w = weights.map_or(0.0, |ws| ws[vi][lane]);
+            emit(dst, kernel.message(src, dst, w));
+        }
+    }
+}
+
+/// Scatters the frontier item subrange `lo..hi` (one bitmap word per item
+/// for All/Dense, one active vertex per item for Sparse) in increasing
+/// item order. A sparse list is known in full before the scan starts, so
+/// its arm prefetches each source's Vector-Sparse lines a few items ahead
+/// (DESIGN.md §17, "Prefetch"), within the subrange.
+#[inline(always)]
+fn scan_items<K: EdgeKernel>(
+    vss: &Vss,
+    kernel: &K,
+    frontier: &Frontier,
+    lo: usize,
+    hi: usize,
+    emit: &mut impl FnMut(u32, f64),
+) {
+    let n = vss.num_vertices();
+    match frontier {
+        Frontier::All { .. } => {
+            for src in (lo * 64)..(hi * 64).min(n) {
+                scatter_source(vss, kernel, src as u32, emit);
+            }
+        }
+        Frontier::Dense(bm) => {
+            for item in lo..hi {
+                // ATOMIC: relaxed-cell — frontier-bitmap snapshot;
+                // the frontier is frozen during the Edge phase
+                let mut bits = bm.words()[item].load(Ordering::Relaxed);
+                while bits != 0 {
+                    let tz = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    scatter_source(vss, kernel, (item * 64 + tz as usize) as u32, emit);
+                }
+            }
+        }
+        Frontier::Sparse { vertices, .. } => {
+            let mine = &vertices[lo..hi];
+            for (i, &src) in mine.iter().enumerate() {
+                if let Some(&ahead) = mine.get(i + INDEX_PREFETCH_DISTANCE) {
+                    vss.prefetch_index(ahead);
+                }
+                if let Some(&ahead) = mine.get(i + LINE_PREFETCH_DISTANCE) {
+                    vss.prefetch_vertex(ahead);
+                }
+                scatter_source(vss, kernel, src, emit);
+            }
+        }
+    }
+}
+
 /// Runs one Edge-Push phase through the SPA scatter/merge pipeline.
 /// Drop-in replacement for [`crate::engine::push::edge_push`]: same kernel
 /// contract, same converged-destination masking, same `push_updates`
@@ -315,71 +439,20 @@ pub fn edge_push_spa<K: EdgeKernel>(
 ) -> u32 {
     let n = vss.num_vertices();
     let accum = kernel.accumulators();
-    let conv = kernel.converged();
     let op = kernel.op();
     let write_intense = kernel.write_intense();
-    let weights = vss.weight_vectors();
     let wall = SpanClock::start();
     let work_before = prof.work_ns_now();
     let merge_before = prof.merge_ns_now();
     let chunks = num_chunks(n);
 
     // Frontier item space, global (see the module doc for why groups are
-    // ignored here): one bitmap word per item for All/Dense, one active
-    // vertex per item for Sparse.
+    // ignored here).
     let items = match frontier {
         Frontier::Sparse { vertices, .. } => vertices.len(),
         _ => n.div_ceil(64),
     };
 
-    // Shared edge-bucketing core: walks `src`'s out-vectors and appends
-    // each live edge's `(dst, message)` into its destination chunk bucket.
-    let bucket_edge = |src: u32, buckets: &mut [Vec<(u32, f64)>], updates: &mut u64| {
-        for vi in vss.vector_range(src) {
-            let ev = &vss.vectors()[vi];
-            for lane in 0..4 {
-                let Some(dst) = ev.neighbor(lane) else {
-                    continue;
-                };
-                let dst = dst as u32;
-                if let Some(c) = conv {
-                    if c.contains(dst) {
-                        continue;
-                    }
-                }
-                let w = weights.map_or(0.0, |ws| ws[vi][lane]);
-                let msg = kernel.message(src, dst, w);
-                *updates += 1;
-                buckets[dst as usize / SPA_CHUNK_VERTICES].push((dst, msg));
-            }
-        }
-    };
-    // Scatters the item subrange `lo..hi` of the partition geometry above.
-    let scan_items = |lo: usize, hi: usize, buckets: &mut [Vec<(u32, f64)>], updates: &mut u64| {
-        for item in lo..hi {
-            match frontier {
-                Frontier::All { .. } => {
-                    let last = ((item + 1) * 64).min(n);
-                    for src in (item * 64)..last {
-                        bucket_edge(src as u32, buckets, updates);
-                    }
-                }
-                Frontier::Dense(bm) => {
-                    // ATOMIC: relaxed-cell — frontier-bitmap snapshot;
-                    // the frontier is frozen during the Edge phase
-                    let mut bits = bm.words()[item].load(Ordering::Relaxed);
-                    while bits != 0 {
-                        let tz = bits.trailing_zeros();
-                        bits &= bits - 1;
-                        bucket_edge((item * 64 + tz as usize) as u32, buckets, updates);
-                    }
-                }
-                Frontier::Sparse { vertices, .. } => {
-                    bucket_edge(vertices[item], buckets, updates);
-                }
-            }
-        }
-    };
     // Folds chunk `c`: every row's bucket in fixed row order — the single
     // fold order the determinism contract pins.
     let fold_chunk = |c: usize, rows: &[ChunkBuckets], entries: &mut u64, touched: &mut u64| {
@@ -400,35 +473,30 @@ pub fn edge_push_spa<K: EdgeKernel>(
     };
 
     // --- Sequential fast path: tiny frontiers skip the pool entirely. ---
-    // One partition over all items, chunks folded in increasing order —
-    // exactly the fold order of the parallel path, so not one output bit
-    // can differ (module doc).
+    // One partition over all items, scanned in increasing order, so each
+    // message can be folded the moment it is produced: every destination
+    // sees its messages in the order the bucket-then-fold path would fold
+    // them, and not one output bit can differ (module doc). Only the
+    // destination ids are kept, as the touched list.
     let cutoff = inline_vector_cutoff(pool.num_threads(), pool_parked);
     if frontier_fits_inline(vss, frontier, n, cutoff) {
-        let mut rows = scratch.take_rows(1, chunks);
+        let mut dsts = scratch.take_dsts(chunks);
         let started = SpanClock::start();
         let mut updates = 0u64;
-        for bucket in rows[0].iter_mut() {
-            bucket.clear();
-        }
-        scan_items(0, items, &mut rows[0], &mut updates);
+        scan_items(vss, kernel, frontier, 0, items, &mut |dst, msg| {
+            fold_into(op, write_intense, accum, dst as usize, msg);
+            dsts[dst as usize / SPA_CHUNK_VERTICES].push(dst);
+            updates += 1;
+        });
+        let touched = dsts.iter().filter(|list| !list.is_empty()).count() as u64;
         prof.work_ns
             .fetch_add(started.elapsed_ns(), Ordering::Relaxed); // ATOMIC: relaxed-counter
         prof.push_updates.fetch_add(updates, Ordering::Relaxed); // ATOMIC: relaxed-counter
-        let merge_started = SpanClock::start();
-        let (mut entries, mut touched) = (0u64, 0u64);
-        if updates > 0 {
-            for c in 0..chunks {
-                fold_chunk(c, &rows, &mut entries, &mut touched);
-            }
-        }
-        prof.merge_ns
-            .fetch_add(merge_started.elapsed_ns(), Ordering::Relaxed); // ATOMIC: relaxed-counter
         prof.spa_bucket_entries
-            .fetch_add(entries, Ordering::Relaxed); // ATOMIC: relaxed-counter
+            .fetch_add(updates, Ordering::Relaxed); // ATOMIC: relaxed-counter
         prof.spa_chunks_touched
             .fetch_add(touched, Ordering::Relaxed); // ATOMIC: relaxed-counter
-        scratch.put_back(rows, updates as usize);
+        scratch.put_back_dsts(dsts, updates as usize);
         prof.finish_edge_phase_with_merge(wall.elapsed_ns(), 1, work_before, merge_before);
         return 1;
     }
@@ -448,7 +516,10 @@ pub fn edge_push_spa<K: EdgeKernel>(
         let t = ctx.global_id;
         // Static contiguous partition: thread t owns t·items/T..(t+1)·items/T.
         let (lo, hi) = (t * items / tc, (t + 1) * items / tc);
-        scan_items(lo, hi, &mut buckets, &mut updates);
+        scan_items(vss, kernel, frontier, lo, hi, &mut |dst, msg| {
+            buckets[dst as usize / SPA_CHUNK_VERTICES].push((dst, msg));
+            updates += 1;
+        });
         prof.work_ns
             .fetch_add(started.elapsed_ns(), Ordering::Relaxed); // ATOMIC: relaxed-counter
         prof.push_updates.fetch_add(updates, Ordering::Relaxed); // ATOMIC: relaxed-counter
@@ -849,18 +920,13 @@ mod tests {
             let prof = Profiler::new();
             let kern = program_kernel(&p, &vss, Kernels::auto());
             let mut scratch = SpaScratch::new();
-            edge_push_spa(&vss, &kern, &frontier, &pool, &prof, &mut scratch, parked);
+            let ran = edge_push_spa(&vss, &kern, &frontier, &pool, &prof, &mut scratch, parked);
             let s = prof.snapshot();
-            (
-                bits(&p.acc, n),
-                s.push_updates,
-                s.spa_bucket_entries,
-                scratch.rows.len(),
-            )
+            (bits(&p.acc, n), s.push_updates, s.spa_bucket_entries, ran)
         };
         let (pooled, parked) = (run(false), run(true));
-        assert_eq!(pooled.3, 2, "without the hint: one bucket row per worker");
-        assert_eq!(parked.3, 1, "with it: the single inline row");
+        assert_eq!(pooled.3, 2, "without the hint: both workers scatter");
+        assert_eq!(parked.3, 1, "with it: the inline path");
         assert_eq!(
             (&pooled.0, pooled.1, pooled.2),
             (&parked.0, parked.1, parked.2)

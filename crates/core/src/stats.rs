@@ -41,6 +41,12 @@ pub struct Profiler {
     pub write_ns: AtomicU64,
     /// Edge-phase wall time (ns).
     pub edge_wall_ns: AtomicU64,
+    /// Driver time choosing each superstep's direction and scatter mode
+    /// (ns): the [`Decision`](crate::direction::Decision) and its inputs.
+    pub decide_ns: AtomicU64,
+    /// Driver time filing activations into the priority schedule and
+    /// draining the next bucket (ns; DESIGN.md §18).
+    pub reschedule_ns: AtomicU64,
     /// Edge-phase idle time (ns): per phase, `wall × effective parallelism
     /// − work accrued during the phase` (see
     /// [`finish_edge_phase`](Profiler::finish_edge_phase)).
@@ -194,6 +200,8 @@ impl Profiler {
             write: Duration::from_nanos(self.write_ns.load(Ordering::Relaxed)), // ATOMIC: relaxed-counter
             idle: Duration::from_nanos(self.idle_ns.load(Ordering::Relaxed)), // ATOMIC: relaxed-counter
             edge_wall: Duration::from_nanos(self.edge_wall_ns.load(Ordering::Relaxed)), // ATOMIC: relaxed-counter
+            decide: Duration::from_nanos(self.decide_ns.load(Ordering::Relaxed)), // ATOMIC: relaxed-counter
+            reschedule: Duration::from_nanos(self.reschedule_ns.load(Ordering::Relaxed)), // ATOMIC: relaxed-counter
             atomic_updates: self.atomic_updates.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
             nonatomic_updates: self.nonatomic_updates.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
             direct_stores: self.direct_stores.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
@@ -225,6 +233,10 @@ pub struct PhaseProfile {
     pub write: Duration,
     pub idle: Duration,
     pub edge_wall: Duration,
+    /// Direction-model time, outside the Figure 5b categories.
+    pub decide: Duration,
+    /// Priority-schedule time, outside the Figure 5b categories.
+    pub reschedule: Duration,
     pub atomic_updates: u64,
     pub nonatomic_updates: u64,
     pub direct_stores: u64,

@@ -106,6 +106,11 @@ pub struct IterationRecord {
     pub write_ns: u64,
     /// Edge-phase wall time this superstep (ns delta).
     pub edge_wall_ns: u64,
+    /// Direction-model time this superstep (ns delta).
+    pub decide_ns: u64,
+    /// Priority-schedule time this superstep (ns delta; 0 off the
+    /// schedule).
+    pub reschedule_ns: u64,
     /// Idle time charged this superstep (ns delta; see
     /// [`Profiler::finish_edge_phase`](crate::stats::Profiler::finish_edge_phase)).
     pub idle_ns: u64,
@@ -134,10 +139,13 @@ pub struct IterationRecord {
     /// `pull_compacted`; 0 otherwise.
     pub active_vectors: u64,
     /// Direction-model input: estimated edges a push pass would traverse
-    /// this iteration (Σ frontier out-degrees + |F|; DESIGN.md §16).
+    /// this iteration (Σ frontier out-degrees + |F|; DESIGN.md §16) — or,
+    /// when the bounded short-circuit decided, its upper bound
+    /// `|F| · (max out-degree + 1)`.
     pub dir_frontier_edges: u64,
     /// Direction-model input: estimated in-edges a pull pass would scan
-    /// (total edges scaled by the unconverged fraction).
+    /// (total edges scaled by the unconverged fraction) — or, when the
+    /// bounded short-circuit decided, a lower bound on it.
     pub dir_unvisited_edges: u64,
     /// Scatter discipline the push phase used this superstep (DESIGN.md
     /// §17); `None` for pull iterations. Always a resolved mode, never
@@ -194,6 +202,8 @@ impl IterationRecord {
             merge_ns: d(after.merge, before.merge),
             write_ns: d(after.write, before.write),
             edge_wall_ns: d(after.edge_wall, before.edge_wall),
+            decide_ns: d(after.decide, before.decide),
+            reschedule_ns: d(after.reschedule, before.reschedule),
             idle_ns: d(after.idle, before.idle),
             updates: after.total_updates() - before.total_updates(),
             vectors: after.vectors_processed - before.vectors_processed,
@@ -323,6 +333,8 @@ mod tests {
             merge_ns: 0,
             write_ns: 0,
             edge_wall_ns: 0,
+            decide_ns: 0,
+            reschedule_ns: 0,
             idle_ns: 0,
             updates: 0,
             vectors: 0,
@@ -382,6 +394,7 @@ mod tests {
         let before = PhaseProfile {
             work: Duration::from_nanos(100),
             edge_wall: Duration::from_nanos(50),
+            decide: Duration::from_nanos(5),
             direct_stores: 10,
             vectors_processed: 5,
             chunk_retries: 1,
@@ -390,6 +403,8 @@ mod tests {
         let after = PhaseProfile {
             work: Duration::from_nanos(300),
             edge_wall: Duration::from_nanos(150),
+            decide: Duration::from_nanos(12),
+            reschedule: Duration::from_nanos(4),
             direct_stores: 25,
             vectors_processed: 15,
             chunk_retries: 3,
@@ -413,6 +428,7 @@ mod tests {
         assert_eq!(r.iteration, 7);
         assert_eq!(r.work_ns, 200);
         assert_eq!(r.edge_wall_ns, 100);
+        assert_eq!((r.decide_ns, r.reschedule_ns), (7, 4));
         assert_eq!(r.updates, 15);
         assert_eq!(r.vectors, 10);
         assert_eq!(r.retries, 2);

@@ -36,9 +36,10 @@ pub struct VectorSparse<const N: usize = 4> {
     /// function of `weights` and `num_edges` alone, so `bit_identical`
     /// ignores it.
     mean_weight: OnceLock<Option<f64>>,
-    /// [`degrees`](VectorSparse::degrees), counted on first use. A function
-    /// of `vectors` and `index` alone, so `bit_identical` ignores it too.
-    degrees: OnceLock<Vec<u32>>,
+    /// [`degrees`](VectorSparse::degrees) and their maximum, counted on
+    /// first use. A function of `vectors` and `index` alone, so
+    /// `bit_identical` ignores it too.
+    degrees: OnceLock<(Vec<u32>, u32)>,
 }
 
 /// Vector-Sparse-Destination with the paper's 4-lane (256-bit) vectors.
@@ -246,8 +247,20 @@ impl<const N: usize> VectorSparse<N> {
     /// the direction model's per-superstep frontier cost reads this table
     /// from every run on the structure.
     pub fn degrees(&self) -> &[u32] {
+        &self.degree_table().0
+    }
+
+    /// The largest entry of [`degrees`](VectorSparse::degrees) (0 for an
+    /// edgeless structure), counted in the same pass and cached beside it:
+    /// `|F| · (max_degree + 1)` bounds a frontier's push cost in O(1).
+    pub fn max_degree(&self) -> u32 {
+        self.degree_table().1
+    }
+
+    fn degree_table(&self) -> &(Vec<u32>, u32) {
         self.degrees.get_or_init(|| {
-            self.index
+            let degrees: Vec<u32> = self
+                .index
                 .windows(2)
                 .map(|w| match (w[1] - w[0]) as usize {
                     0 => 0,
@@ -256,7 +269,9 @@ impl<const N: usize> VectorSparse<N> {
                         ((len - 1) * N) as u32 + last.count_valid()
                     }
                 })
-                .collect()
+                .collect();
+            let max = degrees.iter().copied().max().unwrap_or(0);
+            (degrees, max)
         })
     }
 
@@ -411,6 +426,8 @@ mod tests {
         let vs = VectorSparse::<4>::from_csr(&csr);
         assert_eq!(vs.degrees(), csr.degrees());
         assert_eq!(VectorSparse::<8>::from_csr(&csr).degrees(), csr.degrees());
+        assert_eq!(vs.max_degree(), 11);
+        assert_eq!(VectorSparse::<8>::from_csr(&csr).max_degree(), 11);
         // Built once: later calls and other readers see the same table.
         assert!(std::ptr::eq(vs.degrees(), vs.degrees()));
         // Not part of the structure's identity.
@@ -418,9 +435,9 @@ mod tests {
         let pool = ThreadPool::single_group(3);
         let par = VectorSparse::<4>::from_csr_parallel(&csr, &pool);
         assert_eq!(par.degrees(), csr.degrees());
-        assert!(VectorSparse::<4>::from_csr(&csr_of(0, &[]))
-            .degrees()
-            .is_empty());
+        let empty = VectorSparse::<4>::from_csr(&csr_of(0, &[]));
+        assert!(empty.degrees().is_empty());
+        assert_eq!(empty.max_degree(), 0);
     }
 
     #[test]

@@ -29,6 +29,7 @@ pub mod build;
 pub mod format;
 pub mod overlay;
 pub mod packing;
+mod prefetch;
 pub mod simd;
 pub mod vector;
 

@@ -355,7 +355,7 @@ fn print_trace(stats: &ExecutionStats) {
         return;
     }
     println!(
-        "\n{:>5} {:>6} {:>8} {:>6} {:>9} {:>9} {:>9} {:>9} {:>10} {:>8} {:>5} {:>6} {:>7} {:>5} events",
+        "\n{:>5} {:>6} {:>8} {:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>10} {:>8} {:>5} {:>6} {:>7} {:>5} events",
         "iter",
         "engine",
         "density",
@@ -364,6 +364,8 @@ fn print_trace(stats: &ExecutionStats) {
         "merge_ms",
         "write_ms",
         "idle_ms",
+        "decide_us",
+        "resched_us",
         "updates",
         "touched",
         "reset",
@@ -386,7 +388,7 @@ fn print_trace(stats: &ExecutionStats) {
             events.push('-');
         }
         println!(
-            "{:>5} {:>6} {:>8.4} {:>6} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>10} {:>8} {:>5} {:>6} {:>7} {:>5} {}",
+            "{:>5} {:>6} {:>8.4} {:>6} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.1} {:>10.1} {:>10} {:>8} {:>5} {:>6} {:>7} {:>5} {}",
             r.iteration,
             match r.engine {
                 EngineKind::Pull => "pull",
@@ -398,6 +400,10 @@ fn print_trace(stats: &ExecutionStats) {
             r.merge_ns as f64 / 1e6,
             r.write_ns as f64 / 1e6,
             r.idle_ns as f64 / 1e6,
+            // Driver bookkeeping outside the phases: the direction model
+            // and the priority schedule's file-and-drain.
+            r.decide_ns as f64 / 1e3,
+            r.reschedule_ns as f64 / 1e3,
             r.updates,
             // Sparse Vertex phase (DESIGN.md §18): entries it walked (`-` =
             // dense sweep) and whether this superstep's reset was skipped.

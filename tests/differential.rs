@@ -906,3 +906,242 @@ proptest! {
         }
     }
 }
+
+/// Rounding-sensitive Sum flood for the fold-order test below: every
+/// activated vertex sends its value, and a vertex that received anything
+/// takes a third of the sum and activates, for a fixed number of
+/// supersteps. Values start at `1 / (v + 1.5)`, so a destination fed by
+/// several sources in one superstep gets a sum whose bits depend on the
+/// order the messages were added in; `digest` folds the bits of every sum
+/// a vertex received, so a difference in any superstep survives to the
+/// end (later sums of near-equal values can round it away in `vals`). A
+/// zero accumulator (the identity) is a no-op, as the sparse Vertex phase
+/// requires.
+struct SumFlood {
+    vals: grazelle::core::properties::PropertyArray,
+    acc: grazelle::core::properties::PropertyArray,
+    digest: grazelle::core::properties::PropertyArray,
+    seeds: Vec<u32>,
+    supersteps: usize,
+}
+
+impl SumFlood {
+    fn new(n: usize, seeds: Vec<u32>, supersteps: usize) -> Self {
+        let vals = grazelle::core::properties::PropertyArray::new(n);
+        for v in 0..n {
+            vals.set_f64(v, 1.0 / (v as f64 + 1.5));
+        }
+        SumFlood {
+            vals,
+            acc: grazelle::core::properties::PropertyArray::new(n),
+            digest: grazelle::core::properties::PropertyArray::new(n),
+            seeds,
+            supersteps,
+        }
+    }
+}
+
+impl GraphProgram for SumFlood {
+    fn num_vertices(&self) -> usize {
+        self.vals.len()
+    }
+    fn op(&self) -> grazelle::core::program::AggOp {
+        grazelle::core::program::AggOp::Sum
+    }
+    fn edge_values(&self) -> &grazelle::core::properties::PropertyArray {
+        &self.vals
+    }
+    fn accumulators(&self) -> &grazelle::core::properties::PropertyArray {
+        &self.acc
+    }
+    fn apply(&self, v: u32) -> bool {
+        let sum = self.acc.get_f64(v as usize);
+        if sum == 0.0 {
+            return false;
+        }
+        self.vals.set_f64(v as usize, sum / 3.0);
+        let d = self.digest.get_u64(v as usize);
+        self.digest
+            .set_u64(v as usize, d.rotate_left(7) ^ sum.to_bits());
+        true
+    }
+    fn uses_frontier(&self) -> bool {
+        true
+    }
+    fn identity_apply_is_noop(&self) -> bool {
+        true
+    }
+    fn initial_frontier(&self) -> grazelle::core::Frontier {
+        grazelle::core::Frontier::from_vertices(self.num_vertices(), &self.seeds)
+    }
+    fn should_stop(&self, iteration: usize, active: usize) -> bool {
+        active == 0 || iteration + 1 >= self.supersteps
+    }
+}
+
+/// The inline SPA path folds each message as it is scanned; the pooled
+/// path buckets first and folds per destination chunk in thread order
+/// (DESIGN.md §17). Both must give every destination the fold order of the
+/// one-thread synchronized scatter. On a mesh, a chain and a star, BFS,
+/// SSSP (rounding weights), CC and a rounding-sensitive Sum flood run
+/// with the SPA scatter at 1 thread (every phase inline) and at 2 and 8
+/// threads (wide frontiers pooled, narrow ones inline), and against the
+/// atomic scatter on one thread: same bits, and the same iteration,
+/// push-step and SPA-step counts. Hybrid runs at 1/2/8 threads pin the
+/// same counts for the default configuration.
+#[test]
+fn inline_direct_fold_matches_pooled_and_atomic_scatter() {
+    let sym = |mut el: EdgeList| {
+        el.symmetrize();
+        el.sort_and_dedup();
+        Graph::from_edgelist(&el).unwrap()
+    };
+    let chain = {
+        // 1100 one-vector vertices: CC's all-active first superstep is
+        // past the two-thread pooled cutoff of 1024 vectors.
+        let mut el = EdgeList::new(1100);
+        for v in 0..1099u32 {
+            el.push(v, v + 1).unwrap();
+        }
+        sym(el)
+    };
+    let star = {
+        // Hub 0 and 3000 leaves: a frontier of every leaf is 3000
+        // vectors, past the pooled cutoff of any pool wider than one.
+        let mut el = EdgeList::new(3001);
+        for leaf in 1..3001u32 {
+            el.push(0, leaf).unwrap();
+        }
+        sym(el)
+    };
+    // (name, graph, traversal root, Sum seeds). Two seeds two apart share
+    // a destination and grow a frontier small enough for the vertex-list
+    // representation, so its scan meets several sources per destination
+    // too; the star's every-third-leaf seeding sends a thousand messages
+    // to the hub in one wide superstep.
+    let mesh_mid = 24 * 48 + 24;
+    let shapes = [
+        (
+            "mesh",
+            sym(grid_mesh(48, 48, 1.0, 7)),
+            0u32,
+            vec![mesh_mid, mesh_mid + 2],
+        ),
+        ("chain", chain, 550, vec![550, 552]),
+        ("star", star, 17, (1..3001).step_by(3).collect()),
+    ];
+    // (name, threads, scatter, forced push?)
+    let arms = [
+        ("atomic", 1usize, ScatterMode::Atomic, true),
+        ("spa", 1, ScatterMode::Spa, true),
+        ("spa", 2, ScatterMode::Spa, true),
+        ("spa", 8, ScatterMode::Spa, true),
+        ("hybrid", 1, ScatterMode::Auto, false),
+        ("hybrid", 2, ScatterMode::Auto, false),
+        ("hybrid", 8, ScatterMode::Auto, false),
+    ];
+    for (shape, g, root, sum_seeds) in &shapes {
+        let n = g.num_vertices();
+        let gw = rounding_weighted_copy(g, 11);
+        let pg = PreparedGraph::new(g);
+        let pgw = PreparedGraph::new(&gw);
+        let kernels = ["bfs", "sssp", "cc", "sum"];
+        let mut inline_and_pooled = [(false, false); 2];
+        for kname in kernels {
+            // Output bits and counts of the first arm of each kind,
+            // compared against the rest.
+            let mut forced: Option<(Vec<u64>, usize, usize)> = None;
+            let mut spa_steps: Option<usize> = None;
+            let mut hybrid: Option<(Vec<u64>, usize, usize, usize)> = None;
+            for (aname, threads, scatter, push) in arms {
+                // Pull sums in a different order; the Sum flood is pinned
+                // to the push arms.
+                if kname == "sum" && !push {
+                    continue;
+                }
+                let what = format!("{shape}/{kname}/{aname}x{threads}");
+                let pool = ThreadPool::single_group(threads);
+                let cfg = EngineConfig::new()
+                    .with_threads(threads)
+                    .with_scatter_mode(scatter)
+                    .with_force_engine(push.then_some(EngineKind::Push))
+                    .with_max_iterations(2 * n)
+                    .with_trace(true);
+                let (bits, stats) = match kname {
+                    "bfs" => {
+                        let prog = Bfs::new(n, *root);
+                        let stats = run_program_on_pool(&pg, &prog, &cfg, &pool);
+                        let parents = prog.parents();
+                        (
+                            parents
+                                .iter()
+                                .map(|p| p.map_or(u64::MAX, u64::from))
+                                .collect(),
+                            stats,
+                        )
+                    }
+                    "sssp" => {
+                        let prog = Sssp::new(n, *root);
+                        let stats = run_program_on_pool(&pgw, &prog, &cfg, &pool);
+                        let dist = prog.distances();
+                        (
+                            dist.iter()
+                                .map(|d| d.map_or(u64::MAX, f64::to_bits))
+                                .collect(),
+                            stats,
+                        )
+                    }
+                    "cc" => {
+                        let prog = ConnectedComponents::new(n);
+                        let stats = run_program_on_pool(&pg, &prog, &cfg, &pool);
+                        (prog.labels().iter().map(|&l| u64::from(l)).collect(), stats)
+                    }
+                    _ => {
+                        let prog = SumFlood::new(n, sum_seeds.clone(), 6);
+                        let stats = run_program_on_pool(&pg, &prog, &cfg, &pool);
+                        (prog.digest.to_vec_u64(), stats)
+                    }
+                };
+                assert!(!stats.hit_iteration_cap, "{what}");
+                let spa: usize = stats
+                    .records
+                    .iter()
+                    .filter(|r| r.engine == EngineKind::Push && r.spa_bucket_entries > 0)
+                    .count();
+                if aname == "spa" && threads > 1 {
+                    for r in stats.records.iter().filter(|r| r.spa_bucket_entries > 0) {
+                        let slot = &mut inline_and_pooled[usize::from(threads == 8)];
+                        slot.0 |= r.edge_parallelism == 1;
+                        slot.1 |= r.edge_parallelism > 1;
+                    }
+                }
+                let counts = (stats.iterations, stats.push_iterations);
+                if push {
+                    let (want, iters, pushes) =
+                        forced.get_or_insert_with(|| (bits.clone(), counts.0, counts.1));
+                    assert_eq!(&bits, want, "{what}: output vs atomic x1");
+                    assert_eq!(counts, (*iters, *pushes), "{what}: supersteps");
+                    if aname == "spa" {
+                        assert_eq!(spa, *spa_steps.get_or_insert(spa), "{what}: SPA steps");
+                    }
+                } else {
+                    let want = forced.as_ref().map(|f| &f.0).unwrap();
+                    // SSSP's schedule and Sum's order are push-only pins;
+                    // the Min fixed points agree across engines.
+                    assert_eq!(&bits, want, "{what}: output vs forced push");
+                    let h = hybrid.get_or_insert_with(|| (bits.clone(), counts.0, counts.1, spa));
+                    assert_eq!((counts.0, counts.1, spa), (h.1, h.2, h.3), "{what}: counts");
+                }
+            }
+        }
+        // The matrix really straddles the cutoff: at 2 and at 8 threads
+        // some SPA phase ran inline and some on the pool.
+        for (i, &(inline, pooled)) in inline_and_pooled.iter().enumerate() {
+            assert!(
+                inline && pooled,
+                "{shape}: x{}: inline {inline}, pooled {pooled}",
+                [2, 8][i]
+            );
+        }
+    }
+}

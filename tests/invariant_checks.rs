@@ -247,6 +247,83 @@ fn stopping_with_vertices_waiting_is_caught_by_the_schedule_audit() {
     grazelle::core::run_program(&pg, &prog, &EngineConfig::new().with_threads(1));
 }
 
+/// BFS-style flood whose converged set breaks its contract: at the fourth
+/// superstep half the vertices join it in `pre_iteration`, without an
+/// activation.
+struct SilentConvergence {
+    ids: PropertyArray,
+    acc: PropertyArray,
+    visited: grazelle::core::frontier::DenseBitmap,
+    n: usize,
+}
+impl GraphProgram for SilentConvergence {
+    fn num_vertices(&self) -> usize {
+        self.n
+    }
+    fn op(&self) -> AggOp {
+        AggOp::Min
+    }
+    fn edge_values(&self) -> &PropertyArray {
+        &self.ids
+    }
+    fn accumulators(&self) -> &PropertyArray {
+        &self.acc
+    }
+    fn pre_iteration(&self, iteration: usize) {
+        if iteration == 3 {
+            for v in self.n as u32 / 2..self.n as u32 {
+                self.visited.insert(v);
+            }
+        }
+    }
+    fn apply(&self, v: u32) -> bool {
+        if self.visited.contains(v) || !self.acc.get_f64(v as usize).is_finite() {
+            return false;
+        }
+        self.visited.insert(v);
+        true
+    }
+    fn uses_frontier(&self) -> bool {
+        true
+    }
+    fn identity_apply_is_noop(&self) -> bool {
+        true
+    }
+    fn converged(&self) -> Option<&grazelle::core::frontier::DenseBitmap> {
+        Some(&self.visited)
+    }
+    fn initial_frontier(&self) -> Frontier {
+        Frontier::from_vertices(self.n, &[0])
+    }
+}
+
+/// The audit of the driver's converged bound is live: a converged set that
+/// grows without activations is caught at the superstep it happens.
+#[test]
+#[should_panic(expected = "the converged set grew without activations")]
+fn silent_convergence_is_caught_by_the_bound_audit() {
+    let n = 64usize;
+    let mut el = EdgeList::new(n);
+    for v in 0..n as u32 - 1 {
+        el.push(v, v + 1).expect("in-range vertex id");
+    }
+    let g = Graph::from_edgelist(&el).expect("valid edge list");
+    let pg = PreparedGraph::new(&g);
+    let ids = PropertyArray::new(n);
+    for v in 0..n {
+        ids.set_f64(v, v as f64);
+    }
+    let visited = grazelle::core::frontier::DenseBitmap::new(n);
+    visited.insert(0);
+    let prog = SilentConvergence {
+        ids,
+        acc: PropertyArray::new(n),
+        visited,
+        n,
+    };
+    grazelle::core::run_program(&pg, &prog, &EngineConfig::new().with_threads(1));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
