@@ -213,6 +213,7 @@ pub fn validate_parents(
 mod tests {
     use super::*;
     use grazelle_core::config::PullMode;
+    use grazelle_core::engine::hybrid::EngineKind;
     use grazelle_graph::edgelist::EdgeList;
     use grazelle_graph::gen::rmat::{rmat, RmatConfig};
 
@@ -259,15 +260,21 @@ mod tests {
         el.symmetrize();
         el.sort_and_dedup();
         let g = Graph::from_edgelist(&el).unwrap();
-        // Force pull-everywhere vs push-everywhere via threshold extremes.
-        let mut pull_cfg = EngineConfig::new().with_threads(2);
-        pull_cfg.pull_threshold = 0.0;
-        let mut push_cfg = EngineConfig::new().with_threads(2);
-        push_cfg.pull_threshold = 2.0; // density never reaches 2 => push
-        let d_pull = validate_parents(&g, 0, &run(&g, &pull_cfg, 0));
-        let d_push = validate_parents(&g, 0, &run(&g, &push_cfg, 0));
-        assert_eq!(d_pull, reference_depths(&g, 0));
-        assert_eq!(d_push, reference_depths(&g, 0));
+        let pg = PreparedGraph::new(&g);
+        let pool = ThreadPool::new(2, 1);
+        for kind in [EngineKind::Pull, EngineKind::Push] {
+            let cfg = EngineConfig::new()
+                .with_threads(2)
+                .with_force_engine(Some(kind));
+            let (parents, stats) = run_prepared(&pg, &cfg, &pool, 0);
+            assert!(
+                stats.engine_trace.iter().all(|&k| k == kind),
+                "{kind:?} run used another engine: {:?}",
+                stats.engine_trace
+            );
+            let depths = validate_parents(&g, 0, &parents);
+            assert_eq!(depths, reference_depths(&g, 0), "{kind:?}");
+        }
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! experiments:
 //!   table1 table2 fig1 fig5a fig5b fig6 fig7 fig8 fig9a fig9b fig10a
 //!   fig10b fig11 fig12 fig13 ablate-chunks ablate-merge ablate-width
-//!   ablate-sparse ablate-order ablate-wide-engine ablate-sched
-//!   ablate-pull-frontier ablate-push-spa write-traffic resilience-overhead
-//!   resilience-faults recorder-overhead gate build-throughput
-//!   serve-latency incremental-updates triangle-count labelprop
+//!   ablate-order ablate-wide-engine ablate-pull-frontier ablate-push-spa
+//!   write-traffic resilience-overhead resilience-faults recorder-overhead
+//!   gate build-throughput serve-latency incremental-updates
+//!   triangle-count labelprop
 //!
 //! opt-in (named explicitly, never part of `all` — minutes of runtime):
 //!   build-large
@@ -168,10 +168,8 @@ const ALL: &[&str] = &[
     "ablate-chunks",
     "ablate-merge",
     "ablate-width",
-    "ablate-sparse",
     "ablate-order",
     "ablate-wide-engine",
-    "ablate-sched",
     "ablate-pull-frontier",
     "ablate-push-spa",
     "write-traffic",
@@ -206,10 +204,8 @@ fn run(name: &str, sockets: usize) -> Vec<Table> {
         "ablate-chunks" => vec![exp::ablate_chunks()],
         "ablate-merge" => vec![exp::ablate_merge()],
         "ablate-width" => vec![exp::ablate_width()],
-        "ablate-sparse" => vec![exp::ablate_sparse()],
         "ablate-order" => vec![exp::ablate_order()],
         "ablate-wide-engine" => vec![exp::ablate_wide_engine()],
-        "ablate-sched" => vec![exp::ablate_sched()],
         "ablate-pull-frontier" => vec![exp::ablate_pull_frontier()],
         "ablate-push-spa" => vec![exp::ablate_push_spa()],
         "write-traffic" => vec![exp::write_traffic()],

@@ -953,42 +953,6 @@ pub fn ablate_width() -> Table {
     t
 }
 
-/// Scheduler-kind ablation: the same scheduler-aware pull engine under the
-/// central chunk queue vs the locality-first stealing assignment — the §3
-/// claim that the interface "does not restrict the behavior of the
-/// scheduler itself", demonstrated with two schedulers.
-pub fn ablate_sched() -> Table {
-    use grazelle_core::config::SchedKind;
-    let mut t = Table::new(
-        "Ablation — chunk scheduler kind (PageRank, scheduler-aware)",
-        &[
-            "graph",
-            "central ms/iter",
-            "stealing ms/iter",
-            "stealing speedup",
-        ],
-    );
-    t.note("identical chunk geometry; only assignment differs (results are bit-identical)");
-    let pool = ThreadPool::single_group(threads());
-    for ds in [Dataset::DimacsUsa, Dataset::Twitter2010, Dataset::Uk2007] {
-        let w = workload(ds);
-        let central = time_pagerank(w, &base_config().with_sched_kind(SchedKind::Central), &pool).0;
-        let stealing = time_pagerank(
-            w,
-            &base_config().with_sched_kind(SchedKind::LocalityStealing),
-            &pool,
-        )
-        .0;
-        t.row(vec![
-            ds.abbr().into(),
-            format!("{:.3}", central * 1e3),
-            format!("{:.3}", stealing * 1e3),
-            fmt_speedup(central / stealing),
-        ]);
-    }
-    t
-}
-
 /// Vertex-ordering locality ablation: the data-layout lever from the
 /// paper's Related Work discussion (§3). Same graph, three labelings, the
 /// full scheduler-aware vectorized engine.
@@ -1147,30 +1111,6 @@ pub fn ablate_wide_engine() -> Table {
             format!("{:.3}", t4 * 1e3),
             format!("{:.3}", t8 * 1e3),
             fmt_speedup(t4 / t8),
-        ]);
-    }
-    t
-}
-
-/// Sparse-frontier extension ablation (the paper's stated future work,
-/// §5): BFS total time with the sparse representation on vs off — the
-/// Grazelle-side answer to the Figure 13 gap against Ligra.
-pub fn ablate_sparse() -> Table {
-    let mut t = Table::new(
-        "Ablation — sparse frontier representation (BFS, Grazelle)",
-        &["graph", "dense-only", "sparse switching", "speedup"],
-    );
-    t.note("extension beyond the paper: near-empty frontiers become sorted vertex lists");
-    let pool = ThreadPool::single_group(threads());
-    for ds in Dataset::all() {
-        let w = workload_symmetric(ds);
-        let dense = time_bfs(w, &base_config().with_sparse_frontier(false), &pool);
-        let sparse = time_bfs(w, &base_config().with_sparse_frontier(true), &pool);
-        t.row(vec![
-            ds.abbr().into(),
-            fmt_duration(Duration::from_secs_f64(dense)),
-            fmt_duration(Duration::from_secs_f64(sparse)),
-            fmt_speedup(dense / sparse),
         ]);
     }
     t
@@ -2429,7 +2369,6 @@ mod tests {
     #[test]
     fn ablations_produce_wellformed_tables() {
         tiny_env();
-        assert_eq!(ablate_sparse().rows.len(), 6);
         assert_eq!(ablate_wide_engine().rows.len(), 6);
         assert_eq!(ablate_pull_frontier().rows.len(), 6);
         let order = ablate_order();

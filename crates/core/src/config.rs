@@ -51,20 +51,6 @@ impl Default for ResilienceConfig {
     }
 }
 
-/// Which chunk-assignment scheduler drives the Edge-Pull phase. Both keep
-/// chunks statically laid out and contiguous (the scheduler-aware
-/// interface's only requirement, §3); they differ in *assignment*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedKind {
-    /// One shared atomic queue per group (the default; simplest, what the
-    /// reproduction measures everywhere unless stated).
-    Central,
-    /// Locality-first pre-assignment with work stealing
-    /// ([`LocalityScheduler`](grazelle_sched::stealing::LocalityScheduler)):
-    /// each thread drains its own contiguous run of chunks, then steals.
-    LocalityStealing,
-}
-
 /// Scheduling granularity for the Edge phase's dynamic chunk scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Granularity {
@@ -73,24 +59,6 @@ pub enum Granularity {
     /// A fixed number of edge vectors per chunk — the Figure 6 knob and the
     /// `-s` command-line option of the original artifact.
     VectorsPerChunk(usize),
-}
-
-/// How the hybrid driver picks the Edge-phase direction (pull vs push) and
-/// whether a pull iteration runs over the compacted active-vector list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DirectionPolicy {
-    /// The cost-model switch (DESIGN.md §16, after Beamer's
-    /// direction-optimizing BFS and the Yang/Besta push-pull analyses):
-    /// compare the frontier's expected scatter work (Σ out-degrees + |F|)
-    /// against the expected unvisited in-edges, and compact based on the
-    /// expected active-destination fraction rather than raw frontier
-    /// density. The default.
-    CostModel,
-    /// The legacy fixed-threshold gates: pull when frontier density ≥
-    /// [`EngineConfig::pull_threshold`], compact when density ≤
-    /// [`EngineConfig::frontier_pull_threshold`]. Kept for the ablation
-    /// experiments and as an escape hatch.
-    DensityGate,
 }
 
 /// How an Edge-Push phase resolves its scatter writes (DESIGN.md §17).
@@ -142,10 +110,6 @@ pub struct EngineConfig {
     pub pull_mode: PullMode,
     /// SIMD level for Edge-Pull gathers and the Vertex phase.
     pub simd: SimdLevel,
-    /// Frontier density at or above which the hybrid driver selects the
-    /// pull engine ("selects its pull engine whenever a sufficiently large
-    /// part of the graph is contained in the frontier", §2).
-    pub pull_threshold: f64,
     /// Hard iteration cap: the artifact's `-N` for PageRank. For
     /// convergence-driven applications (BFS, SSSP, CC, Reach) it is a safety
     /// net, not a tuning value — when it fires the result is truncated and
@@ -154,34 +118,17 @@ pub struct EngineConfig {
     /// (SSSP's priority schedule takes up to about twice it), so callers on
     /// high-diameter graphs size it to the graph, e.g. `V + 1`.
     pub max_iterations: usize,
-    /// Overrides hybrid engine selection: `Some(kind)` pins every Edge
-    /// phase to one engine. Used by the Figure 11 per-engine comparisons
-    /// (Grazelle-Pull vs Grazelle-Push).
+    /// Overrides the direction model (DESIGN.md §16): `Some(kind)` pins
+    /// every Edge phase to one engine. Used by the Figure 11 per-engine
+    /// comparisons (Grazelle-Pull vs Grazelle-Push).
     pub force_engine: Option<crate::engine::hybrid::EngineKind>,
-    /// Enable the sparse frontier representation — the paper's stated
-    /// future work (§5), implemented here. When on, the driver converts
-    /// the next-iteration frontier from the dense bitmap to a sorted
-    /// vertex list whenever occupancy falls to `sparse_threshold` or
-    /// below, making push iterations O(|F|) instead of O(|V|/64).
-    pub sparse_frontier: bool,
-    /// Occupancy at or below which the frontier goes sparse.
-    pub sparse_threshold: f64,
-    /// Chunk-assignment scheduler for Edge-Pull.
-    pub sched_kind: SchedKind,
-    /// Enable the frontier-aware Edge-Pull path (DESIGN.md §11): when a
-    /// pull iteration's active-destination density is at or below
-    /// `frontier_pull_threshold`, the engine compacts the Vector-Sparse
-    /// index into a per-iteration active vector list and runs the
-    /// scheduler-aware chunk loop over that compacted space instead of the
-    /// full edge array. Results are bit-identical to the dense pull.
+    /// Enable the frontier-aware Edge-Pull path (DESIGN.md §11): when the
+    /// direction model expects few active destinations in a pull iteration,
+    /// the engine compacts the Vector-Sparse index into a per-iteration
+    /// active vector list and runs the scheduler-aware chunk loop over that
+    /// compacted space instead of the full edge array. Results are
+    /// bit-identical to the dense pull.
     pub frontier_pull: bool,
-    /// Frontier density at or below which a pull iteration uses the
-    /// compacted active-vector path.
-    pub frontier_pull_threshold: f64,
-    /// How the driver decides pull-vs-push and compaction each iteration
-    /// (see [`DirectionPolicy`]). The fixed density thresholds above are
-    /// only consulted under [`DirectionPolicy::DensityGate`].
-    pub direction_policy: DirectionPolicy,
     /// How Edge-Push phases resolve their scatter writes (see
     /// [`ScatterMode`]). `Auto` defers to the direction cost model each
     /// iteration; `Atomic`/`Spa` pin the discipline for ablations.
@@ -210,15 +157,9 @@ impl EngineConfig {
             granularity: Granularity::Default32n,
             pull_mode: PullMode::SchedulerAware,
             simd: grazelle_vsparse::simd::detect(),
-            pull_threshold: 0.07,
             max_iterations: 1000,
             force_engine: None,
-            sparse_frontier: true,
-            sparse_threshold: 0.015,
-            sched_kind: SchedKind::Central,
             frontier_pull: true,
-            frontier_pull_threshold: 0.35,
-            direction_policy: DirectionPolicy::CostModel,
             scatter_mode: ScatterMode::Auto,
             trace: false,
             resilience: ResilienceConfig::new(),
@@ -249,35 +190,10 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style scheduler selection.
-    pub fn with_sched_kind(mut self, kind: SchedKind) -> Self {
-        self.sched_kind = kind;
-        self
-    }
-
-    /// Builder-style sparse-frontier toggle (the Ligra-Dense-style
-    /// comparison arm disables it).
-    pub fn with_sparse_frontier(mut self, enabled: bool) -> Self {
-        self.sparse_frontier = enabled;
-        self
-    }
-
     /// Builder-style frontier-aware pull toggle (the ablation's dense-only
     /// arm disables it).
     pub fn with_frontier_pull(mut self, enabled: bool) -> Self {
         self.frontier_pull = enabled;
-        self
-    }
-
-    /// Builder-style frontier-aware pull density threshold.
-    pub fn with_frontier_pull_threshold(mut self, t: f64) -> Self {
-        self.frontier_pull_threshold = t;
-        self
-    }
-
-    /// Builder-style direction-policy selection.
-    pub fn with_direction_policy(mut self, p: DirectionPolicy) -> Self {
-        self.direction_policy = p;
         self
     }
 

@@ -1,13 +1,10 @@
 //! The Edge-phase direction model (DESIGN.md §16).
 //!
 //! Each iteration the driver must pick pull or push and decide whether a
-//! pull iteration runs over the compacted active-vector list. Both
-//! decisions used to be fixed density gates (0.07 for direction, 0.35 for
-//! compaction); this module puts them behind
-//! [`DirectionPolicy`], adding the cost-model switch from the
-//! direction-optimizing BFS literature (Beamer et al.; Yang et al.,
-//! "Implementing Push-Pull Efficiently in GraphBLAS"; Besta et al., "To
-//! Push or To Pull" — PAPERS.md):
+//! pull iteration runs over the compacted active-vector list. Both follow
+//! the cost-model switch from the direction-optimizing BFS literature
+//! (Beamer et al.; Yang et al., "Implementing Push-Pull Efficiently in
+//! GraphBLAS"; Besta et al., "To Push or To Pull" — PAPERS.md):
 //!
 //! * **push cost** ≈ `frontier_edges = Σ_{v∈F} outdeg(v) + |F|` — the edges
 //!   a scatter pass actually traverses (exact out-degree sum for small
@@ -16,15 +13,15 @@
 //!   in-edges a gather pass scans, discounted by destinations that already
 //!   ignore messages.
 //! * pull wins when `ALPHA · frontier_edges ≥ unvisited_edges`
-//!   (Beamer's α = 14; on a uniform-degree graph this reduces to the old
-//!   `density ≥ 1/14 ≈ 0.07` gate, so default behavior is continuous with
-//!   the legacy threshold).
+//!   (Beamer's α = 14; on a uniform-degree graph this reduces to a
+//!   `density ≥ 1/14 ≈ 0.07` gate, the paper's "sufficiently large part of
+//!   the graph is in the frontier", §2).
 //!
-//! Compaction under the cost model gates on the *expected
-//! active-destination fraction* `1 − (1−d)^(m/n)` — the probability a
-//! destination has at least one frontier in-neighbor — rather than raw
-//! frontier density: a sparse frontier on a dense graph still activates
-//! almost every destination, making compaction pure overhead.
+//! Compaction gates on the *expected active-destination fraction*
+//! `1 − (1−d)^(m/n)` — the probability a destination has at least one
+//! frontier in-neighbor — rather than raw frontier density: a sparse
+//! frontier on a dense graph still activates almost every destination,
+//! making compaction pure overhead.
 //!
 //! Under the priority schedule (DESIGN.md §18) the frontier a superstep
 //! starts from is one drained bucket, so `frontier_edges` is that bucket's
@@ -39,7 +36,7 @@
 //! forced-push runs at any thread count (the differential suite's
 //! invariant).
 
-use crate::config::{DirectionPolicy, EngineConfig, ScatterMode};
+use crate::config::{EngineConfig, ScatterMode};
 use crate::engine::hybrid::EngineKind;
 use crate::frontier::Frontier;
 
@@ -83,6 +80,19 @@ pub const SPARSE_VERTEX_TOUCHED_DIVISOR: u64 = 4;
 /// [`choose_scatter`] tests `frontier_edges`, an upper bound on it.
 pub fn sparse_vertex_fits(touched: u64, num_vertices: usize) -> bool {
     touched.saturating_mul(SPARSE_VERTEX_TOUCHED_DIVISOR) <= num_vertices as u64
+}
+
+/// Occupancy at or below which the driver hands the next superstep its
+/// frontier as a sorted vertex list ([`Frontier::Sparse`]) rather than a
+/// bitmap. Just under 1/64: such a list has fewer entries than the bitmap
+/// has 64-bit words, so walking it never costs more than the word scan it
+/// replaces, and it takes at most half the bitmap's bytes.
+pub const FRONTIER_LIST_OCCUPANCY: f64 = 0.015;
+
+/// True when a frontier of `active` vertices goes to the next superstep as
+/// a list ([`FRONTIER_LIST_OCCUPANCY`]).
+pub fn frontier_fits_list(active: usize, num_vertices: usize) -> bool {
+    (active as f64) <= FRONTIER_LIST_OCCUPANCY * num_vertices as f64
 }
 
 /// Bucket width of the priority schedule (DESIGN.md §18), in mean edge
@@ -220,23 +230,14 @@ fn unvisited_edges(num_edges: usize, num_vertices: usize, converged: usize) -> u
     }
 }
 
-/// The compaction hint of a pull iteration at frontier `density`.
-fn compact_hint(
-    cfg: &EngineConfig,
-    density: Option<f64>,
-    num_edges: usize,
-    num_vertices: usize,
-) -> bool {
-    match density {
-        None => false,
-        Some(d) => match cfg.direction_policy {
-            DirectionPolicy::DensityGate => d <= cfg.frontier_pull_threshold,
-            DirectionPolicy::CostModel => {
-                let avg_in = num_edges as f64 / num_vertices.max(1) as f64;
-                1.0 - (1.0 - d).powf(avg_in) < COMPACT_ACTIVE_FRACTION
-            }
-        },
-    }
+/// The compaction hint of a pull iteration at frontier `density`: the
+/// expected active-destination fraction is below
+/// [`COMPACT_ACTIVE_FRACTION`].
+fn compact_hint(density: Option<f64>, num_edges: usize, num_vertices: usize) -> bool {
+    density.is_some_and(|d| {
+        let avg_in = num_edges as f64 / num_vertices.max(1) as f64;
+        1.0 - (1.0 - d).powf(avg_in) < COMPACT_ACTIVE_FRACTION
+    })
 }
 
 /// Decides the Edge-phase direction and compaction for one iteration.
@@ -272,19 +273,12 @@ pub fn decide(
         }
     };
     let use_pull = match cfg.force_engine {
-        Some(EngineKind::Pull) => true,
-        Some(EngineKind::Push) => false,
-        None => match (cfg.direction_policy, density) {
-            (_, None) => true,
-            (DirectionPolicy::DensityGate, Some(d)) => d >= cfg.pull_threshold,
-            (DirectionPolicy::CostModel, Some(_)) => {
-                ALPHA.saturating_mul(frontier_edges) >= unvisited_edges
-            }
-        },
+        Some(kind) => kind == EngineKind::Pull,
+        None => density.is_none() || ALPHA.saturating_mul(frontier_edges) >= unvisited_edges,
     };
     Decision {
         use_pull,
-        compact: compact_hint(cfg, density, num_edges, num_vertices),
+        compact: compact_hint(density, num_edges, num_vertices),
         frontier_edges,
         unvisited_edges,
         scatter: choose_scatter(
@@ -320,11 +314,7 @@ pub fn decide_within_bounds(
     converged_at_most: usize,
     sparse_vertex: bool,
 ) -> Option<Decision> {
-    if density.is_none()
-        || frontier.is_all()
-        || cfg.force_engine.is_some()
-        || cfg.direction_policy != DirectionPolicy::CostModel
-    {
+    if density.is_none() || frontier.is_all() || cfg.force_engine.is_some() {
         return None;
     }
     let count = frontier.count() as u64;
@@ -354,7 +344,7 @@ pub fn decide_within_bounds(
     };
     Some(Decision {
         use_pull: false,
-        compact: compact_hint(cfg, density, num_edges, num_vertices),
+        compact: compact_hint(density, num_edges, num_vertices),
         frontier_edges,
         unvisited_edges,
         scatter,
@@ -461,18 +451,6 @@ mod tests {
             false,
         );
         assert!(!d.use_pull, "forced push");
-    }
-
-    #[test]
-    fn density_gate_reproduces_legacy_thresholds() {
-        let cfg = EngineConfig::new().with_direction_policy(DirectionPolicy::DensityGate);
-        let f = Frontier::from_vertices(100, &[0]);
-        let d = decide(&cfg, Some(0.05), &f, None, 1000, 100, 0, false);
-        assert!(!d.use_pull, "below pull_threshold");
-        assert!(d.compact, "below frontier_pull_threshold");
-        let d = decide(&cfg, Some(0.5), &f, None, 1000, 100, 0, false);
-        assert!(d.use_pull, "above pull_threshold");
-        assert!(!d.compact, "above frontier_pull_threshold");
     }
 
     #[test]
@@ -645,14 +623,10 @@ mod tests {
         assert_eq!((exact.use_pull, exact.scatter), (b.use_pull, b.scatter));
         // A converged bound near V leaves pull possible: the exact path.
         assert!(decide_within_bounds(&cfg, d, &f, max, m, 1000, 999, true).is_none());
-        // Forced engines, the density gate and frontier-less iterations
-        // always take the exact path.
-        for cfg in [
-            cfg.with_force_engine(Some(EngineKind::Push)),
-            cfg.with_direction_policy(DirectionPolicy::DensityGate),
-        ] {
-            assert!(decide_within_bounds(&cfg, d, &f, max, m, 1000, 0, true).is_none());
-        }
+        // Forced engines and frontier-less iterations always take the exact
+        // path.
+        let forced = cfg.with_force_engine(Some(EngineKind::Push));
+        assert!(decide_within_bounds(&forced, d, &f, max, m, 1000, 0, true).is_none());
         assert!(decide_within_bounds(&cfg, None, &f, max, m, 1000, 0, true).is_none());
     }
 

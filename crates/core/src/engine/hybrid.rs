@@ -218,9 +218,7 @@ pub(super) fn drive<P: GraphProgram>(
     // Representation switch (sparse-frontier extension): near-empty
     // frontiers become sorted vertex lists so the next push iteration
     // is O(|F|) instead of an O(|V|/64) bitmap scan.
-    let as_list = |active: usize| {
-        cfg.sparse_frontier && (active as f64) <= cfg.sparse_threshold * pg.num_vertices as f64
-    };
+    let as_list = |active: usize| crate::direction::frontier_fits_list(active, pg.num_vertices);
     // A frontier of `vertices` (ascending) in the representation its size
     // calls for.
     let list_or_bitmap = |vertices: Vec<VertexId>| {
@@ -334,9 +332,7 @@ pub(super) fn drive<P: GraphProgram>(
         // frontiers in O(|F|) at most; the exact one also counts the
         // converged set, which refreshes the bound.
         let decide_clock = SpanClock::start();
-        let out_degrees = (density.is_some()
-            && cfg.direction_policy == crate::config::DirectionPolicy::CostModel)
-            .then(|| pg.vss.degrees());
+        let out_degrees = density.is_some().then(|| pg.vss.degrees());
         let bounded = out_degrees
             .zip(converged_bound)
             .and_then(|(_, converged_at_most)| {
@@ -595,7 +591,6 @@ pub(super) fn drive<P: GraphProgram>(
                 iter as u32,
                 engine,
                 density.unwrap_or(1.0),
-                cfg.pull_threshold,
                 sparse_repr,
                 before,
                 &prof.snapshot(),
@@ -864,7 +859,7 @@ fn assert_dense_sweep_adds_nothing<P: GraphProgram>(prog: &P, iter: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DirectionPolicy, PullMode};
+    use crate::config::PullMode;
     use crate::program::AggOp;
     use crate::properties::PropertyArray;
     use grazelle_graph::edgelist::EdgeList;
@@ -1038,20 +1033,6 @@ mod tests {
     }
 
     #[test]
-    fn stealing_scheduler_matches_central() {
-        use crate::config::SchedKind;
-        let g = two_cycles();
-        let pg = PreparedGraph::new(&g);
-        let run = |kind: SchedKind| {
-            let prog = MinLabel::new(12);
-            let cfg = EngineConfig::new().with_threads(3).with_sched_kind(kind);
-            let stats = run_program(&pg, &prog, &cfg);
-            (prog.labels.to_vec_f64(), stats.iterations)
-        };
-        assert_eq!(run(SchedKind::Central), run(SchedKind::LocalityStealing));
-    }
-
-    #[test]
     fn group_counts_do_not_change_results() {
         // NUMA-group partitioning of both Edge phases must be purely a
         // scheduling concern: labels identical across group counts.
@@ -1069,50 +1050,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sparse_frontier_switching_preserves_results() {
-        // A long chain: label propagation's frontier shrinks to a single
-        // wave, triggering the sparse representation. Results must match
-        // the dense-only configuration exactly.
-        let mut el = EdgeList::new(500);
-        for v in 0..499u32 {
-            el.push(v, v + 1).unwrap();
-            el.push(v + 1, v).unwrap();
+    /// Every recorded selection is explained by the recorded cost inputs:
+    /// pull iff `ALPHA · frontier_edges ≥ unvisited_edges` (DESIGN.md §16).
+    fn assert_costs_explain_selection(records: &[IterationRecord]) {
+        for r in records {
+            assert!(r.dir_unvisited_edges > 0, "iteration {}", r.iteration);
+            let pull_cheap = crate::direction::ALPHA.saturating_mul(r.dir_frontier_edges)
+                >= r.dir_unvisited_edges;
+            let pulled = r.engine == EngineKind::Pull;
+            assert_eq!(pulled, pull_cheap, "iteration {}", r.iteration);
         }
-        let g = Graph::from_edgelist(&el).unwrap();
-        let pg = PreparedGraph::new(&g);
-        let run = |sparse: bool| {
-            let prog = MinLabel::new(500);
-            let cfg = EngineConfig::new()
-                .with_threads(2)
-                .with_max_iterations(2000)
-                .with_sparse_frontier(sparse);
-            let stats = run_program(&pg, &prog, &cfg);
-            (prog.labels.to_vec_f64(), stats.iterations)
-        };
-        let (sparse_labels, sparse_iters) = run(true);
-        let (dense_labels, dense_iters) = run(false);
-        assert_eq!(sparse_labels, dense_labels);
-        assert_eq!(sparse_iters, dense_iters);
-        assert!(sparse_labels.iter().all(|&l| l == 0.0));
     }
 
     #[test]
     fn flight_recorder_off_by_default_and_mirrors_trace_when_on() {
-        let mut el = EdgeList::new(300);
-        for v in 0..299u32 {
-            el.push(v, v + 1).unwrap();
-            el.push(v + 1, v).unwrap();
-        }
-        let g = Graph::from_edgelist(&el).unwrap();
+        let g = chain(300);
         let pg = PreparedGraph::new(&g);
 
         let prog = MinLabel::new(300);
-        // Pinned to the legacy gate: the per-record assertions below explain
-        // selection from the fixed density thresholds.
-        let cfg = EngineConfig::new()
-            .with_threads(2)
-            .with_direction_policy(DirectionPolicy::DensityGate);
+        let cfg = EngineConfig::new().with_threads(2);
         let stats = run_program(&pg, &prog, &cfg);
         assert!(stats.records.is_empty(), "recorder must default off");
 
@@ -1124,7 +1080,6 @@ mod tests {
         for (i, (r, k)) in stats.records.iter().zip(&stats.engine_trace).enumerate() {
             assert_eq!(r.iteration as usize, i);
             assert_eq!(r.engine, *k, "iteration {i}");
-            assert_eq!(r.pull_threshold, cfg.pull_threshold);
             assert!((0.0..=1.0).contains(&r.frontier_density), "iteration {i}");
             assert!(
                 !r.has_resilience_event(),
@@ -1138,12 +1093,9 @@ mod tests {
                 if inline { 1 } else { 2 },
                 "iteration {i}"
             );
-            // Selection must be explainable from the recorded inputs.
-            match k {
-                EngineKind::Pull => assert!(r.frontier_density >= cfg.pull_threshold),
-                EngineKind::Push => assert!(r.frontier_density < cfg.pull_threshold),
-            }
         }
+        // Selection must be explainable from the recorded inputs.
+        assert_costs_explain_selection(&stats.records);
         // The long chain's single-wave tail must have entered the sparse
         // representation at least once.
         assert!(stats.records.iter().any(|r| r.sparse_repr));
@@ -1158,12 +1110,7 @@ mod tests {
     fn frontier_aware_pull_matches_dense_pull_exactly() {
         // Force pull for every iteration so the sparse tail exercises the
         // compacted path, then compare against the dense-only arm.
-        let mut el = EdgeList::new(400);
-        for v in 0..399u32 {
-            el.push(v, v + 1).unwrap();
-            el.push(v + 1, v).unwrap();
-        }
-        let g = Graph::from_edgelist(&el).unwrap();
+        let g = chain(400);
         let pg = PreparedGraph::new(&g);
         let run = |frontier_pull: bool, threads: usize| {
             let prog = MinLabel::new(400);
@@ -1188,31 +1135,41 @@ mod tests {
                 "threads={threads}: compacted path never engaged"
             );
             assert!(dense_stats.records.iter().all(|r| !r.pull_compacted));
+            // Both arms keep pulling once the frontier is a list, so their
+            // pulls walk `Frontier::Sparse` through the `ActiveList` lane
+            // filter, compacted and dense.
+            for stats in [&compact_stats, &dense_stats] {
+                assert!(
+                    stats
+                        .records
+                        .iter()
+                        .any(|r| r.engine == EngineKind::Pull && r.sparse_repr),
+                    "threads={threads}: no pull over a list frontier"
+                );
+            }
         }
     }
 
     #[test]
     fn compacted_records_report_active_vectors_and_gate_density() {
-        let mut el = EdgeList::new(400);
-        for v in 0..399u32 {
-            el.push(v, v + 1).unwrap();
-            el.push(v + 1, v).unwrap();
-        }
-        let g = Graph::from_edgelist(&el).unwrap();
+        let g = chain(400);
         let pg = PreparedGraph::new(&g);
         let prog = MinLabel::new(400);
         let cfg = EngineConfig::new()
             .with_threads(2)
             .with_max_iterations(2000)
-            .with_force_engine(Some(EngineKind::Pull))
-            .with_direction_policy(DirectionPolicy::DensityGate)
             .with_trace(true);
         let stats = run_program(&pg, &prog, &cfg);
         let full = pg.vsd.num_vectors() as u64;
         assert!(stats.records.iter().any(|r| r.pull_compacted));
+        assert_costs_explain_selection(&stats.records);
+        let avg_in = pg.num_edges as f64 / pg.num_vertices as f64;
         for r in &stats.records {
             if r.pull_compacted {
-                assert!(r.frontier_density <= cfg.frontier_pull_threshold);
+                // The model's compaction gate: few expected active
+                // destinations at the recorded density.
+                let active_frac = 1.0 - (1.0 - r.frontier_density).powf(avg_in);
+                assert!(active_frac < crate::direction::COMPACT_ACTIVE_FRACTION);
                 assert!(r.active_vectors > 0, "iteration {}", r.iteration);
                 assert!(r.active_vectors < full, "iteration {}", r.iteration);
                 // The record's vector count is the compacted space's.
@@ -1228,19 +1185,11 @@ mod tests {
     /// engine (or pull path) a superstep selects.
     #[test]
     fn tracing_does_not_change_engine_selection() {
-        let mut el = EdgeList::new(300);
-        for v in 0..299u32 {
-            el.push(v, v + 1).unwrap();
-            el.push(v + 1, v).unwrap();
-        }
-        let g = Graph::from_edgelist(&el).unwrap();
+        let g = chain(300);
         let pg = PreparedGraph::new(&g);
         let run = |trace: bool| {
             let prog = MinLabel::new(300);
-            let cfg = EngineConfig::new()
-                .with_threads(2)
-                .with_direction_policy(DirectionPolicy::DensityGate)
-                .with_trace(trace);
+            let cfg = EngineConfig::new().with_threads(2).with_trace(trace);
             let stats = run_program(&pg, &prog, &cfg);
             (prog.labels.to_vec_f64(), stats)
         };
@@ -1249,44 +1198,24 @@ mod tests {
         assert_eq!(labels_on, labels_off);
         assert_eq!(stats_on.iterations, stats_off.iterations);
         assert_eq!(stats_on.engine_trace, stats_off.engine_trace);
-        // And the recorded density explains every recorded selection —
-        // i.e. the trace reports the value the selection actually used.
-        for r in &stats_on.records {
-            match r.engine {
-                EngineKind::Pull => assert!(r.frontier_density >= r.pull_threshold),
-                EngineKind::Push => assert!(r.frontier_density < r.pull_threshold),
-            }
-        }
+        // And the recorded costs explain every recorded selection — i.e.
+        // the trace reports the values the selection actually used.
+        assert_costs_explain_selection(&stats_on.records);
     }
 
-    /// The cost-model switch (the default policy): every recorded selection
-    /// must be explainable from the recorded cost inputs — pull iff
-    /// `ALPHA · frontier_edges ≥ unvisited_edges` — and the sparse tail of
-    /// a chain must still flip to push.
+    /// The cost-model switch: every recorded selection must be explainable
+    /// from the recorded cost inputs, and the sparse tail of a chain must
+    /// still flip to push.
     #[test]
     fn cost_model_selection_is_explained_by_recorded_costs() {
-        let mut el = EdgeList::new(300);
-        for v in 0..299u32 {
-            el.push(v, v + 1).unwrap();
-            el.push(v + 1, v).unwrap();
-        }
-        let g = Graph::from_edgelist(&el).unwrap();
+        let g = chain(300);
         let pg = PreparedGraph::new(&g);
         let prog = MinLabel::new(300);
         let cfg = EngineConfig::new().with_threads(2).with_trace(true);
-        assert_eq!(cfg.direction_policy, DirectionPolicy::CostModel);
         let stats = run_program(&pg, &prog, &cfg);
         assert!(stats.pull_iterations >= 1, "dense start should pull");
         assert!(stats.push_iterations >= 1, "sparse tail should push");
-        for r in &stats.records {
-            assert!(r.dir_unvisited_edges > 0, "iteration {}", r.iteration);
-            let pull_cheap = crate::direction::ALPHA.saturating_mul(r.dir_frontier_edges)
-                >= r.dir_unvisited_edges;
-            match r.engine {
-                EngineKind::Pull => assert!(pull_cheap, "iteration {}", r.iteration),
-                EngineKind::Push => assert!(!pull_cheap, "iteration {}", r.iteration),
-            }
-        }
+        assert_costs_explain_selection(&stats.records);
         for v in 0..300 {
             assert_eq!(prog.labels.get_f64(v), 0.0);
         }

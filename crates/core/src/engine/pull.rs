@@ -243,8 +243,7 @@ fn one_piece(items: usize) -> grazelle_graph::partition::EdgePartition {
 
 impl EdgeSchedulers {
     /// Partitions `vsd`'s vector array for `pool`'s group topology using
-    /// `cfg`'s granularity (32 chunks per thread by default, per group) and
-    /// `cfg`'s scheduler kind (central queue or locality-first stealing).
+    /// `cfg`'s granularity (32 chunks per thread by default, per group).
     pub fn new(cfg: &crate::config::EngineConfig, vsd: &Vsd, pool: &ThreadPool) -> Self {
         use grazelle_graph::partition::partition_index;
         use grazelle_sched::pool::group_range;
@@ -256,7 +255,7 @@ impl EdgeSchedulers {
 
     /// One shared scheduler over a compacted (indirect) iteration space of
     /// `total` positions (DESIGN.md §11), honouring the config's
-    /// granularity and scheduler kind. The compacted space is not
+    /// granularity. The compacted space is not
     /// NUMA-partitioned: every worker claims from the one piece.
     pub fn compact(cfg: &crate::config::EngineConfig, total: usize, pool: &ThreadPool) -> Self {
         Self::over(cfg, vec![one_piece(total)], |_| pool.num_threads())
@@ -269,7 +268,6 @@ impl EdgeSchedulers {
         parts: Vec<grazelle_graph::partition::EdgePartition>,
         threads: impl Fn(usize) -> usize,
     ) -> Self {
-        use grazelle_sched::stealing::LocalityScheduler;
         let mut scheds: Vec<Box<dyn ChunkSource + Send + Sync>> = Vec::with_capacity(parts.len());
         let mut chunk_offsets = Vec::with_capacity(parts.len());
         let mut total = 0usize;
@@ -282,12 +280,8 @@ impl EdgeSchedulers {
                 }
                 crate::config::Granularity::VectorsPerChunk(c) => items.div_ceil(c.max(1)).max(1),
             };
-            let sched: Box<dyn ChunkSource + Send + Sync> = match cfg.sched_kind {
-                crate::config::SchedKind::Central => Box::new(ChunkScheduler::new(items, chunks)),
-                crate::config::SchedKind::LocalityStealing => {
-                    Box::new(LocalityScheduler::new(items, chunks, threads))
-                }
-            };
+            let sched: Box<dyn ChunkSource + Send + Sync> =
+                Box::new(ChunkScheduler::new(items, chunks));
             chunk_offsets.push(total);
             total += sched.num_chunks();
             scheds.push(sched);

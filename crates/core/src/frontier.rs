@@ -150,7 +150,7 @@ impl std::fmt::Debug for DenseBitmap {
 /// implementation issue in §6.3 but otherwise leave it to future work",
 /// §5) — implemented here because Figure 13 shows it is exactly what BFS
 /// needs. The hybrid driver switches representations per iteration based
-/// on occupancy (see [`crate::config::EngineConfig::sparse_threshold`]).
+/// on occupancy (see [`crate::direction::FRONTIER_LIST_OCCUPANCY`]).
 pub enum Frontier {
     /// Every vertex is active.
     All { len: usize },

@@ -53,7 +53,7 @@ pub mod trace;
 
 pub use build::{prepare_profiled, prepare_profiled_with_cutover, PAR_BUILD_CUTOVER_EDGES};
 pub use checkpoint::{Checkpoint, FrontierSnapshot};
-pub use config::{DirectionPolicy, EngineConfig, Granularity, PullMode, ResilienceConfig};
+pub use config::{EngineConfig, Granularity, PullMode, ResilienceConfig};
 pub use direction::{decide, Decision};
 pub use engine::hybrid::{run_program, run_program_overlay_on_pool, EngineKind, ExecutionStats};
 pub use engine::pull::{active_vector_list, edge_pull};

@@ -322,8 +322,9 @@ unsafe fn walk_frontier<R: Reduction, S: FnMut(u64, f64)>(
         match frontier {
             Frontier::All { .. } => k.walk::<R, _, S>(run, AllActive, carry, sink),
             Frontier::Dense(bm) => k.walk::<R, _, S>(run, ActiveBitmap(bm.words()), carry, sink),
-            // The driver only selects pull for occupied frontiers, which
-            // stay dense; this arm exists for direct engine users.
+            // A pull superstep whose frontier is under the list cutoff
+            // (`direction::FRONTIER_LIST_OCCUPANCY`): every forced-pull
+            // run's tail, or a late pull the cost model picks.
             Frontier::Sparse { vertices, .. } => {
                 k.walk::<R, _, S>(run, ActiveList(vertices), carry, sink)
             }

@@ -93,8 +93,6 @@ pub struct IterationRecord {
     pub engine: EngineKind,
     /// Frontier density at selection time (1.0 for frontier-less programs).
     pub frontier_density: f64,
-    /// The density threshold the selection compared against.
-    pub pull_threshold: f64,
     /// True when the frontier entered the iteration in the sparse
     /// (vertex-list) representation rather than the dense bitmap.
     pub sparse_repr: bool,
@@ -183,7 +181,6 @@ impl IterationRecord {
         iteration: u32,
         engine: EngineKind,
         frontier_density: f64,
-        pull_threshold: f64,
         sparse_repr: bool,
         before: &PhaseProfile,
         after: &PhaseProfile,
@@ -196,7 +193,6 @@ impl IterationRecord {
             iteration,
             engine,
             frontier_density,
-            pull_threshold,
             sparse_repr,
             work_ns: d(after.work, before.work),
             merge_ns: d(after.merge, before.merge),
@@ -327,7 +323,6 @@ mod tests {
             iteration: i,
             engine: EngineKind::Pull,
             frontier_density: 1.0,
-            pull_threshold: 0.07,
             sparse_repr: false,
             work_ns: 0,
             merge_ns: 0,
@@ -417,7 +412,6 @@ mod tests {
             7,
             EngineKind::Pull,
             0.5,
-            0.07,
             false,
             &before,
             &after,

@@ -47,9 +47,8 @@ pub trait ChunkAware: Sync {
 }
 
 /// Drives a [`ChunkAware`] loop over `sched`'s iteration space on `pool`.
-/// Works with any [`ChunkSource`] — the central queue or the stealing
-/// scheduler — since the interface only relies on chunks being contiguous
-/// and claimed exactly once.
+/// Works with any [`ChunkSource`], since the interface only relies on
+/// chunks being contiguous and claimed exactly once.
 ///
 /// The scheduler is *not* reset first (callers reuse one scheduler across
 /// phases by resetting explicitly), and empty chunks are skipped without

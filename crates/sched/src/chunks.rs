@@ -22,9 +22,9 @@ pub const DEFAULT_CHUNKS_PER_THREAD: usize = 32;
 /// Anything that hands out statically laid out, contiguous chunks exactly
 /// once per round. The scheduler-aware interface works against this
 /// abstraction — the paper's §3 point that it "does not restrict the
-/// behavior of the scheduler itself". Implementations: the central queue
-/// ([`ChunkScheduler`]) and the locality-first stealing assignment
-/// ([`LocalityScheduler`](crate::stealing::LocalityScheduler)).
+/// behavior of the scheduler itself". The engine's implementation is the
+/// central queue ([`ChunkScheduler`]); the `invariant-checks` tests
+/// substitute deliberately broken ones through this trait.
 pub trait ChunkSource: Sync {
     /// Claims the next chunk for `thread` (implementations may ignore the
     /// thread and serve a global queue). Every chunk id is handed out at

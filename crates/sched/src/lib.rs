@@ -35,7 +35,6 @@ pub mod chunks;
 pub mod invariants;
 pub mod pool;
 pub mod slots;
-pub mod stealing;
 pub mod traditional;
 
 pub use aware::{parallel_for_aware, ChunkAware};
@@ -44,5 +43,4 @@ pub use cancel::CancelFlag;
 pub use chunks::{Chunk, ChunkScheduler, ChunkSource};
 pub use pool::{ThreadPool, WorkerCtx};
 pub use slots::SlotBuffer;
-pub use stealing::LocalityScheduler;
 pub use traditional::parallel_for;

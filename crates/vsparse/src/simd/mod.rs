@@ -188,8 +188,9 @@ impl LaneFilter for ActiveBitmap<'_> {
     }
 }
 
-/// Sources present in a strictly ascending vertex list (O(log n) per lane;
-/// the drivers only pull over occupied frontiers, which stay dense).
+/// Sources present in a strictly ascending vertex list (O(log n) per lane).
+/// A pull over a near-empty frontier, which the driver keeps as a list,
+/// filters through this: every forced-pull run's tail takes it.
 #[derive(Debug, Clone, Copy)]
 pub struct ActiveList<'a>(pub &'a [VertexId]);
 

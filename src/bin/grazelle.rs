@@ -23,8 +23,6 @@
 //!   --pull-mode <m>     aware | traditional | nonatomic
 //!   --simd <s>          auto | avx2 | scalar
 //!   --engine <e>        hybrid | pull | push
-//!   --sched <s>         central | stealing   (Edge-Pull chunk assignment)
-//!   --no-sparse-frontier  keep frontiers dense (paper's original behavior)
 //!   --symmetrize        add reverse edges (for cc on directed inputs)
 //!   --build-threads <n> threads for the load -> CSR/CSC -> Vector-Sparse
 //!                       build pipeline (default: the -n worker count);
@@ -65,8 +63,6 @@ struct Options {
     pull_mode: PullMode,
     simd: Option<SimdLevel>,
     engine: Option<EngineKind>,
-    sched: grazelle::core::config::SchedKind,
-    sparse_frontier: bool,
     symmetrize: bool,
     build_threads: Option<usize>,
     timing: bool,
@@ -91,8 +87,6 @@ impl Default for Options {
             pull_mode: PullMode::SchedulerAware,
             simd: None,
             engine: None,
-            sched: grazelle::core::config::SchedKind::Central,
-            sparse_frontier: true,
             symmetrize: false,
             build_threads: None,
             timing: false,
@@ -204,14 +198,6 @@ fn parse_args() -> Options {
                     other => usage(&format!("unknown engine '{other}'")),
                 }
             }
-            "--sched" => {
-                o.sched = match next(&mut it, "--sched").as_str() {
-                    "central" => grazelle::core::config::SchedKind::Central,
-                    "stealing" => grazelle::core::config::SchedKind::LocalityStealing,
-                    other => usage(&format!("unknown scheduler '{other}'")),
-                }
-            }
-            "--no-sparse-frontier" => o.sparse_frontier = false,
             "--symmetrize" => o.symmetrize = true,
             "--build-threads" => {
                 o.build_threads = Some(
@@ -461,8 +447,6 @@ fn main() {
         .with_groups(o.groups)
         .with_pull_mode(o.pull_mode)
         .with_force_engine(o.engine)
-        .with_sched_kind(o.sched)
-        .with_sparse_frontier(o.sparse_frontier)
         .with_trace(o.trace);
     if let Some(simd) = o.simd {
         cfg = cfg.with_simd(simd);

@@ -132,8 +132,6 @@ fn engine_and_mode_flags_are_accepted() {
         ["--engine", "push"],
         ["--pull-mode", "traditional"],
         ["--simd", "scalar"],
-        ["--sched", "stealing"],
-        ["--sched", "central"],
     ] {
         let mut args = vec![
             "--synth",
@@ -151,31 +149,6 @@ fn engine_and_mode_flags_are_accepted() {
 }
 
 #[test]
-fn sparse_frontier_flag_is_accepted_and_preserves_bfs() {
-    let dir = std::env::temp_dir();
-    let graph_path = dir.join("grazelle_cli_sparse.el");
-    std::fs::write(&graph_path, "0 1\n1 2\n2 3\n3 4\n").unwrap();
-    let a = run_ok(&["-i", graph_path.to_str().unwrap(), "-a", "bfs", "-r", "0"]);
-    let b = run_ok(&[
-        "-i",
-        graph_path.to_str().unwrap(),
-        "-a",
-        "bfs",
-        "-r",
-        "0",
-        "--no-sparse-frontier",
-    ]);
-    let visited = |s: &str| {
-        s.lines()
-            .find(|l| l.starts_with("Vertices Visited:"))
-            .unwrap()
-            .to_string()
-    };
-    assert_eq!(visited(&a), visited(&b));
-    std::fs::remove_file(&graph_path).ok();
-}
-
-#[test]
 fn bad_arguments_fail_cleanly() {
     for args in [
         vec!["-a", "unknown-app", "--synth", "dimacs-usa"],
@@ -185,6 +158,14 @@ fn bad_arguments_fail_cleanly() {
     ] {
         let out = grazelle().args(&args).output().unwrap();
         assert!(!out.status.success(), "expected failure for {args:?}");
+    }
+    // Flags the runner no longer has are usage errors, not silently ignored.
+    for args in [
+        ["--synth", "dimacs-usa", "--sched", "stealing"].as_slice(),
+        &["--synth", "dimacs-usa", "--no-sparse-frontier"],
+    ] {
+        let out = grazelle().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
     }
 }
 

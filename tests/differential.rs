@@ -1,9 +1,9 @@
 //! Differential fixed-point suite (DESIGN.md §8): every execution
 //! configuration — push vs pull (scalar and SIMD), hybrid selection, the
-//! resilient driver, both chunk schedulers, sparse and dense frontier
-//! representations, and the frontier-aware compacted pull — must agree on
-//! the fixed point of every application, on random graphs drawn from three
-//! structurally different families (R-MAT skew, partial mesh, Erdős–Rényi).
+//! resilient driver, the SPA scatter, and the frontier-aware compacted pull
+//! — must agree on the fixed point of every application, on random graphs
+//! drawn from three structurally different families (R-MAT skew, partial
+//! mesh, Erdős–Rényi).
 //!
 //! PageRank is compared within 1e-9 (summation order legitimately differs
 //! between engines); CC, BFS, and SSSP fixed points are compared exactly —
@@ -14,9 +14,10 @@
 //! inputs for that case (`proptest::case_rng(test_name, case)`), which is
 //! this suite's substitute for a shrunken minimal example.
 
-use grazelle::core::config::{EngineConfig, ResilienceConfig, ScatterMode, SchedKind};
+use grazelle::core::config::{EngineConfig, ResilienceConfig, ScatterMode};
 use grazelle::core::engine::hybrid::{run_program_on_pool, EngineKind, ExecutionStats};
 use grazelle::core::engine::PreparedGraph;
+use grazelle::core::trace::IterationRecord;
 use grazelle::core::{
     run_program_overlay_on_pool, run_resilient_on_pool, run_resilient_overlay_on_pool,
     GraphProgram, ResilienceContext, RunOutcome, VersionedGraph,
@@ -95,9 +96,8 @@ fn weighted_copy_by(g: &Graph, weight: impl Fn(u32, u32) -> f64) -> Graph {
 }
 
 /// The configuration matrix: engine pin × thread count, plus one arm each
-/// for scalar SIMD, the locality-stealing scheduler, the dense-only
-/// frontier representation, and disabled frontier-aware pull. The
-/// resilient driver is flagged so the runner routes through it.
+/// for scalar SIMD and disabled frontier-aware pull. The resilient driver
+/// is flagged so the runner routes through it.
 fn arms() -> Vec<(String, EngineConfig, bool)> {
     let mut v = Vec::new();
     for threads in [1usize, 2, 8] {
@@ -137,18 +137,6 @@ fn arms() -> Vec<(String, EngineConfig, bool)> {
         false,
     ));
     v.push((
-        "pull-stealing".into(),
-        pull2.with_sched_kind(SchedKind::LocalityStealing),
-        false,
-    ));
-    v.push((
-        "hybrid-dense-frontier".into(),
-        EngineConfig::new()
-            .with_threads(2)
-            .with_sparse_frontier(false),
-        false,
-    ));
-    v.push((
         "pull-no-frontier-pull".into(),
         pull2.with_frontier_pull(false),
         false,
@@ -169,6 +157,30 @@ fn no_guard() -> ResilienceConfig {
     ResilienceConfig {
         divergence_guard: false,
         ..ResilienceConfig::new()
+    }
+}
+
+/// Which frontier representations a set of traced runs entered: a
+/// superstep that started from a vertex list, and a sparse Vertex phase
+/// whose next superstep started from a bitmap. Hybrid runs must show both,
+/// so the sparse Vertex phase and the bucket queue stay covered on either
+/// side of the list cutoff.
+#[derive(Debug, Default)]
+struct Representations {
+    list: bool,
+    bitmap_after_sparse_vertex: bool,
+}
+
+impl Representations {
+    fn note(&mut self, records: &[IterationRecord]) {
+        self.list |= records.iter().any(|r| r.sparse_repr);
+        self.bitmap_after_sparse_vertex |= records
+            .windows(2)
+            .any(|w| w[0].vertex_touched > 0 && !w[1].sparse_repr);
+    }
+
+    fn both(&self) -> bool {
+        self.list && self.bitmap_after_sparse_vertex
     }
 }
 
@@ -531,9 +543,8 @@ proptest! {
 
     /// Property: the cost-model direction switch is an optimization, never
     /// a semantic choice — hybrid output is bit-identical to forced-pull
-    /// and forced-push under either direction policy, and every recorded
-    /// iteration's engine choice is explained by the costs in its trace
-    /// record (DESIGN.md §16).
+    /// and forced-push, and every recorded iteration's engine choice is
+    /// explained by the costs in its trace record (DESIGN.md §16).
     #[test]
     fn prop_direction_switch_is_output_invariant(
         family in 0u8..3,
@@ -541,7 +552,6 @@ proptest! {
         root_pick in 0u32..64,
         threads in prop_oneof![Just(1usize), Just(2), Just(8)],
     ) {
-        use grazelle::core::config::DirectionPolicy;
         use grazelle::core::direction::ALPHA;
 
         let g = family_graph(family, seed);
@@ -552,15 +562,13 @@ proptest! {
 
         let mut outputs: Vec<(Vec<u32>, Vec<Option<u32>>)> = Vec::new();
         let policies = [
-            ("cost-model", DirectionPolicy::CostModel, None),
-            ("density-gate", DirectionPolicy::DensityGate, None),
-            ("forced-pull", DirectionPolicy::CostModel, Some(EngineKind::Pull)),
-            ("forced-push", DirectionPolicy::CostModel, Some(EngineKind::Push)),
+            ("cost-model", None),
+            ("forced-pull", Some(EngineKind::Pull)),
+            ("forced-push", Some(EngineKind::Push)),
         ];
-        for (pname, policy, force) in policies {
+        for (pname, force) in policies {
             let cfg = EngineConfig::new()
                 .with_threads(threads)
-                .with_direction_policy(policy)
                 .with_force_engine(force)
                 .with_trace(true);
 
@@ -576,7 +584,7 @@ proptest! {
             for (i, rec) in stats.records.iter().enumerate() {
                 if let Some(kind) = force {
                     prop_assert_eq!(rec.engine, kind, "{} iter {}", pname, i);
-                } else if policy == DirectionPolicy::CostModel {
+                } else {
                     // The recorded costs must explain the recorded choice.
                     let pull_wins =
                         ALPHA.saturating_mul(rec.dir_frontier_edges) >= rec.dir_unvisited_edges;
@@ -602,39 +610,19 @@ proptest! {
     /// list on its sparse push supersteps, with either frontier
     /// representation downstream — must produce the same bits and the same
     /// superstep count as forced pull and as the resilient driver, both of
-    /// which always run the dense Vertex phase.
+    /// which always run the dense Vertex phase. Over each case's three
+    /// families its runs must enter both representations.
     ///
-    /// Re-pinned by ISSUE 19: SSSP declares `priority_ordered`, so its
-    /// plain arms run the bucketed schedule and the resilient arm does not.
-    /// Its bits are still compared across all four arms; its superstep
-    /// count only among the three plain ones.
+    /// SSSP declares `priority_ordered`, so its plain arms run the bucketed
+    /// schedule and the resilient arm does not. Its bits are still compared
+    /// across all three arms; its superstep count only among the two plain
+    /// ones.
     #[test]
     fn prop_sparse_vertex_phase_is_bit_identical(
-        family in 0u8..3,
         seed in 0u64..1_000_000,
         root_pick in 0u32..4096,
         threads in prop_oneof![Just(1usize), Just(2), Just(8)],
     ) {
-        let g = sparse_family_graph(family, seed);
-        let gw = weighted_copy(&g);
-        let n = g.num_vertices();
-        let root = root_pick % n as u32;
-        let pg = PreparedGraph::new(&g);
-        let pgw = PreparedGraph::new(&gw);
-        let pool = ThreadPool::single_group(threads);
-        let base = EngineConfig::new()
-            .with_threads(threads)
-            .with_max_iterations(n + 1)
-            .with_resilience(no_guard())
-            .with_trace(true);
-        // (name, config, resilient driver?, may take the sparse path?)
-        let arms = [
-            ("hybrid", base, false, true),
-            ("hybrid-bitmap-frontier", base.with_sparse_frontier(false), false, true),
-            ("forced-pull", base.with_force_engine(Some(EngineKind::Pull)), false, false),
-            ("resilient", base, true, false),
-        ];
-
         // One closure per kernel: run it under an arm, return its output
         // bits and the run's stats.
         type Run<'a> = Box<dyn Fn(&EngineConfig, bool) -> (Vec<u64>, ExecutionStats) + 'a>;
@@ -654,74 +642,98 @@ proptest! {
                 run_program_on_pool(pg, prog, cfg, pool)
             }
         }
-        let kernels: [(&str, Run); 4] = [
-            ("bfs", Box::new(|cfg, res| {
-                let prog = Bfs::new(n, root);
-                let stats = go(&pg, &prog, cfg, &pool, res);
-                (prog.parents().iter().map(|p| p.map_or(u64::MAX, u64::from)).collect(), stats)
-            })),
-            ("sssp", Box::new(|cfg, res| {
-                let prog = Sssp::new(n, root);
-                let stats = go(&pgw, &prog, cfg, &pool, res);
-                (prog.distances().iter().map(|d| d.map_or(u64::MAX, f64::to_bits)).collect(), stats)
-            })),
-            ("cc", Box::new(|cfg, res| {
-                let prog = ConnectedComponents::new(n);
-                let stats = go(&pg, &prog, cfg, &pool, res);
-                (prog.labels().iter().map(|&l| u64::from(l)).collect(), stats)
-            })),
-            ("labelprop", Box::new(|cfg, res| {
-                let prog = LabelProp::new(&g);
-                let stats = go(&pg, &prog, cfg, &pool, res);
-                (prog.labels().iter().map(|&l| u64::from(l)).collect(), stats)
-            })),
-        ];
+        let pool = ThreadPool::single_group(threads);
+        let mut entered = Representations::default();
+        for family in 0..3u8 {
+            let g = sparse_family_graph(family, seed);
+            let gw = weighted_copy(&g);
+            let n = g.num_vertices();
+            let root = root_pick % n as u32;
+            let pg = PreparedGraph::new(&g);
+            let pgw = PreparedGraph::new(&gw);
+            let base = EngineConfig::new()
+                .with_threads(threads)
+                .with_max_iterations(n + 1)
+                .with_resilience(no_guard())
+                .with_trace(true);
+            // (name, config, resilient driver?, may take the sparse path?)
+            let arms = [
+                ("hybrid", base, false, true),
+                ("forced-pull", base.with_force_engine(Some(EngineKind::Pull)), false, false),
+                ("resilient", base, true, false),
+            ];
+            let kernels: [(&str, Run); 4] = [
+                ("bfs", Box::new(|cfg, res| {
+                    let prog = Bfs::new(n, root);
+                    let stats = go(&pg, &prog, cfg, &pool, res);
+                    (prog.parents().iter().map(|p| p.map_or(u64::MAX, u64::from)).collect(), stats)
+                })),
+                ("sssp", Box::new(|cfg, res| {
+                    let prog = Sssp::new(n, root);
+                    let stats = go(&pgw, &prog, cfg, &pool, res);
+                    (prog.distances().iter().map(|d| d.map_or(u64::MAX, f64::to_bits)).collect(), stats)
+                })),
+                ("cc", Box::new(|cfg, res| {
+                    let prog = ConnectedComponents::new(n);
+                    let stats = go(&pg, &prog, cfg, &pool, res);
+                    (prog.labels().iter().map(|&l| u64::from(l)).collect(), stats)
+                })),
+                ("labelprop", Box::new(|cfg, res| {
+                    let prog = LabelProp::new(&g);
+                    let stats = go(&pg, &prog, cfg, &pool, res);
+                    (prog.labels().iter().map(|&l| u64::from(l)).collect(), stats)
+                })),
+            ];
 
-        for (kname, run) in &kernels {
-            let mut reference: Option<(Vec<u64>, usize)> = None;
-            for (aname, cfg, resilient, may_go_sparse) in &arms {
-                let (bits, stats) = run(cfg, *resilient);
-                prop_assert!(!stats.hit_iteration_cap, "{}/{} x{}", kname, aname, threads);
-                let went_sparse = stats.profile.acc_resets_skipped > 0
-                    || stats.profile.vertex_touched > 0;
-                if *may_go_sparse {
-                    // A traversal from one root starts sparse on every
-                    // family; CC and LP start all-active and may finish
-                    // before their frontier ever thins out.
-                    if matches!(*kname, "bfs" | "sssp") && stats.iterations > 3 {
-                        prop_assert!(went_sparse, "{}/{} x{}: never went sparse", kname, aname, threads);
+            for (kname, run) in &kernels {
+                let mut reference: Option<(Vec<u64>, usize)> = None;
+                for (aname, cfg, resilient, may_go_sparse) in &arms {
+                    let what = format!("family {family}/{kname}/{aname} x{threads}");
+                    let (bits, stats) = run(cfg, *resilient);
+                    prop_assert!(!stats.hit_iteration_cap, "{}", what);
+                    let went_sparse = stats.profile.acc_resets_skipped > 0
+                        || stats.profile.vertex_touched > 0;
+                    if *aname == "hybrid" {
+                        entered.note(&stats.records);
                     }
-                } else {
-                    prop_assert!(!went_sparse, "{}/{} x{}: dense arm went sparse", kname, aname, threads);
-                    for r in &stats.records {
-                        prop_assert_eq!(r.vertex_touched, 0);
-                        prop_assert!(!r.acc_reset_skipped);
+                    if *may_go_sparse {
+                        // A traversal from one root starts sparse on every
+                        // family; CC and LP start all-active and may finish
+                        // before their frontier ever thins out.
+                        if matches!(*kname, "bfs" | "sssp") && stats.iterations > 3 {
+                            prop_assert!(went_sparse, "{}: never went sparse", what);
+                        }
+                    } else {
+                        prop_assert!(!went_sparse, "{}: dense arm went sparse", what);
+                        for r in &stats.records {
+                            prop_assert_eq!(r.vertex_touched, 0);
+                            prop_assert!(!r.acc_reset_skipped);
+                        }
                     }
-                }
-                match &reference {
-                    None => reference = Some((bits, stats.iterations)),
-                    Some((want, iters)) => {
-                        prop_assert_eq!(&bits, want, "{}/{} x{}: output", kname, aname, threads);
-                        let other_schedule = *resilient && *kname == "sssp";
-                        if !other_schedule {
-                            prop_assert_eq!(
-                                stats.iterations, *iters,
-                                "{}/{} x{}: supersteps", kname, aname, threads
-                            );
+                    match &reference {
+                        None => reference = Some((bits, stats.iterations)),
+                        Some((want, iters)) => {
+                            prop_assert_eq!(&bits, want, "{}: output", what);
+                            let other_schedule = *resilient && *kname == "sssp";
+                            if !other_schedule {
+                                prop_assert_eq!(stats.iterations, *iters, "{}: supersteps", what);
+                            }
                         }
                     }
                 }
             }
         }
+        prop_assert!(entered.both(), "x{}: {:?}", threads, entered);
     }
 
     /// Property: the priority schedule (DESIGN.md §18) is a schedule, not a
     /// semantic choice. SSSP distances are the same bits under the bucketed
-    /// plain run (list or bitmap frontiers, hybrid or forced pull), under
-    /// the contained run that keeps the label-correcting schedule, and from
-    /// Dijkstra — with weights whose sums round. The bucketed superstep
-    /// count depends on neither the thread count nor the engine, and on a
-    /// mesh the schedule is what it claims to be: fewer relaxations.
+    /// plain run (hybrid or forced pull), under the contained run that keeps
+    /// the label-correcting schedule, and from Dijkstra — with weights whose
+    /// sums round. The hybrid runs drain both list and bitmap frontiers from
+    /// the bucket queue. The bucketed superstep count depends on neither
+    /// the thread count nor the engine, and on a mesh the schedule is what
+    /// it claims to be: fewer relaxations.
     #[test]
     fn prop_priority_schedule_is_bit_identical(
         seed in 0u64..1_000_000,
@@ -733,6 +745,7 @@ proptest! {
             checkpoint_every: 0,
             ..ResilienceConfig::new()
         };
+        let mut entered = Representations::default();
         for family in 0..3u8 {
             let g = rounding_weighted_copy(&sparse_family_graph(family, seed), seed);
             let n = g.num_vertices();
@@ -744,18 +757,18 @@ proptest! {
                 .collect();
             let base = EngineConfig::new()
                 .with_max_iterations(2 * n)
-                .with_resilience(off);
+                .with_resilience(off)
+                .with_trace(true);
             // (name, config, contained?)
             let arms = [
                 ("hybrid", base, false),
-                ("hybrid-bitmap-frontier", base.with_sparse_frontier(false), false),
                 ("forced-pull", base.with_force_engine(Some(EngineKind::Pull)), false),
                 ("contained", base, true),
             ];
             // Supersteps per arm at the first thread count, and relaxations
             // of the push-only runs (where `push_updates` covers every
             // superstep) on either schedule.
-            let mut supersteps = [None; 4];
+            let mut supersteps = [None; 3];
             for threads in [1usize, 2, 8] {
                 let pool = ThreadPool::single_group(threads);
                 for (i, (aname, cfg, contained)) in arms.iter().enumerate() {
@@ -770,6 +783,9 @@ proptest! {
                     };
                     let what = format!("family {family}/{aname}/x{threads}");
                     prop_assert!(!stats.hit_iteration_cap, "{}", what);
+                    if *aname == "hybrid" {
+                        entered.note(&stats.records);
+                    }
                     let bits: Vec<u64> = prog
                         .distances()
                         .iter()
@@ -805,6 +821,7 @@ proptest! {
                 );
             }
         }
+        prop_assert!(entered.both(), "{:?}", entered);
     }
 
     /// Property: over an update stream, incrementally-maintained results
