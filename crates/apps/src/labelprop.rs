@@ -17,7 +17,7 @@
 //! stronger seed claims first. Keys only increase and are bounded, so the
 //! run converges; all values are exact integers below 2^52, so Max over
 //! f64 is exact and order-insensitive — bit-identical across pull, push,
-//! compacted, 8-lane, and degraded scalar paths at any thread count.
+//! compacted, and degraded scalar paths at any thread count.
 
 use grazelle_core::config::EngineConfig;
 use grazelle_core::engine::hybrid::{run_program_on_pool, ExecutionStats};

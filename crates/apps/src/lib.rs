@@ -34,7 +34,7 @@
 //!   versioned graph's base + pending-insert overlay.
 //! * [`triangle`] — triangle counting via the masked-SpMV intersect kernel
 //!   (DESIGN.md §16), a single-superstep computation driven through every
-//!   engine path: pull, push, compacted, 8-lane, and resilient.
+//!   engine path: pull, push, compacted, and resilient.
 //! * [`labelprop`] — deterministic label-propagation community detection:
 //!   a monotone Max lattice ascent over packed integer keys with per-hop
 //!   score decay ([`grazelle_core::program::EdgeFunc::ValueHopDecay`]).

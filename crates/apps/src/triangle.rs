@@ -145,20 +145,6 @@ pub fn counts_compacted(
     finish(&kern)
 }
 
-/// The 8-lane (AVX-512 extension) arm: one Edge phase through
-/// [`edge_pull8`](grazelle_core::engine::pull_wide::edge_pull8) over a
-/// `VectorSparse<8>` encoding of the same in-orientation.
-pub fn counts_wide(g: &Graph, pool: &ThreadPool, chunks: usize) -> TriangleCounts {
-    use grazelle_core::engine::pull_wide::edge_pull8;
-    use grazelle_vsparse::build::VectorSparse;
-    let kern = IntersectKernel::from_graph(g);
-    let vsd8 = VectorSparse::<8>::from_csr(g.in_csr());
-    let prof = Profiler::new();
-    let frontier = Frontier::all(g.num_vertices());
-    edge_pull8(&vsd8, &kern, &frontier, None, pool, chunks.max(1), &prof);
-    finish(&kern)
-}
-
 /// The resilient arm: the same single Edge phase through the containment
 /// layer — chunk panics retry and degrade to the sequential scalar redo,
 /// a blown watchdog surfaces as [`EngineError::Stalled`]. Bit-identical to
@@ -345,7 +331,6 @@ mod tests {
                 want,
                 "compacted x{threads}"
             );
-            assert_eq!(counts_wide(&g, &pool, 4 * threads), want, "wide x{threads}");
             let run = counts_resilient(&g, &pg, &base, &ResilienceContext::new(), &pool)
                 .expect("clean resilient phase");
             assert_eq!(run, want, "resilient x{threads}");

@@ -6,11 +6,11 @@
 //!
 //! experiments:
 //!   table1 table2 fig1 fig5a fig5b fig6 fig7 fig8 fig9a fig9b fig10a
-//!   fig10b fig11 fig12 fig13 ablate-chunks ablate-merge ablate-width
-//!   ablate-order ablate-wide-engine ablate-pull-frontier ablate-push-spa
-//!   write-traffic resilience-overhead resilience-faults recorder-overhead
-//!   gate build-throughput serve-latency incremental-updates
-//!   triangle-count labelprop
+//!   fig10b fig11 fig12 fig13 ablate-chunks ablate-merge ablate-order
+//!   ablate-pull-frontier ablate-push-spa write-traffic
+//!   resilience-overhead resilience-faults recorder-overhead gate
+//!   build-throughput serve-latency incremental-updates triangle-count
+//!   labelprop
 //!
 //! opt-in (named explicitly, never part of `all` — minutes of runtime):
 //!   build-large
@@ -167,9 +167,7 @@ const ALL: &[&str] = &[
     "fig13",
     "ablate-chunks",
     "ablate-merge",
-    "ablate-width",
     "ablate-order",
-    "ablate-wide-engine",
     "ablate-pull-frontier",
     "ablate-push-spa",
     "write-traffic",
@@ -203,9 +201,7 @@ fn run(name: &str, sockets: usize) -> Vec<Table> {
         "fig13" => vec![exp::fig13(sockets)],
         "ablate-chunks" => vec![exp::ablate_chunks()],
         "ablate-merge" => vec![exp::ablate_merge()],
-        "ablate-width" => vec![exp::ablate_width()],
         "ablate-order" => vec![exp::ablate_order()],
-        "ablate-wide-engine" => vec![exp::ablate_wide_engine()],
         "ablate-pull-frontier" => vec![exp::ablate_pull_frontier()],
         "ablate-push-spa" => vec![exp::ablate_push_spa()],
         "write-traffic" => vec![exp::write_traffic()],

@@ -880,79 +880,6 @@ pub fn ablate_merge() -> Table {
     t
 }
 
-/// Vector-width ablation: packing efficiency, space overhead, and measured
-/// masked-gather throughput per lane count. 4-lane uses the AVX2 kernels
-/// (the paper's configuration); 8-lane uses the AVX-512F kernels — the
-/// paper's sketched "longer vectors" extension, implemented here.
-pub fn ablate_width() -> Table {
-    use grazelle_vsparse::build::VectorSparse;
-    use grazelle_vsparse::simd::{detect8, AllActive, Carry, Kernels, Kernels8, Run, Sum};
-    let mut t = Table::new(
-        "Ablation — vector width (VSD packing, space, gather-sum throughput)",
-        &[
-            "graph",
-            "eff 4",
-            "eff 8",
-            "eff 16",
-            "ovh 4",
-            "ovh 8",
-            "4-lane Medge/s",
-            "8-lane Medge/s",
-        ],
-    );
-    t.note(&format!(
-        "4-lane = AVX2 kernels; 8-lane = AVX-512 extension (detected: {:?})",
-        detect8()
-    ));
-    for ds in Dataset::all() {
-        let w = workload(ds);
-        let degs = w.graph.in_csr().degrees();
-        let vsd4 = &w.prepared.vsd;
-        let vsd8 = VectorSparse::<8>::from_csr(w.graph.in_csr());
-        let values: Vec<f64> = (0..w.graph.num_vertices()).map(|i| i as f64).collect();
-        let k4 = Kernels::auto();
-        let k8 = Kernels8::auto();
-        let edges = w.graph.num_edges() as f64;
-        let rate4 = {
-            let secs = median_secs(|| {
-                let started = std::time::Instant::now();
-                let run = Run::unweighted(&values, vsd4.vectors());
-                let mut carry = Carry::new(run.vectors[0].top_level_vertex(), 0.0);
-                let mut acc = 0.0;
-                // SAFETY: `values` covers every vertex id in the VSD.
-                unsafe { k4.walk::<Sum, _, _>(run, AllActive, &mut carry, &mut |_, v| acc += v) };
-                std::hint::black_box(acc + carry.reduce(|a, b| a + b));
-                started.elapsed().as_secs_f64()
-            });
-            edges / secs / 1e6
-        };
-        let rate8 = {
-            let secs = median_secs(|| {
-                let started = std::time::Instant::now();
-                let mut acc = 0.0;
-                for ev in vsd8.vectors() {
-                    // SAFETY: as above.
-                    acc += unsafe { k8.gather_sum_raw(&values, ev, 0xFF) };
-                }
-                std::hint::black_box(acc);
-                started.elapsed().as_secs_f64()
-            });
-            edges / secs / 1e6
-        };
-        t.row(vec![
-            ds.abbr().into(),
-            fmt_pct(packing_efficiency(&degs, 4)),
-            fmt_pct(packing_efficiency(&degs, 8)),
-            fmt_pct(packing_efficiency(&degs, 16)),
-            format!("{:.2}x", space_overhead(&degs, 4)),
-            format!("{:.2}x", space_overhead(&degs, 8)),
-            format!("{rate4:.1}"),
-            format!("{rate8:.1}"),
-        ]);
-    }
-    t
-}
-
 /// Vertex-ordering locality ablation: the data-layout lever from the
 /// paper's Related Work discussion (§3). Same graph, three labelings, the
 /// full scheduler-aware vectorized engine.
@@ -994,124 +921,6 @@ pub fn ablate_order() -> Table {
                 format!("{:.2}", secs / b),
             ]);
         }
-    }
-    t
-}
-
-/// Engine-level vector-width ablation: one scheduler-aware Edge-Pull sum
-/// phase through the 4-lane (AVX2) engine vs the 8-lane (AVX-512)
-/// extension engine.
-pub fn ablate_wide_engine() -> Table {
-    use grazelle_core::engine::pull::{edge_pull, EdgeSchedulers};
-    use grazelle_core::engine::pull_wide::edge_pull8;
-    use grazelle_core::frontier::Frontier;
-    use grazelle_core::program::AggOp;
-    use grazelle_core::properties::PropertyArray;
-    use grazelle_core::spmv::{program_kernel, SemiringKernel};
-    use grazelle_core::stats::Profiler;
-    use grazelle_sched::slots::SlotBuffer;
-    use grazelle_vsparse::build::VectorSparse;
-    use grazelle_vsparse::simd::{Kernels, Kernels8};
-
-    struct SumProg {
-        vals: PropertyArray,
-        acc: PropertyArray,
-        n: usize,
-    }
-    impl GraphProgram for SumProg {
-        fn num_vertices(&self) -> usize {
-            self.n
-        }
-        fn op(&self) -> AggOp {
-            AggOp::Sum
-        }
-        fn edge_values(&self) -> &PropertyArray {
-            &self.vals
-        }
-        fn accumulators(&self) -> &PropertyArray {
-            &self.acc
-        }
-        fn apply(&self, _v: u32) -> bool {
-            false
-        }
-        fn uses_frontier(&self) -> bool {
-            false
-        }
-    }
-
-    let mut t = Table::new(
-        "Ablation — Edge-Pull engine width: 4-lane (AVX2) vs 8-lane (AVX-512)",
-        &["graph", "4-lane ms", "8-lane ms", "8-lane speedup"],
-    );
-    t.note("one scheduler-aware sum phase over all in-edges; identical results asserted");
-    let pool = ThreadPool::single_group(threads());
-    let chunks = 32 * threads();
-    for ds in Dataset::all() {
-        let w = workload(ds);
-        let n = w.graph.num_vertices();
-        let make_prog = || {
-            let prog = SumProg {
-                vals: PropertyArray::new(n),
-                acc: PropertyArray::filled_f64(n, 0.0),
-                n,
-            };
-            for v in 0..n {
-                prog.vals.set_f64(v, (v % 13) as f64);
-            }
-            prog
-        };
-        let frontier = Frontier::all(n);
-
-        let prog4 = make_prog();
-        let kern4 = program_kernel(&prog4, &w.prepared.vsd, Kernels::auto());
-        let scheds = EdgeSchedulers::single(w.prepared.vsd.num_vectors(), chunks);
-        let t4 = median_secs(|| {
-            prog4.acc.fill_f64(0.0);
-            scheds.reset();
-            let mut merge = SlotBuffer::new(scheds.total_chunks());
-            let prof = Profiler::new();
-            let started = std::time::Instant::now();
-            edge_pull(
-                &w.prepared.vsd,
-                &kern4,
-                &frontier,
-                &pool,
-                &scheds,
-                None,
-                &mut merge,
-                PullMode::SchedulerAware,
-                None,
-                &prof,
-            );
-            started.elapsed().as_secs_f64()
-        });
-
-        let vsd8 = VectorSparse::<8>::from_csr(w.graph.in_csr());
-        let prog8 = make_prog();
-        let kern8 = SemiringKernel::for_structure8(&prog8, &vsd8, Kernels8::auto());
-        let t8 = median_secs(|| {
-            prog8.acc.fill_f64(0.0);
-            let prof = Profiler::new();
-            let started = std::time::Instant::now();
-            edge_pull8(&vsd8, &kern8, &frontier, None, &pool, chunks, &prof);
-            started.elapsed().as_secs_f64()
-        });
-
-        // Same answer from both engines (integer-valued sums: exact).
-        for v in 0..n {
-            assert_eq!(
-                prog4.acc.get_f64(v),
-                prog8.acc.get_f64(v),
-                "width mismatch at v{v} on {ds:?}"
-            );
-        }
-
-        t.row(vec![
-            ds.abbr().into(),
-            format!("{:.3}", t4 * 1e3),
-            format!("{:.3}", t8 * 1e3),
-            fmt_speedup(t4 / t8),
-        ]);
     }
     t
 }
@@ -2369,7 +2178,6 @@ mod tests {
     #[test]
     fn ablations_produce_wellformed_tables() {
         tiny_env();
-        assert_eq!(ablate_wide_engine().rows.len(), 6);
         assert_eq!(ablate_pull_frontier().rows.len(), 6);
         let order = ablate_order();
         assert_eq!(order.rows.len(), 6); // 2 graphs x 3 orderings
@@ -2377,8 +2185,6 @@ mod tests {
         for row in order.rows.iter().filter(|r| r[1] == "natural") {
             assert_eq!(row[4], "1.00");
         }
-        let width = ablate_width();
-        assert_eq!(width.rows.len(), 6);
     }
 
     #[test]

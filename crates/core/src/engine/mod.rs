@@ -1,12 +1,11 @@
 //! The Edge/Vertex phase implementations and the driver.
 //!
-//! * [`pull`] — Edge-Pull: inner-loop-parallel, vectorized, with all three
-//!   interface modes (Traditional, Traditional-Nonatomic, Scheduler-Aware).
+//! * [`pull`] — Edge-Pull: inner-loop-parallel, vectorized at the paper's
+//!   4-lane width (the only pull width), with all three interface modes
+//!   (Traditional, Traditional-Nonatomic, Scheduler-Aware).
 //! * [`push`] — Edge-Push: traditional interface, per-edge synchronized
 //!   scatter (the paper's push engines are not vectorizable on AVX2 because
 //!   there are no atomic-update-scatter instructions, §6.2).
-//! * [`pull_wide`] — the 8-lane (AVX-512) Edge-Pull variant, the paper's
-//!   sketched 512-bit extension.
 //! * [`vertex`] — the statically scheduled Vertex (local update) phase.
 //! * [`hybrid`] — the per-iteration engine selection and the one superstep
 //!   loop behind every `run_program*` / `run_resilient*` entry point.
@@ -15,7 +14,6 @@
 
 pub mod hybrid;
 pub mod pull;
-pub mod pull_wide;
 pub mod push;
 pub mod resilient;
 pub mod vertex;

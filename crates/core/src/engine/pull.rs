@@ -687,7 +687,7 @@ pub fn active_vector_list(
 /// The sequential merge pass (paper Listing 6): folds every boundary
 /// partial in the merge buffer into its destination accumulator. "Executes
 /// sequentially in our implementation because it is extremely fast."
-pub(super) fn merge_fold(
+fn merge_fold(
     accum: &PropertyArray,
     op: AggOp,
     merge: &mut SlotBuffer<MergeEntry>,
@@ -1132,15 +1132,6 @@ mod tests {
                     self.0
                         .pull_run(simd, vsd, range, frontier, carry, &mut twice)
                 }
-            }
-            // SAFETY: never dereferences anything.
-            unsafe fn gather8(
-                &self,
-                _ev: &grazelle_vsparse::vector::EdgeVector<8>,
-                _vector_index: usize,
-                _mask: u32,
-            ) -> f64 {
-                unreachable!("4-lane test kernel")
             }
             fn message(&self, src: u32, dst: u32, weight: f64) -> f64 {
                 self.0.message(src, dst, weight)

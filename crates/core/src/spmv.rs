@@ -1,9 +1,9 @@
 //! The masked generalized-SpMV core (DESIGN.md §16).
 //!
 //! Every Edge phase in this engine — pull over VSD, push over VSS, the
-//! 8-lane wide pull, the compacted frontier-aware pull, and their resilient
-//! twins — computes the same algebraic object: a frontier-masked
-//! matrix-vector product over a semiring-like `(combine, reduce)` pair,
+//! compacted frontier-aware pull, and their resilient twins — computes
+//! the same algebraic object: a frontier-masked matrix-vector product over
+//! a semiring-like `(combine, reduce)` pair,
 //! `acc[dst] ⊕= ⨁_{src ∈ N(dst) ∩ F} message(src, dst, w)`. The engine
 //! modules used to each re-implement that inner loop against
 //! [`GraphProgram`] directly; they now route through one [`EdgeKernel`]
@@ -34,23 +34,22 @@ use crate::program::{AggOp, EdgeFunc, GraphProgram};
 use crate::properties::PropertyArray;
 use grazelle_vsparse::build::{VectorSparse, Vsd};
 use grazelle_vsparse::simd::{
-    self, ActiveBitmap, ActiveList, AllActive, Carry, Kernels, Kernels8, Reduction, Run, SimdLevel,
+    self, ActiveBitmap, ActiveList, AllActive, Carry, Kernels, Reduction, Run, SimdLevel,
 };
-use grazelle_vsparse::vector::EdgeVector;
 use std::ops::Range;
 
 pub mod spa;
 
 /// One Edge-phase kernel: the semiring-style combine/reduce pair plus the
-/// masked gathers the engines drive.
+/// masked pull runs the engines drive.
 ///
 /// # Safety contract
 ///
-/// `pull_run`/`gather8` are `unsafe` with the same contract as the SIMD
-/// walkers they wrap: every valid lane of the vectors they are handed must
-/// hold a vertex id within the kernel's backing arrays, i.e. the structure
-/// must be the one the kernel was built for. Implementations validate
-/// coverage at construction time against that structure.
+/// `pull_run` is `unsafe` with the same contract as the SIMD walkers it
+/// wraps: every valid lane of the vectors it is handed must hold a vertex
+/// id within the kernel's backing arrays, i.e. the structure must be the
+/// one the kernel was built for. Implementations validate coverage at
+/// construction time against that structure.
 pub trait EdgeKernel: Sync {
     /// The commutative + associative reduction applied at each destination.
     fn op(&self) -> AggOp;
@@ -102,17 +101,8 @@ pub trait EdgeKernel: Sync {
         per_edge_run(self, vsd, range, frontier, carry, sink);
     }
 
-    /// Masked gather-reduce of one 8-lane edge vector (wide pull path):
-    /// reduces `message(lane_vertex, top_level_vertex)` over enabled lanes,
-    /// starting from the operator identity.
-    ///
-    /// # Safety
-    /// Every enabled lane's vertex id must be in range for the kernel's
-    /// arrays (see the trait-level contract).
-    unsafe fn gather8(&self, ev: &EdgeVector<8>, vector_index: usize, mask: u32) -> f64;
-
     /// Scalar per-edge message — the push/scatter and sequential-redo twin
-    /// of the gathers. `weight` is the edge's weight (0.0 on unweighted
+    /// of the pull runs. `weight` is the edge's weight (0.0 on unweighted
     /// structures).
     fn message(&self, src: u32, dst: u32, weight: f64) -> f64;
 }
@@ -153,26 +143,6 @@ fn per_edge_run<K: EdgeKernel + ?Sized, S: FnMut(u64, f64)>(
                     op.combine(a, b)
                 });
             }
-        }
-    }
-}
-
-/// Computes the frontier-derived lane mask for one 8-lane edge vector: bit
-/// `i` set iff lane `i`'s *source* vertex is active. Invalid lanes are
-/// filtered by the kernels' own valid-bit predication, so they may carry any
-/// bit here.
-#[inline]
-pub(crate) fn frontier_lane_mask8(frontier: &Frontier, ev: &EdgeVector<8>) -> u32 {
-    match frontier {
-        Frontier::All { .. } => 0xFF,
-        _ => {
-            let mut m = 0u32;
-            for i in 0..8 {
-                if let Some(src) = ev.neighbor(i) {
-                    m |= (frontier.contains(src as u32) as u32) << i;
-                }
-            }
-            m
         }
     }
 }
@@ -218,7 +188,6 @@ pub struct SemiringKernel<'a> {
     write_intense: bool,
     weights4: Option<&'a [[f64; 4]]>,
     kernels: Kernels,
-    kernels8: Kernels8,
 }
 
 impl<'a> SemiringKernel<'a> {
@@ -252,40 +221,6 @@ impl<'a> SemiringKernel<'a> {
             write_intense: prog.write_intense(),
             weights4,
             kernels,
-            kernels8: Kernels8::auto(),
-        }
-    }
-
-    /// Builds the kernel for `prog` over an 8-lane structure (wide pull).
-    /// Restricted to [`EdgeFunc::Value`] — the 8-lane format carries no
-    /// weight vectors.
-    pub fn for_structure8<P: GraphProgram>(
-        prog: &'a P,
-        structure: &'a VectorSparse<8>,
-        kernels8: Kernels8,
-    ) -> Self {
-        assert!(
-            prog.edge_func() == EdgeFunc::Value,
-            "8-lane pull supports only EdgeFunc::Value"
-        );
-        assert!(
-            prog.edge_values().len() >= structure.num_vertices(),
-            "edge_values must cover every vertex"
-        );
-        assert!(
-            prog.accumulators().len() >= structure.num_vertices(),
-            "accumulators must cover every vertex"
-        );
-        SemiringKernel {
-            op: prog.op(),
-            func: prog.edge_func(),
-            values: prog.edge_values().as_f64_slice(),
-            accum: prog.accumulators(),
-            conv: prog.converged(),
-            write_intense: prog.write_intense(),
-            weights4: None,
-            kernels: Kernels::auto(),
-            kernels8,
         }
     }
 }
@@ -409,42 +344,6 @@ impl EdgeKernel for SemiringKernel<'_> {
         }
     }
 
-    // SAFETY: forwarded caller contract — every enabled lane id indexes
-    // within `values`, validated against the structure at construction.
-    #[inline]
-    unsafe fn gather8(&self, ev: &EdgeVector<8>, _vector_index: usize, mask: u32) -> f64 {
-        // SAFETY: forwarded caller contract, validated at construction.
-        unsafe {
-            match (self.op, self.func) {
-                (AggOp::Sum, EdgeFunc::Value) => {
-                    self.kernels8.gather_sum_raw(self.values, ev, mask)
-                }
-                (AggOp::Min, EdgeFunc::Value) => {
-                    self.kernels8.gather_min_raw(self.values, ev, mask)
-                }
-                (AggOp::Max, EdgeFunc::Value) => {
-                    self.kernels8.gather_max_raw(self.values, ev, mask)
-                }
-                // The 8-lane structure carries no weights; the scalar
-                // fallback covers the remaining unweighted combinations.
-                (op, func) => {
-                    assert!(!func.needs_weights(), "8-lane pull has no weight vectors");
-                    let mut acc = op.identity();
-                    for i in 0..8 {
-                        if (mask >> i) & 1 == 0 {
-                            continue;
-                        }
-                        if let Some(src) = ev.neighbor(i) {
-                            let v = *self.values.get_unchecked(src as usize);
-                            acc = op.combine(acc, func.apply(v, 0.0));
-                        }
-                    }
-                    acc
-                }
-            }
-        }
-    }
-
     #[inline]
     fn message(&self, src: u32, _dst: u32, weight: f64) -> f64 {
         self.func.apply(self.values[src as usize], weight)
@@ -550,27 +449,6 @@ impl EdgeKernel for IntersectKernel {
     #[inline]
     fn accumulators(&self) -> &PropertyArray {
         &self.accum
-    }
-
-    // SAFETY: no unchecked accesses — the intersection walks safe slices;
-    // the unsafe signature only forwards the trait's caller contract.
-    #[inline]
-    unsafe fn gather8(&self, ev: &EdgeVector<8>, _vector_index: usize, mask: u32) -> f64 {
-        let dst = ev.top_level_vertex() as u32;
-        let dst_adj = self.adjacency(dst);
-        let mut acc = 0u64;
-        for i in 0..8 {
-            if (mask >> i) & 1 == 0 {
-                continue;
-            }
-            if let Some(src) = ev.neighbor(i) {
-                let src = src as u32;
-                if src != dst {
-                    acc += sorted_intersect_count(self.adjacency(src), dst_adj);
-                }
-            }
-        }
-        acc as f64
     }
 
     #[inline]

@@ -149,32 +149,36 @@ mod tests {
 
     #[test]
     fn chunks_tile_the_range() {
-        let s = ChunkScheduler::new(100, 7);
-        let mut covered = [false; 100];
-        let mut last_end = 0;
-        for id in 0..s.num_chunks() {
-            let r = s.chunk_range(id);
-            assert_eq!(r.start, last_end, "chunks must be contiguous");
-            last_end = r.end;
-            for i in r {
-                assert!(!covered[i]);
-                covered[i] = true;
+        for (items, chunks) in [(100, 7), (503, 17)] {
+            let s = ChunkScheduler::new(items, chunks);
+            let mut covered = vec![false; items];
+            let mut last_end = 0;
+            for id in 0..s.num_chunks() {
+                let r = s.chunk_range(id);
+                assert_eq!(r.start, last_end, "chunks must be contiguous");
+                last_end = r.end;
+                for i in r {
+                    assert!(!covered[i]);
+                    covered[i] = true;
+                }
             }
+            assert!(covered.iter().all(|&c| c), "{items} items / {chunks}");
         }
-        assert!(covered.iter().all(|&c| c));
     }
 
     #[test]
     fn next_chunk_exhausts_exactly_once() {
         let s = ChunkScheduler::new(50, 5);
-        let mut ids = vec![];
-        while let Some(c) = s.next_chunk() {
-            ids.push(c.id);
+        // A reset round hands out every chunk again, like the first.
+        for _round in 0..2 {
+            let mut ids = vec![];
+            while let Some(c) = s.next_chunk() {
+                ids.push(c.id);
+            }
+            assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+            assert!(s.next_chunk().is_none());
+            s.reset();
         }
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
-        assert!(s.next_chunk().is_none());
-        s.reset();
-        assert_eq!(s.next_chunk().unwrap().id, 0);
     }
 
     #[test]

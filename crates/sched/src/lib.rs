@@ -9,12 +9,12 @@
 //!   stand-in) topology.
 //! * [`barrier::SpinBarrier`] — sense-reversing phase barrier.
 //! * [`chunks::ChunkScheduler`] — the dynamic chunk queue (default 32·n
-//!   chunks, the paper's empirically chosen granularity).
+//!   chunks, the paper's empirically chosen granularity). The
+//!   **scheduler-aware interface** over it — `StartChunk` /
+//!   `LoopIteration` / `FinishChunk` (paper Figure 3) — is the engine's
+//!   Edge-Pull chunk loop (`grazelle_core::engine::pull`), not a type here.
 //! * [`traditional`] — the conventional `parallel_for` whose body sees only
 //!   the iteration index (the interface the paper shows is insufficient).
-//! * [`aware`] — the **scheduler-aware interface**: `StartChunk` /
-//!   `LoopIteration` / `FinishChunk` (paper Figure 3), the paper's first
-//!   contribution.
 //! * [`slots::SlotBuffer`] — the per-chunk merge buffer written without
 //!   synchronization because every chunk id is owned by exactly one thread.
 //! * [`cancel::CancelFlag`] — the cooperative cancellation signal task
@@ -27,7 +27,6 @@
 //!   auditing the §3 exactly-once-write contract after each Edge phase.
 
 pub mod alloc;
-pub mod aware;
 pub mod barrier;
 pub mod cancel;
 pub mod chunks;
@@ -37,7 +36,6 @@ pub mod pool;
 pub mod slots;
 pub mod traditional;
 
-pub use aware::{parallel_for_aware, ChunkAware};
 pub use barrier::SpinBarrier;
 pub use cancel::CancelFlag;
 pub use chunks::{Chunk, ChunkScheduler, ChunkSource};

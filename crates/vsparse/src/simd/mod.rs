@@ -24,16 +24,14 @@
 //! the same order, so both levels produce bit-identical aggregates; the
 //! scalar twin also serves as the "non-vectorized" arm of Figure 10.
 //!
-//! The 8-lane [`Kernels8`] set keeps the per-vector boundary; it backs the
-//! vector-width ablation only.
+//! Four lanes is the only pull width. The 8-lane format
+//! ([`EdgeVector<8>`](crate::vector::EdgeVector)) stays for the packing
+//! analysis of Figure 9 ([`packing`](crate::packing)); no kernel reads it.
 
 pub mod scalar;
-pub mod scalar8;
 
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;
-#[cfg(target_arch = "x86_64")]
-pub mod avx512;
 
 use crate::vector::EdgeVector;
 use grazelle_graph::types::VertexId;
@@ -365,155 +363,6 @@ impl Kernels {
 impl Default for Kernels {
     fn default() -> Self {
         Kernels::auto()
-    }
-}
-
-/// Which 8-lane (512-bit) kernel implementation a [`Kernels8`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Simd8Level {
-    /// Portable scalar loop over the 8 lanes.
-    Scalar,
-    /// 512-bit AVX-512F with mask-register-predicated gathers.
-    Avx512,
-}
-
-/// Detects the best 8-lane level supported by the running CPU.
-pub fn detect8() -> Simd8Level {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return Simd8Level::Avx512;
-        }
-    }
-    Simd8Level::Scalar
-}
-
-/// Dispatched gather-reduce kernels over 8-lane edge vectors — the paper's
-/// AVX-512 extension (§4, "longer vectors"). Same safety contract as
-/// [`Kernels`], with 8-bit lane masks.
-#[derive(Debug, Clone, Copy)]
-pub struct Kernels8 {
-    level: Simd8Level,
-}
-
-impl Kernels8 {
-    /// Kernels at an explicit level.
-    pub fn with_level(level: Simd8Level) -> Self {
-        #[cfg(not(target_arch = "x86_64"))]
-        assert!(
-            level == Simd8Level::Scalar,
-            "AVX-512 kernels require x86_64"
-        );
-        Kernels8 { level }
-    }
-
-    /// Kernels at the best detected level.
-    pub fn auto() -> Self {
-        Kernels8 { level: detect8() }
-    }
-
-    /// The dispatched level.
-    pub fn level(&self) -> Simd8Level {
-        self.level
-    }
-
-    /// Sum of `values[neighbor]` over enabled lanes.
-    ///
-    /// # Safety
-    /// Every enabled lane must hold a neighbor id `< values.len()`.
-    #[inline]
-    pub unsafe fn gather_sum_raw(
-        &self,
-        values: &[f64],
-        ev: &EdgeVector<8>,
-        extra_mask: u32,
-    ) -> f64 {
-        match self.level {
-            Simd8Level::Scalar => scalar8::gather_sum(values, ev, extra_mask),
-            #[cfg(target_arch = "x86_64")]
-            Simd8Level::Avx512 => avx512::gather_sum(values, ev, extra_mask),
-            #[cfg(not(target_arch = "x86_64"))]
-            Simd8Level::Avx512 => unreachable!(),
-        }
-    }
-
-    /// Minimum over enabled lanes (+∞ identity).
-    ///
-    /// # Safety
-    /// Every enabled lane must hold a neighbor id `< values.len()`.
-    #[inline]
-    pub unsafe fn gather_min_raw(
-        &self,
-        values: &[f64],
-        ev: &EdgeVector<8>,
-        extra_mask: u32,
-    ) -> f64 {
-        match self.level {
-            Simd8Level::Scalar => scalar8::gather_min(values, ev, extra_mask),
-            #[cfg(target_arch = "x86_64")]
-            Simd8Level::Avx512 => avx512::gather_min(values, ev, extra_mask),
-            #[cfg(not(target_arch = "x86_64"))]
-            Simd8Level::Avx512 => unreachable!(),
-        }
-    }
-
-    /// Maximum over enabled lanes (−∞ identity).
-    ///
-    /// # Safety
-    /// Every enabled lane must hold a neighbor id `< values.len()`.
-    #[inline]
-    pub unsafe fn gather_max_raw(
-        &self,
-        values: &[f64],
-        ev: &EdgeVector<8>,
-        extra_mask: u32,
-    ) -> f64 {
-        match self.level {
-            Simd8Level::Scalar => scalar8::gather_max(values, ev, extra_mask),
-            #[cfg(target_arch = "x86_64")]
-            Simd8Level::Avx512 => avx512::gather_max(values, ev, extra_mask),
-            #[cfg(not(target_arch = "x86_64"))]
-            Simd8Level::Avx512 => unreachable!(),
-        }
-    }
-
-    /// Bounds-checked [`Kernels8::gather_sum_raw`].
-    pub fn gather_sum(&self, values: &[f64], ev: &EdgeVector<8>, extra_mask: u32) -> f64 {
-        Self::check(values, ev);
-        // SAFETY: check() just asserted every lane id is within `values`.
-        unsafe { self.gather_sum_raw(values, ev, extra_mask) }
-    }
-
-    /// Bounds-checked [`Kernels8::gather_min_raw`].
-    pub fn gather_min(&self, values: &[f64], ev: &EdgeVector<8>, extra_mask: u32) -> f64 {
-        Self::check(values, ev);
-        // SAFETY: check() just asserted every lane id is within `values`.
-        unsafe { self.gather_min_raw(values, ev, extra_mask) }
-    }
-
-    /// Bounds-checked [`Kernels8::gather_max_raw`].
-    pub fn gather_max(&self, values: &[f64], ev: &EdgeVector<8>, extra_mask: u32) -> f64 {
-        Self::check(values, ev);
-        // SAFETY: check() just asserted every lane id is within `values`.
-        unsafe { self.gather_max_raw(values, ev, extra_mask) }
-    }
-
-    fn check(values: &[f64], ev: &EdgeVector<8>) {
-        for i in 0..8 {
-            if let Some(n) = ev.neighbor(i) {
-                assert!(
-                    (n as usize) < values.len(),
-                    "lane {i} neighbor {n} out of bounds ({} values)",
-                    values.len()
-                );
-            }
-        }
-    }
-}
-
-impl Default for Kernels8 {
-    fn default() -> Self {
-        Kernels8::auto()
     }
 }
 

@@ -1,18 +1,17 @@
 //! Edge-case regression suite: degenerate and boundary-shaped inputs that
 //! historically break engines — the empty graph, a single vertex, graphs
-//! with no edges at all, self-loops, and vertex counts straddling the 4-
-//! and 8-lane vector widths. Every driver (pull, push, hybrid, resilient)
-//! and the 8-lane single-phase engine must handle each shape and agree
-//! with the sequential references.
+//! with no edges at all, self-loops, and vertex counts and degrees
+//! straddling the 4-lane vector width and its multiples. Every driver
+//! (pull, push, hybrid, resilient) and the single-phase 4-lane Edge-Pull
+//! must handle each shape and agree with the sequential references.
 
 use grazelle::core::config::{EngineConfig, Granularity, ResilienceConfig, ScatterMode};
 use grazelle::core::engine::hybrid::{run_program_on_pool, EngineKind};
 use grazelle::core::engine::pull::{edge_pull, EdgeSchedulers};
-use grazelle::core::engine::pull_wide::edge_pull8;
 use grazelle::core::engine::PreparedGraph;
 use grazelle::core::program::AggOp;
 use grazelle::core::properties::PropertyArray;
-use grazelle::core::spmv::{program_kernel, SemiringKernel};
+use grazelle::core::spmv::program_kernel;
 use grazelle::core::stats::Profiler;
 use grazelle::core::{
     run_resilient_on_pool, GraphProgram, PullMode, ResilienceContext, RunOutcome,
@@ -22,7 +21,7 @@ use grazelle::prelude::*;
 use grazelle_apps::{bfs, cc, labelprop, triangle, Bfs, ConnectedComponents, LabelProp};
 use grazelle_sched::pool::ThreadPool;
 use grazelle_sched::slots::SlotBuffer;
-use grazelle_vsparse::simd::{Kernels, Kernels8};
+use grazelle_vsparse::simd::Kernels;
 use proptest::prelude::*;
 
 fn graph_from(n: usize, pairs: &[(u32, u32)]) -> Graph {
@@ -109,56 +108,6 @@ fn check_every_engine(g: &Graph, label: &str) {
             .unwrap_or_else(|e| panic!("{label}/resilient-tc-x{threads}: {e:?}"));
         assert_eq!(got, want_tc, "{label}/resilient-x{threads}: TC");
     }
-    check_wide_engine(g, label);
-}
-
-/// One Edge phase through the 8-lane engine vs the 4-lane engine: the
-/// width ablation's agreement must also hold on degenerate shapes.
-fn check_wide_engine(g: &Graph, label: &str) {
-    let n = g.num_vertices();
-    let prog4 = ConnectedComponents::new(n);
-    let prog8 = ConnectedComponents::new(n);
-    let pool = ThreadPool::single_group(2);
-    let frontier = Frontier::all(n);
-    // The driver's vertex phase resets accumulators to the aggregation
-    // identity before every Edge phase; single-phase calls must do the
-    // same or chunk-boundary merges see stale values.
-    for prog in [&prog4, &prog8] {
-        for v in 0..n {
-            prog.accumulators().set_f64(v, prog.op().identity());
-        }
-    }
-
-    let vsd = VectorSparse::<4>::from_csr(g.in_csr());
-    let kern4 = program_kernel(&prog4, &vsd, Kernels::auto());
-    let scheds = EdgeSchedulers::single(vsd.num_vectors(), 4);
-    let mut merge = SlotBuffer::new(scheds.total_chunks());
-    let prof = Profiler::new();
-    edge_pull(
-        &vsd,
-        &kern4,
-        &frontier,
-        &pool,
-        &scheds,
-        None,
-        &mut merge,
-        PullMode::SchedulerAware,
-        None,
-        &prof,
-    );
-
-    let vsd8 = VectorSparse::<8>::from_csr(g.in_csr());
-    let kern8 = SemiringKernel::for_structure8(&prog8, &vsd8, Kernels8::auto());
-    let prof = Profiler::new();
-    edge_pull8(&vsd8, &kern8, &frontier, None, &pool, 4, &prof);
-
-    for v in 0..n {
-        assert_eq!(
-            prog4.accumulators().get_f64(v),
-            prog8.accumulators().get_f64(v),
-            "{label}: 4-lane vs 8-lane accumulator at v{v}"
-        );
-    }
 }
 
 #[test]
@@ -199,8 +148,9 @@ fn self_loops_everywhere() {
 
 #[test]
 fn clique_straddling_lane_widths() {
-    // Complete graphs on both sides of the 4- and 8-lane boundaries: the
-    // densest possible intersections, every vertex in C(n−1, 2) triangles.
+    // Complete graphs on both sides of one and two 4-lane vectors per
+    // destination: the densest possible intersections, every vertex in
+    // C(n−1, 2) triangles.
     for n in [3usize, 5, 9, 17] {
         let pairs: Vec<(u32, u32)> = (0..n as u32)
             .flat_map(|a| ((a + 1)..n as u32).map(move |b| (a, b)))
@@ -240,9 +190,8 @@ fn complete_bipartite_graphs_have_no_triangles() {
 
 #[test]
 fn vertex_counts_straddle_lane_widths() {
-    // Neither a multiple of the 4-lane nor the 8-lane width, on both
-    // sides of each boundary, including a high-degree hub that spans
-    // multiple vectors of either width.
+    // Not a multiple of the 4-lane width, on both sides of one, two and
+    // more vectors, including a high-degree hub that spans many vectors.
     for n in [2usize, 3, 5, 7, 9, 15, 17, 63, 65] {
         let pairs: Vec<(u32, u32)> = (1..n as u32).flat_map(|v| [(v, 0), (v, v - 1)]).collect();
         check_every_engine(&graph_from(n, &pairs), &format!("n={n}"));
