@@ -6,10 +6,26 @@
 //! write operation is ever needed per vertex: the first identified
 //! candidate to be a vertex's parent becomes its final value" (§6).
 //!
-//! The pull formulation aggregates candidate parents with Min over active
-//! in-neighbors (ties broken toward the smallest id, which makes output
-//! deterministic across engines and thread counts); visited vertices sit in
-//! the converged set so both engines skip them as destinations.
+//! The tree computed is the *min-parent* BFS tree: every reached vertex at
+//! depth `d` takes the smallest-id in-neighbour at depth `d − 1` as its
+//! parent, whatever the engine, thread count or schedule. Each vertex holds
+//! one lexicographic key, `depth·2^32 + parent`, and offers its
+//! out-neighbours `(depth + 1)·2^32 + itself` (its edge value); the Edge
+//! phase aggregates offers with Min and `apply` keeps a smaller key. The
+//! min-parent tree is the unique fixpoint of that relaxation. Keys and
+//! offers stay integers below 2^53, so f64 carries them exactly (`apply`
+//! asserts it: depths up to 2^21 − 2).
+//!
+//! Visited vertices sit in the converged set, so both engines skip them as
+//! destinations. That mask blocks a later, smaller key, so the first
+//! `apply` that activates a vertex must be its last: true when every
+//! vertex of one depth is sent before any of the next, all at once or one
+//! at a time in ascending id order. [`Bfs`] declares a
+//! [`GraphProgram::bucket_width`] of one level ([`LEVEL`]) and a plain run
+//! is scheduled that way: one bucket per level, tiny buckets drained in
+//! place on the calling thread (DESIGN.md §18). Contained and overlay runs
+//! are level-synchronous supersteps, which satisfy the same condition. The
+//! iteration count is the same either way: one per level, plus the last.
 
 use grazelle_core::config::EngineConfig;
 use grazelle_core::engine::hybrid::{run_program_on_pool, ExecutionStats};
@@ -20,40 +36,52 @@ use grazelle_core::properties::PropertyArray;
 use grazelle_graph::graph::Graph;
 use grazelle_graph::types::VertexId;
 use grazelle_sched::pool::ThreadPool;
+use grazelle_vsparse::build::Vss;
+
+/// One level of a key: the depth field sits above 32 bits of vertex id.
+pub const LEVEL: f64 = (1u64 << 32) as f64;
+
+/// Deepest level whose offer, `(depth + 1)·2^32 + v`, stays below 2^53,
+/// where f64 holds every integer exactly.
+const MAX_DEPTH: u64 = (1 << 21) - 1;
+
+/// What an unvisited vertex offers: never sent (only visited vertices are
+/// ever in a frontier), and finite so the divergence guard's finite-iterate
+/// check holds for the edge values.
+const NO_OFFER: f64 = f64::MAX;
 
 /// Breadth-First Search program state.
 pub struct Bfs {
     n: usize,
     root: VertexId,
-    /// Parent per vertex, +∞ while unvisited (ids fit f64 exactly: 48 bits).
-    parents: PropertyArray,
-    /// Candidate-parent accumulators (Min).
+    /// `depth·2^32 + parent` per vertex, +∞ while unvisited.
+    keys: PropertyArray,
+    /// What each vertex offers its out-neighbours, `(depth + 1)·2^32 + v`
+    /// (the edge values; [`NO_OFFER`] while unvisited).
+    offers: PropertyArray,
+    /// Min accumulators over the offers received.
     acc: PropertyArray,
     /// The converged set: visited vertices ignore in-bound messages.
     visited: DenseBitmap,
-    /// Source ids as f64 — what the Edge phase propagates.
-    ids: PropertyArray,
 }
 
 impl Bfs {
     /// BFS from `root`.
     pub fn new(n: usize, root: VertexId) -> Self {
         assert!((root as usize) < n, "root out of range");
-        let parents = PropertyArray::filled_f64(n, f64::INFINITY);
-        parents.set_f64(root as usize, root as f64);
+        let keys = PropertyArray::filled_f64(n, f64::INFINITY);
+        keys.set_f64(root as usize, root as f64);
+        let offers = PropertyArray::filled_f64(n, NO_OFFER);
+        offers.set_f64(root as usize, LEVEL + root as f64);
         let visited = DenseBitmap::new(n);
         visited.insert(root);
-        let ids = PropertyArray::new(n);
-        for v in 0..n {
-            ids.set_f64(v, v as f64);
-        }
         Bfs {
             n,
             root,
-            parents,
+            keys,
+            offers,
             acc: PropertyArray::new(n),
             visited,
-            ids,
         }
     }
 
@@ -62,12 +90,9 @@ impl Bfs {
     pub fn parents(&self) -> Vec<Option<VertexId>> {
         (0..self.n)
             .map(|v| {
-                let p = self.parents.get_f64(v);
-                if p.is_finite() {
-                    Some(p as VertexId)
-                } else {
-                    None
-                }
+                let key = self.keys.get_f64(v);
+                // The parent is the key's low 32 bits.
+                key.is_finite().then_some(key as u64 as VertexId)
             })
             .collect()
     }
@@ -88,23 +113,29 @@ impl GraphProgram for Bfs {
     }
 
     fn edge_values(&self) -> &PropertyArray {
-        &self.ids
+        &self.offers
     }
 
     fn accumulators(&self) -> &PropertyArray {
         &self.acc
     }
 
+    fn checkpoint_arrays(&self) -> Vec<&PropertyArray> {
+        vec![&self.offers, &self.acc, &self.keys]
+    }
+
     #[inline]
     fn apply(&self, v: VertexId) -> bool {
-        if self.visited.contains(v) {
-            return false;
-        }
-        let candidate = self.acc.get_f64(v as usize);
-        if candidate.is_finite() {
-            // The single write per vertex: first (minimum) candidate wins.
-            self.parents.set_f64(v as usize, candidate);
-            self.visited.insert(v);
+        let v = v as usize;
+        let candidate = self.acc.get_f64(v);
+        if candidate < self.keys.get_f64(v) {
+            // An integer below 2^53, so the cast is exact.
+            let depth = candidate as u64 >> 32;
+            assert!(depth < MAX_DEPTH, "BFS depth {depth} overflows its key");
+            self.keys.set_f64(v, candidate);
+            self.offers
+                .set_f64(v, ((depth + 1) << 32 | v as u64) as f64);
+            self.visited.insert(v as VertexId);
             true
         } else {
             false
@@ -117,6 +148,10 @@ impl GraphProgram for Bfs {
 
     fn identity_apply_is_noop(&self) -> bool {
         true
+    }
+
+    fn bucket_width(&self, _structure: &Vss) -> Option<f64> {
+        Some(LEVEL)
     }
 
     fn converged(&self) -> Option<&DenseBitmap> {
@@ -148,8 +183,7 @@ pub fn run(g: &Graph, cfg: &EngineConfig, root: VertexId) -> Vec<Option<VertexId
 }
 
 /// Sequential reference BFS returning per-vertex depth (`None` =
-/// unreachable). Parents are tie-broken by engine, so tests validate the
-/// *depths* the parent tree implies instead of exact parents.
+/// unreachable).
 pub fn reference_depths(g: &Graph, root: VertexId) -> Vec<Option<u32>> {
     let n = g.num_vertices();
     let mut depth = vec![None; n];
@@ -165,6 +199,24 @@ pub fn reference_depths(g: &Graph, root: VertexId) -> Vec<Option<u32>> {
         }
     }
     depth
+}
+
+/// Sequential reference BFS tree: the min-parent tree every engine path
+/// computes, `parent[v]` the smallest-id in-neighbour one level above `v`
+/// (`None` = unreachable; the root's parent is itself).
+pub fn reference_parents(g: &Graph, root: VertexId) -> Vec<Option<VertexId>> {
+    let depth = reference_depths(g, root);
+    (0..g.num_vertices() as VertexId)
+        .map(|v| match depth[v as usize]? {
+            0 => Some(root),
+            d => g
+                .in_neighbors(v)
+                .iter()
+                .copied()
+                .filter(|&u| depth[u as usize] == Some(d - 1))
+                .min(),
+        })
+        .collect()
 }
 
 /// Validates a parent array against a graph: every visited vertex's parent
@@ -235,6 +287,37 @@ mod tests {
     }
 
     #[test]
+    fn keys_are_depth_then_parent_and_offers_one_level_up() {
+        let prog = Bfs::new(8, 3);
+        assert_eq!(prog.keys.get_f64(3), 3.0, "depth 0, parent itself");
+        assert_eq!(prog.offers.get_f64(3), LEVEL + 3.0);
+        let pg = PreparedGraph::new(&chain_with_branch());
+        assert_eq!(prog.bucket_width(&pg.vss), Some(LEVEL), "weighted or not");
+        // Vertex 5 hears from 3 (depth 1 via 3): it keeps the key, offers
+        // depth 2 with itself as parent, and joins the converged set.
+        prog.acc.set_f64(5, LEVEL + 3.0);
+        assert!(prog.apply(5));
+        assert_eq!(prog.keys.get_f64(5), LEVEL + 3.0);
+        assert_eq!(prog.offers.get_f64(5), 2.0 * LEVEL + 5.0);
+        assert!(prog.visited.contains(5));
+        // A larger key changes nothing; a smaller one would win.
+        prog.acc.set_f64(5, LEVEL + 4.0);
+        assert!(!prog.apply(5));
+        prog.acc.set_f64(5, LEVEL + 1.0);
+        assert!(prog.apply(5));
+        assert_eq!(prog.parents()[5], Some(1));
+        assert_eq!(prog.parents()[0], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows its key")]
+    fn a_depth_past_the_exact_range_is_refused() {
+        let prog = Bfs::new(2, 0);
+        prog.acc.set_f64(1, ((1u64 << 21) - 1) as f64 * LEVEL);
+        prog.apply(1);
+    }
+
+    #[test]
     fn single_vertex_root_only() {
         let el = EdgeList::from_pairs(3, &[]).unwrap();
         let g = Graph::from_edgelist(&el).unwrap();
@@ -294,6 +377,7 @@ mod tests {
         el.sort_and_dedup();
         let g = Graph::from_edgelist(&el).unwrap();
         let base = run(&g, &EngineConfig::new().with_threads(1), 0);
+        assert_eq!(base, reference_parents(&g, 0), "the min-parent tree");
         for threads in [2, 4] {
             for mode in [PullMode::SchedulerAware, PullMode::Traditional] {
                 let cfg = EngineConfig::new()

@@ -9,16 +9,18 @@
 //!
 //! The operator is the paper's; the schedule is not. Sending every vertex
 //! that improved (label correcting) relaxes an edge once per improvement of
-//! its source — ≈15 times on a road mesh. [`Sssp`] declares
-//! [`GraphProgram::priority_ordered`], so a plain run
-//! ([`run_prepared`], `run_program*`) on a weighted structure holds active
-//! vertices back in buckets of 8 mean edge weights of distance and sends
-//! the lowest bucket only (Δ-stepping; DESIGN.md §18): within ≈1.2× of
-//! Dijkstra's relaxations, for ≈1.5–2× the supersteps. The schedule is off,
-//! and the run label-correcting as before, under fault containment
+//! its source — ≈15 times on a road mesh. [`Sssp`] declares a
+//! [`GraphProgram::bucket_width`] of [`BUCKET_WIDTH_PER_MEAN_WEIGHT`] mean
+//! edge weights, so a plain run ([`run_prepared`], `run_program*`) on a
+//! weighted structure holds active vertices back in buckets that wide and
+//! sends the lowest bucket only (Δ-stepping; DESIGN.md §18): within ≈1.2×
+//! of Dijkstra's relaxations. A bucket small enough is drained in place on
+//! the calling thread, each relaxation applied as it is made. The schedule
+//! is off, and the run label-correcting as before, under fault containment
 //! (`run_resilient*`, i.e. every served query), over a delta overlay, and
-//! when the structure's mean weight is zero or not finite. Distances are
-//! the same bits either way; superstep counts are not.
+//! when the structure's mean weight is zero or the width not finite.
+//! Distances are the same bits either way — monotone Min relaxation has one
+//! fixpoint whichever vertices are sent first; iteration counts are not.
 //!
 //! Weights must be non-negative.
 
@@ -31,6 +33,16 @@ use grazelle_core::properties::PropertyArray;
 use grazelle_graph::graph::Graph;
 use grazelle_graph::types::VertexId;
 use grazelle_sched::pool::ThreadPool;
+use grazelle_vsparse::build::Vss;
+
+/// Bucket width of SSSP's priority schedule, in mean edge weights of the
+/// structure being run: Δ-stepping's Δ. Narrow buckets send fewer vertices
+/// twice but take more iterations; wide ones approach the label-correcting
+/// schedule (every improved vertex, every superstep). On the road mesh
+/// relaxations stay within 1.2× of Dijkstra's and the solve time is flat
+/// across 4–16 (sweep in EXPERIMENTS.md "Work-efficient SSSP"), so this is
+/// a constant, not a knob. It moves iteration counts, never results.
+pub const BUCKET_WIDTH_PER_MEAN_WEIGHT: f64 = 8.0;
 
 /// SSSP program state.
 pub struct Sssp {
@@ -109,8 +121,11 @@ impl GraphProgram for Sssp {
         true
     }
 
-    fn priority_ordered(&self) -> bool {
-        true
+    fn bucket_width(&self, structure: &Vss) -> Option<f64> {
+        structure
+            .mean_weight()
+            .map(|mean| BUCKET_WIDTH_PER_MEAN_WEIGHT * mean)
+            .filter(|width| *width > 0.0 && width.is_finite())
     }
 
     fn initial_frontier(&self) -> Frontier {

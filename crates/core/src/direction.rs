@@ -95,16 +95,6 @@ pub fn frontier_fits_list(active: usize, num_vertices: usize) -> bool {
     (active as f64) <= FRONTIER_LIST_OCCUPANCY * num_vertices as f64
 }
 
-/// Bucket width of the priority schedule (DESIGN.md §18), in mean edge
-/// weights of the structure being run: Δ-stepping's Δ. Narrow buckets send
-/// fewer vertices twice but take more supersteps; wide ones approach the
-/// label-correcting schedule (every improved vertex, every superstep). On
-/// the road mesh relaxations stay within 1.2× of Dijkstra's and the solve
-/// time is flat across 4–16 (sweep in EXPERIMENTS.md "Work-efficient
-/// SSSP"), so this is a constant, not a knob. It moves superstep counts,
-/// never results.
-pub const BUCKET_WIDTH_PER_MEAN_WEIGHT: f64 = 8.0;
-
 /// Frontiers larger than this are costed with the average-degree
 /// approximation instead of an exact out-degree sum, bounding the
 /// per-iteration decision cost.

@@ -24,7 +24,7 @@ use crate::engine::PreparedGraph;
 use crate::frontier::{BucketQueue, DenseBitmap, Frontier};
 use crate::program::GraphProgram;
 use crate::spmv::program_kernel;
-use crate::spmv::spa::SpaScratch;
+use crate::spmv::spa::{drain_bucket, frontier_fits_inline, inline_vector_cutoff, SpaScratch};
 use crate::stats::{PhaseProfile, Profiler};
 use crate::trace::{Deadline, FlightRecorder, IterationRecord, SpanClock};
 use grazelle_graph::types::VertexId;
@@ -233,19 +233,24 @@ pub(super) fn drive<P: GraphProgram>(
     };
     // Priority schedule (DESIGN.md §18): more, narrower supersteps only pay
     // where a superstep costs its own work, so it shares the sparse Vertex
-    // phase's run-level eligibility and asks nothing more than the program's
-    // contract and a usable mean edge weight to size the buckets by.
-    let mut queue = (sparse_vertex && prog.priority_ordered())
-        .then(|| pg.vss.mean_weight())
+    // phase's run-level eligibility and asks nothing more than the
+    // program's bucket width on this structure.
+    let mut queue = sparse_vertex
+        .then(|| prog.bucket_width(&pg.vss))
         .flatten()
-        .filter(|mean| *mean > 0.0 && mean.is_finite())
-        .map(|mean| {
-            let width = crate::direction::BUCKET_WIDTH_PER_MEAN_WEIGHT * mean;
-            BucketQueue::new(pg.num_vertices, width)
-        });
+        .map(|width| BucketQueue::new(pg.num_vertices, width));
     if let Some(q) = queue.as_mut() {
         frontier = reschedule(q, &frontier, prog, list_or_bitmap);
     }
+    // In-place drain (DESIGN.md §18): on the schedule, a bucket that fits
+    // the parked-pool inline cutoff is sent on the calling thread with no
+    // superstep around it. It is the default policy's choice: a pinned
+    // engine or scatter mode is a comparator arm and keeps its supersteps.
+    let drain_cutoff =
+        (queue.is_some() && cfg.force_engine.is_none() && cfg.scatter_mode == ScatterMode::Auto)
+            .then(|| inline_vector_cutoff(pool.num_threads(), true));
+    #[cfg(feature = "invariant-checks")]
+    let start_state = drain_cutoff.map(|_| ProgramState::capture(prog));
     // Driver-tracked invariant: every accumulator holds the identity. Only
     // a sparse Vertex phase establishes it; any other superstep clears it.
     let mut acc_clean = false;
@@ -322,6 +327,57 @@ pub(super) fn drive<P: GraphProgram>(
             prof.add(&prof.acc_resets_skipped, 1);
         } else {
             reset_accumulators(prog, pool, &prof);
+        }
+
+        // A drained bucket is one iteration: one scan on the calling thread
+        // folds and applies every message, then the next bucket comes off
+        // the queue. Only a plain run has a queue, so there is nothing to
+        // snapshot, poll or checkpoint here.
+        let fits = |cut| frontier_fits_inline(&pg.vss, &frontier, pg.num_vertices, cut);
+        if let Some(q) = queue.as_mut().filter(|_| drain_cutoff.is_some_and(fits)) {
+            let (clock, work_before) = (SpanClock::start(), prof.work_ns_now());
+            let drained = drain_bucket(&pg.vss, prog, &frontier, q);
+            let ns = clock.elapsed_ns();
+            prof.add(&prof.work_ns, ns);
+            prof.finish_edge_phase(ns, 1, work_before);
+            prof.add(&prof.drained_buckets, 1);
+            prof.add(&prof.drain_messages, drained.messages);
+            prof.add(&prof.drain_applies, drained.applies);
+            prof.add(&prof.push_updates, drained.messages);
+            acc_clean = true;
+            push_iterations += 1;
+            engine_trace.push(EngineKind::Push);
+            if let Some(bound) = converged_bound.as_mut() {
+                *bound += drained.applies as usize;
+            }
+            let reschedule_clock = SpanClock::start();
+            frontier = list_or_bitmap(q.drain_lowest().unwrap_or_default());
+            let active = frontier.count() + q.pending();
+            prof.add(&prof.reschedule_ns, reschedule_clock.elapsed_ns());
+            if let Some(before) = snap_before.as_ref() {
+                let mut rec = IterationRecord::from_snapshots(
+                    iter as u32,
+                    EngineKind::Push,
+                    density.unwrap_or(1.0),
+                    sparse_repr,
+                    before,
+                    &prof.snapshot(),
+                    1,
+                    1,
+                    false,
+                );
+                if let Some((bucket, held_back)) = scheduled {
+                    rec.bucket = Some(bucket);
+                    rec.held_back = held_back;
+                }
+                recorder.push(rec);
+            }
+            program_stopped = prog.should_stop(iter, active);
+            iter += 1;
+            if program_stopped {
+                break;
+            }
+            continue;
         }
 
         // Direction choice (DESIGN.md §16): one shared [`Decision`] feeds
@@ -669,6 +725,12 @@ pub(super) fn drive<P: GraphProgram>(
             "the priority schedule stopped with vertices still waiting"
         );
     }
+    #[cfg(feature = "invariant-checks")]
+    if let Some(start) =
+        start_state.filter(|_| program_stopped && prof.snapshot().drained_buckets > 0)
+    {
+        assert_drain_reaches_the_superstep_fixpoint(pg, prog, cfg, pool, start);
+    }
 
     // A mismatch means an Edge phase ran unaudited (a weaving bug, not a
     // scheduling one).
@@ -811,6 +873,71 @@ fn assert_bounded_decision_is_exact<P: GraphProgram>(
             "iteration {iter}: the bounded decision differs from the exact one"
         );
     }
+}
+
+/// `invariant-checks` snapshot of what a run can change in a program: the
+/// checkpoint arrays and edge values except the transient accumulators,
+/// and the converged set.
+#[cfg(feature = "invariant-checks")]
+#[derive(PartialEq)]
+struct ProgramState {
+    arrays: Vec<Vec<u64>>,
+    converged: Option<Vec<VertexId>>,
+}
+
+#[cfg(feature = "invariant-checks")]
+impl ProgramState {
+    fn arrays<P: GraphProgram>(prog: &P) -> Vec<&crate::properties::PropertyArray> {
+        let acc = prog.accumulators();
+        prog.checkpoint_arrays()
+            .into_iter()
+            .chain([prog.edge_values()])
+            .filter(|a| !std::ptr::eq(*a, acc))
+            .collect()
+    }
+
+    fn capture<P: GraphProgram>(prog: &P) -> Self {
+        ProgramState {
+            arrays: Self::arrays(prog).iter().map(|a| a.to_vec_u64()).collect(),
+            converged: prog.converged().map(|c| c.iter().collect()),
+        }
+    }
+
+    fn restore<P: GraphProgram>(&self, prog: &P) {
+        for (bits, target) in self.arrays.iter().zip(Self::arrays(prog)) {
+            target.load_u64(bits);
+        }
+        if let (Some(set), Some(c)) = (self.converged.as_ref(), prog.converged()) {
+            c.clear();
+            set.iter().for_each(|&v| c.insert(v));
+        }
+    }
+}
+
+/// `invariant-checks` audit of the in-place drain: a run that drained
+/// buckets and stopped of its own accord is re-run from its starting state
+/// with the drain off (a pinned scatter mode keeps every superstep) and
+/// must end on the same bits; the drained state is then put back.
+#[cfg(feature = "invariant-checks")]
+fn assert_drain_reaches_the_superstep_fixpoint<P: GraphProgram>(
+    pg: &PreparedGraph,
+    prog: &P,
+    cfg: &EngineConfig,
+    pool: &ThreadPool,
+    start: ProgramState,
+) {
+    let drained = ProgramState::capture(prog);
+    start.restore(prog);
+    let supersteps = cfg.with_scatter_mode(ScatterMode::Spa).with_trace(false);
+    let run = drive(pg, None, prog, &supersteps, pool, None)
+        .unwrap_or_else(|e| unreachable!("a run without containment has no failure path: {e}"));
+    if !run.stats.hit_iteration_cap {
+        assert!(
+            ProgramState::capture(prog) == drained,
+            "the in-place drain ended on another fixpoint than the superstep run"
+        );
+    }
+    drained.restore(prog);
 }
 
 /// `invariant-checks` audit of `acc_clean`: a superstep about to skip its

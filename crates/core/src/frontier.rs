@@ -14,7 +14,6 @@
 //! reached yet.
 
 use grazelle_graph::types::VertexId;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fixed-capacity atomic bit set over vertex identifiers.
@@ -294,8 +293,16 @@ impl std::fmt::Debug for Frontier {
 
 /// The pending active vertices of a priority-ordered run, binned by
 /// `⌊priority / width⌋` (Δ-stepping's buckets; DESIGN.md §18). The driver
-/// files every Vertex phase's activations here and starts the next
-/// superstep from the lowest non-empty bucket only.
+/// files every activation here and starts each step from the lowest
+/// non-empty bucket only.
+///
+/// Storage is Δ-stepping's circular bucket array: bucket `b` of the window
+/// `lo..lo + ring.len()` lives in `ring[b % ring.len()]`, so filing is one
+/// index computation and a push, and a drained bucket's slot keeps its
+/// capacity for the bucket that reuses it. The window grows (doubling, up
+/// to `MAX_RING` = 4096 buckets) to cover every bucket filed; entries
+/// beyond it wait in `far`, whose buckets all lie above the ring's, and
+/// come into the ring when it runs empty.
 ///
 /// Invariant: a pending vertex sits in the bucket of the priority it was
 /// last filed with. `slot` is the authority; a bucket's list may still hold
@@ -307,9 +314,18 @@ pub struct BucketQueue {
     width: f64,
     /// Bucket each vertex is pending in ([`Self::IDLE`] = not pending).
     slot: Vec<u32>,
-    /// Entries per bucket in filing order; no vertex is listed twice in one
-    /// bucket while it is pending there.
-    buckets: BTreeMap<u32, Vec<VertexId>>,
+    /// The circular bucket array; its length is a power of two.
+    ring: Vec<Vec<VertexId>>,
+    /// Lowest bucket of the window that may hold an entry.
+    lo: u64,
+    /// One past the highest bucket filed into the ring (`lo == hi`: the
+    /// ring is empty).
+    hi: u64,
+    /// `(bucket, vertex)` entries above the window, each bucket above every
+    /// ring bucket.
+    far: Vec<(u32, VertexId)>,
+    /// Lowest bucket in `far` (`u64::MAX` when empty).
+    far_min: u64,
     pending: usize,
     /// Index of the bucket drained last (0 before the first drain).
     last_drained: u32,
@@ -317,6 +333,8 @@ pub struct BucketQueue {
 
 impl BucketQueue {
     const IDLE: u32 = u32::MAX;
+    /// Widest window the ring grows to, in buckets.
+    const MAX_RING: u64 = 1 << 12;
 
     /// An empty queue over `num_vertices` vertices with buckets `width`
     /// wide; `width` must be positive and finite.
@@ -328,7 +346,11 @@ impl BucketQueue {
         BucketQueue {
             width,
             slot: vec![Self::IDLE; num_vertices],
-            buckets: BTreeMap::new(),
+            ring: vec![Vec::new(); 8],
+            lo: 0,
+            hi: 0,
+            far: Vec::new(),
+            far_min: u64::MAX,
             pending: 0,
             last_drained: 0,
         }
@@ -338,6 +360,7 @@ impl BucketQueue {
     /// bucket 0 and everything from `(u32::MAX − 1) · width` up shares the
     /// last bucket: order inside a bucket is not relied on, so a saturated
     /// index costs re-relaxations, never correctness.
+    #[inline]
     pub fn bucket_of(&self, priority: f64) -> u32 {
         // `as` saturates (and maps NaN to 0); `IDLE` stays reserved.
         ((priority / self.width) as u32).min(Self::IDLE - 1)
@@ -345,6 +368,7 @@ impl BucketQueue {
 
     /// Makes `v` pending at `priority`, moving it if it was pending in
     /// another bucket and doing nothing if it already sits in the right one.
+    #[inline]
     pub fn file(&mut self, v: VertexId, priority: f64) {
         let bucket = self.bucket_of(priority);
         let slot = &mut self.slot[v as usize];
@@ -355,7 +379,88 @@ impl BucketQueue {
             self.pending += 1;
         }
         *slot = bucket;
-        self.buckets.entry(bucket).or_default().push(v);
+        self.place(bucket, v);
+    }
+
+    /// Puts one entry into the ring or `far`, moving the window as needed.
+    #[inline]
+    fn place(&mut self, bucket: u32, v: VertexId) {
+        let b = u64::from(bucket);
+        if b >= self.far_min {
+            return self.push_far(bucket, v);
+        }
+        if self.lo == self.hi {
+            // An empty ring restarts its window at the bucket.
+            (self.lo, self.hi) = (b, b);
+        } else if b < self.lo {
+            if self.hi - b > Self::MAX_RING {
+                // Too far below the window to keep it: everything in the
+                // ring moves to `far`, above the new window.
+                self.spill();
+                (self.lo, self.hi) = (b, b);
+            } else {
+                self.fit(self.hi - b);
+                self.lo = b;
+            }
+        } else if b - self.lo >= Self::MAX_RING {
+            return self.push_far(bucket, v);
+        }
+        self.fit(b + 1 - self.lo);
+        self.hi = self.hi.max(b + 1);
+        let mask = self.ring.len() as u64 - 1;
+        self.ring[(b & mask) as usize].push(v);
+    }
+
+    fn push_far(&mut self, bucket: u32, v: VertexId) {
+        self.far.push((bucket, v));
+        self.far_min = self.far_min.min(u64::from(bucket));
+    }
+
+    /// Grows the ring to cover a window of `span` buckets, re-slotting the
+    /// entries of the current one.
+    fn fit(&mut self, span: u64) {
+        let len = self.ring.len() as u64;
+        if span <= len {
+            return;
+        }
+        let grown = span.next_power_of_two() as usize;
+        let mut ring = vec![Vec::new(); grown];
+        for b in self.lo..self.hi {
+            let entries = std::mem::take(&mut self.ring[(b % len) as usize]);
+            ring[(b % grown as u64) as usize] = entries;
+        }
+        self.ring = ring;
+    }
+
+    /// Moves every ring entry to `far`, emptying the window.
+    fn spill(&mut self) {
+        let len = self.ring.len() as u64;
+        for b in self.lo..self.hi {
+            let i = (b % len) as usize;
+            for k in 0..self.ring[i].len() {
+                let v = self.ring[i][k];
+                self.push_far(b as u32, v);
+            }
+            self.ring[i].clear();
+        }
+        self.lo = self.hi;
+    }
+
+    /// Refills an empty ring from `far`: the window restarts at the lowest
+    /// bucket still live there. Returns false when nothing is left.
+    fn refill(&mut self) -> bool {
+        let slot = &self.slot;
+        self.far.retain(|&(b, v)| slot[v as usize] == b);
+        let Some(min) = self.far.iter().map(|&(b, _)| u64::from(b)).min() else {
+            self.far_min = u64::MAX;
+            return false;
+        };
+        let far = std::mem::take(&mut self.far);
+        (self.lo, self.hi, self.far_min) = (min, min, u64::MAX);
+        for (b, v) in far {
+            self.place(b, v);
+        }
+        true
     }
 
     /// [`file`](Self::file) for every vertex of `activated`, in ascending
@@ -386,24 +491,33 @@ impl BucketQueue {
     /// pending. A drained vertex filed again — even into the same bucket —
     /// is pending again.
     pub fn drain_lowest(&mut self) -> Option<Vec<VertexId>> {
-        while let Some((bucket, mut vertices)) = self.buckets.pop_first() {
-            vertices.retain(|&v| {
-                let slot = &mut self.slot[v as usize];
-                let live = *slot == bucket;
-                if live {
-                    *slot = Self::IDLE;
+        loop {
+            let mask = self.ring.len() as u64 - 1;
+            while self.lo < self.hi {
+                let b = self.lo;
+                self.lo += 1;
+                let entries = &mut self.ring[(b & mask) as usize];
+                let mut live = Vec::with_capacity(entries.len());
+                for &v in entries.iter() {
+                    let slot = &mut self.slot[v as usize];
+                    if u64::from(*slot) == b {
+                        *slot = Self::IDLE;
+                        live.push(v);
+                    }
                 }
-                live
-            });
-            if !vertices.is_empty() {
-                self.pending -= vertices.len();
-                self.last_drained = bucket;
-                vertices.sort_unstable();
-                return Some(vertices);
+                entries.clear();
+                if !live.is_empty() {
+                    self.pending -= live.len();
+                    self.last_drained = b as u32;
+                    live.sort_unstable();
+                    return Some(live);
+                }
+            }
+            if !self.refill() {
+                debug_assert_eq!(self.pending, 0, "a pending vertex is in no bucket");
+                return None;
             }
         }
-        debug_assert_eq!(self.pending, 0, "a pending vertex is in no bucket");
-        None
     }
 }
 
@@ -656,9 +770,13 @@ mod tests {
     proptest! {
         /// Whatever is filed comes out exactly once per activation, lowest
         /// bucket first, each drain ascending — against a map-based model.
+        /// Wide buckets overflow the ring's window into the far list.
         #[test]
         fn prop_bucket_queue_matches_a_model(
-            ops in proptest::collection::vec((0u32..40, 0u32..12, any::<bool>()), 0..200),
+            ops in proptest::collection::vec(
+                (0u32..40, prop_oneof![0u32..12, 0u32..20_000], any::<bool>()),
+                0..200,
+            ),
         ) {
             let mut q = BucketQueue::new(40, 1.0);
             let mut model: std::collections::BTreeMap<u32, u32> = Default::default();

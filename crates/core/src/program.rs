@@ -11,6 +11,7 @@
 use crate::frontier::{DenseBitmap, Frontier};
 use crate::properties::PropertyArray;
 use grazelle_graph::types::VertexId;
+use grazelle_vsparse::build::Vss;
 use grazelle_vsparse::simd::SimdLevel;
 use std::ops::Range;
 
@@ -179,24 +180,34 @@ pub trait GraphProgram: Sync {
         false
     }
 
-    /// Program contract (DESIGN.md §18): `true` declares that the run's
-    /// result is the same whichever of the active vertices are sent first —
-    /// holding some back, for any number of supersteps, changes neither that
-    /// the run ends nor the final bits of any
-    /// [`checkpoint_arrays`](Self::checkpoint_arrays) entry except the
-    /// transient accumulators (monotone Min relaxation has one fixpoint);
-    /// that `edge_values()[v]` is `v`'s priority, lower first; and that a
-    /// message is never below its sender's value (non-negative weights), so
-    /// sending the lowest values first sends few vertices twice. The hybrid
-    /// driver may then start each superstep from the lowest
-    /// [`BucketQueue`](crate::frontier::BucketQueue) bucket only and hand
-    /// [`should_stop`](Self::should_stop) the number of vertices still
-    /// waiting, which must not end the run while that number is non-zero
-    /// (`invariant-checks` builds assert it). Superstep counts change;
-    /// results do not. A program whose result depends on which message
-    /// arrives first (BFS's first-visit parents) must leave it `false`.
-    fn priority_ordered(&self) -> bool {
-        false
+    /// Program contract (DESIGN.md §18): `Some(Δ)` declares the program
+    /// priority-ordered with buckets `Δ` wide on `structure` (the push
+    /// structure of the run); `None`, the default, leaves the run
+    /// unordered. `Some(Δ)` promises, for Δ positive and finite:
+    ///
+    /// * `edge_values()[v]` is `v`'s priority, lower first, and a message is
+    ///   never below its sender's priority (non-negative weights), so an
+    ///   activation never lands in a bucket below its sender's;
+    /// * the final bits of every [`checkpoint_arrays`](Self::checkpoint_arrays)
+    ///   entry except the transient accumulators are the same under every
+    ///   *lowest-bucket-first* schedule: each step sends only vertices of
+    ///   the lowest pending bucket `⌊edge_values()[v] / Δ⌋`, either all of
+    ///   them at once (a superstep) or one at a time in ascending id order
+    ///   with each message folded and applied as it arrives (the in-place
+    ///   drain), and the vertices of later buckets wait, for any number of
+    ///   steps.
+    ///
+    /// The hybrid driver may then start each step from the lowest
+    /// [`BucketQueue`](crate::frontier::BucketQueue) bucket only, drain tiny
+    /// buckets in place, and hand [`should_stop`](Self::should_stop) the
+    /// number of vertices still waiting, which must not end the run while
+    /// that number is non-zero (`invariant-checks` builds assert it).
+    /// Iteration counts change; results do not. SSSP (monotone Min
+    /// relaxation, one fixpoint in *any* drain order) returns 8 mean edge
+    /// weights; BFS, whose converged set masks a later, smaller key, returns
+    /// one level of its `(depth, parent)` key.
+    fn bucket_width(&self, _structure: &Vss) -> Option<f64> {
+        None
     }
 
     /// Whether this application tracks a frontier at all. `false` (e.g.
@@ -238,9 +249,9 @@ pub trait GraphProgram: Sync {
     fn pre_iteration(&self, _iteration: usize) {}
 
     /// Termination test, called after each Vertex phase with the number of
-    /// vertices activated for the next iteration — under
-    /// [`priority_ordered`](Self::priority_ordered), the number waiting to
-    /// be sent, the next superstep's share included.
+    /// vertices activated for the next iteration — under a
+    /// [`bucket_width`](Self::bucket_width), the number waiting to be sent,
+    /// the next step's share included.
     fn should_stop(&self, _iteration: usize, active: usize) -> bool {
         self.uses_frontier() && active == 0
     }

@@ -75,6 +75,13 @@ pub trait EdgeKernel: Sync {
         SimdLevel::Scalar
     }
 
+    /// Whether [`message`](Self::message) reads its `weight` argument. A
+    /// push scan over a weighted structure loads (and prefetches) a weight
+    /// vector per source only when it does; otherwise it passes 0.0.
+    fn needs_weights(&self) -> bool {
+        true
+    }
+
     /// Masked gather-reduce of the contiguous run `range` of `vsd`'s
     /// vectors at SIMD level `simd`: folds `message(src, dst)` of every
     /// lane whose source is in `frontier` and whose destination has not
@@ -293,6 +300,11 @@ impl EdgeKernel for SemiringKernel<'_> {
         self.kernels.level()
     }
 
+    #[inline]
+    fn needs_weights(&self) -> bool {
+        self.func.needs_weights()
+    }
+
     // SAFETY: forwarded caller contract — `vsd` is the structure whose ids
     // (and weight vectors, when the function is weighted) were validated
     // against `values` at construction.
@@ -449,6 +461,11 @@ impl EdgeKernel for IntersectKernel {
     #[inline]
     fn accumulators(&self) -> &PropertyArray {
         &self.accum
+    }
+
+    #[inline]
+    fn needs_weights(&self) -> bool {
+        false
     }
 
     #[inline]

@@ -67,8 +67,8 @@
 //! bit, and the inline cutoff is a function of the frontier alone, never
 //! of thread count.
 
-use crate::frontier::Frontier;
-use crate::program::AggOp;
+use crate::frontier::{BucketQueue, DenseBitmap, Frontier};
+use crate::program::{AggOp, GraphProgram};
 use crate::properties::PropertyArray;
 use crate::spmv::EdgeKernel;
 use crate::stats::Profiler;
@@ -130,8 +130,9 @@ pub(crate) fn scaled_inline_cutoff(floor: usize, threads: usize) -> usize {
 }
 
 /// The widest frontier (in edge vectors) a `threads`-wide pool leaves
-/// inline: at T = 2, 1024 vectors warm and 8192 parked.
-fn inline_vector_cutoff(threads: usize, pool_parked: bool) -> usize {
+/// inline: at T = 2, 1024 vectors warm and 8192 parked. The parked figure
+/// is also the in-place drain's cutoff ([`drain_bucket`]).
+pub(crate) fn inline_vector_cutoff(threads: usize, pool_parked: bool) -> usize {
     let floor = if pool_parked {
         SPA_PARKED_VECTOR_CUTOFF
     } else {
@@ -254,8 +255,15 @@ impl SpaScratch {
 /// vectors, scanned with an early exit so the check is O(cutoff)
 /// regardless of graph size. Dense frontiers over large graphs bail out
 /// before scanning (the bitmap walk itself would cost more than a
-/// broadcast).
-fn frontier_fits_inline(vss: &Vss, frontier: &Frontier, n: usize, cutoff: usize) -> bool {
+/// broadcast); a list short enough that even the widest out-list per
+/// source fits is accepted in O(1), leaving its index lines to the scan's
+/// prefetch.
+pub(crate) fn frontier_fits_inline(
+    vss: &Vss,
+    frontier: &Frontier,
+    n: usize,
+    cutoff: usize,
+) -> bool {
     if cutoff == usize::MAX {
         return true;
     }
@@ -263,9 +271,14 @@ fn frontier_fits_inline(vss: &Vss, frontier: &Frontier, n: usize, cutoff: usize)
     match frontier {
         Frontier::All { .. } => vss.num_vectors() <= cutoff,
         Frontier::Sparse { vertices, .. } => {
-            // A source with out-edges owns at least one vector.
+            // A source with out-edges owns at least one vector, and none owns
+            // more than its share of the widest out-list.
             if vertices.len() > 2 * cutoff {
                 return false;
+            }
+            let widest = (vss.max_degree() as usize).div_ceil(4);
+            if vertices.len().saturating_mul(widest) <= cutoff {
+                return true;
             }
             for &src in vertices.iter() {
                 vectors += vss.vector_range(src).len();
@@ -305,34 +318,28 @@ fn frontier_fits_inline(vss: &Vss, frontier: &Frontier, n: usize, cutoff: usize)
 /// `fetch_min_f64`/`fetch_max_f64`, whose CAS keeps the current value only
 /// when `cur <= v` (resp. `>=`) — are replicated exactly so the fold is
 /// bit-compatible with the atomic arm.
+fn fold_into(op: AggOp, write_intense: bool, accum: &PropertyArray, dst: usize, msg: f64) {
+    if let Some(folded) = folded(op, write_intense, accum.get_f64(dst), msg) {
+        // DISJOINT: spa-bucket-merge
+        accum.set_f64(dst, folded);
+    }
+}
+
+/// The value [`fold_into`] leaves in an accumulator holding `cur` after
+/// folding `msg`; `None` when it keeps `cur` and writes nothing.
 // The negated comparisons are load-bearing: `!(cur <= msg)` and `cur > msg`
 // disagree exactly when `cur` is NaN, and the atomic CAS semantics being
 // replicated are defined by the negated form.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
-fn fold_into(op: AggOp, write_intense: bool, accum: &PropertyArray, dst: usize, msg: f64) {
+#[inline(always)]
+fn folded(op: AggOp, write_intense: bool, cur: f64, msg: f64) -> Option<f64> {
     match op {
-        AggOp::Sum => {
-            // DISJOINT: spa-bucket-merge
-            accum.set_f64(dst, accum.get_f64(dst) + msg);
-        }
-        _ if write_intense => {
-            // DISJOINT: spa-bucket-merge
-            accum.combine_nonatomic_f64(dst, msg, |a, b| op.combine(a, b));
-        }
-        AggOp::Min => {
-            // `!(cur <= msg)` — not `cur > msg` — so a NaN current value is
-            // replaced, matching `fetch_min_f64`'s keep-only-if-`cur <= v`.
-            if !(accum.get_f64(dst) <= msg) {
-                // DISJOINT: spa-bucket-merge
-                accum.set_f64(dst, msg);
-            }
-        }
-        AggOp::Max => {
-            if !(accum.get_f64(dst) >= msg) {
-                // DISJOINT: spa-bucket-merge
-                accum.set_f64(dst, msg);
-            }
-        }
+        AggOp::Sum => Some(cur + msg),
+        _ if write_intense => Some(op.combine(cur, msg)),
+        // `!(cur <= msg)` — not `cur > msg` — so a NaN current value is
+        // replaced, matching `fetch_min_f64`'s keep-only-if-`cur <= v`.
+        AggOp::Min => (!(cur <= msg)).then_some(msg),
+        AggOp::Max => (!(cur >= msg)).then_some(msg),
     }
 }
 
@@ -346,74 +353,171 @@ const INDEX_PREFETCH_DISTANCE: usize = 16;
 /// entry fetched [`INDEX_PREFETCH_DISTANCE`] items ahead).
 const LINE_PREFETCH_DISTANCE: usize = 8;
 
-/// Walks `src`'s out-vectors and calls `emit(dst, message)` for each live
-/// edge whose destination has not converged, in layout order.
-#[inline(always)]
-fn scatter_source<K: EdgeKernel>(vss: &Vss, kernel: &K, src: u32, emit: &mut impl FnMut(u32, f64)) {
-    let conv = kernel.converged();
-    let weights = vss.weight_vectors();
-    for vi in vss.vector_range(src) {
-        let ev = &vss.vectors()[vi];
-        for lane in 0..4 {
-            let Some(dst) = ev.neighbor(lane) else {
-                continue;
-            };
-            let dst = dst as u32;
-            if conv.is_some_and(|c| c.contains(dst)) {
-                continue;
+/// One push scan's view of the structure: the destinations it skips, the
+/// weights its messages read and how it derives a message — from an
+/// [`EdgeKernel`] for the Edge phase, from the program's live values for
+/// the in-place drain.
+struct Scan<'a, M> {
+    vss: &'a Vss,
+    converged: Option<&'a DenseBitmap>,
+    /// The structure's weight vectors; `None` when the messages ignore
+    /// them, so the scan neither loads nor prefetches a weight line.
+    weights: Option<&'a [[f64; 4]]>,
+    /// `message(src, dst, weight)`.
+    message: M,
+}
+
+/// The scan an Edge phase of `kernel` runs.
+fn kernel_scan<'a, K: EdgeKernel>(
+    vss: &'a Vss,
+    kernel: &'a K,
+) -> Scan<'a, impl Fn(u32, u32, f64) -> f64 + Sync + 'a> {
+    Scan {
+        vss,
+        converged: kernel.converged(),
+        weights: vss.weight_vectors().filter(|_| kernel.needs_weights()),
+        message: move |src, dst, w| kernel.message(src, dst, w),
+    }
+}
+
+impl<M: Fn(u32, u32, f64) -> f64> Scan<'_, M> {
+    /// Walks `src`'s out-vectors and calls `emit(dst, message)` for each
+    /// live edge whose destination has not converged, in layout order. The
+    /// converged set is read per edge, so a destination that converges
+    /// during the scan is skipped from then on.
+    #[inline(always)]
+    fn source(&self, src: u32, emit: &mut impl FnMut(u32, f64)) {
+        for vi in self.vss.vector_range(src) {
+            let ev = &self.vss.vectors()[vi];
+            for lane in 0..4 {
+                let Some(dst) = ev.neighbor(lane) else {
+                    continue;
+                };
+                let dst = dst as u32;
+                if self.converged.is_some_and(|c| c.contains(dst)) {
+                    continue;
+                }
+                let w = self.weights.map_or(0.0, |ws| ws[vi][lane]);
+                emit(dst, (self.message)(src, dst, w));
             }
-            let w = weights.map_or(0.0, |ws| ws[vi][lane]);
-            emit(dst, kernel.message(src, dst, w));
+        }
+    }
+
+    /// Scatters the frontier item subrange `lo..hi` (one bitmap word per
+    /// item for All/Dense, one active vertex per item for Sparse) in
+    /// increasing item order. A sparse list is known in full before the
+    /// scan starts, so its arm prefetches each source's Vector-Sparse lines
+    /// a few items ahead (DESIGN.md §17, "Prefetch"), within the subrange —
+    /// the weight line only when the messages read it.
+    #[inline(always)]
+    fn items(&self, frontier: &Frontier, lo: usize, hi: usize, emit: &mut impl FnMut(u32, f64)) {
+        let vss = self.vss;
+        let n = vss.num_vertices();
+        match frontier {
+            Frontier::All { .. } => {
+                for src in (lo * 64)..(hi * 64).min(n) {
+                    self.source(src as u32, emit);
+                }
+            }
+            Frontier::Dense(bm) => {
+                for item in lo..hi {
+                    // ATOMIC: relaxed-cell — frontier-bitmap snapshot;
+                    // the frontier is frozen during the Edge phase
+                    let mut bits = bm.words()[item].load(Ordering::Relaxed);
+                    while bits != 0 {
+                        let tz = bits.trailing_zeros();
+                        bits &= bits - 1;
+                        self.source((item * 64 + tz as usize) as u32, emit);
+                    }
+                }
+            }
+            Frontier::Sparse { vertices, .. } => {
+                let mine = &vertices[lo..hi];
+                for (i, &src) in mine.iter().enumerate() {
+                    if let Some(&ahead) = mine.get(i + INDEX_PREFETCH_DISTANCE) {
+                        vss.prefetch_index(ahead);
+                    }
+                    if let Some(&ahead) = mine.get(i + LINE_PREFETCH_DISTANCE) {
+                        if self.weights.is_some() {
+                            vss.prefetch_vertex(ahead);
+                        } else {
+                            vss.prefetch_edges(ahead);
+                        }
+                    }
+                    self.source(src, emit);
+                }
+            }
         }
     }
 }
 
-/// Scatters the frontier item subrange `lo..hi` (one bitmap word per item
-/// for All/Dense, one active vertex per item for Sparse) in increasing
-/// item order. A sparse list is known in full before the scan starts, so
-/// its arm prefetches each source's Vector-Sparse lines a few items ahead
-/// (DESIGN.md §17, "Prefetch"), within the subrange.
-#[inline(always)]
-fn scan_items<K: EdgeKernel>(
-    vss: &Vss,
-    kernel: &K,
-    frontier: &Frontier,
-    lo: usize,
-    hi: usize,
-    emit: &mut impl FnMut(u32, f64),
-) {
-    let n = vss.num_vertices();
+/// Length of a scan's item space over `frontier`: one item per listed
+/// vertex, else one per 64-vertex bitmap word.
+fn frontier_items(frontier: &Frontier, n: usize) -> usize {
     match frontier {
-        Frontier::All { .. } => {
-            for src in (lo * 64)..(hi * 64).min(n) {
-                scatter_source(vss, kernel, src as u32, emit);
-            }
-        }
-        Frontier::Dense(bm) => {
-            for item in lo..hi {
-                // ATOMIC: relaxed-cell — frontier-bitmap snapshot;
-                // the frontier is frozen during the Edge phase
-                let mut bits = bm.words()[item].load(Ordering::Relaxed);
-                while bits != 0 {
-                    let tz = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    scatter_source(vss, kernel, (item * 64 + tz as usize) as u32, emit);
-                }
-            }
-        }
-        Frontier::Sparse { vertices, .. } => {
-            let mine = &vertices[lo..hi];
-            for (i, &src) in mine.iter().enumerate() {
-                if let Some(&ahead) = mine.get(i + INDEX_PREFETCH_DISTANCE) {
-                    vss.prefetch_index(ahead);
-                }
-                if let Some(&ahead) = mine.get(i + LINE_PREFETCH_DISTANCE) {
-                    vss.prefetch_vertex(ahead);
-                }
-                scatter_source(vss, kernel, src, emit);
-            }
-        }
+        Frontier::Sparse { vertices, .. } => vertices.len(),
+        _ => n.div_ceil(64),
     }
+}
+
+/// What one [`drain_bucket`] did.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Drained {
+    /// Messages folded; each was followed by one `apply`.
+    pub(crate) messages: u64,
+    /// Applies that activated their destination, each filed into the queue.
+    pub(crate) applies: u64,
+}
+
+/// The in-place drain (DESIGN.md §18): sends `bucket`, the lowest bucket
+/// of a priority-ordered run ([`GraphProgram::bucket_width`]), on the
+/// calling thread. The scan is the inline push scan with its prefetch; each
+/// message is folded into its destination's accumulator, `apply` runs on
+/// it at once and the accumulator goes back to the identity, and an
+/// activated destination is filed into `queue` at its new priority. There
+/// is no Vertex phase, no touched list and no next frontier: the caller
+/// drains the next bucket from `queue`.
+///
+/// Sources are sent in ascending order and every message reads its
+/// sender's current value, so a source improved earlier in the same drain
+/// sends its improved value — the one-at-a-time schedule the contract
+/// admits. Sound only for a program declaring
+/// [`GraphProgram::identity_apply_is_noop`] as well (an untouched vertex
+/// needs no apply), over all-identity accumulators, which it leaves so.
+pub(crate) fn drain_bucket<P: GraphProgram>(
+    vss: &Vss,
+    prog: &P,
+    bucket: &Frontier,
+    queue: &mut BucketQueue,
+) -> Drained {
+    let (values, accum) = (prog.edge_values(), prog.accumulators());
+    let (op, write_intense, func) = (prog.op(), prog.write_intense(), prog.edge_func());
+    let identity = op.identity();
+    let scan = Scan {
+        vss,
+        converged: prog.converged(),
+        weights: vss.weight_vectors().filter(|_| func.needs_weights()),
+        message: |src: u32, _dst: u32, w: f64| func.apply(values.get_f64(src as usize), w),
+    };
+    let mut drained = Drained::default();
+    let items = frontier_items(bucket, vss.num_vertices());
+    // The accumulator holds the identity before every message, so the fold
+    // is computed, not read: the store is all `apply` waits for, and it
+    // forwards from the store buffer however far away its line is.
+    let onto_identity = |msg| folded(op, write_intense, identity, msg).unwrap_or(identity);
+    scan.items(bucket, 0, items, &mut |dst, msg| {
+        // DISJOINT: sequential-merge — the drain runs on the calling thread
+        // while no pool phase is open, so it is the only writer
+        accum.set_f64(dst as usize, onto_identity(msg));
+        if prog.apply(dst) {
+            queue.file(dst, values.get_f64(dst as usize));
+            drained.applies += 1;
+        }
+        // DISJOINT: sequential-merge — as above
+        accum.set_f64(dst as usize, identity);
+        drained.messages += 1;
+    });
+    drained
 }
 
 /// Runs one Edge-Push phase through the SPA scatter/merge pipeline.
@@ -445,13 +549,11 @@ pub fn edge_push_spa<K: EdgeKernel>(
     let work_before = prof.work_ns_now();
     let merge_before = prof.merge_ns_now();
     let chunks = num_chunks(n);
+    let scan = kernel_scan(vss, kernel);
 
     // Frontier item space, global (see the module doc for why groups are
     // ignored here).
-    let items = match frontier {
-        Frontier::Sparse { vertices, .. } => vertices.len(),
-        _ => n.div_ceil(64),
-    };
+    let items = frontier_items(frontier, n);
 
     // Folds chunk `c`: every row's bucket in fixed row order — the single
     // fold order the determinism contract pins.
@@ -483,7 +585,7 @@ pub fn edge_push_spa<K: EdgeKernel>(
         let mut dsts = scratch.take_dsts(chunks);
         let started = SpanClock::start();
         let mut updates = 0u64;
-        scan_items(vss, kernel, frontier, 0, items, &mut |dst, msg| {
+        scan.items(frontier, 0, items, &mut |dst, msg| {
             fold_into(op, write_intense, accum, dst as usize, msg);
             dsts[dst as usize / SPA_CHUNK_VERTICES].push(dst);
             updates += 1;
@@ -516,7 +618,7 @@ pub fn edge_push_spa<K: EdgeKernel>(
         let t = ctx.global_id;
         // Static contiguous partition: thread t owns t·items/T..(t+1)·items/T.
         let (lo, hi) = (t * items / tc, (t + 1) * items / tc);
-        scan_items(vss, kernel, frontier, lo, hi, &mut |dst, msg| {
+        scan.items(frontier, lo, hi, &mut |dst, msg| {
             buckets[dst as usize / SPA_CHUNK_VERTICES].push((dst, msg));
             updates += 1;
         });

@@ -83,6 +83,17 @@ pub struct Profiler {
     /// Active vertices held back in later buckets, summed over those
     /// supersteps.
     pub held_back: AtomicU64,
+    /// Buckets the driver drained in place instead of running a superstep
+    /// (DESIGN.md §18); each is one iteration and one of `bucket_steps`.
+    pub drained_buckets: AtomicU64,
+    /// Messages the in-place drain folded, each followed by one `apply`.
+    /// Every one is also counted in `push_updates`, so, like
+    /// `spa_bucket_entries`, it stays out of
+    /// [`PhaseProfile::total_updates`].
+    pub drain_messages: AtomicU64,
+    /// Applies of the in-place drain that activated their vertex (and filed
+    /// it into the bucket queue).
+    pub drain_applies: AtomicU64,
     /// Chunks re-executed after their worker panicked (resilient path).
     pub chunk_retries: AtomicU64,
     /// Worker panics observed and contained by the resilient path.
@@ -214,8 +225,11 @@ impl Profiler {
             acc_resets_skipped: self.acc_resets_skipped.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
             bucket_steps: self.bucket_steps.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
             held_back: self.held_back.load(Ordering::Relaxed),       // ATOMIC: relaxed-counter
-            chunk_retries: self.chunk_retries.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
-            chunk_panics: self.chunk_panics.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
+            drained_buckets: self.drained_buckets.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
+            drain_messages: self.drain_messages.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
+            drain_applies: self.drain_applies.load(Ordering::Relaxed),   // ATOMIC: relaxed-counter
+            chunk_retries: self.chunk_retries.load(Ordering::Relaxed),   // ATOMIC: relaxed-counter
+            chunk_panics: self.chunk_panics.load(Ordering::Relaxed),     // ATOMIC: relaxed-counter
             degraded_iterations: self.degraded_iterations.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
             checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
             checkpoint_restores: self.checkpoint_restores.load(Ordering::Relaxed), // ATOMIC: relaxed-counter
@@ -249,6 +263,9 @@ pub struct PhaseProfile {
     pub acc_resets_skipped: u64,
     pub bucket_steps: u64,
     pub held_back: u64,
+    pub drained_buckets: u64,
+    pub drain_messages: u64,
+    pub drain_applies: u64,
     pub chunk_retries: u64,
     pub chunk_panics: u64,
     pub degraded_iterations: u64,
@@ -424,13 +441,15 @@ mod tests {
 
     #[test]
     fn spa_counters_stay_out_of_total_updates() {
-        // The bucketed messages are already counted in `push_updates`;
-        // counting the bucket-occupancy stats again would double-report
-        // the phase's write traffic in the trace `updates` field.
+        // The bucketed and drained messages are already counted in
+        // `push_updates`; counting them again would double-report the
+        // phase's write traffic in the trace `updates` field.
         let s = PhaseProfile {
             push_updates: 10,
-            spa_bucket_entries: 10,
+            spa_bucket_entries: 6,
             spa_chunks_touched: 3,
+            drain_messages: 4,
+            drain_applies: 2,
             ..Default::default()
         };
         assert_eq!(s.total_updates(), 10);

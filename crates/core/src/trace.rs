@@ -165,6 +165,16 @@ pub struct IterationRecord {
     pub bucket: Option<u32>,
     /// Active vertices held back in later buckets while this superstep ran.
     pub held_back: u64,
+    /// True when this iteration drained its bucket in place on the calling
+    /// thread (DESIGN.md §18) instead of running a superstep: one scan that
+    /// folds and applies each message as it goes, with no Vertex phase.
+    pub drained: bool,
+    /// Messages the in-place drain folded this iteration (also in
+    /// `updates`); 0 on a superstep.
+    pub drain_messages: u64,
+    /// Applies of the in-place drain that activated their vertex this
+    /// iteration; 0 on a superstep.
+    pub drain_applies: u64,
 }
 
 impl IterationRecord {
@@ -222,6 +232,9 @@ impl IterationRecord {
             acc_reset_skipped: after.acc_resets_skipped > before.acc_resets_skipped,
             bucket: None,
             held_back: 0,
+            drained: after.drained_buckets > before.drained_buckets,
+            drain_messages: after.drain_messages - before.drain_messages,
+            drain_applies: after.drain_applies - before.drain_applies,
         }
     }
 }
@@ -349,6 +362,9 @@ mod tests {
             acc_reset_skipped: false,
             bucket: None,
             held_back: 0,
+            drained: false,
+            drain_messages: 0,
+            drain_applies: 0,
         }
     }
 
@@ -406,6 +422,9 @@ mod tests {
             degraded_iterations: 1,
             vertex_touched: 40,
             acc_resets_skipped: 1,
+            drained_buckets: 1,
+            drain_messages: 9,
+            drain_applies: 3,
             ..Default::default()
         };
         let r = IterationRecord::from_snapshots(
@@ -430,6 +449,8 @@ mod tests {
         assert!(r.has_resilience_event());
         assert_eq!(r.vertex_touched, 40);
         assert!(r.acc_reset_skipped);
+        assert!(r.drained);
+        assert_eq!((r.drain_messages, r.drain_applies), (9, 3));
     }
 
     #[test]

@@ -31,16 +31,29 @@ impl<const N: usize> VectorSparse<N> {
     /// the last vector and on targets without a prefetch instruction.
     #[inline]
     pub fn prefetch_vertex(&self, v: VertexId) {
-        let Some(&first) = self.index().get(v as usize) else {
-            return;
-        };
-        let first = first as usize;
+        if let Some(first) = self.prefetch_first_vector(v) {
+            if let Some(w) = self.weight_vectors().and_then(|ws| ws.get(first)) {
+                prefetch_line(w);
+            }
+        }
+    }
+
+    /// [`prefetch_vertex`](VectorSparse::prefetch_vertex) without the
+    /// weight vector: for a scan whose messages do not read weights (BFS on
+    /// a weighted structure), where that line would be fetched for nothing.
+    #[inline]
+    pub fn prefetch_edges(&self, v: VertexId) {
+        self.prefetch_first_vector(v);
+    }
+
+    /// Prefetches `v`'s first edge vector and returns its index.
+    #[inline(always)]
+    fn prefetch_first_vector(&self, v: VertexId) -> Option<usize> {
+        let first = *self.index().get(v as usize)? as usize;
         if let Some(ev) = self.vectors().get(first) {
             prefetch_line(ev);
         }
-        if let Some(w) = self.weight_vectors().and_then(|ws| ws.get(first)) {
-            prefetch_line(w);
-        }
+        Some(first)
     }
 }
 
@@ -78,6 +91,7 @@ mod tests {
         for v in 0..6 {
             vs.prefetch_index(v);
             vs.prefetch_vertex(v);
+            vs.prefetch_edges(v);
         }
         assert!(vs.bit_identical(&before));
     }

@@ -376,8 +376,11 @@ fn print_trace(stats: &ExecutionStats) {
         println!(
             "{:>5} {:>6} {:>8.4} {:>6} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.1} {:>10.1} {:>10} {:>8} {:>5} {:>6} {:>7} {:>5} {}",
             r.iteration,
+            // A bucket drained in place (DESIGN.md §18) is a push with no
+            // superstep around it.
             match r.engine {
                 EngineKind::Pull => "pull",
+                EngineKind::Push if r.drained => "drain",
                 EngineKind::Push => "push",
             },
             r.frontier_density,

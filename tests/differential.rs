@@ -332,11 +332,10 @@ fn merged_plain(vg: &VersionedGraph) -> Graph {
 /// Vertex phase, which only the plain run takes, leaves them at the
 /// identity.)
 ///
-/// Re-pinned by ISSUE 19: a program declaring
-/// [`GraphProgram::priority_ordered`] (SSSP) runs the bucketed schedule on
-/// the plain side only, so for it the arrays must still match bit for bit
-/// but the superstep count and engine trace legitimately differ and are
-/// not compared.
+/// A program declaring a [`GraphProgram::bucket_width`] (SSSP, BFS) runs
+/// the bucketed schedule, with its in-place drain, on the plain side only,
+/// so for it the arrays must still match bit for bit but the iteration
+/// count and engine trace legitimately differ and are not compared.
 fn assert_containment_off_is_plain<P: GraphProgram>(
     what: &str,
     mk: impl Fn() -> P,
@@ -368,7 +367,7 @@ fn assert_containment_off_is_plain<P: GraphProgram>(
         persistent_bits(&plain),
         "{what}: arrays"
     );
-    if !plain.priority_ordered() {
+    if plain.bucket_width(&pg.vss).is_none() {
         assert_eq!(run.stats.iterations, stats.iterations, "{what}: supersteps");
         assert_eq!(
             run.stats.engine_trace, stats.engine_trace,
@@ -468,6 +467,57 @@ proptest! {
         let g = family_graph(family, seed);
         let root = root_pick % g.num_vertices() as u32;
         check_all_arms(&g, root);
+    }
+
+    /// Property: every BFS path computes the min-parent tree of the
+    /// sequential reference, parent for parent — drained in place (the
+    /// default), on supersteps (the SPA scatter pinned, forced push, forced
+    /// pull), contained, and over an insert overlay, plain and contained —
+    /// at 1, 2 and 8 threads.
+    #[test]
+    fn prop_bfs_is_the_min_parent_tree_on_every_path(
+        family in 0u8..3,
+        seed in 0u64..1_000_000,
+        root_pick in 0u32..4096,
+    ) {
+        let g = sparse_family_graph(family, seed);
+        let n = g.num_vertices();
+        let root = root_pick % n as u32;
+        let want = bfs::reference_parents(&g, root);
+        for threads in [1usize, 2, 8] {
+            let pool = ThreadPool::single_group(threads);
+            let base = EngineConfig::new()
+                .with_threads(threads)
+                .with_max_iterations(n + 1)
+                .with_resilience(no_guard());
+            let pg = PreparedGraph::new_on_pool(&g, &pool);
+            let arms = [
+                ("drain", base, false),
+                ("supersteps", base.with_scatter_mode(ScatterMode::Spa), false),
+                ("push", base.with_force_engine(Some(EngineKind::Push)), false),
+                ("pull", base.with_force_engine(Some(EngineKind::Pull)), false),
+                ("contained", base, true),
+            ];
+            for (aname, cfg, contained) in arms {
+                let prog = Bfs::new(n, root);
+                drive(&pg, &prog, &cfg, &pool, contained, aname);
+                prop_assert_eq!(prog.parents(), want.clone(), "{} x{}", aname, threads);
+            }
+            let mut vg = VersionedGraph::new(Arc::new(g.clone()), Arc::new(pg));
+            let fresh = fresh_sym_edges(&g, 16, seed);
+            vg.apply_batch(&UpdateBatch::from_inserts(&fresh), &pool).unwrap();
+            let (view, merged) = (vg.view(), merged_plain(&vg));
+            prop_assert!(view.delta_pg.is_some_and(|d| d.num_edges > 0));
+            let want = bfs::reference_parents(&merged, root);
+            let prog = Bfs::new(n, root);
+            run_program_overlay_on_pool(view.pg, view.delta_pg, &prog, &base, &pool);
+            prop_assert_eq!(prog.parents(), want.clone(), "overlay x{}", threads);
+            let prog = Bfs::new(n, root);
+            run_resilient_overlay_on_pool(
+                view.pg, view.delta_pg, &prog, &base, &ResilienceContext::new(), &pool,
+            ).expect("contained overlay run");
+            prop_assert_eq!(prog.parents(), want, "contained overlay x{}", threads);
+        }
     }
 
     /// Property: the frontier-aware compacted pull is bit-identical to the
@@ -611,12 +661,15 @@ proptest! {
     /// representation downstream — must produce the same bits and the same
     /// superstep count as forced pull and as the resilient driver, both of
     /// which always run the dense Vertex phase. Over each case's three
-    /// families its runs must enter both representations.
+    /// families its runs must enter both representations. The hybrid arm
+    /// pins the SPA scatter, which keeps BFS and SSSP on supersteps; the
+    /// default arm drains their buckets in place instead, to the same bits.
     ///
-    /// SSSP declares `priority_ordered`, so its plain arms run the bucketed
-    /// schedule and the resilient arm does not. Its bits are still compared
-    /// across all three arms; its superstep count only among the two plain
-    /// ones.
+    /// BFS and SSSP declare a bucket width, so their plain arms run the
+    /// bucketed schedule and the resilient arm does not. Their bits are
+    /// compared across all arms; BFS runs one iteration per level on every
+    /// schedule, SSSP's superstep count is compared among the plain
+    /// superstep arms only.
     #[test]
     fn prop_sparse_vertex_phase_is_bit_identical(
         seed in 0u64..1_000_000,
@@ -658,9 +711,10 @@ proptest! {
                 .with_trace(true);
             // (name, config, resilient driver?, may take the sparse path?)
             let arms = [
-                ("hybrid", base, false, true),
+                ("hybrid", base.with_scatter_mode(ScatterMode::Spa), false, true),
                 ("forced-pull", base.with_force_engine(Some(EngineKind::Pull)), false, false),
                 ("resilient", base, true, false),
+                ("default", base, false, true),
             ];
             let kernels: [(&str, Run); 4] = [
                 ("bfs", Box::new(|cfg, res| {
@@ -714,7 +768,8 @@ proptest! {
                         None => reference = Some((bits, stats.iterations)),
                         Some((want, iters)) => {
                             prop_assert_eq!(&bits, want, "{}: output", what);
-                            let other_schedule = *resilient && *kname == "sssp";
+                            let other_schedule =
+                                (*resilient || *aname == "default") && *kname == "sssp";
                             if !other_schedule {
                                 prop_assert_eq!(stats.iterations, *iters, "{}: supersteps", what);
                             }
@@ -727,13 +782,16 @@ proptest! {
     }
 
     /// Property: the priority schedule (DESIGN.md §18) is a schedule, not a
-    /// semantic choice. SSSP distances are the same bits under the bucketed
-    /// plain run (hybrid or forced pull), under the contained run that keeps
+    /// semantic choice. SSSP distances are the same bits whether each
+    /// bucket is drained in place (the default) or run as a superstep (a
+    /// pinned scatter mode or engine), under the contained run that keeps
     /// the label-correcting schedule, and from Dijkstra — with weights whose
-    /// sums round. The hybrid runs drain both list and bitmap frontiers from
-    /// the bucket queue. The bucketed superstep count depends on neither
-    /// the thread count nor the engine, and on a mesh the schedule is what
-    /// it claims to be: fewer relaxations.
+    /// sums round — at 1, 2 and 8 threads. On graphs this small every bucket
+    /// fits the drain's cutoff, so the drained run drains every bucket, and
+    /// both frontier representations; the superstep arms enter both too.
+    /// Iteration counts depend on neither the thread count nor, among the
+    /// superstep arms, the engine; and on a mesh the schedule is what it
+    /// claims to be: fewer relaxations, drained or not.
     #[test]
     fn prop_priority_schedule_is_bit_identical(
         seed in 0u64..1_000_000,
@@ -746,6 +804,8 @@ proptest! {
             ..ResilienceConfig::new()
         };
         let mut entered = Representations::default();
+        // Drained buckets seen as a list and as a bitmap.
+        let mut drained_from = (false, false);
         for family in 0..3u8 {
             let g = rounding_weighted_copy(&sparse_family_graph(family, seed), seed);
             let n = g.num_vertices();
@@ -761,14 +821,14 @@ proptest! {
                 .with_trace(true);
             // (name, config, contained?)
             let arms = [
-                ("hybrid", base, false),
+                ("drain", base, false),
+                ("supersteps", base.with_scatter_mode(ScatterMode::Spa), false),
+                ("forced-push", base.with_force_engine(Some(EngineKind::Push)), false),
                 ("forced-pull", base.with_force_engine(Some(EngineKind::Pull)), false),
                 ("contained", base, true),
             ];
-            // Supersteps per arm at the first thread count, and relaxations
-            // of the push-only runs (where `push_updates` covers every
-            // superstep) on either schedule.
-            let mut supersteps = [None; 3];
+            // Iterations per arm at the first thread count.
+            let mut iterations = [None; 5];
             for threads in [1usize, 2, 8] {
                 let pool = ThreadPool::single_group(threads);
                 for (i, (aname, cfg, contained)) in arms.iter().enumerate() {
@@ -783,9 +843,6 @@ proptest! {
                     };
                     let what = format!("family {family}/{aname}/x{threads}");
                     prop_assert!(!stats.hit_iteration_cap, "{}", what);
-                    if *aname == "hybrid" {
-                        entered.note(&stats.records);
-                    }
                     let bits: Vec<u64> = prog
                         .distances()
                         .iter()
@@ -797,12 +854,32 @@ proptest! {
                         if *contained { 0 } else { stats.iterations as u64 },
                         "{}: which schedule ran", what
                     );
-                    let first = *supersteps[i].get_or_insert(stats.iterations);
-                    prop_assert_eq!(stats.iterations, first, "{}: supersteps vs x1", what);
-                    if !*contained {
+                    prop_assert_eq!(
+                        stats.profile.drained_buckets,
+                        if *aname == "drain" { stats.iterations as u64 } else { 0 },
+                        "{}: drained buckets", what
+                    );
+                    match *aname {
+                        "drain" => {
+                            for r in &stats.records {
+                                prop_assert!(r.drained && r.vertex_touched == 0, "{}", what);
+                                let flag = if r.sparse_repr { &mut drained_from.0 } else { &mut drained_from.1 };
+                                *flag = true;
+                            }
+                            prop_assert_eq!(
+                                stats.profile.drain_messages, stats.profile.push_updates,
+                                "{}: every relaxation was drained", what
+                            );
+                        }
+                        "supersteps" => entered.note(&stats.records),
+                        _ => {}
+                    }
+                    let first = *iterations[i].get_or_insert(stats.iterations);
+                    prop_assert_eq!(stats.iterations, first, "{}: iterations vs x1", what);
+                    if matches!(*aname, "forced-push" | "forced-pull") {
                         prop_assert_eq!(
-                            Some(stats.iterations), supersteps[0],
-                            "{}: supersteps vs hybrid", what
+                            Some(stats.iterations), iterations[1],
+                            "{}: supersteps vs the free-direction superstep arm", what
                         );
                     }
                 }
@@ -811,17 +888,21 @@ proptest! {
                 let pool = ThreadPool::single_group(2);
                 let push = base.with_threads(2).with_force_engine(Some(EngineKind::Push));
                 let bucketed = run_program_on_pool(&pg, &Sssp::new(n, root), &push, &pool);
+                let drained = run_program_on_pool(&pg, &Sssp::new(n, root), &base.with_threads(2), &pool);
                 let label_correcting = run_resilient_on_pool(
                     &pg, &Sssp::new(n, root), &push, &ResilienceContext::new(), &pool,
                 ).expect("contained run").stats;
-                prop_assert!(
-                    bucketed.profile.push_updates <= label_correcting.profile.push_updates,
-                    "mesh: {} relaxations bucketed vs {} label-correcting",
-                    bucketed.profile.push_updates, label_correcting.profile.push_updates
-                );
+                for (arm, relaxed) in [("bucketed", bucketed.profile.push_updates), ("drained", drained.profile.push_updates)] {
+                    prop_assert!(
+                        relaxed <= label_correcting.profile.push_updates,
+                        "mesh: {} relaxations {} vs {} label-correcting",
+                        arm, relaxed, label_correcting.profile.push_updates
+                    );
+                }
             }
         }
         prop_assert!(entered.both(), "{:?}", entered);
+        prop_assert_eq!(drained_from, (true, true), "drained from a list, from a bitmap");
     }
 
     /// Property: over an update stream, incrementally-maintained results

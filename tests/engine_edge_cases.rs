@@ -455,7 +455,10 @@ fn chain_fan_chain() -> (Graph, usize) {
 /// a shape that forces each one, with the trace checked superstep by
 /// superstep: the touched list crossing the dense fallback and coming back
 /// (forced push), push→pull→push losing and regaining clean accumulators
-/// (hybrid), and the empty touched list of the final superstep.
+/// (hybrid), and the empty touched list of the final superstep. Both arms
+/// pin the SPA scatter, which keeps BFS and SSSP on supersteps; the
+/// default configuration drains every bucket of this shape in place
+/// instead, to the same bits and, for BFS, the same iteration count.
 #[test]
 fn sparse_vertex_phase_switch_overs() {
     use grazelle_apps::{sssp, Sssp};
@@ -465,11 +468,28 @@ fn sparse_vertex_phase_switch_overs() {
     let want_sssp = sssp::reference(&g, 0);
     for threads in [1usize, 2, 8] {
         let pool = ThreadPool::single_group(threads);
+        let drained = EngineConfig::new().with_threads(threads).with_trace(true);
+        let prog = Sssp::new(n, 0);
+        let stats = run_program_on_pool(&pg, &prog, &drained, &pool);
+        assert_eq!(prog.distances(), want_sssp, "drained x{threads}: SSSP");
+        assert_eq!(stats.profile.drained_buckets, stats.iterations as u64);
+        let prog = Bfs::new(n, 0);
+        let drained_bfs = run_program_on_pool(&pg, &prog, &drained, &pool);
+        assert_eq!(
+            prog.parents(),
+            bfs::reference_parents(&g, 0),
+            "drained x{threads}"
+        );
+        assert!(drained_bfs
+            .records
+            .iter()
+            .all(|r| r.drained && r.vertex_touched == 0));
         for forced in [Some(EngineKind::Push), None] {
             let tag = format!("{forced:?}x{threads}");
             let cfg = EngineConfig::new()
                 .with_threads(threads)
                 .with_force_engine(forced)
+                .with_scatter_mode(ScatterMode::Spa)
                 .with_trace(true);
             let prog = Sssp::new(n, 0);
             let stats = run_program_on_pool(&pg, &prog, &cfg, &pool);
@@ -488,6 +508,11 @@ fn sparse_vertex_phase_switch_overs() {
             );
             let recs = &stats.records;
             assert_eq!(recs.len(), stats.iterations);
+            assert_eq!(
+                stats.iterations, drained_bfs.iterations,
+                "{tag}: one per level"
+            );
+            assert_eq!(stats.profile.drained_buckets, 0, "{tag}");
             // Supersteps 0..199 walk the first chain, 199 fans out, 200
             // fans in, 201.. walk the second chain.
             assert!(!recs[0].acc_reset_skipped, "{tag}: first superstep resets");
@@ -676,9 +701,12 @@ fn weighted_graph(n: usize, edges: &[(u32, u32, f64)]) -> Graph {
     Graph::from_edgelist(&el).unwrap()
 }
 
-/// SSSP from `root` at 1, 2 and 8 threads, hybrid and forced push, checked
-/// against Dijkstra; superstep counts and engine choices must not depend on
-/// the thread count. Returns the 2-thread hybrid run's traced stats.
+/// SSSP from `root` at 1, 2 and 8 threads — drained in place (the
+/// default), on hybrid supersteps (the SPA scatter pinned) and on forced
+/// push — checked against Dijkstra; iteration counts and engine choices
+/// must not depend on the thread count, and the default drains every
+/// bucket of these small graphs. Returns the 2-thread hybrid superstep
+/// run's traced stats.
 fn sssp_on_every_arm(
     g: &Graph,
     root: u32,
@@ -689,7 +717,12 @@ fn sssp_on_every_arm(
     let pg = PreparedGraph::new(g);
     let want = sssp::reference(g, root);
     let mut kept = None;
-    for forced in [None, Some(EngineKind::Push)] {
+    let arms = [
+        ("drained", None, ScatterMode::Auto),
+        ("hybrid", None, ScatterMode::Spa),
+        ("push", Some(EngineKind::Push), ScatterMode::Auto),
+    ];
+    for (arm, forced, scatter) in arms {
         let mut first: Option<(usize, Vec<EngineKind>)> = None;
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::single_group(threads);
@@ -697,16 +730,23 @@ fn sssp_on_every_arm(
                 .with_threads(threads)
                 .with_max_iterations(cap)
                 .with_force_engine(forced)
+                .with_scatter_mode(scatter)
                 .with_trace(true);
             let prog = Sssp::new(g.num_vertices(), root);
             let stats = run_program_on_pool(&pg, &prog, &cfg, &pool);
-            let tag = format!("{label}/{forced:?}x{threads}");
+            let tag = format!("{label}/{arm}x{threads}");
             if !stats.hit_iteration_cap {
                 assert_eq!(prog.distances(), want, "{tag}");
             }
             let shape = (stats.iterations, stats.engine_trace.clone());
             assert_eq!(&shape, first.get_or_insert(shape.clone()), "{tag}");
-            if forced.is_none() && threads == 2 {
+            let drained = if arm == "drained" {
+                stats.profile.bucket_steps
+            } else {
+                0
+            };
+            assert_eq!(stats.profile.drained_buckets, drained, "{tag}");
+            if arm == "hybrid" && threads == 2 {
                 kept = Some(stats);
             }
         }
@@ -776,6 +816,77 @@ fn priority_schedule_degenerate_weights() {
     let g = weighted_graph(3, &[(0, 1, f64::MAX), (1, 2, f64::MAX)]);
     let stats = sssp_on_every_arm(&g, 0, 100, "overflowing mean");
     assert_eq!(stats.profile.bucket_steps, 0);
+}
+
+/// The in-place drain hands a bucket that outgrows its cutoff back to
+/// supersteps and takes the tail again. BFS and SSSP start from a leaf of a
+/// 40 000-leaf star whose last leaf starts a 100-vertex chain: the hub's
+/// bucket (10 000 out-vectors) and the leaves' (≈40 000) are past the
+/// cutoff of any pool wider than one thread (8192 vectors at two threads),
+/// so they run as supersteps, while the first leaf and the chain drain. At
+/// one thread every bucket drains. Results match the references at every
+/// width, and BFS runs one iteration per level either way.
+#[test]
+fn the_drain_hands_wide_buckets_to_supersteps_and_takes_the_tail_back() {
+    use grazelle_apps::{sssp, Sssp};
+    let (leaves, chain) = (40_000u32, 100u32);
+    let n = (1 + leaves + chain) as usize;
+    let mut el = EdgeList::new(n);
+    let mut link = |a: u32, b: u32| {
+        el.push_weighted(a, b, 1.0).unwrap();
+        el.push_weighted(b, a, 1.0).unwrap();
+    };
+    for leaf in 1..=leaves {
+        link(0, leaf);
+    }
+    for v in leaves..leaves + chain {
+        link(v, v + 1);
+    }
+    let g = Graph::from_edgelist(&el).unwrap();
+    let pg = PreparedGraph::new(&g);
+    let root = 1u32;
+    let want_parents = bfs::reference_parents(&g, root);
+    let want_dists = sssp::reference(&g, root);
+    let mut bfs_iterations = None;
+    for threads in [1usize, 2, 8] {
+        let pool = ThreadPool::single_group(threads);
+        let cfg = EngineConfig::new()
+            .with_threads(threads)
+            .with_max_iterations(n + 1)
+            .with_trace(true);
+        let prog = Bfs::new(n, root);
+        let bfs_stats = run_program_on_pool(&pg, &prog, &cfg, &pool);
+        assert_eq!(prog.parents(), want_parents, "x{threads}: BFS");
+        assert_eq!(
+            bfs_stats.iterations,
+            *bfs_iterations.get_or_insert(bfs_stats.iterations),
+            "x{threads}: one iteration per level"
+        );
+        let prog = Sssp::new(n, root);
+        let sssp_stats = run_program_on_pool(&pg, &prog, &cfg, &pool);
+        assert_eq!(prog.distances(), want_dists, "x{threads}: SSSP");
+        for (app, stats) in [("bfs", &bfs_stats), ("sssp", &sssp_stats)] {
+            let drained: Vec<bool> = stats.records.iter().map(|r| r.drained).collect();
+            let tag = format!("{app} x{threads}: {drained:?}");
+            assert_eq!(stats.records.len(), stats.iterations, "{tag}");
+            if threads == 1 {
+                assert!(drained.iter().all(|&d| d), "{tag}");
+                continue;
+            }
+            // Drained, then the hub's and the leaves' supersteps, then
+            // drained to the end of the chain.
+            let handed_back = drained.iter().position(|&d| !d).expect("a superstep ran");
+            let took_back = handed_back + 2;
+            assert!(handed_back >= 1, "{tag}");
+            assert!(!drained[handed_back + 1], "{tag}");
+            assert!(drained[took_back..].iter().all(|&d| d), "{tag}");
+            assert!(drained.len() - took_back >= chain as usize - 1, "{tag}");
+            for r in &stats.records[handed_back..took_back] {
+                assert_eq!((r.drain_messages, r.drain_applies), (0, 0), "{tag}");
+                assert!(r.updates > 0, "{tag}: the superstep did the sending");
+            }
+        }
+    }
 }
 
 /// An unweighted structure cannot run SSSP at all; the schedule's look at

@@ -193,7 +193,7 @@ fn false_contract_declaration_is_caught_by_the_shadow_sweep() {
 }
 
 /// SSSP that declares the run over after its third superstep, whatever is
-/// still waiting — which `priority_ordered` forbids.
+/// still waiting — which a declared bucket width forbids.
 struct StopsEarly(grazelle_apps::Sssp);
 impl GraphProgram for StopsEarly {
     fn num_vertices(&self) -> usize {
@@ -220,8 +220,8 @@ impl GraphProgram for StopsEarly {
     fn identity_apply_is_noop(&self) -> bool {
         true
     }
-    fn priority_ordered(&self) -> bool {
-        true
+    fn bucket_width(&self, structure: &grazelle_vsparse::build::Vss) -> Option<f64> {
+        self.0.bucket_width(structure)
     }
     fn initial_frontier(&self) -> Frontier {
         self.0.initial_frontier()
@@ -244,6 +244,106 @@ fn stopping_with_vertices_waiting_is_caught_by_the_schedule_audit() {
     let g = Graph::from_edgelist(&el).expect("valid edge list");
     let pg = PreparedGraph::new(&g);
     let prog = StopsEarly(grazelle_apps::Sssp::new(n, 0));
+    grazelle::core::run_program(&pg, &prog, &EngineConfig::new().with_threads(1));
+}
+
+/// The drain audit's positive side: BFS and SSSP runs that drain buckets
+/// in place (every bucket at one thread; at two, all but the wide ones) are
+/// re-run with supersteps under the audit and end on the same bits.
+#[test]
+fn drained_runs_reach_the_superstep_fixpoint_under_audit() {
+    use grazelle_apps::{bfs, sssp};
+    let mut el = grazelle::graph::gen::grid_mesh(40, 40, 0.8, 3);
+    el.symmetrize();
+    el.sort_and_dedup();
+    let (n, edges, _) = el.into_parts();
+    let weights = edges
+        .iter()
+        .map(|&(s, d)| ((s * 7 + d) % 13 + 1) as f64 / 8.0)
+        .collect();
+    let g = Graph::from_edgelist(&EdgeList::from_parts(n, edges, Some(weights)).unwrap()).unwrap();
+    let pg = PreparedGraph::new(&g);
+    for threads in [1usize, 2] {
+        let pool = ThreadPool::single_group(threads);
+        let cfg = EngineConfig::new()
+            .with_threads(threads)
+            .with_max_iterations(n + 1);
+        let (parents, stats) = bfs::run_prepared(&pg, &cfg, &pool, 0);
+        assert_eq!(parents, bfs::reference_parents(&g, 0), "x{threads}");
+        assert!(stats.profile.drained_buckets > 0, "x{threads}: BFS drained");
+        let (dists, stats) = sssp::run_prepared(&pg, &cfg, &pool, 0);
+        assert_eq!(dists, sssp::reference(&g, 0), "x{threads}");
+        assert!(
+            stats.profile.drained_buckets > 0,
+            "x{threads}: SSSP drained"
+        );
+    }
+}
+
+/// A program that declares a bucket width but is no relaxation: it keeps
+/// the largest *sum* of messages a vertex received in one step, so the
+/// drain, which applies each message alone, ends elsewhere than the
+/// superstep run, which sums a step's messages first.
+struct LargestBatch {
+    ones: PropertyArray,
+    acc: PropertyArray,
+    largest: PropertyArray,
+}
+impl GraphProgram for LargestBatch {
+    fn num_vertices(&self) -> usize {
+        self.ones.len()
+    }
+    fn op(&self) -> AggOp {
+        AggOp::Sum
+    }
+    fn edge_values(&self) -> &PropertyArray {
+        &self.ones
+    }
+    fn accumulators(&self) -> &PropertyArray {
+        &self.acc
+    }
+    fn checkpoint_arrays(&self) -> Vec<&PropertyArray> {
+        vec![&self.ones, &self.acc, &self.largest]
+    }
+    fn apply(&self, v: u32) -> bool {
+        let (batch, largest) = (
+            self.acc.get_f64(v as usize),
+            self.largest.get_f64(v as usize),
+        );
+        if batch > largest {
+            self.largest.set_f64(v as usize, batch);
+        }
+        batch > 0.0 && largest == 0.0
+    }
+    fn uses_frontier(&self) -> bool {
+        true
+    }
+    fn identity_apply_is_noop(&self) -> bool {
+        true
+    }
+    fn bucket_width(&self, _structure: &grazelle_vsparse::build::Vss) -> Option<f64> {
+        Some(1.0)
+    }
+    fn initial_frontier(&self) -> Frontier {
+        Frontier::from_vertices(self.num_vertices(), &[0])
+    }
+}
+
+/// The drain audit is live: a run whose drained fixpoint differs from the
+/// superstep run's is caught at its end.
+#[test]
+#[should_panic(expected = "the in-place drain ended on another fixpoint than the superstep run")]
+fn a_drain_that_moves_the_fixpoint_is_caught_by_the_superstep_rerun() {
+    // 0 -> {1, 2, 3} -> 4: a superstep hands 4 a batch of three messages,
+    // the drain three batches of one.
+    let pairs = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)];
+    let g = Graph::from_edgelist(&EdgeList::from_pairs(5, &pairs).unwrap()).unwrap();
+    let pg = PreparedGraph::new(&g);
+    let prog = LargestBatch {
+        ones: PropertyArray::filled_f64(5, 1.0),
+        acc: PropertyArray::new(5),
+        largest: PropertyArray::new(5),
+    };
     grazelle::core::run_program(&pg, &prog, &EngineConfig::new().with_threads(1));
 }
 

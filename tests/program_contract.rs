@@ -12,11 +12,14 @@
 //! contract, and must still match its reference through the hybrid driver
 //! without ever entering the sparse path.
 //!
-//! [`GraphProgram::priority_ordered`] is the second contract: the result
-//! does not depend on which active vertices are sent first. SSSP is run by
-//! hand with a random part of every active set held back and must still
-//! land on Dijkstra's distances; BFS is the negative case, pinned by a
-//! four-vertex diamond whose parents change when one vertex waits.
+//! [`GraphProgram::bucket_width`] is the second contract: the result does
+//! not depend on the schedule, as long as each step sends only the lowest
+//! pending bucket — all of it, or an ascending prefix of it. SSSP promises
+//! more: it is run by hand with a random part of every active set held back
+//! and must still land on Dijkstra's distances. BFS, whose converged set
+//! masks a later key, is run by hand with random ascending prefixes of the
+//! lowest bucket and must land on the min-parent tree; a four-vertex
+//! diamond shows the tree changing when a schedule breaks the order.
 
 use grazelle::core::config::EngineConfig;
 use grazelle::core::engine::hybrid::{run_program_on_pool, EngineKind};
@@ -26,7 +29,7 @@ use grazelle::graph::edgelist::EdgeList;
 use grazelle::graph::gen::{erdos_renyi, grid_mesh, rmat, RmatConfig};
 use grazelle::prelude::*;
 use grazelle_apps::{
-    kcore, sssp, Bfs, ConnectedComponents, KCore, LabelProp, Reachability, Sssp, UnitBfs,
+    bfs, kcore, sssp, Bfs, ConnectedComponents, KCore, LabelProp, Reachability, Sssp, UnitBfs,
 };
 use grazelle_sched::pool::ThreadPool;
 use proptest::prelude::*;
@@ -207,9 +210,9 @@ fn run_holding_back<P: GraphProgram>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `Sssp` declares `priority_ordered`: whichever part of the active set
-    /// is sent first — not just the lowest bucket — the run ends on the
-    /// reference distances, bit for bit.
+    /// `Sssp` declares a bucket width, and promises more than it asks:
+    /// whichever part of the active set is sent first — not just the lowest
+    /// bucket — the run ends on the reference distances, bit for bit.
     #[test]
     fn prop_sssp_reaches_its_fixpoint_in_any_drain_order(
         family in 0u8..3,
@@ -221,7 +224,7 @@ proptest! {
         let n = g.num_vertices();
         let root = root_pick % n as u32;
         let prog = Sssp::new(n, root);
-        prop_assert!(prog.priority_ordered());
+        prop_assert!(prog.bucket_width(&PreparedGraph::new(&g).vss).is_some());
         let mut x = order | 1;
         let supersteps = run_holding_back(&g, &prog, |waiting| {
             // xorshift: each waiting vertex goes with probability 1/2; one
@@ -241,26 +244,107 @@ proptest! {
     }
 }
 
+/// One level of the BFS key: the lowest pending bucket of `waiting` under
+/// `prog`'s declared width, ascending (so, for BFS, one depth).
+fn lowest_bucket(prog: &Bfs, width: f64, waiting: &[u32]) -> Vec<u32> {
+    let bucket = |v: u32| (prog.edge_values().get_f64(v as usize) / width).floor();
+    let lowest = waiting
+        .iter()
+        .map(|&v| bucket(v))
+        .fold(f64::INFINITY, f64::min);
+    waiting
+        .iter()
+        .copied()
+        .filter(|&v| bucket(v) == lowest)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `Bfs` declares one level of its `(depth, parent)` key as its bucket
+    /// width: every lowest-bucket-first schedule — each step sends an
+    /// ascending prefix of the lowest pending bucket, from one vertex (the
+    /// in-place drain) to all of it (a superstep) — ends on the min-parent
+    /// tree of the sequential reference.
+    #[test]
+    fn prop_bfs_reaches_the_min_parent_tree_lowest_bucket_first(
+        family in 0u8..3,
+        seed in 0u64..1_000_000,
+        root_pick in 0u32..4096,
+        order in 0u64..u64::MAX,
+    ) {
+        let g = family_graph(family, seed);
+        let n = g.num_vertices();
+        let root = root_pick % n as u32;
+        let prog = Bfs::new(n, root);
+        let width = prog.bucket_width(&PreparedGraph::new(&g).vss);
+        prop_assert_eq!(width, Some(bfs::LEVEL));
+        let mut x = order | 1;
+        let supersteps = run_holding_back(&g, &prog, |waiting| {
+            let level = lowest_bucket(&prog, bfs::LEVEL, waiting);
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            level[..1 + (x >> 33) as usize % level.len()].to_vec()
+        });
+        prop_assert_eq!(prog.parents(), bfs::reference_parents(&g, root), "after {} steps", supersteps);
+    }
+}
+
 #[test]
-fn bfs_parents_depend_on_the_drain_order_so_it_does_not_declare() {
-    // 0 -> {1, 2} -> 3: both 1 and 2 offer themselves as 3's parent.
+fn bfs_reaches_the_min_parent_tree_only_lowest_bucket_first_ascending() {
+    // 0 -> {1, 2} -> 3: both 1 and 2 offer themselves as 3's parent, at
+    // the same depth, so they share a bucket.
     let el = EdgeList::from_pairs(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
     let g = Graph::from_edgelist(&el).unwrap();
-    let parents_when = |pick: &dyn Fn(&[u32]) -> Vec<u32>| {
+    let want = vec![Some(0), Some(0), Some(0), Some(1)];
+    assert_eq!(bfs::reference_parents(&g, 0), want);
+    let parents_when = |pick: &dyn Fn(&Bfs, &[u32]) -> Vec<u32>| {
         let prog = Bfs::new(4, 0);
-        assert!(!prog.priority_ordered());
-        run_holding_back(&g, &prog, pick);
+        run_holding_back(&g, &prog, |waiting| pick(&prog, waiting));
         prog.parents()
     };
-    // Everything sent at once — the engine's schedule: the smaller id wins.
+    // A superstep per bucket, and the drain's one vertex at a time in
+    // ascending order: the smaller id wins either way.
     assert_eq!(
-        parents_when(&|waiting| waiting.to_vec()),
-        vec![Some(0), Some(0), Some(0), Some(1)]
+        parents_when(&|prog, waiting| lowest_bucket(prog, bfs::LEVEL, waiting)),
+        want
     );
-    // Hold 1 back one superstep: 2 claims 3 first and a visited vertex
-    // never takes another parent.
     assert_eq!(
-        parents_when(&|waiting| vec![*waiting.last().unwrap()]),
+        parents_when(&|prog, waiting| lowest_bucket(prog, bfs::LEVEL, waiting)[..1].to_vec()),
+        want
+    );
+    // Sending 2 before 1 breaks the ascending order inside the bucket: 2
+    // claims 3 first and the converged set masks 1's smaller key.
+    assert_eq!(
+        parents_when(&|_, waiting| vec![*waiting.last().unwrap()]),
         vec![Some(0), Some(0), Some(0), Some(2)]
     );
+}
+
+/// The bucket width is declared by the two traversals the schedule pays
+/// for, and by nothing whose result depends on the arrival order of its
+/// messages or that has no priority to order by.
+#[test]
+fn bucket_width_is_declared_by_sssp_and_bfs_only() {
+    let g = family_graph(1, 5);
+    let n = g.num_vertices();
+    let pg = PreparedGraph::new(&g);
+    let mean = pg.vss.mean_weight().expect("a weighted mesh");
+    assert_eq!(
+        Sssp::new(n, 0).bucket_width(&pg.vss),
+        Some(sssp::BUCKET_WIDTH_PER_MEAN_WEIGHT * mean)
+    );
+    assert_eq!(Bfs::new(n, 0).bucket_width(&pg.vss), Some(bfs::LEVEL));
+    // Zero weights size no bucket.
+    let el = EdgeList::from_parts(3, vec![(0, 1), (1, 2)], Some(vec![0.0, 0.0])).unwrap();
+    let zero = PreparedGraph::new(&Graph::from_edgelist(&el).unwrap());
+    assert_eq!(Sssp::new(3, 0).bucket_width(&zero.vss), None);
+    assert_eq!(Bfs::new(3, 0).bucket_width(&zero.vss), Some(bfs::LEVEL));
+    assert_eq!(ConnectedComponents::new(n).bucket_width(&pg.vss), None);
+    assert_eq!(Reachability::new(n, 0).bucket_width(&pg.vss), None);
+    assert_eq!(LabelProp::new(&g).bucket_width(&pg.vss), None);
+    assert_eq!(UnitBfs::cold(n, 0).bucket_width(&pg.vss), None);
+    assert_eq!(KCore::new(&g).bucket_width(&pg.vss), None);
 }
