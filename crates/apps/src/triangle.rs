@@ -14,16 +14,14 @@
 //! messages are exact small integers, so every path is bit-identical.
 
 use grazelle_core::config::{EngineConfig, PullMode};
-use grazelle_core::direction::choose_scatter;
 use grazelle_core::engine::hybrid::EngineKind;
 use grazelle_core::engine::pull::{
     active_vector_list, edge_pull, Containment, EdgeSchedulers, MergeEntry, PullStatus,
 };
-use grazelle_core::engine::push::edge_push_with_mode;
 use grazelle_core::engine::resilient::{EngineError, ResilienceContext};
 use grazelle_core::engine::PreparedGraph;
 use grazelle_core::frontier::Frontier;
-use grazelle_core::spmv::spa::SpaScratch;
+use grazelle_core::spmv::spa::{edge_push_spa, SpaScratch};
 use grazelle_core::spmv::{sorted_intersect_count, IntersectKernel};
 use grazelle_core::stats::Profiler;
 use grazelle_core::trace::Deadline;
@@ -86,22 +84,15 @@ pub fn counts_prepared(
             &prof,
         );
     } else {
-        // Single superstep over an all-active frontier: every edge scatters,
-        // so the scatter policy sees the full edge count (DESIGN.md §17).
-        let mode = choose_scatter(
-            cfg.scatter_mode,
-            g.num_edges() as u64,
-            pg.num_vertices,
-            false,
-        );
+        // Single superstep over an all-active frontier: every edge scatters
+        // through the SPA (DESIGN.md §17).
         let mut spa_scratch = SpaScratch::new();
-        edge_push_with_mode(
+        edge_push_spa(
             &pg.vss,
             &kern,
             &frontier,
             pool,
             &prof,
-            mode,
             &mut spa_scratch,
             false,
         );

@@ -7,7 +7,7 @@
 //! experiments:
 //!   table1 table2 fig1 fig5a fig5b fig6 fig7 fig8 fig9a fig9b fig10a
 //!   fig10b fig11 fig12 fig13 ablate-chunks ablate-merge ablate-order
-//!   ablate-pull-frontier ablate-push-spa write-traffic
+//!   ablate-pull-frontier write-traffic
 //!   resilience-overhead resilience-faults recorder-overhead gate
 //!   build-throughput serve-latency incremental-updates triangle-count
 //!   labelprop
@@ -169,7 +169,6 @@ const ALL: &[&str] = &[
     "ablate-merge",
     "ablate-order",
     "ablate-pull-frontier",
-    "ablate-push-spa",
     "write-traffic",
     "resilience-overhead",
     "resilience-faults",
@@ -203,7 +202,6 @@ fn run(name: &str, sockets: usize) -> Vec<Table> {
         "ablate-merge" => vec![exp::ablate_merge()],
         "ablate-order" => vec![exp::ablate_order()],
         "ablate-pull-frontier" => vec![exp::ablate_pull_frontier()],
-        "ablate-push-spa" => vec![exp::ablate_push_spa()],
         "write-traffic" => vec![exp::write_traffic()],
         "resilience-overhead" => vec![exp::resilience_overhead()],
         "resilience-faults" => vec![exp::resilience_faults()],

@@ -951,123 +951,6 @@ pub fn ablate_pull_frontier() -> Table {
     t
 }
 
-/// SPA push-scatter ablation (DESIGN.md §17): BFS and SSSP with the
-/// engine pinned to push, timing the Edge phase under each scatter
-/// discipline — the synchronized atomic scatter, the bucketed atomic-free
-/// SPA, and the cost-model `Auto` resolution — at 1/2/8 worker threads.
-/// Fixed points are asserted bit-identical across arms before timing
-/// (the SPA merge's determinism contract).
-pub fn ablate_push_spa() -> Table {
-    use grazelle_apps::sssp::Sssp;
-    use grazelle_core::config::ScatterMode;
-
-    let mut t = Table::new(
-        "Ablation — SPA push scatter (engine pinned to push, DESIGN.md §17)",
-        &[
-            "app:graph",
-            "threads",
-            "atomic ms",
-            "spa ms",
-            "auto ms",
-            "spa speedup",
-        ],
-    );
-    t.note("columns time the Edge phase only (scatter + merge wall), summed over supersteps");
-    t.note("auto resolves per iteration via the direction cost model's scatter estimate");
-    t.note("thread counts are pinned by the experiment (1/2/8), not GRAZELLE_THREADS");
-    t.note("every arm's fixed point asserted bit-identical to the atomic arm before timing");
-    let modes = [
-        ("atomic", ScatterMode::Atomic),
-        ("spa", ScatterMode::Spa),
-        ("auto", ScatterMode::Auto),
-    ];
-    for threads in [1usize, 2, 8] {
-        let pool = ThreadPool::single_group(threads);
-
-        // BFS: long-tail sparse frontiers on the road grid, hub-contended
-        // mid-phase frontiers on the twitter skew — the regimes where the
-        // push direction is chosen and the scatter discipline matters.
-        for ds in [Dataset::DimacsUsa, Dataset::Twitter2010] {
-            let w = workload_symmetric(ds);
-            let n = w.graph.num_vertices();
-            let mut want: Option<Vec<Option<u32>>> = None;
-            let mut arm_ms = Vec::new();
-            for (mode_name, mode) in modes {
-                let cfg = EngineConfig::new()
-                    .with_threads(threads)
-                    .with_force_engine(Some(EngineKind::Push))
-                    .with_scatter_mode(mode);
-                let label = format!("spa:{mode_name}:bfs:{}:x{threads}", ds.abbr());
-                let secs = median_secs(|| {
-                    let prog = Bfs::new(n, 0);
-                    let stats = run_program_on_pool(&w.prepared, &prog, &cfg, &pool);
-                    let parents = prog.parents();
-                    match &want {
-                        None => want = Some(parents),
-                        Some(w) => {
-                            assert_eq!(w, &parents, "{mode_name} BFS arm diverged on {}", ds.abbr())
-                        }
-                    }
-                    let push_secs = stats.profile.edge_wall.as_secs_f64();
-                    log_run(RunRecord::from_stats(&label, push_secs, &stats));
-                    push_secs
-                });
-                arm_ms.push(secs * 1e3);
-            }
-            t.row(vec![
-                format!("bfs:{}", ds.abbr()),
-                threads.to_string(),
-                format!("{:.3}", arm_ms[0]),
-                format!("{:.3}", arm_ms[1]),
-                format!("{:.3}", arm_ms[2]),
-                fmt_speedup(arm_ms[0] / arm_ms[1]),
-            ]);
-        }
-
-        // SSSP: min-plus relaxations over exact binary-fraction weights —
-        // more supersteps than BFS on the same structure, with repeated
-        // re-relaxation of the same destinations (Min fold traffic).
-        {
-            let ds = Dataset::DimacsUsa;
-            let w = crate::workloads::workload_weighted(ds);
-            let n = w.graph.num_vertices();
-            let mut want: Option<Vec<Option<f64>>> = None;
-            let mut arm_ms = Vec::new();
-            for (mode_name, mode) in modes {
-                let cfg = EngineConfig::new()
-                    .with_threads(threads)
-                    .with_force_engine(Some(EngineKind::Push))
-                    .with_scatter_mode(mode);
-                let label = format!("spa:{mode_name}:sssp:{}:x{threads}", ds.abbr());
-                let secs = median_secs(|| {
-                    let prog = Sssp::new(n, 0);
-                    let stats = run_program_on_pool(&w.prepared, &prog, &cfg, &pool);
-                    let dists = prog.distances();
-                    match &want {
-                        None => want = Some(dists),
-                        Some(w) => {
-                            assert_eq!(w, &dists, "{mode_name} SSSP arm diverged on {}", ds.abbr())
-                        }
-                    }
-                    let push_secs = stats.profile.edge_wall.as_secs_f64();
-                    log_run(RunRecord::from_stats(&label, push_secs, &stats));
-                    push_secs
-                });
-                arm_ms.push(secs * 1e3);
-            }
-            t.row(vec![
-                format!("sssp:{}", ds.abbr()),
-                threads.to_string(),
-                format!("{:.3}", arm_ms[0]),
-                format!("{:.3}", arm_ms[1]),
-                format!("{:.3}", arm_ms[2]),
-                fmt_speedup(arm_ms[0] / arm_ms[1]),
-            ]);
-        }
-    }
-    t
-}
-
 // ---------------------------------------------------------------------------
 // Resilience (ISSUE 2, DESIGN.md §9)
 // ---------------------------------------------------------------------------
@@ -2184,19 +2067,6 @@ mod tests {
                                          // Natural-ordering rows are the 1.00 baseline.
         for row in order.rows.iter().filter(|r| r[1] == "natural") {
             assert_eq!(row[4], "1.00");
-        }
-    }
-
-    #[test]
-    fn ablate_push_spa_covers_the_arm_matrix() {
-        tiny_env();
-        let t = ablate_push_spa();
-        // (2 BFS graphs + 1 SSSP graph) × 3 thread counts; the divergence
-        // asserts inside the experiment are the real check — arms must be
-        // bit-identical before any timing is reported.
-        assert_eq!(t.rows.len(), 9);
-        for row in &t.rows {
-            assert!(["1", "2", "8"].contains(&row[1].as_str()), "row {row:?}");
         }
     }
 

@@ -40,10 +40,8 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// `incremental-updates` experiment's `incr:{cold,warm}:*` run labels and
 /// the opt-in `build-large` experiment's `build-large:*` labels. Minor 4:
 /// the `triangle-count` (`tc:{pull,push,resilient}:*`) and `labelprop`
-/// (`lp:{hybrid,pull,push}:*`) experiments' run labels. Minor 5: the
-/// `ablate-push-spa` experiment's `spa:{atomic,spa,auto}:{bfs,sssp}:*`
-/// labels, whose `secs` is the push Edge-phase wall (not end-to-end).
-/// Minor 6: `profile.vertex_touched` / `profile.acc_resets_skipped`, the
+/// (`lp:{hybrid,pull,push}:*`) experiments' run labels. Minor 5 labelled
+/// a deleted experiment. Minor 6: `profile.vertex_touched` / `profile.acc_resets_skipped`, the
 /// sparse Vertex phase's per-run totals (DESIGN.md §18). Minor 7:
 /// `profile.bucket_steps` / `profile.held_back`, the priority schedule's
 /// (supersteps run from one bucket; active vertices held back, summed over

@@ -109,39 +109,6 @@ pub fn workload_symmetric(dataset: Dataset) -> &'static Workload {
     })
 }
 
-/// A symmetrized stand-in with deterministic per-direction edge weights
-/// (exact binary fractions, so min-plus sums carry no rounding), used by
-/// the SSSP arms of the scatter ablation.
-pub fn workload_weighted(dataset: Dataset) -> &'static Workload {
-    static WEIGHTED: OnceLock<Mutex<HashMap<(Dataset, i32), &'static Workload>>> = OnceLock::new();
-    let shift = scale_shift();
-    let mut cache = WEIGHTED
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .unwrap();
-    cache.entry((dataset, shift)).or_insert_with(|| {
-        let base = workload_symmetric(dataset);
-        let g = &base.graph;
-        let mut el =
-            grazelle_graph::edgelist::EdgeList::with_capacity(g.num_vertices(), g.num_edges());
-        for v in 0..g.num_vertices() as u32 {
-            for &d in g.out_neighbors(v) {
-                let w = ((v as u64 * 31 + d as u64) % 16 + 1) as f64 / 4.0;
-                el.push_weighted(v, d, w).unwrap();
-            }
-        }
-        let graph = Graph::from_edgelist(&el)
-            .unwrap()
-            .with_name(&format!("{}-weighted", dataset.name()));
-        let prepared = PreparedGraph::new(&graph);
-        Box::leak(Box::new(Workload {
-            dataset,
-            graph,
-            prepared,
-        }))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

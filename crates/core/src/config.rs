@@ -61,24 +61,6 @@ pub enum Granularity {
     VectorsPerChunk(usize),
 }
 
-/// How an Edge-Push phase resolves its scatter writes (DESIGN.md §17).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScatterMode {
-    /// The paper's Listing 1 scatter: one synchronized read-modify-write
-    /// per edge to an arbitrary destination. Always correct; contends on
-    /// hub destinations.
-    Atomic,
-    /// The true-SpMSpV sparse accumulator: thread-local buckets
-    /// radix-partitioned by destination chunk, folded by a deterministic
-    /// chunk-parallel merge — no atomics on the hot path, bit-identical
-    /// to a single-threaded synchronized scatter.
-    Spa,
-    /// Let the direction cost model pick per iteration from the frontier's
-    /// estimated scatter work ([`choose_scatter`](crate::direction::choose_scatter)).
-    /// The default.
-    Auto,
-}
-
 /// Which interface parallelizes the pull engine's inner loop (§3, §6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PullMode {
@@ -129,10 +111,6 @@ pub struct EngineConfig {
     /// compacted space instead of the full edge array. Results are
     /// bit-identical to the dense pull.
     pub frontier_pull: bool,
-    /// How Edge-Push phases resolve their scatter writes (see
-    /// [`ScatterMode`]). `Auto` defers to the direction cost model each
-    /// iteration; `Atomic`/`Spa` pin the discipline for ablations.
-    pub scatter_mode: ScatterMode,
     /// Enable the flight recorder: one
     /// [`IterationRecord`](crate::trace::IterationRecord) per executed
     /// superstep in the run's [`ExecutionStats`](crate::ExecutionStats).
@@ -160,7 +138,6 @@ impl EngineConfig {
             max_iterations: 1000,
             force_engine: None,
             frontier_pull: true,
-            scatter_mode: ScatterMode::Auto,
             trace: false,
             resilience: ResilienceConfig::new(),
         }
@@ -194,12 +171,6 @@ impl EngineConfig {
     /// arm disables it).
     pub fn with_frontier_pull(mut self, enabled: bool) -> Self {
         self.frontier_pull = enabled;
-        self
-    }
-
-    /// Builder-style scatter-mode selection.
-    pub fn with_scatter_mode(mut self, m: ScatterMode) -> Self {
-        self.scatter_mode = m;
         self
     }
 

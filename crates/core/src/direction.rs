@@ -36,37 +36,13 @@
 //! forced-push runs at any thread count (the differential suite's
 //! invariant).
 
-use crate::config::{EngineConfig, ScatterMode};
+use crate::config::EngineConfig;
 use crate::engine::hybrid::EngineKind;
 use crate::frontier::Frontier;
 
 /// Beamer's α: pull amortizes once the frontier would scatter more than
 /// `1/α` of the unvisited in-edges.
 pub const ALPHA: u64 = 14;
-
-/// Relative per-edge cost of the synchronized scatter: every edge is a
-/// contended read-modify-write to an arbitrary destination (Listing 1).
-pub const PUSH_ATOMIC_EDGE_COST: u64 = 4;
-
-/// Relative per-edge cost of the SPA scatter: one bucket append plus one
-/// plain-store fold — no atomics, no ping-pong (DESIGN.md §17).
-pub const PUSH_SPA_EDGE_COST: u64 = 2;
-
-/// Fixed per-destination-chunk cost of the SPA pipeline: the scatter
-/// side's bucket clear plus the merge pass's per-chunk claim and row
-/// walk. Charged per [`crate::spmv::spa::num_chunks`] chunk, so SPA only
-/// wins once `frontier_edges` amortizes the chunk overhead. (Bucket
-/// *allocation* is no longer charged here: buckets persist across
-/// supersteps in the caller-owned [`crate::spmv::spa::SpaScratch`].)
-pub const SPA_CHUNK_SETUP_COST: u64 = 24;
-
-/// Frontiers whose out-edge estimate is at or below this always choose
-/// SPA under `Auto`: they are guaranteed to fit the SPA sequential inline
-/// path (≤ [`crate::spmv::spa::SPA_SEQ_VECTOR_CUTOFF`] edge vectors — a
-/// source's vectors never outnumber its edges), which skips the thread
-/// pool entirely, while the synchronized scatter always pays a full
-/// broadcast barrier. Below this size the barrier dominates the phase.
-pub const SPA_INLINE_EDGE_CUTOFF: u64 = crate::spmv::spa::SPA_SEQ_VECTOR_CUTOFF as u64;
 
 /// The sparse Vertex phase (DESIGN.md §18) runs only while the touched
 /// list holds at most `V / this` entries: each entry is one random-access
@@ -76,8 +52,7 @@ pub const SPA_INLINE_EDGE_CUTOFF: u64 = crate::spmv::spa::SPA_SEQ_VECTOR_CUTOFF 
 pub const SPARSE_VERTEX_TOUCHED_DIVISOR: u64 = 4;
 
 /// True when a touched list of `touched` entries is short enough for the
-/// sparse Vertex phase. The driver tests the phase's actual list;
-/// [`choose_scatter`] tests `frontier_edges`, an upper bound on it.
+/// sparse Vertex phase.
 pub fn sparse_vertex_fits(touched: u64, num_vertices: usize) -> bool {
     touched.saturating_mul(SPARSE_VERTEX_TOUCHED_DIVISOR) <= num_vertices as u64
 }
@@ -120,59 +95,6 @@ pub struct Decision {
     /// Estimated in-edges a pull pass would scan (m scaled by the
     /// unconverged fraction).
     pub unvisited_edges: u64,
-    /// The scatter discipline a push iteration should use — always
-    /// resolved (never [`ScatterMode::Auto`]); see [`choose_scatter`].
-    /// Reported even when the iteration pulls, for trace continuity.
-    pub scatter: ScatterMode,
-}
-
-/// Resolves the configured [`ScatterMode`] for one push iteration.
-/// `Atomic` and `Spa` pass through; `Auto` picks SPA outright for
-/// near-empty frontiers (≤ [`SPA_INLINE_EDGE_CUTOFF`] estimated edges,
-/// where SPA's inline path skips the pool broadcast the synchronized
-/// scatter always pays) and, when `sparse_vertex` says the run may take the
-/// sparse Vertex phase, for every frontier whose touched list can fit it
-/// ([`sparse_vertex_fits`]): only SPA leaves a touched list, and the
-/// synchronized arm would bring back the O(V) reset and sweep that cost
-/// more than any scatter at these sizes. Otherwise it compares the modeled
-/// scatter costs
-/// — `frontier_edges · PUSH_SPA_EDGE_COST + chunks · SPA_CHUNK_SETUP_COST`
-/// against `frontier_edges · PUSH_ATOMIC_EDGE_COST` — so SPA is chosen
-/// exactly when `frontier_edges` amortizes its bucket setup (with the
-/// default constants, `fe > 12 · chunks`). Inputs are the iteration's
-/// frontier state only — no thread counts — preserving the module-level
-/// purity invariant.
-pub fn choose_scatter(
-    mode: ScatterMode,
-    frontier_edges: u64,
-    num_vertices: usize,
-    sparse_vertex: bool,
-) -> ScatterMode {
-    match mode {
-        ScatterMode::Atomic | ScatterMode::Spa => mode,
-        ScatterMode::Auto => {
-            if spa_outright(frontier_edges, num_vertices, sparse_vertex) {
-                return ScatterMode::Spa;
-            }
-            let chunks = crate::spmv::spa::num_chunks(num_vertices) as u64;
-            let spa = frontier_edges
-                .saturating_mul(PUSH_SPA_EDGE_COST)
-                .saturating_add(chunks.saturating_mul(SPA_CHUNK_SETUP_COST));
-            let atomic = frontier_edges.saturating_mul(PUSH_ATOMIC_EDGE_COST);
-            if spa < atomic {
-                ScatterMode::Spa
-            } else {
-                ScatterMode::Atomic
-            }
-        }
-    }
-}
-
-/// `Auto`'s first test: frontiers this small take SPA without a cost
-/// comparison. True for every smaller `frontier_edges` once true.
-fn spa_outright(frontier_edges: u64, num_vertices: usize, sparse_vertex: bool) -> bool {
-    frontier_edges <= SPA_INLINE_EDGE_CUTOFF
-        || (sparse_vertex && sparse_vertex_fits(frontier_edges, num_vertices))
 }
 
 /// Σ out-degrees over the frontier plus |F| (the push pass's work):
@@ -240,10 +162,6 @@ fn compact_hint(density: Option<f64>, num_edges: usize, num_vertices: usize) -> 
 /// small-frontier cost; without it the average-degree approximation is
 /// used. Forced engines ([`EngineConfig::force_engine`]) override the
 /// direction but the costs are still computed and reported for the trace.
-/// `sparse_vertex` is the run-level half of the sparse Vertex phase's
-/// eligibility (program opted in, no delta overlay, no fault containment),
-/// computed once by the driver; it only steers [`choose_scatter`].
-#[allow(clippy::too_many_arguments)]
 pub fn decide(
     cfg: &EngineConfig,
     density: Option<f64>,
@@ -252,7 +170,6 @@ pub fn decide(
     num_edges: usize,
     num_vertices: usize,
     converged: usize,
-    sparse_vertex: bool,
 ) -> Decision {
     let m = num_edges as u64;
     let (frontier_edges, unvisited_edges) = match density {
@@ -271,12 +188,6 @@ pub fn decide(
         compact: compact_hint(density, num_edges, num_vertices),
         frontier_edges,
         unvisited_edges,
-        scatter: choose_scatter(
-            cfg.scatter_mode,
-            frontier_edges,
-            num_vertices,
-            sparse_vertex,
-        ),
     }
 }
 
@@ -286,14 +197,12 @@ pub fn decide(
 /// more than the rest of the superstep's bookkeeping. It bounds both:
 /// `frontier_edges ≤ |F| · (max_out_degree + 1)` and, given
 /// `converged_at_most` ≥ the converged count, `unvisited_edges` from below.
-/// When those bounds already settle every field the driver acts on — push
-/// (`ALPHA · fe_bound < ue_bound`), and a scatter mode
-/// [`choose_scatter`] picks for every `fe ≤ fe_bound` — it returns that
-/// decision, which then equals [`decide`]'s in `use_pull`, `compact` and
-/// `scatter`; its reported `frontier_edges` / `unvisited_edges` are the
-/// bounds. Otherwise it returns `None` and the caller takes the exact
-/// path. Inputs are frontier state only, like [`decide`]'s.
-#[allow(clippy::too_many_arguments)]
+/// When those bounds already settle the direction — push,
+/// `ALPHA · fe_bound < ue_bound` — it returns that decision, which then
+/// equals [`decide`]'s in `use_pull` and `compact`; its reported
+/// `frontier_edges` / `unvisited_edges` are the bounds. Otherwise it
+/// returns `None` and the caller takes the exact path. Inputs are frontier
+/// state only, like [`decide`]'s.
 pub fn decide_within_bounds(
     cfg: &EngineConfig,
     density: Option<f64>,
@@ -302,7 +211,6 @@ pub fn decide_within_bounds(
     num_edges: usize,
     num_vertices: usize,
     converged_at_most: usize,
-    sparse_vertex: bool,
 ) -> Option<Decision> {
     if density.is_none() || frontier.is_all() || cfg.force_engine.is_some() {
         return None;
@@ -318,26 +226,11 @@ pub fn decide_within_bounds(
     if ALPHA.saturating_mul(frontier_edges) >= unvisited_edges {
         return None;
     }
-    // `choose_scatter` is not monotone in `fe`; only its leading test,
-    // which holds for every smaller `fe` once it holds for the bound,
-    // settles it here.
-    let scatter = match cfg.scatter_mode {
-        ScatterMode::Auto if !spa_outright(frontier_edges, num_vertices, sparse_vertex) => {
-            return None;
-        }
-        _ => choose_scatter(
-            cfg.scatter_mode,
-            frontier_edges,
-            num_vertices,
-            sparse_vertex,
-        ),
-    };
     Some(Decision {
         use_pull: false,
         compact: compact_hint(density, num_edges, num_vertices),
         frontier_edges,
         unvisited_edges,
-        scatter,
     })
 }
 
@@ -359,7 +252,7 @@ mod tests {
     #[test]
     fn frontier_less_iterations_pull() {
         let cfg = EngineConfig::new();
-        let d = decide(&cfg, None, &Frontier::all(100), None, 500, 100, 0, false);
+        let d = decide(&cfg, None, &Frontier::all(100), None, 500, 100, 0);
         assert!(d.use_pull);
         assert!(!d.compact);
         assert_eq!(d.frontier_edges, 500);
@@ -375,14 +268,14 @@ mod tests {
         let m = g.num_edges();
         // One active vertex: 1 out-edge + 1 ≪ 999 unvisited edges → push.
         let f = Frontier::from_vertices(1000, &[5]);
-        let d = decide(&cfg, Some(f.density()), &f, Some(deg), m, 1000, 0, false);
+        let d = decide(&cfg, Some(f.density()), &f, Some(deg), m, 1000, 0);
         assert!(!d.use_pull);
         assert_eq!(d.frontier_edges, 2);
         assert_eq!(d.unvisited_edges, m as u64);
         // Most vertices active: 14·fe dwarfs m → pull.
         let dense: Vec<u32> = (0..900).collect();
         let f = Frontier::from_vertices(1000, &dense);
-        let d = decide(&cfg, Some(f.density()), &f, Some(deg), m, 1000, 0, false);
+        let d = decide(&cfg, Some(f.density()), &f, Some(deg), m, 1000, 0);
         assert!(d.use_pull);
     }
 
@@ -396,18 +289,18 @@ mod tests {
         let cfg = EngineConfig::new();
         let below: Vec<u32> = (0..(n as u32) / 20).collect(); // d = 0.05
         let f = Frontier::from_vertices(n, &below);
-        assert!(!decide(&cfg, Some(f.density()), &f, Some(&deg), m, n, 0, false).use_pull);
+        assert!(!decide(&cfg, Some(f.density()), &f, Some(&deg), m, n, 0).use_pull);
         let above: Vec<u32> = (0..(n as u32) / 10).collect(); // d = 0.10
         let f = Frontier::from_vertices(n, &above);
-        assert!(decide(&cfg, Some(f.density()), &f, Some(&deg), m, n, 0, false).use_pull);
+        assert!(decide(&cfg, Some(f.density()), &f, Some(&deg), m, n, 0).use_pull);
     }
 
     #[test]
     fn converged_destinations_shrink_the_pull_cost() {
         let cfg = EngineConfig::new();
         let f = Frontier::from_vertices(100, &[0, 1, 2]);
-        let full = decide(&cfg, Some(f.density()), &f, None, 1000, 100, 0, false);
-        let half = decide(&cfg, Some(f.density()), &f, None, 1000, 100, 50, false);
+        let full = decide(&cfg, Some(f.density()), &f, None, 1000, 100, 0);
+        let half = decide(&cfg, Some(f.density()), &f, None, 1000, 100, 50);
         assert_eq!(full.unvisited_edges, 1000);
         assert_eq!(half.unvisited_edges, 500);
         // Same frontier, cheaper pull: the model may flip to pull.
@@ -426,7 +319,6 @@ mod tests {
             10_000,
             100,
             0,
-            false,
         );
         assert!(d.use_pull, "forced pull");
         assert!(d.frontier_edges > 0 && d.unvisited_edges > 0);
@@ -438,7 +330,6 @@ mod tests {
             100,
             100,
             0,
-            false,
         );
         assert!(!d.use_pull, "forced push");
     }
@@ -449,11 +340,11 @@ mod tests {
         let f = Frontier::from_vertices(1000, &[0]);
         // Sparse frontier, sparse graph (avg degree 1): few active
         // destinations → compact.
-        let d = decide(&cfg, Some(0.001), &f, None, 1000, 1000, 0, false);
+        let d = decide(&cfg, Some(0.001), &f, None, 1000, 1000, 0);
         assert!(d.compact);
         // Same density on a dense graph (avg degree 500): nearly every
         // destination has a frontier in-neighbor → dense pull.
-        let d = decide(&cfg, Some(0.01), &f, None, 500_000, 1000, 0, false);
+        let d = decide(&cfg, Some(0.01), &f, None, 500_000, 1000, 0);
         assert!(!d.compact);
     }
 
@@ -470,92 +361,6 @@ mod tests {
         assert_eq!(approx, 50 * 7 + 50);
     }
 
-    #[test]
-    fn auto_scatter_amortizes_bucket_setup() {
-        // Pick n so the amortization bar sits well above the inline
-        // cutoff, keeping the two regimes distinguishable.
-        let n = 2_000_000usize;
-        let chunks = crate::spmv::spa::num_chunks(n) as u64;
-        let bar = chunks * SPA_CHUNK_SETUP_COST / (PUSH_ATOMIC_EDGE_COST - PUSH_SPA_EDGE_COST);
-        assert!(bar > SPA_INLINE_EDGE_CUTOFF);
-        // Near-empty frontiers take SPA outright: the inline path skips
-        // the pool broadcast the synchronized scatter always pays.
-        assert_eq!(
-            choose_scatter(ScatterMode::Auto, SPA_INLINE_EDGE_CUTOFF, n, false),
-            ScatterMode::Spa
-        );
-        // Past the inline cutoff the chunk-overhead amortization decides:
-        // SPA wins iff fe·2 + chunks·24 < fe·4, i.e. fe > 12·chunks.
-        assert_eq!(
-            choose_scatter(ScatterMode::Auto, SPA_INLINE_EDGE_CUTOFF + 1, n, false),
-            ScatterMode::Atomic
-        );
-        assert_eq!(
-            choose_scatter(ScatterMode::Auto, bar, n, false),
-            ScatterMode::Atomic
-        );
-        assert_eq!(
-            choose_scatter(ScatterMode::Auto, bar + 1, n, false),
-            ScatterMode::Spa
-        );
-    }
-
-    /// A run eligible for the sparse Vertex phase takes SPA across the whole
-    /// gap the cost comparison leaves to the synchronized arm, up to the
-    /// touched-list bound; past it the comparison decides again.
-    #[test]
-    fn auto_scatter_keeps_spa_while_the_sparse_vertex_phase_fits() {
-        let n = 2_000_000usize;
-        let gap = SPA_INLINE_EDGE_CUTOFF + 1;
-        assert_eq!(
-            choose_scatter(ScatterMode::Auto, gap, n, false),
-            ScatterMode::Atomic
-        );
-        assert_eq!(
-            choose_scatter(ScatterMode::Auto, gap, n, true),
-            ScatterMode::Spa
-        );
-        // On a graph small enough that the gap lies past V/4 the sparse
-        // Vertex phase cannot run, so eligibility changes nothing.
-        let small = 4 * SPA_INLINE_EDGE_CUTOFF as usize;
-        assert!(!sparse_vertex_fits(gap, small));
-        assert_eq!(
-            choose_scatter(ScatterMode::Auto, gap, small, true),
-            choose_scatter(ScatterMode::Auto, gap, small, false)
-        );
-        // Pinned modes ignore eligibility.
-        assert_eq!(
-            choose_scatter(ScatterMode::Atomic, gap, n, true),
-            ScatterMode::Atomic
-        );
-    }
-
-    #[test]
-    fn pinned_scatter_modes_pass_through() {
-        for fe in [0u64, 96, 1_000_000] {
-            assert_eq!(
-                choose_scatter(ScatterMode::Atomic, fe, 100, false),
-                ScatterMode::Atomic
-            );
-            assert_eq!(
-                choose_scatter(ScatterMode::Spa, fe, 100, false),
-                ScatterMode::Spa
-            );
-        }
-    }
-
-    #[test]
-    fn decide_resolves_auto_and_never_reports_it() {
-        let cfg = EngineConfig::new(); // scatter_mode defaults to Auto
-        let f = Frontier::from_vertices(1000, &[5]);
-        let d = decide(&cfg, Some(f.density()), &f, None, 1000, 1000, 0, false);
-        assert_ne!(d.scatter, ScatterMode::Auto);
-        // A pinned mode flows straight into the decision.
-        let cfg = cfg.with_scatter_mode(ScatterMode::Spa);
-        let d = decide(&cfg, Some(f.density()), &f, None, 1000, 1000, 0, false);
-        assert_eq!(d.scatter, ScatterMode::Spa);
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
         /// The bounded path answers only when the bounds settle the
@@ -568,9 +373,7 @@ mod tests {
             picks in proptest::collection::vec(0usize..3000, 0..40),
             converged_frac in 0usize..100,
             slack in 0usize..400,
-            sparse_vertex in proptest::prelude::any::<bool>(),
             as_list in proptest::prelude::any::<bool>(),
-            mode in 0u8..3,
         ) {
             let n = degrees.len();
             let m: usize = degrees.iter().map(|&d| d as usize).sum();
@@ -578,18 +381,17 @@ mod tests {
             vs.sort_unstable();
             vs.dedup();
             let f = if as_list { Frontier::sparse(n, &vs) } else { Frontier::from_vertices(n, &vs) };
-            let scatter = [ScatterMode::Auto, ScatterMode::Spa, ScatterMode::Atomic][mode as usize];
-            let cfg = EngineConfig::new().with_scatter_mode(scatter);
+            let cfg = EngineConfig::new();
             let converged = n * converged_frac / 100;
             let max = degrees.iter().copied().max().unwrap_or(0);
-            let exact = decide(&cfg, Some(f.density()), &f, Some(&degrees), m, n, converged, sparse_vertex);
+            let exact = decide(&cfg, Some(f.density()), &f, Some(&degrees), m, n, converged);
             let bounded = decide_within_bounds(
-                &cfg, Some(f.density()), &f, max, m, n, converged + slack, sparse_vertex,
+                &cfg, Some(f.density()), &f, max, m, n, converged + slack,
             );
             if let Some(b) = bounded {
                 proptest::prop_assert_eq!(
-                    (b.use_pull, b.compact, b.scatter),
-                    (exact.use_pull, exact.compact, exact.scatter)
+                    (b.use_pull, b.compact),
+                    (exact.use_pull, exact.compact)
                 );
                 proptest::prop_assert!(b.frontier_edges >= exact.frontier_edges);
                 proptest::prop_assert!(b.unvisited_edges <= exact.unvisited_edges);
@@ -606,18 +408,17 @@ mod tests {
         let cfg = EngineConfig::new();
         let f = Frontier::sparse(1000, &[5, 9]);
         let d = Some(f.density());
-        let b = decide_within_bounds(&cfg, d, &f, max, m, 1000, 0, true).expect("tiny frontier");
-        assert_eq!((b.use_pull, b.scatter), (false, ScatterMode::Spa));
+        let b = decide_within_bounds(&cfg, d, &f, max, m, 1000, 0).expect("tiny frontier");
+        assert!(!b.use_pull);
         assert_eq!(b.frontier_edges, 2 * (max as u64 + 1));
-        let exact = decide(&cfg, d, &f, Some(deg), m, 1000, 0, true);
-        assert_eq!((exact.use_pull, exact.scatter), (b.use_pull, b.scatter));
+        assert!(!decide(&cfg, d, &f, Some(deg), m, 1000, 0).use_pull);
         // A converged bound near V leaves pull possible: the exact path.
-        assert!(decide_within_bounds(&cfg, d, &f, max, m, 1000, 999, true).is_none());
+        assert!(decide_within_bounds(&cfg, d, &f, max, m, 1000, 999).is_none());
         // Forced engines and frontier-less iterations always take the exact
         // path.
         let forced = cfg.with_force_engine(Some(EngineKind::Push));
-        assert!(decide_within_bounds(&forced, d, &f, max, m, 1000, 0, true).is_none());
-        assert!(decide_within_bounds(&cfg, None, &f, max, m, 1000, 0, true).is_none());
+        assert!(decide_within_bounds(&forced, d, &f, max, m, 1000, 0).is_none());
+        assert!(decide_within_bounds(&cfg, None, &f, max, m, 1000, 0).is_none());
     }
 
     #[test]
@@ -626,7 +427,7 @@ mod tests {
         // inputs); determinism is re-checked by calling twice.
         let cfg = EngineConfig::new().with_threads(8);
         let f = Frontier::from_vertices(64, &[1, 5, 9]);
-        let a = decide(&cfg, Some(f.density()), &f, None, 256, 64, 3, false);
+        let a = decide(&cfg, Some(f.density()), &f, None, 256, 64, 3);
         let b = decide(
             &cfg.with_threads(1),
             Some(f.density()),
@@ -635,7 +436,6 @@ mod tests {
             256,
             64,
             3,
-            false,
         );
         assert_eq!(a, b);
     }

@@ -10,21 +10,23 @@
 //! argument of that loop, not a second loop.
 
 use crate::checkpoint::Checkpoint;
-use crate::config::{EngineConfig, PullMode, ScatterMode};
+use crate::config::{EngineConfig, PullMode};
 use crate::engine::pull::{
     active_vector_list, edge_pull, sequential_edge_redo, Containment, EdgeSchedulers, MergeEntry,
     PullStatus,
 };
-use crate::engine::push::{edge_push, edge_push_with_mode};
 use crate::engine::resilient::{
-    sequential_delta_push, EngineError, ResilienceContext, ResilientRun, RollbackSlot, RunOutcome,
+    EngineError, ResilienceContext, ResilientRun, RollbackSlot, RunOutcome,
 };
 use crate::engine::vertex::{reset_accumulators, sparse_vertex_phase, vertex_phase};
 use crate::engine::PreparedGraph;
 use crate::frontier::{BucketQueue, DenseBitmap, Frontier};
 use crate::program::GraphProgram;
 use crate::spmv::program_kernel;
-use crate::spmv::spa::{drain_bucket, frontier_fits_inline, inline_vector_cutoff, SpaScratch};
+use crate::spmv::spa::{
+    drain_bucket, edge_push_spa, fold_inline, frontier_fits_inline, inline_vector_cutoff,
+    SpaScratch,
+};
 use crate::stats::{PhaseProfile, Profiler};
 use crate::trace::{Deadline, FlightRecorder, IterationRecord, SpanClock};
 use grazelle_graph::types::VertexId;
@@ -109,13 +111,14 @@ pub fn run_program_on_pool<P: GraphProgram>(
 /// prepared overlay of pending edge inserts (same vertex set as `pg`).
 ///
 /// Each superstep runs the base Edge phase as usual, then folds the delta
-/// edges in with a combining Edge-Push pass over the delta's VSS. The order
+/// edges in with an SPA Edge-Push pass over the delta's VSS. The order
 /// matters: the scheduler-aware pull writes interior destinations with
 /// *direct stores*, so the delta contribution must land strictly after the
-/// base phase — and must itself combine (CAS per edge), never overwrite.
-/// Base and delta edge sets are disjoint (the delta layer deduplicates
-/// inserts against the base), so for Min/Max/Sum the two phases together
-/// produce exactly the aggregate a merged rebuild would.
+/// base phase — and must itself combine, never overwrite, which the SPA's
+/// fold does: it reads each accumulator and combines into it, one writer
+/// per destination chunk. Base and delta edge sets are disjoint (the delta
+/// layer deduplicates inserts against the base), so for Min/Max/Sum the two
+/// phases together produce exactly the aggregate a merged rebuild would.
 pub fn run_program_overlay_on_pool<P: GraphProgram>(
     pg: &PreparedGraph,
     delta: Option<&PreparedGraph>,
@@ -245,10 +248,9 @@ pub(super) fn drive<P: GraphProgram>(
     // In-place drain (DESIGN.md §18): on the schedule, a bucket that fits
     // the parked-pool inline cutoff is sent on the calling thread with no
     // superstep around it. It is the default policy's choice: a pinned
-    // engine or scatter mode is a comparator arm and keeps its supersteps.
-    let drain_cutoff =
-        (queue.is_some() && cfg.force_engine.is_none() && cfg.scatter_mode == ScatterMode::Auto)
-            .then(|| inline_vector_cutoff(pool.num_threads(), true));
+    // engine is a comparator arm and keeps its supersteps.
+    let drain_cutoff = (queue.is_some() && cfg.force_engine.is_none())
+        .then(|| inline_vector_cutoff(pool.num_threads(), true));
     #[cfg(feature = "invariant-checks")]
     let start_state = drain_cutoff.map(|_| ProgramState::capture(prog));
     // Driver-tracked invariant: every accumulator holds the identity. Only
@@ -400,7 +402,6 @@ pub(super) fn drive<P: GraphProgram>(
                     pg.num_edges,
                     pg.num_vertices,
                     converged_at_most,
-                    sparse_vertex,
                 )
             });
         let exact = |converged: usize| {
@@ -412,7 +413,6 @@ pub(super) fn drive<P: GraphProgram>(
                 pg.num_edges,
                 pg.num_vertices,
                 converged,
-                sparse_vertex,
             )
         };
         let decision = bounded.unwrap_or_else(|| {
@@ -497,16 +497,13 @@ pub(super) fn drive<P: GraphProgram>(
                 PullStatus::Stalled => return Err(stalled),
             }
         } else {
-            // Scatter discipline from the shared decision (DESIGN.md §17):
-            // synchronized per-edge scatter or the SPA bucketed pipeline.
             let push = || {
-                edge_push_with_mode(
+                edge_push_spa(
                     &pg.vss,
                     &kern,
                     &frontier,
                     pool,
                     &prof,
-                    decision.scatter,
                     &mut spa_scratch,
                     // A superstep that skipped its reset follows a sparse
                     // Vertex phase: nothing has woken the pool since the
@@ -514,12 +511,11 @@ pub(super) fn drive<P: GraphProgram>(
                     acc_clean,
                 )
             };
-            // Edge-Push scatters with non-idempotent synchronized
-            // read-modify-writes, so a panicked push phase cannot be
+            // The SPA's folds are non-idempotent read-modify-writes (a Sum
+            // folded twice counts twice), so a panicked push phase cannot be
             // partially retried. Containment instead discards the phase — a
-            // panic anywhere in the SPA scatter/merge pipeline like one in
-            // the synchronized scatter — and recomputes the identical
-            // aggregate sequentially.
+            // panic anywhere in the scatter/merge pipeline — and recomputes
+            // the identical aggregate sequentially.
             edge_parallelism = match whole_phase(contained, push) {
                 Some(ran) => ran,
                 None => {
@@ -532,25 +528,40 @@ pub(super) fn drive<P: GraphProgram>(
         }
         // Delta phase (see `run_program_overlay_on_pool` for why it comes
         // second and pushes). The base kernel serves here too: `message`
-        // only reads the program arrays, never the base structure. Always
-        // the synchronized scatter: delta overlays are tiny and must combine
-        // into accumulators the base phase already folded, which the SPA
-        // merge's plain-store discipline does not cover.
+        // only reads the program arrays, never the base structure. The base
+        // phase has returned, so the fold's one writer per destination chunk
+        // combines into finished base aggregates. No sparse Vertex phase
+        // follows an overlay run's superstep, so the scratch's touched list
+        // may be overwritten.
         if let Some(d) = overlay {
-            let fold = || edge_push(&d.vss, &kern, &frontier, pool, &prof);
-            edge_parallelism = pool.num_threads() as u32;
-            // Like the base push, the delta push's synchronized
-            // read-modify-writes cannot be partially retried — a panic
-            // discards the whole Edge phase (base aggregate included, since
-            // the partial delta commits polluted it) and recomputes it
-            // sequentially: scalar base pull, then a single-threaded delta
-            // push. Both redo passes combine from a reset accumulator, so
-            // the result is the same per-destination aggregate.
-            if whole_phase(contained, fold).is_none() {
-                edge_parallelism = 1;
-                compacted = None;
-                if !redo_edge_phase(&|| sequential_delta_push(&d.vss, &kern, &frontier)) {
-                    return Err(stalled);
+            let fold = || {
+                edge_push_spa(
+                    &d.vss,
+                    &kern,
+                    &frontier,
+                    pool,
+                    &prof,
+                    &mut spa_scratch,
+                    false,
+                )
+            };
+            // Like the base push, the fold cannot be partially retried — a
+            // panic discards the whole Edge phase (base aggregate included,
+            // since the partial fold polluted it) and recomputes it
+            // sequentially: scalar base pull, then the SPA's inline fold of
+            // the overlay. Both redo passes combine from a reset
+            // accumulator, so the result is the same per-destination
+            // aggregate.
+            match whole_phase(contained, fold) {
+                Some(ran) => edge_parallelism = edge_parallelism.max(ran),
+                None => {
+                    edge_parallelism = 1;
+                    compacted = None;
+                    if !redo_edge_phase(&|| {
+                        fold_inline(&d.vss, &kern, &frontier, |_| {});
+                    }) {
+                        return Err(stalled);
+                    }
                 }
             }
         }
@@ -573,7 +584,6 @@ pub(super) fn drive<P: GraphProgram>(
         // whole array clean for the next superstep.
         let go_sparse = sparse_vertex
             && !use_pull
-            && decision.scatter == ScatterMode::Spa
             && crate::direction::sparse_vertex_fits(
                 spa_scratch.touched_len() as u64,
                 pg.num_vertices,
@@ -660,7 +670,6 @@ pub(super) fn drive<P: GraphProgram>(
             }
             rec.dir_frontier_edges = decision.frontier_edges;
             rec.dir_unvisited_edges = decision.unvisited_edges;
-            rec.scatter_mode = (!use_pull).then_some(decision.scatter);
             if let Some((bucket, held_back)) = scheduled {
                 rec.bucket = Some(bucket);
                 rec.held_back = held_back;
@@ -868,8 +877,8 @@ fn assert_bounded_decision_is_exact<P: GraphProgram>(
     if let Some(b) = bounded {
         let e = exact(converged);
         assert_eq!(
-            (b.use_pull, b.compact, b.scatter),
-            (e.use_pull, e.compact, e.scatter),
+            (b.use_pull, b.compact),
+            (e.use_pull, e.compact),
             "iteration {iter}: the bounded decision differs from the exact one"
         );
     }
@@ -916,8 +925,8 @@ impl ProgramState {
 
 /// `invariant-checks` audit of the in-place drain: a run that drained
 /// buckets and stopped of its own accord is re-run from its starting state
-/// with the drain off (a pinned scatter mode keeps every superstep) and
-/// must end on the same bits; the drained state is then put back.
+/// with the drain off (a forced push keeps every superstep) and must end on
+/// the same bits; the drained state is then put back.
 #[cfg(feature = "invariant-checks")]
 fn assert_drain_reaches_the_superstep_fixpoint<P: GraphProgram>(
     pg: &PreparedGraph,
@@ -928,7 +937,9 @@ fn assert_drain_reaches_the_superstep_fixpoint<P: GraphProgram>(
 ) {
     let drained = ProgramState::capture(prog);
     start.restore(prog);
-    let supersteps = cfg.with_scatter_mode(ScatterMode::Spa).with_trace(false);
+    let supersteps = cfg
+        .with_force_engine(Some(EngineKind::Push))
+        .with_trace(false);
     let run = drive(pg, None, prog, &supersteps, pool, None)
         .unwrap_or_else(|e| unreachable!("a run without containment has no failure path: {e}"));
     if !run.stats.hit_iteration_cap {
@@ -1213,13 +1224,16 @@ mod tests {
                 "hybrid path records no resilience events"
             );
             // What ran, not the pool width: the whole 598-edge graph is
-            // under the SPA inline cutoff, so every SPA push is sequential.
-            let inline = r.scatter_mode == Some(crate::config::ScatterMode::Spa);
+            // under the SPA inline cutoff, so every push is sequential.
+            let push = r.engine == EngineKind::Push;
             assert_eq!(
                 r.edge_parallelism,
-                if inline { 1 } else { 2 },
+                if push { 1 } else { 2 },
                 "iteration {i}"
             );
+            if push {
+                assert_eq!(r.spa_bucket_entries, r.updates, "iteration {i}");
+            }
         }
         // Selection must be explainable from the recorded inputs.
         assert_costs_explain_selection(&stats.records);
@@ -1348,57 +1362,25 @@ mod tests {
         }
     }
 
-    /// The scatter policy must be invisible to results: every ScatterMode
-    /// yields identical labels through the full driver loop, and push
-    /// records report the resolved mode (never Auto) while pull records
-    /// report none.
+    /// An overlay fold records the threads that ran, not the pool width: on
+    /// a chain and an overlay both under the SPA inline cutoff, a superstep
+    /// whose base phase pushed inline records one thread and one whose base
+    /// phase pulled records the pool's two — the fold ran inline in both.
     #[test]
-    fn scatter_modes_agree_and_are_traced() {
-        use crate::config::ScatterMode;
-        let mut el = EdgeList::new(300);
-        for v in 0..299u32 {
-            el.push(v, v + 1).unwrap();
-            el.push(v + 1, v).unwrap();
-        }
-        let g = Graph::from_edgelist(&el).unwrap();
+    fn overlay_fold_records_the_threads_that_ran() {
+        let g = chain(300);
         let pg = PreparedGraph::new(&g);
-        let run = |mode: ScatterMode, threads: usize| {
-            let prog = MinLabel::new(300);
-            let cfg = EngineConfig::new()
-                .with_threads(threads)
-                .with_scatter_mode(mode)
-                .with_trace(true);
-            let stats = run_program(&pg, &prog, &cfg);
-            (prog.labels.to_vec_f64(), stats)
-        };
-        for threads in [1usize, 2] {
-            let (atomic_labels, atomic_stats) = run(ScatterMode::Atomic, threads);
-            let (spa_labels, spa_stats) = run(ScatterMode::Spa, threads);
-            let (auto_labels, auto_stats) = run(ScatterMode::Auto, threads);
-            assert_eq!(atomic_labels, spa_labels, "threads={threads}");
-            assert_eq!(atomic_labels, auto_labels, "threads={threads}");
-            assert_eq!(atomic_stats.engine_trace, spa_stats.engine_trace);
-            assert_eq!(atomic_stats.engine_trace, auto_stats.engine_trace);
-            assert!(spa_stats.push_iterations >= 1, "sparse tail should push");
-            for stats in [&atomic_stats, &spa_stats, &auto_stats] {
-                for r in &stats.records {
-                    match r.engine {
-                        EngineKind::Pull => assert!(r.scatter_mode.is_none()),
-                        EngineKind::Push => {
-                            let m = r.scatter_mode.expect("push records carry a mode");
-                            assert_ne!(m, ScatterMode::Auto, "mode must be resolved");
-                        }
-                    }
-                }
-            }
-            // Pinned SPA actually routes through the SPA pipeline: its
-            // bucket occupancy equals the push traffic; atomic records none.
-            assert!(spa_stats.profile.spa_bucket_entries > 0);
-            assert_eq!(
-                spa_stats.profile.spa_bucket_entries,
-                spa_stats.profile.push_updates
-            );
-            assert_eq!(atomic_stats.profile.spa_bucket_entries, 0);
+        let shortcut = EdgeList::from_pairs(300, &[(0, 150), (150, 0)]).unwrap();
+        let overlay = PreparedGraph::new(&Graph::from_edgelist(&shortcut).unwrap());
+        let pool = ThreadPool::new(2, 1);
+        let prog = MinLabel::new(300);
+        let cfg = EngineConfig::new().with_threads(2).with_trace(true);
+        let stats = run_program_overlay_on_pool(&pg, Some(&overlay), &prog, &cfg, &pool);
+        assert!(prog.labels.to_vec_f64().iter().all(|&l| l == 0.0));
+        assert!(stats.pull_iterations >= 1 && stats.push_iterations >= 1);
+        for r in &stats.records {
+            let ran = if r.engine == EngineKind::Push { 1 } else { 2 };
+            assert_eq!(r.edge_parallelism, ran, "iteration {}", r.iteration);
         }
     }
 
@@ -1473,7 +1455,6 @@ mod tests {
     /// same program run without the declaration.
     #[test]
     fn sparse_vertex_phase_is_taken_traced_and_output_invariant() {
-        use crate::config::ScatterMode;
         let n = 1500;
         let g = chain(n);
         let pg = PreparedGraph::new(&g);
@@ -1512,7 +1493,6 @@ mod tests {
             for (i, r) in recs.iter().enumerate() {
                 if r.vertex_touched > 0 {
                     assert_eq!(r.engine, EngineKind::Push, "iteration {i}");
-                    assert_eq!(r.scatter_mode, Some(ScatterMode::Spa), "iteration {i}");
                     assert_eq!(r.vertex_touched, r.spa_bucket_entries, "iteration {i}");
                     // One chain vertex per wavefront: the SPA push runs
                     // inline, and the record must say so.

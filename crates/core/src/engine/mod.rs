@@ -3,9 +3,10 @@
 //! * [`pull`] — Edge-Pull: inner-loop-parallel, vectorized at the paper's
 //!   4-lane width (the only pull width), with all three interface modes
 //!   (Traditional, Traditional-Nonatomic, Scheduler-Aware).
-//! * [`push`] — Edge-Push: traditional interface, per-edge synchronized
-//!   scatter (the paper's push engines are not vectorizable on AVX2 because
-//!   there are no atomic-update-scatter instructions, §6.2).
+//! * Edge-Push is [`crate::spmv::spa::edge_push_spa`]: a sparse accumulator
+//!   that folds each destination's messages exactly once, without atomics
+//!   (DESIGN.md §17). Listing 1's per-edge synchronized scatter survives
+//!   only in the traditional pull interface.
 //! * [`vertex`] — the statically scheduled Vertex (local update) phase.
 //! * [`hybrid`] — the per-iteration engine selection and the one superstep
 //!   loop behind every `run_program*` / `run_resilient*` entry point.
@@ -14,7 +15,6 @@
 
 pub mod hybrid;
 pub mod pull;
-pub mod push;
 pub mod resilient;
 pub mod vertex;
 

@@ -42,11 +42,9 @@ use crate::engine::PreparedGraph;
 use crate::faults::ExecInjector;
 use crate::frontier::Frontier;
 use crate::program::GraphProgram;
-use crate::spmv::EdgeKernel;
 use grazelle_graph::types::GraphError;
 use grazelle_sched::cancel::CancelFlag;
 use grazelle_sched::pool::ThreadPool;
-use grazelle_vsparse::build::Vss;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 
@@ -348,39 +346,6 @@ impl RollbackSlot {
     }
 }
 
-/// Sequential redo half of the delta phase's panic containment: combines
-/// every frontier-active delta edge into the accumulators, single-threaded,
-/// with the same per-edge semantics as `edge_push` (converged destinations
-/// skipped, operator-specific synchronized combine — the atomics are
-/// uncontended here but keep the exact update path).
-pub(super) fn sequential_delta_push<K: EdgeKernel>(vss: &Vss, kernel: &K, frontier: &Frontier) {
-    let acc = kernel.accumulators();
-    let conv = kernel.converged();
-    let op = kernel.op();
-    let weights = vss.weight_vectors();
-    for src in 0..vss.num_vertices() as u32 {
-        if !frontier.contains(src) {
-            continue;
-        }
-        for vi in vss.vector_range(src) {
-            let ev = &vss.vectors()[vi];
-            for lane in 0..4 {
-                let Some(dst) = ev.neighbor(lane) else {
-                    continue;
-                };
-                let dst = dst as u32;
-                if conv.is_some_and(|c| c.contains(dst)) {
-                    continue;
-                }
-                let w = weights.map_or(0.0, |ws| ws[vi][lane]);
-                let msg = kernel.message(src, dst, w);
-                // DISJOINT: sequential-merge — degrade-path redo, single-threaded
-                acc.fetch_combine_f64(dst as usize, msg, |a, b| op.combine(a, b));
-            }
-        }
-    }
-}
-
 /// Runs `prog` to completion with the full containment layer, on a freshly
 /// created pool. See the module docs for semantics; resilience knobs come
 /// from `cfg.resilience`, checkpoint location, cancellation and fault
@@ -414,7 +379,8 @@ pub fn run_resilient_on_pool<P: GraphProgram>(
 /// [`run_program_overlay_on_pool`](crate::engine::hybrid::run_program_overlay_on_pool).
 /// The fold keeps the containment contract: a panicked delta push discards
 /// the whole Edge phase and recomputes it sequentially (base scalar pull +
-/// sequential delta push), exactly like the base push's own recovery.
+/// the SPA's inline fold of the overlay), exactly like the base push's own
+/// recovery.
 pub fn run_resilient_overlay_on_pool<P: GraphProgram>(
     pg: &PreparedGraph,
     delta: Option<&PreparedGraph>,
@@ -812,42 +778,6 @@ mod tests {
         let stats = crate::engine::hybrid::run_program(&pg, &hybrid, &capped);
         assert!(stats.hit_iteration_cap);
         assert_eq!(prog.labels.to_vec_f64(), hybrid.labels.to_vec_f64());
-    }
-
-    #[test]
-    fn spa_scatter_matches_atomic_on_the_resilient_path() {
-        use crate::config::ScatterMode;
-        let g = chain(400);
-        let pg = PreparedGraph::new(&g);
-        let run = |mode: ScatterMode, threads: usize| {
-            let prog = MinLabel::new(400);
-            let cfg = EngineConfig::new()
-                .with_threads(threads)
-                .with_max_iterations(2000)
-                .with_scatter_mode(mode)
-                .with_trace(true);
-            let r = run_resilient(&pg, &prog, &cfg, &ResilienceContext::new()).unwrap();
-            assert_eq!(r.outcome, RunOutcome::Clean);
-            (prog.labels.to_vec_f64(), r.stats)
-        };
-        for threads in [1usize, 2, 8] {
-            let (atomic_labels, atomic_stats) = run(ScatterMode::Atomic, threads);
-            let (spa_labels, spa_stats) = run(ScatterMode::Spa, threads);
-            assert_eq!(atomic_labels, spa_labels, "threads={threads}");
-            assert_eq!(atomic_stats.engine_trace, spa_stats.engine_trace);
-            assert!(spa_stats.push_iterations >= 1, "sparse tail should push");
-            // Push records report the pinned (resolved) mode; pull none.
-            for r in &spa_stats.records {
-                match r.engine {
-                    EngineKind::Pull => assert!(r.scatter_mode.is_none()),
-                    EngineKind::Push => {
-                        assert_eq!(r.scatter_mode, Some(ScatterMode::Spa));
-                        assert_eq!(r.spa_bucket_entries, r.updates);
-                    }
-                }
-            }
-            assert!(spa_stats.profile.spa_bucket_entries > 0);
-        }
     }
 
     #[test]

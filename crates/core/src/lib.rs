@@ -2,8 +2,8 @@
 //!
 //! Grazelle is a hybrid graph-processing framework: it contains a pull-based
 //! engine (Edge-Pull) parallelized with the scheduler-aware interface and
-//! vectorized with Vector-Sparse, a push-based engine (Edge-Push) using the
-//! traditional interface, and a driver that selects between them each
+//! vectorized with Vector-Sparse, a push-based engine (Edge-Push) folding
+//! through a sparse accumulator, and a driver that selects between them each
 //! iteration based on frontier occupancy. Execution follows the synchronous
 //! two-phase model: an **Edge** phase (message exchange) and a **Vertex**
 //! phase (local update), each terminated by a thread barrier.

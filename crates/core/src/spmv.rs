@@ -158,8 +158,9 @@ fn per_edge_run<K: EdgeKernel + ?Sized, S: FnMut(u64, f64)>(
 /// the synchronization discipline the operator demands. `Sum` must use the
 /// wait-free atomic add; selective operators (`Min`/`Max`) skip no-op
 /// updates unless `write_intense` forces the unconditional CAS combine.
-/// Used by the traditional pull arm and every push path, so the Figure 8
-/// write-traffic semantics live in exactly one place.
+/// This is Listing 1's synchronization, kept for the traditional pull arms
+/// (Figure 8's write traffic); the push phase folds through the SPA instead
+/// (`spa::fold_into` replicates these value semantics without atomics).
 #[inline]
 pub fn scatter_combine(
     op: AggOp,

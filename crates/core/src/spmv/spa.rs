@@ -1,12 +1,11 @@
 //! True SpMSpV push: the SPA-bucketed atomic-free scatter (DESIGN.md §17).
 //!
-//! The traditional push arm ([`crate::engine::push::edge_push`]) resolves
-//! every edge with a synchronized read-modify-write to an arbitrary
-//! destination — exactly the regime (sparse frontiers, hub destinations)
-//! where atomic contention and cache-line ping-pong dominate. This module
-//! is the sparse-accumulator (SPA) formulation of the same phase: a true
-//! SpMSpV in the GraphBLAS sense (Yang et al., "Implementing Push-Pull
-//! Efficiently in GraphBLAS").
+//! The engine's only Edge-Push. Listing 1's push resolves every edge with a
+//! synchronized read-modify-write to an arbitrary destination — exactly the
+//! regime (sparse frontiers, hub destinations) where atomic contention and
+//! cache-line ping-pong dominate. This module is the sparse-accumulator
+//! (SPA) formulation of the phase: a true SpMSpV in the GraphBLAS sense
+//! (Yang et al., "Implementing Push-Pull Efficiently in GraphBLAS").
 //!
 //! Two passes, no atomics on the hot path:
 //!
@@ -24,8 +23,10 @@
 //!
 //! # Determinism argument
 //!
-//! The output is **bit-identical** to the synchronized-scatter arm run on
-//! one thread, for every `EdgeKernel`, at every thread count:
+//! The output is **bit-identical** at every thread count, for every
+//! `EdgeKernel`, to one scan that folds each message in increasing source
+//! order on one thread — which is what the inline path (`fold_inline`)
+//! does:
 //!
 //! * The scatter partition is a function of `(items, num_threads)` only —
 //!   thread `t` owns `t·items/T .. (t+1)·items/T` — and each thread scans
@@ -40,10 +41,8 @@
 //!   [`scatter_combine`](crate::spmv::scatter_combine)'s value semantics
 //!   exactly (including `fetch_min_f64`/`fetch_max_f64`'s NaN behaviour),
 //!   so a fold sequence produces the same bits as the same combine
-//!   sequence through the atomic arm.
+//!   sequence through Listing 1's synchronized update.
 //!
-//! The single-threaded atomic arm also processes sources in increasing
-//! order, hence SPA(T threads) ≡ atomic(1 thread) bitwise for all T.
 //! Destination chunking is a fixed geometry (`SPA_CHUNK_VERTICES`), never
 //! a function of thread count, so the fold boundaries cannot drift with
 //! parallelism either. Note the static source partition deliberately
@@ -84,8 +83,7 @@ use std::sync::atomic::Ordering;
 /// 16 KiB half-L1 tile per fold.
 pub const SPA_CHUNK_VERTICES: usize = 2048;
 
-/// Number of destination chunks for an `n`-vertex graph (≥ 1). Exported so
-/// the direction cost model can price the per-chunk merge setup.
+/// Number of destination chunks for an `n`-vertex graph (≥ 1).
 pub fn num_chunks(num_vertices: usize) -> usize {
     num_vertices.div_ceil(SPA_CHUNK_VERTICES).max(1)
 }
@@ -252,10 +250,12 @@ impl SpaScratch {
 }
 
 /// True when the frontier's active sources cover at most `cutoff` edge
-/// vectors, scanned with an early exit so the check is O(cutoff)
-/// regardless of graph size. Dense frontiers over large graphs bail out
-/// before scanning (the bitmap walk itself would cost more than a
-/// broadcast); a list short enough that even the widest out-list per
+/// vectors. A structure of at most `cutoff` vectors fits whatever the
+/// frontier, in O(1): a small overlay on a large graph never walks a bitmap
+/// as wide as the graph. Otherwise the check scans with an early exit, so
+/// it is O(cutoff) regardless of graph size. Dense frontiers over large
+/// graphs bail out before scanning (the bitmap walk itself would cost more
+/// than a broadcast); a list short enough that even the widest out-list per
 /// source fits is accepted in O(1), leaving its index lines to the scan's
 /// prefetch.
 pub(crate) fn frontier_fits_inline(
@@ -264,12 +264,12 @@ pub(crate) fn frontier_fits_inline(
     n: usize,
     cutoff: usize,
 ) -> bool {
-    if cutoff == usize::MAX {
+    if vss.num_vectors() <= cutoff {
         return true;
     }
     let mut vectors = 0usize;
     match frontier {
-        Frontier::All { .. } => vss.num_vectors() <= cutoff,
+        Frontier::All { .. } => false,
         Frontier::Sparse { vertices, .. } => {
             // A source with out-edges owns at least one vector, and none owns
             // more than its share of the widest out-list.
@@ -317,7 +317,7 @@ pub(crate) fn frontier_fits_inline(
 /// chunk-disjointness). Value semantics — including the NaN behaviour of
 /// `fetch_min_f64`/`fetch_max_f64`, whose CAS keeps the current value only
 /// when `cur <= v` (resp. `>=`) — are replicated exactly so the fold is
-/// bit-compatible with the atomic arm.
+/// bit-compatible with `scatter_combine`.
 fn fold_into(op: AggOp, write_intense: bool, accum: &PropertyArray, dst: usize, msg: f64) {
     if let Some(folded) = folded(op, write_intense, accum.get_f64(dst), msg) {
         // DISJOINT: spa-bucket-merge
@@ -520,15 +520,38 @@ pub(crate) fn drain_bucket<P: GraphProgram>(
     drained
 }
 
-/// Runs one Edge-Push phase through the SPA scatter/merge pipeline.
-/// Drop-in replacement for [`crate::engine::push::edge_push`]: same kernel
-/// contract, same converged-destination masking, same `push_updates`
-/// accounting, bit-identical accumulator output (module-level argument) —
-/// plus `spa_bucket_entries` / `spa_chunks_touched` occupancy stats and
-/// merge-aware idle attribution. `scratch` is the caller-owned bucket
-/// storage, reused across supersteps. `pool_parked` is the caller's
-/// knowledge that nothing has woken the pool since the previous
-/// superstep's Edge phase; it only moves the inline cutoff
+/// The inline path's whole Edge phase, on the calling thread: every active
+/// source of `frontier` in increasing order, each message folded into the
+/// kernel's accumulators as it is produced. That is the pooled path's fold
+/// order (module doc), so not one output bit differs from it. `on_fold`
+/// sees every destination folded into; returns the number of messages.
+/// [`edge_push_spa`] runs it below its inline cutoff, and a contained run
+/// redoes a panicked overlay fold with it.
+pub(crate) fn fold_inline<K: EdgeKernel>(
+    vss: &Vss,
+    kernel: &K,
+    frontier: &Frontier,
+    mut on_fold: impl FnMut(u32),
+) -> u64 {
+    let (accum, op, write_intense) = (kernel.accumulators(), kernel.op(), kernel.write_intense());
+    let items = frontier_items(frontier, vss.num_vertices());
+    let mut messages = 0u64;
+    kernel_scan(vss, kernel).items(frontier, 0, items, &mut |dst, msg| {
+        fold_into(op, write_intense, accum, dst as usize, msg);
+        on_fold(dst);
+        messages += 1;
+    });
+    messages
+}
+
+/// Runs one Edge-Push phase through the SPA scatter/merge pipeline — the
+/// engine's only Edge-Push. It masks converged destinations, counts
+/// `push_updates`, and gives the same accumulator bits at every thread
+/// count (module-level argument), plus `spa_bucket_entries` /
+/// `spa_chunks_touched` occupancy stats and merge-aware idle attribution.
+/// `scratch` is the caller-owned bucket storage, reused across supersteps.
+/// `pool_parked` is the caller's knowledge that nothing has woken the pool
+/// since the previous superstep's Edge phase; it only moves the inline cutoff
 /// ([`SPA_PARKED_VECTOR_CUTOFF`]), never a result bit. Returns the number
 /// of threads that ran the phase: 1 on the inline fast path, else the pool
 /// width.
@@ -549,11 +572,6 @@ pub fn edge_push_spa<K: EdgeKernel>(
     let work_before = prof.work_ns_now();
     let merge_before = prof.merge_ns_now();
     let chunks = num_chunks(n);
-    let scan = kernel_scan(vss, kernel);
-
-    // Frontier item space, global (see the module doc for why groups are
-    // ignored here).
-    let items = frontier_items(frontier, n);
 
     // Folds chunk `c`: every row's bucket in fixed row order — the single
     // fold order the determinism contract pins.
@@ -575,20 +593,13 @@ pub fn edge_push_spa<K: EdgeKernel>(
     };
 
     // --- Sequential fast path: tiny frontiers skip the pool entirely. ---
-    // One partition over all items, scanned in increasing order, so each
-    // message can be folded the moment it is produced: every destination
-    // sees its messages in the order the bucket-then-fold path would fold
-    // them, and not one output bit can differ (module doc). Only the
-    // destination ids are kept, as the touched list.
+    // Only the destination ids are kept, as the touched list.
     let cutoff = inline_vector_cutoff(pool.num_threads(), pool_parked);
     if frontier_fits_inline(vss, frontier, n, cutoff) {
         let mut dsts = scratch.take_dsts(chunks);
         let started = SpanClock::start();
-        let mut updates = 0u64;
-        scan.items(frontier, 0, items, &mut |dst, msg| {
-            fold_into(op, write_intense, accum, dst as usize, msg);
-            dsts[dst as usize / SPA_CHUNK_VERTICES].push(dst);
-            updates += 1;
+        let updates = fold_inline(vss, kernel, frontier, |dst| {
+            dsts[dst as usize / SPA_CHUNK_VERTICES].push(dst)
         });
         let touched = dsts.iter().filter(|list| !list.is_empty()).count() as u64;
         prof.work_ns
@@ -607,7 +618,10 @@ pub fn edge_push_spa<K: EdgeKernel>(
     // `rows[t][c]` holds scatter partition `t`'s messages for destination
     // chunk `c`, in increasing source order; `run_tasks` hands row `t` to
     // worker global id `t` and returns rows in that same order, which is
-    // what the merge's fold order relies on.
+    // what the merge's fold order relies on. The frontier item space is
+    // global (see the module doc for why groups are ignored here).
+    let scan = kernel_scan(vss, kernel);
+    let items = frontier_items(frontier, n);
     let tc = pool.num_threads();
     let scatter_worker = |ctx: &WorkerCtx, mut buckets: ChunkBuckets| -> ChunkBuckets {
         let started = SpanClock::start();
@@ -663,10 +677,9 @@ pub fn edge_push_spa<K: EdgeKernel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::push::edge_push;
     use crate::frontier::DenseBitmap;
     use crate::program::GraphProgram;
-    use crate::spmv::program_kernel;
+    use crate::spmv::{program_kernel, scatter_combine};
     use grazelle_graph::edgelist::EdgeList;
     use grazelle_graph::graph::Graph;
     use grazelle_vsparse::build::VectorSparse;
@@ -740,15 +753,27 @@ mod tests {
         (bits(&p.acc, n), s.push_updates, s.spa_bucket_entries)
     }
 
+    /// The independent reference: a single-threaded atomic scatter, every
+    /// active source's out-edges in increasing order through Listing 1's
+    /// `scatter_combine`. Returns the accumulator bits and the message
+    /// count.
     fn run_atomic(g: &Graph, op: AggOp, frontier: &Frontier) -> (Vec<u64>, u64) {
         let n = g.num_vertices();
-        let vss = VectorSparse::from_csr(g.out_csr());
         let p = prog(n, op);
-        let pool = ThreadPool::single_group(1);
-        let prof = Profiler::new();
-        let kern = program_kernel(&p, &vss, Kernels::auto());
-        edge_push(&vss, &kern, frontier, &pool, &prof);
-        (bits(&p.acc, n), prof.snapshot().push_updates)
+        let mut updates = 0;
+        for src in (0..n as u32).filter(|&v| frontier.contains(v)) {
+            for &dst in g.out_neighbors(src) {
+                scatter_combine(
+                    op,
+                    false,
+                    &p.acc,
+                    dst as usize,
+                    p.vals.get_f64(src as usize),
+                );
+                updates += 1;
+            }
+        }
+        (bits(&p.acc, n), updates)
     }
 
     #[test]
@@ -977,6 +1002,33 @@ mod tests {
             assert_eq!(got.len() as u64, prof.snapshot().push_updates, "x{threads}");
             got.sort_unstable();
             assert_eq!(got, want, "x{threads}: one entry per message");
+        }
+    }
+
+    /// A structure of at most `cutoff` vectors fits inline whatever the
+    /// frontier — a bitmap wider than the cutoff, a list longer than twice
+    /// it — so a tiny overlay's fold stays off the pool. A structure past
+    /// the cutoff bails on both.
+    #[test]
+    fn small_structures_fit_inline_whatever_the_frontier() {
+        let cutoff = 8;
+        let n = 64 * 40; // 40 bitmap words
+        let el = EdgeList::from_pairs(n, &[(0, 1), (5, 7), (2000, 3)]).unwrap();
+        let small = VectorSparse::from_csr(Graph::from_edgelist(&el).unwrap().out_csr());
+        assert!(small.num_vectors() <= cutoff && n.div_ceil(64) > cutoff);
+        let big_g = big_graph();
+        let big = VectorSparse::from_csr(big_g.out_csr());
+        for (vss, n, fits) in [(&small, n, true), (&big, big_g.num_vertices(), false)] {
+            let every: Vec<u32> = (0..n as u32).collect();
+            let frontiers = [
+                ("all", Frontier::all(n)),
+                ("bitmap", Frontier::from_vertices(n, &every)),
+                ("list", Frontier::sparse(n, &every)),
+            ];
+            for (what, frontier) in frontiers {
+                let got = frontier_fits_inline(vss, &frontier, n, cutoff);
+                assert_eq!(got, fits, "n={n}, every vertex as {what}");
+            }
         }
     }
 

@@ -41,8 +41,8 @@ pub struct Profiler {
     pub write_ns: AtomicU64,
     /// Edge-phase wall time (ns).
     pub edge_wall_ns: AtomicU64,
-    /// Driver time choosing each superstep's direction and scatter mode
-    /// (ns): the [`Decision`](crate::direction::Decision) and its inputs.
+    /// Driver time choosing each superstep's direction (ns): the
+    /// [`Decision`](crate::direction::Decision) and its inputs.
     pub decide_ns: AtomicU64,
     /// Driver time filing activations into the priority schedule and
     /// draining the next bucket (ns; DESIGN.md §18).

@@ -18,7 +18,6 @@
 //!
 //! [`Profiler`]: crate::stats::Profiler
 
-use crate::config::ScatterMode;
 use crate::engine::hybrid::EngineKind;
 use crate::stats::PhaseProfile;
 use std::time::{Duration, Instant};
@@ -145,12 +144,8 @@ pub struct IterationRecord {
     /// (total edges scaled by the unconverged fraction) — or, when the
     /// bounded short-circuit decided, a lower bound on it.
     pub dir_unvisited_edges: u64,
-    /// Scatter discipline the push phase used this superstep (DESIGN.md
-    /// §17); `None` for pull iterations. Always a resolved mode, never
-    /// [`ScatterMode::Auto`].
-    pub scatter_mode: Option<ScatterMode>,
     /// SPA bucket entries merged this superstep (ns-free occupancy stat;
-    /// equals the phase's `push_updates` when the SPA arm ran, 0 otherwise).
+    /// equals the phase's `push_updates` on a push superstep, 0 otherwise).
     pub spa_bucket_entries: u64,
     /// Destination chunks with at least one SPA bucket entry this superstep.
     pub spa_chunks_touched: u64,
@@ -225,7 +220,6 @@ impl IterationRecord {
             active_vectors: 0,
             dir_frontier_edges: 0,
             dir_unvisited_edges: 0,
-            scatter_mode: None,
             spa_bucket_entries: after.spa_bucket_entries - before.spa_bucket_entries,
             spa_chunks_touched: after.spa_chunks_touched - before.spa_chunks_touched,
             vertex_touched: after.vertex_touched - before.vertex_touched,
@@ -355,7 +349,6 @@ mod tests {
             active_vectors: 0,
             dir_frontier_edges: 0,
             dir_unvisited_edges: 0,
-            scatter_mode: None,
             spa_bucket_entries: 0,
             spa_chunks_touched: 0,
             vertex_touched: 0,

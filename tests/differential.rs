@@ -14,7 +14,7 @@
 //! inputs for that case (`proptest::case_rng(test_name, case)`), which is
 //! this suite's substitute for a shrunken minimal example.
 
-use grazelle::core::config::{EngineConfig, ResilienceConfig, ScatterMode};
+use grazelle::core::config::{EngineConfig, Granularity, ResilienceConfig};
 use grazelle::core::engine::hybrid::{run_program_on_pool, EngineKind, ExecutionStats};
 use grazelle::core::engine::PreparedGraph;
 use grazelle::core::trace::IterationRecord;
@@ -114,19 +114,6 @@ fn arms() -> Vec<(String, EngineConfig, bool)> {
                 false,
             ));
         }
-    }
-    // SPA bit-identity arms (DESIGN.md §17): the atomic-free bucketed
-    // scatter must land on the same fixed point as every other engine,
-    // at every thread count, for all seven kernels.
-    for threads in [1usize, 2, 8] {
-        v.push((
-            format!("push-spa-x{threads}"),
-            EngineConfig::new()
-                .with_threads(threads)
-                .with_force_engine(Some(EngineKind::Push))
-                .with_scatter_mode(ScatterMode::Spa),
-            false,
-        ));
     }
     let pull2 = EngineConfig::new()
         .with_threads(2)
@@ -403,16 +390,7 @@ proptest! {
             let gw = weighted_copy(&g);
             let n = g.num_vertices();
             let root = root_pick % n as u32;
-            // One inserted edge per destination: PageRank's overlay fold
-            // sums floats with synchronized adds, whose order across
-            // threads is free — a single addend per accumulator has none.
-            let mut used = std::collections::HashSet::new();
-            let fresh: Vec<(u32, u32)> = fresh_sym_edges(&g, 8, seed)
-                .chunks(2)
-                .filter(|pair| used.insert(pair[0].0) & used.insert(pair[0].1))
-                .flatten()
-                .copied()
-                .collect();
+            let fresh = fresh_sym_edges(&g, 8, seed);
             prop_assert!(!fresh.is_empty());
             for threads in [1usize, 2, 8] {
                 let pool = ThreadPool::single_group(threads);
@@ -471,8 +449,7 @@ proptest! {
 
     /// Property: every BFS path computes the min-parent tree of the
     /// sequential reference, parent for parent — drained in place (the
-    /// default), on supersteps (the SPA scatter pinned, forced push, forced
-    /// pull), contained, and over an insert overlay, plain and contained —
+    /// default), on supersteps (forced push, forced pull), contained, and over an insert overlay, plain and contained —
     /// at 1, 2 and 8 threads.
     #[test]
     fn prop_bfs_is_the_min_parent_tree_on_every_path(
@@ -493,7 +470,6 @@ proptest! {
             let pg = PreparedGraph::new_on_pool(&g, &pool);
             let arms = [
                 ("drain", base, false),
-                ("supersteps", base.with_scatter_mode(ScatterMode::Spa), false),
                 ("push", base.with_force_engine(Some(EngineKind::Push)), false),
                 ("pull", base.with_force_engine(Some(EngineKind::Pull)), false),
                 ("contained", base, true),
@@ -656,14 +632,15 @@ proptest! {
     }
 
     /// Property: the sparse Vertex phase (DESIGN.md §18) changes nothing
-    /// observable. The hybrid driver — which walks only the SPA touched
-    /// list on its sparse push supersteps, with either frontier
-    /// representation downstream — must produce the same bits and the same
-    /// superstep count as forced pull and as the resilient driver, both of
-    /// which always run the dense Vertex phase. Over each case's three
-    /// families its runs must enter both representations. The hybrid arm
-    /// pins the SPA scatter, which keeps BFS and SSSP on supersteps; the
-    /// default arm drains their buckets in place instead, to the same bits.
+    /// observable. Forced push — which walks only the SPA touched list on
+    /// its sparse supersteps, with either frontier representation
+    /// downstream — must produce the same bits and the same superstep count
+    /// as forced pull and as the resilient driver, both of which always run
+    /// the dense Vertex phase. Over each case's three families its runs must
+    /// enter both representations. Forced push keeps BFS and SSSP on
+    /// supersteps; the default arm drains their buckets in place instead,
+    /// to the same bits, and runs the hybrid's sparse supersteps for CC and
+    /// label propagation.
     ///
     /// BFS and SSSP declare a bucket width, so their plain arms run the
     /// bucketed schedule and the resilient arm does not. Their bits are
@@ -711,7 +688,7 @@ proptest! {
                 .with_trace(true);
             // (name, config, resilient driver?, may take the sparse path?)
             let arms = [
-                ("hybrid", base.with_scatter_mode(ScatterMode::Spa), false, true),
+                ("push", base.with_force_engine(Some(EngineKind::Push)), false, true),
                 ("forced-pull", base.with_force_engine(Some(EngineKind::Pull)), false, false),
                 ("resilient", base, true, false),
                 ("default", base, false, true),
@@ -747,7 +724,7 @@ proptest! {
                     prop_assert!(!stats.hit_iteration_cap, "{}", what);
                     let went_sparse = stats.profile.acc_resets_skipped > 0
                         || stats.profile.vertex_touched > 0;
-                    if *aname == "hybrid" {
+                    if *aname == "push" {
                         entered.note(&stats.records);
                     }
                     if *may_go_sparse {
@@ -784,7 +761,7 @@ proptest! {
     /// Property: the priority schedule (DESIGN.md §18) is a schedule, not a
     /// semantic choice. SSSP distances are the same bits whether each
     /// bucket is drained in place (the default) or run as a superstep (a
-    /// pinned scatter mode or engine), under the contained run that keeps
+    /// pinned engine), under the contained run that keeps
     /// the label-correcting schedule, and from Dijkstra — with weights whose
     /// sums round — at 1, 2 and 8 threads. On graphs this small every bucket
     /// fits the drain's cutoff, so the drained run drains every bucket, and
@@ -822,13 +799,12 @@ proptest! {
             // (name, config, contained?)
             let arms = [
                 ("drain", base, false),
-                ("supersteps", base.with_scatter_mode(ScatterMode::Spa), false),
                 ("forced-push", base.with_force_engine(Some(EngineKind::Push)), false),
                 ("forced-pull", base.with_force_engine(Some(EngineKind::Pull)), false),
                 ("contained", base, true),
             ];
             // Iterations per arm at the first thread count.
-            let mut iterations = [None; 5];
+            let mut iterations = [None; 4];
             for threads in [1usize, 2, 8] {
                 let pool = ThreadPool::single_group(threads);
                 for (i, (aname, cfg, contained)) in arms.iter().enumerate() {
@@ -871,15 +847,15 @@ proptest! {
                                 "{}: every relaxation was drained", what
                             );
                         }
-                        "supersteps" => entered.note(&stats.records),
+                        "forced-push" => entered.note(&stats.records),
                         _ => {}
                     }
                     let first = *iterations[i].get_or_insert(stats.iterations);
                     prop_assert_eq!(stats.iterations, first, "{}: iterations vs x1", what);
-                    if matches!(*aname, "forced-push" | "forced-pull") {
+                    if *aname == "forced-pull" {
                         prop_assert_eq!(
                             Some(stats.iterations), iterations[1],
-                            "{}: supersteps vs the free-direction superstep arm", what
+                            "{}: supersteps vs forced push", what
                         );
                     }
                 }
@@ -1079,16 +1055,15 @@ impl GraphProgram for SumFlood {
 
 /// The inline SPA path folds each message as it is scanned; the pooled
 /// path buckets first and folds per destination chunk in thread order
-/// (DESIGN.md §17). Both must give every destination the fold order of the
-/// one-thread synchronized scatter. On a mesh, a chain and a star, BFS,
-/// SSSP (rounding weights), CC and a rounding-sensitive Sum flood run
-/// with the SPA scatter at 1 thread (every phase inline) and at 2 and 8
-/// threads (wide frontiers pooled, narrow ones inline), and against the
-/// atomic scatter on one thread: same bits, and the same iteration,
-/// push-step and SPA-step counts. Hybrid runs at 1/2/8 threads pin the
-/// same counts for the default configuration.
+/// (DESIGN.md §17). Both must give every destination the same fold order.
+/// On a mesh, a chain and a star, BFS, SSSP (rounding weights), CC and a
+/// rounding-sensitive Sum flood run with the engine pinned to push at 1
+/// thread (every phase inline — the reference) and at 2 and 8 threads (wide
+/// frontiers pooled, narrow ones inline): same bits, and the same
+/// iteration, push-step and SPA-step counts. Hybrid runs at 1/2/8 threads
+/// pin the same counts for the default configuration.
 #[test]
-fn inline_direct_fold_matches_pooled_and_atomic_scatter() {
+fn inline_direct_fold_matches_pooled_scatter() {
     let sym = |mut el: EdgeList| {
         el.symmetrize();
         el.sort_and_dedup();
@@ -1128,15 +1103,14 @@ fn inline_direct_fold_matches_pooled_and_atomic_scatter() {
         ("chain", chain, 550, vec![550, 552]),
         ("star", star, 17, (1..3001).step_by(3).collect()),
     ];
-    // (name, threads, scatter, forced push?)
+    // (name, threads, forced push?)
     let arms = [
-        ("atomic", 1usize, ScatterMode::Atomic, true),
-        ("spa", 1, ScatterMode::Spa, true),
-        ("spa", 2, ScatterMode::Spa, true),
-        ("spa", 8, ScatterMode::Spa, true),
-        ("hybrid", 1, ScatterMode::Auto, false),
-        ("hybrid", 2, ScatterMode::Auto, false),
-        ("hybrid", 8, ScatterMode::Auto, false),
+        ("push", 1usize, true),
+        ("push", 2, true),
+        ("push", 8, true),
+        ("hybrid", 1, false),
+        ("hybrid", 2, false),
+        ("hybrid", 8, false),
     ];
     for (shape, g, root, sum_seeds) in &shapes {
         let n = g.num_vertices();
@@ -1151,7 +1125,7 @@ fn inline_direct_fold_matches_pooled_and_atomic_scatter() {
             let mut forced: Option<(Vec<u64>, usize, usize)> = None;
             let mut spa_steps: Option<usize> = None;
             let mut hybrid: Option<(Vec<u64>, usize, usize, usize)> = None;
-            for (aname, threads, scatter, push) in arms {
+            for (aname, threads, push) in arms {
                 // Pull sums in a different order; the Sum flood is pinned
                 // to the push arms.
                 if kname == "sum" && !push {
@@ -1161,7 +1135,6 @@ fn inline_direct_fold_matches_pooled_and_atomic_scatter() {
                 let pool = ThreadPool::single_group(threads);
                 let cfg = EngineConfig::new()
                     .with_threads(threads)
-                    .with_scatter_mode(scatter)
                     .with_force_engine(push.then_some(EngineKind::Push))
                     .with_max_iterations(2 * n)
                     .with_trace(true);
@@ -1206,7 +1179,7 @@ fn inline_direct_fold_matches_pooled_and_atomic_scatter() {
                     .iter()
                     .filter(|r| r.engine == EngineKind::Push && r.spa_bucket_entries > 0)
                     .count();
-                if aname == "spa" && threads > 1 {
+                if push && threads > 1 {
                     for r in stats.records.iter().filter(|r| r.spa_bucket_entries > 0) {
                         let slot = &mut inline_and_pooled[usize::from(threads == 8)];
                         slot.0 |= r.edge_parallelism == 1;
@@ -1217,11 +1190,9 @@ fn inline_direct_fold_matches_pooled_and_atomic_scatter() {
                 if push {
                     let (want, iters, pushes) =
                         forced.get_or_insert_with(|| (bits.clone(), counts.0, counts.1));
-                    assert_eq!(&bits, want, "{what}: output vs atomic x1");
+                    assert_eq!(&bits, want, "{what}: output vs push x1");
                     assert_eq!(counts, (*iters, *pushes), "{what}: supersteps");
-                    if aname == "spa" {
-                        assert_eq!(spa, *spa_steps.get_or_insert(spa), "{what}: SPA steps");
-                    }
+                    assert_eq!(spa, *spa_steps.get_or_insert(spa), "{what}: SPA steps");
                 } else {
                     let want = forced.as_ref().map(|f| &f.0).unwrap();
                     // SSSP's schedule and Sum's order are push-only pins;
@@ -1240,6 +1211,69 @@ fn inline_direct_fold_matches_pooled_and_atomic_scatter() {
                 "{shape}: x{}: inline {inline}, pooled {pooled}",
                 [2, 8][i]
             );
+        }
+    }
+}
+
+/// PageRank over an insert overlay that sends many messages to each
+/// destination: the overlay fold goes through the SPA, so the ranks are the
+/// same bits at 1, 2 and 8 threads, plain and contained. The chunk geometry
+/// is pinned, so the base pull's fold order does not move with the thread
+/// count either. The overlay's 1200 one-vector sources are past the inline
+/// cutoff of a two- and an eight-thread pool, so there the pooled
+/// scatter/merge folds it.
+#[test]
+fn overlay_pagerank_is_bit_identical_across_thread_counts() {
+    let mut el = rmat(&RmatConfig::graph500(12, 4.0, 5));
+    el.symmetrize();
+    el.sort_and_dedup();
+    let g = Graph::from_edgelist(&el).unwrap();
+    // 300 new in-edges into each of four hubs, from distinct sources.
+    let mut inserts: Vec<(u32, u32)> = (0..4u32)
+        .flat_map(|hub| {
+            let g = &g;
+            (4 + hub * 1000..)
+                .filter(move |&u| !g.out_neighbors(u).contains(&hub))
+                .take(300)
+                .map(move |u| (u, hub))
+        })
+        .collect();
+    inserts.sort_unstable();
+    let mut vg = VersionedGraph::new(Arc::new(g.clone()), Arc::new(PreparedGraph::new(&g)));
+    vg.apply_batch(
+        &UpdateBatch::from_inserts(&inserts),
+        &ThreadPool::single_group(1),
+    )
+    .unwrap();
+    let view = vg.view();
+    let delta = view.delta_pg.expect("the inserts stay an overlay");
+    assert_eq!(delta.num_edges, inserts.len());
+    let off = ResilienceConfig {
+        watchdog: None,
+        divergence_guard: false,
+        checkpoint_every: 0,
+        ..ResilienceConfig::new()
+    };
+    let mut want: Option<Vec<u64>> = None;
+    for threads in [1usize, 2, 8] {
+        let pool = ThreadPool::single_group(threads);
+        let cfg = EngineConfig::new()
+            .with_threads(threads)
+            .with_granularity(Granularity::VectorsPerChunk(64))
+            .with_max_iterations(PR_ITERS)
+            .with_resilience(off);
+        for contained in [false, true] {
+            let prog = PageRank::new(&g, pagerank::DAMPING);
+            if contained {
+                let rctx = ResilienceContext::new();
+                run_resilient_overlay_on_pool(view.pg, Some(delta), &prog, &cfg, &rctx, &pool)
+                    .expect("contained run");
+            } else {
+                run_program_overlay_on_pool(view.pg, Some(delta), &prog, &cfg, &pool);
+            }
+            let bits: Vec<u64> = prog.ranks().iter().map(|r| r.to_bits()).collect();
+            let what = format!("x{threads} contained={contained}");
+            assert_eq!(&bits, want.get_or_insert_with(|| bits.clone()), "{what}");
         }
     }
 }

@@ -5,7 +5,7 @@
 //! (pull, push, hybrid, resilient) and the single-phase 4-lane Edge-Pull
 //! must handle each shape and agree with the sequential references.
 
-use grazelle::core::config::{EngineConfig, Granularity, ResilienceConfig, ScatterMode};
+use grazelle::core::config::{EngineConfig, Granularity, ResilienceConfig};
 use grazelle::core::engine::hybrid::{run_program_on_pool, EngineKind};
 use grazelle::core::engine::pull::{edge_pull, EdgeSchedulers};
 use grazelle::core::engine::PreparedGraph;
@@ -50,21 +50,19 @@ fn check_every_engine(g: &Graph, label: &str) {
     let want_lp = labelprop::reference(g);
     let want_tc = triangle::reference(g);
     let configs = [
-        ("pull", Some(EngineKind::Pull), ScatterMode::Auto),
-        ("push", Some(EngineKind::Push), ScatterMode::Auto),
+        ("pull", Some(EngineKind::Pull)),
         // The bucketed atomic-free scatter (DESIGN.md §17) must survive the
-        // same degenerate shapes: empty frontiers after the first superstep
-        // on isolated vertices, single-hub stars, lane-straddling counts.
-        ("push-spa", Some(EngineKind::Push), ScatterMode::Spa),
-        ("hybrid", None, ScatterMode::Auto),
+        // degenerate shapes: empty frontiers after the first superstep on
+        // isolated vertices, single-hub stars, lane-straddling counts.
+        ("push", Some(EngineKind::Push)),
+        ("hybrid", None),
     ];
     for threads in [1usize, 2] {
         let pool = ThreadPool::single_group(threads);
-        for (cname, kind, smode) in configs {
+        for (cname, kind) in configs {
             let cfg = EngineConfig::new()
                 .with_threads(threads)
-                .with_force_engine(kind)
-                .with_scatter_mode(smode);
+                .with_force_engine(kind);
             let prog = ConnectedComponents::new(n);
             run_program_on_pool(&pg, &prog, &cfg, &pool);
             assert_eq!(prog.labels(), want_cc, "{label}/{cname}x{threads}: CC");
@@ -203,8 +201,8 @@ fn spa_scatter_spans_multiple_destination_chunks() {
     // Every other shape in this suite fits inside one 2048-vertex SPA
     // destination chunk, so the radix partition and the chunk-parallel
     // merge are degenerate there. A 5000-vertex chain with a hub spans
-    // three chunks and forces cross-chunk bucketing; the SPA arm must
-    // still match the synchronized scatter's fixed point exactly.
+    // three chunks and forces cross-chunk bucketing; forced push must
+    // still reach the references' fixed points exactly.
     let n = 5000usize;
     let mut pairs: Vec<(u32, u32)> = (1..n as u32).map(|v| (v - 1, v)).collect();
     pairs.extend((1..n as u32).step_by(7).map(|v| (0, v)));
@@ -216,8 +214,7 @@ fn spa_scatter_spans_multiple_destination_chunks() {
         let pool = ThreadPool::single_group(threads);
         let cfg = EngineConfig::new()
             .with_threads(threads)
-            .with_force_engine(Some(EngineKind::Push))
-            .with_scatter_mode(ScatterMode::Spa);
+            .with_force_engine(Some(EngineKind::Push));
         let prog = ConnectedComponents::new(n);
         run_program_on_pool(&pg, &prog, &cfg, &pool);
         assert_eq!(prog.labels(), want_cc, "multi-chunk-spa-x{threads}: CC");
@@ -453,12 +450,12 @@ fn chain_fan_chain() -> (Graph, usize) {
 
 /// Switch-over cases of the sparse Vertex phase (DESIGN.md §18), pinned on
 /// a shape that forces each one, with the trace checked superstep by
-/// superstep: the touched list crossing the dense fallback and coming back
-/// (forced push), push→pull→push losing and regaining clean accumulators
-/// (hybrid), and the empty touched list of the final superstep. Both arms
-/// pin the SPA scatter, which keeps BFS and SSSP on supersteps; the
-/// default configuration drains every bucket of this shape in place
-/// instead, to the same bits and, for BFS, the same iteration count.
+/// superstep: the touched list crossing the dense fallback and coming back,
+/// clean accumulators lost to the dense sweep and regained, and the empty
+/// touched list of the final superstep. Forced push keeps BFS and SSSP on
+/// supersteps; the default configuration drains every bucket of this shape
+/// in place instead, to the same bits and, for BFS, the same iteration
+/// count.
 #[test]
 fn sparse_vertex_phase_switch_overs() {
     use grazelle_apps::{sssp, Sssp};
@@ -484,116 +481,81 @@ fn sparse_vertex_phase_switch_overs() {
             .records
             .iter()
             .all(|r| r.drained && r.vertex_touched == 0));
-        for forced in [Some(EngineKind::Push), None] {
-            let tag = format!("{forced:?}x{threads}");
-            let cfg = EngineConfig::new()
-                .with_threads(threads)
-                .with_force_engine(forced)
-                .with_scatter_mode(ScatterMode::Spa)
-                .with_trace(true);
-            let prog = Sssp::new(n, 0);
-            let stats = run_program_on_pool(&pg, &prog, &cfg, &pool);
-            assert_eq!(prog.distances(), want_sssp, "{tag}: SSSP");
-            assert!(
-                stats.profile.acc_resets_skipped > 300,
-                "{tag}: SSSP chains go sparse"
-            );
+        let tag = format!("push x{threads}");
+        let cfg = EngineConfig::new()
+            .with_threads(threads)
+            .with_force_engine(Some(EngineKind::Push))
+            .with_trace(true);
+        let prog = Sssp::new(n, 0);
+        let stats = run_program_on_pool(&pg, &prog, &cfg, &pool);
+        assert_eq!(prog.distances(), want_sssp, "{tag}: SSSP");
+        assert!(
+            stats.profile.acc_resets_skipped > 300,
+            "{tag}: SSSP chains go sparse"
+        );
 
-            let prog = Bfs::new(n, 0);
-            let stats = run_program_on_pool(&pg, &prog, &cfg, &pool);
-            assert_eq!(
-                bfs::validate_parents(&g, 0, &prog.parents()),
-                want_bfs,
-                "{tag}: BFS"
-            );
-            let recs = &stats.records;
-            assert_eq!(recs.len(), stats.iterations);
-            assert_eq!(
-                stats.iterations, drained_bfs.iterations,
-                "{tag}: one per level"
-            );
-            assert_eq!(stats.profile.drained_buckets, 0, "{tag}");
-            // Supersteps 0..199 walk the first chain, 199 fans out, 200
-            // fans in, 201.. walk the second chain.
-            assert!(!recs[0].acc_reset_skipped, "{tag}: first superstep resets");
-            for r in &recs[1..199] {
-                assert!(
-                    r.acc_reset_skipped && r.vertex_touched > 0,
-                    "{tag}: chain step {}",
-                    r.iteration
-                );
-            }
-            for fan in [199usize, 200] {
-                assert_eq!(
-                    recs[fan].vertex_touched, 0,
-                    "{tag}: superstep {fan} falls back"
-                );
-                if forced.is_some() {
-                    assert_eq!(recs[fan].engine, EngineKind::Push, "{tag}");
-                    assert_eq!(recs[fan].spa_bucket_entries, 3000, "{tag}");
-                } else {
-                    assert_eq!(
-                        recs[fan].engine,
-                        EngineKind::Pull,
-                        "{tag}: the model pulls the fan"
-                    );
-                }
-            }
+        let prog = Bfs::new(n, 0);
+        let stats = run_program_on_pool(&pg, &prog, &cfg, &pool);
+        assert_eq!(
+            bfs::validate_parents(&g, 0, &prog.parents()),
+            want_bfs,
+            "{tag}: BFS"
+        );
+        let recs = &stats.records;
+        assert_eq!(recs.len(), stats.iterations);
+        assert_eq!(
+            stats.iterations, drained_bfs.iterations,
+            "{tag}: one per level"
+        );
+        assert_eq!(stats.profile.drained_buckets, 0, "{tag}");
+        // Supersteps 0..199 walk the first chain, 199 fans out, 200 fans
+        // in, 201.. walk the second chain.
+        assert!(!recs[0].acc_reset_skipped, "{tag}: first superstep resets");
+        for r in &recs[1..199] {
             assert!(
-                recs[199].acc_reset_skipped,
-                "{tag}: 198 left the accumulators clean"
+                r.acc_reset_skipped && r.vertex_touched > 0,
+                "{tag}: chain step {}",
+                r.iteration
             );
-            assert!(
-                !recs[200].acc_reset_skipped,
-                "{tag}: dense Vertex phase dirtied them"
-            );
-            // The sink's own 3001 out-edges make the model pull once more
-            // before the second chain; a forced push goes sparse at once.
-            let resume = if forced.is_some() { 201 } else { 202 };
-            assert!(
-                recs[201..resume]
-                    .iter()
-                    .all(|r| r.engine == EngineKind::Pull),
-                "{tag}"
-            );
-            assert!(
-                !recs[resume].acc_reset_skipped,
-                "{tag}: still dirty from the dense sweep"
-            );
-            assert!(
-                recs[resume].vertex_touched > 0,
-                "{tag}: second chain is sparse again"
-            );
-            // From here every push fits the sparse phase, so a superstep
-            // skips its reset exactly when a push preceded it. (The model
-            // pulls the last few supersteps, once almost nothing is left
-            // unvisited: clean accumulators are lost once more.)
-            let mut regained = 0;
-            for w in recs[resume..].windows(2) {
-                assert_eq!(
-                    w[1].acc_reset_skipped,
-                    w[0].engine == EngineKind::Push,
-                    "{tag}: superstep {}",
-                    w[1].iteration
-                );
-                regained += w[1].acc_reset_skipped as usize;
-            }
-            assert!(regained > 150, "{tag}: clean accumulators regained");
-            if forced.is_some() {
-                // Final superstep: the last chain vertex has only a visited
-                // neighbour, so the SPA push buckets nothing and the sparse
-                // phase walks an empty list.
-                let last = recs.last().unwrap();
-                assert_eq!(last.engine, EngineKind::Push, "{tag}");
-                assert_eq!(
-                    (last.spa_bucket_entries, last.vertex_touched),
-                    (0, 0),
-                    "{tag}"
-                );
-                assert!(last.acc_reset_skipped, "{tag}");
-            }
-            assert!(!stats.hit_iteration_cap, "{tag}");
         }
+        for fan in [199usize, 200] {
+            let r = &recs[fan];
+            assert_eq!(r.vertex_touched, 0, "{tag}: superstep {fan} falls back");
+            assert_eq!(r.engine, EngineKind::Push, "{tag}");
+            assert_eq!(r.spa_bucket_entries, 3000, "{tag}");
+        }
+        assert!(
+            recs[199].acc_reset_skipped,
+            "{tag}: 198 left the accumulators clean"
+        );
+        assert!(
+            !recs[200].acc_reset_skipped,
+            "{tag}: dense Vertex phase dirtied them"
+        );
+        assert!(
+            !recs[201].acc_reset_skipped,
+            "{tag}: still dirty from the dense sweep"
+        );
+        // From here every push fits the sparse phase, so every later
+        // superstep finds clean accumulators.
+        for r in &recs[201..] {
+            assert_eq!(r.engine, EngineKind::Push, "{tag}");
+            assert!(r.vertex_touched > 0 || r.spa_bucket_entries == 0, "{tag}");
+        }
+        assert!(
+            recs[202..].iter().all(|r| r.acc_reset_skipped),
+            "{tag}: clean accumulators regained"
+        );
+        // Final superstep: the last chain vertex has only a visited
+        // neighbour, so the SPA push buckets nothing and the sparse phase
+        // walks an empty list.
+        let last = recs.last().unwrap();
+        assert_eq!(
+            (last.spa_bucket_entries, last.vertex_touched),
+            (0, 0),
+            "{tag}"
+        );
+        assert!(!stats.hit_iteration_cap, "{tag}");
     }
 }
 
@@ -702,11 +664,10 @@ fn weighted_graph(n: usize, edges: &[(u32, u32, f64)]) -> Graph {
 }
 
 /// SSSP from `root` at 1, 2 and 8 threads — drained in place (the
-/// default), on hybrid supersteps (the SPA scatter pinned) and on forced
-/// push — checked against Dijkstra; iteration counts and engine choices
-/// must not depend on the thread count, and the default drains every
-/// bucket of these small graphs. Returns the 2-thread hybrid superstep
-/// run's traced stats.
+/// default) and on forced-push supersteps — checked against Dijkstra;
+/// iteration counts and engine choices must not depend on the thread
+/// count, and the default drains every bucket of these small graphs.
+/// Returns the 2-thread forced-push run's traced stats.
 fn sssp_on_every_arm(
     g: &Graph,
     root: u32,
@@ -717,12 +678,8 @@ fn sssp_on_every_arm(
     let pg = PreparedGraph::new(g);
     let want = sssp::reference(g, root);
     let mut kept = None;
-    let arms = [
-        ("drained", None, ScatterMode::Auto),
-        ("hybrid", None, ScatterMode::Spa),
-        ("push", Some(EngineKind::Push), ScatterMode::Auto),
-    ];
-    for (arm, forced, scatter) in arms {
+    let arms = [("drained", None), ("push", Some(EngineKind::Push))];
+    for (arm, forced) in arms {
         let mut first: Option<(usize, Vec<EngineKind>)> = None;
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::single_group(threads);
@@ -730,7 +687,6 @@ fn sssp_on_every_arm(
                 .with_threads(threads)
                 .with_max_iterations(cap)
                 .with_force_engine(forced)
-                .with_scatter_mode(scatter)
                 .with_trace(true);
             let prog = Sssp::new(g.num_vertices(), root);
             let stats = run_program_on_pool(&pg, &prog, &cfg, &pool);
@@ -746,12 +702,12 @@ fn sssp_on_every_arm(
                 0
             };
             assert_eq!(stats.profile.drained_buckets, drained, "{tag}");
-            if arm == "hybrid" && threads == 2 {
+            if arm == "push" && threads == 2 {
                 kept = Some(stats);
             }
         }
     }
-    kept.expect("the 2-thread hybrid arm ran")
+    kept.expect("the 2-thread push arm ran")
 }
 
 /// Degenerate inputs of the priority schedule (DESIGN.md §18): each must
