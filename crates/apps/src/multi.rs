@@ -31,18 +31,19 @@
 //! and no mask can ever be full). Lanes are **pushed** instead while their
 //! frontier's out-edges are under 1/[`ALPHA`] of the graph — the first step
 //! or two and the tail — where scanning every destination would cost more
-//! than scattering a few masks; a push tests before it writes, so only
-//! edges that carry a new bit pay for a `fetch_or`. BFS lanes take that
-//! test on their own frontier, so one step may pull the reachability lanes
-//! and push the BFS lanes: a destination's scan cannot stop early while it
-//! lacks a BFS lane whose frontier is still far away.
+//! than scattering a few masks. That bound keeps a push step small, so it
+//! runs on the calling thread, sources in increasing order, and writes
+//! with plain loads and stores too. BFS lanes take the test on their own
+//! frontier, so one step may pull the reachability lanes and push the BFS
+//! lanes: a destination's scan cannot stop early while it lacks a BFS lane
+//! whose frontier is still far away.
 //!
 //! **Two read rules, one loop.** A reachability lane reads a neighbour's
 //! mask in place: a mask another worker widened earlier in the same step
 //! only speeds propagation towards the unique reachability fixpoint, never
 //! corrupts it, because masks grow monotonically. A BFS lane must advance
 //! exactly one level per step, so beside the masks sits a second,
-//! double-buffered `u64` per vertex holding the BFS lanes it gained in the
+//! double-buffered word per vertex holding the BFS lanes it gained in the
 //! previous step, and a BFS lane reads only that word, never one written in
 //! the same step. The rule is a per-lane mask AND inside the one gather
 //! loop, which is compiled twice — with and without BFS lanes in the
@@ -56,29 +57,25 @@
 //! so reachability lanes keep the in-place read and the second word holds
 //! BFS lanes only — a pack without one allocates none.
 //!
-//! **Parent lanes.** The lanes marked in `parent_lanes` also return a BFS
-//! tree. A vertex `v` that gains BFS lane *b* at step *k* is at depth *k*,
-//! and its parent is the smallest in-neighbour whose previous-step gained
-//! word has *b* — the smallest vertex at depth *k − 1* with an edge to `v`.
-//! In-lists are sorted (every [`Graph`] builder sorts them), so a pull
-//! step's first such `u` in the base list is the base's minimum, and with
-//! an overlay the parent is the smaller of the first hits in the two lists.
-//! A push step sets masks without reading in-lists, so after it a resolve
-//! pass walks the *pushing* side: every frontier vertex holding a pushed
-//! BFS lane offers itself as the parent of each out-neighbour that gained
-//! the lane in this step, and the smallest offer wins. That costs the
-//! frontier's out-edges, which the ALPHA test keeps small whenever it
-//! pushes; walking the gainers' in-lists instead cost the next frontier's
-//! in-edges, the whole graph once the frontier explodes. Either way the
-//! parent is exactly the one [`crate::bfs`] picks — its Min aggregation
+//! **Parent lanes.** The first `bfs` lanes also return a BFS tree. Being
+//! the low lanes, they fit a byte while there are at most eight, so the
+//! gained words are bytes then and `u64` only beyond. A vertex `v` that
+//! gains BFS lane *b* at step *k* is at depth *k*, and its parent is the
+//! smallest in-neighbour whose previous-step gained word has *b* — the
+//! smallest vertex at depth *k − 1* with an edge to `v`. In-lists are
+//! sorted (every [`Graph`] builder sorts them), so a pull step's first such
+//! `u` in the base list is the base's minimum, and with an overlay the
+//! parent is the smaller of the first hits in the two lists. A push step
+//! takes its sources in increasing order, each through both its out-lists,
+//! so the first to give `v` lane *b* is that smallest vertex. Either way
+//! the parent is exactly the one [`crate::bfs`] picks — its Min aggregation
 //! over the in-neighbours on the frontier, at the discovery level ("the
 //! first identified candidate … becomes its final value", §6) — so every
 //! BFS lane is bit-identical to `bfs::run` on the merged graph, and every
 //! other lane to `reach::run`, at every thread count and under every step
 //! order; only the *number* of steps may vary with timing once two
-//! threads run. Parents live in one `u32` array per BFS lane: a pull step
-//! writes a slot only from the worker that owns its vertex, the resolve
-//! pass takes an atomic minimum.
+//! threads run. Parents live in one `u32` array per BFS lane, each slot
+//! written only by the thread that owns its vertex in the step.
 //!
 //! Cancellation is cooperative at iteration boundaries, matching the
 //! resilient engine driver's contract: a cancelled sweep returns `None`
@@ -92,7 +89,7 @@ use grazelle_graph::types::VertexId;
 use grazelle_sched::cancel::CancelFlag;
 use grazelle_sched::chunks::{ChunkScheduler, DEFAULT_CHUNKS_PER_THREAD};
 use grazelle_sched::pool::ThreadPool;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// Most sources one packed run can carry (one bit lane per source).
 pub const MAX_LANES: usize = 64;
@@ -104,12 +101,21 @@ const GROUP: usize = 8;
 /// Parent slot of a vertex its BFS lane has not reached.
 const UNREACHED: VertexId = VertexId::MAX;
 
+/// The mask of lanes `0..k`.
+fn low_lanes(k: usize) -> u64 {
+    match k {
+        0 => 0,
+        _ => u64::MAX >> (MAX_LANES - k),
+    }
+}
+
 /// Result of a packed multi-source run.
 #[derive(Debug)]
 pub struct MultiReach {
     masks: Vec<u64>,
     lanes: usize,
-    parent_lanes: u64,
+    /// Lanes `0..bfs` are BFS lanes.
+    bfs: usize,
     /// One `n`-long parent array per BFS lane, in lane order.
     parents: Vec<VertexId>,
     /// Steps the sweep ran, the last (which found nothing new) included.
@@ -131,11 +137,6 @@ pub enum LaneReply {
     Reached(Vec<bool>),
     /// A BFS lane: [`crate::bfs::Bfs::parents`].
     Parents(Vec<Option<VertexId>>),
-}
-
-/// Index of `lane`'s array among the BFS lanes of `parent_lanes`.
-fn bfs_rank(parent_lanes: u64, lane: u32) -> usize {
-    (parent_lanes & !(u64::MAX << lane)).count_ones() as usize
 }
 
 impl MultiReach {
@@ -162,12 +163,11 @@ impl MultiReach {
     /// same shape as [`crate::bfs::Bfs::parents`].
     pub fn parents(&self, lane: usize) -> Option<Vec<Option<VertexId>>> {
         assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
-        if self.parent_lanes >> lane & 1 == 0 {
+        if lane >= self.bfs {
             return None;
         }
         let n = self.masks.len();
-        let at = bfs_rank(self.parent_lanes, lane as u32) * n;
-        let tree = &self.parents[at..at + n];
+        let tree = &self.parents[lane * n..(lane + 1) * n];
         Some(
             tree.iter()
                 .map(|&p| (p != UNREACHED).then_some(p))
@@ -186,7 +186,7 @@ impl MultiReach {
     /// compiler vectorises.
     fn group_replies(&self, group: usize) -> Vec<LaneReply> {
         let lanes = GROUP * group..self.lanes.min(GROUP * (group + 1));
-        let bytes: Vec<u8> = if lanes.clone().all(|lane| self.parent_lanes >> lane & 1 == 1) {
+        let bytes: Vec<u8> = if lanes.end <= self.bfs {
             Vec::new()
         } else {
             self.masks
@@ -229,28 +229,36 @@ impl<'a> Layers<'a> {
     }
 }
 
-/// Calls `f` on every member of `set` in the `id`-th of `threads` equal
-/// runs of its words — how push and resolve passes split a frontier.
-fn for_share(set: &DenseBitmap, id: usize, threads: usize, mut f: impl FnMut(VertexId)) {
-    let words = set.words();
-    let per = words.len().div_ceil(threads);
-    let lo = (id * per).min(words.len());
-    let hi = (lo + per).min(words.len());
-    for (w, word) in words[lo..hi].iter().enumerate() {
-        let mut bits = word.load(Ordering::Relaxed);
-        while bits != 0 {
-            f(((lo + w) << 6 | bits.trailing_zeros() as usize) as VertexId);
-            bits &= bits - 1;
-        }
-    }
+/// A vertex's word of BFS lanes, its bits the lanes' own (BFS lanes are
+/// the low lanes): `AtomicU8` for packs of at most eight, `AtomicU64`
+/// beyond. `Default` is the empty word.
+trait LevelWord: Default + Sync {
+    fn get(&self) -> u64;
+    fn set(&self, bits: u64);
 }
+
+macro_rules! level_word {
+    ($($atomic:ty: $int:ty),*) => {$(
+        impl LevelWord for $atomic {
+            fn get(&self) -> u64 {
+                u64::from(self.load(Ordering::Relaxed))
+            }
+            fn set(&self, bits: u64) {
+                self.store(bits as $int, Ordering::Relaxed)
+            }
+        }
+    )*};
+}
+
+level_word!(AtomicU8: u8, AtomicU64: u64);
 
 /// What a step's walk over an in-list reads and writes besides the gained
 /// words: the masks, and the parent arrays of the BFS lanes.
 struct Walk<'a> {
     g: Layers<'a>,
     masks: &'a [AtomicU64],
-    parent_lanes: u64,
+    /// The BFS lanes' bits.
+    tree: u64,
     /// One `n`-long parent array per BFS lane, in lane order.
     parents: &'a [AtomicU32],
 }
@@ -258,30 +266,17 @@ struct Walk<'a> {
 impl Walk<'_> {
     /// `v`'s parent slot in BFS lane `lane`.
     fn parent(&self, lane: u32, v: VertexId) -> &AtomicU32 {
-        &self.parents[bfs_rank(self.parent_lanes, lane) * self.masks.len() + v as usize]
+        &self.parents[lane as usize * self.masks.len() + v as usize]
     }
 
     /// Offers `u` as `v`'s parent in each BFS lane of `bits`; the smaller id
-    /// wins. Only the worker that owns `v` in the current step calls it.
+    /// wins. Only the thread that owns `v` in the current step calls it.
     fn adopt(&self, v: VertexId, mut bits: u64, u: VertexId) {
         while bits != 0 {
             let slot = self.parent(bits.trailing_zeros(), v);
             bits &= bits - 1;
             if u < slot.load(Ordering::Relaxed) {
                 slot.store(u, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Offers `u` as `v`'s parent in each BFS lane of `bits` from any
-    /// worker: the resolve pass after a push step. A load screens out the
-    /// offers that cannot win before the read-modify-write.
-    fn offer(&self, v: VertexId, mut bits: u64, u: VertexId) {
-        while bits != 0 {
-            let slot = self.parent(bits.trailing_zeros(), v);
-            bits &= bits - 1;
-            if u < slot.load(Ordering::Relaxed) {
-                slot.fetch_min(u, Ordering::Relaxed);
             }
         }
     }
@@ -295,10 +290,10 @@ impl Walk<'_> {
     /// largest parent the base adopted. `BFS` is whether `need` holds a BFS
     /// lane: without one the walk compiles to the bare OR-and-exit loop.
     #[inline(always)]
-    fn gather<const BFS: bool>(&self, v: VertexId, need: u64, gained: &[AtomicU64]) -> u64 {
+    fn gather<const BFS: bool, W: LevelWord>(&self, v: VertexId, need: u64, gained: &[W]) -> u64 {
         let masks = self.masks;
         let (bfs, reach) = match BFS {
-            true => (need & self.parent_lanes, need & !self.parent_lanes),
+            true => (need & self.tree, need & !self.tree),
             false => (0, need),
         };
         let offer = |u: VertexId| {
@@ -308,7 +303,7 @@ impl Walk<'_> {
                 _ => masks[u].load(Ordering::Relaxed),
             };
             match BFS {
-                true => now & reach | gained[u].load(Ordering::Relaxed) & bfs,
+                true => now & reach | gained[u].get() & bfs,
                 false => now,
             }
         };
@@ -341,24 +336,24 @@ impl Walk<'_> {
     /// inlined beside the reachability-only walk it made that loop ≈15%
     /// slower.
     #[inline(never)]
-    fn gather_bfs(&self, v: VertexId, need: u64, gained: &[AtomicU64]) -> u64 {
-        self.gather::<true>(v, need, gained)
+    fn gather_bfs<W: LevelWord>(&self, v: VertexId, need: u64, gained: &[W]) -> u64 {
+        self.gather::<true, W>(v, need, gained)
     }
 }
 
 /// Runs the packed traversal for `sources` (≤ [`MAX_LANES`]) over `base`
 /// plus the insert `overlay` on `pool`: lane *i* answers reachability from
-/// `sources[i]`, and also a BFS tree when bit *i* of `parent_lanes` is set.
+/// `sources[i]`, and the first `bfs` sources also return a BFS tree.
 /// Returns `None` iff `cancel` was observed set at an iteration boundary.
 pub fn multi_source_reach(
     base: &Graph,
     overlay: Option<&Graph>,
     sources: &[VertexId],
-    parent_lanes: u64,
+    bfs: usize,
     pool: &ThreadPool,
     cancel: Option<&CancelFlag>,
 ) -> Option<MultiReach> {
-    sweep(base, overlay, sources, parent_lanes, pool, cancel, None)
+    sweep(base, overlay, sources, bfs, pool, cancel, None)
 }
 
 /// [`multi_source_reach`] with every step pulling the live lanes of
@@ -368,7 +363,23 @@ fn sweep(
     base: &Graph,
     overlay: Option<&Graph>,
     sources: &[VertexId],
-    parent_lanes: u64,
+    bfs: usize,
+    pool: &ThreadPool,
+    cancel: Option<&CancelFlag>,
+    forced: Option<u64>,
+) -> Option<MultiReach> {
+    match bfs {
+        0..=GROUP => sweep_with::<AtomicU8>(base, overlay, sources, bfs, pool, cancel, forced),
+        _ => sweep_with::<AtomicU64>(base, overlay, sources, bfs, pool, cancel, forced),
+    }
+}
+
+/// [`sweep`] with the BFS lanes' gained words of type `W`.
+fn sweep_with<W: LevelWord>(
+    base: &Graph,
+    overlay: Option<&Graph>,
+    sources: &[VertexId],
+    bfs: usize,
     pool: &ThreadPool,
     cancel: Option<&CancelFlag>,
     forced: Option<u64>,
@@ -388,35 +399,24 @@ fn sweep(
         lanes <= MAX_LANES,
         "at most {MAX_LANES} sources per packed run, got {lanes}"
     );
-    let all = match lanes {
-        0 => 0,
-        _ => u64::MAX >> (MAX_LANES - lanes),
-    };
-    assert_eq!(
-        parent_lanes & !all,
-        0,
-        "parent lanes beyond the {lanes} packed"
-    );
+    assert!(bfs <= lanes, "{bfs} BFS lanes of the {lanes} packed");
+    let (all, tree) = (low_lanes(lanes), low_lanes(bfs));
 
     // Every word is an atomic because workers read words another worker
     // may be writing: a pull step stores only to destinations of the chunk
-    // it claimed (one owner per vertex), a push step ORs into arbitrary
-    // destinations. Every access is relaxed — OR is commutative, words only
-    // grow within a step, and the pool's handshake between steps publishes
-    // everything a step reads.
-    let zeroed = |len: usize| -> Vec<AtomicU64> { (0..len).map(|_| AtomicU64::new(0)).collect() };
-    let masks = zeroed(n);
+    // it claimed (one owner per vertex), and the pool's handshake between
+    // steps publishes everything a step reads. Every access is relaxed.
+    let masks: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     // The BFS lanes each vertex gained in the previous step (what a BFS lane
     // reads) and in this one; empty when no lane wants a tree.
-    let bfs_words = if parent_lanes == 0 { 0 } else { n };
-    let (mut gained, mut gaining) = (zeroed(bfs_words), zeroed(bfs_words));
-    let parents: Vec<AtomicU32> = (0..parent_lanes.count_ones() as usize * n)
-        .map(|_| AtomicU32::new(UNREACHED))
-        .collect();
+    let bfs_words = if bfs == 0 { 0 } else { n };
+    let zeroed = || -> Vec<W> { (0..bfs_words).map(|_| W::default()).collect() };
+    let (mut gained, mut gaining) = (zeroed(), zeroed());
+    let parents: Vec<AtomicU32> = (0..bfs * n).map(|_| AtomicU32::new(UNREACHED)).collect();
     let walk = Walk {
         g,
         masks: &masks,
-        parent_lanes,
+        tree,
         parents: &parents,
     };
     let mut frontier = DenseBitmap::new(n);
@@ -432,11 +432,13 @@ fn sweep(
             frontier.insert(s);
             frontier_edges[0] += g.out_degree(s);
         }
-        if parent_lanes & bit != 0 {
+        if lane < bfs {
             walk.parent(lane as u32, s).store(s, Ordering::Relaxed);
-            if gained[s as usize].fetch_or(bit, Ordering::Relaxed) == 0 {
+            let was = gained[s as usize].get();
+            if was == 0 {
                 frontier_edges[1] += g.out_degree(s);
             }
+            gained[s as usize].set(was | bit);
         }
     }
     // Lanes some vertex gained in the previous step. Along every edge u → v
@@ -451,7 +453,6 @@ fn sweep(
         DEFAULT_CHUNKS_PER_THREAD * pool.num_threads(),
     );
     let claims = ChunkScheduler::new(chunks.len(), chunks.len());
-    let threads = pool.num_threads();
 
     let (mut iterations, mut pull_iterations, mut push_iterations) = (0usize, 0, 0);
     while live != 0 {
@@ -476,24 +477,13 @@ fn sweep(
         let pulled = live
             & forced.unwrap_or(match (pulls(frontier_edges[0]), pulls(frontier_edges[1])) {
                 (false, _) => 0,
-                (true, false) => !parent_lanes,
+                (true, false) => !tree,
                 (true, true) => u64::MAX,
             });
         let pushed = live & !pulled;
-        // `next` still holds the frontier of two steps ago, a superset of
-        // the vertices whose `gaining` word (that step's `gained`) is
-        // non-zero: clear both.
-        for (w, word) in next.words().iter().enumerate() {
-            let mut bits = word.load(Ordering::Relaxed);
-            if bits == 0 {
-                continue;
-            }
-            word.store(0, Ordering::Relaxed);
-            while bits != 0 && !gaining.is_empty() {
-                gaining[w << 6 | bits.trailing_zeros() as usize].store(0, Ordering::Relaxed);
-                bits &= bits - 1;
-            }
-        }
+        // `next` and `gaining` still hold the step before last.
+        next.clear();
+        gaining.iter_mut().for_each(|w| *w = W::default());
         let (gained_r, gaining_r) = (&gained[..], &gaining[..]);
         let mut per_thread: Vec<(u64, [u64; 2])> = Vec::new();
         if pulled != 0 {
@@ -508,8 +498,8 @@ fn sweep(
                         if need == 0 {
                             continue;
                         }
-                        let got = match need & parent_lanes {
-                            0 => walk.gather::<false>(v, need, gained_r),
+                        let got = match need & tree {
+                            0 => walk.gather::<false, W>(v, need, gained_r),
                             _ => walk.gather_bfs(v, need, gained_r),
                         };
                         if got == 0 {
@@ -519,8 +509,8 @@ fn sweep(
                         next.insert(v);
                         got_all |= got;
                         edges[0] += g.out_degree(v);
-                        if got & parent_lanes != 0 {
-                            gaining_r[v as usize].store(got & parent_lanes, Ordering::Relaxed);
+                        if got & tree != 0 {
+                            gaining_r[v as usize].set(got & tree);
                             edges[1] += g.out_degree(v);
                         }
                     }
@@ -529,68 +519,50 @@ fn sweep(
             }));
         }
         if pushed != 0 {
+            // On the calling thread, in increasing source order: the first
+            // pusher to give `d` a BFS lane is its smallest in-neighbour one
+            // level up, its parent. Nothing else writes, so every update is
+            // a plain load and store.
             push_iterations += 1;
-            let pushes = pool.run_map(|ctx| {
-                let (mut got_all, mut edges) = (0u64, [0u64; 2]);
-                for_share(&frontier, ctx.global_id, threads, |u| {
-                    let mut bits =
-                        masks[u as usize].load(Ordering::Relaxed) & pushed & !parent_lanes;
-                    if pushed & parent_lanes != 0 {
-                        bits |= gained_r[u as usize].load(Ordering::Relaxed) & pushed;
-                    }
-                    if bits == 0 {
-                        return;
-                    }
-                    for list in g.out_lists(u) {
-                        for &d in list {
-                            let di = d as usize;
-                            if bits & !masks[di].load(Ordering::Relaxed) == 0 {
-                                continue;
-                            }
-                            let got = bits & !masks[di].fetch_or(bits, Ordering::Relaxed);
-                            if got == 0 {
-                                continue;
-                            }
-                            got_all |= got;
-                            // Whoever first puts `d` on the next frontier,
-                            // or first gives it a BFS lane, counts its
-                            // out-edges, so each is counted once.
-                            let bit = 1u64 << (di & 63);
-                            if next.words()[di >> 6].fetch_or(bit, Ordering::Relaxed) & bit == 0 {
-                                edges[0] += g.out_degree(d);
-                            }
-                            let bfs = got & parent_lanes;
-                            if bfs != 0 && gaining_r[di].fetch_or(bfs, Ordering::Relaxed) == 0 {
+            let (mut got_all, mut edges) = (0u64, [0u64; 2]);
+            for u in frontier.iter() {
+                let mut bits = masks[u as usize].load(Ordering::Relaxed) & pushed & !tree;
+                if pushed & tree != 0 {
+                    bits |= gained_r[u as usize].get() & pushed;
+                }
+                if bits == 0 {
+                    continue;
+                }
+                for list in g.out_lists(u) {
+                    for &d in list {
+                        let di = d as usize;
+                        let old = masks[di].load(Ordering::Relaxed);
+                        let got = bits & !old;
+                        if got == 0 {
+                            continue;
+                        }
+                        masks[di].store(old | got, Ordering::Relaxed);
+                        got_all |= got;
+                        // Whoever first puts `d` on the next frontier, or
+                        // first gives it a BFS lane, counts its out-edges.
+                        let (word, bit) = (&next.words()[di >> 6], 1u64 << (di & 63));
+                        let was = word.load(Ordering::Relaxed);
+                        if was & bit == 0 {
+                            word.store(was | bit, Ordering::Relaxed);
+                            edges[0] += g.out_degree(d);
+                        }
+                        if got & tree != 0 {
+                            let was = gaining_r[di].get();
+                            if was == 0 {
                                 edges[1] += g.out_degree(d);
                             }
+                            gaining_r[di].set(was | got & tree);
+                            walk.adopt(d, got & tree, u);
                         }
                     }
-                });
-                (got_all, edges)
-            });
-            // The resolve pass: every pusher of a BFS lane offers itself to
-            // the out-neighbours that gained the lane in this step — exactly
-            // the in-neighbours one level up of each vertex it reached.
-            let resolve = pushed & parent_lanes;
-            if pushes.iter().any(|(got, _)| got & resolve != 0) {
-                pool.run(|ctx| {
-                    for_share(&frontier, ctx.global_id, threads, |u| {
-                        let bits = gained_r[u as usize].load(Ordering::Relaxed) & resolve;
-                        if bits == 0 {
-                            return;
-                        }
-                        for list in g.out_lists(u) {
-                            for &d in list {
-                                let won = gaining_r[d as usize].load(Ordering::Relaxed) & bits;
-                                if won != 0 {
-                                    walk.offer(d, won, u);
-                                }
-                            }
-                        }
-                    });
-                });
+                }
             }
-            per_thread.extend(pushes);
+            per_thread.push((got_all, edges));
         }
         live = per_thread.iter().fold(0, |all, (got, _)| all | got);
         frontier_edges = per_thread.iter().fold([0, 0], |all, (_, edges)| {
@@ -603,7 +575,7 @@ fn sweep(
     Some(MultiReach {
         masks: masks.into_iter().map(AtomicU64::into_inner).collect(),
         lanes,
-        parent_lanes,
+        bfs,
         parents: parents.into_iter().map(AtomicU32::into_inner).collect(),
         iterations,
         pull_iterations,
@@ -624,16 +596,20 @@ mod tests {
     /// pushed.
     const POLICIES: [Option<u64>; 3] = [None, Some(u64::MAX), Some(0)];
 
-    /// Even lanes want a tree: every pack of two or more lanes mixes both
-    /// kinds, and the duplicate root of lanes 0, 1 and 2 lands in both.
-    const EVEN_LANES: u64 = 0x5555_5555_5555_5555;
-
-    fn all_lanes(lanes: usize) -> u64 {
-        match lanes {
-            0 => 0,
-            _ => u64::MAX >> (MAX_LANES - lanes),
-        }
-    }
+    /// (lanes, BFS lanes) of the packs checked against single runs: every
+    /// pack of two or more lanes but the all-BFS one mixes both kinds, the
+    /// duplicate root of lanes 0, 1 and 2 lands in both at two lanes, and
+    /// the gained words are bytes up to 8 BFS lanes and `u64` from 9.
+    const PACKS: [(usize, usize); 8] = [
+        (0, 0),
+        (1, 1),
+        (2, 1),
+        (9, 8),
+        (9, 9),
+        (63, 32),
+        (64, 8),
+        (64, 64),
+    ];
 
     fn web_graph(n: usize) -> Graph {
         // Deterministic scale-free-ish digraph: chains plus skip links.
@@ -725,12 +701,11 @@ mod tests {
                 .map(|&r| crate::bfs::run(&g, &cfg, r))
                 .collect();
             let (base, overlay) = split(&g);
-            for lanes in [0usize, 1, 2, 63, 64] {
-                let bfs = EVEN_LANES & all_lanes(lanes);
+            for (lanes, bfs) in PACKS {
                 let want: Vec<LaneReply> = (0..lanes)
-                    .map(|lane| match bfs >> lane & 1 {
-                        1 => LaneReply::Parents(trees[lane].clone()),
-                        _ => LaneReply::Reached(reach[lane].clone()),
+                    .map(|lane| match lane < bfs {
+                        true => LaneReply::Parents(trees[lane].clone()),
+                        false => LaneReply::Reached(reach[lane].clone()),
                     })
                     .collect();
                 let mut steps = None;
@@ -741,7 +716,7 @@ mod tests {
                     {
                         for forced in POLICIES {
                             let at = format!(
-                                "{name} {layers} threads={threads} lanes={lanes} {forced:?}"
+                                "{name} {layers} threads={threads} lanes={lanes} bfs={bfs} {forced:?}"
                             );
                             let mr =
                                 sweep(base, overlay, &roots[..lanes], bfs, &pool, None, forced)
@@ -756,7 +731,7 @@ mod tests {
                                 Some(_) => assert_eq!(pushes, 0, "{at}"),
                                 None => {}
                             }
-                            if bfs == all_lanes(lanes) {
+                            if bfs == lanes {
                                 // Level-synchronous lanes: one step per level
                                 // plus the empty last one, whatever the
                                 // direction, threads or layering.
@@ -791,10 +766,39 @@ mod tests {
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::single_group(threads);
             for forced in POLICIES {
-                let mr = sweep(&base, Some(&overlay), &[0, 0], 0b01, &pool, None, forced).unwrap();
+                let mr = sweep(&base, Some(&overlay), &[0, 0], 1, &pool, None, forced).unwrap();
                 assert_eq!(mr.parents(0).as_ref(), Some(&tree), "{threads} {forced:?}");
                 assert_eq!(mr.parents(1), None);
                 assert_eq!(mr.reached(1), crate::reach::run(&merged, &cfg, 0));
+            }
+        }
+    }
+
+    #[test]
+    fn a_smaller_pusher_through_its_overlay_wins_over_a_larger_one_through_its_base() {
+        // 0 reaches 2 and 5 in one hop, and both have an edge to 7: 5's in
+        // the base, 2's only in the overlay. A push that took every base
+        // list before any overlay list would hand 7 to 5.
+        let base_edges = [(0, 2), (0, 5), (5, 7), (7, 1)];
+        let overlay_edges = [(2, 7)];
+        let base = graph_of(8, base_edges);
+        let overlay = graph_of(8, overlay_edges);
+        let merged = graph_of(8, base_edges.into_iter().chain(overlay_edges));
+        let tree = crate::bfs::run(&merged, &EngineConfig::new().with_threads(2), 0);
+        assert_eq!((tree[7], tree[1]), (Some(2), Some(7)));
+        for threads in [1usize, 2, 8] {
+            let pool = ThreadPool::single_group(threads);
+            // One BFS lane (byte words) and nine (`u64` words).
+            for bfs in [1, 9] {
+                for forced in POLICIES {
+                    let mr = sweep(&base, Some(&overlay), &[0; 10], bfs, &pool, None, forced);
+                    let mr = mr.unwrap();
+                    for lane in 0..bfs {
+                        let at = format!("{threads} bfs={bfs} lane={lane} {forced:?}");
+                        assert_eq!(mr.parents(lane).as_ref(), Some(&tree), "{at}");
+                    }
+                    assert_eq!(mr.parents(bfs), None);
+                }
             }
         }
     }
@@ -804,7 +808,7 @@ mod tests {
         let pool = ThreadPool::single_group(2);
         let shapes = shapes();
         let graph = |name: &str| &shapes.iter().find(|(n, _)| *n == name).unwrap().1;
-        let chain = multi_source_reach(graph("chain"), None, &[0, 100], 0b10, &pool, None).unwrap();
+        let chain = multi_source_reach(graph("chain"), None, &[100, 0], 1, &pool, None).unwrap();
         assert_eq!(chain.pull_iterations, 0, "one edge per frontier never pays");
         assert_eq!(
             chain.push_iterations, 200,
@@ -855,7 +859,7 @@ mod tests {
             n in 1usize..48,
             raw_edges in proptest::collection::vec((0u32..48, 0u32..48, any::<bool>()), 0..160),
             raw_roots in proptest::collection::vec(0u32..48, 0..=64),
-            raw_parent_lanes in any::<u64>(),
+            raw_bfs in 0usize..=64,
             threads in prop_oneof![Just(1usize), Just(2), Just(8)],
         ) {
             let edges: Vec<(u32, u32, bool)> = raw_edges
@@ -868,15 +872,15 @@ mod tests {
             let (base, overlay) = (layer(false), layer(true));
             let pairs: Vec<(u32, u32)> = edges.iter().map(|&(s, d, _)| (s, d)).collect();
             let roots: Vec<u32> = raw_roots.iter().map(|r| r % n as u32).collect();
-            let bfs = raw_parent_lanes & all_lanes(roots.len());
+            let bfs = raw_bfs.min(roots.len());
             let want: Vec<LaneReply> = roots
                 .iter()
                 .enumerate()
                 .map(|(lane, &r)| {
                     let tree = min_parent_bfs(n, &pairs, r);
-                    match bfs >> lane & 1 {
-                        1 => LaneReply::Parents(tree),
-                        _ => LaneReply::Reached(tree.iter().map(Option::is_some).collect()),
+                    match lane < bfs {
+                        true => LaneReply::Parents(tree),
+                        false => LaneReply::Reached(tree.iter().map(Option::is_some).collect()),
                     }
                 })
                 .collect();
@@ -899,8 +903,8 @@ mod tests {
             assert!(sweep(
                 &base,
                 Some(&overlay),
-                &[0, 1],
-                0b10,
+                &[1, 0],
+                1,
                 &pool,
                 Some(&cancel),
                 forced
@@ -909,12 +913,12 @@ mod tests {
         }
         cancel.reset();
         let resumed =
-            multi_source_reach(&base, Some(&overlay), &[0, 1], 0b10, &pool, Some(&cancel)).unwrap();
-        let fresh = multi_source_reach(&g, None, &[0, 1], 0b10, &pool, None).unwrap();
+            multi_source_reach(&base, Some(&overlay), &[1, 0], 1, &pool, Some(&cancel)).unwrap();
+        let fresh = multi_source_reach(&g, None, &[1, 0], 1, &pool, None).unwrap();
         assert_eq!(resumed.masks(), fresh.masks());
-        assert_eq!(resumed.parents(1), fresh.parents(1));
+        assert_eq!(resumed.parents(0), fresh.parents(0));
         let cfg = EngineConfig::new().with_threads(2);
-        assert_eq!(fresh.parents(1), Some(crate::bfs::run(&g, &cfg, 1)));
+        assert_eq!(fresh.parents(0), Some(crate::bfs::run(&g, &cfg, 1)));
     }
 
     #[test]

@@ -920,17 +920,20 @@ fn execute_packed(
 
 /// The bit-parallel run behind [`execute_packed`], for two or more members
 /// that are neither expired nor injected to panic.
-fn run_pack(shared: &Shared, pool: &ThreadPool, degraded_pool: &ThreadPool, live: Vec<Pending>) {
-    let mut bfs_lanes = 0u64;
+fn run_pack(
+    shared: &Shared,
+    pool: &ThreadPool,
+    degraded_pool: &ThreadPool,
+    mut live: Vec<Pending>,
+) {
+    // BFS members take the low lanes, where their level words are bytes.
+    let is_bfs = |p: &Pending| matches!(p.request, Request::Query(Query::Bfs { .. }));
+    live.sort_by_key(|p| !is_bfs(p));
+    let bfs = live.partition_point(is_bfs);
     let roots: Vec<_> = live
         .iter()
-        .enumerate()
-        .map(|(lane, p)| match p.request {
-            Request::Query(Query::Reach { root }) => root,
-            Request::Query(Query::Bfs { root }) => {
-                bfs_lanes |= 1 << lane;
-                root
-            }
+        .map(|p| match p.request {
+            Request::Query(Query::Reach { root } | Query::Bfs { root }) => root,
             _ => unreachable!("only Reach and Bfs pack"),
         })
         .collect();
@@ -947,26 +950,29 @@ fn run_pack(shared: &Shared, pool: &ThreadPool, degraded_pool: &ThreadPool, live
         panic::catch_unwind(AssertUnwindSafe(|| {
             let vg = shared.graph_state();
             let view = vg.view();
+            let t0 = Instant::now();
             let mr = multi_source_reach(
                 view.graph,
                 view.delta_graph,
                 &roots,
-                bfs_lanes,
+                bfs,
                 pool,
                 Some(&cancel),
             );
-            mr.map(|mr| (mr, view.has_delta()))
+            let sweep_ns = t0.elapsed().as_nanos() as u64;
+            mr.map(|mr| (mr, view.has_delta(), sweep_ns))
         }))
     });
     match result {
-        Ok(Some((mr, overlay))) => {
+        Ok(Some((mr, overlay, sweep_ns))) => {
             let mut stats = shared.stats.lock().unwrap();
             stats.packed_runs += 1;
             stats.packed_queries += live.len() as u64;
-            stats.packed_bfs_queries += u64::from(bfs_lanes.count_ones());
+            stats.packed_bfs_queries += bfs as u64;
             stats.packed_overlay_runs += u64::from(overlay);
             stats.packed_pull_steps += mr.pull_iterations as u64;
             stats.packed_push_steps += mr.push_iterations as u64;
+            stats.packed_sweep_ns += sweep_ns;
             drop(stats);
             for (p, reply) in live.iter().zip(mr.replies()) {
                 dispose(shared, p, Ok(reply.into()));
@@ -1216,6 +1222,38 @@ mod tests {
         assert_eq!(snap.packed_queries, 4);
         assert_eq!(snap.packed_bfs_queries + snap.packed_overlay_runs, 0);
         assert!(snap.packed_pull_steps + snap.packed_push_steps > 0);
+        assert!(snap.packed_sweep_ns > 0);
+    }
+
+    #[test]
+    fn bfs_members_behind_reach_members_each_get_their_own_reply() {
+        let (g, pg) = serve_graph(96);
+        let (cfg, faults) = plugged(0);
+        let server = Server::start_with_faults(Arc::clone(&g), Arc::clone(&pg), cfg, faults, None);
+        let t0 = server.submit(Query::Cc).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        // The pack puts the BFS members on its low lanes, ahead of the
+        // Reach members that arrived first.
+        let queries = [
+            Query::Reach { root: 0 },
+            Query::Reach { root: 40 },
+            Query::Bfs { root: 40 },
+            Query::Bfs { root: 7 },
+            Query::Reach { root: 7 },
+            Query::Bfs { root: 0 },
+        ];
+        let tickets = queries.map(|q| server.submit(q).unwrap());
+        t0.wait().unwrap();
+        let ecfg = EngineConfig::new().with_threads(2);
+        let pool = ThreadPool::single_group(2);
+        for (t, q) in tickets.into_iter().zip(queries) {
+            let direct = single_shot(&g, &pg, &ecfg, &ResilienceContext::new(), &pool, q);
+            assert_eq!(t.wait().expect("packed"), direct.unwrap(), "{q:?}");
+        }
+        let snap = server.drain();
+        assert_eq!(snap.packed_runs, 1);
+        assert_eq!((snap.packed_queries, snap.packed_bfs_queries), (6, 3));
+        assert!(snap.packed_sweep_ns > 0);
     }
 
     /// Configuration and faults under which the query at admission

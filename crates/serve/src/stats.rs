@@ -29,6 +29,7 @@ pub(crate) struct StatsInner {
     pub packed_overlay_runs: u64,
     pub packed_pull_steps: u64,
     pub packed_push_steps: u64,
+    pub packed_sweep_ns: u64,
     pub updates_applied: u64,
     pub merges: u64,
     pub update_apply_ns: u64,
@@ -72,6 +73,7 @@ impl StatsInner {
             packed_overlay_runs: self.packed_overlay_runs,
             packed_pull_steps: self.packed_pull_steps,
             packed_push_steps: self.packed_push_steps,
+            packed_sweep_ns: self.packed_sweep_ns,
             updates_applied: self.updates_applied,
             merges: self.merges,
             update_apply_ns: self.update_apply_ns,
@@ -140,6 +142,8 @@ pub struct StatsSnapshot {
     pub packed_pull_steps: u64,
     /// Top-down (push) steps packed runs took.
     pub packed_push_steps: u64,
+    /// Wall time inside the completed packed runs' sweeps, ns.
+    pub packed_sweep_ns: u64,
     /// Update batches applied to the versioned graph.
     pub updates_applied: u64,
     /// Update batches that ended in a merge rebuild.
@@ -178,6 +182,7 @@ impl StatsSnapshot {
              packed_overlay_runs: {}\n\
              packed_pull_steps: {}\n\
              packed_push_steps: {}\n\
+             packed_sweep_ns: {}\n\
              updates_applied: {}\n\
              merges: {}\n\
              update_apply_ns: {}\n\
@@ -202,6 +207,7 @@ impl StatsSnapshot {
             self.packed_overlay_runs,
             self.packed_pull_steps,
             self.packed_push_steps,
+            self.packed_sweep_ns,
             self.updates_applied,
             self.merges,
             self.update_apply_ns,
@@ -305,6 +311,7 @@ mod tests {
             packed_overlay_runs: 6,
             packed_pull_steps: 5,
             packed_push_steps: 4,
+            packed_sweep_ns: 6_000,
             update_apply_ns: 9_000,
             merge_ns: 8_000,
             ..StatsInner::default()
@@ -319,6 +326,7 @@ mod tests {
             "packed_overlay_runs: 6",
             "packed_pull_steps: 5",
             "packed_push_steps: 4",
+            "packed_sweep_ns: 6000",
             "update_apply_ns: 9000",
             "merge_ns: 8000",
             "p50_latency_us: 2000",
