@@ -420,9 +420,9 @@ mod tests {
         VersionedGraph::new(Arc::new(g.clone()), Arc::new(pg))
     }
 
-    fn merged_graph(vg: &VersionedGraph) -> Graph {
+    fn merged_graph(vg: &VersionedGraph, pool: &ThreadPool) -> Graph {
         // Rebuild from the merged neighbor view for cold-recompute arms.
-        let view = vg.view();
+        let view = vg.view(pool);
         let mut el = EdgeList::new(view.num_vertices());
         for u in 0..view.num_vertices() as u32 {
             for v in view.out_neighbors(u) {
@@ -439,7 +439,7 @@ mod tests {
         let pool = ThreadPool::single_group(2);
         let vg = versioned(&g, &pool);
         let cfg = EngineConfig::new().with_threads(2);
-        let inc = IncrementalBfs::cold(&vg.view(), 0, &cfg, &pool);
+        let inc = IncrementalBfs::cold(&vg.view(&pool), 0, &cfg, &pool);
         assert_eq!(inc.depths(), bfs::reference_depths(&g, 0));
     }
 
@@ -449,16 +449,16 @@ mod tests {
         let pool = ThreadPool::single_group(2);
         let mut vg = versioned(&g, &pool);
         let cfg = EngineConfig::new().with_threads(2);
-        let mut inc = IncrementalBfs::cold(&vg.view(), 0, &cfg, &pool);
+        let mut inc = IncrementalBfs::cold(&vg.view(&pool), 0, &cfg, &pool);
 
         let batch = fresh_sym_edges(&g, 12);
         let report = vg
             .apply_batch(&UpdateBatch::from_inserts(&batch), &pool)
             .unwrap();
         assert!(!report.full_recompute);
-        inc.update(&vg.view(), &report.record.inserted, &cfg, &pool);
+        inc.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
 
-        let merged = merged_graph(&vg);
+        let merged = merged_graph(&vg, &pool);
         let mpg = PreparedGraph::new(&merged);
         let (cold_parents, _) = bfs::run_prepared(&mpg, &cfg, &pool, 0);
         assert_eq!(inc.parents(), &cold_parents[..]);
@@ -470,15 +470,15 @@ mod tests {
         let pool = ThreadPool::single_group(2);
         let mut vg = versioned(&g, &pool);
         let cfg = EngineConfig::new().with_threads(2);
-        let mut inc = IncrementalCc::cold(&vg.view(), &cfg, &pool);
+        let mut inc = IncrementalCc::cold(&vg.view(&pool), &cfg, &pool);
 
         let batch = fresh_sym_edges(&g, 16);
         let report = vg
             .apply_batch(&UpdateBatch::from_inserts(&batch), &pool)
             .unwrap();
-        inc.update(&vg.view(), &report.record.inserted, &cfg, &pool);
+        inc.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
 
-        let merged = merged_graph(&vg);
+        let merged = merged_graph(&vg, &pool);
         assert_eq!(inc.labels(), &cc::reference_undirected(&merged)[..]);
         let mpg = PreparedGraph::new(&merged);
         let (cold, _) = cc::run_prepared(&mpg, &cfg, &pool, false);
@@ -492,16 +492,18 @@ mod tests {
         let mut vg = versioned(&g, &pool);
         let mut cfg = EngineConfig::new().with_threads(2);
         cfg.max_iterations = 500;
-        let mut inc = IncrementalPageRank::cold(&vg.view(), pagerank::DAMPING, 1e-12, &cfg, &pool);
+        let mut inc =
+            IncrementalPageRank::cold(&vg.view(&pool), pagerank::DAMPING, 1e-12, &cfg, &pool);
 
         let batch = fresh_sym_edges(&g, 10);
         vg.apply_batch(&UpdateBatch::from_inserts(&batch), &pool)
             .unwrap();
-        inc.update(&vg.view(), &cfg, &pool);
+        inc.update(&vg.view(&pool), &cfg, &pool);
 
-        let merged = merged_graph(&vg);
+        let merged = merged_graph(&vg, &pool);
         let mvg = versioned(&merged, &pool);
-        let cold = IncrementalPageRank::cold(&mvg.view(), pagerank::DAMPING, 1e-12, &cfg, &pool);
+        let cold =
+            IncrementalPageRank::cold(&mvg.view(&pool), pagerank::DAMPING, 1e-12, &cfg, &pool);
         for (a, b) in inc.ranks().iter().zip(cold.ranks()) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
@@ -514,7 +516,7 @@ mod tests {
         let pool = ThreadPool::single_group(2);
         let mut vg = versioned(&g, &pool).with_merge_fraction(0.001);
         let cfg = EngineConfig::new().with_threads(2);
-        let mut inc = IncrementalCc::cold(&vg.view(), &cfg, &pool);
+        let mut inc = IncrementalCc::cold(&vg.view(&pool), &cfg, &pool);
 
         for round in 0..3 {
             let batch = fresh_sym_edges(vg.base(), 4 + round);
@@ -522,7 +524,7 @@ mod tests {
                 .apply_batch(&UpdateBatch::from_inserts(&batch), &pool)
                 .unwrap();
             assert!(report.merged, "tiny threshold must merge every batch");
-            inc.update(&vg.view(), &report.record.inserted, &cfg, &pool);
+            inc.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
         }
         assert_eq!(inc.labels(), &cc::reference_undirected(vg.base())[..]);
     }

@@ -1672,12 +1672,12 @@ pub fn incremental_updates() -> Table {
         let mg = Graph::from_edgelist(&mel).expect("merged graph");
         let mpg = PreparedGraph::new_on_pool(&mg, &pool);
         let mut vg = VersionedGraph::new(Arc::clone(&base_g), Arc::clone(&base_pg));
-        let mut ibfs = IncrementalBfs::cold(&vg.view(), 0, &cfg, &pool);
-        let mut icc = IncrementalCc::cold(&vg.view(), &cfg, &pool);
+        let mut ibfs = IncrementalBfs::cold(&vg.view(&pool), 0, &cfg, &pool);
+        let mut icc = IncrementalCc::cold(&vg.view(&pool), &cfg, &pool);
         let report = vg.apply_batch(&ub, &pool).expect("insert batch applies");
         assert!(!report.full_recompute, "insert-only batch must stay warm");
-        ibfs.update(&vg.view(), &report.record.inserted, &cfg, &pool);
-        icc.update(&vg.view(), &report.record.inserted, &cfg, &pool);
+        ibfs.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
+        icc.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
         let (cold_parents, _) = grazelle_apps::bfs::run_prepared(&mpg, &cfg, &pool, 0);
         assert_eq!(ibfs.parents(), &cold_parents[..], "warm BFS diverged");
         let (cold_labels, _) = grazelle_apps::cc::run_prepared(&mpg, &cfg, &pool, false);
@@ -1689,6 +1689,8 @@ pub fn incremental_updates() -> Table {
         let cold_secs = median_secs(|| {
             // Merge fraction 0 forces the merge path on every batch: what
             // a non-incremental engine does with the same update stream.
+            // The merge only splices; the recompute's `base_prepared` /
+            // `view` encodes the merged base, inside the timer too.
             let mut vg = VersionedGraph::new(Arc::clone(&base_g), Arc::clone(&base_pg))
                 .with_merge_fraction(0.0);
             let t0 = Instant::now();
@@ -1697,17 +1699,21 @@ pub fn incremental_updates() -> Table {
             match app {
                 "bfs" => {
                     let (p, _) =
-                        grazelle_apps::bfs::run_prepared(vg.base_prepared(), &cfg, &pool, 0);
+                        grazelle_apps::bfs::run_prepared(vg.base_prepared(&pool), &cfg, &pool, 0);
                     std::hint::black_box(&p);
                 }
                 "cc" => {
-                    let (l, _) =
-                        grazelle_apps::cc::run_prepared(vg.base_prepared(), &cfg, &pool, false);
+                    let (l, _) = grazelle_apps::cc::run_prepared(
+                        vg.base_prepared(&pool),
+                        &cfg,
+                        &pool,
+                        false,
+                    );
                     std::hint::black_box(&l);
                 }
                 _ => {
                     let pr = IncrementalPageRank::cold(
-                        &vg.view(),
+                        &vg.view(&pool),
                         pagerank::DAMPING,
                         PR_TOL,
                         &cfg,
@@ -1728,24 +1734,24 @@ pub fn incremental_updates() -> Table {
             let mut vg = VersionedGraph::new(Arc::clone(&base_g), Arc::clone(&base_pg));
             let secs = match app {
                 "bfs" => {
-                    let mut inc = IncrementalBfs::cold(&vg.view(), 0, &cfg, &pool);
+                    let mut inc = IncrementalBfs::cold(&vg.view(&pool), 0, &cfg, &pool);
                     let t0 = Instant::now();
                     let report = vg.apply_batch(&ub, &pool).expect("insert batch applies");
-                    inc.update(&vg.view(), &report.record.inserted, &cfg, &pool);
+                    inc.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
                     std::hint::black_box(inc.parents());
                     t0.elapsed().as_secs_f64()
                 }
                 "cc" => {
-                    let mut inc = IncrementalCc::cold(&vg.view(), &cfg, &pool);
+                    let mut inc = IncrementalCc::cold(&vg.view(&pool), &cfg, &pool);
                     let t0 = Instant::now();
                     let report = vg.apply_batch(&ub, &pool).expect("insert batch applies");
-                    inc.update(&vg.view(), &report.record.inserted, &cfg, &pool);
+                    inc.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
                     std::hint::black_box(inc.labels());
                     t0.elapsed().as_secs_f64()
                 }
                 _ => {
                     let mut inc = IncrementalPageRank::cold(
-                        &vg.view(),
+                        &vg.view(&pool),
                         pagerank::DAMPING,
                         PR_TOL,
                         &cfg,
@@ -1753,7 +1759,7 @@ pub fn incremental_updates() -> Table {
                     );
                     let t0 = Instant::now();
                     vg.apply_batch(&ub, &pool).expect("insert batch applies");
-                    inc.update(&vg.view(), &cfg, &pool);
+                    inc.update(&vg.view(&pool), &cfg, &pool);
                     std::hint::black_box(inc.ranks());
                     t0.elapsed().as_secs_f64()
                 }

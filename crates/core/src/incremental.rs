@@ -1,10 +1,11 @@
 //! The versioned graph handle: base + delta overlay + merge policy.
 //!
-//! [`VersionedGraph`] owns an immutable base [`Graph`]/[`PreparedGraph`]
-//! pair plus the [`DeltaSegments`] recorded on top of it, and keeps a
-//! second, small prepared graph built over the pending inserts — the
-//! overlay the engine drivers fold in after each base Edge phase
-//! (`run_program_overlay_on_pool`, `run_resilient_overlay_on_pool`).
+//! [`VersionedGraph`] owns an immutable base [`Graph`] plus the
+//! [`DeltaSegments`] recorded on top of it, and keeps a second, small graph
+//! over the pending inserts — the overlay the engine drivers fold in after
+//! each base Edge phase (`run_program_overlay_on_pool`,
+//! `run_resilient_overlay_on_pool`). Each layer's [`PreparedGraph`] is
+//! encoded on demand (see below).
 //!
 //! Policy, all in [`apply_batch`](VersionedGraph::apply_batch):
 //!
@@ -20,11 +21,14 @@
 //!   edge count, the overlay is folded into the base. A threshold merge
 //!   changes no logical edge, so prior results remain valid.
 //!
-//! Neither a merge nor an overlay refresh rebuilds from an edge list. A
-//! merge splices the sorted pending inserts and tombstones into the base,
-//! and a refresh splices the batch's new inserts into the old overlay
-//! ([`Graph::with_edits`]). Both copy every untouched adjacency list as one
-//! slice, then encode Vector-Sparse from the result.
+//! Neither a merge nor an overlay refresh rebuilds from an edge list, and
+//! neither encodes. A merge splices the sorted pending inserts and
+//! tombstones into the base, and a refresh splices the batch's new inserts
+//! into the old overlay ([`Graph::with_edits`]); both copy every untouched
+//! adjacency list as one slice. A version's Vector-Sparse is encoded once,
+//! on the caller's pool, by its first [`view`](VersionedGraph::view) or
+//! [`base_prepared`](VersionedGraph::base_prepared); readers of CSR/CSC
+//! alone ([`layers`](VersionedGraph::layers)) never pay for it.
 //!
 //! Pending deltas persist through the `GRZCKPT1` checkpoint container
 //! ([`save_pending`](VersionedGraph::save_pending)): each edge packs into
@@ -44,7 +48,7 @@ use grazelle_graph::graph::Graph;
 use grazelle_graph::types::{GraphError, VertexId};
 use grazelle_sched::pool::ThreadPool;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Default pending-insert fraction of the base edge count that triggers a
@@ -65,8 +69,8 @@ pub struct ApplyReport {
     /// Whether prior results are invalidated (deletes only). Incremental
     /// maintenance must fall back to a cold recompute when set.
     pub full_recompute: bool,
-    /// Wall time of the merge, splice and Vector-Sparse encode together
-    /// (0 without one).
+    /// Wall time of the merge's CSR/CSC splice (0 without one). The
+    /// Vector-Sparse encode waits for the version's first engine read.
     pub merge_ns: u64,
 }
 
@@ -118,11 +122,6 @@ impl<'a> GraphView<'a> {
         self.pg.num_edges + self.delta_pg.map_or(0, |d| d.num_edges)
     }
 
-    /// Whether an overlay with at least one edge is active.
-    pub fn has_delta(&self) -> bool {
-        self.delta_pg.is_some_and(|d| d.num_edges > 0)
-    }
-
     /// Merged out-degree of `v`.
     pub fn out_degree(&self, v: VertexId) -> u32 {
         self.out_degrees[v as usize]
@@ -155,9 +154,11 @@ impl<'a> GraphView<'a> {
 /// The versioned graph handle (see the module docs for the policy).
 pub struct VersionedGraph {
     base: Arc<Graph>,
-    base_pg: Arc<PreparedGraph>,
+    /// Filled by the first engine read of the base.
+    base_pg: OnceLock<Arc<PreparedGraph>>,
     delta: DeltaSegments,
-    delta_graph: Option<(Arc<Graph>, Arc<PreparedGraph>)>,
+    /// The overlay and its structures, filled by its first engine read.
+    delta_graph: Option<(Graph, OnceLock<PreparedGraph>)>,
     out_deg: Vec<u32>,
     in_deg: Vec<u32>,
     merge_fraction: f64,
@@ -167,6 +168,15 @@ impl VersionedGraph {
     /// Wraps an existing base pair at version 0 with the default merge
     /// policy.
     pub fn new(base: Arc<Graph>, base_pg: Arc<PreparedGraph>) -> Self {
+        VersionedGraph::over(base, OnceLock::from(base_pg))
+    }
+
+    /// Wraps a graph at version 0; its structures wait for the first read.
+    pub fn from_graph(g: Graph) -> Self {
+        VersionedGraph::over(Arc::new(g), OnceLock::new())
+    }
+
+    fn over(base: Arc<Graph>, base_pg: OnceLock<Arc<PreparedGraph>>) -> Self {
         let n = base.num_vertices();
         let out_deg = (0..n as VertexId).map(|v| base.out_degree(v)).collect();
         let in_deg = (0..n as VertexId).map(|v| base.in_degree(v)).collect();
@@ -179,16 +189,6 @@ impl VersionedGraph {
             in_deg,
             merge_fraction: DEFAULT_MERGE_FRACTION,
         }
-    }
-
-    /// Builds the base pair from a graph (prepares structures on `pool`).
-    pub fn from_graph(g: Graph, pool: &ThreadPool) -> Self {
-        let pg = if pool.num_threads() > 1 {
-            PreparedGraph::new_on_pool(&g, pool)
-        } else {
-            PreparedGraph::new(&g)
-        };
-        VersionedGraph::new(Arc::new(g), Arc::new(pg))
     }
 
     /// Overrides the pending-insert fraction that triggers a merge.
@@ -225,21 +225,43 @@ impl VersionedGraph {
         &self.base
     }
 
-    /// The current base prepared structures.
-    pub fn base_prepared(&self) -> &Arc<PreparedGraph> {
-        &self.base_pg
+    /// The current base prepared structures, encoded on `pool` if no
+    /// earlier read of this base did.
+    pub fn base_prepared(&self, pool: &ThreadPool) -> &Arc<PreparedGraph> {
+        self.base_pg
+            .get_or_init(|| Arc::new(prepare(&self.base, pool)))
     }
 
-    /// A borrowed view of this version for the engine drivers.
-    pub fn view(&self) -> GraphView<'_> {
+    /// A borrowed view of this version for the engine drivers, encoding
+    /// whatever structures of it no earlier read did, on `pool`.
+    pub fn view(&self, pool: &ThreadPool) -> GraphView<'_> {
+        let delta = self
+            .delta_graph
+            .as_ref()
+            .map(|(g, pg)| (g, pg.get_or_init(|| prepare(g, pool))));
         GraphView {
             graph: &self.base,
-            pg: &self.base_pg,
-            delta_graph: self.delta_graph.as_ref().map(|(g, _)| g.as_ref()),
-            delta_pg: self.delta_graph.as_ref().map(|(_, pg)| pg.as_ref()),
+            pg: self.base_prepared(pool),
+            delta_graph: delta.map(|(g, _)| g),
+            delta_pg: delta.map(|(_, pg)| pg),
             out_degrees: &self.out_deg,
             in_degrees: &self.in_deg,
         }
+    }
+
+    /// The base graph and the insert overlay, if any: CSR/CSC only, so
+    /// this never encodes.
+    pub fn layers(&self) -> (&Graph, Option<&Graph>) {
+        (&self.base, self.delta_graph.as_ref().map(|(g, _)| g))
+    }
+
+    /// Whether every layer of this version holds its Vector-Sparse.
+    pub fn encoded(&self) -> bool {
+        self.base_pg.get().is_some()
+            && self
+                .delta_graph
+                .as_ref()
+                .is_none_or(|(_, pg)| pg.get().is_some())
     }
 
     /// Applies one update batch: records it into the delta segments,
@@ -293,29 +315,31 @@ impl VersionedGraph {
                 fresh.sort_unstable();
                 let empty;
                 let old = match &self.delta_graph {
-                    Some((g, _)) => g.as_ref(),
+                    Some((g, _)) => g,
                     None => {
                         empty = Graph::from_edgelist(&EdgeList::new(self.num_vertices()))?;
                         &empty
                     }
                 };
-                let overlay = old.with_edits(&fresh, &[], pool)?;
-                let pg = prepare(&overlay, pool);
-                self.delta_graph = Some((Arc::new(overlay), Arc::new(pg)));
+                // Below the build cutover a pool dispatch costs more than
+                // it splits.
+                let big = (old.num_edges() + fresh.len()) as u64 >= PAR_BUILD_CUTOVER_EDGES;
+                let overlay = old.with_edits(&fresh, &[], big.then_some(pool))?;
+                self.delta_graph = Some((overlay, OnceLock::new()));
             }
         }
         Ok(report)
     }
 
-    /// Splices every pending insert and tombstone into the base, re-encodes
-    /// it, then clears the delta. The logical edge set is unchanged.
+    /// Splices every pending insert and tombstone into the base, then
+    /// clears the delta. The logical edge set is unchanged.
     fn merge(&mut self, pool: &ThreadPool) -> Result<(), GraphError> {
         let g = self.base.with_edits(
             &self.delta.sorted_pending(),
             &self.delta.sorted_tombstones(),
-            pool,
+            Some(pool),
         )?;
-        self.base_pg = Arc::new(prepare(&g, pool));
+        self.base_pg = OnceLock::new();
         self.base = Arc::new(g);
         self.delta.clear();
         self.delta_graph = None;
@@ -373,7 +397,7 @@ impl VersionedGraph {
     }
 }
 
-/// Vector-Sparse for a spliced graph: on the pool from
+/// Vector-Sparse for a graph layer: on the pool from
 /// [`PAR_BUILD_CUTOVER_EDGES`] edges up, sequentially below, where the
 /// pool's handshakes cost more than they split (bit-identical either way).
 fn prepare(g: &Graph, pool: &ThreadPool) -> PreparedGraph {
@@ -453,8 +477,7 @@ mod tests {
     }
 
     fn vg_over(g: Graph) -> (VersionedGraph, ThreadPool) {
-        let pool = ThreadPool::single_group(2);
-        (VersionedGraph::from_graph(g, &pool), pool)
+        (VersionedGraph::from_graph(g), ThreadPool::single_group(2))
     }
 
     #[test]
@@ -477,13 +500,13 @@ mod tests {
         assert_eq!(vg.num_edges(), 34);
 
         let cfg = EngineConfig::new().with_threads(2);
-        let view = vg.view();
+        let view = vg.view(&pool);
         let overlay = MinLabel::new(16);
         run_program_overlay_on_pool(view.pg, view.delta_pg, &overlay, &cfg, &pool);
 
         let merged = vg
             .base
-            .with_edits(&vg.delta.sorted_pending(), &[], &pool)
+            .with_edits(&vg.delta.sorted_pending(), &[], Some(&pool))
             .unwrap();
         let mpg = PreparedGraph::new(&merged);
         let cold = MinLabel::new(16);
@@ -531,10 +554,10 @@ mod tests {
     #[test]
     fn degrees_track_the_merged_view() {
         let (mut vg, pool) = vg_over(ring(8));
-        assert_eq!(vg.view().out_degree(0), 2);
+        assert_eq!(vg.view(&pool).out_degree(0), 2);
         vg.apply_batch(&UpdateBatch::from_inserts(&[(0, 4), (5, 0)]), &pool)
             .unwrap();
-        let view = vg.view();
+        let view = vg.view(&pool);
         assert_eq!(view.out_degree(0), 3);
         assert_eq!(view.in_degree(0), 3);
         assert_eq!(view.in_degree(4), 3);
@@ -616,6 +639,7 @@ mod tests {
             let pool = ThreadPool::single_group(threads);
             let mut vg = VersionedGraph::new(Arc::new(g), Arc::new(pg)).with_merge_fraction(fraction);
             let mut in_base = logical.clone();
+            let mut pending = BTreeSet::new();
             for (version, (deleting, edits)) in batches.into_iter().enumerate() {
                 let mut batch = UpdateBatch::new();
                 for (s, d, delete) in edits {
@@ -641,9 +665,15 @@ mod tests {
                 prop_assert!(report.merged || !lost);
                 prop_assert_eq!(vg.version(), version as u64 + 1);
                 prop_assert_eq!(vg.num_edges(), logical.len());
-                let view = vg.view();
+                // A splice leaves its layer unencoded until the first read.
+                let was = std::mem::replace(&mut pending, logical.difference(&in_base).copied().collect());
+                prop_assert_eq!(vg.encoded(), !report.merged && was == pending);
+                let view = vg.view(&pool);
+                prop_assert!(vg.encoded());
+                let again = vg.view(&pool);
+                prop_assert!(std::ptr::eq(view.pg, again.pg), "a second read re-encoded the base");
+                prop_assert_eq!(view.delta_pg.map(|d| d as *const _), again.delta_pg.map(|d| d as *const _));
                 prop_assert!(is_cold_build(view.graph, view.pg, &in_base));
-                let pending: BTreeSet<_> = logical.difference(&in_base).copied().collect();
                 match (view.delta_graph, view.delta_pg) {
                     (Some(g), Some(pg)) => prop_assert!(is_cold_build(g, pg, &pending)),
                     (None, None) => prop_assert!(pending.is_empty()),
@@ -661,24 +691,24 @@ mod tests {
         let (mut vg, pool) = vg_over(ring(8));
         vg.apply_batch(&UpdateBatch::from_inserts(&[(0, 4), (6, 2)]), &pool)
             .unwrap();
-        let before = vg.view().delta_graph.unwrap().out_csr().clone();
+        let before = vg.layers().1.unwrap().out_csr().clone();
         let report = vg
             .apply_batch(UpdateBatch::new().delete(0, 4).insert(0, 4), &pool)
             .unwrap();
         assert!(!report.merged, "the delete was cancelled in the batch");
-        assert_eq!(vg.view().delta_graph.unwrap().out_csr(), &before);
+        assert_eq!(vg.layers().1.unwrap().out_csr(), &before);
         assert_eq!(vg.num_edges(), 18);
-        assert_eq!(vg.view().out_degree(0), 3);
+        assert_eq!(vg.view(&pool).out_degree(0), 3);
     }
 
     #[test]
     fn rejected_batch_changes_nothing() {
         let (mut vg, pool) = vg_over(ring(4));
-        let before = vg.view().out_degrees.to_vec();
+        let before = vg.view(&pool).out_degrees.to_vec();
         let err = vg.apply_batch(&UpdateBatch::from_inserts(&[(0, 9)]), &pool);
         assert!(err.is_err());
         assert_eq!(vg.version(), 0);
-        assert_eq!(vg.view().out_degrees, &before[..]);
+        assert_eq!(vg.view(&pool).out_degrees, &before[..]);
         assert!(!vg.delta_active());
     }
 }

@@ -481,15 +481,16 @@ pub(crate) type Edits<'a> = &'a [(VertexId, VertexId)];
 ///
 /// The new vertex indexes are computed on the calling thread. The edge
 /// arrays are then written in one pool dispatch, each worker filling one
-/// edge-balanced vertex range of every job's *new* index; a one-thread
-/// pool's single range is filled on the calling thread. The result equals the counting-sort build plus
+/// edge-balanced vertex range of every job's *new* index; without a pool,
+/// or with a one-thread one, the single range is filled on the calling
+/// thread. The result equals the counting-sort build plus
 /// [`Csr::sort_neighbors`] over the same edge multiset, because a sorted
 /// `u32` list is unique.
 pub(crate) fn splice<const K: usize>(
     jobs: [(&Csr, Edits<'_>, Edits<'_>); K],
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
 ) -> [Csr; K] {
-    let threads = pool.num_threads();
+    let threads = pool.map_or(1, ThreadPool::num_threads);
     let indexes = jobs.map(|(csr, ins, del)| {
         debug_assert!(csr.weights.is_none(), "edits carry no weights");
         csr.spliced_index(ins, del)
@@ -514,10 +515,11 @@ pub(crate) fn splice<const K: usize>(
             csr.fill_spliced(part, out, ins, del);
         }
     };
-    if threads == 1 {
-        tasks.into_iter().for_each(fill);
-    } else {
-        pool.run_tasks(tasks, |_, pieces| fill(pieces));
+    match pool {
+        Some(pool) if threads > 1 => {
+            pool.run_tasks(tasks, |_, pieces| fill(pieces));
+        }
+        _ => tasks.into_iter().for_each(fill),
     }
     let mut edges = edges.into_iter();
     indexes.map(|index| Csr {

@@ -258,7 +258,7 @@ mod tests {
     /// The base a merge of `d` into `g` would produce.
     fn merged(d: &DeltaSegments, g: &Graph) -> Graph {
         let pool = ThreadPool::single_group(2);
-        g.with_edits(&d.sorted_pending(), &d.sorted_tombstones(), &pool)
+        g.with_edits(&d.sorted_pending(), &d.sorted_tombstones(), Some(&pool))
             .unwrap()
     }
 

@@ -80,8 +80,9 @@ impl Graph {
     }
 
     /// This graph with `inserts` added and `deletes` removed, spliced into
-    /// both orientations on `pool` — how a versioned graph merges an update
-    /// batch without re-sorting its edges.
+    /// both orientations on `pool`, or on the calling thread without one —
+    /// how a versioned graph merges an update batch without re-sorting its
+    /// edges.
     ///
     /// Both edit lists are `(src, dst)` pairs sorted ascending; the in-edge
     /// side sorts their transposes itself. A delete drops *every* copy of
@@ -97,7 +98,7 @@ impl Graph {
         &self,
         inserts: &[(VertexId, VertexId)],
         deletes: &[(VertexId, VertexId)],
-        pool: &ThreadPool,
+        pool: Option<&ThreadPool>,
     ) -> Result<Self, GraphError> {
         let n = self.num_vertices() as u64;
         if let Some(&(s, d)) = inserts
@@ -269,7 +270,8 @@ mod tests {
     }
 
     /// `base` spliced with `inserts` and `deletes` (unsorted, deletes may
-    /// repeat) next to the cold build of the edited edge multiset, both
+    /// repeat) on a `threads`-wide pool, or on the calling thread at 0,
+    /// next to the cold build of the edited edge multiset, both
     /// orientations compared exactly.
     fn check_splice(
         n: usize,
@@ -286,9 +288,9 @@ mod tests {
             e.sort_unstable();
             e
         };
-        let pool = ThreadPool::single_group(threads);
+        let pool = (threads > 0).then(|| ThreadPool::single_group(threads));
         let spliced = g
-            .with_edits(&sorted(inserts), &sorted(deletes), &pool)
+            .with_edits(&sorted(inserts), &sorted(deletes), pool.as_ref())
             .map_err(|e| e.to_string())?;
         let kept = base.iter().filter(|e| !deletes.contains(e));
         let want: Vec<_> = kept.chain(inserts).copied().collect();
@@ -330,7 +332,7 @@ mod tests {
             ),
         ];
         for (base, inserts, deletes) in cases {
-            for threads in [1, 2, 8] {
+            for threads in [0, 1, 2, 8] {
                 check_splice(6, base, inserts, deletes, threads).unwrap();
             }
         }
@@ -341,13 +343,13 @@ mod tests {
         let pool = ThreadPool::single_group(2);
         let g = sample();
         assert!(matches!(
-            g.with_edits(&[(0, 4)], &[], &pool),
+            g.with_edits(&[(0, 4)], &[], Some(&pool)),
             Err(GraphError::VertexOutOfRange { vertex: 4, .. })
         ));
         let mut el = EdgeList::new(3);
         el.push_weighted(0, 1, 1.0).unwrap();
         let w = Graph::from_edgelist(&el).unwrap();
-        assert!(w.with_edits(&[(1, 2)], &[], &pool).is_err());
+        assert!(w.with_edits(&[(1, 2)], &[], None).is_err());
     }
 
     proptest! {

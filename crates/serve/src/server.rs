@@ -33,8 +33,8 @@ use crate::stats::{StatsInner, StatsSnapshot};
 use grazelle_apps::multi::{multi_source_reach, MAX_LANES};
 use grazelle_core::engine::PreparedGraph;
 use grazelle_core::{
-    CancelFlag, Checkpoint, EngineConfig, EngineError, ExecInjector, Frontier, PropertyArray,
-    ResilienceContext, ServeInjector, SpanClock, VersionedGraph,
+    CancelFlag, Checkpoint, EngineConfig, EngineError, ExecInjector, Frontier, GraphView,
+    PropertyArray, ResilienceContext, ServeInjector, SpanClock, VersionedGraph,
 };
 use grazelle_graph::delta::UpdateBatch;
 use grazelle_graph::faults::RetryPolicy;
@@ -779,7 +779,8 @@ fn execute_single(
                         rctx = rctx.with_injector(x);
                     }
                     let vg = shared.graph_state();
-                    single_shot_view(&vg.view(), &cfg, &rctx, run_pool, query)
+                    let view = engine_view(shared, &vg, run_pool);
+                    single_shot_view(&view, &cfg, &rctx, run_pool, query)
                 }))
             }),
         };
@@ -819,6 +820,20 @@ fn execute_single(
         backoff_sleep(shared, p.seq, attempt);
     }
     unreachable!("loop always disposes");
+}
+
+/// The current version's view for an engine run. The first engine read
+/// after a splice encodes the version's Vector-Sparse here, on `pool`;
+/// `encodes` / `encode_ns` count it.
+fn engine_view<'a>(shared: &Shared, vg: &'a VersionedGraph, pool: &ThreadPool) -> GraphView<'a> {
+    let (cold, t) = (!vg.encoded(), Instant::now());
+    let view = vg.view(pool);
+    if cold {
+        let mut stats = shared.stats.lock().unwrap();
+        stats.encodes += 1;
+        stats.encode_ns += t.elapsed().as_nanos() as u64;
+    }
+    view
 }
 
 /// Applies one update batch to the versioned graph, between engine runs.
@@ -948,19 +963,13 @@ fn run_pack(
         // graph is immutable during the run. On catch, every member falls
         // back to the individual path and re-runs from intact inputs.
         panic::catch_unwind(AssertUnwindSafe(|| {
+            // The sweep reads CSR/CSC only: no Vector-Sparse is encoded.
             let vg = shared.graph_state();
-            let view = vg.view();
+            let (base, overlay) = vg.layers();
             let t0 = Instant::now();
-            let mr = multi_source_reach(
-                view.graph,
-                view.delta_graph,
-                &roots,
-                bfs,
-                pool,
-                Some(&cancel),
-            );
+            let mr = multi_source_reach(base, overlay, &roots, bfs, pool, Some(&cancel));
             let sweep_ns = t0.elapsed().as_nanos() as u64;
-            mr.map(|mr| (mr, view.has_delta(), sweep_ns))
+            mr.map(|mr| (mr, vg.delta_active(), sweep_ns))
         }))
     });
     match result {
@@ -1501,28 +1510,64 @@ mod tests {
         assert_eq!(off.packed_runs, 0);
         assert!(on.packed_overlay_runs >= 1 && on.packed_bfs_queries >= 1);
         assert_eq!((on.merges, off.merges), (1, 1));
+        // Packs read CSR/CSC only; alone, every version after a splice is
+        // encoded once, by its first query.
+        assert_eq!((on.encodes, off.encodes), (0, 5));
 
-        // The last segment reads the whole stream's edits: a cold build of
-        // the edited edge set answers it alike.
+        // Every reply equals a cold build of the edge set of its version.
         let mut edges: Vec<(u32, u32)> = g.out_csr().iter_edges().map(|(s, d, _)| (s, d)).collect();
-        for entry in &stream {
-            if let Entry::Apply(b) = entry {
-                edges.retain(|e| !b.deletes().contains(e));
-                edges.extend_from_slice(b.inserts());
+        let cold = |edges: &[(u32, u32)]| {
+            let g = Graph::from_edgelist(&EdgeList::from_pairs(96, edges).unwrap()).unwrap();
+            let pg = PreparedGraph::new(&g);
+            (g, pg)
+        };
+        let mut version = cold(&edges);
+        let ecfg = EngineConfig::new().with_threads(2);
+        let pool = ThreadPool::single_group(2);
+        for (entry, served) in stream.iter().zip(&packed) {
+            match entry {
+                Entry::Ask(q) => {
+                    let (g, pg) = &version;
+                    let direct = single_shot(g, pg, &ecfg, &ResilienceContext::new(), &pool, *q);
+                    assert_eq!(served.as_ref().ok(), direct.ok().as_ref(), "{q:?}");
+                }
+                Entry::Apply(b) => {
+                    edges.retain(|e| !b.deletes().contains(e));
+                    edges.extend_from_slice(b.inserts());
+                    version = cold(&edges);
+                }
             }
         }
+    }
+
+    #[test]
+    fn the_first_engine_query_after_the_splices_encodes_once() {
+        let (g, pg) = serve_graph(96);
+        let server = Server::start(Arc::clone(&g), Arc::clone(&pg), base_cfg());
+        let mut edges: Vec<(u32, u32)> = g.out_csr().iter_edges().map(|(s, d, _)| (s, d)).collect();
+        let mut inserts = UpdateBatch::new();
+        inserts.insert(0, 60).insert(60, 1);
+        let mut merging = UpdateBatch::new();
+        merging.delete(0, 1).insert(7, 90);
+        for batch in [inserts, merging] {
+            edges.retain(|e| !batch.deletes().contains(e));
+            edges.extend_from_slice(batch.inserts());
+            server.submit_update(batch).unwrap().wait().unwrap();
+        }
+        assert_eq!(server.stats().encodes, 0, "updates only splice");
+
         let cold = Graph::from_edgelist(&EdgeList::from_pairs(96, &edges).unwrap()).unwrap();
         let cold_pg = PreparedGraph::new(&cold);
         let ecfg = EngineConfig::new().with_threads(2);
         let pool = ThreadPool::single_group(2);
-        let tail = stream.len() - 8;
-        for (entry, served) in stream[tail..].iter().zip(&packed[tail..]) {
-            let Entry::Ask(q) = entry else {
-                unreachable!("the last segment only asks")
-            };
-            let direct = single_shot(&cold, &cold_pg, &ecfg, &ResilienceContext::new(), &pool, *q);
-            assert_eq!(served.as_ref().ok(), direct.ok().as_ref(), "{q:?}");
+        for q in [Query::Cc, Query::Bfs { root: 7 }] {
+            let served = server.submit(q).unwrap().wait().unwrap();
+            let direct = single_shot(&cold, &cold_pg, &ecfg, &ResilienceContext::new(), &pool, q);
+            assert_eq!(served, direct.unwrap(), "{q:?}");
         }
+        let snap = server.drain();
+        assert_eq!(snap.encodes, 1);
+        assert!(snap.encode_ns > 0);
     }
 
     #[test]
@@ -1551,7 +1596,9 @@ mod tests {
         assert!(matches!(reply, QueryResult::Updated { merged: true, .. }));
         bfs(0);
         let vg = server.shared.graph_state();
-        let (merged, merged_pg) = (Arc::clone(vg.base()), Arc::clone(vg.base_prepared()));
+        assert!(vg.encoded(), "the BFS encoded the merged base");
+        let pool = ThreadPool::single_group(1);
+        let (merged, merged_pg) = (Arc::clone(vg.base()), Arc::clone(vg.base_prepared(&pool)));
         drop(vg);
         assert!(!Arc::ptr_eq(&merged_pg, &pg));
         for v in 0..64u32 {

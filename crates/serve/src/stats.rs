@@ -34,6 +34,8 @@ pub(crate) struct StatsInner {
     pub merges: u64,
     pub update_apply_ns: u64,
     pub merge_ns: u64,
+    pub encodes: u64,
+    pub encode_ns: u64,
     latencies_ns: Vec<u64>,
     next: usize,
 }
@@ -78,6 +80,8 @@ impl StatsInner {
             merges: self.merges,
             update_apply_ns: self.update_apply_ns,
             merge_ns: self.merge_ns,
+            encodes: self.encodes,
+            encode_ns: self.encode_ns,
             p50_latency_ns: percentile(&lat, 50),
             p99_latency_ns: percentile(&lat, 99),
         }
@@ -148,10 +152,16 @@ pub struct StatsSnapshot {
     pub updates_applied: u64,
     /// Update batches that ended in a merge rebuild.
     pub merges: u64,
-    /// Wall time spent applying update batches, merges included, ns.
+    /// Wall time spent applying update batches, merges included, ns. The
+    /// splices alone: no update encodes Vector-Sparse.
     pub update_apply_ns: u64,
-    /// The part of `update_apply_ns` spent in merges, ns.
+    /// The part of `update_apply_ns` spent in merges' splices, ns.
     pub merge_ns: u64,
+    /// Versions whose Vector-Sparse an engine query encoded on demand
+    /// (packed runs never encode).
+    pub encodes: u64,
+    /// Wall time of those encodes, ns.
+    pub encode_ns: u64,
     /// Median completed-query latency (recent window), nanoseconds.
     pub p50_latency_ns: u64,
     /// 99th-percentile completed-query latency (recent window), ns.
@@ -187,6 +197,8 @@ impl StatsSnapshot {
              merges: {}\n\
              update_apply_ns: {}\n\
              merge_ns: {}\n\
+             encodes: {}\n\
+             encode_ns: {}\n\
              p50_latency_us: {}\n\
              p99_latency_us: {}\n",
             self.queue_depth,
@@ -212,6 +224,8 @@ impl StatsSnapshot {
             self.merges,
             self.update_apply_ns,
             self.merge_ns,
+            self.encodes,
+            self.encode_ns,
             self.p50_latency_ns / 1_000,
             self.p99_latency_ns / 1_000,
         )
@@ -314,6 +328,8 @@ mod tests {
             packed_sweep_ns: 6_000,
             update_apply_ns: 9_000,
             merge_ns: 8_000,
+            encodes: 2,
+            encode_ns: 7_000,
             ..StatsInner::default()
         };
         s.record_latency(2_000_000);
@@ -329,6 +345,8 @@ mod tests {
             "packed_sweep_ns: 6000",
             "update_apply_ns: 9000",
             "merge_ns: 8000",
+            "encodes: 2",
+            "encode_ns: 7000",
             "p50_latency_us: 2000",
             "p99_latency_us: 2000",
         ] {

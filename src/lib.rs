@@ -38,15 +38,15 @@
 //! use grazelle::sched::pool::ThreadPool;
 //!
 //! let pool = ThreadPool::new(2, 1);
-//! let mut vg = VersionedGraph::from_graph(Dataset::LiveJournal.build_scaled(-6), &pool);
+//! let mut vg = VersionedGraph::from_graph(Dataset::LiveJournal.build_scaled(-6));
 //! let cfg = EngineConfig::default();
-//! let mut bfs = IncrementalBfs::cold(&vg.view(), 0, &cfg, &pool);
+//! let mut bfs = IncrementalBfs::cold(&vg.view(&pool), 0, &cfg, &pool);
 //!
 //! let mut batch = UpdateBatch::new();
 //! batch.insert(7, 93).insert(93, 7);
 //! let report = vg.apply_batch(&batch, &pool).unwrap();
 //! assert!(!report.full_recompute); // inserts never invalidate results
-//! bfs.update(&vg.view(), &report.record.inserted, &cfg, &pool);
+//! bfs.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
 //! ```
 
 pub use grazelle_apps as apps;

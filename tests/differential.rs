@@ -301,10 +301,13 @@ fn existing_sym_edges(g: &Graph, count: usize) -> Vec<(u32, u32)> {
 /// Rebuilds the versioned graph's merged edge set as a plain graph, the
 /// substrate for every cold-recompute reference.
 fn merged_plain(vg: &VersionedGraph) -> Graph {
-    let view = vg.view();
-    let mut el = EdgeList::new(view.num_vertices());
-    for u in 0..view.num_vertices() as u32 {
-        for v in view.out_neighbors(u) {
+    let (base, overlay) = vg.layers();
+    let mut el = EdgeList::new(vg.num_vertices());
+    for u in 0..vg.num_vertices() as u32 {
+        for &v in base.out_neighbors(u) {
+            el.push(u, v).unwrap();
+        }
+        for &v in overlay.map_or(&[][..], |d| d.out_neighbors(u)) {
             el.push(u, v).unwrap();
         }
     }
@@ -403,14 +406,14 @@ proptest! {
                         |k: &str| format!("{k}/family {family}/x{threads}/overlay={overlay}");
                     if overlay {
                         vg.apply_batch(&UpdateBatch::from_inserts(&fresh), &pool).unwrap();
-                        prop_assert!(vg.view().delta_pg.is_some_and(|d| d.num_edges > 0));
+                        prop_assert!(vg.view(&pool).delta_pg.is_some_and(|d| d.num_edges > 0));
                     } else {
                         // Overlays carry no weights, so SSSP has no overlay arm.
                         assert_containment_off_is_plain(
                             &what("sssp"), || Sssp::new(n, root), &pgw, None, &cfg, &pool,
                         );
                     }
-                    let (pg, delta) = (vg.view().pg, vg.view().delta_pg);
+                    let (pg, delta) = (vg.view(&pool).pg, vg.view(&pool).delta_pg);
                     assert_containment_off_is_plain(
                         &what("bfs"), || Bfs::new(n, root), pg, delta, &cfg, &pool,
                     );
@@ -482,7 +485,7 @@ proptest! {
             let mut vg = VersionedGraph::new(Arc::new(g.clone()), Arc::new(pg));
             let fresh = fresh_sym_edges(&g, 16, seed);
             vg.apply_batch(&UpdateBatch::from_inserts(&fresh), &pool).unwrap();
-            let (view, merged) = (vg.view(), merged_plain(&vg));
+            let (view, merged) = (vg.view(&pool), merged_plain(&vg));
             prop_assert!(view.delta_pg.is_some_and(|d| d.num_edges > 0));
             let want = bfs::reference_parents(&merged, root);
             let prog = Bfs::new(n, root);
@@ -903,10 +906,10 @@ proptest! {
 
         let pg = PreparedGraph::new_on_pool(&g, &pool);
         let mut vg = VersionedGraph::new(Arc::new(g), Arc::new(pg));
-        let mut ibfs = IncrementalBfs::cold(&vg.view(), root, &cfg, &pool);
-        let mut icc = IncrementalCc::cold(&vg.view(), &cfg, &pool);
+        let mut ibfs = IncrementalBfs::cold(&vg.view(&pool), root, &cfg, &pool);
+        let mut icc = IncrementalCc::cold(&vg.view(&pool), &cfg, &pool);
         let mut ipr =
-            IncrementalPageRank::cold(&vg.view(), pagerank::DAMPING, 1e-12, &cfg, &pool);
+            IncrementalPageRank::cold(&vg.view(&pool), pagerank::DAMPING, 1e-12, &cfg, &pool);
 
         for round in 0..2u64 {
             let cur = merged_plain(&vg);
@@ -915,9 +918,9 @@ proptest! {
                 .apply_batch(&UpdateBatch::from_inserts(&fresh), &pool)
                 .unwrap();
             prop_assert!(!report.full_recompute, "insert-only batch stays warm");
-            ibfs.update(&vg.view(), &report.record.inserted, &cfg, &pool);
-            icc.update(&vg.view(), &report.record.inserted, &cfg, &pool);
-            ipr.update(&vg.view(), &cfg, &pool);
+            ibfs.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
+            icc.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
+            ipr.update(&vg.view(&pool), &cfg, &pool);
 
             let merged = merged_plain(&vg);
             let mpg = PreparedGraph::new_on_pool(&merged, &pool);
@@ -933,7 +936,7 @@ proptest! {
             );
             let mvg = VersionedGraph::new(Arc::new(merged), Arc::new(mpg));
             let cold_pr =
-                IncrementalPageRank::cold(&mvg.view(), pagerank::DAMPING, 1e-12, &cfg, &pool);
+                IncrementalPageRank::cold(&mvg.view(&pool), pagerank::DAMPING, 1e-12, &cfg, &pool);
             for (v, (a, b)) in ipr.ranks().iter().zip(cold_pr.ranks()).enumerate() {
                 prop_assert!(
                     (a - b).abs() < 1e-9,
@@ -955,9 +958,9 @@ proptest! {
         prop_assert!(report.merged, "deletions merge immediately");
         prop_assert!(!vg.delta_active(), "no overlay survives a merge");
 
-        ibfs = IncrementalBfs::cold(&vg.view(), root, &cfg, &pool);
-        icc = IncrementalCc::cold(&vg.view(), &cfg, &pool);
-        ipr = IncrementalPageRank::cold(&vg.view(), pagerank::DAMPING, 1e-12, &cfg, &pool);
+        ibfs = IncrementalBfs::cold(&vg.view(&pool), root, &cfg, &pool);
+        icc = IncrementalCc::cold(&vg.view(&pool), &cfg, &pool);
+        ipr = IncrementalPageRank::cold(&vg.view(&pool), pagerank::DAMPING, 1e-12, &cfg, &pool);
         let merged = merged_plain(&vg);
         let mpg = PreparedGraph::new_on_pool(&merged, &pool);
         let (cold_parents, _) = bfs::run_prepared(&mpg, &cfg, &pool, root);
@@ -971,7 +974,7 @@ proptest! {
         );
         let mvg = VersionedGraph::new(Arc::new(merged), Arc::new(mpg));
         let cold_pr =
-            IncrementalPageRank::cold(&mvg.view(), pagerank::DAMPING, 1e-12, &cfg, &pool);
+            IncrementalPageRank::cold(&mvg.view(&pool), pagerank::DAMPING, 1e-12, &cfg, &pool);
         for (v, (a, b)) in ipr.ranks().iter().zip(cold_pr.ranks()).enumerate() {
             prop_assert!(
                 (a - b).abs() < 1e-9,
@@ -1245,7 +1248,7 @@ fn overlay_pagerank_is_bit_identical_across_thread_counts() {
         &ThreadPool::single_group(1),
     )
     .unwrap();
-    let view = vg.view();
+    let view = vg.view(&ThreadPool::single_group(1));
     let delta = view.delta_pg.expect("the inserts stay an overlay");
     assert_eq!(delta.num_edges, inserts.len());
     let off = ResilienceConfig {
