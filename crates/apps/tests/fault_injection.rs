@@ -4,9 +4,10 @@
 //! here through the real applications and the public API only:
 //!
 //! * ingestion faults — truncation, bit-flip, transient I/O, budget —
-//!   against the checksummed binary graph format, plus a parallel-parse
-//!   arm proving the chunked text loader keeps the hardened-ingestion
-//!   semantics (budget, typed errors) at every thread count;
+//!   against the checksummed binary graph format and the streamed text
+//!   reader, plus a parallel-parse arm proving the per-worker text loader
+//!   keeps the hardened-ingestion semantics (budget, typed errors) at
+//!   every thread count;
 //! * execution faults — chunk panic within and beyond the retry budget,
 //!   superstep stall, NaN poison — against PageRank and Connected
 //!   Components through `run_resilient`.
@@ -116,6 +117,53 @@ fn ingestion_transient_errors_absorbed_by_retry() {
         io::read_binary(reader, &opts),
         Err(GraphError::Io(_))
     ));
+}
+
+#[test]
+fn ingestion_text_transient_errors_absorbed_by_retry() {
+    // The text arm of the test above: the streamed text reader retries
+    // every block read per `RetryPolicy`, and what it absorbs leaves the
+    // result equal to the per-worker file loads at every thread count.
+    let el = scale_free_edgelist();
+    let mut text = Vec::new();
+    io::write_text_edgelist(&el, &mut text).unwrap();
+    let path = scratch("transient.txt");
+    std::fs::write(&path, &text).unwrap();
+    let plan = || IoFaultPlan::clean().with_seed(7).with_transient_errors(3);
+    let reader = FaultyReader::new(text.as_slice(), plan());
+    let (streamed, stats) = io::read_text_edgelist_with(reader, &LoadOptions::strict()).unwrap();
+    assert!(stats.retries >= 3, "retries absorbed: {}", stats.retries);
+    assert_eq!(streamed.edges(), el.edges());
+
+    // With retry disabled the same plan surfaces the transient error,
+    // typed, whatever pool the caller holds.
+    let opts = LoadOptions::strict().with_retry(RetryPolicy::NONE);
+    let reader = FaultyReader::new(text.as_slice(), plan());
+    let Err(GraphError::Io(msg)) = io::read_text_edgelist_with(reader, &opts) else {
+        panic!("a transient error with retries off must fail typed");
+    };
+    for threads in [1usize, 2, 8] {
+        let pool = ThreadPool::single_group(threads);
+        let loaded = io::load_text_parallel_with(&path, &opts, &pool).unwrap();
+        assert_eq!(loaded.edges(), streamed.edges(), "t={threads}");
+        assert_eq!(
+            loaded.num_vertices(),
+            streamed.num_vertices(),
+            "t={threads}"
+        );
+        // Each worker of the pool streams its own faulty reader.
+        let errs = pool.run_tasks(vec![(); threads], |_, ()| {
+            io::read_text_edgelist_with(FaultyReader::new(text.as_slice(), plan()), &opts)
+                .map(|_| ())
+        });
+        for e in errs {
+            assert!(
+                matches!(&e, Err(GraphError::Io(m)) if *m == msg),
+                "t={threads}: {e:?}"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

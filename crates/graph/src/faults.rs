@@ -6,9 +6,10 @@
 //! succeeding. [`FaultyReader`] wraps any [`Read`] and injects those
 //! failures from an [`IoFaultPlan`] — seeded and replayable, with no
 //! wall-clock or ambient randomness in the plan itself. [`read_retrying`]
-//! is the consumption side: the bounded retry + backoff loop every `load_*`
-//! entry point uses, which turns transient errors into successful loads and
-//! persistent ones into typed errors instead of hangs.
+//! is the consumption side: the bounded retry + backoff loop every read of
+//! the `load_*`/`read_*` entry points goes through, which turns transient
+//! errors into successful loads and persistent ones into typed errors
+//! instead of hangs.
 
 use std::io::{ErrorKind, Read};
 use std::time::Duration;
@@ -180,20 +181,20 @@ pub struct RetryStats {
     pub retries: u32,
 }
 
-/// Reads `reader` to end, absorbing up to `policy.max_retries` transient
-/// (`Interrupted`/`WouldBlock`) errors with linear backoff. Any other error
-/// kind, or exhaustion of the retry budget, is returned to the caller.
-pub fn read_retrying<R: Read>(
-    mut reader: R,
+/// One `read` of `reader` into `buf`, absorbing transient
+/// (`Interrupted`/`WouldBlock`) errors with linear backoff while `stats`
+/// counts no more than `policy.max_retries` of them. Any other error kind,
+/// or exhaustion of the retry budget, is returned to the caller. Every
+/// loader read goes through here: the whole-input reader below and the
+/// block reader of the text loaders.
+pub(crate) fn read_retried<R: Read>(
+    reader: &mut R,
+    buf: &mut [u8],
     policy: RetryPolicy,
-) -> std::io::Result<(Vec<u8>, RetryStats)> {
-    let mut out = Vec::new();
-    let mut buf = [0u8; 64 * 1024];
-    let mut stats = RetryStats::default();
+    stats: &mut RetryStats,
+) -> std::io::Result<usize> {
     loop {
-        match reader.read(&mut buf) {
-            Ok(0) => return Ok((out, stats)),
-            Ok(n) => out.extend_from_slice(&buf[..n]),
+        match reader.read(buf) {
             Err(e) if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock) => {
                 if stats.retries >= policy.max_retries {
                     return Err(std::io::Error::new(
@@ -209,9 +210,46 @@ pub fn read_retrying<R: Read>(
                     std::thread::sleep(policy.backoff * stats.retries);
                 }
             }
-            Err(e) => return Err(e),
+            r => return r,
         }
     }
+}
+
+/// Reads `reader` to end, each read retried per `policy` as above.
+pub fn read_retrying<R: Read>(
+    reader: R,
+    policy: RetryPolicy,
+) -> std::io::Result<(Vec<u8>, RetryStats)> {
+    read_retrying_within(reader, policy, 0, u64::MAX)
+}
+
+/// [`read_retrying`] into a buffer pre-sized for `len_hint` bytes, which
+/// stops as soon as it holds more than `max_bytes`: the caller tells a
+/// refused input from its length.
+pub(crate) fn read_retrying_within<R: Read>(
+    mut reader: R,
+    policy: RetryPolicy,
+    len_hint: u64,
+    max_bytes: u64,
+) -> std::io::Result<(Vec<u8>, RetryStats)> {
+    let room = |n: u64| usize::try_from(n.min(max_bytes).saturating_add(1)).unwrap_or(usize::MAX);
+    let mut out = vec![0u8; room(len_hint)];
+    let mut filled = 0;
+    let mut stats = RetryStats::default();
+    loop {
+        if filled == out.len() {
+            out.resize(room((filled as u64).saturating_mul(2).max(64 << 10)), 0);
+        }
+        match read_retried(&mut reader, &mut out[filled..], policy, &mut stats)? {
+            0 => break,
+            n => filled += n,
+        }
+        if filled as u64 > max_bytes {
+            break;
+        }
+    }
+    out.truncate(filled);
+    Ok((out, stats))
 }
 
 #[cfg(test)]

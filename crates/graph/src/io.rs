@@ -11,13 +11,16 @@
 //! legacy (version-0, unchecksummed) files load only behind
 //! [`LoadOptions::allow_unchecksummed`], and header-declared sizes are
 //! validated against a byte budget *before* any allocation so a hostile
-//! three-line header cannot OOM the loader. The `load_*` entry points read
-//! through [`read_retrying`], absorbing bounded transient I/O errors
-//! (`Interrupted`/`WouldBlock`) with backoff.
+//! three-line header cannot OOM the loader. The text and Matrix Market
+//! loaders stream their input in blocks — each pool worker reads and
+//! parses its own newline-aligned share of a file, so the file is never
+//! held whole — and the binary loaders read it whole, pre-sized. Every
+//! read absorbs bounded transient I/O errors (`Interrupted`/`WouldBlock`)
+//! with backoff, and no loader reads past its byte budget.
 
 use crate::checksum::crc32c;
 use crate::edgelist::EdgeList;
-use crate::faults::{read_retrying, RetryPolicy, RetryStats};
+use crate::faults::{read_retried, read_retrying_within, RetryPolicy, RetryStats};
 use crate::graph::Graph;
 use crate::types::{GraphError, VertexId};
 use grazelle_sched::ThreadPool;
@@ -54,8 +57,8 @@ pub struct LoadOptions {
     /// silent-corruption risk the format revision exists to close.
     pub allow_unchecksummed: bool,
     /// Upper bound, in bytes, on what the header-declared sizes may imply
-    /// (payload plus ~8 bytes/vertex of downstream build cost). Checked
-    /// before any allocation.
+    /// (payload plus ~8 bytes/vertex of downstream build cost), checked
+    /// before any allocation, and on the input bytes a loader reads.
     pub max_bytes: u64,
     /// Retry policy for transient I/O errors in the `load_*`/`read_*`
     /// entry points.
@@ -103,6 +106,10 @@ impl Default for LoadOptions {
 // ---------------------------------------------------------------------------
 // Text format
 // ---------------------------------------------------------------------------
+
+/// Bytes one streaming read asks for. A worker holds one block and the
+/// partial line it carries into the next, never the file.
+const BLOCK_BYTES: usize = 256 << 10;
 
 /// Byte-level line iterator shared by the text parsers: yields each line
 /// without its terminator, never allocating. `"a\n"` is one line, matching
@@ -163,15 +170,308 @@ fn token_str(tok: &[u8]) -> &str {
     std::str::from_utf8(tok).unwrap_or("\u{fffd}")
 }
 
-/// A vertex-id token as `u64`. One to nineteen ASCII digits cannot
-/// overflow and are folded directly — every token of a well-formed file;
-/// anything else (sign, overflow, junk) goes through `str::parse`, which
-/// accepts or rejects it with the historical error text.
-fn parse_u64_token(tok: &[u8]) -> Result<u64, String> {
-    if (1..=19).contains(&tok.len()) && tok.iter().all(u8::is_ascii_digit) {
-        return Ok(tok.iter().fold(0, |v, &b| v * 10 + u64::from(b - b'0')));
+/// The two ids and the optional weight of a line the fast path read.
+type Fields = (VertexId, VertexId, Option<f64>);
+
+/// Powers of ten that are exact in an `f64`.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+fn skip_blanks(b: &[u8], mut i: usize) -> usize {
+    while matches!(b.get(i), Some(b' ' | b'\t')) {
+        i += 1;
     }
-    token_str(tok).parse::<u64>().map_err(|e| e.to_string())
+    i
+}
+
+/// A run of one to nineteen digits at `i`, folded, and where it ends.
+/// Runs of up to seven digits are read eight bytes at a time, without a
+/// branch per digit.
+fn fast_digits(b: &[u8], mut i: usize) -> Option<(u64, usize)> {
+    const LOW: u64 = 0x0F0F_0F0F_0F0F_0F0F;
+    const HIGH: u64 = 0xF0F0_F0F0_F0F0_F0F0;
+    const ZEROS: u64 = 0x3030_3030_3030_3030;
+    const SIXES: u64 = 0x0606_0606_0606_0606;
+    if let Some(word) = b.get(i..i + 8) {
+        let x = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        // A byte is a digit iff its high nibble is 3 before and after
+        // adding 6. A carry out of a byte ≥ 0xFA only disturbs the bytes
+        // after it, and that byte is not a digit.
+        let not_digit = ((x & HIGH) ^ ZEROS) | ((x.wrapping_add(SIXES) & HIGH) ^ ZEROS);
+        let len = (not_digit.trailing_zeros() / 8) as usize;
+        if len == 0 {
+            return None;
+        }
+        if len < 8 {
+            // Digit values right-aligned, most significant first in
+            // memory order, then folded pairwise: 1+1, 2+2, 4+4 digits.
+            let mut v = (x & LOW) << (8 * (8 - len));
+            v = (v * 10 + (v >> 8)) & 0x00FF_00FF_00FF_00FF;
+            v = (v * 100 + (v >> 16)) & 0x0000_FFFF_0000_FFFF;
+            v = (v * 10_000 + (v >> 32)) & 0xFFFF_FFFF;
+            return Some((v, i + len));
+        }
+    }
+    let start = i;
+    let mut v = 0u64;
+    while let Some(&c) = b.get(i).filter(|c| c.is_ascii_digit()) {
+        v = v.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
+        i += 1;
+    }
+    (1..=19).contains(&(i - start)).then_some((v, i))
+}
+
+/// A weight in Clinger's exact range: `[+-][digits][.digits]`, at least
+/// one digit, whose digits make a mantissa `m ≤ 2^53` with `k ≤ 22` of
+/// them after the point (a digit run here is at most 19 long). Then `m`
+/// and `10^k` are exact doubles and `m / 10^k` is one correctly rounded
+/// division — the value `str::parse` returns. `None` otherwise.
+fn fast_decimal(b: &[u8], i: usize) -> Option<(f64, usize)> {
+    let neg = b.get(i) == Some(&b'-');
+    let i = i + usize::from(matches!(b.get(i), Some(b'-' | b'+')));
+    let (int, j) = fast_digits(b, i).unwrap_or((0, i));
+    let (frac, e) = match b.get(j) {
+        Some(b'.') => fast_digits(b, j + 1).unwrap_or((0, j + 1)),
+        _ => (0, j),
+    };
+    let k = e.saturating_sub(j + 1);
+    if j - i + k == 0 || k >= POW10.len() {
+        return None;
+    }
+    let m = int
+        .checked_mul(10u64.checked_pow(k as u32)?)?
+        .checked_add(frac)?;
+    if m > 1 << 53 {
+        return None;
+    }
+    let v = m as f64 / POW10[k];
+    Some((if neg { -v } else { v }, e))
+}
+
+/// The one-pass fast path: `src<blank>dst[<blank>weight]<blank>*[\r]\n`
+/// at the start of `b`, blanks being spaces and tabs, ids of at most 19
+/// digits that fit a [`VertexId`], and a weight in [`fast_decimal`]'s
+/// range. Returns the fields and the line's length with its newline.
+/// Every other line — comments, blank lines, other whitespace, extra
+/// tokens, exponents, `inf`/`NaN`, errors, a last line without a newline —
+/// is `None`, and the token path reads it as it always did.
+fn fast_line(b: &[u8]) -> Option<(Fields, usize)> {
+    let (s, i) = fast_digits(b, 0)?;
+    let j = skip_blanks(b, i);
+    let (d, i) = fast_digits(b, j).filter(|_| j > i)?;
+    let j = skip_blanks(b, i);
+    let (w, i) = match b.get(j) {
+        Some(&c) if j > i && (c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.')) => {
+            let (w, e) = fast_decimal(b, j)?;
+            (Some(w), skip_blanks(b, e))
+        }
+        _ => (None, j),
+    };
+    let i = i + usize::from(b.get(i) == Some(&b'\r'));
+    let ids = (VertexId::try_from(s).ok()?, VertexId::try_from(d).ok()?);
+    (b.get(i) == Some(&b'\n')).then_some(((ids.0, ids.1, w), i + 1))
+}
+
+/// The one line loop of both text formats: hands `line` each whole line of
+/// `bytes` that starts before `limit`, with its fields if [`fast_line`]
+/// read it, until `line` returns false. A partial last line is left for the
+/// next block unless at `eof`. Returns the bytes consumed, `None` once done.
+fn scan_lines(
+    bytes: &[u8],
+    eof: bool,
+    limit: usize,
+    mut line: impl FnMut(Option<Fields>, &[u8]) -> bool,
+) -> Option<usize> {
+    let mut p = 0;
+    while p < bytes.len() {
+        if p >= limit {
+            return None;
+        }
+        let rest = &bytes[p..];
+        let (fields, len) = match fast_line(rest) {
+            Some((f, len)) => (Some(f), len),
+            None => match rest.iter().position(|&c| c == b'\n') {
+                Some(i) => (None, i + 1),
+                None if eof => (None, rest.len()),
+                None => return Some(p),
+            },
+        };
+        if !line(fields, &rest[..len]) {
+            return None;
+        }
+        p += len;
+    }
+    Some(p)
+}
+
+/// A per-worker parser the block reader feeds; see [`scan_lines`].
+trait Scan: Send {
+    fn scan(&mut self, bytes: &[u8], eof: bool, limit: usize) -> Option<usize>;
+}
+
+/// One worker's reader of `src`, in blocks: each read is retried per
+/// `opts.retry`, and the input is refused once read past `opts.max_bytes`.
+struct Blocks<R> {
+    src: R,
+    buf: Vec<u8>,
+    /// `buf[start..end]` is read and not yet consumed.
+    start: usize,
+    end: usize,
+    /// Input offset of `buf[0]`.
+    base: u64,
+    eof: bool,
+    opts: LoadOptions,
+    stats: RetryStats,
+}
+
+impl<R: Read> Blocks<R> {
+    fn new(src: R, base: u64, opts: &LoadOptions, block: usize) -> Self {
+        Blocks {
+            src,
+            buf: vec![0; block.max(1)],
+            start: 0,
+            end: 0,
+            base,
+            eof: false,
+            opts: *opts,
+            stats: RetryStats::default(),
+        }
+    }
+
+    fn data(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// Moves the unconsumed bytes to the front and reads once more, growing
+    /// the buffer only when one line fills it.
+    fn fill(&mut self) -> Result<(), GraphError> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.base += self.start as u64;
+        self.end -= self.start;
+        self.start = 0;
+        if self.end == self.buf.len() {
+            self.buf.resize(2 * self.end, 0);
+        }
+        let n = read_retried(
+            &mut self.src,
+            &mut self.buf[self.end..],
+            self.opts.retry,
+            &mut self.stats,
+        )?;
+        self.end += n;
+        self.eof = n == 0;
+        let read_to = self.base + self.end as u64;
+        if read_to > self.opts.max_bytes {
+            return Err(GraphError::BudgetExceeded {
+                required: read_to,
+                budget: self.opts.max_bytes,
+            });
+        }
+        Ok(())
+    }
+
+    /// Feeds `chunk` the lines that start before input offset `to`. With
+    /// `seek`, the reader sits one byte before its share: the line under
+    /// way there belongs to the previous share and is skipped.
+    fn stream(&mut self, mut seek: bool, to: u64, chunk: &mut impl Scan) -> Result<(), GraphError> {
+        loop {
+            self.fill()?;
+            if seek {
+                match self.data().iter().position(|&c| c == b'\n') {
+                    Some(i) => {
+                        self.start += i + 1;
+                        seek = false;
+                    }
+                    None if self.eof => return Ok(()),
+                    None => {
+                        self.start = self.end;
+                        continue;
+                    }
+                }
+            }
+            let line_start = self.base + self.start as u64;
+            if line_start >= to {
+                return Ok(());
+            }
+            let limit = usize::try_from(to - line_start).unwrap_or(usize::MAX);
+            match chunk.scan(self.data(), self.eof, limit) {
+                Some(used) if !self.eof => self.start += used,
+                _ => return Ok(()),
+            }
+        }
+    }
+}
+
+/// Positional reads of a file shared by the workers of one load.
+struct At<'a> {
+    file: &'a std::fs::File,
+    pos: u64,
+}
+
+impl Read for At<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        #[cfg(unix)]
+        let n = std::os::unix::fs::FileExt::read_at(self.file, buf, self.pos)?;
+        #[cfg(windows)]
+        let n = std::os::windows::fs::FileExt::seek_read(self.file, buf, self.pos)?;
+        self.pos += n as u64;
+        Ok(n)
+    }
+}
+
+/// Streams the rest of `head`'s file into one chunk, or — for a regular
+/// file of known length on a pool — into one chunk per worker, each taking
+/// the lines that start in its share of the rest; the last share runs to
+/// end of file. Chunks come back in share order, and the first share's
+/// read failure wins.
+fn stream_file<C: Scan>(
+    mut head: Blocks<&std::fs::File>,
+    len: Option<u64>,
+    pool: Option<&ThreadPool>,
+    new: impl Fn() -> C + Sync,
+) -> Result<Vec<C>, GraphError> {
+    let start = head.base + head.start as u64;
+    let (pool, len) = match (pool, len) {
+        (Some(pool), Some(len)) if pool.num_threads() > 1 && len > start => (pool, len),
+        _ => {
+            let mut chunk = new();
+            head.stream(false, u64::MAX, &mut chunk)?;
+            return Ok(vec![chunk]);
+        }
+    };
+    let k = pool.num_threads() as u128;
+    let cut = |i: u128| start + (u128::from(len - start) * i / k) as u64;
+    let shares: Vec<_> = (0..k)
+        .map(|i| (cut(i), (i + 1 < k).then(|| cut(i + 1))))
+        .collect();
+    let (file, opts, block) = (head.src, &head.opts, head.buf.len());
+    let chunks = pool.run_tasks(shares, |_, (from, to)| {
+        // A share that starts past `start` may start inside a line.
+        let seek = from > start;
+        let at = from - u64::from(seek);
+        let mut chunk = new();
+        let mut blocks = Blocks::new(At { file, pos: at }, at, opts, block);
+        blocks.stream(seek, to.unwrap_or(u64::MAX), &mut chunk)?;
+        Ok(chunk)
+    });
+    chunks.into_iter().collect()
+}
+
+/// The length of `file` if it is a regular file, after checking the byte
+/// budget against it. FIFOs and `/proc` files have none that counts.
+fn budgeted_len(file: &std::fs::File, opts: &LoadOptions) -> Result<Option<u64>, GraphError> {
+    let Ok(md) = file.metadata() else {
+        return Ok(None);
+    };
+    if md.len() > opts.max_bytes {
+        return Err(GraphError::BudgetExceeded {
+            required: md.len(),
+            budget: opts.max_bytes,
+        });
+    }
+    Ok(md.is_file().then_some(md.len()))
 }
 
 /// A text-parse failure, classified; carried with a chunk-relative line
@@ -208,14 +508,14 @@ impl TextErrKind {
 }
 
 /// One parsed chunk of a text edge list. Chunks are produced independently
-/// (one per worker for the parallel path, a single whole-buffer chunk for
-/// the sequential path) and merged in deterministic order by
-/// [`merge_text_chunks`], so both paths share every byte of parsing logic.
+/// (one per worker for the parallel paths, a single one for the
+/// sequential paths) and merged in deterministic order by
+/// [`merge_text_chunks`], so every path shares every byte of parsing logic.
 #[derive(Debug, Default)]
 struct TextChunk {
     edges: Vec<(VertexId, VertexId)>,
     weights: Vec<f64>,
-    max_v: u64,
+    max_v: VertexId,
     /// Lines consumed (for absolute line numbering of later chunks).
     lines: usize,
     /// Chunk-relative line of the first edge, if any.
@@ -226,83 +526,94 @@ struct TextChunk {
     err: Option<(usize, TextErrKind)>,
 }
 
-/// Parses one newline-delimited byte range: `src dst [weight]` per line,
-/// `#`-comments and blank lines skipped, zero allocations per line.
-fn parse_text_chunk(bytes: &[u8]) -> TextChunk {
-    let mut out = TextChunk::default();
-    let mut pos = 0usize;
-    while let Some(raw) = next_line(bytes, &mut pos) {
-        let lineno = out.lines;
-        out.lines += 1;
-        let line = trim_ascii(raw);
-        if line.is_empty() || line[0] == b'#' {
-            continue;
+impl Scan for TextChunk {
+    fn scan(&mut self, bytes: &[u8], eof: bool, limit: usize) -> Option<usize> {
+        scan_lines(bytes, eof, limit, |fields, raw| {
+            let line = self.lines;
+            self.lines += 1;
+            match fields {
+                Some((s, d, w)) => self.edge(line, s, d, w),
+                None => self.token_line(line, raw),
+            }
+            self.err.is_none()
+        })
+    }
+}
+
+impl TextChunk {
+    fn fail(&mut self, line: usize, kind: TextErrKind) {
+        self.err = Some((line, kind));
+    }
+
+    /// The token path: `src dst [weight]` per line, `#`-comments and blank
+    /// lines skipped, zero allocations per line.
+    fn token_line(&mut self, line: usize, raw: &[u8]) {
+        let t = trim_ascii(raw);
+        if t.is_empty() || t[0] == b'#' {
+            return;
         }
         let mut tp = 0usize;
         let mut field = |what: &'static str| -> Result<u64, TextErrKind> {
-            let tok = next_token(line, &mut tp).ok_or(TextErrKind::Missing(what))?;
-            parse_u64_token(tok).map_err(|e| TextErrKind::Bad(what, e))
+            let tok = next_token(t, &mut tp).ok_or(TextErrKind::Missing(what))?;
+            let id = token_str(tok).parse::<u64>();
+            id.map_err(|e| TextErrKind::Bad(what, e.to_string()))
         };
-        let parsed = field("source").and_then(|s| field("destination").map(|d| (s, d)));
-        let (s, d) = match parsed {
+        let (s, d) = match field("source").and_then(|s| field("destination").map(|d| (s, d))) {
             Ok(sd) => sd,
-            Err(kind) => {
-                out.err = Some((lineno, kind));
-                break;
-            }
+            Err(kind) => return self.fail(line, kind),
         };
-        if s > u32::MAX as u64 || d > u32::MAX as u64 {
-            out.err = Some((lineno, TextErrKind::OutOfRange(s.max(d))));
-            break;
-        }
-        let weight = match next_token(line, &mut tp) {
+        let (Ok(s32), Ok(d32)) = (VertexId::try_from(s), VertexId::try_from(d)) else {
+            return self.fail(line, TextErrKind::OutOfRange(s.max(d)));
+        };
+        let weight = match next_token(t, &mut tp) {
             Some(tok) => match token_str(tok).parse::<f64>() {
                 Ok(w) => Some(w),
-                Err(e) => {
-                    out.err = Some((lineno, TextErrKind::BadWeight(e.to_string())));
-                    break;
-                }
+                Err(e) => return self.fail(line, TextErrKind::BadWeight(e.to_string())),
             },
             None => None,
         };
-        // Enforce mode consistency *within* the chunk; consistency against
-        // earlier chunks is the merge step's job.
-        match (out.weighted, weight) {
-            (Some(false), Some(_)) => {
-                out.err = Some((lineno, TextErrKind::WeightAfterUnweighted));
-                break;
-            }
-            (Some(true), None) => {
-                out.err = Some((lineno, TextErrKind::MissingWeight));
-                break;
+        self.edge(line, s32, d32, weight);
+    }
+
+    /// Appends one edge. Mode consistency is enforced *within* the chunk;
+    /// consistency against earlier chunks is the merge step's job.
+    fn edge(&mut self, line: usize, s: VertexId, d: VertexId, weight: Option<f64>) {
+        match (self.weighted, weight) {
+            (Some(false), Some(_)) => return self.fail(line, TextErrKind::WeightAfterUnweighted),
+            (Some(true), None) => return self.fail(line, TextErrKind::MissingWeight),
+            (None, _) => {
+                self.weighted = Some(weight.is_some());
+                self.first_edge_line = line;
             }
             _ => {}
         }
-        if out.weighted.is_none() {
-            out.weighted = Some(weight.is_some());
-            out.first_edge_line = lineno;
-        }
         if let Some(w) = weight {
-            out.weights.push(w);
+            self.weights.push(w);
         }
-        out.max_v = out.max_v.max(s).max(d);
-        out.edges.push((s as VertexId, d as VertexId));
+        self.max_v = self.max_v.max(s).max(d);
+        self.edges.push((s, d));
     }
+}
+
+/// Parses one whole newline-delimited byte range.
+fn parse_text_chunk(bytes: &[u8]) -> TextChunk {
+    let mut out = TextChunk::default();
+    out.scan(bytes, true, usize::MAX);
     out
 }
 
 /// Concatenates chunk results in order, resolving cross-chunk weighted/
 /// unweighted conflicts and converting chunk-relative error lines to
-/// absolute ones. With a single whole-buffer chunk this reduces exactly to
-/// the historical sequential semantics; with many chunks the earliest
-/// problem (by absolute line) still wins, so the reported error is
-/// independent of the chunk count.
+/// absolute ones. With a single chunk this reduces exactly to the
+/// sequential semantics; with many chunks the earliest problem (by
+/// absolute line) still wins, so the reported error is independent of the
+/// chunk count.
 fn merge_text_chunks(chunks: Vec<TextChunk>) -> Result<EdgeList, GraphError> {
     let total_edges: usize = chunks.iter().map(|c| c.edges.len()).sum();
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     let mut weights: Vec<f64> = Vec::new();
     let mut any_weight = false;
-    let mut max_v = 0u64;
+    let mut max_v = 0;
     let mut line_base = 0usize;
     for chunk in chunks {
         // A chunk whose first edge disagrees with the established global
@@ -409,12 +720,33 @@ pub fn parse_text_edgelist_parallel(
     merge_text_chunks(chunks)
 }
 
-/// Parses a text edge list from any [`Read`] (reads to EOF, then parses the
-/// buffer). See [`parse_text_edgelist`].
-pub fn read_text_edgelist<R: Read>(mut reader: R) -> Result<EdgeList, GraphError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    parse_text_edgelist(&bytes)
+/// Parses a text edge list from any [`Read`], streamed to end of input in
+/// blocks (the input is never held whole). See [`parse_text_edgelist`].
+pub fn read_text_edgelist<R: Read>(reader: R) -> Result<EdgeList, GraphError> {
+    let opts = LoadOptions::strict().with_max_bytes(u64::MAX);
+    read_text_edgelist_with(reader, &opts).map(|(el, _)| el)
+}
+
+/// [`read_text_edgelist`] with explicit [`LoadOptions`]: transient I/O
+/// errors are retried per `opts.retry`, and the input is refused once more
+/// than `opts.max_bytes` of it has been read. Returns the retry counters
+/// too.
+pub fn read_text_edgelist_with<R: Read>(
+    reader: R,
+    opts: &LoadOptions,
+) -> Result<(EdgeList, RetryStats), GraphError> {
+    read_text_blocks(reader, opts, BLOCK_BYTES)
+}
+
+fn read_text_blocks<R: Read>(
+    reader: R,
+    opts: &LoadOptions,
+    block: usize,
+) -> Result<(EdgeList, RetryStats), GraphError> {
+    let mut blocks = Blocks::new(reader, 0, opts, block);
+    let mut chunk = TextChunk::default();
+    blocks.stream(false, u64::MAX, &mut chunk)?;
+    Ok((merge_text_chunks(vec![chunk])?, blocks.stats))
 }
 
 /// Writes a text edge list in the format [`read_text_edgelist`] accepts.
@@ -443,15 +775,16 @@ pub fn load_text<P: AsRef<Path>>(path: P) -> Result<EdgeList, GraphError> {
 }
 
 /// [`load_text`] with explicit [`LoadOptions`]: the on-disk file size is
-/// checked against `opts.max_bytes` before the file is read, and transient
-/// I/O errors are retried per `opts.retry`.
+/// checked against `opts.max_bytes` before anything is read, the file is
+/// streamed in blocks (each read retried per `opts.retry`), and the bytes
+/// read stay within the budget too.
 pub fn load_text_with<P: AsRef<Path>>(path: P, opts: &LoadOptions) -> Result<EdgeList, GraphError> {
-    let bytes = read_file_budgeted(path, opts)?;
-    parse_text_edgelist(&bytes)
+    load_text_streamed(path.as_ref(), opts, None, BLOCK_BYTES)
 }
 
-/// Parallel [`load_text`]: same hardened read path (byte budget, retrying
-/// reader), then [`parse_text_edgelist_parallel`] on `pool`.
+/// Parallel [`load_text`]: same hardened read (byte budget, retried
+/// reads), with each pool worker streaming and parsing its own share of
+/// the file.
 pub fn load_text_parallel<P: AsRef<Path>>(
     path: P,
     pool: &ThreadPool,
@@ -465,33 +798,29 @@ pub fn load_text_parallel_with<P: AsRef<Path>>(
     opts: &LoadOptions,
     pool: &ThreadPool,
 ) -> Result<EdgeList, GraphError> {
-    let bytes = read_file_budgeted(path, opts)?;
-    parse_text_edgelist_parallel(&bytes, pool)
+    load_text_streamed(path.as_ref(), opts, Some(pool), BLOCK_BYTES)
+}
+
+/// The text path loaders: one share per pool worker, or one stream.
+fn load_text_streamed(
+    path: &Path,
+    opts: &LoadOptions,
+    pool: Option<&ThreadPool>,
+    block: usize,
+) -> Result<EdgeList, GraphError> {
+    let file = open_for_load(path)?;
+    let len = budgeted_len(&file, opts)?;
+    let head = Blocks::new(&file, 0, opts, block);
+    merge_text_chunks(stream_file(head, len, pool, TextChunk::default)?)
 }
 
 /// Opens a graph file for one of the path loaders. Every one of them is
-/// about to hold the file's bytes and an edge list of similar size, so this
-/// is where the process's large-block allocator policy is pinned (see
+/// about to build an edge list and its structures, so this is where the
+/// process's large-block allocator policy is pinned (see
 /// [`grazelle_sched::alloc`]).
 fn open_for_load<P: AsRef<Path>>(path: P) -> std::io::Result<std::fs::File> {
     grazelle_sched::alloc::pin_large_block_policy();
     std::fs::File::open(path)
-}
-
-/// Shared hardened file read for the text loaders: budget check on the
-/// on-disk size *before* reading, then a retrying read to EOF.
-fn read_file_budgeted<P: AsRef<Path>>(path: P, opts: &LoadOptions) -> Result<Vec<u8>, GraphError> {
-    let f = open_for_load(path)?;
-    if let Ok(md) = f.metadata() {
-        if md.len() > opts.max_bytes {
-            return Err(GraphError::BudgetExceeded {
-                required: md.len(),
-                budget: opts.max_bytes,
-            });
-        }
-    }
-    let (bytes, _) = read_retrying(f, opts.retry)?;
-    Ok(bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -518,14 +847,17 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<EdgeList, GraphError> {
 /// `opts.max_bytes` before anything is reserved, and the actual edge
 /// reservation is additionally clamped — a hostile three-line header can
 /// neither trigger a multi-GB allocation nor pass the final entry-count
-/// check.
+/// check. The input is streamed in blocks, and refused once more than
+/// `opts.max_bytes` of it has been read.
 pub fn read_matrix_market_with<R: Read>(
-    mut reader: R,
+    reader: R,
     opts: &LoadOptions,
 ) -> Result<EdgeList, GraphError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    parse_matrix_market(&bytes, opts, None)
+    let mut blocks = Blocks::new(reader, 0, opts, BLOCK_BYTES);
+    let h = read_mm_header(&mut blocks, opts)?;
+    let mut chunk = MmChunk::new(h, mm_reserve(&h, 1));
+    blocks.stream(false, u64::MAX, &mut chunk)?;
+    mm_merge(&h, vec![chunk])
 }
 
 /// Parallel [`read_matrix_market_with`] over a byte buffer: header and size
@@ -538,10 +870,20 @@ pub fn parse_matrix_market_parallel(
     opts: &LoadOptions,
     pool: &ThreadPool,
 ) -> Result<EdgeList, GraphError> {
-    parse_matrix_market(bytes, opts, Some(pool))
+    let h = parse_mm_header(bytes, opts)?;
+    let body = &bytes[h.body_start..];
+    let reserve = mm_reserve(&h, pool.num_threads());
+    let ranges = newline_chunk_ranges(body, pool.num_threads());
+    let chunks = pool.run_tasks(ranges, |_, r| {
+        let mut chunk = MmChunk::new(h, reserve);
+        chunk.scan(&body[r], true, usize::MAX);
+        chunk
+    });
+    mm_merge(&h, chunks)
 }
 
 /// Parsed header + size line of a Matrix Market file.
+#[derive(Clone, Copy)]
 struct MmHeader {
     rows: u64,
     cols: u64,
@@ -556,8 +898,8 @@ struct MmHeader {
 /// produced identically by the sequential (one chunk) and parallel (one per
 /// thread) paths. MM errors carry no line numbers, so the merge just takes
 /// the first failing chunk in order.
-#[derive(Debug, Default)]
 struct MmChunk {
+    h: MmHeader,
     edges: Vec<(VertexId, VertexId)>,
     weights: Vec<f64>,
     /// Declared entries consumed (mirrored edges count once).
@@ -650,106 +992,131 @@ fn parse_mm_header(bytes: &[u8], opts: &LoadOptions) -> Result<MmHeader, GraphEr
         nnz,
         weighted,
         symmetric,
-        body_start: pos,
+        // `pos` is one past the end when the size line has no newline.
+        body_start: pos.min(bytes.len()),
     })
 }
 
-/// Parses one newline-delimited range of MM entry lines. Stops at the first
-/// error, or as soon as this chunk *alone* exceeds the declared entry count
-/// (the sequential parser's eager-surplus guard, which keeps a hostile
-/// oversized body from growing the vectors unboundedly).
-fn parse_mm_chunk(bytes: &[u8], h: &MmHeader, reserve: usize) -> MmChunk {
-    let mut out = MmChunk {
-        edges: Vec::with_capacity(reserve),
-        weights: Vec::with_capacity(if h.weighted { reserve } else { 0 }),
-        ..MmChunk::default()
-    };
-    let mut pos = 0usize;
-    while let Some(raw) = next_line(bytes, &mut pos) {
-        let t = trim_ascii(raw);
-        if t.is_empty() || t[0] == b'%' {
-            continue;
-        }
-        let mut tp = 0usize;
-        let mut field = |what: &'static str, label: &'static str| -> Result<u64, GraphError> {
-            let tok =
-                next_token(t, &mut tp).ok_or_else(|| GraphError::Io(format!("missing {what}")))?;
-            token_str(tok)
-                .parse::<u64>()
-                .map_err(|e| GraphError::Io(format!("bad {label}: {e}")))
-        };
-        let rc = field("row", "row").and_then(|r| field("col", "col").map(|c| (r, c)));
-        let (r, c) = match rc {
-            Ok(rc) => rc,
-            Err(e) => {
-                out.err = Some(e);
-                return out;
-            }
-        };
-        if r == 0 || c == 0 || r > h.rows || c > h.cols {
-            out.err = Some(GraphError::Io(format!("entry ({r},{c}) out of bounds")));
-            return out;
-        }
-        let (s, d) = ((r - 1) as VertexId, (c - 1) as VertexId);
-        if h.weighted {
-            let w = match next_token(t, &mut tp) {
-                None => {
-                    out.err = Some(GraphError::Io("missing value".into()));
-                    return out;
-                }
-                Some(tok) => match token_str(tok).parse::<f64>() {
-                    Ok(w) => w,
-                    Err(e) => {
-                        out.err = Some(GraphError::Io(format!("bad value: {e}")));
-                        return out;
-                    }
-                },
-            };
-            out.weights.push(w);
-            if h.symmetric && s != d {
-                out.weights.push(w);
-            }
-        }
-        out.edges.push((s, d));
-        if h.symmetric && s != d {
-            out.edges.push((d, s));
-        }
-        out.seen += 1;
-        if out.seen > h.nnz {
-            out.err = Some(GraphError::Io(format!(
-                "more than the declared {} entries",
-                h.nnz
-            )));
-            return out;
+/// Reads blocks until the header line and the size line are in whole (or
+/// the input ends), parses them, and leaves `blocks` at the first body byte.
+fn read_mm_header<R: Read>(
+    blocks: &mut Blocks<R>,
+    opts: &LoadOptions,
+) -> Result<MmHeader, GraphError> {
+    loop {
+        blocks.fill()?;
+        let data = blocks.data();
+        let mut end = 0;
+        let lines = data.split_inclusive(|&c| c == b'\n');
+        let whole = lines
+            .take_while(|l| l.ends_with(b"\n"))
+            .enumerate()
+            .any(|(i, l)| {
+                end += l.len();
+                let t = trim_ascii(l);
+                i > 0 && !t.is_empty() && t[0] != b'%'
+            });
+        if whole || blocks.eof {
+            let h = parse_mm_header(if whole { &data[..end] } else { data }, opts)?;
+            blocks.start += h.body_start;
+            return Ok(h);
         }
     }
-    out
 }
 
-fn parse_matrix_market(
-    bytes: &[u8],
-    opts: &LoadOptions,
-    pool: Option<&ThreadPool>,
-) -> Result<EdgeList, GraphError> {
-    let h = parse_mm_header(bytes, opts)?;
+/// Edges to reserve per chunk when `k` chunks share the body: the declared
+/// count, clamped so a hostile header reserves nothing large.
+fn mm_reserve(h: &MmHeader, k: usize) -> usize {
     let edge_slots = if h.symmetric {
         h.nnz.saturating_mul(2)
     } else {
         h.nnz
     };
-    let body = &bytes[h.body_start..];
-    let chunks: Vec<MmChunk> = match pool {
-        None => {
-            let reserve = (edge_slots as usize).min(PREALLOC_CAP);
-            vec![parse_mm_chunk(body, &h, reserve)]
+    (edge_slots as usize / k.max(1)).min(PREALLOC_CAP)
+}
+
+impl Scan for MmChunk {
+    /// Stops at the first error, or as soon as this chunk *alone* exceeds
+    /// the declared entry count (the sequential parser's eager-surplus
+    /// guard, which keeps a hostile oversized body from growing the vectors
+    /// unboundedly).
+    fn scan(&mut self, bytes: &[u8], eof: bool, limit: usize) -> Option<usize> {
+        scan_lines(bytes, eof, limit, |fields, raw| {
+            if let Err(e) = self.entry(fields, raw) {
+                self.err = Some(e);
+            }
+            self.err.is_none()
+        })
+    }
+}
+
+impl MmChunk {
+    fn new(h: MmHeader, reserve: usize) -> Self {
+        MmChunk {
+            h,
+            edges: Vec::with_capacity(reserve),
+            weights: Vec::with_capacity(if h.weighted { reserve } else { 0 }),
+            seen: 0,
+            err: None,
         }
-        Some(pool) => {
-            let k = pool.num_threads();
-            let reserve = (edge_slots as usize / k.max(1)).min(PREALLOC_CAP);
-            let ranges = newline_chunk_ranges(body, k);
-            pool.run_tasks(ranges, |_, r| parse_mm_chunk(&body[r], &h, reserve))
+    }
+
+    /// One entry line: the fast path's fields, or the token path's.
+    fn entry(&mut self, fields: Option<Fields>, raw: &[u8]) -> Result<(), GraphError> {
+        // A weighted body's line without a value is the token path's error.
+        let fields = fields.filter(|f| !self.h.weighted || f.2.is_some());
+        let t = trim_ascii(raw);
+        let mut tp = 0usize;
+        let mut field = |what: &'static str| -> Result<u64, GraphError> {
+            let tok =
+                next_token(t, &mut tp).ok_or_else(|| GraphError::Io(format!("missing {what}")))?;
+            let v = token_str(tok).parse::<u64>();
+            v.map_err(|e| GraphError::Io(format!("bad {what}: {e}")))
+        };
+        let (r, c) = match fields {
+            Some((r, c, _)) => (u64::from(r), u64::from(c)),
+            None if t.is_empty() || t[0] == b'%' => return Ok(()),
+            None => (field("row")?, field("col")?),
+        };
+        if r == 0 || c == 0 || r > self.h.rows || c > self.h.cols {
+            return Err(GraphError::Io(format!("entry ({r},{c}) out of bounds")));
         }
-    };
+        let (s, d) = ((r - 1) as VertexId, (c - 1) as VertexId);
+        let w = match fields {
+            _ if !self.h.weighted => None,
+            Some((_, _, w)) => w,
+            None => {
+                let missing = || GraphError::Io("missing value".into());
+                let tok = next_token(t, &mut tp).ok_or_else(missing)?;
+                let w = token_str(tok).parse::<f64>();
+                Some(w.map_err(|e| GraphError::Io(format!("bad value: {e}")))?)
+            }
+        };
+        let mirror = self.h.symmetric && s != d;
+        if let Some(w) = w {
+            self.weights.push(w);
+            if mirror {
+                self.weights.push(w);
+            }
+        }
+        self.edges.push((s, d));
+        if mirror {
+            self.edges.push((d, s));
+        }
+        self.seen += 1;
+        if self.seen > self.h.nnz {
+            return Err(GraphError::Io(format!(
+                "more than the declared {} entries",
+                self.h.nnz
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Concatenates MM chunks in order; the first failing chunk's error wins,
+/// then the declared entry count must match exactly.
+fn mm_merge(h: &MmHeader, chunks: Vec<MmChunk>) -> Result<EdgeList, GraphError> {
     let total_edges: usize = chunks.iter().map(|c| c.edges.len()).sum();
     let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(total_edges);
     let mut weights: Vec<f64> = Vec::with_capacity(if h.weighted { total_edges } else { 0 });
@@ -795,12 +1162,11 @@ pub fn load_matrix_market_with<P: AsRef<Path>>(
     path: P,
     opts: &LoadOptions,
 ) -> Result<EdgeList, GraphError> {
-    let (bytes, _) = read_retrying(open_for_load(path)?, opts.retry)?;
-    parse_matrix_market(&bytes, opts, None)
+    load_mm_streamed(path.as_ref(), opts, None, BLOCK_BYTES)
 }
 
-/// Parallel [`load_matrix_market`]: hardened read, then the chunked body
-/// parse on `pool`.
+/// Parallel [`load_matrix_market`]: the header is read first, then each
+/// pool worker streams and parses its own share of the entry body.
 pub fn load_matrix_market_parallel<P: AsRef<Path>>(
     path: P,
     pool: &ThreadPool,
@@ -814,8 +1180,26 @@ pub fn load_matrix_market_parallel_with<P: AsRef<Path>>(
     opts: &LoadOptions,
     pool: &ThreadPool,
 ) -> Result<EdgeList, GraphError> {
-    let (bytes, _) = read_retrying(open_for_load(path)?, opts.retry)?;
-    parse_matrix_market(&bytes, opts, Some(pool))
+    load_mm_streamed(path.as_ref(), opts, Some(pool), BLOCK_BYTES)
+}
+
+/// The Matrix Market path loaders: the header on the calling thread, then
+/// the body as [`load_text_streamed`] streams a text file.
+fn load_mm_streamed(
+    path: &Path,
+    opts: &LoadOptions,
+    pool: Option<&ThreadPool>,
+    block: usize,
+) -> Result<EdgeList, GraphError> {
+    let file = open_for_load(path)?;
+    let len = budgeted_len(&file, opts)?;
+    let mut head = Blocks::new(&file, 0, opts, block);
+    let h = read_mm_header(&mut head, opts)?;
+    let reserve = mm_reserve(&h, pool.map_or(1, ThreadPool::num_threads));
+    mm_merge(
+        &h,
+        stream_file(head, len, pool, || MmChunk::new(h, reserve))?,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1021,14 +1405,39 @@ pub fn decode_binary_with(data: &[u8], opts: &LoadOptions) -> Result<EdgeList, G
 }
 
 /// Reads and decodes a binary edge list from any [`Read`], absorbing
-/// transient I/O errors per `opts.retry`. Returns the decoded list plus the
-/// retry counters (clean runs report zero).
+/// transient I/O errors per `opts.retry` and refusing the input once more
+/// than the byte budget (plus header and trailer) of it has been read.
+/// Returns the decoded list plus the retry counters (clean runs report
+/// zero).
 pub fn read_binary<R: Read>(
     reader: R,
     opts: &LoadOptions,
 ) -> Result<(EdgeList, RetryStats), GraphError> {
-    let (bytes, stats) = read_retrying(reader, opts.retry)?;
+    read_binary_sized(reader, opts, 0)
+}
+
+/// [`read_binary`] into a buffer pre-sized for `len_hint` bytes.
+fn read_binary_sized<R: Read>(
+    reader: R,
+    opts: &LoadOptions,
+    len_hint: u64,
+) -> Result<(EdgeList, RetryStats), GraphError> {
+    let limit = binary_limit(opts);
+    let (bytes, stats) = read_retrying_within(reader, opts.retry, len_hint, limit)?;
+    if bytes.len() as u64 > limit {
+        return Err(GraphError::BudgetExceeded {
+            required: bytes.len() as u64,
+            budget: opts.max_bytes,
+        });
+    }
     Ok((decode_binary_with(&bytes, opts)?, stats))
+}
+
+/// The most bytes a binary input within `opts`' budget can take: the
+/// payload budget plus header and trailer.
+fn binary_limit(opts: &LoadOptions) -> u64 {
+    opts.max_bytes
+        .saturating_add((HEADER_LEN + TRAILER_LEN) as u64)
 }
 
 /// Saves an edge list to a binary file (current checksummed format).
@@ -1049,19 +1458,14 @@ pub fn load_binary_with<P: AsRef<Path>>(
     opts: &LoadOptions,
 ) -> Result<EdgeList, GraphError> {
     let f = open_for_load(path)?;
-    if let Ok(md) = f.metadata() {
-        if md.len()
-            > opts
-                .max_bytes
-                .saturating_add((HEADER_LEN + TRAILER_LEN) as u64)
-        {
-            return Err(GraphError::BudgetExceeded {
-                required: md.len(),
-                budget: opts.max_bytes,
-            });
-        }
+    let len = f.metadata().map_or(0, |md| md.len());
+    if len > binary_limit(opts) {
+        return Err(GraphError::BudgetExceeded {
+            required: len,
+            budget: opts.max_bytes,
+        });
     }
-    read_binary(f, opts).map(|(el, _)| el)
+    read_binary_sized(f, opts, len).map(|(el, _)| el)
 }
 
 /// Loads a graph (both orientations) from a binary edge-list file.
@@ -1142,22 +1546,37 @@ mod tests {
 
     #[test]
     fn vertex_tokens_parse_like_str_parse() {
-        let reference = |tok: &[u8]| token_str(tok).parse::<u64>().map_err(|e| e.to_string());
+        // The fast path folds ids itself; where it takes a token, it must
+        // read what `str::parse` reads, and it must leave the rest alone.
         for tok in [
-            &b""[..],
-            b"0",
-            b"007",
-            b"+5",
-            b"-1",
-            b"1e3",
-            b"12x",
-            b"9999999999999999999",  // 19 digits: the longest folded directly
-            b"18446744073709551615", // u64::MAX, 20 digits
-            b"18446744073709551616", // overflow
-            b"00000000000000000000001",
-            b"\xff1",
+            "0",
+            "007",
+            "+5",
+            "-1",
+            "1e3",
+            "12x",
+            "1234567",              // seven digits: one word
+            "12345678",             // eight: folded a byte at a time
+            "4294967295",           // u32::MAX
+            "4294967296",           // past it: the token path's range error
+            "9999999999999999999",  // 19 digits: the longest folded
+            "18446744073709551615", // u64::MAX, 20 digits
+            "18446744073709551616", // overflow
+            "00000000000000000000001",
         ] {
-            assert_eq!(parse_u64_token(tok), reference(tok), "{tok:?}");
+            let line = format!("{tok} {tok}\n");
+            let want = tok
+                .parse::<u64>()
+                .ok()
+                .and_then(|v| VertexId::try_from(v).ok());
+            let got = fast_line(line.as_bytes()).map(|((s, d, _), _)| {
+                assert_eq!(s, d);
+                s
+            });
+            match (tok.starts_with('+'), tok.len() > 19) {
+                (false, false) => assert_eq!(got, want, "{tok}"),
+                _ => assert_eq!(got, None, "{tok}"),
+            }
         }
     }
 
@@ -1471,6 +1890,17 @@ mod tests {
     }
 
     #[test]
+    fn matrix_market_size_line_may_end_the_file() {
+        // No newline after the size line: an empty body, not a panic.
+        let mtx = "%%MatrixMarket matrix coordinate pattern general\n2 2 0";
+        let el = read_matrix_market(mtx.as_bytes()).unwrap();
+        assert_eq!((el.num_vertices(), el.num_edges()), (2, 0));
+        let pool = ThreadPool::single_group(2);
+        let el = parse_matrix_market_parallel(mtx.as_bytes(), &LoadOptions::default(), &pool);
+        assert_eq!(el.unwrap().num_edges(), 0);
+    }
+
+    #[test]
     fn matrix_market_rectangular_uses_max_dimension() {
         let mtx = "%%MatrixMarket matrix coordinate pattern general\n2 5 1\n1 5\n";
         let el = read_matrix_market(mtx.as_bytes()).unwrap();
@@ -1483,6 +1913,512 @@ mod tests {
         let el = read_text_edgelist("".as_bytes()).unwrap();
         assert_eq!(el.num_vertices(), 0);
         assert_eq!(el.num_edges(), 0);
+    }
+
+    #[test]
+    fn budget_bounds_the_bytes_read() {
+        let budget = 1000;
+        let opts = LoadOptions::strict().with_max_bytes(budget);
+        let over = |r: Result<_, GraphError>| {
+            matches!(r, Err(GraphError::BudgetExceeded { required, budget: b })
+                if b == budget && required > budget && required <= budget + 64)
+        };
+        // A reader with no length to check up front: the budget must stop
+        // the read itself, not the parse of everything it returned.
+        let zeros = || std::io::repeat(0).take(budget + 64);
+        assert!(over(read_binary(zeros(), &opts).map(|_| ())));
+        assert!(over(read_text_edgelist_with(zeros(), &opts).map(|_| ())));
+        let blank_lines = std::io::repeat(b'\n').take(budget + 64);
+        assert!(over(
+            read_text_edgelist_with(blank_lines, &opts).map(|_| ())
+        ));
+        let header = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n";
+        let mtx = header.as_bytes().chain(std::io::repeat(b'%').take(budget));
+        assert!(over(read_matrix_market_with(mtx, &opts).map(|_| ())));
+        // Within the budget, the same inputs read to the end.
+        let fits = std::io::repeat(b'\n').take(budget);
+        let (el, _) = read_text_edgelist_with(fits, &opts).unwrap();
+        assert_eq!(el.num_edges(), 0);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn files_without_a_length_stream_to_the_end() {
+        // `/proc` files report length 0; the loaders read them anyway, on
+        // one worker. (`stat` starts `pid (comm) …`: a bad destination.)
+        let pool = ThreadPool::single_group(2);
+        for err in [
+            load_text("/proc/self/stat").unwrap_err(),
+            load_text_parallel("/proc/self/stat", &pool).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains("line 1: bad destination"), "{err}");
+        }
+    }
+
+    #[test]
+    fn fast_line_reads_the_common_forms() {
+        for (line, want) in [
+            (&b"12 34\n"[..], ((12, 34, None), 6)),
+            (b"12\t34 \r\n", ((12, 34, None), 8)),
+            (b"0  7 2.5625\n", ((0, 7, Some(2.5625)), 12)),
+            (b"1 2 -0.5 \t\r\n", ((1, 2, Some(-0.5)), 12)),
+            (b"4294967295 3 1.\n", ((u32::MAX, 3, Some(1.0)), 16)),
+        ] {
+            assert_eq!(fast_line(line), Some(want), "{:?}", token_str(line));
+        }
+        // Everything else is the token path's.
+        for line in [
+            &b"12 34"[..], // no newline yet
+            b" 12 34\n",
+            b"12  34 5 6\n",
+            b"12 34 1e3\n",
+            b"12 34 inf\n",
+            b"4294967296 1\n",
+            b"12\x0c34\n",
+            b"# 1 2\n",
+            b"\n",
+        ] {
+            assert_eq!(fast_line(line), None, "{:?}", token_str(line));
+        }
+    }
+
+    #[test]
+    fn fast_weights_match_str_parse_bit_for_bit() {
+        let taken = |s: &str| {
+            let line = format!("{s}\n");
+            fast_decimal(line.as_bytes(), 0).filter(|&(_, end)| end == s.len())
+        };
+        for s in [
+            "9007199254740992",
+            "0.0000000000000000000001",  // 22 fraction digits, exact
+            "0.1234567890123456789012",  // 22 fraction digits, mantissa too big
+            "0.00000000000000000000001", // 23 fraction digits
+            "-0",
+            "+1",
+            "1.",
+            ".5",
+            "-.5",
+            "00.5",
+            "123456.000001",
+        ] {
+            if let Some((w, _)) = taken(s) {
+                assert_eq!(w.to_bits(), s.parse::<f64>().unwrap().to_bits(), "{s}");
+            }
+        }
+        for s in ["9007199254740992", "-0", "+1", "1.", ".5", "123456.000001"] {
+            assert!(taken(s).is_some(), "{s} should take the fast path");
+        }
+        for s in ["9007199254740993", "1e3", "inf", "NaN", ".", "-", "1.5."] {
+            assert!(taken(s).is_none(), "{s} should take the token path");
+        }
+    }
+
+    #[test]
+    fn more_workers_than_bytes() {
+        // Shares shorter than a line: most workers take none.
+        let pool = ThreadPool::single_group(8);
+        let opts = LoadOptions::default();
+        let path = std::env::temp_dir().join(format!("grazelle_io_tiny_{}", std::process::id()));
+        for text in ["0 1", "0 1\n", "0 1\n2 3", "#\n0 1\n", "\n\n\n"] {
+            std::fs::write(&path, text).unwrap();
+            let want = parse_text_edgelist(text.as_bytes()).unwrap();
+            let got = load_text_streamed(&path, &opts, Some(&pool), 64).unwrap();
+            assert_eq!(got.edges(), want.edges(), "{text:?}");
+            assert_eq!(got.num_vertices(), want.num_vertices(), "{text:?}");
+        }
+        std::fs::write(
+            &path,
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2",
+        )
+        .unwrap();
+        let got = load_mm_streamed(&path, &opts, Some(&pool), 64).unwrap();
+        assert_eq!(got.edges(), &[(0, 1)]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_line_longer_than_the_block_is_carried_whole() {
+        let long = format!("# {}\n", "x".repeat(1000));
+        let text = format!("0 1\n{long}2 3\n{long}4 5");
+        for block in [1, 7, 64] {
+            let (el, _) =
+                read_text_blocks(text.as_bytes(), &LoadOptions::default(), block).unwrap();
+            assert_eq!(el.edges(), &[(0, 1), (2, 3), (4, 5)], "block {block}");
+        }
+    }
+
+    mod streamed {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// Weights that sit on the fast path's edges, and some that are
+        /// not numbers at all.
+        const WEIGHTS: [&str; 20] = [
+            "9007199254740992",
+            "9007199254740993",
+            "0.1234567890123456789012",
+            "0.12345678901234567890123",
+            "0.0000000000000000000001",
+            "-0",
+            "+1",
+            "1.",
+            ".5",
+            "1e3",
+            "inf",
+            "NaN",
+            "-inf",
+            "0.30000000000000004",
+            "2.5625",
+            "1E-3",
+            "1.5.",
+            "-",
+            ".",
+            "12x",
+        ];
+
+        /// Lines no well-formed file needs: ids at and past the limits,
+        /// odd whitespace, extra tokens, junk.
+        const ODD: [&str; 16] = [
+            "4294967295 1",
+            "4294967296 0",
+            "9999999999999999999 1",
+            "18446744073709551616 2",
+            "00000000000000000000001 2",
+            "+5 3",
+            "-1 2",
+            "0\x0c1",
+            "\x0c0 1",
+            "0 1\x0c",
+            "0 1 2.5 extra",
+            "a b",
+            "0",
+            "0 1 x",
+            "0 1\t",
+            "\x0b0 1",
+        ];
+
+        fn mix(mut z: u64) -> u64 {
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn weight(r: u64) -> String {
+            match r % 4 {
+                0 => format!("{}", f64::from_bits(mix(r))),
+                1 => WEIGHTS[(r >> 8) as usize % WEIGHTS.len()].to_string(),
+                2 => format!("{}", ((r >> 8) % 1000) as f64 / 16.0),
+                _ => format!("{}", ((r >> 8) % 100_000) as f64 * 1e-3),
+            }
+        }
+
+        /// One line of a text corpus, drawn from `r`.
+        fn text_line(r: u64, weighted: bool) -> String {
+            let (a, b) = ((r >> 8) % 60, (r >> 16) % 60);
+            let sep = [" ", "\t", "  ", " \t "][(r >> 24) as usize % 4];
+            let tail = ["", "", " ", "\t"][(r >> 26) as usize % 4];
+            let w = |r| format!("{sep}{}", weight(r));
+            match r % 64 {
+                0..=49 => {
+                    let w = if weighted { w(mix(r)) } else { String::new() };
+                    format!("{a}{sep}{b}{w}{tail}")
+                }
+                50..=52 => format!("# comment {a}"),
+                53 => format!("   # indented {b}"),
+                54..=56 => ["", "   ", "\t", "\x0c"][(r >> 28) as usize % 4].to_string(),
+                57 => format!("# {}", "y".repeat(70 + (r >> 30) as usize % 60)),
+                58 if weighted => format!("{a} {b}"),
+                58 => format!("{a} {b}{}", w(r)),
+                _ => ODD[(r >> 32) as usize % ODD.len()].to_string(),
+            }
+        }
+
+        /// Lines joined by `\n` or `\r\n`, with or without a last newline.
+        fn corpus(lines: &[String], shape: u64) -> Vec<u8> {
+            let eol = if shape & 1 == 1 { "\r\n" } else { "\n" };
+            let mut text = lines.join(eol);
+            if shape & 2 == 2 && !lines.is_empty() {
+                text.push_str(eol);
+            }
+            text.into_bytes()
+        }
+
+        type Parsed = Result<(usize, Vec<(u32, u32)>, Option<Vec<u64>>), String>;
+
+        fn parsed(r: Result<EdgeList, GraphError>) -> Parsed {
+            let el = r.map_err(|e| e.to_string())?;
+            let bits = el
+                .weights()
+                .map(|w| w.iter().map(|x| x.to_bits()).collect());
+            Ok((el.num_vertices(), el.edges().to_vec(), bits))
+        }
+
+        /// The text format, read the plain way: `str` lines and tokens.
+        fn text_reference(text: &[u8]) -> Parsed {
+            let io =
+                |n: usize, what: String| GraphError::Io(format!("line {n}: {what}")).to_string();
+            let text = std::str::from_utf8(text).expect("the corpus is ASCII");
+            let mut lines: Vec<&str> = text.split('\n').collect();
+            if lines.last() == Some(&"") {
+                lines.pop();
+            }
+            let (mut edges, mut weights, mut mode) = (Vec::new(), Vec::new(), None);
+            for (i, raw) in lines.iter().enumerate() {
+                let n = i + 1;
+                let line = raw.trim_matches(|c: char| c.is_ascii_whitespace());
+                if line.is_empty() || line.starts_with('#') {
+                    continue;
+                }
+                let mut toks = line
+                    .split(|c: char| c.is_ascii_whitespace())
+                    .filter(|t| !t.is_empty());
+                let mut id = |what: &str| -> Result<u64, String> {
+                    let t = toks
+                        .next()
+                        .ok_or_else(|| io(n, format!("missing {what}")))?;
+                    t.parse::<u64>()
+                        .map_err(|e| io(n, format!("bad {what}: {e}")))
+                };
+                let (s, d) = (id("source")?, id("destination")?);
+                if s.max(d) > u64::from(u32::MAX) {
+                    let vertex = s.max(d);
+                    let num_vertices = u64::from(u32::MAX);
+                    return Err(GraphError::VertexOutOfRange {
+                        vertex,
+                        num_vertices,
+                    }
+                    .to_string());
+                }
+                let w = match toks.next() {
+                    Some(t) => Some(
+                        t.parse::<f64>()
+                            .map_err(|e| io(n, format!("bad weight: {e}")))?,
+                    ),
+                    None => None,
+                };
+                match (mode, w) {
+                    (Some(false), Some(_)) => {
+                        return Err(io(n, "weight appears after unweighted edges".into()))
+                    }
+                    (Some(true), None) => {
+                        return Err(io(n, "missing weight in weighted edge list".into()))
+                    }
+                    _ => {}
+                }
+                mode.get_or_insert(w.is_some());
+                edges.push((s as u32, d as u32));
+                weights.extend(w.map(f64::to_bits));
+            }
+            let n = edges
+                .iter()
+                .map(|&(s, d)| s.max(d) as usize + 1)
+                .max()
+                .unwrap_or(0);
+            Ok((n, edges, (mode == Some(true)).then_some(weights)))
+        }
+
+        fn scratch_file(bytes: &[u8]) -> std::path::PathBuf {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let name = format!(
+                "grazelle_io_streamed_{}_{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            );
+            let path = std::env::temp_dir().join(name);
+            std::fs::write(&path, bytes).unwrap();
+            path
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Every text loader — buffer parse, streamed `Read`, streamed
+            /// file at 1/2/8 workers — at block sizes down to one byte
+            /// returns what the plain reading returns: edges, vertex count,
+            /// weight bits, or the same error text at the same line.
+            #[test]
+            fn prop_text_loaders_match_the_plain_reading(
+                seeds in proptest::collection::vec(any::<u64>(), 0..40),
+                weighted: bool,
+                shape in 0u64..4,
+            ) {
+                let lines: Vec<String> = seeds.iter().map(|&r| text_line(r, weighted)).collect();
+                let text = corpus(&lines, shape);
+                let want = text_reference(&text);
+                let opts = LoadOptions::default();
+                prop_assert_eq!(&parsed(parse_text_edgelist(&text)), &want);
+                let path = scratch_file(&text);
+                for block in [1, 7, 64, BLOCK_BYTES] {
+                    let streamed = read_text_blocks(&text[..], &opts, block).map(|(el, _)| el);
+                    prop_assert_eq!(&parsed(streamed), &want, "read, block {}", block);
+                    let file = load_text_streamed(&path, &opts, None, block);
+                    prop_assert_eq!(&parsed(file), &want, "file, block {}", block);
+                }
+                for threads in [1, 2, 8] {
+                    let pool = ThreadPool::single_group(threads);
+                    let buffer = parse_text_edgelist_parallel(&text, &pool);
+                    prop_assert_eq!(&parsed(buffer), &want, "buffer, {} threads", threads);
+                    for block in [1, 7, 64, BLOCK_BYTES] {
+                        let file = load_text_streamed(&path, &opts, Some(&pool), block);
+                        prop_assert_eq!(&parsed(file), &want, "{} threads, block {}", threads, block);
+                    }
+                }
+                std::fs::remove_file(&path).ok();
+            }
+
+            /// The fast weight path agrees with `str::parse` on every
+            /// shortest-form `f64` it takes.
+            #[test]
+            fn prop_fast_weights_match_str_parse(bits: u64, r: u64) {
+                for s in [format!("{}", f64::from_bits(bits)), weight(r)] {
+                    let line = format!("{s}\n");
+                    if let Some((w, end)) = fast_decimal(line.as_bytes(), 0) {
+                        if end == s.len() {
+                            prop_assert_eq!(w.to_bits(), s.parse::<f64>().unwrap().to_bits(), "{}", s);
+                        }
+                    }
+                }
+            }
+        }
+
+        /// One body line of a Matrix Market corpus, drawn from `r`.
+        fn mm_line(r: u64, dims: u64, weighted: bool) -> String {
+            let (a, b) = (1 + (r >> 8) % dims, 1 + (r >> 16) % dims);
+            let w = if weighted {
+                format!(" {}", weight(mix(r)))
+            } else {
+                String::new()
+            };
+            match r % 32 {
+                0..=25 => format!("{a} {b}{w}"),
+                26 => format!("% note {a}"),
+                27 => String::new(),
+                28 => format!("{a}\t{b}{w}  "),
+                29 => format!("{} {b}{w}", [0, dims + 1][(r >> 30) as usize % 2]),
+                30 => format!("{a} {b} 7 extra"),
+                _ => ["x 1", "1", "1 2 3e", "+1 1 1"][(r >> 30) as usize % 4].to_string(),
+            }
+        }
+
+        /// The Matrix Market body, read the plain way (the header of every
+        /// generated corpus is valid).
+        fn mm_reference(text: &str) -> Parsed {
+            let io = |what: String| GraphError::Io(what).to_string();
+            let mut lines = text.lines();
+            let header: Vec<String> = lines
+                .next()
+                .unwrap()
+                .split_whitespace()
+                .map(str::to_lowercase)
+                .collect();
+            let weighted = header[3] != "pattern";
+            let symmetric = header[4] == "symmetric";
+            let size = lines
+                .find(|l| !l.trim().is_empty() && !l.trim().starts_with('%'))
+                .unwrap();
+            let dims: Vec<u64> = size
+                .split_whitespace()
+                .map(|t| t.parse().unwrap())
+                .collect();
+            let (rows, cols, nnz) = (dims[0], dims[1], dims[2]);
+            let (mut edges, mut weights, mut seen) = (Vec::new(), Vec::new(), 0u64);
+            for raw in lines {
+                let t = raw.trim_matches(|c: char| c.is_ascii_whitespace());
+                if t.is_empty() || t.starts_with('%') {
+                    continue;
+                }
+                let mut toks = t.split_ascii_whitespace();
+                let mut id = |what: &str| -> Result<u64, String> {
+                    let tok = toks.next().ok_or_else(|| io(format!("missing {what}")))?;
+                    tok.parse::<u64>()
+                        .map_err(|e| io(format!("bad {what}: {e}")))
+                };
+                let (r, c) = (id("row")?, id("col")?);
+                if r == 0 || c == 0 || r > rows || c > cols {
+                    return Err(io(format!("entry ({r},{c}) out of bounds")));
+                }
+                let (s, d) = ((r - 1) as u32, (c - 1) as u32);
+                let copies = if symmetric && s != d { 2 } else { 1 };
+                if weighted {
+                    let tok = toks.next().ok_or_else(|| io("missing value".into()))?;
+                    let w = tok
+                        .parse::<f64>()
+                        .map_err(|e| io(format!("bad value: {e}")))?;
+                    weights.extend(std::iter::repeat_n(w.to_bits(), copies));
+                }
+                edges.push((s, d));
+                if copies == 2 {
+                    edges.push((d, s));
+                }
+                seen += 1;
+                if seen > nnz {
+                    return Err(io(format!("more than the declared {nnz} entries")));
+                }
+            }
+            if seen != nnz {
+                return Err(io(format!("expected {nnz} entries, found {seen}")));
+            }
+            let n = rows.max(cols) as usize;
+            Ok((
+                n,
+                edges.clone(),
+                (weighted && !edges.is_empty()).then_some(weights),
+            ))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Every Matrix Market loader — buffer parse at 1/2/8 threads,
+            /// streamed `Read`, streamed file at 1/2/8 workers and block
+            /// sizes down to one byte — returns what the plain reading
+            /// returns.
+            #[test]
+            fn prop_matrix_market_loaders_match_the_plain_reading(
+                seeds in proptest::collection::vec(any::<u64>(), 0..30),
+                kind in 0usize..6,
+                extra in 0u64..3,
+                shape in 0u64..4,
+            ) {
+                let field = ["pattern", "real", "integer"][kind % 3];
+                let symmetry = ["general", "symmetric"][kind / 3];
+                let weighted = field != "pattern";
+                let dims = 9;
+                let body: Vec<String> = seeds.iter().map(|&r| mm_line(r, dims, weighted)).collect();
+                // Declare the entry lines the body holds, give or take one.
+                let entries = body.iter().filter(|l| {
+                    let t = l.trim();
+                    !t.is_empty() && !t.starts_with('%')
+                }).count() as u64;
+                let nnz = (entries + extra).saturating_sub(1);
+                let mut lines = vec![
+                    format!("%%MatrixMarket matrix coordinate {field} {symmetry}"),
+                    "% a comment".to_string(),
+                    format!("{dims} {dims} {nnz}"),
+                ];
+                lines.extend(body);
+                let text = corpus(&lines, shape);
+                let want = mm_reference(std::str::from_utf8(&text).unwrap());
+                let opts = LoadOptions::default();
+                prop_assert_eq!(&parsed(read_matrix_market(&text[..])), &want);
+                let path = scratch_file(&text);
+                for block in [1, 7, 64] {
+                    let file = load_mm_streamed(&path, &opts, None, block);
+                    prop_assert_eq!(&parsed(file), &want, "file, block {}", block);
+                }
+                for threads in [1, 2, 8] {
+                    let pool = ThreadPool::single_group(threads);
+                    let buffer = parse_matrix_market_parallel(&text, &opts, &pool);
+                    prop_assert_eq!(&parsed(buffer), &want, "buffer, {} threads", threads);
+                    for block in [1, 7, 64] {
+                        let file = load_mm_streamed(&path, &opts, Some(&pool), block);
+                        prop_assert_eq!(&parsed(file), &want, "{} threads, block {}", threads, block);
+                    }
+                }
+                std::fs::remove_file(&path).ok();
+            }
+        }
     }
 
     mod props {

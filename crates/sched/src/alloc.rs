@@ -19,6 +19,13 @@
 //! run. The price is first-touch page faults on every large block, ≈10% of
 //! a cold set-up on the benchmark host (DESIGN.md §19). [`WorkerFilled`]
 //! lets a parallel builder take those faults on its workers, once.
+//!
+//! The pin also caps glibc at one malloc arena. By default each thread
+//! that allocates under contention may get an arena of its own, which then
+//! keeps the pages of the mid-sized blocks that thread freed (a parse
+//! worker's growing edge vector, a fresh executor's replies), and which
+//! threads got one varies run to run. glibc reads the cap when it first
+//! creates an arena, so the pool pins before it spawns its workers.
 
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,9 +45,13 @@ mod glibc {
     /// back on every free and fault it in again on the next run.
     const HEAP_TRIM_BYTES: c_int = 16 * LARGE_BLOCK_BYTES;
 
+    /// Arenas every thread shares: one, the main one.
+    const ARENAS: c_int = 1;
+
     // <malloc.h>
     const M_TRIM_THRESHOLD: c_int = -1;
     const M_MMAP_THRESHOLD: c_int = -3;
+    const M_ARENA_MAX: c_int = -8;
 
     extern "C" {
         fn mallopt(param: c_int, value: c_int) -> c_int;
@@ -48,19 +59,21 @@ mod glibc {
 
     pub fn pin() {
         // SAFETY: `mallopt` takes two plain integers, locks the allocator
-        // itself and only changes how *future* requests are served; both
-        // values are in range for the parameter they set. A refused call
+        // itself and only changes how *future* requests are served; every
+        // value is in range for the parameter it sets. A refused call
         // (return 0) leaves glibc's adaptive defaults in place: memory
         // behaves as it did before this module existed, nothing breaks.
         unsafe {
             mallopt(M_MMAP_THRESHOLD, LARGE_BLOCK_BYTES);
             mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_BYTES);
+            mallopt(M_ARENA_MAX, ARENAS);
         }
     }
 }
 
 /// Pins the policy above, once per process; later calls return at once.
-/// Called on entry by the path loaders of `grazelle_graph::io` and by
+/// Called by [`ThreadPool::new`](crate::ThreadPool::new) before it spawns a
+/// worker, by the path loaders of `grazelle_graph::io` and by
 /// `grazelle_core::prepare_profiled*`, so any program that builds a graph
 /// gets it before its first edge-scale buffer. A no-op where the system
 /// allocator is not glibc's.

@@ -99,6 +99,9 @@ impl ThreadPool {
     /// Creates a pool of `num_threads` workers split into `num_groups`
     /// logical groups. `num_groups` must not exceed `num_threads`.
     pub fn new(num_threads: usize, num_groups: usize) -> Self {
+        // Before any worker exists: glibc fixes its arena cap at the first
+        // arena it creates.
+        crate::alloc::pin_large_block_policy();
         assert!(num_threads >= 1, "pool needs at least one thread");
         assert!(
             (1..=num_threads).contains(&num_groups),
