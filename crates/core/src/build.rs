@@ -74,30 +74,21 @@ pub fn prepare_profiled_with_cutover(
         ..BuildProfile::default()
     };
 
+    // Both builders return neighbour-sorted lists.
     let t = Instant::now();
-    let mut out = if parallel {
+    let out = if parallel {
         Csr::from_edgelist_by_src_parallel(el, pool)
     } else {
         Csr::from_edgelist_by_src(el)
     };
-    if parallel {
-        out.sort_neighbors_parallel(pool);
-    } else {
-        out.sort_neighbors();
-    }
     profile.csr_ns = t.elapsed().as_nanos() as u64;
 
     let t = Instant::now();
-    let mut inn = if parallel {
+    let inn = if parallel {
         Csr::from_edgelist_by_dst_parallel(el, pool)
     } else {
         Csr::from_edgelist_by_dst(el)
     };
-    if parallel {
-        inn.sort_neighbors_parallel(pool);
-    } else {
-        inn.sort_neighbors();
-    }
     profile.csc_ns = t.elapsed().as_nanos() as u64;
 
     let g = Graph::from_orientations(out, inn, "")?;
@@ -178,6 +169,74 @@ mod tests {
         assert_eq!(g2.out_csr(), plain_g.out_csr());
         assert!(pg2.vsd.bit_identical(&plain_pg.vsd));
         assert!(pg2.vss.bit_identical(&plain_pg.vss));
+    }
+
+    /// `edges` over `n` vertices, weighted if `weights` holds a seed (four
+    /// values in turn, so repeated pairs carry equal and different ones),
+    /// in the order `shape` names: by (source, destination), by source
+    /// only, reverse, in two sorted halves (by source, then by pair), or as
+    /// generated.
+    fn shaped(n: usize, edges: Vec<(u32, u32)>, weights: &[u8], shape: u8) -> EdgeList {
+        let mut list: Vec<((u32, u32), f64)> = edges
+            .into_iter()
+            .enumerate()
+            .map(|(i, (s, d))| {
+                let w = weights.first().map_or(0, |&w| usize::from(w) + i);
+                ((s % n as u32, d % n as u32), (w % 4) as f64)
+            })
+            .collect();
+        match shape {
+            0 => list.sort_by_key(|&(p, _)| p),
+            1 => list.sort_by_key(|&((s, _), _)| s),
+            2 => list.sort_by_key(|&(p, _)| std::cmp::Reverse(p)),
+            3 => {
+                let half = list.len() / 2;
+                list[..half].sort_by_key(|&((s, _), _)| s);
+                list[half..].sort_by_key(|&(p, _)| p);
+            }
+            _ => {}
+        }
+        let (pairs, ws): (Vec<_>, Vec<_>) = list.into_iter().unzip();
+        EdgeList::from_parts(n, pairs, (!weights.is_empty()).then_some(ws)).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// `prepare_profiled` (pool width and sequential side of the
+        /// cutover, 1/2/8 threads) builds exactly what the plain
+        /// `Graph::from_edgelist` + `PreparedGraph::new` does, on sorted,
+        /// source-sorted, reverse, half-sorted and unsorted lists with
+        /// repeated pairs, weighted and not, edgeless and single-vertex
+        /// ones included.
+        #[test]
+        fn prop_prepare_profiled_matches_the_plain_build(
+            n in 1usize..24,
+            edges in proptest::collection::vec((0u32..24, 0u32..24), 0..300),
+            weights in proptest::collection::vec(0u8..255, 0..2),
+            shape in 0u8..5,
+        ) {
+            let el = shaped(n, edges, &weights, shape);
+            let plain_g = Graph::from_edgelist(&el).unwrap();
+            let plain_pg = PreparedGraph::new(&plain_g);
+            for threads in [1, 2, 8] {
+                let pool = ThreadPool::single_group(threads);
+                for cutover in [0, PAR_BUILD_CUTOVER_EDGES] {
+                    let (g, pg, _) = prepare_profiled_with_cutover(&el, &pool, cutover).unwrap();
+                    let bits = |g: &Graph| -> Vec<Vec<u64>> {
+                        [g.out_csr(), g.in_csr()]
+                            .iter()
+                            .map(|c| c.weights().unwrap_or(&[]).iter().map(|w| w.to_bits()).collect())
+                            .collect()
+                    };
+                    proptest::prop_assert_eq!(g.out_csr(), plain_g.out_csr());
+                    proptest::prop_assert_eq!(g.in_csr(), plain_g.in_csr());
+                    proptest::prop_assert_eq!(bits(&g), bits(&plain_g));
+                    proptest::prop_assert!(pg.vsd.bit_identical(&plain_pg.vsd), "{} threads", threads);
+                    proptest::prop_assert!(pg.vss.bit_identical(&plain_pg.vss), "{} threads", threads);
+                }
+            }
+        }
     }
 
     #[test]

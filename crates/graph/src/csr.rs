@@ -9,6 +9,7 @@
 use crate::edgelist::EdgeList;
 use crate::partition::{partition_index, EdgePartition};
 use crate::types::{EdgeId, GraphError, VertexId};
+use grazelle_sched::alloc::{self, RangeWriter, WorkerFilled};
 use grazelle_sched::ThreadPool;
 
 /// Compressed-Sparse adjacency: `index.len() == num_vertices + 1`,
@@ -22,31 +23,49 @@ pub struct Csr {
 
 impl Csr {
     /// Builds a CSR grouped by **source** from an edge list (counting sort;
-    /// O(|V| + |E|)). Neighbor order within a vertex follows the edge list.
+    /// O(|V| + |E|)), each vertex's neighbours sorted as
+    /// [`Csr::sort_neighbors`] sorts them.
     pub fn from_edgelist_by_src(el: &EdgeList) -> Self {
         Self::build(el, true)
     }
 
     /// Builds a CSC (grouped by **destination**) from an edge list. The
-    /// stored endpoint of each edge is then the *source* vertex.
+    /// stored endpoint of each edge is then the *source* vertex; each list
+    /// is sorted as in [`Csr::from_edgelist_by_src`].
     pub fn from_edgelist_by_dst(el: &EdgeList) -> Self {
         Self::build(el, false)
     }
 
+    /// A by-source build of a list grouped by source is a column copy
+    /// ([`Csr::column_copy`]); every other build is a counting sort: one
+    /// counting pass (degrees, and whether the sources never fall), then
+    /// the scatter. The lists are sorted afterwards unless the list's order
+    /// already leaves them sorted: a list non-decreasing by (source,
+    /// destination) does for its by-source lists, and a list
+    /// non-decreasing by source does for its by-destination ones (a stable
+    /// scatter of it puts every in-list in ascending order). Skipping is
+    /// bit-identical to sorting: [`Csr::sort_neighbors`] leaves a
+    /// non-decreasing list as it is, ties (repeated pairs, with their
+    /// weights) included.
     fn build(el: &EdgeList, by_src: bool) -> Self {
+        if let Some((mut csr, sorted)) = by_src.then(|| Self::column_copy(el, None)).flatten() {
+            if !sorted {
+                csr.sort_neighbors();
+            }
+            return csr;
+        }
         let n = el.num_vertices();
         let m = el.num_edges();
         let mut index = vec![0u64; n + 1];
-        for &(s, d) in el.edges() {
-            let key = if by_src { s } else { d };
-            index[key as usize + 1] += 1;
-        }
+        let sources_sorted = count_keys(el.edges(), None, |s, d| {
+            index[if by_src { s } else { d } as usize + 1] += 1;
+        });
         for i in 0..n {
             index[i + 1] += index[i];
         }
         let mut cursor = index.clone();
-        let mut edges = vec![0 as VertexId; m];
-        let mut weights = el.weights().map(|_| vec![0.0f64; m]);
+        let mut edges = alloc::zeroed::<VertexId>(m);
+        let mut weights = el.weights().map(|_| alloc::zeroed::<f64>(m));
         for (i, &(s, d)) in el.edges().iter().enumerate() {
             let (key, other) = if by_src { (s, d) } else { (d, s) };
             let pos = cursor[key as usize] as usize;
@@ -56,17 +75,117 @@ impl Csr {
                 w_out[pos] = w_in[i];
             }
         }
-        Csr {
+        let mut csr = Csr {
             index,
             edges,
             weights,
+        };
+        // A by-source list here is not grouped by source.
+        if by_src || !sources_sorted {
+            csr.sort_neighbors();
         }
+        csr
     }
 
-    /// Parallel [`Csr::from_edgelist_by_src`] on a [`ThreadPool`].
-    /// Bit-identical to the sequential build: a counting sort whose scatter
-    /// gives each thread a contiguous key range and scans the edge list in
-    /// order, so within-vertex edge order is the edge-list order.
+    /// The by-source CSR of `el`, and whether its lists came out sorted
+    /// (the list is non-decreasing by (source, destination)), if the list
+    /// is non-decreasing by source — in one pass, without a histogram or a
+    /// scatter: vertex `v` starts where the source column first reaches
+    /// `v`, and the edge (and weight) arrays are the destination (and
+    /// weight) column. Each worker of `pool` (or the calling thread alone)
+    /// takes one share of the list, checks its order from the pair before
+    /// it on, and writes the index entries of the vertices its share
+    /// reaches through [`WorkerFilled`] writers. `None`, as soon as a
+    /// share finds a source below the one before it: the list needs the
+    /// counting sort.
+    fn column_copy(el: &EdgeList, pool: Option<&ThreadPool>) -> Option<(Self, bool)> {
+        let n = el.num_vertices();
+        let m = el.num_edges();
+        let all = el.edges();
+        let t = pool.map_or(1, ThreadPool::num_threads);
+        let shares: Vec<usize> = (0..=t).map(|i| m * i / t).collect();
+        // The first index entry of each share's vertices: one past the
+        // source of the pair before the share. The last share ends the index.
+        let entries: Vec<usize> = shares
+            .iter()
+            .enumerate()
+            .map(|(i, &at)| match at.checked_sub(1) {
+                _ if i == t => n + 1,
+                Some(before) => all[before].0 as usize + 1,
+                None => 0,
+            })
+            .collect();
+        if !entries.is_sorted() {
+            return None;
+        }
+        let lens = |v: &[usize]| -> Vec<usize> { v.windows(2).map(|w| w[1] - w[0]).collect() };
+        let mut index = WorkerFilled::new(n + 1);
+        let mut edges = WorkerFilled::new(m);
+        let mut weights = el.weights().map(|_| WorkerFilled::new(m));
+        let weight_writers: Vec<_> = match &mut weights {
+            Some(w) => w.writers(lens(&shares)).into_iter().map(Some).collect(),
+            None => (0..t).map(|_| None).collect(),
+        };
+        let tasks = index
+            .writers(lens(&entries))
+            .into_iter()
+            .zip(edges.writers(lens(&shares)))
+            .zip(weight_writers)
+            .enumerate();
+        type Writers<'a> = (
+            (RangeWriter<'a, EdgeId>, RangeWriter<'a, VertexId>),
+            Option<RangeWriter<'a, f64>>,
+        );
+        const BLOCK: usize = 4096;
+        let fill = |(i, ((mut ix, mut e), w)): (usize, Writers<'_>)| -> Option<bool> {
+            let range = shares[i]..shares[i + 1];
+            let before = range.start.checked_sub(1).map(|at| all[at]);
+            let mut last = before.map_or(0, pair_key);
+            let mut pair_falls = false;
+            let mut next = entries[i];
+            let end = entries[i + 1];
+            // In blocks that stay in cache between the check and the copy.
+            for (block, pairs) in all[range.clone()].chunks(BLOCK).enumerate() {
+                let base = range.start + block * BLOCK;
+                for (at, &pair) in (base..).zip(pairs) {
+                    let k = pair_key(pair);
+                    // A fall, or a source past the share's last: not grouped.
+                    if k >> 32 < last >> 32 || pair.0 as usize >= end {
+                        return None;
+                    }
+                    pair_falls |= k < last;
+                    last = k;
+                    while next <= pair.0 as usize {
+                        ix.push(at as EdgeId);
+                        next += 1;
+                    }
+                }
+                e.extend(pairs.iter().map(|&(_, d)| d));
+            }
+            ix.extend(std::iter::repeat_n(m as EdgeId, end - next));
+            if let (Some(mut w), Some(w_in)) = (w, el.weights()) {
+                w.extend(w_in[range].iter().copied());
+            }
+            Some(!pair_falls)
+        };
+        let shares_sorted: Vec<Option<bool>> = match pool {
+            Some(pool) if t > 1 => pool.run_tasks(tasks.collect(), |_, task| fill(task)),
+            _ => tasks.map(fill).collect(),
+        };
+        let mut sorted = true;
+        for share in shares_sorted {
+            sorted &= share?;
+        }
+        let csr = Csr {
+            index: index.into_vec(),
+            edges: edges.into_vec(),
+            weights: weights.map(WorkerFilled::into_vec),
+        };
+        Some((csr, sorted))
+    }
+
+    /// Parallel [`Csr::from_edgelist_by_src`] on a [`ThreadPool`],
+    /// bit-identical to the sequential build at any pool width.
     pub fn from_edgelist_by_src_parallel(el: &EdgeList, pool: &ThreadPool) -> Self {
         Self::build_parallel(el, true, pool)
     }
@@ -76,10 +195,35 @@ impl Csr {
         Self::build_parallel(el, false, pool)
     }
 
-    /// Parallel counting sort. Three phases:
+    /// [`Csr::build`] on a pool: the [`Csr::column_copy`] on the pool for a
+    /// by-source build of a list grouped by source (an unsorted list leaves
+    /// it at its first fall), [`Csr::counting_sort_parallel`] otherwise.
+    fn build_parallel(el: &EdgeList, by_src: bool, pool: &ThreadPool) -> Self {
+        if pool.num_threads() == 1 {
+            return Self::build(el, by_src);
+        }
+        let built = match by_src.then(|| Self::column_copy(el, Some(pool))).flatten() {
+            Some((mut csr, sorted)) => {
+                if !sorted {
+                    csr.sort_neighbors_parallel(pool);
+                }
+                csr
+            }
+            None => Self::counting_sort_parallel(el, by_src, pool),
+        };
+        debug_assert_eq!(
+            built,
+            Self::build(el, by_src),
+            "parallel CSR build diverged from sequential"
+        );
+        built
+    }
+
+    /// Parallel counting sort. Three phases, then the sort:
     ///
     /// 1. **Histogram** — each thread counts key degrees over a disjoint
-    ///    edge sub-range into a thread-local histogram.
+    ///    edge sub-range into a thread-local histogram, and checks that the
+    ///    sources never fall (from the pair before the sub-range on).
     /// 2. **Prefix merge** — one sequential pass sums the histograms into
     ///    the vertex index (identical to the sequential index by
     ///    commutativity of the per-key sums).
@@ -91,56 +235,38 @@ impl Csr {
     ///    scans the full edge list in order and writes only its own keys,
     ///    so within-vertex edge order is the edge-list order, exactly as in
     ///    the sequential scatter.
-    fn build_parallel(el: &EdgeList, by_src: bool, pool: &ThreadPool) -> Self {
+    ///
+    /// The lists are then sorted on the pool unless the list's order
+    /// already leaves them sorted (see [`Csr::build`]).
+    fn counting_sort_parallel(el: &EdgeList, by_src: bool, pool: &ThreadPool) -> Self {
         let t = pool.num_threads();
-        if t == 1 {
-            return Self::build(el, by_src);
-        }
         let n = el.num_vertices();
         let m = el.num_edges();
         let all = el.edges();
         let w_in = el.weights();
+        let share = |i: usize| m * i / t;
         // Phase 1: per-thread histograms over disjoint edge sub-ranges.
-        let hists: Vec<Vec<u32>> = pool.run_map_with(|ctx| {
-            let lo = m * ctx.global_id / t;
-            let hi = m * (ctx.global_id + 1) / t;
+        let counts: Vec<(Vec<u32>, bool)> = pool.run_map_with(|ctx| {
+            let (lo, hi) = (share(ctx.global_id), share(ctx.global_id + 1));
+            let before = lo.checked_sub(1).map(|at| all[at]);
             let mut h = vec![0u32; n];
-            for &(s, d) in &all[lo..hi] {
-                let key = if by_src { s } else { d };
-                h[key as usize] += 1;
-            }
-            h
+            let sources_sorted = count_keys(&all[lo..hi], before, |s, d| {
+                h[if by_src { s } else { d } as usize] += 1;
+            });
+            (h, sources_sorted)
         });
         // Phase 2: sequential prefix-sum merge into the vertex index.
         let mut index = vec![0u64; n + 1];
         for v in 0..n {
-            let deg: u64 = hists.iter().map(|h| h[v] as u64).sum();
+            let deg: u64 = counts.iter().map(|(h, _)| h[v] as u64).sum();
             index[v + 1] = index[v] + deg;
         }
-        drop(hists);
-        // Phase 3: parallel scatter over disjoint destination key ranges.
-        let parts = crate::partition::partition_index(&index, t);
-        let mut edges = vec![0 as VertexId; m];
-        let mut weights = w_in.map(|_| vec![0.0f64; m]);
-        let mut tasks = Vec::with_capacity(t);
-        {
-            let mut erest: &mut [VertexId] = &mut edges;
-            let mut wrest: Option<&mut [f64]> = weights.as_deref_mut();
-            for p in &parts {
-                let len = p.num_edges();
-                let (ehead, etail) = erest.split_at_mut(len);
-                erest = etail;
-                let whead = match wrest.take() {
-                    Some(w) => {
-                        let (a, b) = w.split_at_mut(len);
-                        wrest = Some(b);
-                        Some(a)
-                    }
-                    None => None,
-                };
-                tasks.push((*p, ehead, whead));
-            }
-        }
+        let sources_sorted = counts.into_iter().all(|(_, sorted)| sorted);
+        // Phase 3: parallel scatter over disjoint key ranges.
+        let parts = partition_index(&index, t);
+        let mut edges = alloc::zeroed::<VertexId>(m);
+        let mut weights = w_in.map(|_| alloc::zeroed::<f64>(m));
+        let tasks = split_by(&parts, &mut edges, weights.as_deref_mut());
         pool.run_tasks(tasks, |_, (part, eslice, mut wslice)| {
             let key_lo = part.first_vertex;
             let key_hi = part.last_vertex;
@@ -165,17 +291,16 @@ impl Csr {
                 }
             }
         });
-        let built = Csr {
+        let mut csr = Csr {
             index,
             edges,
             weights,
         };
-        debug_assert_eq!(
-            built,
-            Self::build(el, by_src),
-            "parallel CSR build diverged from sequential"
-        );
-        built
+        // A by-source list here is not grouped by source.
+        if by_src || !sources_sorted {
+            csr.sort_neighbors_parallel(pool);
+        }
+        csr
     }
 
     /// Constructs a CSR directly from raw parts, validating the index.
@@ -298,84 +423,31 @@ impl Csr {
 
     /// Sorts each vertex's neighbor list in place (weights permuted along).
     pub fn sort_neighbors(&mut self) {
-        for v in 0..self.num_vertices() {
-            let r = self.edge_range(v as VertexId);
-            match &mut self.weights {
-                None => self.edges[r].sort_unstable(),
-                Some(w) => {
-                    let mut pairs: Vec<(VertexId, f64)> = self.edges[r.clone()]
-                        .iter()
-                        .copied()
-                        .zip(w[r.clone()].iter().copied())
-                        .collect();
-                    pairs.sort_unstable_by_key(|&(v, _)| v);
-                    for (i, (nv, nw)) in pairs.into_iter().enumerate() {
-                        self.edges[r.start + i] = nv;
-                        w[r.start + i] = nw;
-                    }
-                }
-            }
-        }
+        let n = self.num_vertices() as VertexId;
+        sort_lists(
+            &self.index,
+            0..n,
+            &mut self.edges,
+            self.weights.as_deref_mut(),
+        );
     }
 
     /// Parallel [`Csr::sort_neighbors`]: vertex ranges of near-equal edge
     /// count are sorted concurrently. Each partition's edge (and weight)
     /// region is contiguous, so the distribution is a plain `split_at_mut`.
-    /// `sort_unstable` is deterministic for a fixed input slice and every
-    /// per-vertex slice is identical to the sequential call's, so the result
-    /// is bit-identical to [`Csr::sort_neighbors`].
+    /// Every list is sorted by the same deterministic code as in the
+    /// sequential call, so the result is bit-identical to
+    /// [`Csr::sort_neighbors`].
     pub fn sort_neighbors_parallel(&mut self, pool: &ThreadPool) {
         let t = pool.num_threads();
         if t == 1 {
             return self.sort_neighbors();
         }
-        let parts = crate::partition::partition_index(&self.index, t);
+        let parts = partition_index(&self.index, t);
+        let tasks = split_by(&parts, &mut self.edges, self.weights.as_deref_mut());
         let index = &self.index;
-        let weighted = self.weights.is_some();
-        let mut tasks = Vec::with_capacity(t);
-        {
-            let mut erest: &mut [VertexId] = &mut self.edges;
-            let mut wrest: Option<&mut [f64]> = self.weights.as_deref_mut();
-            for p in &parts {
-                let len = p.num_edges();
-                let (ehead, etail) = erest.split_at_mut(len);
-                erest = etail;
-                let whead = match wrest.take() {
-                    Some(w) => {
-                        let (a, b) = w.split_at_mut(len);
-                        wrest = Some(b);
-                        Some(a)
-                    }
-                    None => None,
-                };
-                tasks.push((*p, ehead, whead));
-            }
-        }
-        pool.run_tasks(tasks, |_, (part, eslice, mut wslice)| {
-            if part.first_vertex == part.last_vertex {
-                return;
-            }
-            let base = index[part.first_vertex as usize];
-            for v in part.vertices() {
-                let lo = (index[v as usize] - base) as usize;
-                let hi = (index[v as usize + 1] - base) as usize;
-                match (weighted, wslice.as_mut()) {
-                    (false, _) => eslice[lo..hi].sort_unstable(),
-                    (true, Some(w)) => {
-                        let mut pairs: Vec<(VertexId, f64)> = eslice[lo..hi]
-                            .iter()
-                            .copied()
-                            .zip(w[lo..hi].iter().copied())
-                            .collect();
-                        pairs.sort_unstable_by_key(|&(v, _)| v);
-                        for (i, (nv, nw)) in pairs.into_iter().enumerate() {
-                            eslice[lo + i] = nv;
-                            w[lo + i] = nw;
-                        }
-                    }
-                    (true, None) => unreachable!("weighted CSR lost its weight slice"),
-                }
-            }
+        pool.run_tasks(tasks, |_, (part, eslice, wslice)| {
+            sort_lists(index, part.vertices(), eslice, wslice);
         });
     }
 
@@ -467,6 +539,107 @@ impl Csr {
             edges,
             weights,
         }
+    }
+}
+
+/// A pair as one number whose order is the pair's: source in the high
+/// half.
+fn pair_key((s, d): (VertexId, VertexId)) -> u64 {
+    (u64::from(s) << 32) | u64::from(d)
+}
+
+/// Hands `count` every pair of `pairs`, in order, and says whether their
+/// sources never fall, reading `before` (the pair ahead of them in the
+/// list, if any) as the first one's predecessor — so the answers for
+/// consecutive sub-ranges of a list make the whole list's.
+fn count_keys(
+    pairs: &[(VertexId, VertexId)],
+    before: Option<(VertexId, VertexId)>,
+    mut count: impl FnMut(VertexId, VertexId),
+) -> bool {
+    let mut last = before.map_or(0, |(s, _)| s);
+    let mut falls = false;
+    for &(s, d) in pairs {
+        falls |= s < last;
+        last = s;
+        count(s, d);
+    }
+    !falls
+}
+
+/// One partition's edge (and weight) slice.
+type Piece<'a> = (EdgePartition, &'a mut [VertexId], Option<&'a mut [f64]>);
+
+/// `edges` (and `weights`) cut into one contiguous slice per partition of
+/// their index, handed out with the partition.
+fn split_by<'a>(
+    parts: &[EdgePartition],
+    mut edges: &'a mut [VertexId],
+    mut weights: Option<&'a mut [f64]>,
+) -> Vec<Piece<'a>> {
+    parts
+        .iter()
+        .map(|part| {
+            let len = part.num_edges();
+            let (head, tail) = std::mem::take(&mut edges).split_at_mut(len);
+            edges = tail;
+            let whead = weights.take().map(|w| {
+                let (a, b) = w.split_at_mut(len);
+                weights = Some(b);
+                a
+            });
+            (*part, head, whead)
+        })
+        .collect()
+}
+
+/// Lists at most this long are sorted in place by insertion; `std`'s
+/// `sort_unstable` is itself an insertion sort up to this length, so ties
+/// land where it puts them.
+const INSERTION_SORT_MAX: usize = 20;
+
+/// Sorts the lists of `vertices`, whose edges (and weights) are `edges`
+/// (and `weights`), starting at edge `index[vertices.start]`.
+fn sort_lists(
+    index: &[EdgeId],
+    vertices: std::ops::Range<VertexId>,
+    edges: &mut [VertexId],
+    mut weights: Option<&mut [f64]>,
+) {
+    let base = index[vertices.start as usize];
+    for v in vertices {
+        let r = (index[v as usize] - base) as usize..(index[v as usize + 1] - base) as usize;
+        match weights.as_deref_mut() {
+            None => edges[r].sort_unstable(),
+            Some(w) => sort_weighted(&mut edges[r.clone()], &mut w[r]),
+        }
+    }
+}
+
+/// Sorts one weighted list by neighbour, its weights moved along, with the
+/// result of `sort_unstable_by_key` on the zipped pairs: in place by
+/// insertion up to [`INSERTION_SORT_MAX`] entries, through that sort above.
+fn sort_weighted(edges: &mut [VertexId], weights: &mut [f64]) {
+    if edges.len() <= INSERTION_SORT_MAX {
+        for i in 1..edges.len() {
+            let (v, w) = (edges[i], weights[i]);
+            let mut j = i;
+            while j > 0 && v < edges[j - 1] {
+                edges[j] = edges[j - 1];
+                weights[j] = weights[j - 1];
+                j -= 1;
+            }
+            edges[j] = v;
+            weights[j] = w;
+        }
+        return;
+    }
+    let mut pairs: Vec<(VertexId, f64)> =
+        edges.iter().copied().zip(weights.iter().copied()).collect();
+    pairs.sort_unstable_by_key(|&(v, _)| v);
+    for (i, (v, w)) in pairs.into_iter().enumerate() {
+        edges[i] = v;
+        weights[i] = w;
     }
 }
 
@@ -747,6 +920,172 @@ mod tests {
         seq.sort_neighbors();
         par.sort_neighbors_parallel(&pool);
         assert_eq!(seq, par);
+    }
+
+    /// The builders' contract, the plain way: each key's entries in
+    /// edge-list order (a counting sort), then a stable sort of each list.
+    fn reference(el: &EdgeList, by_src: bool) -> Csr {
+        let mut lists = vec![Vec::new(); el.num_vertices()];
+        for (i, &(s, d)) in el.edges().iter().enumerate() {
+            let (key, other) = if by_src { (s, d) } else { (d, s) };
+            lists[key as usize].push((other, el.weights().map_or(0.0, |w| w[i])));
+        }
+        let mut index = vec![0u64];
+        for list in &mut lists {
+            list.sort_by_key(|&(v, _)| v);
+            index.push(index[index.len() - 1] + list.len() as u64);
+        }
+        let flat = lists.concat();
+        Csr {
+            index,
+            edges: flat.iter().map(|&(v, _)| v).collect(),
+            weights: el.weights().map(|_| flat.iter().map(|&(_, w)| w).collect()),
+        }
+    }
+
+    /// `built` equals `want` up to the order of the weights of one
+    /// neighbour inside a list longer than [`INSERTION_SORT_MAX`]: the one
+    /// freedom `sort_unstable_by_key` takes there.
+    fn matches_reference(built: &Csr, want: &Csr) -> Result<(), String> {
+        if (&built.index, &built.edges) != (&want.index, &want.edges) {
+            return Err("index or edges differ".into());
+        }
+        let (Some(bw), Some(ww)) = (&built.weights, &want.weights) else {
+            return match built.weights.is_some() == want.weights.is_some() {
+                true => Ok(()),
+                false => Err("weightedness differs".into()),
+            };
+        };
+        for v in 0..built.num_vertices() as VertexId {
+            let r = built.edge_range(v);
+            let mut start = r.start;
+            while start < r.end {
+                let end = start
+                    + built.edges[start..r.end]
+                        .iter()
+                        .take_while(|&&x| x == built.edges[start])
+                        .count();
+                let bits = |w: &[f64]| {
+                    let mut b: Vec<u64> = w[start..end].iter().map(|x| x.to_bits()).collect();
+                    if r.len() > INSERTION_SORT_MAX {
+                        b.sort_unstable();
+                    }
+                    b
+                };
+                if bits(bw) != bits(ww) {
+                    return Err(format!("weights of {v} -> {} differ", built.edges[start]));
+                }
+                start = end;
+            }
+        }
+        Ok(())
+    }
+
+    /// An edge list of `n` vertices and `pairs`, weighted if `weights`
+    /// holds a seed (four values in turn, so repeated pairs carry different
+    /// weights and equal ones), put in the order `shape` names: by
+    /// (source, destination), by source only, reverse, in two sorted
+    /// halves (by source, then by pair: each worker's share at 2 threads is
+    /// sorted, the whole list is not), or as generated.
+    fn shaped(
+        n: usize,
+        mut pairs: Vec<(VertexId, VertexId)>,
+        weights: &[u8],
+        shape: u8,
+    ) -> EdgeList {
+        let mut weighted: Vec<((VertexId, VertexId), f64)> = pairs
+            .drain(..)
+            .enumerate()
+            .map(|(i, p)| {
+                let w = weights.first().map_or(0, |&w| usize::from(w) + i);
+                (p, (w % 4) as f64 / 4.0)
+            })
+            .collect();
+        match shape {
+            0 => weighted.sort_by_key(|&(p, _)| p),
+            1 => weighted.sort_by_key(|&((s, _), _)| s),
+            2 => weighted.sort_by_key(|&(p, _)| std::cmp::Reverse(p)),
+            3 => {
+                let half = weighted.len() / 2;
+                weighted[..half].sort_by_key(|&((s, _), _)| s);
+                weighted[half..].sort_by_key(|&(p, _)| p);
+            }
+            _ => {}
+        }
+        let (pairs, ws): (Vec<_>, Vec<_>) = weighted.into_iter().unzip();
+        EdgeList::from_parts(n, pairs, (!weights.is_empty()).then_some(ws)).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Every builder — sequential, and parallel on 1, 2 and 8 threads —
+        /// returns the reference of both orientations, and the parallel
+        /// ones are bit-identical to the sequential one, on lists sorted by
+        /// (source, destination), by source only, reverse-sorted, sorted by
+        /// halves and unsorted, with repeated pairs, weighted and not,
+        /// empty and on a single vertex.
+        #[test]
+        fn prop_builders_match_a_counting_sort_and_a_stable_sort(
+            n in 1usize..24,
+            raw in proptest::collection::vec((0u32..24, 0u32..24), 0..300),
+            weights in proptest::collection::vec(0u8..255, 0..2),
+            shape in 0u8..5,
+        ) {
+            let pairs = raw.into_iter().map(|(s, d)| (s % n as u32, d % n as u32)).collect();
+            let el = shaped(n, pairs, &weights, shape);
+            let pools = [1, 2, 8].map(ThreadPool::single_group);
+            for by_src in [true, false] {
+                let want = reference(&el, by_src);
+                let seq = Csr::build(&el, by_src);
+                proptest::prop_assert_eq!(matches_reference(&seq, &want), Ok(()), "sequential, by_src {}", by_src);
+                for pool in &pools {
+                    let par = Csr::build_parallel(&el, by_src, pool);
+                    proptest::prop_assert!(
+                        par == seq && par.weights.iter().flatten().map(|w| w.to_bits())
+                            .eq(seq.weights.iter().flatten().map(|w| w.to_bits())),
+                        "{} threads, by_src {}", pool.num_threads(), by_src
+                    );
+                }
+            }
+        }
+
+        /// In-place insertion sort of a short weighted list puts ties
+        /// (repeated neighbours with different weights) exactly where
+        /// `sort_unstable_by_key` on the zipped pairs puts them.
+        #[test]
+        fn prop_short_weighted_lists_sort_like_sort_unstable(
+            list in proptest::collection::vec((0u32..6, 0u8..255), 0..=INSERTION_SORT_MAX),
+        ) {
+            let mut pairs: Vec<(VertexId, f64)> = list.iter().map(|&(v, w)| (v, f64::from(w))).collect();
+            let (mut edges, mut weights): (Vec<_>, Vec<_>) = pairs.iter().copied().unzip();
+            sort_weighted(&mut edges, &mut weights);
+            pairs.sort_unstable_by_key(|&(v, _)| v);
+            let want: (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
+            proptest::prop_assert_eq!((edges, weights), want);
+        }
+    }
+
+    #[test]
+    fn the_builders_take_the_zero_vertex_list() {
+        let el = EdgeList::new(0);
+        for by_src in [true, false] {
+            assert_eq!(Csr::build(&el, by_src).index(), &[0]);
+            let pool = ThreadPool::single_group(2);
+            assert_eq!(Csr::build_parallel(&el, by_src, &pool).index(), &[0]);
+        }
+    }
+
+    #[test]
+    fn count_keys_reads_the_pair_before_a_sub_range() {
+        let sorted = [(1, 2), (1, 1), (2, 0)];
+        assert!(count_keys(&sorted, None, |_, _| {}));
+        assert!(count_keys(&sorted, Some((1, 5)), |_, _| {}));
+        assert!(!count_keys(&sorted, Some((3, 0)), |_, _| {}));
+        assert!(count_keys(&[], Some((3, 0)), |_, _| {}));
+        let mut seen = vec![];
+        count_keys(&sorted, None, |s, d| seen.push((s, d)));
+        assert_eq!(seen, sorted);
     }
 
     #[test]

@@ -275,6 +275,26 @@ impl EdgeList {
             weights,
         })
     }
+
+    /// [`EdgeList::from_parts`] for arrays whose checks a loader has made
+    /// while parsing them: `num_vertices` is one past the largest endpoint
+    /// it read (0 without edges), and the weights, if any, are aligned.
+    /// Skips the pass over every edge that would re-check the endpoints.
+    pub(crate) fn from_parsed(
+        num_vertices: usize,
+        edges: Vec<(VertexId, VertexId)>,
+        weights: Option<Vec<f64>>,
+    ) -> Self {
+        debug_assert!(weights.as_ref().is_none_or(|w| w.len() == edges.len()));
+        debug_assert!(edges
+            .iter()
+            .all(|&(s, d)| (s.max(d) as usize) < num_vertices));
+        EdgeList {
+            num_vertices,
+            edges,
+            weights,
+        }
+    }
 }
 
 #[cfg(test)]

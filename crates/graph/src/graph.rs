@@ -25,31 +25,22 @@ impl Graph {
         if el.num_vertices() == 0 {
             return Err(GraphError::EmptyGraph);
         }
-        let mut out = Csr::from_edgelist_by_src(el);
-        let mut inn = Csr::from_edgelist_by_dst(el);
-        out.sort_neighbors();
-        inn.sort_neighbors();
         Ok(Graph {
-            out,
-            inn,
+            out: Csr::from_edgelist_by_src(el),
+            inn: Csr::from_edgelist_by_dst(el),
             name: String::new(),
         })
     }
 
-    /// Parallel [`Graph::from_edgelist`]: both orientations are built with
-    /// the parallel counting sort and neighbor-sorted on the pool. The
-    /// result is bit-identical to the sequential build.
+    /// Parallel [`Graph::from_edgelist`]: both orientations are built on
+    /// the pool. The result is bit-identical to the sequential build.
     pub fn from_edgelist_parallel(el: &EdgeList, pool: &ThreadPool) -> Result<Self, GraphError> {
         if el.num_vertices() == 0 {
             return Err(GraphError::EmptyGraph);
         }
-        let mut out = Csr::from_edgelist_by_src_parallel(el, pool);
-        let mut inn = Csr::from_edgelist_by_dst_parallel(el, pool);
-        out.sort_neighbors_parallel(pool);
-        inn.sort_neighbors_parallel(pool);
         Ok(Graph {
-            out,
-            inn,
+            out: Csr::from_edgelist_by_src_parallel(el, pool),
+            inn: Csr::from_edgelist_by_dst_parallel(el, pool),
             name: String::new(),
         })
     }

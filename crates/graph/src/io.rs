@@ -23,6 +23,7 @@ use crate::edgelist::EdgeList;
 use crate::faults::{read_retried, read_retrying_within, RetryPolicy, RetryStats};
 use crate::graph::Graph;
 use crate::types::{GraphError, VertexId};
+use grazelle_sched::alloc::{RangeWriter, WorkerFilled};
 use grazelle_sched::ThreadPool;
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
@@ -608,19 +609,26 @@ fn parse_text_chunk(bytes: &[u8]) -> TextChunk {
 /// sequential semantics; with many chunks the earliest problem (by
 /// absolute line) still wins, so the reported error is independent of the
 /// chunk count.
-fn merge_text_chunks(chunks: Vec<TextChunk>) -> Result<EdgeList, GraphError> {
-    let total_edges: usize = chunks.iter().map(|c| c.edges.len()).sum();
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    let mut weights: Vec<f64> = Vec::new();
-    let mut any_weight = false;
+///
+/// The first chunk with edges donates its buffers, grown once to the final
+/// size; the later chunks are copied into the growth by `pool`'s workers,
+/// an equal share each (on the calling thread without a pool). The parse
+/// bounded every endpoint by `max_v`, so the list is built without a
+/// second range check.
+fn merge_text_chunks(
+    mut chunks: Vec<TextChunk>,
+    pool: Option<&ThreadPool>,
+) -> Result<EdgeList, GraphError> {
+    // The weighted-mode of the first chunk with edges.
+    let mut mode: Option<bool> = None;
     let mut max_v = 0;
     let mut line_base = 0usize;
-    for chunk in chunks {
+    for chunk in &mut chunks {
         // A chunk whose first edge disagrees with the established global
         // mode fails at that first edge — exactly where the sequential
         // scan would have tripped.
-        let conflict = match chunk.weighted {
-            Some(w) if !edges.is_empty() && w != any_weight => Some((
+        let conflict = match (chunk.weighted, mode) {
+            (Some(w), Some(m)) if w != m => Some((
                 chunk.first_edge_line,
                 if w {
                     TextErrKind::WeightAfterUnweighted
@@ -632,7 +640,7 @@ fn merge_text_chunks(chunks: Vec<TextChunk>) -> Result<EdgeList, GraphError> {
         };
         // The chunk's own error can only be *later* than its first edge, so
         // the earlier of the two is the one the sequential scan hits first.
-        let first_problem = match (conflict, chunk.err) {
+        let first_problem = match (conflict, chunk.err.take()) {
             (Some((cl, ck)), Some((el, ek))) => Some(if cl <= el { (cl, ck) } else { (el, ek) }),
             (p @ Some(_), None) => p,
             (None, p @ Some(_)) => p,
@@ -641,39 +649,61 @@ fn merge_text_chunks(chunks: Vec<TextChunk>) -> Result<EdgeList, GraphError> {
         if let Some((line, kind)) = first_problem {
             return Err(kind.into_error(line_base + line));
         }
-        if let Some(w) = chunk.weighted {
-            if edges.is_empty() {
-                any_weight = w;
-            }
-        }
+        mode = mode.or(chunk.weighted);
         max_v = max_v.max(chunk.max_v);
-        // The first chunk with edges donates its buffers, grown once to
-        // the final size; only the later chunks are copied. (The
-        // sequential parse is one chunk, so it copies nothing.)
-        if edges.is_empty() && !chunk.edges.is_empty() {
-            edges = chunk.edges;
-            edges.reserve_exact(total_edges - edges.len());
-            if any_weight {
-                weights = chunk.weights;
-                weights.reserve_exact(total_edges - weights.len());
-            }
-        } else {
-            edges.extend_from_slice(&chunk.edges);
-            if any_weight {
-                weights.extend_from_slice(&chunk.weights);
-            }
-        }
         line_base += chunk.lines;
     }
-    // A donated buffer grew by doubling; give the slack back.
-    edges.shrink_to_fit();
-    weights.shrink_to_fit();
-    let n = if edges.is_empty() {
-        0
-    } else {
-        max_v as usize + 1
+    let mut with_edges = chunks.into_iter().filter(|c| !c.edges.is_empty());
+    let Some(first) = with_edges.next() else {
+        return Ok(EdgeList::from_parsed(0, Vec::new(), None));
     };
-    EdgeList::from_parts(n, edges, if any_weight { Some(weights) } else { None })
+    let later: Vec<TextChunk> = with_edges.collect();
+    let edges: Vec<_> = later.iter().map(|c| &c.edges[..]).collect();
+    let edges = append_on(first.edges, &edges, pool);
+    let weights = (mode == Some(true)).then(|| {
+        let weights: Vec<_> = later.iter().map(|c| &c.weights[..]).collect();
+        append_on(first.weights, &weights, pool)
+    });
+    Ok(EdgeList::from_parsed(max_v as usize + 1, edges, weights))
+}
+
+/// `first` with `later` appended, in order, and its slack given back. The
+/// copies go into capacity nobody has written ([`WorkerFilled`]), one equal
+/// share of `later` per worker of `pool`.
+fn append_on<T: Copy + Send + Sync>(
+    first: Vec<T>,
+    later: &[&[T]],
+    pool: Option<&ThreadPool>,
+) -> Vec<T> {
+    let extra: usize = later.iter().map(|p| p.len()).sum();
+    let threads = pool.map_or(1, ThreadPool::num_threads);
+    let share = |i: usize| extra * i / threads;
+    let total = first.len() + extra;
+    let mut out = WorkerFilled::extending(first, total);
+    let writers = out.writers((0..threads).map(|i| share(i + 1) - share(i)));
+    let fill = |(i, mut w): (usize, RangeWriter<'_, T>)| {
+        let (lo, hi) = (share(i), share(i + 1));
+        let mut at = 0;
+        for piece in later {
+            let (a, b) = (lo.max(at), hi.min(at + piece.len()));
+            if a < b {
+                w.extend(piece[a - at..b - at].iter().copied());
+            }
+            at += piece.len();
+        }
+    };
+    match pool {
+        Some(pool) if threads > 1 && extra > 0 => {
+            pool.run_tasks(writers.into_iter().enumerate().collect(), |_, task| {
+                fill(task)
+            });
+        }
+        _ => writers.into_iter().enumerate().for_each(fill),
+    }
+    let mut joined = out.into_vec();
+    // A donated buffer grew by doubling; give the slack back.
+    joined.shrink_to_fit();
+    joined
 }
 
 /// Parses a text edge list from a byte buffer: one `src dst [weight]` per
@@ -681,7 +711,7 @@ fn merge_text_chunks(chunks: Vec<TextChunk>) -> Result<EdgeList, GraphError> {
 /// maximum endpoint. Single-threaded; see
 /// [`parse_text_edgelist_parallel`] for the pool-backed variant.
 pub fn parse_text_edgelist(bytes: &[u8]) -> Result<EdgeList, GraphError> {
-    merge_text_chunks(vec![parse_text_chunk(bytes)])
+    merge_text_chunks(vec![parse_text_chunk(bytes)], None)
 }
 
 /// Splits `bytes` into `k` near-equal ranges whose boundaries fall just
@@ -717,7 +747,7 @@ pub fn parse_text_edgelist_parallel(
 ) -> Result<EdgeList, GraphError> {
     let ranges = newline_chunk_ranges(bytes, pool.num_threads());
     let chunks = pool.run_tasks(ranges, |_, r| parse_text_chunk(&bytes[r]));
-    merge_text_chunks(chunks)
+    merge_text_chunks(chunks, Some(pool))
 }
 
 /// Parses a text edge list from any [`Read`], streamed to end of input in
@@ -746,7 +776,7 @@ fn read_text_blocks<R: Read>(
     let mut blocks = Blocks::new(reader, 0, opts, block);
     let mut chunk = TextChunk::default();
     blocks.stream(false, u64::MAX, &mut chunk)?;
-    Ok((merge_text_chunks(vec![chunk])?, blocks.stats))
+    Ok((merge_text_chunks(vec![chunk], None)?, blocks.stats))
 }
 
 /// Writes a text edge list in the format [`read_text_edgelist`] accepts.
@@ -811,7 +841,7 @@ fn load_text_streamed(
     let file = open_for_load(path)?;
     let len = budgeted_len(&file, opts)?;
     let head = Blocks::new(&file, 0, opts, block);
-    merge_text_chunks(stream_file(head, len, pool, TextChunk::default)?)
+    merge_text_chunks(stream_file(head, len, pool, TextChunk::default)?, pool)
 }
 
 /// Opens a graph file for one of the path loaders. Every one of them is
@@ -1582,14 +1612,27 @@ mod tests {
 
     #[test]
     fn chunks_merge_in_order_around_an_empty_one() {
-        // Three parsed chunks: a leading comment-only one, then two with
-        // edges; the first of those donates its buffer.
-        let chunks = ["# c\n\n", "0 1 0.5\n1 2 1.5\n2 3 2.5\n", "3 4 3.5\n"]
-            .map(|t| parse_text_chunk(t.as_bytes()));
-        let el = merge_text_chunks(chunks.into()).unwrap();
-        assert_eq!(el.edges(), &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        assert_eq!(el.weights().unwrap(), &[0.5, 1.5, 2.5, 3.5]);
-        assert_eq!(el.num_vertices(), 5);
+        // Parsed chunks: a leading comment-only one, then edges around an
+        // empty one; the first with edges donates its buffer and the rest
+        // are copied in shares, on the calling thread or by 2 or 3 workers.
+        let texts = [
+            "# c\n\n",
+            "0 1 0.5\n1 2 1.5\n2 3 2.5\n",
+            "",
+            "3 4 3.5\n4 0 4.5\n",
+            "0 4 5.5\n",
+        ];
+        let pools = [2, 3].map(ThreadPool::single_group);
+        for pool in [None, Some(&pools[0]), Some(&pools[1])] {
+            let chunks = texts.map(|t| parse_text_chunk(t.as_bytes()));
+            let el = merge_text_chunks(chunks.into(), pool).unwrap();
+            assert_eq!(
+                el.edges(),
+                &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 4)]
+            );
+            assert_eq!(el.weights().unwrap(), &[0.5, 1.5, 2.5, 3.5, 4.5, 5.5]);
+            assert_eq!(el.num_vertices(), 5);
+        }
     }
 
     #[test]
@@ -2263,6 +2306,37 @@ mod tests {
                         let file = load_text_streamed(&path, &opts, Some(&pool), block);
                         prop_assert_eq!(&parsed(file), &want, "{} threads, block {}", threads, block);
                     }
+                }
+                std::fs::remove_file(&path).ok();
+            }
+
+            /// The public pool loader returns what the one-thread buffer
+            /// parse returns — edges, weight bits, vertex count, or the same
+            /// error text — on inputs long enough that every worker's share
+            /// holds edges and the join copies pieces of several shares. At
+            /// most one line, at `at`, may be a problem line.
+            #[test]
+            fn prop_load_text_parallel_matches_parse_text_edgelist(
+                seeds in proptest::collection::vec(any::<u64>(), 0..600),
+                weighted: bool,
+                problem in proptest::option::of((any::<u64>(), any::<usize>())),
+            ) {
+                // Edge, comment and blank lines only (kinds 0..=57).
+                let mut lines: Vec<String> = seeds
+                    .iter()
+                    .map(|&r| text_line(r - r % 64 + r % 64 % 58, weighted))
+                    .collect();
+                if let (Some((r, at)), false) = (problem, lines.is_empty()) {
+                    let i = at % lines.len();
+                    lines[i] = text_line(r - r % 64 + 58 + r % 6, weighted);
+                }
+                let text = corpus(&lines, 2);
+                let want = parsed(parse_text_edgelist(&text));
+                let path = scratch_file(&text);
+                for threads in [1, 2, 8] {
+                    let pool = ThreadPool::single_group(threads);
+                    let got = parsed(load_text_parallel(&path, &pool));
+                    prop_assert_eq!(&got, &want, "{} threads", threads);
                 }
                 std::fs::remove_file(&path).ok();
             }

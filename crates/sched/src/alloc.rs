@@ -16,9 +16,10 @@
 //! dropped, and the heap that holds everything smaller (per-run vertex
 //! arrays included, so solves stay on warm memory) is not trimmed below
 //! 64 MiB of slack. Resident memory then follows live memory, run after
-//! run. The price is first-touch page faults on every large block, ≈10% of
-//! a cold set-up on the benchmark host (DESIGN.md §19). [`WorkerFilled`]
-//! lets a parallel builder take those faults on its workers, once.
+//! run. The price is first-touch page faults on every large block (DESIGN.md
+//! §19). [`WorkerFilled`] lets a parallel builder take those faults on its
+//! workers, once, and it and [`zeroed`] advise a fresh large block onto
+//! transparent huge pages, so a fault maps 2 MiB instead of 4 KiB.
 //!
 //! The pin also caps glibc at one malloc arena. By default each thread
 //! that allocates under contention may get an arena of its own, which then
@@ -28,22 +29,27 @@
 //! creates an arena, so the pool pins before it spawns its workers.
 
 use std::mem::MaybeUninit;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
+/// Blocks at least this large get their own mapping. Above any per-run
+/// vertex array of the graphs this repo runs at smoke or benchmark scale
+/// (1.2 MiB), below their edge-scale buffers.
+const LARGE_BLOCK_BYTES: usize = 4 << 20;
+
+/// The page size transparent huge pages come in on x86-64 and arm64.
+const HUGE_PAGE_BYTES: usize = 2 << 20;
+
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 mod glibc {
-    use std::ffi::c_int;
-
-    /// Blocks at least this large get their own mapping. Above any per-run
-    /// vertex array of the graphs this repo runs at smoke or benchmark
-    /// scale (1.2 MiB), below their edge-scale buffers.
-    const LARGE_BLOCK_BYTES: c_int = 4 << 20;
+    use std::ffi::{c_int, c_void};
+    use std::ops::Range;
 
     /// Free space the top of the heap may hold before it is given back.
     /// glibc's static default (128 KiB) would hand a vertex-sized array
     /// back on every free and fault it in again on the next run.
-    const HEAP_TRIM_BYTES: c_int = 16 * LARGE_BLOCK_BYTES;
+    const HEAP_TRIM_BYTES: c_int = 16 * super::LARGE_BLOCK_BYTES as c_int;
 
     /// Arenas every thread shares: one, the main one.
     const ARENAS: c_int = 1;
@@ -53,8 +59,14 @@ mod glibc {
     const M_MMAP_THRESHOLD: c_int = -3;
     const M_ARENA_MAX: c_int = -8;
 
+    // <sys/mman.h>
+    #[cfg(not(miri))]
+    const MADV_HUGEPAGE: c_int = 14;
+
     extern "C" {
         fn mallopt(param: c_int, value: c_int) -> c_int;
+        #[cfg(not(miri))]
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     }
 
     pub fn pin() {
@@ -64,11 +76,63 @@ mod glibc {
         // (return 0) leaves glibc's adaptive defaults in place: memory
         // behaves as it did before this module existed, nothing breaks.
         unsafe {
-            mallopt(M_MMAP_THRESHOLD, LARGE_BLOCK_BYTES);
+            mallopt(M_MMAP_THRESHOLD, super::LARGE_BLOCK_BYTES as c_int);
             mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_BYTES);
             mallopt(M_ARENA_MAX, ARENAS);
         }
     }
+
+    /// Asks the kernel to back `pages` with huge pages when they fault in.
+    pub fn advise_huge(pages: Range<usize>) {
+        #[cfg(not(miri))]
+        // SAFETY: `pages` is whole huge pages inside one live allocation
+        // of the caller's, so the range is mapped and page-aligned.
+        // `MADV_HUGEPAGE` changes no contents and no protection, only the
+        // page size later faults may use. A refusal (`EINVAL` on a kernel
+        // without transparent huge pages) leaves 4 KiB faults: ignored.
+        unsafe {
+            madvise(pages.start as *mut c_void, pages.len(), MADV_HUGEPAGE);
+        }
+        #[cfg(miri)]
+        let _ = pages;
+    }
+}
+
+/// The whole huge pages inside a block of `bytes` at `addr`, or `None` for
+/// a block under the large-block line: such a block shares heap pages with
+/// small ones, and one that large is its own mapping once the policy is
+/// pinned.
+fn huge_interior(addr: usize, bytes: usize) -> Option<Range<usize>> {
+    if bytes < LARGE_BLOCK_BYTES {
+        return None;
+    }
+    let start = addr.next_multiple_of(HUGE_PAGE_BYTES);
+    let end = (addr + bytes) / HUGE_PAGE_BYTES * HUGE_PAGE_BYTES;
+    (start < end).then_some(start..end)
+}
+
+/// Advises the huge pages inside a fresh block onto transparent huge
+/// pages, before its first write: one fault then maps 2 MiB instead of
+/// 4 KiB (≈2 µs per 4 KiB fault on the benchmark host). Where the kernel
+/// runs THP as `never`, or the system is not Linux with glibc, it does
+/// nothing.
+fn advise_fresh<T>(block: *const T, len: usize) {
+    if let Some(pages) = huge_interior(block as usize, len * std::mem::size_of::<T>()) {
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        glibc::advise_huge(pages);
+        #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+        let _ = pages;
+    }
+}
+
+/// `len` default elements of a type whose default is all-zero bits (the
+/// integers and floats), fresh from the allocator: a block at or above the
+/// large-block line is a new mapping nobody has written, and it is advised
+/// onto huge pages before the caller's first write faults it in.
+pub fn zeroed<T: Clone + Default>(len: usize) -> Vec<T> {
+    let block = vec![T::default(); len];
+    advise_fresh(block.as_ptr(), len);
+    block
 }
 
 /// Pins the policy above, once per process; later calls return at once.
@@ -89,14 +153,15 @@ pub fn pin_large_block_policy() {
 /// range, front to back. The calling thread never touches the elements, so
 /// a block big enough to be its own mapping is faulted in by the workers
 /// that fill it, in parallel — not once by the caller's fill and again by
-/// the workers' overwrite.
+/// the workers' overwrite — and onto huge pages (see [`zeroed`]).
 ///
-/// [`writers`](Self::writers) splits the length once;
+/// [`writers`](Self::writers) splits the unwritten length once;
 /// [`into_vec`](Self::into_vec) returns the vector only if every writer
 /// filled its whole range, and panics otherwise (what was written leaks,
 /// nothing uninitialised is ever read).
 pub struct WorkerFilled<T> {
-    /// Empty, with capacity for every element until `into_vec`.
+    /// The elements kept from [`extending`](Self::extending), with
+    /// capacity for every element until `into_vec`.
     vec: Vec<T>,
     len: usize,
     /// Elements in writers that filled their whole range.
@@ -112,10 +177,26 @@ pub struct RangeWriter<'a, T> {
 }
 
 impl<T> WorkerFilled<T> {
-    /// Room for `len` elements, none written.
+    /// Room for `len` elements, none written, in a fresh block: one at or
+    /// above the large-block line is advised onto huge pages.
     pub fn new(len: usize) -> Self {
+        let filled = Self::extending(Vec::new(), len);
+        advise_fresh(filled.vec.as_ptr(), len);
+        filled
+    }
+
+    /// `vec` grown to `len` elements: its own stay where they are, and the
+    /// writers fill `vec.len()..len`, in capacity nobody has written.
+    ///
+    /// Not advised: `vec` may be grown again, and glibc grows a large
+    /// block in place (`mremap`) only while it is still one mapping, which
+    /// advice on part of it would split.
+    pub fn extending(mut vec: Vec<T>, len: usize) -> Self {
+        let kept = vec.len();
+        assert!(kept <= len, "a WorkerFilled does not shrink its vector");
+        vec.reserve_exact(len - kept);
         WorkerFilled {
-            vec: Vec::with_capacity(len),
+            vec,
             len,
             filled: AtomicUsize::new(0),
             split: false,
@@ -123,11 +204,12 @@ impl<T> WorkerFilled<T> {
     }
 
     /// Writers for consecutive ranges of the given lengths, which must sum
-    /// to the length. Callable once.
+    /// to the unwritten length. Callable once.
     pub fn writers(&mut self, lens: impl IntoIterator<Item = usize>) -> Vec<RangeWriter<'_, T>> {
         assert!(!self.split, "a WorkerFilled splits once");
         self.split = true;
-        let mut rest = &mut self.vec.spare_capacity_mut()[..self.len];
+        let unwritten = self.len - self.vec.len();
+        let mut rest = &mut self.vec.spare_capacity_mut()[..unwritten];
         let writers = lens
             .into_iter()
             .map(|len| {
@@ -152,12 +234,18 @@ impl<T> WorkerFilled<T> {
             filled,
             ..
         } = self;
-        assert_eq!(filled.into_inner(), len, "a writer left its range short");
-        // SAFETY: `len <= capacity`, and `writers` ran once and tiled
-        // `0..len` with disjoint ranges; a writer adds its range length to
-        // `filled` only when it drops having written every slot of the
-        // range, at most once. So `filled == len` means every element is
-        // initialised, and owning `vec` here means no writer is alive.
+        assert_eq!(
+            filled.into_inner(),
+            len - vec.len(),
+            "a writer left its range short"
+        );
+        // SAFETY: `len <= capacity`, the elements below `vec.len()` were
+        // initialised already, and `writers` ran once and tiled
+        // `vec.len()..len` with disjoint ranges; a writer adds its range
+        // length to `filled` only when it drops having written every slot
+        // of the range, at most once. So `filled == len - vec.len()` means
+        // every element is initialised, and owning `vec` here means no
+        // writer is alive.
         unsafe { vec.set_len(len) };
         vec
     }
@@ -168,6 +256,21 @@ impl<T> RangeWriter<'_, T> {
     pub fn push(&mut self, value: T) {
         self.slots[self.len].write(value);
         self.len += 1;
+    }
+
+    /// Writes the next `values.len()` elements of the range, as one loop
+    /// the compiler can turn into a copy; panics if they do not fit.
+    pub fn extend<I: IntoIterator<Item = T, IntoIter: ExactSizeIterator>>(&mut self, values: I) {
+        let values = values.into_iter();
+        let free = &mut self.slots[self.len..];
+        assert!(values.len() <= free.len(), "values past the range's end");
+        // Counted, not taken from `len()`: only what was written counts.
+        let mut written = 0;
+        for (slot, value) in free.iter_mut().zip(values) {
+            slot.write(value);
+            written += 1;
+        }
+        self.len += written;
     }
 }
 
@@ -218,6 +321,56 @@ mod filled_tests {
     }
 
     #[test]
+    fn extending_keeps_the_vector_and_fills_its_tail() {
+        for threads in [1, 2, 3] {
+            let pool = ThreadPool::single_group(threads);
+            let mut kept = Vec::with_capacity(3);
+            kept.extend([7u32, 8, 9]);
+            let mut out = WorkerFilled::extending(kept, 3 + 4 * threads);
+            let writers = out.writers(vec![4; threads]);
+            pool.run_tasks(writers, |ctx, mut w| {
+                let first = 10 * ctx.global_id as u32;
+                w.push(first);
+                w.extend(first + 1..first + 4);
+            });
+            let want: Vec<u32> = [7, 8, 9]
+                .into_iter()
+                .chain((0..threads as u32).flat_map(|t| 10 * t..10 * t + 4))
+                .collect();
+            assert_eq!(out.into_vec(), want, "{threads} threads");
+        }
+        let mut same = WorkerFilled::extending(vec![1u8, 2], 2);
+        drop(same.writers([]));
+        assert_eq!(same.into_vec(), [1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the range's end")]
+    fn an_extend_past_the_range_is_refused() {
+        let mut out = WorkerFilled::new(3);
+        out.writers([3])[0].extend([1u8, 2, 3, 4]);
+    }
+
+    /// Only whole huge pages of a block at or above the 4 MiB line are
+    /// advised; a smaller block shares its pages with the heap.
+    #[test]
+    fn only_large_blocks_have_a_huge_interior() {
+        const MIB: usize = 1 << 20;
+        let base = 64 * HUGE_PAGE_BYTES;
+        assert_eq!(huge_interior(base + 16, LARGE_BLOCK_BYTES - 1), None);
+        assert_eq!(huge_interior(base, 3 * MIB), None);
+        assert_eq!(huge_interior(base, 4 * MIB), Some(base..base + 4 * MIB));
+        assert_eq!(
+            huge_interior(base + 16, 8 * MIB),
+            Some(base + 2 * MIB..base + 8 * MIB)
+        );
+        assert_eq!(
+            huge_interior(base - 16, 5 * MIB),
+            Some(base..base + 4 * MIB)
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "splits once")]
     fn a_second_split_is_refused() {
         let mut out = WorkerFilled::<u8>::new(2);
@@ -226,27 +379,51 @@ mod filled_tests {
     }
 }
 
-#[cfg(all(test, target_os = "linux", target_env = "gnu"))]
+#[cfg(all(test, target_os = "linux", target_env = "gnu", not(miri)))]
 mod tests {
     use super::*;
+    use crate::ThreadPool;
 
-    fn resident_mib() -> usize {
+    fn resident_kib() -> usize {
         let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
         let line = status
             .lines()
             .find(|l| l.starts_with("VmRSS:"))
             .expect("VmRSS line");
-        let kib: usize = line
-            .split_whitespace()
+        line.split_whitespace()
             .nth(1)
             .and_then(|v| v.parse().ok())
-            .expect("VmRSS value");
-        kib / 1024
+            .expect("VmRSS value")
+    }
+
+    /// Whether the mapping holding `addr` carries the huge-page advice.
+    fn advised(addr: usize) -> bool {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("procfs is mounted");
+        let mut inside = false;
+        for line in smaps.lines() {
+            let range = line
+                .split_whitespace()
+                .next()
+                .and_then(|r| r.split_once('-'));
+            if let Some((lo, hi)) = range {
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
+                    inside = (lo..hi).contains(&addr);
+                    continue;
+                }
+            }
+            if let Some(flags) = line.strip_prefix("VmFlags:").filter(|_| inside) {
+                return flags.split_whitespace().any(|f| f == "hg");
+            }
+        }
+        unreachable!("no mapping holds {addr:#x}");
     }
 
     /// Under glibc's adaptive default the first freed 16 MiB block raises
     /// the mmap threshold to 16 MiB, the second one is carved from the
-    /// heap and stays resident after its drop. Pinned, both go back.
+    /// heap and stays resident after its drop. Pinned, both go back; so
+    /// does a block the workers filled.
     #[test]
     fn a_dropped_large_block_leaves_the_resident_set() {
         const BLOCK: usize = 16 << 20;
@@ -254,12 +431,55 @@ mod tests {
         pin_large_block_policy();
         drop(std::hint::black_box(vec![1u8; BLOCK]));
         let block = std::hint::black_box(vec![1u8; BLOCK]);
-        let live = resident_mib();
+        let live = resident_kib();
         drop(block);
-        let after = resident_mib();
+        let after = resident_kib();
         assert!(
-            after + BLOCK / (2 << 20) < live,
-            "resident {live} MiB with the block, {after} MiB after dropping it"
+            after + BLOCK / 2048 < live,
+            "resident {live} KiB with the block, {after} KiB after dropping it"
         );
+
+        // An 8 MiB block two workers fill: resident by its size (±2 MiB,
+        // a huge page either side) while it lives, gone after its drop.
+        const FILLED: usize = 8 << 20;
+        const SLACK_KIB: usize = 2 << 10;
+        let pool = ThreadPool::single_group(2);
+        let before = resident_kib();
+        let mut out = WorkerFilled::<u8>::new(FILLED);
+        pool.run_tasks(out.writers([FILLED / 2; 2]), |_, mut w| {
+            w.extend(std::iter::repeat_n(1u8, FILLED / 2));
+        });
+        let block = std::hint::black_box(out.into_vec());
+        let live = resident_kib();
+        assert!(
+            live.abs_diff(before + FILLED / 1024) <= SLACK_KIB,
+            "resident {before} KiB before the block, {live} KiB with it"
+        );
+        drop(block);
+        let after = resident_kib();
+        assert!(
+            after.abs_diff(before) <= SLACK_KIB,
+            "resident {before} KiB before the block, {after} KiB after dropping it"
+        );
+    }
+
+    /// A block at or above the line carries the huge-page advice on its
+    /// interior before anything writes it; a smaller one never does.
+    #[test]
+    fn large_blocks_are_advised_and_small_ones_are_not() {
+        if !std::path::Path::new("/sys/kernel/mm/transparent_hugepage").exists() {
+            return; // a kernel without THP refuses the advice
+        }
+        pin_large_block_policy();
+        let mut large = WorkerFilled::<u8>::new(8 << 20);
+        let interior = large.vec.as_ptr() as usize + (4 << 20);
+        assert!(advised(interior));
+        drop(large.writers([8 << 20]));
+        let zeroed_large = zeroed::<u64>(1 << 20);
+        let interior = zeroed_large.as_ptr() as usize + (4 << 20);
+        assert!(advised(interior));
+        let small = zeroed::<u64>(3 << 17);
+        let inside = small.as_ptr() as usize + (1 << 20);
+        assert!(!advised(inside));
     }
 }
