@@ -3,11 +3,13 @@
 //! [`prepare_profiled`] runs the same three structure-building phases as
 //! `Graph::from_edgelist` + `PreparedGraph::new`, but on a [`ThreadPool`]
 //! and with an [`Instant`] read around each phase, returning a
-//! [`BuildProfile`] alongside the structures. On a one-thread pool every
-//! phase takes its sequential path, so the profile doubles as the
-//! sequential baseline for the `build-throughput` experiment. Parse time
-//! and input bytes are the caller's to stamp — only the caller knows
-//! whether the edge list came from a file, a generator, or a wire.
+//! [`BuildProfile`] alongside the structures. Each phase is the one
+//! builder of its structure; on a one-thread pool, or below the cutover
+//! ([`build_pool`]), it runs as one share on the calling thread, so the
+//! profile doubles as the one-thread baseline for the `build-throughput`
+//! experiment. Parse time and input bytes are the caller's to stamp — only
+//! the caller knows whether the edge list came from a file, a generator,
+//! or a wire.
 
 use crate::engine::PreparedGraph;
 use crate::stats::BuildProfile;
@@ -18,21 +20,30 @@ use grazelle_graph::types::GraphError;
 use grazelle_sched::ThreadPool;
 use std::time::Instant;
 
-/// Default edge count below which the whole pipeline takes the sequential
-/// path even on a multi-thread pool. Below this size the parallel counting
-/// sort's fixed costs (per-worker histogram allocation, the broadcast
-/// handshakes) outweigh the work split — measured at ~0.86× versus
-/// sequential at 2 threads on small inputs — while well above it the
-/// parallel path wins cleanly. 64Ki edges puts the crossover comfortably
-/// on the winning side at every pool width we ship.
+/// Default edge count below which the whole pipeline runs on the calling
+/// thread even on a multi-thread pool. Below this size the counting sort's
+/// fixed costs (per-worker histogram allocation, the broadcast handshakes)
+/// outweigh the work split — measured at ~0.86× versus one thread at 2
+/// threads on small inputs — while well above it the pool wins cleanly.
+/// 64Ki edges puts the crossover comfortably on the winning side at every
+/// pool width we ship.
 pub const PAR_BUILD_CUTOVER_EDGES: u64 = 64 * 1024;
 
+/// The one cutover rule of set-up: the pool a build over `edges` edges
+/// runs on — `pool` from `cutover_edges` edges up, none (one share on the
+/// calling thread) below, where a pool dispatch costs more than it splits.
+/// The builders return the same structures either way; every set-up that
+/// may cut over passes this straight to its builder.
+pub fn build_pool(pool: &ThreadPool, edges: usize, cutover_edges: u64) -> Option<&ThreadPool> {
+    (edges as u64 >= cutover_edges).then_some(pool)
+}
+
 /// Builds both CSR orientations and both Vector-Sparse structures from an
-/// edge list on `pool`, timing each phase. Bit-identical to the sequential
-/// `Graph::from_edgelist` + `PreparedGraph::new` path at any thread count.
+/// edge list on `pool`, timing each phase. Bit-identical to
+/// `Graph::from_edgelist` + `PreparedGraph::new` at any thread count.
 ///
-/// Inputs smaller than [`PAR_BUILD_CUTOVER_EDGES`] take the sequential
-/// path regardless of pool width (see
+/// Inputs smaller than [`PAR_BUILD_CUTOVER_EDGES`] build on the calling
+/// thread regardless of pool width (see
 /// [`prepare_profiled_with_cutover`] to override the threshold); the
 /// profile's `threads` field reports the width actually used and
 /// `par_cutover` the threshold in effect.
@@ -47,11 +58,11 @@ pub fn prepare_profiled(
     prepare_profiled_with_cutover(el, pool, PAR_BUILD_CUTOVER_EDGES)
 }
 
-/// [`prepare_profiled`] with an explicit sequential/parallel cutover:
-/// inputs with fewer than `cutover_edges` edges build sequentially even on
-/// a multi-thread pool (0 disables the cutover, always taking the
-/// pool-width path — what the `build-throughput` experiment uses so each
-/// arm measures the parallel pipeline itself).
+/// [`prepare_profiled`] with an explicit cutover: inputs with fewer than
+/// `cutover_edges` edges build on the calling thread even on a
+/// multi-thread pool (0 disables the cutover, always building at pool
+/// width — what the `build-throughput` experiment uses so each arm
+/// measures the pool path itself).
 pub fn prepare_profiled_with_cutover(
     el: &EdgeList,
     pool: &ThreadPool,
@@ -63,42 +74,27 @@ pub fn prepare_profiled_with_cutover(
     // Four edge-scale structures are about to be allocated; an edge list
     // that came from a generator or the wire has not been through a loader.
     grazelle_sched::alloc::pin_large_block_policy();
-    // The *_parallel builders fall back to the sequential code on a
-    // one-thread pool, so both sides of the cutover share one code path;
-    // the cutover only decides which width the phases run at.
-    let parallel = pool.num_threads() > 1 && el.num_edges() as u64 >= cutover_edges;
+    let pool = build_pool(pool, el.num_edges(), cutover_edges);
     let mut profile = BuildProfile {
         edges: el.num_edges() as u64,
-        threads: if parallel { pool.num_threads() } else { 1 },
+        threads: pool.map_or(1, ThreadPool::num_threads),
         par_cutover: cutover_edges,
         ..BuildProfile::default()
     };
 
-    // Both builders return neighbour-sorted lists.
+    // Both orientations come out neighbour-sorted.
     let t = Instant::now();
-    let out = if parallel {
-        Csr::from_edgelist_by_src_parallel(el, pool)
-    } else {
-        Csr::from_edgelist_by_src(el)
-    };
+    let out = Csr::build(el, true, pool);
     profile.csr_ns = t.elapsed().as_nanos() as u64;
 
     let t = Instant::now();
-    let inn = if parallel {
-        Csr::from_edgelist_by_dst_parallel(el, pool)
-    } else {
-        Csr::from_edgelist_by_dst(el)
-    };
+    let inn = Csr::build(el, false, pool);
     profile.csc_ns = t.elapsed().as_nanos() as u64;
 
     let g = Graph::from_orientations(out, inn, "")?;
 
     let t = Instant::now();
-    let pg = if parallel {
-        PreparedGraph::new_on_pool(&g, pool)
-    } else {
-        PreparedGraph::new(&g)
-    };
+    let pg = PreparedGraph::build(&g, pool);
     profile.vsparse_ns = t.elapsed().as_nanos() as u64;
 
     Ok((g, pg, profile))
@@ -107,6 +103,8 @@ pub fn prepare_profiled_with_cutover(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::VersionedGraph;
+    use grazelle_graph::delta::UpdateBatch;
 
     #[test]
     fn profiled_build_matches_plain_build() {
@@ -135,40 +133,84 @@ mod tests {
         }
     }
 
-    /// The size-adaptive cutover: a small input on a wide pool builds
-    /// sequentially (and says so in the profile), a threshold of 0 forces
-    /// the parallel path, and both sides stay bit-identical to the plain
-    /// sequential build.
+    /// `plain` and a built `g`, `pg` hold the same structures, bit for bit.
+    fn assert_same(g: &Graph, pg: &PreparedGraph, plain: &(Graph, PreparedGraph), ctx: &str) {
+        assert_eq!(g.out_csr(), plain.0.out_csr(), "{ctx}: CSR");
+        assert_eq!(g.in_csr(), plain.0.in_csr(), "{ctx}: CSC");
+        assert!(pg.vsd.bit_identical(&plain.1.vsd), "{ctx}: VSD");
+        assert!(pg.vss.bit_identical(&plain.1.vss), "{ctx}: VSS");
+    }
+
+    fn plain_build(el: &EdgeList) -> (Graph, PreparedGraph) {
+        let g = Graph::from_edgelist(el).unwrap();
+        let pg = PreparedGraph::new(&g);
+        (g, pg)
+    }
+
+    /// `m` distinct pairs over 512 vertices, none on the ring `v -> v + 1`,
+    /// in a scrambled order (so both orientations take the counting sort).
+    fn off_ring_pairs(m: usize) -> Vec<(u32, u32)> {
+        let mut pairs: Vec<(u32, u32)> = (0..512u32)
+            .flat_map(|s| (0..512u32).map(move |d| (s, d)))
+            .filter(|&(s, d)| d != (s + 1) % 512)
+            .take(m)
+            .collect();
+        let len = pairs.len();
+        for i in 0..len {
+            pairs.swap(i, (i * 7919 + 13) % len);
+        }
+        pairs
+    }
+
+    /// The size-adaptive cutover: one edge below [`PAR_BUILD_CUTOVER_EDGES`]
+    /// a wide pool builds on the calling thread, at it the build takes the
+    /// pool's width (and says so in the profile), a threshold of 0 forces
+    /// the pool on a small input, and an overlay refresh that crosses the
+    /// cutover splices on the pool — every side bit-identical to the plain
+    /// build.
     #[test]
     fn small_inputs_cut_over_to_the_sequential_path() {
-        let el = EdgeList::from_pairs(
+        let small = EdgeList::from_pairs(
             32,
             &(0..32u32)
                 .flat_map(|s| (0..(s % 5)).map(move |k| (s, (s + k + 1) % 32)))
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        let plain_g = Graph::from_edgelist(&el).unwrap();
-        let plain_pg = PreparedGraph::new(&plain_g);
-        let pool = ThreadPool::single_group(4);
+        let cut = PAR_BUILD_CUTOVER_EDGES as usize;
+        let below = EdgeList::from_pairs(512, &off_ring_pairs(cut - 1)).unwrap();
+        let at = EdgeList::from_pairs(512, &off_ring_pairs(cut)).unwrap();
+        let plain = [&small, &below, &at].map(plain_build);
+        for threads in [1, 2, 8] {
+            let pool = ThreadPool::single_group(threads);
+            for (el, plain, width) in [(&below, &plain[1], 1), (&at, &plain[2], threads)] {
+                let (g, pg, profile) = prepare_profiled(el, &pool).unwrap();
+                let ctx = format!("{} edges, {threads} threads", el.num_edges());
+                assert_eq!(profile.threads, width, "{ctx}");
+                assert_eq!(profile.par_cutover, PAR_BUILD_CUTOVER_EDGES);
+                assert_same(&g, &pg, plain, &ctx);
+            }
+            // Threshold 0: the small input builds at pool width.
+            let (g, pg, profile) = prepare_profiled_with_cutover(&small, &pool, 0).unwrap();
+            assert_eq!(profile.threads, threads);
+            assert_same(&g, &pg, &plain[0], "small input, cutover 0");
 
-        // Default threshold: far above this input, so the build is
-        // sequential despite the 4-thread pool.
-        let (g, pg, profile) = prepare_profiled(&el, &pool).unwrap();
-        assert_eq!(
-            profile.threads, 1,
-            "small input must take the sequential path"
-        );
-        assert_eq!(profile.par_cutover, PAR_BUILD_CUTOVER_EDGES);
-        assert_eq!(g.out_csr(), plain_g.out_csr());
-        assert!(pg.vsd.bit_identical(&plain_pg.vsd));
-
-        // Threshold 0: the same input builds at pool width, bit-identical.
-        let (g2, pg2, profile2) = prepare_profiled_with_cutover(&el, &pool, 0).unwrap();
-        assert_eq!(profile2.threads, 4);
-        assert_eq!(g2.out_csr(), plain_g.out_csr());
-        assert!(pg2.vsd.bit_identical(&plain_pg.vsd));
-        assert!(pg2.vss.bit_identical(&plain_pg.vss));
+            // An overlay one edge short of the cutover, then one at it.
+            let ring: Vec<(u32, u32)> = (0..512u32).map(|v| (v, (v + 1) % 512)).collect();
+            let base = Graph::from_edgelist(&EdgeList::from_pairs(512, &ring).unwrap()).unwrap();
+            let mut vg = VersionedGraph::from_graph(base).with_merge_fraction(f64::INFINITY);
+            let inserts = off_ring_pairs(cut);
+            for batch in [&inserts[..cut - 1], &inserts[cut - 1..]] {
+                let report = vg
+                    .apply_batch(&UpdateBatch::from_inserts(batch), &pool)
+                    .unwrap();
+                assert!(!report.merged);
+            }
+            let view = vg.view(&pool);
+            let (g, pg) = (view.delta_graph.unwrap(), view.delta_pg.unwrap());
+            let ctx = format!("overlay refresh across the cutover, {threads} threads");
+            assert_same(g, pg, &plain[2], &ctx);
+        }
     }
 
     /// `edges` over `n` vertices, weighted if `weights` holds a seed (four
@@ -203,7 +245,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// `prepare_profiled` (pool width and sequential side of the
+        /// `prepare_profiled` (pool side and calling-thread side of the
         /// cutover, 1/2/8 threads) builds exactly what the plain
         /// `Graph::from_edgelist` + `PreparedGraph::new` does, on sorted,
         /// source-sorted, reverse, half-sorted and unsorted lists with

@@ -39,22 +39,23 @@ pub struct PreparedGraph {
 }
 
 impl PreparedGraph {
-    /// Builds both orientations from a [`Graph`].
+    /// Builds both orientations from a [`Graph`], on the calling thread.
     pub fn new(g: &Graph) -> Self {
-        PreparedGraph {
-            vsd: Vsd::from_csr(g.in_csr()),
-            vss: Vss::from_csr(g.out_csr()),
-            num_vertices: g.num_vertices(),
-            num_edges: g.num_edges(),
-        }
+        Self::build(g, None)
     }
 
-    /// Parallel [`PreparedGraph::new`]: both Vector-Sparse orientations are
-    /// encoded on the pool, bit-identical to the sequential build.
+    /// [`PreparedGraph::new`] with both orientations encoded on the pool,
+    /// bit-identical at any pool width.
     pub fn new_on_pool(g: &Graph, pool: &ThreadPool) -> Self {
+        Self::build(g, Some(pool))
+    }
+
+    /// Both orientations through [`Vsd::encode`], on `pool` or on the
+    /// calling thread.
+    pub fn build(g: &Graph, pool: Option<&ThreadPool>) -> Self {
         PreparedGraph {
-            vsd: Vsd::from_csr_parallel(g.in_csr(), pool),
-            vss: Vss::from_csr_parallel(g.out_csr(), pool),
+            vsd: Vsd::encode(g.in_csr(), pool),
+            vss: Vss::encode(g.out_csr(), pool),
             num_vertices: g.num_vertices(),
             num_edges: g.num_edges(),
         }

@@ -37,7 +37,7 @@
 //! [`with_pending_replayed`](VersionedGraph::with_pending_replayed) rebuilds
 //! the overlay from the persisted inserts against the same base.
 
-use crate::build::PAR_BUILD_CUTOVER_EDGES;
+use crate::build::{build_pool, PAR_BUILD_CUTOVER_EDGES};
 use crate::checkpoint::Checkpoint;
 use crate::engine::PreparedGraph;
 use crate::frontier::Frontier;
@@ -321,10 +321,9 @@ impl VersionedGraph {
                         &empty
                     }
                 };
-                // Below the build cutover a pool dispatch costs more than
-                // it splits.
-                let big = (old.num_edges() + fresh.len()) as u64 >= PAR_BUILD_CUTOVER_EDGES;
-                let overlay = old.with_edits(&fresh, &[], big.then_some(pool))?;
+                let edges = old.num_edges() + fresh.len();
+                let pool = build_pool(pool, edges, PAR_BUILD_CUTOVER_EDGES);
+                let overlay = old.with_edits(&fresh, &[], pool)?;
                 self.delta_graph = Some((overlay, OnceLock::new()));
             }
         }
@@ -397,15 +396,10 @@ impl VersionedGraph {
     }
 }
 
-/// Vector-Sparse for a graph layer: on the pool from
-/// [`PAR_BUILD_CUTOVER_EDGES`] edges up, sequentially below, where the
-/// pool's handshakes cost more than they split (bit-identical either way).
+/// Vector-Sparse for a graph layer, on the pool from
+/// [`PAR_BUILD_CUTOVER_EDGES`] edges up ([`build_pool`]).
 fn prepare(g: &Graph, pool: &ThreadPool) -> PreparedGraph {
-    if g.num_edges() as u64 >= PAR_BUILD_CUTOVER_EDGES {
-        PreparedGraph::new_on_pool(g, pool)
-    } else {
-        PreparedGraph::new(g)
-    }
+    PreparedGraph::build(g, build_pool(pool, g.num_edges(), PAR_BUILD_CUTOVER_EDGES))
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use crate::edgelist::EdgeList;
 use crate::partition::{partition_index, EdgePartition};
 use crate::types::{EdgeId, GraphError, VertexId};
 use grazelle_sched::alloc::{self, RangeWriter, WorkerFilled};
-use grazelle_sched::ThreadPool;
+use grazelle_sched::{run_shares, ThreadPool};
 
 /// Compressed-Sparse adjacency: `index.len() == num_vertices + 1`,
 /// `edges.len() == index[num_vertices]`.
@@ -24,67 +24,58 @@ pub struct Csr {
 impl Csr {
     /// Builds a CSR grouped by **source** from an edge list (counting sort;
     /// O(|V| + |E|)), each vertex's neighbours sorted as
-    /// [`Csr::sort_neighbors`] sorts them.
+    /// [`Csr::sort_neighbors`] sorts them, on the calling thread.
     pub fn from_edgelist_by_src(el: &EdgeList) -> Self {
-        Self::build(el, true)
+        Self::build(el, true, None)
     }
 
     /// Builds a CSC (grouped by **destination**) from an edge list. The
     /// stored endpoint of each edge is then the *source* vertex; each list
     /// is sorted as in [`Csr::from_edgelist_by_src`].
     pub fn from_edgelist_by_dst(el: &EdgeList) -> Self {
-        Self::build(el, false)
+        Self::build(el, false, None)
     }
 
+    /// [`Csr::from_edgelist_by_src`] on a [`ThreadPool`], bit-identical
+    /// at any pool width.
+    pub fn from_edgelist_by_src_parallel(el: &EdgeList, pool: &ThreadPool) -> Self {
+        Self::build(el, true, Some(pool))
+    }
+
+    /// [`Csr::from_edgelist_by_dst`] on a [`ThreadPool`].
+    pub fn from_edgelist_by_dst_parallel(el: &EdgeList, pool: &ThreadPool) -> Self {
+        Self::build(el, false, Some(pool))
+    }
+
+    /// The one builder of both orientations: grouped by source if
+    /// `by_src`, by destination otherwise, one share per worker of `pool`,
+    /// or one share on the calling thread without a pool. The result is
+    /// the same at every width.
+    ///
     /// A by-source build of a list grouped by source is a column copy
-    /// ([`Csr::column_copy`]); every other build is a counting sort: one
-    /// counting pass (degrees, and whether the sources never fall), then
-    /// the scatter. The lists are sorted afterwards unless the list's order
-    /// already leaves them sorted: a list non-decreasing by (source,
-    /// destination) does for its by-source lists, and a list
-    /// non-decreasing by source does for its by-destination ones (a stable
-    /// scatter of it puts every in-list in ascending order). Skipping is
-    /// bit-identical to sorting: [`Csr::sort_neighbors`] leaves a
-    /// non-decreasing list as it is, ties (repeated pairs, with their
-    /// weights) included.
-    fn build(el: &EdgeList, by_src: bool) -> Self {
-        if let Some((mut csr, sorted)) = by_src.then(|| Self::column_copy(el, None)).flatten() {
-            if !sorted {
-                csr.sort_neighbors();
+    /// (one pass, no histogram); every other build is the counting sort.
+    /// The lists are sorted afterwards unless the list's order already
+    /// leaves them sorted: a list non-decreasing by (source, destination)
+    /// does for its by-source lists, and a list non-decreasing by source
+    /// does for its by-destination ones (a stable scatter of it puts every
+    /// in-list in ascending order). Skipping is bit-identical to sorting:
+    /// [`Csr::sort_neighbors`] leaves a non-decreasing list as it is, ties
+    /// (repeated pairs, with their weights) included.
+    pub fn build(el: &EdgeList, by_src: bool, pool: Option<&ThreadPool>) -> Self {
+        let built = match by_src.then(|| Self::column_copy(el, pool)).flatten() {
+            Some((mut csr, sorted)) => {
+                if !sorted {
+                    csr.sort_on(pool);
+                }
+                csr
             }
-            return csr;
-        }
-        let n = el.num_vertices();
-        let m = el.num_edges();
-        let mut index = vec![0u64; n + 1];
-        let sources_sorted = count_keys(el.edges(), None, |s, d| {
-            index[if by_src { s } else { d } as usize + 1] += 1;
-        });
-        for i in 0..n {
-            index[i + 1] += index[i];
-        }
-        let mut cursor = index.clone();
-        let mut edges = alloc::zeroed::<VertexId>(m);
-        let mut weights = el.weights().map(|_| alloc::zeroed::<f64>(m));
-        for (i, &(s, d)) in el.edges().iter().enumerate() {
-            let (key, other) = if by_src { (s, d) } else { (d, s) };
-            let pos = cursor[key as usize] as usize;
-            cursor[key as usize] += 1;
-            edges[pos] = other;
-            if let (Some(w_out), Some(w_in)) = (&mut weights, el.weights()) {
-                w_out[pos] = w_in[i];
-            }
-        }
-        let mut csr = Csr {
-            index,
-            edges,
-            weights,
+            None => Self::counting_sort(el, by_src, pool),
         };
-        // A by-source list here is not grouped by source.
-        if by_src || !sources_sorted {
-            csr.sort_neighbors();
-        }
-        csr
+        debug_assert!(
+            pool.is_none_or(|p| p.num_threads() == 1) || built == Self::build(el, by_src, None),
+            "several-share CSR build diverged from the one-share build"
+        );
+        built
     }
 
     /// The by-source CSR of `el`, and whether its lists came out sorted
@@ -131,7 +122,8 @@ impl Csr {
             .into_iter()
             .zip(edges.writers(lens(&shares)))
             .zip(weight_writers)
-            .enumerate();
+            .enumerate()
+            .collect();
         type Writers<'a> = (
             (RangeWriter<'a, EdgeId>, RangeWriter<'a, VertexId>),
             Option<RangeWriter<'a, f64>>,
@@ -168,12 +160,8 @@ impl Csr {
             }
             Some(!pair_falls)
         };
-        let shares_sorted: Vec<Option<bool>> = match pool {
-            Some(pool) if t > 1 => pool.run_tasks(tasks.collect(), |_, task| fill(task)),
-            _ => tasks.map(fill).collect(),
-        };
         let mut sorted = true;
-        for share in shares_sorted {
+        for share in run_shares(pool, tasks, fill) {
             sorted &= share?;
         }
         let csr = Csr {
@@ -184,70 +172,35 @@ impl Csr {
         Some((csr, sorted))
     }
 
-    /// Parallel [`Csr::from_edgelist_by_src`] on a [`ThreadPool`],
-    /// bit-identical to the sequential build at any pool width.
-    pub fn from_edgelist_by_src_parallel(el: &EdgeList, pool: &ThreadPool) -> Self {
-        Self::build_parallel(el, true, pool)
-    }
-
-    /// Parallel [`Csr::from_edgelist_by_dst`] on a [`ThreadPool`].
-    pub fn from_edgelist_by_dst_parallel(el: &EdgeList, pool: &ThreadPool) -> Self {
-        Self::build_parallel(el, false, pool)
-    }
-
-    /// [`Csr::build`] on a pool: the [`Csr::column_copy`] on the pool for a
-    /// by-source build of a list grouped by source (an unsorted list leaves
-    /// it at its first fall), [`Csr::counting_sort_parallel`] otherwise.
-    fn build_parallel(el: &EdgeList, by_src: bool, pool: &ThreadPool) -> Self {
-        if pool.num_threads() == 1 {
-            return Self::build(el, by_src);
-        }
-        let built = match by_src.then(|| Self::column_copy(el, Some(pool))).flatten() {
-            Some((mut csr, sorted)) => {
-                if !sorted {
-                    csr.sort_neighbors_parallel(pool);
-                }
-                csr
-            }
-            None => Self::counting_sort_parallel(el, by_src, pool),
-        };
-        debug_assert_eq!(
-            built,
-            Self::build(el, by_src),
-            "parallel CSR build diverged from sequential"
-        );
-        built
-    }
-
-    /// Parallel counting sort. Three phases, then the sort:
+    /// The counting sort, one share per worker of `pool` (or one on the
+    /// calling thread). Three phases, then the sort:
     ///
-    /// 1. **Histogram** — each thread counts key degrees over a disjoint
-    ///    edge sub-range into a thread-local histogram, and checks that the
+    /// 1. **Histogram** — each share counts key degrees over a disjoint
+    ///    edge sub-range into its own histogram, and checks that the
     ///    sources never fall (from the pair before the sub-range on).
-    /// 2. **Prefix merge** — one sequential pass sums the histograms into
-    ///    the vertex index (identical to the sequential index by
-    ///    commutativity of the per-key sums).
-    /// 3. **Scatter** — the key space is split into per-thread ranges of
+    /// 2. **Prefix merge** — one pass on the calling thread sums the
+    ///    histograms into the vertex index (the same index at any width,
+    ///    by commutativity of the per-key sums).
+    /// 3. **Scatter** — the key space is split into per-share ranges of
     ///    near-equal edge count ([`crate::partition::partition_index`]).
     ///    A key range `[a, b)` owns the *contiguous* output region
-    ///    `index[a]..index[b]`, handed to its thread as a plain
-    ///    `split_at_mut` slice — no aliasing, no `unsafe`. Each thread
-    ///    scans the full edge list in order and writes only its own keys,
-    ///    so within-vertex edge order is the edge-list order, exactly as in
-    ///    the sequential scatter.
+    ///    `index[a]..index[b]`, handed to its share as a plain
+    ///    `split_at_mut` slice — no aliasing, no `unsafe`. Each share scans
+    ///    the full edge list in order and writes only its own keys, so
+    ///    within-vertex edge order is the edge-list order at any width.
     ///
-    /// The lists are then sorted on the pool unless the list's order
-    /// already leaves them sorted (see [`Csr::build`]).
-    fn counting_sort_parallel(el: &EdgeList, by_src: bool, pool: &ThreadPool) -> Self {
-        let t = pool.num_threads();
+    /// The lists are then sorted unless the list's order already leaves
+    /// them sorted (see [`Csr::build`]).
+    fn counting_sort(el: &EdgeList, by_src: bool, pool: Option<&ThreadPool>) -> Self {
+        let t = pool.map_or(1, ThreadPool::num_threads);
         let n = el.num_vertices();
         let m = el.num_edges();
         let all = el.edges();
         let w_in = el.weights();
         let share = |i: usize| m * i / t;
-        // Phase 1: per-thread histograms over disjoint edge sub-ranges.
-        let counts: Vec<(Vec<u32>, bool)> = pool.run_map_with(|ctx| {
-            let (lo, hi) = (share(ctx.global_id), share(ctx.global_id + 1));
+        // Phase 1: per-share histograms over disjoint edge sub-ranges.
+        let counts: Vec<(Vec<u32>, bool)> = run_shares(pool, (0..t).collect(), |i| {
+            let (lo, hi) = (share(i), share(i + 1));
             let before = lo.checked_sub(1).map(|at| all[at]);
             let mut h = vec![0u32; n];
             let sources_sorted = count_keys(&all[lo..hi], before, |s, d| {
@@ -255,19 +208,19 @@ impl Csr {
             });
             (h, sources_sorted)
         });
-        // Phase 2: sequential prefix-sum merge into the vertex index.
+        // Phase 2: prefix-sum merge into the vertex index.
         let mut index = vec![0u64; n + 1];
         for v in 0..n {
             let deg: u64 = counts.iter().map(|(h, _)| h[v] as u64).sum();
             index[v + 1] = index[v] + deg;
         }
         let sources_sorted = counts.into_iter().all(|(_, sorted)| sorted);
-        // Phase 3: parallel scatter over disjoint key ranges.
+        // Phase 3: scatter over disjoint key ranges.
         let parts = partition_index(&index, t);
         let mut edges = alloc::zeroed::<VertexId>(m);
         let mut weights = w_in.map(|_| alloc::zeroed::<f64>(m));
         let tasks = split_by(&parts, &mut edges, weights.as_deref_mut());
-        pool.run_tasks(tasks, |_, (part, eslice, mut wslice)| {
+        run_shares(pool, tasks, |(part, eslice, mut wslice)| {
             let key_lo = part.first_vertex;
             let key_hi = part.last_vertex;
             if key_lo == key_hi {
@@ -298,7 +251,7 @@ impl Csr {
         };
         // A by-source list here is not grouped by source.
         if by_src || !sources_sorted {
-            csr.sort_neighbors_parallel(pool);
+            csr.sort_on(pool);
         }
         csr
     }
@@ -423,30 +376,23 @@ impl Csr {
 
     /// Sorts each vertex's neighbor list in place (weights permuted along).
     pub fn sort_neighbors(&mut self) {
-        let n = self.num_vertices() as VertexId;
-        sort_lists(
-            &self.index,
-            0..n,
-            &mut self.edges,
-            self.weights.as_deref_mut(),
-        );
+        self.sort_on(None);
     }
 
-    /// Parallel [`Csr::sort_neighbors`]: vertex ranges of near-equal edge
-    /// count are sorted concurrently. Each partition's edge (and weight)
-    /// region is contiguous, so the distribution is a plain `split_at_mut`.
-    /// Every list is sorted by the same deterministic code as in the
-    /// sequential call, so the result is bit-identical to
-    /// [`Csr::sort_neighbors`].
+    /// [`Csr::sort_neighbors`] on a [`ThreadPool`], bit-identical at any
+    /// pool width: every list is sorted by the same deterministic code.
     pub fn sort_neighbors_parallel(&mut self, pool: &ThreadPool) {
-        let t = pool.num_threads();
-        if t == 1 {
-            return self.sort_neighbors();
-        }
-        let parts = partition_index(&self.index, t);
+        self.sort_on(Some(pool));
+    }
+
+    /// The one list sort: vertex ranges of near-equal edge count, one per
+    /// share (see [`Csr::build`]). Each range's edge (and weight) region is
+    /// contiguous, so the distribution is a plain `split_at_mut`.
+    fn sort_on(&mut self, pool: Option<&ThreadPool>) {
+        let parts = partition_index(&self.index, pool.map_or(1, ThreadPool::num_threads));
         let tasks = split_by(&parts, &mut self.edges, self.weights.as_deref_mut());
         let index = &self.index;
-        pool.run_tasks(tasks, |_, (part, eslice, wslice)| {
+        run_shares(pool, tasks, |(part, eslice, wslice)| {
             sort_lists(index, part.vertices(), eslice, wslice);
         });
     }
@@ -506,39 +452,6 @@ impl Csr {
             from = v + 1;
         }
         put(old(from, part.last_vertex));
-    }
-
-    /// Returns the transposed structure: if `self` groups by source, the
-    /// result groups by destination (and vice versa).
-    pub fn transpose(&self) -> Csr {
-        let n = self.num_vertices();
-        let m = self.num_edges();
-        let mut index = vec![0u64; n + 1];
-        for &t in &self.edges {
-            index[t as usize + 1] += 1;
-        }
-        for i in 0..n {
-            index[i + 1] += index[i];
-        }
-        let mut cursor = index.clone();
-        let mut edges = vec![0 as VertexId; m];
-        let mut weights = self.weights.as_ref().map(|_| vec![0.0f64; m]);
-        for v in 0..n {
-            for e in self.edge_range(v as VertexId) {
-                let t = self.edges[e] as usize;
-                let pos = cursor[t] as usize;
-                cursor[t] += 1;
-                edges[pos] = v as VertexId;
-                if let (Some(w_out), Some(w_in)) = (&mut weights, &self.weights) {
-                    w_out[pos] = w_in[e];
-                }
-            }
-        }
-        Csr {
-            index,
-            edges,
-            weights,
-        }
     }
 }
 
@@ -688,12 +601,7 @@ pub(crate) fn splice<const K: usize>(
             csr.fill_spliced(part, out, ins, del);
         }
     };
-    match pool {
-        Some(pool) if threads > 1 => {
-            pool.run_tasks(tasks, |_, pieces| fill(pieces));
-        }
-        _ => tasks.into_iter().for_each(fill),
-    }
+    run_shares(pool, tasks, fill);
     let mut edges = edges.into_iter();
     indexes.map(|index| Csr {
         index,
@@ -797,26 +705,8 @@ mod tests {
     }
 
     #[test]
-    fn transpose_of_transpose_is_identity_after_sort() {
-        let mut csr = Csr::from_edgelist_by_src(&sample_el());
-        csr.sort_neighbors();
-        let mut back = csr.transpose().transpose();
-        back.sort_neighbors();
-        assert_eq!(csr, back);
-    }
-
-    #[test]
-    fn transpose_matches_by_dst_build() {
-        let el = sample_el();
-        let mut a = Csr::from_edgelist_by_src(&el).transpose();
-        let mut b = Csr::from_edgelist_by_dst(&el);
-        a.sort_neighbors();
-        b.sort_neighbors();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn weights_follow_edges_through_build_and_transpose() {
+        // The transposed structure is the by-destination build.
         let mut el = EdgeList::new(3);
         el.push_weighted(0, 1, 10.0).unwrap();
         el.push_weighted(0, 2, 20.0).unwrap();
@@ -824,7 +714,7 @@ mod tests {
         let csr = Csr::from_edgelist_by_src(&el);
         assert_eq!(csr.neighbor_weights(0).unwrap(), &[10.0, 20.0]);
         assert_eq!(csr.neighbor_weights(2).unwrap(), &[30.0]);
-        let csc = csr.transpose();
+        let csc = Csr::from_edgelist_by_dst(&el);
         // In-edges of 1: from 0 (w=10) and from 2 (w=30).
         let nbrs = csc.neighbors(1);
         let ws = csc.neighbor_weights(1).unwrap();
@@ -1019,9 +909,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// Every builder — sequential, and parallel on 1, 2 and 8 threads —
-        /// returns the reference of both orientations, and the parallel
-        /// ones are bit-identical to the sequential one, on lists sorted by
+        /// The builder — one share without a pool, and one per worker on 1,
+        /// 2 and 8 threads — returns the reference of both orientations,
+        /// bit-identical at every width, on lists sorted by
         /// (source, destination), by source only, reverse-sorted, sorted by
         /// halves and unsorted, with repeated pairs, weighted and not,
         /// empty and on a single vertex.
@@ -1037,10 +927,10 @@ mod tests {
             let pools = [1, 2, 8].map(ThreadPool::single_group);
             for by_src in [true, false] {
                 let want = reference(&el, by_src);
-                let seq = Csr::build(&el, by_src);
-                proptest::prop_assert_eq!(matches_reference(&seq, &want), Ok(()), "sequential, by_src {}", by_src);
+                let seq = Csr::build(&el, by_src, None);
+                proptest::prop_assert_eq!(matches_reference(&seq, &want), Ok(()), "one share, by_src {}", by_src);
                 for pool in &pools {
-                    let par = Csr::build_parallel(&el, by_src, pool);
+                    let par = Csr::build(&el, by_src, Some(pool));
                     proptest::prop_assert!(
                         par == seq && par.weights.iter().flatten().map(|w| w.to_bits())
                             .eq(seq.weights.iter().flatten().map(|w| w.to_bits())),
@@ -1070,9 +960,9 @@ mod tests {
     fn the_builders_take_the_zero_vertex_list() {
         let el = EdgeList::new(0);
         for by_src in [true, false] {
-            assert_eq!(Csr::build(&el, by_src).index(), &[0]);
+            assert_eq!(Csr::build(&el, by_src, None).index(), &[0]);
             let pool = ThreadPool::single_group(2);
-            assert_eq!(Csr::build_parallel(&el, by_src, &pool).index(), &[0]);
+            assert_eq!(Csr::build(&el, by_src, Some(&pool)).index(), &[0]);
         }
     }
 

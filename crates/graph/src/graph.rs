@@ -22,25 +22,24 @@ impl Graph {
     /// Builds a graph from an edge list. Duplicate edges are kept as-is;
     /// call [`EdgeList::sort_and_dedup`] first if you need simple graphs.
     pub fn from_edgelist(el: &EdgeList) -> Result<Self, GraphError> {
-        if el.num_vertices() == 0 {
-            return Err(GraphError::EmptyGraph);
-        }
-        Ok(Graph {
-            out: Csr::from_edgelist_by_src(el),
-            inn: Csr::from_edgelist_by_dst(el),
-            name: String::new(),
-        })
+        Self::build(el, None)
     }
 
-    /// Parallel [`Graph::from_edgelist`]: both orientations are built on
-    /// the pool. The result is bit-identical to the sequential build.
+    /// [`Graph::from_edgelist`] with both orientations built on the pool,
+    /// bit-identical at any pool width.
     pub fn from_edgelist_parallel(el: &EdgeList, pool: &ThreadPool) -> Result<Self, GraphError> {
+        Self::build(el, Some(pool))
+    }
+
+    /// Both orientations through [`Csr::build`], on `pool` or on the
+    /// calling thread.
+    fn build(el: &EdgeList, pool: Option<&ThreadPool>) -> Result<Self, GraphError> {
         if el.num_vertices() == 0 {
             return Err(GraphError::EmptyGraph);
         }
         Ok(Graph {
-            out: Csr::from_edgelist_by_src_parallel(el, pool),
-            inn: Csr::from_edgelist_by_dst_parallel(el, pool),
+            out: Csr::build(el, true, pool),
+            inn: Csr::build(el, false, pool),
             name: String::new(),
         })
     }

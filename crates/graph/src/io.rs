@@ -24,7 +24,7 @@ use crate::faults::{read_retried, read_retrying_within, RetryPolicy, RetryStats}
 use crate::graph::Graph;
 use crate::types::{GraphError, VertexId};
 use grazelle_sched::alloc::{RangeWriter, WorkerFilled};
-use grazelle_sched::ThreadPool;
+use grazelle_sched::{run_shares, ThreadPool};
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
@@ -676,6 +676,8 @@ fn append_on<T: Copy + Send + Sync>(
     pool: Option<&ThreadPool>,
 ) -> Vec<T> {
     let extra: usize = later.iter().map(|p| p.len()).sum();
+    // Nothing to copy, nothing to dispatch.
+    let pool = pool.filter(|_| extra > 0);
     let threads = pool.map_or(1, ThreadPool::num_threads);
     let share = |i: usize| extra * i / threads;
     let total = first.len() + extra;
@@ -692,14 +694,7 @@ fn append_on<T: Copy + Send + Sync>(
             at += piece.len();
         }
     };
-    match pool {
-        Some(pool) if threads > 1 && extra > 0 => {
-            pool.run_tasks(writers.into_iter().enumerate().collect(), |_, task| {
-                fill(task)
-            });
-        }
-        _ => writers.into_iter().enumerate().for_each(fill),
-    }
+    run_shares(pool, writers.into_iter().enumerate().collect(), fill);
     let mut joined = out.into_vec();
     // A donated buffer grew by doubling; give the slack back.
     joined.shrink_to_fit();
@@ -888,28 +883,6 @@ pub fn read_matrix_market_with<R: Read>(
     let mut chunk = MmChunk::new(h, mm_reserve(&h, 1));
     blocks.stream(false, u64::MAX, &mut chunk)?;
     mm_merge(&h, vec![chunk])
-}
-
-/// Parallel [`read_matrix_market_with`] over a byte buffer: header and size
-/// line are parsed (and budget-checked) sequentially, then the entry body
-/// is split on newline boundaries and parsed one range per pool thread,
-/// concatenated in range order — symmetric mirroring stays adjacent to its
-/// source entry, so the edge order is identical to the sequential parse.
-pub fn parse_matrix_market_parallel(
-    bytes: &[u8],
-    opts: &LoadOptions,
-    pool: &ThreadPool,
-) -> Result<EdgeList, GraphError> {
-    let h = parse_mm_header(bytes, opts)?;
-    let body = &bytes[h.body_start..];
-    let reserve = mm_reserve(&h, pool.num_threads());
-    let ranges = newline_chunk_ranges(body, pool.num_threads());
-    let chunks = pool.run_tasks(ranges, |_, r| {
-        let mut chunk = MmChunk::new(h, reserve);
-        chunk.scan(&body[r], true, usize::MAX);
-        chunk
-    });
-    mm_merge(&h, chunks)
 }
 
 /// Parsed header + size line of a Matrix Market file.
@@ -1938,8 +1911,11 @@ mod tests {
         let mtx = "%%MatrixMarket matrix coordinate pattern general\n2 2 0";
         let el = read_matrix_market(mtx.as_bytes()).unwrap();
         assert_eq!((el.num_vertices(), el.num_edges()), (2, 0));
+        let path = std::env::temp_dir().join(format!("grazelle_io_mm_size_{}", std::process::id()));
+        std::fs::write(&path, mtx).unwrap();
         let pool = ThreadPool::single_group(2);
-        let el = parse_matrix_market_parallel(mtx.as_bytes(), &LoadOptions::default(), &pool);
+        let el = load_mm_streamed(&path, &LoadOptions::default(), Some(&pool), BLOCK_BYTES);
+        std::fs::remove_file(&path).ok();
         assert_eq!(el.unwrap().num_edges(), 0);
     }
 
@@ -2444,10 +2420,9 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
-            /// Every Matrix Market loader — buffer parse at 1/2/8 threads,
-            /// streamed `Read`, streamed file at 1/2/8 workers and block
-            /// sizes down to one byte — returns what the plain reading
-            /// returns.
+            /// Every Matrix Market loader — streamed `Read`, streamed file
+            /// without a pool and at 1/2/8 workers, block sizes down to one
+            /// byte — returns what the plain reading returns.
             #[test]
             fn prop_matrix_market_loaders_match_the_plain_reading(
                 seeds in proptest::collection::vec(any::<u64>(), 0..30),
@@ -2483,8 +2458,6 @@ mod tests {
                 }
                 for threads in [1, 2, 8] {
                     let pool = ThreadPool::single_group(threads);
-                    let buffer = parse_matrix_market_parallel(&text, &opts, &pool);
-                    prop_assert_eq!(&parsed(buffer), &want, "buffer, {} threads", threads);
                     for block in [1, 7, 64] {
                         let file = load_mm_streamed(&path, &opts, Some(&pool), block);
                         prop_assert_eq!(&parsed(file), &want, "{} threads, block {}", threads, block);

@@ -6,7 +6,8 @@
 //! as they become available" (§5). This crate is that runtime:
 //!
 //! * [`pool::ThreadPool`] — persistent workers with group (NUMA-node
-//!   stand-in) topology.
+//!   stand-in) topology; [`pool::run_shares`] runs a set-up builder's
+//!   shares on an optional pool, inline when there is one share.
 //! * [`barrier::SpinBarrier`] — sense-reversing phase barrier.
 //! * [`chunks::ChunkScheduler`] — the dynamic chunk queue (default 32·n
 //!   chunks, the paper's empirically chosen granularity). The
@@ -39,6 +40,6 @@ pub mod traditional;
 pub use barrier::SpinBarrier;
 pub use cancel::CancelFlag;
 pub use chunks::{Chunk, ChunkScheduler, ChunkSource};
-pub use pool::{ThreadPool, WorkerCtx};
+pub use pool::{run_shares, ThreadPool, WorkerCtx};
 pub use slots::SlotBuffer;
 pub use traditional::parallel_for;

@@ -377,6 +377,25 @@ impl Drop for ThreadPool {
     }
 }
 
+/// Runs `f` on every task of `tasks`, one share each, and returns the
+/// results in task order: on `pool`'s workers when there are several
+/// shares (then exactly one per worker, as [`ThreadPool::run_tasks`]
+/// needs), on the calling thread, in order, when `pool` is `None` or there
+/// is one share. Builders that take an optional pool make their one
+/// "pool or inline" choice here, so a one-share build is the same code as
+/// a several-share one.
+pub fn run_shares<T, R, F>(pool: Option<&ThreadPool>, tasks: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    match pool {
+        Some(pool) if tasks.len() > 1 => pool.run_tasks(tasks, |_, task| f(task)),
+        _ => tasks.into_iter().map(f).collect(),
+    }
+}
+
 fn worker_loop(slot: Arc<JobSlot>, ctx: WorkerCtx) {
     let mut seen_epoch = 0usize;
     loop {
@@ -486,6 +505,26 @@ mod tests {
                 .sum();
             assert_eq!(covered, threads);
         }
+    }
+
+    #[test]
+    fn run_shares_runs_one_share_inline_and_several_on_the_pool() {
+        let caller = std::thread::current().id();
+        let on = |pool: Option<&ThreadPool>, shares: usize| {
+            run_shares(pool, (0..shares).collect(), |i| {
+                (i * 10, std::thread::current().id() == caller)
+            })
+        };
+        let pool = ThreadPool::single_group(3);
+        assert_eq!(on(None, 1), [(0, true)]);
+        assert_eq!(on(None, 3), [(0, true), (10, true), (20, true)]);
+        assert_eq!(on(Some(&pool), 1), [(0, true)]);
+        assert_eq!(
+            on(Some(&pool), 3),
+            [(0, false), (10, false), (20, false)],
+            "several shares run on the workers, results in task order"
+        );
+        assert!(on(Some(&ThreadPool::single_group(1)), 1)[0].1);
     }
 
     #[test]

@@ -76,8 +76,6 @@ pub struct ServeConfig {
     pub retry: RetryPolicy,
     /// Engine configuration for normal (non-degraded) execution.
     pub engine: EngineConfig,
-    /// Pack Reach and BFS queries into bit-parallel runs.
-    pub pack: bool,
     /// Most queries per packed run (clamped to [`MAX_LANES`]).
     pub pack_window: usize,
     /// Seed for the deterministic retry-backoff jitter.
@@ -89,7 +87,7 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults: 128-deep queue, unbounded work budget, no deadline,
-    /// ingestion's default retry policy, packing on.
+    /// ingestion's default retry policy, a full pack window.
     pub fn new() -> Self {
         ServeConfig {
             queue_capacity: 128,
@@ -97,7 +95,6 @@ impl ServeConfig {
             default_deadline: None,
             retry: RetryPolicy::DEFAULT,
             engine: EngineConfig::new(),
-            pack: true,
             pack_window: MAX_LANES,
             seed: 0x5EED_CAFE,
             snapshot_path: None,
@@ -131,12 +128,6 @@ impl ServeConfig {
     /// Builder: engine configuration.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Builder: packing toggle.
-    pub fn with_pack(mut self, pack: bool) -> Self {
-        self.pack = pack;
         self
     }
 
@@ -612,13 +603,14 @@ enum Batch {
     Packed(Vec<Pending>),
 }
 
-/// Forms the next batch under the queue lock: if the head is packable and
-/// packing is on, pull every packable query (up to the window, up to the
-/// next update) out of the queue — later non-packable queries keep their
-/// order. An active insert overlay does not matter: the pack reads it.
+/// Forms the next batch under the queue lock: if the head is packable,
+/// pull every packable query (up to the window, up to the next update) out
+/// of the queue — later non-packable queries keep their order; a lone one
+/// runs as a single query. An active insert overlay does not matter: the
+/// pack reads it.
 fn form_batch(shared: &Shared, q: &mut QueueState) -> Batch {
     let head_packs = q.deque.front().is_some_and(|p| p.request.packable());
-    if !(shared.cfg.pack && head_packs) {
+    if !head_packs {
         let p = q.deque.pop_front().expect("checked non-empty");
         q.queued_work = q.queued_work.saturating_sub(p.work);
         return Batch::Single(p);
@@ -1457,6 +1449,9 @@ mod tests {
         assert_eq!(snap.updates_applied, 1);
     }
 
+    /// Packed replies across inserts and a merging delete, and a lone
+    /// (unpacked) Reach and BFS after them, each equal a cold single-shot
+    /// run over the edge set of their version.
     #[test]
     fn packing_on_and_off_reply_alike_across_inserts_and_a_merging_delete() {
         let (g, pg) = serve_graph(96);
@@ -1486,33 +1481,29 @@ mod tests {
             };
             stream.push(Entry::Apply(batch));
         }
-        let serve = |pack: bool| {
-            let (cfg, faults) = plugged(0);
-            let cfg = cfg.with_pack(pack);
-            let server =
-                Server::start_with_faults(Arc::clone(&g), Arc::clone(&pg), cfg, faults, None);
-            let plug = server.submit(Query::Cc).unwrap();
-            let tickets: Vec<_> = stream
-                .iter()
-                .map(|entry| match entry {
-                    Entry::Ask(q) => server.submit(*q).unwrap(),
-                    Entry::Apply(b) => server.submit_update(b.clone()).unwrap(),
-                })
-                .collect();
-            plug.wait().unwrap();
-            let replies: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
-            (replies, server.drain())
-        };
-        let (packed, on) = serve(true);
-        let (single, off) = serve(false);
+        let (cfg, faults) = plugged(0);
+        let server = Server::start_with_faults(Arc::clone(&g), Arc::clone(&pg), cfg, faults, None);
+        let plug = server.submit(Query::Cc).unwrap();
+        let tickets: Vec<_> = stream
+            .iter()
+            .map(|entry| match entry {
+                Entry::Ask(q) => server.submit(*q).unwrap(),
+                Entry::Apply(b) => server.submit_update(b.clone()).unwrap(),
+            })
+            .collect();
+        plug.wait().unwrap();
+        let packed: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
+        // Alone in the queue, over the insert overlay the stream leaves, a
+        // Reach and a BFS each run as a single engine query.
+        let lone = [Query::Reach { root: 5 }, Query::Bfs { root: 5 }]
+            .map(|q| (q, server.submit(q).unwrap().wait()));
+        let on = server.drain();
         assert!(packed.iter().all(Result::is_ok));
-        assert_eq!(packed, single);
-        assert_eq!(off.packed_runs, 0);
         assert!(on.packed_overlay_runs >= 1 && on.packed_bfs_queries >= 1);
-        assert_eq!((on.merges, off.merges), (1, 1));
-        // Packs read CSR/CSC only; alone, every version after a splice is
-        // encoded once, by its first query.
-        assert_eq!((on.encodes, off.encodes), (0, 5));
+        assert_eq!(on.merges, 1);
+        // Packs read CSR/CSC only; the first lone query encodes the last
+        // version, the second reads it.
+        assert_eq!(on.encodes, 1);
 
         // Every reply equals a cold build of the edge set of its version.
         let mut edges: Vec<(u32, u32)> = g.out_csr().iter_edges().map(|(s, d, _)| (s, d)).collect();
@@ -1537,6 +1528,11 @@ mod tests {
                     version = cold(&edges);
                 }
             }
+        }
+        let (g, pg) = &version;
+        for (q, served) in lone {
+            let direct = single_shot(g, pg, &ecfg, &ResilienceContext::new(), &pool, q);
+            assert_eq!(served.unwrap(), direct.unwrap(), "lone {q:?}");
         }
     }
 

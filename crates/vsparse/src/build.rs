@@ -6,7 +6,7 @@ use grazelle_graph::csr::Csr;
 use grazelle_graph::partition::partition_index;
 use grazelle_graph::types::VertexId;
 use grazelle_sched::alloc::WorkerFilled;
-use grazelle_sched::ThreadPool;
+use grazelle_sched::{run_shares, ThreadPool};
 use std::sync::OnceLock;
 
 /// A complete Vector-Sparse edge structure over one orientation.
@@ -48,72 +48,32 @@ pub type Vsd = VectorSparse<4>;
 pub type Vss = VectorSparse<4>;
 
 impl<const N: usize> VectorSparse<N> {
-    /// Builds the structure from one Compressed-Sparse orientation. Each
-    /// top-level vertex's edges are padded to a multiple of `N` lanes;
-    /// degree-0 vertices occupy no vectors.
+    /// Builds the structure from one Compressed-Sparse orientation, on the
+    /// calling thread. Each top-level vertex's edges are padded to a
+    /// multiple of `N` lanes; degree-0 vertices occupy no vectors.
     pub fn from_csr(csr: &Csr) -> Self {
-        let n = csr.num_vertices();
-        assert!(
-            (n as u64) <= VERTEX_MASK,
-            "vertex ids must fit the 48-bit fields"
-        );
-        let mut index = Vec::with_capacity(n + 1);
-        index.push(0u64);
-        let mut num_vectors = 0u64;
-        for v in 0..n {
-            let deg = csr.degree(v as VertexId) as u64;
-            num_vectors += deg.div_ceil(N as u64);
-            index.push(num_vectors);
-        }
-        let mut vectors = Vec::with_capacity(num_vectors as usize);
-        let mut weights = csr
-            .weights()
-            .map(|_| Vec::with_capacity(num_vectors as usize));
-        let mut lane_buf = [0u64; N];
-        for v in 0..n {
-            let nbrs = csr.neighbors(v as VertexId);
-            let ws = csr.neighbor_weights(v as VertexId);
-            for (ci, chunk) in nbrs.chunks(N).enumerate() {
-                for (i, &nb) in chunk.iter().enumerate() {
-                    lane_buf[i] = nb as u64;
-                }
-                vectors.push(EdgeVector::new(v as u64, &lane_buf[..chunk.len()]));
-                if let (Some(wout), Some(win)) = (&mut weights, ws) {
-                    let mut weight_buf = [0.0f64; N];
-                    let start = ci * N;
-                    weight_buf[..chunk.len()].copy_from_slice(&win[start..start + chunk.len()]);
-                    wout.push(weight_buf);
-                }
-            }
-        }
-        VectorSparse {
-            vectors,
-            weights,
-            index,
-            num_vertices: n,
-            num_edges: csr.num_edges(),
-            mean_weight: OnceLock::new(),
-            degrees: OnceLock::new(),
-        }
+        Self::encode(csr, None)
     }
 
-    /// Parallel [`VectorSparse::from_csr`] on a [`ThreadPool`], bit-identical
-    /// to the sequential build.
+    /// [`VectorSparse::from_csr`] on a [`ThreadPool`], bit-identical at
+    /// any pool width.
+    pub fn from_csr_parallel(csr: &Csr, pool: &ThreadPool) -> Self {
+        Self::encode(csr, Some(pool))
+    }
+
+    /// The one encoder: one share per worker of `pool`, or one share on
+    /// the calling thread without a pool.
     ///
     /// The vertex index is a prefix sum over `ceil(deg/N)`, so every vertex's
-    /// vector output range is known up front and ranges are disjoint. Workers
-    /// therefore pack contiguous vertex partitions (balanced by vector count
-    /// via [`partition_index`]) straight into their ranges of the output
-    /// arrays — lane fill, TLV piece distribution, and weight-lane zero
-    /// padding all happen inside [`EdgeVector::new`] / the per-chunk copy
-    /// exactly as in the sequential path, so outputs match bit for bit. The
-    /// arrays are [`WorkerFilled`]: nothing writes them before the workers
-    /// do, so their pages are faulted in once, on the workers.
-    pub fn from_csr_parallel(csr: &Csr, pool: &ThreadPool) -> Self {
-        let t = pool.num_threads();
-        if t == 1 {
-            return Self::from_csr(csr);
-        }
+    /// vector output range is known up front and ranges are disjoint. Each
+    /// share packs a contiguous vertex partition (balanced by vector count
+    /// via [`partition_index`]) straight into its range of the output
+    /// arrays — lane fill and TLV piece distribution in [`EdgeVector::new`],
+    /// weight-lane zero padding in the per-chunk copy — so the output is the
+    /// same at every width. The arrays are [`WorkerFilled`]: nothing writes
+    /// them before the shares do, so their pages are faulted in once, by
+    /// the thread that fills them.
+    pub fn encode(csr: &Csr, pool: Option<&ThreadPool>) -> Self {
         let n = csr.num_vertices();
         assert!(
             (n as u64) <= VERTEX_MASK,
@@ -121,7 +81,7 @@ impl<const N: usize> VectorSparse<N> {
         );
         let index = crate::packing::vector_index(&csr.degrees(), N);
         let num_vectors = *index.last().expect("vector index is never empty") as usize;
-        let parts = partition_index(&index, t);
+        let parts = partition_index(&index, pool.map_or(1, ThreadPool::num_threads));
         // `partition_index` ranges count vectors here, not edges.
         let lens = || parts.iter().map(|p| p.num_edges());
         let mut vectors = WorkerFilled::new(num_vectors);
@@ -135,7 +95,7 @@ impl<const N: usize> VectorSparse<N> {
             .zip(vectors.writers(lens()))
             .zip(weight_writers)
             .collect();
-        pool.run_tasks(tasks, |_, ((part, mut vout), mut wout)| {
+        run_shares(pool, tasks, |((part, mut vout), mut wout)| {
             let mut lane_buf = [0u64; N];
             for v in part.vertices() {
                 let nbrs = csr.neighbors(v);
@@ -154,11 +114,9 @@ impl<const N: usize> VectorSparse<N> {
                 }
             }
         });
-        let vectors = vectors.into_vec();
-        let weights = weights.map(WorkerFilled::into_vec);
         let built = VectorSparse {
-            vectors,
-            weights,
+            vectors: vectors.into_vec(),
+            weights: weights.map(WorkerFilled::into_vec),
             index,
             num_vertices: n,
             num_edges: csr.num_edges(),
@@ -166,8 +124,9 @@ impl<const N: usize> VectorSparse<N> {
             degrees: OnceLock::new(),
         };
         debug_assert!(
-            built.bit_identical(&Self::from_csr(csr)),
-            "parallel Vector-Sparse build diverged from sequential"
+            pool.is_none_or(|p| p.num_threads() == 1)
+                || built.bit_identical(&Self::encode(csr, None)),
+            "several-share Vector-Sparse encode diverged from the one-share encode"
         );
         built
     }
@@ -504,6 +463,91 @@ mod tests {
         let csr = csr_of(30, &hub);
         assert!(VectorSparse::<4>::from_csr_parallel(&csr, &pool)
             .bit_identical(&VectorSparse::<4>::from_csr(&csr)));
+    }
+
+    /// A CSR of vertices of degree 0 to 8 and one `hub`, then `extra`, the
+    /// list rotated by `seed` so the hub lands anywhere; neighbours and
+    /// weights (negative ones too) drawn from `seed`.
+    fn random_csr(hub: u32, extra: &[u32], seed: u64, weighted: bool) -> Csr {
+        let mut degrees: Vec<u32> = (0..=8).chain([hub]).chain(extra.iter().copied()).collect();
+        let turn = (seed % degrees.len() as u64) as usize;
+        degrees.rotate_left(turn);
+        let n = degrees.len() as u64;
+        let mut state = seed;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let index: Vec<u64> = std::iter::once(0)
+            .chain(degrees.iter().scan(0u64, |at, &d| {
+                *at += u64::from(d);
+                Some(*at)
+            }))
+            .collect();
+        let m = *index.last().unwrap() as usize;
+        let edges = (0..m).map(|_| (next() % n) as VertexId).collect();
+        let weights = weighted.then(|| (0..m).map(|_| next() as f64 / 64.0 - 1e6).collect());
+        Csr::from_parts(index, edges, weights).unwrap()
+    }
+
+    /// `vs` against the plain reading of its contract over `csr`: the
+    /// edges in CSR order, `ceil(deg/N)` vectors per vertex, each carrying
+    /// its vertex, and each vertex's weight lanes its CSR weights followed
+    /// by 0.0 padding.
+    fn check_against_csr<const N: usize>(
+        vs: &VectorSparse<N>,
+        csr: &Csr,
+    ) -> Result<(), TestCaseError> {
+        let edges: Vec<_> = csr.iter_edges().map(|(v, t, _)| (v, t)).collect();
+        prop_assert_eq!(vs.expand_edges(), edges);
+        prop_assert_eq!(vs.index(), crate::packing::vector_index(&csr.degrees(), N));
+        prop_assert_eq!(
+            (vs.num_vertices(), vs.num_edges()),
+            (csr.num_vertices(), csr.num_edges())
+        );
+        for v in 0..csr.num_vertices() as VertexId {
+            let range = vs.vector_range(v);
+            for i in range.clone() {
+                prop_assert_eq!(vs.vectors()[i].top_level_vertex(), u64::from(v));
+            }
+            match (vs.weight_vectors(), csr.neighbor_weights(v)) {
+                (None, None) => {}
+                (Some(lanes), Some(want)) => {
+                    let got: Vec<u64> =
+                        lanes[range].iter().flatten().map(|w| w.to_bits()).collect();
+                    let mut want: Vec<u64> = want.iter().map(|w| w.to_bits()).collect();
+                    want.resize(got.len(), 0.0f64.to_bits());
+                    prop_assert_eq!(got, want, "weight lanes of {}", v);
+                }
+                _ => prop_assert!(false, "weightedness differs"),
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The encoder, one share without a pool and one per worker on 1,
+        /// 2 and 8 threads, at 4 and 8 lanes, matches the plain reading of
+        /// the format: degree-0 vertices, every degree residue mod 4 and 8,
+        /// a hub, weighted and not.
+        #[test]
+        fn prop_encoder_matches_the_plain_reading(
+            hub in 33u32..160,
+            extra in proptest::collection::vec(0u32..20, 0..40),
+            seed in any::<u64>(),
+            weighted in any::<bool>(),
+        ) {
+            let csr = random_csr(hub, &extra, seed, weighted);
+            let pools = [1, 2, 8].map(ThreadPool::single_group);
+            for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+                check_against_csr(&VectorSparse::<4>::encode(&csr, pool), &csr)?;
+                check_against_csr(&VectorSparse::<8>::encode(&csr, pool), &csr)?;
+            }
+        }
     }
 
     proptest! {

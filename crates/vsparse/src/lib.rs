@@ -27,7 +27,6 @@
 pub mod active;
 pub mod build;
 pub mod format;
-pub mod overlay;
 pub mod packing;
 mod prefetch;
 pub mod simd;
@@ -36,5 +35,4 @@ pub mod vector;
 pub use active::{ActiveVectorList, RealIndices};
 pub use build::{VectorSparse, Vsd, Vss};
 pub use format::{decode_tlv, encode_tlv, pack_lane, unpack_lane, Lane};
-pub use overlay::OverlayView;
 pub use vector::EdgeVector;

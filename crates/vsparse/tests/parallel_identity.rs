@@ -1,7 +1,7 @@
-//! Bit-identity proptest suite for the parallel ingestion pipeline
-//! (ISSUE 5): at 1, 2, and 8 build threads, the chunked text parse, the
-//! parallel counting-sort CSR/CSC, and the parallel Vector-Sparse
-//! encoding must agree *exactly* with their sequential counterparts,
+//! Bit-identity proptest suite for the parallel ingestion pipeline: at 1,
+//! 2, and 8 build threads, the chunked text parse, the counting-sort
+//! CSR/CSC and the Vector-Sparse encoding must agree *exactly* with their
+//! one-thread builds (the same builders as one share without a pool),
 //! across uniform, power-law (R-MAT), and grid graph families, weighted
 //! and unweighted.
 
