@@ -23,7 +23,7 @@ use crate::edgelist::EdgeList;
 use crate::faults::{read_retried, read_retrying_within, RetryPolicy, RetryStats};
 use crate::graph::Graph;
 use crate::types::{GraphError, VertexId};
-use grazelle_sched::alloc::{RangeWriter, WorkerFilled};
+use grazelle_sched::alloc::{reserved, RangeWriter, WorkerFilled};
 use grazelle_sched::{run_shares, ThreadPool};
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
@@ -187,32 +187,38 @@ fn skip_blanks(b: &[u8], mut i: usize) -> usize {
     i
 }
 
-/// A run of one to nineteen digits at `i`, folded, and where it ends.
-/// Runs of up to seven digits are read eight bytes at a time, without a
-/// branch per digit.
-fn fast_digits(b: &[u8], mut i: usize) -> Option<(u64, usize)> {
+/// The run of digits that opens `x`'s bytes in memory order: its length,
+/// 0 to 8, and its value, which means something only for lengths 1 to 7.
+/// No branch per digit.
+#[inline]
+fn swar_digits(x: u64) -> (u64, usize) {
     const LOW: u64 = 0x0F0F_0F0F_0F0F_0F0F;
     const HIGH: u64 = 0xF0F0_F0F0_F0F0_F0F0;
     const ZEROS: u64 = 0x3030_3030_3030_3030;
     const SIXES: u64 = 0x0606_0606_0606_0606;
+    // A byte is a digit iff its high nibble is 3 before and after adding
+    // 6. A carry out of a byte ≥ 0xFA only disturbs the bytes after it,
+    // and that byte is not a digit.
+    let not_digit = ((x & HIGH) ^ ZEROS) | ((x.wrapping_add(SIXES) & HIGH) ^ ZEROS);
+    let len = (not_digit.trailing_zeros() / 8) as usize;
+    // Digit values right-aligned, most significant first in memory order,
+    // then folded pairwise: 1+1, 2+2, 4+4 digits.
+    let mut v = (x & LOW).wrapping_shl(8 * (8 - len as u32));
+    v = (v * 10 + (v >> 8)) & 0x00FF_00FF_00FF_00FF;
+    v = (v * 100 + (v >> 16)) & 0x0000_FFFF_0000_FFFF;
+    v = (v * 10_000 + (v >> 32)) & 0xFFFF_FFFF;
+    (v, len)
+}
+
+/// A run of one to nineteen digits at `i`, folded, and where it ends.
+/// Runs of up to seven digits are read eight bytes at a time
+/// ([`swar_digits`]).
+fn fast_digits(b: &[u8], mut i: usize) -> Option<(u64, usize)> {
     if let Some(word) = b.get(i..i + 8) {
-        let x = u64::from_le_bytes(word.try_into().expect("eight bytes"));
-        // A byte is a digit iff its high nibble is 3 before and after
-        // adding 6. A carry out of a byte ≥ 0xFA only disturbs the bytes
-        // after it, and that byte is not a digit.
-        let not_digit = ((x & HIGH) ^ ZEROS) | ((x.wrapping_add(SIXES) & HIGH) ^ ZEROS);
-        let len = (not_digit.trailing_zeros() / 8) as usize;
-        if len == 0 {
-            return None;
-        }
-        if len < 8 {
-            // Digit values right-aligned, most significant first in
-            // memory order, then folded pairwise: 1+1, 2+2, 4+4 digits.
-            let mut v = (x & LOW) << (8 * (8 - len));
-            v = (v * 10 + (v >> 8)) & 0x00FF_00FF_00FF_00FF;
-            v = (v * 100 + (v >> 16)) & 0x0000_FFFF_0000_FFFF;
-            v = (v * 10_000 + (v >> 32)) & 0xFFFF_FFFF;
-            return Some((v, i + len));
+        match swar_digits(u64::from_le_bytes(word.try_into().expect("eight bytes"))) {
+            (_, 0) => return None,
+            (v, len @ 1..=7) => return Some((v, i + len)),
+            _ => {}
         }
     }
     let start = i;
@@ -258,7 +264,18 @@ fn fast_decimal(b: &[u8], i: usize) -> Option<(f64, usize)> {
 /// Every other line — comments, blank lines, other whitespace, extra
 /// tokens, exponents, `inf`/`NaN`, errors, a last line without a newline —
 /// is `None`, and the token path reads it as it always did.
+///
+/// Most lines are read from their first sixteen bytes by [`window_line`],
+/// inlined into the line loop; the rest (runs of blanks, ids of eight
+/// digits or more, lines whose window runs past `b`) by [`general_line`].
+#[inline]
 fn fast_line(b: &[u8]) -> Option<(Fields, usize)> {
+    window_line(b).or_else(|| general_line(b))
+}
+
+/// [`fast_line`] for every form it takes.
+#[inline(never)]
+fn general_line(b: &[u8]) -> Option<(Fields, usize)> {
     let (s, i) = fast_digits(b, 0)?;
     let j = skip_blanks(b, i);
     let (d, i) = fast_digits(b, j).filter(|_| j > i)?;
@@ -275,18 +292,53 @@ fn fast_line(b: &[u8]) -> Option<(Fields, usize)> {
     (b.get(i) == Some(&b'\n')).then_some(((ids.0, ids.1, w), i + 1))
 }
 
-/// The one line loop of both text formats: hands `line` each whole line of
-/// `bytes` that starts before `limit`, with its fields if [`fast_line`]
-/// read it, until `line` returns false. A partial last line is left for the
-/// next block unless at `eof`. Returns the bytes consumed, `None` once done.
-fn scan_lines(
-    bytes: &[u8],
-    eof: bool,
-    limit: usize,
-    mut line: impl FnMut(Option<Fields>, &[u8]) -> bool,
-) -> Option<usize> {
+/// [`fast_line`] for the common form, read from one 16-byte window of
+/// `b`: two ids of one to seven digits, one blank between them, then
+/// `\n`, `\r\n` or one blank and a weight ([`fast_decimal`], which may run
+/// past the window) ending in `[\r]\n`. One digit fold per id and a
+/// compare per separator, no loop. `None` for any other line, which
+/// [`general_line`] then reads; the two agree wherever this one answers.
+#[inline(always)]
+fn window_line(b: &[u8]) -> Option<(Fields, usize)> {
+    let w = u128::from_le_bytes(*b.first_chunk::<16>()?);
+    let (s, i) = swar_digits(w as u64);
+    if !(1..=7).contains(&i) || !matches!(b[i], b' ' | b'\t') {
+        return None;
+    }
+    // Bytes i + 1 .. i + 9, inside the window since i ≤ 7.
+    let (d, n) = swar_digits((w >> (8 * (i + 1))) as u64);
+    if !(1..=7).contains(&n) {
+        return None;
+    }
+    // Seven digits at most: both ids fit a `VertexId`.
+    let (s, d) = (s as VertexId, d as VertexId);
+    let e = i + 1 + n;
+    let (weight, e) = if matches!(b[e], b' ' | b'\t') {
+        let (v, e) = fast_decimal(b, e + 1)?;
+        (Some(v), e)
+    } else {
+        (None, e)
+    };
+    match (b.get(e), b.get(e + 1)) {
+        (Some(b'\n'), _) => Some(((s, d, weight), e + 1)),
+        (Some(b'\r'), Some(b'\n')) => Some(((s, d, weight), e + 2)),
+        _ => None,
+    }
+}
+
+/// The one line loop of both text formats: hands `chunk` each whole line
+/// of `bytes` that starts before `limit` — a run of them at once where
+/// [`Scan::run`] takes one, the others one by one with their fields if
+/// [`fast_line`] read them — until [`Scan::line`] returns false. A partial
+/// last line is left for the next block unless at `eof`. Returns the bytes
+/// consumed, `None` once done.
+fn scan_lines(chunk: &mut impl Scan, bytes: &[u8], eof: bool, limit: usize) -> Option<usize> {
     let mut p = 0;
-    while p < bytes.len() {
+    loop {
+        p += chunk.run(&bytes[p..], limit.saturating_sub(p));
+        if p >= bytes.len() {
+            return Some(p);
+        }
         if p >= limit {
             return None;
         }
@@ -299,17 +351,31 @@ fn scan_lines(
                 None => return Some(p),
             },
         };
-        if !line(fields, &rest[..len]) {
+        if !chunk.line(fields, &rest[..len]) {
             return None;
         }
         p += len;
     }
-    Some(p)
 }
 
-/// A per-worker parser the block reader feeds; see [`scan_lines`].
-trait Scan: Send {
-    fn scan(&mut self, bytes: &[u8], eof: bool, limit: usize) -> Option<usize>;
+/// A per-worker parser the block reader feeds through [`scan_lines`].
+trait Scan: Send + Sized {
+    /// One whole line, with its fields if [`fast_line`] read them. False
+    /// stops the scan.
+    fn line(&mut self, fields: Option<Fields>, raw: &[u8]) -> bool;
+
+    /// Takes whole lines from the start of `b`, each starting before
+    /// `limit`, as [`line`](Self::line) would take them one by one, for as
+    /// long as it can do so in one go; returns their bytes. None by
+    /// default.
+    fn run(&mut self, _b: &[u8], _limit: usize) -> usize {
+        0
+    }
+
+    /// Feeds the lines of `bytes` to the parser; see [`scan_lines`].
+    fn scan(&mut self, bytes: &[u8], eof: bool, limit: usize) -> Option<usize> {
+        scan_lines(self, bytes, eof, limit)
+    }
 }
 
 /// One worker's reader of `src`, in blocks: each read is retried per
@@ -427,17 +493,21 @@ impl Read for At<'_> {
 /// the lines that start in its share of the rest; the last share runs to
 /// end of file. Chunks come back in share order, and the first share's
 /// read failure wins.
+///
+/// `new(bytes)` makes a chunk that will be given `bytes` of the file
+/// (0 when the length is unknown). The first chunk is told the whole rest
+/// of the file: it is the one the merge grows to the whole list.
 fn stream_file<C: Scan>(
     mut head: Blocks<&std::fs::File>,
     len: Option<u64>,
     pool: Option<&ThreadPool>,
-    new: impl Fn() -> C + Sync,
+    new: impl Fn(u64) -> C + Sync,
 ) -> Result<Vec<C>, GraphError> {
     let start = head.base + head.start as u64;
     let (pool, len) = match (pool, len) {
         (Some(pool), Some(len)) if pool.num_threads() > 1 && len > start => (pool, len),
         _ => {
-            let mut chunk = new();
+            let mut chunk = new(len.map_or(0, |len| len.saturating_sub(start)));
             head.stream(false, u64::MAX, &mut chunk)?;
             return Ok(vec![chunk]);
         }
@@ -452,7 +522,12 @@ fn stream_file<C: Scan>(
         // A share that starts past `start` may start inside a line.
         let seek = from > start;
         let at = from - u64::from(seek);
-        let mut chunk = new();
+        let bytes = if seek {
+            to.unwrap_or(len) - from
+        } else {
+            len - start
+        };
+        let mut chunk = new(bytes);
         let mut blocks = Blocks::new(At { file, pos: at }, at, opts, block);
         blocks.stream(seek, to.unwrap_or(u64::MAX), &mut chunk)?;
         Ok(chunk)
@@ -514,6 +589,9 @@ impl TextErrKind {
 /// [`merge_text_chunks`], so every path shares every byte of parsing logic.
 #[derive(Debug, Default)]
 struct TextChunk {
+    /// Input bytes whose edges the first scan makes room for
+    /// ([`TextChunk::presize`]); 0 to grow as edges come.
+    presize: u64,
     edges: Vec<(VertexId, VertexId)>,
     weights: Vec<f64>,
     max_v: VertexId,
@@ -528,20 +606,76 @@ struct TextChunk {
 }
 
 impl Scan for TextChunk {
-    fn scan(&mut self, bytes: &[u8], eof: bool, limit: usize) -> Option<usize> {
-        scan_lines(bytes, eof, limit, |fields, raw| {
-            let line = self.lines;
-            self.lines += 1;
-            match fields {
-                Some((s, d, w)) => self.edge(line, s, d, w),
-                None => self.token_line(line, raw),
+    fn line(&mut self, fields: Option<Fields>, raw: &[u8]) -> bool {
+        let line = self.lines;
+        self.lines += 1;
+        match fields {
+            Some((s, d, w)) => self.edge(line, s, d, w),
+            None => self.token_line(line, raw),
+        }
+        self.err.is_none()
+    }
+
+    /// Once the chunk's mode is set: every line [`window_line`] reads
+    /// whose weight agrees with the mode, in one loop that keeps its
+    /// counters in registers. Any other line ends the run and goes to
+    /// [`line`](Scan::line), which reports it as it always did.
+    fn run(&mut self, b: &[u8], limit: usize) -> usize {
+        let Some(weighted) = self.weighted else {
+            return 0;
+        };
+        let (mut p, mut lines, mut max_v) = (0, 0, self.max_v);
+        while p < limit {
+            let Some(((s, d, w), len)) = window_line(&b[p..]) else {
+                break;
+            };
+            match w {
+                Some(w) if weighted => self.weights.push(w),
+                None if !weighted => {}
+                _ => break,
             }
-            self.err.is_none()
-        })
+            self.edges.push((s, d));
+            max_v = max_v.max(s).max(d);
+            lines += 1;
+            p += len;
+        }
+        self.lines += lines;
+        self.max_v = max_v;
+        p
+    }
+
+    fn scan(&mut self, bytes: &[u8], eof: bool, limit: usize) -> Option<usize> {
+        if self.presize > 0 {
+            self.presize(&bytes[..bytes.len().min(limit).min(BLOCK_BYTES)]);
+        }
+        scan_lines(self, bytes, eof, limit)
     }
 }
 
 impl TextChunk {
+    /// A chunk that will be given `bytes` of input.
+    fn of(bytes: u64) -> Self {
+        TextChunk {
+            presize: bytes,
+            ..TextChunk::default()
+        }
+    }
+
+    /// Sizes the edge vector once, before the first edge, for the chunk's
+    /// bytes at the line density of `sample`, its first block: the lines
+    /// per byte there, scaled, plus an eighth and a little more, but never
+    /// more than the four bytes of `0 0\n` per edge allow. The block is
+    /// advised onto huge pages ([`reserved`]). Lines longer than the
+    /// sample's cost only address space, given back after the merge; a
+    /// part much denser than the sample grows the vector past it.
+    fn presize(&mut self, sample: &[u8]) {
+        let bytes = u128::from(std::mem::take(&mut self.presize));
+        let lines = sample.iter().filter(|&&c| c == b'\n').count() as u128;
+        let guess = bytes * lines / sample.len().max(1) as u128;
+        let edges = (guess + guess / 8 + 64).min(bytes / 4 + 1);
+        self.edges = reserved(usize::try_from(edges).unwrap_or(usize::MAX));
+    }
+
     fn fail(&mut self, line: usize, kind: TextErrKind) {
         self.err = Some((line, kind));
     }
@@ -585,6 +719,9 @@ impl TextChunk {
             (None, _) => {
                 self.weighted = Some(weight.is_some());
                 self.first_edge_line = line;
+                if weight.is_some() {
+                    self.weights = reserved(self.edges.capacity());
+                }
             }
             _ => {}
         }
@@ -596,9 +733,10 @@ impl TextChunk {
     }
 }
 
-/// Parses one whole newline-delimited byte range.
-fn parse_text_chunk(bytes: &[u8]) -> TextChunk {
-    let mut out = TextChunk::default();
+/// Parses one whole newline-delimited byte range, sized for `presize`
+/// bytes of input (the whole buffer for the range the merge grows).
+fn parse_text_chunk(bytes: &[u8], presize: usize) -> TextChunk {
+    let mut out = TextChunk::of(presize as u64);
     out.scan(bytes, true, usize::MAX);
     out
 }
@@ -610,8 +748,9 @@ fn parse_text_chunk(bytes: &[u8]) -> TextChunk {
 /// absolute line) still wins, so the reported error is independent of the
 /// chunk count.
 ///
-/// The first chunk with edges donates its buffers, grown once to the final
-/// size; the later chunks are copied into the growth by `pool`'s workers,
+/// The first chunk with edges donates its buffers, which the parse sized
+/// for the whole input ([`TextChunk::presize`]) and which grow only if that
+/// fell short; the later chunks are copied into them by `pool`'s workers,
 /// an equal share each (on the calling thread without a pool). The parse
 /// bounded every endpoint by `max_v`, so the list is built without a
 /// second range check.
@@ -696,7 +835,7 @@ fn append_on<T: Copy + Send + Sync>(
     };
     run_shares(pool, writers.into_iter().enumerate().collect(), fill);
     let mut joined = out.into_vec();
-    // A donated buffer grew by doubling; give the slack back.
+    // The donated buffer was sized by an estimate; give the slack back.
     joined.shrink_to_fit();
     joined
 }
@@ -706,7 +845,7 @@ fn append_on<T: Copy + Send + Sync>(
 /// maximum endpoint. Single-threaded; see
 /// [`parse_text_edgelist_parallel`] for the pool-backed variant.
 pub fn parse_text_edgelist(bytes: &[u8]) -> Result<EdgeList, GraphError> {
-    merge_text_chunks(vec![parse_text_chunk(bytes)], None)
+    merge_text_chunks(vec![parse_text_chunk(bytes, bytes.len())], None)
 }
 
 /// Splits `bytes` into `k` near-equal ranges whose boundaries fall just
@@ -741,7 +880,10 @@ pub fn parse_text_edgelist_parallel(
     pool: &ThreadPool,
 ) -> Result<EdgeList, GraphError> {
     let ranges = newline_chunk_ranges(bytes, pool.num_threads());
-    let chunks = pool.run_tasks(ranges, |_, r| parse_text_chunk(&bytes[r]));
+    let chunks = pool.run_tasks(ranges, |_, r| {
+        let presize = if r.start == 0 { bytes.len() } else { r.len() };
+        parse_text_chunk(&bytes[r], presize)
+    });
     merge_text_chunks(chunks, Some(pool))
 }
 
@@ -836,7 +978,7 @@ fn load_text_streamed(
     let file = open_for_load(path)?;
     let len = budgeted_len(&file, opts)?;
     let head = Blocks::new(&file, 0, opts, block);
-    merge_text_chunks(stream_file(head, len, pool, TextChunk::default)?, pool)
+    merge_text_chunks(stream_file(head, len, pool, TextChunk::of)?, pool)
 }
 
 /// Opens a graph file for one of the path loaders. Every one of them is
@@ -1043,13 +1185,11 @@ impl Scan for MmChunk {
     /// the declared entry count (the sequential parser's eager-surplus
     /// guard, which keeps a hostile oversized body from growing the vectors
     /// unboundedly).
-    fn scan(&mut self, bytes: &[u8], eof: bool, limit: usize) -> Option<usize> {
-        scan_lines(bytes, eof, limit, |fields, raw| {
-            if let Err(e) = self.entry(fields, raw) {
-                self.err = Some(e);
-            }
-            self.err.is_none()
-        })
+    fn line(&mut self, fields: Option<Fields>, raw: &[u8]) -> bool {
+        if let Err(e) = self.entry(fields, raw) {
+            self.err = Some(e);
+        }
+        self.err.is_none()
     }
 }
 
@@ -1201,7 +1341,7 @@ fn load_mm_streamed(
     let reserve = mm_reserve(&h, pool.map_or(1, ThreadPool::num_threads));
     mm_merge(
         &h,
-        stream_file(head, len, pool, || MmChunk::new(h, reserve))?,
+        stream_file(head, len, pool, |_| MmChunk::new(h, reserve))?,
     )
 }
 
@@ -1597,7 +1737,7 @@ mod tests {
         ];
         let pools = [2, 3].map(ThreadPool::single_group);
         for pool in [None, Some(&pools[0]), Some(&pools[1])] {
-            let chunks = texts.map(|t| parse_text_chunk(t.as_bytes()));
+            let chunks = texts.map(|t| parse_text_chunk(t.as_bytes(), t.len()));
             let el = merge_text_chunks(chunks.into(), pool).unwrap();
             assert_eq!(
                 el.edges(),
@@ -2001,6 +2141,104 @@ mod tests {
         }
     }
 
+    /// The window reads a line exactly when both ids have one to seven
+    /// digits, one blank parts them, the weight (if any) follows one blank
+    /// and `b` holds the window and the line's end; and then it reads what
+    /// the general reading does. Every id length, on every ending, with the
+    /// next line's bytes from none to a whole window behind it.
+    #[test]
+    fn the_window_reads_the_common_lines_as_the_general_reading_does() {
+        let ids = (1..=10u32).map(|n| "1234567890"[..n as usize].to_string());
+        let ids: Vec<String> = ids.chain(["0".into(), "4294967295".into()]).collect();
+        let ends = [
+            "\n",
+            "\r\n",
+            " \n",
+            "\r",
+            " 2.5\n",
+            "\t-0.5\r\n",
+            "  1\n",
+            " x\n",
+        ];
+        let mut windowed = 0;
+        for s in &ids {
+            for d in &ids {
+                for sep in [" ", "\t", "  ", "x", "\x0c"] {
+                    for end in ends {
+                        for pad in 0..=16 {
+                            let line = format!("{s}{sep}{d}{end}");
+                            let b = format!("{line}{}", &"7 8\n9 10\n11 12\n13"[..pad]);
+                            let b = b.as_bytes();
+                            let general = general_line(b);
+                            assert_eq!(fast_line(b), general, "{line:?} + {pad}");
+                            let common = s.len() <= 7 && d.len() <= 7 && [" ", "\t"].contains(&sep);
+                            let ending = ["\n", "\r\n", " 2.5\n", "\t-0.5\r\n"].contains(&end);
+                            let read = window_line(b);
+                            let want = common && ending && b.len() >= 16;
+                            assert_eq!(read.is_some(), want, "{line:?} + {pad}");
+                            if want {
+                                assert_eq!(read, general, "{line:?} + {pad}");
+                                assert_eq!(read.map(|r| r.1), Some(line.len()));
+                                windowed += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(windowed > 2000, "the window read {windowed} lines");
+        // A window past the end of `b`, or a line's end past the end of
+        // `b`, is the general reading's.
+        assert_eq!(window_line(b"1 2\n"), None);
+        assert_eq!(
+            window_line(b"1234567 1234567\n"),
+            Some(((1234567, 1234567, None), 16))
+        );
+        assert_eq!(
+            window_line(b"1234567 1234567\r\n"),
+            Some(((1234567, 1234567, None), 17))
+        );
+        assert_eq!(window_line(b"1234567 1234567\r"), None);
+        assert_eq!(window_line(b"12345678 1 0 0 0 0\n"), None);
+    }
+
+    /// No load keeps a reservation: the list's vectors hold exactly its
+    /// edges and weights, on every worker count and entry point, whether
+    /// the first block's guess was exact (`0 0` lines, the densest there
+    /// are), had nothing to go on (comments only) or was low (weighted
+    /// lines after short ones).
+    #[test]
+    fn loads_leave_no_spare_capacity() {
+        let zeros = "0 0\n".repeat(300_000);
+        let comments = "# nothing here\n".repeat(20_000);
+        let mut weighted = "1 2 0.5\n".repeat(30_000);
+        for i in 0..60_000u32 {
+            weighted.push_str(&format!("{} {} {}.25\n", i * 7919, i, i % 100));
+        }
+        let path = std::env::temp_dir().join(format!("grazelle_io_cap_{}", std::process::id()));
+        for text in [&zeros, &comments, &weighted] {
+            std::fs::write(&path, text).unwrap();
+            let want = parse_text_edgelist(text.as_bytes()).unwrap();
+            for threads in [1, 2, 8] {
+                let pool = ThreadPool::single_group(threads);
+                let buffer = parse_text_edgelist_parallel(text.as_bytes(), &pool).unwrap();
+                let file = load_text_parallel(&path, &pool).unwrap();
+                for el in [buffer, file] {
+                    assert_eq!(el.edges(), want.edges());
+                    assert_eq!(el.weights(), want.weights());
+                    let (_, edges, weights) = el.into_parts();
+                    assert_eq!(edges.capacity(), edges.len(), "{threads} threads");
+                    if let Some(w) = weights {
+                        assert_eq!(w.capacity(), w.len(), "{threads} threads");
+                    }
+                }
+            }
+            let (_, edges, _) = want.into_parts();
+            assert_eq!(edges.capacity(), edges.len());
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn fast_weights_match_str_parse_bit_for_bit() {
         let taken = |s: &str| {
@@ -2098,7 +2336,7 @@ mod tests {
 
         /// Lines no well-formed file needs: ids at and past the limits,
         /// odd whitespace, extra tokens, junk.
-        const ODD: [&str; 16] = [
+        const ODD: [&str; 18] = [
             "4294967295 1",
             "4294967296 0",
             "9999999999999999999 1",
@@ -2115,6 +2353,8 @@ mod tests {
             "0 1 x",
             "0 1\t",
             "\x0b0 1",
+            "0\x0b1",
+            "12x34",
         ];
 
         fn mix(mut z: u64) -> u64 {
@@ -2132,9 +2372,26 @@ mod tests {
             }
         }
 
+        /// An id drawn from `r`: one time in four below 60, so that lines
+        /// share ids; otherwise of one to ten digits, each length alike, so
+        /// that every run length the window's digit fold takes and the
+        /// longer ones it leaves to the general reading come up. Ten-digit
+        /// ids reach `u32::MAX` and stop there; `ODD` lines go past it.
+        fn id(r: u64) -> u64 {
+            let m = mix(r);
+            let digits = 1 + (m >> 8) as u32 % 10;
+            match (r % 4, digits) {
+                (0, _) => m % 60,
+                (_, 1) => m % 10,
+                (_, 10) if (m >> 40).is_multiple_of(8) => u64::from(u32::MAX),
+                (_, 10) => u64::from(u32::MAX) - m % 3_294_967_296,
+                _ => 10u64.pow(digits - 1) * (1 + m % 9) + m % 10u64.pow(digits - 1),
+            }
+        }
+
         /// One line of a text corpus, drawn from `r`.
         fn text_line(r: u64, weighted: bool) -> String {
-            let (a, b) = ((r >> 8) % 60, (r >> 16) % 60);
+            let (a, b) = (id(r >> 8), id(r >> 16));
             let sep = [" ", "\t", "  ", " \t "][(r >> 24) as usize % 4];
             let tail = ["", "", " ", "\t"][(r >> 26) as usize % 4];
             let w = |r| format!("{sep}{}", weight(r));

@@ -18,8 +18,9 @@
 //! 64 MiB of slack. Resident memory then follows live memory, run after
 //! run. The price is first-touch page faults on every large block (DESIGN.md
 //! §19). [`WorkerFilled`] lets a parallel builder take those faults on its
-//! workers, once, and it and [`zeroed`] advise a fresh large block onto
-//! transparent huge pages, so a fault maps 2 MiB instead of 4 KiB.
+//! workers, once, and it, [`zeroed`] and [`reserved`] advise a fresh large
+//! block onto transparent huge pages, so a fault maps 2 MiB instead of
+//! 4 KiB.
 //!
 //! The pin also caps glibc at one malloc arena. By default each thread
 //! that allocates under contention may get an arena of its own, which then
@@ -135,6 +136,17 @@ pub fn zeroed<T: Clone + Default>(len: usize) -> Vec<T> {
     block
 }
 
+/// An empty vector with room for `cap` elements, in a fresh block: one at
+/// or above the large-block line is advised onto huge pages before
+/// anything is written. For a vector whose final length is known roughly
+/// and fixed up front; pushed past `cap`, it grows as any vector does, into
+/// a block nobody advised.
+pub fn reserved<T>(cap: usize) -> Vec<T> {
+    let block = Vec::with_capacity(cap);
+    advise_fresh(block.as_ptr(), cap);
+    block
+}
+
 /// Pins the policy above, once per process; later calls return at once.
 /// Called by [`ThreadPool::new`](crate::ThreadPool::new) before it spawns a
 /// worker, by the path loaders of `grazelle_graph::io` and by
@@ -180,17 +192,16 @@ impl<T> WorkerFilled<T> {
     /// Room for `len` elements, none written, in a fresh block: one at or
     /// above the large-block line is advised onto huge pages.
     pub fn new(len: usize) -> Self {
-        let filled = Self::extending(Vec::new(), len);
-        advise_fresh(filled.vec.as_ptr(), len);
-        filled
+        Self::extending(reserved(len), len)
     }
 
     /// `vec` grown to `len` elements: its own stay where they are, and the
     /// writers fill `vec.len()..len`, in capacity nobody has written.
     ///
-    /// Not advised: `vec` may be grown again, and glibc grows a large
+    /// Not advised here: `vec` may be grown again, and glibc grows a large
     /// block in place (`mremap`) only while it is still one mapping, which
-    /// advice on part of it would split.
+    /// advice on part of it would split. A `vec` with room for `len`
+    /// already (a [`reserved`] one) keeps its block and its advice.
     pub fn extending(mut vec: Vec<T>, len: usize) -> Self {
         let kept = vec.len();
         assert!(kept <= len, "a WorkerFilled does not shrink its vector");
@@ -480,6 +491,12 @@ mod tests {
         assert!(advised(interior));
         let small = zeroed::<u64>(3 << 17);
         let inside = small.as_ptr() as usize + (1 << 20);
+        assert!(!advised(inside));
+        let reserved_large = reserved::<u64>(1 << 20);
+        let interior = reserved_large.as_ptr() as usize + (4 << 20);
+        assert!(advised(interior));
+        let reserved_small = reserved::<u64>(3 << 17);
+        let inside = reserved_small.as_ptr() as usize + (1 << 20);
         assert!(!advised(inside));
     }
 }

@@ -254,17 +254,6 @@ impl ThreadPool {
             .collect()
     }
 
-    /// Like [`ThreadPool::run_map`] but without the `Default` bound: each
-    /// worker's return value travels back through a one-shot slot instead of
-    /// overwriting a default, so the result type only needs `Send`.
-    pub fn run_map_with<R, F>(&self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&WorkerCtx) -> R + Sync,
-    {
-        self.run_tasks(vec![(); self.num_threads], |ctx, ()| f(ctx))
-    }
-
     /// Hands each worker *ownership* of one element of `tasks` (indexed by
     /// global id), runs `f` on it, and collects the results in global-id
     /// order.
@@ -532,17 +521,6 @@ mod tests {
         let pool = ThreadPool::single_group(4);
         let squares = pool.run_map(|ctx| (ctx.global_id * ctx.global_id) as u64);
         assert_eq!(squares, vec![0, 1, 4, 9]);
-    }
-
-    #[test]
-    fn run_map_with_collects_non_default_types() {
-        // A result type with no `Default` impl — the reason the helper exists.
-        struct NoDefault(u64);
-        let pool = ThreadPool::single_group(4);
-        let cubes = pool
-            .run_map_with(|ctx| NoDefault((ctx.global_id * ctx.global_id * ctx.global_id) as u64));
-        let cubes: Vec<u64> = cubes.into_iter().map(|n| n.0).collect();
-        assert_eq!(cubes, vec![0, 1, 8, 27]);
     }
 
     #[test]
