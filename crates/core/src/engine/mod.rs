@@ -23,7 +23,8 @@ use grazelle_sched::ThreadPool;
 use grazelle_vsparse::build::{Vsd, Vss};
 
 /// A graph prepared for Grazelle: both Vector-Sparse orientations, built
-/// once and shared by every run.
+/// once and shared by every run. On a symmetric graph
+/// ([`Graph::is_symmetric`]) they are one encoding, shared.
 #[derive(Debug, Clone)]
 pub struct PreparedGraph {
     /// Vector-Sparse-Destination: top-level vertex = destination, lanes =
@@ -51,11 +52,17 @@ impl PreparedGraph {
     }
 
     /// Both orientations through [`Vsd::encode`], on `pool` or on the
-    /// calling thread.
+    /// calling thread: one encode on a symmetric graph, whose VSS is a
+    /// clone of its VSD sharing the same arrays.
     pub fn build(g: &Graph, pool: Option<&ThreadPool>) -> Self {
+        let vsd = Vsd::encode(g.in_csr(), pool);
+        let vss = match g.is_symmetric() {
+            true => vsd.clone(),
+            false => Vss::encode(g.out_csr(), pool),
+        };
         PreparedGraph {
-            vsd: Vsd::encode(g.in_csr(), pool),
-            vss: Vss::encode(g.out_csr(), pool),
+            vsd,
+            vss,
             num_vertices: g.num_vertices(),
             num_edges: g.num_edges(),
         }
@@ -65,6 +72,7 @@ impl PreparedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grazelle_graph::csr::Csr;
     use grazelle_graph::edgelist::EdgeList;
 
     #[test]
@@ -87,6 +95,41 @@ mod tests {
             pg.vss.vectors()[pg.vss.vector_range(0).start].count_valid(),
             2
         );
+    }
+
+    /// A symmetric graph, weighted or not, is encoded once: the VSS
+    /// shares the VSD's arrays and equals both separately encoded
+    /// orientations at every width; a directed graph keeps two encodings.
+    #[test]
+    fn a_symmetric_graph_is_encoded_once() {
+        let sym = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 1), (1, 2), (4, 4)];
+        let weighted = EdgeList::from_parts(
+            5,
+            sym.to_vec(),
+            Some(vec![0.5, 0.5, f64::NAN, f64::NAN, -0.0, -0.0, 3.0]),
+        )
+        .unwrap();
+        let cases = [
+            (EdgeList::from_pairs(5, &sym).unwrap(), true),
+            (weighted, true),
+            (
+                EdgeList::from_pairs(5, &[(0, 1), (1, 2), (4, 4)]).unwrap(),
+                false,
+            ),
+        ];
+        for (el, symmetric) in cases {
+            let g = Graph::from_edgelist(&el).unwrap();
+            assert_eq!(g.is_symmetric(), symmetric);
+            let vsd = Vsd::from_csr(&Csr::from_edgelist_by_dst(&el));
+            let vss = Vss::from_csr(&Csr::from_edgelist_by_src(&el));
+            for threads in [None, Some(1), Some(2), Some(8)] {
+                let pool = threads.map(ThreadPool::single_group);
+                let pg = PreparedGraph::build(&g, pool.as_ref());
+                let shared = std::ptr::eq(pg.vsd.vectors(), pg.vss.vectors());
+                assert_eq!(shared, symmetric, "{threads:?} threads");
+                assert!(pg.vsd.bit_identical(&vsd) && pg.vss.bit_identical(&vss));
+            }
+        }
     }
 
     #[test]

@@ -72,10 +72,30 @@ impl Csr {
             None => Self::counting_sort(el, by_src, pool),
         };
         debug_assert!(
-            pool.is_none_or(|p| p.num_threads() == 1) || built == Self::build(el, by_src, None),
+            pool.is_none_or(|p| p.num_threads() == 1)
+                || built.bit_identical(&Self::build(el, by_src, None)),
             "several-share CSR build diverged from the one-share build"
         );
         built
+    }
+
+    /// True when `self` and `other` are bit-for-bit the same structure:
+    /// the index, the edges, and the weights by bit pattern, so NaN
+    /// payloads and the sign of a zero count too (`==` on the structure
+    /// compares weights as `f64`). A differing index stops it before the
+    /// edges are read.
+    pub fn bit_identical(&self, other: &Self) -> bool {
+        let weights_eq = match (&self.weights, &other.weights) {
+            (None, None) => true,
+            (Some(a), Some(b)) => {
+                a.len() == b.len()
+                    && a.iter()
+                        .map(|w| w.to_bits())
+                        .eq(b.iter().map(|w| w.to_bits()))
+            }
+            _ => false,
+        };
+        self.index == other.index && self.edges == other.edges && weights_eq
     }
 
     /// The by-source CSR of `el`, and whether its lists came out sorted
@@ -771,6 +791,29 @@ mod tests {
         );
     }
 
+    /// A NaN weight is valid input: the several-share build's debug
+    /// self-check compares bit patterns, not `f64`s, so it neither trips
+    /// on a NaN nor misses a zero whose sign differs.
+    #[test]
+    fn nan_weights_build_on_several_shares() {
+        let mut el = EdgeList::new(4);
+        el.push_weighted(0, 1, 1.0).unwrap();
+        el.push_weighted(1, 2, f64::NAN).unwrap();
+        el.push_weighted(2, 3, -0.0).unwrap();
+        el.push_weighted(3, 0, 2.0).unwrap();
+        let pool = ThreadPool::single_group(2);
+        let par = Csr::from_edgelist_by_src_parallel(&el, &pool);
+        let seq = Csr::from_edgelist_by_src(&el);
+        assert!(par.bit_identical(&seq));
+        assert_ne!(par, seq, "`==` reads NaN as unequal to itself");
+        let mut flipped = seq.clone();
+        flipped.weights.as_mut().unwrap()[2] = 0.0;
+        assert!(!flipped.bit_identical(&seq));
+        let mut payload = seq.clone();
+        payload.weights.as_mut().unwrap()[1] = f64::from_bits(f64::NAN.to_bits() | 1);
+        assert!(!payload.bit_identical(&seq));
+    }
+
     #[test]
     fn parallel_build_handles_empty_and_hub_shapes() {
         let pool = ThreadPool::single_group(4);
@@ -872,7 +915,7 @@ mod tests {
     }
 
     /// An edge list of `n` vertices and `pairs`, weighted if `weights`
-    /// holds a seed (four values in turn, so repeated pairs carry different
+    /// holds bit patterns (taken in turn, so repeated pairs carry different
     /// weights and equal ones), put in the order `shape` names: by
     /// (source, destination), by source only, reverse, in two sorted
     /// halves (by source, then by pair: each worker's share at 2 threads is
@@ -880,15 +923,15 @@ mod tests {
     fn shaped(
         n: usize,
         mut pairs: Vec<(VertexId, VertexId)>,
-        weights: &[u8],
+        weights: &[u64],
         shape: u8,
     ) -> EdgeList {
         let mut weighted: Vec<((VertexId, VertexId), f64)> = pairs
             .drain(..)
             .enumerate()
             .map(|(i, p)| {
-                let w = weights.first().map_or(0, |&w| usize::from(w) + i);
-                (p, (w % 4) as f64 / 4.0)
+                let bits = weights.get(i % weights.len().max(1)).copied();
+                (p, f64::from_bits(bits.unwrap_or(0)))
             })
             .collect();
         match shape {
@@ -914,15 +957,29 @@ mod tests {
         /// bit-identical at every width, on lists sorted by
         /// (source, destination), by source only, reverse-sorted, sorted by
         /// halves and unsorted, with repeated pairs, weighted and not,
-        /// empty and on a single vertex.
+        /// empty and on a single vertex. Weights are any bit pattern: NaN
+        /// payloads, both zeros and both infinities among them, which the
+        /// builds must carry bit for bit.
         #[test]
         fn prop_builders_match_a_counting_sort_and_a_stable_sort(
             n in 1usize..24,
             raw in proptest::collection::vec((0u32..24, 0u32..24), 0..300),
-            weights in proptest::collection::vec(0u8..255, 0..2),
+            weights in proptest::collection::vec((proptest::prelude::any::<u64>(), 0u8..12), 0..6),
             shape in 0u8..5,
         ) {
             let pairs = raw.into_iter().map(|(s, d)| (s % n as u32, d % n as u32)).collect();
+            let special = [
+                f64::NAN.to_bits(),
+                f64::NAN.to_bits() | 0x8000_0000_0000_0001,
+                0.0f64.to_bits(),
+                (-0.0f64).to_bits(),
+                f64::INFINITY.to_bits(),
+                f64::NEG_INFINITY.to_bits(),
+            ];
+            let weights: Vec<u64> = weights
+                .into_iter()
+                .map(|(bits, pick)| special.get(usize::from(pick)).copied().unwrap_or(bits))
+                .collect();
             let el = shaped(n, pairs, &weights, shape);
             let pools = [1, 2, 8].map(ThreadPool::single_group);
             for by_src in [true, false] {
@@ -932,8 +989,7 @@ mod tests {
                 for pool in &pools {
                     let par = Csr::build(&el, by_src, Some(pool));
                     proptest::prop_assert!(
-                        par == seq && par.weights.iter().flatten().map(|w| w.to_bits())
-                            .eq(seq.weights.iter().flatten().map(|w| w.to_bits())),
+                        par.bit_identical(&seq),
                         "{} threads, by_src {}", pool.num_threads(), by_src
                     );
                 }

@@ -11,10 +11,19 @@ use grazelle_sched::ThreadPool;
 /// *grouped by source* (for push) and *grouped by destination* (for pull), so
 /// the graph stores one [`Csr`] per orientation. Both are built once from the
 /// same [`EdgeList`], neighbor-sorted so that layouts are deterministic.
+///
+/// When the two orientations come out bit-identical — index, edges and
+/// weight bit patterns — the graph keeps one copy: an undirected graph
+/// (A = Aᵀ) with symmetric weights, multi-edges included, has its in-edges
+/// equal to its out-edges. [`Graph::in_csr`] then reads the out-edge
+/// structure and [`Graph::is_symmetric`] says so. Every constructor makes
+/// this one decision where the graph is assembled; a directed graph pays
+/// one compare, which stops at the first index entry that differs.
 #[derive(Debug, Clone)]
 pub struct Graph {
     out: Csr,
-    inn: Csr,
+    /// The in-edges, or `None` when they equal `out` bit for bit.
+    inn: Option<Csr>,
     name: String,
 }
 
@@ -37,16 +46,21 @@ impl Graph {
         if el.num_vertices() == 0 {
             return Err(GraphError::EmptyGraph);
         }
-        Ok(Graph {
-            out: Csr::build(el, true, pool),
-            inn: Csr::build(el, false, pool),
-            name: String::new(),
-        })
+        let out = Csr::build(el, true, pool);
+        let inn = Csr::build(el, false, pool);
+        Ok(Self::assemble(out, inn, String::new()))
+    }
+
+    /// The one place a graph is put together: `inn` is dropped, and
+    /// `out` serves both orientations, when the two are bit-identical.
+    fn assemble(out: Csr, inn: Csr, name: String) -> Self {
+        let inn = (!out.bit_identical(&inn)).then_some(inn);
+        Graph { out, inn, name }
     }
 
     /// Builds directly from pre-validated orientations. `out` and `inn` must
     /// describe the same edge multiset; this is checked cheaply (counts), not
-    /// exhaustively.
+    /// exhaustively. One copy is kept when they are bit-identical.
     pub fn from_orientations(out: Csr, inn: Csr, name: &str) -> Result<Self, GraphError> {
         if out.num_vertices() != inn.num_vertices() {
             return Err(GraphError::MalformedIndex(format!(
@@ -62,11 +76,7 @@ impl Graph {
                 inn.num_edges()
             )));
         }
-        Ok(Graph {
-            out,
-            inn,
-            name: name.to_string(),
-        })
+        Ok(Self::assemble(out, inn, name.to_string()))
     }
 
     /// This graph with `inserts` added and `deletes` removed, spliced into
@@ -81,7 +91,8 @@ impl Graph {
     /// adjacency lists are copied as whole runs, so the cost is the copy of
     /// both edge arrays plus the touched lists, and the result is
     /// bit-identical to [`Graph::from_edgelist`] over the edited edge set
-    /// at any pool width. The name carries over.
+    /// at any pool width, one copy kept when the result is symmetric. The
+    /// name carries over.
     ///
     /// Edits carry no weights, so a weighted graph takes none.
     pub fn with_edits(
@@ -119,14 +130,10 @@ impl Graph {
         };
         let (tin, tdel) = (transposed(inserts), transposed(deletes));
         let [out, inn] = crate::csr::splice(
-            [(&self.out, inserts, deletes), (&self.inn, &tin, &tdel)],
+            [(&self.out, inserts, deletes), (self.in_csr(), &tin, &tdel)],
             pool,
         );
-        Ok(Graph {
-            out,
-            inn,
-            name: self.name.clone(),
-        })
+        Ok(Self::assemble(out, inn, self.name.clone()))
     }
 
     /// Attaches a human-readable name (used in experiment output).
@@ -157,16 +164,24 @@ impl Graph {
         self.out.weights().is_some()
     }
 
+    /// True when the in-edges equal the out-edges bit for bit, weights
+    /// included, so one [`Csr`] serves both orientations:
+    /// `in_csr()` and `out_csr()` are then the same structure.
+    pub fn is_symmetric(&self) -> bool {
+        self.inn.is_none()
+    }
+
     /// Edges grouped by source (CSR) — the push engine's structure.
     #[inline]
     pub fn out_csr(&self) -> &Csr {
         &self.out
     }
 
-    /// Edges grouped by destination (CSC) — the pull engine's structure.
+    /// Edges grouped by destination (CSC) — the pull engine's structure;
+    /// the out-edge structure itself on a symmetric graph.
     #[inline]
     pub fn in_csr(&self) -> &Csr {
-        &self.inn
+        self.inn.as_ref().unwrap_or(&self.out)
     }
 
     /// Out-degree of `v`.
@@ -178,7 +193,7 @@ impl Graph {
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: VertexId) -> u32 {
-        self.inn.degree(v)
+        self.in_csr().degree(v)
     }
 
     /// Out-neighbors of `v`, sorted.
@@ -190,7 +205,7 @@ impl Graph {
     /// In-neighbors of `v`, sorted.
     #[inline]
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.inn.neighbors(v)
+        self.in_csr().neighbors(v)
     }
 
     /// Average degree |E| / |V|.
@@ -262,7 +277,8 @@ mod tests {
     /// `base` spliced with `inserts` and `deletes` (unsorted, deletes may
     /// repeat) on a `threads`-wide pool, or on the calling thread at 0,
     /// next to the cold build of the edited edge multiset, both
-    /// orientations compared exactly.
+    /// orientations compared exactly, one copy kept exactly when the cold
+    /// build keeps one.
     fn check_splice(
         n: usize,
         base: &[(u32, u32)],
@@ -286,8 +302,13 @@ mod tests {
         let want: Vec<_> = kept.chain(inserts).copied().collect();
         let cold = Graph::from_edgelist(&EdgeList::from_pairs(n, &want).unwrap()).unwrap();
         let at = format!("{threads} threads, base {base:?} +{inserts:?} -{deletes:?}");
-        if spliced.out_csr() != cold.out_csr() || spliced.in_csr() != cold.in_csr() {
+        if !spliced.out_csr().bit_identical(cold.out_csr())
+            || !spliced.in_csr().bit_identical(cold.in_csr())
+        {
             return Err(format!("spliced != cold at {at}"));
+        }
+        if spliced.is_symmetric() != cold.is_symmetric() {
+            return Err(format!("sharing differs from the cold build at {at}"));
         }
         if spliced.name() != "g" {
             return Err(format!("name lost at {at}"));
@@ -299,7 +320,7 @@ mod tests {
     fn splice_edge_cases_match_a_cold_build() {
         const LAST: u32 = 5;
         type Edges = &'static [(u32, u32)];
-        let cases: [(Edges, Edges, Edges); 6] = [
+        let cases: [(Edges, Edges, Edges); 9] = [
             // No edits at all, on a base with a multi-edge.
             (&[(0, 1), (0, 1), (2, 3)], &[], &[]),
             // Every copy of a multi-edge goes; an absent delete is a no-op.
@@ -320,12 +341,37 @@ mod tests {
                 &[(2, 0), (2, 2), (2, 4)],
                 &[(2, 3), (2, 3)],
             ),
+            // A symmetric base with a multi-edge: a one-way insert
+            // un-shares it, a symmetric pair keeps it shared, and deleting
+            // one way of a pair un-shares it.
+            (
+                &[(0, 1), (1, 0), (1, 2), (2, 1), (1, 2), (2, 1)],
+                &[(3, 4)],
+                &[],
+            ),
+            (
+                &[(0, 1), (1, 0), (1, 2), (2, 1)],
+                &[(3, 4), (4, 3)],
+                &[(1, 2), (2, 1)],
+            ),
+            (&[(0, 1), (1, 0), (5, 5)], &[], &[(0, 1)]),
         ];
         for (base, inserts, deletes) in cases {
             for threads in [0, 1, 2, 8] {
                 check_splice(6, base, inserts, deletes, threads).unwrap();
             }
         }
+        // A one-way edit of a shared base un-shares it; the pair's other
+        // way shares it again.
+        let pairs = [(0, 1), (1, 0), (1, 2), (2, 1)];
+        let shared = Graph::from_edgelist(&EdgeList::from_pairs(6, &pairs).unwrap()).unwrap();
+        assert!(shared.is_symmetric());
+        let one_way = shared.with_edits(&[(3, 4)], &[], None).unwrap();
+        assert!(!one_way.is_symmetric());
+        assert!(one_way
+            .with_edits(&[(4, 3)], &[], None)
+            .unwrap()
+            .is_symmetric());
     }
 
     #[test]
@@ -371,6 +417,74 @@ mod tests {
             // An edge both deleted and inserted is no longer "absent".
             inserts.retain(|e| !deletes.contains(e));
             prop_assert_eq!(check_splice(n, &base, &inserts, &deletes, threads), Ok(()));
+        }
+    }
+
+    /// One structure serves both orientations exactly when they are
+    /// bit-identical: a symmetric graph, weighted or not, multi-edges and
+    /// self-loops included, at every pool width and through every
+    /// constructor; a directed one, or a symmetric topology whose mirrored
+    /// weights differ only in the sign of a zero or a NaN payload, keeps
+    /// two. Either way both orientations read as the plain builds.
+    #[test]
+    fn one_copy_serves_both_orientations_exactly_when_they_are_equal() {
+        let shares = |g: &Graph| std::ptr::eq(g.in_csr(), g.out_csr());
+        let sym = [(0, 1), (1, 0), (1, 2), (2, 1), (1, 2), (2, 1), (3, 3)];
+        let (nan, other_nan) = (f64::NAN, f64::from_bits(f64::NAN.to_bits() | 1));
+        // (name, pairs, weights, shared?)
+        type Case<'a> = (&'a str, &'a [(u32, u32)], Option<Vec<f64>>, bool);
+        let cases: [Case<'_>; 6] = [
+            ("directed", &[(0, 1), (1, 2), (3, 3)], None, false),
+            ("symmetric", &sym, None, true),
+            (
+                "weighted",
+                &sym,
+                Some(vec![1.0, 1.0, nan, nan, -0.0, -0.0, 7.0]),
+                true,
+            ),
+            (
+                "signed zero",
+                &sym,
+                Some(vec![1.0, 1.0, 2.0, 2.0, 0.0, -0.0, 7.0]),
+                false,
+            ),
+            (
+                "NaN payload",
+                &sym,
+                Some(vec![1.0, 1.0, nan, other_nan, 3.0, 3.0, 7.0]),
+                false,
+            ),
+            (
+                "weights one way",
+                &[(0, 1), (1, 0)],
+                Some(vec![1.0, 2.0]),
+                false,
+            ),
+        ];
+        for (name, pairs, weights, symmetric) in cases {
+            let el = EdgeList::from_parts(4, pairs.to_vec(), weights).unwrap();
+            let (by_src, by_dst) = (
+                Csr::from_edgelist_by_src(&el),
+                Csr::from_edgelist_by_dst(&el),
+            );
+            let parts = Graph::from_orientations(by_src.clone(), by_dst.clone(), name).unwrap();
+            let built = [None, Some(1), Some(2), Some(8)].map(|threads| {
+                let pool = threads.map(ThreadPool::single_group);
+                Graph::build(&el, pool.as_ref()).unwrap()
+            });
+            for g in built.iter().chain([&parts]) {
+                assert_eq!(
+                    (g.is_symmetric(), shares(g)),
+                    (symmetric, symmetric),
+                    "{name}"
+                );
+                assert!(g.out_csr().bit_identical(&by_src), "{name}");
+                assert!(g.in_csr().bit_identical(&by_dst), "{name}");
+                for v in 0..4 {
+                    assert_eq!(g.in_neighbors(v), by_dst.neighbors(v), "{name}");
+                    assert_eq!(g.in_degree(v), by_dst.degree(v), "{name}");
+                }
+            }
         }
     }
 

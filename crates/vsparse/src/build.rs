@@ -7,7 +7,7 @@ use grazelle_graph::partition::partition_index;
 use grazelle_graph::types::VertexId;
 use grazelle_sched::alloc::WorkerFilled;
 use grazelle_sched::{run_shares, ThreadPool};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A complete Vector-Sparse edge structure over one orientation.
 ///
@@ -21,8 +21,17 @@ use std::sync::OnceLock;
 /// The vertex index maps each top-level vertex to its first vector, mirroring
 /// Compressed-Sparse; the paper keeps it because frontier checks need to
 /// locate a vertex's vectors even though the inner loop never consults it.
+///
+/// The arrays sit behind one [`Arc`], so `clone()` shares them instead of
+/// copying: on a symmetric graph the VSD and the VSS are one encoding.
 #[derive(Debug, Clone)]
 pub struct VectorSparse<const N: usize = 4> {
+    blocks: Arc<Blocks<N>>,
+}
+
+/// The arrays of one encoding and what is derived from them.
+#[derive(Debug)]
+struct Blocks<const N: usize> {
     vectors: Vec<EdgeVector<N>>,
     /// Per-vector weight lanes, index-aligned with `vectors`; padding lanes
     /// carry 0.0. Present only for weighted graphs ("edge weights …
@@ -114,14 +123,18 @@ impl<const N: usize> VectorSparse<N> {
                 }
             }
         });
+        // The filled blocks move into the `Arc` as they are; an
+        // `Arc<[T]>` would copy each one.
         let built = VectorSparse {
-            vectors: vectors.into_vec(),
-            weights: weights.map(WorkerFilled::into_vec),
-            index,
-            num_vertices: n,
-            num_edges: csr.num_edges(),
-            mean_weight: OnceLock::new(),
-            degrees: OnceLock::new(),
+            blocks: Arc::new(Blocks {
+                vectors: vectors.into_vec(),
+                weights: weights.map(WorkerFilled::into_vec),
+                index,
+                num_vertices: n,
+                num_edges: csr.num_edges(),
+                mean_weight: OnceLock::new(),
+                degrees: OnceLock::new(),
+            }),
         };
         debug_assert!(
             pool.is_none_or(|p| p.num_threads() == 1)
@@ -131,10 +144,15 @@ impl<const N: usize> VectorSparse<N> {
         built
     }
 
-    /// True when `self` and `other` are bit-for-bit the same structure.
-    /// Weight lanes are compared by bit pattern, so NaN payloads count too.
+    /// True when `self` and `other` are bit-for-bit the same structure
+    /// (at once when they share their arrays). Weight lanes are compared
+    /// by bit pattern, so NaN payloads count too.
     pub fn bit_identical(&self, other: &Self) -> bool {
-        let weights_eq = match (&self.weights, &other.weights) {
+        let (this, other) = (&*self.blocks, &*other.blocks);
+        if std::ptr::eq(this, other) {
+            return true;
+        }
+        let weights_eq = match (&this.weights, &other.weights) {
             (None, None) => true,
             (Some(a), Some(b)) => {
                 a.len() == b.len()
@@ -145,41 +163,41 @@ impl<const N: usize> VectorSparse<N> {
             }
             _ => false,
         };
-        self.vectors == other.vectors
-            && self.index == other.index
-            && self.num_vertices == other.num_vertices
-            && self.num_edges == other.num_edges
+        this.vectors == other.vectors
+            && this.index == other.index
+            && this.num_vertices == other.num_vertices
+            && this.num_edges == other.num_edges
             && weights_eq
     }
 
     /// Number of top-level vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.blocks.num_vertices
     }
 
     /// Number of (valid) edges represented.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.blocks.num_edges
     }
 
     /// Number of edge vectors, including padding lanes.
     #[inline]
     pub fn num_vectors(&self) -> usize {
-        self.vectors.len()
+        self.blocks.vectors.len()
     }
 
     /// The flat vector array.
     #[inline]
     pub fn vectors(&self) -> &[EdgeVector<N>] {
-        &self.vectors
+        &self.blocks.vectors
     }
 
     /// Per-vector weight lanes, if the graph is weighted.
     #[inline]
     pub fn weight_vectors(&self) -> Option<&[[f64; N]]> {
-        self.weights.as_deref()
+        self.blocks.weights.as_deref()
     }
 
     /// Mean edge weight; `None` for an unweighted or edgeless structure.
@@ -187,15 +205,19 @@ impl<const N: usize> VectorSparse<N> {
     /// 0.0 and add nothing), O(1) after it; the lane-wise partial sums are
     /// taken in layout order, so equal structures report equal bits.
     pub fn mean_weight(&self) -> Option<f64> {
-        *self.mean_weight.get_or_init(|| {
-            let weights = self.weights.as_ref().filter(|_| self.num_edges > 0)?;
+        *self.blocks.mean_weight.get_or_init(|| {
+            let weights = self
+                .blocks
+                .weights
+                .as_ref()
+                .filter(|_| self.blocks.num_edges > 0)?;
             let mut lanes = [0.0f64; N];
             for w in weights {
                 for (sum, x) in lanes.iter_mut().zip(w) {
                     *sum += x;
                 }
             }
-            Some(lanes.iter().sum::<f64>() / self.num_edges as f64)
+            Some(lanes.iter().sum::<f64>() / self.blocks.num_edges as f64)
         })
     }
 
@@ -217,14 +239,15 @@ impl<const N: usize> VectorSparse<N> {
     }
 
     fn degree_table(&self) -> &(Vec<u32>, u32) {
-        self.degrees.get_or_init(|| {
+        self.blocks.degrees.get_or_init(|| {
             let degrees: Vec<u32> = self
+                .blocks
                 .index
                 .windows(2)
                 .map(|w| match (w[1] - w[0]) as usize {
                     0 => 0,
                     len => {
-                        let last = &self.vectors[w[1] as usize - 1];
+                        let last = &self.blocks.vectors[w[1] as usize - 1];
                         ((len - 1) * N) as u32 + last.count_valid()
                     }
                 })
@@ -237,20 +260,21 @@ impl<const N: usize> VectorSparse<N> {
     /// The vertex index (length `num_vertices + 1`).
     #[inline]
     pub fn index(&self) -> &[u64] {
-        &self.index
+        &self.blocks.index
     }
 
     /// Vector range owned by top-level vertex `v` (used for frontier checks;
     /// the streaming inner loop never needs it).
     #[inline]
     pub fn vector_range(&self, v: VertexId) -> std::ops::Range<usize> {
-        self.index[v as usize] as usize..self.index[v as usize + 1] as usize
+        self.blocks.index[v as usize] as usize..self.blocks.index[v as usize + 1] as usize
     }
 
     /// Iterates `(top_level_vertex, &vector, vector_position)` over the
     /// whole edge array in layout order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &EdgeVector<N>, usize)> + '_ {
-        self.vectors
+        self.blocks
+            .vectors
             .iter()
             .enumerate()
             .map(|(i, v)| (v.top_level_vertex(), v, i))
@@ -259,8 +283,8 @@ impl<const N: usize> VectorSparse<N> {
     /// Expands the structure back to `(tlv, neighbor)` edge pairs — the
     /// inverse of construction, used by tests and format converters.
     pub fn expand_edges(&self) -> Vec<(VertexId, VertexId)> {
-        let mut out = Vec::with_capacity(self.num_edges);
-        for v in &self.vectors {
+        let mut out = Vec::with_capacity(self.blocks.num_edges);
+        for v in &self.blocks.vectors {
             let tlv = v.top_level_vertex() as VertexId;
             for nb in v.valid_neighbors() {
                 out.push((tlv, nb as VertexId));
@@ -272,10 +296,10 @@ impl<const N: usize> VectorSparse<N> {
     /// Average packing efficiency: valid lanes / total lanes (Figure 9's
     /// metric, measured on the built structure).
     pub fn packing_efficiency(&self) -> f64 {
-        if self.vectors.is_empty() {
+        if self.blocks.vectors.is_empty() {
             return 1.0;
         }
-        self.num_edges as f64 / (self.vectors.len() * N) as f64
+        self.blocks.num_edges as f64 / (self.blocks.vectors.len() * N) as f64
     }
 }
 

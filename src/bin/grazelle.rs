@@ -28,7 +28,8 @@
 //!                       build pipeline (default: the -n worker count);
 //!                       output is bit-identical at any thread count
 //!   --timing            print per-phase build timings (parse, csr, csc,
-//!                       vsparse) with parse-bytes/s and edges/s
+//!                       vsparse) with parse-bytes/s and edges/s, and
+//!                       whether one structure serves both orientations
 //!   --trace             record and print a per-iteration flight-recorder
 //!                       table (engine choice, frontier density, phase
 //!                       times, resilience events)
@@ -268,9 +269,15 @@ fn load_and_prepare(o: &Options, build_pool: &ThreadPool) -> (Graph, PreparedGra
     (graph, prepared, profile)
 }
 
-/// The `--timing` build-phase table.
-fn print_build_timing(p: &BuildProfile) {
+/// The `--timing` build-phase table, with how many orientations the
+/// graph stores: one when its in-edges equal its out-edges bit for bit,
+/// which is also why `vsparse` then ran one encode.
+fn print_build_timing(p: &BuildProfile, graph: &Graph) {
     println!("\nBuild Timing ({} thread(s)):", p.threads);
+    match graph.is_symmetric() {
+        true => println!("  orientations  1 (in = out)"),
+        false => println!("  orientations  2"),
+    }
     println!("  parse     {:>10.3} ms", p.parse_ns as f64 / 1e6);
     println!("  csr       {:>10.3} ms", p.csr_ns as f64 / 1e6);
     println!("  csc       {:>10.3} ms", p.csc_ns as f64 / 1e6);
@@ -462,7 +469,7 @@ fn main() {
         cfg.threads, cfg.groups, cfg.pull_mode, cfg.simd
     );
     if o.timing {
-        print_build_timing(&build_profile);
+        print_build_timing(&build_profile, &graph);
     }
 
     let pool = ThreadPool::new(cfg.threads, cfg.groups);

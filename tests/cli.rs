@@ -106,9 +106,14 @@ fn kcore_reports_degeneracy() {
     let path = dir.join("grazelle_cli_kcore.el");
     // 4-clique (coreness 3), symmetrized by the flag.
     std::fs::write(&path, "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n").unwrap();
-    let out = run_ok(&["-i", path.to_str().unwrap(), "--symmetrize", "-a", "kcore"]);
+    let path = path.to_str().unwrap();
+    let out = run_ok(&["-i", path, "--symmetrize", "-a", "kcore", "--timing"]);
     assert!(out.contains("Degeneracy (max core):    3"), "{out}");
-    std::fs::remove_file(&path).ok();
+    // Symmetrized, one structure serves both orientations; as read, two.
+    assert!(out.contains("orientations  1 (in = out)"), "{out}");
+    let out = run_ok(&["-i", path, "-a", "kcore", "--timing"]);
+    assert!(out.contains("orientations  2\n"), "{out}");
+    std::fs::remove_file(path).ok();
 }
 
 #[test]

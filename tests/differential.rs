@@ -27,10 +27,12 @@ use grazelle::graph::edgelist::EdgeList;
 use grazelle::graph::gen::{erdos_renyi, grid_mesh, rmat, RmatConfig};
 use grazelle::prelude::*;
 use grazelle_apps::{
-    bfs, cc, kcore, labelprop, pagerank, sssp, triangle, Bfs, ConnectedComponents, IncrementalBfs,
-    IncrementalCc, IncrementalPageRank, KCore, LabelProp, PageRank, Sssp,
+    bfs, cc, kcore, labelprop, multi_source_reach, pagerank, sssp, triangle, Bfs,
+    ConnectedComponents, IncrementalBfs, IncrementalCc, IncrementalPageRank, KCore, LabelProp,
+    LaneReply, PageRank, Reachability, Sssp, MAX_LANES,
 };
 use grazelle_sched::pool::ThreadPool;
+use grazelle_vsparse::build::{Vsd, Vss};
 use grazelle_vsparse::simd::SimdLevel;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -1214,6 +1216,89 @@ fn inline_direct_fold_matches_pooled_scatter() {
                 "{shape}: x{}: inline {inline}, pooled {pooled}",
                 [2, 8][i]
             );
+        }
+    }
+}
+
+/// A symmetric graph keeps one structure for both orientations and
+/// encodes it once, the VSS sharing the VSD's arrays. On the three graph
+/// families, unweighted and with symmetric rounding weights, that shared
+/// encoding must run exactly like a VSD and a VSS encoded apart: at 1, 2
+/// and 8 threads, the same BFS parents, SSSP distances, CC labels and
+/// PageRank bits, and packed Reach+BFS replies over the shared structure
+/// equal to the single-source programs on the separate encodings.
+#[test]
+fn a_shared_encoding_runs_like_two_separate_ones() {
+    let apart = |g: &Graph| PreparedGraph {
+        vsd: Vsd::from_csr(g.in_csr()),
+        vss: Vss::from_csr(g.out_csr()),
+        num_vertices: g.num_vertices(),
+        num_edges: g.num_edges(),
+    };
+    for family in 0..3u8 {
+        let g = sparse_family_graph(family, 21);
+        let gw = weighted_copy_by(&g, |v, d| {
+            let (lo, hi) = (v.min(d) as u64, v.max(d) as u64);
+            ((lo * 131 + hi * 7) % 64 + 1) as f64 / 7.0
+        });
+        let n = g.num_vertices();
+        assert!(g.is_symmetric() && gw.is_symmetric(), "family {family}");
+        let shared = [PreparedGraph::new(&g), PreparedGraph::new(&gw)];
+        let separate = [apart(&g), apart(&gw)];
+        for pg in &shared {
+            assert!(std::ptr::eq(pg.vsd.vectors(), pg.vss.vectors()));
+        }
+        for pg in &separate {
+            assert!(!std::ptr::eq(pg.vsd.vectors(), pg.vss.vectors()));
+        }
+        // 64 roots, the first 4 BFS lanes, as the server packs them.
+        let roots: Vec<u32> = (0..MAX_LANES).map(|i| ((i * 37 + 5) % n) as u32).collect();
+        let bfs_lanes = 4;
+        for threads in [1usize, 2, 8] {
+            let pool = ThreadPool::single_group(threads);
+            let cfg = EngineConfig::new()
+                .with_threads(threads)
+                .with_granularity(Granularity::VectorsPerChunk(64))
+                .with_max_iterations(2 * n);
+            let outputs = |[pg, pgw]: [&PreparedGraph; 2]| -> Vec<Vec<u64>> {
+                let bfs = Bfs::new(n, roots[0]);
+                run_program_on_pool(pg, &bfs, &cfg, &pool);
+                let sssp = Sssp::new(n, roots[0]);
+                run_program_on_pool(pgw, &sssp, &cfg, &pool);
+                let cc = ConnectedComponents::new(n);
+                run_program_on_pool(pg, &cc, &cfg, &pool);
+                let pr = PageRank::new(&g, pagerank::DAMPING);
+                run_program_on_pool(pg, &pr, &cfg.with_max_iterations(PR_ITERS), &pool);
+                vec![
+                    bfs.parents()
+                        .iter()
+                        .map(|p| p.map_or(u64::MAX, u64::from))
+                        .collect(),
+                    sssp.distances()
+                        .iter()
+                        .map(|d| d.map_or(u64::MAX, f64::to_bits))
+                        .collect(),
+                    cc.labels().iter().map(|&l| u64::from(l)).collect(),
+                    pr.ranks().iter().map(|r| r.to_bits()).collect(),
+                ]
+            };
+            let what = format!("family {family}, {threads} threads");
+            let want = outputs([&separate[0], &separate[1]]);
+            assert_eq!(outputs([&shared[0], &shared[1]]), want, "{what}");
+            let packed = multi_source_reach(&g, None, &roots, bfs_lanes, &pool, None).unwrap();
+            let replies: Vec<LaneReply> = packed.replies().collect();
+            for (lane, &root) in roots.iter().enumerate() {
+                let single = if lane < bfs_lanes {
+                    let prog = Bfs::new(n, root);
+                    run_program_on_pool(&separate[0], &prog, &cfg, &pool);
+                    LaneReply::Parents(prog.parents())
+                } else {
+                    let prog = Reachability::new(n, root);
+                    run_program_on_pool(&separate[0], &prog, &cfg, &pool);
+                    LaneReply::Reached(prog.reached())
+                };
+                assert_eq!(replies[lane], single, "{what}, lane {lane}");
+            }
         }
     }
 }
