@@ -38,9 +38,12 @@ pub fn build_pool(pool: &ThreadPool, edges: usize, cutover_edges: u64) -> Option
     (edges as u64 >= cutover_edges).then_some(pool)
 }
 
-/// Builds both CSR orientations and both Vector-Sparse structures from an
-/// edge list on `pool`, timing each phase. Bit-identical to
-/// `Graph::from_edgelist` + `PreparedGraph::new` at any thread count.
+/// Builds both CSR orientations and the prepared graph from an edge list
+/// on `pool`, timing each phase. Bit-identical to
+/// `Graph::from_edgelist` + `PreparedGraph::new` at any thread count, with
+/// a directed graph's push structure deferred as there
+/// ([`PreparedGraph::build`]), so `vsparse_ns` times the VSD alone on
+/// such a graph.
 ///
 /// Inputs smaller than [`PAR_BUILD_CUTOVER_EDGES`] build on the calling
 /// thread regardless of pool width (see
@@ -105,6 +108,7 @@ mod tests {
     use super::*;
     use crate::incremental::VersionedGraph;
     use grazelle_graph::delta::UpdateBatch;
+    use grazelle_vsparse::build::Vss;
 
     #[test]
     fn profiled_build_matches_plain_build() {
@@ -214,7 +218,8 @@ mod tests {
     }
 
     /// `edges` over `n` vertices, weighted if `weights` holds a seed (four
-    /// values in turn, so repeated pairs carry equal and different ones),
+    /// values in turn — a NaN and a negative zero among them — so repeated
+    /// pairs carry equal and different ones),
     /// in the order `shape` names: by (source, destination), by source
     /// only, reverse, in two sorted halves (by source, then by pair), or as
     /// generated.
@@ -224,7 +229,10 @@ mod tests {
             .enumerate()
             .map(|(i, (s, d))| {
                 let w = weights.first().map_or(0, |&w| usize::from(w) + i);
-                ((s % n as u32, d % n as u32), (w % 4) as f64)
+                (
+                    (s % n as u32, d % n as u32),
+                    [1.0, f64::NAN, -0.0, 3.0][w % 4],
+                )
             })
             .collect();
         match shape {
@@ -250,7 +258,9 @@ mod tests {
         /// `Graph::from_edgelist` + `PreparedGraph::new` does, on sorted,
         /// source-sorted, reverse, half-sorted and unsorted lists with
         /// repeated pairs, weighted and not, edgeless and single-vertex
-        /// ones included.
+        /// ones included. A directed graph's VSS comes out deferred and,
+        /// read on the calling thread or readied on the pool, equals the
+        /// eager encoding at that width, bit for bit.
         #[test]
         fn prop_prepare_profiled_matches_the_plain_build(
             n in 1usize..24,
@@ -265,16 +275,18 @@ mod tests {
                 let pool = ThreadPool::single_group(threads);
                 for cutover in [0, PAR_BUILD_CUTOVER_EDGES] {
                     let (g, pg, _) = prepare_profiled_with_cutover(&el, &pool, cutover).unwrap();
-                    let bits = |g: &Graph| -> Vec<Vec<u64>> {
-                        [g.out_csr(), g.in_csr()]
-                            .iter()
-                            .map(|c| c.weights().unwrap_or(&[]).iter().map(|w| w.to_bits()).collect())
-                            .collect()
-                    };
-                    proptest::prop_assert_eq!(g.out_csr(), plain_g.out_csr());
-                    proptest::prop_assert_eq!(g.in_csr(), plain_g.in_csr());
-                    proptest::prop_assert_eq!(bits(&g), bits(&plain_g));
+                    proptest::prop_assert!(g.out_csr().bit_identical(plain_g.out_csr()));
+                    proptest::prop_assert!(g.in_csr().bit_identical(plain_g.in_csr()));
                     proptest::prop_assert!(pg.vsd.bit_identical(&plain_pg.vsd), "{} threads", threads);
+                    proptest::prop_assert_eq!(pg.vss.is_encoded(), g.is_symmetric());
+                    // Readied at the width the set-up used, or read on the
+                    // calling thread, against the eager encoding.
+                    let width = build_pool(&pool, el.num_edges(), cutover);
+                    let vss = match cutover {
+                        0 => pg.vss.ready(width),
+                        _ => &*pg.vss,
+                    };
+                    proptest::prop_assert!(vss.bit_identical(&Vss::encode(g.out_csr(), width)));
                     proptest::prop_assert!(pg.vss.bit_identical(&plain_pg.vss), "{} threads", threads);
                 }
             }

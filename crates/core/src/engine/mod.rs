@@ -18,20 +18,26 @@ pub mod pull;
 pub mod resilient;
 pub mod vertex;
 
+use crate::build::{build_pool, PAR_BUILD_CUTOVER_EDGES};
 use grazelle_graph::graph::Graph;
 use grazelle_sched::ThreadPool;
 use grazelle_vsparse::build::{Vsd, Vss};
+use std::sync::Arc;
 
-/// A graph prepared for Grazelle: both Vector-Sparse orientations, built
-/// once and shared by every run. On a symmetric graph
-/// ([`Graph::is_symmetric`]) they are one encoding, shared.
+/// A graph prepared for Grazelle: both Vector-Sparse orientations, shared
+/// by every run. The pull structure (VSD) is encoded when the graph is
+/// prepared. On a symmetric graph ([`Graph::is_symmetric`]) the push
+/// structure (VSS) is that same encoding, shared; on a directed one it is
+/// deferred (DESIGN.md §12, "Push structure on first push"): the first run
+/// that can push encodes it, so a run that only pulls never pays for it.
 #[derive(Debug, Clone)]
 pub struct PreparedGraph {
     /// Vector-Sparse-Destination: top-level vertex = destination, lanes =
     /// sources. The pull engine's structure.
     pub vsd: Vsd,
     /// Vector-Sparse-Source: top-level vertex = source, lanes =
-    /// destinations. The push engine's structure.
+    /// destinations. The push engine's structure, possibly deferred
+    /// ([`Vss::is_encoded`]).
     pub vss: Vss,
     /// Vertex count.
     pub num_vertices: usize,
@@ -40,25 +46,26 @@ pub struct PreparedGraph {
 }
 
 impl PreparedGraph {
-    /// Builds both orientations from a [`Graph`], on the calling thread.
+    /// Prepares a [`Graph`] on the calling thread.
     pub fn new(g: &Graph) -> Self {
         Self::build(g, None)
     }
 
-    /// [`PreparedGraph::new`] with both orientations encoded on the pool,
+    /// [`PreparedGraph::new`] with the VSD encoded on the pool,
     /// bit-identical at any pool width.
     pub fn new_on_pool(g: &Graph, pool: &ThreadPool) -> Self {
         Self::build(g, Some(pool))
     }
 
-    /// Both orientations through [`Vsd::encode`], on `pool` or on the
-    /// calling thread: one encode on a symmetric graph, whose VSS is a
-    /// clone of its VSD sharing the same arrays.
+    /// The VSD through [`Vsd::encode`], on `pool` or on the calling
+    /// thread. The VSS is a clone of it, sharing the same arrays, on a
+    /// symmetric graph, and [`Vss::deferred`] over the graph's shared
+    /// out-edges on a directed one.
     pub fn build(g: &Graph, pool: Option<&ThreadPool>) -> Self {
         let vsd = Vsd::encode(g.in_csr(), pool);
         let vss = match g.is_symmetric() {
-            true => vsd.clone(),
-            false => Vss::encode(g.out_csr(), pool),
+            true => Vss::from(vsd.clone()),
+            false => Vss::deferred(Arc::clone(g.shared_out_csr())),
         };
         PreparedGraph {
             vsd,
@@ -66,6 +73,18 @@ impl PreparedGraph {
             num_vertices: g.num_vertices(),
             num_edges: g.num_edges(),
         }
+    }
+
+    /// Encodes a deferred VSS now, on `pool` from
+    /// [`PAR_BUILD_CUTOVER_EDGES`] edges up and on the calling thread
+    /// below ([`build_pool`]), as every engine run that can push does on
+    /// entry. Returns whether it was still deferred. Not to be called from a
+    /// worker of `pool` (see [`Vss`]).
+    pub fn ready_push(&self, pool: &ThreadPool) -> bool {
+        let deferred = !self.vss.is_encoded();
+        self.vss
+            .ready(build_pool(pool, self.num_edges, PAR_BUILD_CUTOVER_EDGES));
+        deferred
     }
 }
 
@@ -99,7 +118,8 @@ mod tests {
 
     /// A symmetric graph, weighted or not, is encoded once: the VSS
     /// shares the VSD's arrays and equals both separately encoded
-    /// orientations at every width; a directed graph keeps two encodings.
+    /// orientations at every width; a directed graph's VSS is deferred
+    /// over the graph's own out-edges and, once read, a second encoding.
     #[test]
     fn a_symmetric_graph_is_encoded_once() {
         let sym = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 1), (1, 2), (4, 4)];
@@ -125,9 +145,38 @@ mod tests {
             for threads in [None, Some(1), Some(2), Some(8)] {
                 let pool = threads.map(ThreadPool::single_group);
                 let pg = PreparedGraph::build(&g, pool.as_ref());
+                assert_eq!(pg.vss.is_encoded(), symmetric, "{threads:?} threads");
+                // The out-edges are the graph's, not a copy: held by the
+                // graph and, when deferred, by the VSS.
+                let holders = if symmetric { 1 } else { 2 };
+                assert_eq!(Arc::strong_count(g.shared_out_csr()), holders);
                 let shared = std::ptr::eq(pg.vsd.vectors(), pg.vss.vectors());
                 assert_eq!(shared, symmetric, "{threads:?} threads");
                 assert!(pg.vsd.bit_identical(&vsd) && pg.vss.bit_identical(&vss));
+            }
+        }
+    }
+
+    /// `ready_push` encodes a deferred VSS once, on the pool from the
+    /// set-up cutover up, and says whether it was deferred; a clone of
+    /// the prepared graph shares the encoding.
+    #[test]
+    fn ready_push_encodes_a_deferred_vss_once() {
+        let cut = PAR_BUILD_CUTOVER_EDGES as u32;
+        let small = EdgeList::from_pairs(8, &[(0, 1), (0, 2), (3, 1), (5, 7)]).unwrap();
+        let large: Vec<(u32, u32)> = (0..cut).map(|i| (i % 512, (i / 512 + i) % 512)).collect();
+        let large = EdgeList::from_pairs(512, &large).unwrap();
+        for el in [small, large] {
+            let g = Graph::from_edgelist(&el).unwrap();
+            let eager = Vss::from_csr(g.out_csr());
+            for threads in [1, 2, 8] {
+                let pool = ThreadPool::single_group(threads);
+                let pg = PreparedGraph::new(&g);
+                let twin = pg.clone();
+                assert!(pg.ready_push(&pool), "{threads} threads");
+                assert!(!pg.ready_push(&pool) && !twin.ready_push(&pool));
+                assert!(std::ptr::eq(pg.vss.vectors(), twin.vss.vectors()));
+                assert!(pg.vss.bit_identical(&eager), "{threads} threads");
             }
         }
     }

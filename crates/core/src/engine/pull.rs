@@ -30,7 +30,7 @@ use grazelle_sched::chunks::{ChunkScheduler, ChunkSource};
 use grazelle_sched::pool::{ThreadPool, WorkerCtx};
 use grazelle_sched::slots::SlotBuffer;
 use grazelle_vsparse::active::ActiveVectorList;
-use grazelle_vsparse::build::{Vsd, Vss};
+use grazelle_vsparse::build::{VectorSparse, Vsd};
 use grazelle_vsparse::simd::{Carry, SimdLevel};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
@@ -643,7 +643,7 @@ pub fn edge_pull<K: EdgeKernel>(
 /// edge array.
 pub fn active_vector_list(
     vsd: &Vsd,
-    vss: &Vss,
+    vss: &VectorSparse,
     frontier: &Frontier,
     converged: Option<&crate::frontier::DenseBitmap>,
 ) -> ActiveVectorList {

@@ -74,7 +74,7 @@ use crate::stats::Profiler;
 use crate::trace::SpanClock;
 use grazelle_sched::chunks::ChunkScheduler;
 use grazelle_sched::pool::{ThreadPool, WorkerCtx};
-use grazelle_vsparse::build::Vss;
+use grazelle_vsparse::build::VectorSparse;
 use std::sync::atomic::Ordering;
 
 /// Destination-chunk width of the SPA radix partition. Fixed — never a
@@ -259,7 +259,7 @@ impl SpaScratch {
 /// source fits is accepted in O(1), leaving its index lines to the scan's
 /// prefetch.
 pub(crate) fn frontier_fits_inline(
-    vss: &Vss,
+    vss: &VectorSparse,
     frontier: &Frontier,
     n: usize,
     cutoff: usize,
@@ -358,7 +358,7 @@ const LINE_PREFETCH_DISTANCE: usize = 8;
 /// [`EdgeKernel`] for the Edge phase, from the program's live values for
 /// the in-place drain.
 struct Scan<'a, M> {
-    vss: &'a Vss,
+    vss: &'a VectorSparse,
     converged: Option<&'a DenseBitmap>,
     /// The structure's weight vectors; `None` when the messages ignore
     /// them, so the scan neither loads nor prefetches a weight line.
@@ -369,7 +369,7 @@ struct Scan<'a, M> {
 
 /// The scan an Edge phase of `kernel` runs.
 fn kernel_scan<'a, K: EdgeKernel>(
-    vss: &'a Vss,
+    vss: &'a VectorSparse,
     kernel: &'a K,
 ) -> Scan<'a, impl Fn(u32, u32, f64) -> f64 + Sync + 'a> {
     Scan {
@@ -485,7 +485,7 @@ pub(crate) struct Drained {
 /// [`GraphProgram::identity_apply_is_noop`] as well (an untouched vertex
 /// needs no apply), over all-identity accumulators, which it leaves so.
 pub(crate) fn drain_bucket<P: GraphProgram>(
-    vss: &Vss,
+    vss: &VectorSparse,
     prog: &P,
     bucket: &Frontier,
     queue: &mut BucketQueue,
@@ -528,7 +528,7 @@ pub(crate) fn drain_bucket<P: GraphProgram>(
 /// [`edge_push_spa`] runs it below its inline cutoff, and a contained run
 /// redoes a panicked overlay fold with it.
 pub(crate) fn fold_inline<K: EdgeKernel>(
-    vss: &Vss,
+    vss: &VectorSparse,
     kernel: &K,
     frontier: &Frontier,
     mut on_fold: impl FnMut(u32),
@@ -556,7 +556,7 @@ pub(crate) fn fold_inline<K: EdgeKernel>(
 /// of threads that ran the phase: 1 on the inline fast path, else the pool
 /// width.
 pub fn edge_push_spa<K: EdgeKernel>(
-    vss: &Vss,
+    vss: &VectorSparse,
     kernel: &K,
     frontier: &Frontier,
     pool: &ThreadPool,

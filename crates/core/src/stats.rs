@@ -329,7 +329,9 @@ pub struct BuildProfile {
     pub csr_ns: u64,
     /// By-destination counting sort + neighbor sort (the pull CSC) (ns).
     pub csc_ns: u64,
-    /// Vector-Sparse encoding for both orientations (VSD + VSS) (ns).
+    /// Vector-Sparse encoding at set-up (ns): the VSD, which a symmetric
+    /// graph's VSS shares; a directed graph's VSS is encoded by its first
+    /// push, outside this phase.
     pub vsparse_ns: u64,
     /// Input bytes fed to the parser (0 when nothing was read).
     pub input_bytes: u64,

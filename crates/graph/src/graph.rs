@@ -4,6 +4,7 @@ use crate::csr::Csr;
 use crate::edgelist::EdgeList;
 use crate::types::{GraphError, VertexId};
 use grazelle_sched::ThreadPool;
+use std::sync::Arc;
 
 /// An immutable directed graph holding both edge groupings.
 ///
@@ -19,11 +20,16 @@ use grazelle_sched::ThreadPool;
 /// structure and [`Graph::is_symmetric`] says so. Every constructor makes
 /// this one decision where the graph is assembled; a directed graph pays
 /// one compare, which stops at the first index entry that differs.
+///
+/// Each orientation sits behind an [`Arc`], so a clone of the graph shares
+/// its edges, and so does a structure derived from one orientation later:
+/// a deferred push structure holds the out-edges through
+/// [`Graph::shared_out_csr`] instead of a copy of them.
 #[derive(Debug, Clone)]
 pub struct Graph {
-    out: Csr,
+    out: Arc<Csr>,
     /// The in-edges, or `None` when they equal `out` bit for bit.
-    inn: Option<Csr>,
+    inn: Option<Arc<Csr>>,
     name: String,
 }
 
@@ -54,8 +60,12 @@ impl Graph {
     /// The one place a graph is put together: `inn` is dropped, and
     /// `out` serves both orientations, when the two are bit-identical.
     fn assemble(out: Csr, inn: Csr, name: String) -> Self {
-        let inn = (!out.bit_identical(&inn)).then_some(inn);
-        Graph { out, inn, name }
+        let inn = (!out.bit_identical(&inn)).then(|| Arc::new(inn));
+        Graph {
+            out: Arc::new(out),
+            inn,
+            name,
+        }
     }
 
     /// Builds directly from pre-validated orientations. `out` and `inn` must
@@ -130,7 +140,10 @@ impl Graph {
         };
         let (tin, tdel) = (transposed(inserts), transposed(deletes));
         let [out, inn] = crate::csr::splice(
-            [(&self.out, inserts, deletes), (self.in_csr(), &tin, &tdel)],
+            [
+                (self.out_csr(), inserts, deletes),
+                (self.in_csr(), &tin, &tdel),
+            ],
             pool,
         );
         Ok(Self::assemble(out, inn, self.name.clone()))
@@ -177,11 +190,18 @@ impl Graph {
         &self.out
     }
 
+    /// The out-edge structure as a shared handle, for a structure that
+    /// outlives this borrow but must not copy the edges.
+    #[inline]
+    pub fn shared_out_csr(&self) -> &Arc<Csr> {
+        &self.out
+    }
+
     /// Edges grouped by destination (CSC) — the pull engine's structure;
     /// the out-edge structure itself on a symmetric graph.
     #[inline]
     pub fn in_csr(&self) -> &Csr {
-        self.inn.as_ref().unwrap_or(&self.out)
+        self.inn.as_deref().unwrap_or(&self.out)
     }
 
     /// Out-degree of `v`.
@@ -486,6 +506,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The orientations are shared, never copied: a clone reads the same
+    /// structures, and the shared out-edge handle is the out-edge structure
+    /// itself.
+    #[test]
+    fn clones_and_the_shared_handle_share_the_orientations() {
+        let g = sample();
+        let twin = g.clone();
+        assert!(std::ptr::eq(g.out_csr(), twin.out_csr()));
+        assert!(std::ptr::eq(g.in_csr(), twin.in_csr()));
+        assert!(std::ptr::eq(&**g.shared_out_csr(), g.out_csr()));
+        assert_eq!(Arc::strong_count(g.shared_out_csr()), 2);
+        drop(twin);
+        assert_eq!(Arc::strong_count(g.shared_out_csr()), 1);
     }
 
     #[test]

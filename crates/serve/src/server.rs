@@ -771,7 +771,7 @@ fn execute_single(
                         rctx = rctx.with_injector(x);
                     }
                     let vg = shared.graph_state();
-                    let view = engine_view(shared, &vg, run_pool);
+                    let view = engine_view(shared, &vg, run_pool, query, &cfg);
                     single_shot_view(&view, &cfg, &rctx, run_pool, query)
                 }))
             }),
@@ -814,12 +814,27 @@ fn execute_single(
     unreachable!("loop always disposes");
 }
 
-/// The current version's view for an engine run. The first engine read
-/// after a splice encodes the version's Vector-Sparse here, on `pool`;
-/// `encodes` / `encode_ns` count it.
-fn engine_view<'a>(shared: &Shared, vg: &'a VersionedGraph, pool: &ThreadPool) -> GraphView<'a> {
-    let (cold, t) = (!vg.encoded(), Instant::now());
+/// The current version's view for a run of `query` under `cfg`. The first
+/// engine read after a splice encodes the version's Vector-Sparse here, on
+/// `pool`, and so does the first run that can push on a directed version
+/// for its deferred push structures — the ones the engine run would
+/// otherwise encode on entry; `encodes` / `encode_ns` count either.
+fn engine_view<'a>(
+    shared: &Shared,
+    vg: &'a VersionedGraph,
+    pool: &ThreadPool,
+    query: Query,
+    cfg: &EngineConfig,
+) -> GraphView<'a> {
+    let t = Instant::now();
+    let mut cold = !vg.encoded();
     let view = vg.view(pool);
+    if query.can_push(cfg) {
+        cold |= view.pg.ready_push(pool);
+    }
+    if let Some(d) = view.delta_pg.filter(|d| d.num_edges > 0) {
+        cold |= d.ready_push(pool);
+    }
     if cold {
         let mut stats = shared.stats.lock().unwrap();
         stats.encodes += 1;
@@ -1501,9 +1516,10 @@ mod tests {
         assert!(packed.iter().all(Result::is_ok));
         assert!(on.packed_overlay_runs >= 1 && on.packed_bfs_queries >= 1);
         assert_eq!(on.merges, 1);
-        // Packs read CSR/CSC only; the first lone query encodes the last
-        // version, the second reads it.
-        assert_eq!(on.encodes, 1);
+        // The plug's CC encodes the push structure the starting version's
+        // directed graph left deferred; packs read CSR/CSC only; the first
+        // lone query encodes the last version, the second reads it.
+        assert_eq!(on.encodes, 2);
 
         // Every reply equals a cold build of the edge set of its version.
         let mut edges: Vec<(u32, u32)> = g.out_csr().iter_edges().map(|(s, d, _)| (s, d)).collect();
@@ -1536,34 +1552,63 @@ mod tests {
         }
     }
 
+    /// The first engine query after the splices encodes the version once,
+    /// its deferred push structure included when the query can push; a
+    /// PageRank first encodes the pull structure alone, and the first
+    /// query after it that can push encodes, and counts, the rest.
     #[test]
     fn the_first_engine_query_after_the_splices_encodes_once() {
-        let (g, pg) = serve_graph(96);
-        let server = Server::start(Arc::clone(&g), Arc::clone(&pg), base_cfg());
-        let mut edges: Vec<(u32, u32)> = g.out_csr().iter_edges().map(|(s, d, _)| (s, d)).collect();
-        let mut inserts = UpdateBatch::new();
-        inserts.insert(0, 60).insert(60, 1);
-        let mut merging = UpdateBatch::new();
-        merging.delete(0, 1).insert(7, 90);
-        for batch in [inserts, merging] {
-            edges.retain(|e| !batch.deletes().contains(e));
-            edges.extend_from_slice(batch.inserts());
-            server.submit_update(batch).unwrap().wait().unwrap();
-        }
-        assert_eq!(server.stats().encodes, 0, "updates only splice");
+        let pr = Query::PageRank { iterations: 3 };
+        // (queries, encodes after each, push structure encoded after each)
+        type Order<'a> = (&'a [Query], &'a [u64], &'a [bool]);
+        let orders: [Order<'_>; 2] = [
+            (&[Query::Cc, Query::Bfs { root: 7 }], &[1, 1], &[true, true]),
+            (
+                &[pr, Query::Cc, Query::Bfs { root: 7 }],
+                &[1, 2, 2],
+                &[false, true, true],
+            ),
+        ];
+        for (queries, encodes, pushed) in orders {
+            let (g, pg) = serve_graph(96);
+            let server = Server::start(Arc::clone(&g), Arc::clone(&pg), base_cfg());
+            let mut edges: Vec<(u32, u32)> =
+                g.out_csr().iter_edges().map(|(s, d, _)| (s, d)).collect();
+            let mut inserts = UpdateBatch::new();
+            inserts.insert(0, 60).insert(60, 1);
+            let mut merging = UpdateBatch::new();
+            merging.delete(0, 1).insert(7, 90);
+            for batch in [inserts, merging] {
+                edges.retain(|e| !batch.deletes().contains(e));
+                edges.extend_from_slice(batch.inserts());
+                server.submit_update(batch).unwrap().wait().unwrap();
+            }
+            assert_eq!(server.stats().encodes, 0, "updates only splice");
 
-        let cold = Graph::from_edgelist(&EdgeList::from_pairs(96, &edges).unwrap()).unwrap();
-        let cold_pg = PreparedGraph::new(&cold);
-        let ecfg = EngineConfig::new().with_threads(2);
-        let pool = ThreadPool::single_group(2);
-        for q in [Query::Cc, Query::Bfs { root: 7 }] {
-            let served = server.submit(q).unwrap().wait().unwrap();
-            let direct = single_shot(&cold, &cold_pg, &ecfg, &ResilienceContext::new(), &pool, q);
-            assert_eq!(served, direct.unwrap(), "{q:?}");
+            let cold = Graph::from_edgelist(&EdgeList::from_pairs(96, &edges).unwrap()).unwrap();
+            assert!(!cold.is_symmetric(), "7 -> 90 has no reverse edge");
+            let cold_pg = PreparedGraph::new(&cold);
+            let ecfg = EngineConfig::new().with_threads(2);
+            let pool = ThreadPool::single_group(2);
+            let (mut before, mut encode_ns) = (0, 0);
+            for ((&q, &want), &pushed) in queries.iter().zip(encodes).zip(pushed) {
+                let served = server.submit(q).unwrap().wait().unwrap();
+                let direct =
+                    single_shot(&cold, &cold_pg, &ecfg, &ResilienceContext::new(), &pool, q);
+                assert_eq!(served, direct.unwrap(), "{q:?}");
+                let snap = server.stats();
+                assert_eq!(snap.encodes, want, "after {q:?}");
+                // Time is added exactly when an encode is counted.
+                assert_eq!(snap.encode_ns > encode_ns, want > before, "{q:?}");
+                (before, encode_ns) = (want, snap.encode_ns);
+                let vg = server.shared.graph_state();
+                assert!(vg.encoded());
+                assert_eq!(vg.base_prepared(&pool).vss.is_encoded(), pushed, "{q:?}");
+            }
+            let snap = server.drain();
+            assert_eq!(snap.encodes, *encodes.last().unwrap());
+            assert!(snap.encode_ns > 0);
         }
-        let snap = server.drain();
-        assert_eq!(snap.encodes, 1);
-        assert!(snap.encode_ns > 0);
     }
 
     #[test]

@@ -157,8 +157,10 @@ pub struct StatsSnapshot {
     pub update_apply_ns: u64,
     /// The part of `update_apply_ns` spent in merges' splices, ns.
     pub merge_ns: u64,
-    /// Versions whose Vector-Sparse an engine query encoded on demand
-    /// (packed runs never encode).
+    /// Engine queries that encoded structures of their version on demand:
+    /// the first engine read of a version, and the first query that can
+    /// push on a directed version whose push structure an earlier query
+    /// left deferred (packed runs never encode).
     pub encodes: u64,
     /// Wall time of those encodes, ns.
     pub encode_ns: u64,

@@ -53,8 +53,99 @@ struct Blocks<const N: usize> {
 
 /// Vector-Sparse-Destination with the paper's 4-lane (256-bit) vectors.
 pub type Vsd = VectorSparse<4>;
-/// Vector-Sparse-Source with the paper's 4-lane (256-bit) vectors.
-pub type Vss = VectorSparse<4>;
+
+/// Vector-Sparse-Source with the paper's 4-lane (256-bit) vectors: the
+/// push structure, held either as an encoding or *deferred* — the out-edge
+/// [`Csr`] it will be encoded from, shared rather than copied.
+///
+/// A run that only pulls (PageRank) never reads it, so a directed graph's
+/// set-up leaves it deferred and the first reader encodes it, once, into
+/// a [`OnceLock`]. The handle derefs to the encoding, encoding on the
+/// calling thread; [`Vss::ready`] encodes on a pool instead. The encoder
+/// gives the same bits at any width, so whichever reader comes first, all
+/// see the structure an eager [`Vss::encode`] gives. Clones share the
+/// cell: a deferred structure is encoded once for every clone.
+///
+/// A reader on a pool worker must only ever see an encoded handle: a
+/// worker that blocked on the cell while another thread encodes on the
+/// same pool would wait for itself. The engine readies the handle before
+/// its first dispatch and hands the workers the encoding.
+#[derive(Debug, Clone)]
+pub struct Vss(Source);
+
+#[derive(Debug, Clone)]
+enum Source {
+    Encoded(VectorSparse<4>),
+    Deferred(Arc<Deferred>),
+}
+
+#[derive(Debug)]
+struct Deferred {
+    csr: Arc<Csr>,
+    encoded: OnceLock<VectorSparse<4>>,
+}
+
+impl Vss {
+    /// Encodes `csr` now, on `pool` or on the calling thread
+    /// ([`VectorSparse::encode`]).
+    pub fn encode(csr: &Csr, pool: Option<&ThreadPool>) -> Self {
+        Vss(Source::Encoded(VectorSparse::encode(csr, pool)))
+    }
+
+    /// [`Vss::encode`] on the calling thread.
+    pub fn from_csr(csr: &Csr) -> Self {
+        Self::encode(csr, None)
+    }
+
+    /// [`Vss::encode`] on `pool`.
+    pub fn from_csr_parallel(csr: &Csr, pool: &ThreadPool) -> Self {
+        Self::encode(csr, Some(pool))
+    }
+
+    /// The push structure of `csr` (edges grouped by source), encoded by
+    /// its first reader.
+    pub fn deferred(csr: Arc<Csr>) -> Self {
+        Vss(Source::Deferred(Arc::new(Deferred {
+            csr,
+            encoded: OnceLock::new(),
+        })))
+    }
+
+    /// The encoding, encoded first on `pool` (or on the calling thread
+    /// without one) if no earlier reader did. Must not be called from a
+    /// worker of `pool` while the handle may still be deferred.
+    pub fn ready(&self, pool: Option<&ThreadPool>) -> &VectorSparse<4> {
+        match &self.0 {
+            Source::Encoded(vs) => vs,
+            Source::Deferred(d) => d.encoded.get_or_init(|| VectorSparse::encode(&d.csr, pool)),
+        }
+    }
+
+    /// True when the encoding exists: built eagerly, or deferred and read.
+    pub fn is_encoded(&self) -> bool {
+        match &self.0 {
+            Source::Encoded(_) => true,
+            Source::Deferred(d) => d.encoded.get().is_some(),
+        }
+    }
+}
+
+/// An encoding the caller already holds, such as a symmetric graph's VSD,
+/// whose arrays the VSS then shares.
+impl From<VectorSparse<4>> for Vss {
+    fn from(vs: VectorSparse<4>) -> Self {
+        Vss(Source::Encoded(vs))
+    }
+}
+
+impl std::ops::Deref for Vss {
+    type Target = VectorSparse<4>;
+
+    /// [`Vss::ready`] on the calling thread.
+    fn deref(&self) -> &VectorSparse<4> {
+        self.ready(None)
+    }
+}
 
 impl<const N: usize> VectorSparse<N> {
     /// Builds the structure from one Compressed-Sparse orientation, on the
@@ -487,6 +578,88 @@ mod tests {
         let csr = csr_of(30, &hub);
         assert!(VectorSparse::<4>::from_csr_parallel(&csr, &pool)
             .bit_identical(&VectorSparse::<4>::from_csr(&csr)));
+    }
+
+    /// A deferred VSS is encoded by its first reader — a deref on the
+    /// calling thread or `ready` on a pool of any width — into exactly the
+    /// eager encoding, NaN payloads and signed zeros in the weights
+    /// included; clones share the one encoding.
+    #[test]
+    fn a_deferred_vss_encodes_like_an_eager_one() {
+        let mut el = EdgeList::new(40);
+        for s in 0..40u32 {
+            for k in 0..(s % 7) {
+                let w = match (s + k) % 4 {
+                    0 => f64::NAN,
+                    1 => f64::from_bits(f64::NAN.to_bits() | 5),
+                    2 => -0.0,
+                    _ => s as f64 - k as f64 / 3.0,
+                };
+                el.push_weighted(s, (s * 11 + k) % 40, w).unwrap();
+            }
+        }
+        let csr = Arc::new(Csr::from_edgelist_by_src(&el));
+        let pools = [1, 2, 8].map(ThreadPool::single_group);
+        let eager = Vss::from_csr(&csr);
+        assert!(eager.is_encoded());
+        for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+            let vss = Vss::deferred(Arc::clone(&csr));
+            let twin = vss.clone();
+            assert!(!vss.is_encoded() && !twin.is_encoded());
+            let got = match pool {
+                Some(p) => vss.ready(Some(p)),
+                None => &*vss,
+            };
+            assert!(
+                got.bit_identical(&eager),
+                "{:?} threads",
+                pool.map(|p| p.num_threads())
+            );
+            assert!(twin.is_encoded(), "clones share the cell");
+            assert!(std::ptr::eq(twin.vectors(), vss.vectors()));
+            let at_width = pool.map_or_else(
+                || Vss::encode(&csr, None),
+                |p| Vss::from_csr_parallel(&csr, p),
+            );
+            assert!(vss.bit_identical(&at_width));
+        }
+    }
+
+    /// Eight threads racing the first read of a deferred VSS — some by
+    /// deref, some through `ready` on a pool none of them works for —
+    /// encode it once: every thread sees the same vectors.
+    #[test]
+    fn racing_first_readers_encode_once() {
+        let pairs: Vec<(u32, u32)> = (0..3000u32)
+            .flat_map(|s| (0..(s % 13)).map(move |k| (s, (s * 31 + k * 7) % 3000)))
+            .collect();
+        let csr = Arc::new(csr_of(3000, &pairs));
+        let eager = Vss::from_csr(&csr);
+        let pool = ThreadPool::single_group(2);
+        for _ in 0..4 {
+            let vss = Vss::deferred(Arc::clone(&csr));
+            let start = std::sync::Barrier::new(8);
+            let seen: Vec<usize> = std::thread::scope(|scope| {
+                let readers: Vec<_> = (0..8)
+                    .map(|i| {
+                        let (vss, start, pool) = (vss.clone(), &start, &pool);
+                        scope.spawn(move || {
+                            start.wait();
+                            let vs = if i % 2 == 0 {
+                                &*vss
+                            } else {
+                                vss.ready(Some(pool))
+                            };
+                            vs.vectors().as_ptr() as usize
+                        })
+                    })
+                    .collect();
+                readers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            assert!(seen.iter().all(|&p| p == seen[0]), "{seen:?}");
+            assert_eq!(seen[0], vss.vectors().as_ptr() as usize);
+            assert!(vss.bit_identical(&eager));
+        }
     }
 
     /// A CSR of vertices of degree 0 to 8 and one `hub`, then `extra`, the

@@ -30,6 +30,7 @@
 //!   --timing            print per-phase build timings (parse, csr, csc,
 //!                       vsparse) with parse-bytes/s and edges/s, and
 //!                       whether one structure serves both orientations
+//!                       (else the push structure waits for a push)
 //!   --trace             record and print a per-iteration flight-recorder
 //!                       table (engine choice, frontier density, phase
 //!                       times, resilience events)
@@ -271,12 +272,14 @@ fn load_and_prepare(o: &Options, build_pool: &ThreadPool) -> (Graph, PreparedGra
 
 /// The `--timing` build-phase table, with how many orientations the
 /// graph stores: one when its in-edges equal its out-edges bit for bit,
-/// which is also why `vsparse` then ran one encode.
+/// which is also why `vsparse` then ran one encode; with two, `vsparse`
+/// is the pull structure alone, and the push structure is encoded by the
+/// first run that can push.
 fn print_build_timing(p: &BuildProfile, graph: &Graph) {
     println!("\nBuild Timing ({} thread(s)):", p.threads);
     match graph.is_symmetric() {
         true => println!("  orientations  1 (in = out)"),
-        false => println!("  orientations  2"),
+        false => println!("  orientations  2 (push structure on first push)"),
     }
     println!("  parse     {:>10.3} ms", p.parse_ns as f64 / 1e6);
     println!("  csr       {:>10.3} ms", p.csr_ns as f64 / 1e6);

@@ -112,7 +112,32 @@ fn kcore_reports_degeneracy() {
     // Symmetrized, one structure serves both orientations; as read, two.
     assert!(out.contains("orientations  1 (in = out)"), "{out}");
     let out = run_ok(&["-i", path, "-a", "kcore", "--timing"]);
-    assert!(out.contains("orientations  2\n"), "{out}");
+    assert!(
+        out.contains("orientations  2 (push structure on first push)\n"),
+        "{out}"
+    );
+    std::fs::remove_file(path).ok();
+}
+
+/// A directed input keeps two orientations, and its set-up encodes the
+/// pull structure alone: the timing table says the push structure waits
+/// for the first run that can push, and runs that pull only and runs that
+/// push both finish.
+#[test]
+fn a_directed_input_defers_its_push_structure() {
+    let path = std::env::temp_dir().join("grazelle_cli_directed.el");
+    std::fs::write(&path, "0 1\n1 2\n2 0\n2 3\n3 4\n").unwrap();
+    let path = path.to_str().unwrap();
+    let line = "  orientations  2 (push structure on first push)\n";
+    let out = run_ok(&["-i", path, "-a", "pr", "-N", "4", "--timing"]);
+    assert!(out.contains(line), "{out}");
+    assert!(
+        out.contains("PageRank Sum:             1.000000000"),
+        "{out}"
+    );
+    let out = run_ok(&["-i", path, "-a", "bfs", "--engine", "push", "--timing"]);
+    assert!(out.contains(line), "{out}");
+    assert!(out.contains("Vertices Visited:         5"), "{out}");
     std::fs::remove_file(path).ok();
 }
 

@@ -1303,6 +1303,167 @@ fn a_shared_encoding_runs_like_two_separate_ones() {
     }
 }
 
+/// Directed members of the three families, none its own transpose: R-MAT
+/// and Erdős–Rényi as generated, the mesh with each lattice edge kept from
+/// the lower id up only.
+fn directed_family_graph(family: u8, seed: u64) -> Graph {
+    let mut el = match family % 3 {
+        0 => rmat(&RmatConfig::graph500(10, 3.0, seed)),
+        1 => {
+            let mesh = grid_mesh(40, 40, 0.7, seed);
+            let up: Vec<_> = mesh
+                .edges()
+                .iter()
+                .filter(|(s, d)| s < d)
+                .copied()
+                .collect();
+            EdgeList::from_pairs(mesh.num_vertices(), &up).unwrap()
+        }
+        _ => erdos_renyi(1200, 2400, seed, false),
+    };
+    el.sort_and_dedup();
+    Graph::from_edgelist(&el).unwrap()
+}
+
+/// The vertex with the most out-edges (the lowest such id).
+fn widest_source(g: &Graph) -> u32 {
+    let n = g.num_vertices() as u32;
+    (0..n).max_by_key(|&v| (g.out_degree(v), n - v)).unwrap()
+}
+
+/// A directed graph's push structure is deferred at set-up and encoded by
+/// the first run that can push. On directed members of the three families,
+/// at 1, 2 and 8 threads, each program runs on a fresh deferred
+/// preparation (so the run is the one that encodes) and on an eager
+/// struct-literal one: BFS parents, SSSP distances, CC labels, k-core
+/// coreness and PageRank ranks come out the same bits. The frontier
+/// programs leave the VSS encoded; PageRank leaves it deferred.
+#[test]
+fn a_deferred_push_structure_runs_like_an_eager_one() {
+    let eager = |g: &Graph| PreparedGraph {
+        vsd: Vsd::from_csr(g.in_csr()),
+        vss: Vss::from_csr(g.out_csr()),
+        num_vertices: g.num_vertices(),
+        num_edges: g.num_edges(),
+    };
+    for family in 0..3u8 {
+        let g = directed_family_graph(family, 23);
+        let gw = weighted_copy_by(&g, |v, d| {
+            ((v as u64 * 131 + d as u64 * 7) % 64 + 1) as f64 / 7.0
+        });
+        assert!(!g.is_symmetric() && !gw.is_symmetric(), "family {family}");
+        let (n, root) = (g.num_vertices(), widest_source(&g));
+        for threads in [1usize, 2, 8] {
+            let pool = ThreadPool::single_group(threads);
+            let cfg = EngineConfig::new()
+                .with_threads(threads)
+                .with_granularity(Granularity::VectorsPerChunk(64))
+                .with_max_iterations(2 * n);
+            let what = format!("family {family}, {threads} threads");
+            // Each output with whether the run left the VSS encoded.
+            let outputs = |prepare: &dyn Fn(&Graph) -> PreparedGraph| -> Vec<(Vec<u64>, bool)> {
+                let pg = prepare(&g);
+                let (parents, _) = bfs::run_prepared(&pg, &cfg, &pool, root);
+                let bfs = parents
+                    .iter()
+                    .map(|p| p.map_or(u64::MAX, u64::from))
+                    .collect();
+                let bfs = (bfs, pg.vss.is_encoded());
+                let pgw = prepare(&gw);
+                let (dist, _) = sssp::run_prepared(&pgw, &cfg, &pool, root);
+                let sssp = dist
+                    .iter()
+                    .map(|d| d.map_or(u64::MAX, f64::to_bits))
+                    .collect();
+                let sssp = (sssp, pgw.vss.is_encoded());
+                let pg = prepare(&g);
+                let (labels, _) = cc::run_prepared(&pg, &cfg, &pool, false);
+                let cc = (
+                    labels.iter().map(|&l| u64::from(l)).collect(),
+                    pg.vss.is_encoded(),
+                );
+                let pg = prepare(&g);
+                let (core, _) = kcore::run_prepared(&pg, &g, &cfg, &pool);
+                let kcore = (
+                    core.iter().map(|&c| u64::from(c)).collect(),
+                    pg.vss.is_encoded(),
+                );
+                let pg = prepare(&g);
+                let (ranks, stats) = pagerank::run_prepared(&pg, &g, &cfg, &pool, PR_ITERS);
+                assert_eq!(stats.push_iterations, 0, "{what}");
+                let pr = (
+                    ranks.iter().map(|r| r.to_bits()).collect(),
+                    pg.vss.is_encoded(),
+                );
+                vec![bfs, sssp, cc, kcore, pr]
+            };
+            let (deferred, eager) = (outputs(&PreparedGraph::new), outputs(&eager));
+            for (i, ((got, encoded), (want, _))) in deferred.iter().zip(&eager).enumerate() {
+                let app = ["bfs", "sssp", "cc", "kcore", "pagerank"][i];
+                assert_eq!(got, want, "{what}: {app}");
+                assert_eq!(*encoded, app != "pagerank", "{what}: {app}");
+            }
+        }
+    }
+}
+
+/// The set-up a user runs, `prepare_profiled`, on a directed R-MAT above
+/// the pool cutover: PageRank pulls every superstep and never encodes the
+/// push structure, at 1, 2 and 8 threads. BFS, SSSP and CC each encode it
+/// once, on first run: a second run, and a run on a clone of the prepared
+/// graph, read the same encoding, which equals the eager one.
+#[test]
+fn pagerank_never_encodes_the_push_structure_and_traversals_encode_it_once() {
+    let el = rmat(&RmatConfig::graph500(13, 16.0, 3));
+    let pairs = el.num_edges() as u64;
+    assert!(pairs >= grazelle::core::build::PAR_BUILD_CUTOVER_EDGES);
+    for threads in [1usize, 2, 8] {
+        let pool = ThreadPool::single_group(threads);
+        let cfg = EngineConfig::new().with_threads(threads);
+        let (g, pg, _) = grazelle::core::build::prepare_profiled(&el, &pool).unwrap();
+        assert!(!g.is_symmetric());
+        let (_, stats) = pagerank::run_prepared(&pg, &g, &cfg, &pool, 5);
+        assert_eq!(stats.push_iterations, 0);
+        assert!(
+            !pg.vss.is_encoded(),
+            "{threads} threads: PageRank encoded the VSS"
+        );
+
+        let gw = weighted_copy(&g);
+        let eager = [Vss::from_csr(g.out_csr()), Vss::from_csr(gw.out_csr())];
+        let root = widest_source(&g);
+        type Run<'a> = &'a dyn Fn(&PreparedGraph);
+        let runs: [(&str, bool, Run<'_>); 3] = [
+            ("bfs", false, &|pg| {
+                drop(bfs::run_prepared(pg, &cfg, &pool, root))
+            }),
+            ("sssp", true, &|pg| {
+                drop(sssp::run_prepared(pg, &cfg, &pool, root))
+            }),
+            ("cc", false, &|pg| {
+                drop(cc::run_prepared(pg, &cfg, &pool, false))
+            }),
+        ];
+        for (app, weighted, run) in runs {
+            let what = format!("{app}, {threads} threads");
+            let pg = PreparedGraph::new_on_pool(if weighted { &gw } else { &g }, &pool);
+            let twin = pg.clone();
+            assert!(!pg.vss.is_encoded(), "{what}");
+            run(&pg);
+            assert!(pg.vss.is_encoded() && twin.vss.is_encoded(), "{what}");
+            let first = pg.vss.vectors().as_ptr();
+            run(&pg);
+            run(&twin);
+            assert_eq!(pg.vss.vectors().as_ptr(), first, "{what}: encoded again");
+            assert_eq!(twin.vss.vectors().as_ptr(), first, "{what}: encoded again");
+            assert!(
+                pg.vss.bit_identical(&eager[usize::from(weighted)]),
+                "{what}"
+            );
+        }
+    }
+}
+
 /// PageRank over an insert overlay that sends many messages to each
 /// destination: the overlay fold goes through the SPA, so the ranks are the
 /// same bits at 1, 2 and 8 threads, plain and contained. The chunk geometry
