@@ -83,6 +83,7 @@
 
 use grazelle_core::direction::ALPHA;
 use grazelle_core::frontier::DenseBitmap;
+use grazelle_graph::csr::Csr;
 use grazelle_graph::graph::Graph;
 use grazelle_graph::partition::partition_by_edges;
 use grazelle_graph::types::VertexId;
@@ -208,15 +209,29 @@ impl MultiReach {
 
 /// The graph a sweep reads: a base and an optional insert overlay over the
 /// same vertex set, every adjacency list the concatenation of the two.
+/// The in-edge structures are read once, on the calling thread, when the
+/// sweep starts (a directed graph may build them then): the pull step
+/// reads two lists per destination and never goes through the graph.
 #[derive(Clone, Copy)]
 struct Layers<'a> {
     base: &'a Graph,
     overlay: Option<&'a Graph>,
+    base_csc: &'a Csr,
+    overlay_csc: Option<&'a Csr>,
 }
 
 impl<'a> Layers<'a> {
+    fn new(base: &'a Graph, overlay: Option<&'a Graph>) -> Self {
+        Layers {
+            base,
+            overlay,
+            base_csc: base.in_csr(),
+            overlay_csc: overlay.map(Graph::in_csr),
+        }
+    }
+
     fn overlay_in(&self, v: VertexId) -> &'a [VertexId] {
-        self.overlay.map_or(&[][..], |o| o.in_neighbors(v))
+        self.overlay_csc.map_or(&[][..], |o| o.neighbors(v))
     }
 
     fn out_lists(&self, v: VertexId) -> [&'a [VertexId]; 2] {
@@ -308,7 +323,7 @@ impl Walk<'_> {
             }
         };
         let (mut acc, mut beat) = (0u64, 0);
-        for &u in self.g.base.in_neighbors(v) {
+        for &u in self.g.base_csc.neighbors(v) {
             let bits = offer(u);
             if BFS && bits & bfs & !acc != 0 {
                 self.adopt(v, bits & bfs & !acc, u);
@@ -384,7 +399,7 @@ fn sweep_with<W: LevelWord>(
     cancel: Option<&CancelFlag>,
     forced: Option<u64>,
 ) -> Option<MultiReach> {
-    let g = Layers { base, overlay };
+    let g = Layers::new(base, overlay);
     let n = base.num_vertices();
     if let Some(o) = overlay {
         assert_eq!(
@@ -448,10 +463,7 @@ fn sweep_with<W: LevelWord>(
     let mut live = all;
 
     // Pull chunks: edge-balanced runs of whole destinations, one claim each.
-    let chunks = partition_by_edges(
-        base.in_csr(),
-        DEFAULT_CHUNKS_PER_THREAD * pool.num_threads(),
-    );
+    let chunks = partition_by_edges(g.base_csc, DEFAULT_CHUNKS_PER_THREAD * pool.num_threads());
     let claims = ChunkScheduler::new(chunks.len(), chunks.len());
 
     let (mut iterations, mut pull_iterations, mut push_iterations) = (0usize, 0, 0);

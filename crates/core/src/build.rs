@@ -38,12 +38,14 @@ pub fn build_pool(pool: &ThreadPool, edges: usize, cutover_edges: u64) -> Option
     (edges as u64 >= cutover_edges).then_some(pool)
 }
 
-/// Builds both CSR orientations and the prepared graph from an edge list
-/// on `pool`, timing each phase. Bit-identical to
-/// `Graph::from_edgelist` + `PreparedGraph::new` at any thread count, with
-/// a directed graph's push structure deferred as there
-/// ([`PreparedGraph::build`]), so `vsparse_ns` times the VSD alone on
-/// such a graph.
+/// Builds the graph and the prepared graph from an edge list on `pool`,
+/// timing each phase. Bit-identical to `Graph::from_edgelist` +
+/// `PreparedGraph::new` at any thread count, with a directed graph's
+/// in-edges and push structure deferred as there
+/// ([`Graph::from_out_csr`], [`PreparedGraph::build`]): on a graph whose
+/// in-degrees differ from its out-degrees, `csc_ns` times the in-degree
+/// count alone and `vsparse_ns` the VSD alone, encoded from the
+/// out-edges.
 ///
 /// Inputs smaller than [`PAR_BUILD_CUTOVER_EDGES`] build on the calling
 /// thread regardless of pool width (see
@@ -74,7 +76,7 @@ pub fn prepare_profiled_with_cutover(
     if el.num_vertices() == 0 {
         return Err(GraphError::EmptyGraph);
     }
-    // Four edge-scale structures are about to be allocated; an edge list
+    // Edge-scale structures are about to be allocated; an edge list
     // that came from a generator or the wire has not been through a loader.
     grazelle_sched::alloc::pin_large_block_policy();
     let pool = build_pool(pool, el.num_edges(), cutover_edges);
@@ -85,16 +87,16 @@ pub fn prepare_profiled_with_cutover(
         ..BuildProfile::default()
     };
 
-    // Both orientations come out neighbour-sorted.
+    // Both orientations come out neighbour-sorted. On a directed graph
+    // `csc_ns` times the in-degree count alone; its in-edges wait for
+    // their first reader.
     let t = Instant::now();
-    let out = Csr::build(el, true, pool);
+    let out = Csr::build(el, pool);
     profile.csr_ns = t.elapsed().as_nanos() as u64;
 
     let t = Instant::now();
-    let inn = Csr::build(el, false, pool);
+    let g = Graph::from_out_csr(out, pool);
     profile.csc_ns = t.elapsed().as_nanos() as u64;
-
-    let g = Graph::from_orientations(out, inn, "")?;
 
     let t = Instant::now();
     let pg = PreparedGraph::build(&g, pool);
@@ -260,7 +262,10 @@ mod tests {
         /// repeated pairs, weighted and not, edgeless and single-vertex
         /// ones included. A directed graph's VSS comes out deferred and,
         /// read on the calling thread or readied on the pool, equals the
-        /// eager encoding at that width, bit for bit.
+        /// eager encoding at that width, bit for bit. A graph whose
+        /// in-degrees differ from its out-degrees comes out with its CSC
+        /// unbuilt, its VSD encoded from the out-edges all the same; any
+        /// other holds its CSC.
         #[test]
         fn prop_prepare_profiled_matches_the_plain_build(
             n in 1usize..24,
@@ -275,6 +280,9 @@ mod tests {
                 let pool = ThreadPool::single_group(threads);
                 for cutover in [0, PAR_BUILD_CUTOVER_EDGES] {
                     let (g, pg, _) = prepare_profiled_with_cutover(&el, &pool, cutover).unwrap();
+                    let deferred = g.in_index() != g.out_csr().index();
+                    proptest::prop_assert_eq!(g.in_edges_deferred(), deferred);
+                    proptest::prop_assert_eq!(g.built_in_csr().is_none(), deferred);
                     proptest::prop_assert!(g.out_csr().bit_identical(plain_g.out_csr()));
                     proptest::prop_assert!(g.in_csr().bit_identical(plain_g.in_csr()));
                     proptest::prop_assert!(pg.vsd.bit_identical(&plain_pg.vsd), "{} threads", threads);

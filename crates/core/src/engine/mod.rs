@@ -26,7 +26,9 @@ use std::sync::Arc;
 
 /// A graph prepared for Grazelle: both Vector-Sparse orientations, shared
 /// by every run. The pull structure (VSD) is encoded when the graph is
-/// prepared. On a symmetric graph ([`Graph::is_symmetric`]) the push
+/// prepared: from the graph's in-edges when it holds them, and straight
+/// from its out-edges when they are deferred (DESIGN.md §12, "In-edges on
+/// first read"). On a symmetric graph ([`Graph::is_symmetric`]) the push
 /// structure (VSS) is that same encoding, shared; on a directed one it is
 /// deferred (DESIGN.md §12, "Push structure on first push"): the first run
 /// that can push encodes it, so a run that only pulls never pays for it.
@@ -57,12 +59,18 @@ impl PreparedGraph {
         Self::build(g, Some(pool))
     }
 
-    /// The VSD through [`Vsd::encode`], on `pool` or on the calling
-    /// thread. The VSS is a clone of it, sharing the same arrays, on a
-    /// symmetric graph, and [`Vss::deferred`] over the graph's shared
-    /// out-edges on a directed one.
+    /// The VSD, on `pool` or on the calling thread: through
+    /// [`Vsd::encode`] over the in-edges when the graph holds them, and
+    /// through [`Vsd::encode_transposed`] over the out-edges when they are
+    /// deferred, which leaves them deferred. The VSS is a clone of the
+    /// VSD, sharing the same arrays, on a symmetric graph, and
+    /// [`Vss::deferred`] over the graph's shared out-edges on a directed
+    /// one.
     pub fn build(g: &Graph, pool: Option<&ThreadPool>) -> Self {
-        let vsd = Vsd::encode(g.in_csr(), pool);
+        let vsd = match g.built_in_csr() {
+            Some(inn) => Vsd::encode(inn, pool),
+            None => Vsd::encode_transposed(g.out_csr(), g.in_index(), pool),
+        };
         let vss = match g.is_symmetric() {
             true => Vss::from(vsd.clone()),
             false => Vss::deferred(Arc::clone(g.shared_out_csr())),
@@ -152,6 +160,9 @@ mod tests {
                 assert_eq!(Arc::strong_count(g.shared_out_csr()), holders);
                 let shared = std::ptr::eq(pg.vsd.vectors(), pg.vss.vectors());
                 assert_eq!(shared, symmetric, "{threads:?} threads");
+                // The directed graph's in-degrees differ from its
+                // out-degrees: its VSD came from the out-edges.
+                assert_eq!(g.built_in_csr().is_some(), symmetric);
                 assert!(pg.vsd.bit_identical(&vsd) && pg.vss.bit_identical(&vss));
             }
         }

@@ -325,9 +325,13 @@ pub struct BuildProfile {
     /// Text / Matrix-Market / binary parse time (ns); 0 for synthesized
     /// graphs, which never touch a parser.
     pub parse_ns: u64,
-    /// By-source counting sort + neighbor sort (the push CSR) (ns).
+    /// The out-edge CSR: column copy or counting sort, + neighbor sort
+    /// (ns).
     pub csr_ns: u64,
-    /// By-destination counting sort + neighbor sort (the pull CSC) (ns).
+    /// The in-degree count over the CSR, plus its transpose (the CSC)
+    /// where set-up builds it: on a graph whose in-degree sequence equals
+    /// its out-degree sequence. Elsewhere the CSC is built by its first
+    /// reader, outside this phase (ns).
     pub csc_ns: u64,
     /// Vector-Sparse encoding at set-up (ns): the VSD, which a symmetric
     /// graph's VSS shares; a directed graph's VSS is encoded by its first

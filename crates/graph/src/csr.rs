@@ -7,7 +7,7 @@
 //! edge is implied by index position, the other is stored in the edge array.
 
 use crate::edgelist::EdgeList;
-use crate::partition::{partition_index, EdgePartition};
+use crate::partition::{partition_index, split_by_parts, EdgePartition};
 use crate::types::{EdgeId, GraphError, VertexId};
 use grazelle_sched::alloc::{self, RangeWriter, WorkerFilled};
 use grazelle_sched::{run_shares, ThreadPool};
@@ -22,61 +22,118 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds a CSR grouped by **source** from an edge list (counting sort;
-    /// O(|V| + |E|)), each vertex's neighbours sorted as
-    /// [`Csr::sort_neighbors`] sorts them, on the calling thread.
+    /// Builds a CSR grouped by **source** from an edge list, each vertex's
+    /// neighbours sorted as [`Csr::sort_neighbors`] sorts them, on the
+    /// calling thread ([`Csr::build`]).
     pub fn from_edgelist_by_src(el: &EdgeList) -> Self {
-        Self::build(el, true, None)
+        Self::build(el, None)
     }
 
-    /// Builds a CSC (grouped by **destination**) from an edge list. The
-    /// stored endpoint of each edge is then the *source* vertex; each list
-    /// is sorted as in [`Csr::from_edgelist_by_src`].
+    /// Builds a CSC (grouped by **destination**) from an edge list: the
+    /// [`Csr::transpose`] of the by-source build. The stored endpoint of
+    /// each edge is then the *source* vertex; each list is sorted as in
+    /// [`Csr::from_edgelist_by_src`].
     pub fn from_edgelist_by_dst(el: &EdgeList) -> Self {
-        Self::build(el, false, None)
+        Self::build(el, None).transpose(None)
     }
 
     /// [`Csr::from_edgelist_by_src`] on a [`ThreadPool`], bit-identical
     /// at any pool width.
     pub fn from_edgelist_by_src_parallel(el: &EdgeList, pool: &ThreadPool) -> Self {
-        Self::build(el, true, Some(pool))
+        Self::build(el, Some(pool))
     }
 
     /// [`Csr::from_edgelist_by_dst`] on a [`ThreadPool`].
     pub fn from_edgelist_by_dst_parallel(el: &EdgeList, pool: &ThreadPool) -> Self {
-        Self::build(el, false, Some(pool))
+        Self::build(el, Some(pool)).transpose(Some(pool))
     }
 
-    /// The one builder of both orientations: grouped by source if
-    /// `by_src`, by destination otherwise, one share per worker of `pool`,
-    /// or one share on the calling thread without a pool. The result is
-    /// the same at every width.
+    /// The one builder of the out-edge orientation (edges grouped by
+    /// source): one share per worker of `pool`, or one share on the
+    /// calling thread without a pool. The result is the same at every
+    /// width. The in-edge orientation is its [`Csr::transpose`].
     ///
-    /// A by-source build of a list grouped by source is a column copy
-    /// (one pass, no histogram); every other build is the counting sort.
-    /// The lists are sorted afterwards unless the list's order already
-    /// leaves them sorted: a list non-decreasing by (source, destination)
-    /// does for its by-source lists, and a list non-decreasing by source
-    /// does for its by-destination ones (a stable scatter of it puts every
-    /// in-list in ascending order). Skipping is bit-identical to sorting:
-    /// [`Csr::sort_neighbors`] leaves a non-decreasing list as it is, ties
-    /// (repeated pairs, with their weights) included.
-    pub fn build(el: &EdgeList, by_src: bool, pool: Option<&ThreadPool>) -> Self {
-        let built = match by_src.then(|| Self::column_copy(el, pool)).flatten() {
-            Some((mut csr, sorted)) => {
-                if !sorted {
-                    csr.sort_on(pool);
-                }
+    /// A list grouped by source is a column copy (one pass, no histogram);
+    /// any other takes the counting sort. The lists are sorted afterwards
+    /// unless the list is non-decreasing by (source, destination), which
+    /// leaves them sorted already. The sort is stable, so parallel edges
+    /// keep their edge-list order, with their weights, either way.
+    pub fn build(el: &EdgeList, pool: Option<&ThreadPool>) -> Self {
+        let built = match Self::column_copy(el, pool) {
+            Some((csr, true)) => csr,
+            Some((mut csr, false)) => {
+                csr.sort_on(pool);
                 csr
             }
-            None => Self::counting_sort(el, by_src, pool),
+            None => Self::counting_sort(el, pool),
         };
         debug_assert!(
             pool.is_none_or(|p| p.num_threads() == 1)
-                || built.bit_identical(&Self::build(el, by_src, None)),
+                || built.bit_identical(&Self::build(el, None)),
             "several-share CSR build diverged from the one-share build"
         );
         built
+    }
+
+    /// The transpose of this structure, each edge with its weight: the
+    /// in-edges (CSC) of a CSR. One stable scatter in the order of the
+    /// top-level vertices ([`scatter_transposed`]) puts every list of the
+    /// result in ascending order, and parallel edges in this structure's
+    /// list order, so it needs no sort. One share per worker of `pool`
+    /// owns an edge-balanced range of the result's vertices, or one share
+    /// runs on the calling thread; the result is the same at every width.
+    pub fn transpose(&self, pool: Option<&ThreadPool>) -> Self {
+        self.transpose_with_index(self.transposed_index(pool), pool)
+    }
+
+    /// The vertex index of [`Csr::transpose`]: how often each vertex is a
+    /// stored endpoint, counted on `pool` — for a CSR, the in-degrees.
+    pub fn transposed_index(&self, pool: Option<&ThreadPool>) -> Vec<EdgeId> {
+        let edges = &self.edges;
+        counted_index(self.num_vertices(), edges.len(), pool, |e| edges[e])
+    }
+
+    /// [`Csr::transpose`], its vertex index `index` already counted.
+    pub(crate) fn transpose_with_index(
+        &self,
+        index: Vec<EdgeId>,
+        pool: Option<&ThreadPool>,
+    ) -> Self {
+        debug_assert_eq!(index.len(), self.index.len(), "one index entry per vertex");
+        let m = self.num_edges();
+        let parts = partition_index(&index, pool.map_or(1, ThreadPool::num_threads));
+        let mut edges = alloc::zeroed::<VertexId>(m);
+        let mut weights = self.weights.as_ref().map(|_| alloc::zeroed::<f64>(m));
+        let tasks = split_by_parts(&parts, &mut edges, weights.as_deref_mut());
+        let w_in = self.weights();
+        run_shares(pool, tasks, |(part, eslice, mut wslice)| {
+            let first = part.first_vertex as usize;
+            let base = index[first];
+            // Per-vertex write cursors, relative to this share's slice.
+            let mut cursor: Vec<usize> = index[first..part.last_vertex as usize]
+                .iter()
+                .map(|&e| (e - base) as usize)
+                .collect();
+            scatter_transposed(self, part.vertices(), |d, s, e| {
+                let c = &mut cursor[d as usize - first];
+                eslice[*c] = s;
+                if let (Some(w_out), Some(w_in)) = (wslice.as_deref_mut(), w_in) {
+                    w_out[*c] = w_in[e];
+                }
+                *c += 1;
+            });
+        });
+        let transposed = Csr {
+            index,
+            edges,
+            weights,
+        };
+        debug_assert!(
+            pool.is_none_or(|p| p.num_threads() == 1)
+                || transposed.bit_identical(&self.transpose(None)),
+            "several-share transpose diverged from the one-share transpose"
+        );
+        transposed
     }
 
     /// True when `self` and `other` are bit-for-bit the same structure:
@@ -192,73 +249,45 @@ impl Csr {
         Some((csr, sorted))
     }
 
-    /// The counting sort, one share per worker of `pool` (or one on the
-    /// calling thread). Three phases, then the sort:
+    /// The counting sort of a list not grouped by source, one share per
+    /// worker of `pool` (or one on the calling thread), then the list sort:
     ///
-    /// 1. **Histogram** — each share counts key degrees over a disjoint
-    ///    edge sub-range into its own histogram, and checks that the
-    ///    sources never fall (from the pair before the sub-range on).
-    /// 2. **Prefix merge** — one pass on the calling thread sums the
-    ///    histograms into the vertex index (the same index at any width,
-    ///    by commutativity of the per-key sums).
-    /// 3. **Scatter** — the key space is split into per-share ranges of
+    /// 1. **Index** — each share counts source degrees over a disjoint
+    ///    edge sub-range, and one pass sums the counts into the vertex
+    ///    index ([`counted_index`]).
+    /// 2. **Scatter** — the sources are split into per-share ranges of
     ///    near-equal edge count ([`crate::partition::partition_index`]).
-    ///    A key range `[a, b)` owns the *contiguous* output region
+    ///    A source range `[a, b)` owns the *contiguous* output region
     ///    `index[a]..index[b]`, handed to its share as a plain
     ///    `split_at_mut` slice — no aliasing, no `unsafe`. Each share scans
-    ///    the full edge list in order and writes only its own keys, so
+    ///    the full edge list in order and writes only its own sources, so
     ///    within-vertex edge order is the edge-list order at any width.
-    ///
-    /// The lists are then sorted unless the list's order already leaves
-    /// them sorted (see [`Csr::build`]).
-    fn counting_sort(el: &EdgeList, by_src: bool, pool: Option<&ThreadPool>) -> Self {
-        let t = pool.map_or(1, ThreadPool::num_threads);
-        let n = el.num_vertices();
+    fn counting_sort(el: &EdgeList, pool: Option<&ThreadPool>) -> Self {
         let m = el.num_edges();
         let all = el.edges();
         let w_in = el.weights();
-        let share = |i: usize| m * i / t;
-        // Phase 1: per-share histograms over disjoint edge sub-ranges.
-        let counts: Vec<(Vec<u32>, bool)> = run_shares(pool, (0..t).collect(), |i| {
-            let (lo, hi) = (share(i), share(i + 1));
-            let before = lo.checked_sub(1).map(|at| all[at]);
-            let mut h = vec![0u32; n];
-            let sources_sorted = count_keys(&all[lo..hi], before, |s, d| {
-                h[if by_src { s } else { d } as usize] += 1;
-            });
-            (h, sources_sorted)
-        });
-        // Phase 2: prefix-sum merge into the vertex index.
-        let mut index = vec![0u64; n + 1];
-        for v in 0..n {
-            let deg: u64 = counts.iter().map(|(h, _)| h[v] as u64).sum();
-            index[v + 1] = index[v] + deg;
-        }
-        let sources_sorted = counts.into_iter().all(|(_, sorted)| sorted);
-        // Phase 3: scatter over disjoint key ranges.
-        let parts = partition_index(&index, t);
+        let index = counted_index(el.num_vertices(), m, pool, |i| all[i].0);
+        let parts = partition_index(&index, pool.map_or(1, ThreadPool::num_threads));
         let mut edges = alloc::zeroed::<VertexId>(m);
         let mut weights = w_in.map(|_| alloc::zeroed::<f64>(m));
-        let tasks = split_by(&parts, &mut edges, weights.as_deref_mut());
+        let tasks = split_by_parts(&parts, &mut edges, weights.as_deref_mut());
         run_shares(pool, tasks, |(part, eslice, mut wslice)| {
-            let key_lo = part.first_vertex;
-            let key_hi = part.last_vertex;
-            if key_lo == key_hi {
+            let (lo, hi) = (part.first_vertex, part.last_vertex);
+            if lo == hi {
                 return;
             }
-            let base = index[key_lo as usize];
-            // Per-key write cursors, relative to this partition's slice.
-            let mut cursor: Vec<usize> = index[key_lo as usize..key_hi as usize]
+            let base = index[lo as usize];
+            // Per-source write cursors, relative to this partition's slice.
+            let mut cursor: Vec<usize> = index[lo as usize..hi as usize]
                 .iter()
                 .map(|&e| (e - base) as usize)
                 .collect();
             for (i, &(s, d)) in all.iter().enumerate() {
-                let (key, other) = if by_src { (s, d) } else { (d, s) };
-                if key >= key_lo && key < key_hi {
-                    let c = &mut cursor[(key - key_lo) as usize];
-                    eslice[*c] = other;
-                    if let Some(w_out) = wslice.as_mut() {
-                        w_out[*c] = w_in.expect("weighted task without weights")[i];
+                if s >= lo && s < hi {
+                    let c = &mut cursor[(s - lo) as usize];
+                    eslice[*c] = d;
+                    if let (Some(w_out), Some(w_in)) = (wslice.as_deref_mut(), w_in) {
+                        w_out[*c] = w_in[i];
                     }
                     *c += 1;
                 }
@@ -269,10 +298,7 @@ impl Csr {
             edges,
             weights,
         };
-        // A by-source list here is not grouped by source.
-        if by_src || !sources_sorted {
-            csr.sort_on(pool);
-        }
+        csr.sort_on(pool);
         csr
     }
 
@@ -410,7 +436,7 @@ impl Csr {
     /// contiguous, so the distribution is a plain `split_at_mut`.
     fn sort_on(&mut self, pool: Option<&ThreadPool>) {
         let parts = partition_index(&self.index, pool.map_or(1, ThreadPool::num_threads));
-        let tasks = split_by(&parts, &mut self.edges, self.weights.as_deref_mut());
+        let tasks = split_by_parts(&parts, &mut self.edges, self.weights.as_deref_mut());
         let index = &self.index;
         run_shares(pool, tasks, |(part, eslice, wslice)| {
             sort_lists(index, part.vertices(), eslice, wslice);
@@ -481,54 +507,64 @@ fn pair_key((s, d): (VertexId, VertexId)) -> u64 {
     (u64::from(s) << 32) | u64::from(d)
 }
 
-/// Hands `count` every pair of `pairs`, in order, and says whether their
-/// sources never fall, reading `before` (the pair ahead of them in the
-/// list, if any) as the first one's predecessor — so the answers for
-/// consecutive sub-ranges of a list make the whole list's.
-fn count_keys(
-    pairs: &[(VertexId, VertexId)],
-    before: Option<(VertexId, VertexId)>,
-    mut count: impl FnMut(VertexId, VertexId),
-) -> bool {
-    let mut last = before.map_or(0, |(s, _)| s);
-    let mut falls = false;
-    for &(s, d) in pairs {
-        falls |= s < last;
-        last = s;
-        count(s, d);
+/// The vertex index over `n` vertices whose degrees are how often each
+/// vertex is `key(i)` for `i` in `0..m`. Each share of `pool` (or the
+/// calling thread alone) counts a disjoint sub-range of `0..m` into its own
+/// histogram, and one pass on the calling thread sums them into the index
+/// — the same index at any width, the per-vertex sums being commutative.
+fn counted_index(
+    n: usize,
+    m: usize,
+    pool: Option<&ThreadPool>,
+    key: impl Fn(usize) -> VertexId + Sync,
+) -> Vec<EdgeId> {
+    let t = pool.map_or(1, ThreadPool::num_threads);
+    let counts: Vec<Vec<u32>> = run_shares(pool, (0..t).collect(), |i| {
+        let mut h = vec![0u32; n];
+        for at in m * i / t..m * (i + 1) / t {
+            h[key(at) as usize] += 1;
+        }
+        h
+    });
+    let mut index = Vec::with_capacity(n + 1);
+    let mut end = 0u64;
+    index.push(end);
+    for v in 0..n {
+        end += counts.iter().map(|h| u64::from(h[v])).sum::<u64>();
+        index.push(end);
     }
-    !falls
+    index
 }
 
-/// One partition's edge (and weight) slice.
-type Piece<'a> = (EdgePartition, &'a mut [VertexId], Option<&'a mut [f64]>);
-
-/// `edges` (and `weights`) cut into one contiguous slice per partition of
-/// their index, handed out with the partition.
-fn split_by<'a>(
-    parts: &[EdgePartition],
-    mut edges: &'a mut [VertexId],
-    mut weights: Option<&'a mut [f64]>,
-) -> Vec<Piece<'a>> {
-    parts
-        .iter()
-        .map(|part| {
-            let len = part.num_edges();
-            let (head, tail) = std::mem::take(&mut edges).split_at_mut(len);
-            edges = tail;
-            let whead = weights.take().map(|w| {
-                let (a, b) = w.split_at_mut(len);
-                weights = Some(b);
-                a
-            });
-            (*part, head, whead)
-        })
-        .collect()
+/// The transposing scatter, the one loop of every transposed build: hands
+/// `put` each edge of `csr` whose stored endpoint lies in `endpoints`, as
+/// `(endpoint, top-level vertex, edge position)`, in the order of the
+/// top-level vertices and, within one, in list order — the order of each
+/// endpoint's list in the transpose. A share of a transposed build owns one
+/// endpoint range and runs this over the whole edge array, so the shares'
+/// output ranges are disjoint. [`Csr::transpose`] stores vertex ids; the
+/// Vector-Sparse encoder of a transpose stores lanes.
+pub fn scatter_transposed(
+    csr: &Csr,
+    endpoints: std::ops::Range<VertexId>,
+    mut put: impl FnMut(VertexId, VertexId, usize),
+) {
+    if endpoints.is_empty() {
+        return;
+    }
+    let span = endpoints.end - endpoints.start;
+    for (v, ends) in csr.index.windows(2).enumerate() {
+        let (lo, hi) = (ends[0] as usize, ends[1] as usize);
+        for (e, &d) in (lo..).zip(&csr.edges[lo..hi]) {
+            // One compare: an endpoint below the range wraps above it.
+            if d.wrapping_sub(endpoints.start) < span {
+                put(d, v as VertexId, e);
+            }
+        }
+    }
 }
 
-/// Lists at most this long are sorted in place by insertion; `std`'s
-/// `sort_unstable` is itself an insertion sort up to this length, so ties
-/// land where it puts them.
+/// Weighted lists at most this long are sorted in place by insertion.
 const INSERTION_SORT_MAX: usize = 20;
 
 /// Sorts the lists of `vertices`, whose edges (and weights) are `edges`
@@ -549,9 +585,10 @@ fn sort_lists(
     }
 }
 
-/// Sorts one weighted list by neighbour, its weights moved along, with the
-/// result of `sort_unstable_by_key` on the zipped pairs: in place by
-/// insertion up to [`INSERTION_SORT_MAX`] entries, through that sort above.
+/// Sorts one weighted list by neighbour, its weights moved along, stably:
+/// parallel edges keep their order, so their weights do too. In place by
+/// insertion up to [`INSERTION_SORT_MAX`] entries, by a stable sort of the
+/// zipped pairs above.
 fn sort_weighted(edges: &mut [VertexId], weights: &mut [f64]) {
     if edges.len() <= INSERTION_SORT_MAX {
         for i in 1..edges.len() {
@@ -569,7 +606,7 @@ fn sort_weighted(edges: &mut [VertexId], weights: &mut [f64]) {
     }
     let mut pairs: Vec<(VertexId, f64)> =
         edges.iter().copied().zip(weights.iter().copied()).collect();
-    pairs.sort_unstable_by_key(|&(v, _)| v);
+    pairs.sort_by_key(|&(v, _)| v);
     for (i, (v, w)) in pairs.into_iter().enumerate() {
         edges[i] = v;
         weights[i] = w;
@@ -856,7 +893,10 @@ mod tests {
     }
 
     /// The builders' contract, the plain way: each key's entries in
-    /// edge-list order (a counting sort), then a stable sort of each list.
+    /// edge-list order (a counting sort), then a stable sort of each list
+    /// — by source for the CSR; for the CSC, a stable sort of the
+    /// `(destination, source, weight bits)` entries by `(destination,
+    /// source)`.
     fn reference(el: &EdgeList, by_src: bool) -> Csr {
         let mut lists = vec![Vec::new(); el.num_vertices()];
         for (i, &(s, d)) in el.edges().iter().enumerate() {
@@ -874,44 +914,6 @@ mod tests {
             edges: flat.iter().map(|&(v, _)| v).collect(),
             weights: el.weights().map(|_| flat.iter().map(|&(_, w)| w).collect()),
         }
-    }
-
-    /// `built` equals `want` up to the order of the weights of one
-    /// neighbour inside a list longer than [`INSERTION_SORT_MAX`]: the one
-    /// freedom `sort_unstable_by_key` takes there.
-    fn matches_reference(built: &Csr, want: &Csr) -> Result<(), String> {
-        if (&built.index, &built.edges) != (&want.index, &want.edges) {
-            return Err("index or edges differ".into());
-        }
-        let (Some(bw), Some(ww)) = (&built.weights, &want.weights) else {
-            return match built.weights.is_some() == want.weights.is_some() {
-                true => Ok(()),
-                false => Err("weightedness differs".into()),
-            };
-        };
-        for v in 0..built.num_vertices() as VertexId {
-            let r = built.edge_range(v);
-            let mut start = r.start;
-            while start < r.end {
-                let end = start
-                    + built.edges[start..r.end]
-                        .iter()
-                        .take_while(|&&x| x == built.edges[start])
-                        .count();
-                let bits = |w: &[f64]| {
-                    let mut b: Vec<u64> = w[start..end].iter().map(|x| x.to_bits()).collect();
-                    if r.len() > INSERTION_SORT_MAX {
-                        b.sort_unstable();
-                    }
-                    b
-                };
-                if bits(bw) != bits(ww) {
-                    return Err(format!("weights of {v} -> {} differ", built.edges[start]));
-                }
-                start = end;
-            }
-        }
-        Ok(())
     }
 
     /// An edge list of `n` vertices and `pairs`, weighted if `weights`
@@ -949,17 +951,40 @@ mod tests {
         EdgeList::from_parts(n, pairs, (!weights.is_empty()).then_some(ws)).unwrap()
     }
 
+    /// The CSR of `el` and its transpose, one share without a pool and one
+    /// per worker on 1, 2 and 8 threads, each bit-identical to the
+    /// reference of its orientation; the transposed index is the
+    /// reference's too.
+    fn check_both_orientations(el: &EdgeList) -> Result<(), String> {
+        let (want_out, want_in) = (reference(el, true), reference(el, false));
+        let pools = [1, 2, 8].map(ThreadPool::single_group);
+        for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+            let at = format!("{:?} threads", pool.map(ThreadPool::num_threads));
+            let out = Csr::build(el, pool);
+            if !out.bit_identical(&want_out) {
+                return Err(format!("CSR differs at {at}"));
+            }
+            if out.transposed_index(pool) != want_in.index {
+                return Err(format!("transposed index differs at {at}"));
+            }
+            if !out.transpose(pool).bit_identical(&want_in) {
+                return Err(format!("transpose differs at {at}"));
+            }
+        }
+        Ok(())
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// The builder — one share without a pool, and one per worker on 1,
-        /// 2 and 8 threads — returns the reference of both orientations,
-        /// bit-identical at every width, on lists sorted by
+        /// The builder and the transpose — one share without a pool, and
+        /// one per worker on 1, 2 and 8 threads — return the reference of
+        /// each orientation, bit for bit, on lists sorted by
         /// (source, destination), by source only, reverse-sorted, sorted by
         /// halves and unsorted, with repeated pairs, weighted and not,
         /// empty and on a single vertex. Weights are any bit pattern: NaN
         /// payloads, both zeros and both infinities among them, which the
-        /// builds must carry bit for bit.
+        /// builds must carry bit for bit, parallel edges in edge-list order.
         #[test]
         fn prop_builders_match_a_counting_sort_and_a_stable_sort(
             n in 1usize..24,
@@ -981,19 +1006,7 @@ mod tests {
                 .map(|(bits, pick)| special.get(usize::from(pick)).copied().unwrap_or(bits))
                 .collect();
             let el = shaped(n, pairs, &weights, shape);
-            let pools = [1, 2, 8].map(ThreadPool::single_group);
-            for by_src in [true, false] {
-                let want = reference(&el, by_src);
-                let seq = Csr::build(&el, by_src, None);
-                proptest::prop_assert_eq!(matches_reference(&seq, &want), Ok(()), "one share, by_src {}", by_src);
-                for pool in &pools {
-                    let par = Csr::build(&el, by_src, Some(pool));
-                    proptest::prop_assert!(
-                        par.bit_identical(&seq),
-                        "{} threads, by_src {}", pool.num_threads(), by_src
-                    );
-                }
-            }
+            proptest::prop_assert_eq!(check_both_orientations(&el), Ok(()));
         }
 
         /// In-place insertion sort of a short weighted list puts ties
@@ -1010,28 +1023,76 @@ mod tests {
             let want: (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
             proptest::prop_assert_eq!((edges, weights), want);
         }
+
+        /// A weighted list of any length sorts stably: repeated neighbours
+        /// keep their weights in list order, below and above the insertion
+        /// sort's length.
+        #[test]
+        fn prop_weighted_lists_sort_stably(
+            list in proptest::collection::vec((0u32..6, 0u8..255), 0..4 * INSERTION_SORT_MAX),
+        ) {
+            let mut pairs: Vec<(VertexId, f64)> = list.iter().map(|&(v, w)| (v, f64::from(w))).collect();
+            let (mut edges, mut weights): (Vec<_>, Vec<_>) = pairs.iter().copied().unzip();
+            sort_weighted(&mut edges, &mut weights);
+            pairs.sort_by_key(|&(v, _)| v);
+            let want: (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
+            proptest::prop_assert_eq!((edges, weights), want);
+        }
+    }
+
+    /// The transpose on the inputs that need care, against the reference
+    /// at every width: NaN payloads and both zeros as weights, parallel
+    /// edges (more of them than the insertion sort takes), an unsorted
+    /// list, and isolated vertices, first and last among them.
+    #[test]
+    fn the_transpose_is_a_stable_sort_by_destination() {
+        let payload = f64::from_bits(f64::NAN.to_bits() | 7);
+        let mut list = vec![(3, 1, 0.0), (1, 3, -0.0), (5, 1, payload), (1, 5, f64::NAN)];
+        // Parallel edges 2 -> 4 and 4 -> 2, weighted by position.
+        for i in 0..3 * INSERTION_SORT_MAX {
+            let (s, d) = if i % 3 == 0 { (4, 2) } else { (2, 4) };
+            list.push((s, d, i as f64 - 5.0));
+        }
+        list.extend([(5, 5, -0.0), (3, 2, 1.5), (1, 1, payload)]);
+        let pairs: Vec<_> = list.iter().map(|&(s, d, _)| (s, d)).collect();
+        let weights: Vec<_> = list.iter().map(|&(_, _, w)| w).collect();
+        // Vertices 0 and 6 have no edges at all.
+        let weighted = EdgeList::from_parts(7, pairs.clone(), Some(weights)).unwrap();
+        let unweighted = EdgeList::from_pairs(7, &pairs).unwrap();
+        for el in [weighted, unweighted] {
+            check_both_orientations(&el).unwrap();
+        }
+    }
+
+    /// Parallel weighted edges keep their edge-list order in the CSR at
+    /// every width, in a list long enough to leave the insertion sort.
+    #[test]
+    fn parallel_weighted_edges_keep_edge_list_order() {
+        let mut el = EdgeList::new(3);
+        for i in 0..2 * INSERTION_SORT_MAX {
+            el.push_weighted(0, 1 + (i % 2) as u32, i as f64).unwrap();
+        }
+        let want: Vec<f64> = (0..2 * INSERTION_SORT_MAX)
+            .step_by(2)
+            .chain((1..2 * INSERTION_SORT_MAX).step_by(2))
+            .map(|i| i as f64)
+            .collect();
+        let pools = [1, 2, 8].map(ThreadPool::single_group);
+        for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+            let csr = Csr::build(&el, pool);
+            assert_eq!(csr.neighbor_weights(0).unwrap(), &want[..]);
+        }
     }
 
     #[test]
     fn the_builders_take_the_zero_vertex_list() {
         let el = EdgeList::new(0);
-        for by_src in [true, false] {
-            assert_eq!(Csr::build(&el, by_src, None).index(), &[0]);
-            let pool = ThreadPool::single_group(2);
-            assert_eq!(Csr::build(&el, by_src, Some(&pool)).index(), &[0]);
+        let pool = ThreadPool::single_group(2);
+        for pool in [None, Some(&pool)] {
+            let csr = Csr::build(&el, pool);
+            assert_eq!(csr.index(), &[0]);
+            assert_eq!(csr.transpose(pool).index(), &[0]);
         }
-    }
-
-    #[test]
-    fn count_keys_reads_the_pair_before_a_sub_range() {
-        let sorted = [(1, 2), (1, 1), (2, 0)];
-        assert!(count_keys(&sorted, None, |_, _| {}));
-        assert!(count_keys(&sorted, Some((1, 5)), |_, _| {}));
-        assert!(!count_keys(&sorted, Some((3, 0)), |_, _| {}));
-        assert!(count_keys(&[], Some((3, 0)), |_, _| {}));
-        let mut seen = vec![];
-        count_keys(&sorted, None, |s, d| seen.push((s, d)));
-        assert_eq!(seen, sorted);
     }
 
     #[test]

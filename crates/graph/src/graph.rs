@@ -2,35 +2,62 @@
 
 use crate::csr::Csr;
 use crate::edgelist::EdgeList;
-use crate::types::{GraphError, VertexId};
+use crate::types::{EdgeId, GraphError, VertexId};
 use grazelle_sched::ThreadPool;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An immutable directed graph holding both edge groupings.
 ///
 /// Like Grazelle (and Ligra/Polymer before it), every engine needs the edges
 /// *grouped by source* (for push) and *grouped by destination* (for pull), so
-/// the graph stores one [`Csr`] per orientation. Both are built once from the
-/// same [`EdgeList`], neighbor-sorted so that layouts are deterministic.
+/// the graph stores one [`Csr`] per orientation, neighbor-sorted so that
+/// layouts are deterministic: the out-edges, built from the [`EdgeList`],
+/// and the in-edges, their [`Csr::transpose`].
 ///
 /// When the two orientations come out bit-identical — index, edges and
 /// weight bit patterns — the graph keeps one copy: an undirected graph
 /// (A = Aᵀ) with symmetric weights, multi-edges included, has its in-edges
 /// equal to its out-edges. [`Graph::in_csr`] then reads the out-edge
-/// structure and [`Graph::is_symmetric`] says so. Every constructor makes
-/// this one decision where the graph is assembled; a directed graph pays
-/// one compare, which stops at the first index entry that differs.
+/// structure and [`Graph::is_symmetric`] says so.
+///
+/// A graph built from an edge list counts its in-degrees first. When they
+/// differ from its out-degrees it cannot be symmetric, and its in-edges
+/// are *deferred*: the first reader of [`Graph::in_csr`] (or
+/// [`Graph::ready_in`], on a pool) transposes the out-edges, once, into a
+/// [`OnceLock`]. The in-degrees ([`Graph::in_degree`],
+/// [`Graph::in_index`]) never build them, and the pull structure is
+/// encoded from the out-edges without them, so a run that only pulls
+/// never holds them. Equal degree sequences build the in-edges at once and
+/// compare them with the out-edges.
 ///
 /// Each orientation sits behind an [`Arc`], so a clone of the graph shares
 /// its edges, and so does a structure derived from one orientation later:
 /// a deferred push structure holds the out-edges through
-/// [`Graph::shared_out_csr`] instead of a copy of them.
+/// [`Graph::shared_out_csr`] instead of a copy of them. Clones share a
+/// deferred in-edge cell too: it is built once for all of them.
 #[derive(Debug, Clone)]
 pub struct Graph {
     out: Arc<Csr>,
-    /// The in-edges, or `None` when they equal `out` bit for bit.
-    inn: Option<Arc<Csr>>,
+    inn: InEdges,
     name: String,
+}
+
+/// Where a graph's in-edges are.
+#[derive(Debug, Clone)]
+enum InEdges {
+    /// They equal the out-edges bit for bit: `out` serves both.
+    Out,
+    /// Built with the graph.
+    Built(Arc<Csr>),
+    /// Transposed from the out-edges by their first reader.
+    Deferred(Arc<Deferred>),
+}
+
+#[derive(Debug)]
+struct Deferred {
+    /// The in-edges' vertex index, counted when the graph was built.
+    index: Vec<EdgeId>,
+    csr: OnceLock<Csr>,
 }
 
 impl Graph {
@@ -46,21 +73,46 @@ impl Graph {
         Self::build(el, Some(pool))
     }
 
-    /// Both orientations through [`Csr::build`], on `pool` or on the
-    /// calling thread.
+    /// The out-edges through [`Csr::build`], then
+    /// [`Graph::from_out_csr`], on `pool` or on the calling thread.
     fn build(el: &EdgeList, pool: Option<&ThreadPool>) -> Result<Self, GraphError> {
         if el.num_vertices() == 0 {
             return Err(GraphError::EmptyGraph);
         }
-        let out = Csr::build(el, true, pool);
-        let inn = Csr::build(el, false, pool);
-        Ok(Self::assemble(out, inn, String::new()))
+        Ok(Self::from_out_csr(Csr::build(el, pool), pool))
     }
 
-    /// The one place a graph is put together: `inn` is dropped, and
-    /// `out` serves both orientations, when the two are bit-identical.
+    /// The graph whose out-edges are `out`. Its in-degrees are counted on
+    /// `pool` (or on the calling thread) into the in-edges' vertex index.
+    /// If it differs from `out`'s, the in-edges are deferred to their
+    /// first reader; otherwise they are transposed now and kept only if
+    /// they differ from `out`. Either way the graph
+    /// reads as the one [`Graph::from_edgelist`] builds over the same
+    /// edges.
+    pub fn from_out_csr(out: Csr, pool: Option<&ThreadPool>) -> Self {
+        let index = out.transposed_index(pool);
+        if index != out.index() {
+            return Graph {
+                out: Arc::new(out),
+                inn: InEdges::Deferred(Arc::new(Deferred {
+                    index,
+                    csr: OnceLock::new(),
+                })),
+                name: String::new(),
+            };
+        }
+        let inn = out.transpose_with_index(index, pool);
+        Self::assemble(out, inn, String::new())
+    }
+
+    /// The one place a graph with both orientations built is put together:
+    /// `inn` is dropped, and `out` serves both orientations, when the two
+    /// are bit-identical.
     fn assemble(out: Csr, inn: Csr, name: String) -> Self {
-        let inn = (!out.bit_identical(&inn)).then(|| Arc::new(inn));
+        let inn = match out.bit_identical(&inn) {
+            true => InEdges::Out,
+            false => InEdges::Built(Arc::new(inn)),
+        };
         Graph {
             out: Arc::new(out),
             inn,
@@ -104,6 +156,7 @@ impl Graph {
     /// at any pool width, one copy kept when the result is symmetric. The
     /// name carries over.
     ///
+    /// Deferred in-edges are built first, on `pool` ([`Graph::ready_in`]).
     /// Edits carry no weights, so a weighted graph takes none.
     pub fn with_edits(
         &self,
@@ -142,7 +195,7 @@ impl Graph {
         let [out, inn] = crate::csr::splice(
             [
                 (self.out_csr(), inserts, deletes),
-                (self.in_csr(), &tin, &tdel),
+                (self.ready_in(pool), &tin, &tdel),
             ],
             pool,
         );
@@ -181,7 +234,13 @@ impl Graph {
     /// included, so one [`Csr`] serves both orientations:
     /// `in_csr()` and `out_csr()` are then the same structure.
     pub fn is_symmetric(&self) -> bool {
-        self.inn.is_none()
+        matches!(self.inn, InEdges::Out)
+    }
+
+    /// True when the graph left its in-edges to their first reader (built
+    /// since or not): its in-degrees differ from its out-degrees.
+    pub fn in_edges_deferred(&self) -> bool {
+        matches!(self.inn, InEdges::Deferred(_))
     }
 
     /// Edges grouped by source (CSR) — the push engine's structure.
@@ -197,11 +256,56 @@ impl Graph {
         &self.out
     }
 
-    /// Edges grouped by destination (CSC) — the pull engine's structure;
-    /// the out-edge structure itself on a symmetric graph.
+    /// Edges grouped by destination (CSC); the out-edge structure itself
+    /// on a symmetric graph. Deferred in-edges are built here, on the
+    /// calling thread, if no earlier reader built them.
     #[inline]
     pub fn in_csr(&self) -> &Csr {
-        self.inn.as_deref().unwrap_or(&self.out)
+        self.ready_in(None)
+    }
+
+    /// [`Graph::in_csr`], building deferred in-edges on `pool` if no
+    /// earlier reader built them. Must not be called from a worker of
+    /// `pool` while they may still be deferred: it would wait for itself.
+    #[inline]
+    pub fn ready_in(&self, pool: Option<&ThreadPool>) -> &Csr {
+        match &self.inn {
+            InEdges::Out => &self.out,
+            InEdges::Built(inn) => inn,
+            InEdges::Deferred(d) => d.csr.get().unwrap_or_else(|| self.first_read(d, pool)),
+        }
+    }
+
+    /// The first read of deferred in-edges, out of line: `in_neighbors`
+    /// is called once per vertex in traversal loops.
+    #[cold]
+    #[inline(never)]
+    fn first_read<'a>(&'a self, d: &'a Deferred, pool: Option<&ThreadPool>) -> &'a Csr {
+        d.csr
+            .get_or_init(|| self.out.transpose_with_index(d.index.clone(), pool))
+    }
+
+    /// The in-edges if they exist: shared with the out-edges, built with
+    /// the graph, or deferred and built since. Never builds them.
+    #[inline]
+    pub fn built_in_csr(&self) -> Option<&Csr> {
+        match &self.inn {
+            InEdges::Out => Some(&self.out),
+            InEdges::Built(inn) => Some(inn),
+            InEdges::Deferred(d) => d.csr.get(),
+        }
+    }
+
+    /// The in-edges' vertex index (length `num_vertices + 1`): vertex `v`'s
+    /// in-edges are `in_index()[v]..in_index()[v + 1]` of the in-edge
+    /// array. Never builds deferred in-edges.
+    #[inline]
+    pub fn in_index(&self) -> &[EdgeId] {
+        match &self.inn {
+            InEdges::Out => self.out.index(),
+            InEdges::Built(inn) => inn.index(),
+            InEdges::Deferred(d) => &d.index,
+        }
     }
 
     /// Out-degree of `v`.
@@ -210,10 +314,11 @@ impl Graph {
         self.out.degree(v)
     }
 
-    /// In-degree of `v`.
+    /// In-degree of `v`, read from [`Graph::in_index`].
     #[inline]
     pub fn in_degree(&self, v: VertexId) -> u32 {
-        self.in_csr().degree(v)
+        let index = self.in_index();
+        (index[v as usize + 1] - index[v as usize]) as u32
     }
 
     /// Out-neighbors of `v`, sorted.
@@ -521,6 +626,130 @@ mod tests {
         assert_eq!(Arc::strong_count(g.shared_out_csr()), 2);
         drop(twin);
         assert_eq!(Arc::strong_count(g.shared_out_csr()), 1);
+    }
+
+    /// A graph whose in-degrees differ from its out-degrees defers its
+    /// in-edges: the in-degrees and the in-index read without building
+    /// them, and the first reader — on the calling thread, or through
+    /// `ready_in` on a pool of any width — builds exactly the by-destination
+    /// structure, NaN payloads and signed zeros included. Clones share the
+    /// cell, built or not.
+    #[test]
+    fn deferred_in_edges_wait_for_their_first_reader() {
+        let payload = f64::from_bits(f64::NAN.to_bits() | 3);
+        let mut el = EdgeList::new(40);
+        for s in 0..40u32 {
+            for k in 0..(s % 7) {
+                let w = [f64::NAN, payload, -0.0, f64::from(s) - f64::from(k) / 3.0]
+                    [(s + k) as usize % 4];
+                el.push_weighted(s, (s * 11 + k) % 37, w).unwrap();
+            }
+        }
+        let want = Csr::from_edgelist_by_dst(&el);
+        let pools = [1, 2, 8].map(ThreadPool::single_group);
+        for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+            let g = Graph::build(&el, pool).unwrap();
+            let twin = g.clone();
+            assert!(g.in_edges_deferred() && !g.is_symmetric());
+            assert_eq!(g.in_index(), want.index());
+            for v in 0..40 {
+                assert_eq!(g.in_degree(v), want.degree(v));
+            }
+            assert!(g.built_in_csr().is_none() && twin.built_in_csr().is_none());
+            let built = match pool {
+                Some(p) => g.ready_in(Some(p)),
+                None => g.in_csr(),
+            };
+            assert!(
+                built.bit_identical(&want),
+                "{:?}",
+                pool.map(ThreadPool::num_threads)
+            );
+            assert!(std::ptr::eq(twin.built_in_csr().unwrap(), built));
+            assert!(std::ptr::eq(twin.in_csr(), g.in_csr()));
+            assert_eq!(g.in_index(), built.index());
+        }
+    }
+
+    /// Eight threads racing the first read of deferred in-edges — some on
+    /// the calling thread, some through `ready_in` on a pool none of them
+    /// works for — build them once: every thread sees the same structure.
+    #[test]
+    fn racing_first_readers_build_the_in_edges_once() {
+        let pairs: Vec<(u32, u32)> = (0..3000u32)
+            .flat_map(|s| (0..(s % 13)).map(move |k| (s, (s * 31 + k * 7) % 2999)))
+            .collect();
+        let el = EdgeList::from_pairs(3000, &pairs).unwrap();
+        let want = Csr::from_edgelist_by_dst(&el);
+        let pool = ThreadPool::single_group(2);
+        for _ in 0..4 {
+            let g = Graph::from_edgelist(&el).unwrap();
+            assert!(g.in_edges_deferred());
+            let start = std::sync::Barrier::new(8);
+            let seen: Vec<usize> = std::thread::scope(|scope| {
+                let readers: Vec<_> = (0..8)
+                    .map(|i| {
+                        let (g, start, pool) = (g.clone(), &start, &pool);
+                        scope.spawn(move || {
+                            start.wait();
+                            let inn = match i % 2 {
+                                0 => g.in_csr(),
+                                _ => g.ready_in(Some(pool)),
+                            };
+                            inn.edges().as_ptr() as usize
+                        })
+                    })
+                    .collect();
+                readers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            assert!(seen.iter().all(|&p| p == seen[0]), "{seen:?}");
+            assert_eq!(seen[0], g.in_csr().edges().as_ptr() as usize);
+            assert!(g.in_csr().bit_identical(&want));
+        }
+    }
+
+    /// Equal degree sequences take the compare path: a directed cycle
+    /// builds its in-edges with the graph and keeps them, a symmetric
+    /// graph shares one structure, and neither defers.
+    #[test]
+    fn equal_degree_sequences_build_and_compare() {
+        let cycle = EdgeList::from_pairs(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
+        let sym = EdgeList::from_pairs(5, &[(0, 1), (1, 0), (3, 4), (4, 3)]).unwrap();
+        for (el, symmetric) in [(cycle, false), (sym, true)] {
+            for threads in [None, Some(1), Some(2), Some(8)] {
+                let pool = threads.map(ThreadPool::single_group);
+                let g = Graph::build(&el, pool.as_ref()).unwrap();
+                assert!(!g.in_edges_deferred(), "{threads:?}");
+                assert_eq!(g.is_symmetric(), symmetric, "{threads:?}");
+                let held = g.built_in_csr().expect("built with the graph");
+                assert!(held.bit_identical(&Csr::from_edgelist_by_dst(&el)));
+                assert_eq!(std::ptr::eq(held, g.out_csr()), symmetric);
+            }
+        }
+    }
+
+    /// Parallel weighted edges of a symmetric graph keep their edge-list
+    /// order, so the graph stays symmetric past the insertion sort's
+    /// length: vertex 0's 80 out-edges hold 40 parallel edges to vertex 1,
+    /// weighted 0 to 39, each mirrored at once, and 40 to vertex 2.
+    #[test]
+    fn parallel_weighted_edges_keep_a_symmetric_graph_symmetric() {
+        let mut el = EdgeList::new(3);
+        for i in 0..40 {
+            for d in [1, 2] {
+                el.push_weighted(0, d, f64::from(i)).unwrap();
+                el.push_weighted(d, 0, f64::from(i)).unwrap();
+            }
+        }
+        let in_order: Vec<f64> = (0..40).map(f64::from).collect();
+        for threads in [None, Some(1), Some(2), Some(8)] {
+            let pool = threads.map(ThreadPool::single_group);
+            let g = Graph::build(&el, pool.as_ref()).unwrap();
+            assert!(g.is_symmetric(), "{threads:?} threads");
+            let ws = g.out_csr().neighbor_weights(0).unwrap();
+            assert_eq!(&ws[..40], &in_order[..], "{threads:?} threads");
+            assert_eq!(&ws[40..], &in_order[..], "{threads:?} threads");
+        }
     }
 
     #[test]

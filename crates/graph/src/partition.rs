@@ -90,6 +90,35 @@ pub fn partition_index(index: &[u64], k: usize) -> Vec<EdgePartition> {
     parts
 }
 
+/// One partition with its slice of an array (and of a second, optional
+/// one): see [`split_by_parts`].
+pub type PartSlices<'a, E, W> = (EdgePartition, &'a mut [E], Option<&'a mut [W]>);
+
+/// `items` (and `weights`) cut into one contiguous slice per partition,
+/// `part.num_edges()` long each and in order, handed out with the
+/// partition: the disjoint output regions of a build that fills one
+/// partition per share, through plain `split_at_mut`.
+pub fn split_by_parts<'a, E, W>(
+    parts: &[EdgePartition],
+    mut items: &'a mut [E],
+    mut weights: Option<&'a mut [W]>,
+) -> Vec<PartSlices<'a, E, W>> {
+    parts
+        .iter()
+        .map(|part| {
+            let len = part.num_edges();
+            let (head, tail) = std::mem::take(&mut items).split_at_mut(len);
+            items = tail;
+            let whead = weights.take().map(|w| {
+                let (a, b) = w.split_at_mut(len);
+                weights = Some(b);
+                a
+            });
+            (*part, head, whead)
+        })
+        .collect()
+}
+
 /// Splits the vertex range `0..n` into `k` equal pieces (the paper's
 /// statically-scheduled Vertex phase).
 pub fn partition_by_vertices(n: usize, k: usize) -> Vec<std::ops::Range<VertexId>> {

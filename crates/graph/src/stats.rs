@@ -4,6 +4,7 @@
 //! degree arrays consumed by the packing-efficiency analysis (Figure 9).
 
 use crate::graph::Graph;
+use crate::types::VertexId;
 
 /// Summary statistics over a degree sequence.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,7 +82,11 @@ impl GraphSummary {
             num_edges: g.num_edges(),
             avg_degree: g.avg_degree(),
             out_degrees: DegreeStats::from_degrees(&g.out_csr().degrees()),
-            in_degrees: DegreeStats::from_degrees(&g.in_csr().degrees()),
+            in_degrees: DegreeStats::from_degrees(
+                &(0..g.num_vertices() as VertexId)
+                    .map(|v| g.in_degree(v))
+                    .collect::<Vec<_>>(),
+            ),
         }
     }
 

@@ -282,7 +282,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts a server over `graph`/`pg` with no fault injection.
+    /// Starts a server over `graph`/`pg` with no fault injection. Its
+    /// executor builds deferred in-edges of `graph` ([`Graph::ready_in`])
+    /// on its pool before it takes the first query.
     pub fn start(graph: Arc<Graph>, pg: Arc<PreparedGraph>, cfg: ServeConfig) -> Server {
         Server::start_with_faults(graph, pg, cfg, None, None)
     }
@@ -567,6 +569,10 @@ fn monitor_loop(shared: &Shared) {
 /// The executor: dequeue → pack → execute → dispose, until drained.
 fn executor_loop(shared: &Shared) {
     let pool = ThreadPool::new(shared.cfg.engine.threads, shared.cfg.engine.groups);
+    // Packed sweeps read the base graph's in-edges: a directed graph whose
+    // set-up left them to their first reader gets them here, on the pool,
+    // before the first query, not on the executor thread alone inside it.
+    shared.graph_state().layers().0.ready_in(Some(&pool));
     // The degraded path: one thread, scalar kernels. Same results — the
     // engine is bit-identical across widths and SIMD levels — at the
     // lowest-risk operating point.
@@ -1609,6 +1615,32 @@ mod tests {
             assert_eq!(snap.encodes, *encodes.last().unwrap());
             assert!(snap.encode_ns > 0);
         }
+    }
+
+    /// A directed graph whose set-up deferred its in-edges has them built
+    /// by the started server before its first query: after a lone BFS,
+    /// which reads the Vector-Sparse structures only, they are there, and
+    /// they are the by-destination structure.
+    #[test]
+    fn a_started_server_readies_deferred_in_edges() {
+        let pairs: Vec<(u32, u32)> = (0..64u32)
+            .map(|v| (v, (v * 5 + 1) % 64))
+            .chain([(3, 9)])
+            .collect();
+        let el = EdgeList::from_pairs(64, &pairs).unwrap();
+        let g = Arc::new(Graph::from_edgelist(&el).unwrap());
+        assert!(g.in_edges_deferred() && g.built_in_csr().is_none());
+        let pg = Arc::new(PreparedGraph::new(&g));
+        assert!(g.built_in_csr().is_none(), "preparing does not build them");
+        let server = Server::start(Arc::clone(&g), pg, base_cfg());
+        server
+            .submit(Query::Bfs { root: 3 })
+            .unwrap()
+            .wait()
+            .unwrap();
+        let inn = g.built_in_csr().expect("the server built the in-edges");
+        assert!(inn.bit_identical(&grazelle_graph::csr::Csr::from_edgelist_by_dst(&el)));
+        server.drain();
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The Vector-Sparse edge structure: vector array + per-vertex index.
 
-use crate::format::VERTEX_MASK;
+use crate::format::{pack_lane, tlv_piece_bits, VERTEX_MASK};
 use crate::vector::EdgeVector;
-use grazelle_graph::csr::Csr;
-use grazelle_graph::partition::partition_index;
-use grazelle_graph::types::VertexId;
+use grazelle_graph::csr::{scatter_transposed, Csr};
+use grazelle_graph::partition::{partition_index, split_by_parts};
+use grazelle_graph::types::{EdgeId, VertexId};
 use grazelle_sched::alloc::WorkerFilled;
 use grazelle_sched::{run_shares, ThreadPool};
 use std::sync::{Arc, OnceLock};
@@ -231,6 +231,100 @@ impl<const N: usize> VectorSparse<N> {
             pool.is_none_or(|p| p.num_threads() == 1)
                 || built.bit_identical(&Self::encode(csr, None)),
             "several-share Vector-Sparse encode diverged from the one-share encode"
+        );
+        built
+    }
+
+    /// The encoding of `out`'s transpose, whose vertex index is
+    /// `in_index` ([`Csr::transposed_index`]), straight from `out`: bit for
+    /// bit what [`VectorSparse::encode`] gives over `out.transpose(..)`,
+    /// without the transpose. Over a CSR this is the VSD.
+    ///
+    /// Each share (one per worker of `pool`, or one on the calling thread)
+    /// owns a range of top-level vertices balanced by vectors, in two
+    /// passes. First it writes its range as padding vectors
+    /// (`EdgeVector::new(v, &[])`, weight lanes 0.0) through
+    /// [`WorkerFilled`] writers, so it faults its own pages in. Then it
+    /// runs the transposing scatter ([`scatter_transposed`]) over all of
+    /// `out` and stores each of its edges whole into the next lane of its
+    /// top-level vertex — valid bit, the lane's piece of the vertex id, the
+    /// stored endpoint — through a `split_at_mut` slice of the array. The
+    /// scatter hands each vertex its edges in its transposed list's order,
+    /// so the lanes are the ones [`VectorSparse::encode`] fills, at any
+    /// width.
+    pub fn encode_transposed(out: &Csr, in_index: &[EdgeId], pool: Option<&ThreadPool>) -> Self {
+        let n = out.num_vertices();
+        assert!(
+            (n as u64) <= VERTEX_MASK,
+            "vertex ids must fit the 48-bit fields"
+        );
+        assert_eq!(in_index.len(), n + 1, "one index entry per vertex");
+        let degrees: Vec<u32> = in_index.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+        let index = crate::packing::vector_index(&degrees, N);
+        let num_vectors = *index.last().expect("vector index is never empty") as usize;
+        let parts = partition_index(&index, pool.map_or(1, ThreadPool::num_threads));
+        // `partition_index` ranges count vectors here, not edges.
+        let lens = || parts.iter().map(|p| p.num_edges());
+        let vector_range = |v: VertexId| (index[v as usize + 1] - index[v as usize]) as usize;
+        let mut vectors = WorkerFilled::new(num_vectors);
+        let mut weights = out.weights().map(|_| WorkerFilled::new(num_vectors));
+        let weight_writers = match &mut weights {
+            Some(w) => w.writers(lens()).into_iter().map(Some).collect(),
+            None => lens().map(|_| None).collect::<Vec<_>>(),
+        };
+        let tasks: Vec<_> = parts
+            .iter()
+            .zip(vectors.writers(lens()))
+            .zip(weight_writers)
+            .collect();
+        run_shares(pool, tasks, |((part, mut vout), mut wout)| {
+            for v in part.vertices() {
+                let len = vector_range(v);
+                vout.extend(std::iter::repeat_n(EdgeVector::new(v as u64, &[]), len));
+                if let Some(wout) = wout.as_mut() {
+                    wout.extend(std::iter::repeat_n([0.0; N], len));
+                }
+            }
+        });
+        let mut vectors = vectors.into_vec();
+        let mut weights = weights.map(WorkerFilled::into_vec);
+        let bits = tlv_piece_bits(N);
+        let w_in = out.weights();
+        let tasks = split_by_parts(&parts, &mut vectors, weights.as_deref_mut());
+        run_shares(pool, tasks, |(part, vslice, mut wslice)| {
+            let first = part.first_vertex as usize;
+            let base = index[first] as usize * N;
+            // Per-vertex lane cursors, counted from this share's first lane.
+            let mut cursor: Vec<usize> = index[first..part.last_vertex as usize]
+                .iter()
+                .map(|&at| at as usize * N - base)
+                .collect();
+            scatter_transposed(out, part.vertices(), |d, s, e| {
+                let c = &mut cursor[d as usize - first];
+                let (at, lane) = (*c / N, *c % N);
+                let piece = (u64::from(d) >> (bits as usize * lane)) & ((1u64 << bits) - 1);
+                vslice[at].set_lane(lane, pack_lane(true, piece, bits, u64::from(s)));
+                if let (Some(w_out), Some(w_in)) = (wslice.as_deref_mut(), w_in) {
+                    w_out[at][lane] = w_in[e];
+                }
+                *c += 1;
+            });
+        });
+        let built = VectorSparse {
+            blocks: Arc::new(Blocks {
+                vectors,
+                weights,
+                index,
+                num_vertices: n,
+                num_edges: out.num_edges(),
+                mean_weight: OnceLock::new(),
+                degrees: OnceLock::new(),
+            }),
+        };
+        debug_assert!(
+            pool.is_none_or(|p| p.num_threads() == 1)
+                || built.bit_identical(&Self::encode_transposed(out, in_index, None)),
+            "several-share transposed encode diverged from the one-share encode"
         );
         built
     }
@@ -743,6 +837,37 @@ mod tests {
             for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
                 check_against_csr(&VectorSparse::<4>::encode(&csr, pool), &csr)?;
                 check_against_csr(&VectorSparse::<8>::encode(&csr, pool), &csr)?;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The encoding of a transpose straight from the out-edges equals
+        /// the encoding of the transposed structure, bit for bit, weight
+        /// lanes included, one share without a pool and one per worker on
+        /// 1, 2 and 8 threads, at 4 and 8 lanes: degree-0 vertices, every
+        /// degree residue, a hub, weighted and not.
+        #[test]
+        fn prop_encode_transposed_equals_the_encoded_transpose(
+            hub in 33u32..160,
+            extra in proptest::collection::vec(0u32..20, 0..40),
+            seed in any::<u64>(),
+            weighted in any::<bool>(),
+        ) {
+            let out = random_csr(hub, &extra, seed, weighted);
+            let inn = out.transpose(None);
+            let want4 = VectorSparse::<4>::encode(&inn, None);
+            let want8 = VectorSparse::<8>::encode(&inn, None);
+            let pools = [1, 2, 8].map(ThreadPool::single_group);
+            for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+                let in_index = out.transposed_index(pool);
+                let got4 = VectorSparse::<4>::encode_transposed(&out, &in_index, pool);
+                let got8 = VectorSparse::<8>::encode_transposed(&out, &in_index, pool);
+                prop_assert!(got4.bit_identical(&want4), "{:?} threads", pool.map(ThreadPool::num_threads));
+                prop_assert!(got8.bit_identical(&want8), "{:?} threads", pool.map(ThreadPool::num_threads));
+                check_against_csr(&got4, &inn)?;
             }
         }
     }

@@ -39,6 +39,13 @@ impl<const N: usize> EdgeVector<N> {
         &self.lanes
     }
 
+    /// Overwrites lane `i` whole: the encoder of a transpose stores each
+    /// edge's lane into a padding vector of its top-level vertex.
+    #[inline]
+    pub(crate) fn set_lane(&mut self, i: usize, lane: Lane) {
+        self.lanes[i] = lane;
+    }
+
     /// The top-level vertex this vector belongs to, reassembled from the
     /// per-lane pieces without touching the vertex index.
     #[inline]

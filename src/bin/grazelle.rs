@@ -30,7 +30,9 @@
 //!   --timing            print per-phase build timings (parse, csr, csc,
 //!                       vsparse) with parse-bytes/s and edges/s, and
 //!                       whether one structure serves both orientations
-//!                       (else the push structure waits for a push)
+//!                       (else the push structure waits for a push, and
+//!                       in-edges whose degrees differ from the out-edges'
+//!                       wait for their first reader)
 //!   --trace             record and print a per-iteration flight-recorder
 //!                       table (engine choice, frontier density, phase
 //!                       times, resilience events)
@@ -274,12 +276,17 @@ fn load_and_prepare(o: &Options, build_pool: &ThreadPool) -> (Graph, PreparedGra
 /// graph stores: one when its in-edges equal its out-edges bit for bit,
 /// which is also why `vsparse` then ran one encode; with two, `vsparse`
 /// is the pull structure alone, and the push structure is encoded by the
-/// first run that can push.
+/// first run that can push. When the in-degrees differ from the
+/// out-degrees, set-up left the in-edges to their first reader too, and
+/// `csc` timed the in-degree count alone.
 fn print_build_timing(p: &BuildProfile, graph: &Graph) {
     println!("\nBuild Timing ({} thread(s)):", p.threads);
-    match graph.is_symmetric() {
-        true => println!("  orientations  1 (in = out)"),
-        false => println!("  orientations  2 (push structure on first push)"),
+    match (graph.is_symmetric(), graph.in_edges_deferred()) {
+        (true, _) => println!("  orientations  1 (in = out)"),
+        (false, true) => {
+            println!("  orientations  2 (in-edges on first read, push structure on first push)")
+        }
+        (false, false) => println!("  orientations  2 (push structure on first push)"),
     }
     println!("  parse     {:>10.3} ms", p.parse_ns as f64 / 1e6);
     println!("  csr       {:>10.3} ms", p.csr_ns as f64 / 1e6);

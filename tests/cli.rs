@@ -113,7 +113,7 @@ fn kcore_reports_degeneracy() {
     assert!(out.contains("orientations  1 (in = out)"), "{out}");
     let out = run_ok(&["-i", path, "-a", "kcore", "--timing"]);
     assert!(
-        out.contains("orientations  2 (push structure on first push)\n"),
+        out.contains("orientations  2 (in-edges on first read, push structure on first push)\n"),
         "{out}"
     );
     std::fs::remove_file(path).ok();
@@ -121,14 +121,24 @@ fn kcore_reports_degeneracy() {
 
 /// A directed input keeps two orientations, and its set-up encodes the
 /// pull structure alone: the timing table says the push structure waits
-/// for the first run that can push, and runs that pull only and runs that
-/// push both finish.
+/// for the first run that can push and, the in-degrees differing from the
+/// out-degrees, the in-edges for their first reader; runs that pull only
+/// and runs that push both finish. A directed cycle, whose degrees agree,
+/// builds its in-edges at set-up.
 #[test]
 fn a_directed_input_defers_its_push_structure() {
+    let cycle = std::env::temp_dir().join("grazelle_cli_cycle.el");
+    std::fs::write(&cycle, "0 1\n1 2\n2 0\n").unwrap();
+    let out = run_ok(&["-i", cycle.to_str().unwrap(), "-a", "pr", "--timing"]);
+    assert!(
+        out.contains("  orientations  2 (push structure on first push)\n"),
+        "{out}"
+    );
+    std::fs::remove_file(&cycle).ok();
     let path = std::env::temp_dir().join("grazelle_cli_directed.el");
     std::fs::write(&path, "0 1\n1 2\n2 0\n2 3\n3 4\n").unwrap();
     let path = path.to_str().unwrap();
-    let line = "  orientations  2 (push structure on first push)\n";
+    let line = "  orientations  2 (in-edges on first read, push structure on first push)\n";
     let out = run_ok(&["-i", path, "-a", "pr", "-N", "4", "--timing"]);
     assert!(out.contains(line), "{out}");
     assert!(

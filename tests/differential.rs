@@ -22,6 +22,7 @@ use grazelle::core::{
     run_program_overlay_on_pool, run_resilient_on_pool, run_resilient_overlay_on_pool,
     GraphProgram, ResilienceContext, RunOutcome, VersionedGraph,
 };
+use grazelle::graph::csr::Csr;
 use grazelle::graph::delta::UpdateBatch;
 use grazelle::graph::edgelist::EdgeList;
 use grazelle::graph::gen::{erdos_renyi, grid_mesh, rmat, RmatConfig};
@@ -1407,6 +1408,89 @@ fn a_deferred_push_structure_runs_like_an_eager_one() {
     }
 }
 
+/// A directed graph whose in-degrees differ from its out-degrees defers
+/// its in-edges at set-up, and its VSD is encoded straight from the
+/// out-edges. On directed members of the three families, at 1, 2 and 8
+/// threads, each program runs on a fresh deferred graph and preparation,
+/// and on an eager struct-literal preparation encoded from both built
+/// orientations: BFS parents, SSSP distances, CC labels, k-core coreness
+/// and PageRank ranks come out the same bits, and no run builds the
+/// deferred in-edges.
+#[test]
+fn deferred_in_edges_run_like_eager_ones() {
+    // A fresh graph over the same out-edges: its in-edges unbuilt.
+    let deferred = |g: &Graph| Graph::from_out_csr(g.out_csr().clone(), None);
+    for family in 0..3u8 {
+        let g = directed_family_graph(family, 29);
+        let gw = weighted_copy_by(&g, |v, d| {
+            ((v as u64 * 131 + d as u64 * 7) % 64 + 1) as f64 / 7.0
+        });
+        let (n, root) = (g.num_vertices(), widest_source(&g));
+        for threads in [1usize, 2, 8] {
+            let pool = ThreadPool::single_group(threads);
+            let cfg = EngineConfig::new()
+                .with_threads(threads)
+                .with_granularity(Granularity::VectorsPerChunk(64))
+                .with_max_iterations(2 * n);
+            let what = format!("family {family}, {threads} threads");
+            let outputs = |eager: bool| -> Vec<Vec<u64>> {
+                let prepare = |g: &Graph| {
+                    let g = deferred(g);
+                    assert!(
+                        g.in_edges_deferred() && g.built_in_csr().is_none(),
+                        "{what}"
+                    );
+                    let pg = match eager {
+                        true => PreparedGraph {
+                            vsd: Vsd::from_csr(g.in_csr()),
+                            vss: Vss::from_csr(g.out_csr()),
+                            num_vertices: g.num_vertices(),
+                            num_edges: g.num_edges(),
+                        },
+                        false => PreparedGraph::new_on_pool(&g, &pool),
+                    };
+                    (g, pg)
+                };
+                let unbuilt = |g: &Graph, app: &str| {
+                    assert_eq!(g.built_in_csr().is_none(), !eager, "{what}: {app}");
+                };
+                let (dg, pg) = prepare(&g);
+                let (parents, _) = bfs::run_prepared(&pg, &cfg, &pool, root);
+                unbuilt(&dg, "bfs");
+                let bfs = parents
+                    .iter()
+                    .map(|p| p.map_or(u64::MAX, u64::from))
+                    .collect();
+                let (dgw, pgw) = prepare(&gw);
+                let (dist, _) = sssp::run_prepared(&pgw, &cfg, &pool, root);
+                unbuilt(&dgw, "sssp");
+                let sssp = dist
+                    .iter()
+                    .map(|d| d.map_or(u64::MAX, f64::to_bits))
+                    .collect();
+                let (dg, pg) = prepare(&g);
+                let (labels, _) = cc::run_prepared(&pg, &cfg, &pool, false);
+                unbuilt(&dg, "cc");
+                let cc = labels.iter().map(|&l| u64::from(l)).collect();
+                let (dg, pg) = prepare(&g);
+                let (core, _) = kcore::run_prepared(&pg, &dg, &cfg, &pool);
+                unbuilt(&dg, "kcore");
+                let kcore = core.iter().map(|&c| u64::from(c)).collect();
+                let (dg, pg) = prepare(&g);
+                let (ranks, _) = pagerank::run_prepared(&pg, &dg, &cfg, &pool, PR_ITERS);
+                unbuilt(&dg, "pagerank");
+                let pr = ranks.iter().map(|r| r.to_bits()).collect();
+                vec![bfs, sssp, cc, kcore, pr]
+            };
+            let (got, want) = (outputs(false), outputs(true));
+            for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                let app = ["bfs", "sssp", "cc", "kcore", "pagerank"][i];
+                assert_eq!(got, want, "{what}: {app}");
+            }
+        }
+    }
+}
+
 /// The set-up a user runs, `prepare_profiled`, on a directed R-MAT above
 /// the pool cutover: PageRank pulls every superstep and never encodes the
 /// push structure, at 1, 2 and 8 threads. BFS, SSSP and CC each encode it
@@ -1428,6 +1512,18 @@ fn pagerank_never_encodes_the_push_structure_and_traversals_encode_it_once() {
             !pg.vss.is_encoded(),
             "{threads} threads: PageRank encoded the VSS"
         );
+        // Nor did it build the in-edges; the first `in_neighbors` does,
+        // once for the graph and its clones.
+        assert!(g.built_in_csr().is_none(), "{threads} threads");
+        let twin = g.clone();
+        let hub = widest_source(&g);
+        let first = g.in_neighbors(hub).as_ptr();
+        assert_eq!(
+            twin.built_in_csr().map(|c| c.edges().as_ptr()),
+            Some(g.in_csr().edges().as_ptr())
+        );
+        assert_eq!(twin.in_neighbors(hub).as_ptr(), first);
+        assert!(g.in_csr().bit_identical(&Csr::from_edgelist_by_dst(&el)));
 
         let gw = weighted_copy(&g);
         let eager = [Vss::from_csr(g.out_csr()), Vss::from_csr(gw.out_csr())];
