@@ -1424,12 +1424,13 @@ pub fn build_throughput() -> Table {
     t
 }
 
-/// Serve-layer latency (ISSUE 7): the same query stream timed directly
-/// against `run_resilient_on_pool` (via [`grazelle_serve::single_shot`])
-/// and through the serving layer's admission/deadline/retry machinery,
-/// plus a reachability pair showing what batch formation buys. The
-/// served-vs-direct overhead row is the tentpole's acceptance number
-/// (≤3% on the clean path).
+/// Serve-layer latency: the same query streams timed directly against
+/// `run_resilient_on_pool` (via [`grazelle_serve::single_shot`]) and
+/// through the serving layer's admission/deadline/retry machinery, plus a
+/// reachability pair showing what batch formation buys. A served CC runs
+/// `single_shot` too, so the CC pair is the serving overhead (≤3% on the
+/// clean path); a served BFS or lone Reach runs as a one-lane
+/// `multi_source_reach` sweep, so the BFS pair compares two kernels.
 pub fn serve_latency() -> Table {
     use grazelle_core::ResilienceContext;
     use grazelle_serve::{single_shot, Query, ServeConfig, Server};
@@ -1470,9 +1471,10 @@ pub fn serve_latency() -> Table {
         "Serve latency — direct vs served query streams (clean path)",
         &["arm", "queries", "p50 us", "p99 us", "QPS", "vs baseline"],
     );
-    t.note("acceptance: served/direct BFS stream overhead ≤3% on the clean path");
+    t.note("acceptance: served/direct CC stream overhead ≤3% on the clean path (both single_shot)");
+    t.note("bfs: direct runs single_shot, served a one-lane packed sweep");
     t.note("best-of-N over whole streams; percentiles from the best stream");
-    t.note("reach arms share a baseline: sequential served vs 64-wide packed");
+    t.note("reach arms share a baseline: one-lane sweeps (x1) vs 64-wide packs");
 
     let ds = Dataset::Friendster;
     let w = workload(ds);
@@ -1500,20 +1502,13 @@ pub fn serve_latency() -> Table {
     // Each arm runs one whole query stream and returns (total secs,
     // per-query latencies in ns). Closed loop except the packed arm,
     // which submits the full stream up front so batch formation can pack.
-    let mut run_direct = |lat: &mut Vec<u64>| -> f64 {
+    let run_direct = |q: fn(u32) -> Query, lat: &mut Vec<u64>| -> f64 {
         lat.clear();
         let t0 = Instant::now();
         for &r in &roots {
             let q0 = Instant::now();
-            let res = single_shot(
-                &graph,
-                &pg,
-                &ecfg,
-                &ResilienceContext::new(),
-                &pool,
-                Query::Bfs { root: r },
-            )
-            .expect("clean direct run");
+            let res = single_shot(&graph, &pg, &ecfg, &ResilienceContext::new(), &pool, q(r))
+                .expect("clean direct run");
             std::hint::black_box(&res);
             lat.push(q0.elapsed().as_nanos() as u64);
         }
@@ -1557,7 +1552,12 @@ pub fn serve_latency() -> Table {
         secs
     };
 
-    let (direct_s, direct_l) = measure("serve:bfs:direct", &mut run_direct);
+    let mut direct_cc = |lat: &mut Vec<u64>| run_direct(|_| Query::Cc, lat);
+    let (cc_direct_s, cc_direct_l) = measure("serve:cc:direct", &mut direct_cc);
+    let mut served_cc = |lat: &mut Vec<u64>| run_served(|_| Query::Cc, lat);
+    let (cc_served_s, cc_served_l) = measure("serve:cc:served", &mut served_cc);
+    let mut direct_bfs = |lat: &mut Vec<u64>| run_direct(|r| Query::Bfs { root: r }, lat);
+    let (direct_s, direct_l) = measure("serve:bfs:direct", &mut direct_bfs);
     let mut served_bfs = |lat: &mut Vec<u64>| run_served(|r| Query::Bfs { root: r }, lat);
     let (served_s, served_l) = measure("serve:bfs:served", &mut served_bfs);
     let mut served_reach = |lat: &mut Vec<u64>| run_served(|r| Query::Reach { root: r }, lat);
@@ -1567,6 +1567,10 @@ pub fn serve_latency() -> Table {
     assert_eq!(snap.failed, 0, "clean streams must not fail");
     assert_eq!(snap.expired, 0, "no deadlines were set");
     assert!(snap.packed_runs > 0, "reach stream must actually pack");
+    assert_eq!(
+        snap.reach_lookups, 0,
+        "a directed input keeps every reach on the sweep"
+    );
     drop(server);
 
     let mut row = |arm: &str, secs: f64, lat: &[u64], baseline: Option<f64>| {
@@ -1582,6 +1586,8 @@ pub fn serve_latency() -> Table {
             },
         ]);
     };
+    row("cc direct", cc_direct_s, &cc_direct_l, None);
+    row("cc served", cc_served_s, &cc_served_l, Some(cc_direct_s));
     row("bfs direct", direct_s, &direct_l, None);
     row("bfs served", served_s, &served_l, Some(direct_s));
     row("reach served x1", seq_s, &seq_l, None);
@@ -2187,15 +2193,18 @@ mod tests {
     }
 
     #[test]
-    fn serve_latency_logs_all_four_arms() {
+    fn serve_latency_logs_every_arm() {
         tiny_env();
         crate::schema::drain_runs();
         let t = serve_latency();
-        assert_eq!(t.rows.len(), 4);
-        assert_eq!(t.rows[0][0], "bfs direct");
+        assert_eq!(t.rows.len(), 6);
+        assert_eq!(t.rows[0][0], "cc direct");
         assert_eq!(t.rows[0][5], "baseline");
+        assert_eq!(t.rows[2][0], "bfs direct");
         let runs = crate::schema::drain_runs();
         for label in [
+            "serve:cc:direct",
+            "serve:cc:served",
             "serve:bfs:direct",
             "serve:bfs:served",
             "serve:reach:seq",

@@ -30,6 +30,13 @@
 //! [`base_prepared`](VersionedGraph::base_prepared); readers of CSR/CSC
 //! alone ([`layers`](VersionedGraph::layers)) never pay for it.
 //!
+//! A version also keeps a [`ComponentMemo`]: on an undirected version
+//! (symmetric base, no active overlay) the vertices reachable from a root
+//! are its connected component, so the reached sets of the traversals
+//! served on the version label its components as they are met. The memo is
+//! the version's own: every applied batch starts it empty, and it lives
+//! beside the base, never in the shared [`Graph`] / [`PreparedGraph`].
+//!
 //! Pending deltas persist through the `GRZCKPT1` checkpoint container
 //! ([`save_pending`](VersionedGraph::save_pending)): each edge packs into
 //! one `u64` array slot and the batch version rides in the iteration field.
@@ -151,11 +158,89 @@ impl<'a> GraphView<'a> {
     }
 }
 
+/// Component label of a vertex no recorded traversal has reached.
+const UNSEEN: u32 = u32::MAX;
+
+/// The connected components of one undirected version, learned from the
+/// reached sets of completed traversals
+/// ([`record`](ComponentMemo::record)); a component is either recorded
+/// whole or not at all, so a recorded root answers reachability without a
+/// traversal ([`reached`](ComponentMemo::reached)).
+#[derive(Debug, Default)]
+pub struct ComponentMemo {
+    /// Component of each vertex, [`UNSEEN`] until a recorded traversal
+    /// reached it; empty until the first record.
+    labels: Vec<u32>,
+    /// Components recorded so far.
+    components: u32,
+    /// The reached set of the component looked up last, so repeated roots
+    /// in one component (the giant one, mostly) cost a copy, not a scan.
+    last: Option<(u32, Vec<bool>)>,
+}
+
+impl ComponentMemo {
+    /// The recorded component of `v`, if any.
+    fn component(&self, v: VertexId) -> Option<u32> {
+        self.labels
+            .get(v as usize)
+            .copied()
+            .filter(|&c| c != UNSEEN)
+    }
+
+    /// Records the reached sets of a completed traversal from `roots`:
+    /// bit *i* of `masks[v]` says `v` was reached from `roots[i]`. Each
+    /// root whose component is not recorded yet labels its reached set as
+    /// one new component; roots that share a component share it. Returns
+    /// the number of new components. Sound only when the traversal ran on
+    /// an undirected graph, where a reached set is a whole component.
+    pub fn record(&mut self, roots: &[VertexId], masks: &[u64]) -> usize {
+        assert!(roots.len() <= 64, "one mask bit per root");
+        // Lanes whose root neither a recorded component nor an earlier new
+        // lane holds: their reached sets are new, pairwise disjoint
+        // components.
+        let mut fresh = 0u64;
+        let mut label = [UNSEEN; 64];
+        for (lane, &r) in roots.iter().enumerate() {
+            if self.component(r).is_none() && masks[r as usize] & fresh == 0 {
+                fresh |= 1 << lane;
+                label[lane] = self.components;
+                self.components += 1;
+            }
+        }
+        if fresh == 0 {
+            return 0;
+        }
+        if self.labels.is_empty() {
+            self.labels = vec![UNSEEN; masks.len()];
+        }
+        for (slot, &m) in self.labels.iter_mut().zip(masks) {
+            if m & fresh != 0 {
+                *slot = label[(m & fresh).trailing_zeros() as usize];
+            }
+        }
+        fresh.count_ones() as usize
+    }
+
+    /// The reached set of `root` (its component, one flag per vertex), or
+    /// `None` when its component is not recorded.
+    pub fn reached(&mut self, root: VertexId) -> Option<Vec<bool>> {
+        let c = self.component(root)?;
+        if self.last.as_ref().is_none_or(|(last, _)| *last != c) {
+            let set = self.labels.iter().map(|&l| l == c).collect();
+            self.last = Some((c, set));
+        }
+        self.last.as_ref().map(|(_, set)| set.clone())
+    }
+}
+
 /// The versioned graph handle (see the module docs for the policy).
 pub struct VersionedGraph {
     base: Arc<Graph>,
     /// Filled by the first engine read of the base.
     base_pg: OnceLock<Arc<PreparedGraph>>,
+    /// This version's components, met so far; see
+    /// [`components`](VersionedGraph::components).
+    components: ComponentMemo,
     delta: DeltaSegments,
     /// The overlay and its structures, filled by its first engine read.
     delta_graph: Option<(Graph, OnceLock<PreparedGraph>)>,
@@ -183,6 +268,7 @@ impl VersionedGraph {
         VersionedGraph {
             base,
             base_pg,
+            components: ComponentMemo::default(),
             delta: DeltaSegments::new(n),
             delta_graph: None,
             out_deg,
@@ -255,6 +341,13 @@ impl VersionedGraph {
         (&self.base, self.delta_graph.as_ref().map(|(g, _)| g))
     }
 
+    /// This version's component memo, while the version is undirected: a
+    /// symmetric base ([`Graph::is_symmetric`]) and no active overlay.
+    /// `None` otherwise, so nothing records or answers from it then.
+    pub fn components(&mut self) -> Option<&mut ComponentMemo> {
+        (self.base.is_symmetric() && !self.delta_active()).then_some(&mut self.components)
+    }
+
     /// Whether every layer of this version holds its Vector-Sparse.
     pub fn encoded(&self) -> bool {
         self.base_pg.get().is_some()
@@ -274,6 +367,9 @@ impl VersionedGraph {
         pool: &ThreadPool,
     ) -> Result<ApplyReport, GraphError> {
         let record = self.delta.record(&self.base, batch)?;
+        // A new version: what the old one's traversals found says nothing
+        // about it.
+        self.components = ComponentMemo::default();
         for &(u, v) in &record.inserted {
             self.out_deg[u as usize] += 1;
             self.in_deg[v as usize] += 1;
@@ -693,6 +789,61 @@ mod tests {
         assert_eq!(vg.layers().1.unwrap().out_csr(), &before);
         assert_eq!(vg.num_edges(), 18);
         assert_eq!(vg.view(&pool).out_degree(0), 3);
+    }
+
+    /// Two lanes in one component share its label; the memo answers only
+    /// on an undirected version and starts empty on every new version.
+    #[test]
+    fn component_memo_belongs_to_one_undirected_version() {
+        // Components {0..3} (a ring) and {4, 5}; 6 is isolated.
+        let mut el = EdgeList::new(7);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)] {
+            el.push(u, v).unwrap();
+            el.push(v, u).unwrap();
+        }
+        let (mut vg, pool) = vg_over(Graph::from_edgelist(&el).unwrap());
+        let reach = |roots: &[u32]| -> Vec<u64> {
+            let mut masks = vec![0u64; 7];
+            for (lane, &r) in roots.iter().enumerate() {
+                for v in 0..7u32 {
+                    let c = |x: u32| {
+                        if x < 4 {
+                            0
+                        } else if x < 6 {
+                            1
+                        } else {
+                            x
+                        }
+                    };
+                    if c(v) == c(r) {
+                        masks[v as usize] |= 1 << lane;
+                    }
+                }
+            }
+            masks
+        };
+        let memo = vg.components().expect("a symmetric base without overlay");
+        assert_eq!(memo.reached(2), None);
+        assert_eq!(memo.record(&[1, 3, 5], &reach(&[1, 3, 5])), 2);
+        assert_eq!(memo.record(&[0, 6], &reach(&[0, 6])), 1, "0 is known");
+        let ring: Vec<bool> = (0..7).map(|v| v < 4).collect();
+        assert_eq!(memo.reached(2), Some(ring.clone()));
+        assert_eq!(memo.reached(0), Some(ring));
+        assert_eq!(memo.reached(6), Some((0..7).map(|v| v == 6).collect()));
+        assert_eq!(memo.component(4), memo.component(5));
+        assert_ne!(memo.component(4), memo.component(0));
+
+        vg.apply_batch(&UpdateBatch::from_inserts(&[(6, 0)]), &pool)
+            .unwrap();
+        assert!(vg.components().is_none(), "an overlay is active");
+        vg.apply_batch(UpdateBatch::new().delete(6, 0), &pool)
+            .unwrap();
+        let memo = vg.components().expect("the merge left the ring symmetric");
+        assert_eq!(memo.component(0), None, "a new version starts empty");
+
+        let (mut directed, _) =
+            vg_over(Graph::from_edgelist(&EdgeList::from_pairs(3, &[(0, 1)]).unwrap()).unwrap());
+        assert!(directed.components().is_none());
     }
 
     #[test]

@@ -64,7 +64,9 @@ pub use engine::resilient::{
 pub use faults::{ExecFaultPlan, ExecInjector, FaultPlan, ServeFaultPlan, ServeInjector};
 pub use frontier::{DenseBitmap, Frontier};
 pub use grazelle_sched::cancel::CancelFlag;
-pub use incremental::{ApplyReport, GraphView, VersionedGraph, DEFAULT_MERGE_FRACTION};
+pub use incremental::{
+    ApplyReport, ComponentMemo, GraphView, VersionedGraph, DEFAULT_MERGE_FRACTION,
+};
 pub use program::{AggOp, EdgeFunc, GraphProgram, HOP_DECAY};
 pub use properties::PropertyArray;
 pub use spmv::{

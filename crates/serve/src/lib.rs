@@ -11,10 +11,12 @@
 //! * **Bounded admission** — a capacity-limited queue plus an
 //!   estimated-work budget; load beyond either is shed *immediately* with
 //!   a typed [`ServeError::Overloaded`], never buffered without bound.
-//! * **Batch formation** — up to 64 reachability and BFS queries pack into
-//!   one bit-parallel [`multi_source_reach`](grazelle_apps::multi) run over
-//!   the current version, insert overlay included: one direction-optimising
-//!   sweep (pull by default) answering the whole batch.
+//! * **Batch formation** — one to 64 reachability and BFS queries pack
+//!   into one bit-parallel [`multi_source_reach`](grazelle_apps::multi)
+//!   run over the current version, insert overlay included: one
+//!   direction-optimising sweep (pull by default) answering the whole
+//!   batch. On an undirected version a reachability query whose component
+//!   an earlier sweep met is answered from the version's component memo.
 //! * **Deadlines** — per-query, enforced by cooperative cancellation at
 //!   engine iteration boundaries ([`ServeError::Expired`]); nothing is
 //!   killed mid-iteration, the pool is never poisoned.
@@ -37,7 +39,8 @@
 //! Completed queries are **bit-identical** to single-shot
 //! [`run_resilient`](grazelle_core::run_resilient) executions of the same
 //! query: the server's executor calls the same [`single_shot`] path the
-//! tests compare against.
+//! tests compare against for every query it does not pack, and a packed
+//! lane or a component lookup gives the same reply by the pack contract.
 
 pub mod endpoint;
 pub mod query;

@@ -3,8 +3,10 @@
 //!
 //! Every query the server completes must be bit-identical to running the
 //! same query alone through the resilient engine — so [`single_shot`] *is*
-//! that reference path, and the server calls it for its own execution.
-//! There is no second implementation to drift.
+//! that reference path, and the server calls it for every query it does
+//! not pack. Reach and BFS replies come from packed sweeps (or, for a
+//! Reach on an undirected version, the component an earlier sweep found),
+//! which the tests hold to this path.
 
 use grazelle_apps::pagerank::DAMPING;
 use grazelle_apps::{
@@ -256,9 +258,9 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// Executes `query` once through the resilient engine on `pool` — the
-/// reference the server's completed results are bit-identical to, because
-/// the server itself calls this (through [`single_shot_view`] once the
-/// graph is versioned).
+/// reference the server's completed results are bit-identical to. The
+/// server calls this (through [`single_shot_view`]) for every query it does
+/// not pack.
 pub fn single_shot(
     g: &Graph,
     pg: &PreparedGraph,

@@ -11,11 +11,13 @@
 //!   [`ServeError`] immediately.
 //! * **One executor thread** owns both engine pools (the configured-width
 //!   pool and the 1-thread scalar degraded pool). It dequeues, packs
-//!   Reach and BFS queries into bit-parallel runs, and executes everything
-//!   through [`single_shot`](crate::query::single_shot) / [`multi_source_reach`] so completed results
-//!   are bit-identical to standalone runs. Executor panics (injected or
-//!   otherwise) are caught per attempt; the thread never dies with queries
-//!   outstanding.
+//!   Reach and BFS queries (one or more) into bit-parallel
+//!   [`multi_source_reach`] runs, answers a Reach on an undirected version
+//!   from the components earlier runs found, and executes everything else
+//!   through [`single_shot`](crate::query::single_shot), so completed
+//!   results are bit-identical to standalone runs. Executor panics
+//!   (injected or otherwise) are caught per attempt; the thread never dies
+//!   with queries outstanding.
 //! * **One monitor thread** wakes every 200µs and sets the in-flight run's
 //!   [`CancelFlag`] once its deadline passes. The engine observes the flag
 //!   at the next iteration boundary and returns
@@ -525,7 +527,7 @@ fn write_snapshot(snap: &StatsSnapshot, path: &std::path::Path) -> Result<(), St
 }
 
 /// The counters [`write_snapshot`] persists, in file order.
-fn snapshot_fields(snap: &StatsSnapshot) -> [u64; 17] {
+fn snapshot_fields(snap: &StatsSnapshot) -> [u64; 18] {
     [
         snap.admitted,
         snap.completed,
@@ -544,6 +546,7 @@ fn snapshot_fields(snap: &StatsSnapshot) -> [u64; 17] {
         snap.merge_ns,
         snap.p50_latency_ns,
         snap.p99_latency_ns,
+        snap.reach_lookups,
     ]
 }
 
@@ -611,9 +614,9 @@ enum Batch {
 
 /// Forms the next batch under the queue lock: if the head is packable,
 /// pull every packable query (up to the window, up to the next update) out
-/// of the queue — later non-packable queries keep their order; a lone one
-/// runs as a single query. An active insert overlay does not matter: the
-/// pack reads it.
+/// of the queue — later non-packable queries keep their order. A lone
+/// packable query is a pack of one. An active insert overlay does not
+/// matter: the pack reads it.
 fn form_batch(shared: &Shared, q: &mut QueueState) -> Batch {
     let head_packs = q.deque.front().is_some_and(|p| p.request.packable());
     if !head_packs {
@@ -637,11 +640,7 @@ fn form_batch(shared: &Shared, q: &mut QueueState) -> Batch {
             i += 1;
         }
     }
-    if members.len() == 1 {
-        Batch::Single(members.pop().expect("one member"))
-    } else {
-        Batch::Packed(members)
-    }
+    Batch::Packed(members)
 }
 
 /// The query's absolute expiry, folding in an injected deadline storm
@@ -901,13 +900,13 @@ fn apply_update(shared: &Shared, pool: &ThreadPool, p: Pending) {
     }
 }
 
-/// Executes a packed batch of Reach and BFS queries as one bit-parallel run
-/// over the current version, insert overlay included. A member already
-/// past its deadline never enters the pack, and one whose injected panic
-/// fires leaves it with attempt 0 spent, so every member's disposition and
-/// counters are what running alone would give. Cancellation uses the
-/// earliest member deadline; on cancellation or a panic in the run,
-/// survivors fall back to the individual path.
+/// Executes a packed batch of Reach and BFS queries over the current
+/// version, insert overlay included. A member already past its deadline
+/// never enters the pack, and one whose injected panic fires leaves it
+/// with attempt 0 spent, so every member's disposition and counters are
+/// what running alone would give. On an undirected version a Reach whose
+/// component an earlier sweep recorded is answered from the memo; the
+/// rest, one member or more, run as one bit-parallel sweep.
 fn execute_packed(
     shared: &Shared,
     pool: &ThreadPool,
@@ -933,21 +932,48 @@ fn execute_packed(
             Err(spent) => evicted.push((p, spent)),
         }
     }
-    match live.len() {
-        0 => {}
-        1 => {
-            let p = live.pop().expect("one member");
-            execute_single(shared, pool, degraded_pool, p, None);
-        }
-        _ => run_pack(shared, pool, degraded_pool, live),
+    let live = answer_from_components(shared, live);
+    if !live.is_empty() {
+        run_pack(shared, pool, degraded_pool, live);
     }
     for (p, spent) in evicted {
         execute_single(shared, pool, degraded_pool, p, Some(spent));
     }
 }
 
-/// The bit-parallel run behind [`execute_packed`], for two or more members
-/// that are neither expired nor injected to panic.
+/// Disposes every Reach in `live` whose root lies in a component the
+/// version's memo holds, with a copy of that component, and returns the
+/// members left to sweep. A directed or overlaid version has no memo.
+fn answer_from_components(shared: &Shared, live: Vec<Pending>) -> Vec<Pending> {
+    let mut vg = shared.graph_state();
+    let Some(memo) = vg.components() else {
+        return live;
+    };
+    let mut rest = Vec::with_capacity(live.len());
+    let mut answered = 0;
+    for p in live {
+        let reached = match p.request {
+            Request::Query(Query::Reach { root }) => memo.reached(root),
+            _ => None,
+        };
+        match reached {
+            Some(reached) => {
+                dispose(shared, &p, Ok(QueryResult::Reached(reached)));
+                answered += 1;
+            }
+            None => rest.push(p),
+        }
+    }
+    drop(vg);
+    shared.stats.lock().unwrap().reach_lookups += answered;
+    rest
+}
+
+/// The bit-parallel run behind [`execute_packed`], for one or more members
+/// that are neither expired nor injected to panic. On an undirected
+/// version the completed sweep records the components it met. If the run
+/// is cancelled (the earliest member deadline) or panics, every member
+/// falls back to the individual path.
 fn run_pack(
     shared: &Shared,
     pool: &ThreadPool,
@@ -987,6 +1013,9 @@ fn run_pack(
     });
     match result {
         Ok(Some((mr, overlay, sweep_ns))) => {
+            if let Some(memo) = shared.graph_state().components() {
+                memo.record(&roots, mr.masks());
+            }
             let mut stats = shared.stats.lock().unwrap();
             stats.packed_runs += 1;
             stats.packed_queries += live.len() as u64;
@@ -1334,6 +1363,7 @@ mod tests {
             .map(|&bits| f64::from_bits(bits) as u64)
             .collect();
         assert_eq!(stored, snapshot_fields(&snap));
+        assert_eq!(stored.len(), 18, "reach_lookups is appended last");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1514,18 +1544,30 @@ mod tests {
             .collect();
         plug.wait().unwrap();
         let packed: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
+        let before = server.stats();
         // Alone in the queue, over the insert overlay the stream leaves, a
-        // Reach and a BFS each run as a single engine query.
-        let lone = [Query::Reach { root: 5 }, Query::Bfs { root: 5 }]
+        // Reach and a BFS each run as a one-lane sweep, a CC as an engine
+        // query.
+        let lone = [Query::Reach { root: 5 }, Query::Bfs { root: 5 }, Query::Cc]
             .map(|q| (q, server.submit(q).unwrap().wait()));
         let on = server.drain();
         assert!(packed.iter().all(Result::is_ok));
         assert!(on.packed_overlay_runs >= 1 && on.packed_bfs_queries >= 1);
         assert_eq!(on.merges, 1);
+        // (runs, queries, BFS queries, overlay runs) of the lone sweeps.
+        let swept = |s: &StatsSnapshot, b: &StatsSnapshot| {
+            let bfs = s.packed_bfs_queries - b.packed_bfs_queries;
+            let overlay = s.packed_overlay_runs - b.packed_overlay_runs;
+            let runs = s.packed_runs - b.packed_runs;
+            (runs, s.packed_queries - b.packed_queries, bfs, overlay)
+        };
+        assert_eq!(swept(&on, &before), (2, 2, 1, 2), "one lane each");
         // The plug's CC encodes the push structure the starting version's
-        // directed graph left deferred; packs read CSR/CSC only; the first
-        // lone query encodes the last version, the second reads it.
+        // directed graph left deferred; sweeps read CSR/CSC only; the lone
+        // CC encodes the last version.
+        assert_eq!(before.encodes, 1);
         assert_eq!(on.encodes, 2);
+        assert_eq!(on.reach_lookups, 0, "no version is undirected");
 
         // Every reply equals a cold build of the edge set of its version.
         let mut edges: Vec<(u32, u32)> = g.out_csr().iter_edges().map(|(s, d, _)| (s, d)).collect();
@@ -1618,9 +1660,9 @@ mod tests {
     }
 
     /// A directed graph whose set-up deferred its in-edges has them built
-    /// by the started server before its first query: after a lone BFS,
-    /// which reads the Vector-Sparse structures only, they are there, and
-    /// they are the by-destination structure.
+    /// by the started server before its first query: after a CC, which
+    /// reads the Vector-Sparse structures only, they are there, and they
+    /// are the by-destination structure.
     #[test]
     fn a_started_server_readies_deferred_in_edges() {
         let pairs: Vec<(u32, u32)> = (0..64u32)
@@ -1633,11 +1675,7 @@ mod tests {
         let pg = Arc::new(PreparedGraph::new(&g));
         assert!(g.built_in_csr().is_none(), "preparing does not build them");
         let server = Server::start(Arc::clone(&g), pg, base_cfg());
-        server
-            .submit(Query::Bfs { root: 3 })
-            .unwrap()
-            .wait()
-            .unwrap();
+        server.submit(Query::Cc).unwrap().wait().unwrap();
         let inn = g.built_in_csr().expect("the server built the in-edges");
         assert!(inn.bit_identical(&grazelle_graph::csr::Csr::from_edgelist_by_dst(&el)));
         server.drain();
@@ -1647,16 +1685,17 @@ mod tests {
     fn degree_table_is_shared_across_runs_and_rebuilt_by_a_merge() {
         let (g, pg) = serve_graph(64);
         let server = Server::start(Arc::clone(&g), Arc::clone(&pg), base_cfg());
-        let bfs = |root| {
-            let reply = server.submit(Query::Bfs { root }).unwrap().wait();
-            reply.expect("bfs completes");
+        // CC runs on the engine; a lone BFS would sweep and read no table.
+        let cc = || {
+            let reply = server.submit(Query::Cc).unwrap().wait();
+            reply.expect("cc completes");
         };
-        bfs(0);
+        cc();
         let table = pg.vss.degrees();
         for v in 0..64u32 {
             assert_eq!(table[v as usize], g.out_degree(v), "v{v}");
         }
-        bfs(9);
+        cc();
         assert!(
             std::ptr::eq(table, pg.vss.degrees()),
             "a second run on the same prepared graph reads the first run's table"
@@ -1667,9 +1706,9 @@ mod tests {
         batch.delete(0, 1).insert(5, 50);
         let reply = server.submit_update(batch).unwrap().wait().unwrap();
         assert!(matches!(reply, QueryResult::Updated { merged: true, .. }));
-        bfs(0);
+        cc();
         let vg = server.shared.graph_state();
-        assert!(vg.encoded(), "the BFS encoded the merged base");
+        assert!(vg.encoded(), "the CC encoded the merged base");
         let pool = ThreadPool::single_group(1);
         let (merged, merged_pg) = (Arc::clone(vg.base()), Arc::clone(vg.base_prepared(&pool)));
         drop(vg);

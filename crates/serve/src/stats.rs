@@ -36,6 +36,7 @@ pub(crate) struct StatsInner {
     pub merge_ns: u64,
     pub encodes: u64,
     pub encode_ns: u64,
+    pub reach_lookups: u64,
     latencies_ns: Vec<u64>,
     next: usize,
 }
@@ -82,6 +83,7 @@ impl StatsInner {
             merge_ns: self.merge_ns,
             encodes: self.encodes,
             encode_ns: self.encode_ns,
+            reach_lookups: self.reach_lookups,
             p50_latency_ns: percentile(&lat, 50),
             p99_latency_ns: percentile(&lat, 99),
         }
@@ -164,6 +166,9 @@ pub struct StatsSnapshot {
     pub encodes: u64,
     /// Wall time of those encodes, ns.
     pub encode_ns: u64,
+    /// Reach queries answered from the component memo of an undirected
+    /// version, without a sweep.
+    pub reach_lookups: u64,
     /// Median completed-query latency (recent window), nanoseconds.
     pub p50_latency_ns: u64,
     /// 99th-percentile completed-query latency (recent window), ns.
@@ -201,6 +206,7 @@ impl StatsSnapshot {
              merge_ns: {}\n\
              encodes: {}\n\
              encode_ns: {}\n\
+             reach_lookups: {}\n\
              p50_latency_us: {}\n\
              p99_latency_us: {}\n",
             self.queue_depth,
@@ -228,6 +234,7 @@ impl StatsSnapshot {
             self.merge_ns,
             self.encodes,
             self.encode_ns,
+            self.reach_lookups,
             self.p50_latency_ns / 1_000,
             self.p99_latency_ns / 1_000,
         )
@@ -332,6 +339,7 @@ mod tests {
             merge_ns: 8_000,
             encodes: 2,
             encode_ns: 7_000,
+            reach_lookups: 11,
             ..StatsInner::default()
         };
         s.record_latency(2_000_000);
@@ -349,6 +357,7 @@ mod tests {
             "merge_ns: 8000",
             "encodes: 2",
             "encode_ns: 7000",
+            "reach_lookups: 11",
             "p50_latency_us: 2000",
             "p99_latency_us: 2000",
         ] {
