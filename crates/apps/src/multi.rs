@@ -209,9 +209,9 @@ impl MultiReach {
 
 /// The graph a sweep reads: a base and an optional insert overlay over the
 /// same vertex set, every adjacency list the concatenation of the two.
-/// The in-edge structures are read once, on the calling thread, when the
-/// sweep starts (a directed graph may build them then): the pull step
-/// reads two lists per destination and never goes through the graph.
+/// The in-edge structures are read once, when the sweep starts, by their
+/// one reader, which readies them on the sweep's pool ([`Graph::ready_in`]):
+/// the pull step reads two lists per destination, never the graph.
 #[derive(Clone, Copy)]
 struct Layers<'a> {
     base: &'a Graph,
@@ -221,12 +221,12 @@ struct Layers<'a> {
 }
 
 impl<'a> Layers<'a> {
-    fn new(base: &'a Graph, overlay: Option<&'a Graph>) -> Self {
+    fn new(base: &'a Graph, overlay: Option<&'a Graph>, pool: &ThreadPool) -> Self {
         Layers {
             base,
             overlay,
-            base_csc: base.in_csr(),
-            overlay_csc: overlay.map(Graph::in_csr),
+            base_csc: base.ready_in(Some(pool)),
+            overlay_csc: overlay.map(|o| o.ready_in(Some(pool))),
         }
     }
 
@@ -399,7 +399,7 @@ fn sweep_with<W: LevelWord>(
     cancel: Option<&CancelFlag>,
     forced: Option<u64>,
 ) -> Option<MultiReach> {
-    let g = Layers::new(base, overlay);
+    let g = Layers::new(base, overlay, pool);
     let n = base.num_vertices();
     if let Some(o) = overlay {
         assert_eq!(

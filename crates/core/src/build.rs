@@ -17,26 +17,8 @@ use grazelle_graph::csr::Csr;
 use grazelle_graph::edgelist::EdgeList;
 use grazelle_graph::graph::Graph;
 use grazelle_graph::types::GraphError;
-use grazelle_sched::ThreadPool;
+use grazelle_sched::{build_pool, ThreadPool, PAR_BUILD_CUTOVER_EDGES};
 use std::time::Instant;
-
-/// Default edge count below which the whole pipeline runs on the calling
-/// thread even on a multi-thread pool. Below this size the counting sort's
-/// fixed costs (per-worker histogram allocation, the broadcast handshakes)
-/// outweigh the work split — measured at ~0.86× versus one thread at 2
-/// threads on small inputs — while well above it the pool wins cleanly.
-/// 64Ki edges puts the crossover comfortably on the winning side at every
-/// pool width we ship.
-pub const PAR_BUILD_CUTOVER_EDGES: u64 = 64 * 1024;
-
-/// The one cutover rule of set-up: the pool a build over `edges` edges
-/// runs on — `pool` from `cutover_edges` edges up, none (one share on the
-/// calling thread) below, where a pool dispatch costs more than it splits.
-/// The builders return the same structures either way; every set-up that
-/// may cut over passes this straight to its builder.
-pub fn build_pool(pool: &ThreadPool, edges: usize, cutover_edges: u64) -> Option<&ThreadPool> {
-    (edges as u64 >= cutover_edges).then_some(pool)
-}
 
 /// Builds the graph and the prepared graph from an edge list on `pool`,
 /// timing each phase. Bit-identical to `Graph::from_edgelist` +
@@ -110,7 +92,7 @@ mod tests {
     use super::*;
     use crate::incremental::VersionedGraph;
     use grazelle_graph::delta::UpdateBatch;
-    use grazelle_vsparse::build::Vss;
+    use grazelle_vsparse::build::VectorSparse;
 
     #[test]
     fn profiled_build_matches_plain_build() {
@@ -287,14 +269,15 @@ mod tests {
                     proptest::prop_assert!(g.in_csr().bit_identical(plain_g.in_csr()));
                     proptest::prop_assert!(pg.vsd.bit_identical(&plain_pg.vsd), "{} threads", threads);
                     proptest::prop_assert_eq!(pg.vss.is_encoded(), g.is_symmetric());
-                    // Readied at the width the set-up used, or read on the
-                    // calling thread, against the eager encoding.
+                    // Readied on the set-up's pool (under its own cutover),
+                    // or read on the calling thread, against the eager
+                    // encoding at the set-up's width.
                     let width = build_pool(&pool, el.num_edges(), cutover);
                     let vss = match cutover {
                         0 => pg.vss.ready(width),
                         _ => &*pg.vss,
                     };
-                    proptest::prop_assert!(vss.bit_identical(&Vss::encode(g.out_csr(), width)));
+                    proptest::prop_assert!(vss.bit_identical(&VectorSparse::encode(g.out_csr(), width)));
                     proptest::prop_assert!(pg.vss.bit_identical(&plain_pg.vss), "{} threads", threads);
                 }
             }

@@ -169,15 +169,15 @@ pub(super) fn drive<P: GraphProgram>(
         prog.accumulators().len() >= pg.vsd.num_vertices(),
         "accumulators must cover every vertex"
     );
-    // Push structure on first push (DESIGN.md §12): a run that can push
-    // reads the VSS, and an overlay's fold always does, so a deferred one
-    // is encoded here, on the run's pool, before any worker could read the
-    // handle. A run that only pulls (PageRank) leaves it deferred.
+    // The push structure's one reader (DESIGN.md §12, "On-demand
+    // structures"): a run that can push, and an overlay's fold, read the
+    // VSS, so it is encoded here, on the run's pool, before any worker
+    // could read it. A run that only pulls (PageRank) leaves it empty.
     if prog.uses_frontier() || cfg.force_engine == Some(EngineKind::Push) {
-        pg.ready_push(pool);
+        pg.vss.ready(Some(pool));
     }
     if let Some(d) = overlay {
-        d.ready_push(pool);
+        d.vss.ready(Some(pool));
     }
     let res = cfg.resilience;
     let contained = contain.is_some();

@@ -18,7 +18,6 @@ pub mod pull;
 pub mod resilient;
 pub mod vertex;
 
-use crate::build::{build_pool, PAR_BUILD_CUTOVER_EDGES};
 use grazelle_graph::graph::Graph;
 use grazelle_sched::ThreadPool;
 use grazelle_vsparse::build::{Vsd, Vss};
@@ -27,11 +26,11 @@ use std::sync::Arc;
 /// A graph prepared for Grazelle: both Vector-Sparse orientations, shared
 /// by every run. The pull structure (VSD) is encoded when the graph is
 /// prepared: from the graph's in-edges when it holds them, and straight
-/// from its out-edges when they are deferred (DESIGN.md §12, "In-edges on
-/// first read"). On a symmetric graph ([`Graph::is_symmetric`]) the push
-/// structure (VSS) is that same encoding, shared; on a directed one it is
-/// deferred (DESIGN.md §12, "Push structure on first push"): the first run
-/// that can push encodes it, so a run that only pulls never pays for it.
+/// from its out-edges when they are deferred. On a symmetric graph
+/// ([`Graph::is_symmetric`]) the push structure (VSS) is that same
+/// encoding, shared; on a directed one it is deferred: the first run that
+/// can push encodes it, so a run that only pulls never pays for it
+/// (DESIGN.md §12, "On-demand structures").
 #[derive(Debug, Clone)]
 pub struct PreparedGraph {
     /// Vector-Sparse-Destination: top-level vertex = destination, lanes =
@@ -81,18 +80,6 @@ impl PreparedGraph {
             num_vertices: g.num_vertices(),
             num_edges: g.num_edges(),
         }
-    }
-
-    /// Encodes a deferred VSS now, on `pool` from
-    /// [`PAR_BUILD_CUTOVER_EDGES`] edges up and on the calling thread
-    /// below ([`build_pool`]), as every engine run that can push does on
-    /// entry. Returns whether it was still deferred. Not to be called from a
-    /// worker of `pool` (see [`Vss`]).
-    pub fn ready_push(&self, pool: &ThreadPool) -> bool {
-        let deferred = !self.vss.is_encoded();
-        self.vss
-            .ready(build_pool(pool, self.num_edges, PAR_BUILD_CUTOVER_EDGES));
-        deferred
     }
 }
 
@@ -164,30 +151,6 @@ mod tests {
                 // out-degrees: its VSD came from the out-edges.
                 assert_eq!(g.built_in_csr().is_some(), symmetric);
                 assert!(pg.vsd.bit_identical(&vsd) && pg.vss.bit_identical(&vss));
-            }
-        }
-    }
-
-    /// `ready_push` encodes a deferred VSS once, on the pool from the
-    /// set-up cutover up, and says whether it was deferred; a clone of
-    /// the prepared graph shares the encoding.
-    #[test]
-    fn ready_push_encodes_a_deferred_vss_once() {
-        let cut = PAR_BUILD_CUTOVER_EDGES as u32;
-        let small = EdgeList::from_pairs(8, &[(0, 1), (0, 2), (3, 1), (5, 7)]).unwrap();
-        let large: Vec<(u32, u32)> = (0..cut).map(|i| (i % 512, (i / 512 + i) % 512)).collect();
-        let large = EdgeList::from_pairs(512, &large).unwrap();
-        for el in [small, large] {
-            let g = Graph::from_edgelist(&el).unwrap();
-            let eager = Vss::from_csr(g.out_csr());
-            for threads in [1, 2, 8] {
-                let pool = ThreadPool::single_group(threads);
-                let pg = PreparedGraph::new(&g);
-                let twin = pg.clone();
-                assert!(pg.ready_push(&pool), "{threads} threads");
-                assert!(!pg.ready_push(&pool) && !twin.ready_push(&pool));
-                assert!(std::ptr::eq(pg.vss.vectors(), twin.vss.vectors()));
-                assert!(pg.vss.bit_identical(&eager), "{threads} threads");
             }
         }
     }

@@ -4,8 +4,9 @@
 //! [`DeltaSegments`] recorded on top of it, and keeps a second, small graph
 //! over the pending inserts — the overlay the engine drivers fold in after
 //! each base Edge phase (`run_program_overlay_on_pool`,
-//! `run_resilient_overlay_on_pool`). Each layer's [`PreparedGraph`] is
-//! encoded on demand (see below).
+//! `run_resilient_overlay_on_pool`). Each layer is one [`OnDemand`] cell
+//! over its graph, holding the layer's [`PreparedGraph`] once an engine
+//! read encoded it (see below).
 //!
 //! Policy, all in [`apply_batch`](VersionedGraph::apply_batch):
 //!
@@ -26,9 +27,9 @@
 //! tombstones into the base, and a refresh splices the batch's new inserts
 //! into the old overlay ([`Graph::with_edits`]); both copy every untouched
 //! adjacency list as one slice. A version's Vector-Sparse is encoded once,
-//! on the caller's pool, by its first [`view`](VersionedGraph::view) or
-//! [`base_prepared`](VersionedGraph::base_prepared); readers of CSR/CSC
-//! alone ([`layers`](VersionedGraph::layers)) never pay for it.
+//! on the caller's pool, by its first [`view`](VersionedGraph::view);
+//! readers of CSR/CSC alone ([`layers`](VersionedGraph::layers)) never pay
+//! for it.
 //!
 //! A version also keeps a [`ComponentMemo`]: on an undirected version
 //! (symmetric base, no active overlay) the vertices reachable from a root
@@ -44,7 +45,6 @@
 //! [`with_pending_replayed`](VersionedGraph::with_pending_replayed) rebuilds
 //! the overlay from the persisted inserts against the same base.
 
-use crate::build::{build_pool, PAR_BUILD_CUTOVER_EDGES};
 use crate::checkpoint::Checkpoint;
 use crate::engine::PreparedGraph;
 use crate::frontier::Frontier;
@@ -53,9 +53,9 @@ use grazelle_graph::delta::{DeltaRecord, DeltaSegments, UpdateBatch};
 use grazelle_graph::edgelist::EdgeList;
 use grazelle_graph::graph::Graph;
 use grazelle_graph::types::{GraphError, VertexId};
-use grazelle_sched::pool::ThreadPool;
+use grazelle_sched::{build_pool, OnDemand, ThreadPool, PAR_BUILD_CUTOVER_EDGES};
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Default pending-insert fraction of the base edge count that triggers a
@@ -233,17 +233,35 @@ impl ComponentMemo {
     }
 }
 
+/// One layer of a version: its graph, and the Vector-Sparse of it that the
+/// layer's first engine read encodes ([`prepared`]).
+type Layer = OnDemand<Arc<Graph>, Arc<PreparedGraph>>;
+
+/// A layer over `g`, not encoded yet.
+fn layer(g: Graph) -> Layer {
+    let edges = g.num_edges();
+    OnDemand::new(Arc::new(g), edges)
+}
+
+/// `layer`'s Vector-Sparse, encoded on `pool` if no earlier read did.
+fn prepared<'a>(layer: &'a Layer, pool: &ThreadPool) -> &'a Arc<PreparedGraph> {
+    match layer.get() {
+        Some(pg) => pg,
+        None => layer.ready(Some(pool), |g, pool| {
+            Arc::new(PreparedGraph::build(g, pool))
+        }),
+    }
+}
+
 /// The versioned graph handle (see the module docs for the policy).
 pub struct VersionedGraph {
-    base: Arc<Graph>,
-    /// Filled by the first engine read of the base.
-    base_pg: OnceLock<Arc<PreparedGraph>>,
+    base: Layer,
     /// This version's components, met so far; see
     /// [`components`](VersionedGraph::components).
     components: ComponentMemo,
     delta: DeltaSegments,
-    /// The overlay and its structures, filled by its first engine read.
-    delta_graph: Option<(Graph, OnceLock<PreparedGraph>)>,
+    /// The overlay of pending inserts.
+    delta_graph: Option<Layer>,
     out_deg: Vec<u32>,
     in_deg: Vec<u32>,
     merge_fraction: f64,
@@ -253,21 +271,21 @@ impl VersionedGraph {
     /// Wraps an existing base pair at version 0 with the default merge
     /// policy.
     pub fn new(base: Arc<Graph>, base_pg: Arc<PreparedGraph>) -> Self {
-        VersionedGraph::over(base, OnceLock::from(base_pg))
+        VersionedGraph::over(OnDemand::built(base, base_pg))
     }
 
     /// Wraps a graph at version 0; its structures wait for the first read.
     pub fn from_graph(g: Graph) -> Self {
-        VersionedGraph::over(Arc::new(g), OnceLock::new())
+        VersionedGraph::over(layer(g))
     }
 
-    fn over(base: Arc<Graph>, base_pg: OnceLock<Arc<PreparedGraph>>) -> Self {
-        let n = base.num_vertices();
-        let out_deg = (0..n as VertexId).map(|v| base.out_degree(v)).collect();
-        let in_deg = (0..n as VertexId).map(|v| base.in_degree(v)).collect();
+    fn over(base: Layer) -> Self {
+        let g = base.source();
+        let n = g.num_vertices();
+        let out_deg = (0..n as VertexId).map(|v| g.out_degree(v)).collect();
+        let in_deg = (0..n as VertexId).map(|v| g.in_degree(v)).collect();
         VersionedGraph {
             base,
-            base_pg,
             components: ComponentMemo::default(),
             delta: DeltaSegments::new(n),
             delta_graph: None,
@@ -291,45 +309,33 @@ impl VersionedGraph {
 
     /// Vertex count (fixed across versions).
     pub fn num_vertices(&self) -> usize {
-        self.base.num_vertices()
+        self.base().num_vertices()
     }
 
     /// Logical edge count: base plus pending inserts.
     pub fn num_edges(&self) -> usize {
-        self.base.num_edges() + self.delta.pending_len()
+        self.base().num_edges() + self.delta.pending_len()
     }
 
     /// Whether pending inserts are overlaid on the base right now.
     pub fn delta_active(&self) -> bool {
-        self.delta_graph
-            .as_ref()
-            .is_some_and(|(g, _)| g.num_edges() > 0)
+        self.layers().1.is_some_and(|g| g.num_edges() > 0)
     }
 
     /// The current base graph (changes identity on merge).
     pub fn base(&self) -> &Arc<Graph> {
-        &self.base
-    }
-
-    /// The current base prepared structures, encoded on `pool` if no
-    /// earlier read of this base did.
-    pub fn base_prepared(&self, pool: &ThreadPool) -> &Arc<PreparedGraph> {
-        self.base_pg
-            .get_or_init(|| Arc::new(prepare(&self.base, pool)))
+        self.base.source()
     }
 
     /// A borrowed view of this version for the engine drivers, encoding
     /// whatever structures of it no earlier read did, on `pool`.
     pub fn view(&self, pool: &ThreadPool) -> GraphView<'_> {
-        let delta = self
-            .delta_graph
-            .as_ref()
-            .map(|(g, pg)| (g, pg.get_or_init(|| prepare(g, pool))));
+        let (graph, delta_graph) = self.layers();
         GraphView {
-            graph: &self.base,
-            pg: self.base_prepared(pool),
-            delta_graph: delta.map(|(g, _)| g),
-            delta_pg: delta.map(|(_, pg)| pg),
+            graph,
+            pg: prepared(&self.base, pool),
+            delta_graph,
+            delta_pg: self.delta_graph.as_ref().map(|d| &**prepared(d, pool)),
             out_degrees: &self.out_deg,
             in_degrees: &self.in_deg,
         }
@@ -338,23 +344,24 @@ impl VersionedGraph {
     /// The base graph and the insert overlay, if any: CSR/CSC only, so
     /// this never encodes.
     pub fn layers(&self) -> (&Graph, Option<&Graph>) {
-        (&self.base, self.delta_graph.as_ref().map(|(g, _)| g))
+        let overlay = self.delta_graph.as_ref().map(|d| &**d.source());
+        (self.base(), overlay)
+    }
+
+    /// Wall time, in ns, of the Vector-Sparse encodes this version's layers
+    /// and their push structures ran so far ([`OnDemand::build_ns`]).
+    pub fn encode_ns(&self) -> u64 {
+        std::iter::once(&self.base)
+            .chain(&self.delta_graph)
+            .map(|l| l.build_ns() + l.get().map_or(0, |pg| pg.vss.encode_ns()))
+            .sum()
     }
 
     /// This version's component memo, while the version is undirected: a
     /// symmetric base ([`Graph::is_symmetric`]) and no active overlay.
     /// `None` otherwise, so nothing records or answers from it then.
     pub fn components(&mut self) -> Option<&mut ComponentMemo> {
-        (self.base.is_symmetric() && !self.delta_active()).then_some(&mut self.components)
-    }
-
-    /// Whether every layer of this version holds its Vector-Sparse.
-    pub fn encoded(&self) -> bool {
-        self.base_pg.get().is_some()
-            && self
-                .delta_graph
-                .as_ref()
-                .is_none_or(|(_, pg)| pg.get().is_some())
+        (self.base().is_symmetric() && !self.delta_active()).then_some(&mut self.components)
     }
 
     /// Applies one update batch: records it into the delta segments,
@@ -366,7 +373,7 @@ impl VersionedGraph {
         batch: &UpdateBatch,
         pool: &ThreadPool,
     ) -> Result<ApplyReport, GraphError> {
-        let record = self.delta.record(&self.base, batch)?;
+        let record = self.delta.record(self.base.source(), batch)?;
         // A new version: what the old one's traversals found says nothing
         // about it.
         self.components = ComponentMemo::default();
@@ -387,7 +394,8 @@ impl VersionedGraph {
         };
         let deletes = !self.delta.tombstones().is_empty();
         if deletes
-            || self.delta.pending_len() as f64 > self.merge_fraction * self.base.num_edges() as f64
+            || self.delta.pending_len() as f64
+                > self.merge_fraction * self.base().num_edges() as f64
         {
             let t = Instant::now();
             self.merge(pool)?;
@@ -410,8 +418,8 @@ impl VersionedGraph {
             if !fresh.is_empty() {
                 fresh.sort_unstable();
                 let empty;
-                let old = match &self.delta_graph {
-                    Some((g, _)) => g,
+                let old = match self.layers().1 {
+                    Some(g) => g,
                     None => {
                         empty = Graph::from_edgelist(&EdgeList::new(self.num_vertices()))?;
                         &empty
@@ -420,7 +428,7 @@ impl VersionedGraph {
                 let edges = old.num_edges() + fresh.len();
                 let pool = build_pool(pool, edges, PAR_BUILD_CUTOVER_EDGES);
                 let overlay = old.with_edits(&fresh, &[], pool)?;
-                self.delta_graph = Some((overlay, OnceLock::new()));
+                self.delta_graph = Some(layer(overlay));
             }
         }
         Ok(report)
@@ -429,20 +437,19 @@ impl VersionedGraph {
     /// Splices every pending insert and tombstone into the base, then
     /// clears the delta. The logical edge set is unchanged.
     fn merge(&mut self, pool: &ThreadPool) -> Result<(), GraphError> {
-        let g = self.base.with_edits(
+        let g = self.base().with_edits(
             &self.delta.sorted_pending(),
             &self.delta.sorted_tombstones(),
             Some(pool),
         )?;
-        self.base_pg = OnceLock::new();
-        self.base = Arc::new(g);
+        self.base = layer(g);
         self.delta.clear();
         self.delta_graph = None;
         // Degrees were maintained incrementally and the merge changes no
         // logical edge — but re-derive from the spliced CSRs so a drift bug
         // cannot outlive a merge.
-        self.out_deg = self.base.out_csr().degrees();
-        self.in_deg = self.base.in_csr().degrees();
+        self.out_deg = self.base().out_csr().degrees();
+        self.in_deg = self.base().in_csr().degrees();
         Ok(())
     }
 
@@ -490,12 +497,6 @@ impl VersionedGraph {
         vg.delta.set_version(ck.iteration as u64);
         Ok(vg)
     }
-}
-
-/// Vector-Sparse for a graph layer, on the pool from
-/// [`PAR_BUILD_CUTOVER_EDGES`] edges up ([`build_pool`]).
-fn prepare(g: &Graph, pool: &ThreadPool) -> PreparedGraph {
-    PreparedGraph::build(g, build_pool(pool, g.num_edges(), PAR_BUILD_CUTOVER_EDGES))
 }
 
 #[cfg(test)]
@@ -595,7 +596,7 @@ mod tests {
         run_program_overlay_on_pool(view.pg, view.delta_pg, &overlay, &cfg, &pool);
 
         let merged = vg
-            .base
+            .base()
             .with_edits(&vg.delta.sorted_pending(), &[], Some(&pool))
             .unwrap();
         let mpg = PreparedGraph::new(&merged);
@@ -695,6 +696,13 @@ mod tests {
         (g, pg)
     }
 
+    /// Whether every layer of `vg` holds its Vector-Sparse.
+    fn encoded(vg: &VersionedGraph) -> bool {
+        std::iter::once(&vg.base)
+            .chain(&vg.delta_graph)
+            .all(|l| l.get().is_some())
+    }
+
     /// Whether `(g, pg)` is exactly the cold build of `edges`.
     fn is_cold_build(g: &Graph, pg: &PreparedGraph, edges: &BTreeSet<(u32, u32)>) -> bool {
         let (cg, cpg) = cold(g.num_vertices(), edges);
@@ -757,9 +765,9 @@ mod tests {
                 prop_assert_eq!(vg.num_edges(), logical.len());
                 // A splice leaves its layer unencoded until the first read.
                 let was = std::mem::replace(&mut pending, logical.difference(&in_base).copied().collect());
-                prop_assert_eq!(vg.encoded(), !report.merged && was == pending);
+                prop_assert_eq!(encoded(&vg), !report.merged && was == pending);
                 let view = vg.view(&pool);
-                prop_assert!(vg.encoded());
+                prop_assert!(encoded(&vg));
                 let again = vg.view(&pool);
                 prop_assert!(std::ptr::eq(view.pg, again.pg), "a second read re-encoded the base");
                 prop_assert_eq!(view.delta_pg.map(|d| d as *const _), again.delta_pg.map(|d| d as *const _));

@@ -51,7 +51,7 @@ pub mod spmv;
 pub mod stats;
 pub mod trace;
 
-pub use build::{prepare_profiled, prepare_profiled_with_cutover, PAR_BUILD_CUTOVER_EDGES};
+pub use build::{prepare_profiled, prepare_profiled_with_cutover};
 pub use checkpoint::{Checkpoint, FrontierSnapshot};
 pub use config::{EngineConfig, Granularity, PullMode, ResilienceConfig};
 pub use direction::{decide, Decision};
@@ -64,6 +64,7 @@ pub use engine::resilient::{
 pub use faults::{ExecFaultPlan, ExecInjector, FaultPlan, ServeFaultPlan, ServeInjector};
 pub use frontier::{DenseBitmap, Frontier};
 pub use grazelle_sched::cancel::CancelFlag;
+pub use grazelle_sched::PAR_BUILD_CUTOVER_EDGES;
 pub use incremental::{
     ApplyReport, ComponentMemo, GraphView, VersionedGraph, DEFAULT_MERGE_FRACTION,
 };

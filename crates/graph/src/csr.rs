@@ -11,12 +11,14 @@ use crate::partition::{partition_index, split_by_parts, EdgePartition};
 use crate::types::{EdgeId, GraphError, VertexId};
 use grazelle_sched::alloc::{self, RangeWriter, WorkerFilled};
 use grazelle_sched::{run_shares, ThreadPool};
+use std::sync::Arc;
 
 /// Compressed-Sparse adjacency: `index.len() == num_vertices + 1`,
-/// `edges.len() == index[num_vertices]`.
+/// `edges.len() == index[num_vertices]`. A transpose shares the index it
+/// was built over ([`Csr::transposed_index`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
-    index: Vec<EdgeId>,
+    index: Arc<Vec<EdgeId>>,
     edges: Vec<VertexId>,
     weights: Option<Vec<f64>>,
 }
@@ -88,7 +90,7 @@ impl Csr {
 
     /// The vertex index of [`Csr::transpose`]: how often each vertex is a
     /// stored endpoint, counted on `pool` — for a CSR, the in-degrees.
-    pub fn transposed_index(&self, pool: Option<&ThreadPool>) -> Vec<EdgeId> {
+    pub fn transposed_index(&self, pool: Option<&ThreadPool>) -> Arc<Vec<EdgeId>> {
         let edges = &self.edges;
         counted_index(self.num_vertices(), edges.len(), pool, |e| edges[e])
     }
@@ -96,7 +98,7 @@ impl Csr {
     /// [`Csr::transpose`], its vertex index `index` already counted.
     pub(crate) fn transpose_with_index(
         &self,
-        index: Vec<EdgeId>,
+        index: Arc<Vec<EdgeId>>,
         pool: Option<&ThreadPool>,
     ) -> Self {
         debug_assert_eq!(index.len(), self.index.len(), "one index entry per vertex");
@@ -242,7 +244,7 @@ impl Csr {
             sorted &= share?;
         }
         let csr = Csr {
-            index: index.into_vec(),
+            index: Arc::new(index.into_vec()),
             edges: edges.into_vec(),
             weights: weights.map(WorkerFilled::into_vec),
         };
@@ -348,7 +350,7 @@ impl Csr {
             });
         }
         Ok(Csr {
-            index,
+            index: Arc::new(index),
             edges,
             weights,
         })
@@ -517,7 +519,7 @@ fn counted_index(
     m: usize,
     pool: Option<&ThreadPool>,
     key: impl Fn(usize) -> VertexId + Sync,
-) -> Vec<EdgeId> {
+) -> Arc<Vec<EdgeId>> {
     let t = pool.map_or(1, ThreadPool::num_threads);
     let counts: Vec<Vec<u32>> = run_shares(pool, (0..t).collect(), |i| {
         let mut h = vec![0u32; n];
@@ -533,7 +535,7 @@ fn counted_index(
         end += counts.iter().map(|h| u64::from(h[v])).sum::<u64>();
         index.push(end);
     }
-    index
+    Arc::new(index)
 }
 
 /// The transposing scatter, the one loop of every transposed build: hands
@@ -661,7 +663,7 @@ pub(crate) fn splice<const K: usize>(
     run_shares(pool, tasks, fill);
     let mut edges = edges.into_iter();
     indexes.map(|index| Csr {
-        index,
+        index: Arc::new(index),
         edges: edges.next().expect("one edge array per index"),
         weights: None,
     })
@@ -910,7 +912,7 @@ mod tests {
         }
         let flat = lists.concat();
         Csr {
-            index,
+            index: Arc::new(index),
             edges: flat.iter().map(|&(v, _)| v).collect(),
             weights: el.weights().map(|_| flat.iter().map(|&(_, w)| w).collect()),
         }

@@ -3,8 +3,8 @@
 use crate::csr::Csr;
 use crate::edgelist::EdgeList;
 use crate::types::{EdgeId, GraphError, VertexId};
-use grazelle_sched::ThreadPool;
-use std::sync::{Arc, OnceLock};
+use grazelle_sched::{OnDemand, ThreadPool};
+use std::sync::Arc;
 
 /// An immutable directed graph holding both edge groupings.
 ///
@@ -22,19 +22,13 @@ use std::sync::{Arc, OnceLock};
 ///
 /// A graph built from an edge list counts its in-degrees first. When they
 /// differ from its out-degrees it cannot be symmetric, and its in-edges
-/// are *deferred*: the first reader of [`Graph::in_csr`] (or
-/// [`Graph::ready_in`], on a pool) transposes the out-edges, once, into a
-/// [`OnceLock`]. The in-degrees ([`Graph::in_degree`],
-/// [`Graph::in_index`]) never build them, and the pull structure is
-/// encoded from the out-edges without them, so a run that only pulls
-/// never holds them. Equal degree sequences build the in-edges at once and
-/// compare them with the out-edges.
-///
-/// Each orientation sits behind an [`Arc`], so a clone of the graph shares
-/// its edges, and so does a structure derived from one orientation later:
-/// a deferred push structure holds the out-edges through
-/// [`Graph::shared_out_csr`] instead of a copy of them. Clones share a
-/// deferred in-edge cell too: it is built once for all of them.
+/// are an [`OnDemand`] cell over the counted in-index, which their first
+/// reader ([`Graph::in_csr`], or [`Graph::ready_in`] on a pool) fills;
+/// the in-degrees never build them (DESIGN.md §12, "On-demand
+/// structures"). Equal degree sequences build the in-edges at once and
+/// compare them with the out-edges. Each orientation sits behind an
+/// [`Arc`]: clones share the edges and the cell, and a deferred push
+/// structure holds the out-edges ([`Graph::shared_out_csr`]), not a copy.
 #[derive(Debug, Clone)]
 pub struct Graph {
     out: Arc<Csr>,
@@ -49,15 +43,8 @@ enum InEdges {
     Out,
     /// Built with the graph.
     Built(Arc<Csr>),
-    /// Transposed from the out-edges by their first reader.
-    Deferred(Arc<Deferred>),
-}
-
-#[derive(Debug)]
-struct Deferred {
-    /// The in-edges' vertex index, counted when the graph was built.
-    index: Vec<EdgeId>,
-    csr: OnceLock<Csr>,
+    /// Transposed by their first reader over the in-index counted at build.
+    Deferred(OnDemand<Arc<Vec<EdgeId>>, Csr>),
 }
 
 impl Graph {
@@ -65,12 +52,6 @@ impl Graph {
     /// call [`EdgeList::sort_and_dedup`] first if you need simple graphs.
     pub fn from_edgelist(el: &EdgeList) -> Result<Self, GraphError> {
         Self::build(el, None)
-    }
-
-    /// [`Graph::from_edgelist`] with both orientations built on the pool,
-    /// bit-identical at any pool width.
-    pub fn from_edgelist_parallel(el: &EdgeList, pool: &ThreadPool) -> Result<Self, GraphError> {
-        Self::build(el, Some(pool))
     }
 
     /// The out-edges through [`Csr::build`], then
@@ -91,13 +72,10 @@ impl Graph {
     /// edges.
     pub fn from_out_csr(out: Csr, pool: Option<&ThreadPool>) -> Self {
         let index = out.transposed_index(pool);
-        if index != out.index() {
+        if *index != *out.index() {
             return Graph {
+                inn: InEdges::Deferred(OnDemand::new(index, out.num_edges())),
                 out: Arc::new(out),
-                inn: InEdges::Deferred(Arc::new(Deferred {
-                    index,
-                    csr: OnceLock::new(),
-                })),
                 name: String::new(),
             };
         }
@@ -264,25 +242,21 @@ impl Graph {
         self.ready_in(None)
     }
 
-    /// [`Graph::in_csr`], building deferred in-edges on `pool` if no
-    /// earlier reader built them. Must not be called from a worker of
-    /// `pool` while they may still be deferred: it would wait for itself.
+    /// [`Graph::in_csr`], building deferred in-edges on `pool` (under the
+    /// set-up's cutover, [`OnDemand::ready`]) if no earlier reader did.
+    /// Never from a worker of `pool` while they may be deferred.
     #[inline]
     pub fn ready_in(&self, pool: Option<&ThreadPool>) -> &Csr {
         match &self.inn {
             InEdges::Out => &self.out,
             InEdges::Built(inn) => inn,
-            InEdges::Deferred(d) => d.csr.get().unwrap_or_else(|| self.first_read(d, pool)),
+            InEdges::Deferred(cell) => match cell.get() {
+                Some(inn) => inn,
+                None => cell.ready(pool, |index, pool| {
+                    self.out.transpose_with_index(Arc::clone(index), pool)
+                }),
+            },
         }
-    }
-
-    /// The first read of deferred in-edges, out of line: `in_neighbors`
-    /// is called once per vertex in traversal loops.
-    #[cold]
-    #[inline(never)]
-    fn first_read<'a>(&'a self, d: &'a Deferred, pool: Option<&ThreadPool>) -> &'a Csr {
-        d.csr
-            .get_or_init(|| self.out.transpose_with_index(d.index.clone(), pool))
     }
 
     /// The in-edges if they exist: shared with the out-edges, built with
@@ -292,7 +266,7 @@ impl Graph {
         match &self.inn {
             InEdges::Out => Some(&self.out),
             InEdges::Built(inn) => Some(inn),
-            InEdges::Deferred(d) => d.csr.get(),
+            InEdges::Deferred(cell) => cell.get(),
         }
     }
 
@@ -304,7 +278,7 @@ impl Graph {
         match &self.inn {
             InEdges::Out => self.out.index(),
             InEdges::Built(inn) => inn.index(),
-            InEdges::Deferred(d) => &d.index,
+            InEdges::Deferred(cell) => cell.source().as_slice(),
         }
     }
 
@@ -632,8 +606,9 @@ mod tests {
     /// in-edges: the in-degrees and the in-index read without building
     /// them, and the first reader — on the calling thread, or through
     /// `ready_in` on a pool of any width — builds exactly the by-destination
-    /// structure, NaN payloads and signed zeros included. Clones share the
-    /// cell, built or not.
+    /// structure, NaN payloads and signed zeros included, over the in-index
+    /// the graph counted (one buffer, not a copy). Clones share the cell,
+    /// built or not.
     #[test]
     fn deferred_in_edges_wait_for_their_first_reader() {
         let payload = f64::from_bits(f64::NAN.to_bits() | 3);
@@ -667,44 +642,7 @@ mod tests {
             );
             assert!(std::ptr::eq(twin.built_in_csr().unwrap(), built));
             assert!(std::ptr::eq(twin.in_csr(), g.in_csr()));
-            assert_eq!(g.in_index(), built.index());
-        }
-    }
-
-    /// Eight threads racing the first read of deferred in-edges — some on
-    /// the calling thread, some through `ready_in` on a pool none of them
-    /// works for — build them once: every thread sees the same structure.
-    #[test]
-    fn racing_first_readers_build_the_in_edges_once() {
-        let pairs: Vec<(u32, u32)> = (0..3000u32)
-            .flat_map(|s| (0..(s % 13)).map(move |k| (s, (s * 31 + k * 7) % 2999)))
-            .collect();
-        let el = EdgeList::from_pairs(3000, &pairs).unwrap();
-        let want = Csr::from_edgelist_by_dst(&el);
-        let pool = ThreadPool::single_group(2);
-        for _ in 0..4 {
-            let g = Graph::from_edgelist(&el).unwrap();
-            assert!(g.in_edges_deferred());
-            let start = std::sync::Barrier::new(8);
-            let seen: Vec<usize> = std::thread::scope(|scope| {
-                let readers: Vec<_> = (0..8)
-                    .map(|i| {
-                        let (g, start, pool) = (g.clone(), &start, &pool);
-                        scope.spawn(move || {
-                            start.wait();
-                            let inn = match i % 2 {
-                                0 => g.in_csr(),
-                                _ => g.ready_in(Some(pool)),
-                            };
-                            inn.edges().as_ptr() as usize
-                        })
-                    })
-                    .collect();
-                readers.into_iter().map(|r| r.join().unwrap()).collect()
-            });
-            assert!(seen.iter().all(|&p| p == seen[0]), "{seen:?}");
-            assert_eq!(seen[0], g.in_csr().edges().as_ptr() as usize);
-            assert!(g.in_csr().bit_identical(&want));
+            assert_eq!(g.in_index().as_ptr(), g.in_csr().index().as_ptr());
         }
     }
 

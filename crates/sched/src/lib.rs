@@ -8,6 +8,7 @@
 //! * [`pool::ThreadPool`] — persistent workers with group (NUMA-node
 //!   stand-in) topology; [`pool::run_shares`] runs a set-up builder's
 //!   shares on an optional pool, inline when there is one share.
+//! * [`ondemand::OnDemand`] — a structure built by its first reader.
 //! * [`barrier::SpinBarrier`] — sense-reversing phase barrier.
 //! * [`chunks::ChunkScheduler`] — the dynamic chunk queue (default 32·n
 //!   chunks, the paper's empirically chosen granularity). The
@@ -33,6 +34,7 @@ pub mod cancel;
 pub mod chunks;
 #[cfg(feature = "invariant-checks")]
 pub mod invariants;
+pub mod ondemand;
 pub mod pool;
 pub mod slots;
 pub mod traditional;
@@ -40,6 +42,7 @@ pub mod traditional;
 pub use barrier::SpinBarrier;
 pub use cancel::CancelFlag;
 pub use chunks::{Chunk, ChunkScheduler, ChunkSource};
+pub use ondemand::{build_pool, OnDemand, PAR_BUILD_CUTOVER_EDGES};
 pub use pool::{run_shares, ThreadPool, WorkerCtx};
 pub use slots::SlotBuffer;
 pub use traditional::parallel_for;

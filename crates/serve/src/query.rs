@@ -12,7 +12,6 @@ use grazelle_apps::pagerank::DAMPING;
 use grazelle_apps::{
     triangle, Bfs, ConnectedComponents, KCore, LabelProp, LaneReply, PageRank, Reachability, Sssp,
 };
-use grazelle_core::engine::hybrid::EngineKind;
 use grazelle_core::engine::PreparedGraph;
 use grazelle_core::incremental::GraphView;
 use grazelle_core::{run_resilient_overlay_on_pool, EngineConfig, EngineError, ResilienceContext};
@@ -80,14 +79,6 @@ impl Query {
     /// same base-plus-overlay version.
     pub fn packable(&self) -> bool {
         matches!(self, Query::Reach { .. } | Query::Bfs { .. })
-    }
-
-    /// Whether a run of this query under `cfg` can read the base layer's
-    /// push structure (its VSS): every frontier program can push, while
-    /// PageRank and Triangles pull unless `cfg` pins the push engine.
-    pub(crate) fn can_push(&self, cfg: &EngineConfig) -> bool {
-        !matches!(self, Query::PageRank { .. } | Query::Triangles)
-            || cfg.force_engine == Some(EngineKind::Push)
     }
 
     /// Deterministic admission-control work estimate, in edge-sweep units:

@@ -35,8 +35,8 @@ use crate::stats::{StatsInner, StatsSnapshot};
 use grazelle_apps::multi::{multi_source_reach, MAX_LANES};
 use grazelle_core::engine::PreparedGraph;
 use grazelle_core::{
-    CancelFlag, Checkpoint, EngineConfig, EngineError, ExecInjector, Frontier, GraphView,
-    PropertyArray, ResilienceContext, ServeInjector, SpanClock, VersionedGraph,
+    CancelFlag, Checkpoint, EngineConfig, EngineError, ExecInjector, Frontier, PropertyArray,
+    ResilienceContext, ServeInjector, SpanClock, VersionedGraph,
 };
 use grazelle_graph::delta::UpdateBatch;
 use grazelle_graph::faults::RetryPolicy;
@@ -284,9 +284,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts a server over `graph`/`pg` with no fault injection. Its
-    /// executor builds deferred in-edges of `graph` ([`Graph::ready_in`])
-    /// on its pool before it takes the first query.
+    /// Starts a server over `graph`/`pg` with no fault injection.
     pub fn start(graph: Arc<Graph>, pg: Arc<PreparedGraph>, cfg: ServeConfig) -> Server {
         Server::start_with_faults(graph, pg, cfg, None, None)
     }
@@ -572,10 +570,6 @@ fn monitor_loop(shared: &Shared) {
 /// The executor: dequeue → pack → execute → dispose, until drained.
 fn executor_loop(shared: &Shared) {
     let pool = ThreadPool::new(shared.cfg.engine.threads, shared.cfg.engine.groups);
-    // Packed sweeps read the base graph's in-edges: a directed graph whose
-    // set-up left them to their first reader gets them here, on the pool,
-    // before the first query, not on the executor thread alone inside it.
-    shared.graph_state().layers().0.ready_in(Some(&pool));
     // The degraded path: one thread, scalar kernels. Same results — the
     // engine is bit-identical across widths and SIMD levels — at the
     // lowest-risk operating point.
@@ -756,6 +750,10 @@ fn execute_single(
         } else {
             (shared.cfg.engine, pool)
         };
+        // The run's readers encode what it reads of this version (the view
+        // its Vector-Sparse, `drive` a push structure) and the layers'
+        // cells time them, whether the attempt completes or not.
+        let before = shared.graph_state().encode_ns();
         let result = match spent.take() {
             Some(panic) => Err(panic),
             None => with_monitored_run(shared, &cancel, expires, || {
@@ -776,11 +774,16 @@ fn execute_single(
                         rctx = rctx.with_injector(x);
                     }
                     let vg = shared.graph_state();
-                    let view = engine_view(shared, &vg, run_pool, query, &cfg);
-                    single_shot_view(&view, &cfg, &rctx, run_pool, query)
+                    single_shot_view(&vg.view(run_pool), &cfg, &rctx, run_pool, query)
                 }))
             }),
         };
+        let encode_ns = shared.graph_state().encode_ns() - before;
+        if encode_ns > 0 {
+            let mut stats = shared.stats.lock().unwrap();
+            stats.encodes += 1;
+            stats.encode_ns += encode_ns;
+        }
         match result {
             Ok(Ok(res)) => {
                 dispose(shared, &p, Ok(res));
@@ -817,35 +820,6 @@ fn execute_single(
         backoff_sleep(shared, p.seq, attempt);
     }
     unreachable!("loop always disposes");
-}
-
-/// The current version's view for a run of `query` under `cfg`. The first
-/// engine read after a splice encodes the version's Vector-Sparse here, on
-/// `pool`, and so does the first run that can push on a directed version
-/// for its deferred push structures — the ones the engine run would
-/// otherwise encode on entry; `encodes` / `encode_ns` count either.
-fn engine_view<'a>(
-    shared: &Shared,
-    vg: &'a VersionedGraph,
-    pool: &ThreadPool,
-    query: Query,
-    cfg: &EngineConfig,
-) -> GraphView<'a> {
-    let t = Instant::now();
-    let mut cold = !vg.encoded();
-    let view = vg.view(pool);
-    if query.can_push(cfg) {
-        cold |= view.pg.ready_push(pool);
-    }
-    if let Some(d) = view.delta_pg.filter(|d| d.num_edges > 0) {
-        cold |= d.ready_push(pool);
-    }
-    if cold {
-        let mut stats = shared.stats.lock().unwrap();
-        stats.encodes += 1;
-        stats.encode_ns += t.elapsed().as_nanos() as u64;
-    }
-    view
 }
 
 /// Applies one update batch to the versioned graph, between engine runs.
@@ -1002,7 +976,8 @@ fn run_pack(
         // graph is immutable during the run. On catch, every member falls
         // back to the individual path and re-runs from intact inputs.
         panic::catch_unwind(AssertUnwindSafe(|| {
-            // The sweep reads CSR/CSC only: no Vector-Sparse is encoded.
+            // The sweep reads CSR/CSC only (its first builds a deferred
+            // CSC, on the pool): no Vector-Sparse is encoded.
             let vg = shared.graph_state();
             let (base, overlay) = vg.layers();
             let t0 = Instant::now();
@@ -1650,8 +1625,8 @@ mod tests {
                 assert_eq!(snap.encode_ns > encode_ns, want > before, "{q:?}");
                 (before, encode_ns) = (want, snap.encode_ns);
                 let vg = server.shared.graph_state();
-                assert!(vg.encoded());
-                assert_eq!(vg.base_prepared(&pool).vss.is_encoded(), pushed, "{q:?}");
+                assert!(vg.encode_ns() > 0);
+                assert_eq!(vg.view(&pool).pg.vss.is_encoded(), pushed, "{q:?}");
             }
             let snap = server.drain();
             assert_eq!(snap.encodes, *encodes.last().unwrap());
@@ -1659,26 +1634,42 @@ mod tests {
         }
     }
 
-    /// A directed graph whose set-up deferred its in-edges has them built
-    /// by the started server before its first query: after a CC, which
-    /// reads the Vector-Sparse structures only, they are there, and they
-    /// are the by-destination structure.
+    /// A directed base whose set-up deferred its in-edges keeps them
+    /// deferred through `Server::start` and a CC, which reads the
+    /// Vector-Sparse structures only. The first served Reach builds them,
+    /// on the executor's pool (the graph is above the set-up cutover),
+    /// into the by-destination structure, and replies as `single_shot`.
     #[test]
     fn a_started_server_readies_deferred_in_edges() {
-        let pairs: Vec<(u32, u32)> = (0..64u32)
-            .map(|v| (v, (v * 5 + 1) % 64))
+        let n = 4096u32;
+        let pairs: Vec<(u32, u32)> = (0..n)
+            .flat_map(|v| (1..=16u32).map(move |k| (v, (v * k + k * k) % n)))
             .chain([(3, 9)])
             .collect();
-        let el = EdgeList::from_pairs(64, &pairs).unwrap();
+        assert!(pairs.len() as u64 >= grazelle_core::PAR_BUILD_CUTOVER_EDGES);
+        let el = EdgeList::from_pairs(n as usize, &pairs).unwrap();
         let g = Arc::new(Graph::from_edgelist(&el).unwrap());
         assert!(g.in_edges_deferred() && g.built_in_csr().is_none());
         let pg = Arc::new(PreparedGraph::new(&g));
-        assert!(g.built_in_csr().is_none(), "preparing does not build them");
-        let server = Server::start(Arc::clone(&g), pg, base_cfg());
+        let server = Server::start(Arc::clone(&g), Arc::clone(&pg), base_cfg());
         server.submit(Query::Cc).unwrap().wait().unwrap();
-        let inn = g.built_in_csr().expect("the server built the in-edges");
+        assert!(
+            g.built_in_csr().is_none(),
+            "neither the start nor a CC builds them"
+        );
+        let reach = Query::Reach { root: 5 };
+        let served = server.submit(reach).unwrap().wait().unwrap();
+        let inn = g
+            .built_in_csr()
+            .expect("the Reach's sweep built the in-edges");
         assert!(inn.bit_identical(&grazelle_graph::csr::Csr::from_edgelist_by_dst(&el)));
-        server.drain();
+        let (cfg, pool) = (
+            EngineConfig::new().with_threads(2),
+            ThreadPool::single_group(2),
+        );
+        let direct = single_shot(&g, &pg, &cfg, &ResilienceContext::new(), &pool, reach);
+        assert_eq!(served, direct.unwrap());
+        assert_eq!(server.drain().packed_runs, 1);
     }
 
     #[test]
@@ -1708,11 +1699,11 @@ mod tests {
         assert!(matches!(reply, QueryResult::Updated { merged: true, .. }));
         cc();
         let vg = server.shared.graph_state();
-        assert!(vg.encoded(), "the CC encoded the merged base");
+        assert!(vg.encode_ns() > 0, "the CC encoded the merged base");
         let pool = ThreadPool::single_group(1);
-        let (merged, merged_pg) = (Arc::clone(vg.base()), Arc::clone(vg.base_prepared(&pool)));
+        let (merged, merged_pg) = (Arc::clone(vg.base()), vg.view(&pool).pg.clone());
         drop(vg);
-        assert!(!Arc::ptr_eq(&merged_pg, &pg));
+        assert!(!std::ptr::eq(merged_pg.vsd.vectors(), pg.vsd.vectors()));
         for v in 0..64u32 {
             assert_eq!(
                 merged_pg.vss.degrees()[v as usize],

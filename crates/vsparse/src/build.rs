@@ -6,7 +6,7 @@ use grazelle_graph::csr::{scatter_transposed, Csr};
 use grazelle_graph::partition::{partition_index, split_by_parts};
 use grazelle_graph::types::{EdgeId, VertexId};
 use grazelle_sched::alloc::WorkerFilled;
-use grazelle_sched::{run_shares, ThreadPool};
+use grazelle_sched::{run_shares, OnDemand, ThreadPool};
 use std::sync::{Arc, OnceLock};
 
 /// A complete Vector-Sparse edge structure over one orientation.
@@ -55,78 +55,56 @@ struct Blocks<const N: usize> {
 pub type Vsd = VectorSparse<4>;
 
 /// Vector-Sparse-Source with the paper's 4-lane (256-bit) vectors: the
-/// push structure, held either as an encoding or *deferred* — the out-edge
-/// [`Csr`] it will be encoded from, shared rather than copied.
-///
-/// A run that only pulls (PageRank) never reads it, so a directed graph's
-/// set-up leaves it deferred and the first reader encodes it, once, into
-/// a [`OnceLock`]. The handle derefs to the encoding, encoding on the
-/// calling thread; [`Vss::ready`] encodes on a pool instead. The encoder
-/// gives the same bits at any width, so whichever reader comes first, all
-/// see the structure an eager [`Vss::encode`] gives. Clones share the
-/// cell: a deferred structure is encoded once for every clone.
-///
-/// A reader on a pool worker must only ever see an encoded handle: a
-/// worker that blocked on the cell while another thread encodes on the
-/// same pool would wait for itself. The engine readies the handle before
-/// its first dispatch and hands the workers the encoding.
+/// push structure, an [`OnDemand`] cell over the out-edge [`Csr`] it is
+/// encoded from (shared, not copied), or holding an eager encoding. A run
+/// that only pulls never reads it, so a directed graph's set-up leaves it
+/// empty (DESIGN.md §12, "On-demand structures"). It derefs to the
+/// encoding, encoding on the calling thread; [`Vss::ready`] encodes on a
+/// pool, never to be called from one of that pool's workers.
 #[derive(Debug, Clone)]
-pub struct Vss(Source);
-
-#[derive(Debug, Clone)]
-enum Source {
-    Encoded(VectorSparse<4>),
-    Deferred(Arc<Deferred>),
-}
-
-#[derive(Debug)]
-struct Deferred {
-    csr: Arc<Csr>,
-    encoded: OnceLock<VectorSparse<4>>,
-}
+pub struct Vss(OnDemand<Option<Arc<Csr>>, VectorSparse<4>>);
 
 impl Vss {
-    /// Encodes `csr` now, on `pool` or on the calling thread
-    /// ([`VectorSparse::encode`]).
-    pub fn encode(csr: &Csr, pool: Option<&ThreadPool>) -> Self {
-        Vss(Source::Encoded(VectorSparse::encode(csr, pool)))
-    }
-
-    /// [`Vss::encode`] on the calling thread.
+    /// Encodes `csr` now, on the calling thread.
     pub fn from_csr(csr: &Csr) -> Self {
-        Self::encode(csr, None)
+        Vss::from(VectorSparse::from_csr(csr))
     }
 
-    /// [`Vss::encode`] on `pool`.
+    /// Encodes `csr` now, on `pool`.
     pub fn from_csr_parallel(csr: &Csr, pool: &ThreadPool) -> Self {
-        Self::encode(csr, Some(pool))
+        Vss::from(VectorSparse::from_csr_parallel(csr, pool))
     }
 
     /// The push structure of `csr` (edges grouped by source), encoded by
     /// its first reader.
     pub fn deferred(csr: Arc<Csr>) -> Self {
-        Vss(Source::Deferred(Arc::new(Deferred {
-            csr,
-            encoded: OnceLock::new(),
-        })))
+        let edges = csr.num_edges();
+        Vss(OnDemand::new(Some(csr), edges))
     }
 
-    /// The encoding, encoded first on `pool` (or on the calling thread
-    /// without one) if no earlier reader did. Must not be called from a
-    /// worker of `pool` while the handle may still be deferred.
+    /// The encoding, encoded first on `pool` (under the set-up's cutover,
+    /// [`OnDemand::ready`]) or on the calling thread without one, if no
+    /// earlier reader did. Must not be called from a worker of `pool` while
+    /// the handle may still be empty.
     pub fn ready(&self, pool: Option<&ThreadPool>) -> &VectorSparse<4> {
-        match &self.0 {
-            Source::Encoded(vs) => vs,
-            Source::Deferred(d) => d.encoded.get_or_init(|| VectorSparse::encode(&d.csr, pool)),
+        match self.0.get() {
+            Some(vs) => vs,
+            None => self.0.ready(pool, |csr, pool| {
+                let csr = csr.as_deref().expect("an empty handle holds its CSR");
+                VectorSparse::encode(csr, pool)
+            }),
         }
     }
 
     /// True when the encoding exists: built eagerly, or deferred and read.
     pub fn is_encoded(&self) -> bool {
-        match &self.0 {
-            Source::Encoded(_) => true,
-            Source::Deferred(d) => d.encoded.get().is_some(),
-        }
+        self.0.get().is_some()
+    }
+
+    /// Wall time, in ns, of the encode a first reader ran; 0 before it
+    /// and for an eager encoding.
+    pub fn encode_ns(&self) -> u64 {
+        self.0.build_ns()
     }
 }
 
@@ -134,7 +112,7 @@ impl Vss {
 /// whose arrays the VSS then shares.
 impl From<VectorSparse<4>> for Vss {
     fn from(vs: VectorSparse<4>) -> Self {
-        Vss(Source::Encoded(vs))
+        Vss(OnDemand::built(None, vs))
     }
 }
 
@@ -711,48 +689,9 @@ mod tests {
             );
             assert!(twin.is_encoded(), "clones share the cell");
             assert!(std::ptr::eq(twin.vectors(), vss.vectors()));
-            let at_width = pool.map_or_else(
-                || Vss::encode(&csr, None),
-                |p| Vss::from_csr_parallel(&csr, p),
-            );
+            let at_width =
+                pool.map_or_else(|| Vss::from_csr(&csr), |p| Vss::from_csr_parallel(&csr, p));
             assert!(vss.bit_identical(&at_width));
-        }
-    }
-
-    /// Eight threads racing the first read of a deferred VSS — some by
-    /// deref, some through `ready` on a pool none of them works for —
-    /// encode it once: every thread sees the same vectors.
-    #[test]
-    fn racing_first_readers_encode_once() {
-        let pairs: Vec<(u32, u32)> = (0..3000u32)
-            .flat_map(|s| (0..(s % 13)).map(move |k| (s, (s * 31 + k * 7) % 3000)))
-            .collect();
-        let csr = Arc::new(csr_of(3000, &pairs));
-        let eager = Vss::from_csr(&csr);
-        let pool = ThreadPool::single_group(2);
-        for _ in 0..4 {
-            let vss = Vss::deferred(Arc::clone(&csr));
-            let start = std::sync::Barrier::new(8);
-            let seen: Vec<usize> = std::thread::scope(|scope| {
-                let readers: Vec<_> = (0..8)
-                    .map(|i| {
-                        let (vss, start, pool) = (vss.clone(), &start, &pool);
-                        scope.spawn(move || {
-                            start.wait();
-                            let vs = if i % 2 == 0 {
-                                &*vss
-                            } else {
-                                vss.ready(Some(pool))
-                            };
-                            vs.vectors().as_ptr() as usize
-                        })
-                    })
-                    .collect();
-                readers.into_iter().map(|r| r.join().unwrap()).collect()
-            });
-            assert!(seen.iter().all(|&p| p == seen[0]), "{seen:?}");
-            assert_eq!(seen[0], vss.vectors().as_ptr() as usize);
-            assert!(vss.bit_identical(&eager));
         }
     }
 

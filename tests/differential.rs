@@ -1500,7 +1500,7 @@ fn deferred_in_edges_run_like_eager_ones() {
 fn pagerank_never_encodes_the_push_structure_and_traversals_encode_it_once() {
     let el = rmat(&RmatConfig::graph500(13, 16.0, 3));
     let pairs = el.num_edges() as u64;
-    assert!(pairs >= grazelle::core::build::PAR_BUILD_CUTOVER_EDGES);
+    assert!(pairs >= grazelle::core::PAR_BUILD_CUTOVER_EDGES);
     for threads in [1usize, 2, 8] {
         let pool = ThreadPool::single_group(threads);
         let cfg = EngineConfig::new().with_threads(threads);
