@@ -59,7 +59,7 @@ impl LabelProp {
     /// `min(deg(v), 2^17−1)`.
     pub fn new(g: &Graph) -> Self {
         let degrees: Vec<u32> = (0..g.num_vertices() as u32)
-            .map(|v| g.out_neighbors(v).len() as u32)
+            .map(|v| g.out_degree(v))
             .collect();
         Self::with_out_degrees(&degrees)
     }

@@ -209,13 +209,16 @@ impl MultiReach {
 
 /// The graph a sweep reads: a base and an optional insert overlay over the
 /// same vertex set, every adjacency list the concatenation of the two.
-/// The in-edge structures are read once, when the sweep starts, by their
-/// one reader, which readies them on the sweep's pool ([`Graph::ready_in`]):
-/// the pull step reads two lists per destination, never the graph.
+/// The edge structures are read once, when the sweep starts, by their one
+/// reader, which readies them on the sweep's pool ([`Graph::ready_out`],
+/// [`Graph::ready_in`]): the steps read two lists per vertex, never the
+/// graph's cells, and the out-degrees from the graphs' indexes.
 #[derive(Clone, Copy)]
 struct Layers<'a> {
     base: &'a Graph,
     overlay: Option<&'a Graph>,
+    base_csr: &'a Csr,
+    overlay_csr: Option<&'a Csr>,
     base_csc: &'a Csr,
     overlay_csc: Option<&'a Csr>,
 }
@@ -225,6 +228,8 @@ impl<'a> Layers<'a> {
         Layers {
             base,
             overlay,
+            base_csr: base.ready_out(Some(pool)),
+            overlay_csr: overlay.map(|o| o.ready_out(Some(pool))),
             base_csc: base.ready_in(Some(pool)),
             overlay_csc: overlay.map(|o| o.ready_in(Some(pool))),
         }
@@ -235,8 +240,8 @@ impl<'a> Layers<'a> {
     }
 
     fn out_lists(&self, v: VertexId) -> [&'a [VertexId]; 2] {
-        let overlay = self.overlay.map_or(&[][..], |o| o.out_neighbors(v));
-        [self.base.out_neighbors(v), overlay]
+        let overlay = self.overlay_csr.map_or(&[][..], |o| o.neighbors(v));
+        [self.base_csr.neighbors(v), overlay]
     }
 
     fn out_degree(&self, v: VertexId) -> u64 {

@@ -1336,6 +1336,7 @@ pub fn build_throughput() -> Table {
     t.note("best-of-N; every parallel arm asserted bit-identical to the sequential build");
     t.note("vsparse: the VSD of the set-up plus the push structure it defers, encoded in the arm");
     t.note("csc: the in-degree count of the set-up plus the CSC it defers, built in the arm");
+    t.note("csr: the out-index count of the set-up plus the CSR it defers, built in the arm");
 
     // Render the graph to the text edge-list format so the parse phase is
     // part of every arm, then keep the sequential pipeline's output as the
@@ -1371,10 +1372,15 @@ pub fn build_throughput() -> Table {
         profile.vsparse_ns += t0.elapsed().as_nanos() as u64;
         // So does a CSC whose degrees differ from the CSR's: the set-up
         // counts the in-degrees and leaves the CSC to its first reader.
-        // The `csc` column keeps counting a CSC, so the arm builds it.
+        // The `csc` column keeps counting a CSC, so the arm builds it, and
+        // the `csr` column a CSR, which a directed graph from a sorted
+        // list leaves to its first reader too.
         let t0 = Instant::now();
         graph.ready_in(Some(pool));
         profile.csc_ns += t0.elapsed().as_nanos() as u64;
+        let t0 = Instant::now();
+        graph.ready_out(Some(pool));
+        profile.csr_ns += t0.elapsed().as_nanos() as u64;
         assert_eq!(graph.out_csr(), seq_graph.out_csr(), "CSR diverged");
         assert_eq!(graph.in_csr(), seq_graph.in_csr(), "CSC diverged");
         assert!(
@@ -1842,7 +1848,7 @@ pub fn build_large() -> Table {
         gen0.elapsed().as_secs_f64()
     ));
     t.note("best-of-N; parallel arms asserted bit-identical to the sequential build");
-    t.note("csc / vsparse: the deferred CSC and push structure are built in the arm");
+    t.note("csr / csc / vsparse: the deferred CSR, CSC and push structure are built in the arm");
 
     let mut reference: Option<(grazelle_graph::graph::Graph, PreparedGraph)> = None;
     let mut base_secs = None;
@@ -1858,10 +1864,13 @@ pub fn build_large() -> Table {
             let t0 = Instant::now();
             p.vss.ready(Some(&pool));
             profile.vsparse_ns += t0.elapsed().as_nanos() as u64;
-            // The deferred CSC, timed into `csc` likewise.
+            // The deferred CSC and CSR, timed into `csc` and `csr` likewise.
             let t0 = Instant::now();
             g.ready_in(Some(&pool));
             profile.csc_ns += t0.elapsed().as_nanos() as u64;
+            let t0 = Instant::now();
+            g.ready_out(Some(&pool));
+            profile.csr_ns += t0.elapsed().as_nanos() as u64;
             match &reference {
                 None => reference = Some((g, p)),
                 Some((rg, rp)) => {

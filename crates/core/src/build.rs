@@ -1,8 +1,10 @@
 //! Profiled build driver for the load → CSR/CSC → Vector-Sparse pipeline.
 //!
-//! [`prepare_profiled`] runs the same three structure-building phases as
-//! `Graph::from_edgelist` + `PreparedGraph::new`, but on a [`ThreadPool`]
-//! and with an [`Instant`] read around each phase, returning a
+//! [`prepare_profiled`] builds the structures `Graph::from_edgelist` +
+//! `PreparedGraph::new` build, in three phases (out-edges, in-edges,
+//! Vector-Sparse), but on a [`ThreadPool`], with an [`Instant`] read
+//! around each phase, and leaving a directed graph's out-edges to their
+//! first reader where its list allows, returning a
 //! [`BuildProfile`] alongside the structures. Each phase is the one
 //! builder of its structure; on a one-thread pool, or below the cutover
 //! ([`build_pool`]), it runs as one share on the calling thread, so the
@@ -13,21 +15,31 @@
 
 use crate::engine::PreparedGraph;
 use crate::stats::BuildProfile;
-use grazelle_graph::csr::Csr;
+use grazelle_graph::csr::SourceSorted;
 use grazelle_graph::edgelist::EdgeList;
 use grazelle_graph::graph::Graph;
 use grazelle_graph::types::GraphError;
 use grazelle_sched::{build_pool, ThreadPool, PAR_BUILD_CUTOVER_EDGES};
+use grazelle_vsparse::build::Vsd;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Builds the graph and the prepared graph from an edge list on `pool`,
 /// timing each phase. Bit-identical to `Graph::from_edgelist` +
 /// `PreparedGraph::new` at any thread count, with a directed graph's
-/// in-edges and push structure deferred as there
-/// ([`Graph::from_out_csr`], [`PreparedGraph::build`]): on a graph whose
-/// in-degrees differ from its out-degrees, `csc_ns` times the in-degree
-/// count alone and `vsparse_ns` the VSD alone, encoded from the
-/// out-edges.
+/// orientations and push structure deferred: `csr_ns` times the one pass
+/// that counts a list's out-index and in-index ([`SourceSorted::new`]; the
+/// counting sort on a list whose sources fall somewhere), `csc_ns` the
+/// in-degree count of that sort's CSR (0 otherwise), and `vsparse_ns` the
+/// VSD.
+///
+/// A directed graph (in-degrees ≠ out-degrees) from a list whose sources
+/// never decrease gets no CSR at all: its VSD is encoded straight from the
+/// list, and both orientations wait for their first reader, which rebuilds
+/// them from the VSD ([`Graph::from_source`]). Any other list gets its
+/// CSR — the column copy and the transpose then count into `csr_ns` and
+/// `csc_ns` — and a directed one's in-edges wait as in
+/// [`Graph::from_counted`].
 ///
 /// Inputs smaller than [`PAR_BUILD_CUTOVER_EDGES`] build on the calling
 /// thread regardless of pool width (see
@@ -69,16 +81,39 @@ pub fn prepare_profiled_with_cutover(
         ..BuildProfile::default()
     };
 
-    // Both orientations come out neighbour-sorted. On a directed graph
-    // `csc_ns` times the in-degree count alone; its in-edges wait for
-    // their first reader.
     let t = Instant::now();
-    let out = Csr::build(el, pool);
+    let grouped = SourceSorted::new(el, pool);
     profile.csr_ns = t.elapsed().as_nanos() as u64;
 
     let t = Instant::now();
-    let g = Graph::from_out_csr(out, pool);
+    let in_index = match &grouped {
+        Ok(list) => Arc::clone(list.in_index()),
+        Err(out) => out.transposed_index(pool),
+    };
     profile.csc_ns = t.elapsed().as_nanos() as u64;
+
+    let out = match grouped {
+        Ok(list) if *in_index != **list.index() => {
+            let t = Instant::now();
+            let vsd = Vsd::encode_transposed(&list, &in_index, pool);
+            let out_index = Arc::clone(list.index());
+            let g = Graph::from_source(out_index, in_index, Arc::new(vsd.clone()));
+            let pg = PreparedGraph::with_vsd(&g, vsd);
+            profile.vsparse_ns = t.elapsed().as_nanos() as u64;
+            return Ok((g, pg, profile));
+        }
+        Ok(list) => {
+            let t = Instant::now();
+            let out = list.into_csr(pool);
+            profile.csr_ns += t.elapsed().as_nanos() as u64;
+            out
+        }
+        Err(out) => out,
+    };
+
+    let t = Instant::now();
+    let g = Graph::from_counted(out, in_index, pool);
+    profile.csc_ns += t.elapsed().as_nanos() as u64;
 
     let t = Instant::now();
     let pg = PreparedGraph::build(&g, pool);
@@ -246,8 +281,10 @@ mod tests {
         /// read on the calling thread or readied on the pool, equals the
         /// eager encoding at that width, bit for bit. A graph whose
         /// in-degrees differ from its out-degrees comes out with its CSC
-        /// unbuilt, its VSD encoded from the out-edges all the same; any
-        /// other holds its CSC.
+        /// unbuilt, and from a list sorted by source with its CSR unbuilt
+        /// too, its VSD encoded from the out-edges or the list all the
+        /// same, and preparing it again encodes the same VSD; any other
+        /// holds both.
         #[test]
         fn prop_prepare_profiled_matches_the_plain_build(
             n in 1usize..24,
@@ -262,9 +299,15 @@ mod tests {
                 let pool = ThreadPool::single_group(threads);
                 for cutover in [0, PAR_BUILD_CUTOVER_EDGES] {
                     let (g, pg, _) = prepare_profiled_with_cutover(&el, &pool, cutover).unwrap();
-                    let deferred = g.in_index() != g.out_csr().index();
+                    let deferred = g.in_index() != g.out_index();
+                    let by_source = el.edges().windows(2).all(|w| w[0].0 <= w[1].0);
                     proptest::prop_assert_eq!(g.in_edges_deferred(), deferred);
                     proptest::prop_assert_eq!(g.built_in_csr().is_none(), deferred);
+                    proptest::prop_assert_eq!(g.out_edges_deferred(), deferred && by_source);
+                    proptest::prop_assert_eq!(g.built_out_csr().is_none(), deferred && by_source);
+                    // Prepared again, with neither orientation built yet.
+                    let again = PreparedGraph::build(&g, Some(&pool));
+                    proptest::prop_assert!(again.vsd.bit_identical(&plain_pg.vsd));
                     proptest::prop_assert!(g.out_csr().bit_identical(plain_g.out_csr()));
                     proptest::prop_assert!(g.in_csr().bit_identical(plain_g.in_csr()));
                     proptest::prop_assert!(pg.vsd.bit_identical(&plain_pg.vsd), "{} threads", threads);

@@ -21,12 +21,12 @@ pub mod vertex;
 use grazelle_graph::graph::Graph;
 use grazelle_sched::ThreadPool;
 use grazelle_vsparse::build::{Vsd, Vss};
-use std::sync::Arc;
 
 /// A graph prepared for Grazelle: both Vector-Sparse orientations, shared
 /// by every run. The pull structure (VSD) is encoded when the graph is
 /// prepared: from the graph's in-edges when it holds them, and straight
-/// from its out-edges when they are deferred. On a symmetric graph
+/// from its out-edges (or the edge list, in [`crate::prepare_profiled`])
+/// when they are deferred. On a symmetric graph
 /// ([`Graph::is_symmetric`]) the push structure (VSS) is that same
 /// encoding, shared; on a directed one it is deferred: the first run that
 /// can push encodes it, so a run that only pulls never pays for it
@@ -60,19 +60,27 @@ impl PreparedGraph {
 
     /// The VSD, on `pool` or on the calling thread: through
     /// [`Vsd::encode`] over the in-edges when the graph holds them, and
-    /// through [`Vsd::encode_transposed`] over the out-edges when they are
-    /// deferred, which leaves them deferred. The VSS is a clone of the
-    /// VSD, sharing the same arrays, on a symmetric graph, and
-    /// [`Vss::deferred`] over the graph's shared out-edges on a directed
-    /// one.
+    /// through [`Vsd::encode_transposed`] over the out-edges when only
+    /// they are built, which leaves the in-edges deferred. A graph with
+    /// neither built (one over an edge source) has its in-edges built
+    /// first. The VSS as [`PreparedGraph::with_vsd`] makes it.
     pub fn build(g: &Graph, pool: Option<&ThreadPool>) -> Self {
-        let vsd = match g.built_in_csr() {
-            Some(inn) => Vsd::encode(inn, pool),
-            None => Vsd::encode_transposed(g.out_csr(), g.in_index(), pool),
+        let vsd = match (g.built_in_csr(), g.built_out_csr()) {
+            (Some(inn), _) => Vsd::encode(inn, pool),
+            (None, Some(out)) => Vsd::encode_transposed(out, g.in_index(), pool),
+            (None, None) => Vsd::encode(g.ready_in(pool), pool),
         };
+        Self::with_vsd(g, vsd)
+    }
+
+    /// The prepared graph of `g` whose VSD is `vsd`. The VSS is a clone of
+    /// the VSD, sharing the same arrays, on a symmetric graph, and
+    /// [`Vss::deferred`] over a clone of the graph, sharing its edges and
+    /// cells, on a directed one.
+    pub fn with_vsd(g: &Graph, vsd: Vsd) -> Self {
         let vss = match g.is_symmetric() {
             true => Vss::from(vsd.clone()),
-            false => Vss::deferred(Arc::clone(g.shared_out_csr())),
+            false => Vss::deferred(g.clone()),
         };
         PreparedGraph {
             vsd,
@@ -114,7 +122,7 @@ mod tests {
     /// A symmetric graph, weighted or not, is encoded once: the VSS
     /// shares the VSD's arrays and equals both separately encoded
     /// orientations at every width; a directed graph's VSS is deferred
-    /// over the graph's own out-edges and, once read, a second encoding.
+    /// over the graph and, once read, a second encoding.
     #[test]
     fn a_symmetric_graph_is_encoded_once() {
         let sym = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 1), (1, 2), (4, 4)];
@@ -141,10 +149,6 @@ mod tests {
                 let pool = threads.map(ThreadPool::single_group);
                 let pg = PreparedGraph::build(&g, pool.as_ref());
                 assert_eq!(pg.vss.is_encoded(), symmetric, "{threads:?} threads");
-                // The out-edges are the graph's, not a copy: held by the
-                // graph and, when deferred, by the VSS.
-                let holders = if symmetric { 1 } else { 2 };
-                assert_eq!(Arc::strong_count(g.shared_out_csr()), holders);
                 let shared = std::ptr::eq(pg.vsd.vectors(), pg.vss.vectors());
                 assert_eq!(shared, symmetric, "{threads:?} threads");
                 // The directed graph's in-degrees differ from its

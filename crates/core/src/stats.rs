@@ -325,13 +325,17 @@ pub struct BuildProfile {
     /// Text / Matrix-Market / binary parse time (ns); 0 for synthesized
     /// graphs, which never touch a parser.
     pub parse_ns: u64,
-    /// The out-edge CSR: column copy or counting sort, + neighbor sort
-    /// (ns).
+    /// The one pass over a list sorted by source that counts its out-index
+    /// and its in-index, plus the column copy and neighbor sort into the
+    /// CSR where set-up builds it; or the counting sort of any other list
+    /// (ns). A directed graph from a list sorted by source leaves its CSR
+    /// to its first reader, outside this phase.
     pub csr_ns: u64,
-    /// The in-degree count over the CSR, plus its transpose (the CSC)
-    /// where set-up builds it: on a graph whose in-degree sequence equals
-    /// its out-degree sequence. Elsewhere the CSC is built by its first
-    /// reader, outside this phase (ns).
+    /// The in-degree count over the CSR of a list not sorted by source (a
+    /// sorted list's is counted in `csr_ns`'s pass), plus the transpose
+    /// (the CSC) where set-up builds it: on a graph whose in-degree
+    /// sequence equals its out-degree sequence. Elsewhere the CSC is built
+    /// by its first reader, outside this phase (ns).
     pub csc_ns: u64,
     /// Vector-Sparse encoding at set-up (ns): the VSD, which a symmetric
     /// graph's VSS shares; a directed graph's VSS is encoded by its first

@@ -11,6 +11,7 @@ use crate::partition::{partition_index, split_by_parts, EdgePartition};
 use crate::types::{EdgeId, GraphError, VertexId};
 use grazelle_sched::alloc::{self, RangeWriter, WorkerFilled};
 use grazelle_sched::{run_shares, ThreadPool};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Compressed-Sparse adjacency: `index.len() == num_vertices + 1`,
@@ -55,19 +56,15 @@ impl Csr {
     /// calling thread without a pool. The result is the same at every
     /// width. The in-edge orientation is its [`Csr::transpose`].
     ///
-    /// A list grouped by source is a column copy (one pass, no histogram);
-    /// any other takes the counting sort. The lists are sorted afterwards
+    /// A list grouped by source is a column copy ([`SourceSorted`]); any
+    /// other takes the counting sort. The lists are sorted afterwards
     /// unless the list is non-decreasing by (source, destination), which
     /// leaves them sorted already. The sort is stable, so parallel edges
     /// keep their edge-list order, with their weights, either way.
     pub fn build(el: &EdgeList, pool: Option<&ThreadPool>) -> Self {
-        let built = match Self::column_copy(el, pool) {
-            Some((csr, true)) => csr,
-            Some((mut csr, false)) => {
-                csr.sort_on(pool);
-                csr
-            }
-            None => Self::counting_sort(el, pool),
+        let built = match SourceSorted::new(el, pool) {
+            Ok(list) => list.into_csr(pool),
+            Err(csr) => csr,
         };
         debug_assert!(
             pool.is_none_or(|p| p.num_threads() == 1)
@@ -81,11 +78,10 @@ impl Csr {
     /// in-edges (CSC) of a CSR. One stable scatter in the order of the
     /// top-level vertices ([`scatter_transposed`]) puts every list of the
     /// result in ascending order, and parallel edges in this structure's
-    /// list order, so it needs no sort. One share per worker of `pool`
-    /// owns an edge-balanced range of the result's vertices, or one share
-    /// runs on the calling thread; the result is the same at every width.
+    /// list order, so it needs no sort; the result is the same at every
+    /// width of `pool`.
     pub fn transpose(&self, pool: Option<&ThreadPool>) -> Self {
-        self.transpose_with_index(self.transposed_index(pool), pool)
+        Self::transposed(self, self.transposed_index(pool), pool)
     }
 
     /// The vertex index of [`Csr::transpose`]: how often each vertex is a
@@ -95,19 +91,30 @@ impl Csr {
         counted_index(self.num_vertices(), edges.len(), pool, |e| edges[e])
     }
 
-    /// [`Csr::transpose`], its vertex index `index` already counted.
-    pub(crate) fn transpose_with_index(
-        &self,
+    /// The stable transpose of `seq`, each edge with its weight, over its
+    /// vertex index `index` already counted: a CSR's in-edges, or a VSD's
+    /// out-edges. One scatter in the order of `seq`'s top-level vertices
+    /// ([`scatter_transposed`]) puts every list of the result in ascending
+    /// order, and parallel edges in `seq`'s order, so it needs no sort.
+    /// One share per worker of `pool` owns an edge-balanced range of the
+    /// result's vertices, or one share runs on the calling thread; the
+    /// result is the same at every width.
+    pub(crate) fn transposed(
+        seq: &impl Grouped,
         index: Arc<Vec<EdgeId>>,
         pool: Option<&ThreadPool>,
     ) -> Self {
-        debug_assert_eq!(index.len(), self.index.len(), "one index entry per vertex");
-        let m = self.num_edges();
+        debug_assert_eq!(
+            index.len(),
+            seq.num_vertices() + 1,
+            "one index entry per vertex"
+        );
+        let m = *index.last().expect("index holds n + 1 entries") as usize;
         let parts = partition_index(&index, pool.map_or(1, ThreadPool::num_threads));
         let mut edges = alloc::zeroed::<VertexId>(m);
-        let mut weights = self.weights.as_ref().map(|_| alloc::zeroed::<f64>(m));
+        let w_in = seq.weights();
+        let mut weights = w_in.map(|_| alloc::zeroed::<f64>(m));
         let tasks = split_by_parts(&parts, &mut edges, weights.as_deref_mut());
-        let w_in = self.weights();
         run_shares(pool, tasks, |(part, eslice, mut wslice)| {
             let first = part.first_vertex as usize;
             let base = index[first];
@@ -116,7 +123,7 @@ impl Csr {
                 .iter()
                 .map(|&e| (e - base) as usize)
                 .collect();
-            scatter_transposed(self, part.vertices(), |d, s, e| {
+            scatter_transposed(seq, part.vertices(), |d, s, e| {
                 let c = &mut cursor[d as usize - first];
                 eslice[*c] = s;
                 if let (Some(w_out), Some(w_in)) = (wslice.as_deref_mut(), w_in) {
@@ -132,10 +139,64 @@ impl Csr {
         };
         debug_assert!(
             pool.is_none_or(|p| p.num_threads() == 1)
-                || transposed.bit_identical(&self.transpose(None)),
+                || transposed.bit_identical(&Self::transposed(
+                    seq,
+                    Arc::clone(&transposed.index),
+                    None
+                )),
             "several-share transpose diverged from the one-share transpose"
         );
         transposed
+    }
+
+    /// The structure over `index` whose lists are `seq`'s own, in `seq`'s
+    /// order, weights along: a VSD's in-edges, its valid lanes in order.
+    /// One share per worker of `pool` copies an edge-balanced range of
+    /// top-level vertices through [`WorkerFilled`] writers, which panic if
+    /// `seq` and `index` disagree on a vertex's degree.
+    pub(crate) fn copied(
+        seq: &impl Grouped,
+        index: Arc<Vec<EdgeId>>,
+        pool: Option<&ThreadPool>,
+    ) -> Self {
+        debug_assert_eq!(
+            index.len(),
+            seq.num_vertices() + 1,
+            "one index entry per vertex"
+        );
+        let m = *index.last().expect("index holds n + 1 entries") as usize;
+        let parts = partition_index(&index, pool.map_or(1, ThreadPool::num_threads));
+        let lens = || parts.iter().map(EdgePartition::num_edges);
+        let mut edges = WorkerFilled::new(m);
+        let w_in = seq.weights();
+        let mut weights = w_in.map(|_| WorkerFilled::new(m));
+        let weight_writers: Vec<_> = match &mut weights {
+            Some(w) => w.writers(lens()).into_iter().map(Some).collect(),
+            None => lens().map(|_| None).collect(),
+        };
+        let tasks = parts
+            .iter()
+            .zip(edges.writers(lens()))
+            .zip(weight_writers)
+            .collect();
+        run_shares(pool, tasks, |((part, mut e), mut w)| {
+            seq.edges_of(part.vertices(), |_, s, at| {
+                e.push(s);
+                if let (Some(w), Some(w_in)) = (w.as_mut(), w_in) {
+                    w.push(w_in[at]);
+                }
+            });
+        });
+        Csr {
+            index,
+            edges: edges.into_vec(),
+            weights: weights.map(WorkerFilled::into_vec),
+        }
+    }
+
+    /// The vertex index, shared.
+    pub(crate) fn shared_index(&self) -> &Arc<Vec<EdgeId>> {
+        &self.index
     }
 
     /// True when `self` and `other` are bit-for-bit the same structure:
@@ -155,100 +216,6 @@ impl Csr {
             _ => false,
         };
         self.index == other.index && self.edges == other.edges && weights_eq
-    }
-
-    /// The by-source CSR of `el`, and whether its lists came out sorted
-    /// (the list is non-decreasing by (source, destination)), if the list
-    /// is non-decreasing by source — in one pass, without a histogram or a
-    /// scatter: vertex `v` starts where the source column first reaches
-    /// `v`, and the edge (and weight) arrays are the destination (and
-    /// weight) column. Each worker of `pool` (or the calling thread alone)
-    /// takes one share of the list, checks its order from the pair before
-    /// it on, and writes the index entries of the vertices its share
-    /// reaches through [`WorkerFilled`] writers. `None`, as soon as a
-    /// share finds a source below the one before it: the list needs the
-    /// counting sort.
-    fn column_copy(el: &EdgeList, pool: Option<&ThreadPool>) -> Option<(Self, bool)> {
-        let n = el.num_vertices();
-        let m = el.num_edges();
-        let all = el.edges();
-        let t = pool.map_or(1, ThreadPool::num_threads);
-        let shares: Vec<usize> = (0..=t).map(|i| m * i / t).collect();
-        // The first index entry of each share's vertices: one past the
-        // source of the pair before the share. The last share ends the index.
-        let entries: Vec<usize> = shares
-            .iter()
-            .enumerate()
-            .map(|(i, &at)| match at.checked_sub(1) {
-                _ if i == t => n + 1,
-                Some(before) => all[before].0 as usize + 1,
-                None => 0,
-            })
-            .collect();
-        if !entries.is_sorted() {
-            return None;
-        }
-        let lens = |v: &[usize]| -> Vec<usize> { v.windows(2).map(|w| w[1] - w[0]).collect() };
-        let mut index = WorkerFilled::new(n + 1);
-        let mut edges = WorkerFilled::new(m);
-        let mut weights = el.weights().map(|_| WorkerFilled::new(m));
-        let weight_writers: Vec<_> = match &mut weights {
-            Some(w) => w.writers(lens(&shares)).into_iter().map(Some).collect(),
-            None => (0..t).map(|_| None).collect(),
-        };
-        let tasks = index
-            .writers(lens(&entries))
-            .into_iter()
-            .zip(edges.writers(lens(&shares)))
-            .zip(weight_writers)
-            .enumerate()
-            .collect();
-        type Writers<'a> = (
-            (RangeWriter<'a, EdgeId>, RangeWriter<'a, VertexId>),
-            Option<RangeWriter<'a, f64>>,
-        );
-        const BLOCK: usize = 4096;
-        let fill = |(i, ((mut ix, mut e), w)): (usize, Writers<'_>)| -> Option<bool> {
-            let range = shares[i]..shares[i + 1];
-            let before = range.start.checked_sub(1).map(|at| all[at]);
-            let mut last = before.map_or(0, pair_key);
-            let mut pair_falls = false;
-            let mut next = entries[i];
-            let end = entries[i + 1];
-            // In blocks that stay in cache between the check and the copy.
-            for (block, pairs) in all[range.clone()].chunks(BLOCK).enumerate() {
-                let base = range.start + block * BLOCK;
-                for (at, &pair) in (base..).zip(pairs) {
-                    let k = pair_key(pair);
-                    // A fall, or a source past the share's last: not grouped.
-                    if k >> 32 < last >> 32 || pair.0 as usize >= end {
-                        return None;
-                    }
-                    pair_falls |= k < last;
-                    last = k;
-                    while next <= pair.0 as usize {
-                        ix.push(at as EdgeId);
-                        next += 1;
-                    }
-                }
-                e.extend(pairs.iter().map(|&(_, d)| d));
-            }
-            ix.extend(std::iter::repeat_n(m as EdgeId, end - next));
-            if let (Some(mut w), Some(w_in)) = (w, el.weights()) {
-                w.extend(w_in[range].iter().copied());
-            }
-            Some(!pair_falls)
-        };
-        let mut sorted = true;
-        for share in run_shares(pool, tasks, fill) {
-            sorted &= share?;
-        }
-        let csr = Csr {
-            index: Arc::new(index.into_vec()),
-            edges: edges.into_vec(),
-            weights: weights.map(WorkerFilled::into_vec),
-        };
-        Some((csr, sorted))
     }
 
     /// The counting sort of a list not grouped by source, one share per
@@ -528,6 +495,12 @@ fn counted_index(
         }
         h
     });
+    summed_index(n, &counts)
+}
+
+/// The vertex index over `n` vertices whose degrees are the per-vertex
+/// sums of the shares' histograms `counts`, summed on the calling thread.
+fn summed_index(n: usize, counts: &[Vec<u32>]) -> Arc<Vec<EdgeId>> {
     let mut index = Vec::with_capacity(n + 1);
     let mut end = 0u64;
     index.push(end);
@@ -538,32 +511,225 @@ fn counted_index(
     Arc::new(index)
 }
 
+/// Edges grouped by a top-level vertex, groups in ascending order, each
+/// edge once as `(top-level vertex, stored endpoint, position)` with its
+/// weight at `weights()[position]`: a [`Csr`], an edge list whose sources
+/// never decrease ([`SourceSorted`]), or a Vector-Sparse structure's valid
+/// lanes. Every transposed build reads one through [`scatter_transposed`].
+pub trait Grouped: Sync {
+    /// Number of top-level vertices.
+    fn num_vertices(&self) -> usize;
+
+    /// Hands `put` every edge of the top-level vertices `tops`, in order.
+    fn edges_of(&self, tops: Range<VertexId>, put: impl FnMut(VertexId, VertexId, usize));
+
+    /// The edge weights by position, if weighted.
+    fn weights(&self) -> Option<&[f64]>;
+}
+
+impl Grouped for Csr {
+    fn num_vertices(&self) -> usize {
+        self.num_vertices()
+    }
+
+    fn edges_of(&self, tops: Range<VertexId>, mut put: impl FnMut(VertexId, VertexId, usize)) {
+        let ends = &self.index[tops.start as usize..=tops.end as usize];
+        for (v, ends) in (tops.start..).zip(ends.windows(2)) {
+            let (lo, hi) = (ends[0] as usize, ends[1] as usize);
+            for (e, &d) in (lo..).zip(&self.edges[lo..hi]) {
+                put(v, d, e);
+            }
+        }
+    }
+
+    fn weights(&self) -> Option<&[f64]> {
+        self.weights()
+    }
+}
+
+/// An edge list whose sources never decrease, with its out- and in-index
+/// counted: the by-source grouping without a copy of its columns. A
+/// directed graph's set-up encodes its VSD from this straight, and the CSR
+/// is one column copy away ([`SourceSorted::into_csr`]).
+#[derive(Debug)]
+pub struct SourceSorted<'a> {
+    el: &'a EdgeList,
+    index: Arc<Vec<EdgeId>>,
+    in_index: Arc<Vec<EdgeId>>,
+    /// The list is non-decreasing by (source, destination) too.
+    sorted: bool,
+}
+
+impl<'a> SourceSorted<'a> {
+    /// `el` with its out- and in-index, if its sources never decrease;
+    /// else its CSR through the counting sort ([`Csr::build`]). Each worker
+    /// of `pool` (or the calling thread alone) takes one share of the list
+    /// and, in one pass, checks its order from the pair before it on,
+    /// writes the index entries of the vertices its share reaches — vertex
+    /// `v` starts where the source column first reaches `v` — through
+    /// [`WorkerFilled`] writers, and counts its destinations into its own
+    /// histogram, which the calling thread sums into the in-index. A share
+    /// that finds a source below the one before it stops: the list needs
+    /// the sort.
+    pub fn new(el: &'a EdgeList, pool: Option<&ThreadPool>) -> Result<Self, Csr> {
+        let n = el.num_vertices();
+        let m = el.num_edges();
+        let all = el.edges();
+        let t = pool.map_or(1, ThreadPool::num_threads);
+        let shares: Vec<usize> = (0..=t).map(|i| m * i / t).collect();
+        // The first index entry of each share's vertices: one past the
+        // source of the pair before the share. The last share ends the index.
+        let entries: Vec<usize> = shares
+            .iter()
+            .enumerate()
+            .map(|(i, &at)| match at.checked_sub(1) {
+                _ if i == t => n + 1,
+                Some(before) => all[before].0 as usize + 1,
+                None => 0,
+            })
+            .collect();
+        if !entries.is_sorted() {
+            return Err(Csr::counting_sort(el, pool));
+        }
+        let mut index = WorkerFilled::new(n + 1);
+        let lens = entries.windows(2).map(|w| w[1] - w[0]);
+        let tasks = index.writers(lens).into_iter().enumerate().collect();
+        let fill = |(i, mut ix): (usize, RangeWriter<'_, EdgeId>)| {
+            let range = shares[i]..shares[i + 1];
+            let before = range.start.checked_sub(1).map(|at| all[at]);
+            let mut last = before.map_or(0, pair_key);
+            let mut pair_falls = false;
+            let mut next = entries[i];
+            let end = entries[i + 1];
+            let mut in_degrees = vec![0u32; n];
+            for (at, &pair) in (range.start..).zip(&all[range]) {
+                let k = pair_key(pair);
+                // A fall, or a source past the share's last: not grouped.
+                if k >> 32 < last >> 32 || pair.0 as usize >= end {
+                    return None;
+                }
+                pair_falls |= k < last;
+                last = k;
+                in_degrees[pair.1 as usize] += 1;
+                while next <= pair.0 as usize {
+                    ix.push(at as EdgeId);
+                    next += 1;
+                }
+            }
+            ix.extend(std::iter::repeat_n(m as EdgeId, end - next));
+            Some((!pair_falls, in_degrees))
+        };
+        let mut sorted = true;
+        let mut counts = Vec::with_capacity(t);
+        for share in run_shares(pool, tasks, fill) {
+            let Some((share_sorted, in_degrees)) = share else {
+                return Err(Csr::counting_sort(el, pool));
+            };
+            sorted &= share_sorted;
+            counts.push(in_degrees);
+        }
+        let index = Arc::new(index.into_vec());
+        let in_index = summed_index(n, &counts);
+        Ok(SourceSorted {
+            el,
+            index,
+            in_index,
+            sorted,
+        })
+    }
+
+    /// The out-index: vertex `v`'s edges are `index()[v]..index()[v + 1]`
+    /// of the list.
+    pub fn index(&self) -> &Arc<Vec<EdgeId>> {
+        &self.index
+    }
+
+    /// The in-index, the destinations counted: [`Csr::transposed_index`]
+    /// of the CSR, without the CSR.
+    pub fn in_index(&self) -> &Arc<Vec<EdgeId>> {
+        &self.in_index
+    }
+
+    /// The CSR: the destination (and weight) column copied by one share
+    /// per worker of `pool` into [`WorkerFilled`] blocks, then each list
+    /// sorted unless the list is sorted by pair already.
+    pub fn into_csr(self, pool: Option<&ThreadPool>) -> Csr {
+        let (all, w_in) = (self.el.edges(), self.el.weights());
+        let m = all.len();
+        let t = pool.map_or(1, ThreadPool::num_threads);
+        let shares: Vec<usize> = (0..=t).map(|i| m * i / t).collect();
+        let lens = || shares.windows(2).map(|w| w[1] - w[0]);
+        let mut edges = WorkerFilled::new(m);
+        let mut weights = w_in.map(|_| WorkerFilled::new(m));
+        let weight_writers: Vec<_> = match &mut weights {
+            Some(w) => w.writers(lens()).into_iter().map(Some).collect(),
+            None => lens().map(|_| None).collect(),
+        };
+        let tasks = edges
+            .writers(lens())
+            .into_iter()
+            .zip(weight_writers)
+            .enumerate()
+            .collect();
+        run_shares(pool, tasks, |(i, (mut e, w))| {
+            let range = shares[i]..shares[i + 1];
+            e.extend(all[range.clone()].iter().map(|&(_, d)| d));
+            if let (Some(mut w), Some(w_in)) = (w, w_in) {
+                w.extend(w_in[range].iter().copied());
+            }
+        });
+        let mut csr = Csr {
+            index: self.index,
+            edges: edges.into_vec(),
+            weights: weights.map(WorkerFilled::into_vec),
+        };
+        if !self.sorted {
+            csr.sort_on(pool);
+        }
+        csr
+    }
+}
+
+impl Grouped for SourceSorted<'_> {
+    fn num_vertices(&self) -> usize {
+        self.el.num_vertices()
+    }
+
+    fn edges_of(&self, tops: Range<VertexId>, mut put: impl FnMut(VertexId, VertexId, usize)) {
+        let r = self.index[tops.start as usize] as usize..self.index[tops.end as usize] as usize;
+        for (e, &(s, d)) in (r.start..).zip(&self.el.edges()[r]) {
+            put(s, d, e);
+        }
+    }
+
+    fn weights(&self) -> Option<&[f64]> {
+        self.el.weights()
+    }
+}
+
 /// The transposing scatter, the one loop of every transposed build: hands
-/// `put` each edge of `csr` whose stored endpoint lies in `endpoints`, as
-/// `(endpoint, top-level vertex, edge position)`, in the order of the
-/// top-level vertices and, within one, in list order — the order of each
-/// endpoint's list in the transpose. A share of a transposed build owns one
-/// endpoint range and runs this over the whole edge array, so the shares'
-/// output ranges are disjoint. [`Csr::transpose`] stores vertex ids; the
-/// Vector-Sparse encoder of a transpose stores lanes.
+/// `put` each edge of `seq` whose stored endpoint lies in `endpoints`, as
+/// `(endpoint, top-level vertex, position)`, in `seq`'s order — the order
+/// of each endpoint's list in the stable transpose. A share of a
+/// transposed build owns one endpoint range and runs this over all of
+/// `seq`, so the shares' output ranges are disjoint. [`Csr::transpose`]
+/// and the deferred out-edges of a [`Graph`](crate::graph::Graph) store
+/// vertex ids; the Vector-Sparse encoder of a transpose stores lanes.
 pub fn scatter_transposed(
-    csr: &Csr,
-    endpoints: std::ops::Range<VertexId>,
+    seq: &impl Grouped,
+    endpoints: Range<VertexId>,
     mut put: impl FnMut(VertexId, VertexId, usize),
 ) {
     if endpoints.is_empty() {
         return;
     }
     let span = endpoints.end - endpoints.start;
-    for (v, ends) in csr.index.windows(2).enumerate() {
-        let (lo, hi) = (ends[0] as usize, ends[1] as usize);
-        for (e, &d) in (lo..).zip(&csr.edges[lo..hi]) {
-            // One compare: an endpoint below the range wraps above it.
-            if d.wrapping_sub(endpoints.start) < span {
-                put(d, v as VertexId, e);
-            }
+    seq.edges_of(0..seq.num_vertices() as VertexId, |v, d, e| {
+        // One compare: an endpoint below the range wraps above it.
+        if d.wrapping_sub(endpoints.start) < span {
+            put(d, v, e);
         }
-    }
+    });
 }
 
 /// Weighted lists at most this long are sorted in place by insertion.

@@ -1,9 +1,10 @@
 //! The immutable, dual-orientation graph consumed by all engines.
 
-use crate::csr::Csr;
+use crate::csr::{Csr, Grouped, SourceSorted};
 use crate::edgelist::EdgeList;
 use crate::types::{EdgeId, GraphError, VertexId};
 use grazelle_sched::{OnDemand, ThreadPool};
+use std::fmt::Debug;
 use std::sync::Arc;
 
 /// An immutable directed graph holding both edge groupings.
@@ -24,16 +25,64 @@ use std::sync::Arc;
 /// differ from its out-degrees it cannot be symmetric, and its in-edges
 /// are an [`OnDemand`] cell over the counted in-index, which their first
 /// reader ([`Graph::in_csr`], or [`Graph::ready_in`] on a pool) fills;
-/// the in-degrees never build them (DESIGN.md §12, "On-demand
-/// structures"). Equal degree sequences build the in-edges at once and
-/// compare them with the out-edges. Each orientation sits behind an
-/// [`Arc`]: clones share the edges and the cell, and a deferred push
-/// structure holds the out-edges ([`Graph::shared_out_csr`]), not a copy.
+/// the in-degrees never build them. A graph over an [`EdgeSource`]
+/// ([`Graph::from_source`]) defers its out-edges the same way, over the
+/// out-index, and rebuilds both from the source (DESIGN.md §12,
+/// "On-demand structures"). The out-index is held either way, so the
+/// out-degrees and the counts never build anything. Equal degree
+/// sequences build the in-edges at once and compare them with the
+/// out-edges. Each orientation sits behind an [`Arc`]: clones share the
+/// edges and the cells.
 #[derive(Debug, Clone)]
 pub struct Graph {
-    out: Arc<Csr>,
+    /// Vertex `v`'s out-edges are `out_index[v]..out_index[v + 1]`; a
+    /// built out-edge structure shares this buffer.
+    out_index: Arc<Vec<EdgeId>>,
+    weighted: bool,
+    out: OutEdges,
     inn: InEdges,
     name: String,
+}
+
+/// What a graph whose out-edges wait for their first reader rebuilds both
+/// orientations from: every edge once, grouped by destination — the VSD,
+/// held by a crate above this one. Any [`Grouped`] sequence grouped by
+/// destination is one.
+pub trait EdgeSource: Debug + Send + Sync {
+    /// The in-edges over their vertex index `index`: the source's edges in
+    /// order, each list a copy of one destination's.
+    fn in_edges(&self, index: Arc<Vec<EdgeId>>, pool: Option<&ThreadPool>) -> Csr;
+
+    /// The out-edges over their vertex index `index`: the source's stable
+    /// transpose, through the transposing scatter
+    /// ([`scatter_transposed`](crate::csr::scatter_transposed)).
+    fn out_edges(&self, index: Arc<Vec<EdgeId>>, pool: Option<&ThreadPool>) -> Csr;
+
+    /// True when the edges carry weights.
+    fn is_weighted(&self) -> bool;
+}
+
+impl<T: Grouped + Debug + Send + Sync> EdgeSource for T {
+    fn in_edges(&self, index: Arc<Vec<EdgeId>>, pool: Option<&ThreadPool>) -> Csr {
+        Csr::copied(self, index, pool)
+    }
+
+    fn out_edges(&self, index: Arc<Vec<EdgeId>>, pool: Option<&ThreadPool>) -> Csr {
+        Csr::transposed(self, index, pool)
+    }
+
+    fn is_weighted(&self) -> bool {
+        self.weights().is_some()
+    }
+}
+
+/// Where a graph's out-edges are.
+#[derive(Debug, Clone)]
+enum OutEdges {
+    /// Built with the graph.
+    Built(Arc<Csr>),
+    /// Rebuilt from the source by their first reader, over the out-index.
+    Deferred(OnDemand<Arc<dyn EdgeSource>, Csr>),
 }
 
 /// Where a graph's in-edges are.
@@ -43,7 +92,8 @@ enum InEdges {
     Out,
     /// Built with the graph.
     Built(Arc<Csr>),
-    /// Transposed by their first reader over the in-index counted at build.
+    /// Built by their first reader over the in-index counted at build:
+    /// transposed from built out-edges, else copied from the source.
     Deferred(OnDemand<Arc<Vec<EdgeId>>, Csr>),
 }
 
@@ -54,33 +104,81 @@ impl Graph {
         Self::build(el, None)
     }
 
-    /// The out-edges through [`Csr::build`], then
-    /// [`Graph::from_out_csr`], on `pool` or on the calling thread.
+    /// The out-edges as [`Csr::build`] builds them, then
+    /// [`Graph::from_counted`] over the in-index a list sorted by source
+    /// counted with its out-index, or [`Graph::from_out_csr`]; on `pool`
+    /// or on the calling thread.
     fn build(el: &EdgeList, pool: Option<&ThreadPool>) -> Result<Self, GraphError> {
         if el.num_vertices() == 0 {
             return Err(GraphError::EmptyGraph);
         }
-        Ok(Self::from_out_csr(Csr::build(el, pool), pool))
+        Ok(match SourceSorted::new(el, pool) {
+            Ok(list) => {
+                let in_index = Arc::clone(list.in_index());
+                Self::from_counted(list.into_csr(pool), in_index, pool)
+            }
+            Err(out) => Self::from_out_csr(out, pool),
+        })
     }
 
-    /// The graph whose out-edges are `out`. Its in-degrees are counted on
-    /// `pool` (or on the calling thread) into the in-edges' vertex index.
-    /// If it differs from `out`'s, the in-edges are deferred to their
-    /// first reader; otherwise they are transposed now and kept only if
-    /// they differ from `out`. Either way the graph
-    /// reads as the one [`Graph::from_edgelist`] builds over the same
-    /// edges.
+    /// The graph whose out-edges are `out`, its in-degrees counted on
+    /// `pool` (or on the calling thread) into the in-edges' vertex index
+    /// ([`Graph::from_counted`]).
     pub fn from_out_csr(out: Csr, pool: Option<&ThreadPool>) -> Self {
-        let index = out.transposed_index(pool);
-        if *index != *out.index() {
+        let in_index = out.transposed_index(pool);
+        Self::from_counted(out, in_index, pool)
+    }
+
+    /// The graph whose out-edges are `out` and whose in-edges' vertex index
+    /// is `in_index`. If it differs from `out`'s, the in-edges are
+    /// deferred to their first reader; otherwise they are transposed now
+    /// and kept only if they differ from `out`. Either way the graph reads
+    /// as the one [`Graph::from_edgelist`] builds over the same edges.
+    pub fn from_counted(out: Csr, in_index: Arc<Vec<EdgeId>>, pool: Option<&ThreadPool>) -> Self {
+        assert_eq!(
+            in_index.len(),
+            out.index().len(),
+            "one index entry per vertex"
+        );
+        if *in_index != *out.index() {
             return Graph {
-                inn: InEdges::Deferred(OnDemand::new(index, out.num_edges())),
-                out: Arc::new(out),
+                out_index: Arc::clone(out.shared_index()),
+                weighted: out.weights().is_some(),
+                inn: InEdges::Deferred(OnDemand::new(in_index, out.num_edges())),
+                out: OutEdges::Built(Arc::new(out)),
                 name: String::new(),
             };
         }
-        let inn = out.transpose_with_index(index, pool);
+        let inn = Csr::transposed(&out, in_index, pool);
         Self::assemble(out, inn, String::new())
+    }
+
+    /// The graph whose edges `source` holds, grouped by destination, and
+    /// whose out- and in-edges' vertex indexes are `out_index` and
+    /// `in_index`, which differ (the graph is directed): both orientations
+    /// wait for their first reader, which rebuilds them from `source`. The
+    /// graph reads as the one [`Graph::from_edgelist`] builds over the
+    /// same edges when `source` orders each destination's edges as its
+    /// in-edges would be (by source, parallel edges in edge-list order).
+    pub fn from_source(
+        out_index: Arc<Vec<EdgeId>>,
+        in_index: Arc<Vec<EdgeId>>,
+        source: Arc<dyn EdgeSource>,
+    ) -> Self {
+        assert_eq!(
+            in_index.len(),
+            out_index.len(),
+            "one index entry per vertex"
+        );
+        debug_assert!(in_index != out_index, "a directed graph's indexes differ");
+        let edges = *out_index.last().expect("index holds n + 1 entries") as usize;
+        Graph {
+            out_index,
+            weighted: source.is_weighted(),
+            out: OutEdges::Deferred(OnDemand::new(source, edges)),
+            inn: InEdges::Deferred(OnDemand::new(in_index, edges)),
+            name: String::new(),
+        }
     }
 
     /// The one place a graph with both orientations built is put together:
@@ -92,7 +190,9 @@ impl Graph {
             false => InEdges::Built(Arc::new(inn)),
         };
         Graph {
-            out: Arc::new(out),
+            out_index: Arc::clone(out.shared_index()),
+            weighted: out.weights().is_some(),
+            out: OutEdges::Built(Arc::new(out)),
             inn,
             name,
         }
@@ -134,7 +234,8 @@ impl Graph {
     /// at any pool width, one copy kept when the result is symmetric. The
     /// name carries over.
     ///
-    /// Deferred in-edges are built first, on `pool` ([`Graph::ready_in`]).
+    /// Deferred orientations are built first, on `pool`
+    /// ([`Graph::ready_out`], [`Graph::ready_in`]).
     /// Edits carry no weights, so a weighted graph takes none.
     pub fn with_edits(
         &self,
@@ -172,7 +273,7 @@ impl Graph {
         let (tin, tdel) = (transposed(inserts), transposed(deletes));
         let [out, inn] = crate::csr::splice(
             [
-                (self.out_csr(), inserts, deletes),
+                (self.ready_out(pool), inserts, deletes),
                 (self.ready_in(pool), &tin, &tdel),
             ],
             pool,
@@ -194,18 +295,18 @@ impl Graph {
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.out.num_vertices()
+        self.out_index.len() - 1
     }
 
     /// Number of directed edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.out.num_edges()
+        *self.out_index.last().expect("index holds n + 1 entries") as usize
     }
 
     /// True when edge weights are attached.
     pub fn is_weighted(&self) -> bool {
-        self.out.weights().is_some()
+        self.weighted
     }
 
     /// True when the in-edges equal the out-edges bit for bit, weights
@@ -221,17 +322,52 @@ impl Graph {
         matches!(self.inn, InEdges::Deferred(_))
     }
 
-    /// Edges grouped by source (CSR) — the push engine's structure.
-    #[inline]
-    pub fn out_csr(&self) -> &Csr {
-        &self.out
+    /// True when the graph left its out-edges to their first reader
+    /// (built since or not): it was built over an [`EdgeSource`].
+    pub fn out_edges_deferred(&self) -> bool {
+        matches!(self.out, OutEdges::Deferred(_))
     }
 
-    /// The out-edge structure as a shared handle, for a structure that
-    /// outlives this borrow but must not copy the edges.
+    /// Edges grouped by source (CSR) — the push engine's structure.
+    /// Deferred out-edges are built here, on the calling thread, if no
+    /// earlier reader built them.
     #[inline]
-    pub fn shared_out_csr(&self) -> &Arc<Csr> {
-        &self.out
+    pub fn out_csr(&self) -> &Csr {
+        self.ready_out(None)
+    }
+
+    /// [`Graph::out_csr`], building deferred out-edges on `pool` (under
+    /// the set-up's cutover, [`OnDemand::ready`]) if no earlier reader
+    /// did. Never from a worker of `pool` while they may be deferred.
+    #[inline]
+    pub fn ready_out(&self, pool: Option<&ThreadPool>) -> &Csr {
+        match &self.out {
+            OutEdges::Built(out) => out,
+            OutEdges::Deferred(cell) => match cell.get() {
+                Some(out) => out,
+                None => cell.ready(pool, |source, pool| {
+                    source.out_edges(Arc::clone(&self.out_index), pool)
+                }),
+            },
+        }
+    }
+
+    /// The out-edges if they exist: built with the graph, or deferred and
+    /// built since. Never builds them.
+    #[inline]
+    pub fn built_out_csr(&self) -> Option<&Csr> {
+        match &self.out {
+            OutEdges::Built(out) => Some(out),
+            OutEdges::Deferred(cell) => cell.get(),
+        }
+    }
+
+    /// The out-edges' vertex index (length `num_vertices + 1`): vertex
+    /// `v`'s out-edges are `out_index()[v]..out_index()[v + 1]` of the
+    /// out-edge array. Never builds deferred out-edges.
+    #[inline]
+    pub fn out_index(&self) -> &[EdgeId] {
+        &self.out_index
     }
 
     /// Edges grouped by destination (CSC); the out-edge structure itself
@@ -248,12 +384,13 @@ impl Graph {
     #[inline]
     pub fn ready_in(&self, pool: Option<&ThreadPool>) -> &Csr {
         match &self.inn {
-            InEdges::Out => &self.out,
+            InEdges::Out => self.ready_out(pool),
             InEdges::Built(inn) => inn,
             InEdges::Deferred(cell) => match cell.get() {
                 Some(inn) => inn,
-                None => cell.ready(pool, |index, pool| {
-                    self.out.transpose_with_index(Arc::clone(index), pool)
+                None => cell.ready(pool, |index, pool| match &self.out {
+                    OutEdges::Built(out) => Csr::transposed(&**out, Arc::clone(index), pool),
+                    OutEdges::Deferred(cell) => cell.source().in_edges(Arc::clone(index), pool),
                 }),
             },
         }
@@ -264,7 +401,7 @@ impl Graph {
     #[inline]
     pub fn built_in_csr(&self) -> Option<&Csr> {
         match &self.inn {
-            InEdges::Out => Some(&self.out),
+            InEdges::Out => self.built_out_csr(),
             InEdges::Built(inn) => Some(inn),
             InEdges::Deferred(cell) => cell.get(),
         }
@@ -276,16 +413,16 @@ impl Graph {
     #[inline]
     pub fn in_index(&self) -> &[EdgeId] {
         match &self.inn {
-            InEdges::Out => self.out.index(),
+            InEdges::Out => &self.out_index,
             InEdges::Built(inn) => inn.index(),
             InEdges::Deferred(cell) => cell.source().as_slice(),
         }
     }
 
-    /// Out-degree of `v`.
+    /// Out-degree of `v`, read from [`Graph::out_index`].
     #[inline]
     pub fn out_degree(&self, v: VertexId) -> u32 {
-        self.out.degree(v)
+        (self.out_index[v as usize + 1] - self.out_index[v as usize]) as u32
     }
 
     /// In-degree of `v`, read from [`Graph::in_index`].
@@ -298,7 +435,7 @@ impl Graph {
     /// Out-neighbors of `v`, sorted.
     #[inline]
     pub fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.out.neighbors(v)
+        self.out_csr().neighbors(v)
     }
 
     /// In-neighbors of `v`, sorted.
@@ -588,18 +725,16 @@ mod tests {
     }
 
     /// The orientations are shared, never copied: a clone reads the same
-    /// structures, and the shared out-edge handle is the out-edge structure
-    /// itself.
+    /// structures, and the out-index the graph holds is the out-edge
+    /// structure's own index.
     #[test]
-    fn clones_and_the_shared_handle_share_the_orientations() {
+    fn clones_share_the_orientations_and_the_out_index() {
         let g = sample();
         let twin = g.clone();
         assert!(std::ptr::eq(g.out_csr(), twin.out_csr()));
         assert!(std::ptr::eq(g.in_csr(), twin.in_csr()));
-        assert!(std::ptr::eq(&**g.shared_out_csr(), g.out_csr()));
-        assert_eq!(Arc::strong_count(g.shared_out_csr()), 2);
-        drop(twin);
-        assert_eq!(Arc::strong_count(g.shared_out_csr()), 1);
+        assert_eq!(g.out_index().as_ptr(), g.out_csr().index().as_ptr());
+        assert_eq!(twin.out_index().as_ptr(), g.out_index().as_ptr());
     }
 
     /// A graph whose in-degrees differ from its out-degrees defers its
@@ -643,6 +778,76 @@ mod tests {
             assert!(std::ptr::eq(twin.built_in_csr().unwrap(), built));
             assert!(std::ptr::eq(twin.in_csr(), g.in_csr()));
             assert_eq!(g.in_index().as_ptr(), g.in_csr().index().as_ptr());
+        }
+    }
+
+    /// A graph over an edge source — here its own by-destination
+    /// structure, which is grouped by destination as a VSD is — defers both
+    /// orientations: the in- and out-degrees, the indexes, the counts and
+    /// the weightedness read without building them; the first `out_csr()`
+    /// (or `ready_out` on a pool of any width) builds exactly the
+    /// by-source build of the list and the first `in_csr()` its transpose,
+    /// NaN payloads, signed zeros and parallel edges in edge-list order
+    /// included, each over its own index (one buffer, not a copy). Clones
+    /// share both cells, built or not.
+    #[test]
+    fn deferred_out_edges_wait_for_their_first_reader() {
+        let payload = f64::from_bits(f64::NAN.to_bits() | 3);
+        let mut el = EdgeList::new(40);
+        for s in 0..40u32 {
+            for k in 0..(s % 7) {
+                let w = [f64::NAN, payload, -0.0, f64::from(s) - f64::from(k) / 3.0]
+                    [(s + k) as usize % 4];
+                el.push_weighted(s, (s * 11 + k) % 37, w).unwrap();
+                // A parallel edge, weighted apart.
+                if k == 2 {
+                    el.push_weighted(s, (s * 11 + k) % 37, f64::from(k))
+                        .unwrap();
+                }
+            }
+        }
+        let want_out = Csr::build(&el, None);
+        let want_in = want_out.transpose(None);
+        let pools = [1, 2, 8].map(ThreadPool::single_group);
+        for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+            let at = format!("{:?} threads", pool.map(ThreadPool::num_threads));
+            let g = Graph::from_source(
+                Arc::new(want_out.index().to_vec()),
+                Arc::new(want_in.index().to_vec()),
+                Arc::new(want_in.clone()),
+            );
+            let twin = g.clone();
+            assert!(g.out_edges_deferred() && g.in_edges_deferred() && !g.is_symmetric());
+            assert_eq!(
+                (g.num_vertices(), g.num_edges()),
+                (40, want_out.num_edges())
+            );
+            assert!(g.is_weighted());
+            assert_eq!(g.out_index(), want_out.index());
+            assert_eq!(g.in_index(), want_in.index());
+            for v in 0..40 {
+                assert_eq!(g.out_degree(v), want_out.degree(v));
+                assert_eq!(g.in_degree(v), want_in.degree(v));
+            }
+            assert!(
+                g.built_out_csr().is_none() && g.built_in_csr().is_none(),
+                "{at}"
+            );
+            let out = match pool {
+                Some(p) => g.ready_out(Some(p)),
+                None => g.out_csr(),
+            };
+            assert!(out.bit_identical(&want_out), "{at}");
+            assert!(twin.built_in_csr().is_none(), "{at}");
+            assert!(std::ptr::eq(twin.built_out_csr().unwrap(), out));
+            let inn = match pool {
+                Some(p) => g.ready_in(Some(p)),
+                None => g.in_csr(),
+            };
+            assert!(inn.bit_identical(&want_in), "{at}");
+            assert!(std::ptr::eq(twin.built_in_csr().unwrap(), inn));
+            assert_eq!(g.out_index().as_ptr(), out.index().as_ptr());
+            assert_eq!(g.in_index().as_ptr(), inn.index().as_ptr());
         }
     }
 

@@ -81,7 +81,11 @@ impl GraphSummary {
             num_vertices: g.num_vertices(),
             num_edges: g.num_edges(),
             avg_degree: g.avg_degree(),
-            out_degrees: DegreeStats::from_degrees(&g.out_csr().degrees()),
+            out_degrees: DegreeStats::from_degrees(
+                &(0..g.num_vertices() as VertexId)
+                    .map(|v| g.out_degree(v))
+                    .collect::<Vec<_>>(),
+            ),
             in_degrees: DegreeStats::from_degrees(
                 &(0..g.num_vertices() as VertexId)
                     .map(|v| g.in_degree(v))

@@ -918,28 +918,30 @@ fn execute_packed(
 /// Disposes every Reach in `live` whose root lies in a component the
 /// version's memo holds, with a copy of that component, and returns the
 /// members left to sweep. A directed or overlaid version has no memo.
+/// `reach_lookups` counts the answers before any is sent, so a client
+/// that reads the stats after its reply sees its lookup counted.
 fn answer_from_components(shared: &Shared, live: Vec<Pending>) -> Vec<Pending> {
     let mut vg = shared.graph_state();
     let Some(memo) = vg.components() else {
         return live;
     };
     let mut rest = Vec::with_capacity(live.len());
-    let mut answered = 0;
+    let mut answered = Vec::new();
     for p in live {
         let reached = match p.request {
             Request::Query(Query::Reach { root }) => memo.reached(root),
             _ => None,
         };
         match reached {
-            Some(reached) => {
-                dispose(shared, &p, Ok(QueryResult::Reached(reached)));
-                answered += 1;
-            }
+            Some(reached) => answered.push((p, reached)),
             None => rest.push(p),
         }
     }
     drop(vg);
-    shared.stats.lock().unwrap().reach_lookups += answered;
+    shared.stats.lock().unwrap().reach_lookups += answered.len() as u64;
+    for (p, reached) in answered {
+        dispose(shared, &p, Ok(QueryResult::Reached(reached)));
+    }
     rest
 }
 
@@ -1670,6 +1672,66 @@ mod tests {
         let direct = single_shot(&g, &pg, &cfg, &ResilienceContext::new(), &pool, reach);
         assert_eq!(served, direct.unwrap());
         assert_eq!(server.drain().packed_runs, 1);
+    }
+
+    /// A directed base set up by `prepare_profiled` from a list sorted by
+    /// source holds neither orientation. Served Reach and BFS queries — the
+    /// sweeps ready both on the executor's pool, the graph being above the
+    /// set-up cutover — reply as `single_shot` does, and a merging delete
+    /// splices the base into exactly the graph `Graph::from_edgelist`
+    /// builds over the edited edges.
+    #[test]
+    fn a_directed_base_without_orientations_serves_and_merges() {
+        let n = 4096u32;
+        let mut pairs: Vec<(u32, u32)> = (0..n)
+            .flat_map(|v| (1..=16u32).map(move |k| (v, (v * k + k * k) % n)))
+            .collect();
+        pairs.sort_by_key(|&(s, _)| s);
+        assert!(pairs.len() as u64 >= grazelle_core::PAR_BUILD_CUTOVER_EDGES);
+        let el = EdgeList::from_pairs(n as usize, &pairs).unwrap();
+        let pool = ThreadPool::single_group(2);
+        let (g, pg, _) = grazelle_core::prepare_profiled(&el, &pool).unwrap();
+        assert!(g.out_edges_deferred() && g.built_out_csr().is_none());
+        assert!(g.built_in_csr().is_none());
+        let (g, pg) = (Arc::new(g), Arc::new(pg));
+        let server = Server::start(Arc::clone(&g), Arc::clone(&pg), base_cfg());
+        let cfg = EngineConfig::new().with_threads(2);
+        let queries = [
+            Query::Reach { root: 5 },
+            Query::Bfs { root: 7 },
+            Query::Reach { root: 4095 },
+            Query::Bfs { root: 0 },
+        ];
+        for q in queries {
+            let served = server.submit(q).unwrap().wait().unwrap();
+            let direct = single_shot(&g, &pg, &cfg, &ResilienceContext::new(), &pool, q);
+            assert_eq!(served, direct.unwrap(), "{q:?}");
+        }
+        let want_out = grazelle_graph::csr::Csr::from_edgelist_by_src(&el);
+        assert!(g
+            .built_out_csr()
+            .expect("a sweep read them")
+            .bit_identical(&want_out));
+
+        // Delete every copy of one edge and insert an absent one.
+        let (dead, fresh) = (pairs[100], (1u32, 3u32));
+        assert!(!pairs.contains(&fresh));
+        let mut batch = UpdateBatch::new();
+        batch.delete(dead.0, dead.1).insert(fresh.0, fresh.1);
+        let reply = server.submit_update(batch).unwrap().wait().unwrap();
+        assert!(matches!(reply, QueryResult::Updated { merged: true, .. }));
+        let edited: Vec<_> = pairs
+            .iter()
+            .copied()
+            .filter(|&e| e != dead)
+            .chain([fresh])
+            .collect();
+        let cold =
+            Graph::from_edgelist(&EdgeList::from_pairs(n as usize, &edited).unwrap()).unwrap();
+        let merged = Arc::clone(server.shared.graph_state().base());
+        assert!(merged.out_csr().bit_identical(cold.out_csr()));
+        assert!(merged.in_csr().bit_identical(cold.in_csr()));
+        server.drain();
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use crate::format::{pack_lane, tlv_piece_bits, VERTEX_MASK};
 use crate::vector::EdgeVector;
-use grazelle_graph::csr::{scatter_transposed, Csr};
+use grazelle_graph::csr::{scatter_transposed, Csr, Grouped};
+use grazelle_graph::graph::Graph;
 use grazelle_graph::partition::{partition_index, split_by_parts};
 use grazelle_graph::types::{EdgeId, VertexId};
 use grazelle_sched::alloc::WorkerFilled;
@@ -55,14 +56,15 @@ struct Blocks<const N: usize> {
 pub type Vsd = VectorSparse<4>;
 
 /// Vector-Sparse-Source with the paper's 4-lane (256-bit) vectors: the
-/// push structure, an [`OnDemand`] cell over the out-edge [`Csr`] it is
-/// encoded from (shared, not copied), or holding an eager encoding. A run
-/// that only pulls never reads it, so a directed graph's set-up leaves it
-/// empty (DESIGN.md §12, "On-demand structures"). It derefs to the
-/// encoding, encoding on the calling thread; [`Vss::ready`] encodes on a
-/// pool, never to be called from one of that pool's workers.
+/// push structure, an [`OnDemand`] cell over the graph whose out-edges it
+/// is encoded from (a clone, sharing the graph's edges and cells), or
+/// holding an eager encoding. A run that only pulls never reads it, so a
+/// directed graph's set-up leaves it empty (DESIGN.md §12, "On-demand
+/// structures"). It derefs to the encoding, encoding on the calling
+/// thread; [`Vss::ready`] encodes on a pool, never to be called from one
+/// of that pool's workers.
 #[derive(Debug, Clone)]
-pub struct Vss(OnDemand<Option<Arc<Csr>>, VectorSparse<4>>);
+pub struct Vss(OnDemand<Option<Graph>, VectorSparse<4>>);
 
 impl Vss {
     /// Encodes `csr` now, on the calling thread.
@@ -75,11 +77,12 @@ impl Vss {
         Vss::from(VectorSparse::from_csr_parallel(csr, pool))
     }
 
-    /// The push structure of `csr` (edges grouped by source), encoded by
-    /// its first reader.
-    pub fn deferred(csr: Arc<Csr>) -> Self {
-        let edges = csr.num_edges();
-        Vss(OnDemand::new(Some(csr), edges))
+    /// The push structure of `g`, encoded by its first reader from `g`'s
+    /// out-edges, which it readies first if they are deferred
+    /// ([`Graph::ready_out`]).
+    pub fn deferred(g: Graph) -> Self {
+        let edges = g.num_edges();
+        Vss(OnDemand::new(Some(g), edges))
     }
 
     /// The encoding, encoded first on `pool` (under the set-up's cutover,
@@ -89,9 +92,9 @@ impl Vss {
     pub fn ready(&self, pool: Option<&ThreadPool>) -> &VectorSparse<4> {
         match self.0.get() {
             Some(vs) => vs,
-            None => self.0.ready(pool, |csr, pool| {
-                let csr = csr.as_deref().expect("an empty handle holds its CSR");
-                VectorSparse::encode(csr, pool)
+            None => self.0.ready(pool, |g, pool| {
+                let g = g.as_ref().expect("an empty handle holds its graph");
+                VectorSparse::encode(g.ready_out(pool), pool)
             }),
         }
     }
@@ -213,10 +216,11 @@ impl<const N: usize> VectorSparse<N> {
         built
     }
 
-    /// The encoding of `out`'s transpose, whose vertex index is
-    /// `in_index` ([`Csr::transposed_index`]), straight from `out`: bit for
-    /// bit what [`VectorSparse::encode`] gives over `out.transpose(..)`,
-    /// without the transpose. Over a CSR this is the VSD.
+    /// The encoding of the stable transpose of `seq`, whose vertex index is
+    /// `in_index`, straight from `seq`: bit for bit what
+    /// [`VectorSparse::encode`] gives over the transposed structure,
+    /// without it. Over a CSR, or a list grouped by source, this is the
+    /// VSD.
     ///
     /// Each share (one per worker of `pool`, or one on the calling thread)
     /// owns a range of top-level vertices balanced by vectors, in two
@@ -224,14 +228,18 @@ impl<const N: usize> VectorSparse<N> {
     /// (`EdgeVector::new(v, &[])`, weight lanes 0.0) through
     /// [`WorkerFilled`] writers, so it faults its own pages in. Then it
     /// runs the transposing scatter ([`scatter_transposed`]) over all of
-    /// `out` and stores each of its edges whole into the next lane of its
+    /// `seq` and stores each of its edges whole into the next lane of its
     /// top-level vertex — valid bit, the lane's piece of the vertex id, the
     /// stored endpoint — through a `split_at_mut` slice of the array. The
     /// scatter hands each vertex its edges in its transposed list's order,
     /// so the lanes are the ones [`VectorSparse::encode`] fills, at any
     /// width.
-    pub fn encode_transposed(out: &Csr, in_index: &[EdgeId], pool: Option<&ThreadPool>) -> Self {
-        let n = out.num_vertices();
+    pub fn encode_transposed(
+        seq: &impl Grouped,
+        in_index: &[EdgeId],
+        pool: Option<&ThreadPool>,
+    ) -> Self {
+        let n = seq.num_vertices();
         assert!(
             (n as u64) <= VERTEX_MASK,
             "vertex ids must fit the 48-bit fields"
@@ -245,7 +253,7 @@ impl<const N: usize> VectorSparse<N> {
         let lens = || parts.iter().map(|p| p.num_edges());
         let vector_range = |v: VertexId| (index[v as usize + 1] - index[v as usize]) as usize;
         let mut vectors = WorkerFilled::new(num_vectors);
-        let mut weights = out.weights().map(|_| WorkerFilled::new(num_vectors));
+        let mut weights = seq.weights().map(|_| WorkerFilled::new(num_vectors));
         let weight_writers = match &mut weights {
             Some(w) => w.writers(lens()).into_iter().map(Some).collect(),
             None => lens().map(|_| None).collect::<Vec<_>>(),
@@ -267,7 +275,7 @@ impl<const N: usize> VectorSparse<N> {
         let mut vectors = vectors.into_vec();
         let mut weights = weights.map(WorkerFilled::into_vec);
         let bits = tlv_piece_bits(N);
-        let w_in = out.weights();
+        let w_in = seq.weights();
         let tasks = split_by_parts(&parts, &mut vectors, weights.as_deref_mut());
         run_shares(pool, tasks, |(part, vslice, mut wslice)| {
             let first = part.first_vertex as usize;
@@ -277,7 +285,7 @@ impl<const N: usize> VectorSparse<N> {
                 .iter()
                 .map(|&at| at as usize * N - base)
                 .collect();
-            scatter_transposed(out, part.vertices(), |d, s, e| {
+            scatter_transposed(seq, part.vertices(), |d, s, e| {
                 let c = &mut cursor[d as usize - first];
                 let (at, lane) = (*c / N, *c % N);
                 let piece = (u64::from(d) >> (bits as usize * lane)) & ((1u64 << bits) - 1);
@@ -294,14 +302,14 @@ impl<const N: usize> VectorSparse<N> {
                 weights,
                 index,
                 num_vertices: n,
-                num_edges: out.num_edges(),
+                num_edges: *in_index.last().expect("index holds n + 1 entries") as usize,
                 mean_weight: OnceLock::new(),
                 degrees: OnceLock::new(),
             }),
         };
         debug_assert!(
             pool.is_none_or(|p| p.num_threads() == 1)
-                || built.bit_identical(&Self::encode_transposed(out, in_index, None)),
+                || built.bit_identical(&Self::encode_transposed(seq, in_index, None)),
             "several-share transposed encode diverged from the one-share encode"
         );
         built
@@ -466,9 +474,45 @@ impl<const N: usize> VectorSparse<N> {
     }
 }
 
+/// A Vector-Sparse structure's valid lanes, grouped by top-level vertex in
+/// layout order; a lane's position is its index in the flat lane array,
+/// and the flattened weight lanes are the weights. Over a VSD this is a
+/// graph's in-edges in order, which its deferred orientations are rebuilt
+/// from ([`EdgeSource`](grazelle_graph::graph::EdgeSource)).
+impl<const N: usize> Grouped for VectorSparse<N> {
+    fn num_vertices(&self) -> usize {
+        self.blocks.num_vertices
+    }
+
+    fn edges_of(
+        &self,
+        tops: std::ops::Range<VertexId>,
+        mut put: impl FnMut(VertexId, VertexId, usize),
+    ) {
+        for v in tops {
+            let range = self.vector_range(v);
+            for (at, vector) in (range.start..).zip(&self.blocks.vectors[range]) {
+                for lane in 0..N {
+                    if let Some(nb) = vector.neighbor(lane) {
+                        put(v, nb as VertexId, at * N + lane);
+                    }
+                }
+            }
+        }
+    }
+
+    fn weights(&self) -> Option<&[f64]> {
+        self.blocks
+            .weights
+            .as_deref()
+            .map(<[[f64; N]]>::as_flattened)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grazelle_graph::csr::SourceSorted;
     use grazelle_graph::edgelist::EdgeList;
     use proptest::prelude::*;
 
@@ -655,7 +699,9 @@ mod tests {
     /// A deferred VSS is encoded by its first reader — a deref on the
     /// calling thread or `ready` on a pool of any width — into exactly the
     /// eager encoding, NaN payloads and signed zeros in the weights
-    /// included; clones share the one encoding.
+    /// included, over a graph with built out-edges and over one whose
+    /// out-edges wait for their first reader, which it readies in the
+    /// graph itself; clones share the one encoding.
     #[test]
     fn a_deferred_vss_encodes_like_an_eager_one() {
         let mut el = EdgeList::new(40);
@@ -670,28 +716,37 @@ mod tests {
                 el.push_weighted(s, (s * 11 + k) % 40, w).unwrap();
             }
         }
-        let csr = Arc::new(Csr::from_edgelist_by_src(&el));
+        let csr = Csr::from_edgelist_by_src(&el);
+        let in_index = csr.transposed_index(None);
+        let vsd = Vsd::encode_transposed(&csr, &in_index, None);
         let pools = [1, 2, 8].map(ThreadPool::single_group);
         let eager = Vss::from_csr(&csr);
         assert!(eager.is_encoded());
         for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
-            let vss = Vss::deferred(Arc::clone(&csr));
-            let twin = vss.clone();
-            assert!(!vss.is_encoded() && !twin.is_encoded());
-            let got = match pool {
-                Some(p) => vss.ready(Some(p)),
-                None => &*vss,
-            };
-            assert!(
-                got.bit_identical(&eager),
-                "{:?} threads",
-                pool.map(|p| p.num_threads())
+            let built = Graph::from_out_csr(csr.clone(), None);
+            let sourced = Graph::from_source(
+                Arc::new(csr.index().to_vec()),
+                Arc::clone(&in_index),
+                Arc::new(vsd.clone()),
             );
-            assert!(twin.is_encoded(), "clones share the cell");
-            assert!(std::ptr::eq(twin.vectors(), vss.vectors()));
-            let at_width =
-                pool.map_or_else(|| Vss::from_csr(&csr), |p| Vss::from_csr_parallel(&csr, p));
-            assert!(vss.bit_identical(&at_width));
+            for g in [built, sourced] {
+                let vss = Vss::deferred(g.clone());
+                let twin = vss.clone();
+                assert!(!vss.is_encoded() && !twin.is_encoded());
+                let got = match pool {
+                    Some(p) => vss.ready(Some(p)),
+                    None => &*vss,
+                };
+                let at = format!("{:?} threads", pool.map(|p| p.num_threads()));
+                assert!(got.bit_identical(&eager), "{at}");
+                assert!(twin.is_encoded(), "clones share the cell");
+                assert!(std::ptr::eq(twin.vectors(), vss.vectors()));
+                assert!(g.built_out_csr().unwrap().bit_identical(&csr), "{at}");
+                assert!(g.in_csr().bit_identical(&csr.transpose(None)), "{at}");
+                let at_width =
+                    pool.map_or_else(|| Vss::from_csr(&csr), |p| Vss::from_csr_parallel(&csr, p));
+                assert!(vss.bit_identical(&at_width));
+            }
         }
     }
 
@@ -807,6 +862,65 @@ mod tests {
                 prop_assert!(got4.bit_identical(&want4), "{:?} threads", pool.map(ThreadPool::num_threads));
                 prop_assert!(got8.bit_identical(&want8), "{:?} threads", pool.map(ThreadPool::num_threads));
                 check_against_csr(&got4, &inn)?;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The VSD encoded straight from an edge list whose sources never
+        /// decrease equals the encoding of its CSC, bit for bit, weight
+        /// lanes included, one share without a pool and one per worker on
+        /// 1, 2 and 8 threads, at 4 and 8 lanes: lists sorted by pair and by
+        /// source only (parallel edges, and a source's other edges, in
+        /// generation order), weights with NaN payloads and both zeros,
+        /// isolated vertices past the endpoints drawn.
+        #[test]
+        fn prop_encode_from_a_sorted_list_equals_the_encoded_csc(
+            n in 1usize..40,
+            raw in proptest::collection::vec((0u32..24, 0u32..24), 0..300),
+            weights in proptest::collection::vec((any::<u64>(), 0u8..8), 0..5),
+            by_pair in any::<bool>(),
+        ) {
+            let special = [
+                f64::NAN.to_bits(),
+                f64::NAN.to_bits() | 0x8000_0000_0000_0007,
+                0.0f64.to_bits(),
+                (-0.0f64).to_bits(),
+            ];
+            let bits: Vec<u64> = weights
+                .iter()
+                .map(|&(b, pick)| special.get(usize::from(pick)).copied().unwrap_or(b))
+                .collect();
+            let mut list: Vec<((u32, u32), f64)> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(s, d))| {
+                    let w = bits.get(i % bits.len().max(1)).map_or(0.0, |&b| f64::from_bits(b));
+                    ((s % n as u32, d % n as u32), w)
+                })
+                .collect();
+            match by_pair {
+                true => list.sort_by_key(|&(p, _)| p),
+                false => list.sort_by_key(|&((s, _), _)| s),
+            }
+            let (pairs, ws): (Vec<_>, Vec<_>) = list.into_iter().unzip();
+            let el = EdgeList::from_parts(n, pairs, (!bits.is_empty()).then_some(ws)).unwrap();
+            let csc = Csr::build(&el, None).transpose(None);
+            let want4 = VectorSparse::<4>::encode(&csc, None);
+            let want8 = VectorSparse::<8>::encode(&csc, None);
+            let pools = [1, 2, 8].map(ThreadPool::single_group);
+            for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+                let at = format!("{:?} threads", pool.map(ThreadPool::num_threads));
+                let sorted = SourceSorted::new(&el, pool).expect("sorted by source");
+                let in_index = sorted.in_index();
+                prop_assert_eq!(&in_index[..], csc.index(), "{}", at);
+                let got4 = VectorSparse::<4>::encode_transposed(&sorted, in_index, pool);
+                let got8 = VectorSparse::<8>::encode_transposed(&sorted, in_index, pool);
+                prop_assert!(got4.bit_identical(&want4), "{}", at);
+                prop_assert!(got8.bit_identical(&want8), "{}", at);
+                check_against_csr(&got4, &csc)?;
             }
         }
     }

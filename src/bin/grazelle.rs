@@ -278,15 +278,19 @@ fn load_and_prepare(o: &Options, build_pool: &ThreadPool) -> (Graph, PreparedGra
 /// is the pull structure alone, and the push structure is encoded by the
 /// first run that can push. When the in-degrees differ from the
 /// out-degrees, set-up left the in-edges to their first reader too, and
-/// `csc` timed the in-degree count alone.
+/// `csc` timed the in-degree count alone; from a list sorted by source it
+/// left the out-edges as well, encoding the pull structure from the list,
+/// and `csr` timed the one pass that counted both indexes.
 fn print_build_timing(p: &BuildProfile, graph: &Graph) {
     println!("\nBuild Timing ({} thread(s)):", p.threads);
-    match (graph.is_symmetric(), graph.in_edges_deferred()) {
-        (true, _) => println!("  orientations  1 (in = out)"),
-        (false, true) => {
-            println!("  orientations  2 (in-edges on first read, push structure on first push)")
-        }
-        (false, false) => println!("  orientations  2 (push structure on first push)"),
+    let waiting = match (graph.out_edges_deferred(), graph.in_edges_deferred()) {
+        (true, _) => "out- and in-edges on first read, ",
+        (false, true) => "in-edges on first read, ",
+        (false, false) => "",
+    };
+    match graph.is_symmetric() {
+        true => println!("  orientations  1 (in = out)"),
+        false => println!("  orientations  2 ({waiting}push structure on first push)"),
     }
     println!("  parse     {:>10.3} ms", p.parse_ns as f64 / 1e6);
     println!("  csr       {:>10.3} ms", p.csr_ns as f64 / 1e6);

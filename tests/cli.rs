@@ -113,7 +113,9 @@ fn kcore_reports_degeneracy() {
     assert!(out.contains("orientations  1 (in = out)"), "{out}");
     let out = run_ok(&["-i", path, "-a", "kcore", "--timing"]);
     assert!(
-        out.contains("orientations  2 (in-edges on first read, push structure on first push)\n"),
+        out.contains(
+            "orientations  2 (out- and in-edges on first read, push structure on first push)\n"
+        ),
         "{out}"
     );
     std::fs::remove_file(path).ok();
@@ -122,9 +124,10 @@ fn kcore_reports_degeneracy() {
 /// A directed input keeps two orientations, and its set-up encodes the
 /// pull structure alone: the timing table says the push structure waits
 /// for the first run that can push and, the in-degrees differing from the
-/// out-degrees, the in-edges for their first reader; runs that pull only
-/// and runs that push both finish. A directed cycle, whose degrees agree,
-/// builds its in-edges at set-up.
+/// out-degrees, the in-edges for their first reader — and the out-edges
+/// too when the list is sorted by source; runs that pull only and runs
+/// that push both finish. A directed cycle, whose degrees agree, builds
+/// its in-edges at set-up.
 #[test]
 fn a_directed_input_defers_its_push_structure() {
     let cycle = std::env::temp_dir().join("grazelle_cli_cycle.el");
@@ -135,20 +138,25 @@ fn a_directed_input_defers_its_push_structure() {
         "{out}"
     );
     std::fs::remove_file(&cycle).ok();
-    let path = std::env::temp_dir().join("grazelle_cli_directed.el");
-    std::fs::write(&path, "0 1\n1 2\n2 0\n2 3\n3 4\n").unwrap();
-    let path = path.to_str().unwrap();
-    let line = "  orientations  2 (in-edges on first read, push structure on first push)\n";
-    let out = run_ok(&["-i", path, "-a", "pr", "-N", "4", "--timing"]);
-    assert!(out.contains(line), "{out}");
-    assert!(
-        out.contains("PageRank Sum:             1.000000000"),
-        "{out}"
-    );
-    let out = run_ok(&["-i", path, "-a", "bfs", "--engine", "push", "--timing"]);
-    assert!(out.contains(line), "{out}");
-    assert!(out.contains("Vertices Visited:         5"), "{out}");
-    std::fs::remove_file(path).ok();
+    let sorted = "0 1\n1 2\n2 0\n2 3\n3 4\n";
+    let unsorted = "2 3\n0 1\n1 2\n2 0\n3 4\n";
+    for (list, waiting) in [(sorted, "out- and in-edges"), (unsorted, "in-edges")] {
+        let path = std::env::temp_dir().join("grazelle_cli_directed.el");
+        std::fs::write(&path, list).unwrap();
+        let path = path.to_str().unwrap();
+        let line =
+            format!("  orientations  2 ({waiting} on first read, push structure on first push)\n");
+        let out = run_ok(&["-i", path, "-a", "pr", "-N", "4", "--timing"]);
+        assert!(out.contains(&line), "{out}");
+        assert!(
+            out.contains("PageRank Sum:             1.000000000"),
+            "{out}"
+        );
+        let out = run_ok(&["-i", path, "-a", "bfs", "--engine", "push", "--timing"]);
+        assert!(out.contains(&line), "{out}");
+        assert!(out.contains("Vertices Visited:         5"), "{out}");
+        std::fs::remove_file(path).ok();
+    }
 }
 
 #[test]

@@ -19,8 +19,8 @@ use grazelle::core::engine::hybrid::{run_program_on_pool, EngineKind, ExecutionS
 use grazelle::core::engine::PreparedGraph;
 use grazelle::core::trace::IterationRecord;
 use grazelle::core::{
-    run_program_overlay_on_pool, run_resilient_on_pool, run_resilient_overlay_on_pool,
-    GraphProgram, ResilienceContext, RunOutcome, VersionedGraph,
+    prepare_profiled_with_cutover, run_program_overlay_on_pool, run_resilient_on_pool,
+    run_resilient_overlay_on_pool, GraphProgram, ResilienceContext, RunOutcome, VersionedGraph,
 };
 use grazelle::graph::csr::Csr;
 use grazelle::graph::delta::UpdateBatch;
@@ -1410,16 +1410,23 @@ fn a_deferred_push_structure_runs_like_an_eager_one() {
 
 /// A directed graph whose in-degrees differ from its out-degrees defers
 /// its in-edges at set-up, and its VSD is encoded straight from the
-/// out-edges. On directed members of the three families, at 1, 2 and 8
-/// threads, each program runs on a fresh deferred graph and preparation,
-/// and on an eager struct-literal preparation encoded from both built
-/// orientations: BFS parents, SSSP distances, CC labels, k-core coreness
-/// and PageRank ranks come out the same bits, and no run builds the
-/// deferred in-edges.
+/// out-edges; through `prepare_profiled` from a list sorted by source it
+/// defers its out-edges too, and its VSD is encoded straight from the
+/// list. On directed members of the three families, at 1, 2 and 8
+/// threads, each program runs on a fresh graph and preparation of each
+/// kind, and on an eager struct-literal preparation encoded from both
+/// built orientations: BFS parents, SSSP distances, CC labels, k-core
+/// coreness and PageRank ranks come out the same bits. No run builds the
+/// deferred in-edges; deferred out-edges are built exactly when the push
+/// structure is encoded, so PageRank builds neither.
 #[test]
 fn deferred_in_edges_run_like_eager_ones() {
-    // A fresh graph over the same out-edges: its in-edges unbuilt.
-    let deferred = |g: &Graph| Graph::from_out_csr(g.out_csr().clone(), None);
+    // The graph's edges as a list sorted by source, weights along.
+    let listed = |g: &Graph| {
+        let out = g.out_csr();
+        let pairs = out.iter_edges().map(|(s, d, _)| (s, d)).collect();
+        EdgeList::from_parts(g.num_vertices(), pairs, out.weights().map(<[f64]>::to_vec)).unwrap()
+    };
     for family in 0..3u8 {
         let g = directed_family_graph(family, 29);
         let gw = weighted_copy_by(&g, |v, d| {
@@ -1432,60 +1439,86 @@ fn deferred_in_edges_run_like_eager_ones() {
                 .with_threads(threads)
                 .with_granularity(Granularity::VectorsPerChunk(64))
                 .with_max_iterations(2 * n);
-            let what = format!("family {family}, {threads} threads");
-            let outputs = |eager: bool| -> Vec<Vec<u64>> {
+            // 0: eager struct literal; 1: in-edges deferred; 2: both deferred.
+            let outputs = |kind: u8| -> Vec<Vec<u64>> {
+                let what = format!("family {family}, {threads} threads, kind {kind}");
                 let prepare = |g: &Graph| {
-                    let g = deferred(g);
-                    assert!(
-                        g.in_edges_deferred() && g.built_in_csr().is_none(),
-                        "{what}"
-                    );
-                    let pg = match eager {
-                        true => PreparedGraph {
-                            vsd: Vsd::from_csr(g.in_csr()),
-                            vss: Vss::from_csr(g.out_csr()),
-                            num_vertices: g.num_vertices(),
-                            num_edges: g.num_edges(),
-                        },
-                        false => PreparedGraph::new_on_pool(&g, &pool),
+                    let (g, pg) = match kind {
+                        2 => {
+                            let el = listed(g);
+                            let (g, pg, _) = prepare_profiled_with_cutover(&el, &pool, 0).unwrap();
+                            assert!(g.out_edges_deferred() && g.built_out_csr().is_none());
+                            (g, pg)
+                        }
+                        _ => {
+                            let g = Graph::from_out_csr(g.out_csr().clone(), None);
+                            let pg = match kind {
+                                0 => PreparedGraph {
+                                    vsd: Vsd::from_csr(g.in_csr()),
+                                    vss: Vss::from_csr(g.out_csr()),
+                                    num_vertices: g.num_vertices(),
+                                    num_edges: g.num_edges(),
+                                },
+                                _ => PreparedGraph::new_on_pool(&g, &pool),
+                            };
+                            (g, pg)
+                        }
                     };
+                    if kind > 0 {
+                        assert!(
+                            g.in_edges_deferred() && g.built_in_csr().is_none(),
+                            "{what}"
+                        );
+                    }
                     (g, pg)
                 };
-                let unbuilt = |g: &Graph, app: &str| {
-                    assert_eq!(g.built_in_csr().is_none(), !eager, "{what}: {app}");
+                let unbuilt = |g: &Graph, pg: &PreparedGraph, app: &str| {
+                    if kind > 0 {
+                        assert!(g.built_in_csr().is_none(), "{what}: {app}");
+                    }
+                    if kind == 2 {
+                        let encoded = pg.vss.is_encoded();
+                        assert_eq!(g.built_out_csr().is_some(), encoded, "{what}: {app}");
+                        assert_eq!(encoded, app != "pagerank", "{what}: {app}");
+                    }
                 };
                 let (dg, pg) = prepare(&g);
                 let (parents, _) = bfs::run_prepared(&pg, &cfg, &pool, root);
-                unbuilt(&dg, "bfs");
+                unbuilt(&dg, &pg, "bfs");
                 let bfs = parents
                     .iter()
                     .map(|p| p.map_or(u64::MAX, u64::from))
                     .collect();
                 let (dgw, pgw) = prepare(&gw);
                 let (dist, _) = sssp::run_prepared(&pgw, &cfg, &pool, root);
-                unbuilt(&dgw, "sssp");
+                unbuilt(&dgw, &pgw, "sssp");
                 let sssp = dist
                     .iter()
                     .map(|d| d.map_or(u64::MAX, f64::to_bits))
                     .collect();
                 let (dg, pg) = prepare(&g);
                 let (labels, _) = cc::run_prepared(&pg, &cfg, &pool, false);
-                unbuilt(&dg, "cc");
+                unbuilt(&dg, &pg, "cc");
                 let cc = labels.iter().map(|&l| u64::from(l)).collect();
                 let (dg, pg) = prepare(&g);
                 let (core, _) = kcore::run_prepared(&pg, &dg, &cfg, &pool);
-                unbuilt(&dg, "kcore");
+                unbuilt(&dg, &pg, "kcore");
                 let kcore = core.iter().map(|&c| u64::from(c)).collect();
                 let (dg, pg) = prepare(&g);
                 let (ranks, _) = pagerank::run_prepared(&pg, &dg, &cfg, &pool, PR_ITERS);
-                unbuilt(&dg, "pagerank");
+                unbuilt(&dg, &pg, "pagerank");
                 let pr = ranks.iter().map(|r| r.to_bits()).collect();
                 vec![bfs, sssp, cc, kcore, pr]
             };
-            let (got, want) = (outputs(false), outputs(true));
-            for (i, (got, want)) in got.iter().zip(&want).enumerate() {
-                let app = ["bfs", "sssp", "cc", "kcore", "pagerank"][i];
-                assert_eq!(got, want, "{what}: {app}");
+            let want = outputs(0);
+            for kind in [1, 2] {
+                for (i, (got, want)) in outputs(kind).iter().zip(&want).enumerate() {
+                    let app = ["bfs", "sssp", "cc", "kcore", "pagerank"][i];
+                    assert_eq!(
+                        got, want,
+                        "family {family}, {threads} threads, kind {kind}: {app}"
+                    );
+                }
             }
         }
     }
@@ -1493,7 +1526,7 @@ fn deferred_in_edges_run_like_eager_ones() {
 
 /// The set-up a user runs, `prepare_profiled`, on a directed R-MAT above
 /// the pool cutover: PageRank pulls every superstep and never encodes the
-/// push structure, at 1, 2 and 8 threads. BFS, SSSP and CC each encode it
+/// push structure nor builds either orientation, at 1, 2 and 8 threads. BFS, SSSP and CC each encode it
 /// once, on first run: a second run, and a run on a clone of the prepared
 /// graph, read the same encoding, which equals the eager one.
 #[test]
@@ -1512,9 +1545,11 @@ fn pagerank_never_encodes_the_push_structure_and_traversals_encode_it_once() {
             !pg.vss.is_encoded(),
             "{threads} threads: PageRank encoded the VSS"
         );
-        // Nor did it build the in-edges; the first `in_neighbors` does,
-        // once for the graph and its clones.
+        // Nor did it build the in-edges or, the list being sorted by
+        // source, the out-edges; the first `in_neighbors` builds the
+        // former, once for the graph and its clones.
         assert!(g.built_in_csr().is_none(), "{threads} threads");
+        assert!(g.built_out_csr().is_none(), "{threads} threads");
         let twin = g.clone();
         let hub = widest_source(&g);
         let first = g.in_neighbors(hub).as_ptr();
