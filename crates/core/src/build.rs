@@ -3,22 +3,21 @@
 //! [`prepare_profiled`] builds the structures `Graph::from_edgelist` +
 //! `PreparedGraph::new` build, in three phases (out-edges, in-edges,
 //! Vector-Sparse), but on a [`ThreadPool`], with an [`Instant`] read
-//! around each phase, and leaving a directed graph's out-edges to their
-//! first reader where its list allows, returning a
-//! [`BuildProfile`] alongside the structures. Each phase is the one
-//! builder of its structure; on a one-thread pool, or below the cutover
-//! ([`build_pool`]), it runs as one share on the calling thread, so the
-//! profile doubles as the one-thread baseline for the `build-throughput`
-//! experiment. Parse time and input bytes are the caller's to stamp — only
-//! the caller knows whether the edge list came from a file, a generator,
-//! or a wire.
+//! around each phase, and leaving every orientation it can to its first
+//! reader, returning a [`BuildProfile`] alongside the structures. Each
+//! phase is the one builder of its structure; on a one-thread pool, or
+//! below the cutover ([`build_pool`]), it runs as one share on the
+//! calling thread, so the profile doubles as the one-thread baseline for
+//! the `build-throughput` experiment. Parse time and input bytes are the
+//! caller's to stamp — only the caller knows whether the edge list came
+//! from a file, a generator, or a wire.
 
 use crate::engine::PreparedGraph;
 use crate::stats::BuildProfile;
-use grazelle_graph::csr::SourceSorted;
+use grazelle_graph::csr::{Grouped, SourceSorted};
 use grazelle_graph::edgelist::EdgeList;
 use grazelle_graph::graph::Graph;
-use grazelle_graph::types::GraphError;
+use grazelle_graph::types::{EdgeId, GraphError};
 use grazelle_sched::{build_pool, ThreadPool, PAR_BUILD_CUTOVER_EDGES};
 use grazelle_vsparse::build::Vsd;
 use std::sync::Arc;
@@ -26,20 +25,27 @@ use std::time::Instant;
 
 /// Builds the graph and the prepared graph from an edge list on `pool`,
 /// timing each phase. Bit-identical to `Graph::from_edgelist` +
-/// `PreparedGraph::new` at any thread count, with a directed graph's
-/// orientations and push structure deferred: `csr_ns` times the one pass
-/// that counts a list's out-index and in-index ([`SourceSorted::new`]; the
-/// counting sort on a list whose sources fall somewhere), `csc_ns` the
-/// in-degree count of that sort's CSR (0 otherwise), and `vsparse_ns` the
-/// VSD.
+/// `PreparedGraph::new` at any thread count, with orientations and push
+/// structure deferred as the list allows. One route for every list:
 ///
-/// A directed graph (in-degrees ≠ out-degrees) from a list whose sources
-/// never decrease gets no CSR at all: its VSD is encoded straight from the
-/// list, and both orientations wait for their first reader, which rebuilds
-/// them from the VSD ([`Graph::from_source`]). Any other list gets its
-/// CSR — the column copy and the transpose then count into `csr_ns` and
-/// `csc_ns` — and a directed one's in-edges wait as in
-/// [`Graph::from_counted`].
+/// 1. `csr_ns`: group the edges by source — the list itself when its
+///    sources never decrease ([`SourceSorted::new`], the one pass that
+///    counts its out-index and in-index), else the counting-sort CSR.
+/// 2. `csc_ns`: the in-index — counted already for a sorted list (≈ 0),
+///    counted over the CSR otherwise.
+/// 3. `vsparse_ns`: the VSD, encoded straight from the grouping
+///    ([`Vsd::encode_transposed`]), then the proof of symmetry against it
+///    (equal indexes, and every valid lane and weight bit equal to the
+///    grouped edges,
+///    [`encodes_sorted`](grazelle_vsparse::build::VectorSparse::encodes_sorted)).
+///
+/// A sorted list leaves no CSR or CSC behind ([`Graph::from_source`]):
+/// a symmetric graph's one orientation, a directed graph's two, wait for
+/// their first reader, which rebuilds them from the VSD. An unsorted list
+/// keeps its CSR as the out-edges ([`Graph::from_checked`]), serving the
+/// in-edges too when the graph is symmetric, its in-edges otherwise
+/// waiting for their first reader. A symmetric graph's VSS is its VSD,
+/// shared; a directed graph's waits for the first run that can push.
 ///
 /// Inputs smaller than [`PAR_BUILD_CUTOVER_EDGES`] build on the calling
 /// thread regardless of pool width (see
@@ -92,34 +98,38 @@ pub fn prepare_profiled_with_cutover(
     };
     profile.csc_ns = t.elapsed().as_nanos() as u64;
 
-    let out = match grouped {
-        Ok(list) if *in_index != **list.index() => {
-            let t = Instant::now();
-            let vsd = Vsd::encode_transposed(&list, &in_index, pool);
-            let out_index = Arc::clone(list.index());
-            let g = Graph::from_source(out_index, in_index, Arc::new(vsd.clone()));
-            let pg = PreparedGraph::with_vsd(&g, vsd);
-            profile.vsparse_ns = t.elapsed().as_nanos() as u64;
-            return Ok((g, pg, profile));
-        }
+    let t = Instant::now();
+    let (g, vsd) = match grouped {
         Ok(list) => {
-            let t = Instant::now();
-            let out = list.into_csr(pool);
-            profile.csr_ns += t.elapsed().as_nanos() as u64;
-            out
+            let (vsd, symmetric) = encode(&list, list.index(), &in_index, pool);
+            let source = Arc::new(vsd.clone());
+            let out_index = Arc::clone(list.index());
+            let g = Graph::from_source(out_index, in_index, source, symmetric);
+            (g, vsd)
         }
-        Err(out) => out,
+        Err(out) => {
+            let (vsd, symmetric) = encode(&out, out.index(), &in_index, pool);
+            (Graph::from_checked(out, in_index, symmetric), vsd)
+        }
     };
-
-    let t = Instant::now();
-    let g = Graph::from_counted(out, in_index, pool);
-    profile.csc_ns += t.elapsed().as_nanos() as u64;
-
-    let t = Instant::now();
-    let pg = PreparedGraph::build(&g, pool);
+    let pg = PreparedGraph::with_vsd(&g, vsd);
     profile.vsparse_ns = t.elapsed().as_nanos() as u64;
 
     Ok((g, pg, profile))
+}
+
+/// The VSD of the edges `grouped` holds by source over `out_index`, whose
+/// in-index is `in_index`, and whether the graph is symmetric: its indexes
+/// equal and the VSD's lanes its sorted out-lists.
+fn encode(
+    grouped: &impl Grouped,
+    out_index: &[EdgeId],
+    in_index: &[EdgeId],
+    pool: Option<&ThreadPool>,
+) -> (Vsd, bool) {
+    let vsd = Vsd::encode_transposed(grouped, in_index, pool);
+    let symmetric = out_index == in_index && vsd.encodes_sorted(grouped, out_index, pool);
+    (vsd, symmetric)
 }
 
 #[cfg(test)]
@@ -158,8 +168,8 @@ mod tests {
 
     /// `plain` and a built `g`, `pg` hold the same structures, bit for bit.
     fn assert_same(g: &Graph, pg: &PreparedGraph, plain: &(Graph, PreparedGraph), ctx: &str) {
-        assert_eq!(g.out_csr(), plain.0.out_csr(), "{ctx}: CSR");
-        assert_eq!(g.in_csr(), plain.0.in_csr(), "{ctx}: CSC");
+        assert!(g.out_csr().bit_identical(plain.0.out_csr()), "{ctx}: CSR");
+        assert!(g.in_csr().bit_identical(plain.0.in_csr()), "{ctx}: CSC");
         assert!(pg.vsd.bit_identical(&plain.1.vsd), "{ctx}: VSD");
         assert!(pg.vss.bit_identical(&plain.1.vss), "{ctx}: VSS");
     }
@@ -279,12 +289,11 @@ mod tests {
         /// repeated pairs, weighted and not, edgeless and single-vertex
         /// ones included. A directed graph's VSS comes out deferred and,
         /// read on the calling thread or readied on the pool, equals the
-        /// eager encoding at that width, bit for bit. A graph whose
-        /// in-degrees differ from its out-degrees comes out with its CSC
-        /// unbuilt, and from a list sorted by source with its CSR unbuilt
-        /// too, its VSD encoded from the out-edges or the list all the
-        /// same, and preparing it again encodes the same VSD; any other
-        /// holds both.
+        /// eager encoding at that width, bit for bit. A list sorted by
+        /// source leaves no orientation built; any other leaves its CSR,
+        /// and a directed graph's CSC waits. Preparing the graph again
+        /// hands back the VSD its orientations wait on, and otherwise
+        /// encodes the same one.
         #[test]
         fn prop_prepare_profiled_matches_the_plain_build(
             n in 1usize..24,
@@ -299,15 +308,18 @@ mod tests {
                 let pool = ThreadPool::single_group(threads);
                 for cutover in [0, PAR_BUILD_CUTOVER_EDGES] {
                     let (g, pg, _) = prepare_profiled_with_cutover(&el, &pool, cutover).unwrap();
-                    let deferred = g.in_index() != g.out_index();
+                    let symmetric = plain_g.is_symmetric();
                     let by_source = el.edges().windows(2).all(|w| w[0].0 <= w[1].0);
-                    proptest::prop_assert_eq!(g.in_edges_deferred(), deferred);
-                    proptest::prop_assert_eq!(g.built_in_csr().is_none(), deferred);
-                    proptest::prop_assert_eq!(g.out_edges_deferred(), deferred && by_source);
-                    proptest::prop_assert_eq!(g.built_out_csr().is_none(), deferred && by_source);
-                    // Prepared again, with neither orientation built yet.
+                    proptest::prop_assert_eq!(g.is_symmetric(), symmetric);
+                    proptest::prop_assert_eq!(g.in_edges_deferred(), !symmetric);
+                    proptest::prop_assert_eq!(g.out_edges_deferred(), by_source);
+                    proptest::prop_assert_eq!(g.built_out_csr().is_none(), by_source);
+                    proptest::prop_assert_eq!(g.built_in_csr().is_none(), by_source || !symmetric);
+                    // Prepared again, with no orientation built yet.
                     let again = PreparedGraph::build(&g, Some(&pool));
                     proptest::prop_assert!(again.vsd.bit_identical(&plain_pg.vsd));
+                    let shared = std::ptr::eq(again.vsd.vectors(), pg.vsd.vectors());
+                    proptest::prop_assert_eq!(shared, by_source);
                     proptest::prop_assert!(g.out_csr().bit_identical(plain_g.out_csr()));
                     proptest::prop_assert!(g.in_csr().bit_identical(plain_g.in_csr()));
                     proptest::prop_assert!(pg.vsd.bit_identical(&plain_pg.vsd), "{} threads", threads);
@@ -323,6 +335,120 @@ mod tests {
                     proptest::prop_assert!(vss.bit_identical(&VectorSparse::encode(g.out_csr(), width)));
                     proptest::prop_assert!(pg.vss.bit_identical(&plain_pg.vss), "{} threads", threads);
                 }
+            }
+        }
+    }
+
+    /// Each kind of list the one set-up route tells apart, over `n`
+    /// vertices from the pairs `base`: symmetric (every pair both ways,
+    /// at one weight), directed (`base` as is), equal degree sequences but
+    /// asymmetric (symmetric plus the directed cycle over every vertex),
+    /// and symmetric edges plus one mirrored pair whose two weights
+    /// differ: by value, by the sign of a zero, or by a NaN payload.
+    /// Weighted or not, in the order `order` names: by pair, by source
+    /// only, or shuffled. Also whether the graph must come out symmetric,
+    /// where the kind decides it.
+    fn kind_list(
+        n: usize,
+        base: &[(u32, u32)],
+        kind: u8,
+        order: u8,
+        weighted: bool,
+    ) -> (EdgeList, Option<bool>) {
+        let clamp = |v: u32| v % n as u32;
+        // No +0.0 and no NaN with a payload: the mirrored pairs' second
+        // weights appear nowhere else.
+        let pool = [1.0, f64::NAN, -0.0, 3.0, 0.5];
+        let mut list: Vec<((u32, u32), f64)> = Vec::new();
+        for &(s, d) in base {
+            // One weight per unordered pair, so parallel edges carry equal
+            // ones and their order cannot tell the two ways apart.
+            let (s, d) = (clamp(s), clamp(d));
+            let w = pool[(s + d + s * d) as usize % pool.len()];
+            list.push(((s, d), w));
+            if kind != 1 {
+                list.push(((d, s), w));
+            }
+        }
+        let last = n as u32 - 1;
+        let payload = f64::from_bits(f64::NAN.to_bits() | 1);
+        let mirrored = [(7.0, 8.0), (0.0, -0.0), (f64::NAN, payload)];
+        let symmetric = match kind {
+            0 => Some(true),
+            1 => None,
+            2 => {
+                list.extend((0..n as u32).map(|v| ((v, (v + 1) % n as u32), 2.0)));
+                // Over two vertices the cycle is a mirrored pair, whose
+                // weight may sit apart from the pair's others either way.
+                (n != 2 || !weighted).then_some(n < 3)
+            }
+            _ => {
+                let (there, back) = mirrored[usize::from(kind - 3)];
+                list.extend([((0, last), there), ((last, 0), back)]);
+                Some(!weighted || n < 2)
+            }
+        };
+        // A fixed shuffle, then the order asked for.
+        let len = list.len();
+        for i in 0..len {
+            list.swap(i, (i * 7919 + 13) % len);
+        }
+        match order {
+            0 => list.sort_by_key(|&(p, _)| p),
+            1 => list.sort_by_key(|&((s, _), _)| s),
+            _ => {}
+        }
+        let (pairs, ws): (Vec<_>, Vec<_>) = list.into_iter().unzip();
+        let el = EdgeList::from_parts(n, pairs, weighted.then_some(ws)).unwrap();
+        (el, symmetric)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The one set-up route against `Graph::from_edgelist` +
+        /// `PreparedGraph::new`, at 1, 2 and 8 threads, on lists sorted by
+        /// pair, by source only and not at all, of every kind
+        /// [`kind_list`] makes, weighted and not: CSR, CSC, VSD and VSS
+        /// bit-identical and `is_symmetric` the same (and what the kind
+        /// decides). A list sorted by source holds no CSR or CSC after
+        /// set-up, a symmetric graph builds one structure for both
+        /// orientations, and preparing the graph again shares the one VSD.
+        #[test]
+        fn prop_the_one_route_proves_symmetry_against_the_vsd(
+            n in 1usize..20,
+            base in proptest::collection::vec((0u32..20, 0u32..20), 0..60),
+            kind in 0u8..6,
+            order in 0u8..3,
+            weighted in proptest::prelude::any::<bool>(),
+        ) {
+            let (el, symmetric) = kind_list(n, &base, kind, order, weighted);
+            let by_source = el.edges().windows(2).all(|w| w[0].0 <= w[1].0);
+            let plain = plain_build(&el);
+            if let Some(symmetric) = symmetric {
+                proptest::prop_assert_eq!(plain.0.is_symmetric(), symmetric, "kind {}", kind);
+            }
+            for threads in [1, 2, 8] {
+                let pool = ThreadPool::single_group(threads);
+                let (g, pg, _) = prepare_profiled_with_cutover(&el, &pool, 0).unwrap();
+                let ctx = format!("kind {kind}, order {order}, {threads} threads");
+                proptest::prop_assert_eq!(g.is_symmetric(), plain.0.is_symmetric(), "{}", ctx);
+                proptest::prop_assert_eq!(g.built_out_csr().is_none(), by_source, "{}", ctx);
+                if by_source {
+                    proptest::prop_assert!(g.built_in_csr().is_none(), "{}", ctx);
+                }
+                let again = PreparedGraph::build(&g, Some(&pool));
+                proptest::prop_assert_eq!(
+                    std::ptr::eq(again.vsd.vectors(), pg.vsd.vectors()),
+                    by_source,
+                    "{}", ctx
+                );
+                assert_same(&g, &pg, &plain, &ctx);
+                proptest::prop_assert_eq!(
+                    std::ptr::eq(g.out_csr(), g.in_csr()),
+                    g.is_symmetric(),
+                    "{}", ctx
+                );
             }
         }
     }

@@ -26,11 +26,11 @@ use grazelle_vsparse::build::{Vsd, Vss};
 /// by every run. The pull structure (VSD) is encoded when the graph is
 /// prepared: from the graph's in-edges when it holds them, and straight
 /// from its out-edges (or the edge list, in [`crate::prepare_profiled`])
-/// when they are deferred. On a symmetric graph
-/// ([`Graph::is_symmetric`]) the push structure (VSS) is that same
-/// encoding, shared; on a directed one it is deferred: the first run that
-/// can push encodes it, so a run that only pulls never pays for it
-/// (DESIGN.md §12, "On-demand structures").
+/// when they are deferred; a graph whose orientations wait on a VSD hands
+/// that one back. On a symmetric graph ([`Graph::is_symmetric`]) the push
+/// structure (VSS) is that same encoding, shared; on a directed one it is
+/// deferred: the first run that can push encodes it, so a run that only
+/// pulls never pays for it (DESIGN.md §12, "On-demand structures").
 #[derive(Debug, Clone)]
 pub struct PreparedGraph {
     /// Vector-Sparse-Destination: top-level vertex = destination, lanes =
@@ -58,17 +58,23 @@ impl PreparedGraph {
         Self::build(g, Some(pool))
     }
 
-    /// The VSD, on `pool` or on the calling thread: through
-    /// [`Vsd::encode`] over the in-edges when the graph holds them, and
-    /// through [`Vsd::encode_transposed`] over the out-edges when only
-    /// they are built, which leaves the in-edges deferred. A graph with
-    /// neither built (one over an edge source) has its in-edges built
-    /// first. The VSS as [`PreparedGraph::with_vsd`] makes it.
+    /// The VSD, on `pool` or on the calling thread: the one the graph's
+    /// orientations are rebuilt from, shared, when it was built over a VSD
+    /// ([`Graph::edge_source`]); else through [`Vsd::encode`] over the
+    /// in-edges when the graph holds them, and through
+    /// [`Vsd::encode_transposed`] over the out-edges when only they are
+    /// built, which leaves the in-edges deferred. A graph over another
+    /// source has its in-edges built first. The VSS as
+    /// [`PreparedGraph::with_vsd`] makes it.
     pub fn build(g: &Graph, pool: Option<&ThreadPool>) -> Self {
-        let vsd = match (g.built_in_csr(), g.built_out_csr()) {
-            (Some(inn), _) => Vsd::encode(inn, pool),
-            (None, Some(out)) => Vsd::encode_transposed(out, g.in_index(), pool),
-            (None, None) => Vsd::encode(g.ready_in(pool), pool),
+        let held = g
+            .edge_source()
+            .and_then(|s| s.as_any().downcast_ref::<Vsd>());
+        let vsd = match (held, g.built_in_csr(), g.built_out_csr()) {
+            (Some(vsd), _, _) => vsd.clone(),
+            (None, Some(inn), _) => Vsd::encode(inn, pool),
+            (None, None, Some(out)) => Vsd::encode_transposed(out, g.in_index(), pool),
+            (None, None, None) => Vsd::encode(g.ready_in(pool), pool),
         };
         Self::with_vsd(g, vsd)
     }

@@ -325,21 +325,21 @@ pub struct BuildProfile {
     /// Text / Matrix-Market / binary parse time (ns); 0 for synthesized
     /// graphs, which never touch a parser.
     pub parse_ns: u64,
-    /// The one pass over a list sorted by source that counts its out-index
-    /// and its in-index, plus the column copy and neighbor sort into the
-    /// CSR where set-up builds it; or the counting sort of any other list
-    /// (ns). A directed graph from a list sorted by source leaves its CSR
-    /// to its first reader, outside this phase.
+    /// The grouping of the edges by source (ns): the one pass over a list
+    /// sorted by source that counts its out-index and its in-index, or the
+    /// counting sort of any other list into the CSR. No CSR is built from
+    /// a sorted list at set-up; its first reader builds it, outside this
+    /// phase.
     pub csr_ns: u64,
-    /// The in-degree count over the CSR of a list not sorted by source (a
-    /// sorted list's is counted in `csr_ns`'s pass), plus the transpose
-    /// (the CSC) where set-up builds it: on a graph whose in-degree
-    /// sequence equals its out-degree sequence. Elsewhere the CSC is built
-    /// by its first reader, outside this phase (ns).
+    /// The in-index (ns): the in-degree count over the CSR of a list not
+    /// sorted by source, ≈ 0 for a sorted one (counted in `csr_ns`'s
+    /// pass). Set-up builds no CSC; its first reader does, outside this
+    /// phase.
     pub csc_ns: u64,
-    /// Vector-Sparse encoding at set-up (ns): the VSD, which a symmetric
-    /// graph's VSS shares; a directed graph's VSS is encoded by its first
-    /// push, outside this phase.
+    /// The VSD, encoded straight from the grouping, and the compare
+    /// against it that proves the graph symmetric or not (ns). A symmetric
+    /// graph's VSS shares the VSD; a directed graph's is encoded by its
+    /// first push, outside this phase.
     pub vsparse_ns: u64,
     /// Input bytes fed to the parser (0 when nothing was read).
     pub input_bytes: u64,

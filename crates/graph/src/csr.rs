@@ -56,16 +56,15 @@ impl Csr {
     /// calling thread without a pool. The result is the same at every
     /// width. The in-edge orientation is its [`Csr::transpose`].
     ///
-    /// A list grouped by source is a column copy ([`SourceSorted`]); any
-    /// other takes the counting sort. The lists are sorted afterwards
+    /// A list grouped by source is a column copy, in the one pass that
+    /// checks its order and writes the index (the pass of
+    /// [`SourceSorted::new`], which counts the in-degrees there instead);
+    /// any other takes the counting sort. The lists are sorted afterwards
     /// unless the list is non-decreasing by (source, destination), which
     /// leaves them sorted already. The sort is stable, so parallel edges
     /// keep their edge-list order, with their weights, either way.
     pub fn build(el: &EdgeList, pool: Option<&ThreadPool>) -> Self {
-        let built = match SourceSorted::new(el, pool) {
-            Ok(list) => list.into_csr(pool),
-            Err(csr) => csr,
-        };
+        let built = Self::column_copy(el, pool).unwrap_or_else(|| Self::counting_sort(el, pool));
         debug_assert!(
             pool.is_none_or(|p| p.num_threads() == 1)
                 || built.bit_identical(&Self::build(el, None)),
@@ -192,6 +191,50 @@ impl Csr {
             edges: edges.into_vec(),
             weights: weights.map(WorkerFilled::into_vec),
         }
+    }
+
+    /// The CSR of a list whose sources never decrease, or `None`: one
+    /// share per worker of `pool` copies its share of the destination
+    /// (and weight) column into [`WorkerFilled`] blocks in the pass that
+    /// checks the order and writes the index, then each list is sorted
+    /// unless the list is sorted by pair already.
+    fn column_copy(el: &EdgeList, pool: Option<&ThreadPool>) -> Option<Self> {
+        let (all, w_in) = (el.edges(), el.weights());
+        let m = all.len();
+        let mut edges = WorkerFilled::new(m);
+        let mut weights = w_in.map(|_| WorkerFilled::new(m));
+        let (e_out, w_out) = (&mut edges, &mut weights);
+        let writers = move |shares: &[usize]| {
+            // Moved in whole, so the writers borrow the blocks for the pass.
+            let (e_out, w_out) = (e_out, w_out);
+            let lens = || shares.windows(2).map(|w| w[1] - w[0]);
+            let weight_writers: Vec<_> = match w_out {
+                Some(w) => w.writers(lens()).into_iter().map(Some).collect(),
+                None => lens().map(|_| None).collect(),
+            };
+            e_out
+                .writers(lens())
+                .into_iter()
+                .zip(weight_writers)
+                .collect()
+        };
+        let copy = |(e, w): &mut (RangeWriter<'_, VertexId>, Option<RangeWriter<'_, f64>>),
+                    block: Range<usize>| {
+            e.extend(all[block.clone()].iter().map(|&(_, d)| d));
+            if let (Some(w), Some(w_in)) = (w.as_mut(), w_in) {
+                w.extend(w_in[block].iter().copied());
+            }
+        };
+        let (index, sorted, _) = source_pass(el, pool, writers, |w| w, copy)?;
+        let mut csr = Csr {
+            index,
+            edges: edges.into_vec(),
+            weights: weights.map(WorkerFilled::into_vec),
+        };
+        if !sorted {
+            csr.sort_on(pool);
+        }
+        Some(csr)
     }
 
     /// The vertex index, shared.
@@ -523,6 +566,11 @@ pub trait Grouped: Sync {
     /// Hands `put` every edge of the top-level vertices `tops`, in order.
     fn edges_of(&self, tops: Range<VertexId>, put: impl FnMut(VertexId, VertexId, usize));
 
+    /// The edges of the top-level vertices `tops`, in order, as `(stored
+    /// endpoint, position)`: one run read by a loop of its own, as the
+    /// compare that proves a graph symmetric reads it beside the lanes.
+    fn lists(&self, tops: Range<VertexId>) -> impl Iterator<Item = (VertexId, usize)> + '_;
+
     /// The edge weights by position, if weighted.
     fn weights(&self) -> Option<&[f64]>;
 }
@@ -542,99 +590,52 @@ impl Grouped for Csr {
         }
     }
 
+    fn lists(&self, tops: Range<VertexId>) -> impl Iterator<Item = (VertexId, usize)> + '_ {
+        let r = self.index[tops.start as usize] as usize..self.index[tops.end as usize] as usize;
+        self.edges[r.clone()].iter().copied().zip(r)
+    }
+
     fn weights(&self) -> Option<&[f64]> {
         self.weights()
     }
 }
 
 /// An edge list whose sources never decrease, with its out- and in-index
-/// counted: the by-source grouping without a copy of its columns. A
-/// directed graph's set-up encodes its VSD from this straight, and the CSR
-/// is one column copy away ([`SourceSorted::into_csr`]).
+/// counted: the by-source grouping without a copy of its columns. Set-up
+/// encodes a sorted list's VSD from this straight.
 #[derive(Debug)]
 pub struct SourceSorted<'a> {
     el: &'a EdgeList,
     index: Arc<Vec<EdgeId>>,
     in_index: Arc<Vec<EdgeId>>,
-    /// The list is non-decreasing by (source, destination) too.
-    sorted: bool,
 }
 
 impl<'a> SourceSorted<'a> {
     /// `el` with its out- and in-index, if its sources never decrease;
     /// else its CSR through the counting sort ([`Csr::build`]). Each worker
     /// of `pool` (or the calling thread alone) takes one share of the list
-    /// and, in one pass, checks its order from the pair before it on,
-    /// writes the index entries of the vertices its share reaches — vertex
-    /// `v` starts where the source column first reaches `v` — through
-    /// [`WorkerFilled`] writers, and counts its destinations into its own
-    /// histogram, which the calling thread sums into the in-index. A share
-    /// that finds a source below the one before it stops: the list needs
-    /// the sort.
+    /// and, in one pass, block by block, checks its order from the pair
+    /// before it on, writes the index entries of the vertices its share
+    /// reaches — vertex `v` starts where the source column first reaches
+    /// `v` — and counts its destinations into its own histogram, which the
+    /// calling thread sums into the in-index. A share that finds a source
+    /// below the one before it stops: the list needs the sort.
     pub fn new(el: &'a EdgeList, pool: Option<&ThreadPool>) -> Result<Self, Csr> {
-        let n = el.num_vertices();
-        let m = el.num_edges();
-        let all = el.edges();
-        let t = pool.map_or(1, ThreadPool::num_threads);
-        let shares: Vec<usize> = (0..=t).map(|i| m * i / t).collect();
-        // The first index entry of each share's vertices: one past the
-        // source of the pair before the share. The last share ends the index.
-        let entries: Vec<usize> = shares
-            .iter()
-            .enumerate()
-            .map(|(i, &at)| match at.checked_sub(1) {
-                _ if i == t => n + 1,
-                Some(before) => all[before].0 as usize + 1,
-                None => 0,
-            })
-            .collect();
-        if !entries.is_sorted() {
-            return Err(Csr::counting_sort(el, pool));
-        }
-        let mut index = WorkerFilled::new(n + 1);
-        let lens = entries.windows(2).map(|w| w[1] - w[0]);
-        let tasks = index.writers(lens).into_iter().enumerate().collect();
-        let fill = |(i, mut ix): (usize, RangeWriter<'_, EdgeId>)| {
-            let range = shares[i]..shares[i + 1];
-            let before = range.start.checked_sub(1).map(|at| all[at]);
-            let mut last = before.map_or(0, pair_key);
-            let mut pair_falls = false;
-            let mut next = entries[i];
-            let end = entries[i + 1];
-            let mut in_degrees = vec![0u32; n];
-            for (at, &pair) in (range.start..).zip(&all[range]) {
-                let k = pair_key(pair);
-                // A fall, or a source past the share's last: not grouped.
-                if k >> 32 < last >> 32 || pair.0 as usize >= end {
-                    return None;
-                }
-                pair_falls |= k < last;
-                last = k;
-                in_degrees[pair.1 as usize] += 1;
-                while next <= pair.0 as usize {
-                    ix.push(at as EdgeId);
-                    next += 1;
-                }
+        let (n, all) = (el.num_vertices(), el.edges());
+        let seeds = |shares: &[usize]| vec![(); shares.len() - 1];
+        let histogram = |()| vec![0u32; n];
+        let count = |h: &mut Vec<u32>, block: Range<usize>| {
+            for &(_, d) in &all[block] {
+                h[d as usize] += 1;
             }
-            ix.extend(std::iter::repeat_n(m as EdgeId, end - next));
-            Some((!pair_falls, in_degrees))
         };
-        let mut sorted = true;
-        let mut counts = Vec::with_capacity(t);
-        for share in run_shares(pool, tasks, fill) {
-            let Some((share_sorted, in_degrees)) = share else {
-                return Err(Csr::counting_sort(el, pool));
-            };
-            sorted &= share_sorted;
-            counts.push(in_degrees);
-        }
-        let index = Arc::new(index.into_vec());
-        let in_index = summed_index(n, &counts);
+        let Some((index, _, counts)) = source_pass(el, pool, seeds, histogram, count) else {
+            return Err(Csr::counting_sort(el, pool));
+        };
         Ok(SourceSorted {
             el,
             index,
-            in_index,
-            sorted,
+            in_index: summed_index(n, &counts),
         })
     }
 
@@ -649,45 +650,93 @@ impl<'a> SourceSorted<'a> {
     pub fn in_index(&self) -> &Arc<Vec<EdgeId>> {
         &self.in_index
     }
+}
 
-    /// The CSR: the destination (and weight) column copied by one share
-    /// per worker of `pool` into [`WorkerFilled`] blocks, then each list
-    /// sorted unless the list is sorted by pair already.
-    pub fn into_csr(self, pool: Option<&ThreadPool>) -> Csr {
-        let (all, w_in) = (self.el.edges(), self.el.weights());
-        let m = all.len();
-        let t = pool.map_or(1, ThreadPool::num_threads);
-        let shares: Vec<usize> = (0..=t).map(|i| m * i / t).collect();
-        let lens = || shares.windows(2).map(|w| w[1] - w[0]);
-        let mut edges = WorkerFilled::new(m);
-        let mut weights = w_in.map(|_| WorkerFilled::new(m));
-        let weight_writers: Vec<_> = match &mut weights {
-            Some(w) => w.writers(lens()).into_iter().map(Some).collect(),
-            None => lens().map(|_| None).collect(),
-        };
-        let tasks = edges
-            .writers(lens())
-            .into_iter()
-            .zip(weight_writers)
-            .enumerate()
-            .collect();
-        run_shares(pool, tasks, |(i, (mut e, w))| {
-            let range = shares[i]..shares[i + 1];
-            e.extend(all[range.clone()].iter().map(|&(_, d)| d));
-            if let (Some(mut w), Some(w_in)) = (w, w_in) {
-                w.extend(w_in[range].iter().copied());
-            }
-        });
-        let mut csr = Csr {
-            index: self.index,
-            edges: edges.into_vec(),
-            weights: weights.map(WorkerFilled::into_vec),
-        };
-        if !self.sorted {
-            csr.sort_on(pool);
-        }
-        csr
+/// The one pass over a list that may be grouped by source: each worker of
+/// `pool` (or the calling thread alone) takes one share of the list and,
+/// block by block, checks its order from the pair before it on, writes the
+/// index entries of the vertices its share reaches — vertex `v` starts
+/// where the source column first reaches `v` — through [`WorkerFilled`]
+/// writers, and hands the block, still in cache, to `sink` with the
+/// share's own state. `seeds(shares)`, made on the calling thread once the
+/// shares' first index entries are known to ascend, gives one seed per
+/// share (the writers a copy fills), and `start` turns it into the state
+/// on the share's own thread, so what a state allocates (a histogram) is
+/// allocated there, where it is filled. Returns the
+/// out-index, whether the list is non-decreasing by (source, destination)
+/// too, and the states; `None` as soon as a share finds a source below the
+/// one before it: the list needs the sort.
+fn source_pass<S: Send, T: Send>(
+    el: &EdgeList,
+    pool: Option<&ThreadPool>,
+    seeds: impl FnOnce(&[usize]) -> Vec<S>,
+    start: impl Fn(S) -> T + Sync,
+    sink: impl Fn(&mut T, Range<usize>) + Sync,
+) -> Option<(Arc<Vec<EdgeId>>, bool, Vec<T>)> {
+    const BLOCK: usize = 4096;
+    let n = el.num_vertices();
+    let all = el.edges();
+    let m = all.len();
+    let t = pool.map_or(1, ThreadPool::num_threads);
+    let shares: Vec<usize> = (0..=t).map(|i| m * i / t).collect();
+    // The first index entry of each share's vertices: one past the
+    // source of the pair before the share. The last share ends the index.
+    let entries: Vec<usize> = shares
+        .iter()
+        .enumerate()
+        .map(|(i, &at)| match at.checked_sub(1) {
+            _ if i == t => n + 1,
+            Some(before) => all[before].0 as usize + 1,
+            None => 0,
+        })
+        .collect();
+    if !entries.is_sorted() {
+        return None;
     }
+    let mut index = WorkerFilled::new(n + 1);
+    let lens = entries.windows(2).map(|w| w[1] - w[0]);
+    let tasks = index
+        .writers(lens)
+        .into_iter()
+        .zip(seeds(&shares))
+        .enumerate()
+        .collect();
+    let fill = |(i, (mut ix, seed)): (usize, (RangeWriter<'_, EdgeId>, S))| {
+        let mut state = start(seed);
+        let range = shares[i]..shares[i + 1];
+        let before = range.start.checked_sub(1).map(|at| all[at]);
+        let mut last = before.map_or(0, pair_key);
+        let mut pair_falls = false;
+        let mut next = entries[i];
+        let end = entries[i + 1];
+        for start in range.clone().step_by(BLOCK) {
+            let block = start..(start + BLOCK).min(range.end);
+            for (at, &pair) in block.clone().zip(&all[block.clone()]) {
+                let k = pair_key(pair);
+                // A fall, or a source past the share's last: not grouped.
+                if k >> 32 < last >> 32 || pair.0 as usize >= end {
+                    return None;
+                }
+                pair_falls |= k < last;
+                last = k;
+                while next <= pair.0 as usize {
+                    ix.push(at as EdgeId);
+                    next += 1;
+                }
+            }
+            sink(&mut state, block);
+        }
+        ix.extend(std::iter::repeat_n(m as EdgeId, end - next));
+        Some((!pair_falls, state))
+    };
+    let mut sorted = true;
+    let mut kept = Vec::with_capacity(t);
+    for share in run_shares(pool, tasks, fill) {
+        let (share_sorted, state) = share?;
+        sorted &= share_sorted;
+        kept.push(state);
+    }
+    Some((Arc::new(index.into_vec()), sorted, kept))
 }
 
 impl Grouped for SourceSorted<'_> {
@@ -700,6 +749,11 @@ impl Grouped for SourceSorted<'_> {
         for (e, &(s, d)) in (r.start..).zip(&self.el.edges()[r]) {
             put(s, d, e);
         }
+    }
+
+    fn lists(&self, tops: Range<VertexId>) -> impl Iterator<Item = (VertexId, usize)> + '_ {
+        let r = self.index[tops.start as usize] as usize..self.index[tops.end as usize] as usize;
+        self.el.edges()[r.clone()].iter().map(|&(_, d)| d).zip(r)
     }
 
     fn weights(&self) -> Option<&[f64]> {

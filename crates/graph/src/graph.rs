@@ -1,9 +1,10 @@
 //! The immutable, dual-orientation graph consumed by all engines.
 
-use crate::csr::{Csr, Grouped, SourceSorted};
+use crate::csr::{Csr, Grouped};
 use crate::edgelist::EdgeList;
 use crate::types::{EdgeId, GraphError, VertexId};
 use grazelle_sched::{OnDemand, ThreadPool};
+use std::any::Any;
 use std::fmt::Debug;
 use std::sync::Arc;
 
@@ -25,14 +26,16 @@ use std::sync::Arc;
 /// differ from its out-degrees it cannot be symmetric, and its in-edges
 /// are an [`OnDemand`] cell over the counted in-index, which their first
 /// reader ([`Graph::in_csr`], or [`Graph::ready_in`] on a pool) fills;
-/// the in-degrees never build them. A graph over an [`EdgeSource`]
-/// ([`Graph::from_source`]) defers its out-edges the same way, over the
-/// out-index, and rebuilds both from the source (DESIGN.md §12,
+/// the in-degrees never build them. Equal degree sequences build the
+/// in-edges at once and compare them with the out-edges. A graph whose
+/// set-up proved it symmetric or not against its VSD
+/// ([`Graph::from_checked`]) skips that compare, and a graph over an
+/// [`EdgeSource`] ([`Graph::from_source`]) defers its out-edges the same
+/// way, over the out-index, and rebuilds them from the source: one cell
+/// serving both orientations when it is symmetric (DESIGN.md §12,
 /// "On-demand structures"). The out-index is held either way, so the
-/// out-degrees and the counts never build anything. Equal degree
-/// sequences build the in-edges at once and compare them with the
-/// out-edges. Each orientation sits behind an [`Arc`]: clones share the
-/// edges and the cells.
+/// out-degrees and the counts never build anything. Each orientation sits
+/// behind an [`Arc`]: clones share the edges and the cells.
 #[derive(Debug, Clone)]
 pub struct Graph {
     /// Vertex `v`'s out-edges are `out_index[v]..out_index[v + 1]`; a
@@ -46,8 +49,9 @@ pub struct Graph {
 
 /// What a graph whose out-edges wait for their first reader rebuilds both
 /// orientations from: every edge once, grouped by destination — the VSD,
-/// held by a crate above this one. Any [`Grouped`] sequence grouped by
-/// destination is one.
+/// held by a crate above this one, which takes it back through
+/// [`EdgeSource::as_any`]. Any [`Grouped`] sequence grouped by destination
+/// is one.
 pub trait EdgeSource: Debug + Send + Sync {
     /// The in-edges over their vertex index `index`: the source's edges in
     /// order, each list a copy of one destination's.
@@ -60,9 +64,12 @@ pub trait EdgeSource: Debug + Send + Sync {
 
     /// True when the edges carry weights.
     fn is_weighted(&self) -> bool;
+
+    /// The source itself, for the crate that made it to name its type.
+    fn as_any(&self) -> &dyn Any;
 }
 
-impl<T: Grouped + Debug + Send + Sync> EdgeSource for T {
+impl<T: Grouped + Debug + Send + Sync + 'static> EdgeSource for T {
     fn in_edges(&self, index: Arc<Vec<EdgeId>>, pool: Option<&ThreadPool>) -> Csr {
         Csr::copied(self, index, pool)
     }
@@ -74,6 +81,10 @@ impl<T: Grouped + Debug + Send + Sync> EdgeSource for T {
     fn is_weighted(&self) -> bool {
         self.weights().is_some()
     }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
 }
 
 /// Where a graph's out-edges are.
@@ -81,7 +92,9 @@ impl<T: Grouped + Debug + Send + Sync> EdgeSource for T {
 enum OutEdges {
     /// Built with the graph.
     Built(Arc<Csr>),
-    /// Rebuilt from the source by their first reader, over the out-index.
+    /// Rebuilt from the source by their first reader, over the out-index:
+    /// the source's stable transpose, or on a symmetric graph a copy of
+    /// its edges in order.
     Deferred(OnDemand<Arc<dyn EdgeSource>, Csr>),
 }
 
@@ -97,6 +110,17 @@ enum InEdges {
     Deferred(OnDemand<Arc<Vec<EdgeId>>, Csr>),
 }
 
+impl InEdges {
+    /// The in-edges of a graph of `edges` edges proven `symmetric` or
+    /// not: the out-edges, or a cell over their counted vertex `index`.
+    fn proven(symmetric: bool, index: Arc<Vec<EdgeId>>, edges: usize) -> Self {
+        match symmetric {
+            true => InEdges::Out,
+            false => InEdges::Deferred(OnDemand::new(index, edges)),
+        }
+    }
+}
+
 impl Graph {
     /// Builds a graph from an edge list. Duplicate edges are kept as-is;
     /// call [`EdgeList::sort_and_dedup`] first if you need simple graphs.
@@ -105,78 +129,80 @@ impl Graph {
     }
 
     /// The out-edges as [`Csr::build`] builds them, then
-    /// [`Graph::from_counted`] over the in-index a list sorted by source
-    /// counted with its out-index, or [`Graph::from_out_csr`]; on `pool`
-    /// or on the calling thread.
+    /// [`Graph::from_out_csr`]; on `pool` or on the calling thread.
     fn build(el: &EdgeList, pool: Option<&ThreadPool>) -> Result<Self, GraphError> {
         if el.num_vertices() == 0 {
             return Err(GraphError::EmptyGraph);
         }
-        Ok(match SourceSorted::new(el, pool) {
-            Ok(list) => {
-                let in_index = Arc::clone(list.in_index());
-                Self::from_counted(list.into_csr(pool), in_index, pool)
-            }
-            Err(out) => Self::from_out_csr(out, pool),
-        })
+        Ok(Self::from_out_csr(Csr::build(el, pool), pool))
     }
 
     /// The graph whose out-edges are `out`, its in-degrees counted on
-    /// `pool` (or on the calling thread) into the in-edges' vertex index
-    /// ([`Graph::from_counted`]).
+    /// `pool` (or on the calling thread) into the in-edges' vertex index.
+    /// If that differs from `out`'s, the in-edges are deferred to their
+    /// first reader; otherwise they are transposed now and kept only if
+    /// they differ from `out`. Either way the graph reads as the one
+    /// [`Graph::from_edgelist`] builds over the same edges.
     pub fn from_out_csr(out: Csr, pool: Option<&ThreadPool>) -> Self {
         let in_index = out.transposed_index(pool);
-        Self::from_counted(out, in_index, pool)
-    }
-
-    /// The graph whose out-edges are `out` and whose in-edges' vertex index
-    /// is `in_index`. If it differs from `out`'s, the in-edges are
-    /// deferred to their first reader; otherwise they are transposed now
-    /// and kept only if they differ from `out`. Either way the graph reads
-    /// as the one [`Graph::from_edgelist`] builds over the same edges.
-    pub fn from_counted(out: Csr, in_index: Arc<Vec<EdgeId>>, pool: Option<&ThreadPool>) -> Self {
-        assert_eq!(
-            in_index.len(),
-            out.index().len(),
-            "one index entry per vertex"
-        );
         if *in_index != *out.index() {
-            return Graph {
-                out_index: Arc::clone(out.shared_index()),
-                weighted: out.weights().is_some(),
-                inn: InEdges::Deferred(OnDemand::new(in_index, out.num_edges())),
-                out: OutEdges::Built(Arc::new(out)),
-                name: String::new(),
-            };
+            return Self::from_checked(out, in_index, false);
         }
         let inn = Csr::transposed(&out, in_index, pool);
         Self::assemble(out, inn, String::new())
     }
 
+    /// The graph whose out-edges are `out` and whose in-edges' vertex index
+    /// is `in_index`, its in-edges equal to `out` bit for bit exactly when
+    /// `symmetric` says so (the caller proved it, as set-up does against
+    /// the VSD): `out` then serves both orientations, and otherwise the
+    /// in-edges wait for their first reader, which transposes `out` over
+    /// `in_index`.
+    pub fn from_checked(out: Csr, in_index: Arc<Vec<EdgeId>>, symmetric: bool) -> Self {
+        assert_eq!(
+            in_index.len(),
+            out.index().len(),
+            "one index entry per vertex"
+        );
+        debug_assert!(!symmetric || *in_index == *out.index());
+        Graph {
+            out_index: Arc::clone(out.shared_index()),
+            weighted: out.weights().is_some(),
+            inn: InEdges::proven(symmetric, in_index, out.num_edges()),
+            out: OutEdges::Built(Arc::new(out)),
+            name: String::new(),
+        }
+    }
+
     /// The graph whose edges `source` holds, grouped by destination, and
     /// whose out- and in-edges' vertex indexes are `out_index` and
-    /// `in_index`, which differ (the graph is directed): both orientations
-    /// wait for their first reader, which rebuilds them from `source`. The
-    /// graph reads as the one [`Graph::from_edgelist`] builds over the
-    /// same edges when `source` orders each destination's edges as its
-    /// in-edges would be (by source, parallel edges in edge-list order).
+    /// `in_index`: its orientations wait for their first reader, which
+    /// rebuilds them from `source`. When `symmetric` — the caller proved
+    /// the in-edges equal to the out-edges bit for bit, so the indexes are
+    /// equal too — one cell serves both, a copy of `source`'s edges in
+    /// order; otherwise the out-edges are their stable transpose and the
+    /// in-edges that copy. The graph reads as the one
+    /// [`Graph::from_edgelist`] builds over the same edges when `source`
+    /// orders each destination's edges as its in-edges would be (by
+    /// source, parallel edges in edge-list order).
     pub fn from_source(
         out_index: Arc<Vec<EdgeId>>,
         in_index: Arc<Vec<EdgeId>>,
         source: Arc<dyn EdgeSource>,
+        symmetric: bool,
     ) -> Self {
         assert_eq!(
             in_index.len(),
             out_index.len(),
             "one index entry per vertex"
         );
-        debug_assert!(in_index != out_index, "a directed graph's indexes differ");
+        debug_assert!(!symmetric || in_index == out_index);
         let edges = *out_index.last().expect("index holds n + 1 entries") as usize;
         Graph {
             out_index,
             weighted: source.is_weighted(),
             out: OutEdges::Deferred(OnDemand::new(source, edges)),
-            inn: InEdges::Deferred(OnDemand::new(in_index, edges)),
+            inn: InEdges::proven(symmetric, in_index, edges),
             name: String::new(),
         }
     }
@@ -317,7 +343,9 @@ impl Graph {
     }
 
     /// True when the graph left its in-edges to their first reader (built
-    /// since or not): its in-degrees differ from its out-degrees.
+    /// since or not): its in-degrees differ from its out-degrees, or its
+    /// set-up proved it directed ([`Graph::from_checked`],
+    /// [`Graph::from_source`]).
     pub fn in_edges_deferred(&self) -> bool {
         matches!(self.inn, InEdges::Deferred(_))
     }
@@ -326,6 +354,15 @@ impl Graph {
     /// (built since or not): it was built over an [`EdgeSource`].
     pub fn out_edges_deferred(&self) -> bool {
         matches!(self.out, OutEdges::Deferred(_))
+    }
+
+    /// The source deferred out-edges are rebuilt from, if the graph was
+    /// built over one ([`Graph::from_source`]).
+    pub fn edge_source(&self) -> Option<&Arc<dyn EdgeSource>> {
+        match &self.out {
+            OutEdges::Built(_) => None,
+            OutEdges::Deferred(cell) => Some(cell.source()),
+        }
     }
 
     /// Edges grouped by source (CSR) — the push engine's structure.
@@ -346,7 +383,12 @@ impl Graph {
             OutEdges::Deferred(cell) => match cell.get() {
                 Some(out) => out,
                 None => cell.ready(pool, |source, pool| {
-                    source.out_edges(Arc::clone(&self.out_index), pool)
+                    let index = Arc::clone(&self.out_index);
+                    match self.inn {
+                        // Symmetric: the in-edges, in the source's order, are these.
+                        InEdges::Out => source.in_edges(index, pool),
+                        _ => source.out_edges(index, pool),
+                    }
                 }),
             },
         }
@@ -815,6 +857,7 @@ mod tests {
                 Arc::new(want_out.index().to_vec()),
                 Arc::new(want_in.index().to_vec()),
                 Arc::new(want_in.clone()),
+                false,
             );
             let twin = g.clone();
             assert!(g.out_edges_deferred() && g.in_edges_deferred() && !g.is_symmetric());
@@ -849,6 +892,76 @@ mod tests {
             assert_eq!(g.out_index().as_ptr(), out.index().as_ptr());
             assert_eq!(g.in_index().as_ptr(), inn.index().as_ptr());
         }
+    }
+
+    /// A graph proven symmetric over an edge source — here its own
+    /// structure, grouped by destination as a VSD is — keeps one cell for
+    /// both orientations: the index, the degrees and the weightedness read
+    /// without building it, and the first reader of either orientation
+    /// (`out_csr`, `in_csr`, or `ready_out` / `ready_in` on a pool of any
+    /// width) builds one structure, equal to both plain builds, NaN
+    /// payloads, signed zeros and parallel edges included, over the graph's
+    /// one index. It is a copy of the source's edges, not their transpose,
+    /// which a source whose transpose differs shows. `from_checked` shares
+    /// a built CSR the same way, or leaves a directed graph's in-edges to
+    /// their first reader.
+    #[test]
+    fn a_symmetric_graph_over_a_source_builds_one_structure() {
+        let payload = f64::from_bits(f64::NAN.to_bits() | 3);
+        let mut el = EdgeList::new(40);
+        for s in 0..40u32 {
+            for k in 0..(s % 5) {
+                let d = (s * 11 + k) % 37;
+                let w = [f64::NAN, payload, -0.0, f64::from(s + d)][(s + d) as usize % 4];
+                for _ in 0..=(k % 2) {
+                    el.push_weighted(s, d, w).unwrap();
+                    el.push_weighted(d, s, w).unwrap();
+                }
+            }
+        }
+        let want = Csr::build(&el, None);
+        assert!(
+            want.bit_identical(&want.transpose(None)),
+            "a symmetric list"
+        );
+        let pools = [1, 2, 8].map(ThreadPool::single_group);
+        for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+            let at = format!("{:?} threads", pool.map(ThreadPool::num_threads));
+            let index = Arc::new(want.index().to_vec());
+            let g = Graph::from_source(Arc::clone(&index), index, Arc::new(want.clone()), true);
+            let twin = g.clone();
+            assert!(g.is_symmetric() && g.out_edges_deferred() && !g.in_edges_deferred());
+            assert!(g.is_weighted());
+            assert_eq!(g.in_index(), want.index());
+            for v in 0..40 {
+                assert_eq!(g.in_degree(v), want.degree(v));
+            }
+            assert!(g.built_out_csr().is_none() && g.built_in_csr().is_none());
+            let one = match pool {
+                Some(p) => g.ready_in(Some(p)),
+                None => g.in_csr(),
+            };
+            assert!(one.bit_identical(&want), "{at}");
+            assert!(std::ptr::eq(g.out_csr(), one), "{at}");
+            assert!(std::ptr::eq(twin.built_out_csr().unwrap(), one), "{at}");
+            assert_eq!(g.out_index().as_ptr(), one.index().as_ptr());
+        }
+        // A directed cycle read as symmetric: both orientations are its copy.
+        let cycle = Csr::build(
+            &EdgeList::from_pairs(3, &[(0, 1), (1, 2), (2, 0)]).unwrap(),
+            None,
+        );
+        let index = Arc::new(cycle.index().to_vec());
+        let g = Graph::from_source(Arc::clone(&index), index, Arc::new(cycle.clone()), true);
+        assert!(g.out_csr().bit_identical(&cycle) && g.in_csr().bit_identical(&cycle));
+
+        let index = Arc::new(want.index().to_vec());
+        let g = Graph::from_checked(want.clone(), index, true);
+        assert!(g.is_symmetric() && !g.out_edges_deferred());
+        assert!(std::ptr::eq(g.built_in_csr().unwrap(), g.out_csr()));
+        let g = Graph::from_checked(cycle.clone(), cycle.transposed_index(None), false);
+        assert!(!g.is_symmetric() && g.in_edges_deferred() && g.built_in_csr().is_none());
+        assert!(g.in_csr().bit_identical(&cycle.transpose(None)));
     }
 
     /// Equal degree sequences take the compare path: a directed cycle

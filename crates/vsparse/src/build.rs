@@ -1,13 +1,14 @@
 //! The Vector-Sparse edge structure: vector array + per-vertex index.
 
-use crate::format::{pack_lane, tlv_piece_bits, VERTEX_MASK};
+use crate::format::{pack_lane, tlv_piece_bits, VALID_BIT, VERTEX_MASK};
 use crate::vector::EdgeVector;
 use grazelle_graph::csr::{scatter_transposed, Csr, Grouped};
 use grazelle_graph::graph::Graph;
-use grazelle_graph::partition::{partition_index, split_by_parts};
+use grazelle_graph::partition::{partition_index, split_by_parts, EdgePartition};
 use grazelle_graph::types::{EdgeId, VertexId};
 use grazelle_sched::alloc::WorkerFilled;
 use grazelle_sched::{run_shares, OnDemand, ThreadPool};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// A complete Vector-Sparse edge structure over one orientation.
@@ -315,6 +316,103 @@ impl<const N: usize> VectorSparse<N> {
         built
     }
 
+    /// True when every top-level vertex's valid lanes, in order, weight
+    /// bits along, are `seq`'s edges of that vertex sorted stably by
+    /// stored endpoint, `index` being `seq`'s vertex index: this is the
+    /// encoding of the structure `seq` sorts into. For a VSD and its
+    /// graph's out-edges — a CSR, or a list grouped by source — that is
+    /// the proof that the graph is symmetric, its in-edges equal to its
+    /// out-edges bit for bit, NaN payloads and the sign of a zero included.
+    ///
+    /// One share per worker of `pool` (or one on the calling thread) owns
+    /// a range of vertices balanced by vectors and reads its edges as one
+    /// run ([`Grouped::lists`]) beside its vectors, `index` saying how many
+    /// belong to each vertex. A share whose run differs is compared again
+    /// vertex by vertex, a vertex whose edges are not sorted through a
+    /// stable sort of them, and stops at the first vertex that differs.
+    pub fn encodes_sorted(
+        &self,
+        seq: &impl Grouped,
+        index: &[EdgeId],
+        pool: Option<&ThreadPool>,
+    ) -> bool {
+        let w_in = seq.weights();
+        if seq.num_vertices() != self.num_vertices()
+            || index.len() != self.num_vertices() + 1
+            || index.last().is_none_or(|&m| m as usize != self.num_edges())
+            || w_in.is_some() != self.blocks.weights.is_some()
+        {
+            return false;
+        }
+        let share = |part: EdgePartition| {
+            let tops = part.vertices();
+            self.lanes_hold(tops.clone(), index, w_in, seq.lists(tops.clone())) || {
+                let mut by_endpoint: Vec<(VertexId, usize)> = Vec::new();
+                tops.clone().all(|v| {
+                    self.lanes_hold(v..v + 1, index, w_in, seq.lists(v..v + 1)) || {
+                        by_endpoint.clear();
+                        by_endpoint.extend(seq.lists(v..v + 1));
+                        // Already sorted: the compare above was the one.
+                        !by_endpoint.is_sorted_by_key(|&(d, _)| d) && {
+                            by_endpoint.sort_by_key(|&(d, _)| d);
+                            let sorted = by_endpoint.iter().copied();
+                            self.lanes_hold(v..v + 1, index, w_in, sorted)
+                        }
+                    }
+                })
+            }
+        };
+        let parts = partition_index(&self.blocks.index, pool.map_or(1, ThreadPool::num_threads));
+        run_shares(pool, parts, share).into_iter().all(|same| same)
+    }
+
+    /// True when the valid lanes of the top-level vertices `tops`, in
+    /// layout order, are `edges` — `(endpoint, position)`, weights at
+    /// `w_in`, `index[v + 1] - index[v]` of them for vertex `v` — weight
+    /// bits along, and no edge is left over. Each vector is xor-ed with
+    /// its edges `N` lanes at a time, so an edge costs no branch of its
+    /// own.
+    fn lanes_hold(
+        &self,
+        tops: Range<VertexId>,
+        index: &[EdgeId],
+        w_in: Option<&[f64]>,
+        mut edges: impl Iterator<Item = (VertexId, usize)>,
+    ) -> bool {
+        let (vectors, vector_index) = (&self.blocks.vectors, &self.blocks.index);
+        // Bits set where a lane differs from its edge.
+        let mut diff = 0u64;
+        // Vector `at` holds the next `valid` edges, then padding, which
+        // masks to 0 (as does an edge missing).
+        let mut vector = |at: usize, valid: usize| {
+            let mut want = [0u64; N];
+            for (i, (d, e)) in (0..valid).zip(edges.by_ref()) {
+                want[i] = VALID_BIT | u64::from(d);
+                if let (Some(lw), Some(w)) = (&self.blocks.weights, w_in) {
+                    diff |= lw[at][i].to_bits() ^ w[e].to_bits();
+                }
+            }
+            for (lane, want) in vectors[at].lanes().iter().zip(want) {
+                diff |= (lane & (VALID_BIT | VERTEX_MASK)) ^ want;
+            }
+        };
+        for v in tops {
+            let v = v as usize;
+            let degree = (index[v + 1] - index[v]) as usize;
+            let at = vector_index[v] as usize;
+            if vector_index[v + 1] as usize - at != degree.div_ceil(N) {
+                return false;
+            }
+            for k in 0..degree / N {
+                vector(at + k, N);
+            }
+            if !degree.is_multiple_of(N) {
+                vector(at + degree / N, degree % N);
+            }
+        }
+        diff == 0 && edges.next().is_none()
+    }
+
     /// True when `self` and `other` are bit-for-bit the same structure
     /// (at once when they share their arrays). Weight lanes are compared
     /// by bit pattern, so NaN payloads count too.
@@ -499,6 +597,19 @@ impl<const N: usize> Grouped for VectorSparse<N> {
                 }
             }
         }
+    }
+
+    fn lists(&self, tops: Range<VertexId>) -> impl Iterator<Item = (VertexId, usize)> + '_ {
+        let index = &self.blocks.index;
+        let range = index[tops.start as usize] as usize..index[tops.end as usize] as usize;
+        (range.clone())
+            .zip(&self.blocks.vectors[range])
+            .flat_map(|(at, vector)| {
+                (0..N).filter_map(move |lane| {
+                    let nb = vector.neighbor(lane)?;
+                    Some((nb as VertexId, at * N + lane))
+                })
+            })
     }
 
     fn weights(&self) -> Option<&[f64]> {
@@ -728,6 +839,7 @@ mod tests {
                 Arc::new(csr.index().to_vec()),
                 Arc::clone(&in_index),
                 Arc::new(vsd.clone()),
+                false,
             );
             for g in [built, sourced] {
                 let vss = Vss::deferred(g.clone());
@@ -748,6 +860,82 @@ mod tests {
                 assert!(vss.bit_identical(&at_width));
             }
         }
+    }
+
+    /// `seq`'s edges of `tops` as `(endpoint, position)`, from `lists`.
+    fn listed(seq: &impl Grouped, tops: Range<VertexId>) -> Vec<(VertexId, usize)> {
+        seq.lists(tops).collect()
+    }
+
+    /// The same, from `edges_of`.
+    fn called(seq: &impl Grouped, tops: Range<VertexId>) -> Vec<(VertexId, usize)> {
+        let mut all = Vec::new();
+        seq.edges_of(tops, |_, d, e| all.push((d, e)));
+        all
+    }
+
+    /// `encodes_sorted` against the structure it proves, at every width:
+    /// a symmetric graph's VSD encodes its CSR and its list sorted by pair
+    /// or by source only (each list then sorted stably, weights along,
+    /// parallel edges included), and not a list with an edge too many or
+    /// too few, another weight bit, or no weights; a directed cycle's VSD,
+    /// whose degrees agree, does not encode its CSR. `Grouped::lists`
+    /// hands a range's edges as `edges_of` does, for every grouping.
+    #[test]
+    fn encodes_sorted_proves_the_vsd_is_the_sorted_out_edges() {
+        let payload = f64::from_bits(f64::NAN.to_bits() | 9);
+        let mut pairs = Vec::new();
+        for s in 0..30u32 {
+            for k in 0..(s % 7) {
+                let d = (s * 13 + k) % 30;
+                let w = [f64::NAN, payload, -0.0, f64::from(s + d)][(s + d + k) as usize % 4];
+                pairs.extend([((s, d), w), ((d, s), w)]);
+            }
+        }
+        // By source only, each source's edges in reverse.
+        pairs.sort_by_key(|&((s, d), _)| (s, std::cmp::Reverse(d)));
+        let list = |pairs: &[((u32, u32), f64)], weighted: bool| {
+            let (p, w): (Vec<_>, Vec<_>) = pairs.iter().copied().unzip();
+            EdgeList::from_parts(30, p, weighted.then_some(w)).unwrap()
+        };
+        let el = list(&pairs, true);
+        let csr = Csr::build(&el, None);
+        assert!(csr.bit_identical(&csr.transpose(None)), "symmetric");
+        let vsd = Vsd::encode(&csr.transpose(None), None);
+        let pools = [1, 2, 8].map(ThreadPool::single_group);
+        for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+            let at = format!("{:?} threads", pool.map(ThreadPool::num_threads));
+            let sorted = SourceSorted::new(&el, pool).unwrap();
+            assert!(vsd.encodes_sorted(&csr, csr.index(), pool), "{at}");
+            assert!(vsd.encodes_sorted(&sorted, sorted.index(), pool), "{at}");
+            for tops in [0..30, 0..1, 7..19, 29..30, 12..12] {
+                assert_eq!(listed(&csr, tops.clone()), called(&csr, tops.clone()));
+                assert_eq!(listed(&sorted, tops.clone()), called(&sorted, tops.clone()));
+                assert_eq!(listed(&vsd, tops.clone()), called(&vsd, tops.clone()));
+            }
+            // One edge more, one less, one weight bit apart, no weights.
+            let (mut more, mut less, mut flipped) = (pairs.clone(), pairs.clone(), pairs.clone());
+            more.insert(0, ((0, 5), 1.0));
+            less.remove(0);
+            flipped[3].1 = f64::from_bits(flipped[3].1.to_bits() ^ 1);
+            for (bad, weighted) in [
+                (&more, true),
+                (&less, true),
+                (&flipped, true),
+                (&pairs, false),
+            ] {
+                let el = list(bad, weighted);
+                let sorted = SourceSorted::new(&el, pool).unwrap();
+                assert!(!vsd.encodes_sorted(&sorted, sorted.index(), pool), "{at}");
+            }
+        }
+        let cycle = Csr::build(
+            &EdgeList::from_pairs(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap(),
+            None,
+        );
+        let index = cycle.index();
+        assert!(!Vsd::encode(&cycle.transpose(None), None).encodes_sorted(&cycle, index, None));
+        assert!(Vsd::encode(&cycle, None).encodes_sorted(&cycle, index, None));
     }
 
     /// A CSR of vertices of degree 0 to 8 and one `hub`, then `extra`, the

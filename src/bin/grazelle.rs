@@ -30,9 +30,8 @@
 //!   --timing            print per-phase build timings (parse, csr, csc,
 //!                       vsparse) with parse-bytes/s and edges/s, and
 //!                       whether one structure serves both orientations
-//!                       (else the push structure waits for a push, and
-//!                       in-edges whose degrees differ from the out-edges'
-//!                       wait for their first reader)
+//!                       (else the push structure waits for a push), and
+//!                       which orientations wait for their first reader
 //!   --trace             record and print a per-iteration flight-recorder
 //!                       table (engine choice, frontier density, phase
 //!                       times, resilience events)
@@ -276,11 +275,11 @@ fn load_and_prepare(o: &Options, build_pool: &ThreadPool) -> (Graph, PreparedGra
 /// graph stores: one when its in-edges equal its out-edges bit for bit,
 /// which is also why `vsparse` then ran one encode; with two, `vsparse`
 /// is the pull structure alone, and the push structure is encoded by the
-/// first run that can push. When the in-degrees differ from the
-/// out-degrees, set-up left the in-edges to their first reader too, and
-/// `csc` timed the in-degree count alone; from a list sorted by source it
-/// left the out-edges as well, encoding the pull structure from the list,
-/// and `csr` timed the one pass that counted both indexes.
+/// first run that can push. `vsparse` includes the compare that proved
+/// which. From a list sorted by source, set-up encoded the pull structure
+/// from the list and left the orientations to their first reader, and
+/// `csr` timed the one pass that counted both indexes; from an unsorted
+/// one it built the out-edges, and a directed graph's in-edges wait.
 fn print_build_timing(p: &BuildProfile, graph: &Graph) {
     println!("\nBuild Timing ({} thread(s)):", p.threads);
     let waiting = match (graph.out_edges_deferred(), graph.in_edges_deferred()) {
@@ -288,9 +287,10 @@ fn print_build_timing(p: &BuildProfile, graph: &Graph) {
         (false, true) => "in-edges on first read, ",
         (false, false) => "",
     };
-    match graph.is_symmetric() {
-        true => println!("  orientations  1 (in = out)"),
-        false => println!("  orientations  2 ({waiting}push structure on first push)"),
+    match (graph.is_symmetric(), graph.out_edges_deferred()) {
+        (true, true) => println!("  orientations  1 (in = out, on first read)"),
+        (true, false) => println!("  orientations  1 (in = out)"),
+        (false, _) => println!("  orientations  2 ({waiting}push structure on first push)"),
     }
     println!("  parse     {:>10.3} ms", p.parse_ns as f64 / 1e6);
     println!("  csr       {:>10.3} ms", p.csr_ns as f64 / 1e6);

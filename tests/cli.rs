@@ -109,8 +109,12 @@ fn kcore_reports_degeneracy() {
     let path = path.to_str().unwrap();
     let out = run_ok(&["-i", path, "--symmetrize", "-a", "kcore", "--timing"]);
     assert!(out.contains("Degeneracy (max core):    3"), "{out}");
-    // Symmetrized, one structure serves both orientations; as read, two.
-    assert!(out.contains("orientations  1 (in = out)"), "{out}");
+    // Symmetrized (and so sorted), one structure serves both orientations,
+    // rebuilt from the pull structure by its first reader; as read, two.
+    assert!(
+        out.contains("orientations  1 (in = out, on first read)\n"),
+        "{out}"
+    );
     let out = run_ok(&["-i", path, "-a", "kcore", "--timing"]);
     assert!(
         out.contains(
@@ -118,25 +122,39 @@ fn kcore_reports_degeneracy() {
         ),
         "{out}"
     );
+    // The same clique symmetric as read but unsorted keeps its CSR as the one
+    // structure.
+    std::fs::write(
+        path,
+        "1 0\n0 1\n0 2\n2 0\n0 3\n3 0\n1 2\n2 1\n1 3\n3 1\n2 3\n3 2\n",
+    )
+    .unwrap();
+    let out = run_ok(&["-i", path, "-a", "kcore", "--timing"]);
+    assert!(out.contains("Degeneracy (max core):    3"), "{out}");
+    assert!(out.contains("orientations  1 (in = out)\n"), "{out}");
     std::fs::remove_file(path).ok();
 }
 
 /// A directed input keeps two orientations, and its set-up encodes the
 /// pull structure alone: the timing table says the push structure waits
-/// for the first run that can push and, the in-degrees differing from the
-/// out-degrees, the in-edges for their first reader — and the out-edges
-/// too when the list is sorted by source; runs that pull only and runs
-/// that push both finish. A directed cycle, whose degrees agree, builds
-/// its in-edges at set-up.
+/// for the first run that can push and the in-edges for their first
+/// reader — and the out-edges too when the list is sorted by source; runs
+/// that pull only and runs that push both finish. A directed cycle, whose
+/// degrees agree, is told from a symmetric graph by the compare against
+/// the pull structure, and waits the same way.
 #[test]
 fn a_directed_input_defers_its_push_structure() {
     let cycle = std::env::temp_dir().join("grazelle_cli_cycle.el");
-    std::fs::write(&cycle, "0 1\n1 2\n2 0\n").unwrap();
-    let out = run_ok(&["-i", cycle.to_str().unwrap(), "-a", "pr", "--timing"]);
-    assert!(
-        out.contains("  orientations  2 (push structure on first push)\n"),
-        "{out}"
-    );
+    for (list, waiting) in [
+        ("0 1\n1 2\n2 0\n", "out- and in-edges"),
+        ("1 2\n0 1\n2 0\n", "in-edges"),
+    ] {
+        std::fs::write(&cycle, list).unwrap();
+        let out = run_ok(&["-i", cycle.to_str().unwrap(), "-a", "pr", "--timing"]);
+        let line =
+            format!("  orientations  2 ({waiting} on first read, push structure on first push)\n");
+        assert!(out.contains(&line), "{out}");
+    }
     std::fs::remove_file(&cycle).ok();
     let sorted = "0 1\n1 2\n2 0\n2 3\n3 4\n";
     let unsorted = "2 3\n0 1\n1 2\n2 0\n3 4\n";
