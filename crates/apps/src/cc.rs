@@ -34,9 +34,6 @@ pub struct ConnectedComponents {
     acc: PropertyArray,
     write_intense: bool,
     use_avx2: bool,
-    /// Overrides the all-active initial frontier (incremental reruns seed
-    /// only the endpoints of changed edges).
-    seed: Option<Vec<VertexId>>,
 }
 
 impl ConnectedComponents {
@@ -52,27 +49,7 @@ impl ConnectedComponents {
             acc: PropertyArray::new(n),
             write_intense: false,
             use_avx2: grazelle_vsparse::simd::detect() == SimdLevel::Avx2,
-            seed: None,
         }
-    }
-
-    /// Warm-start from a prior run's labels (incremental maintenance over
-    /// update streams). Min-propagation is self-stabilizing: warm labels
-    /// are pointwise ≥ the target fixpoint, so reconverging from them
-    /// reaches the same unique least fixpoint as a cold run.
-    pub fn with_warm_labels(self, labels: &[u32]) -> Self {
-        assert_eq!(labels.len(), self.n, "warm labels must cover every vertex");
-        for (v, &l) in labels.iter().enumerate() {
-            self.labels.set_f64(v, l as f64);
-        }
-        self
-    }
-
-    /// Seeds the initial frontier with exactly `vs` instead of every
-    /// vertex — for incremental reruns, the endpoints of inserted edges.
-    pub fn with_seed_frontier(mut self, vs: &[VertexId]) -> Self {
-        self.seed = Some(vs.to_vec());
-        self
     }
 
     /// The Figure 8a write-intense variant.
@@ -162,10 +139,7 @@ impl GraphProgram for ConnectedComponents {
     }
 
     fn initial_frontier(&self) -> Frontier {
-        match &self.seed {
-            Some(vs) => Frontier::from_vertices(self.n, vs),
-            None => Frontier::all(self.n),
-        }
+        Frontier::all(self.n)
     }
 
     fn checkpoint_arrays(&self) -> Vec<&PropertyArray> {

@@ -29,9 +29,6 @@
 //! * [`multi`] — bit-parallel multi-source reachability and BFS (MS-BFS
 //!   style) over a base plus an insert overlay, the packing kernel behind
 //!   the serving layer's batch formation.
-//! * [`incremental`] — incremental result maintenance over update streams:
-//!   warm-started, frontier-seeded re-runs for BFS/CC/PageRank on a
-//!   versioned graph's base + pending-insert overlay.
 //! * [`triangle`] — triangle counting via the masked-SpMV intersect kernel
 //!   (DESIGN.md §16), a single-superstep computation driven through every
 //!   engine path: pull, push, compacted, and resilient.
@@ -41,7 +38,6 @@
 
 pub mod bfs;
 pub mod cc;
-pub mod incremental;
 pub mod kcore;
 pub mod labelprop;
 pub mod multi;
@@ -53,7 +49,6 @@ pub mod wpagerank;
 
 pub use bfs::Bfs;
 pub use cc::ConnectedComponents;
-pub use incremental::{IncrementalBfs, IncrementalCc, IncrementalPageRank, UnitBfs};
 pub use kcore::KCore;
 pub use labelprop::LabelProp;
 pub use multi::{multi_source_reach, LaneReply, MultiReach, MAX_LANES};

@@ -44,12 +44,6 @@ pub struct PageRank {
     base: AtomicU64,
     /// Use the AVX2 Vertex-phase kernel when the run's SIMD level allows.
     use_avx2: bool,
-    /// Convergence tolerance on the L1 rank residual; `None` = fixed
-    /// iteration count (the artifact's `-N` behavior).
-    tolerance: Option<f64>,
-    /// L1 residual accumulated by the current iteration's Vertex phase
-    /// (f64 bits, CAS-accumulated — one update per vertex, so cheap).
-    residual: AtomicU64,
 }
 
 impl PageRank {
@@ -89,51 +83,6 @@ impl PageRank {
             dangling,
             base: AtomicU64::new(0),
             use_avx2: grazelle_vsparse::simd::detect() == SimdLevel::Avx2,
-            tolerance: None,
-            residual: AtomicU64::new(0),
-        }
-    }
-
-    /// Warm-starts from a prior run's ranks (incremental maintenance over
-    /// update streams): seeds the power iteration near the new fixpoint so
-    /// a tolerance-terminated rerun converges in far fewer iterations.
-    /// Contributions are refreshed from the current out-degrees.
-    pub fn with_warm_ranks(self, ranks: &[f64]) -> Self {
-        assert_eq!(ranks.len(), self.n, "warm ranks must cover every vertex");
-        for (v, &r) in ranks.iter().enumerate() {
-            self.ranks.set_f64(v, r);
-            self.contribs.set_f64(v, r * self.inv_outdeg[v]);
-        }
-        self
-    }
-
-    /// Switches to tolerance-based termination: the run stops once the L1
-    /// rank residual `Σ|r_new − r_old|` of an iteration drops below `tol`.
-    /// Residual tracking disables the AVX2 Vertex kernel (it needs the
-    /// per-vertex old/new difference).
-    pub fn with_tolerance(mut self, tol: f64) -> Self {
-        assert!(tol > 0.0, "tolerance must be positive");
-        self.tolerance = Some(tol);
-        self.use_avx2 = false;
-        self
-    }
-
-    /// The last completed iteration's L1 residual.
-    pub fn residual(&self) -> f64 {
-        f64::from_bits(self.residual.load(Ordering::Relaxed))
-    }
-
-    fn add_residual(&self, delta: f64) {
-        // Grazelle-style global variable: produced during the Vertex
-        // phase, consumed at the iteration boundary.
-        let cell = &self.residual;
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
         }
     }
 
@@ -187,16 +136,12 @@ impl GraphProgram for PageRank {
             .sum();
         let base = (1.0 - self.damping) / self.n as f64 + self.damping * dangling / self.n as f64;
         self.base.store(base.to_bits(), Ordering::Relaxed);
-        self.residual.store(0, Ordering::Relaxed);
     }
 
     #[inline]
     fn apply(&self, v: VertexId) -> bool {
         let v = v as usize;
         let rank = self.base_value() + self.damping * self.acc.get_f64(v);
-        if self.tolerance.is_some() {
-            self.add_residual((rank - self.ranks.get_f64(v)).abs());
-        }
         self.ranks.set_f64(v, rank);
         self.contribs.set_f64(v, rank * self.inv_outdeg[v]);
         false
@@ -218,19 +163,11 @@ impl GraphProgram for PageRank {
         0 // PageRank never activates: it has no frontier
     }
 
-    fn should_stop(&self, _iteration: usize, _active: usize) -> bool {
-        match self.tolerance {
-            // Fixed iteration count, like the artifact's -N flag.
-            None => false,
-            Some(tol) => self.residual() < tol,
-        }
-    }
-
     fn checkpoint_arrays(&self) -> Vec<&PropertyArray> {
         // `ranks` must be included: `pre_iteration` re-derives the dangling
-        // mass (and `apply` the residual) from it, so restoring contribs
-        // and accumulators alone would not reproduce the run. `base` and
-        // `residual` are recomputed every iteration and need no snapshot.
+        // mass from it, so restoring contribs and accumulators alone would
+        // not reproduce the run. `base` is recomputed every iteration and
+        // needs no snapshot.
         vec![&self.ranks, &self.contribs, &self.acc]
     }
 }
@@ -410,41 +347,6 @@ mod tests {
         let cfg = EngineConfig::new().with_threads(1);
         let ranks = run(&g, &cfg, 0);
         assert_close(&ranks, &[0.25; 4], 1e-15);
-    }
-
-    #[test]
-    fn tolerance_termination_converges_early_and_accurately() {
-        let g = Dataset::LiveJournal.build_scaled(-6);
-        let pg = PreparedGraph::new(&g);
-        let cfg = EngineConfig::new().with_threads(2).with_max_iterations(500);
-        let prog = PageRank::new(&g, DAMPING).with_tolerance(1e-10);
-        let stats = grazelle_core::engine::hybrid::run_program(&pg, &prog, &cfg);
-        assert!(
-            stats.iterations < 500,
-            "should converge before the cap, took {}",
-            stats.iterations
-        );
-        assert!(prog.residual() < 1e-10);
-        // Converged ranks match a long fixed-iteration reference closely.
-        let want = reference(&g, DAMPING, 200);
-        for (a, b) in prog.ranks().iter().zip(&want) {
-            assert!((a - b).abs() < 1e-8, "{a} vs {b}");
-        }
-        assert!((prog.rank_sum() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tighter_tolerance_takes_more_iterations() {
-        let g = tiny_graph();
-        let pg = PreparedGraph::new(&g);
-        let cfg = EngineConfig::new()
-            .with_threads(1)
-            .with_max_iterations(1000);
-        let iters = |tol: f64| {
-            let prog = PageRank::new(&g, DAMPING).with_tolerance(tol);
-            grazelle_core::engine::hybrid::run_program(&pg, &prog, &cfg).iterations
-        };
-        assert!(iters(1e-12) > iters(1e-3));
     }
 
     /// PageRank with the O(V) `pre_iteration` this module used to have: the

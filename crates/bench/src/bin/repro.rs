@@ -9,8 +9,7 @@
 //!   fig10b fig11 fig12 fig13 ablate-chunks ablate-merge ablate-order
 //!   ablate-pull-frontier write-traffic
 //!   resilience-overhead resilience-faults recorder-overhead gate
-//!   build-throughput serve-latency incremental-updates triangle-count
-//!   labelprop
+//!   build-throughput serve-latency triangle-count labelprop
 //!
 //! opt-in (named explicitly, never part of `all` — minutes of runtime):
 //!   build-large
@@ -176,7 +175,6 @@ const ALL: &[&str] = &[
     "gate",
     "build-throughput",
     "serve-latency",
-    "incremental-updates",
     "triangle-count",
     "labelprop",
 ];
@@ -210,7 +208,6 @@ fn run(name: &str, sockets: usize) -> Vec<Table> {
         "build-throughput" => vec![exp::build_throughput()],
         "build-large" => vec![exp::build_large()],
         "serve-latency" => vec![exp::serve_latency()],
-        "incremental-updates" => vec![exp::incremental_updates()],
         "triangle-count" => vec![exp::triangle_count()],
         "labelprop" => vec![exp::labelprop()],
         other => usage(&format!("unknown experiment '{other}'")),
@@ -247,6 +244,31 @@ mod tests {
                 "doc header omits experiment '{name}'"
             );
         }
+    }
+
+    /// `repro perf-gate` fails when a baseline experiment is missing from
+    /// the current run, and `repro all` runs only `ALL`: a committed
+    /// baseline whose experiment is gone could never be compared again.
+    #[test]
+    fn every_committed_baseline_names_an_experiment() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines/bench");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&dir).expect("baselines/bench is readable") {
+            let file = entry.expect("a directory entry").file_name();
+            let file = file.to_string_lossy();
+            let Some(name) = file
+                .strip_prefix("BENCH_")
+                .and_then(|f| f.strip_suffix(".json"))
+            else {
+                continue;
+            };
+            assert!(
+                ALL.contains(&name),
+                "baselines/bench/{file} names no experiment in ALL"
+            );
+            seen += 1;
+        }
+        assert!(seen > 0, "no BENCH_*.json under {}", dir.display());
     }
 
     #[test]

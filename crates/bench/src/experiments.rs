@@ -1609,206 +1609,6 @@ pub fn serve_latency() -> Table {
     t
 }
 
-/// Seeded symmetric insert pairs absent from `g`: the update-stream batch
-/// for the `incremental-updates` experiment. Returns both directions of
-/// each pair; endpoint membership is checked against the sorted CSR rows.
-fn fresh_insert_batch(
-    g: &grazelle_graph::graph::Graph,
-    pairs: usize,
-    seed: u64,
-) -> Vec<(u32, u32)> {
-    use std::collections::HashSet;
-    let n = g.num_vertices() as u64;
-    let mut x = seed | 1;
-    let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(pairs);
-    let mut out = Vec::with_capacity(2 * pairs);
-    let mut tries = 0usize;
-    while seen.len() < pairs && tries < 64 * pairs + 10_000 {
-        tries += 1;
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let u = ((x >> 33) % n) as u32;
-        let v = ((x >> 11) % n) as u32;
-        if u == v || g.out_neighbors(u).binary_search(&v).is_ok() {
-            continue;
-        }
-        if seen.insert((u.min(v), u.max(v))) {
-            out.push((u, v));
-            out.push((v, u));
-        }
-    }
-    out
-}
-
-/// Incremental maintenance over an update stream (ISSUE 8): a ~1%-of-edges
-/// insert-only batch applied as a versioned delta overlay with warm,
-/// frontier-seeded re-runs, timed against the cold alternative — merge
-/// the batch into the base (CSR/CSC splice, Vector-Sparse re-encode) and
-/// recompute from scratch. Warm results are asserted bit-identical to the
-/// cold recompute before anything is timed.
-pub fn incremental_updates() -> Table {
-    use grazelle_apps::{IncrementalBfs, IncrementalCc, IncrementalPageRank};
-    use grazelle_core::engine::PreparedGraph;
-    use grazelle_core::incremental::VersionedGraph;
-    use grazelle_graph::delta::UpdateBatch;
-    use grazelle_graph::edgelist::EdgeList;
-    use grazelle_graph::graph::Graph;
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let ds = Dataset::LiveJournal;
-    let w = workload_symmetric(ds);
-    let n = w.graph.num_vertices();
-    let pool = ThreadPool::single_group(threads());
-    let mut cfg = base_config();
-    cfg.max_iterations = 200; // PageRank terminates on tolerance below this
-    const PR_TOL: f64 = 1e-8;
-
-    let pairs = (w.graph.num_edges() / 200).max(1); // both directions ≈ 1%
-    let batch = fresh_insert_batch(&w.graph, pairs, 0x5eed_cafe);
-    let ub = UpdateBatch::from_inserts(&batch);
-
-    let mut t = Table::new(
-        "Incremental updates — warm maintenance vs cold rebuild+recompute",
-        &["app", "batch edges", "cold ms", "warm ms", "speedup"],
-    );
-    t.note(&format!(
-        "input: {} ({} vertices, {} edges), insert-only batch of {} edges (~1%)",
-        w.graph.name(),
-        n,
-        w.graph.num_edges(),
-        batch.len()
-    ));
-    t.note("cold = same batch applied merge-always: CSR/CSC splice + Vector-Sparse re-encode + recompute from scratch");
-    t.note("warm = delta-overlay apply + violation-seeded re-run of the maintained result");
-    t.note("warm beats cold ~2-3x for BFS and ~3.5-5x for CC at the default smoke scale (scale_shift -2); a merge splices sorted edits instead of rebuilding, so the cold arm is no longer dominated by its rebuild");
-    t.note("pagerank is power-iteration-bound: warm start saves the rebuild and head iterations only (~1x, reported for completeness)");
-
-    // The merged edge list, for the pre-timing bit-identity check only —
-    // both timed arms pay their own merge/overlay costs via apply_batch.
-    let mut mel = EdgeList::with_capacity(n, w.graph.num_edges() + batch.len());
-    for v in 0..n as u32 {
-        for &d in w.graph.out_neighbors(v) {
-            mel.push(v, d).unwrap();
-        }
-    }
-    for &(u, v) in &batch {
-        mel.push(u, v).unwrap();
-    }
-    mel.sort_and_dedup();
-
-    let base_g = Arc::new(w.graph.clone());
-    let base_pg = Arc::new(w.prepared.clone());
-
-    // One warm pass asserted bit-identical to cold before timing anything.
-    {
-        let mg = Graph::from_edgelist(&mel).expect("merged graph");
-        let mpg = PreparedGraph::new_on_pool(&mg, &pool);
-        let mut vg = VersionedGraph::new(Arc::clone(&base_g), Arc::clone(&base_pg));
-        let mut ibfs = IncrementalBfs::cold(&vg.view(&pool), 0, &cfg, &pool);
-        let mut icc = IncrementalCc::cold(&vg.view(&pool), &cfg, &pool);
-        let report = vg.apply_batch(&ub, &pool).expect("insert batch applies");
-        assert!(!report.full_recompute, "insert-only batch must stay warm");
-        ibfs.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
-        icc.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
-        let (cold_parents, _) = grazelle_apps::bfs::run_prepared(&mpg, &cfg, &pool, 0);
-        assert_eq!(ibfs.parents(), &cold_parents[..], "warm BFS diverged");
-        let (cold_labels, _) = grazelle_apps::cc::run_prepared(&mpg, &cfg, &pool, false);
-        assert_eq!(icc.labels(), &cold_labels[..], "warm CC diverged");
-    }
-
-    for app in ["bfs", "cc", "pagerank"] {
-        let cold_label = format!("incr:cold:{app}");
-        let cold_secs = median_secs(|| {
-            // Merge fraction 0 forces the merge path on every batch: what
-            // a non-incremental engine does with the same update stream.
-            // The merge only splices; the recompute's `view` encodes the
-            // merged base, inside the timer too.
-            let mut vg = VersionedGraph::new(Arc::clone(&base_g), Arc::clone(&base_pg))
-                .with_merge_fraction(0.0);
-            let t0 = Instant::now();
-            let report = vg.apply_batch(&ub, &pool).expect("insert batch applies");
-            assert!(report.merged, "merge fraction 0 must merge every batch");
-            match app {
-                "bfs" => {
-                    let (p, _) =
-                        grazelle_apps::bfs::run_prepared(vg.view(&pool).pg, &cfg, &pool, 0);
-                    std::hint::black_box(&p);
-                }
-                "cc" => {
-                    let (l, _) =
-                        grazelle_apps::cc::run_prepared(vg.view(&pool).pg, &cfg, &pool, false);
-                    std::hint::black_box(&l);
-                }
-                _ => {
-                    let pr = IncrementalPageRank::cold(
-                        &vg.view(&pool),
-                        pagerank::DAMPING,
-                        PR_TOL,
-                        &cfg,
-                        &pool,
-                    );
-                    std::hint::black_box(pr.ranks());
-                }
-            }
-            let secs = t0.elapsed().as_secs_f64();
-            log_run(RunRecord::from_secs(&cold_label, secs));
-            secs
-        });
-
-        let warm_label = format!("incr:warm:{app}");
-        let warm_secs = median_secs(|| {
-            // The maintained pre-update result is the steady state a
-            // long-lived engine already holds — built cold, untimed.
-            let mut vg = VersionedGraph::new(Arc::clone(&base_g), Arc::clone(&base_pg));
-            let secs = match app {
-                "bfs" => {
-                    let mut inc = IncrementalBfs::cold(&vg.view(&pool), 0, &cfg, &pool);
-                    let t0 = Instant::now();
-                    let report = vg.apply_batch(&ub, &pool).expect("insert batch applies");
-                    inc.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
-                    std::hint::black_box(inc.parents());
-                    t0.elapsed().as_secs_f64()
-                }
-                "cc" => {
-                    let mut inc = IncrementalCc::cold(&vg.view(&pool), &cfg, &pool);
-                    let t0 = Instant::now();
-                    let report = vg.apply_batch(&ub, &pool).expect("insert batch applies");
-                    inc.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
-                    std::hint::black_box(inc.labels());
-                    t0.elapsed().as_secs_f64()
-                }
-                _ => {
-                    let mut inc = IncrementalPageRank::cold(
-                        &vg.view(&pool),
-                        pagerank::DAMPING,
-                        PR_TOL,
-                        &cfg,
-                        &pool,
-                    );
-                    let t0 = Instant::now();
-                    vg.apply_batch(&ub, &pool).expect("insert batch applies");
-                    inc.update(&vg.view(&pool), &cfg, &pool);
-                    std::hint::black_box(inc.ranks());
-                    t0.elapsed().as_secs_f64()
-                }
-            };
-            log_run(RunRecord::from_secs(&warm_label, secs));
-            secs
-        });
-
-        t.row(vec![
-            app.into(),
-            batch.len().to_string(),
-            format!("{:.3}", cold_secs * 1e3),
-            format!("{:.3}", warm_secs * 1e3),
-            fmt_speedup(cold_secs / warm_secs),
-        ]);
-    }
-    t
-}
-
 /// Large-scale parallel-build bench (nightly, opt-in — not part of `all`):
 /// an R-MAT graph at `GRAZELLE_BUILD_SCALE` (default 22, ~64M directed
 /// edges) built end to end by the counting-sort CSR/CSC + Vector-Sparse
@@ -2231,26 +2031,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_updates_logs_both_arms_per_app() {
-        tiny_env();
-        crate::schema::drain_runs();
-        let t = incremental_updates();
-        assert_eq!(t.rows.len(), 3);
-        assert_eq!(t.rows[0][0], "bfs");
-        assert_eq!(t.rows[1][0], "cc");
-        assert_eq!(t.rows[2][0], "pagerank");
-        let runs = crate::schema::drain_runs();
-        for app in ["bfs", "cc", "pagerank"] {
-            for arm in ["cold", "warm"] {
-                let label = format!("incr:{arm}:{app}");
-                let hits: Vec<_> = runs.iter().filter(|r| r.label == label).collect();
-                assert!(!hits.is_empty(), "{label} missing");
-                assert!(hits.iter().all(|r| r.secs > 0.0 && r.build.is_none()));
-            }
-        }
-    }
-
-    #[test]
     fn triangle_count_logs_every_arm() {
         tiny_env();
         crate::schema::drain_runs();
@@ -2317,7 +2097,6 @@ mod tests {
         assert_eq!(sampling_policy("recorder-overhead"), "best-of-N");
         assert_eq!(sampling_policy("resilience-overhead"), "best-of-N");
         assert_eq!(sampling_policy("fig5a"), "median-of-N");
-        assert_eq!(sampling_policy("incremental-updates"), "median-of-N");
         assert_eq!(sampling_policy("table1"), "median-of-N");
     }
 

@@ -37,8 +37,8 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// phase breakdown (ISSUE 5). Minor 2: `build.par_cutover` (the
 /// sequential/parallel build threshold in effect) and the `serve-latency`
 /// experiment's `serve-latency/*` run labels. Minor 3: the
-/// `incremental-updates` experiment's `incr:{cold,warm}:*` run labels and
-/// the opt-in `build-large` experiment's `build-large:*` labels. Minor 4:
+/// `incr:{cold,warm}:*` run labels of a deleted experiment and the opt-in
+/// `build-large` experiment's `build-large:*` labels. Minor 4:
 /// the `triangle-count` (`tc:{pull,push,resilient}:*`) and `labelprop`
 /// (`lp:{hybrid,pull,push}:*`) experiments' run labels. Minor 5 labelled
 /// a deleted experiment. Minor 6: `profile.vertex_touched` / `profile.acc_resets_skipped`, the

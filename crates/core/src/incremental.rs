@@ -10,17 +10,12 @@
 //!
 //! Policy, all in [`apply_batch`](VersionedGraph::apply_batch):
 //!
-//! * **Inserts** accumulate in the overlay. Prior results stay valid and
-//!   incrementally maintainable (min/max propagation is monotone under edge
-//!   insertion; PageRank warm-starts).
-//! * **Deletes** force an immediate merge — tombstoned edges cannot be
-//!   filtered out of a pull or push phase per-edge — and flag
-//!   `full_recompute`: deletions can invalidate monotone results, so the
-//!   safe fallback is a cold rerun on the merged graph.
-//! * **Threshold merge**: once pending inserts exceed
-//!   [`merge_fraction`](VersionedGraph::with_merge_fraction) of the base
-//!   edge count, the overlay is folded into the base. A threshold merge
-//!   changes no logical edge, so prior results remain valid.
+//! * **Inserts** accumulate in the overlay.
+//! * **Deletes** force an immediate merge: tombstoned edges cannot be
+//!   filtered out of a pull or push phase per-edge.
+//! * **Threshold merge**: once pending inserts exceed a quarter
+//!   (`DEFAULT_MERGE_FRACTION`) of the base edge count, the overlay is
+//!   folded into the base. A threshold merge changes no logical edge.
 //!
 //! Neither a merge nor an overlay refresh rebuilds from an edge list, and
 //! neither encodes. A merge splices the sorted pending inserts and
@@ -61,7 +56,7 @@ use std::time::Instant;
 /// Default pending-insert fraction of the base edge count that triggers a
 /// merge rebuild. A quarter keeps the overlay's extra push phase well below
 /// the base Edge phase while amortizing rebuilds over many batches.
-pub const DEFAULT_MERGE_FRACTION: f64 = 0.25;
+pub(crate) const DEFAULT_MERGE_FRACTION: f64 = 0.25;
 
 /// What one [`VersionedGraph::apply_batch`] call did.
 #[derive(Debug, Clone, Default)]
@@ -73,9 +68,6 @@ pub struct ApplyReport {
     /// Whether the batch ended in a merge rebuild (deletes always; inserts
     /// when the pending overlay crossed the threshold).
     pub merged: bool,
-    /// Whether prior results are invalidated (deletes only). Incremental
-    /// maintenance must fall back to a cold recompute when set.
-    pub full_recompute: bool,
     /// Wall time of the merge's CSR/CSC splice (0 without one). The
     /// Vector-Sparse encode waits for the version's first engine read.
     pub merge_ns: u64,
@@ -83,7 +75,7 @@ pub struct ApplyReport {
 
 /// A borrowed, read-only view of the current graph version: the base pair,
 /// the optional prepared overlay, and merged degree arrays. What the
-/// engine drivers and per-app seeding rules consume.
+/// engine drivers and the served queries consume.
 #[derive(Clone, Copy)]
 pub struct GraphView<'a> {
     /// Base graph (structure queries, weights).
@@ -127,34 +119,6 @@ impl<'a> GraphView<'a> {
     /// Logical edge count: base plus pending inserts.
     pub fn num_edges(&self) -> usize {
         self.pg.num_edges + self.delta_pg.map_or(0, |d| d.num_edges)
-    }
-
-    /// Merged out-degree of `v`.
-    pub fn out_degree(&self, v: VertexId) -> u32 {
-        self.out_degrees[v as usize]
-    }
-
-    /// Merged in-degree of `v`.
-    pub fn in_degree(&self, v: VertexId) -> u32 {
-        self.in_degrees[v as usize]
-    }
-
-    /// Iterates `v`'s merged in-neighbors: base CSC order, then overlay.
-    pub fn in_neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + 'a {
-        self.graph.in_neighbors(v).iter().copied().chain(
-            self.delta_graph
-                .into_iter()
-                .flat_map(move |d| d.in_neighbors(v).iter().copied()),
-        )
-    }
-
-    /// Iterates `v`'s merged out-neighbors: base CSR order, then overlay.
-    pub fn out_neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + 'a {
-        self.graph.out_neighbors(v).iter().copied().chain(
-            self.delta_graph
-                .into_iter()
-                .flat_map(move |d| d.out_neighbors(v).iter().copied()),
-        )
     }
 }
 
@@ -296,7 +260,8 @@ impl VersionedGraph {
     }
 
     /// Overrides the pending-insert fraction that triggers a merge.
-    pub fn with_merge_fraction(mut self, fraction: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_merge_fraction(mut self, fraction: f64) -> Self {
         assert!(fraction >= 0.0, "merge fraction must be non-negative");
         self.merge_fraction = fraction;
         self
@@ -389,18 +354,15 @@ impl VersionedGraph {
             version: self.delta.version(),
             record,
             merged: false,
-            full_recompute: false,
             merge_ns: 0,
         };
-        let deletes = !self.delta.tombstones().is_empty();
-        if deletes
+        if !self.delta.tombstones().is_empty()
             || self.delta.pending_len() as f64
                 > self.merge_fraction * self.base().num_edges() as f64
         {
             let t = Instant::now();
             self.merge(pool)?;
             report.merged = true;
-            report.full_recompute = deletes;
             report.merge_ns = t.elapsed().as_nanos() as u64;
         } else {
             // No tombstone is left, so an edge the batch both deleted and
@@ -608,13 +570,12 @@ mod tests {
     }
 
     #[test]
-    fn deletes_force_merge_and_full_recompute() {
+    fn deletes_merge_at_once_and_leave_no_overlay() {
         let (mut vg, pool) = vg_over(ring(8));
         let report = vg
             .apply_batch(UpdateBatch::new().delete(0, 1).insert(2, 5), &pool)
             .unwrap();
         assert!(report.merged);
-        assert!(report.full_recompute);
         assert!(!vg.delta_active());
         assert_eq!(vg.num_edges(), 16); // 16 - 1 + 1
         assert_eq!(vg.base().out_neighbors(0), &[7]);
@@ -636,7 +597,6 @@ mod tests {
             .apply_batch(&UpdateBatch::from_inserts(&[(0, 3)]), &pool)
             .unwrap();
         assert!(r2.merged);
-        assert!(!r2.full_recompute, "insert-only merge keeps results valid");
         assert!(!vgt.delta_active());
         assert_eq!(vgt.num_edges(), 18);
         assert!(vgt.base().out_neighbors(0).contains(&2));
@@ -645,19 +605,16 @@ mod tests {
     #[test]
     fn degrees_track_the_merged_view() {
         let (mut vg, pool) = vg_over(ring(8));
-        assert_eq!(vg.view(&pool).out_degree(0), 2);
+        assert_eq!(vg.view(&pool).out_degrees[0], 2);
         vg.apply_batch(&UpdateBatch::from_inserts(&[(0, 4), (5, 0)]), &pool)
             .unwrap();
         let view = vg.view(&pool);
-        assert_eq!(view.out_degree(0), 3);
-        assert_eq!(view.in_degree(0), 3);
-        assert_eq!(view.in_degree(4), 3);
-        let mut outn: Vec<u32> = view.out_neighbors(0).collect();
-        outn.sort_unstable();
-        assert_eq!(outn, vec![1, 4, 7]);
-        let mut inn: Vec<u32> = view.in_neighbors(4).collect();
-        inn.sort_unstable();
-        assert_eq!(inn, vec![0, 3, 5]);
+        assert_eq!(view.out_degrees[0], 3);
+        assert_eq!(view.in_degrees[0], 3);
+        assert_eq!(view.in_degrees[4], 3);
+        let overlay = view.delta_graph.expect("the inserts wait in the overlay");
+        assert_eq!(overlay.out_neighbors(0), &[4]);
+        assert_eq!(overlay.in_neighbors(4), &[0]);
     }
 
     #[test]
@@ -759,7 +716,6 @@ mod tests {
                 }
                 // A delete the same batch re-inserted leaves no tombstone.
                 let lost = report.record.deleted.iter().any(|e| !logical.contains(e));
-                prop_assert_eq!(report.full_recompute, lost);
                 prop_assert!(report.merged || !lost);
                 prop_assert_eq!(vg.version(), version as u64 + 1);
                 prop_assert_eq!(vg.num_edges(), logical.len());
@@ -796,7 +752,7 @@ mod tests {
         assert!(!report.merged, "the delete was cancelled in the batch");
         assert_eq!(vg.layers().1.unwrap().out_csr(), &before);
         assert_eq!(vg.num_edges(), 18);
-        assert_eq!(vg.view(&pool).out_degree(0), 3);
+        assert_eq!(vg.view(&pool).out_degrees[0], 3);
     }
 
     /// Two lanes in one component share its label; the memo answers only

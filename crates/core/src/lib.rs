@@ -65,9 +65,7 @@ pub use faults::{ExecFaultPlan, ExecInjector, FaultPlan, ServeFaultPlan, ServeIn
 pub use frontier::{DenseBitmap, Frontier};
 pub use grazelle_sched::cancel::CancelFlag;
 pub use grazelle_sched::PAR_BUILD_CUTOVER_EDGES;
-pub use incremental::{
-    ApplyReport, ComponentMemo, GraphView, VersionedGraph, DEFAULT_MERGE_FRACTION,
-};
+pub use incremental::{ApplyReport, ComponentMemo, GraphView, VersionedGraph};
 pub use program::{AggOp, EdgeFunc, GraphProgram, HOP_DECAY};
 pub use properties::PropertyArray;
 pub use spmv::{

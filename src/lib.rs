@@ -29,24 +29,29 @@
 //!
 //! ## Updating the graph
 //!
-//! Batched inserts/deletes go through a versioned delta overlay; results
-//! are maintained incrementally instead of recomputed (DESIGN.md §15):
+//! Batched inserts/deletes go through a versioned delta overlay
+//! (DESIGN.md §15). Inserts wait in a small overlay graph that the engine
+//! folds in after each base Edge phase; a delete merges at once:
 //!
 //! ```
 //! use grazelle::prelude::*;
-//! use grazelle::apps::IncrementalBfs;
+//! use grazelle::apps::Bfs;
+//! use grazelle::core::engine::hybrid::run_program_overlay_on_pool;
 //! use grazelle::sched::pool::ThreadPool;
 //!
 //! let pool = ThreadPool::new(2, 1);
 //! let mut vg = VersionedGraph::from_graph(Dataset::LiveJournal.build_scaled(-6));
 //! let cfg = EngineConfig::default();
-//! let mut bfs = IncrementalBfs::cold(&vg.view(&pool), 0, &cfg, &pool);
 //!
 //! let mut batch = UpdateBatch::new();
 //! batch.insert(7, 93).insert(93, 7);
 //! let report = vg.apply_batch(&batch, &pool).unwrap();
-//! assert!(!report.full_recompute); // inserts never invalidate results
-//! bfs.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
+//! assert!(!report.merged && vg.delta_active());
+//!
+//! let view = vg.view(&pool);
+//! let bfs = Bfs::new(view.num_vertices(), 7);
+//! run_program_overlay_on_pool(view.pg, view.delta_pg, &bfs, &cfg, &pool);
+//! assert_eq!(bfs.parents()[93], Some(7));
 //! ```
 
 pub use grazelle_apps as apps;

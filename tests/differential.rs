@@ -29,8 +29,7 @@ use grazelle::graph::gen::{erdos_renyi, grid_mesh, rmat, RmatConfig};
 use grazelle::prelude::*;
 use grazelle_apps::{
     bfs, cc, kcore, labelprop, multi_source_reach, pagerank, sssp, triangle, Bfs,
-    ConnectedComponents, IncrementalBfs, IncrementalCc, IncrementalPageRank, KCore, LabelProp,
-    LaneReply, PageRank, Reachability, Sssp, MAX_LANES,
+    ConnectedComponents, KCore, LabelProp, LaneReply, PageRank, Reachability, Sssp, MAX_LANES,
 };
 use grazelle_sched::pool::ThreadPool;
 use grazelle_vsparse::build::{Vsd, Vss};
@@ -456,7 +455,8 @@ proptest! {
     /// Property: every BFS path computes the min-parent tree of the
     /// sequential reference, parent for parent — drained in place (the
     /// default), on supersteps (forced push, forced pull), contained, and over an insert overlay, plain and contained —
-    /// at 1, 2 and 8 threads.
+    /// at 1, 2 and 8 threads; after a delete batch, whose merge leaves no
+    /// overlay, BFS and CC on the merged base match their references.
     #[test]
     fn prop_bfs_is_the_min_parent_tree_on_every_path(
         family in 0u8..3,
@@ -499,6 +499,32 @@ proptest! {
                 view.pg, view.delta_pg, &prog, &base, &ResilienceContext::new(), &pool,
             ).expect("contained overlay run");
             prop_assert_eq!(prog.parents(), want, "contained overlay x{}", threads);
+            // A delete cannot be overlaid: the batch merges at once, no
+            // overlay survives the merge, and cold runs on the merged base
+            // give the sequential references.
+            let doomed = existing_sym_edges(vg.base(), 6);
+            prop_assert!(!doomed.is_empty());
+            let mut batch = UpdateBatch::new();
+            for &(u, v) in &doomed {
+                batch.delete(u, v);
+            }
+            let report = vg.apply_batch(&batch, &pool).unwrap();
+            prop_assert!(report.merged, "deletes merge at once x{}", threads);
+            prop_assert!(!vg.delta_active(), "an overlay survived the merge x{}", threads);
+            let view = vg.view(&pool);
+            prop_assert!(view.delta_pg.is_none());
+            let prog = Bfs::new(n, root);
+            run_program_on_pool(view.pg, &prog, &base, &pool);
+            prop_assert_eq!(
+                prog.parents(), bfs::reference_parents(view.graph, root),
+                "BFS after deletes x{}", threads
+            );
+            let prog = ConnectedComponents::new(n);
+            run_program_on_pool(view.pg, &prog, &base, &pool);
+            prop_assert_eq!(
+                prog.labels(), cc::reference_undirected(view.graph),
+                "CC after deletes x{}", threads
+            );
         }
     }
 
@@ -885,105 +911,6 @@ proptest! {
         }
         prop_assert!(entered.both(), "{:?}", entered);
         prop_assert_eq!(drained_from, (true, true), "drained from a list, from a bitmap");
-    }
-
-    /// Property: over an update stream, incrementally-maintained results
-    /// stay bit-identical to cold recompute on the merged edge set —
-    /// BFS parents and CC labels exactly, PageRank within 1e-9 — across
-    /// thread counts and graph families. Two insert-only rounds exercise
-    /// the warm frontier-seeded path; a delete-heavy round must force the
-    /// full-recompute fallback and still agree after the cold re-run.
-    #[test]
-    fn prop_update_streams_match_cold_recompute(
-        family in 0u8..3,
-        seed in 0u64..1_000_000,
-        root_pick in 0u32..64,
-        threads in prop_oneof![Just(1usize), Just(2), Just(8)],
-    ) {
-        let g = family_graph(family, seed);
-        let n = g.num_vertices();
-        let root = root_pick % n as u32;
-        let pool = ThreadPool::single_group(threads);
-        let mut cfg = EngineConfig::new().with_threads(threads);
-        cfg.max_iterations = 500; // let PageRank's tolerance terminate
-
-        let pg = PreparedGraph::new_on_pool(&g, &pool);
-        let mut vg = VersionedGraph::new(Arc::new(g), Arc::new(pg));
-        let mut ibfs = IncrementalBfs::cold(&vg.view(&pool), root, &cfg, &pool);
-        let mut icc = IncrementalCc::cold(&vg.view(&pool), &cfg, &pool);
-        let mut ipr =
-            IncrementalPageRank::cold(&vg.view(&pool), pagerank::DAMPING, 1e-12, &cfg, &pool);
-
-        for round in 0..2u64 {
-            let cur = merged_plain(&vg);
-            let fresh = fresh_sym_edges(&cur, 8, seed ^ (round + 1));
-            let report = vg
-                .apply_batch(&UpdateBatch::from_inserts(&fresh), &pool)
-                .unwrap();
-            prop_assert!(!report.full_recompute, "insert-only batch stays warm");
-            ibfs.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
-            icc.update(&vg.view(&pool), &report.record.inserted, &cfg, &pool);
-            ipr.update(&vg.view(&pool), &cfg, &pool);
-
-            let merged = merged_plain(&vg);
-            let mpg = PreparedGraph::new_on_pool(&merged, &pool);
-            let (cold_parents, _) = bfs::run_prepared(&mpg, &cfg, &pool, root);
-            prop_assert_eq!(
-                ibfs.parents(), &cold_parents[..],
-                "BFS x{} round {}", threads, round
-            );
-            let (cold_labels, _) = cc::run_prepared(&mpg, &cfg, &pool, false);
-            prop_assert_eq!(
-                icc.labels(), &cold_labels[..],
-                "CC x{} round {}", threads, round
-            );
-            let mvg = VersionedGraph::new(Arc::new(merged), Arc::new(mpg));
-            let cold_pr =
-                IncrementalPageRank::cold(&mvg.view(&pool), pagerank::DAMPING, 1e-12, &cfg, &pool);
-            for (v, (a, b)) in ipr.ranks().iter().zip(cold_pr.ranks()).enumerate() {
-                prop_assert!(
-                    (a - b).abs() < 1e-9,
-                    "PR x{} round {} vertex {}: {} vs {}", threads, round, v, a, b
-                );
-            }
-        }
-
-        // Delete-heavy batch: tombstones cannot be overlaid, so the handle
-        // must merge immediately and demand a full recompute.
-        let doomed = existing_sym_edges(vg.base(), 6);
-        prop_assert!(!doomed.is_empty());
-        let mut batch = UpdateBatch::new();
-        for &(u, v) in &doomed {
-            batch.delete(u, v);
-        }
-        let report = vg.apply_batch(&batch, &pool).unwrap();
-        prop_assert!(report.full_recompute, "deletions force the fallback");
-        prop_assert!(report.merged, "deletions merge immediately");
-        prop_assert!(!vg.delta_active(), "no overlay survives a merge");
-
-        ibfs = IncrementalBfs::cold(&vg.view(&pool), root, &cfg, &pool);
-        icc = IncrementalCc::cold(&vg.view(&pool), &cfg, &pool);
-        ipr = IncrementalPageRank::cold(&vg.view(&pool), pagerank::DAMPING, 1e-12, &cfg, &pool);
-        let merged = merged_plain(&vg);
-        let mpg = PreparedGraph::new_on_pool(&merged, &pool);
-        let (cold_parents, _) = bfs::run_prepared(&mpg, &cfg, &pool, root);
-        prop_assert_eq!(ibfs.parents(), &cold_parents[..], "BFS after deletes");
-        let (cold_labels, _) = cc::run_prepared(&mpg, &cfg, &pool, false);
-        prop_assert_eq!(icc.labels(), &cold_labels[..], "CC after deletes");
-        prop_assert_eq!(
-            icc.labels(),
-            &cc::reference_undirected(&merged)[..],
-            "CC vs sequential reference after deletes"
-        );
-        let mvg = VersionedGraph::new(Arc::new(merged), Arc::new(mpg));
-        let cold_pr =
-            IncrementalPageRank::cold(&mvg.view(&pool), pagerank::DAMPING, 1e-12, &cfg, &pool);
-        for (v, (a, b)) in ipr.ranks().iter().zip(cold_pr.ranks()).enumerate() {
-            prop_assert!(
-                (a - b).abs() < 1e-9,
-                "PR after deletes vertex {}: {} vs {}", v, a, b
-            );
-        }
     }
 }
 

@@ -29,7 +29,7 @@ use grazelle::graph::edgelist::EdgeList;
 use grazelle::graph::gen::{erdos_renyi, grid_mesh, rmat, RmatConfig};
 use grazelle::prelude::*;
 use grazelle_apps::{
-    bfs, kcore, sssp, Bfs, ConnectedComponents, KCore, LabelProp, Reachability, Sssp, UnitBfs,
+    bfs, kcore, sssp, Bfs, ConnectedComponents, KCore, LabelProp, Reachability, Sssp,
 };
 use grazelle_sched::pool::ThreadPool;
 use proptest::prelude::*;
@@ -122,18 +122,6 @@ proptest! {
         );
         check_contract(&pg, &Reachability::new(n, root), supersteps, "reach");
         check_contract(&pg, &LabelProp::new(&g), supersteps, "labelprop");
-        check_contract(&pg, &UnitBfs::cold(n, root), supersteps, "incremental-bfs");
-        // A warm start from arbitrary (even inconsistent) prior depths is a
-        // state the incremental path can hand the engine.
-        let depths: Vec<f64> = (0..n)
-            .map(|v| if (v as u64 ^ seed).is_multiple_of(3) { f64::INFINITY } else { (v % 7) as f64 })
-            .collect();
-        check_contract(
-            &pg,
-            &UnitBfs::warm(&depths, vec![root]),
-            supersteps,
-            "incremental-bfs-warm",
-        );
     }
 }
 
@@ -345,6 +333,5 @@ fn bucket_width_is_declared_by_sssp_and_bfs_only() {
     assert_eq!(ConnectedComponents::new(n).bucket_width(&pg.vss), None);
     assert_eq!(Reachability::new(n, 0).bucket_width(&pg.vss), None);
     assert_eq!(LabelProp::new(&g).bucket_width(&pg.vss), None);
-    assert_eq!(UnitBfs::cold(n, 0).bucket_width(&pg.vss), None);
     assert_eq!(KCore::new(&g).bucket_width(&pg.vss), None);
 }
