@@ -60,12 +60,6 @@ impl ConnectedComponents {
         }
     }
 
-    /// Disables the AVX2 Vertex-phase kernel (Figure 10 scalar arm).
-    pub fn with_scalar_vertex_phase(mut self) -> Self {
-        self.use_avx2 = false;
-        self
-    }
-
     /// Final component labels (component = minimum vertex id reachable).
     pub fn labels(&self) -> Vec<u32> {
         (0..self.n).map(|v| self.labels.get_f64(v) as u32).collect()
@@ -371,12 +365,8 @@ mod tests {
             let active = prog.apply_range(1..n as VertexId, Some(&next), simd);
             (active, next.iter().collect::<Vec<_>>(), prog.labels())
         };
-        let scalar = run(
-            ConnectedComponents::new(n).with_scalar_vertex_phase(),
-            detect(),
-        );
+        let scalar = run(ConnectedComponents::new(n), SimdLevel::Scalar);
         assert_eq!(run(ConnectedComponents::new(n), detect()), scalar);
-        assert_eq!(run(ConnectedComponents::new(n), SimdLevel::Scalar), scalar);
         assert_eq!(scalar.0, 7);
         assert_eq!(scalar.1, vec![1, 2, 4, 5, 7, 8, 10]);
         assert_eq!(scalar.2, vec![0, 0, 0, 3, 0, 0, 6, 0, 0, 9, 0]);

@@ -75,7 +75,7 @@ fn ingestion_bitflip_fails_typed() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&path, &bytes).unwrap();
-    match io::load_binary(&path) {
+    match io::load_binary(&path, &LoadOptions::default()) {
         Err(GraphError::ChecksumMismatch { stored, computed }) => assert_ne!(stored, computed),
         other => panic!("bit-flip must be caught by the checksum, got {other:?}"),
     }
@@ -89,7 +89,7 @@ fn ingestion_truncation_fails_typed_at_every_length() {
     // Every strict prefix must produce a typed error, never a panic or a
     // silently short edge list.
     for cut in [0, 1, 8, 24, full.len() / 2, full.len() - 1] {
-        let err = io::decode_binary(&full[..cut]).unwrap_err();
+        let err = io::read_binary(&full[..cut], &LoadOptions::default()).unwrap_err();
         assert!(
             matches!(err, GraphError::Io(_) | GraphError::ChecksumMismatch { .. }),
             "cut at {cut}: {err:?}"
@@ -103,7 +103,7 @@ fn ingestion_transient_errors_absorbed_by_retry() {
     let bytes = io::encode_binary(&el);
     let plan = IoFaultPlan::clean().with_seed(7).with_transient_errors(3);
     let reader = FaultyReader::new(bytes.as_slice(), plan);
-    let (decoded, stats) = io::read_binary(reader, &LoadOptions::strict()).unwrap();
+    let (decoded, stats) = io::read_binary(reader, &LoadOptions::default()).unwrap();
     assert_eq!(decoded.num_edges(), el.num_edges());
     assert!(stats.retries >= 3, "retries absorbed: {}", stats.retries);
 
@@ -112,7 +112,7 @@ fn ingestion_transient_errors_absorbed_by_retry() {
         bytes.as_slice(),
         IoFaultPlan::clean().with_seed(7).with_transient_errors(3),
     );
-    let opts = LoadOptions::strict().with_retry(RetryPolicy::NONE);
+    let opts = LoadOptions::default().with_retry(RetryPolicy::NONE);
     assert!(matches!(
         io::read_binary(reader, &opts),
         Err(GraphError::Io(_))
@@ -131,20 +131,20 @@ fn ingestion_text_transient_errors_absorbed_by_retry() {
     std::fs::write(&path, &text).unwrap();
     let plan = || IoFaultPlan::clean().with_seed(7).with_transient_errors(3);
     let reader = FaultyReader::new(text.as_slice(), plan());
-    let (streamed, stats) = io::read_text_edgelist_with(reader, &LoadOptions::strict()).unwrap();
+    let (streamed, stats) = io::read_text_edgelist(reader, &LoadOptions::default()).unwrap();
     assert!(stats.retries >= 3, "retries absorbed: {}", stats.retries);
     assert_eq!(streamed.edges(), el.edges());
 
     // With retry disabled the same plan surfaces the transient error,
     // typed, whatever pool the caller holds.
-    let opts = LoadOptions::strict().with_retry(RetryPolicy::NONE);
+    let opts = LoadOptions::default().with_retry(RetryPolicy::NONE);
     let reader = FaultyReader::new(text.as_slice(), plan());
-    let Err(GraphError::Io(msg)) = io::read_text_edgelist_with(reader, &opts) else {
+    let Err(GraphError::Io(msg)) = io::read_text_edgelist(reader, &opts) else {
         panic!("a transient error with retries off must fail typed");
     };
     for threads in [1usize, 2, 8] {
         let pool = ThreadPool::single_group(threads);
-        let loaded = io::load_text_parallel_with(&path, &opts, &pool).unwrap();
+        let loaded = io::load_text(&path, &opts, Some(&pool)).unwrap();
         assert_eq!(loaded.edges(), streamed.edges(), "t={threads}");
         assert_eq!(
             loaded.num_vertices(),
@@ -153,8 +153,7 @@ fn ingestion_text_transient_errors_absorbed_by_retry() {
         );
         // Each worker of the pool streams its own faulty reader.
         let errs = pool.run_tasks(vec![(); threads], |_, ()| {
-            io::read_text_edgelist_with(FaultyReader::new(text.as_slice(), plan()), &opts)
-                .map(|_| ())
+            io::read_text_edgelist(FaultyReader::new(text.as_slice(), plan()), &opts).map(|_| ())
         });
         for e in errs {
             assert!(
@@ -171,9 +170,9 @@ fn ingestion_budget_rejects_before_allocation() {
     let el = scale_free_edgelist();
     let path = scratch("budget.bin");
     io::save_binary(&el, &path).unwrap();
-    let opts = LoadOptions::strict().with_max_bytes(64);
+    let opts = LoadOptions::default().with_max_bytes(64);
     assert!(matches!(
-        io::load_binary_with(&path, &opts),
+        io::load_binary(&path, &opts),
         Err(GraphError::BudgetExceeded { .. })
     ));
     let _ = std::fs::remove_file(&path);
@@ -199,7 +198,7 @@ fn ingestion_parallel_text_load_matches_sequential() {
     let file = std::fs::File::create(&path).unwrap();
     io::write_text_edgelist(&el, file).unwrap();
 
-    let seq = io::load_text(&path).unwrap();
+    let seq = io::load_text(&path, &LoadOptions::default(), None).unwrap();
     for threads in [1usize, 2, 8] {
         let pool = ThreadPool::single_group(threads);
         let par = io::load_text_parallel(&path, &pool).unwrap();
@@ -222,15 +221,15 @@ fn ingestion_parallel_budget_rejects_like_sequential() {
     let path = scratch("parallel_budget.txt");
     let file = std::fs::File::create(&path).unwrap();
     io::write_text_edgelist(&el, file).unwrap();
-    let opts = LoadOptions::strict().with_max_bytes(64);
+    let opts = LoadOptions::default().with_max_bytes(64);
 
-    let seq = io::load_text_with(&path, &opts);
+    let seq = io::load_text(&path, &opts, None);
     let Err(GraphError::BudgetExceeded { required, budget }) = seq else {
         panic!("sequential loader accepted an over-budget file: {seq:?}");
     };
     for threads in [1usize, 2, 8] {
         let pool = ThreadPool::single_group(threads);
-        match io::load_text_parallel_with(&path, &opts, &pool) {
+        match io::load_text(&path, &opts, Some(&pool)) {
             Err(GraphError::BudgetExceeded {
                 required: r,
                 budget: b,
@@ -258,7 +257,8 @@ fn ingestion_parallel_parse_error_is_chunk_count_independent() {
     lines[mid] = "this is not an edge";
     std::fs::write(&path, lines.join("\n")).unwrap();
 
-    let seq_err = io::load_text(&path).expect_err("corrupt line must fail");
+    let seq_err =
+        io::load_text(&path, &LoadOptions::default(), None).expect_err("corrupt line must fail");
     assert!(matches!(seq_err, GraphError::Io(_)), "typed: {seq_err:?}");
     for threads in [1usize, 2, 8] {
         let pool = ThreadPool::single_group(threads);

@@ -45,7 +45,7 @@ fn bench_parse(c: &mut Criterion) {
     let text = render_text(&workload());
     let bytes = text.as_bytes();
     g.bench_function("text-sequential", |b| {
-        b.iter(|| black_box(parse_text_edgelist(black_box(bytes)).unwrap()))
+        b.iter(|| black_box(parse_text_edgelist(black_box(bytes), None).unwrap()))
     });
     for threads in [2usize, 4] {
         let pool = ThreadPool::single_group(threads);

@@ -115,11 +115,6 @@ impl<'a> GraphView<'a> {
     pub fn num_vertices(&self) -> usize {
         self.pg.num_vertices
     }
-
-    /// Logical edge count: base plus pending inserts.
-    pub fn num_edges(&self) -> usize {
-        self.pg.num_edges + self.delta_pg.map_or(0, |d| d.num_edges)
-    }
 }
 
 /// Component label of a vertex no recorded traversal has reached.

@@ -3,25 +3,28 @@
 //! binary inputs, except one file carries both orientations' source edge
 //! list).
 //!
-//! # Hardened ingestion (ISSUE 2)
+//! Each format has one reader over any [`Read`] and one path loader, both
+//! taking [`LoadOptions`]; where a format parses in parallel, the loader
+//! takes an `Option<&ThreadPool>` too, and `None` parses on the calling
+//! thread.
+//!
+//! # Hardened ingestion
 //!
 //! The binary format is versioned and checksummed: the `flags` byte carries
-//! a version nibble in its high bits, and version-1 files end in a CRC32C
-//! trailer over every preceding byte. Decoding is strict by default —
-//! legacy (version-0, unchecksummed) files load only behind
-//! [`LoadOptions::allow_unchecksummed`], and header-declared sizes are
-//! validated against a byte budget *before* any allocation so a hostile
-//! three-line header cannot OOM the loader. The text and Matrix Market
-//! loaders stream their input in blocks — each pool worker reads and
-//! parses its own newline-aligned share of a file, so the file is never
-//! held whole — and the binary loaders read it whole, pre-sized. Every
-//! read absorbs bounded transient I/O errors (`Interrupted`/`WouldBlock`)
-//! with backoff, and no loader reads past its byte budget.
+//! a version nibble in its high bits, and every file ends in a CRC32C
+//! trailer over every preceding byte. Any version other than
+//! [`FORMAT_VERSION`] is refused, and header-declared sizes are validated
+//! against a byte budget *before* any allocation so a hostile three-line
+//! header cannot OOM the loader. The text and Matrix Market loaders stream
+//! their input in blocks — each pool worker reads and parses its own
+//! newline-aligned share of a file, so the file is never held whole — and
+//! the binary loaders read it whole, pre-sized. Every read absorbs bounded
+//! transient I/O errors (`Interrupted`/`WouldBlock`) with backoff, and no
+//! loader reads past its byte budget.
 
 use crate::checksum::crc32c;
 use crate::edgelist::EdgeList;
 use crate::faults::{read_retried, read_retrying_within, RetryPolicy, RetryStats};
-use crate::graph::Graph;
 use crate::types::{GraphError, VertexId};
 use grazelle_sched::alloc::{reserved, RangeWriter, WorkerFilled};
 use grazelle_sched::{run_shares, ThreadPool};
@@ -31,9 +34,8 @@ use std::path::Path;
 /// Magic bytes for the binary format.
 pub const MAGIC: [u8; 8] = *b"GRZL0001";
 
-/// Current binary format version, stored in the high nibble of the flags
-/// byte. Version 0 is the legacy unchecksummed layout; version 1 appends a
-/// CRC32C trailer.
+/// The binary format version, stored in the high nibble of the flags byte;
+/// the only one decoded. Its files end in a CRC32C trailer.
 pub const FORMAT_VERSION: u8 = 1;
 
 /// Flags bit 0: the payload carries an 8-byte weight per edge.
@@ -42,7 +44,7 @@ const FLAG_WEIGHTED: u8 = 0x01;
 /// `MAGIC | flags:u8 | n:u64 | m:u64`.
 const HEADER_LEN: usize = 8 + 1 + 16;
 
-/// CRC32C trailer length (version ≥ 1 only).
+/// CRC32C trailer length.
 const TRAILER_LEN: usize = 4;
 
 /// Edge reservation cap for loaders that cannot see the input size (e.g. a
@@ -53,10 +55,6 @@ const PREALLOC_CAP: usize = 1 << 16;
 /// Knobs governing how much a loader will trust and spend on an input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadOptions {
-    /// Accept legacy version-0 files that carry no checksum. Off by
-    /// default: an unchecksummed multi-hundred-GB input is exactly the
-    /// silent-corruption risk the format revision exists to close.
-    pub allow_unchecksummed: bool,
     /// Upper bound, in bytes, on what the header-declared sizes may imply
     /// (payload plus ~8 bytes/vertex of downstream build cost), checked
     /// before any allocation, and on the input bytes a loader reads.
@@ -69,21 +67,6 @@ pub struct LoadOptions {
 impl LoadOptions {
     /// Default byte budget: 1 GiB. Raise it explicitly for larger inputs.
     pub const DEFAULT_BUDGET: u64 = 1 << 30;
-
-    /// Strict defaults: checksums required, 1 GiB budget, default retry.
-    pub fn strict() -> Self {
-        LoadOptions {
-            allow_unchecksummed: false,
-            max_bytes: Self::DEFAULT_BUDGET,
-            retry: RetryPolicy::DEFAULT,
-        }
-    }
-
-    /// Builder: opt into loading legacy unchecksummed files.
-    pub fn with_allow_unchecksummed(mut self, allow: bool) -> Self {
-        self.allow_unchecksummed = allow;
-        self
-    }
 
     /// Builder: byte budget.
     pub fn with_max_bytes(mut self, max_bytes: u64) -> Self {
@@ -99,8 +82,12 @@ impl LoadOptions {
 }
 
 impl Default for LoadOptions {
+    /// A 1 GiB budget and the default retry policy.
     fn default() -> Self {
-        LoadOptions::strict()
+        LoadOptions {
+            max_bytes: Self::DEFAULT_BUDGET,
+            retry: RetryPolicy::DEFAULT,
+        }
     }
 }
 
@@ -842,10 +829,37 @@ fn append_on<T: Copy + Send + Sync>(
 
 /// Parses a text edge list from a byte buffer: one `src dst [weight]` per
 /// line, `#`-prefixed comment lines ignored. The vertex set is sized to the
-/// maximum endpoint. Single-threaded; see
-/// [`parse_text_edgelist_parallel`] for the pool-backed variant.
-pub fn parse_text_edgelist(bytes: &[u8]) -> Result<EdgeList, GraphError> {
-    merge_text_chunks(vec![parse_text_chunk(bytes, bytes.len())], None)
+/// maximum endpoint.
+///
+/// With a pool, the buffer is split on newline boundaries into one byte
+/// range per pool thread, each range is parsed into thread-local vectors,
+/// and the results are concatenated in range order — so the resulting list
+/// (and any reported error) is identical to the parse on the calling
+/// thread.
+pub fn parse_text_edgelist(
+    bytes: &[u8],
+    pool: Option<&ThreadPool>,
+) -> Result<EdgeList, GraphError> {
+    let parse = |r: std::ops::Range<usize>| {
+        let presize = if r.start == 0 { bytes.len() } else { r.len() };
+        parse_text_chunk(&bytes[r], presize)
+    };
+    let chunks = match pool {
+        Some(pool) => {
+            let ranges = newline_chunk_ranges(bytes, pool.num_threads());
+            pool.run_tasks(ranges, |_, r| parse(r))
+        }
+        None => vec![parse(0..bytes.len())],
+    };
+    merge_text_chunks(chunks, pool)
+}
+
+/// [`parse_text_edgelist`] on `pool`.
+pub fn parse_text_edgelist_parallel(
+    bytes: &[u8],
+    pool: &ThreadPool,
+) -> Result<EdgeList, GraphError> {
+    parse_text_edgelist(bytes, Some(pool))
 }
 
 /// Splits `bytes` into `k` near-equal ranges whose boundaries fall just
@@ -870,35 +884,12 @@ fn newline_chunk_ranges(bytes: &[u8], k: usize) -> Vec<std::ops::Range<usize>> {
     ranges
 }
 
-/// Parallel [`parse_text_edgelist`]: the buffer is split on newline
-/// boundaries into one byte range per pool thread, each range is parsed
-/// into thread-local vectors, and the results are concatenated in range
-/// order — so the resulting list (and any reported error) is identical to
-/// the sequential parse.
-pub fn parse_text_edgelist_parallel(
-    bytes: &[u8],
-    pool: &ThreadPool,
-) -> Result<EdgeList, GraphError> {
-    let ranges = newline_chunk_ranges(bytes, pool.num_threads());
-    let chunks = pool.run_tasks(ranges, |_, r| {
-        let presize = if r.start == 0 { bytes.len() } else { r.len() };
-        parse_text_chunk(&bytes[r], presize)
-    });
-    merge_text_chunks(chunks, Some(pool))
-}
-
 /// Parses a text edge list from any [`Read`], streamed to end of input in
-/// blocks (the input is never held whole). See [`parse_text_edgelist`].
-pub fn read_text_edgelist<R: Read>(reader: R) -> Result<EdgeList, GraphError> {
-    let opts = LoadOptions::strict().with_max_bytes(u64::MAX);
-    read_text_edgelist_with(reader, &opts).map(|(el, _)| el)
-}
-
-/// [`read_text_edgelist`] with explicit [`LoadOptions`]: transient I/O
-/// errors are retried per `opts.retry`, and the input is refused once more
-/// than `opts.max_bytes` of it has been read. Returns the retry counters
-/// too.
-pub fn read_text_edgelist_with<R: Read>(
+/// blocks (the input is never held whole; see [`parse_text_edgelist`] for
+/// the format). Transient I/O errors are retried per `opts.retry`, and the
+/// input is refused once more than `opts.max_bytes` of it has been read.
+/// Returns the retry counters too.
+pub fn read_text_edgelist<R: Read>(
     reader: R,
     opts: &LoadOptions,
 ) -> Result<(EdgeList, RetryStats), GraphError> {
@@ -936,39 +927,30 @@ pub fn write_text_edgelist<W: Write>(el: &EdgeList, writer: W) -> Result<(), Gra
     Ok(())
 }
 
-/// Loads a text edge list from a file path, retrying transient I/O errors.
-pub fn load_text<P: AsRef<Path>>(path: P) -> Result<EdgeList, GraphError> {
-    load_text_with(path, &LoadOptions::default())
-}
-
-/// [`load_text`] with explicit [`LoadOptions`]: the on-disk file size is
+/// Loads a text edge list from a file path. The on-disk file size is
 /// checked against `opts.max_bytes` before anything is read, the file is
 /// streamed in blocks (each read retried per `opts.retry`), and the bytes
-/// read stay within the budget too.
-pub fn load_text_with<P: AsRef<Path>>(path: P, opts: &LoadOptions) -> Result<EdgeList, GraphError> {
-    load_text_streamed(path.as_ref(), opts, None, BLOCK_BYTES)
+/// read stay within the budget too. With a pool, each worker streams and
+/// parses its own share of the file; without one, the calling thread
+/// streams all of it. The list is the same either way.
+pub fn load_text<P: AsRef<Path>>(
+    path: P,
+    opts: &LoadOptions,
+    pool: Option<&ThreadPool>,
+) -> Result<EdgeList, GraphError> {
+    load_text_streamed(path.as_ref(), opts, pool, BLOCK_BYTES)
 }
 
-/// Parallel [`load_text`]: same hardened read (byte budget, retried
-/// reads), with each pool worker streaming and parsing its own share of
-/// the file.
+/// [`load_text`] on `pool` with default [`LoadOptions`].
 pub fn load_text_parallel<P: AsRef<Path>>(
     path: P,
     pool: &ThreadPool,
 ) -> Result<EdgeList, GraphError> {
-    load_text_parallel_with(path, &LoadOptions::default(), pool)
+    load_text(path, &LoadOptions::default(), Some(pool))
 }
 
-/// [`load_text_parallel`] with explicit [`LoadOptions`].
-pub fn load_text_parallel_with<P: AsRef<Path>>(
-    path: P,
-    opts: &LoadOptions,
-    pool: &ThreadPool,
-) -> Result<EdgeList, GraphError> {
-    load_text_streamed(path.as_ref(), opts, Some(pool), BLOCK_BYTES)
-}
-
-/// The text path loaders: one share per pool worker, or one stream.
+/// [`load_text`] at a given block size: one share per pool worker, or one
+/// stream.
 fn load_text_streamed(
     path: &Path,
     opts: &LoadOptions,
@@ -994,12 +976,6 @@ fn open_for_load<P: AsRef<Path>>(path: P) -> std::io::Result<std::fs::File> {
 // Matrix Market format
 // ---------------------------------------------------------------------------
 
-/// Parses a Matrix Market (`.mtx`) coordinate file as a graph, with strict
-/// default [`LoadOptions`]. See [`read_matrix_market_with`].
-pub fn read_matrix_market<R: Read>(reader: R) -> Result<EdgeList, GraphError> {
-    read_matrix_market_with(reader, &LoadOptions::default())
-}
-
 /// Parses a Matrix Market (`.mtx`) coordinate file as a graph.
 ///
 /// The paper frames pull engines against the SpMV literature (§4 Related
@@ -1016,10 +992,7 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<EdgeList, GraphError> {
 /// neither trigger a multi-GB allocation nor pass the final entry-count
 /// check. The input is streamed in blocks, and refused once more than
 /// `opts.max_bytes` of it has been read.
-pub fn read_matrix_market_with<R: Read>(
-    reader: R,
-    opts: &LoadOptions,
-) -> Result<EdgeList, GraphError> {
+pub fn read_matrix_market<R: Read>(reader: R, opts: &LoadOptions) -> Result<EdgeList, GraphError> {
     let mut blocks = Blocks::new(reader, 0, opts, BLOCK_BYTES);
     let h = read_mm_header(&mut blocks, opts)?;
     let mut chunk = MmChunk::new(h, mm_reserve(&h, 1));
@@ -1295,39 +1268,20 @@ fn mm_merge(h: &MmHeader, chunks: Vec<MmChunk>) -> Result<EdgeList, GraphError> 
     EdgeList::from_parts(n, edges, weights)
 }
 
-/// Loads a Matrix Market file from a path, retrying transient I/O errors.
-pub fn load_matrix_market<P: AsRef<Path>>(path: P) -> Result<EdgeList, GraphError> {
-    load_matrix_market_with(path, &LoadOptions::default())
-}
-
-/// [`load_matrix_market`] with explicit [`LoadOptions`].
-pub fn load_matrix_market_with<P: AsRef<Path>>(
+/// Loads a Matrix Market file from a path (see [`read_matrix_market`]),
+/// under the same budget and retries as [`load_text`]. The header is read
+/// on the calling thread; then, with a pool, each worker streams and parses
+/// its own share of the entry body.
+pub fn load_matrix_market<P: AsRef<Path>>(
     path: P,
     opts: &LoadOptions,
+    pool: Option<&ThreadPool>,
 ) -> Result<EdgeList, GraphError> {
-    load_mm_streamed(path.as_ref(), opts, None, BLOCK_BYTES)
+    load_mm_streamed(path.as_ref(), opts, pool, BLOCK_BYTES)
 }
 
-/// Parallel [`load_matrix_market`]: the header is read first, then each
-/// pool worker streams and parses its own share of the entry body.
-pub fn load_matrix_market_parallel<P: AsRef<Path>>(
-    path: P,
-    pool: &ThreadPool,
-) -> Result<EdgeList, GraphError> {
-    load_matrix_market_parallel_with(path, &LoadOptions::default(), pool)
-}
-
-/// [`load_matrix_market_parallel`] with explicit [`LoadOptions`].
-pub fn load_matrix_market_parallel_with<P: AsRef<Path>>(
-    path: P,
-    opts: &LoadOptions,
-    pool: &ThreadPool,
-) -> Result<EdgeList, GraphError> {
-    load_mm_streamed(path.as_ref(), opts, Some(pool), BLOCK_BYTES)
-}
-
-/// The Matrix Market path loaders: the header on the calling thread, then
-/// the body as [`load_text_streamed`] streams a text file.
+/// [`load_matrix_market`] at a given block size: the header on the calling
+/// thread, then the body as [`load_text_streamed`] streams a text file.
 fn load_mm_streamed(
     path: &Path,
     opts: &LoadOptions,
@@ -1351,7 +1305,7 @@ fn load_mm_streamed(
 
 /// Little-endian cursor over a byte slice (replaces the `bytes` crate's
 /// `Buf`, which is unavailable in the offline build environment). Bounds
-/// are checked once in [`decode_binary_with`] before any `get_*` call, so
+/// are checked once in [`decode_binary`] before any `get_*` call, so
 /// the accessors themselves only `debug_assert`.
 struct ByteReader<'a> {
     data: &'a [u8],
@@ -1396,8 +1350,7 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Serializes an edge list to the current (version-1, checksummed) binary
-/// format:
+/// Serializes an edge list to the (version-1, checksummed) binary format:
 ///
 /// `MAGIC | flags:u8 | n:u64 | m:u64 | (src:u32 dst:u32)*m | (weight:f64)*m? | crc32c:u32`
 ///
@@ -1405,27 +1358,12 @@ impl<'a> ByteReader<'a> {
 /// `FLAG_WEIGHTED` in bit 0. The trailer is the CRC32C of every preceding
 /// byte, little-endian.
 pub fn encode_binary(el: &EdgeList) -> Vec<u8> {
-    let mut buf = encode_body(el, (FORMAT_VERSION << 4) | el.is_weighted() as u8);
-    let crc = crc32c(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf
-}
-
-/// Serializes an edge list in the legacy version-0 layout: no version
-/// nibble, no checksum trailer. Kept so the compatibility gate
-/// ([`LoadOptions::allow_unchecksummed`]) has a writer to test against and
-/// so pre-revision tooling can still be fed.
-pub fn encode_binary_legacy(el: &EdgeList) -> Vec<u8> {
-    encode_body(el, el.is_weighted() as u8)
-}
-
-fn encode_body(el: &EdgeList, flags: u8) -> Vec<u8> {
     let m = el.num_edges();
     let weighted = el.is_weighted();
     let cap = HEADER_LEN + m * 8 + if weighted { m * 8 } else { 0 } + TRAILER_LEN;
     let mut buf = Vec::with_capacity(cap);
     buf.extend_from_slice(&MAGIC);
-    buf.push(flags);
+    buf.push((FORMAT_VERSION << 4) | weighted as u8);
     buf.extend_from_slice(&(el.num_vertices() as u64).to_le_bytes());
     buf.extend_from_slice(&(m as u64).to_le_bytes());
     for &(s, d) in el.edges() {
@@ -1437,26 +1375,21 @@ fn encode_body(el: &EdgeList, flags: u8) -> Vec<u8> {
             buf.extend_from_slice(&w.to_le_bytes());
         }
     }
+    let crc = crc32c(&buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
     buf
 }
 
-/// Deserializes the binary format with strict default [`LoadOptions`]
-/// (checksum required, 1 GiB budget).
-pub fn decode_binary(data: &[u8]) -> Result<EdgeList, GraphError> {
-    decode_binary_with(data, &LoadOptions::default())
-}
-
-/// Deserializes the binary format produced by [`encode_binary`] (or, behind
-/// `opts.allow_unchecksummed`, by [`encode_binary_legacy`]).
+/// Deserializes the binary format produced by [`encode_binary`].
 ///
-/// Validation order for version-1 files: magic → version → CRC32C over the
-/// whole file minus the trailer → byte budget on the header-declared
-/// `n`/`m` → exact payload length → decode. The checksum runs before the
-/// size fields are trusted, so any single corrupted byte surfaces as a
-/// typed error before a single byte of payload is allocated or parsed. The
-/// weighted branch decodes pairs and weights in one streaming pass (two
-/// cursors over the same buffer, no intermediate `Vec`s).
-pub fn decode_binary_with(data: &[u8], opts: &LoadOptions) -> Result<EdgeList, GraphError> {
+/// Validation order: magic → version → CRC32C over the whole file minus the
+/// trailer → byte budget on the header-declared `n`/`m` → exact payload
+/// length → decode. The checksum runs before the size fields are trusted,
+/// so any single corrupted byte surfaces as a typed error before a single
+/// byte of payload is allocated or parsed. The weighted branch decodes
+/// pairs and weights in one streaming pass (two cursors over the same
+/// buffer, no intermediate `Vec`s).
+fn decode_binary(data: &[u8], opts: &LoadOptions) -> Result<EdgeList, GraphError> {
     if data.len() < HEADER_LEN {
         return Err(GraphError::Io("binary graph truncated (header)".into()));
     }
@@ -1470,23 +1403,16 @@ pub fn decode_binary_with(data: &[u8], opts: &LoadOptions) -> Result<EdgeList, G
     }
     let flags = r.get_u8();
     let version = flags >> 4;
-    match version {
-        0 => {
-            if !opts.allow_unchecksummed {
-                return Err(GraphError::UnchecksummedRejected);
-            }
-        }
-        FORMAT_VERSION => {
-            if data.len() < HEADER_LEN + TRAILER_LEN {
-                return Err(GraphError::Io("binary graph truncated (trailer)".into()));
-            }
-            let stored = u32::from_le_bytes(data[data.len() - TRAILER_LEN..].try_into().unwrap());
-            let computed = crc32c(&data[..data.len() - TRAILER_LEN]);
-            if stored != computed {
-                return Err(GraphError::ChecksumMismatch { stored, computed });
-            }
-        }
-        v => return Err(GraphError::UnsupportedVersion(v)),
+    if version != FORMAT_VERSION {
+        return Err(GraphError::UnsupportedVersion(version));
+    }
+    if data.len() < HEADER_LEN + TRAILER_LEN {
+        return Err(GraphError::Io("binary graph truncated (trailer)".into()));
+    }
+    let stored = u32::from_le_bytes(data[data.len() - TRAILER_LEN..].try_into().unwrap());
+    let computed = crc32c(&data[..data.len() - TRAILER_LEN]);
+    if stored != computed {
+        return Err(GraphError::ChecksumMismatch { stored, computed });
     }
     let weighted = flags & FLAG_WEIGHTED != 0;
     let n = r.get_u64_le();
@@ -1503,25 +1429,13 @@ pub fn decode_binary_with(data: &[u8], opts: &LoadOptions) -> Result<EdgeList, G
             budget: opts.max_bytes,
         });
     }
+    // The file must match the declared payload exactly; any surplus would
+    // be unchecked bytes a writer never produced.
     let need = payload as usize;
-    let avail = data.len()
-        - HEADER_LEN
-        - if version == FORMAT_VERSION {
-            TRAILER_LEN
-        } else {
-            0
-        };
-    if version == FORMAT_VERSION {
-        // Checksummed files must match the declared payload exactly; any
-        // surplus would be unchecked bytes a writer never produced.
-        if avail != need {
-            return Err(GraphError::Io(format!(
-                "binary graph payload length mismatch: header declares {need} bytes, file carries {avail}"
-            )));
-        }
-    } else if avail < need {
+    let avail = data.len() - HEADER_LEN - TRAILER_LEN;
+    if avail != need {
         return Err(GraphError::Io(format!(
-            "binary graph truncated: need {need} payload bytes, have {avail}"
+            "binary graph payload length mismatch: header declares {need} bytes, file carries {avail}"
         )));
     }
     let mut el = EdgeList::with_capacity(n as usize, (m as usize).min(PREALLOC_CAP));
@@ -1551,7 +1465,7 @@ pub fn decode_binary_with(data: &[u8], opts: &LoadOptions) -> Result<EdgeList, G
 /// transient I/O errors per `opts.retry` and refusing the input once more
 /// than the byte budget (plus header and trailer) of it has been read.
 /// Returns the decoded list plus the retry counters (clean runs report
-/// zero).
+/// zero). A file already in memory reads as `read_binary(&bytes[..], opts)`.
 pub fn read_binary<R: Read>(
     reader: R,
     opts: &LoadOptions,
@@ -1573,7 +1487,7 @@ fn read_binary_sized<R: Read>(
             budget: opts.max_bytes,
         });
     }
-    Ok((decode_binary_with(&bytes, opts)?, stats))
+    Ok((decode_binary(&bytes, opts)?, stats))
 }
 
 /// The most bytes a binary input within `opts`' budget can take: the
@@ -1583,23 +1497,15 @@ fn binary_limit(opts: &LoadOptions) -> u64 {
         .saturating_add((HEADER_LEN + TRAILER_LEN) as u64)
 }
 
-/// Saves an edge list to a binary file (current checksummed format).
+/// Saves an edge list to a binary file (see [`encode_binary`]).
 pub fn save_binary<P: AsRef<Path>>(el: &EdgeList, path: P) -> Result<(), GraphError> {
     std::fs::write(path, encode_binary(el))?;
     Ok(())
 }
 
-/// Loads an edge list from a binary file with strict default options.
-pub fn load_binary<P: AsRef<Path>>(path: P) -> Result<EdgeList, GraphError> {
-    load_binary_with(path, &LoadOptions::default())
-}
-
-/// [`load_binary`] with explicit [`LoadOptions`]. The on-disk file size is
-/// checked against the byte budget before the file is read.
-pub fn load_binary_with<P: AsRef<Path>>(
-    path: P,
-    opts: &LoadOptions,
-) -> Result<EdgeList, GraphError> {
+/// Loads an edge list from a binary file (see [`read_binary`]). The on-disk
+/// file size is checked against the byte budget before the file is read.
+pub fn load_binary<P: AsRef<Path>>(path: P, opts: &LoadOptions) -> Result<EdgeList, GraphError> {
     let f = open_for_load(path)?;
     let len = f.metadata().map_or(0, |md| md.len());
     if len > binary_limit(opts) {
@@ -1609,11 +1515,6 @@ pub fn load_binary_with<P: AsRef<Path>>(
         });
     }
     read_binary_sized(f, opts, len).map(|(el, _)| el)
-}
-
-/// Loads a graph (both orientations) from a binary edge-list file.
-pub fn load_graph_binary<P: AsRef<Path>>(path: P) -> Result<Graph, GraphError> {
-    Graph::from_edgelist(&load_binary(path)?)
 }
 
 #[cfg(test)]
@@ -1652,7 +1553,9 @@ mod tests {
         let el = sample();
         let mut buf = Vec::new();
         write_text_edgelist(&el, &mut buf).unwrap();
-        let back = read_text_edgelist(&buf[..]).unwrap();
+        let back = read_text_edgelist(&buf[..], &LoadOptions::default())
+            .unwrap()
+            .0;
         assert_eq!(back.edges(), el.edges());
         assert_eq!(back.num_vertices(), el.num_vertices());
     }
@@ -1664,7 +1567,9 @@ mod tests {
         el.push_weighted(1, 2, 2.25).unwrap();
         let mut buf = Vec::new();
         write_text_edgelist(&el, &mut buf).unwrap();
-        let back = read_text_edgelist(&buf[..]).unwrap();
+        let back = read_text_edgelist(&buf[..], &LoadOptions::default())
+            .unwrap()
+            .0;
         assert_eq!(back.edges(), el.edges());
         assert_eq!(back.weights().unwrap(), el.weights().unwrap());
     }
@@ -1672,19 +1577,21 @@ mod tests {
     #[test]
     fn text_ignores_comments_and_blank_lines() {
         let text = "# header\n\n0 1\n  # indented comment\n1 2\n";
-        let el = read_text_edgelist(text.as_bytes()).unwrap();
+        let el = read_text_edgelist(text.as_bytes(), &LoadOptions::default())
+            .unwrap()
+            .0;
         assert_eq!(el.edges(), &[(0, 1), (1, 2)]);
         assert_eq!(el.num_vertices(), 3);
     }
 
     #[test]
     fn text_rejects_garbage() {
-        assert!(read_text_edgelist("0".as_bytes()).is_err());
-        assert!(read_text_edgelist("a b".as_bytes()).is_err());
-        assert!(read_text_edgelist("0 1 x".as_bytes()).is_err());
+        assert!(read_text_edgelist("0".as_bytes(), &LoadOptions::default()).is_err());
+        assert!(read_text_edgelist("a b".as_bytes(), &LoadOptions::default()).is_err());
+        assert!(read_text_edgelist("0 1 x".as_bytes(), &LoadOptions::default()).is_err());
         // Mixing weighted and unweighted lines fails either way around.
-        assert!(read_text_edgelist("0 1\n1 2 3.5".as_bytes()).is_err());
-        assert!(read_text_edgelist("0 1 3.5\n1 2".as_bytes()).is_err());
+        assert!(read_text_edgelist("0 1\n1 2 3.5".as_bytes(), &LoadOptions::default()).is_err());
+        assert!(read_text_edgelist("0 1 3.5\n1 2".as_bytes(), &LoadOptions::default()).is_err());
     }
 
     #[test]
@@ -1752,7 +1659,7 @@ mod tests {
     fn binary_roundtrip_unweighted() {
         let el = sample();
         let bytes = encode_binary(&el);
-        let back = decode_binary(&bytes).unwrap();
+        let back = decode_binary(&bytes, &LoadOptions::default()).unwrap();
         assert_eq!(back.edges(), el.edges());
         assert_eq!(back.num_vertices(), el.num_vertices());
         assert!(!back.is_weighted());
@@ -1761,7 +1668,7 @@ mod tests {
     #[test]
     fn binary_roundtrip_weighted() {
         let el = weighted_sample();
-        let back = decode_binary(&encode_binary(&el)).unwrap();
+        let back = decode_binary(&encode_binary(&el), &LoadOptions::default()).unwrap();
         assert_eq!(back.edges(), el.edges());
         let a: Vec<u64> = back
             .weights()
@@ -1780,11 +1687,11 @@ mod tests {
         let mut corrupt = bytes.to_vec();
         corrupt[0] = b'X';
         assert!(matches!(
-            decode_binary(&corrupt),
+            decode_binary(&corrupt, &LoadOptions::default()),
             Err(GraphError::BadMagic { .. })
         ));
-        assert!(decode_binary(&bytes[..bytes.len() - 4]).is_err());
-        assert!(decode_binary(&bytes[..10]).is_err());
+        assert!(decode_binary(&bytes[..bytes.len() - 4], &LoadOptions::default()).is_err());
+        assert!(decode_binary(&bytes[..10], &LoadOptions::default()).is_err());
     }
 
     #[test]
@@ -1794,10 +1701,10 @@ mod tests {
         for el in [sample(), weighted_sample()] {
             let bytes = encode_binary(&el);
             for cut in 0..bytes.len() {
-                let res = decode_binary(&bytes[..cut]);
+                let res = decode_binary(&bytes[..cut], &LoadOptions::default());
                 assert!(res.is_err(), "prefix of {cut}/{} decoded", bytes.len());
             }
-            assert!(decode_binary(&bytes).is_ok());
+            assert!(decode_binary(&bytes, &LoadOptions::default()).is_ok());
         }
     }
 
@@ -1812,7 +1719,7 @@ mod tests {
                     let mut corrupt = bytes.clone();
                     corrupt[i] ^= mask;
                     assert!(
-                        decode_binary(&corrupt).is_err(),
+                        decode_binary(&corrupt, &LoadOptions::default()).is_err(),
                         "flip {mask:#x} at byte {i} went undetected"
                     );
                 }
@@ -1824,36 +1731,24 @@ mod tests {
     fn binary_rejects_trailing_garbage() {
         let mut bytes = encode_binary(&sample());
         bytes.push(0);
-        assert!(decode_binary(&bytes).is_err());
-    }
-
-    #[test]
-    fn legacy_files_need_explicit_opt_in() {
-        let el = sample();
-        let legacy = encode_binary_legacy(&el);
-        assert!(matches!(
-            decode_binary(&legacy),
-            Err(GraphError::UnchecksummedRejected)
-        ));
-        let opts = LoadOptions::strict().with_allow_unchecksummed(true);
-        let back = decode_binary_with(&legacy, &opts).unwrap();
-        assert_eq!(back.edges(), el.edges());
-
-        // Weighted legacy files roundtrip too.
-        let el = weighted_sample();
-        let back = decode_binary_with(&encode_binary_legacy(&el), &opts).unwrap();
-        assert_eq!(back.weights().unwrap(), el.weights().unwrap());
+        assert!(decode_binary(&bytes, &LoadOptions::default()).is_err());
     }
 
     #[test]
     fn unknown_version_nibble_is_rejected() {
-        let mut bytes = encode_binary_legacy(&sample());
-        bytes[8] = 2 << 4; // future version, no trailer to validate
-        let opts = LoadOptions::strict().with_allow_unchecksummed(true);
-        assert!(matches!(
-            decode_binary_with(&bytes, &opts),
-            Err(GraphError::UnsupportedVersion(2))
-        ));
+        // A future version, and a version-0 file: no version nibble, no
+        // checksum trailer.
+        let mut bytes = encode_binary(&sample());
+        bytes[8] = 2 << 4;
+        let mut v0 = encode_binary(&sample());
+        v0.truncate(v0.len() - TRAILER_LEN);
+        v0[8] = 0;
+        for (bytes, version) in [(bytes, 2), (v0, 0)] {
+            assert!(matches!(
+                decode_binary(&bytes, &LoadOptions::default()),
+                Err(GraphError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]
@@ -1861,7 +1756,7 @@ mod tests {
         // A 29-byte file (valid CRC!) declaring 2^60 edges must be refused
         // by the budget check, not by an allocation attempt.
         let crafted = craft_v1(4, 1 << 60, false, &[]);
-        match decode_binary(&crafted) {
+        match decode_binary(&crafted, &LoadOptions::default()) {
             // Budget fires on the declared m even though the payload-length
             // check would also have caught the missing bytes.
             Err(GraphError::BudgetExceeded { budget, .. }) => {
@@ -1872,12 +1767,12 @@ mod tests {
         // Hostile vertex count alone trips it too.
         let crafted = craft_v1(1 << 60, 0, false, &[]);
         assert!(matches!(
-            decode_binary(&crafted),
+            decode_binary(&crafted, &LoadOptions::default()),
             Err(GraphError::BudgetExceeded { .. })
         ));
         // Edge-count × entry-size overflow is a typed error, not a wrap.
         let crafted = craft_v1(4, u64::MAX / 2, true, &[]);
-        assert!(decode_binary(&crafted).is_err());
+        assert!(decode_binary(&crafted, &LoadOptions::default()).is_err());
     }
 
     #[test]
@@ -1885,7 +1780,10 @@ mod tests {
         // Declares 2 edges but carries 1: length mismatch (CRC is valid).
         let payload = [0u8; 8];
         let crafted = craft_v1(4, 2, false, &payload);
-        assert!(matches!(decode_binary(&crafted), Err(GraphError::Io(_))));
+        assert!(matches!(
+            decode_binary(&crafted, &LoadOptions::default()),
+            Err(GraphError::Io(_))
+        ));
     }
 
     #[test]
@@ -1927,7 +1825,7 @@ mod tests {
         let path = dir.join("grazelle_io_test.bin");
         let el = sample();
         save_binary(&el, &path).unwrap();
-        let g = load_graph_binary(&path).unwrap();
+        let g = load_binary(&path, &LoadOptions::default()).unwrap();
         assert_eq!(g.num_vertices(), 6);
         assert_eq!(g.num_edges(), 4);
         std::fs::remove_file(&path).ok();
@@ -1938,9 +1836,9 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join("grazelle_io_budget_test.bin");
         save_binary(&sample(), &path).unwrap();
-        let opts = LoadOptions::strict().with_max_bytes(8);
+        let opts = LoadOptions::default().with_max_bytes(8);
         assert!(matches!(
-            load_binary_with(&path, &opts),
+            load_binary(&path, &opts),
             Err(GraphError::BudgetExceeded { .. })
         ));
         std::fs::remove_file(&path).ok();
@@ -1954,7 +1852,7 @@ mod tests {
                    1 2 1.5\n\
                    2 3 2.5\n\
                    3 1 3.5\n";
-        let el = read_matrix_market(mtx.as_bytes()).unwrap();
+        let el = read_matrix_market(mtx.as_bytes(), &LoadOptions::default()).unwrap();
         assert_eq!(el.num_vertices(), 3);
         assert_eq!(el.edges(), &[(0, 1), (1, 2), (2, 0)]);
         assert_eq!(el.weights().unwrap(), &[1.5, 2.5, 3.5]);
@@ -1967,7 +1865,7 @@ mod tests {
                    2 1\n\
                    3 3\n\
                    4 2\n";
-        let el = read_matrix_market(mtx.as_bytes()).unwrap();
+        let el = read_matrix_market(mtx.as_bytes(), &LoadOptions::default()).unwrap();
         // Off-diagonal entries mirrored; diagonal kept once.
         let mut edges = el.edges().to_vec();
         edges.sort_unstable();
@@ -1978,32 +1876,37 @@ mod tests {
     #[test]
     fn matrix_market_rejects_malformed() {
         // Wrong object/format.
-        assert!(
-            read_matrix_market("%%MatrixMarket matrix array real general\n1 1 1\n".as_bytes())
-                .is_err()
-        );
+        assert!(read_matrix_market(
+            "%%MatrixMarket matrix array real general\n1 1 1\n".as_bytes(),
+            &LoadOptions::default()
+        )
+        .is_err());
         // Unsupported field type.
         assert!(read_matrix_market(
-            "%%MatrixMarket matrix coordinate complex general\n1 1 0\n".as_bytes()
+            "%%MatrixMarket matrix coordinate complex general\n1 1 0\n".as_bytes(),
+            &LoadOptions::default()
         )
         .is_err());
         // Out-of-bounds entry.
         assert!(read_matrix_market(
-            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n".as_bytes()
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n".as_bytes(),
+            &LoadOptions::default()
         )
         .is_err());
         // Entry-count mismatch.
         assert!(read_matrix_market(
-            "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 2\n".as_bytes()
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 2\n".as_bytes(),
+            &LoadOptions::default()
         )
         .is_err());
         // 1-based index zero.
         assert!(read_matrix_market(
-            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n0 1\n".as_bytes()
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n0 1\n".as_bytes(),
+            &LoadOptions::default()
         )
         .is_err());
         // Empty file.
-        assert!(read_matrix_market("".as_bytes()).is_err());
+        assert!(read_matrix_market("".as_bytes(), &LoadOptions::default()).is_err());
     }
 
     #[test]
@@ -2014,7 +1917,7 @@ mod tests {
                    1000000000 1000000000 999999999999999999\n\
                    1 1\n";
         assert!(matches!(
-            read_matrix_market(mtx.as_bytes()),
+            read_matrix_market(mtx.as_bytes(), &LoadOptions::default()),
             Err(GraphError::BudgetExceeded { .. })
         ));
         // Dims beyond the u32 vertex space are refused outright.
@@ -2022,7 +1925,7 @@ mod tests {
                    99999999999 1 1\n\
                    1 1\n";
         assert!(matches!(
-            read_matrix_market(mtx.as_bytes()),
+            read_matrix_market(mtx.as_bytes(), &LoadOptions::default()),
             Err(GraphError::VertexOutOfRange { .. })
         ));
         // Declared-size overflow saturates into a budget error, not a wrap.
@@ -2031,7 +1934,7 @@ mod tests {
             u64::MAX
         );
         assert!(matches!(
-            read_matrix_market(mtx.as_bytes()),
+            read_matrix_market(mtx.as_bytes(), &LoadOptions::default()),
             Err(GraphError::BudgetExceeded { .. })
         ));
     }
@@ -2042,14 +1945,14 @@ mod tests {
         // buffering everything.
         let mtx = "%%MatrixMarket matrix coordinate pattern general\n\
                    2 2 1\n1 1\n1 2\n2 1\n";
-        assert!(read_matrix_market(mtx.as_bytes()).is_err());
+        assert!(read_matrix_market(mtx.as_bytes(), &LoadOptions::default()).is_err());
     }
 
     #[test]
     fn matrix_market_size_line_may_end_the_file() {
         // No newline after the size line: an empty body, not a panic.
         let mtx = "%%MatrixMarket matrix coordinate pattern general\n2 2 0";
-        let el = read_matrix_market(mtx.as_bytes()).unwrap();
+        let el = read_matrix_market(mtx.as_bytes(), &LoadOptions::default()).unwrap();
         assert_eq!((el.num_vertices(), el.num_edges()), (2, 0));
         let path = std::env::temp_dir().join(format!("grazelle_io_mm_size_{}", std::process::id()));
         std::fs::write(&path, mtx).unwrap();
@@ -2062,14 +1965,16 @@ mod tests {
     #[test]
     fn matrix_market_rectangular_uses_max_dimension() {
         let mtx = "%%MatrixMarket matrix coordinate pattern general\n2 5 1\n1 5\n";
-        let el = read_matrix_market(mtx.as_bytes()).unwrap();
+        let el = read_matrix_market(mtx.as_bytes(), &LoadOptions::default()).unwrap();
         assert_eq!(el.num_vertices(), 5);
         assert_eq!(el.edges(), &[(0, 4)]);
     }
 
     #[test]
     fn empty_text_gives_empty_list() {
-        let el = read_text_edgelist("".as_bytes()).unwrap();
+        let el = read_text_edgelist("".as_bytes(), &LoadOptions::default())
+            .unwrap()
+            .0;
         assert_eq!(el.num_vertices(), 0);
         assert_eq!(el.num_edges(), 0);
     }
@@ -2077,7 +1982,7 @@ mod tests {
     #[test]
     fn budget_bounds_the_bytes_read() {
         let budget = 1000;
-        let opts = LoadOptions::strict().with_max_bytes(budget);
+        let opts = LoadOptions::default().with_max_bytes(budget);
         let over = |r: Result<_, GraphError>| {
             matches!(r, Err(GraphError::BudgetExceeded { required, budget: b })
                 if b == budget && required > budget && required <= budget + 64)
@@ -2086,17 +1991,15 @@ mod tests {
         // the read itself, not the parse of everything it returned.
         let zeros = || std::io::repeat(0).take(budget + 64);
         assert!(over(read_binary(zeros(), &opts).map(|_| ())));
-        assert!(over(read_text_edgelist_with(zeros(), &opts).map(|_| ())));
+        assert!(over(read_text_edgelist(zeros(), &opts).map(|_| ())));
         let blank_lines = std::io::repeat(b'\n').take(budget + 64);
-        assert!(over(
-            read_text_edgelist_with(blank_lines, &opts).map(|_| ())
-        ));
+        assert!(over(read_text_edgelist(blank_lines, &opts).map(|_| ())));
         let header = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n";
         let mtx = header.as_bytes().chain(std::io::repeat(b'%').take(budget));
-        assert!(over(read_matrix_market_with(mtx, &opts).map(|_| ())));
+        assert!(over(read_matrix_market(mtx, &opts).map(|_| ())));
         // Within the budget, the same inputs read to the end.
         let fits = std::io::repeat(b'\n').take(budget);
-        let (el, _) = read_text_edgelist_with(fits, &opts).unwrap();
+        let (el, _) = read_text_edgelist(fits, &opts).unwrap();
         assert_eq!(el.num_edges(), 0);
     }
 
@@ -2107,7 +2010,7 @@ mod tests {
         // one worker. (`stat` starts `pid (comm) …`: a bad destination.)
         let pool = ThreadPool::single_group(2);
         for err in [
-            load_text("/proc/self/stat").unwrap_err(),
+            load_text("/proc/self/stat", &LoadOptions::default(), None).unwrap_err(),
             load_text_parallel("/proc/self/stat", &pool).unwrap_err(),
         ] {
             assert!(err.to_string().contains("line 1: bad destination"), "{err}");
@@ -2218,7 +2121,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("grazelle_io_cap_{}", std::process::id()));
         for text in [&zeros, &comments, &weighted] {
             std::fs::write(&path, text).unwrap();
-            let want = parse_text_edgelist(text.as_bytes()).unwrap();
+            let want = parse_text_edgelist(text.as_bytes(), None).unwrap();
             for threads in [1, 2, 8] {
                 let pool = ThreadPool::single_group(threads);
                 let buffer = parse_text_edgelist_parallel(text.as_bytes(), &pool).unwrap();
@@ -2278,7 +2181,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("grazelle_io_tiny_{}", std::process::id()));
         for text in ["0 1", "0 1\n", "0 1\n2 3", "#\n0 1\n", "\n\n\n"] {
             std::fs::write(&path, text).unwrap();
-            let want = parse_text_edgelist(text.as_bytes()).unwrap();
+            let want = parse_text_edgelist(text.as_bytes(), None).unwrap();
             let got = load_text_streamed(&path, &opts, Some(&pool), 64).unwrap();
             assert_eq!(got.edges(), want.edges(), "{text:?}");
             assert_eq!(got.num_vertices(), want.num_vertices(), "{text:?}");
@@ -2523,7 +2426,7 @@ mod tests {
                 let text = corpus(&lines, shape);
                 let want = text_reference(&text);
                 let opts = LoadOptions::default();
-                prop_assert_eq!(&parsed(parse_text_edgelist(&text)), &want);
+                prop_assert_eq!(&parsed(parse_text_edgelist(&text, None)), &want);
                 let path = scratch_file(&text);
                 for block in [1, 7, 64, BLOCK_BYTES] {
                     let streamed = read_text_blocks(&text[..], &opts, block).map(|(el, _)| el);
@@ -2564,7 +2467,7 @@ mod tests {
                     lines[i] = text_line(r - r % 64 + 58 + r % 6, weighted);
                 }
                 let text = corpus(&lines, 2);
-                let want = parsed(parse_text_edgelist(&text));
+                let want = parsed(parse_text_edgelist(&text, None));
                 let path = scratch_file(&text);
                 for threads in [1, 2, 8] {
                     let pool = ThreadPool::single_group(threads);
@@ -2707,7 +2610,7 @@ mod tests {
                 let text = corpus(&lines, shape);
                 let want = mm_reference(std::str::from_utf8(&text).unwrap());
                 let opts = LoadOptions::default();
-                prop_assert_eq!(&parsed(read_matrix_market(&text[..])), &want);
+                prop_assert_eq!(&parsed(read_matrix_market(&text[..], &LoadOptions::default())), &want);
                 let path = scratch_file(&text);
                 for block in [1, 7, 64] {
                     let file = load_mm_streamed(&path, &opts, None, block);
@@ -2753,7 +2656,7 @@ mod tests {
                 }
                 let mut buf = Vec::new();
                 write_text_edgelist(&el, &mut buf).unwrap();
-                let back = read_text_edgelist(&buf[..]).unwrap();
+                let back = read_text_edgelist(&buf[..], &LoadOptions::default()).unwrap().0;
                 prop_assert_eq!(back.edges(), el.edges());
                 match (back.weights(), el.weights()) {
                     (Some(a), Some(b)) => prop_assert_eq!(a, b),
@@ -2773,15 +2676,15 @@ mod tests {
                 for (&(s, d), &b) in edges.iter().zip(&bits) {
                     el.push_weighted(s, d, f64::from_bits(b)).unwrap();
                 }
-                let back = decode_binary(&encode_binary(&el)).unwrap();
+                let back = decode_binary(&encode_binary(&el), &LoadOptions::default()).unwrap();
                 prop_assert_eq!(back.edges(), el.edges());
                 let a: Vec<u64> = back.weights().unwrap_or(&[]).iter().map(|w| w.to_bits()).collect();
                 let b: Vec<u64> = el.weights().unwrap_or(&[]).iter().map(|w| w.to_bits()).collect();
                 prop_assert_eq!(a, b);
             }
 
-            /// Encode → corrupt one byte → decode never panics, and with
-            /// checksums on it always errors.
+            /// Encode → corrupt one byte → decode never panics, and always
+            /// errors.
             #[test]
             fn prop_corrupt_one_byte_always_errors(
                 edges in proptest::collection::vec((0u32..30, 0u32..30), 0..40),
@@ -2803,17 +2706,12 @@ mod tests {
                 let mut bytes = encode_binary(&el);
                 let pos = pos_seed % bytes.len();
                 bytes[pos] ^= mask;
-                // Strict mode: the corruption must be detected.
-                prop_assert!(decode_binary(&bytes).is_err(),
+                prop_assert!(decode_binary(&bytes, &LoadOptions::default()).is_err(),
                     "corruption at byte {} mask {:#x} undetected", pos, mask);
-                // Lenient (legacy-tolerant) mode may accept some corruptions
-                // of the non-header bytes, but must never panic.
-                let lenient = LoadOptions::strict().with_allow_unchecksummed(true);
-                let _ = decode_binary_with(&bytes, &lenient);
             }
 
-            /// Truncation at any offset errors in strict mode — proptest
-            /// variant of the exhaustive unit test, over arbitrary lists.
+            /// Truncation at any offset errors — proptest variant of the
+            /// exhaustive unit test, over arbitrary lists.
             #[test]
             fn prop_truncation_always_errors(
                 edges in proptest::collection::vec((0u32..30, 0u32..30), 1..40),
@@ -2822,7 +2720,7 @@ mod tests {
                 let el = EdgeList::from_pairs(30, &edges).unwrap();
                 let bytes = encode_binary(&el);
                 let cut = cut_seed % bytes.len();
-                prop_assert!(decode_binary(&bytes[..cut]).is_err());
+                prop_assert!(decode_binary(&bytes[..cut], &LoadOptions::default()).is_err());
             }
         }
     }

@@ -39,9 +39,6 @@ pub enum GraphError {
     /// Header-declared sizes exceed the caller's byte budget — refused
     /// before any allocation so a hostile header cannot OOM the loader.
     BudgetExceeded { required: u64, budget: u64 },
-    /// A legacy (unchecksummed) file was refused because the caller did not
-    /// opt in via `LoadOptions::allow_unchecksummed`.
-    UnchecksummedRejected,
 }
 
 impl fmt::Display for GraphError {
@@ -74,10 +71,6 @@ impl fmt::Display for GraphError {
             GraphError::BudgetExceeded { required, budget } => write!(
                 f,
                 "header declares {required} bytes of payload, over the {budget}-byte budget"
-            ),
-            GraphError::UnchecksummedRejected => write!(
-                f,
-                "legacy unchecksummed file rejected (set allow_unchecksummed to load it)"
             ),
         }
     }

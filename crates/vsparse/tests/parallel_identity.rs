@@ -132,7 +132,7 @@ fn check_all_layers(family: Family, size: usize, seed: u64, weighted: bool) {
     let el = EdgeList::from_parts(n, edges.clone(), weights.clone()).unwrap();
     let text = render_text(&edges, weights.as_deref());
 
-    let seq_parse = parse_text_edgelist(text.as_bytes()).unwrap();
+    let seq_parse = parse_text_edgelist(text.as_bytes(), None).unwrap();
     let mut seq_out = Csr::from_edgelist_by_src(&el);
     let mut seq_in = Csr::from_edgelist_by_dst(&el);
     seq_out.sort_neighbors();
@@ -209,7 +209,7 @@ fn corner_shapes_identical_at_every_thread_count() {
             let weights = weighted.then(|| weights_for(edges, 7));
             let el = EdgeList::from_parts(*n, edges.clone(), weights.clone()).unwrap();
             let text = render_text(edges, weights.as_deref());
-            let seq = parse_text_edgelist(text.as_bytes()).unwrap();
+            let seq = parse_text_edgelist(text.as_bytes(), None).unwrap();
             let seq_csr = Csr::from_edgelist_by_src(&el);
             let seq_vs = VectorSparse::<4>::from_csr(&seq_csr);
             for threads in THREAD_ARMS {

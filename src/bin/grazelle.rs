@@ -226,12 +226,13 @@ fn load_and_prepare(o: &Options, build_pool: &ThreadPool) -> (Graph, PreparedGra
         (Some(path), None) => {
             let input_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
             let t = std::time::Instant::now();
+            let opts = io::LoadOptions::default();
             let el = if path.ends_with(".bin") {
-                io::load_binary(path)
+                io::load_binary(path, &opts)
             } else if path.ends_with(".mtx") {
-                io::load_matrix_market_parallel(path, build_pool)
+                io::load_matrix_market(path, &opts, Some(build_pool))
             } else {
-                io::load_text_parallel(path, build_pool)
+                io::load_text(path, &opts, Some(build_pool))
             };
             let parse_ns = t.elapsed().as_nanos() as u64;
             let el = el.unwrap_or_else(|e| {

@@ -192,6 +192,41 @@ fn matrix_market_input_loads() {
 }
 
 #[test]
+fn binary_input_loads() {
+    use grazelle::graph::edgelist::EdgeList;
+    use grazelle::graph::io;
+    let pairs = [(0, 1), (1, 0), (1, 2), (2, 1), (3, 4), (4, 3)];
+    let el = EdgeList::from_pairs(5, &pairs).unwrap();
+    let dir = std::env::temp_dir();
+    let text = dir.join(format!("grazelle_cli_{}.el", std::process::id()));
+    let bin = dir.join(format!("grazelle_cli_{}.bin", std::process::id()));
+    io::write_text_edgelist(&el, std::fs::File::create(&text).unwrap()).unwrap();
+    io::save_binary(&el, &bin).unwrap();
+    let components = |path: &std::path::Path| {
+        let out = run_ok(&["-i", path.to_str().unwrap(), "-a", "cc"]);
+        let line = out.lines().find(|l| l.starts_with("Components Found:"));
+        line.expect("components line").to_string()
+    };
+    let want = components(&text);
+    assert!(want.ends_with(" 2"), "{want}");
+    assert_eq!(components(&bin), want);
+
+    // One flipped payload byte: the checksum refuses the file.
+    let mut bytes = std::fs::read(&bin).unwrap();
+    bytes[30] ^= 0x01;
+    std::fs::write(&bin, bytes).unwrap();
+    let out = grazelle()
+        .args(["-i", bin.to_str().unwrap(), "-a", "cc"])
+        .output()
+        .expect("spawn grazelle");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a corrupt file loaded: {stderr}");
+    assert!(stderr.contains("checksum mismatch"), "{stderr}");
+    std::fs::remove_file(&text).ok();
+    std::fs::remove_file(&bin).ok();
+}
+
+#[test]
 fn engine_and_mode_flags_are_accepted() {
     for extra in [
         ["--engine", "pull"],

@@ -35,7 +35,8 @@ fn pipeline_generate_serialize_reload_run() {
         }
     }
     let bytes = io::encode_binary(&el);
-    let reloaded = Graph::from_edgelist(&io::decode_binary(&bytes).unwrap()).unwrap();
+    let (el, _) = io::read_binary(&bytes[..], &io::LoadOptions::default()).unwrap();
+    let reloaded = Graph::from_edgelist(&el).unwrap();
     assert_eq!(reloaded.num_edges(), g.num_edges());
     // PageRank on original and reloaded graphs must agree exactly.
     let cfg = EngineConfig::new().with_threads(2);
@@ -81,7 +82,7 @@ fn weighted_pipeline_sssp() {
     el.push_weighted(0, 25, 3.5).unwrap();
     let mut buf = Vec::new();
     io::write_text_edgelist(&el, &mut buf).unwrap();
-    let reloaded = io::read_text_edgelist(&buf[..]).unwrap();
+    let (reloaded, _) = io::read_text_edgelist(&buf[..], &io::LoadOptions::default()).unwrap();
     let g = Graph::from_edgelist(&reloaded).unwrap();
     let cfg = EngineConfig::new().with_threads(2);
     let got = sssp::run(&g, &cfg, 0);

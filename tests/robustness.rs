@@ -198,14 +198,15 @@ proptest! {
     /// a structured error instead.
     #[test]
     fn prop_binary_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = io::decode_binary(&bytes);
+        let _ = io::read_binary(&bytes[..], &io::LoadOptions::default());
     }
 
     /// Ditto for text and Matrix Market parsing on arbitrary ASCII.
     #[test]
     fn prop_text_parsers_never_panic(s in "[ -~\n]{0,256}") {
-        let _ = io::read_text_edgelist(s.as_bytes());
-        let _ = io::read_matrix_market(s.as_bytes());
+        let opts = io::LoadOptions::default();
+        let _ = io::read_text_edgelist(s.as_bytes(), &opts);
+        let _ = io::read_matrix_market(s.as_bytes(), &opts);
     }
 
     /// Decoding a valid encoding prefixed/suffixed with junk fails cleanly
@@ -218,6 +219,6 @@ proptest! {
         let el = EdgeList::from_pairs(16, &edges).unwrap();
         let bytes = io::encode_binary(&el);
         let cut = cut.min(bytes.len());
-        let _ = io::decode_binary(&bytes[..cut]);
+        let _ = io::read_binary(&bytes[..cut], &io::LoadOptions::default());
     }
 }
