@@ -246,6 +246,41 @@ mod tests {
         }
     }
 
+    /// DESIGN.md §3 maps every paper experiment to the command that
+    /// regenerates it; it once pointed at bench targets that no longer
+    /// existed. Every `repro <name>` there must be in `ALL` (a trailing `*`
+    /// matches a prefix), and `repro` is the only harness it may name.
+    #[test]
+    fn design_index_names_live_experiments() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../DESIGN.md");
+        let design = std::fs::read_to_string(&path).expect("DESIGN.md is readable");
+        let index = design
+            .split("\n## 3.")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("DESIGN.md has a §3");
+        let mut named = 0;
+        for row in index.lines().filter(|l| l.starts_with('|')) {
+            assert!(
+                !row.contains("benches/"),
+                "DESIGN.md §3 names a bench target: {row}"
+            );
+            let regenerated_by = row.trim_end_matches('|').rsplit('|').next().unwrap_or("");
+            let commands = regenerated_by.split('`').skip(1).step_by(2);
+            for name in commands.filter_map(|c| c.strip_prefix("repro ")) {
+                for name in name.split_whitespace() {
+                    let live = match name.strip_suffix('*') {
+                        Some(prefix) => ALL.iter().any(|e| e.starts_with(prefix)),
+                        None => ALL.contains(&name),
+                    };
+                    assert!(live, "DESIGN.md §3 names `repro {name}`, not in ALL");
+                    named += 1;
+                }
+            }
+        }
+        assert!(named > 0, "no `repro <name>` found in DESIGN.md §3");
+    }
+
     /// `repro perf-gate` fails when a baseline experiment is missing from
     /// the current run, and `repro all` runs only `ALL`: a committed
     /// baseline whose experiment is gone could never be compared again.

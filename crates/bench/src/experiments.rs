@@ -1,8 +1,8 @@
 //! One function per paper table/figure (see DESIGN.md §3 for the index).
 //!
-//! Every function returns renderable [`Table`]s so the `repro` binary and
-//! the Criterion benches share one implementation. Methodology knobs come
-//! from the environment: `GRAZELLE_SCALE_SHIFT` (workload size),
+//! Every function returns renderable [`Table`]s for the `repro` binary,
+//! the one harness of the paper's evaluation. Methodology knobs come from
+//! the environment: `GRAZELLE_SCALE_SHIFT` (workload size),
 //! `GRAZELLE_THREADS` (worker threads), `GRAZELLE_REPEATS` (median-of-N
 //! timing).
 
@@ -21,8 +21,9 @@ use grazelle_graph::gen::rmat::{rmat, RmatConfig};
 use grazelle_graph::stats::GraphSummary;
 use grazelle_sched::pool::ThreadPool;
 use grazelle_vsparse::packing::{packing_efficiency, space_overhead};
-use grazelle_vsparse::simd::SimdLevel;
-use std::time::Duration;
+use grazelle_vsparse::simd::scalar::combine;
+use grazelle_vsparse::simd::{AllActive, Carry, Kernels, Min, Reduction, Run, SimdLevel, Sum};
+use std::time::{Duration, Instant};
 
 /// Worker threads used by the experiments (env `GRAZELLE_THREADS`).
 pub fn threads() -> usize {
@@ -535,13 +536,22 @@ pub fn fig9b() -> Table {
 // Figure 10
 // ---------------------------------------------------------------------------
 
-/// Per-phase vectorization speedup for PageRank (paper Figure 10a).
+/// Per-phase vectorization speedup for PageRank (paper Figure 10a), and
+/// the speedup of the chunk walker alone.
 pub fn fig10a() -> Table {
     let mut t = Table::new(
         "Figure 10a — vectorization speedup by phase (PageRank)",
-        &["graph", "Edge-Pull", "Edge-Push", "Vertex"],
+        &[
+            "graph",
+            "Edge-Pull",
+            "Edge-Push",
+            "Vertex",
+            "walk Sum",
+            "walk Min",
+        ],
     );
     t.note("scalar kernels vs AVX2 kernels; Edge-Push is expected ~1x (no atomic-scatter instructions), Vertex ~1x when memory-bound");
+    t.note("walk = one Kernels::walk pass over the VSD, no engine around it; per-pass samples in the JSON as walk-<reduction>-<level>:<graph>");
     let pool = ThreadPool::single_group(threads());
     let best = grazelle_vsparse::simd::detect();
     for ds in Dataset::all() {
@@ -565,14 +575,62 @@ pub fn fig10a() -> Table {
         };
         let (pull_s, push_s, vert_s) = phase_times(SimdLevel::Scalar);
         let (pull_v, push_v, vert_v) = phase_times(best);
+        let walk_sum =
+            time_walk::<Sum>(w, SimdLevel::Scalar, "sum") / time_walk::<Sum>(w, best, "sum");
+        let walk_min =
+            time_walk::<Min>(w, SimdLevel::Scalar, "min") / time_walk::<Min>(w, best, "min");
         t.row(vec![
             ds.abbr().into(),
             fmt_speedup(pull_s / pull_v),
             fmt_speedup(push_s / push_v),
             fmt_speedup(vert_s / vert_v),
+            fmt_speedup(walk_sum),
+            fmt_speedup(walk_min),
         ]);
     }
     t
+}
+
+/// Seconds per [`Kernels::walk`] pass of `R` over `w`'s VSD at `level`,
+/// every aggregate folded by `R` in the sink. A sample times back-to-back
+/// passes for at least 1 ms and is logged per pass as
+/// `walk-<name>-<level>:<graph>`; the median is returned.
+fn time_walk<R: Reduction>(w: &Workload, level: SimdLevel, name: &str) -> f64 {
+    let values: Vec<f64> = (0..w.graph.num_vertices()).map(|i| i as f64).collect();
+    let run = Run::unweighted(&values, w.prepared.vsd.vectors());
+    let first = run.vectors.first().map_or(0, |v| v.top_level_vertex());
+    let kernels = Kernels::with_level(level);
+    let pass = || {
+        let mut carry = Carry::new(first, R::IDENTITY);
+        let mut acc = R::IDENTITY;
+        // SAFETY: `values` holds one entry per vertex of the graph the VSD
+        // was built from, so it covers every valid lane's neighbor id.
+        unsafe {
+            kernels.walk::<R, _, _>(run, AllActive, &mut carry, &mut |_, v| {
+                acc = combine::<R>(acc, v)
+            })
+        };
+        std::hint::black_box(combine::<R>(acc, carry.reduce(combine::<R>)));
+    };
+    let timed = |passes: u32| {
+        let t0 = Instant::now();
+        (0..passes).for_each(|_| pass());
+        t0.elapsed()
+    };
+    let mut passes = 1;
+    while timed(passes) < Duration::from_millis(1) {
+        passes *= 2;
+    }
+    let label = format!(
+        "walk-{name}-{}:{}",
+        format!("{level:?}").to_lowercase(),
+        w.dataset.abbr()
+    );
+    median_secs(|| {
+        let secs = timed(passes).as_secs_f64() / f64::from(passes);
+        log_run(RunRecord::from_secs(&label, secs));
+        secs
+    })
 }
 
 /// End-to-end vectorization speedup per application (paper Figure 10b).
@@ -1904,6 +1962,19 @@ mod tests {
         // Traditional column is the 1.00 baseline by construction.
         for row in &t.rows {
             assert_eq!(row[1], "1.00");
+        }
+    }
+
+    #[test]
+    fn fig10a_smoke() {
+        tiny_env();
+        let t = fig10a();
+        assert_eq!(t.rows.len(), 6);
+        for row in &t.rows {
+            for cell in &row[4..6] {
+                let x: f64 = cell.strip_suffix('x').unwrap().parse().unwrap();
+                assert!(x.is_finite() && x > 0.0, "{row:?}");
+            }
         }
     }
 

@@ -68,7 +68,7 @@ pub fn workload(dataset: Dataset) -> &'static Workload {
 }
 
 /// Returns the cached workload at an explicit scale shift.
-pub fn workload_at(dataset: Dataset, shift: i32) -> &'static Workload {
+fn workload_at(dataset: Dataset, shift: i32) -> &'static Workload {
     let mut cache = cache().lock().unwrap();
     cache
         .entry((dataset, shift))

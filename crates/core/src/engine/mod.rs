@@ -52,12 +52,6 @@ impl PreparedGraph {
         Self::build(g, None)
     }
 
-    /// [`PreparedGraph::new`] with the VSD encoded on the pool,
-    /// bit-identical at any pool width.
-    pub fn new_on_pool(g: &Graph, pool: &ThreadPool) -> Self {
-        Self::build(g, Some(pool))
-    }
-
     /// The VSD, on `pool` or on the calling thread: the one the graph's
     /// orientations are rebuilt from, shared, when it was built over a VSD
     /// ([`Graph::edge_source`]); else through [`Vsd::encode`] over the
@@ -166,13 +160,13 @@ mod tests {
     }
 
     #[test]
-    fn new_on_pool_matches_sequential() {
+    fn build_on_a_pool_matches_sequential() {
         let el = EdgeList::from_pairs(8, &[(0, 1), (0, 2), (3, 1), (5, 7), (7, 0)]).unwrap();
         let g = Graph::from_edgelist(&el).unwrap();
-        let seq = PreparedGraph::new(&g);
+        let seq = PreparedGraph::build(&g, None);
         for threads in [1, 2, 4] {
             let pool = ThreadPool::single_group(threads);
-            let par = PreparedGraph::new_on_pool(&g, &pool);
+            let par = PreparedGraph::build(&g, Some(&pool));
             assert!(par.vsd.bit_identical(&seq.vsd), "{threads} threads (vsd)");
             assert!(par.vss.bit_identical(&seq.vss), "{threads} threads (vss)");
         }

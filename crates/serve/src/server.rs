@@ -78,8 +78,6 @@ pub struct ServeConfig {
     pub retry: RetryPolicy,
     /// Engine configuration for normal (non-degraded) execution.
     pub engine: EngineConfig,
-    /// Most queries per packed run (clamped to [`MAX_LANES`]).
-    pub pack_window: usize,
     /// Seed for the deterministic retry-backoff jitter.
     pub seed: u64,
     /// Where drain writes its final `GRZCKPT1` stats snapshot; `None`
@@ -89,7 +87,7 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults: 128-deep queue, unbounded work budget, no deadline,
-    /// ingestion's default retry policy, a full pack window.
+    /// ingestion's default retry policy.
     pub fn new() -> Self {
         ServeConfig {
             queue_capacity: 128,
@@ -97,7 +95,6 @@ impl ServeConfig {
             default_deadline: None,
             retry: RetryPolicy::DEFAULT,
             engine: EngineConfig::new(),
-            pack_window: MAX_LANES,
             seed: 0x5EED_CAFE,
             snapshot_path: None,
         }
@@ -296,11 +293,10 @@ impl Server {
     pub fn start_with_faults(
         graph: Arc<Graph>,
         pg: Arc<PreparedGraph>,
-        mut cfg: ServeConfig,
+        cfg: ServeConfig,
         serve_faults: Option<Arc<ServeInjector>>,
         exec_faults: Option<Arc<ExecInjector>>,
     ) -> Server {
-        cfg.pack_window = cfg.pack_window.clamp(1, MAX_LANES);
         let edge_count = AtomicU64::new(graph.num_edges() as u64);
         let shared = Arc::new(Shared {
             cfg,
@@ -588,7 +584,7 @@ fn executor_loop(shared: &Shared) {
                 }
                 q = shared.cv.wait_timeout(q, IDLE_WAIT).unwrap().0;
             }
-            form_batch(shared, &mut q)
+            form_batch(&mut q)
         };
         match batch {
             Batch::Single(p) => match p.request {
@@ -607,11 +603,11 @@ enum Batch {
 }
 
 /// Forms the next batch under the queue lock: if the head is packable,
-/// pull every packable query (up to the window, up to the next update) out
+/// pull every packable query (up to [`MAX_LANES`], up to the next update) out
 /// of the queue — later non-packable queries keep their order. A lone
 /// packable query is a pack of one. An active insert overlay does not
 /// matter: the pack reads it.
-fn form_batch(shared: &Shared, q: &mut QueueState) -> Batch {
+fn form_batch(q: &mut QueueState) -> Batch {
     let head_packs = q.deque.front().is_some_and(|p| p.request.packable());
     if !head_packs {
         let p = q.deque.pop_front().expect("checked non-empty");
@@ -620,7 +616,7 @@ fn form_batch(shared: &Shared, q: &mut QueueState) -> Batch {
     }
     let mut members = Vec::new();
     let mut i = 0;
-    while i < q.deque.len() && members.len() < shared.cfg.pack_window {
+    while i < q.deque.len() && members.len() < MAX_LANES {
         // A queued update is a version barrier: queries admitted after it
         // must observe its edges, so nothing packs across it.
         if matches!(q.deque[i].request, Request::Update(_)) {

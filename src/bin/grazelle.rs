@@ -246,7 +246,7 @@ fn load_and_prepare(o: &Options, build_pool: &ThreadPool) -> (Graph, PreparedGra
             // Vector-Sparse encoding is re-run (and timed) here.
             let graph = maybe_symmetrize(ds.build_scaled(o.scale), o.symmetrize);
             let t = std::time::Instant::now();
-            let prepared = PreparedGraph::new_on_pool(&graph, build_pool);
+            let prepared = PreparedGraph::build(&graph, Some(build_pool));
             let profile = BuildProfile {
                 vsparse_ns: t.elapsed().as_nanos() as u64,
                 edges: graph.num_edges() as u64,

@@ -399,8 +399,8 @@ proptest! {
             prop_assert!(!fresh.is_empty());
             for threads in [1usize, 2, 8] {
                 let pool = ThreadPool::single_group(threads);
-                let pgw = PreparedGraph::new_on_pool(&gw, &pool);
-                let pg = PreparedGraph::new_on_pool(&g, &pool);
+                let pgw = PreparedGraph::build(&gw, Some(&pool));
+                let pg = PreparedGraph::build(&g, Some(&pool));
                 let mut vg = VersionedGraph::new(Arc::new(g.clone()), Arc::new(pg));
                 for overlay in [false, true] {
                     let cfg = EngineConfig::new().with_threads(threads).with_resilience(off);
@@ -473,7 +473,7 @@ proptest! {
                 .with_threads(threads)
                 .with_max_iterations(n + 1)
                 .with_resilience(no_guard());
-            let pg = PreparedGraph::new_on_pool(&g, &pool);
+            let pg = PreparedGraph::build(&g, Some(&pool));
             let arms = [
                 ("drain", base, false),
                 ("push", base.with_force_engine(Some(EngineKind::Push)), false),
@@ -1386,7 +1386,7 @@ fn deferred_in_edges_run_like_eager_ones() {
                                     num_vertices: g.num_vertices(),
                                     num_edges: g.num_edges(),
                                 },
-                                _ => PreparedGraph::new_on_pool(&g, &pool),
+                                _ => PreparedGraph::build(&g, Some(&pool)),
                             };
                             (g, pg)
                         }
@@ -1504,7 +1504,7 @@ fn pagerank_never_encodes_the_push_structure_and_traversals_encode_it_once() {
         ];
         for (app, weighted, run) in runs {
             let what = format!("{app}, {threads} threads");
-            let pg = PreparedGraph::new_on_pool(if weighted { &gw } else { &g }, &pool);
+            let pg = PreparedGraph::build(if weighted { &gw } else { &g }, Some(&pool));
             let twin = pg.clone();
             assert!(!pg.vss.is_encoded(), "{what}");
             run(&pg);
