@@ -415,7 +415,7 @@ mod tests {
 
     #[test]
     fn scheduler_aware_does_not_synchronize_for_pagerank() {
-        let g = Dataset::CitPatents.build_scaled(-7);
+        let g = Dataset::CitPatents.build_scaled(-6);
         let pg = PreparedGraph::new(&g);
         let pool = ThreadPool::single_group(4);
         let cfg = EngineConfig::new().with_threads(4);

@@ -17,7 +17,7 @@ use crate::stats::BuildProfile;
 use grazelle_graph::csr::{Grouped, SourceSorted};
 use grazelle_graph::edgelist::EdgeList;
 use grazelle_graph::graph::Graph;
-use grazelle_graph::types::{EdgeId, GraphError};
+use grazelle_graph::types::{EdgeId, GraphError, MAX_VSPARSE_VERTEX};
 use grazelle_sched::{build_pool, ThreadPool, PAR_BUILD_CUTOVER_EDGES};
 use grazelle_vsparse::build::Vsd;
 use std::sync::Arc;
@@ -76,6 +76,13 @@ pub fn prepare_profiled_with_cutover(
     if el.num_vertices() == 0 {
         return Err(GraphError::EmptyGraph);
     }
+    let limit = MAX_VSPARSE_VERTEX + 1;
+    if el.num_vertices() as u64 > limit {
+        return Err(GraphError::TooManyVertices {
+            vertices: el.num_vertices() as u64,
+            limit,
+        });
+    }
     // Edge-scale structures are about to be allocated; an edge list
     // that came from a generator or the wire has not been through a loader.
     grazelle_sched::alloc::pin_large_block_policy();
@@ -124,11 +131,11 @@ pub fn prepare_profiled_with_cutover(
 fn encode(
     grouped: &impl Grouped,
     out_index: &[EdgeId],
-    in_index: &[EdgeId],
+    in_index: &Arc<Vec<EdgeId>>,
     pool: Option<&ThreadPool>,
 ) -> (Vsd, bool) {
     let vsd = Vsd::encode_transposed(grouped, in_index, pool);
-    let symmetric = out_index == in_index && vsd.encodes_sorted(grouped, out_index, pool);
+    let symmetric = out_index == &in_index[..] && vsd.encodes_sorted(grouped, out_index, pool);
     (vsd, symmetric)
 }
 
@@ -460,5 +467,26 @@ mod tests {
             prepare_profiled(&EdgeList::new(0), &pool),
             Err(GraphError::EmptyGraph)
         ));
+    }
+
+    /// One vertex past what the lanes' 27-bit vertex field can name is a
+    /// typed error naming the count and the limit, returned before any
+    /// structure is allocated (the list itself holds no per-vertex array).
+    #[test]
+    fn a_vertex_count_past_the_lane_field_is_refused() {
+        let pool = ThreadPool::single_group(2);
+        let n = (1usize << 27) + 1;
+        let mut el = EdgeList::new(n);
+        el.push(0, n as u32 - 1).unwrap();
+        let err = prepare_profiled(&el, &pool).unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::TooManyVertices {
+                vertices: n as u64,
+                limit: 1 << 27,
+            }
+        );
+        assert!(err.to_string().contains("134217729 vertices"), "{err}");
+        assert!(err.to_string().contains("limit of 134217728"), "{err}");
     }
 }

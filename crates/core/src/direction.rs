@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn cost_model_pushes_sparse_and_pulls_dense_frontiers() {
         let g = chain(1000);
-        let vss = VectorSparse::<4>::from_csr(g.out_csr());
+        let vss = VectorSparse::from_csr(g.out_csr());
         let deg = vss.degrees();
         let cfg = EngineConfig::new();
         let m = g.num_edges();
@@ -402,7 +402,7 @@ mod tests {
     #[test]
     fn bounded_decision_answers_tiny_frontiers_and_defers_otherwise() {
         let g = chain(1000);
-        let vss = VectorSparse::<4>::from_csr(g.out_csr());
+        let vss = VectorSparse::from_csr(g.out_csr());
         let (deg, max) = (vss.degrees(), vss.max_degree());
         let m = g.num_edges();
         let cfg = EngineConfig::new();

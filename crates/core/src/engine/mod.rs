@@ -67,7 +67,7 @@ impl PreparedGraph {
         let vsd = match (held, g.built_in_csr(), g.built_out_csr()) {
             (Some(vsd), _, _) => vsd.clone(),
             (None, Some(inn), _) => Vsd::encode(inn, pool),
-            (None, None, Some(out)) => Vsd::encode_transposed(out, g.in_index(), pool),
+            (None, None, Some(out)) => Vsd::encode_transposed(out, g.shared_in_index(), pool),
             (None, None, None) => Vsd::encode(g.ready_in(pool), pool),
         };
         Self::with_vsd(g, vsd)

@@ -919,7 +919,7 @@ mod tests {
     fn single_chunk_and_chunk_per_vector_both_work() {
         run_mode(PullMode::SchedulerAware, SimdLevel::Scalar, 2, 1);
         let g = star_plus_chain(50);
-        let vecs = VectorSparse::<4>::from_csr(g.in_csr()).num_vectors();
+        let vecs = VectorSparse::from_csr(g.in_csr()).num_vectors();
         run_mode(PullMode::SchedulerAware, SimdLevel::Scalar, 2, vecs);
     }
 
@@ -1054,7 +1054,7 @@ mod tests {
 
         fn run_with(scheds: &EdgeSchedulers, prof: &Profiler) {
             let g = star_plus_chain(60);
-            let vsd = VectorSparse::<4>::from_csr(g.in_csr());
+            let vsd = VectorSparse::from_csr(g.in_csr());
             let n = g.num_vertices();
             let prog = SumProg {
                 vals: PropertyArray::filled_f64(n, 1.0),
@@ -1081,7 +1081,7 @@ mod tests {
         #[test]
         fn tracker_is_silent_and_engaged_on_the_real_scheduler() {
             let g = star_plus_chain(60);
-            let vsd = VectorSparse::<4>::from_csr(g.in_csr());
+            let vsd = VectorSparse::from_csr(g.in_csr());
             let scheds = EdgeSchedulers::single(vsd.num_vectors(), 9);
             let prof = Profiler::with_tracker();
             run_with(&scheds, &prof);
@@ -1096,7 +1096,7 @@ mod tests {
         #[should_panic(expected = "exactly-once-write contract violated")]
         fn overlapping_chunk_ranges_trip_the_tracker() {
             let g = star_plus_chain(60);
-            let vsd = VectorSparse::<4>::from_csr(g.in_csr());
+            let vsd = VectorSparse::from_csr(g.in_csr());
             let scheds = broken_scheds(vsd.num_vectors(), false);
             let prof = Profiler::with_tracker();
             run_with(&scheds, &prof);
@@ -1145,7 +1145,7 @@ mod tests {
         #[should_panic(expected = "exactly-once-write contract violated")]
         fn double_interior_store_in_the_sink_trips_the_tracker() {
             let g = star_plus_chain(60);
-            let vsd = VectorSparse::<4>::from_csr(g.in_csr());
+            let vsd = VectorSparse::from_csr(g.in_csr());
             let n = g.num_vertices();
             let prog = SumProg {
                 vals: PropertyArray::filled_f64(n, 1.0),
@@ -1177,7 +1177,7 @@ mod tests {
         #[should_panic(expected = "worker thread panicked")]
         fn duplicate_chunk_id_trips_the_slot_guard() {
             let g = star_plus_chain(60);
-            let vsd = VectorSparse::<4>::from_csr(g.in_csr());
+            let vsd = VectorSparse::from_csr(g.in_csr());
             let scheds = broken_scheds(vsd.num_vectors(), true);
             let prof = Profiler::with_tracker();
             run_with(&scheds, &prof);

@@ -115,8 +115,8 @@ pub trait EdgeKernel: Sync {
 }
 
 /// [`EdgeKernel::pull_run`] for kernels with no vector form: one
-/// [`EdgeKernel::message`] per enabled lane, folded into the same four
-/// lane partials the SIMD walkers keep.
+/// [`EdgeKernel::message`] per enabled lane, lane `i` folded into partial
+/// `i mod 4`, the partials the SIMD walkers keep.
 fn per_edge_run<K: EdgeKernel + ?Sized, S: FnMut(u64, f64)>(
     kernel: &K,
     vsd: &Vsd,
@@ -129,26 +129,28 @@ fn per_edge_run<K: EdgeKernel + ?Sized, S: FnMut(u64, f64)>(
     let weights = vsd.weight_vectors();
     let converged = |dst: u64| kernel.converged().is_some_and(|c| c.contains(dst as u32));
     let mut skip = converged(carry.dest);
-    for i in range {
-        let ev = &vsd.vectors()[i];
+    // The edge position of the next vector's first lane.
+    let mut e = vsd.edge_position(range.start);
+    for ev in &vsd.vectors()[range] {
         let dst = ev.top_level_vertex();
         if dst != carry.dest {
             sink(carry.dest, carry.reduce(|a, b| op.combine(a, b)));
             *carry = Carry::new(dst, op.identity());
             skip = converged(dst);
         }
+        let first = e;
+        e += ev.count_valid() as usize;
         if skip {
             continue;
         }
-        for lane in 0..4 {
-            let Some(src) = ev.neighbor(lane) else {
-                continue;
-            };
+        for (lane, src) in ev.valid_neighbors().enumerate() {
             if frontier.contains(src as u32) {
-                let w = weights.map_or(0.0, |ws| ws[i][lane]);
-                carry.fold_lane(lane, kernel.message(src as u32, dst as u32, w), |a, b| {
-                    op.combine(a, b)
-                });
+                let w = weights.map_or(0.0, |ws| ws[first + lane]);
+                carry.fold_lane(
+                    lane % 4,
+                    kernel.message(src as u32, dst as u32, w),
+                    |a, b| op.combine(a, b),
+                );
             }
         }
     }
@@ -194,18 +196,18 @@ pub struct SemiringKernel<'a> {
     accum: &'a PropertyArray,
     conv: Option<&'a DenseBitmap>,
     write_intense: bool,
-    weights4: Option<&'a [[f64; 4]]>,
+    weights: Option<&'a [f64]>,
     kernels: Kernels,
 }
 
 impl<'a> SemiringKernel<'a> {
-    /// Builds the kernel for `prog` over a 4-lane structure, validating the
+    /// Builds the kernel for `prog` over a structure, validating the
     /// coverage invariants the unsafe gathers rely on: the edge-value and
     /// accumulator arrays must cover every vertex, and weighted edge
     /// functions require the structure's weight vectors.
     pub fn for_structure<P: GraphProgram>(
         prog: &'a P,
-        structure: &'a VectorSparse<4>,
+        structure: &'a VectorSparse,
         kernels: Kernels,
     ) -> Self {
         assert!(
@@ -216,9 +218,9 @@ impl<'a> SemiringKernel<'a> {
             prog.accumulators().len() >= structure.num_vertices(),
             "accumulators must cover every vertex"
         );
-        let weights4 = structure.weight_vectors();
+        let weights = structure.weight_vectors();
         if prog.edge_func().needs_weights() {
-            assert!(weights4.is_some(), "edge function needs weights");
+            assert!(weights.is_some(), "edge function needs weights");
         }
         SemiringKernel {
             op: prog.op(),
@@ -227,7 +229,7 @@ impl<'a> SemiringKernel<'a> {
             accum: prog.accumulators(),
             conv: prog.converged(),
             write_intense: prog.write_intense(),
-            weights4,
+            weights,
             kernels,
         }
     }
@@ -238,7 +240,7 @@ impl<'a> SemiringKernel<'a> {
 /// [`SemiringKernel::for_structure`]).
 pub fn program_kernel<'a, P: GraphProgram>(
     prog: &'a P,
-    structure: &'a VectorSparse<4>,
+    structure: &'a VectorSparse,
     kernels: Kernels,
 ) -> SemiringKernel<'a> {
     SemiringKernel::for_structure(prog, structure, kernels)
@@ -323,8 +325,8 @@ impl EdgeKernel for SemiringKernel<'_> {
             frontier.len() >= vsd.num_vertices(),
             "frontier must cover every vertex of the structure"
         );
-        let weights = match self.weights4 {
-            Some(ws) if self.func.needs_weights() => &ws[range.clone()],
+        let weights = match self.weights {
+            Some(ws) if self.func.needs_weights() => &ws[vsd.edge_position(range.start)..],
             _ => &[],
         };
         let run = Run {
@@ -597,7 +599,7 @@ mod tests {
     #[test]
     fn semiring_pull_run_matches_scalar_messages() {
         let g = symmetric(&[(0, 1), (1, 2), (0, 2), (2, 3)], 4);
-        let vsd = VectorSparse::<4>::from_csr(g.in_csr());
+        let vsd = VectorSparse::from_csr(g.in_csr());
         let prog = MiniProg {
             vals: PropertyArray::filled_f64(4, 0.0),
             acc: PropertyArray::filled_f64(4, 0.0),
@@ -631,7 +633,7 @@ mod tests {
     #[test]
     fn intersect_kernel_pulls_through_the_per_edge_default() {
         let g = symmetric(&[(0, 1), (1, 2), (0, 2), (2, 3)], 4);
-        let vsd = VectorSparse::<4>::from_csr(g.in_csr());
+        let vsd = VectorSparse::from_csr(g.in_csr());
         let k = IntersectKernel::from_graph(&g);
         let got = pull_all(&k, &vsd, &Frontier::all(4));
         assert_eq!(got, vec![(0, 2.0), (1, 2.0), (2, 2.0), (3, 0.0)]);

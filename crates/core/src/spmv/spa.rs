@@ -360,9 +360,9 @@ const LINE_PREFETCH_DISTANCE: usize = 8;
 struct Scan<'a, M> {
     vss: &'a VectorSparse,
     converged: Option<&'a DenseBitmap>,
-    /// The structure's weight vectors; `None` when the messages ignore
-    /// them, so the scan neither loads nor prefetches a weight line.
-    weights: Option<&'a [[f64; 4]]>,
+    /// The structure's weights; `None` when the messages ignore them, so
+    /// the scan neither loads nor prefetches a weight line.
+    weights: Option<&'a [f64]>,
     /// `message(src, dst, weight)`.
     message: M,
 }
@@ -387,19 +387,22 @@ impl<M: Fn(u32, u32, f64) -> f64> Scan<'_, M> {
     /// during the scan is skipped from then on.
     #[inline(always)]
     fn source(&self, src: u32, emit: &mut impl FnMut(u32, f64)) {
-        for vi in self.vss.vector_range(src) {
-            let ev = &self.vss.vectors()[vi];
-            for lane in 0..4 {
-                let Some(dst) = ev.neighbor(lane) else {
-                    continue;
-                };
-                let dst = dst as u32;
-                if self.converged.is_some_and(|c| c.contains(dst)) {
-                    continue;
-                }
-                let w = self.weights.map_or(0.0, |ws| ws[vi][lane]);
-                emit(dst, (self.message)(src, dst, w));
+        let vss = self.vss;
+        // `src`'s weights, in lane order; its edge offset is read only
+        // when the messages read them.
+        let weights = self
+            .weights
+            .map(|ws| &ws[vss.edge_index()[src as usize] as usize..]);
+        let lanes = vss.vectors()[vss.vector_range(src)]
+            .iter()
+            .flat_map(|ev| ev.valid_neighbors());
+        for (k, dst) in lanes.enumerate() {
+            let dst = dst as u32;
+            if self.converged.is_some_and(|c| c.contains(dst)) {
+                continue;
             }
+            let w = weights.map_or(0.0, |ws| ws[k]);
+            emit(dst, (self.message)(src, dst, w));
         }
     }
 

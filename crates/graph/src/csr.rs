@@ -237,8 +237,10 @@ impl Csr {
         Some(csr)
     }
 
-    /// The vertex index, shared.
-    pub(crate) fn shared_index(&self) -> &Arc<Vec<EdgeId>> {
+    /// The vertex index as the shared buffer it is, for a structure over
+    /// the same edges that keeps it without a copy (a Vector-Sparse
+    /// encoding's edge index).
+    pub fn shared_index(&self) -> &Arc<Vec<EdgeId>> {
         &self.index
     }
 

@@ -119,7 +119,9 @@ fn place_edge(cfg: &RmatConfig, rng: &mut StdRng) -> (VertexId, VertexId) {
     (row as VertexId, col as VertexId)
 }
 
-/// Applies a seeded random relabeling of vertex ids.
+/// Applies a seeded random relabeling of vertex ids, in place: the list is
+/// the generator's largest buffer, and a relabelled copy beside it doubled
+/// the generator's memory high-water mark.
 fn permute_vertices(el: &mut EdgeList, seed: u64) {
     let n = el.num_vertices();
     let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
@@ -129,22 +131,11 @@ fn permute_vertices(el: &mut EdgeList, seed: u64) {
         let j = rng.random_range(0..=i);
         perm.swap(i, j);
     }
-    let (nv, edges, weights) = std::mem::take(el).into_parts();
-    let mut out = EdgeList::with_capacity(nv, edges.len());
-    match weights {
-        None => {
-            for (s, d) in edges {
-                out.push(perm[s as usize], perm[d as usize]).unwrap();
-            }
-        }
-        Some(w) => {
-            for ((s, d), wt) in edges.into_iter().zip(w) {
-                out.push_weighted(perm[s as usize], perm[d as usize], wt)
-                    .unwrap();
-            }
-        }
+    let (nv, mut edges, weights) = std::mem::take(el).into_parts();
+    for (s, d) in &mut edges {
+        (*s, *d) = (perm[*s as usize], perm[*d as usize]);
     }
-    *el = out;
+    *el = EdgeList::from_parts(nv, edges, weights).expect("a permutation stays in range");
 }
 
 #[cfg(test)]

@@ -454,10 +454,17 @@ impl Graph {
     /// array. Never builds deferred in-edges.
     #[inline]
     pub fn in_index(&self) -> &[EdgeId] {
+        self.shared_in_index()
+    }
+
+    /// [`Graph::in_index`] as the shared buffer it is, for a structure over
+    /// the in-edges that keeps it without a copy (the VSD's edge index).
+    #[inline]
+    pub fn shared_in_index(&self) -> &Arc<Vec<EdgeId>> {
         match &self.inn {
             InEdges::Out => &self.out_index,
-            InEdges::Built(inn) => inn.index(),
-            InEdges::Deferred(cell) => cell.source().as_slice(),
+            InEdges::Built(inn) => inn.shared_index(),
+            InEdges::Deferred(cell) => cell.source(),
         }
     }
 

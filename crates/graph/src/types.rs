@@ -5,16 +5,17 @@ use std::fmt;
 /// Vertex identifier.
 ///
 /// The substrate stores vertices as `u32` (the stand-in datasets top out in
-/// the low millions of vertices). The Vector-Sparse format widens identifiers
-/// to the paper's 48-bit fields when packing 64-bit lanes, so nothing
-/// downstream assumes 32 bits beyond this alias.
+/// the low millions of vertices). The Vector-Sparse format packs an
+/// identifier into the low 27 bits of a 32-bit lane
+/// ([`MAX_VSPARSE_VERTEX`]), so a graph it encodes has at most 2^27
+/// vertices.
 pub type VertexId = u32;
 
 /// Edge identifier: an index into a graph's edge arrays.
 pub type EdgeId = u64;
 
-/// Maximum vertex identifier representable in a Vector-Sparse 48-bit field.
-pub const MAX_VSPARSE_VERTEX: u64 = (1u64 << 48) - 1;
+/// Maximum vertex identifier representable in a Vector-Sparse 27-bit field.
+pub const MAX_VSPARSE_VERTEX: u64 = (1u64 << 27) - 1;
 
 /// Errors produced while building, loading, or validating graphs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,6 +40,9 @@ pub enum GraphError {
     /// Header-declared sizes exceed the caller's byte budget — refused
     /// before any allocation so a hostile header cannot OOM the loader.
     BudgetExceeded { required: u64, budget: u64 },
+    /// More vertices than the Vector-Sparse lane can name
+    /// ([`MAX_VSPARSE_VERTEX`] + 1) — refused before any allocation.
+    TooManyVertices { vertices: u64, limit: u64 },
 }
 
 impl fmt::Display for GraphError {
@@ -71,6 +75,10 @@ impl fmt::Display for GraphError {
             GraphError::BudgetExceeded { required, budget } => write!(
                 f,
                 "header declares {required} bytes of payload, over the {budget}-byte budget"
+            ),
+            GraphError::TooManyVertices { vertices, limit } => write!(
+                f,
+                "graph has {vertices} vertices, over the Vector-Sparse limit of {limit}"
             ),
         }
     }
@@ -117,7 +125,7 @@ mod tests {
     }
 
     #[test]
-    fn vsparse_limit_is_48_bits() {
-        assert_eq!(MAX_VSPARSE_VERTEX, 0x0000_FFFF_FFFF_FFFF);
+    fn vsparse_limit_is_27_bits() {
+        assert_eq!(MAX_VSPARSE_VERTEX, 0x07FF_FFFF);
     }
 }

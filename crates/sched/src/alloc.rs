@@ -29,8 +29,10 @@
 //! threads got one varies run to run. glibc reads the cap when it first
 //! creates an arena, so the pool pins before it spawns its workers.
 
+use std::alloc::Layout;
 use std::mem::MaybeUninit;
 use std::ops::Range;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
@@ -146,6 +148,126 @@ pub fn reserved<T>(cap: usize) -> Vec<T> {
     advise_fresh(block.as_ptr(), cap);
     block
 }
+
+/// A type whose all-zero bit pattern is a valid value, so a
+/// [`ZeroedBlock`] of it may be read before anything is written.
+///
+/// # Safety
+/// Every all-zero byte string of `size_of::<Self>()` bytes must be a valid
+/// value of the type: no references, no niches (`NonZero*`, `bool` is
+/// fine, enums only with a zero discriminant), no padding bytes.
+// SAFETY: an obligation on implementors, stated above; each `unsafe impl`
+// says why its type meets it.
+pub unsafe trait Zeroable: Copy {}
+
+/// The alignment `calloc` guarantees on x86-64 and arm64 glibc; the std
+/// allocator zeroes blocks at most this aligned through it.
+const CALLOC_ALIGN: usize = 16;
+
+/// `len` all-zero elements in a fresh block, for a type aligned more
+/// strictly than the allocator zeroes for free. What [`zeroed`] is for the
+/// integers and floats: the allocator hands the block over zeroed, which at
+/// or above the large-block line is a new mapping nobody has written, and
+/// it is advised onto huge pages, so every page is faulted in by the
+/// caller's first store to it — a parallel builder's worker's — and
+/// written once. A `Vec` cannot hold such a block: the std allocator
+/// zeroes a block aligned above 16 bytes (`calloc`'s) with a `memset` on the
+/// calling thread, so the block is allocated at that alignment with the
+/// slack to align its first element inside it.
+pub struct ZeroedBlock<T: Zeroable> {
+    /// The allocation: `layout.size()` bytes at `base`; nothing when the
+    /// size is 0.
+    base: NonNull<u8>,
+    layout: Layout,
+    /// The first element, `base` rounded up to `T`'s alignment.
+    start: NonNull<T>,
+    len: usize,
+}
+
+impl<T: Zeroable> ZeroedBlock<T> {
+    /// `len` zeroed elements; see the type.
+    pub fn new(len: usize) -> Self {
+        let align = std::mem::align_of::<T>();
+        let bytes = len
+            .checked_mul(std::mem::size_of::<T>())
+            .expect("invariant: a block's byte size fits usize");
+        if bytes == 0 {
+            return ZeroedBlock {
+                base: NonNull::dangling(),
+                layout: Layout::new::<()>(),
+                start: NonNull::dangling(),
+                len,
+            };
+        }
+        // Allocated at most `CALLOC_ALIGN`-aligned, so its first element
+        // lies within `align - CALLOC_ALIGN` bytes of slack.
+        let base_align = align.min(CALLOC_ALIGN);
+        let layout = Layout::from_size_align(bytes + (align - base_align), base_align)
+            .expect("invariant: a block's layout fits isize");
+        // SAFETY: `layout` has a non-zero size (`bytes > 0`).
+        let raw = unsafe { std::alloc::alloc_zeroed(layout) };
+        let Some(base) = NonNull::new(raw) else {
+            std::alloc::handle_alloc_error(layout)
+        };
+        // By address: `align_offset` may decline to compute an offset.
+        let addr = base.as_ptr().addr();
+        let offset = addr.next_multiple_of(align) - addr;
+        // SAFETY: `base` is `base_align`-aligned, so the offset to the
+        // next `align` boundary is at most `align - base_align`, the slack
+        // the layout added past `bytes`; the result is in the block.
+        let start = unsafe { base.add(offset) }.cast::<T>();
+        advise_fresh(start.as_ptr(), len);
+        ZeroedBlock {
+            base,
+            layout,
+            start,
+            len,
+        }
+    }
+}
+
+impl<T: Zeroable> std::ops::Deref for ZeroedBlock<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        // SAFETY: `start` is aligned for `T` (dangling when `len` or the
+        // size is 0) and `len` elements past it lie in the block, zeroed
+        // at allocation — a valid `T` each, as `T: Zeroable` promises —
+        // or written since through `deref_mut`.
+        unsafe { std::slice::from_raw_parts(self.start.as_ptr(), self.len) }
+    }
+}
+
+impl<T: Zeroable> std::ops::DerefMut for ZeroedBlock<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [T] {
+        // SAFETY: as in `deref`; `&mut self` makes the borrow unique.
+        unsafe { std::slice::from_raw_parts_mut(self.start.as_ptr(), self.len) }
+    }
+}
+
+impl<T: Zeroable> Drop for ZeroedBlock<T> {
+    fn drop(&mut self) {
+        if self.layout.size() > 0 {
+            // SAFETY: `base` was allocated with `layout` and is freed once;
+            // `T: Copy` has no destructor to run first.
+            unsafe { std::alloc::dealloc(self.base.as_ptr(), self.layout) };
+        }
+    }
+}
+
+impl<T: Zeroable + std::fmt::Debug> std::fmt::Debug for ZeroedBlock<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+// SAFETY: a `ZeroedBlock` owns its elements as a `Vec` does; sending it
+// sends them.
+unsafe impl<T: Zeroable + Send> Send for ZeroedBlock<T> {}
+// SAFETY: `&ZeroedBlock` hands out only `&[T]`.
+unsafe impl<T: Zeroable + Sync> Sync for ZeroedBlock<T> {}
 
 /// Pins the policy above, once per process; later calls return at once.
 /// Called by [`ThreadPool::new`](crate::ThreadPool::new) before it spawns a
@@ -381,6 +503,32 @@ mod filled_tests {
         );
     }
 
+    /// Eight `u32`s aligned as one 256-bit vector, as an edge vector is.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    #[repr(align(32))]
+    pub(super) struct Wide([u32; 8]);
+
+    // SAFETY: eight `u32`s, no padding; all-zero is a valid value.
+    unsafe impl Zeroable for Wide {}
+
+    /// A zeroed block of a 32-aligned type reads zero, starts aligned at
+    /// every length (the allocator hands out 16-aligned blocks), takes
+    /// writes, and holds nothing at length 0.
+    #[test]
+    fn zeroed_blocks_are_aligned_zero_and_writable() {
+        for len in [0, 1, 3, 1000, 200_000] {
+            let mut block = ZeroedBlock::<Wide>::new(len);
+            assert_eq!(block.len(), len);
+            assert_eq!(block.as_ptr() as usize % 32, 0, "len {len}");
+            assert!(block.iter().all(|w| *w == Wide([0; 8])), "len {len}");
+            if let Some(last) = block.last_mut() {
+                last.0[7] = 7;
+            }
+            let sevens: u32 = block.iter().map(|w| w.0[7]).sum();
+            assert_eq!(sevens, u32::from(len > 0) * 7);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "splits once")]
     fn a_second_split_is_refused() {
@@ -498,5 +646,8 @@ mod tests {
         let reserved_small = reserved::<u64>(3 << 17);
         let inside = reserved_small.as_ptr() as usize + (1 << 20);
         assert!(!advised(inside));
+        let block_large = ZeroedBlock::<super::filled_tests::Wide>::new(1 << 18);
+        let interior = block_large.as_ptr() as usize + (4 << 20);
+        assert!(advised(interior));
     }
 }

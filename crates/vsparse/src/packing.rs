@@ -24,20 +24,21 @@ pub fn packing_efficiency(degrees: &[u32], lanes: usize) -> f64 {
     }
 }
 
-/// Prefix-sum vector index for a degree sequence: `index[v] .. index[v+1]`
-/// is vertex `v`'s vector range in a `lanes`-wide Vector-Sparse layout
-/// (`index.last()` is the total vector count). Because the index is a prefix
-/// sum, every vertex's output range is known before a single vector is
-/// written and the ranges are pairwise disjoint — this is what lets the
-/// parallel encoder pack vertex partitions into preallocated storage without
-/// any coordination.
-pub fn vector_index(degrees: &[u32], lanes: usize) -> Vec<u64> {
+/// Prefix-sum vector index of an orientation whose edge index is `edges`
+/// (vertex `v`'s edges are `edges[v] .. edges[v+1]`): `index[v] ..
+/// index[v+1]` is vertex `v`'s vector range in a `lanes`-wide
+/// Vector-Sparse layout (`index.last()` is the total vector count).
+/// Because the index is a prefix sum, every vertex's output range is known
+/// before a single vector is written and the ranges are pairwise disjoint
+/// — this is what lets the parallel encoder pack vertex partitions into
+/// preallocated storage without any coordination.
+pub fn vector_index(edges: &[u64], lanes: usize) -> Vec<u64> {
     assert!(lanes >= 1);
-    let mut index = Vec::with_capacity(degrees.len() + 1);
+    let mut index = Vec::with_capacity(edges.len());
     index.push(0u64);
     let mut total = 0u64;
-    for &d in degrees {
-        total += (d as u64).div_ceil(lanes as u64);
+    for w in edges.windows(2) {
+        total += (w[1] - w[0]).div_ceil(lanes as u64);
         index.push(total);
     }
     index
@@ -129,8 +130,9 @@ mod tests {
     #[test]
     fn vector_index_prefix_sums() {
         // degrees [0, 7, 2, 4] at 4 lanes -> [0, 0, 2, 3, 4].
-        assert_eq!(vector_index(&[0, 7, 2, 4], 4), vec![0, 0, 2, 3, 4]);
-        assert_eq!(vector_index(&[], 4), vec![0]);
+        assert_eq!(vector_index(&[0, 0, 7, 9, 13], 4), vec![0, 0, 2, 3, 4]);
+        assert_eq!(vector_index(&[0, 0, 7, 9, 13], 8), vec![0, 0, 1, 2, 3]);
+        assert_eq!(vector_index(&[0], 4), vec![0]);
     }
 
     #[test]

@@ -46,15 +46,25 @@ fn bit(words: &[AtomicU64], v: u64) -> bool {
     words[(v >> 6) as usize].load(Ordering::Relaxed) & (1 << (v & 63)) != 0
 }
 
-/// A generated run: vectors in array order, their weight lanes, and the
-/// destination ids in first-appearance order.
+/// A generated run: vectors in array order, their weights (one per valid
+/// lane, in lane order), and the destination ids in first-appearance order.
 struct Fixture {
-    vectors: Vec<EdgeVector<4>>,
-    weights: Vec<[f64; 4]>,
+    vectors: Vec<EdgeVector>,
+    weights: Vec<f64>,
     dests: Vec<u64>,
 }
 
-/// `shape[d]` lists destination `d`'s vectors as neighbor lists of 0..=4
+impl Fixture {
+    /// The weights of the vectors before vector `at`.
+    fn lanes_before(&self, at: usize) -> usize {
+        self.vectors[..at]
+            .iter()
+            .map(|v| v.count_valid() as usize)
+            .sum()
+    }
+}
+
+/// `shape[d]` lists destination `d`'s vectors as neighbor lists of 0..=8
 /// ids. Destination ids ascend from `base` with the generated gaps, so
 /// high TLV pieces are exercised as well as low ones.
 fn fixture(base: u64, shape: &[(u64, Vec<Vec<u64>>)], seed: u64) -> Fixture {
@@ -69,15 +79,11 @@ fn fixture(base: u64, shape: &[(u64, Vec<Vec<u64>>)], seed: u64) -> Fixture {
         dest += 1 + gap;
         f.dests.push(dest);
         for nbrs in vecs {
-            f.vectors.push(EdgeVector::<4>::new(dest, nbrs));
-            // Padding weight lanes are 0.0, as the builder writes them.
-            f.weights.push(std::array::from_fn(|i| {
-                if i < nbrs.len() {
-                    (splitmix(&mut s) % 1000) as f64 / 9.0 - 40.0
-                } else {
-                    0.0
-                }
-            }));
+            f.vectors.push(EdgeVector::new(dest, nbrs));
+            for _ in nbrs {
+                f.weights
+                    .push((splitmix(&mut s) % 1000) as f64 / 9.0 - 40.0);
+            }
         }
     }
     f
@@ -95,16 +101,15 @@ fn walk_pieces<R: Reduction, F: LaneFilter>(
     let mut out = Vec::new();
     let ends = cuts.iter().copied().chain([run.vectors.len()]);
     let starts = [0].into_iter().chain(cuts.iter().copied());
+    let mut weights = run.weights;
     for (start, end) in starts.zip(ends) {
         let piece = Run {
             vectors: &run.vectors[start..end],
-            weights: if R::WEIGHTED {
-                &run.weights[start..end]
-            } else {
-                &[]
-            },
+            weights: if R::WEIGHTED { weights } else { &[] },
             ..run
         };
+        let lanes: usize = piece.vectors.iter().map(|v| v.count_valid() as usize).sum();
+        weights = &weights[lanes..];
         k.walk_checked::<R, F, _>(piece, filter, &mut carry, &mut |d, v| {
             out.push((d, v.to_bits()))
         });
@@ -126,16 +131,20 @@ fn per_edge<R: Reduction>(
         .iter()
         .map(|&d| {
             let mut acc = R::IDENTITY;
-            for (ev, w) in f.vectors.iter().zip(&f.weights) {
+            let mut weights = f.weights.iter();
+            for ev in &f.vectors {
+                let mine: Vec<f64> = weights
+                    .by_ref()
+                    .take(ev.count_valid() as usize)
+                    .copied()
+                    .collect();
                 if ev.top_level_vertex() != d || converged.is_some_and(|c| bit(c, d)) {
                     continue;
                 }
-                for (i, w) in w.iter().enumerate() {
-                    if let Some(src) = ev.neighbor(i) {
-                        if active.is_none_or(|a| bit(a, src)) {
-                            let m = message(values[src as usize], *w);
-                            acc = scalar::combine::<R>(acc, m);
-                        }
+                for (src, w) in ev.valid_neighbors().zip(mine) {
+                    if active.is_none_or(|a| bit(a, src)) {
+                        let m = message(values[src as usize], w);
+                        acc = scalar::combine::<R>(acc, m);
                     }
                 }
             }
@@ -198,7 +207,7 @@ fn check<R: Reduction>(
     for i in 0..n {
         let one = Run {
             vectors: &f.vectors[i..=i],
-            weights: &f.weights[i..=i],
+            weights: &f.weights[f.lanes_before(i)..],
             ..run
         };
         prop_assert_eq!(
@@ -215,12 +224,12 @@ proptest! {
 
     #[test]
     fn prop_avx2_scalar_and_per_edge_agree(
-        base in prop_oneof![0u64..4, 0u64..4, (1u64 << 35)..(1u64 << 36), (1u64 << 47) - 64..(1u64 << 47)],
+        base in prop_oneof![0u64..4, 0u64..4, (1u64 << 20)..(1u64 << 21), (1u64 << 27) - 50_000..(1u64 << 27) - 45_000],
         shape in proptest::collection::vec(
             (
                 0u64..5000,
                 proptest::collection::vec(
-                    proptest::collection::vec(0u64..SOURCES as u64, 0..=4),
+                    proptest::collection::vec(0u64..SOURCES as u64, 0..=8),
                     1..5,
                 ),
             ),

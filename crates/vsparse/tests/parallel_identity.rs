@@ -137,8 +137,7 @@ fn check_all_layers(family: Family, size: usize, seed: u64, weighted: bool) {
     let mut seq_in = Csr::from_edgelist_by_dst(&el);
     seq_out.sort_neighbors();
     seq_in.sort_neighbors();
-    let seq_vs4 = VectorSparse::<4>::from_csr(&seq_in);
-    let seq_vs8 = VectorSparse::<8>::from_csr(&seq_in);
+    let seq_vs = VectorSparse::from_csr(&seq_in);
 
     for threads in THREAD_ARMS {
         let ctx = format!("{family:?} size={size} seed={seed} weighted={weighted} t={threads}");
@@ -154,10 +153,8 @@ fn check_all_layers(family: Family, size: usize, seed: u64, weighted: bool) {
         assert_eq!(par_out, seq_out, "{ctx}: CSR");
         assert_eq!(par_in, seq_in, "{ctx}: CSC");
 
-        let par_vs4 = VectorSparse::<4>::from_csr_parallel(&par_in, &pool);
-        let par_vs8 = VectorSparse::<8>::from_csr_parallel(&par_in, &pool);
-        assert!(par_vs4.bit_identical(&seq_vs4), "{ctx}: VS<4>");
-        assert!(par_vs8.bit_identical(&seq_vs8), "{ctx}: VS<8>");
+        let par_vs = VectorSparse::from_csr_parallel(&par_in, &pool);
+        assert!(par_vs.bit_identical(&seq_vs), "{ctx}: VS");
     }
 }
 
@@ -211,7 +208,7 @@ fn corner_shapes_identical_at_every_thread_count() {
             let text = render_text(edges, weights.as_deref());
             let seq = parse_text_edgelist(text.as_bytes(), None).unwrap();
             let seq_csr = Csr::from_edgelist_by_src(&el);
-            let seq_vs = VectorSparse::<4>::from_csr(&seq_csr);
+            let seq_vs = VectorSparse::from_csr(&seq_csr);
             for threads in THREAD_ARMS {
                 let pool = ThreadPool::single_group(threads);
                 let ctx = format!("n={n} m={} weighted={weighted} t={threads}", edges.len());
@@ -219,7 +216,7 @@ fn corner_shapes_identical_at_every_thread_count() {
                 assert_edgelist_identical(&par, &seq, &ctx);
                 let par_csr = Csr::from_edgelist_by_src_parallel(&el, &pool);
                 assert_eq!(par_csr, seq_csr, "{ctx}");
-                let par_vs = VectorSparse::<4>::from_csr_parallel(&par_csr, &pool);
+                let par_vs = VectorSparse::from_csr_parallel(&par_csr, &pool);
                 assert!(par_vs.bit_identical(&seq_vs), "{ctx}");
             }
         }

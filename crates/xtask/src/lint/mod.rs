@@ -29,7 +29,7 @@ pub enum Rule {
     PointerAllowlist,
     /// `unwrap()` / `panic!` in an engine or scheduler hot path.
     HotPathPanic,
-    /// Vector-Sparse lane-encoding constants diverge from the paper.
+    /// Vector-Sparse lane-encoding constants diverge from the lane layout.
     LaneEncoding,
     /// `catch_unwind` without a `RECOVERY:` justification.
     RecoveryComment,

@@ -371,9 +371,10 @@ pub fn parallel_build_safe(file: &SourceFile) -> Vec<Violation> {
 }
 
 /// Rule 4: the Vector-Sparse lane encoding in `vsparse/src/format.rs`
-/// matches the paper's layout — `valid` flag in bit 63 (the sign position,
-/// so AVX sign-predication works), TLV piece above a 48-bit vertex id, and
-/// piece widths 12/6/3 for 4/8/16-lane vectors.
+/// keeps Figure 4's fields in a 32-bit lane — `valid` flag in bit 31 (the
+/// sign position, so AVX sign-predication works), a 4-bit TLV piece
+/// directly above a 27-bit vertex id, and eight lanes whose pieces hold a
+/// whole vertex id.
 pub fn lane_encoding(root: &Path) -> std::io::Result<Vec<Violation>> {
     let rel = Path::new("crates/vsparse/src/format.rs");
     let path = root.join(rel);
@@ -409,74 +410,77 @@ pub fn lane_encoding_text(rel: &Path, text: &str) -> Vec<Violation> {
             .find(|(_, l)| squish(l).contains(&squish(needle)))
             .map(|(i, l)| (i + 1, l.to_string()))
     };
+    // The squished right-hand side of `needle`'s line, without the `;`.
+    let value_of = |needle: &str| -> Option<(usize, String)> {
+        find_line(needle).map(|(n, line)| {
+            let value = line.split_once('=').map_or("", |(_, v)| v);
+            (n, squish(value).trim_end_matches(';').to_string())
+        })
+    };
+    let number = |needle: &str| value_of(needle).and_then(|(_, v)| v.parse::<u32>().ok());
 
-    // 48-bit vertex identifiers (paper §4: 2^48 vertices, top 16 bits free).
-    match find_line("const VERTEX_BITS: u32 =") {
-        Some((n, line)) => {
-            let value = line
-                .split('=')
-                .nth(1)
-                .map(|v| v.trim().trim_end_matches(';'));
-            if value != Some("48") {
-                fail(
-                    n,
-                    "VERTEX_BITS must be 48 (paper's 48-bit vertex identifiers)",
-                );
-            }
-        }
+    // 27-bit vertex identifiers: a `u32` id of any graph this repo holds
+    // (Table 1's largest, 105.9 M vertices, needs 27).
+    match value_of("const VERTEX_BITS: u32 =") {
+        Some((n, v)) if v != "27" => fail(n, "VERTEX_BITS must be 27 (the lane's vertex field)"),
+        Some(_) => {}
         None => fail(1, "VERTEX_BITS constant not found"),
     }
 
     // Valid flag in the sign bit so SIMD sign-predication tests it free.
-    match find_line("const VALID_BIT: u64 =") {
-        Some((n, line)) => {
-            if !squish(&line).contains("1u64<<63") && !squish(&line).contains("1<<63") {
-                fail(
-                    n,
-                    "VALID_BIT must be bit 63 (sign position, for AVX mask tricks)",
-                );
-            }
-        }
+    match value_of("const VALID_BIT: u32 =") {
+        Some((n, v)) if v != "1u32<<31" && v != "1<<31" => fail(
+            n,
+            "VALID_BIT must be bit 31 (sign position, for AVX mask tricks)",
+        ),
+        Some(_) => {}
         None => fail(1, "VALID_BIT constant not found"),
     }
 
     // TLV piece sits directly above the vertex id.
-    match find_line("const TLV_SHIFT: u32 =") {
-        Some((n, line)) => {
-            let v = squish(&line);
-            if !v.contains("=VERTEX_BITS;") && !v.contains("=48;") {
-                fail(
-                    n,
-                    "TLV_SHIFT must equal VERTEX_BITS (TLV piece above the vertex id)",
-                );
-            }
-        }
+    match value_of("const TLV_SHIFT: u32 =") {
+        Some((n, v)) if v != "VERTEX_BITS" && v != "27" => fail(
+            n,
+            "TLV_SHIFT must equal VERTEX_BITS (TLV piece above the vertex id)",
+        ),
+        Some(_) => {}
         None => fail(1, "TLV_SHIFT constant not found"),
     }
 
-    // Mask covers exactly the 48 vertex bits.
-    match find_line("const VERTEX_MASK: u64 =") {
-        Some((n, line)) => {
-            let v = squish(&line);
-            if !v.contains("(1u64<<VERTEX_BITS)-1") && !v.contains("(1<<VERTEX_BITS)-1") {
-                fail(n, "VERTEX_MASK must be (1 << VERTEX_BITS) - 1");
-            }
+    // Mask covers exactly the vertex bits.
+    match value_of("const VERTEX_MASK: u32 =") {
+        Some((n, v)) if v != "(1u32<<VERTEX_BITS)-1" && v != "(1<<VERTEX_BITS)-1" => {
+            fail(n, "VERTEX_MASK must be (1 << VERTEX_BITS) - 1")
         }
+        Some(_) => {}
         None => fail(1, "VERTEX_MASK constant not found"),
     }
 
-    // Piece widths: 48/4 = 12, 48/8 = 6, 48/16 = 3 — either via the
-    // division formula or explicit match arms.
-    match find_line("fn tlv_piece_bits(") {
+    // A 4-bit piece per lane, between the vertex id and the valid bit.
+    match value_of("const TLV_PIECE_BITS: u32 =") {
+        Some((n, v)) if v != "4" => fail(
+            n,
+            "TLV_PIECE_BITS must be 4 (a piece between the vertex id and the valid bit)",
+        ),
+        Some(_) => {}
+        None => fail(1, "TLV_PIECE_BITS constant not found"),
+    }
+
+    // Eight lanes fill a 256-bit vector and their pieces hold a vertex id.
+    match find_line("const LANES: usize =") {
         Some((n, _)) => {
-            let body = squish(text);
-            let formula = body.contains("VERTEX_BITS/lanes");
-            let arms = body.contains("4=>12") && body.contains("8=>6") && body.contains("16=>3");
-            if !formula && !arms {
-                fail(n, "tlv_piece_bits must yield 12/6/3 bits for 4/8/16 lanes");
+            let pieces = number("const LANES: usize =").zip(number("const TLV_PIECE_BITS: u32 ="));
+            let whole = pieces.is_some_and(|(lanes, bits)| {
+                lanes == 8 && number("const VERTEX_BITS: u32 =").is_some_and(|v| lanes * bits >= v)
+            });
+            if !whole {
+                fail(
+                    n,
+                    "LANES must be 8 and LANES x TLV_PIECE_BITS must cover VERTEX_BITS",
+                );
             }
         }
-        None => fail(1, "tlv_piece_bits function not found"),
+        None => fail(1, "LANES constant not found"),
     }
 
     out
@@ -805,11 +809,22 @@ mod tests {
 
     // ---- rule 4: lane encoding ---------------------------------------
 
-    const GOOD_FORMAT: &str = "pub const VERTEX_BITS: u32 = 48;\n\
-        pub const VERTEX_MASK: u64 = (1u64 << VERTEX_BITS) - 1;\n\
-        pub const VALID_BIT: u64 = 1u64 << 63;\n\
+    const GOOD_FORMAT: &str = "pub const LANES: usize = 8;\n\
+        pub const VERTEX_BITS: u32 = 27;\n\
+        pub const VERTEX_MASK: u32 = (1u32 << VERTEX_BITS) - 1;\n\
+        pub const VALID_BIT: u32 = 1u32 << 31;\n\
         pub const TLV_SHIFT: u32 = VERTEX_BITS;\n\
-        pub const fn tlv_piece_bits(lanes: usize) -> u32 { VERTEX_BITS / lanes as u32 }\n";
+        pub const TLV_PIECE_BITS: u32 = 4;\n";
+
+    /// The violations of `GOOD_FORMAT` with `from` replaced by `to`.
+    fn mutated(from: &str, to: &str) -> Vec<Violation> {
+        assert!(GOOD_FORMAT.contains(from), "{from}");
+        lane_encoding_text(Path::new("f.rs"), &GOOD_FORMAT.replace(from, to))
+    }
+
+    fn fires(v: &[Violation], field: &str) -> bool {
+        v.iter().any(|v| v.message.contains(field))
+    }
 
     #[test]
     fn correct_lane_constants_pass() {
@@ -819,35 +834,56 @@ mod tests {
 
     #[test]
     fn wrong_vertex_bits_fires() {
-        let bad = GOOD_FORMAT.replace("VERTEX_BITS: u32 = 48", "VERTEX_BITS: u32 = 47");
-        let v = lane_encoding_text(Path::new("f.rs"), &bad);
-        assert!(v.iter().any(|v| v.message.contains("VERTEX_BITS")), "{v:?}");
+        let v = mutated("VERTEX_BITS: u32 = 27", "VERTEX_BITS: u32 = 28");
+        assert!(fires(&v, "VERTEX_BITS"), "{v:?}");
+        // The paper's 48-bit field does not fit a 32-bit lane.
+        let v = mutated("VERTEX_BITS: u32 = 27", "VERTEX_BITS: u32 = 48");
+        assert!(fires(&v, "VERTEX_BITS"), "{v:?}");
     }
 
     #[test]
     fn wrong_valid_bit_fires() {
-        let bad = GOOD_FORMAT.replace("1u64 << 63", "1u64 << 62");
-        let v = lane_encoding_text(Path::new("f.rs"), &bad);
-        assert!(v.iter().any(|v| v.message.contains("VALID_BIT")), "{v:?}");
+        let v = mutated("1u32 << 31", "1u32 << 30");
+        assert!(fires(&v, "VALID_BIT"), "{v:?}");
+    }
+
+    #[test]
+    fn wrong_tlv_shift_fires() {
+        let v = mutated("TLV_SHIFT: u32 = VERTEX_BITS", "TLV_SHIFT: u32 = 28");
+        assert!(fires(&v, "TLV_SHIFT"), "{v:?}");
+    }
+
+    #[test]
+    fn wrong_vertex_mask_fires() {
+        let v = mutated("(1u32 << VERTEX_BITS) - 1", "(1u32 << VERTEX_BITS)");
+        assert!(fires(&v, "VERTEX_MASK"), "{v:?}");
     }
 
     #[test]
     fn missing_piece_mapping_fires() {
-        let bad = GOOD_FORMAT.replace("VERTEX_BITS / lanes as u32", "12");
-        let v = lane_encoding_text(Path::new("f.rs"), &bad);
-        assert!(
-            v.iter().any(|v| v.message.contains("tlv_piece_bits")),
-            "{v:?}"
-        );
+        let v = mutated("TLV_PIECE_BITS: u32 = 4", "TLV_PIECE_BITS: u32 = 3");
+        assert!(fires(&v, "TLV_PIECE_BITS"), "{v:?}");
+        // Three-bit pieces cannot hold a 27-bit id across eight lanes.
+        assert!(fires(&v, "LANES"), "{v:?}");
+        let v = mutated("pub const TLV_PIECE_BITS: u32 = 4;", "");
+        assert!(fires(&v, "TLV_PIECE_BITS constant not found"), "{v:?}");
     }
 
     #[test]
-    fn explicit_match_arms_also_pass() {
-        let arms = GOOD_FORMAT.replace(
-            "VERTEX_BITS / lanes as u32",
-            "match lanes { 4 => 12, 8 => 6, 16 => 3, _ => 0 }",
+    fn wrong_lane_count_fires() {
+        let v = mutated("LANES: usize = 8", "LANES: usize = 4");
+        assert!(fires(&v, "LANES"), "{v:?}");
+    }
+
+    #[test]
+    fn explicit_literals_also_pass() {
+        let v = lane_encoding_text(
+            Path::new("f.rs"),
+            &GOOD_FORMAT
+                .replace("TLV_SHIFT: u32 = VERTEX_BITS", "TLV_SHIFT: u32 = 27")
+                .replace("1u32 << 31", "1 << 31")
+                .replace("(1u32 << VERTEX_BITS) - 1", "(1 << VERTEX_BITS) - 1"),
         );
-        let v = lane_encoding_text(Path::new("f.rs"), &arms);
         assert!(v.is_empty(), "{v:?}");
     }
 }

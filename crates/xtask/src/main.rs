@@ -11,7 +11,8 @@
 //!    scheduler hot paths outside test code; invariants use
 //!    `expect("<invariant>")` or error propagation instead.
 //! 4. **Lane-encoding constants** — the Vector-Sparse lane layout constants
-//!    must match the paper's `valid(1) | tlv-piece | vertex(48)` scheme.
+//!    must match Figure 4's fields in a 32-bit lane:
+//!    `valid(1) | tlv-piece(4) | vertex(27)`, eight lanes to a vector.
 //!
 //! `cargo xtask analyze` runs the concurrency-soundness analyzer
 //! (DESIGN.md §13):

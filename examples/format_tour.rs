@@ -1,9 +1,9 @@
 //! A guided tour of the Vector-Sparse format (paper §4, Figures 2 and 4).
 //!
-//! Walks one small graph from Compressed-Sparse through the 4-lane and
-//! 8-lane Vector-Sparse encodings, showing lane contents, padding,
-//! top-level-vertex reassembly, packing efficiency, and a masked
-//! gather-reduce —
+//! Walks one small graph from Compressed-Sparse through the Vector-Sparse
+//! encoding — eight 32-bit lanes to a 256-bit vector — showing lane
+//! contents, padding, top-level-vertex reassembly, packing efficiency
+//! against the paper's four 64-bit lanes, and a masked gather-reduce —
 //! everything the format does, on data small enough to read.
 //!
 //! ```sh
@@ -12,18 +12,18 @@
 
 use grazelle::graph::edgelist::EdgeList;
 use grazelle::prelude::*;
-use grazelle::vsparse::format::{lane_is_valid, lane_vertex, TLV_SHIFT};
+use grazelle::vsparse::format::{lane_is_valid, lane_piece, lane_vertex, LANES};
 use grazelle::vsparse::packing::{packing_efficiency, space_overhead};
 use grazelle::vsparse::simd::{detect, ActiveBitmap, AllActive, Carry, Kernels, Run, Sum};
 use grazelle::vsparse::VectorSparse;
 use std::sync::atomic::AtomicU64;
 
 fn main() {
-    // The paper's worked example: a top-level vertex with degree 7 occupies
-    // two 256-bit vectors (7 valid lanes + 1 invalid).
-    let mut el = EdgeList::new(10);
-    for d in 1..=7u32 {
-        el.push(0, d).unwrap(); // vertex 0: degree 7
+    // A top-level vertex with degree 11 occupies two 256-bit vectors (8
+    // valid lanes, then 3 valid + 5 invalid).
+    let mut el = EdgeList::new(12);
+    for d in 1..=11u32 {
+        el.push(0, d).unwrap(); // vertex 0: degree 11
     }
     el.push(2, 9).unwrap(); // vertex 2: degree 1
     el.push(2, 4).unwrap(); // vertex 2: degree 2
@@ -34,14 +34,14 @@ fn main() {
     println!("vertex index: {:?}", csr.index());
     println!("edge array:   {:?}", csr.edges());
 
-    println!("\n== Vector-Sparse, 4 lanes (Figure 4) ==");
-    let vsd = VectorSparse::<4>::from_csr(csr);
+    println!("\n== Vector-Sparse, 8 x 32-bit lanes (Figure 4's fields) ==");
+    let vsd = VectorSparse::from_csr(csr);
     println!(
         "{} edges -> {} vectors ({} lanes, {} padding)",
         vsd.num_edges(),
         vsd.num_vectors(),
-        vsd.num_vectors() * 4,
-        vsd.num_vectors() * 4 - vsd.num_edges()
+        vsd.num_vectors() * LANES,
+        vsd.num_vectors() * LANES - vsd.num_edges()
     );
     for (i, ev) in vsd.vectors().iter().enumerate() {
         print!(
@@ -50,9 +50,9 @@ fn main() {
         );
         for (lane_idx, &lane) in ev.lanes().iter().enumerate() {
             let valid = lane_is_valid(lane);
-            let piece = (lane >> TLV_SHIFT) & 0xFFF;
+            let piece = lane_piece(lane);
             print!(
-                " [{}{} tlv-piece={:#05x} v={}]",
+                " [{}{} tlv-piece={:#x} v={}]",
                 lane_idx,
                 if valid { "+" } else { "-" },
                 piece,
@@ -64,15 +64,14 @@ fn main() {
     println!(
         "packing efficiency {:.1}% (space overhead {:.2}x vs Compressed-Sparse edges)",
         100.0 * vsd.packing_efficiency(),
-        space_overhead(&csr.degrees(), 4)
+        space_overhead(&csr.degrees(), LANES)
     );
 
-    println!("\n== The same edges at 8 lanes (AVX-512 width) ==");
-    let vsd8 = VectorSparse::<8>::from_csr(csr);
+    println!("\n== The paper's 4 x 64-bit lanes, for comparison ==");
     println!(
-        "{} vectors, packing {:.1}% — wider lanes pay more padding on low degrees",
-        vsd8.num_vectors(),
-        100.0 * packing_efficiency(&csr.degrees(), 8),
+        "packing {:.1}% in {} vectors of the same 32 bytes: fewer lanes pad less on low degrees, and take twice the bytes on high ones",
+        100.0 * packing_efficiency(&csr.degrees(), 4),
+        csr.degrees().iter().map(|&d| d.div_ceil(4)).sum::<u32>(),
     );
 
     println!("\n== Masked gather-reduce (Listing 7) ==");
@@ -80,11 +79,11 @@ fn main() {
     // out-neighbors, with a frontier that only activates odd vertices. The
     // accumulator stays lane-wise across vertex 0's two vectors and is
     // reduced only when the embedded top-level vertex changes.
-    let values: Vec<f64> = (0..10).map(|v| v as f64 * 10.0).collect();
+    let values: Vec<f64> = (0..12).map(|v| v as f64 * 10.0).collect();
     let kernels = Kernels::auto();
     println!("kernels: {:?}", detect());
     let run = Run::unweighted(&values, vsd.vectors());
-    let odd = [AtomicU64::new(0b10_1010_1010)];
+    let odd = [AtomicU64::new(0b1010_1010_1010)];
     let mut carry = Carry::new(0, 0.0);
     let mut sums = Vec::new();
     kernels.walk_checked::<Sum, _, _>(run, ActiveBitmap(&odd), &mut carry, &mut |v, sum| {
@@ -92,17 +91,17 @@ fn main() {
     });
     sums.push((carry.dest, carry.reduce(|a, b| a + b)));
     println!("gather-sum over odd neighbors, per top-level vertex: {sums:?}");
-    // Vertex 0: 10*(1+3+5+7), the padded lane ignored; vertex 2: 10*9.
-    assert_eq!(sums, vec![(0, 160.0), (2, 90.0)]);
+    // Vertex 0: 10*(1+3+5+7+9+11), the padded lanes ignored; vertex 2: 10*9.
+    assert_eq!(sums, vec![(0, 360.0), (2, 90.0)]);
 
     // The valid bits alone predicate the padded tail vector.
     let tail = Run {
-        vectors: &vsd.vectors()[1..2], // neighbors 5,6,7 + one invalid lane
+        vectors: &vsd.vectors()[1..2], // neighbors 9,10,11 + five invalid lanes
         ..run
     };
     let mut carry = Carry::new(0, 0.0);
     kernels.walk_checked::<Sum, _, _>(tail, AllActive, &mut carry, &mut |_, _| {});
     let all = carry.reduce(|a, b| a + b);
-    println!("gather-sum over the padded tail = {all} (50+60+70, padding ignored)");
-    assert_eq!(all, 180.0);
+    println!("gather-sum over the padded tail = {all} (90+100+110, padding ignored)");
+    assert_eq!(all, 300.0);
 }

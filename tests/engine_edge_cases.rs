@@ -282,8 +282,8 @@ fn check_fused_pull(g: &Graph, label: &str) {
     use grazelle_vsparse::simd::{detect, SimdLevel};
 
     let n = g.num_vertices();
-    let vsd = VectorSparse::<4>::from_csr(g.in_csr());
-    let vss = VectorSparse::<4>::from_csr(g.out_csr());
+    let vsd = VectorSparse::from_csr(g.in_csr());
+    let vss = VectorSparse::from_csr(g.out_csr());
     let nv = vsd.num_vectors();
     let pool = ThreadPool::single_group(2);
     let evens: Vec<u32> = (0..n as u32).step_by(2).collect();
@@ -776,16 +776,16 @@ fn priority_schedule_degenerate_weights() {
 
 /// The in-place drain hands a bucket that outgrows its cutoff back to
 /// supersteps and takes the tail again. BFS and SSSP start from a leaf of a
-/// 40 000-leaf star whose last leaf starts a 100-vertex chain: the hub's
-/// bucket (10 000 out-vectors) and the leaves' (≈40 000) are past the
-/// cutoff of any pool wider than one thread (8192 vectors at two threads),
+/// 80 000-leaf star whose last leaf starts a 100-vertex chain: the hub's
+/// bucket (10 000 eight-lane out-vectors) and the leaves' (≈80 000) are past
+/// the cutoff of any pool wider than one thread (8192 vectors at two threads),
 /// so they run as supersteps, while the first leaf and the chain drain. At
 /// one thread every bucket drains. Results match the references at every
 /// width, and BFS runs one iteration per level either way.
 #[test]
 fn the_drain_hands_wide_buckets_to_supersteps_and_takes_the_tail_back() {
     use grazelle_apps::{sssp, Sssp};
-    let (leaves, chain) = (40_000u32, 100u32);
+    let (leaves, chain) = (80_000u32, 100u32);
     let n = (1 + leaves + chain) as usize;
     let mut el = EdgeList::new(n);
     let mut link = |a: u32, b: u32| {

@@ -438,7 +438,7 @@ proptest! {
         let mut el = EdgeList::from_pairs(48, &edges).expect("ids in range");
         el.sort_and_dedup();
         let g = Graph::from_edgelist(&el).expect("valid edge list");
-        let vsd = VectorSparse::<4>::from_csr(g.in_csr());
+        let vsd = VectorSparse::from_csr(g.in_csr());
         let n = g.num_vertices();
         for threads in [1usize, 2, 8] {
             let prog = SumProg {

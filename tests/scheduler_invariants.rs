@@ -71,14 +71,15 @@ fn write_traffic_is_bounded_by_vertices_plus_chunks() {
 
 #[test]
 fn merge_buffer_handles_hub_spanning_chunks() {
-    // One hub with in-degree 4096 and chunk size 8 vectors: the hub's 1024
-    // vectors span ~128 chunks, all but one contributing via merge entries.
-    let n = 4200;
+    // One hub with in-degree 8192 and chunk size 8 vectors: the hub's 1024
+    // eight-lane vectors span ~128 chunks, all but one contributing via
+    // merge entries.
+    let n = 8300;
     let mut el = EdgeList::new(n);
-    for s in 1..=4096u32 {
+    for s in 1..=8192u32 {
         el.push(s, 0).unwrap();
     }
-    el.push(0, 4199).unwrap(); // give the hub an out-edge too
+    el.push(0, 8299).unwrap(); // give the hub an out-edge too
     let g = Graph::from_edgelist(&el).unwrap();
     let pg = PreparedGraph::new(&g);
     let pool = ThreadPool::single_group(4);
@@ -93,7 +94,7 @@ fn merge_buffer_handles_hub_spanning_chunks() {
         "expected many merge entries for the spanning hub, got {}",
         stats.profile.merge_entries
     );
-    // The hub's rank must equal the exact sum of all 4096 contributions.
+    // The hub's rank must equal the exact sum of all 8192 contributions.
     let want = pagerank::reference(&g, pagerank::DAMPING, 1);
     let got = prog.ranks();
     assert!(
