@@ -2,13 +2,12 @@
 //!
 //! ```text
 //! cargo run --release -p grazelle-bench --bin repro -- <experiment>... | all
-//! cargo run --release -p grazelle-bench --bin repro -- perf-gate [options]
 //!
 //! experiments:
 //!   table1 table2 fig1 fig5a fig5b fig6 fig7 fig8 fig9a fig9b fig10a
 //!   fig10b fig11 fig12 fig13 ablate-chunks ablate-merge ablate-order
 //!   ablate-pull-frontier write-traffic
-//!   resilience-overhead resilience-faults recorder-overhead gate
+//!   resilience-overhead resilience-faults recorder-overhead
 //!   build-throughput serve-latency triangle-count labelprop
 //!
 //! opt-in (named explicitly, never part of `all` — minutes of runtime):
@@ -18,23 +17,16 @@
 //!   --sockets N     socket-group count for fig11/12/13 (default 1)
 //!   --json DIR      also write one BENCH_<experiment>.json per experiment
 //!
-//! perf-gate options:
-//!   --baseline DIR  committed baseline documents (default baselines/bench)
-//!   --current DIR   freshly generated documents (default out/bench)
-//!   --tolerance X   allowed geomean slowdown fraction (default 0.25)
-//!
 //! environment:
 //!   GRAZELLE_SCALE_SHIFT    workload scale (default -2; 0 = nominal)
 //!   GRAZELLE_THREADS        worker threads (default: min(4, cores))
 //!   GRAZELLE_REPEATS        median-of-N timing (default 3)
-//!   GRAZELLE_GATE_STALL_MS  injected stall for the `gate` experiment
 //! ```
 //!
 //! The doc header above is asserted against `ALL` by a test — keep the
 //! experiment list here in sync when adding experiments.
 
 use grazelle_bench::experiments as exp;
-use grazelle_bench::gate::{compare_dirs, DEFAULT_TOLERANCE};
 use grazelle_bench::report::Table;
 use grazelle_bench::schema::{drain_runs, experiment_doc, write_experiment};
 use std::path::PathBuf;
@@ -42,10 +34,6 @@ use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("perf-gate") {
-        perf_gate(&args[1..]);
-        return;
-    }
     let mut sockets = 1usize;
     let mut json_dir: Option<PathBuf> = None;
     let mut names: Vec<String> = Vec::new();
@@ -111,43 +99,6 @@ fn main() {
     }
 }
 
-/// Diffs two BENCH_*.json directories; exits non-zero on regression.
-fn perf_gate(args: &[String]) {
-    let mut baseline = PathBuf::from("baselines/bench");
-    let mut current = PathBuf::from("out/bench");
-    let mut tolerance = DEFAULT_TOLERANCE;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--baseline" => {
-                baseline = PathBuf::from(
-                    it.next()
-                        .unwrap_or_else(|| usage("--baseline needs a directory")),
-                );
-            }
-            "--current" => {
-                current = PathBuf::from(
-                    it.next()
-                        .unwrap_or_else(|| usage("--current needs a directory")),
-                );
-            }
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--tolerance needs a fraction, e.g. 0.25"));
-            }
-            "-h" | "--help" => usage(""),
-            other => usage(&format!("unknown perf-gate option '{other}'")),
-        }
-    }
-    let report = compare_dirs(&baseline, &current, tolerance);
-    print!("{}", report.render(tolerance));
-    if !report.passed() {
-        std::process::exit(1);
-    }
-}
-
 const ALL: &[&str] = &[
     "table1",
     "table2",
@@ -172,7 +123,6 @@ const ALL: &[&str] = &[
     "resilience-overhead",
     "resilience-faults",
     "recorder-overhead",
-    "gate",
     "build-throughput",
     "serve-latency",
     "triangle-count",
@@ -204,7 +154,6 @@ fn run(name: &str, sockets: usize) -> Vec<Table> {
         "resilience-overhead" => vec![exp::resilience_overhead()],
         "resilience-faults" => vec![exp::resilience_faults()],
         "recorder-overhead" => vec![exp::recorder_overhead()],
-        "gate" => vec![exp::gate()],
         "build-throughput" => vec![exp::build_throughput()],
         "build-large" => vec![exp::build_large()],
         "serve-latency" => vec![exp::serve_latency()],
@@ -219,7 +168,6 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!("usage: repro [--sockets N] [--json DIR] <experiment>... | all");
-    eprintln!("       repro perf-gate [--baseline DIR] [--current DIR] [--tolerance X]");
     eprintln!("experiments: {}", ALL.join(" "));
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -281,29 +229,78 @@ mod tests {
         assert!(named > 0, "no `repro <name>` found in DESIGN.md §3");
     }
 
-    /// `repro perf-gate` fails when a baseline experiment is missing from
-    /// the current run, and `repro all` runs only `ALL`: a committed
-    /// baseline whose experiment is gone could never be compared again.
+    /// An unknown name only fails when someone runs the command, so a
+    /// README or CI line naming a deleted experiment goes unnoticed. Every
+    /// `repro` invocation in README.md (fenced or inline code) and in the
+    /// workflow files must name, past `--`, `--json DIR` and `--sockets N`,
+    /// only `all`, experiments in `ALL` and the doc header's opt-in ones.
     #[test]
-    fn every_committed_baseline_names_an_experiment() {
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines/bench");
-        let mut seen = 0;
-        for entry in std::fs::read_dir(&dir).expect("baselines/bench is readable") {
-            let file = entry.expect("a directory entry").file_name();
-            let file = file.to_string_lossy();
-            let Some(name) = file
-                .strip_prefix("BENCH_")
-                .and_then(|f| f.strip_suffix(".json"))
-            else {
-                continue;
-            };
-            assert!(
-                ALL.contains(&name),
-                "baselines/bench/{file} names no experiment in ALL"
-            );
-            seen += 1;
+    fn readme_and_ci_name_live_experiments() {
+        let opt_in: Vec<&str> = include_str!("repro.rs")
+            .lines()
+            .take_while(|l| l.starts_with("//!"))
+            .map(|l| l.trim_start_matches("//!").trim())
+            .skip_while(|l| !l.starts_with("opt-in"))
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .flat_map(str::split_whitespace)
+            .collect();
+        assert!(!opt_in.is_empty(), "doc header lists no opt-in experiment");
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = vec![root.join("README.md")];
+        let workflows = std::fs::read_dir(root.join(".github/workflows")).expect("workflows");
+        for entry in workflows {
+            let path = entry.expect("a directory entry").path();
+            if path.extension().is_some_and(|e| e == "yml") {
+                files.push(path);
+            }
         }
-        assert!(seen > 0, "no BENCH_*.json under {}", dir.display());
+        let mut named = 0;
+        for path in &files {
+            let text = std::fs::read_to_string(path).expect("readable");
+            let markdown = path.extension().is_some_and(|e| e == "md");
+            let mut fenced = false;
+            for line in text.lines() {
+                if markdown && line.trim_start().starts_with("```") {
+                    fenced = !fenced;
+                    continue;
+                }
+                // Markdown prose: only the inline code spans are commands.
+                let prose = usize::from(markdown && !fenced);
+                for span in line.split('`').skip(prose).step_by(1 + prose) {
+                    let mut words = span.split_whitespace();
+                    while let Some(word) = words.next() {
+                        if word != "repro" && !word.ends_with("/repro") {
+                            continue;
+                        }
+                        while let Some(arg) = words.next() {
+                            match arg {
+                                "--" => {}
+                                "--json" | "--sockets" => {
+                                    words.next();
+                                }
+                                "|" | "&&" | ";" | "\\" | ">" => break,
+                                _ if arg.starts_with('#') => break,
+                                name => {
+                                    assert!(
+                                        name == "all"
+                                            || ALL.contains(&name)
+                                            || opt_in.contains(&name),
+                                        "{} names `repro {name}`, not an experiment: {line}",
+                                        path.display()
+                                    );
+                                    named += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            named > 0,
+            "no `repro <name>` found in README.md or the workflows"
+        );
     }
 
     #[test]

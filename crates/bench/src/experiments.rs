@@ -59,7 +59,7 @@ fn median_secs(mut f: impl FnMut() -> f64) -> f64 {
 /// Runs PageRank and returns (per-iteration seconds, stats). Every
 /// sample is logged to the run log under `pr:<abbr>` for the `--json`
 /// documents; samples from different configs of one experiment share
-/// the label and are medianed together by the gate.
+/// the label.
 fn time_pagerank(w: &Workload, cfg: &EngineConfig, pool: &ThreadPool) -> (f64, ExecutionStats) {
     let iters = pagerank_iterations(w.dataset);
     let mut last_stats = None;
@@ -115,7 +115,6 @@ pub fn sampling_policy(name: &str) -> &'static str {
     match name {
         "resilience-overhead"
         | "recorder-overhead"
-        | "gate"
         | "build-throughput"
         | "build-large"
         | "serve-latency" => "best-of-N",
@@ -407,7 +406,8 @@ pub fn fig7() -> Table {
         "Figure 7 — PageRank multi-core scaling (perf rel. Traditional @ 1 thread)",
         &["graph", "threads", "Traditional", "Scheduler-Aware"],
     );
-    t.note("HARDWARE-GATED on this host (single core): absolute scaling is flat; the Traditional-vs-SA contrast remains valid (DESIGN.md §4.2)");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    t.note(&format!("HARDWARE-GATED: this host runs {cores} hardware threads, so scaling is flat past {cores}; the Traditional-vs-SA contrast remains valid (DESIGN.md §4.2)"));
     let max_threads = threads().max(4);
     let sweep: Vec<usize> = [1, 2, 4, 8]
         .into_iter()
@@ -1139,81 +1139,6 @@ pub fn recorder_overhead() -> Table {
     t
 }
 
-/// Perf-gate workload (DESIGN.md §10): PageRank through the resilient
-/// path on three graphs, best-of-N, every sample logged so the JSON
-/// document carries enough samples for the gate to median. The env knob
-/// `GRAZELLE_GATE_STALL_MS` injects a deterministic superstep stall per
-/// repeat — the CI regression drill proving the gate trips on a real
-/// slowdown (the watchdog stays off so the stall slows, never kills).
-pub fn gate() -> Table {
-    use grazelle_core::{run_resilient_on_pool, ExecFaultPlan, ExecInjector, ResilienceContext};
-    let mut t = Table::new(
-        "Perf gate — PageRank via the resilient path (best-of-N)",
-        &["graph", "ms/iter", "iterations", "events"],
-    );
-    let stall_ms: u64 = std::env::var("GRAZELLE_GATE_STALL_MS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    t.note(&format!(
-        "GRAZELLE_GATE_STALL_MS={stall_ms} (0 = clean; >0 injects a per-repeat superstep stall)"
-    ));
-    let pool = ThreadPool::single_group(threads());
-    for ds in [
-        Dataset::CitPatents,
-        Dataset::LiveJournal,
-        Dataset::Twitter2010,
-    ] {
-        let w = workload(ds);
-        let iters = pagerank_iterations(ds).max(24);
-        let label = format!("gate:pr:{}", ds.abbr());
-        let mut best = f64::INFINITY;
-        let mut best_stats = None;
-        {
-            // Warmup run (not logged): pages the workload in so the first
-            // timed repeat isn't polluted by cold caches.
-            let prog = PageRank::new(&w.graph, pagerank::DAMPING);
-            let cfg = base_config().with_max_iterations(iters);
-            run_program_on_pool(&w.prepared, &prog, &cfg, &pool);
-        }
-        for _ in 0..repeats().max(3) {
-            let prog = PageRank::new(&w.graph, pagerank::DAMPING);
-            let cfg = base_config().with_max_iterations(iters);
-            let plan = if stall_ms > 0 {
-                ExecFaultPlan::clean().with_stall(1, Duration::from_millis(stall_ms))
-            } else {
-                ExecFaultPlan::clean()
-            };
-            let inj = ExecInjector::new(plan);
-            let rctx = ResilienceContext::new().with_injector(&inj);
-            let run = run_resilient_on_pool(&w.prepared, &prog, &cfg, &rctx, &pool)
-                .expect("gate run must complete");
-            let secs = run.stats.wall.as_secs_f64() / iters as f64;
-            log_run(RunRecord::from_stats(&label, secs, &run.stats));
-            if secs < best {
-                best = secs;
-                best_stats = Some(run.stats);
-            }
-        }
-        let s = best_stats.expect("at least two repeats ran");
-        let p = &s.profile;
-        t.row(vec![
-            ds.abbr().into(),
-            format!("{:.3}", best * 1e3),
-            s.iterations.to_string(),
-            if p.resilience_clean() {
-                "clean".into()
-            } else {
-                format!(
-                    "retries={} degraded={} rollbacks={}",
-                    p.chunk_retries, p.degraded_iterations, p.divergence_rollbacks
-                )
-            },
-        ]);
-    }
-    t
-}
-
 /// Fault-scenario matrix: each fault class injected into a PageRank run,
 /// reporting how the resilience layer disposed of it and what the
 /// counters recorded. Deterministic (seeded plans, no wall-clock
@@ -1511,9 +1436,9 @@ pub fn serve_latency() -> Table {
     }
 
     /// Best-of-N over whole streams, one warmup discarded; every repeat
-    /// logged under `label` for the perf gate. Returns the best stream's
-    /// (total seconds, sorted per-query latencies) and the arm's own
-    /// spread, the slowest logged stream over the fastest.
+    /// logged under `label` for the `--json` document. Returns the best
+    /// stream's (total seconds, sorted per-query latencies) and the arm's
+    /// own spread, the slowest logged stream over the fastest.
     fn measure(label: &str, stream: &mut dyn FnMut(&mut Vec<u64>) -> f64) -> (f64, Vec<u64>, f64) {
         let mut scratch = Vec::new();
         stream(&mut scratch); // warmup, discarded
@@ -2036,25 +1961,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_logs_gateable_samples() {
-        tiny_env();
-        crate::schema::drain_runs();
-        let t = gate();
-        assert_eq!(t.rows.len(), 3);
-        let runs = crate::schema::drain_runs();
-        // best-of-N with repeats >= 2: at least two samples per label.
-        for ds in ["C", "L", "T"] {
-            let label = format!("gate:pr:{ds}");
-            assert!(
-                runs.iter().filter(|r| r.label == label).count() >= 2,
-                "{label} missing from {runs:?}"
-            );
-        }
-        // Clean runs: no resilience events recorded.
-        assert!(runs.iter().all(|r| r.retries == 0 && r.rollbacks == 0));
-    }
-
-    #[test]
     fn build_throughput_logs_identical_arms() {
         tiny_env();
         crate::schema::drain_runs();
@@ -2161,7 +2067,6 @@ mod tests {
 
     #[test]
     fn sampling_policy_matches_experiment_reduction() {
-        assert_eq!(sampling_policy("gate"), "best-of-N");
         assert_eq!(sampling_policy("build-throughput"), "best-of-N");
         assert_eq!(sampling_policy("build-large"), "best-of-N");
         assert_eq!(sampling_policy("serve-latency"), "best-of-N");

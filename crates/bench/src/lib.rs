@@ -8,7 +8,6 @@
 //! iteration counts (Table 2); [`report`] renders aligned text tables.
 
 pub mod experiments;
-pub mod gate;
 pub mod json;
 pub mod report;
 pub mod schema;

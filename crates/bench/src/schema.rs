@@ -17,9 +17,8 @@
 //! }
 //! ```
 //!
-//! The gate (`repro perf-gate`) reads `runs[].secs` keyed by `label`;
-//! everything else is for humans and dashboards. Bump [`SCHEMA_VERSION`]
-//! on any field rename/removal — the golden-file test guards the bump.
+//! Bump [`SCHEMA_VERSION`] on any field rename/removal — the golden-file
+//! test guards the bump.
 
 use crate::json::Json;
 use crate::report::Table;
@@ -32,8 +31,7 @@ use std::sync::Mutex;
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// Additive-change counter under [`SCHEMA_VERSION`]. Bump when new fields
-/// appear that old readers may ignore (the gate only rejects on a major
-/// mismatch). Minor 1: optional per-run `build` object with the ingestion
+/// appear that old readers may ignore. Minor 1: optional per-run `build` object with the ingestion
 /// phase breakdown (ISSUE 5). Minor 2: `build.par_cutover` (the
 /// sequential/parallel build threshold in effect) and the `serve-latency`
 /// experiment's `serve-latency/*` run labels. Minor 3: the
@@ -96,7 +94,7 @@ impl BuildRecord {
 /// One timed run: the measurement plus its phase-profile summary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
-    /// Stable key the perf gate compares on, e.g. `"pr:T"` or `"gate:pr"`.
+    /// Stable key naming the measured configuration, e.g. `"pr:T"`.
     pub label: String,
     /// The reported measurement (per-iteration or total seconds,
     /// whichever the experiment's table reports).
@@ -340,23 +338,6 @@ pub fn write_experiment(dir: &Path, doc: &Json) -> std::io::Result<std::path::Pa
     Ok(path)
 }
 
-/// Parses a run's `secs` measurements out of a document, keyed by label.
-/// Duplicate labels keep every sample (the gate medians over them).
-pub fn runs_by_label(doc: &Json) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    if let Some(runs) = doc.get("runs").and_then(|r| r.as_arr()) {
-        for run in runs {
-            if let (Some(label), Some(secs)) = (
-                run.get("label").and_then(|l| l.as_str()),
-                run.get("secs").and_then(|s| s.as_f64()),
-            ) {
-                out.push((label.to_string(), secs));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,9 +393,6 @@ mod tests {
             parsed.get("schema_version").unwrap().as_f64(),
             Some(SCHEMA_VERSION as f64)
         );
-        let by_label = runs_by_label(&parsed);
-        assert_eq!(by_label.len(), 2);
-        assert_eq!(by_label[0], ("pr:C".to_string(), 0.25));
     }
 
     #[test]
@@ -444,11 +422,6 @@ mod tests {
         // Engine runs stay build-less: the key is simply absent.
         let plain = sample_record("pr:C", 0.5).to_json();
         assert!(plain.get("build").is_none());
-        // The gate's label extraction still sees build runs.
-        assert_eq!(
-            runs_by_label(&parsed),
-            vec![("build:8".to_string(), 0.0001)]
-        );
     }
 
     #[test]

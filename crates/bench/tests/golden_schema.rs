@@ -7,9 +7,7 @@
 
 use grazelle_bench::json::Json;
 use grazelle_bench::report::Table;
-use grazelle_bench::schema::{
-    experiment_doc, runs_by_label, RunRecord, SCHEMA_MINOR, SCHEMA_VERSION,
-};
+use grazelle_bench::schema::{experiment_doc, RunRecord, SCHEMA_MINOR, SCHEMA_VERSION};
 
 const GOLDEN: &str = include_str!("testdata/BENCH_golden.json");
 
@@ -187,18 +185,6 @@ fn golden_build_run_carries_breakdown() {
     assert!(parsed.get("runs").unwrap().as_arr().unwrap()[0]
         .get("build")
         .is_none());
-}
-
-#[test]
-fn golden_runs_key_for_the_gate() {
-    let parsed = Json::parse(GOLDEN).unwrap();
-    let runs = runs_by_label(&parsed);
-    assert_eq!(runs.len(), 4);
-    assert_eq!(
-        runs.iter().filter(|(l, _)| l == "gate:pr:C").count(),
-        2,
-        "duplicate labels must survive extraction (the gate medians them)"
-    );
 }
 
 #[test]

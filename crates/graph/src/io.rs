@@ -136,6 +136,38 @@ fn trim_ascii(mut line: &[u8]) -> &[u8] {
     line
 }
 
+/// The first line [`write_text_edgelist`] writes, around the list's vertex
+/// count.
+const HEADER: [&str; 2] = ["# grazelle edge list: ", " vertices"];
+
+/// Longest first line that can be the header; a longer one never is.
+const HEADER_LINE_MAX: usize = 64;
+
+/// The vertex count the first line of `bytes` declares, if that line is the
+/// header [`write_text_edgelist`] writes. Any other first line is `None`
+/// and parses as it always did, a `#` line as a comment. A count past what
+/// a [`VertexId`] can name is an error.
+fn declared_vertices(bytes: &[u8]) -> Result<Option<usize>, GraphError> {
+    let mut pos = 0;
+    let first = next_line(bytes, &mut pos).unwrap_or_default();
+    let count = (first.len() <= HEADER_LINE_MAX)
+        .then(|| trim_ascii(first))
+        .and_then(|line| line.strip_prefix(HEADER[0].as_bytes()))
+        .and_then(|rest| rest.strip_suffix(HEADER[1].as_bytes()))
+        .filter(|count| !count.is_empty() && count.iter().all(u8::is_ascii_digit));
+    let Some(count) = count else {
+        return Ok(None);
+    };
+    let count = token_str(count);
+    let nameable = |n: &u64| *n <= u64::from(VertexId::MAX) + 1;
+    match count.parse().ok().filter(nameable).map(usize::try_from) {
+        Some(Ok(n)) => Ok(Some(n)),
+        _ => Err(GraphError::Io(format!(
+            "line 1: the header declares {count} vertices, more than a vertex id can name"
+        ))),
+    }
+}
+
 /// Next ASCII-whitespace-separated token, advancing `pos` past it.
 fn next_token<'a>(line: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
     while *pos < line.len() && line[*pos].is_ascii_whitespace() {
@@ -398,6 +430,15 @@ impl<R: Read> Blocks<R> {
         &self.buf[self.start..self.end]
     }
 
+    /// [`declared_vertices`] of the input's first line, read ahead and
+    /// left unconsumed.
+    fn declared_vertices(&mut self) -> Result<Option<usize>, GraphError> {
+        while !self.eof && self.data().len() <= HEADER_LINE_MAX && !self.data().contains(&b'\n') {
+            self.fill()?;
+        }
+        declared_vertices(self.data())
+    }
+
     /// Moves the unconsumed bytes to the front and reads once more, growing
     /// the buffer only when one line fills it.
     fn fill(&mut self) -> Result<(), GraphError> {
@@ -545,6 +586,8 @@ enum TextErrKind {
     Bad(&'static str, String),
     BadWeight(String),
     OutOfRange(u64),
+    /// An endpoint at or past the header's vertex count.
+    Undeclared(VertexId, usize),
     WeightAfterUnweighted,
     MissingWeight,
 }
@@ -560,6 +603,9 @@ impl TextErrKind {
                 vertex: v,
                 num_vertices: u32::MAX as u64,
             },
+            TextErrKind::Undeclared(v, n) => GraphError::Io(format!(
+                "line {lineno}: vertex {v} out of range (the header declares {n} vertices)"
+            )),
             TextErrKind::WeightAfterUnweighted => GraphError::Io(format!(
                 "line {lineno}: weight appears after unweighted edges"
             )),
@@ -579,6 +625,9 @@ struct TextChunk {
     /// Input bytes whose edges the first scan makes room for
     /// ([`TextChunk::presize`]); 0 to grow as edges come.
     presize: u64,
+    /// The vertex count the input's header declares ([`declared_vertices`]);
+    /// every endpoint must lie below it.
+    vertices: Option<usize>,
     edges: Vec<(VertexId, VertexId)>,
     weights: Vec<f64>,
     max_v: VertexId,
@@ -606,7 +655,10 @@ impl Scan for TextChunk {
     /// Once the chunk's mode is set: every line [`window_line`] reads
     /// whose weight agrees with the mode, in one loop that keeps its
     /// counters in registers. Any other line ends the run and goes to
-    /// [`line`](Scan::line), which reports it as it always did.
+    /// [`line`](Scan::line), which reports it as it always did. A run whose
+    /// largest endpoint is past the header's count is cut back to the line
+    /// before the first such endpoint ([`TextChunk::take_back`]), so the
+    /// loop itself checks nothing more.
     fn run(&mut self, b: &[u8], limit: usize) -> usize {
         let Some(weighted) = self.weighted else {
             return 0;
@@ -626,9 +678,14 @@ impl Scan for TextChunk {
             lines += 1;
             p += len;
         }
-        self.lines += lines;
-        self.max_v = max_v;
-        p
+        match self.vertices.filter(|&n| max_v as usize >= n) {
+            Some(n) => self.take_back(b, lines, n),
+            None => {
+                self.lines += lines;
+                self.max_v = max_v;
+                p
+            }
+        }
     }
 
     fn scan(&mut self, bytes: &[u8], eof: bool, limit: usize) -> Option<usize> {
@@ -640,10 +697,12 @@ impl Scan for TextChunk {
 }
 
 impl TextChunk {
-    /// A chunk that will be given `bytes` of input.
-    fn of(bytes: u64) -> Self {
+    /// A chunk that will be given `bytes` of input (0 to grow as edges
+    /// come) of a list whose header declares `vertices`.
+    fn of(bytes: u64, vertices: Option<usize>) -> Self {
         TextChunk {
             presize: bytes,
+            vertices,
             ..TextChunk::default()
         }
     }
@@ -661,6 +720,22 @@ impl TextChunk {
         let guess = bytes * lines / sample.len().max(1) as u128;
         let edges = (guess + guess / 8 + 64).min(bytes / 4 + 1);
         self.edges = reserved(usize::try_from(edges).unwrap_or(usize::MAX));
+    }
+
+    /// Keeps only the lines of the last `run` of `taken` lines that come
+    /// before its first endpoint at or past `vertices`, and returns their
+    /// bytes of `b`, so that [`line`](Scan::line) reports that endpoint.
+    fn take_back(&mut self, b: &[u8], taken: usize, vertices: usize) -> usize {
+        let start = self.edges.len() - taken;
+        let past = |&(s, d): &(VertexId, VertexId)| s.max(d) as usize >= vertices;
+        let kept = self.edges[start..].iter().position(past).unwrap_or(taken);
+        self.edges.truncate(start + kept);
+        self.weights.truncate(self.edges.len());
+        let max_v = self.edges[start..].iter().map(|&(s, d)| s.max(d)).max();
+        self.max_v = self.max_v.max(max_v.unwrap_or(0));
+        self.lines += kept;
+        let line_len = |p: usize| window_line(&b[p..]).expect("a line the run took").1;
+        (0..kept).fold(0, |p, _| p + line_len(p))
     }
 
     fn fail(&mut self, line: usize, kind: TextErrKind) {
@@ -700,6 +775,9 @@ impl TextChunk {
     /// Appends one edge. Mode consistency is enforced *within* the chunk;
     /// consistency against earlier chunks is the merge step's job.
     fn edge(&mut self, line: usize, s: VertexId, d: VertexId, weight: Option<f64>) {
+        if let Some(n) = self.vertices.filter(|&n| s.max(d) as usize >= n) {
+            return self.fail(line, TextErrKind::Undeclared(s.max(d), n));
+        }
         match (self.weighted, weight) {
             (Some(false), Some(_)) => return self.fail(line, TextErrKind::WeightAfterUnweighted),
             (Some(true), None) => return self.fail(line, TextErrKind::MissingWeight),
@@ -721,9 +799,10 @@ impl TextChunk {
 }
 
 /// Parses one whole newline-delimited byte range, sized for `presize`
-/// bytes of input (the whole buffer for the range the merge grows).
-fn parse_text_chunk(bytes: &[u8], presize: usize) -> TextChunk {
-    let mut out = TextChunk::of(presize as u64);
+/// bytes of input (the whole buffer for the range the merge grows), of a
+/// list whose header declares `vertices`.
+fn parse_text_chunk(bytes: &[u8], presize: usize, vertices: Option<usize>) -> TextChunk {
+    let mut out = TextChunk::of(presize as u64, vertices);
     out.scan(bytes, true, usize::MAX);
     out
 }
@@ -738,13 +817,15 @@ fn parse_text_chunk(bytes: &[u8], presize: usize) -> TextChunk {
 /// The first chunk with edges donates its buffers, which the parse sized
 /// for the whole input ([`TextChunk::presize`]) and which grow only if that
 /// fell short; the later chunks are copied into them by `pool`'s workers,
-/// an equal share each (on the calling thread without a pool). The parse
-/// bounded every endpoint by `max_v`, so the list is built without a
-/// second range check.
+/// an equal share each (on the calling thread without a pool). The list has
+/// the vertices its header declares, or else one past the largest endpoint;
+/// the parse bounded every endpoint by both, so the list is built without
+/// a second range check.
 fn merge_text_chunks(
     mut chunks: Vec<TextChunk>,
     pool: Option<&ThreadPool>,
 ) -> Result<EdgeList, GraphError> {
+    let declared = chunks.first().and_then(|c| c.vertices);
     // The weighted-mode of the first chunk with edges.
     let mut mode: Option<bool> = None;
     let mut max_v = 0;
@@ -781,7 +862,11 @@ fn merge_text_chunks(
     }
     let mut with_edges = chunks.into_iter().filter(|c| !c.edges.is_empty());
     let Some(first) = with_edges.next() else {
-        return Ok(EdgeList::from_parsed(0, Vec::new(), None));
+        return Ok(EdgeList::from_parsed(
+            declared.unwrap_or(0),
+            Vec::new(),
+            None,
+        ));
     };
     let later: Vec<TextChunk> = with_edges.collect();
     let edges: Vec<_> = later.iter().map(|c| &c.edges[..]).collect();
@@ -790,7 +875,8 @@ fn merge_text_chunks(
         let weights: Vec<_> = later.iter().map(|c| &c.weights[..]).collect();
         append_on(first.weights, &weights, pool)
     });
-    Ok(EdgeList::from_parsed(max_v as usize + 1, edges, weights))
+    let vertices = declared.unwrap_or(max_v as usize + 1);
+    Ok(EdgeList::from_parsed(vertices, edges, weights))
 }
 
 /// `first` with `later` appended, in order, and its slack given back. The
@@ -828,7 +914,10 @@ fn append_on<T: Copy + Send + Sync>(
 }
 
 /// Parses a text edge list from a byte buffer: one `src dst [weight]` per
-/// line, `#`-prefixed comment lines ignored. The vertex set is sized to the
+/// line, `#`-prefixed comment lines ignored. A first line that is the
+/// header [`write_text_edgelist`] writes, `# grazelle edge list: N
+/// vertices`, gives the list N vertices, and an endpoint at or past N is an
+/// error naming its line; without it, the vertex set is sized to the
 /// maximum endpoint.
 ///
 /// With a pool, the buffer is split on newline boundaries into one byte
@@ -840,9 +929,10 @@ pub fn parse_text_edgelist(
     bytes: &[u8],
     pool: Option<&ThreadPool>,
 ) -> Result<EdgeList, GraphError> {
+    let vertices = declared_vertices(bytes)?;
     let parse = |r: std::ops::Range<usize>| {
         let presize = if r.start == 0 { bytes.len() } else { r.len() };
-        parse_text_chunk(&bytes[r], presize)
+        parse_text_chunk(&bytes[r], presize, vertices)
     };
     let chunks = match pool {
         Some(pool) => {
@@ -902,15 +992,17 @@ fn read_text_blocks<R: Read>(
     block: usize,
 ) -> Result<(EdgeList, RetryStats), GraphError> {
     let mut blocks = Blocks::new(reader, 0, opts, block);
-    let mut chunk = TextChunk::default();
+    let mut chunk = TextChunk::of(0, blocks.declared_vertices()?);
     blocks.stream(false, u64::MAX, &mut chunk)?;
     Ok((merge_text_chunks(vec![chunk], None)?, blocks.stats))
 }
 
-/// Writes a text edge list in the format [`read_text_edgelist`] accepts.
+/// Writes a text edge list in the format [`read_text_edgelist`] accepts,
+/// led by the header that keeps its vertex count.
 pub fn write_text_edgelist<W: Write>(el: &EdgeList, writer: W) -> Result<(), GraphError> {
     let mut w = BufWriter::new(writer);
-    writeln!(w, "# grazelle edge list: {} vertices", el.num_vertices())?;
+    let [before, after] = HEADER;
+    writeln!(w, "{before}{}{after}", el.num_vertices())?;
     match el.weights() {
         Some(ws) => {
             for (&(s, d), &wt) in el.edges().iter().zip(ws) {
@@ -959,8 +1051,10 @@ fn load_text_streamed(
 ) -> Result<EdgeList, GraphError> {
     let file = open_for_load(path)?;
     let len = budgeted_len(&file, opts)?;
-    let head = Blocks::new(&file, 0, opts, block);
-    merge_text_chunks(stream_file(head, len, pool, TextChunk::of)?, pool)
+    let mut head = Blocks::new(&file, 0, opts, block);
+    let vertices = head.declared_vertices()?;
+    let chunks = stream_file(head, len, pool, |bytes| TextChunk::of(bytes, vertices))?;
+    merge_text_chunks(chunks, pool)
 }
 
 /// Opens a graph file for one of the path loaders. Every one of them is
@@ -1584,6 +1678,114 @@ mod tests {
         assert_eq!(el.num_vertices(), 3);
     }
 
+    /// `text` through every text reader: the buffer parse and the path
+    /// loader on no pool and on 1, 2 and 8 threads, the `Read` parse, and
+    /// both streams in blocks shorter than a line. Each result is named.
+    fn every_text_reader(name: &str, text: &str) -> Vec<(String, Result<EdgeList, GraphError>)> {
+        let opts = LoadOptions::default();
+        let path = std::env::temp_dir().join(format!("grazelle_io_{name}_{}", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let mut out = vec![
+            ("parse".into(), parse_text_edgelist(text.as_bytes(), None)),
+            (
+                "read".into(),
+                read_text_edgelist(text.as_bytes(), &opts).map(|r| r.0),
+            ),
+            (
+                "read, 3-byte blocks".into(),
+                read_text_blocks(text.as_bytes(), &opts, 3).map(|r| r.0),
+            ),
+            ("load".into(), load_text(&path, &opts, None)),
+        ];
+        for threads in [1, 2, 8] {
+            let pool = ThreadPool::single_group(threads);
+            out.push((
+                format!("parse, {threads} threads"),
+                parse_text_edgelist(text.as_bytes(), Some(&pool)),
+            ));
+            out.push((
+                format!("load, {threads} threads"),
+                load_text(&path, &opts, Some(&pool)),
+            ));
+            out.push((
+                format!("load, {threads} threads, 3-byte blocks"),
+                load_text_streamed(&path, &opts, Some(&pool), 3),
+            ));
+        }
+        std::fs::remove_file(&path).ok();
+        out
+    }
+
+    #[test]
+    fn text_header_keeps_isolated_trailing_vertices() {
+        // Vertex 5 has no edge: only the header says it exists.
+        let mut weighted = EdgeList::new(6);
+        for (s, d) in [(0, 1), (1, 2), (3, 4), (4, 3)] {
+            weighted.push_weighted(s, d, 0.5 + f64::from(s)).unwrap();
+        }
+        let plain = EdgeList::from_pairs(6, weighted.edges()).unwrap();
+        for el in [plain, weighted, EdgeList::new(6)] {
+            let mut text = Vec::new();
+            write_text_edgelist(&el, &mut text).unwrap();
+            let text = String::from_utf8(text).unwrap();
+            for (reader, back) in every_text_reader("header", &text) {
+                let back = back.unwrap_or_else(|e| panic!("{reader}: {e}"));
+                assert_eq!(back.num_vertices(), 6, "{reader}");
+                assert_eq!(back.edges(), el.edges(), "{reader}");
+                assert_eq!(back.weights(), el.weights(), "{reader}");
+            }
+        }
+    }
+
+    #[test]
+    fn text_header_bounds_every_endpoint() {
+        for (text, line) in [
+            ("# grazelle edge list: 3 vertices\n0 1\n\n1 3\n", 4),
+            (
+                "# grazelle edge list: 3 vertices\n0 1\n1 2\n2 0\n2 3\n1 0\n",
+                5,
+            ),
+            ("# grazelle edge list: 3 vertices\n0 1 0.5\n3 1 0.5\n", 3),
+            ("# grazelle edge list: 3 vertices\n0  1 1e0\n1\t3 1e0\n", 3),
+            ("# grazelle edge list: 0 vertices\n0 0", 2),
+        ] {
+            for (reader, got) in every_text_reader("bounds", text) {
+                let err = got.expect_err(&reader).to_string();
+                assert!(
+                    err.contains(&format!("line {line}: vertex")),
+                    "{reader}: {err}"
+                );
+                assert!(err.contains("the header declares"), "{reader}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_first_line_header_declares_vertices() {
+        for (text, vertices) in [
+            ("0 1\n# grazelle edge list: 9 vertices\n1 2\n", 3),
+            ("# Nodes: 9 Edges: 2\n0 1\n1 2\n", 3),
+            ("# grazelle edge list: 9 vertices, 2 edges\n0 1\n", 2),
+            ("# grazelle edge list:  9 vertices\n0 1\n", 2),
+            ("  # grazelle edge list: 9 vertices\r\n0 1\r\n", 9),
+            ("# grazelle edge list: 4294967296 vertices\n", 1 << 32),
+        ] {
+            for (reader, got) in every_text_reader("first", text) {
+                let el = got.unwrap_or_else(|e| panic!("{reader}: {e}"));
+                assert_eq!(el.num_vertices(), vertices, "{reader}: {text:?}");
+            }
+        }
+        for (reader, got) in
+            every_text_reader("huge", "# grazelle edge list: 4294967297 vertices\n")
+        {
+            let err = got.expect_err(&reader).to_string();
+            assert!(
+                err.contains("line 1: the header declares"),
+                "{reader}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn text_rejects_garbage() {
         assert!(read_text_edgelist("0".as_bytes(), &LoadOptions::default()).is_err());
@@ -1644,7 +1846,7 @@ mod tests {
         ];
         let pools = [2, 3].map(ThreadPool::single_group);
         for pool in [None, Some(&pools[0]), Some(&pools[1])] {
-            let chunks = texts.map(|t| parse_text_chunk(t.as_bytes(), t.len()));
+            let chunks = texts.map(|t| parse_text_chunk(t.as_bytes(), t.len(), None));
             let el = merge_text_chunks(chunks.into(), pool).unwrap();
             assert_eq!(
                 el.edges(),

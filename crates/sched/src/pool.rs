@@ -5,8 +5,9 @@
 //! local thread ID within the group, and global thread ID" (§5). This pool
 //! reproduces that topology. Physical pinning (`sched_setaffinity`) would
 //! need `libc`, which is outside the allowed dependency set; since the
-//! reproduction host is single-core anyway (DESIGN.md §4.2), pinning is a
-//! no-op here and groups are purely logical.
+//! reproduction host has one socket and 2 vCPUs (DESIGN.md §4.2), there
+//! is no NUMA node to pin to, so pinning is a no-op here and groups are
+//! purely logical.
 //!
 //! `run` broadcasts one closure to *every* worker — the paper's execution
 //! model, where each phase is a SPMD region ended by a barrier — and blocks

@@ -28,7 +28,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Name of the JSON artifact `cargo xtask analyze --json` emits, next to
-/// the `BENCH_*.json` files the perf gate consumes.
+/// the `BENCH_*.json` files `repro --json` writes.
 pub const REPORT_FILENAME: &str = "ANALYZE_report.json";
 
 /// Which pass produced a finding.

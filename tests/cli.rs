@@ -227,6 +227,32 @@ fn binary_input_loads() {
 }
 
 #[test]
+fn text_input_keeps_isolated_trailing_vertices() {
+    use grazelle::graph::edgelist::EdgeList;
+    use grazelle::graph::io;
+    // Vertex 5 has no edge: only the text file's header names it.
+    let pairs = [(0, 1), (1, 0), (1, 2), (2, 1), (3, 4), (4, 3)];
+    let el = EdgeList::from_pairs(6, &pairs).unwrap();
+    let dir = std::env::temp_dir();
+    let text = dir.join(format!("grazelle_cli_isolated_{}.txt", std::process::id()));
+    let bin = dir.join(format!("grazelle_cli_isolated_{}.bin", std::process::id()));
+    io::write_text_edgelist(&el, std::fs::File::create(&text).unwrap()).unwrap();
+    io::save_binary(&el, &bin).unwrap();
+    for path in [&text, &bin] {
+        for threads in ["1", "2"] {
+            let out = run_ok(&["-i", path.to_str().unwrap(), "-a", "cc", "-n", threads]);
+            assert!(
+                out.contains("Components Found:         3"),
+                "{} at {threads} threads: {out}",
+                path.display()
+            );
+        }
+    }
+    std::fs::remove_file(&text).ok();
+    std::fs::remove_file(&bin).ok();
+}
+
+#[test]
 fn engine_and_mode_flags_are_accepted() {
     for extra in [
         ["--engine", "pull"],
