@@ -22,8 +22,8 @@ use grazelle_apps::cc::ConnectedComponents;
 use grazelle_apps::pagerank::{PageRank, DAMPING};
 use grazelle_core::engine::PreparedGraph;
 use grazelle_core::{
-    run_resilient, EngineConfig, EngineError, ExecFaultPlan, ExecInjector, ResilienceContext,
-    RunOutcome,
+    run_resilient, run_resilient_on_pool, EngineConfig, EngineError, ExecFaultPlan, ExecInjector,
+    ResilienceContext, RunOutcome,
 };
 use grazelle_graph::edgelist::EdgeList;
 use grazelle_graph::faults::{FaultyReader, IoFaultPlan, RetryPolicy};
@@ -381,6 +381,38 @@ fn stall_fails_typed_instead_of_hanging() {
     // Bounded: the stalled worker wakes after 400ms and the run ends; well
     // under the multi-second territory that would indicate a real hang.
     assert!(t0.elapsed() < Duration::from_secs(5));
+}
+
+#[test]
+fn stall_on_the_calling_worker_fails_typed_and_the_pool_runs_on() {
+    // Worker 0, the thread the stall sleeps, is the thread that calls the
+    // pool: the watchdog must still end the run typed, and the same pool
+    // must then run the next query clean.
+    let g = scale_free_graph();
+    let pg = PreparedGraph::new(&g);
+    let cfg = EngineConfig::new().with_threads(2).with_max_iterations(12);
+    let (clean, _) = pagerank_resilient(&g, &pg, &cfg, &ResilienceContext::new());
+    let pool = ThreadPool::new(cfg.threads, cfg.groups);
+
+    let watched = cfg.with_watchdog(Some(Duration::from_millis(50)));
+    let inj = ExecInjector::new(ExecFaultPlan::clean().with_stall(1, Duration::from_millis(200)));
+    let rctx = ResilienceContext::new().with_injector(&inj);
+    let t0 = std::time::Instant::now();
+    let err = run_resilient_on_pool(&pg, &PageRank::new(&g, DAMPING), &watched, &rctx, &pool)
+        .unwrap_err();
+    assert!(
+        matches!(err, EngineError::Stalled { iteration: 1 }),
+        "expected Stalled at iteration 1, got {err:?}"
+    );
+    assert!(
+        t0.elapsed() >= Duration::from_millis(200),
+        "the stall slept"
+    );
+
+    let next = PageRank::new(&g, DAMPING);
+    let run = run_resilient_on_pool(&pg, &next, &cfg, &ResilienceContext::new(), &pool).unwrap();
+    assert_eq!(run.outcome, RunOutcome::Clean);
+    assert_eq!(next.ranks(), clean);
 }
 
 #[test]

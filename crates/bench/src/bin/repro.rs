@@ -21,6 +21,9 @@
 //!   GRAZELLE_SCALE_SHIFT    workload scale (default -2; 0 = nominal)
 //!   GRAZELLE_THREADS        worker threads (default: min(4, cores))
 //!   GRAZELLE_REPEATS        median-of-N timing (default 3)
+//!   GRAZELLE_BUILD_SCALE    build-large R-MAT scale (default 22)
+//!   GRAZELLE_BUILD_ASSERT_SPEEDUP
+//!                           set: build-large fails below a 1.5x speedup
 //! ```
 //!
 //! The doc header above is asserted against `ALL` by a test — keep the
@@ -169,6 +172,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!("usage: repro [--sockets N] [--json DIR] <experiment>... | all");
     eprintln!("experiments: {}", ALL.join(" "));
+    eprintln!("opt-in (never part of all): build-large");
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
@@ -177,7 +181,8 @@ mod tests {
     use super::ALL;
 
     /// The module doc header drifted from `ALL` once (it omitted table2
-    /// and four ablations); this pins the two together permanently.
+    /// and four ablations), and from the environment knobs once (it named
+    /// three of five); this pins them together permanently.
     #[test]
     fn doc_header_names_every_experiment() {
         let source = include_str!("repro.rs");
@@ -186,12 +191,36 @@ mod tests {
             .take_while(|l| l.starts_with("//!"))
             .collect::<Vec<_>>()
             .join("\n");
+        let words: Vec<&str> = header.split_whitespace().collect();
         for name in ALL {
-            assert!(
-                header.split_whitespace().any(|word| word == *name),
-                "doc header omits experiment '{name}'"
-            );
+            assert!(words.contains(name), "doc header omits experiment '{name}'");
         }
+        // Every knob repro's own code reads, `scale_shift` included.
+        let readers = [
+            source,
+            include_str!("../experiments.rs"),
+            include_str!("../workloads.rs"),
+        ];
+        let prefix = "GRAZELLE_";
+        let mut knobs = 0;
+        for text in readers {
+            for (at, _) in text.match_indices(prefix) {
+                let rest = &text[at + prefix.len()..];
+                let len = rest
+                    .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+                    .unwrap_or(rest.len());
+                if len == 0 {
+                    continue;
+                }
+                let knob = &text[at..at + prefix.len() + len];
+                knobs += 1;
+                assert!(
+                    words.contains(&knob),
+                    "doc header omits environment variable '{knob}'"
+                );
+            }
+        }
+        assert!(knobs >= 5, "found only {knobs} knob reads");
     }
 
     /// DESIGN.md §3 maps every paper experiment to the command that

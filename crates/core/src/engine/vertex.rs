@@ -69,9 +69,11 @@ pub fn vertex_phase<P: GraphProgram>(
 }
 
 /// Touched-list length at which an unboundedly wide pool repays its one
-/// broadcast. The phase only runs on the driver's sparse path, where
-/// the pool has been left parked, so a broadcast costs ≈180 µs (see
-/// [`SPA_PARKED_VECTOR_CUTOFF`](crate::spmv::spa::SPA_PARKED_VECTOR_CUTOFF))
+/// phase. The phase only runs on the driver's sparse path, where the pool
+/// has been left parked: a phase costs ≈53–66 µs now that the caller runs
+/// share 0, ≈180 µs when the broadcast pool this cutoff was fitted to woke
+/// every worker (see
+/// [`SPA_PARKED_VECTOR_CUTOFF`](crate::spmv::spa::SPA_PARKED_VECTOR_CUTOFF)),
 /// against ≈10 ns per entry walked inline (`apply` + identity store;
 /// EXPERIMENTS.md). T threads save `(1 − 1/T)` of the walk, so the phase
 /// goes to the pool past `SPARSE_VERTEX_INLINE_CUTOFF · T/(T − 1)` entries

@@ -58,7 +58,7 @@
 //! supersteps instead of being reallocated per phase. And because the
 //! deterministic fold order is defined independently of the worker count,
 //! a near-empty frontier (a road-graph BFS tail) can legally run the whole
-//! phase inline on the calling thread, skipping the two pool broadcasts
+//! phase inline on the calling thread, skipping the two pool phases
 //! entirely. With one partition scanned in increasing order there is
 //! nothing to merge: each message is folded as it is produced, which is
 //! the fold order above, and only destination ids are kept as the touched
@@ -96,22 +96,28 @@ pub fn num_chunks(num_vertices: usize) -> usize {
 /// source on the road mesh, where a source owns one vector (traced 2-thread
 /// supersteps on the 2-vCPU benchmark host, EXPERIMENTS.md; ≈30 and ≈65 ns
 /// per message with the separate bucket fold and no prefetch). The pool
-/// path pays two broadcasts of ≈35 µs each (`sched.dispatch_us`) when the
-/// workers ran a phase moments ago, as they have under the dense Vertex
-/// phase. An unboundedly wide pool therefore repays its wake-ups past
-/// `70 µs / 50–100 ns ≈ 700–1400` vectors (a full vector carries four
-/// messages); 512 stays the conservative floor and `inline_vector_cutoff`
-/// scales it by `T/(T − 1)`, the share of the inline time T threads
-/// actually save.
+/// path pays two empty-phase round trips of ≈13–16 µs each when the
+/// helpers ran a phase moments ago, as they have under the dense Vertex
+/// phase (the caller runs share 0, so a phase wakes `T − 1` helpers;
+/// medians of `cargo run --release -p grazelle-sched --example dispatch`,
+/// 2 threads, same host; the broadcast pool that woke all `T` workers
+/// read ≈35 µs when this cutoff was set). An unboundedly wide pool
+/// therefore repays its wake-ups past `30 µs / 50–100 ns ≈ 300–600`
+/// vectors; 512 stays the floor, unchanged since it was fitted to the
+/// older figure, and `inline_vector_cutoff` scales it by `T/(T − 1)`,
+/// the share of the inline time T threads actually save.
 pub const SPA_SEQ_VECTOR_CUTOFF: usize = 512;
 
 /// The same floor when the pool has been left parked — the driver's
 /// sparse supersteps (DESIGN.md §18), which run reset-free and
-/// Vertex-phase-inline and so never touch it. Rescheduling parked workers
-/// costs ≈180 µs per broadcast on the same host (traced: 2-thread steps of
-/// 12 k edges take 550 µs wall for 366 µs of summed thread time), five
-/// times the warm figure, so the floor moves to
-/// `360 µs / 60–100 ns ≈ 3.6 k–6 k` vectors.
+/// Vertex-phase-inline and so never touch it. A round trip to helpers
+/// parked for 5 ms costs ≈53–66 µs (the same example), four times the warm
+/// figure. The floor was fitted when the broadcast pool woke every worker
+/// and a parked broadcast cost ≈180 µs (traced: 2-thread steps of 12 k
+/// edges took 550 µs wall for 366 µs of summed thread time), i.e.
+/// `360 µs / 60–100 ns ≈ 3.6 k–6 k` vectors; at the new figure the
+/// break-even is ≈1.2 k–2 k vectors, and the floor is left for a measured
+/// retune.
 pub const SPA_PARKED_VECTOR_CUTOFF: usize = 4096;
 
 /// Scales an inline-cutoff floor (the size at which an unboundedly wide
@@ -255,7 +261,7 @@ impl SpaScratch {
 /// as wide as the graph. Otherwise the check scans with an early exit, so
 /// it is O(cutoff) regardless of graph size. Dense frontiers over large
 /// graphs bail out before scanning (the bitmap walk itself would cost more
-/// than a broadcast); a list short enough that even the widest out-list per
+/// than a pool phase); a list short enough that even the widest out-list per
 /// source fits is accepted in O(1), leaving its index lines to the scan's
 /// prefetch.
 pub(crate) fn frontier_fits_inline(

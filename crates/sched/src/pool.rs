@@ -9,9 +9,12 @@
 //! is no NUMA node to pin to, so pinning is a no-op here and groups are
 //! purely logical.
 //!
-//! `run` broadcasts one closure to *every* worker — the paper's execution
+//! `run` hands one closure to *every* worker — the paper's execution
 //! model, where each phase is a SPMD region ended by a barrier — and blocks
-//! until all workers return.
+//! until all workers return. The calling thread is worker 0: it runs share
+//! 0 itself while the `n − 1` helper threads the pool spawned run shares
+//! `1..n`, so a phase wakes only the helpers and a one-thread pool spawns
+//! nothing and runs inline. Phases of one pool cannot nest or overlap.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -50,9 +53,21 @@ fn group_of(global_id: usize, num_groups: usize, num_threads: usize) -> usize {
     (global_id * num_groups + num_groups - 1) / num_threads.max(1)
 }
 
-/// Type-erased broadcast job. The pointer is only dereferenced between a
-/// job's publication and the completion handshake inside [`ThreadPool::run`],
-/// during which the underlying closure is kept alive by `run`'s stack frame.
+fn worker_ctx(global_id: usize, num_groups: usize, num_threads: usize) -> WorkerCtx {
+    let group_id = group_of(global_id, num_groups, num_threads);
+    WorkerCtx {
+        global_id,
+        group_id,
+        local_id: global_id - group_range(group_id, num_groups, num_threads).start,
+        num_threads,
+        num_groups,
+    }
+}
+
+/// Type-erased job handed to the helpers. The pointer is only dereferenced
+/// between a job's publication and the completion handshake inside
+/// [`ThreadPool::run_result`], during which the underlying closure is kept
+/// alive by `run_result`'s stack frame.
 struct JobSlot {
     job: Mutex<Option<RawJob>>,
     epoch: AtomicUsize,
@@ -88,17 +103,37 @@ impl std::fmt::Display for WorkerPanicked {
 
 impl std::error::Error for WorkerPanicked {}
 
-/// A fixed-size pool of persistent worker threads.
+/// A fixed-size pool of persistent workers: the calling thread (worker 0)
+/// and `num_threads − 1` helper threads.
 pub struct ThreadPool {
     slot: Arc<JobSlot>,
     handles: Vec<std::thread::JoinHandle<()>>,
+    /// Set while a phase is open; a second `run_result` panics instead of
+    /// resetting the handshake under the first one's helpers.
+    phase_open: AtomicBool,
     num_threads: usize,
     num_groups: usize,
 }
 
+/// Closes the open phase on every exit from `run_result`, unwinding
+/// included.
+struct PhaseGuard<'a> {
+    phase_open: &'a AtomicBool,
+}
+
+impl Drop for PhaseGuard<'_> {
+    fn drop(&mut self) {
+        // ATOMIC: barrier-publish — closes the phase; acquired by the next
+        // phase's opening swap
+        self.phase_open.store(false, Ordering::Release);
+    }
+}
+
 impl ThreadPool {
     /// Creates a pool of `num_threads` workers split into `num_groups`
-    /// logical groups. `num_groups` must not exceed `num_threads`.
+    /// logical groups. `num_groups` must not exceed `num_threads`. Worker 0
+    /// is whichever thread calls `run`, so this spawns `num_threads − 1`
+    /// helper threads, none for a one-thread pool.
     pub fn new(num_threads: usize, num_groups: usize) -> Self {
         // Before any worker exists: glibc fixes its arena cap at the first
         // arena it creates.
@@ -118,22 +153,10 @@ impl ThreadPool {
             shutdown: AtomicBool::new(false),
             panicked: AtomicBool::new(false),
         });
-        let handles = (0..num_threads)
+        let handles = (1..num_threads)
             .map(|global_id| {
                 let slot = Arc::clone(&slot);
-                let ctx = WorkerCtx {
-                    global_id,
-                    group_id: group_of(global_id, num_groups, num_threads),
-                    local_id: global_id
-                        - group_range(
-                            group_of(global_id, num_groups, num_threads),
-                            num_groups,
-                            num_threads,
-                        )
-                        .start,
-                    num_threads,
-                    num_groups,
-                };
+                let ctx = worker_ctx(global_id, num_groups, num_threads);
                 std::thread::Builder::new()
                     .name(format!("grazelle-worker-{global_id}"))
                     .spawn(move || worker_loop(slot, ctx))
@@ -143,6 +166,7 @@ impl ThreadPool {
         ThreadPool {
             slot,
             handles,
+            phase_open: AtomicBool::new(false),
             num_threads,
             num_groups,
         }
@@ -153,7 +177,7 @@ impl ThreadPool {
         ThreadPool::new(num_threads, 1)
     }
 
-    /// Number of worker threads.
+    /// Number of workers, the calling thread included.
     pub fn num_threads(&self) -> usize {
         self.num_threads
     }
@@ -163,7 +187,8 @@ impl ThreadPool {
         self.num_groups
     }
 
-    /// Broadcasts `f` to every worker and blocks until all return.
+    /// Runs `f` once per worker — share 0 on the calling thread, shares
+    /// `1..n` on the helpers — and blocks until all return.
     ///
     /// Panics (after all workers finished the phase) if any worker panicked,
     /// so engine bugs surface in tests instead of deadlocking. Resilient
@@ -181,36 +206,49 @@ impl ThreadPool {
         );
     }
 
-    /// Broadcasts `f` to every worker, blocks until all return, and reports
-    /// whether any worker panicked instead of re-raising.
+    /// Runs `f` once per worker like [`ThreadPool::run`], blocks until all
+    /// return, and reports whether any share panicked instead of
+    /// re-raising.
     ///
     /// The phase always runs to completion on every worker (panics are
-    /// caught per-worker in `worker_loop`), so the pool stays fully usable
-    /// after an `Err` — this is what lets the resilient engine retry a
-    /// poisoned chunk on a surviving thread rather than aborting the run.
+    /// caught per share: the caller's here, the helpers' in
+    /// `worker_loop`), so the pool stays fully usable after an `Err` —
+    /// this is what lets the resilient engine retry a poisoned chunk on a
+    /// surviving thread rather than aborting the run.
+    ///
+    /// Panics if a phase of this pool is already open: a call from inside
+    /// any share, or from a second thread while another phase runs.
     pub fn run_result<F>(&self, f: F) -> Result<(), WorkerPanicked>
     where
         F: Fn(&WorkerCtx) + Sync,
     {
+        // ATOMIC: barrier-publish — opens the phase; acquires the previous
+        // phase's close
+        let already_open = self.phase_open.swap(true, Ordering::AcqRel);
+        assert!(!already_open, "ThreadPool phases cannot nest or overlap");
+        let _open = PhaseGuard {
+            phase_open: &self.phase_open,
+        };
         let slot = &*self.slot;
-        // Erase the closure's lifetime; `run` keeps `f` alive until the
-        // completion handshake below, and workers never hold the pointer
-        // across epochs.
-        let wide: &(dyn Fn(&WorkerCtx) + Sync) = &f;
-        // SAFETY: lifetime-erasing transmute of the job pointer; the
-        // completion handshake below keeps `f` alive until every worker
-        // has finished the epoch, so no dereference outlives it.
-        let raw = RawJob(unsafe {
-            std::mem::transmute::<
-                *const (dyn Fn(&WorkerCtx) + Sync),
-                *const (dyn Fn(&WorkerCtx) + Sync),
-            >(wide as *const _)
-        });
-        {
+        let helpers = self.num_threads - 1;
+        if helpers > 0 {
+            // Erase the closure's lifetime; this frame keeps `f` alive until
+            // the completion handshake below, and helpers never hold the
+            // pointer across epochs.
+            let wide: &(dyn Fn(&WorkerCtx) + Sync) = &f;
+            // SAFETY: lifetime-erasing transmute of the job pointer; the
+            // completion handshake below keeps `f` alive until every helper
+            // has finished the epoch, so no dereference outlives it.
+            let raw = RawJob(unsafe {
+                std::mem::transmute::<
+                    *const (dyn Fn(&WorkerCtx) + Sync),
+                    *const (dyn Fn(&WorkerCtx) + Sync),
+                >(wide as *const _)
+            });
             let mut job = slot.job.lock().expect("job mutex poisoned");
             // ATOMIC: barrier-publish — arms the completion count before the
             // epoch Release below publishes the job
-            slot.remaining.store(self.num_threads, Ordering::Release);
+            slot.remaining.store(helpers, Ordering::Release);
             // ATOMIC: barrier-publish — pre-publish reset, ordered by the
             // epoch Release below
             slot.panicked.store(false, Ordering::Relaxed);
@@ -219,18 +257,28 @@ impl ThreadPool {
             slot.epoch.fetch_add(1, Ordering::Release);
             slot.cv.notify_all();
         }
-        // Wait for completion.
-        let mut guard = slot.done_mutex.lock().expect("done mutex poisoned");
-        // ATOMIC: barrier-publish — acquires every worker's phase writes
-        while slot.remaining.load(Ordering::Acquire) != 0 {
-            guard = slot.done_cv.wait(guard).expect("done mutex poisoned");
+        // RECOVERY: a panic in the caller's share must not skip the
+        // completion handshake below — the helpers are still dereferencing
+        // `f`, which lives in this frame — and must leave the pool as
+        // usable as a helper's panic does. It is reported as
+        // `Err(WorkerPanicked)` once every helper has finished.
+        let caller_ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            f(&worker_ctx(0, self.num_groups, self.num_threads));
+        }))
+        .is_ok();
+        if helpers > 0 {
+            let mut guard = slot.done_mutex.lock().expect("done mutex poisoned");
+            // ATOMIC: barrier-publish — acquires every helper's phase writes
+            while slot.remaining.load(Ordering::Acquire) != 0 {
+                guard = slot.done_cv.wait(guard).expect("done mutex poisoned");
+            }
         }
-        drop(guard);
-        // ATOMIC: barrier-publish — acquires the panicking worker's record
-        if slot.panicked.load(Ordering::Acquire) {
-            Err(WorkerPanicked)
-        } else {
+        // ATOMIC: barrier-publish — acquires the panicking helper's record
+        // (never set in a pool without helpers)
+        if caller_ok && !slot.panicked.load(Ordering::Acquire) {
             Ok(())
+        } else {
+            Err(WorkerPanicked)
         }
     }
 
@@ -306,7 +354,7 @@ impl ThreadPool {
     /// *before* invoking `f` — and skips the task when cancellation has
     /// been requested, yielding `None` in that slot.
     ///
-    /// The broadcast handshake always completes (a cancelled batch is a
+    /// The phase handshake always completes (a cancelled batch is a
     /// fast no-op phase, not an abort), so the pool stays fully usable and
     /// the caller can tell exactly which tasks ran. Tasks already inside
     /// `f` when the flag is set run to completion — cancellation is only
@@ -368,10 +416,10 @@ impl Drop for ThreadPool {
 }
 
 /// Runs `f` on every task of `tasks`, one share each, and returns the
-/// results in task order: on `pool`'s workers when there are several
+/// results in task order: as a phase of `pool` when there are several
 /// shares (then exactly one per worker, as [`ThreadPool::run_tasks`]
-/// needs), on the calling thread, in order, when `pool` is `None` or there
-/// is one share. Builders that take an optional pool make their one
+/// needs: share 0 on the calling thread, the rest on the helpers), on the
+/// calling thread, in order, when `pool` is `None` or there is one share. Builders that take an optional pool make their one
 /// "pool or inline" choice here, so a one-share build is the same code as
 /// a several-share one.
 pub fn run_shares<T, R, F>(pool: Option<&ThreadPool>, tasks: Vec<T>, f: F) -> Vec<R>
@@ -415,8 +463,9 @@ fn worker_loop(slot: Arc<JobSlot>, ctx: WorkerCtx) {
         // can retry the poisoned chunk on a surviving thread. The panic is
         // recorded in `slot.panicked` and surfaced as `Err(WorkerPanicked)`.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // SAFETY: `run` keeps the closure alive until `remaining`
-            // reaches zero, which happens only after this call returns.
+            // SAFETY: `run_result` keeps the closure alive until
+            // `remaining` reaches zero, which happens only after this call
+            // returns.
             let f = unsafe { &*raw.0 };
             f(&ctx);
         }));
@@ -511,10 +560,130 @@ mod tests {
         assert_eq!(on(Some(&pool), 1), [(0, true)]);
         assert_eq!(
             on(Some(&pool), 3),
-            [(0, false), (10, false), (20, false)],
-            "several shares run on the workers, results in task order"
+            [(0, true), (10, false), (20, false)],
+            "several shares run as a phase: share 0 on the caller, the rest \
+             on the helpers, results in task order"
         );
         assert!(on(Some(&ThreadPool::single_group(1)), 1)[0].1);
+    }
+
+    #[test]
+    fn share_zero_runs_on_the_caller_and_the_rest_on_helpers() {
+        let caller = std::thread::current().id();
+        let pool = ThreadPool::new(4, 2);
+        let ids = pool.run_map(|_| Some(std::thread::current().id()));
+        assert_eq!(ids[0], Some(caller));
+        for (id, thread) in ids.iter().enumerate().skip(1) {
+            assert_ne!(*thread, Some(caller), "share {id} ran on the caller");
+        }
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), 4, "one thread per share");
+    }
+
+    #[test]
+    fn a_pool_of_n_spawns_n_minus_one_helpers() {
+        for (threads, groups) in [(1, 1), (2, 1), (3, 2), (8, 4)] {
+            let pool = ThreadPool::new(threads, groups);
+            assert_eq!(pool.handles.len(), threads - 1, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_one_thread_pool_runs_inline() {
+        let caller = std::thread::current().id();
+        let pool = ThreadPool::new(1, 1);
+        let seen = Mutex::new(vec![]);
+        for _ in 0..3 {
+            pool.run(|ctx| {
+                assert_eq!(*ctx, worker_ctx(0, 1, 1));
+                seen.lock().unwrap().push(std::thread::current().id());
+            });
+        }
+        assert_eq!(seen.into_inner().unwrap(), vec![caller; 3]);
+        assert_eq!(
+            pool.run_result(|_| panic!("inline share panics")),
+            Err(WorkerPanicked)
+        );
+        assert_eq!(pool.run_result(|_| {}), Ok(()));
+    }
+
+    #[test]
+    fn a_panicking_caller_share_waits_for_every_helper() {
+        let pool = ThreadPool::single_group(3);
+        let finished = AtomicU64::new(0);
+        let res = pool.run_result(|ctx| {
+            if ctx.global_id == 0 {
+                panic!("caller share panics first");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            finished.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(res, Err(WorkerPanicked));
+        // `run_result` returned only after both helpers' side effects.
+        assert_eq!(finished.load(Ordering::Relaxed), 2);
+        let c = AtomicU64::new(0);
+        pool.run(|_| {
+            c.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(c.load(Ordering::Relaxed), 3);
+    }
+
+    /// Runs a phase whose share `inner` calls back into `pool`, records the
+    /// inner call's panic message, and re-raises it.
+    fn nest_from(pool: &ThreadPool, inner: usize) -> (Result<(), WorkerPanicked>, String) {
+        let message = Mutex::new(String::new());
+        let res = pool.run_result(|ctx| {
+            if ctx.global_id != inner {
+                return;
+            }
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.run(|_| {})))
+                .expect_err("a nested phase must be refused");
+            *message.lock().unwrap() = err
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            std::panic::resume_unwind(err);
+        });
+        (res, message.into_inner().unwrap())
+    }
+
+    #[test]
+    fn a_nested_phase_panics_from_any_share_and_the_pool_survives() {
+        let pool = ThreadPool::single_group(2);
+        for inner in [0, 1] {
+            let (res, message) = nest_from(&pool, inner);
+            assert_eq!(res, Err(WorkerPanicked), "nested from share {inner}");
+            assert!(
+                message.contains("ThreadPool phases cannot nest or overlap"),
+                "share {inner}: {message:?}"
+            );
+            let c = AtomicU64::new(0);
+            pool.run(|_| {
+                c.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(
+                c.load(Ordering::Relaxed),
+                2,
+                "clean phase after share {inner}"
+            );
+        }
+        let (res, _) = nest_from(&ThreadPool::new(1, 1), 0);
+        assert_eq!(res, Err(WorkerPanicked), "nested inside an inline pool");
+    }
+
+    #[test]
+    fn an_overlapping_phase_from_another_thread_panics() {
+        let pool = ThreadPool::single_group(2);
+        pool.run(|ctx| {
+            if ctx.global_id != 0 {
+                return;
+            }
+            // The outer phase is open for as long as share 0 runs.
+            let overlap = std::thread::scope(|s| s.spawn(|| pool.run(|_| {})).join());
+            assert!(overlap.is_err(), "a second thread's phase must be refused");
+        });
+        assert_eq!(pool.run_result(|_| {}), Ok(()));
     }
 
     #[test]
@@ -613,5 +782,22 @@ mod tests {
         cancel.reset();
         let out = pool.run_tasks_cancellable(vec![7u64, 8], &cancel, |_, t| t);
         assert_eq!(out, vec![Some(7), Some(8)]);
+    }
+
+    #[test]
+    fn a_cancelled_batch_skips_the_callers_share_too() {
+        let caller = std::thread::current().id();
+        let pool = ThreadPool::single_group(3);
+        let cancel = crate::cancel::CancelFlag::new();
+        let on_caller = |_: &WorkerCtx, t: u64| (t, std::thread::current().id() == caller);
+        cancel.cancel();
+        let out = pool.run_tasks_cancellable(vec![1u64, 2, 3], &cancel, on_caller);
+        assert_eq!(out, vec![None, None, None]);
+        cancel.reset();
+        let out = pool.run_tasks_cancellable(vec![1u64, 2, 3], &cancel, on_caller);
+        assert_eq!(
+            out,
+            vec![Some((1, true)), Some((2, false)), Some((3, false))]
+        );
     }
 }
